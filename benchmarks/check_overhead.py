@@ -202,8 +202,7 @@ def _check_tiering_overhead(sizes, limit_fraction: float = 0.02) -> bool:
     process) under two states:
 
     * no tiering attached — the production default: the serving path
-      pays one ``is None`` check per validated query and the row-pad
-      LRU branch is a single integer test;
+      pays one ``is None`` check per validated query;
     * tiering attached but idle — the access tracker observes every
       query (what a prewarmer-disabled deployment that still collects
       stats looks like), with no prewarmer thread and default caches.

@@ -12,28 +12,25 @@ The inverse operation (ring addition of the regenerated pad) is what the
 paper calls decryption; in hardware it is the single adder on the
 ``SecNDPLd`` critical path (Sec. V-E3).
 
-Tiering note: query-path pad regeneration (:meth:`ArithmeticEncryptor.
-pads_for_rows`) assembles each row from ``row_bytes / 16`` cached cipher
-blocks — ~16 LRU operations per row even when every block is resident.
-An optional *row-level* pad LRU (off by default; sized by
-:mod:`repro.tiering` from the hot-set footprint) short-circuits that to
-one lookup per row, which is what makes prewarmed hot rows nearly free
-to serve.  Same contract as every pad cache here: keys carry
-``(version, address)``, so entries are pure-function values and stale
-versions are unreachable by construction.
+Query-path note: pad regeneration (:meth:`ArithmeticEncryptor.
+pads_for_rows`) is row-granular.  The store pads rows to whole cipher
+blocks, so the blocks of the distinct rows of a query are one
+broadcast ``row_addr + 16 * arange(blocks_per_row)`` — already distinct
+and ascending — and go straight to the block-pad cache of
+:class:`~repro.crypto.otp.OtpGenerator`, which serves resident blocks
+with one vectorised gather.  That cache is the only pad cache on the
+data path; the tiering layer sizes it to the hot-set footprint.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import obs
 from ..crypto.aes import BLOCK_BYTES
-from ..crypto.otp import OtpCacheInfo, OtpGenerator
+from ..crypto.otp import OtpGenerator
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError
 from .params import SecNDPParams
@@ -77,6 +74,18 @@ class EncryptedMatrix:
             raise IndexError(f"row {i} out of range [0, {self.n_rows})")
         return self.base_addr + i * self.row_bytes
 
+    def row_addrs(self, rows) -> np.ndarray:
+        """Vectorised :meth:`row_addr`: ``uint64`` addresses, same bounds check."""
+        rows = np.asarray(rows, dtype=np.int64)
+        bad = (rows < 0) | (rows >= self.n_rows)
+        if bad.any():
+            raise IndexError(
+                f"row {int(rows[bad][0])} out of range [0, {self.n_rows})"
+            )
+        return np.uint64(self.base_addr) + rows.astype(np.uint64) * np.uint64(
+            self.row_bytes
+        )
+
     def element_addr(self, i: int, j: int) -> int:
         """Physical byte address of element ``P_{i,j}``."""
         if not 0 <= j < self.n_cols:
@@ -100,16 +109,6 @@ class ArithmeticEncryptor:
         self.params = params
         self.ring = params.ring()
         self.otp = OtpGenerator(cipher, self.ring)
-        # Row-level pad LRU, keyed (version, row_addr) -> pad row.  Off
-        # (capacity 0) until the tiering layer sizes it to the hot set;
-        # see the module docstring.  Concurrency contract matches
-        # OtpGenerator: single C-level OrderedDict ops under the GIL,
-        # KeyError-tolerant move_to_end/popitem.
-        self.row_cache_rows = 0
-        self._row_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self.row_cache_hits = 0
-        self.row_cache_misses = 0
-        self.row_cache_evictions = 0
 
     def encrypt(
         self, plaintext: np.ndarray, base_addr: int, version: int
@@ -161,114 +160,28 @@ class ArithmeticEncryptor:
         This is the processor-side share used during computation; it never
         touches memory - the pads are derived purely from addresses and the
         version (the property that makes SecNDP bandwidth-free on the OTP
-        side).  With a non-zero ``row_cache_rows`` capacity, whole row
-        pads are served from the row-level LRU (one lookup per row); only
-        the missing rows fall through to the block-assembly path.
+        side).  Rows that are whole cipher blocks at block-aligned
+        addresses take the row-granular path of the module docstring;
+        anything else goes element by element through
+        :meth:`~repro.crypto.otp.OtpGenerator.pad_elements_at`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if not self.row_cache_rows:
-            return self._pads_for_rows_blocks(encrypted, rows)
-        cache = self._row_cache
-        m = encrypted.n_cols
-        out = np.empty((len(rows), m), dtype=self.ring.dtype)
-        version = encrypted.version
-        base = encrypted.base_addr
+        if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
+            rows, inverse = np.unique(rows, return_inverse=True)
+            return self.pads_for_rows(encrypted, rows)[inverse]
+        starts = encrypted.row_addrs(rows)
         row_bytes = encrypted.row_bytes
-        missing: list = []
-        missing_pos: list = []
-        for pos, r in enumerate(rows.tolist()):
-            key = (version, base + r * row_bytes)
-            pad = cache.get(key)
-            if pad is None:
-                missing.append(r)
-                missing_pos.append(pos)
-            else:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:  # concurrent prewarmer eviction
-                    pass
-                out[pos] = pad
-        hits = len(rows) - len(missing)
-        self.row_cache_hits += hits
-        self.row_cache_misses += len(missing)
-        if obs.enabled():
-            obs.inc("otp.row_cache.hit", hits)
-            obs.inc("otp.row_cache.miss", len(missing))
-        if missing:
-            uniq = sorted(set(missing))
-            pads = self._pads_for_rows_blocks(
-                encrypted, np.asarray(uniq, dtype=np.int64)
+        if row_bytes % BLOCK_BYTES or encrypted.base_addr % BLOCK_BYTES:
+            addrs = starts[:, None] + np.arange(
+                0, row_bytes, self.params.element_bytes, dtype=np.uint64
             )
-            lookup = {r: pads[i] for i, r in enumerate(uniq)}
-            for r, pos in zip(missing, missing_pos):
-                out[pos] = lookup[r]
-            for r in uniq:
-                cache[(version, base + r * row_bytes)] = lookup[r].copy()
-            self._evict_row_cache()
-        return out
-
-    def _pads_for_rows_blocks(
-        self, encrypted: EncryptedMatrix, rows: np.ndarray
-    ) -> np.ndarray:
-        """Row pads assembled from the block-level generator (the old path)."""
-        m = encrypted.n_cols
-        elem_bytes = self.params.element_bytes
-        addrs = (
-            encrypted.base_addr
-            + rows[:, None].astype(np.uint64) * np.uint64(encrypted.row_bytes)
-            + np.arange(m, dtype=np.uint64)[None, :] * np.uint64(elem_bytes)
-        )
-        flat = self.otp.pad_elements_at(addrs.reshape(-1), encrypted.version)
-        return flat.reshape(len(rows), m)
-
-    def _evict_row_cache(self) -> None:
-        """Shrink the row-pad LRU to capacity in one accounted pass."""
-        cache = self._row_cache
-        excess = len(cache) - self.row_cache_rows
-        if excess > 0:
-            for _ in range(excess):
-                try:
-                    cache.popitem(last=False)
-                except KeyError:
-                    break
-            self.row_cache_evictions += excess
-            obs.inc("otp.row_cache.eviction", excess)
-
-    def resize_row_cache(self, rows: int) -> None:
-        """Set the row-pad LRU capacity (0 disables and drops everything)."""
-        if rows < 0:
-            raise ValueError("row cache capacity must be non-negative")
-        self.row_cache_rows = rows
-        if rows == 0:
-            self._row_cache.clear()
+            flat = self.otp.pad_elements_at(addrs.reshape(-1), encrypted.version)
         else:
-            self._evict_row_cache()
-        if obs.enabled():
-            obs.gauge("otp.row_cache.capacity_rows", rows)
-
-    def purge_row_version(self, version: int) -> int:
-        """Drop cached row pads of a retired data version (re-encryption)."""
-        stale = [key for key in list(self._row_cache) if key[0] == version]
-        dropped = 0
-        for key in stale:
-            try:
-                del self._row_cache[key]
-            except KeyError:
-                continue
-            dropped += 1
-        if dropped:
-            obs.inc("otp.row_cache.purged", dropped)
-        return dropped
-
-    def row_cache_info(self) -> OtpCacheInfo:
-        """Row-pad LRU statistics (same tuple shape as the block cache)."""
-        return OtpCacheInfo(
-            hits=self.row_cache_hits,
-            misses=self.row_cache_misses,
-            evictions=self.row_cache_evictions,
-            currsize=len(self._row_cache),
-            maxsize=self.row_cache_rows,
-        )
+            blocks = starts[:, None] + np.arange(
+                0, row_bytes, BLOCK_BYTES, dtype=np.uint64
+            )
+            flat = self.otp.pads_for_blocks(blocks.reshape(-1), encrypted.version)
+        return flat.reshape(len(rows), encrypted.n_cols)
 
     def pad_for_element(
         self, encrypted: EncryptedMatrix, i: int, j: int

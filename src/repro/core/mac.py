@@ -28,8 +28,8 @@ query rows.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Sequence
+from collections import Counter, OrderedDict
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -168,6 +168,10 @@ class EncryptedLinearMac:
             obs.inc("mac.tag_cache.purged", dropped)
         return dropped
 
+    def cached_versions(self) -> Dict[int, int]:
+        """Tag versions with resident pads, mapped to their entry counts."""
+        return dict(Counter(version for version, _ in list(self._tag_cache)))
+
     def tag_cache_info(self) -> OtpCacheInfo:
         """Tag-pad LRU statistics (same tuple shape as the OTP cache)."""
         return OtpCacheInfo(
@@ -207,13 +211,11 @@ class EncryptedLinearMac:
         obs.inc("mac.rows_tagged", int(encrypted.n_rows))
         with obs.span("mac.tag_sweep"):
             tags = self.checksum.row_tags(plaintext, key)
-        row_addrs = encrypted.base_addr + np.arange(
-            encrypted.n_rows, dtype=np.uint64
-        ) * np.uint64(encrypted.row_bytes)
+        row_addrs = encrypted.row_addrs(np.arange(encrypted.n_rows))
         with obs.span("mac.pad_sweep"):
             # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
             # would evict exactly the hot query rows worth keeping.
-            pads = self._tag_pads_raw(np.asarray(row_addrs, dtype=np.uint64), tag_version)
+            pads = self._tag_pads_raw(row_addrs, tag_version)
         sub = self.field.sub
         encrypted.tags = [sub(t, p) for t, p in zip(tags, pads)]
         encrypted.checksum_version = checksum_version
@@ -225,5 +227,4 @@ class EncryptedLinearMac:
         """Regenerate ``E_{T_k}`` for the rows of a query (Alg. 5 lines 11-13)."""
         if encrypted.tag_version is None:
             raise ValueError("matrix has no attached tags")
-        addrs = [encrypted.row_addr(int(i)) for i in rows]
-        return self.tag_pads(addrs, encrypted.tag_version)
+        return self.tag_pads(encrypted.row_addrs(rows), encrypted.tag_version)

@@ -11,27 +11,31 @@ matrices (bulk encryption, Alg. 1) and for scattered single elements
 elements that participate in a weighted summation).
 
 Hot-path note: scattered queries touch many elements that share a cipher
-block (``l`` adjacent elements per block), so :meth:`pad_elements_at`
-deduplicates block addresses before invoking AES and keeps a small
-per-(version, address) LRU of recently generated pad blocks.  Pads are a
-pure function of ``(K, version, address)``, so caching is semantically
-invisible; repeated SLS queries over hot embedding rows skip the cipher
-entirely.
+block (``l`` adjacent elements per block), so the query path works on
+*distinct block addresses* — :meth:`OtpGenerator.pad_elements_at`
+deduplicates them, the row-granular path in :mod:`repro.core.encryption`
+derives them from distinct rows — and serves them through
+:class:`PadBlockCache`, a per-(version, address) LRU of recently
+generated pad blocks.  Pads are a pure function of ``(K, version,
+address)``, so caching is semantically invisible; repeated SLS queries
+over hot embedding rows skip the cipher entirely.
+
+The cache costs a fixed number of NumPy passes per *call*, never a
+Python step per block (DESIGN.md Sec. 8 has the measured ns per block
+for a miss, a hit and the raw AES call), so the cipher — not the
+bookkeeping around it — bounds a cold query.
 
 Concurrency note: the hot-row tiering layer (:mod:`repro.tiering`) feeds
-this LRU from a background prewarmer thread while the serving thread
-reads it.  Every cache operation here is a single C-level
-dict/OrderedDict call (atomic under the GIL) and pad rows are immutable
-copies, so interleavings can only cost a duplicated AES call or a
-slightly-early eviction — never a wrong pad.  The two read-modify-write
-spots that could observe a concurrent eviction (``move_to_end`` after a
-hit, ``popitem`` while shrinking) tolerate ``KeyError``.
+this cache from a background prewarmer thread while the serving thread
+reads it.  One operation updates several arrays that must agree, so each
+runs under the cache's lock, the cipher sweep of its misses included;
+callers get copies, never views of slab rows an eviction could reuse.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import NamedTuple
+import threading
+from typing import Dict, NamedTuple
 
 import numpy as np
 
@@ -65,20 +69,8 @@ def merge_cache_info(infos) -> OtpCacheInfo:
     ``SecureEmbeddingStore`` can report one fleet-wide ``cache_info()``.
     ``maxsize`` sums too — it is the total pad memory the fleet may pin.
     """
-    hits = misses = evictions = currsize = maxsize = 0
-    for info in infos:
-        hits += info.hits
-        misses += info.misses
-        evictions += info.evictions
-        currsize += info.currsize
-        maxsize += info.maxsize
-    return OtpCacheInfo(
-        hits=hits,
-        misses=misses,
-        evictions=evictions,
-        currsize=currsize,
-        maxsize=maxsize,
-    )
+    totals = [sum(column) for column in zip(*infos)] or [0] * 5
+    return OtpCacheInfo(*totals)
 
 
 def publish_cache_gauges(prefix: str, info: OtpCacheInfo) -> None:
@@ -104,6 +96,182 @@ def publish_cache_gauges(prefix: str, info: OtpCacheInfo) -> None:
 #: default 4096 blocks the cache tops out well under 1 MiB.
 DEFAULT_CACHE_BLOCKS = 4096
 
+_MAX_VERSION = (1 << 64) - 1
+
+
+class PadBlockCache:
+    """Array-backed LRU of pad blocks keyed by ``(version, block address)``.
+
+    Resident keys are three parallel arrays sorted by (version, address):
+    ``_ver``, ``_addr`` and ``_slot``, the row of the ``(capacity, l)``
+    pad slab holding the entry; a batch is probed with one
+    ``searchsorted``, and only its misses are sorted to be merged in.
+    ``_stamp[slot]`` is the logical time the entry was last served;
+    stamps are unique, so the smallest stamps (one ``argpartition``) are
+    exactly the least recently used entries.
+    """
+
+    def __init__(self, capacity: int, elements_per_block: int, dtype):
+        self._lock = threading.Lock()
+        self._width = elements_per_block
+        self._dtype = dtype
+        self._clock = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self._allocate(capacity)
+
+    def _allocate(self, capacity: int) -> None:
+        """An empty index over a fresh slab of ``capacity`` rows."""
+        self.capacity = capacity
+        self._ver = np.empty(0, dtype=np.uint64)
+        self._addr = np.empty(0, dtype=np.uint64)
+        self._slot = np.empty(0, dtype=np.intp)
+        self._pads = np.empty((capacity, self._width), dtype=self._dtype)
+        self._stamp = np.zeros(capacity, dtype=np.int64)
+        self._free = np.arange(capacity, dtype=np.intp)
+
+    def __len__(self) -> int:
+        return self._slot.size
+
+    def _version_range(self, version: int):
+        """Half-open span of the sorted index holding ``version``'s keys."""
+        key = np.uint64(version)
+        return (
+            int(self._ver.searchsorted(key, side="left")),
+            int(self._ver.searchsorted(key, side="right")),
+        )
+
+    def _tick(self, count: int) -> np.ndarray:
+        """``count`` fresh LRU stamps, oldest first."""
+        stamps = np.arange(self._clock, self._clock + count, dtype=np.int64)
+        self._clock += count
+        return stamps
+
+    def lookup(self, version: int, addrs: np.ndarray, generate):
+        """Pad rows for *distinct* block addresses, in ``addrs`` order.
+
+        Resident blocks are copied out of the slab and become the most
+        recently used, in ``addrs`` order; the rest are produced by one
+        ``generate(missing_addrs)`` call and become resident after them.
+        Returns ``(pads, hits, evicted)``.
+        """
+        with self._lock:
+            lo, hi = self._version_range(version)
+            at = lo + self._addr[lo:hi].searchsorted(addrs)
+            if hi > lo:
+                found = self._addr[np.minimum(at, hi - 1)] == addrs
+            else:
+                found = np.zeros(addrs.size, dtype=bool)
+            hit = np.flatnonzero(found)
+            self.hits += hit.size
+            self.misses += addrs.size - hit.size
+            slots = self._slot[at[hit]]
+            self._stamp[slots] = self._tick(hit.size)
+            pads = self._pads[slots]
+            if hit.size == addrs.size:
+                return pads, hit.size, 0
+            miss = np.flatnonzero(~found)
+            missing = addrs[miss]
+            rows = generate(missing)
+            out = np.empty((addrs.size, self._width), dtype=self._dtype)
+            out[hit] = pads
+            out[miss] = rows
+            return out, hit.size, self._insert(version, missing, rows)
+
+    def _insert(self, version: int, addrs: np.ndarray, rows: np.ndarray) -> int:
+        """Make the newest ``capacity`` of ``addrs`` resident; returns evictions.
+
+        Equivalent to appending every address to an LRU list and popping
+        the front down to capacity: of a batch larger than the cache only
+        its tail survives, and residents make way oldest first.
+        """
+        overflow = max(0, addrs.size - self.capacity)
+        if overflow:
+            addrs, rows = addrs[overflow:], rows[overflow:]
+        evicted = overflow + self._evict(len(self) + addrs.size - self.capacity)
+        self.evictions += evicted
+        slots, self._free = np.split(self._free, [addrs.size])
+        self._pads[slots] = rows
+        self._stamp[slots] = self._tick(addrs.size)
+        order = np.argsort(addrs, kind="stable")  # linear on a sorted batch
+        addrs, slots = addrs[order], slots[order]
+        lo, hi = self._version_range(version)
+        at = lo + self._addr[lo:hi].searchsorted(addrs)
+        new_at = at + np.arange(addrs.size)
+        old = np.ones(len(self) + addrs.size, dtype=bool)
+        old[new_at] = False
+
+        def merge(resident: np.ndarray, values) -> np.ndarray:
+            merged = np.empty(old.size, dtype=resident.dtype)
+            merged[old] = resident
+            merged[new_at] = values
+            return merged
+
+        self._ver = merge(self._ver, np.uint64(version))
+        self._addr = merge(self._addr, addrs)
+        self._slot = merge(self._slot, slots)
+        return evicted
+
+    def _evict(self, count: int) -> int:
+        """Drop the ``count`` least recently used entries (all if fewer)."""
+        if count <= 0:
+            return 0
+        count = min(count, len(self))
+        gone = np.ones(len(self), dtype=bool)
+        if count < len(self):
+            gone[:] = False
+            gone[np.argpartition(self._stamp[self._slot], count - 1)[:count]] = True
+        self._drop(gone)
+        return count
+
+    def _drop(self, gone: np.ndarray) -> None:
+        """Remove the index entries selected by the boolean mask ``gone``."""
+        self._free = np.concatenate([self._free, self._slot[gone]])
+        keep = ~gone
+        self._ver, self._addr, self._slot = (
+            self._ver[keep], self._addr[keep], self._slot[keep]
+        )
+
+    def resize(self, capacity: int) -> int:
+        """Set the capacity, evicting the coldest excess; returns evictions.
+
+        Capacity 0 switches the cache off: everything is dropped and
+        nothing is counted as evicted.
+        """
+        with self._lock:
+            evicted = self._evict(len(self) - capacity) if capacity else 0
+            self.evictions += evicted
+            ver, addr, old_slots = self._ver, self._addr, self._slot
+            pads, stamp = self._pads[old_slots], self._stamp[old_slots]
+            self._allocate(capacity)
+            if capacity:
+                slots, self._free = np.split(self._free, [old_slots.size])
+                self._ver, self._addr, self._slot = ver, addr, slots
+                self._pads[slots], self._stamp[slots] = pads, stamp
+            return evicted
+
+    def purge_version(self, version: int) -> int:
+        """Drop every entry keyed by ``version``; returns how many."""
+        with self._lock:
+            lo, hi = self._version_range(version)
+            gone = np.zeros(len(self), dtype=bool)
+            gone[lo:hi] = True
+            self._drop(gone)
+            return hi - lo
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self._lock:
+            self._allocate(self.capacity)
+            self.hits = self.misses = self.evictions = 0
+
+    def versions(self) -> Dict[int, int]:
+        """Resident entry count per version."""
+        with self._lock:
+            values, counts = np.unique(self._ver, return_counts=True)
+        return {int(v): int(c) for v, c in zip(values, counts)}
+
 
 class OtpGenerator:
     """Generates data-domain OTP elements from (address, version) pairs.
@@ -125,14 +293,12 @@ class OtpGenerator:
         self.cipher = cipher
         self.ring = ring
         self.elements_per_block = BLOCK_BYTES * 8 // ring.width
-        self.cache_blocks = cache_blocks
-        self._block_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        #: bytes one cached pad row pins (the ``otp.cache.bytes`` gauge
-        #: is ``currsize * entry_bytes``).
-        self.entry_bytes = self.elements_per_block * np.dtype(ring.dtype).itemsize
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        self._cache = PadBlockCache(cache_blocks, self.elements_per_block, ring.dtype)
+
+    @property
+    def cache_blocks(self) -> int:
+        """Capacity of the block-pad LRU (see :meth:`resize_cache`)."""
+        return self._cache.capacity
 
     # -- block-level pad generation -------------------------------------------
 
@@ -143,93 +309,43 @@ class OtpGenerator:
             len(block_addrs), self.elements_per_block
         )
 
-    def _pads_for_blocks(self, block_addrs: np.ndarray, version: int) -> np.ndarray:
+    def pads_for_blocks(self, block_addrs: np.ndarray, version: int) -> np.ndarray:
         """Like :meth:`_encrypt_blocks` but served through the LRU.
 
-        Callers pass *deduplicated* block addresses; only cache misses
-        reach the cipher, in one vectorized sweep.
+        Callers pass *distinct* ``uint64`` block addresses; only cache
+        misses reach the cipher, in one vectorized sweep.
         """
-        if not self.cache_blocks:
+        if not self.cache_blocks or not 0 <= version <= _MAX_VERSION:
+            # No capacity, or a version the cipher's layout will reject.
             return self._encrypt_blocks(block_addrs, version)
-        out = np.empty(
-            (len(block_addrs), self.elements_per_block), dtype=self.ring.dtype
+        block_addrs = np.asarray(block_addrs, dtype=np.uint64)
+        pads, hits, evicted = self._cache.lookup(
+            version, block_addrs, lambda missing: self._encrypt_blocks(missing, version)
         )
-        cache = self._block_cache
-        missing: list = []
-        missing_pos: list = []
-        for pos, addr in enumerate(block_addrs.tolist()):
-            key = (version, addr)
-            row = cache.get(key)
-            if row is None:
-                missing.append(addr)
-                missing_pos.append(pos)
-            else:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:
-                    # A concurrent prewarmer eviction raced the hit; the
-                    # row reference is still valid, only the LRU position
-                    # is lost.
-                    pass
-                out[pos] = row
-        hits = len(block_addrs) - len(missing)
-        self.cache_hits += hits
-        self.cache_misses += len(missing)
         if obs.enabled():
             obs.inc("otp.cache.hit", hits)
-            obs.inc("otp.cache.miss", len(missing))
-        if missing:
-            rows = self._encrypt_blocks(
-                np.asarray(missing, dtype=np.uint64), version
-            )
-            for k, pos in enumerate(missing_pos):
-                out[pos] = rows[k]
-                cache[(version, missing[k])] = rows[k].copy()
-            self._evict_to_capacity()
-        return out
-
-    def _evict_to_capacity(self) -> None:
-        """Shrink the LRU to ``cache_blocks`` in one accounted pass.
-
-        The excess is computed once and popped in a single sweep (instead
-        of re-checking ``len`` and incrementing counters per pop), and the
-        resident pad memory is republished so sizing decisions are
-        observable via the ``otp.cache.bytes`` gauge.
-        """
-        cache = self._block_cache
-        excess = len(cache) - self.cache_blocks
-        if excess > 0:
-            for _ in range(excess):
-                try:
-                    cache.popitem(last=False)
-                except KeyError:  # another thread emptied it first
-                    break
-            self.cache_evictions += excess
-            obs.inc("otp.cache.eviction", excess)
-        if obs.enabled():
-            obs.gauge("otp.cache.bytes", len(cache) * self.entry_bytes)
+            obs.inc("otp.cache.miss", len(block_addrs) - hits)
+            if evicted:
+                obs.inc("otp.cache.eviction", evicted)
+        return pads
 
     def cache_info(self) -> OtpCacheInfo:
-        """Current pad-block LRU statistics.
-
-        ``currsize`` is bounded by ``maxsize`` (the constructor's
-        ``cache_blocks``); once the workload's distinct-block footprint
-        exceeds the capacity, ``evictions`` starts counting and memory
-        stays flat.
-        """
+        """Current pad-block LRU statistics; ``currsize <= maxsize`` always."""
+        cache = self._cache
         return OtpCacheInfo(
-            hits=self.cache_hits,
-            misses=self.cache_misses,
-            evictions=self.cache_evictions,
-            currsize=len(self._block_cache),
-            maxsize=self.cache_blocks,
+            hits=cache.hits,
+            misses=cache.misses,
+            evictions=cache.evictions,
+            currsize=len(cache),
+            maxsize=cache.capacity,
         )
 
+    def cached_versions(self) -> Dict[int, int]:
+        """Versions with resident pads, mapped to their entry counts."""
+        return self._cache.versions()
+
     def clear_cache(self) -> None:
-        self._block_cache.clear()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        self._cache.clear()
 
     def resize_cache(self, cache_blocks: int) -> None:
         """Change the LRU capacity in place (skew-aware sizing hook).
@@ -240,14 +356,9 @@ class OtpGenerator:
         """
         if cache_blocks < 0:
             raise ValueError("cache_blocks must be non-negative")
-        self.cache_blocks = cache_blocks
-        if cache_blocks == 0:
-            self._block_cache.clear()
-        else:
-            self._evict_to_capacity()
-        if obs.enabled():
-            obs.gauge("otp.cache.capacity_blocks", cache_blocks)
-            obs.gauge("otp.cache.bytes", len(self._block_cache) * self.entry_bytes)
+        evicted = self._cache.resize(cache_blocks)
+        if evicted:
+            obs.inc("otp.cache.eviction", evicted)
 
     def purge_version(self, version: int) -> int:
         """Drop every cached pad generated under ``version``.
@@ -258,17 +369,9 @@ class OtpGenerator:
         squat in the capacity until natural eviction.  Returns the number
         of entries dropped.
         """
-        stale = [key for key in list(self._block_cache) if key[0] == version]
-        dropped = 0
-        for key in stale:
-            try:
-                del self._block_cache[key]
-            except KeyError:
-                continue
-            dropped += 1
-        if dropped and obs.enabled():
+        dropped = self._cache.purge_version(version)
+        if dropped:
             obs.inc("otp.cache.purged", dropped)
-            obs.gauge("otp.cache.bytes", len(self._block_cache) * self.entry_bytes)
         return dropped
 
     # -- element-level pad generation -----------------------------------------
@@ -290,8 +393,7 @@ class OtpGenerator:
             raise ValueError("count must be non-negative")
         n_blocks = -(-count // self.elements_per_block)  # ceil division
         addrs = base_addr + BLOCK_BYTES * np.arange(n_blocks, dtype=np.uint64)
-        pads = self.cipher.encrypt_counters(DOMAIN_DATA, addrs, version)
-        return self.ring.from_bytes(pads)[:count]
+        return self._encrypt_blocks(addrs, version).reshape(-1)[:count]
 
     def pad_element_at(self, elem_byte_addr: int, version: int) -> int:
         """The single OTP element covering the element at ``elem_byte_addr``.
@@ -300,18 +402,8 @@ class OtpGenerator:
         rounded down to the cipher block, and ``idx`` selects the
         ``w_e``-bit substring inside the pad.
         """
-        elem_bytes = self.ring.width // 8
-        if elem_byte_addr % elem_bytes:
-            raise ValueError(
-                f"element address {elem_byte_addr:#x} not aligned to "
-                f"{elem_bytes}-byte elements"
-            )
-        block_addr = (elem_byte_addr // BLOCK_BYTES) * BLOCK_BYTES
-        idx = (elem_byte_addr % BLOCK_BYTES) // elem_bytes
-        row = self._pads_for_blocks(
-            np.asarray([block_addr], dtype=np.uint64), version
-        )[0]
-        return int(row[idx])
+        addrs = np.asarray([elem_byte_addr], dtype=np.uint64)
+        return int(self.pad_elements_at(addrs, version)[0])
 
     def pad_elements_at(
         self, elem_byte_addrs: np.ndarray, version: int
@@ -332,8 +424,5 @@ class OtpGenerator:
         block_addrs = (addrs // BLOCK_BYTES) * BLOCK_BYTES
         idx = ((addrs % BLOCK_BYTES) // elem_bytes).astype(np.intp)
         unique_blocks, inverse = np.unique(block_addrs, return_inverse=True)
-        if obs.enabled():
-            obs.inc("otp.elements", int(addrs.size))
-            obs.inc("otp.dedupe.saved_blocks", int(addrs.size - unique_blocks.size))
-        pad_rows = self._pads_for_blocks(unique_blocks, version)
+        pad_rows = self.pads_for_blocks(unique_blocks, version)
         return pad_rows[inverse, idx]

@@ -141,8 +141,6 @@ class _PoolSpec(NamedTuple):
     cache_blocks: int = 0
     #: skew-derived tag-pad LRU capacity (0 keeps tag caching off)
     tag_cache_rows: int = 0
-    #: skew-derived row-pad LRU capacity (0 keeps row caching off)
-    row_cache_rows: int = 0
     #: resolved kernel tier broadcast to workers ("" keeps worker-side
     #: auto resolution); workers warm kernels at spawn, never per task
     kernel_tier: str = ""
@@ -197,8 +195,6 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
         )
     if spec.cache_blocks:
         processor.encryptor.otp.resize_cache(spec.cache_blocks)
-    if spec.row_cache_rows:
-        processor.encryptor.resize_row_cache(spec.row_cache_rows)
     if spec.tag_cache_rows:
         processor.mac.resize_tag_cache(spec.tag_cache_rows)
     for name, rows in spec.hot_rows:
@@ -263,7 +259,13 @@ def _engine_sls_task(args):
     snap = None
     if collect_metrics:
         now = time.monotonic()
-        if snapshot_interval <= 0 or now - _WORKER.get("last_push", 0.0) >= snapshot_interval:
+        # No last push yet: ship, whatever the clock reads (it can start at 0).
+        last_push = _WORKER.get("last_push")
+        if (
+            snapshot_interval <= 0
+            or last_push is None
+            or now - last_push >= snapshot_interval
+        ):
             snap = obs.snapshot(include_samples=True)
             obs.reset()
             _WORKER["last_push"] = now
@@ -373,11 +375,10 @@ class ParallelSlsEngine:
         # private pad caches start warm.  Tasks are scheduled on whichever
         # worker is free, so each worker needs the *full* hot set.
         hot_rows: List[Tuple[str, Tuple[int, ...]]] = []
-        cache_blocks = tag_cache_rows = row_cache_rows = 0
+        cache_blocks = tag_cache_rows = 0
         tiering = getattr(store, "_tiering", None)
         if tiering is not None:
             cache_blocks, tag_cache_rows = tiering.apply_sizing()
-            row_cache_rows = tag_cache_rows
             if not tiering.config.prewarm_tags or not store.verify:
                 tag_cache_rows = 0
             for name in store.tables():
@@ -393,7 +394,6 @@ class ParallelSlsEngine:
             hot_rows=tuple(hot_rows),
             cache_blocks=cache_blocks,
             tag_cache_rows=tag_cache_rows,
-            row_cache_rows=row_cache_rows,
             kernel_tier=kernels.active_tier(),
         )
         ctx = mp.get_context("spawn")

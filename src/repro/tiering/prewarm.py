@@ -121,13 +121,9 @@ class HotRowTiering:
             max(tag_rows, self.config.min_tag_cache_rows),
             self.config.max_tag_cache_rows,
         )
-        encryptor = self.store.processor.encryptor
-        if encryptor.otp.cache_blocks != cache_blocks:
-            encryptor.otp.resize_cache(cache_blocks)
-        # Row-pad LRU gets the same row budget as the tag cache: one
-        # entry per hot row (see core/encryption.py tiering note).
-        if encryptor.row_cache_rows != tag_rows:
-            encryptor.resize_row_cache(tag_rows)
+        otp = self.store.processor.encryptor.otp
+        if otp.cache_blocks != cache_blocks:
+            otp.resize_cache(cache_blocks)
         mac = self.store.processor.mac
         if self.config.prewarm_tags and mac.tag_cache_rows != tag_rows:
             mac.resize_tag_cache(tag_rows)
@@ -230,7 +226,6 @@ class HotRowTiering:
         obs.inc("tiering.invalidations")
         if data_version is not None:
             self.store.processor.encryptor.otp.purge_version(data_version)
-            self.store.processor.encryptor.purge_row_version(data_version)
         if tag_version is not None:
             self.store.processor.mac.purge_tag_version(tag_version)
         with self._lock:
@@ -261,14 +256,10 @@ class HotRowTiering:
         if not obs.enabled():
             return
         otp_info = self.store.processor.encryptor.otp.cache_info()
-        row_info = self.store.processor.encryptor.row_cache_info()
         tag_info = self.store.processor.mac.tag_cache_info()
         served = otp_info.hits + otp_info.misses
         if served:
             obs.gauge("otp.cache.hit_rate", otp_info.hits / served)
-        row_served = row_info.hits + row_info.misses
-        if row_served:
-            obs.gauge("otp.row_cache.hit_rate", row_info.hits / row_served)
         tag_served = tag_info.hits + tag_info.misses
         if tag_served:
             obs.gauge("mac.tag_cache.hit_rate", tag_info.hits / tag_served)

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..crypto.otp import DEFAULT_CACHE_BLOCKS
 from ..errors import ConfigurationError
 
 __all__ = ["AccessTracker", "TieringConfig", "TieringPlan", "plan_for"]
@@ -52,7 +53,10 @@ class TieringConfig:
         Multiplier applied to the measured footprint when sizing caches,
         absorbing window-to-window churn in the hot set.
     min_cache_blocks / max_cache_blocks:
-        Clamp on the skew-derived OTP LRU capacity (blocks of 16 B).
+        Clamp on the skew-derived OTP LRU capacity (blocks of 16 B).  The
+        floor is the untiered default: cold rows pass through the same
+        LRU as the hot set, so a cache sized only to a small hot set
+        serves worse than the default it would replace.
     min_tag_cache_rows / max_tag_cache_rows:
         Clamp on the tag-pad LRU capacity (one int per row).
     window:
@@ -74,7 +78,7 @@ class TieringConfig:
     coverage: float = 0.9
     hot_fraction: Optional[float] = None
     headroom: float = 1.25
-    min_cache_blocks: int = 1024
+    min_cache_blocks: int = DEFAULT_CACHE_BLOCKS
     max_cache_blocks: int = 1 << 18
     min_tag_cache_rows: int = 256
     max_tag_cache_rows: int = 1 << 16

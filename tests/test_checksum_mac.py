@@ -154,6 +154,21 @@ class TestEncryptedMac:
         with pytest.raises(ValueError):
             mac.tag_pads_for_rows(e, [0])
 
+    def test_tag_pads_for_rows_match_scalar_and_check_bounds(self, setup):
+        cipher, params = setup
+        enc = ArithmeticEncryptor(cipher, params)
+        mac = EncryptedLinearMac(cipher, params)
+        pt = np.zeros((4, 8), dtype=np.uint32)
+        e = enc.encrypt(pt, 0x5000, 0)
+        mac.attach_tags(e, pt, 0, 7)
+        rows = [3, 0, 3]
+        assert mac.tag_pads_for_rows(e, rows) == [
+            mac.tag_pad(e.row_addr(i), 7) for i in rows
+        ]
+        for bad in ([4], [0, -1]):
+            with pytest.raises(IndexError, match="out of range"):
+                mac.tag_pads_for_rows(e, bad)
+
     def test_encrypted_tags_hide_checksums(self, setup):
         """Identical rows at different addresses get different C_T."""
         cipher, params = setup

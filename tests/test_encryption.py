@@ -121,6 +121,54 @@ class TestRowAddressing:
         rows = [0, 5, 11, 15]
         assert np.array_equal(enc.pads_for_rows(e, rows), bulk[rows])
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[5, 5, 0, 5], [15, 3, 11, 0], [7], [], list(range(16))],
+        ids=["duplicates", "unsorted", "single", "empty", "all"],
+    )
+    def test_row_granular_path_matches_bulk(self, rows, monkeypatch):
+        enc, _ = make_encryptor()
+        e = enc.encrypt(np.zeros((16, 8), dtype=np.uint32), 0x2000, version=3)
+        bulk = enc.otp.pad_elements(0x2000, 128, 3).reshape(16, 8)
+        # 32-byte rows are whole blocks: no per-element addressing.
+        monkeypatch.setattr(enc.otp, "pad_elements_at", None)
+        for _ in range(2):  # cold, then served from the block cache
+            pads = enc.pads_for_rows(e, rows)
+            assert pads.shape == (len(rows), 8)
+            assert np.array_equal(pads, bulk[rows])
+        distinct = len(set(rows))
+        assert enc.otp.cache_info() == (2 * distinct, 2 * distinct, 0, 2 * distinct, 4096)
+
+    def test_partial_block_rows_take_the_element_path(self, monkeypatch):
+        enc, _ = make_encryptor(element_bits=8)
+        # 8-byte rows: two rows share one cipher block.
+        e = enc.encrypt(np.zeros((6, 8), dtype=np.uint8), 0x2000, version=3)
+        assert e.row_bytes % 16
+        bulk = enc.otp.pad_elements(0x2000, 48, 3).reshape(6, 8)
+        rows = [5, 0, 1, 5]
+        assert np.array_equal(enc.pads_for_rows(e, rows), bulk[rows])
+        assert enc.otp.cache_info().misses == 2  # blocks 0 and 2, deduplicated
+        monkeypatch.setattr(enc.otp, "pad_elements_at", None)
+        with pytest.raises(TypeError):
+            enc.pads_for_rows(e, rows)
+
+    @pytest.mark.parametrize("rows", [[0, 4], [-1], [2, 1, 16]])
+    def test_pads_for_rows_rejects_out_of_range(self, rows):
+        enc, _ = make_encryptor()
+        e = enc.encrypt(np.zeros((4, 8), dtype=np.uint32), 0x2000, 0)
+        with pytest.raises(IndexError, match="out of range"):
+            enc.pads_for_rows(e, rows)
+        with pytest.raises(IndexError, match="out of range"):
+            e.row_addrs(rows)
+        assert enc.otp.cache_info().misses == 0  # rejected before any AES
+
+    def test_row_addrs_match_scalar(self):
+        enc, _ = make_encryptor()
+        e = enc.encrypt(np.zeros((4, 8), dtype=np.uint32), 0x1000, 0)
+        addrs = e.row_addrs([3, 0, 3])
+        assert addrs.dtype == np.uint64
+        assert addrs.tolist() == [e.row_addr(3), e.row_addr(0), e.row_addr(3)]
+
     def test_pad_for_element_matches_bulk(self):
         enc, _ = make_encryptor()
         pt = np.zeros((4, 8), dtype=np.uint32)

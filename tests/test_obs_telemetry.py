@@ -221,6 +221,27 @@ class TestLiveWorkerSnapshots:
             # is still accumulating worker-side.
             assert timers["parallel.shard.ns"]["count"] == 1
 
+    def test_first_task_pushes_on_a_young_clock(self, monkeypatch):
+        # Regression: "never pushed" was encoded as last_push=0.0, so on a
+        # host whose monotonic clock read less than the interval (freshly
+        # booted) the first task withheld its snapshot.  Run the worker
+        # task in-process with the clock pinned below the interval.
+        from repro.parallel import engine as engine_mod
+
+        store = _build_store()
+        monkeypatch.setattr(
+            engine_mod,
+            "_WORKER",
+            {"wid": 0, "processor": store.processor, "device": store.device},
+        )
+        clock = iter([5.0, 6.0])
+        monkeypatch.setattr(engine_mod.time, "monotonic", lambda: next(clock))
+        task = ("emb", [np.array([0, 1, 2])], [[1, 1, 1]], True, True, False, 3600.0, None)
+        first_snap = engine_mod._engine_sls_task(task)[3]
+        second_snap = engine_mod._engine_sls_task(task)[3]
+        assert first_snap is not None and first_snap["timers"]["parallel.shard.ns"]
+        assert second_snap is None  # 1 s later: inside the interval
+
 
 # -- SLOs ----------------------------------------------------------------------
 

@@ -199,49 +199,34 @@ class TestSizingPolicy:
 
 
 class TestRowPadCache:
-    """The row-level pad LRU in ArithmeticEncryptor (off by default)."""
-
-    def test_disabled_by_default(self):
-        store = _make_store()
-        enc = store.processor.encryptor
-        assert enc.row_cache_rows == 0
-        store.sls("emb", [1, 2, 3])
-        assert enc.row_cache_info().hits == 0
-        assert enc.row_cache_info().misses == 0
+    """Row pads come from the block-pad cache (4 blocks per 64-byte row)."""
 
     def test_cached_pads_bit_identical(self):
         store = _make_store()
+        otp = store.processor.encryptor.otp
+        otp.resize_cache(0)
         reference = store.sls("emb", [1, 2, 3, 2])
-        store.processor.encryptor.resize_row_cache(16)
+        otp.resize_cache(64)
         cold = store.sls("emb", [1, 2, 3, 2])
         warm = store.sls("emb", [1, 2, 3, 2])
         assert np.array_equal(reference, cold)
         assert np.array_equal(reference, warm)
-        info = store.processor.encryptor.row_cache_info()
-        assert info.hits >= 3 and info.currsize == 3
+        info = otp.cache_info()
+        assert info.hits >= 12 and info.currsize == 12
 
     def test_eviction_accounting(self):
         store = _make_store()
-        enc = store.processor.encryptor
-        enc.resize_row_cache(2)
+        otp = store.processor.encryptor.otp
+        otp.resize_cache(8)
         store.sls("emb", [0, 1, 2, 3])
-        info = enc.row_cache_info()
-        assert info.currsize == 2
-        assert info.evictions == 2
-
-    def test_purge_row_version(self):
-        store = _make_store()
-        enc = store.processor.encryptor
-        enc.resize_row_cache(16)
-        store.sls("emb", [0, 1])
-        version = store.device.stored("emb").version
-        assert enc.purge_row_version(version) == 2
-        assert enc.row_cache_info().currsize == 0
+        info = otp.cache_info()
+        assert info.currsize == 8
+        assert info.evictions == 8
 
     def test_resize_rejects_negative(self):
         store = _make_store()
         with pytest.raises(ValueError):
-            store.processor.encryptor.resize_row_cache(-1)
+            store.processor.encryptor.otp.resize_cache(-1)
 
 
 class TestHotRowTiering:
@@ -265,7 +250,6 @@ class TestHotRowTiering:
         cache_blocks, tag_rows = tiering.apply_sizing()
         enc = store.processor.encryptor
         assert enc.otp.cache_blocks == cache_blocks
-        assert enc.row_cache_rows == tag_rows
         assert store.processor.mac.tag_cache_rows == tag_rows
         assert tag_rows == int(32 * cfg.headroom)
 
@@ -281,10 +265,10 @@ class TestHotRowTiering:
         assert warmed == 16
         assert tiering.coverage("emb") == 1.0
         enc = store.processor.encryptor
-        h0 = enc.row_cache_info().hits
+        h0 = enc.otp.cache_info().hits
         t0 = store.processor.mac.tag_cache_info().hits
         out = store.sls("emb", hot)
-        assert enc.row_cache_info().hits - h0 == 16
+        assert enc.otp.cache_info().hits - h0 == 16 * 4  # 4 blocks per row
         assert store.processor.mac.tag_cache_info().hits - t0 == 16
         # Prewarming is invisible in the results.
         assert np.array_equal(out, _make_store(n_rows=128).sls("emb", hot))
@@ -338,11 +322,8 @@ class TestPrewarmVsRecovery:
         new = store.device.stored("emb")
         assert (new.version, new.tag_version) != (old_data, old_tag)
         enc = store.processor.encryptor
-        assert not any(k[0] == old_data for k in enc.otp._block_cache)
-        assert not any(k[0] == old_data for k in enc._row_cache)
-        assert not any(
-            k[0] == old_tag for k in store.processor.mac._tag_cache
-        )
+        assert old_data not in enc.otp.cached_versions()
+        assert old_tag not in store.processor.mac.cached_versions()
         assert tiering.invalidations == 1
         assert tiering.coverage("emb") == 0.0
 
