@@ -7,9 +7,11 @@ plain JSON-able values:
 * encrypted tables travel as the :mod:`repro.core.serialization` binary
   container, base64-armoured — ciphertext and encrypted tags are
   untrusted data and the container is already self-describing;
-* node answers are *ciphertext-domain* sums (``C_res`` ring residues and
-  ``C_T_res`` 127-bit field elements, which JSON handles natively as
-  Python bigints) — see :meth:`UntrustedNdpDevice.partial_sum_batch`;
+* node answers are *ciphertext-domain* sums — the ``(n_queries, m)``
+  ``C_res`` ring residues and the ``(n_queries, 4)`` limbs of the
+  ``C_T_res`` field elements, each as raw little-endian bytes
+  (base64-armoured, shape alongside) — see
+  :meth:`UntrustedNdpDevice.partial_sum_batch`;
 * :class:`~repro.core.params.SecNDPParams` ships as its constructor
   fields (the counter-block layout is the default everywhere in this
   repo, so only widths and the tag modulus travel).
@@ -23,22 +25,23 @@ parallel engine's pool workers, by contrast, are trusted-side and do
 receive the key via ``_PoolSpec``).
 
 Every decoder treats its input as attacker-controlled: malformed
-structure, non-integers, and out-of-range values (including the
-``OverflowError`` a hostile bigint raises on the ``uint64`` cast) all
-surface as :class:`~repro.errors.ConfigurationError`, which the
-coordinator's recovery ladder converts into blame on the sending node.
+structure, non-integers, byte strings of the wrong length for their
+declared shape and out-of-range values all surface as
+:class:`~repro.errors.ConfigurationError`, which the coordinator's
+recovery ladder converts into blame on the sending node.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.encryption import EncryptedMatrix
 from ..core.params import SecNDPParams
 from ..core.serialization import deserialize_matrix, serialize_matrix
+from ..crypto import limb_field
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -83,40 +86,59 @@ def decode_table(payload: str, params: SecNDPParams) -> EncryptedMatrix:
 
 
 def encode_device_sums(
-    values: np.ndarray, tag_sums: Optional[Sequence[int]]
+    values: np.ndarray, tag_sums: Optional[np.ndarray]
 ) -> Dict[str, Any]:
     """Node → coordinator: ciphertext-domain sums, nothing decryptable."""
+    values = np.asarray(values)
+    wire = values.astype(values.dtype.newbyteorder("<"), copy=False)
     return {
-        "values": [[int(v) for v in row] for row in np.asarray(values)],
+        "shape": list(values.shape),
+        "values": base64.b64encode(wire.tobytes()).decode("ascii"),
         "tag_sums": (
-            None if tag_sums is None else [int(t) for t in tag_sums]
+            None
+            if tag_sums is None
+            else base64.b64encode(
+                np.asarray(tag_sums).astype("<u4").tobytes()
+            ).decode("ascii")
         ),
     }
 
 
 def decode_device_sums(
     payload: Dict[str, Any], params: SecNDPParams
-) -> Tuple[np.ndarray, Optional[List[int]]]:
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Decode an untrusted node's sums defensively.
 
-    A hostile node controls every byte here: values outside the ring
-    dtype raise ``OverflowError`` on the cast and are mapped — like any
-    other malformed structure — to :class:`ConfigurationError` so the
-    dispatch ladder can blame the sender; tag sums are reduced into the
-    field so later exact field arithmetic never sees unbounded bigints.
+    A hostile node controls every byte here: a missing field, a shape
+    that is not two non-negative integers, bytes that are not base64 or
+    not exactly ``shape`` elements of the ring's width (``n_queries``
+    rows of four 32-bit limbs for the tag sums) are mapped to
+    :class:`ConfigurationError` so the dispatch ladder can blame the
+    sender, before anything is allocated from the declared shape; tag
+    sums are reduced into the field so the exact field arithmetic
+    downstream only ever sees canonical elements.
     """
-    modulus = int(params.tag_modulus)
+    dtype = np.dtype(params.ring().dtype).newbyteorder("<")
     try:
-        values = np.asarray(payload["values"], dtype=np.uint64).astype(
-            params.ring().dtype
+        n_q, n_cols = payload["shape"]
+        if type(n_q) is not int or type(n_cols) is not int or n_q < 0 or n_cols < 0:
+            raise ValueError(f"bad shape {payload['shape']!r}")
+        raw = base64.b64decode(payload["values"], validate=True)
+        if len(raw) != n_q * n_cols * dtype.itemsize:
+            raise ValueError(f"{len(raw)} value bytes for shape {n_q}x{n_cols}")
+        values = (
+            np.frombuffer(raw, dtype=dtype).astype(params.ring().dtype).reshape(n_q, n_cols)
         )
-        if values.ndim == 1:  # zero-query batch serializes as []
-            values = values.reshape(0, 0)
-        tags = payload.get("tag_sums")
-        tag_sums: Optional[List[int]] = (
-            None if tags is None else [int(t) % modulus for t in tags]
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        tag_sums = None
+        if payload.get("tag_sums") is not None:
+            raw = base64.b64decode(payload["tag_sums"], validate=True)
+            if len(raw) != n_q * 4 * limb_field.NUM_LIMBS:
+                raise ValueError(f"{len(raw)} tag bytes for {n_q} queries")
+            tag_sums = limb_field.field_reduce(
+                params.field(),
+                np.frombuffer(raw, dtype="<u4").reshape(n_q, limb_field.NUM_LIMBS),
+            )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad device sums payload: {exc}") from exc
     return values, tag_sums
 

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.protocol import PartialSumShare
+from ..core.protocol import PartialSumShare, QueryBatch
 from ..errors import (
     ConfigurationError,
     PeerTimeoutError,
@@ -273,16 +273,14 @@ class ClusterCoordinator:
         """Batched verified SLS across the cluster (bit-identical to
         :meth:`SecureEmbeddingStore.sls_many` on one host)."""
         entry = self.store._tables[name]
-        rows_list, weights_list = self.store._validate_batch(
-            name, batch_rows, batch_weights
-        )
+        batch = self.store._validate_batch(name, batch_rows, batch_weights)
         if self.shard_map is None or not self.live:
             # Every node is quarantined: the coordinator's own honest
             # device serves the whole batch (still verified, still
             # bit-identical — it IS the oracle path).
-            obs.inc("cluster.dispatch.local", len(rows_list))
-            values = self.store.sls_many(name, rows_list, weights_list)
-            obs.inc("cluster.queries", len(rows_list))
+            obs.inc("cluster.dispatch.local", len(batch))
+            values = self.store.sls_many(name, batch)
+            obs.inc("cluster.queries", len(batch))
             return values
         # Snapshot ownership: a mid-batch quarantine rebuilds
         # ``self.shard_map`` for *future* batches, while this batch's
@@ -291,29 +289,23 @@ class ClusterCoordinator:
         # rows are never dropped or double-counted).
         smap = self.shard_map
         shares: List[PartialSumShare] = []
-        for node in list(smap.nodes):
-            masked = [
-                smap.owner_mask(name, node, rows, weights)
-                for rows, weights in zip(rows_list, weights_list)
-            ]
-            if not any(rows for rows, _ in masked):
+        for node, (lo, hi) in zip(list(smap.nodes), smap.bounds[name]):
+            owned = (batch.rows >= lo) & (batch.rows < hi)
+            if not owned.any():
                 continue
             share, _served_by = await self._dispatch_with_recovery(
-                name, node, [r for r, _ in masked], [w for _, w in masked]
+                name, node, batch.select(owned)
             )
             shares.append(share)
         enc = self.store.device.stored(name)
         # Every share already passed its per-shard check during the
         # ladder; the combined check (per_shard=False) still runs for
         # the cross-shard overflow case.
-        results = self.store.processor.finalize_row_sum_batch(
+        values = self.store.processor.finalize_row_sums(
             enc, name, shares, verify=True, per_shard=False
         )
-        out = np.zeros((len(rows_list), entry.dim))
-        for i, (result, weights) in enumerate(zip(results, weights_list)):
-            out[i] = self.store._affine(entry, result.values, weights)
-        obs.inc("cluster.queries", len(rows_list))
-        return out
+        obs.inc("cluster.queries", len(batch))
+        return self.store._affine(entry, values, batch.weight_sums())
 
     async def sls(self, name, rows, weights=None) -> np.ndarray:
         out = await self.sls_many(
@@ -327,8 +319,7 @@ class ClusterCoordinator:
         self,
         name: str,
         node: str,
-        batch_rows: List[List[int]],
-        batch_weights: List[List[int]],
+        batch: QueryBatch,
     ) -> Tuple[PartialSumShare, str]:
         """Serve one node's sub-batch through the ladder.
 
@@ -352,11 +343,9 @@ class ClusterCoordinator:
         attempt = 0
         while True:
             if target is None:
-                return self._local_share(name, node, batch_rows, batch_weights)
+                return self._local_share(name, node, batch)
             try:
-                share = await self._dispatch_once(
-                    name, target, batch_rows, batch_weights, dispatch
-                )
+                share = await self._dispatch_once(name, target, batch, dispatch)
                 obs.inc("cluster.dispatch.ok")
                 if target != node:
                     obs.inc("cluster.failovers")
@@ -420,12 +409,11 @@ class ClusterCoordinator:
         self,
         name: str,
         node: str,
-        batch_rows: List[List[int]],
-        batch_weights: List[List[int]],
+        batch: QueryBatch,
         dispatch: int,
     ) -> PartialSumShare:
         obs.inc("cluster.dispatches")
-        payload = codec.encode_queries(batch_rows, batch_weights)
+        payload = codec.encode_queries(*batch.lists())
         if self.fault_injector is not None:
             directive = self.fault_injector.node_directive(f"node:{node}")
             if directive is not None:
@@ -435,7 +423,7 @@ class ClusterCoordinator:
             timeout=self.task_timeout_s,
         )
         enc = self.store.device.stored(name)
-        n_q, n_cols = len(batch_rows), int(enc.ciphertext.shape[1])
+        n_q, n_cols = len(batch), int(enc.ciphertext.shape[1])
         try:
             values, tag_sums = codec.decode_device_sums(
                 response.payload.get("sums", {}), self.store.processor.params
@@ -459,9 +447,7 @@ class ClusterCoordinator:
         # own restricted checksum before it may enter the combine.  The
         # pad half is honest by construction, so a failure is evidence
         # against exactly this node.
-        pad = self.store.processor.pad_share_batch(
-            enc, name, batch_rows, batch_weights, with_tag_shares=True
-        )
+        pad = self.store.processor.pad_share_batch(enc, name, batch)
         share = self.store.processor.combine_device_sums(pad, values, tag_sums)
         self.store.processor.verify_partial_share(enc, name, share, shard=node)
         return share
@@ -470,8 +456,7 @@ class ClusterCoordinator:
         self,
         name: str,
         node: str,
-        batch_rows: List[List[int]],
-        batch_weights: List[List[int]],
+        batch: QueryBatch,
     ) -> Tuple[PartialSumShare, str]:
         """Rung 3: trusted recompute on the coordinator's own device."""
         obs.inc("cluster.dispatch.local")
@@ -481,11 +466,10 @@ class ClusterCoordinator:
             table=name,
             worker=node,
             scope="cluster",
-            queries=len(batch_rows),
+            queries=len(batch),
         )
         share = self.store.processor.partial_row_sum_batch(
-            self.store.device, name, batch_rows, batch_weights,
-            with_tag_shares=True,
+            self.store.device, name, batch
         )
         try:
             self.store.processor.verify_partial_share(

@@ -31,8 +31,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Set
 
+import numpy as np
+
 from .. import obs
 from ..core.protocol import UntrustedNdpDevice
+from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
 from ..serve.protocol import (
     STATUS_ERROR,
@@ -238,11 +241,9 @@ class NodeServer:
             # Forge every served query's ciphertext tag sum; the
             # coordinator's per-shard check must blame exactly this node.
             obs.inc("cluster.node.byzantine")
-            field = self._device.field
-            tag_sums = [
-                field.add(t, 1) if rows else t
-                for t, rows in zip(tag_sums, batch_rows)
-            ]
+            bump = np.zeros_like(tag_sums)
+            bump[[bool(rows) for rows in batch_rows], 0] = 1
+            tag_sums = limb_field.field_add(self._device.field, tag_sums, bump)
         obs.inc("cluster.node.partials")
         return NodeResponse(
             id=request.id,

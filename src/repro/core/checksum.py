@@ -53,19 +53,71 @@ def _vectorizable(field: PrimeField, matrix: np.ndarray) -> bool:
     return int(matrix.min()) >= 0
 
 
-class LinearChecksum:
-    """Alg. 2: single-point Linear Modular Hash keyed by ``(K, addr, v)``.
-
-    The secret ``s`` is the first ``w_t`` bits of
-    ``E(K, 01 || paddr(P) || v)``; one ``s`` covers the whole matrix, so
-    tags of different rows are compatible under linear combination.
-    """
+class _RowChecksum:
+    """What the two schemes share: everything that follows from a scheme's
+    ``key_for``, its scalar ``row_tag`` oracle and its column weights."""
 
     def __init__(self, cipher: TweakedCipher, params: SecNDPParams):
         self.cipher = cipher
         self.params = params
         self.field: PrimeField = params.field()
         self._weight_cache: dict = {}
+
+    def _cached_weights(self, key, build):
+        """``build()`` once per ``key`` (a key and a row length), FIFO-capped."""
+        cached = self._weight_cache.get(key)
+        if cached is None:
+            if len(self._weight_cache) >= _WEIGHT_CACHE_CAP:
+                self._weight_cache.pop(next(iter(self._weight_cache)))
+            cached = self._weight_cache[key] = build()
+        return cached
+
+    def row_tag_limbs(self, matrix: np.ndarray, key) -> np.ndarray:
+        """All row tags under one key, as ``(n, 4)`` limbs.
+
+        A row's tag is a dot of the row against the scheme's fixed
+        column-weight vector; building that vector amortizes over all
+        ``n`` rows, and the whole sweep is one limb-vectorized kernel.
+        Bit-identical to per-row ``row_tag``, which serves every matrix
+        the kernels cannot (see :func:`_vectorizable`).
+        """
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2:
+            raise ValueError("row_tags expects a 2-D matrix")
+        if _vectorizable(self.field, matrix):
+            return limb_field.row_dots(
+                matrix.astype(np.uint64, copy=False),
+                self._weight_limbs(key, matrix.shape[1]),
+            )
+        return limb_field.pack(self.row_tag(row, key) for row in matrix)
+
+    def row_tags(self, matrix: np.ndarray, key) -> list:
+        """Int view of :meth:`row_tag_limbs`."""
+        return limb_field.from_limbs(self.row_tag_limbs(matrix, key))
+
+    def matrix_tags(self, matrix: np.ndarray, matrix_addr: int, version: int) -> list:
+        """Per-row tags for a whole matrix under the key of its address."""
+        return self.row_tags(np.asarray(matrix), self.key_for(matrix_addr, version))
+
+    def result_tag(self, result: Sequence[int], key) -> int:
+        """Checksum of a reconstructed result vector (Alg. 5 line 10).
+
+        Must use the same exponent convention as ``row_tag`` so the
+        linearity identity ``h(a x P) = a x h(P)`` holds exactly.
+        """
+        arr = np.asarray(result)
+        if arr.ndim == 1 and _vectorizable(self.field, arr):
+            return self.row_tags(arr[None, :], key)[0]
+        return self.row_tag(result, key)
+
+
+class LinearChecksum(_RowChecksum):
+    """Alg. 2: single-point Linear Modular Hash keyed by ``(K, addr, v)``.
+
+    The secret ``s`` is the first ``w_t`` bits of
+    ``E(K, 01 || paddr(P) || v)``; one ``s`` covers the whole matrix, so
+    tags of different rows are compatible under linear combination.
+    """
 
     def secret_point(self, matrix_addr: int, version: int) -> int:
         """Derive ``s`` (Alg. 2 line 4) for the matrix at ``matrix_addr``."""
@@ -74,6 +126,9 @@ class LinearChecksum:
         s = pad >> (self.params.block_bits - self.params.tag_bits)
         return self.field.reduce(s)
 
+    #: the "key" of the single-point scheme is just ``s``
+    key_for = secret_point
+
     def row_tag(self, row: Sequence[int], s: int) -> int:
         """``T_i = sum_j row[j] * s^(m-j) mod q`` (Alg. 2 line 5).
 
@@ -81,58 +136,14 @@ class LinearChecksum:
         """
         return self.field.checksum([int(x) for x in row], s)
 
-    def _weights(self, s: int, m: int) -> np.ndarray:
+    def _weight_limbs(self, s: int, m: int) -> np.ndarray:
         """Cached limb decomposition of ``[s^m, ..., s^1]``."""
-        key = (s, m)
-        w = self._weight_cache.get(key)
-        if w is None:
-            if len(self._weight_cache) >= _WEIGHT_CACHE_CAP:
-                self._weight_cache.pop(next(iter(self._weight_cache)))
-            w = limb_field.power_weights(self.field, s, m)
-            self._weight_cache[key] = w
-        return w
-
-    def row_tags(self, matrix: np.ndarray, s: int) -> list:
-        """All row tags under one secret point, in one vectorized sweep.
-
-        ``sum_j P_{i,j} * s^(m-j)`` is a dot of row ``i`` against the
-        fixed power vector ``[s^m, ..., s^1]``; the ``m`` scalar
-        multiplications to build that vector amortize over all ``n``
-        rows.  Bit-identical to per-row :meth:`row_tag`.
-        """
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("row_tags expects a 2-D matrix")
-        if _vectorizable(self.field, matrix):
-            return limb_field.weighted_row_tags(
-                matrix.astype(np.uint64, copy=False), self._weights(s, matrix.shape[1])
-            )
-        return [self.row_tag(row, s) for row in matrix]
-
-    def matrix_tags(self, matrix: np.ndarray, matrix_addr: int, version: int) -> list:
-        """Per-row tags for a whole matrix under one secret point."""
-        s = self.secret_point(matrix_addr, version)
-        return self.row_tags(np.asarray(matrix), s)
-
-    def result_tag(self, result: Sequence[int], s: int) -> int:
-        """Checksum of a reconstructed result vector (Alg. 5 line 10).
-
-        Must use the same exponent convention as :meth:`row_tag` so the
-        linearity identity ``h(a x P) = a x h(P)`` holds exactly.
-        """
-        arr = np.asarray(result)
-        if arr.ndim == 1 and _vectorizable(self.field, arr):
-            return self.row_tags(arr[None, :], s)[0]
-        return self.row_tag(result, s)
-
-    # Uniform interface shared with :class:`MultiPointChecksum` so the
-    # MAC/protocol layers can swap schemes: the "key" of the single-point
-    # scheme is just ``s``.
-    def key_for(self, matrix_addr: int, version: int) -> int:
-        return self.secret_point(matrix_addr, version)
+        return self._cached_weights(
+            (s, m), lambda: limb_field.power_weights(self.field, s, m)
+        )
 
 
-class MultiPointChecksum:
+class MultiPointChecksum(_RowChecksum):
     """Alg. 8: checksum using all ``w_c`` cipher bits as ``cnt_s`` points.
 
     Element ``j`` (of ``m``) is weighted by
@@ -141,15 +152,12 @@ class MultiPointChecksum:
     """
 
     def __init__(self, cipher: TweakedCipher, params: SecNDPParams):
-        self.cipher = cipher
-        self.params = params
-        self.field: PrimeField = params.field()
+        super().__init__(cipher, params)
         # cnt_s = w_c / w_t; with w_t = 127 and w_c = 128 this is 1 in the
         # strict integer sense, so the paper's interesting case arises for
         # smaller tag moduli.  We follow Alg. 8 line 5 with floor division,
         # clamped to at least one point.
         self.cnt_s = max(1, self.params.block_bits // self.params.tag_bits)
-        self._weight_cache: dict = {}
 
     def secret_points(self, matrix_addr: int, version: int) -> list:
         """The ``s_k`` substrings of ``E(K, 01 || paddr(P) || v)`` (line 8)."""
@@ -161,6 +169,9 @@ class MultiPointChecksum:
             s_k = (pad >> max(start, 0)) & ((1 << w_t) - 1)
             points.append(self.field.reduce(s_k))
         return points
+
+    #: the key of the multi-point scheme is the list of evaluation points
+    key_for = secret_points
 
     def row_tag(self, row: Sequence[int], points: Sequence[int]) -> int:
         """``T_i = sum_j P_{i,j} * s_{(m-j) mod cnt_s}^floor((m-j)/cnt_s)``.
@@ -182,43 +193,16 @@ class MultiPointChecksum:
         plain dot against this vector, which is what makes the
         multi-point variant batchable exactly like Alg. 2.
         """
-        key = (tuple(int(p) for p in points), m)
-        cached = self._weight_cache.get(key)
-        if cached is None:
-            if len(self._weight_cache) >= _WEIGHT_CACHE_CAP:
-                self._weight_cache.pop(next(iter(self._weight_cache)))
-            cached = [
+        return self._cached_weights(
+            (tuple(int(p) for p in points), m),
+            lambda: [
                 self.field.pow(points[(m - j) % self.cnt_s], (m - j) // self.cnt_s)
                 for j in range(m)
-            ]
-            self._weight_cache[key] = cached
-        return cached
+            ],
+        )
 
-    def row_tags(self, matrix: np.ndarray, points: Sequence[int]) -> list:
-        """All row tags in one sweep against the precomputed weight vector."""
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2:
-            raise ValueError("row_tags expects a 2-D matrix")
-        weights = self.weight_vector(matrix.shape[1], points)
-        if _vectorizable(self.field, matrix):
-            return limb_field.weighted_row_tags(
-                matrix.astype(np.uint64, copy=False), limb_field.to_limbs(weights)
-            )
-        return [
-            self.field.dot(weights, [int(x) for x in row]) for row in matrix
-        ]
-
-    def matrix_tags(self, matrix: np.ndarray, matrix_addr: int, version: int) -> list:
-        points = self.secret_points(matrix_addr, version)
-        return self.row_tags(np.asarray(matrix), points)
-
-    def result_tag(self, result: Sequence[int], points: Sequence[int]) -> int:
-        arr = np.asarray(result)
-        if arr.ndim == 1 and _vectorizable(self.field, arr):
-            return self.row_tags(arr[None, :], points)[0]
-        return self.row_tag(result, points)
-
-    # Uniform interface (see :meth:`LinearChecksum.key_for`): the key of
-    # the multi-point scheme is the tuple of evaluation points.
-    def key_for(self, matrix_addr: int, version: int):
-        return self.secret_points(matrix_addr, version)
+    def _weight_limbs(self, points: Sequence[int], m: int) -> np.ndarray:
+        return self._cached_weights(
+            (tuple(int(p) for p in points), m, "limbs"),
+            lambda: limb_field.to_limbs(self.weight_vector(m, points)),
+        )

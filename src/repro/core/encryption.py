@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..crypto import limb_field
 from ..crypto.aes import BLOCK_BYTES
 from ..crypto.otp import OtpGenerator
 from ..crypto.tweaked import TweakedCipher
@@ -44,17 +45,34 @@ class EncryptedMatrix:
 
     ``ciphertext`` is an ``(n, m)`` array of ring residues living (in the
     architectural model) in untrusted memory at byte address ``base_addr``.
-    ``tags``, when present, is the list of per-row encrypted tags
-    ``C_{T_i}`` produced by Alg. 3 - also untrusted data.
+    ``tag_limbs``, when present, holds the per-row encrypted tags
+    ``C_{T_i}`` produced by Alg. 3 - also untrusted data - as an
+    ``(n, 4)`` array of 32-bit limbs (:mod:`repro.crypto.limb_field`),
+    the form every tag sum gathers from; :attr:`tags` is its int view.
     """
 
     ciphertext: np.ndarray
     base_addr: int
     version: int
     params: SecNDPParams
-    tags: Optional[list] = None
+    tag_limbs: Optional[np.ndarray] = None
     checksum_version: Optional[int] = None
     tag_version: Optional[int] = None
+
+    @property
+    def tags(self) -> Optional[list]:
+        """The encrypted tags as Python ints (a copy: write with :meth:`set_tag`)."""
+        if self.tag_limbs is None:
+            return None
+        return limb_field.from_limbs(self.tag_limbs)
+
+    def tag(self, i: int) -> int:
+        """Encrypted tag ``C_{T_i}`` of row ``i`` as a Python int."""
+        return limb_field.from_limbs(self.tag_limbs[i])
+
+    def set_tag(self, i: int, tag: int) -> None:
+        """Overwrite stored tag ``i`` (memory tampering, replay)."""
+        self.tag_limbs[i] = limb_field.pack([tag])[0]
 
     @property
     def n_rows(self) -> int:

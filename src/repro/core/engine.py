@@ -123,7 +123,7 @@ class SecNDPEngine:
         pads = self.encryptor.pads_for_rows(encrypted, [row])[0]
         w = int(self.ring.encode(np.asarray(weight)))
         self.otp_pu.accumulate(reg, w, pads)
-        if encrypted.tags is not None:
+        if encrypted.tag_limbs is not None:
             tag_pad = self.mac.tag_pads_for_rows(encrypted, [row])[0]
             self.otp_pu.accumulate_tag(reg, w, tag_pad)
 

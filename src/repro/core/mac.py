@@ -21,21 +21,26 @@ OtpGenerator`, query-path tag pads are a pure function of
 ``(K, tag_version, row address)``, so an optional per-(version, address)
 LRU (off by default — sized by :mod:`repro.tiering` from the observed
 hot-set footprint) makes repeated verified queries over hot rows skip
-the tag-domain AES sweep entirely.  Bulk tagging (:meth:`attach_tags`)
-always bypasses the cache: a whole-matrix sweep would only evict the hot
-query rows.
+the tag-domain AES sweep entirely.  It is the same
+:class:`~repro.crypto.otp.PadBlockCache` the data pads use, over a slab
+of four-limb rows.  Bulk tagging (:meth:`attach_tags`) always bypasses
+the cache: a whole-matrix sweep would only evict the hot query rows.
+
+Representation note: tags, tag pads and their sums are ``(n, 4)`` limb
+arrays (:mod:`repro.crypto.limb_field`) from the cipher output to the
+verification compare; Python ints appear only in the scalar reference
+methods and in the int views tests and the oracles read.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
 from typing import Dict, Sequence
 
 import numpy as np
 
 from .. import obs
-from ..crypto.aes import BLOCK_BYTES
-from ..crypto.otp import OtpCacheInfo
+from ..crypto import limb_field
+from ..crypto.otp import OtpCacheInfo, PadBlockCache
 from ..crypto.prime_field import PrimeField
 from ..crypto.tweaked import DOMAIN_TAG, TweakedCipher
 from .checksum import LinearChecksum, MultiPointChecksum
@@ -60,34 +65,34 @@ class EncryptedLinearMac:
         # Either the single-point hash of Alg. 2 (default) or the
         # multi-point variant of Alg. 8; both expose key_for/row_tags.
         self.checksum = checksum or LinearChecksum(cipher, params)
-        # Query-path tag-pad LRU, keyed (version, row_addr) -> pad.  Off
-        # (capacity 0) until the tiering layer sizes it; every entry is a
-        # plain int, so the cache is semantically invisible and cheap.
-        self.tag_cache_rows = 0
-        self._tag_cache: "OrderedDict[tuple, int]" = OrderedDict()
-        self.tag_cache_hits = 0
-        self.tag_cache_misses = 0
-        self.tag_cache_evictions = 0
+        # Query-path tag-pad LRU, keyed (version, row_addr) -> limb row.
+        # Off (capacity 0) until the tiering layer sizes it.
+        self._tag_cache = PadBlockCache(0, limb_field.NUM_LIMBS, np.uint64)
+
+    @property
+    def tag_cache_rows(self) -> int:
+        """Capacity of the tag-pad LRU (see :meth:`resize_tag_cache`)."""
+        return self._tag_cache.capacity
 
     def tag_pad(self, row_addr: int, version: int) -> int:
         """``E_{T_i}`` - first ``w_t`` bits of ``E(K, 10 || paddr(P_i) || v)``."""
         pad = self.cipher.encrypt_counter_int(DOMAIN_TAG, row_addr, version)
         return self.field.reduce(pad >> (self.params.block_bits - self.params.tag_bits))
 
-    def _tag_pads_raw(self, addrs: np.ndarray, version: int) -> list:
-        """Uncached vectorized sweep over ``uint64`` row addresses."""
+    def _tag_pads_raw(self, addrs: np.ndarray, version: int) -> np.ndarray:
+        """Uncached vectorized sweep over ``uint64`` row addresses -> limbs."""
         obs.inc("mac.tag_pads", int(addrs.size))
         blocks = self.cipher.encrypt_counters(DOMAIN_TAG, addrs, version)
+        if limb_field.supports_field(self.field):
+            return limb_field.from_cipher_blocks(blocks)
         shift = self.params.block_bits - self.params.tag_bits
-        buf = blocks.tobytes()
-        reduce = self.field.reduce
-        return [
-            reduce(int.from_bytes(buf[BLOCK_BYTES * i : BLOCK_BYTES * (i + 1)], "big") >> shift)
-            for i in range(addrs.size)
-        ]
+        return limb_field.pack(
+            self.field.reduce(int.from_bytes(block.tobytes(), "big") >> shift)
+            for block in blocks
+        )
 
-    def tag_pads(self, row_addrs: Sequence[int], version: int) -> list:
-        """Batched :meth:`tag_pad`: one vectorized AES sweep for all rows.
+    def tag_pad_limbs(self, row_addrs: Sequence[int], version: int) -> np.ndarray:
+        """Batched :meth:`tag_pad` as ``(n, 4)`` limbs: one AES sweep for all rows.
 
         With a non-zero ``tag_cache_rows`` capacity, resident pads are
         served from the LRU and only the missing addresses reach the
@@ -95,91 +100,56 @@ class EncryptedLinearMac:
         functions of ``(K, version, address)``).
         """
         addrs = np.asarray(row_addrs, dtype=np.uint64)
-        if addrs.size == 0:
-            return []
-        if not self.tag_cache_rows:
+        if not self.tag_cache_rows or not addrs.size or not 0 <= version < 1 << 64:
             return self._tag_pads_raw(addrs, version)
-        cache = self._tag_cache
-        out: list = [None] * addrs.size
-        missing: list = []
-        missing_pos: list = []
-        for pos, addr in enumerate(addrs.tolist()):
-            key = (version, addr)
-            pad = cache.get(key)
-            if pad is None:
-                missing.append(addr)
-                missing_pos.append(pos)
-            else:
-                try:
-                    cache.move_to_end(key)
-                except KeyError:  # concurrent prewarmer eviction
-                    pass
-                out[pos] = pad
-        hits = addrs.size - len(missing)
-        self.tag_cache_hits += hits
-        self.tag_cache_misses += len(missing)
+        if addrs.size > 1 and not (addrs[1:] > addrs[:-1]).all():
+            # The cache probes distinct keys; repeats share one entry.
+            addrs, inverse = np.unique(addrs, return_inverse=True)
+            return self.tag_pad_limbs(addrs, version)[inverse]
+        pads, hits, evicted = self._tag_cache.lookup(
+            version, addrs, lambda missing: self._tag_pads_raw(missing, version)
+        )
         if obs.enabled():
             obs.inc("mac.tag_cache.hit", hits)
-            obs.inc("mac.tag_cache.miss", len(missing))
-        if missing:
-            pads = self._tag_pads_raw(np.asarray(missing, dtype=np.uint64), version)
-            for k, pos in enumerate(missing_pos):
-                out[pos] = pads[k]
-                cache[(version, missing[k])] = pads[k]
-            self._evict_tag_cache()
-        return out
+            obs.inc("mac.tag_cache.miss", addrs.size - hits)
+            if evicted:
+                obs.inc("mac.tag_cache.eviction", evicted)
+        return pads
 
-    def _evict_tag_cache(self) -> None:
-        """Shrink the tag-pad LRU to capacity in one accounted pass."""
-        cache = self._tag_cache
-        excess = len(cache) - self.tag_cache_rows
-        if excess > 0:
-            for _ in range(excess):
-                try:
-                    cache.popitem(last=False)
-                except KeyError:
-                    break
-            self.tag_cache_evictions += excess
-            obs.inc("mac.tag_cache.eviction", excess)
+    def tag_pads(self, row_addrs: Sequence[int], version: int) -> list:
+        """Int view of :meth:`tag_pad_limbs`."""
+        return limb_field.from_limbs(self.tag_pad_limbs(row_addrs, version))
 
     def resize_tag_cache(self, rows: int) -> None:
         """Set the tag-pad LRU capacity (0 disables and drops everything)."""
         if rows < 0:
             raise ValueError("tag cache capacity must be non-negative")
-        self.tag_cache_rows = rows
-        if rows == 0:
-            self._tag_cache.clear()
-        else:
-            self._evict_tag_cache()
+        evicted = self._tag_cache.resize(rows)
+        if evicted:
+            obs.inc("mac.tag_cache.eviction", evicted)
         if obs.enabled():
             obs.gauge("mac.tag_cache.capacity_rows", rows)
 
     def purge_tag_version(self, version: int) -> int:
         """Drop cached tag pads of a retired ``tag_version`` (re-encryption)."""
-        stale = [key for key in list(self._tag_cache) if key[0] == version]
-        dropped = 0
-        for key in stale:
-            try:
-                del self._tag_cache[key]
-            except KeyError:
-                continue
-            dropped += 1
+        dropped = self._tag_cache.purge_version(version)
         if dropped:
             obs.inc("mac.tag_cache.purged", dropped)
         return dropped
 
     def cached_versions(self) -> Dict[int, int]:
         """Tag versions with resident pads, mapped to their entry counts."""
-        return dict(Counter(version for version, _ in list(self._tag_cache)))
+        return self._tag_cache.versions()
 
     def tag_cache_info(self) -> OtpCacheInfo:
         """Tag-pad LRU statistics (same tuple shape as the OTP cache)."""
+        cache = self._tag_cache
         return OtpCacheInfo(
-            hits=self.tag_cache_hits,
-            misses=self.tag_cache_misses,
-            evictions=self.tag_cache_evictions,
-            currsize=len(self._tag_cache),
-            maxsize=self.tag_cache_rows,
+            hits=cache.hits,
+            misses=cache.misses,
+            evictions=cache.evictions,
+            currsize=len(cache),
+            maxsize=cache.capacity,
         )
 
     def encrypt_tag(self, tag: int, row_addr: int, version: int) -> int:
@@ -210,21 +180,28 @@ class EncryptedLinearMac:
         key = self.checksum.key_for(encrypted.base_addr, checksum_version)
         obs.inc("mac.rows_tagged", int(encrypted.n_rows))
         with obs.span("mac.tag_sweep"):
-            tags = self.checksum.row_tags(plaintext, key)
+            tags = self.checksum.row_tag_limbs(plaintext, key)
         row_addrs = encrypted.row_addrs(np.arange(encrypted.n_rows))
         with obs.span("mac.pad_sweep"):
             # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
             # would evict exactly the hot query rows worth keeping.
             pads = self._tag_pads_raw(row_addrs, tag_version)
-        sub = self.field.sub
-        encrypted.tags = [sub(t, p) for t, p in zip(tags, pads)]
+        encrypted.tag_limbs = limb_field.field_sub(self.field, tags, pads).astype(
+            np.uint32
+        )
         encrypted.checksum_version = checksum_version
         encrypted.tag_version = tag_version
+
+    def tag_pad_limbs_for_rows(
+        self, encrypted: EncryptedMatrix, rows: Sequence[int]
+    ) -> np.ndarray:
+        """Regenerate ``E_{T_k}`` for the rows of a query (Alg. 5 lines 11-13)."""
+        if encrypted.tag_version is None:
+            raise ValueError("matrix has no attached tags")
+        return self.tag_pad_limbs(encrypted.row_addrs(rows), encrypted.tag_version)
 
     def tag_pads_for_rows(
         self, encrypted: EncryptedMatrix, rows: Sequence[int]
     ) -> list:
-        """Regenerate ``E_{T_k}`` for the rows of a query (Alg. 5 lines 11-13)."""
-        if encrypted.tag_version is None:
-            raise ValueError("matrix has no attached tags")
-        return self.tag_pads(encrypted.row_addrs(rows), encrypted.tag_version)
+        """Int view of :meth:`tag_pad_limbs_for_rows`."""
+        return limb_field.from_limbs(self.tag_pad_limbs_for_rows(encrypted, rows))

@@ -24,12 +24,15 @@ verification detects it.  Applications are expected to budget
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..crypto import limb_field
+from ..crypto.ring import Ring
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError, ShardVerificationError, VerificationError
 from ..faults import hooks as fault_hooks
@@ -44,6 +47,7 @@ __all__ = [
     "SecNDPProcessor",
     "WeightedSumResult",
     "PartialSumShare",
+    "QueryBatch",
 ]
 
 
@@ -61,26 +65,137 @@ class WeightedSumResult:
 
 @dataclass
 class PartialSumShare:
-    """One shard's contribution to a batch of weighted-summation queries.
+    """One party's (or one shard's) contribution to a batch of queries.
 
-    Produced by :meth:`SecNDPProcessor.partial_row_sum_batch` over the
-    subset of each query's rows a worker owns, and combined on the
-    trusted side by :meth:`SecNDPProcessor.finalize_row_sum_batch`.
-
-    ``values`` has shape ``(n_queries, m)``: row ``q`` is this shard's
-    already-decrypted share ``sum_k a_k * P_{i_k, j}`` restricted to the
-    shard's rows (zeros when the query touches none of them).
-    ``tag_shares`` holds the matching per-query field elements
-    ``C_T_res + E_T_res`` restricted the same way, or ``None`` when the
-    partial was computed without verification material.
+    ``values`` has shape ``(n_queries, m)``: row ``q`` is a ring share of
+    ``sum_k a_k * P_{i_k, j}`` (zeros when the query touches none of the
+    shard's rows).  ``tag_shares`` holds the matching per-query field
+    elements as ``(n_queries, 4)`` limbs
+    (:mod:`repro.crypto.limb_field`), or ``None`` when the share was
+    computed without verification material.
 
     Both components live in exact modular structures (the ring
-    ``Z(2^w_e)`` and the tag field), so summing shards in any order and
+    ``Z(2^w_e)`` and the tag field), so summing shares in any order and
     any grouping reproduces the sequential result bit for bit.
     """
 
     values: np.ndarray
-    tag_shares: Optional[List[int]]
+    tag_shares: Optional[np.ndarray]
+
+
+class QueryBatch:
+    """A batch of weighted-summation queries in CSR form.
+
+    ``rows`` (``int64``) and ``weights`` (ring residues) hold every
+    query's terms back to back; query ``q`` owns
+    ``[offsets[q], offsets[q+1])``.  Both halves of the protocol reduce a
+    batch with one gather and one segmented sum over these arrays.
+    ``nonempty`` lists the queries that have terms and ``starts`` their
+    offsets - the segment boundaries the reductions use.
+    """
+
+    __slots__ = ("rows", "weights", "offsets", "nonempty", "starts")
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.weights = weights
+        self.offsets = offsets
+        self.nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
+        self.starts = offsets[self.nonempty]
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    @staticmethod
+    def flatten_lists(batch_rows, batch_weights=None) -> tuple:
+        """``(rows, raw weights or None, offsets)`` of per-query sequences."""
+        if batch_weights is not None and len(batch_weights) != len(batch_rows):
+            raise ConfigurationError(
+                "batch_rows and batch_weights must have equal length"
+            )
+        lengths = [len(rows) for rows in batch_rows]
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rows = np.fromiter(
+            chain.from_iterable(batch_rows), dtype=np.int64, count=int(offsets[-1])
+        )
+        if batch_weights is None:
+            return rows, None, offsets
+        if [len(weights) for weights in batch_weights] != lengths:
+            raise ConfigurationError("rows and weights must have equal length")
+        # No dtype: weights may be signed or reach 2^64 - 1; encode() judges.
+        flat = list(chain.from_iterable(batch_weights))
+        weights = np.asarray(flat)
+        if weights.dtype.kind == "f" and all(isinstance(w, (int, np.integer)) for w in flat):
+            weights = np.asarray(flat, dtype=object)  # both of the above at once
+        return rows, weights if flat else None, offsets
+
+    @classmethod
+    def flatten(cls, ring: Ring, batch_rows, batch_weights=None) -> "QueryBatch":
+        """CSR form of per-query row / weight sequences (weights default to 1).
+
+        A ``QueryBatch`` passes through, so layers hand the arrays down
+        instead of re-walking lists.
+        """
+        if isinstance(batch_rows, cls):
+            return batch_rows
+        rows, weights, offsets = cls.flatten_lists(batch_rows, batch_weights)
+        if weights is None:
+            weights = np.ones(rows.size, dtype=ring.dtype)
+        return cls(rows, ring.encode(weights), offsets)
+
+    def select(self, mask: np.ndarray) -> "QueryBatch":
+        """The sub-batch of the terms picked by ``mask`` (same queries)."""
+        kept = np.concatenate(([0], np.cumsum(mask)))
+        return QueryBatch(self.rows[mask], self.weights[mask], kept[self.offsets])
+
+    def lists(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """Per-query ``(rows, weights)`` as lists of Python ints."""
+        ends = self.offsets.tolist()
+        spans = list(zip(ends, ends[1:]))
+        rows, weights = self.rows.tolist(), self.weights.tolist()
+        return [rows[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
+
+    def row_union(self) -> tuple:
+        """Distinct rows, ascending, and the index of each term in them.
+
+        Terms that are already distinct and ascending (a typical single
+        query) are their own union and need no sort.
+        """
+        rows = self.rows
+        if rows.size < 2 or (rows[1:] > rows[:-1]).all():
+            return rows, slice(None)
+        return np.unique(rows, return_inverse=True)
+
+    def scatter(self, sums: np.ndarray) -> np.ndarray:
+        """Per-segment results as one row per query (zeros where empty; a
+        batch with no terms at all has no segments and is all zeros)."""
+        if self.nonempty.size == len(self):
+            return sums
+        out = np.zeros((len(self),) + sums.shape[1:], dtype=sums.dtype)
+        out[self.nonempty] = sums
+        return out
+
+    def weight_sums(self) -> np.ndarray:
+        """``sum_k a_k`` per query (``uint64``; the affine bias multiplier)."""
+        return self.scatter(np.add.reduceat(self.weights, self.starts, dtype=np.uint64))
+
+    def ring_sums(self, ring: Ring, term_rows: np.ndarray) -> np.ndarray:
+        """``sum_k a_k * term_rows[k]`` per query, in the ring."""
+        return self.scatter(ring.segment_dot(self.weights, term_rows, self.starts))
+
+    def tag_sums(self, field, term_limbs: np.ndarray) -> np.ndarray:
+        """``sum_k a_k * term_limbs[k]`` per query, in the tag field."""
+        return self.scatter(
+            limb_field.field_segment_dot(field, self.weights, term_limbs, self.starts)
+        )
+
+
+def _require_tags(enc: EncryptedMatrix, name: str) -> None:
+    if enc.tag_limbs is None or enc.checksum_version is None:
+        raise VerificationError(
+            f"matrix {name!r} was encrypted without verification tags"
+        )
 
 
 class UntrustedNdpDevice:
@@ -112,21 +227,54 @@ class UntrustedNdpDevice:
 
     # -- honest NDP operations (identical to unprotected NDP) -----------------
 
+    def _sums(
+        self, name: str, batch: QueryBatch, data: bool, tags: bool
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Per-query ciphertext sums and/or encrypted-tag sums of ``batch``.
+
+        One gather and one segmented reduction each: identical math to an
+        unprotected NDP PU.  The fault hooks then visit the queries in
+        order - data sum (``device.row_sum``), then tag sum
+        (``device.tag_sum``) - but only when a ``tamper_*`` delta or an
+        armed injector makes this device misbehave.
+        """
+        if name not in self._store:
+            raise ConfigurationError(f"no matrix {name!r} stored on this device")
+        enc = self._store[name]
+        if tags and enc.tag_limbs is None:
+            raise ConfigurationError(f"matrix {name!r} stored without tags")
+        values = tag_sums = None
+        if data:
+            values = batch.ring_sums(self.ring, enc.ciphertext[batch.rows])
+        if tags:
+            tag_sums = batch.tag_sums(self.field, enc.tag_limbs[batch.rows])
+        inj = fault_hooks.armed_injector()
+        if self._result_delta is None and self._tag_delta is None and inj is None:
+            return values, tag_sums
+        served = batch.nonempty.tolist()
+        ints = limb_field.from_limbs(tag_sums[batch.nonempty]) if tags else served
+        for q, tag in zip(served, ints):
+            if data:
+                if self._result_delta is not None:
+                    values[q, 0] = self.ring.add(values[q, 0], self._result_delta)
+                if inj is not None:
+                    values[q] = inj.perturb_result(self.ring, values[q], "device.row_sum")
+            if tags:
+                forged = tag
+                if self._tag_delta is not None:
+                    forged = self.field.add(forged, self._tag_delta)
+                if inj is not None:
+                    forged = inj.perturb_tag(self.field, forged, "device.tag_sum")
+                if forged != tag:
+                    tag_sums[q] = limb_field.pack([forged])[0]
+        return values, tag_sums
+
     def weighted_row_sum(
         self, name: str, rows: Sequence[int], weights: Sequence[int]
     ) -> np.ndarray:
         """``C_res_j = sum_k a_k * C_{i_k, j} mod 2^w_e`` (Alg. 5 line 5)."""
-        enc = self._store[name]
-        rows = np.asarray(rows, dtype=np.int64)
-        c_rows = enc.ciphertext[rows]
-        result = self.ring.dot(np.asarray(weights), c_rows)
-        if self._result_delta is not None:
-            result = result.copy()
-            result[0] = self.ring.add(result[0], self._result_delta)
-        inj = fault_hooks.armed_injector()
-        if inj is not None:
-            result = inj.perturb_result(self.ring, result, "device.row_sum")
-        return result
+        batch = QueryBatch.flatten(self.ring, [rows], [weights])
+        return self._sums(name, batch, data=True, tags=False)[0][0]
 
     def weighted_element_sum(
         self,
@@ -150,21 +298,10 @@ class UntrustedNdpDevice:
         self, name: str, rows: Sequence[int], weights: Sequence[int]
     ) -> int:
         """``C_{T_res} = sum_k a_k * C_{T_k} mod q`` (Alg. 5 line 15)."""
-        enc = self._store[name]
-        if enc.tags is None:
-            raise ConfigurationError(f"matrix {name!r} stored without tags")
-        tag_values = [enc.tags[int(i)] for i in rows]
-        # Identical math to an unprotected NDP PU; the limb-vectorized
-        # dot only changes how fast the functional model computes it.
-        result = limb_field.field_dot(
-            self.field, [int(w) for w in weights], tag_values
+        batch = QueryBatch.flatten(self.ring, [rows], [weights])
+        return limb_field.from_limbs(
+            self._sums(name, batch, data=False, tags=True)[1][0]
         )
-        if self._tag_delta is not None:
-            result = self.field.add(result, self._tag_delta)
-        inj = fault_hooks.armed_injector()
-        if inj is not None:
-            result = inj.perturb_tag(self.field, result, "device.tag_sum")
-        return result
 
     def partial_sum_batch(
         self,
@@ -172,41 +309,21 @@ class UntrustedNdpDevice:
         batch_rows: Sequence[Sequence[int]],
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
         with_tags: bool = True,
-    ) -> Tuple[np.ndarray, Optional[List[int]]]:
-        """Ciphertext-domain halves of a sharded batch (Alg. 5 lines 5/15).
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The untrusted half of a batch (Alg. 5 lines 5/15).
 
         For each query ``q``: ``C_res[q] = sum_k a_k * C_{i_k}`` over the
         stored ciphertext and, when ``with_tags``, ``C_T_res[q] = sum_k
-        a_k * C_{T_k}`` over the encrypted tags — computed entirely from
-        attacker-visible state, with no key material.  The trusted side
-        adds its pad halves (:meth:`SecNDPProcessor.pad_share_batch` via
-        :meth:`SecNDPProcessor.combine_device_sums`) to reconstruct the
-        shard's :class:`PartialSumShare`.  This is the whole wire
-        contract of a cluster NDP node: ciphertext sums go out, nothing
-        decryptable comes back.
+        a_k * C_{T_k}`` over the encrypted tags (``(n_queries, 4)``
+        limbs) — computed entirely from attacker-visible state, with no
+        key material.  The trusted side adds its pad halves
+        (:meth:`SecNDPProcessor.pad_share_batch` via
+        :meth:`SecNDPProcessor.combine_device_sums`).  This is the whole
+        wire contract of a cluster NDP node: ciphertext sums go out,
+        nothing decryptable comes back.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
-        if name not in self._store:
-            raise ConfigurationError(f"no matrix {name!r} stored on this device")
-        enc = self._store[name]
-        n_cols = int(enc.ciphertext.shape[1])
-        values = np.zeros((len(batch_rows), n_cols), dtype=self.ring.dtype)
-        tag_sums: Optional[List[int]] = [0] * len(batch_rows) if with_tags else None
-        for q, (rows, weights) in enumerate(zip(batch_rows, batch_weights)):
-            if not len(rows):
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            values[q] = self.weighted_row_sum(name, rows, weights_ring)
-            if with_tags:
-                tag_sums[q] = self.weighted_tag_sum(
-                    name, rows, [int(w) for w in weights_ring]
-                )
-        return values, tag_sums
+        batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
+        return self._sums(name, batch, data=True, tags=with_tags)
 
     # -- adversarial hooks -----------------------------------------------------
 
@@ -230,9 +347,9 @@ class UntrustedNdpDevice:
     def replay_stored_tag(self, name: str, i: int, stale_tag: int) -> None:
         """Replace a stored tag with a stale value (replay attack)."""
         enc = self._store[name]
-        if enc.tags is None:
+        if enc.tag_limbs is None:
             raise ConfigurationError("no tags to replay")
-        enc.tags[i] = stale_tag
+        enc.set_tag(i, stale_tag)
 
 
 class SecNDPProcessor:
@@ -324,6 +441,31 @@ class SecNDPProcessor:
 
     # -- queries (T1 in Fig. 4) -------------------------------------------------
 
+    def weighted_row_sums(
+        self,
+        device: UntrustedNdpDevice,
+        name: str,
+        batch_rows: Sequence[Sequence[int]],
+        batch_weights: Optional[Sequence[Sequence[int]]] = None,
+        verify: bool = True,
+    ) -> np.ndarray:
+        """Alg. 4 + Alg. 5 for a batch of weighted-summation queries.
+
+        Computes ``res[q, j] = sum_k a_k * P_{i_k, j} mod 2^w_e`` for
+        every query and column, with optional tag verification - the
+        SLS / pooling primitive the evaluation offloads to NDP, as the
+        composition of the split stated once: the trusted pad half
+        (:meth:`pad_share_batch`, one pad sweep for the union of rows),
+        the untrusted ciphertext half
+        (:meth:`UntrustedNdpDevice.partial_sum_batch`), the one adder on
+        the critical path (:meth:`combine_device_sums`, Sec. V-E3) and
+        the tag check (:meth:`finalize_row_sums`).
+        """
+        batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
+        obs.inc("protocol.queries", len(batch))
+        share = self._share(device, name, batch, verify)
+        return self.finalize_row_sums(device.stored(name), name, [share], verify)
+
     def weighted_row_sum(
         self,
         device: UntrustedNdpDevice,
@@ -332,33 +474,9 @@ class SecNDPProcessor:
         weights: Sequence[int],
         verify: bool = True,
     ) -> WeightedSumResult:
-        """Full Alg. 4 + Alg. 5 for a row-vector weighted summation.
-
-        Computes ``res_j = sum_k a_k * P_{i_k, j} mod 2^w_e`` for every
-        column ``j``, with optional tag verification.  This is exactly the
-        SLS / pooling primitive the evaluation offloads to NDP.
-        """
-        obs.inc("protocol.queries")
-        weights_ring = self.ring.encode(np.asarray(weights))
-        enc = device.stored(name)
-
-        # NDP share: computed remotely over ciphertext.
-        with obs.span("protocol.offload"):
-            c_res = device.weighted_row_sum(name, rows, weights_ring)
-
-        # Processor share: same operation over regenerated pads (OTP PU).
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), rows)
-
-        # The one adder on the critical path (Sec. V-E3).
-        with obs.span("protocol.combine"):
-            e_res = self.ring.dot(weights_ring, pads)
-            res = self.ring.add(c_res, e_res)
-
-        if verify:
-            with obs.span("protocol.verify"):
-                self._verify_row_sum(device, enc, name, rows, weights_ring, res)
-        return WeightedSumResult(values=res, verified=verify)
+        """:meth:`weighted_row_sums` for one query (a batch of one)."""
+        values = self.weighted_row_sums(device, name, [rows], [weights], verify)
+        return WeightedSumResult(values=values[0], verified=verify)
 
     def weighted_row_sum_batch(
         self,
@@ -368,93 +486,9 @@ class SecNDPProcessor:
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
         verify: bool = True,
     ) -> List[WeightedSumResult]:
-        """Alg. 4 + Alg. 5 for a whole batch of weighted-summation queries.
-
-        Functionally identical to calling :meth:`weighted_row_sum` per
-        query, but the processor-side pad regeneration — data OTPs *and*
-        tag pads — is amortized: pads are generated once for the union
-        of queried rows, then each query's share is a cheap gather + dot.
-        This is the shape of a DLRM inference batch, where consecutive
-        SLS queries hit overlapping hot rows.
-        """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError("batch_rows and batch_weights must have equal length")
-        if not batch_rows:
-            return []
-        enc = device.stored(name)
-        n_cols = int(enc.ciphertext.shape[1])
-
-        batch_arrs = [
-            np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
-        ]
-        touched = [rows for rows in batch_arrs if rows.size]
-        if not touched:
-            # Every query is empty: the pooled sums are identically zero
-            # and nothing untrusted contributes, so nothing to verify.
-            return [
-                WeightedSumResult(
-                    values=np.zeros(n_cols, dtype=self.ring.dtype),
-                    verified=verify,
-                )
-                for _ in batch_rows
-            ]
-        all_rows = np.unique(np.concatenate(touched))
-        if obs.enabled():
-            obs.inc("protocol.batch.queries", len(batch_rows))
-            obs.inc(
-                "protocol.batch.rows_total",
-                int(sum(len(rows) for rows in batch_rows)),
-            )
-            obs.inc("protocol.batch.rows_unique", int(all_rows.size))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        # One pad sweep for the union of rows (the AES hot path).
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
-        key = None
-        if verify:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-
-        results: List[WeightedSumResult] = []
-        for rows, weights in zip(batch_arrs, batch_weights):
-            obs.inc("protocol.queries")
-            if not rows.size:
-                results.append(
-                    WeightedSumResult(
-                        values=np.zeros(n_cols, dtype=self.ring.dtype),
-                        verified=verify,
-                    )
-                )
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            with obs.span("protocol.offload"):
-                c_res = device.weighted_row_sum(name, rows, weights_ring)
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
-                e_res = self.ring.dot(weights_ring, pads[idx])
-                res = self.ring.add(c_res, e_res)
-            if verify:
-                with obs.span("protocol.verify"):
-                    self._verify_row_sum(
-                        device,
-                        enc,
-                        name,
-                        rows,
-                        weights_ring,
-                        res,
-                        key=key,
-                        tag_pads=[tag_pads[k] for k in idx],
-                    )
-            results.append(WeightedSumResult(values=res, verified=verify))
-        return results
+        """:meth:`weighted_row_sums`, one :class:`WeightedSumResult` per query."""
+        values = self.weighted_row_sums(device, name, batch_rows, batch_weights, verify)
+        return [WeightedSumResult(values=row, verified=verify) for row in values]
 
     def partial_row_sum_batch(
         self,
@@ -464,71 +498,28 @@ class SecNDPProcessor:
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
         with_tag_shares: bool = True,
     ) -> PartialSumShare:
-        """One shard's half of :meth:`weighted_row_sum_batch`.
+        """One shard's decrypted share: both halves against a local device.
 
         ``batch_rows[q]`` lists only the rows of query ``q`` that this
-        shard owns (possibly none); the returned share holds the
-        decrypted partial sums and, when ``with_tag_shares``, the
-        combined tag shares ``C_T_res + E_T_res`` for those rows.  No
-        verification happens here — a partial sum has no meaningful tag
-        identity on its own; :meth:`finalize_row_sum_batch` checks the
-        recombined totals.
-
-        Pad regeneration (data and tag OTPs) is amortized over the union
-        of this shard's rows, exactly like the sequential batch path.
+        shard owns (possibly none).  No verification happens here;
+        :meth:`verify_partial_share` checks the share against its own
+        restricted checksum and :meth:`finalize_row_sums` the recombined
+        totals.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError("batch_rows and batch_weights must have equal length")
-        enc = device.stored(name)
-        n_cols = int(enc.ciphertext.shape[1])
-        values = np.zeros((len(batch_rows), n_cols), dtype=self.ring.dtype)
-        tag_shares: Optional[List[int]] = [0] * len(batch_rows) if with_tag_shares else None
-        if not batch_rows:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
+        batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
+        obs.inc("protocol.partial.queries", len(batch))
+        return self._share(device, name, batch, with_tag_shares)
 
-        nonempty = [
-            np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
-        ]
-        touched = [rows for rows in nonempty if rows.size]
-        if not touched:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
-        all_rows = np.unique(np.concatenate(touched))
-        if obs.enabled():
-            obs.inc("protocol.partial.queries", len(batch_rows))
-            obs.inc("protocol.partial.rows_unique", int(all_rows.size))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
-        if with_tag_shares:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-
-        for q, (rows, weights) in enumerate(zip(nonempty, batch_weights)):
-            if not rows.size:
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            with obs.span("protocol.offload"):
-                c_res = device.weighted_row_sum(name, rows, weights_ring)
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
-                e_res = self.ring.dot(weights_ring, pads[idx])
-                values[q] = self.ring.add(c_res, e_res)
-            if with_tag_shares:
-                weights_int = [int(w) for w in weights_ring]
-                with obs.span("protocol.verify"):
-                    e_t_res = limb_field.field_dot(
-                        self.field, weights_int, [tag_pads[k] for k in idx]
-                    )
-                    c_t_res = device.weighted_tag_sum(name, rows, weights_int)
-                    tag_shares[q] = self.field.add(c_t_res, e_t_res)
-        return PartialSumShare(values=values, tag_shares=tag_shares)
+    def _share(
+        self, device: UntrustedNdpDevice, name: str, batch: QueryBatch, with_tags: bool
+    ) -> PartialSumShare:
+        """Pad half + device half of ``batch``, added (the split, in-process)."""
+        pad = self.pad_share_batch(
+            device.stored(name), name, batch, with_tag_shares=with_tags
+        )
+        with obs.span("protocol.offload"):
+            sums = device.partial_sum_batch(name, batch, with_tags=with_tags)
+        return self.combine_device_sums(pad, *sums)
 
     def pad_share_batch(
         self,
@@ -538,69 +529,48 @@ class SecNDPProcessor:
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
         with_tag_shares: bool = True,
     ) -> PartialSumShare:
-        """The trusted-side half of :meth:`partial_row_sum_batch`.
+        """The trusted half of a batch: the same sums over regenerated pads.
 
         ``E_res[q] = sum_k a_k * pad_{i_k}`` per query (and, when
         ``with_tag_shares``, the tag-pad sums ``E_T_res[q]``) — computed
-        entirely key-side, with no device interaction.  Adding an
-        untrusted device's ciphertext-domain sums
-        (:meth:`UntrustedNdpDevice.partial_sum_batch`) via
-        :meth:`combine_device_sums` reconstructs the shard's
-        :class:`PartialSumShare` bit-identically to running
-        :meth:`partial_row_sum_batch` against an honest device, while
-        the key never leaves the trusted side: a remote shard only ever
-        receives ciphertext and returns ciphertext sums.
+        entirely key-side, with no device interaction: data OTPs *and*
+        tag pads are generated once for the union of queried rows (the
+        AES hot path, amortized over a DLRM batch's overlapping hot
+        rows), then each query's share is one gather and one segmented
+        sum.  The key never leaves the trusted side: a remote shard only
+        ever receives ciphertext and returns ciphertext sums.
         """
-        if batch_weights is None:
-            batch_weights = [[1] * len(rows) for rows in batch_rows]
-        if len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
-        n_cols = int(enc.ciphertext.shape[1])
-        values = np.zeros((len(batch_rows), n_cols), dtype=self.ring.dtype)
-        tag_shares: Optional[List[int]] = (
-            [0] * len(batch_rows) if with_tag_shares else None
-        )
-        nonempty = [
-            np.asarray(rows, dtype=np.int64).reshape(-1) for rows in batch_rows
-        ]
-        touched = [rows for rows in nonempty if rows.size]
-        if not touched:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
-        all_rows = np.unique(np.concatenate(touched))
-        row_pos = {int(r): k for k, r in enumerate(all_rows)}
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), all_rows)
-        tag_pads = None
+        batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
         if with_tag_shares:
-            if enc.tags is None or enc.checksum_version is None:
-                raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
-                )
-            with obs.span("protocol.otp"):
-                tag_pads = self.mac.tag_pads_for_rows(enc, all_rows)
-        for q, (rows, weights) in enumerate(zip(nonempty, batch_weights)):
-            if not rows.size:
-                continue
-            weights_ring = self.ring.encode(np.asarray(weights))
-            idx = [row_pos[int(i)] for i in rows]
-            with obs.span("protocol.combine"):
-                values[q] = self.ring.dot(weights_ring, pads[idx])
+            _require_tags(enc, name)
+        values = np.zeros((len(batch), enc.n_cols), dtype=self.ring.dtype)
+        tag_shares = (
+            np.zeros((len(batch), limb_field.NUM_LIMBS), dtype=np.uint64)
+            if with_tag_shares
+            else None
+        )
+        if not batch.rows.size:
+            return PartialSumShare(values=values, tag_shares=tag_shares)
+        union, where = batch.row_union()
+        if obs.enabled():
+            obs.inc("protocol.batch.queries", len(batch))
+            obs.inc("protocol.batch.rows_total", int(batch.rows.size))
+            obs.inc("protocol.batch.rows_unique", int(union.size))
+        with obs.span("protocol.otp"):
+            pads = self.encryptor.pads_for_rows(self._pad_source(enc), union)
             if with_tag_shares:
-                with obs.span("protocol.verify"):
-                    tag_shares[q] = limb_field.field_dot(
-                        self.field,
-                        [int(w) for w in weights_ring],
-                        [tag_pads[k] for k in idx],
-                    )
+                tag_pads = self.mac.tag_pad_limbs_for_rows(enc, union)
+        with obs.span("protocol.combine"):
+            values = batch.ring_sums(self.ring, pads[where])
+            if with_tag_shares:
+                tag_shares = batch.tag_sums(self.field, tag_pads[where])
         return PartialSumShare(values=values, tag_shares=tag_shares)
 
     def combine_device_sums(
         self,
         pad: PartialSumShare,
         device_values: np.ndarray,
-        device_tag_sums: Optional[Sequence[int]] = None,
+        device_tag_sums: Optional[np.ndarray] = None,
     ) -> PartialSumShare:
         """Add a device's ciphertext-domain sums onto the trusted pad half.
 
@@ -618,22 +588,28 @@ class SecNDPProcessor:
                 f"device sums shape {values.shape} does not match the "
                 f"pad share shape {pad.values.shape}"
             )
-        tag_shares: Optional[List[int]] = None
+        tag_shares = None
         if pad.tag_shares is not None:
-            if device_tag_sums is None or len(device_tag_sums) != len(
-                pad.tag_shares
-            ):
+            tags = None if device_tag_sums is None else np.asarray(device_tag_sums)
+            if tags is None or tags.shape != pad.tag_shares.shape or tags.dtype.kind != "u":
                 raise ConfigurationError(
                     "device tag sums missing or mismatched against the "
                     "pad share's tag shares"
                 )
-            tag_shares = [
-                self.field.add(int(c), int(e))
-                for c, e in zip(device_tag_sums, pad.tag_shares)
-            ]
+            tag_shares = limb_field.field_add(self.field, tags, pad.tag_shares)
         return PartialSumShare(
             values=self.ring.add(values, pad.values), tag_shares=tag_shares
         )
+
+    def _mismatches(self, values: np.ndarray, tag_shares: np.ndarray, key) -> np.ndarray:
+        """Queries whose retrieved tag differs from the checksum of ``values``.
+
+        One checksum sweep over the whole ``(n_queries, m)`` result
+        matrix (the verification engine of Alg. 5 line 10), compared
+        limb for limb.
+        """
+        computed = self.checksum.row_tag_limbs(values, key)
+        return np.flatnonzero((computed != tag_shares).any(axis=1))
 
     def failed_share_queries(
         self,
@@ -654,7 +630,7 @@ class SecNDPProcessor:
         bound (``m/q``) and ring-overflow caveat as the combined check;
         a *whole-query* overflow splits across shards and is only
         visible to the combined identity, which is why
-        :meth:`finalize_row_sum_batch` keeps checking totals even when
+        :meth:`finalize_row_sums` keeps checking totals even when
         per-shard checks ran.
         """
         if part.tag_shares is None:
@@ -662,19 +638,11 @@ class SecNDPProcessor:
                 "partial share carries no tag shares; recompute with "
                 "with_tag_shares=True to verify"
             )
-        if enc.tags is None or enc.checksum_version is None:
-            raise VerificationError(
-                f"matrix {name!r} was encrypted without verification tags"
-            )
+        _require_tags(enc, name)
         if key is None:
             key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        failed: List[int] = []
         with obs.span("protocol.shard_verify"):
-            for q in range(part.values.shape[0]):
-                if part.tag_shares[q] != self.checksum.result_tag(
-                    part.values[q], key
-                ):
-                    failed.append(q)
+            failed = self._mismatches(part.values, part.tag_shares, key).tolist()
         if failed:
             obs.inc("protocol.shard_verify.failures", len(failed))
         return failed
@@ -701,7 +669,7 @@ class SecNDPProcessor:
                 queries=failed,
             )
 
-    def finalize_row_sum_batch(
+    def finalize_row_sums(
         self,
         enc: EncryptedMatrix,
         name: str,
@@ -709,15 +677,15 @@ class SecNDPProcessor:
         verify: bool = True,
         per_shard: bool = False,
         shard_labels: Optional[Sequence] = None,
-    ) -> List[WeightedSumResult]:
-        """Combine shard shares into verified results (trusted side).
+    ) -> np.ndarray:
+        """Combine shard shares into the verified result matrix (trusted side).
 
         Ring-adds the value shares and field-adds the tag shares across
-        shards, then runs the Alg. 5 check on each recombined total:
-        because every shard partitions the query's rows and both
-        structures are exact modular arithmetic, the totals — and hence
-        the verification outcome — are bit-identical to
-        :meth:`weighted_row_sum_batch` on the unsharded queries.
+        shards, then runs the Alg. 5 check on every recombined total in
+        one sweep (the first failing query raises): because every shard
+        partitions the query's rows and both structures are exact
+        modular arithmetic, the totals — and hence the verification
+        outcome — are bit-identical to the unsharded queries.
 
         With ``per_shard=True`` every share is first verified against
         its *own* restricted checksum (see :meth:`failed_share_queries`),
@@ -730,46 +698,53 @@ class SecNDPProcessor:
         """
         partials = list(partials)
         if not partials:
-            return []
-        key = None
-        if verify:
-            if enc.tags is None or enc.checksum_version is None:
+            return np.zeros((0, enc.n_cols), dtype=self.ring.dtype)
+        res = reduce(self.ring.add, (part.values for part in partials))
+        if not verify:
+            return res
+        _require_tags(enc, name)
+        key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
+        if per_shard:
+            for s, part in enumerate(partials):
+                label = shard_labels[s] if shard_labels is not None else s
+                self.verify_partial_share(enc, name, part, key=key, shard=label)
+        with obs.span("protocol.verify"):
+            if any(part.tag_shares is None for part in partials):
                 raise VerificationError(
-                    f"matrix {name!r} was encrypted without verification tags"
+                    "partial share carries no tag shares; recompute "
+                    "with with_tag_shares=True to verify"
                 )
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-            if per_shard:
-                for s, part in enumerate(partials):
-                    label = shard_labels[s] if shard_labels is not None else s
-                    self.verify_partial_share(
-                        enc, name, part, key=key, shard=label
-                    )
-        res = partials[0].values
-        for part in partials[1:]:
-            res = self.ring.add(res, part.values)
-        results: List[WeightedSumResult] = []
-        for q in range(res.shape[0]):
-            values = res[q]
-            if verify:
-                with obs.span("protocol.verify"):
-                    retrieved = 0
-                    for part in partials:
-                        if part.tag_shares is None:
-                            raise VerificationError(
-                                "partial share carries no tag shares; recompute "
-                                "with with_tag_shares=True to verify"
-                            )
-                        retrieved = self.field.add(retrieved, part.tag_shares[q])
-                    t_res = self.checksum.result_tag(values, key)
-                    if retrieved != t_res:
-                        obs.inc("protocol.verify.failures")
-                        raise VerificationError(
-                            f"tag mismatch for query on {name!r}: computed "
-                            f"{t_res:#x}, retrieved {retrieved:#x} "
-                            f"(tampering, replay, or ring overflow)"
-                        )
-            results.append(WeightedSumResult(values=values, verified=verify))
-        return results
+            retrieved = reduce(
+                lambda a, b: limb_field.field_add(self.field, a, b),
+                (part.tag_shares for part in partials),
+            )
+            failed = self._mismatches(res, retrieved, key)
+            if failed.size:
+                q = int(failed[0])
+                t_res = self.checksum.result_tag(res[q], key)
+                obs.inc("protocol.verify.failures")
+                raise VerificationError(
+                    f"tag mismatch for query {q} on {name!r}: computed "
+                    f"{t_res:#x}, retrieved "
+                    f"{limb_field.from_limbs(retrieved[q]):#x} "
+                    f"(tampering, replay, or ring overflow)"
+                )
+        return res
+
+    def finalize_row_sum_batch(
+        self,
+        enc: EncryptedMatrix,
+        name: str,
+        partials: Sequence[PartialSumShare],
+        verify: bool = True,
+        per_shard: bool = False,
+        shard_labels: Optional[Sequence] = None,
+    ) -> List[WeightedSumResult]:
+        """:meth:`finalize_row_sums`, one :class:`WeightedSumResult` per query."""
+        values = self.finalize_row_sums(
+            enc, name, partials, verify, per_shard, shard_labels
+        )
+        return [WeightedSumResult(values=row, verified=verify) for row in values]
 
     def weighted_element_sum(
         self,
@@ -795,47 +770,6 @@ class SecNDPProcessor:
         pads = self.encryptor.otp.pad_elements_at(elem_addrs, enc.version)
         e_res = self.ring.dot(weights_ring, pads[:, None])[0]
         return int(self.ring.add(self.ring.dtype(c_res), e_res))
-
-    # -- verification (Alg. 5) ---------------------------------------------------
-
-    def _verify_row_sum(
-        self,
-        device: UntrustedNdpDevice,
-        enc: EncryptedMatrix,
-        name: str,
-        rows: Sequence[int],
-        weights_ring: np.ndarray,
-        res: np.ndarray,
-        key=None,
-        tag_pads: Optional[list] = None,
-    ) -> None:
-        if enc.tags is None or enc.checksum_version is None:
-            raise VerificationError(
-                f"matrix {name!r} was encrypted without verification tags"
-            )
-        # Checksum of the reconstructed result (verification engine);
-        # the limb-vectorized path evaluates the whole Horner dot at once.
-        if key is None:
-            key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        t_res = self.checksum.result_tag(res, key)
-
-        # Tag pads for the queried rows (OTP side, E_{T_res}); batch
-        # callers pass them pre-generated for the union of rows.
-        if tag_pads is None:
-            tag_pads = self.mac.tag_pads_for_rows(enc, rows)
-        weights_int = [int(w) for w in weights_ring]
-        e_t_res = limb_field.field_dot(self.field, weights_int, tag_pads)
-
-        # NDP tag share (C_{T_res}).
-        c_t_res = device.weighted_tag_sum(name, rows, weights_int)
-
-        retrieved = self.field.add(c_t_res, e_t_res)
-        if retrieved != t_res:
-            obs.inc("protocol.verify.failures")
-            raise VerificationError(
-                f"tag mismatch for query on {name!r}: computed {t_res:#x}, "
-                f"retrieved {retrieved:#x} (tampering, replay, or ring overflow)"
-            )
 
     # -- convenience --------------------------------------------------------------
 

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..crypto.limb_field import NUM_LIMBS
 from ..errors import ConfigurationError
 from .encryption import EncryptedMatrix
 from .params import SecNDPParams
@@ -45,6 +46,11 @@ _TAG_HEADER = struct.Struct("<QQI")
 _FLAG_TAGS = 1
 
 
+def _tag_rows(limbs: np.ndarray) -> np.ndarray:
+    """Byte view ``(n_rows, 16)`` of a contiguous ``<u4`` limb array."""
+    return limbs.view(np.uint8).reshape(limbs.shape[0], 4 * NUM_LIMBS)
+
+
 def serialize_matrix(matrix: EncryptedMatrix) -> bytes:
     """Serialize ciphertext (and tags, when present) to bytes."""
     ct = np.ascontiguousarray(
@@ -53,7 +59,7 @@ def serialize_matrix(matrix: EncryptedMatrix) -> bytes:
     flags = 0
     tag_block = b""
     tag_header = b""
-    if matrix.tags is not None:
+    if matrix.tag_limbs is not None:
         if matrix.checksum_version is None or matrix.tag_version is None:
             raise ConfigurationError("tagged matrix missing tag versions")
         flags |= _FLAG_TAGS
@@ -61,9 +67,10 @@ def serialize_matrix(matrix: EncryptedMatrix) -> bytes:
         tag_header = _TAG_HEADER.pack(
             matrix.checksum_version, matrix.tag_version, tag_bytes
         )
-        tag_block = b"".join(
-            int(t).to_bytes(tag_bytes, "little") for t in matrix.tags
-        )
+        # Each limb row is one little-endian 128-bit integer; a tag is
+        # its first ``tag_bytes`` bytes.
+        limbs = np.ascontiguousarray(matrix.tag_limbs, dtype="<u4")
+        tag_block = _tag_rows(limbs)[:, :tag_bytes].tobytes()
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -128,16 +135,15 @@ def deserialize_matrix(
     ).astype(ring.dtype).reshape(n_rows, n_cols)
     offset += ct_bytes
 
-    tags = None
+    tag_limbs = None
     if flags & _FLAG_TAGS:
         expected = n_rows * tag_bytes
         if len(data) < offset + expected:
             raise ConfigurationError("truncated SecNDP container (tags)")
-        tags = [
-            int.from_bytes(data[offset + i * tag_bytes : offset + (i + 1) * tag_bytes],
-                           "little")
-            for i in range(n_rows)
-        ]
+        tag_limbs = np.zeros((n_rows, NUM_LIMBS), dtype="<u4")
+        _tag_rows(tag_limbs)[:, :tag_bytes] = np.frombuffer(
+            data, dtype=np.uint8, count=expected, offset=offset
+        ).reshape(n_rows, tag_bytes)
         offset += expected
 
     return EncryptedMatrix(
@@ -145,7 +151,7 @@ def deserialize_matrix(
         base_addr=base_addr,
         version=version,
         params=params,
-        tags=tags,
+        tag_limbs=tag_limbs,
         checksum_version=checksum_version,
         tag_version=tag_version,
     )

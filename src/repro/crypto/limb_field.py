@@ -33,7 +33,7 @@ route to the :class:`PrimeField` oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -46,7 +46,9 @@ __all__ = [
     "NUM_LIMBS",
     "supports_field",
     "to_limbs",
+    "pack",
     "from_limbs",
+    "from_cipher_blocks",
     "add",
     "sub",
     "mul",
@@ -55,9 +57,13 @@ __all__ = [
     "horner_checksum",
     "dot",
     "power_weights",
+    "row_dots",
     "weighted_row_tags",
-    "dot_ints",
-    "field_dot",
+    "segment_dot",
+    "field_segment_dot",
+    "field_add",
+    "field_sub",
+    "field_reduce",
 ]
 
 #: Limbs are 32 bits wide, held in uint64 lanes so products of two limbs
@@ -100,6 +106,18 @@ def supports_field(field: PrimeField) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def pack(values: Iterable[int]) -> np.ndarray:
+    """Integers in ``[0, 2^128)`` as ``(n, 4)`` limb rows, *unreduced*.
+
+    The storage form of a tag vector whatever the tag modulus; only
+    :func:`to_limbs` knows about ``q``.
+    """
+    buf = b"".join(int(v).to_bytes(4 * NUM_LIMBS, "little") for v in values)
+    return (
+        np.frombuffer(buf, dtype="<u4").reshape(-1, NUM_LIMBS).astype(np.uint64)
+    )
+
+
 def to_limbs(values: Iterable[int] | int) -> np.ndarray:
     """Decompose integers into canonical ``(..., 4)`` limb arrays.
 
@@ -110,29 +128,33 @@ def to_limbs(values: Iterable[int] | int) -> np.ndarray:
     """
     scalar = isinstance(values, (int, np.integer))
     vals = [int(values)] if scalar else [int(v) for v in values]
-    out = np.zeros((len(vals), NUM_LIMBS), dtype=np.uint64)
-    for row, v in enumerate(vals):
-        if not 0 <= v < MERSENNE_127:
-            v %= MERSENNE_127
-        out[row, 0] = v & 0xFFFFFFFF
-        out[row, 1] = (v >> 32) & 0xFFFFFFFF
-        out[row, 2] = (v >> 64) & 0xFFFFFFFF
-        out[row, 3] = v >> 96
+    out = pack(v if 0 <= v < MERSENNE_127 else v % MERSENNE_127 for v in vals)
     return out[0] if scalar else out
 
 
 def from_limbs(limbs: np.ndarray) -> List[int] | int:
-    """Inverse of :func:`to_limbs`; returns int(s) in ``[0, q-1]``."""
-    arr = np.asarray(limbs, dtype=np.uint64)
+    """Inverse of :func:`pack` (and of :func:`to_limbs` on canonical limbs)."""
+    arr = np.asarray(limbs)
     scalar = arr.ndim == 1
-    arr = arr.reshape(-1, NUM_LIMBS)
     # One C-level int.from_bytes per element beats per-limb shift/or chains.
-    buf = arr.astype("<u4").tobytes()
+    buf = arr.reshape(-1, NUM_LIMBS).astype("<u4").tobytes()
     out = [
-        int.from_bytes(buf[16 * i : 16 * i + 16], "little")
-        for i in range(arr.shape[0])
+        int.from_bytes(buf[i : i + 16], "little") for i in range(0, len(buf), 16)
     ]
     return out[0] if scalar else out
+
+
+def from_cipher_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Canonical limbs of the first 127 bits of each 16-byte cipher block.
+
+    ``blocks`` is ``(n, 16)`` ``uint8``, each row one big-endian 128-bit
+    integer ``v``; the result is ``(v >> 1) mod q`` — the tag pad of
+    Alg. 3 line 4 — computed with shifts on the four 32-bit words.
+    """
+    words = np.ascontiguousarray(blocks).view(">u4").astype(np.uint64)[:, ::-1]
+    limbs = words >> _U1
+    limbs[:, :-1] |= (words[:, 1:] << _U31) & _MASK
+    return fold(limbs)  # only the all-ones pad is not canonical yet
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +258,7 @@ def fold(values: np.ndarray) -> np.ndarray:
 
 def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b mod q``, elementwise over broadcastable limb arrays."""
-    return _reduce_columns(
-        np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64)
-    )
+    return fold(np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64))
 
 
 def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,7 +268,7 @@ def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     borrow-free and the subtraction becomes ``a + (q - b)``.
     """
     comp = _Q_LIMBS - np.asarray(b, dtype=np.uint64)
-    return _reduce_columns(np.asarray(a, dtype=np.uint64) + comp)
+    return fold(np.asarray(a, dtype=np.uint64) + comp)
 
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -395,10 +415,10 @@ def dot(coeffs: np.ndarray, weight_limbs: np.ndarray) -> np.ndarray:
     return _reduce_columns(_dot_columns(coeffs, weight_limbs))
 
 
-def weighted_row_tags(
+def row_dots(
     matrix: np.ndarray, weight_limbs: np.ndarray, row_chunk: int = 0
-) -> List[int]:
-    """All row tags ``sum_j M[i, j] * W[j] mod q`` in one vectorized sweep.
+) -> np.ndarray:
+    """All row tags ``sum_j M[i, j] * W[j] mod q`` as ``(n, 4)`` limbs.
 
     ``matrix`` is ``(n, m)`` non-negative residues (any integer dtype
     < 2^64); chunking bounds the temporary product arrays to a few
@@ -409,46 +429,89 @@ def weighted_row_tags(
     if row_chunk <= 0:
         # ~ (1 << 21) uint64 temporaries (16 MiB) per kernel invocation.
         row_chunk = max(1, (1 << 21) // max(m, 1))
-    tags: List[int] = []
-    for start in range(0, n, row_chunk):
-        limbs = dot(matrix[start : start + row_chunk], weight_limbs)
-        chunk = from_limbs(limbs)
-        tags.extend(chunk if isinstance(chunk, list) else [chunk])
-    return tags
+    if n <= row_chunk:
+        return dot(matrix, weight_limbs)
+    return np.concatenate(
+        [
+            dot(matrix[start : start + row_chunk], weight_limbs)
+            for start in range(0, n, row_chunk)
+        ]
+    )
 
 
-def dot_ints(weights: Sequence[int], values: Sequence[int]) -> int:
-    """Scalar-in/scalar-out vectorized dot ``sum_k w_k * v_k mod q``.
+def weighted_row_tags(
+    matrix: np.ndarray, weight_limbs: np.ndarray, row_chunk: int = 0
+) -> List[int]:
+    """Int view of :func:`row_dots`."""
+    return from_limbs(row_dots(matrix, weight_limbs, row_chunk))
 
-    ``weights`` must be ring residues (< 2^64, the protocol invariant for
-    ``a``); ``values`` may be any field elements.  Used by the Alg. 5
-    verification dots in place of the interpreted ``PrimeField.dot``.
+
+def segment_dot(
+    coeffs: np.ndarray, value_limbs: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Per-segment ``sum_k coeffs[k] * V[k] mod q`` -> ``(len(starts), 4)``.
+
+    The Alg. 5 tag-side sums (``a x C_T``, ``a x E_T``) of a whole batch
+    at once: ``coeffs`` are the ``T`` ring weights of every query back to
+    back, ``value_limbs`` the matching ``(T, 4)`` tags or tag pads, and
+    segment ``i`` is ``[starts[i], starts[i+1])`` (the last runs to
+    ``T``; ``starts`` strictly ascending, so no segment is empty).  Each
+    term contributes at most ``2^34`` to a column, so the per-segment
+    ``uint64`` sums are exact below ``_MAX_SUM_TERMS`` terms; a 64-bit
+    weight times a 127-bit value spans six 32-bit columns.
     """
-    if len(weights) != len(values):
-        raise ValueError("weights and values must have equal length")
-    if not weights:
-        return 0
-    w = np.asarray([int(w) for w in weights], dtype=np.uint64)
-    v_limbs = to_limbs(values)
-    # dot() contracts the last axis of the coefficient array with the
-    # weight rows; here the "coefficients" are the ring weights.
-    return int(from_limbs(dot(w[None, :], v_limbs))[0])
+    c = np.asarray(coeffs, dtype=np.uint64)
+    v = np.asarray(value_limbs, dtype=np.uint64)
+    if c.shape[0] != v.shape[0]:
+        raise ValueError("coefficient and value lengths differ")
+    if c.size >= _MAX_SUM_TERMS:
+        raise ValueError("dot length too large for exact uint64 accumulation")
+    c_lo, c_hi = _coeff_halves(c)
+    cols = np.zeros((c.size, NUM_LIMBS + 2), dtype=np.uint64)
+    p = c_lo[:, None] * v
+    cols[:, :NUM_LIMBS] = p & _MASK
+    cols[:, 1 : NUM_LIMBS + 1] += p >> _U32
+    if c_hi.any():
+        p = c_hi[:, None] * v
+        cols[:, 1 : NUM_LIMBS + 1] += p & _MASK
+        cols[:, 2 : NUM_LIMBS + 2] += p >> _U32
+    return fold(np.add.reduceat(cols, starts, axis=0))
 
 
-def field_dot(field: PrimeField, weights: Sequence[int], values: Sequence[int]) -> int:
-    """Dispatching dot: limb-vectorized for GF(2^127 - 1), scalar otherwise.
+# ---------------------------------------------------------------------------
+# Tag vectors under any tag field: limb kernels for GF(2^127 - 1), the
+# PrimeField oracle (element by element) for everything else.
+# ---------------------------------------------------------------------------
 
-    Falls back to the :class:`PrimeField` oracle when the modulus is not
-    the paper's Mersenne prime (the small test primes) or when a weight
-    falls outside the uint64 ring-residue range the kernel assumes.
-    """
-    ws = [int(w) for w in weights]
-    if (
-        supports_field(field)
-        and ws
-        and min(ws) >= 0
-        and max(ws) < (1 << 64)
-    ):
-        return dot_ints(ws, list(values))
+
+def _scalar(op, *limb_arrays: np.ndarray) -> np.ndarray:
+    return pack(op(*xs) for xs in zip(*(from_limbs(a) for a in limb_arrays)))
+
+
+def field_add(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b`` over ``(n, 4)`` tag vectors of ``field``."""
+    return add(a, b) if supports_field(field) else _scalar(field.add, a, b)
+
+
+def field_sub(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a - b`` over ``(n, 4)`` tag vectors of ``field``."""
+    return sub(a, b) if supports_field(field) else _scalar(field.sub, a, b)
+
+
+def field_reduce(field: PrimeField, limbs: np.ndarray) -> np.ndarray:
+    """Untrusted 128-bit limb rows reduced into ``field`` (canonical)."""
+    limbs = np.asarray(limbs, dtype=np.uint64)
+    return fold(limbs) if supports_field(field) else _scalar(field.reduce, limbs)
+
+
+def field_segment_dot(
+    field: PrimeField, coeffs: np.ndarray, value_limbs: np.ndarray, starts
+) -> np.ndarray:
+    """:func:`segment_dot` under any tag field (oracle per segment otherwise)."""
+    if supports_field(field):
+        return segment_dot(coeffs, value_limbs, starts)
     obs.inc("limb.dot.fallback_scalar")
-    return field.dot(ws, [int(v) for v in values])
+    ws = np.asarray(coeffs).tolist()
+    vs = from_limbs(value_limbs)
+    ends = [*map(int, starts[1:]), len(ws)]
+    return pack(field.dot(ws[a:b], vs[a:b]) for a, b in zip(map(int, starts), ends))

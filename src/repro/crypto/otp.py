@@ -46,6 +46,7 @@ from .tweaked import DOMAIN_DATA, TweakedCipher
 
 __all__ = [
     "OtpGenerator",
+    "PadBlockCache",
     "OtpCacheInfo",
     "merge_cache_info",
     "publish_cache_gauges",

@@ -80,7 +80,11 @@ class Ring:
             raise OverflowError(
                 f"value outside [{lo}, {hi}) not representable in Z(2^{self.width})"
             )
-        return np.mod(arr, self.modulus).astype(self.dtype)
+        if arr.dtype == object:
+            return np.mod(arr, self.modulus).astype(self.dtype)
+        # A fixed-width integer cast *is* two's-complement reduction (and,
+        # unlike np.mod, takes the 2^64 modulus of the widest ring).
+        return arr.astype(self.dtype)
 
     def decode_signed(self, values: np.ndarray) -> np.ndarray:
         """Interpret residues as signed two's-complement integers."""
@@ -100,13 +104,27 @@ class Ring:
     def neg(self, a: np.ndarray) -> np.ndarray:
         return (-np.asarray(a, dtype=self.dtype)).astype(self.dtype)
 
-    def dot(self, weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """Weighted summation ``sum_k weights[k] * matrix[k, :] mod 2^w_e``.
+    def segment_dot(
+        self, weights: np.ndarray, matrix: np.ndarray, starts: np.ndarray
+    ) -> np.ndarray:
+        """Per-segment weighted sums ``sum_k weights[k] * matrix[k, :]``.
 
-        This is the exact operation both the NDP PU (on ciphertext) and the
-        OTP PU (on pads) perform in Alg. 4 / 5.  Accumulation stays in the
-        ring dtype, so intermediate overflow wraps exactly as hardware would.
+        Segment ``i`` covers rows ``[starts[i], starts[i+1])`` (the last
+        runs to the end; ``starts`` strictly ascending, so no segment is
+        empty).  This is the exact operation both the NDP PU (on
+        ciphertext) and the OTP PU (on pads) perform in Alg. 4 / 5, for a
+        whole batch of queries at once: products and accumulation stay in
+        the ring dtype, so intermediate overflow wraps exactly as the
+        hardware multiply-accumulate would (a BLAS dot would promote).
         """
+        terms = np.asarray(matrix, dtype=self.dtype) * np.asarray(
+            weights, dtype=self.dtype
+        )[:, None]
+        return np.add.reduceat(terms, starts, axis=0, dtype=self.dtype)
+
+    def dot(self, weights: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """Weighted summation ``sum_k weights[k] * matrix[k, :] mod 2^w_e``:
+        :meth:`segment_dot` over one segment."""
         w = np.asarray(weights, dtype=self.dtype)
         m = np.asarray(matrix, dtype=self.dtype)
         if m.ndim == 1:
@@ -115,12 +133,9 @@ class Ring:
             raise ValueError(
                 f"weights length {w.shape[0]} != number of rows {m.shape[0]}"
             )
-        acc = np.zeros(m.shape[1], dtype=self.dtype)
-        # Row-by-row accumulation mirrors the NDP PU's multiply-accumulate
-        # and keeps everything in-ring; a BLAS dot would promote dtypes.
-        for k in range(w.shape[0]):
-            acc += w[k] * m[k]
-        return acc
+        if not w.size:
+            return np.zeros(m.shape[1], dtype=self.dtype)
+        return self.segment_dot(w, m, np.zeros(1, dtype=np.intp))[0]
 
     # -- byte packing ---------------------------------------------------------
 

@@ -397,15 +397,15 @@ class FaultInjector:
                             "device.store",
                             f"{name}[{int(i)},{int(j)}] bit {bit}",
                         )
-            if replay_rate > 0.0 and enc.tags is not None:
+            if replay_rate > 0.0 and enc.tag_limbs is not None:
                 with self._lock:
-                    tag_mask = self._rng.random(len(enc.tags)) < replay_rate
+                    tag_mask = self._rng.random(enc.n_rows) < replay_rate
                 for (i,) in zip(*np.nonzero(tag_mask)):
                     if not self._budget_left():
                         break
                     stale = self._randint(1, 1 << 62)
-                    enc.tags[int(i)] = (enc.tags[int(i)] + stale) % (
-                        (1 << 127) - 1
+                    enc.set_tag(
+                        int(i), (enc.tag(int(i)) + stale) % ((1 << 127) - 1)
                     )
                     rows.add(int(i))
                     with self._lock:

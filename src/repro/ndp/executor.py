@@ -119,7 +119,7 @@ class SecNdpExecutor:
         """Run the full SecNDPInst / SecNDPLd sequence for one query."""
         region = self._regions[name]
         enc = region.encrypted
-        if verify and enc.tags is None:
+        if verify and enc.tag_limbs is None:
             raise VerificationError(f"region {name!r} encrypted without tags")
         ring = self.processor.ring
         weights_ring = [int(w) for w in ring.encode(np.asarray(weights))]
@@ -156,11 +156,11 @@ class SecNdpExecutor:
                 # The NDP side executes the *unmodified* command.
                 self.dimm.execute(rank, inst.to_ndp_command())
                 if verify:
-                    self.dimm.pus[rank].mac_tag(reg, weight, enc.tags[int(row)])
+                    self.dimm.pus[rank].mac_tag(reg, weight, enc.tag(int(row)))
                 if cmd_fault == "dup":
                     self.dimm.execute(rank, inst.to_ndp_command())
                     if verify:
-                        self.dimm.pus[rank].mac_tag(reg, weight, enc.tags[int(row)])
+                        self.dimm.pus[rank].mac_tag(reg, weight, enc.tag(int(row)))
             # The processor side replicates it on the OTP PU.
             self.engine.issue(reg, enc, int(row), weight)
             self._instructions_executed += 1

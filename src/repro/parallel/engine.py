@@ -58,9 +58,7 @@ from .shm import (
     ArraySpec,
     attach_shared_array,
     create_shared_array,
-    pack_tags,
     shared_memory_available,
-    unpack_tags,
 )
 
 __all__ = [
@@ -176,11 +174,10 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
     for table in spec.tables:
         ciphertext, seg = attach_shared_array(table.cipher_spec)
         segments.append(seg)
-        tags = None
+        tag_limbs = None
         if table.tags_spec is not None:
-            packed, tag_seg = attach_shared_array(table.tags_spec)
+            tag_limbs, tag_seg = attach_shared_array(table.tags_spec)
             segments.append(tag_seg)
-            tags = unpack_tags(packed)
         device.store(
             table.name,
             EncryptedMatrix(
@@ -188,7 +185,7 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
                 base_addr=table.base_addr,
                 version=table.version,
                 params=spec.params,
-                tags=tags,
+                tag_limbs=tag_limbs,
                 checksum_version=table.checksum_version,
                 tag_version=table.tag_version,
             ),
@@ -204,7 +201,7 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
         enc = device.stored(name)
         processor.encryptor.pads_for_rows(enc, list(rows))
         if spec.tag_cache_rows and enc.tag_version is not None:
-            processor.mac.tag_pads_for_rows(enc, list(rows))
+            processor.mac.tag_pad_limbs_for_rows(enc, list(rows))
     _WORKER = {
         "wid": wid,
         "processor": processor,
@@ -221,8 +218,7 @@ def _engine_sls_task(args):
     """One shard's share of a batch; runs on a pool worker."""
     (
         name,
-        sub_rows,
-        sub_weights,
+        sub_batch,
         with_tags,
         collect_metrics,
         collect_trace,
@@ -247,7 +243,7 @@ def _engine_sls_task(args):
     device: UntrustedNdpDevice = _WORKER["device"]
     with obs.span("parallel.shard"):
         part = processor.partial_row_sum_batch(
-            device, name, sub_rows, sub_weights, with_tag_shares=with_tags
+            device, name, sub_batch, with_tag_shares=with_tags
         )
     # Periodic live push: with the default interval of 0 every task
     # result carries a snapshot (the parent merges them as they arrive,
@@ -348,8 +344,8 @@ class ParallelSlsEngine:
             cipher_spec, seg = create_shared_array(enc.ciphertext)
             self._segments.append(seg)
             tags_spec = None
-            if enc.tags is not None:
-                tags_spec, tag_seg = create_shared_array(pack_tags(enc.tags))
+            if enc.tag_limbs is not None:
+                tags_spec, tag_seg = create_shared_array(enc.tag_limbs)
                 self._segments.append(tag_seg)
             table_specs.append(
                 _TableSpec(
@@ -534,18 +530,10 @@ class ParallelSlsEngine:
                 self._degrade()
                 return store.sls_many(name, batch_rows, batch_weights)
         entry = store._tables[name]
-        rows_list, weights_list = store._validate_batch(name, batch_rows, batch_weights)
-
-        n_rows = entry.n_rows
-        norm_rows = []
-        for rows in rows_list:
-            arr = np.asarray(rows, dtype=np.int64)
-            # Same contract as the store path (EncryptedMatrix indexing):
-            # no negative-index wrapping, fail before dispatching work.
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n_rows):
-                bad = int(arr[(arr < 0) | (arr >= n_rows)][0])
-                raise IndexError(f"row {bad} out of range [0, {n_rows})")
-            norm_rows.append(arr)
+        batch = store._validate_batch(name, batch_rows, batch_weights)
+        # Same contract as the store path (EncryptedMatrix indexing): no
+        # negative-index wrapping, fail before dispatching work.
+        enc.row_addrs(batch.rows)
 
         bounds = self._bounds[name]
         collect_metrics = obs.enabled()
@@ -560,21 +548,11 @@ class ParallelSlsEngine:
         )
         tasks = []
         for w in range(self.workers):
-            lo, hi = int(bounds[w]), int(bounds[w + 1])
-            sub_rows: List[List[int]] = []
-            sub_weights: List[List[int]] = []
-            owned = 0
-            for arr, weights in zip(norm_rows, weights_list):
-                mask = (arr >= lo) & (arr < hi)
-                owned += int(mask.sum())
-                sub_rows.append(arr[mask].tolist())
-                sub_weights.append(
-                    [weights[k] for k in np.flatnonzero(mask)]
-                )
+            owned = (batch.rows >= bounds[w]) & (batch.rows < bounds[w + 1])
             # A shard that owns no row of the batch would return pure
             # ring/field identities (zero values, zero tag shares) - an
             # exact no-op under recombination, so skip the round trip.
-            if owned == 0:
+            if not owned.any():
                 continue
             directive = (
                 injector.worker_directive("engine.task") if injector is not None else None
@@ -582,8 +560,7 @@ class ParallelSlsEngine:
             tasks.append(
                 (
                     name,
-                    sub_rows,
-                    sub_weights,
+                    batch.select(owned),
                     store.verify,
                     collect_metrics,
                     collect_trace,
@@ -597,14 +574,14 @@ class ParallelSlsEngine:
             return store.sls_many(name, batch_rows, batch_weights)
 
         obs.inc("parallel.batch.calls")
-        obs.inc("parallel.batch.queries", len(rows_list))
+        obs.inc("parallel.batch.queries", len(batch))
         payloads = self._dispatch(tasks)
         if payloads is None:
             # Dispatch failed (worker crash/hang/exception).  Respawn the
             # pool once and retry with fault directives stripped - a
             # retried batch must be able to succeed - then degrade.
             if self._respawn():
-                payloads = self._dispatch([t[:7] + (None,) for t in tasks])
+                payloads = self._dispatch([t[:-1] + (None,) for t in tasks])
             if payloads is None:
                 self._degrade()
                 return store.sls_many(name, batch_rows, batch_weights)
@@ -627,7 +604,7 @@ class ParallelSlsEngine:
             # a VerificationError subclass), so the delegation event
             # below carries blame instead of just "the batch failed".
             with obs.span("parallel.finalize"):
-                results = store.processor.finalize_row_sum_batch(
+                values = store.processor.finalize_row_sums(
                     enc,
                     name,
                     partials,
@@ -646,16 +623,12 @@ class ParallelSlsEngine:
             obs.emit_event(
                 obs.RECOVERY_DELEGATION,
                 table=name,
-                rows=sorted({int(r) for rows in rows_list for r in rows}),
-                queries=len(rows_list),
+                rows=np.unique(batch.rows).tolist(),
+                queries=len(batch),
                 shard=getattr(exc, "shard", None),
             )
             return store.sls_many(name, batch_rows, batch_weights)
-        out = np.zeros((len(rows_list), entry.dim))
-        for i, (result, weights) in enumerate(zip(results, weights_list)):
-            pooled_q = result.values.astype(np.float64)[: entry.dim]
-            out[i] = pooled_q * entry.scale + entry.bias * float(sum(weights))
-        return out
+        return store._affine(entry, values, batch.weight_sums())
 
     # -- non-blocking submission -----------------------------------------------
 

@@ -1,22 +1,18 @@
 """Shared-memory arenas for ciphertext and tag data.
 
 The parallel serving engine places each table's ciphertext matrix (and
-its packed per-row tags) into ``multiprocessing.shared_memory`` segments
-so every pool worker maps the *same* physical pages — attaching is a
-zero-copy ``mmap``, not a pickle round-trip.  This mirrors the paper's
-deployment picture: ciphertext and encrypted tags are public, shared,
-untrusted data; only the key and the regenerated OTPs are private, and
-those travel once per pool start inside the worker initializer.
-
-Tags are field elements up to 127 bits (``q = 2^127 - 1``), which numpy
-cannot hold natively; :func:`pack_tags` splits each into two ``uint64``
-limbs for the arena and :func:`unpack_tags` rebuilds Python ints on the
-worker side.
+the limb array of its per-row tags) into ``multiprocessing.shared_memory``
+segments so every pool worker maps the *same* physical pages — attaching
+is a zero-copy ``mmap``, not a pickle round-trip.  This mirrors the
+paper's deployment picture: ciphertext and encrypted tags are public,
+shared, untrusted data; only the key and the regenerated OTPs are
+private, and those travel once per pool start inside the worker
+initializer.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +26,7 @@ __all__ = [
     "ArraySpec",
     "create_shared_array",
     "attach_shared_array",
-    "pack_tags",
-    "unpack_tags",
 ]
-
-_U64_MASK = (1 << 64) - 1
-
 
 def shared_memory_available() -> bool:
     """Probe whether shared-memory segments can actually be created.
@@ -90,18 +81,3 @@ def attach_shared_array(spec: ArraySpec):
     seg = _shm.SharedMemory(name=spec.name)
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=seg.buf)
     return view, seg
-
-
-def pack_tags(tags: List[int]) -> np.ndarray:
-    """Pack field-element tags (< 2^128) into ``(n, 2)`` uint64 limbs."""
-    out = np.empty((len(tags), 2), dtype=np.uint64)
-    for i, tag in enumerate(tags):
-        tag = int(tag)
-        out[i, 0] = tag & _U64_MASK
-        out[i, 1] = tag >> 64
-    return out
-
-
-def unpack_tags(packed: np.ndarray) -> List[int]:
-    """Inverse of :func:`pack_tags` — rebuilds Python ints."""
-    return [int(lo) | (int(hi) << 64) for lo, hi in packed.tolist()]

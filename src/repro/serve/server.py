@@ -88,6 +88,8 @@ class SlsServer:
         self._codec = resolve_codec(codec)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
+        self._handlers: Set[asyncio.Task] = set()
+        self._writers: Set[asyncio.StreamWriter] = set()
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -127,6 +129,16 @@ class SlsServer:
         await self.scheduler.close()
         if self._conn_tasks:
             await asyncio.gather(*tuple(self._conn_tasks), return_exceptions=True)
+        # Every response is written; close the live connections (flushing
+        # what is buffered) so the handlers parked in ``read_frame`` see
+        # EOF and finish on their own, then wait for every handler except
+        # the one calling us - none is left pending for the loop to cancel.
+        for writer in tuple(self._writers):
+            writer.close()
+        me = asyncio.current_task()
+        handlers = [t for t in self._handlers if t is not me]
+        if handlers:
+            await asyncio.gather(*handlers, return_exceptions=True)
         obs.emit_event(obs.SERVE_DRAIN, host=self.host, port=self.port)
 
     async def __aenter__(self) -> "SlsServer":
@@ -162,6 +174,9 @@ class SlsServer:
         obs.inc("serve.connections")
         write_lock = asyncio.Lock()
         tasks: Set[asyncio.Task] = set()
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -198,6 +213,8 @@ class SlsServer:
         finally:
             if tasks:
                 await asyncio.gather(*tuple(tasks), return_exceptions=True)
+            self._handlers.discard(handler)
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

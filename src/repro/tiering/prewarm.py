@@ -175,7 +175,7 @@ class HotRowTiering:
                     and self.store.verify
                     and enc.tag_version is not None
                 ):
-                    self.store.processor.mac.tag_pads_for_rows(enc, pending)
+                    self.store.processor.mac.tag_pad_limbs_for_rows(enc, pending)
             with self._lock:
                 state = self._warmed.get(name)
                 # Drop the work if a re-encryption raced the warm: the

@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import obs
 from ..core.params import SecNDPParams
-from ..core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
 from ..faults.plan import FaultInjector
@@ -285,20 +285,42 @@ class SecureEmbeddingStore:
         name: str,
         batch_rows: Sequence[Sequence[int]],
         batch_weights: Optional[Sequence[Sequence[int]]],
-    ) -> Tuple[List[List[int]], List[List[int]]]:
-        """:meth:`_validate_query` over a whole batch."""
-        if batch_weights is not None and len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
-        rows_list: List[List[int]] = []
-        weights_list: List[List[int]] = []
-        for i, rows in enumerate(batch_rows):
-            weights = batch_weights[i] if batch_weights is not None else None
-            rows, weights = self._validate_query(name, rows, weights)
-            rows_list.append(rows)
-            weights_list.append(weights)
-        return rows_list, weights_list
+    ) -> QueryBatch:
+        """:meth:`_validate_query`'s checks over a whole batch, on flat arrays.
+
+        Returns the batch in the CSR form the protocol layer consumes, so
+        no layer below walks the per-query lists again.
+        """
+        entry = self._tables[name]
+        ring = self.processor.ring
+        if isinstance(batch_rows, QueryBatch):
+            batch = batch_rows
+        else:
+            rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
+            if weights is None:
+                weights = np.ones(rows.size, dtype=ring.dtype)
+            elif weights.dtype.kind == "f":
+                weights = weights.astype(np.int64)  # int(w), as _validate_query
+            if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
+                raise ConfigurationError("weights must be non-negative integers")
+            batch = QueryBatch(rows, ring.encode(weights), offsets)
+        if batch.rows.size:
+            lengths = np.diff(batch.offsets)[batch.nonempty].astype(np.uint64)
+            max_w = np.maximum.reduceat(batch.weights, batch.starts)
+            budget = np.uint64((ring.modulus - 1) // max(entry.max_quant, 1))
+            over = lengths > budget // np.maximum(max_w, 1).astype(np.uint64)
+            if over.any():
+                q = int(np.flatnonzero(over)[0])
+                raise ConfigurationError(
+                    f"pooling factor {int(lengths[q])} with max weight "
+                    f"{int(max_w[q])} may overflow "
+                    f"Z(2^{self.processor.params.element_bits}) for "
+                    f"table {name!r}; split the query"
+                )
+        if self._tiering is not None:
+            for query_rows in batch.lists()[0]:
+                self._tiering.observe(name, query_rows)
+        return batch
 
     # -- queries -----------------------------------------------------------------------
 
@@ -327,8 +349,7 @@ class SecureEmbeddingStore:
         except VerificationError:
             obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=rows)
             raise
-        pooled_q = result.values.astype(np.float64)[: entry.dim]
-        return pooled_q * entry.scale + entry.bias * float(sum(weights))
+        return self._affine(entry, result.values, sum(weights))
 
     def sls_split(
         self,
@@ -377,39 +398,36 @@ class SecureEmbeddingStore:
         overflow budgeting, same verification, same affine correction),
         but OTP and tag-pad regeneration is amortized over the union of
         rows the batch touches via
-        :meth:`SecNDPProcessor.weighted_row_sum_batch` — the DLRM
+        :meth:`SecNDPProcessor.weighted_row_sums` — the DLRM
         inference-batch hot path.
         """
         entry = self._tables[name]
-        rows_list, weights_list = self._validate_batch(name, batch_rows, batch_weights)
+        batch = self._validate_batch(name, batch_rows, batch_weights)
         if obs.enabled():
-            total_rows = sum(len(rows) for rows in rows_list)
-            unique_rows = len({r for rows in rows_list for r in rows})
             obs.inc("sls.batch.calls")
-            obs.inc("sls.batch.queries", len(rows_list))
-            obs.inc("sls.batch.rows_total", total_rows)
-            obs.inc("sls.batch.rows_unique", unique_rows)
+            obs.inc("sls.batch.queries", len(batch))
+            obs.inc("sls.batch.rows_total", int(batch.rows.size))
+            obs.inc("sls.batch.rows_unique", int(np.unique(batch.rows).size))
         if self.recovery is not None:
-            return self._serve_many_recovering(name, rows_list, weights_list, entry)
+            return self._serve_many_recovering(name, batch, entry)
         with obs.span("sls.batch"):
             try:
-                results = self.processor.weighted_row_sum_batch(
-                    self.device, name, rows_list, weights_list, verify=self.verify
+                values = self.processor.weighted_row_sums(
+                    self.device, name, batch, verify=self.verify
                 )
             except VerificationError:
-                obs.emit_event(
-                    obs.VERIFY_FAILURE,
-                    table=name,
-                    rows=sorted({r for rows in rows_list for r in rows}),
-                    scope="batch",
-                    queries=len(rows_list),
-                )
+                self._emit_batch_failure(name, batch)
                 raise
-        out = np.zeros((len(rows_list), entry.dim))
-        for i, (result, weights) in enumerate(zip(results, weights_list)):
-            pooled_q = result.values.astype(np.float64)[: entry.dim]
-            out[i] = pooled_q * entry.scale + entry.bias * float(sum(weights))
-        return out
+        return self._affine(entry, values, batch.weight_sums())
+
+    def _emit_batch_failure(self, name: str, batch: QueryBatch) -> None:
+        obs.emit_event(
+            obs.VERIFY_FAILURE,
+            table=name,
+            rows=np.unique(batch.rows).tolist(),
+            scope="batch",
+            queries=len(batch),
+        )
 
     def sls_batch(
         self,
@@ -499,65 +517,58 @@ class SecureEmbeddingStore:
     # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
 
     @staticmethod
-    def _affine(entry: _TableEntry, values: np.ndarray, weights: Sequence[int]) -> np.ndarray:
-        pooled_q = values.astype(np.float64)[: entry.dim]
-        return pooled_q * entry.scale + entry.bias * float(sum(weights))
+    def _affine(entry: _TableEntry, values: np.ndarray, weight_sums) -> np.ndarray:
+        """The trusted affine correction ``resq * scale + bias * sum(a)``.
+
+        ``values`` is one pooled residue vector with its scalar weight
+        sum, or a ``(n, m)`` matrix with one weight sum per row.
+        """
+        pooled_q = values[..., : entry.dim].astype(np.float64)
+        weight_sums = np.asarray(weight_sums, dtype=np.float64)[..., None]
+        return pooled_q * entry.scale + entry.bias * weight_sums
 
     def _serve_many_recovering(
-        self,
-        name: str,
-        rows_list: List[List[int]],
-        weights_list: List[List[int]],
-        entry: _TableEntry,
+        self, name: str, batch: QueryBatch, entry: _TableEntry
     ) -> np.ndarray:
         """Batched serve under recovery: optimistic amortized path first.
 
         The whole batch is offloaded through the amortized
-        :meth:`SecNDPProcessor.weighted_row_sum_batch`; on any
-        verification failure the batch degrades to per-query recovery so
-        one faulted query cannot poison its neighbours' results.
+        :meth:`SecNDPProcessor.weighted_row_sums`; on any verification
+        failure the batch degrades to per-query recovery so one faulted
+        query cannot poison its neighbours' results.
         """
+        rows_list, weights_list = batch.lists()
         quarantined = (
             self.recovery_log.quarantined_rows(name)
             if self.recovery.quarantine
             else set()
         )
-        if not quarantined or all(
-            quarantined.isdisjoint(rows) for rows in rows_list
-        ):
+        if not quarantined or quarantined.isdisjoint(batch.rows.tolist()):
             inj = self.fault_injector
             try:
                 if inj is not None:
                     inj.set_context(f"{name}:batch")
                 with fault_hooks.armed(inj):
                     with obs.span("sls.batch"):
-                        results = self.processor.weighted_row_sum_batch(
-                            self.device, name, rows_list, weights_list, verify=True
+                        values = self.processor.weighted_row_sums(
+                            self.device, name, batch, verify=True
                         )
             except VerificationError:
                 obs.inc("recovery.detections")
                 obs.inc("recovery.batch_degradations")
-                obs.emit_event(
-                    obs.VERIFY_FAILURE,
-                    table=name,
-                    rows=sorted({r for rows in rows_list for r in rows}),
-                    scope="batch",
-                    queries=len(rows_list),
-                )
+                self._emit_batch_failure(name, batch)
             else:
-                out = np.zeros((len(rows_list), entry.dim))
-                for i, (result, weights) in enumerate(zip(results, weights_list)):
-                    out[i] = self._affine(entry, result.values, weights)
+                for rows in rows_list:
                     self.recovery_log.record(
                         RecoveryOutcome(
                             table=name,
-                            rows=tuple(rows_list[i]),
+                            rows=tuple(rows),
                             resolved_via="ok",
                             detected=False,
                             attempts=1,
                         )
                     )
-                return out
+                return self._affine(entry, values, batch.weight_sums())
         out = np.zeros((len(rows_list), entry.dim))
         for i, (rows, weights) in enumerate(zip(rows_list, weights_list)):
             out[i] = self._serve_query_recovering(name, i, rows, weights, entry)
@@ -593,7 +604,7 @@ class SecureEmbeddingStore:
                     repaired_rows=tuple(repaired),
                 )
             )
-            return self._affine(entry, values, weights)
+            return self._affine(entry, values, sum(weights))
 
         detected = False
         attempts = 0
@@ -629,7 +640,7 @@ class SecureEmbeddingStore:
                     attempts=attempts,
                 )
             )
-            return self._affine(entry, result.values, weights)
+            return self._affine(entry, result.values, sum(weights))
 
         # Rungs 2/3: retries exhausted -> trusted non-NDP recompute with
         # per-row verification, repairing rows that are truly corrupted.
@@ -649,7 +660,7 @@ class SecureEmbeddingStore:
                 repaired_rows=tuple(repaired),
             )
         )
-        return self._affine(entry, values, weights)
+        return self._affine(entry, values, sum(weights))
 
     def _trusted_query(
         self, name: str, rows: List[int], weights: List[int]

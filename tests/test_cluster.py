@@ -36,6 +36,7 @@ from repro.cluster import (
 )
 from repro.cluster import codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+from repro.crypto import limb_field
 from repro.errors import (
     ConfigurationError,
     PeerTimeoutError,
@@ -76,6 +77,11 @@ def _make_store(n_rows=64, dim=8, seed=3, name="emb"):
     rng = np.random.default_rng(seed)
     store.add_table(name, rng.normal(size=(n_rows, dim)))
     return store
+
+
+def _bumped(field, tag_limbs):
+    """One tag-share limb row with 1 added in the field (a forgery)."""
+    return limb_field.to_limbs(field.add(limb_field.from_limbs(tag_limbs), 1))
 
 
 def _split_queries(batch_rows, batch_weights, edges):
@@ -129,7 +135,7 @@ class TestPerShardVerification:
             proc.partial_row_sum_batch(dev, "emb", r, w, with_tag_shares=True)
             for r, w in shards
         ]
-        parts[1].tag_shares[0] = proc.field.add(parts[1].tag_shares[0], 1)
+        parts[1].tag_shares[0] = _bumped(proc.field, parts[1].tag_shares[0])
         # The honest shard still passes; the forged one names query 0.
         assert proc.failed_share_queries(enc, "emb", parts[0]) == []
         assert proc.failed_share_queries(enc, "emb", parts[1]) == [0]
@@ -216,7 +222,7 @@ class TestUntrustedSplit:
         pad = proc.pad_share_batch(enc, "emb", batch_rows, batch_weights)
         got = proc.combine_device_sums(pad, values, tag_sums)
         assert np.array_equal(got.values, want.values)
-        assert got.tag_shares == want.tag_shares
+        assert np.array_equal(got.tag_shares, want.tag_shares)
         proc.verify_partial_share(enc, "emb", got)  # no raise
 
     def test_device_half_needs_no_key(self):
@@ -232,7 +238,7 @@ class TestUntrustedSplit:
             "emb", [[1, 2]], [[1, 1]]
         )
         assert np.array_equal(values, ref_values)
-        assert tag_sums == ref_tags
+        assert np.array_equal(tag_sums, ref_tags)
 
     def test_forged_device_sums_fail_the_reconstructed_check(self):
         store = _make_store()
@@ -241,7 +247,7 @@ class TestUntrustedSplit:
         values, tag_sums = dev.partial_sum_batch("emb", [[1, 2]], [[1, 1]])
         pad = proc.pad_share_batch(enc, "emb", [[1, 2]], [[1, 1]])
         forged = proc.combine_device_sums(
-            pad, values, [proc.field.add(tag_sums[0], 1)]
+            pad, values, _bumped(proc.field, tag_sums[0])[None, :]
         )
         assert proc.failed_share_queries(enc, "emb", forged) == [0]
 
@@ -301,7 +307,7 @@ class TestClusterCodec:
         payload = codec.encode_device_sums(values, tag_sums)
         values2, tag_sums2 = codec.decode_device_sums(payload, params)
         assert np.array_equal(values2, values)
-        assert tag_sums2 == tag_sums
+        assert np.array_equal(tag_sums2, tag_sums)
 
     def test_params_queries_round_trip(self):
         params = SecNDPParams()
@@ -336,10 +342,91 @@ class TestClusterCodec:
     def test_decode_device_sums_reduces_tags_into_field(self):
         params = SecNDPParams()
         q = params.tag_modulus
-        _, tag_sums = codec.decode_device_sums(
-            {"values": [[1]], "tag_sums": [q + 5]}, params
+        payload = codec.encode_device_sums(
+            np.ones((1, 1), dtype=np.uint32), limb_field.pack([q + 5])
         )
-        assert tag_sums == [5]
+        _, tag_sums = codec.decode_device_sums(payload, params)
+        assert limb_field.from_limbs(tag_sums) == [5]
+
+
+class TestDeviceSumsFuzz:
+    """The sums frame is raw bytes from a hostile node: every way of lying
+    about them is a ConfigurationError (blame), never a crash, a giant
+    allocation or an unreduced tag."""
+
+    def _payload(self, n_q=3, n_cols=8):
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 1 << 32, size=(n_q, n_cols), dtype=np.uint32)
+        tags = limb_field.to_limbs([int(x) for x in rng.integers(1, 1 << 62, size=n_q)])
+        return values, tags, codec.encode_device_sums(values, tags)
+
+    def test_round_trip_is_exact_and_json_safe(self):
+        values, tags, payload = self._payload()
+        back_values, back_tags = codec.decode_device_sums(
+            json.loads(json.dumps(payload)), SecNDPParams()
+        )
+        assert np.array_equal(back_values, values) and back_values.dtype == np.uint32
+        assert np.array_equal(back_tags, tags) and back_tags.dtype == np.uint64
+        empty = codec.encode_device_sums(
+            np.zeros((0, 8), np.uint32), np.zeros((0, 4), np.uint64)
+        )
+        v0, t0 = codec.decode_device_sums(empty, SecNDPParams())
+        assert v0.shape == (0, 8) and t0.shape == (0, 4)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda p: p.update(values=p["values"][:-4]),                      # truncated
+        lambda p: p.update(values=p["values"] + "AAAA"),                  # oversized
+        lambda p: p.update(values=p["values"][:-3] + "A"),                # ragged base64
+        lambda p: p.update(values="not base64 !!"),
+        lambda p: p.update(values=[[1, 2]]),                              # the old list form
+        lambda p: p.update(tag_sums=p["tag_sums"][:-4]),                  # a limb short
+        lambda p: p.update(tag_sums=p["tag_sums"] + "AAAAAAAA"),          # limbs to spare
+        lambda p: p.update(tag_sums=17),
+        lambda p: p.update(shape=[3]),
+        lambda p: p.update(shape=[3, 8, 1]),
+        lambda p: p.update(shape=[-3, -8]),
+        lambda p: p.update(shape=[3.0, 8]),
+        lambda p: p.update(shape=[True, 8]),
+        lambda p: p.update(shape=[10**12, 10**12]),                       # no allocation
+        lambda p: p.update(shape=[6, 4]),                                 # same bytes, wrong tag count
+        lambda p: p.pop("shape"),
+        lambda p: p.pop("values"),
+    ])
+    def test_malformed_frames_are_configuration_errors(self, mutate):
+        _, _, payload = self._payload()
+        mutate(payload)
+        with pytest.raises(ConfigurationError):
+            codec.decode_device_sums(payload, SecNDPParams())
+
+    def test_wrong_element_width_is_a_length_error(self):
+        values, tags, _ = self._payload()
+        narrow = codec.encode_device_sums(values.astype(np.uint16), tags)
+        with pytest.raises(ConfigurationError):
+            codec.decode_device_sums(narrow, SecNDPParams())
+        assert codec.decode_device_sums(narrow, SecNDPParams(element_bits=16))
+
+    def test_tag_limbs_above_the_modulus_are_reduced_not_trusted(self):
+        values, _, _ = self._payload(n_q=3)
+        q = SecNDPParams().tag_modulus
+        hostile = limb_field.pack([q, q + 9, (1 << 128) - 1])
+        payload = codec.encode_device_sums(values, hostile)
+        _, tags = codec.decode_device_sums(payload, SecNDPParams())
+        assert limb_field.from_limbs(tags) == [0, 9, ((1 << 128) - 1) % q]
+        # A 64-bit lane cannot smuggle a limb >= 2^32 in: the wire form is
+        # four 32-bit limbs per tag, so the excess is simply not encoded.
+        wide = np.array([[1 << 40, 0, 0, 0]] * 3, dtype=np.uint64)
+        _, tags = codec.decode_device_sums(
+            codec.encode_device_sums(values, wide), SecNDPParams()
+        )
+        assert limb_field.from_limbs(tags) == [0, 0, 0]
+
+    def test_small_modulus_tags_are_reduced_by_the_oracle(self):
+        params = SecNDPParams(tag_modulus=(1 << 31) - 1)
+        payload = codec.encode_device_sums(
+            np.zeros((1, 4), np.uint32), limb_field.pack([(1 << 31) + 4])
+        )
+        _, tags = codec.decode_device_sums(payload, params)
+        assert limb_field.from_limbs(tags) == [5]
 
 
 def _batches(n_rows, n_batches=4, batch=3, seed=5):

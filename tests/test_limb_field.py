@@ -22,6 +22,14 @@ Q = MERSENNE_127
 #: Reduction edge cases: zero, one, the extremes of the canonical range,
 #: the fold fixed point q, values just past one fold, and powers of two
 #: straddling the modulus width.
+def _dot_ints(weights, values, field=F127):
+    """Int view of a one-segment ``field_segment_dot`` (the batch of one)."""
+    limbs = lf.field_segment_dot(
+        field, np.asarray(weights, dtype=np.uint64), lf.pack(values), [0]
+    )
+    return lf.from_limbs(limbs)[0]
+
+
 EDGE_VALUES = [0, 1, Q - 1, Q, Q + 1, 2 * Q - 2, 2 * Q - 1, 2 * Q, 1 << 126, 1 << 127, (1 << 128) - 1]
 
 field_elem = st.integers(min_value=0, max_value=2 * Q)
@@ -118,21 +126,24 @@ class TestChecksumAndDot:
             data.draw(st.integers(min_value=0, max_value=Q - 1))
             for _ in weights
         ]
-        assert lf.dot_ints(weights, values) == F127.dot(weights, values)
+        assert _dot_ints(weights, values) == F127.dot(weights, values)
 
     def test_dot_edge_values(self):
         values = [v % Q for v in EDGE_VALUES]
         weights = [1] * len(values)
-        assert lf.dot_ints(weights, values) == F127.dot(weights, values)
+        assert _dot_ints(weights, values) == F127.dot(weights, values)
         weights = [(1 << 64) - 1] * len(values)
-        assert lf.dot_ints(weights, values) == F127.dot(weights, values)
+        assert _dot_ints(weights, values) == F127.dot(weights, values)
 
     def test_empty_dot(self):
-        assert lf.dot_ints([], []) == 0 == F127.dot([], [])
+        # No terms, no segments: an empty batch sums to nothing.
+        none = lf.segment_dot(np.zeros(0, np.uint64), lf.pack([]), np.zeros(0, np.intp))
+        assert none.shape == (0, lf.NUM_LIMBS)
+        assert F127.dot([], []) == 0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
-            lf.dot_ints([1, 2], [3])
+            _dot_ints([1, 2], [3])
 
     def test_horner_equals_power_dot_on_matrix(self):
         rng = np.random.default_rng(7)
@@ -162,14 +173,9 @@ class TestChecksumAndDot:
 class TestFieldDotDispatch:
     def test_falls_back_for_small_primes(self):
         field = PrimeField(101)
-        assert lf.field_dot(field, [3, 4], [5, 6]) == field.dot([3, 4], [5, 6])
-
-    def test_falls_back_for_oversized_weights(self):
-        w = [1 << 80, 2]
-        v = [3, 4]
-        assert lf.field_dot(F127, w, v) == F127.dot(w, v)
+        assert _dot_ints([3, 4], [5, 6], field) == field.dot([3, 4], [5, 6])
 
     def test_mersenne_path_matches_oracle(self):
         w = [7, (1 << 64) - 1, 0]
         v = [Q - 1, 123456789, Q // 2]
-        assert lf.field_dot(F127, w, v) == F127.dot(w, v)
+        assert _dot_ints(w, v) == F127.dot(w, v)

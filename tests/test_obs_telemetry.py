@@ -236,7 +236,7 @@ class TestLiveWorkerSnapshots:
         )
         clock = iter([5.0, 6.0])
         monkeypatch.setattr(engine_mod.time, "monotonic", lambda: next(clock))
-        task = ("emb", [np.array([0, 1, 2])], [[1, 1, 1]], True, True, False, 3600.0, None)
+        task = ("emb", [np.array([0, 1, 2])], True, True, False, 3600.0, None)
         first_snap = engine_mod._engine_sls_task(task)[3]
         second_snap = engine_mod._engine_sls_task(task)[3]
         assert first_snap is not None and first_snap["timers"]["parallel.shard.ns"]

@@ -26,7 +26,8 @@ from repro.errors import ConfigurationError, VerificationError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelSlsEngine, parallel_map, resolve_workers
 from repro.parallel.pmap import ENV_WORKERS
-from repro.parallel.shm import pack_tags, shared_memory_available, unpack_tags
+from repro.crypto import limb_field
+from repro.parallel.shm import shared_memory_available
 from repro.workloads import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -289,8 +290,10 @@ class TestSnapshotMerge:
 
 class TestTagPacking:
     def test_roundtrip_extremes(self):
+        # The arena shares the stored (n, 4) limb array itself.
         tags = [0, 1, (1 << 127) - 2, (1 << 64), 12345678901234567890]
-        assert unpack_tags(pack_tags(tags)) == tags
+        limbs = limb_field.pack(tags).astype(np.uint32)
+        assert limb_field.from_limbs(limbs) == tags
 
     def test_shared_memory_probe_is_bool(self):
         assert shared_memory_available() in (True, False)

@@ -88,6 +88,58 @@ class TestDot:
         out = RING32.dot(np.array([3], dtype=np.uint32), np.array([1, 2], dtype=np.uint32))
         assert list(out) == [3, 6]
 
+    @staticmethod
+    def _mac_loop(ring, w, m):
+        """The NDP PU's row-by-row multiply-accumulate, in Python ints."""
+        acc = [0] * m.shape[1]
+        for k in range(m.shape[0]):
+            acc = [
+                (a + int(w[k]) * int(x)) % ring.modulus for a, x in zip(acc, m[k])
+            ]
+        return acc
+
+    @pytest.mark.parametrize("ring", [RING8, RING16, RING32, RING64])
+    def test_wrap_around_matches_the_mac_loop_at_every_width(self, ring):
+        top = ring.modulus - 1
+        u64 = lambda x: np.asarray(x, dtype=np.uint64)  # noqa: E731
+        rng = np.random.default_rng(ring.width)
+        random_w = rng.integers(0, top, size=9, dtype=np.uint64, endpoint=True)
+        random_m = rng.integers(0, top, size=(9, 5), dtype=np.uint64, endpoint=True)
+        cases = [
+            (u64(np.full(4, top)), u64(np.full((4, 3), top))),  # every product wraps
+            (u64([1, top, 2]), u64([[top, 1], [top, top], [top // 2 + 1, 3]])),
+            (random_w, random_m),                              # the sum wraps too
+            (np.zeros(0), np.zeros((0, 4))),                   # no rows: all zero
+        ]
+        for w, m in cases:
+            w, m = w.astype(ring.dtype), m.astype(ring.dtype)
+            got = ring.dot(w, m)
+            assert got.dtype == ring.dtype
+            assert got.tolist() == self._mac_loop(ring, w, m)
+
+    @pytest.mark.parametrize("ring", [RING8, RING16, RING32, RING64])
+    def test_dot_is_segment_dot_over_one_segment(self, ring):
+        rng = np.random.default_rng(1)
+        top = ring.modulus - 1
+        w = rng.integers(0, top, size=12, dtype=np.uint64, endpoint=True).astype(ring.dtype)
+        m = rng.integers(0, top, size=(12, 6), dtype=np.uint64, endpoint=True).astype(ring.dtype)
+        starts = np.array([0, 5, 6])
+        sums = ring.segment_dot(w, m, starts)
+        assert sums.dtype == ring.dtype
+        for i, (a, b) in enumerate([(0, 5), (5, 6), (6, 12)]):
+            assert np.array_equal(sums[i], ring.dot(w[a:b], m[a:b]))
+
+
+class TestEncode64:
+    def test_widest_ring_encodes_like_the_others(self):
+        # np.mod by 2^64 overflows a C long; the cast is the reduction.
+        assert RING64.encode(np.array([-1, 0, 5])).tolist() == [(1 << 64) - 1, 0, 5]
+        assert RING64.encode(np.array([(1 << 64) - 1], dtype=np.uint64)).tolist() == [
+            (1 << 64) - 1
+        ]
+        with pytest.raises(OverflowError):
+            RING64.encode(np.array([1 << 64], dtype=object))
+
 
 class TestBytePacking:
     @pytest.mark.parametrize("ring", [RING8, RING16, RING32, RING64])

@@ -104,3 +104,26 @@ class TestValidation:
             deserialize_matrix(
                 blob, SecNDPParams(element_bits=32, tag_modulus=(1 << 61) - 1)
             )
+
+
+class TestGoldenContainer:
+    """The container is a wire and disk format: bytes written before tags
+    moved into limb form must still be what ``serialize_matrix`` writes."""
+
+    @pytest.mark.parametrize("label", ["mersenne", "m61"])
+    def test_bytes_identical_to_the_parent_commits(self, label):
+        import json
+        from pathlib import Path
+
+        from .golden_scenarios import BLOB_PARAMS, serialized_blob, tagged_matrix
+
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "parent_golden.json").read_text()
+        )[f"blob_{label}"]
+        assert serialized_blob(label) == golden
+        # ... and reading them back gives the same tags, limb for limb.
+        loaded = deserialize_matrix(bytes.fromhex(golden), BLOB_PARAMS[label])
+        fresh = tagged_matrix(BLOB_PARAMS[label])
+        assert loaded.tags == fresh.tags
+        assert np.array_equal(loaded.tag_limbs, fresh.tag_limbs)
+        assert serialize_matrix(loaded).hex() == golden

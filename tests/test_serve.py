@@ -489,6 +489,41 @@ class TestShutdown:
 
         asyncio.run(run())
 
+    def test_server_close_leaves_no_connection_handler_pending(self, caplog):
+        # Regression: close() tracked per-frame tasks only, so handlers of
+        # idle connections stayed parked in read_frame until the loop shut
+        # down and cancelled them ("Task was destroyed but it is pending").
+        store = make_store()
+
+        async def run():
+            server = await SlsServer(store, port=0).start()
+            idle = [
+                await asyncio.open_connection("127.0.0.1", server.port)
+                for _ in range(2)
+            ]
+            busy = await AsyncSlsClient.connect("127.0.0.1", server.port)
+            answer = await busy.sls("emb", [1, 2])  # a served connection, too
+            await asyncio.sleep(0.05)  # let the server accept the idle ones
+            await server.close()
+            pending = [
+                t for t in asyncio.all_tasks()
+                if t is not asyncio.current_task()
+                and "_handle_connection" in repr(t.get_coro())
+            ]
+            # Every accepted connection saw EOF from the server's side.
+            eofs = [await asyncio.wait_for(reader.read(), 5) for reader, _ in idle]
+            for _, writer in idle:
+                writer.close()
+            await busy.close()
+            return answer, pending, eofs
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            answer, pending, eofs = asyncio.run(run())
+        assert np.array_equal(answer, store.sls("emb", [1, 2]))
+        assert pending == []
+        assert eofs == [b"", b""]
+        assert [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")] == []
+
     def test_teardown_error_accounting(self):
         store = make_store()
         engine = ParallelSlsEngine(store, workers=0)

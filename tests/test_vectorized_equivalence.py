@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.checksum import LinearChecksum, MultiPointChecksum
 from repro.core.mac import EncryptedLinearMac
 from repro.core.params import SecNDPParams
-from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
-from repro.errors import VerificationError
+from repro.core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
+from repro.crypto import limb_field
+from repro.errors import ShardVerificationError, VerificationError
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -220,3 +224,186 @@ class TestStoreBatchEquivalence:
         too_many = [0] * (budget + 1)
         with pytest.raises(ConfigurationError):
             store.sls_many("emb", [too_many])
+
+
+# ---------------------------------------------------------------------------
+# The batched core as one differential property: whatever the batch looks
+# like, on every kernel tier, both halves of the split agree bit for bit
+# with an oracle that only knows Python ints and the scalar PrimeField.
+# ---------------------------------------------------------------------------
+
+TIERS = ["scalar", "numpy"] + (["native"] if kernels.native_available() else [])
+#: max plaintext residue of the property's tables: small enough that even
+#: the 8-bit ring has room for a pooling factor worth testing
+P_MAX = 3
+
+
+@st.composite
+def _table_and_batch(draw):
+    element_bits = draw(st.sampled_from([8, 16, 32, 64]))
+    tag_modulus = draw(st.sampled_from([None, (1 << 61) - 1]))
+    multipoint = draw(st.booleans())
+    params = _params(tag_modulus, element_bits)
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 2)) * params.elements_per_block
+    seed = draw(st.integers(0, 2**16))
+    plaintext = np.random.default_rng(seed).integers(
+        0, P_MAX + 1, size=(n_rows, n_cols)
+    )
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.integers(0, 6))
+        # The largest weight a query of this length may carry without the
+        # integer column sums reaching 2^w_e (Thm. A.2) - the budget itself.
+        at_budget = ((1 << element_bits) - 1) // (P_MAX * max(length, 1))
+        rows = draw(
+            st.lists(st.integers(0, n_rows - 1), min_size=length, max_size=length)
+        )
+        weights = draw(
+            st.lists(
+                st.sampled_from([0, 1, 2, at_budget]), min_size=length, max_size=length
+            )
+        )
+        batch.append((rows, weights))
+    return params, multipoint, plaintext, batch
+
+
+def _oracle(processor, enc, plaintext, batch):
+    """Per-query values and tag shares from Python ints and PrimeField only."""
+    modulus = processor.ring.modulus
+    key = processor.checksum.key_for(enc.base_addr, enc.checksum_version)
+    row_tags = [processor.checksum.row_tag([int(x) for x in row], key) for row in plaintext]
+    values, tags = [], []
+    for rows, weights in batch:
+        values.append(
+            [
+                sum(w * int(plaintext[r, j]) for r, w in zip(rows, weights)) % modulus
+                for j in range(plaintext.shape[1])
+            ]
+        )
+        tags.append(processor.field.dot(weights, [row_tags[r] for r in rows]))
+    return values, tags
+
+
+class TestBatchedCoreDifferential:
+    @given(_table_and_batch())
+    @settings(max_examples=60, deadline=None)
+    def test_both_halves_match_the_scalar_oracle_on_every_tier(self, case):
+        params, multipoint, plaintext, batch = case
+        processor = SecNDPProcessor(KEY, params, multipoint_checksum=multipoint)
+        device = UntrustedNdpDevice(params)
+        enc = processor.encrypt_matrix(
+            plaintext.astype(processor.ring.dtype), 0x8000, "t"
+        )
+        device.store("t", enc)
+        rows = [q[0] for q in batch]
+        weights = [q[1] for q in batch]
+        want_values, want_tags = _oracle(processor, enc, plaintext, batch)
+        for tier in TIERS:
+            with kernels.use_tier(tier):
+                # The split, run by two parties ...
+                pad = processor.pad_share_batch(enc, "t", rows, weights)
+                share = processor.combine_device_sums(
+                    pad, *device.partial_sum_batch("t", rows, weights)
+                )
+                # ... and the single-party composition of the same code.
+                local = processor.partial_row_sum_batch(device, "t", rows, weights)
+                verified = processor.weighted_row_sum_batch(device, "t", rows, weights)
+                assert processor.failed_share_queries(enc, "t", share) == []
+            assert share.values.tolist() == want_values, tier
+            assert limb_field.from_limbs(share.tag_shares) == want_tags, tier
+            assert np.array_equal(local.values, share.values)
+            assert np.array_equal(local.tag_shares, share.tag_shares)
+            assert [r.values.tolist() for r in verified] == want_values, tier
+            # A batch of one is the same code, not a second path.
+            for (q_rows, q_weights), want in zip(batch, want_values):
+                with kernels.use_tier(tier):
+                    one = processor.weighted_row_sum(device, "t", q_rows, q_weights)
+                assert one.values.tolist() == want
+
+    def test_shapes_of_degenerate_batches(self):
+        processor, device, enc = _stored_table()
+        for rows in ([], [[]], [[], []]):
+            share = processor.partial_row_sum_batch(device, "t", rows)
+            assert share.values.shape == (len(rows), enc.n_cols)
+            assert share.tag_shares.shape == (len(rows), limb_field.NUM_LIMBS)
+            assert not share.values.any() and not share.tag_shares.any()
+            assert len(processor.weighted_row_sum_batch(device, "t", rows)) == len(rows)
+
+
+def _stored_table(n_rows=32, element_bits=32, seed=13):
+    params = _params(element_bits=element_bits)
+    processor = SecNDPProcessor(KEY, params)
+    device = UntrustedNdpDevice(params)
+    plaintext = np.random.default_rng(seed).integers(
+        0, 8, size=(n_rows, 2 * params.elements_per_block)
+    ).astype(processor.ring.dtype)
+    enc = processor.encrypt_matrix(plaintext, 0x10000, "t")
+    device.store("t", enc)
+    return processor, device, enc
+
+
+#: duplicate and unsorted rows, an empty query, a batch-mate that shares a row
+BATCH = [[7, 3, 3, 20], [], [5], [20, 1], [9, 8]]
+
+
+def _failed(processor, device, enc):
+    share = processor.partial_row_sum_batch(device, "t", BATCH)
+    return processor.failed_share_queries(enc, "t", share)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+class TestDetectionNamesExactlyTheTouchingQueries:
+    def test_ciphertext_bit_flip(self, tier):
+        processor, device, enc = _stored_table()
+        device.corrupt_stored_ciphertext("t", 20, 3, 1)
+        with kernels.use_tier(tier):
+            assert _failed(processor, device, enc) == [0, 3]
+            with pytest.raises(VerificationError, match="query 0"):
+                processor.weighted_row_sum_batch(device, "t", BATCH)
+            # The untouched queries still verify, alone and together.
+            processor.weighted_row_sum_batch(device, "t", [BATCH[1], BATCH[2], BATCH[4]])
+
+    def test_tampered_results_and_tags_fail_every_served_query(self, tier):
+        processor, device, enc = _stored_table()
+        with kernels.use_tier(tier):
+            device.tamper_results(1)
+            assert _failed(processor, device, enc) == [0, 2, 3, 4]
+            device.behave_honestly()
+            device.tamper_tags(1)
+            assert _failed(processor, device, enc) == [0, 2, 3, 4]
+            device.behave_honestly()
+            assert _failed(processor, device, enc) == []
+
+    def test_replayed_tag_is_read_from_the_limb_array(self, tier):
+        processor, device, enc = _stored_table()
+        stale = processor.encrypt_matrix(
+            processor.decrypt_matrix(enc), 0x10000, "t"
+        ).tags[5]
+        with kernels.use_tier(tier):
+            # Serve first: a copy of the tags taken now would go stale below.
+            assert _failed(processor, device, enc) == []
+            device.replay_stored_tag("t", 5, stale)
+            assert enc.tags[5] == stale
+            assert _failed(processor, device, enc) == [2]
+
+    def test_lying_shard_is_blamed_by_name_with_its_queries(self, tier):
+        processor, device, enc = _stored_table()
+        batch = QueryBatch.flatten(processor.ring, BATCH)
+        low = batch.rows < 8
+        with kernels.use_tier(tier):
+            honest = processor.partial_row_sum_batch(device, "t", batch.select(low))
+            liar = UntrustedNdpDevice(device.params)
+            liar.store("t", enc)
+            liar.tamper_tags(1)  # a byzantine node: forges every sum it serves
+            forged = processor.combine_device_sums(
+                processor.pad_share_batch(enc, "t", batch.select(~low)),
+                *liar.partial_sum_batch("t", batch.select(~low)),
+            )
+            with pytest.raises(ShardVerificationError) as blamed:
+                processor.finalize_row_sum_batch(
+                    enc, "t", [honest, forged], per_shard=True,
+                    shard_labels=["node0", "node1"],
+                )
+        assert blamed.value.shard == "node1"
+        assert list(blamed.value.queries) == [0, 3, 4]
