@@ -9,10 +9,13 @@ committed metric (DESIGN.md Sec. 15).  Three sections:
    submissions collapsing into amortized ``sls_many`` batches).  Each
    leg gets its own freshly built store (same key/seed → identical
    ciphertext) so warm caches never flatter the coalesced number, and
-   results are asserted bit-identical element-for-element.  Acceptance:
-   coalesced QPS >= sequential per-query QPS at every scale (the ratio
-   itself is recorded, not gated: it moves whenever the per-query path
-   it is measured against gets faster).
+   results are asserted bit-identical element-for-element.  The two
+   legs are interleaved over ``ROUNDS`` rounds and the reported times
+   are medians, so a host phase that lasts one leg cannot decide the
+   comparison.  Acceptance: median coalesced QPS >= median sequential
+   per-query QPS at every scale (the ratio itself is recorded, not
+   gated: it moves whenever the per-query path it is measured against
+   gets faster).
 2. **overload** — a burst past the admission queue cap must shed with
    typed ``overloaded`` responses (> 0) while the served requests' p99
    stays inside the SLO (burn rate <= 1).
@@ -32,6 +35,7 @@ non-gating ``native`` entry.  Results are printed and merged into
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -48,6 +52,32 @@ _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 #: Coalescing cap for the committed baseline; matches the CLI default.
 MAX_BATCH = 64
 
+#: Interleaved sequential/coalesced rounds behind each median.
+ROUNDS = 5
+
+
+def _throughput(sizes) -> dict:
+    """``run_serve_bench`` over ``ROUNDS`` rounds (each a sequential leg then
+    a coalesced leg, on fresh stores): the last round's report with both
+    legs' times and rates replaced by their medians over the rounds."""
+    runs = [
+        run_serve_bench(
+            sizes["n_rows"],
+            sizes["dim"],
+            sizes["n_queries"],
+            tuple(sizes["pf_range"]),
+            max_batch=MAX_BATCH,
+        )
+        for _ in range(ROUNDS)
+    ]
+    report = dict(runs[-1], rounds=ROUNDS)
+    for leg in ("sequential", "coalesced"):
+        seconds = statistics.median(run[f"{leg}_seconds"] for run in runs)
+        report[f"{leg}_seconds"] = seconds
+        report[f"{leg}_qps"] = report["queries"] / seconds
+    report["qps_speedup"] = report["coalesced_qps"] / report["sequential_qps"]
+    return report
+
 
 def test_serve(scale):
     sizes = SIZES.get(scale.name, SIZES["default"])
@@ -56,13 +86,7 @@ def test_serve(scale):
         wall_start = time.perf_counter()
         report = {
             "scale": scale.name,
-            "throughput": run_serve_bench(
-                sizes["n_rows"],
-                sizes["dim"],
-                sizes["n_queries"],
-                tuple(sizes["pf_range"]),
-                max_batch=MAX_BATCH,
-            ),
+            "throughput": _throughput(sizes),
             "overload": run_overload_scenario(),
         }
         report["wall_seconds"] = time.perf_counter() - wall_start
@@ -73,13 +97,7 @@ def test_serve(scale):
     if kernels.native_available():
         with kernels.use_tier("native"):
             kernels.warmup()
-            native = run_serve_bench(
-                sizes["n_rows"],
-                sizes["dim"],
-                sizes["n_queries"],
-                tuple(sizes["pf_range"]),
-                max_batch=MAX_BATCH,
-            )
+            native = _throughput(sizes)
         native["backend"] = kernels.backend_name()
         report["native"] = native
     else:
@@ -94,7 +112,8 @@ def test_serve(scale):
         f"serve throughput ({tp['queries']} queries, table {tp['table_rows']}x"
         f"{tp['dim']}, max_batch={tp['max_batch']}): sequential "
         f"{tp['sequential_qps']:.0f} qps, coalesced {tp['coalesced_qps']:.0f} "
-        f"qps -> {tp['qps_speedup']:.2f}x ({tp['batches']} batches, fill "
+        f"qps -> {tp['qps_speedup']:.2f}x (medians of {tp['rounds']} interleaved "
+        f"rounds; {tp['batches']} batches, fill "
         f"{tp['mean_batch_fill']:.1f}, dedupe {tp['dedupe_ratio']:.2f}, "
         f"bit-identical)"
     )
@@ -132,13 +151,14 @@ def test_serve(scale):
     _JSON_PATH.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
 
     # Coalesced serving is never slower than one query at a time on the
-    # Zipfian trace, bit-identical results (asserted inside
-    # run_serve_bench), and admission control demonstrably sheds within
-    # SLO under overload.  The floor used to be >= 2x (>= 1.5x at smoke),
-    # a ratio against the per-query path: when its per-block pad loop was
-    # vectorised, sequential rose from 230 to 300-345 qps and coalesced
-    # from 500-540 to 470-600 on the reference box, so the ratio fell to
-    # 1.4-2.0x with both legs faster.
+    # Zipfian trace - medians over interleaved rounds, not one sample of
+    # each on a host whose speed moves by the second - with bit-identical
+    # results (asserted inside run_serve_bench), and admission control
+    # demonstrably sheds within SLO under overload.  The floor used to be
+    # >= 2x (>= 1.5x at smoke), a ratio against the per-query path: when
+    # its per-block pad loop was vectorised, sequential rose from 230 to
+    # 300-345 qps and coalesced from 500-540 to 470-600 on the reference
+    # box, so the ratio fell to 1.4-2.0x with both legs faster.
     assert tp["coalesced_qps"] >= tp["sequential_qps"], (
         f"coalesced {tp['coalesced_qps']:.0f} qps below sequential "
         f"{tp['sequential_qps']:.0f} qps"

@@ -267,8 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="N",
-        help="serve/bench-serve: coalescing cap per executed batch "
-        "(default: %(default)s)",
+        help="serve/bench-serve: most requests one executed batch takes; "
+        "a batch is whatever is queued when the executor is free, there "
+        "is no batch window to wait out (default: %(default)s)",
     )
     parser.add_argument(
         "--max-queue",
@@ -279,12 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "control sheds load (default: %(default)s)",
     )
     parser.add_argument(
-        "--max-wait-us",
-        type=float,
-        default=5000.0,
-        metavar="US",
-        help="serve/bench-serve: upper bound on the adaptive batch window "
-        "(default: %(default)s)",
+        "--codec",
+        choices=("binary", "json"),
+        default="binary",
+        help="bench-serve: frame codec of the TCP smoke's clients; the "
+        "server answers every frame in the codec it arrived in "
+        "(default: %(default)s; json is the debug codec)",
     )
     parser.add_argument(
         "--serve-slo",
@@ -399,23 +400,12 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
     return 1 if any(not s.met for s in statuses) else 0
 
 
-def _admission_config(args):
-    """Build the serve/bench-serve admission config from CLI flags."""
-    from .serve import DEFAULT_SERVE_SLO, AdmissionConfig
-
-    return AdmissionConfig(
-        slo=args.serve_slo or DEFAULT_SERVE_SLO,
-        max_queue=args.max_queue,
-        max_wait_us=args.max_wait_us,
-    )
-
-
 def _serve_cmd(args, scale: ExperimentScale) -> int:
     """``repro serve``: demo store behind the TCP front-end until SIGINT."""
     import asyncio
 
     from .parallel import ParallelSlsEngine
-    from .serve import SlsServer
+    from .serve import DEFAULT_SERVE_SLO, AdmissionConfig, SlsServer
     from .serve.bench import SIZES, _build_store
 
     workers = args.workers if args.workers is not None else 0
@@ -437,7 +427,9 @@ def _serve_cmd(args, scale: ExperimentScale) -> int:
                 host=args.host,
                 port=args.port,
                 max_batch=args.max_batch,
-                admission=_admission_config(args),
+                admission=AdmissionConfig(
+                    slo=args.serve_slo or DEFAULT_SERVE_SLO, max_queue=args.max_queue
+                ),
             )
             await server.start()
             print(
@@ -515,11 +507,11 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
             f"{overload['burn_rate']:.2f}, p99 within SLO: "
             f"{overload['p99_within_slo']}"
         )
-        tcp = run_tcp_smoke(workers=workers)
+        tcp = run_tcp_smoke(workers=workers, codec=args.codec)
         print(
-            f"tcp smoke: {tcp['queries']} queries / {tcp['clients']} clients "
-            f"/ {tcp['workers']} workers -> {tcp['qps']:.0f} qps "
-            f"({tcp['batches']} batches, bit-identical)"
+            f"tcp smoke ({tcp['codec']} frames): {tcp['queries']} queries / "
+            f"{tcp['clients']} clients / {tcp['workers']} workers -> "
+            f"{tcp['qps']:.0f} qps ({tcp['batches']} batches, bit-identical)"
         )
         print(f"[bench-serve finished in {time.time() - started:.1f}s]")
         if args.json:

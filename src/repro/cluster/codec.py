@@ -1,7 +1,8 @@
 """Wire codecs for the cluster tier's frame payloads.
 
 Cluster frames reuse the :mod:`repro.serve.protocol` length-prefixed
-container (JSON or msgpack), so everything here maps protocol objects to
+container and its JSON codec (the binary body there covers the
+client<->server hop only), so everything here maps protocol objects to
 plain JSON-able values:
 
 * encrypted tables travel as the :mod:`repro.core.serialization` binary

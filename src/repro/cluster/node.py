@@ -44,7 +44,6 @@ from ..serve.protocol import (
     NodeRequest,
     NodeResponse,
     read_frame,
-    resolve_codec,
     write_frame,
 )
 from . import codec
@@ -59,7 +58,6 @@ class NodeServer:
         self.name = name
         self.host = host
         self.port = port
-        self._codec = resolve_codec("json")
         self._server: Optional[asyncio.AbstractServer] = None
         self._device: Optional[UntrustedNdpDevice] = None
         self._range: Dict[str, Any] = {}
@@ -160,7 +158,7 @@ class NodeServer:
         self, writer: asyncio.StreamWriter, response: NodeResponse
     ) -> None:
         try:
-            await write_frame(writer, response.to_wire(), self._codec)
+            await write_frame(writer, response.to_wire())
         except (ConnectionError, OSError):
             obs.inc("cluster.node.write_errors")
 
@@ -270,7 +268,6 @@ class NodeClient:
         self.name = name
         self.host = host
         self.port = port
-        self._codec = resolve_codec("json")
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -311,7 +308,7 @@ class NodeClient:
             if self._writer is None:
                 await self.connect()
             try:
-                await write_frame(self._writer, request.to_wire(), self._codec)
+                await write_frame(self._writer, request.to_wire())
                 obj = await asyncio.wait_for(read_frame(self._reader), timeout)
             except asyncio.TimeoutError:
                 # The stale response could still arrive and desync the

@@ -1,11 +1,11 @@
 """Asyncio serving front-end: coalescing, admission control, TCP frames.
 
 The request-level ingress for the SecNDP store (DESIGN.md Sec. 15).
-Throughput, not per-call latency, is the committed metric here: single
-SLS queries arriving on the event loop coalesce into amortized
-``sls_many`` batches (the union-of-rows path that BENCH_hotpaths.json
-already shows at ~2.4x), while an SLO-burn admission gate sheds load
-and resizes the batch window to keep p99 inside budget.
+Single SLS queries arriving on the event loop coalesce into amortized
+``sls_many`` batches (the union-of-rows path) without ever waiting for
+company: a batch is whatever is queued when the executor is free, so a
+lone query leaves at once and coalescing comes from load, not a timer.
+An SLO-burn admission gate sheds load to keep p99 inside budget.
 
 ::
 
@@ -15,7 +15,7 @@ and resizes the batch window to keep p99 inside budget.
         client = await AsyncSlsClient.connect("127.0.0.1", server.port)
         vec = await client.sls("emb", [1, 5, 9])
 
-Layout: :mod:`.protocol` (length-prefixed msgpack/JSON frames, typed
+Layout: :mod:`.protocol` (length-prefixed binary/JSON frames, typed
 request/response dataclasses), :mod:`.scheduler` (the batching
 scheduler and its scatter semantics), :mod:`.admission` (SLO-aware
 admission control), :mod:`.server` (the TCP server and the two-transport
@@ -25,8 +25,8 @@ client), :mod:`.bench` (the throughput harness behind
 
 from .admission import DEFAULT_SERVE_SLO, AdmissionConfig, AdmissionController
 from .protocol import (
+    CODEC_BINARY,
     CODEC_JSON,
-    CODEC_MSGPACK,
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     ENV_HEARTBEAT_TIMEOUT,
     MAX_FRAME_BYTES,
@@ -74,7 +74,7 @@ __all__ = [
     "read_frame",
     "write_frame",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
+    "CODEC_BINARY",
     "MAX_FRAME_BYTES",
     "STATUS_OK",
     "STATUS_ERROR",

@@ -1,43 +1,46 @@
 """SLO-aware admission control for the batching front-end.
 
-The scheduler has two levers when demand exceeds capacity, and this
-module decides when to pull each (DESIGN.md Sec. 15):
-
-1. **Shed load** — fast-reject new requests with a typed ``overloaded``
-   response.  Triggered by a hard queue-depth cap (deterministic
-   backpressure: a full pending queue means the executor is already
-   saturated) or by a *critical* SLO burn (the latency error budget is
-   being consumed at ≥ :data:`~repro.obs.slo.BURN_CRITICAL` times the
-   provisioned rate — the classic fast-burn paging threshold).
-2. **Resize the batch window** — a burning-but-not-critical objective
-   halves ``max_wait_us`` (smaller batches, lower queueing delay, less
-   amortization); a healthy objective widens it back multiplicatively
-   toward the configured maximum (more coalescing per
-   ``sls_many`` call — the throughput lever).
+The scheduler is work-conserving, so there is no batch window to tune
+and exactly one lever when demand exceeds capacity (DESIGN.md Sec. 15):
+**shed load** - fast-reject new requests with a typed ``overloaded``
+response.  Triggered by a hard queue-depth cap (deterministic
+backpressure: a full pending queue means the executor is saturated) or
+by a *critical* SLO burn (the latency error budget is being consumed at
+≥ :data:`~repro.obs.slo.BURN_CRITICAL` times the provisioned rate),
+with hysteresis: shedding stops once the burn is back at or under
+``resume_burn``.
 
 The latency signal is the server's own end-to-end request latency
-(submit → response), recorded into a bounded sliding window of
-observations and evaluated against a parsed :class:`~repro.obs.slo.SloSpec`
-(``serve.latency.p99 < 50ms @ 5%`` by default) — the same spec grammar,
-budget semantics and burn arithmetic as ``repro obs report``, so the
-gate and the report can never disagree about what "past budget" means.
-Evaluations run every ``eval_every`` requests, not per request; between
-evaluations the controller's decisions are pure reads.
+(submit → response), judged against a parsed
+:class:`~repro.obs.slo.SloSpec` (``serve.latency.p99 < 50ms @ 5%`` by
+default) over a bounded sliding window — the same spec grammar, budget
+semantics and burn arithmetic as ``repro obs report`` (an observation
+is over the threshold when its :class:`~repro.obs.hist.LogHistogram`
+bucket midpoint is), so the gate and the report can never disagree
+about "past budget".  The window keeps a running over-threshold count,
+so an evaluation is O(1); evaluations run every ``eval_every`` signals.
 
-The controller keeps its own counters (deterministic, always on) and
-mirrors them into :mod:`repro.obs` when metrics are enabled, so tests
-and benches never depend on the global registry toggle.
+A shedding controller serves nothing, and served requests are its only
+evidence, so while it sheds the evidence *ages*: every shed arrival, and
+every SLO threshold's worth of time since the last one, retires the
+oldest observation and counts as a signal.  A controller that sees
+nothing but shed traffic therefore re-admits within ``window_obs +
+eval_every`` arrivals instead of latching shut.
+
+Counters are local, deterministic and always on, and mirrored into
+:mod:`repro.obs` when metrics are enabled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Union
+import time
 from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, Union
 
 from .. import obs
 from ..errors import ConfigurationError
-from ..obs.hist import LogHistogram
+from ..obs.hist import bucket_index, bucket_value
 from ..obs.slo import BURN_CRITICAL, SloSpec
 
 __all__ = ["AdmissionConfig", "AdmissionController", "DEFAULT_SERVE_SLO"]
@@ -47,52 +50,46 @@ __all__ = ["AdmissionConfig", "AdmissionController", "DEFAULT_SERVE_SLO"]
 #: tighten it per table size.
 DEFAULT_SERVE_SLO = "serve.latency.p99 < 50ms @ 5%"
 
-#: Multiplicative window widening per healthy evaluation (the shrink on
-#: a burning evaluation is a hard halving — react fast, recover slow).
-_WIDEN_FACTOR = 1.25
-
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Knobs for the admission gate and the adaptive batch window."""
+    """Knobs for the admission gate."""
 
     #: latency objective (``repro.obs.slo`` spec grammar; must be a
     #: ``<timer>.pNN < duration`` latency spec)
     slo: Union[str, SloSpec] = DEFAULT_SERVE_SLO
     #: hard cap on queued-but-unexecuted requests before shedding
     max_queue: int = 1024
-    #: batch-window bounds and starting point (microseconds)
-    min_wait_us: float = 100.0
-    max_wait_us: float = 5000.0
-    initial_wait_us: Optional[float] = None  #: default: max_wait_us
-    #: requests between SLO re-evaluations
+    #: signals (served or shed requests) between SLO re-evaluations
     eval_every: int = 64
     #: sliding window of latency observations the burn is computed over
     window_obs: int = 1024
     #: stop shedding once the burn rate recovers to <= this
     resume_burn: float = 1.0
 
+    # Not a field, not a knob: read only by benchmarks/e2e/stacks.py (frozen),
+    # as the divisor of the always-zero ``wait_us`` stat.
+    max_wait_us = 5000.0
+
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ConfigurationError("max_queue must be >= 1")
-        if self.min_wait_us <= 0 or self.max_wait_us < self.min_wait_us:
-            raise ConfigurationError(
-                "need 0 < min_wait_us <= max_wait_us "
-                f"(got {self.min_wait_us}, {self.max_wait_us})"
-            )
         if self.eval_every < 1 or self.window_obs < 1:
             raise ConfigurationError("eval_every and window_obs must be >= 1")
-        start = self.initial_wait_us
-        if start is not None and not self.min_wait_us <= start <= self.max_wait_us:
-            raise ConfigurationError(
-                "initial_wait_us must lie within [min_wait_us, max_wait_us]"
-            )
 
 
 class AdmissionController:
-    """Shed/resize decisions from SLO burn rates over served latencies."""
+    """Shed decisions from SLO burn rates over served latencies.
 
-    def __init__(self, config: AdmissionConfig = AdmissionConfig()):
+    ``clock`` (seconds, monotonic) is injectable so tests can age a
+    shedding controller's evidence without sleeping.
+    """
+
+    def __init__(
+        self,
+        config: AdmissionConfig = AdmissionConfig(),
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.config = config
         spec = (
             config.slo
@@ -105,15 +102,13 @@ class AdmissionController:
                 f"(<timer>.pNN < duration), got {spec.raw!r}"
             )
         self.spec = spec
-        self.wait_us = float(
-            config.initial_wait_us
-            if config.initial_wait_us is not None
-            else config.max_wait_us
-        )
         self.shedding = False
         self.burn_rate = 0.0
         self.state = 0  #: 0 healthy, 1 degraded, 2 critical (obs.slo semantics)
-        self._latencies: Deque[int] = deque(maxlen=config.window_obs)
+        self._clock = clock
+        self._over: Deque[bool] = deque()  #: per observation: over the threshold?
+        self._n_over = 0
+        self._aged_at = 0.0  #: when shedding began or last retired evidence
         self._since_eval = 0
         self.counters: Dict[str, int] = {
             "admitted": 0,
@@ -127,27 +122,38 @@ class AdmissionController:
 
     def record(self, latency_ns: int) -> None:
         """One served request's end-to-end latency; may trigger a re-eval."""
-        self._latencies.append(int(latency_ns))
+        if len(self._over) == self.config.window_obs:
+            self._n_over -= self._over.popleft()
+        over = bucket_value(bucket_index(int(latency_ns))) > self.spec.threshold
+        self._over.append(over)
+        self._n_over += over
+        self._signal()
+
+    def _age(self) -> None:
+        """One shed arrival: retire the oldest observation, plus one per
+        SLO threshold elapsed since evidence was last retired."""
+        now = self._clock()
+        stale = 1 + int((now - self._aged_at) * 1e9 / max(self.spec.threshold, 1.0))
+        self._aged_at = now
+        for _ in range(min(stale, len(self._over))):
+            self._n_over -= self._over.popleft()
+        self._signal()
+
+    def _signal(self) -> None:
         self._since_eval += 1
         if self._since_eval >= self.config.eval_every:
             self.evaluate()
 
     def evaluate(self) -> int:
-        """Recompute burn rate, state, shedding flag and batch window.
+        """Recompute burn rate, state and the shedding flag.
 
         Returns the new state (0/1/2).  Called automatically every
-        ``eval_every`` recorded latencies; callable directly for tests
-        and for the scheduler's drain path.
+        ``eval_every`` signals; callable directly for tests and for the
+        scheduler's drain path.
         """
         self._since_eval = 0
         self.counters["evaluations"] += 1
-        hist = LogHistogram()
-        for ns in self._latencies:
-            hist.observe(ns)
-        if hist.count:
-            bad = hist.fraction_above(self.spec.threshold)
-        else:
-            bad = 0.0
+        bad = self._n_over / len(self._over) if self._over else 0.0
         self.burn_rate = bad / self.spec.budget if self.spec.budget else 0.0
         if self.burn_rate >= BURN_CRITICAL:
             self.state = 2
@@ -155,13 +161,6 @@ class AdmissionController:
             self.state = 1
         else:
             self.state = 0
-
-        # Window resize: react fast (halve) on any burn, recover slowly
-        # (multiplicative widen) only while healthy.
-        if self.state >= 1:
-            self.wait_us = max(self.config.min_wait_us, self.wait_us / 2.0)
-        else:
-            self.wait_us = min(self.config.max_wait_us, self.wait_us * _WIDEN_FACTOR)
 
         # Shed on critical burn; resume only once the burn has recovered
         # below the resume threshold (hysteresis - no flapping at 4.0x).
@@ -171,16 +170,15 @@ class AdmissionController:
         elif self.shedding and self.burn_rate <= self.config.resume_burn:
             self.shedding = False
         if self.shedding != was_shedding:
+            self._aged_at = self._clock()
             obs.emit_event(
                 obs.SERVE_OVERLOAD,
                 shedding=self.shedding,
                 burn_rate=round(self.burn_rate, 3),
-                wait_us=round(self.wait_us, 1),
             )
 
         obs.gauge("serve.admission.state", float(self.state))
         obs.gauge("serve.admission.burn", float(self.burn_rate))
-        obs.gauge("serve.batch_window_us", float(self.wait_us))
         obs.gauge("serve.admission.shedding", 1.0 if self.shedding else 0.0)
         return self.state
 
@@ -199,6 +197,7 @@ class AdmissionController:
             self.counters["shed_slo"] += 1
             obs.inc("serve.shed")
             obs.inc("serve.shed.slo")
+            self._age()
             return False
         self.counters["admitted"] += 1
         obs.inc("serve.admitted")
@@ -213,6 +212,6 @@ class AdmissionController:
             "burn_rate": float(self.burn_rate),
             "state": float(self.state),
             "shedding": 1.0 if self.shedding else 0.0,
-            "wait_us": float(self.wait_us),
-            "window_observations": float(len(self._latencies)),
+            "wait_us": 0.0,  # no batch window; benchmarks/e2e reads it as one
+            "window_observations": float(len(self._over)),
         }

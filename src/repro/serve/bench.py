@@ -154,6 +154,7 @@ def run_tcp_smoke(
     n_clients: int = 4,
     workers: int = 0,
     seed: int = 11,
+    codec: str = "binary",
 ) -> dict:
     """Concurrent client load over real TCP frames, bit-identity gated.
 
@@ -174,7 +175,7 @@ def run_tcp_smoke(
     async def drive():
         async with SlsServer(store, engine=engine, port=0) as server:
             clients = [
-                await AsyncSlsClient.connect("127.0.0.1", server.port)
+                await AsyncSlsClient.connect("127.0.0.1", server.port, codec=codec)
                 for _ in range(n_clients)
             ]
             try:
@@ -202,6 +203,7 @@ def run_tcp_smoke(
     return {
         "queries": len(queries),
         "clients": n_clients,
+        "codec": codec,
         "workers": int(engine.workers) if engine is not None else 0,
         "qps": len(queries) / elapsed,
         "batches": int(stats["batches"]),

@@ -5,27 +5,40 @@ followed by the encoded payload::
 
     +-------+-------------------+----------------------+
     | codec |   payload bytes   |       payload        |
-    | u8    |   u32 big-endian  |  json / msgpack body |
+    | u8    |   u32 big-endian  |  binary / json body  |
     +-------+-------------------+----------------------+
 
-JSON is the always-available codec (floats survive a JSON round trip
-bit-exactly via shortest-repr encoding, which is what lets the serving
-path keep the repo's bit-identity guarantees over the wire); msgpack is
-negotiated per frame when the optional dependency is importable on both
-sides — the codec byte travels with every frame, so a JSON client can
-talk to a msgpack-capable server without handshaking.
+The codec byte travels with every frame, so there is no handshake: a
+peer writes what it likes, the reader decodes what it gets, and the
+server answers each request in the codec the request came in.
 
-Message schemas (plain dicts on the wire, typed dataclasses in-process):
+* **binary** (the default) covers exactly the two hot messages, an
+  ``sls`` request and an ``ok`` response: a 16-byte little-endian header
+  (``kind u8, flags u8, aux u16, count u32, id u64``), then the rows and
+  weights (``<i8``) and the table name, or the values (``<f8``), as raw
+  arrays - byte layout in DESIGN.md Sec. 15.  Every count is checked
+  against the frame length before an array is built from it, arrays
+  decode as zero-copy views, and the decoder's only outcomes are a typed
+  message or :class:`FrameError`.  What the format cannot express (a row
+  id or weight outside ``int64``, weights not one per row, an id outside
+  ``u64``, a table name over 65 535 bytes) the encoder refuses with
+  :class:`~repro.errors.ConfigurationError` rather than truncating.
+* **json** is the debug codec and carries every other message (probes,
+  typed errors, the whole node hop): under the binary codec such a
+  message simply leaves as a JSON frame.  Shortest-repr floats survive
+  JSON bit-exactly, so both codecs keep the bit-identity guarantees.
 
-* request — ``{"id": int, "op": "sls", "table": str, "rows": [int],
+Message schemas (plain dicts under JSON, typed dataclasses in-process):
+
+* request - ``{"id": int, "op": "sls", "table": str, "rows": [int],
   "weights": [int] | null}``; ``op: "ping"`` / ``op: "heartbeat"``
-  carry no query fields (heartbeat answers with liveness detail).
-* response — ``{"id": int, "status": "ok" | "error" | "overloaded" |
+  carry no query fields.
+* response - ``{"id": int, "status": "ok" | "error" | "overloaded" |
   "shutting_down", "values": [float] | null, "error": str | null,
   "kind": str | null}`` where ``kind`` names the server-side exception
   class (``VerificationError``, ``ConfigurationError``, ...) so the
   client re-raises the typed error from :mod:`repro.errors`.
-* node request/response — the cluster tier's control+data plane over
+* node request/response - the cluster tier's control+data plane over
   the same framing (:class:`NodeRequest` / :class:`NodeResponse`):
   ``op`` is one of :data:`NODE_OPS` and everything op-specific travels
   in a free-form ``payload`` dict (shard assignments, partial-sum
@@ -45,13 +58,15 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
+
+import numpy as np
 
 from ..errors import ConfigurationError
 
 __all__ = [
     "CODEC_JSON",
-    "CODEC_MSGPACK",
+    "CODEC_BINARY",
     "MAX_FRAME_BYTES",
     "STATUS_OK",
     "STATUS_ERROR",
@@ -66,7 +81,12 @@ __all__ = [
     "SlsResponse",
     "NodeRequest",
     "NodeResponse",
+    "VIAS",
     "available_codecs",
+    "resolve_codec",
+    "int64_terms",
+    "pack_segment",
+    "take_segment",
     "encode_frame",
     "decode_payload",
     "read_frame",
@@ -75,7 +95,9 @@ __all__ = [
 ]
 
 CODEC_JSON = 1
-CODEC_MSGPACK = 2
+CODEC_BINARY = 3  #: 2 was the msgpack codec; a retired id is not reused
+
+_CODECS = {"binary": CODEC_BINARY, "json": CODEC_JSON}
 
 #: Hard cap on a single frame's payload; a length prefix beyond this is
 #: treated as a protocol violation, not an allocation request.
@@ -131,53 +153,72 @@ def resolve_heartbeat_timeout(value: Optional[float] = None) -> float:
         )
     return timeout
 
-try:  # optional dependency; JSON is the portable contract
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - exercised on hosts with msgpack
-    _msgpack = None
-
 
 class FrameError(ConfigurationError):
     """A malformed, oversized or unsupported frame."""
 
 
 def available_codecs() -> Tuple[str, ...]:
-    """Codec names this process can encode/decode."""
-    return ("json", "msgpack") if _msgpack is not None else ("json",)
+    """Codec names, the default first."""
+    return tuple(_CODECS)
 
 
 def resolve_codec(name: str) -> int:
-    if name == "json":
-        return CODEC_JSON
-    if name == "msgpack":
-        if _msgpack is None:
-            raise ConfigurationError(
-                "codec 'msgpack' requested but msgpack is not installed; "
-                "use 'json' or install msgpack"
-            )
-        return CODEC_MSGPACK
-    raise ConfigurationError(
-        f"unknown frame codec {name!r} (choose from: json, msgpack)"
-    )
+    try:
+        return _CODECS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown frame codec {name!r} (choose from: {', '.join(_CODECS)})"
+        ) from None
 
 
-@dataclass(frozen=True)
+_INT64_MAX = (1 << 63) - 1
+
+
+def int64_terms(values, what: str) -> np.ndarray:
+    """``values`` (row ids or weights) as the flat ``int64`` array a frame
+    carries; what does not fit (a weight >= 2^63, a string, a nested list)
+    is a :class:`~repro.errors.ConfigurationError`, never a wrapped value."""
+    try:
+        unsigned = isinstance(values, np.ndarray) and values.dtype.kind == "u"
+        if unsigned and values.size and int(values.max()) > _INT64_MAX:
+            raise OverflowError("unsigned value above 2^63 - 1")
+        terms = np.asarray(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be int64 integers: {exc}") from None
+    if terms.ndim != 1:
+        raise ConfigurationError(f"{what} must be a flat sequence of integers")
+    return terms
+
+
+def _listed(values) -> list:
+    """A tuple or array field as a JSON-able list."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+# ``eq=False``: the array-valued fields make field-wise ``==`` meaningless.
+@dataclass(frozen=True, eq=False)
 class SlsRequest:
-    """One client query (or control message) as it crosses the wire."""
+    """One client query (or control message) as it crosses the wire.
+
+    ``rows`` / ``weights`` are tuples of ints or ``int64`` arrays; the
+    client and the binary decoder build arrays, so a query reaches the
+    store without a per-element pass.
+    """
 
     id: int
     op: str = "sls"
     table: Optional[str] = None
-    rows: Tuple[int, ...] = ()
-    weights: Optional[Tuple[int, ...]] = None
+    rows: Union[Tuple[int, ...], np.ndarray] = ()
+    weights: Union[Tuple[int, ...], np.ndarray, None] = None
 
     def to_wire(self) -> Dict[str, Any]:
         return {
             "id": self.id,
             "op": self.op,
             "table": self.table,
-            "rows": list(self.rows),
-            "weights": None if self.weights is None else list(self.weights),
+            "rows": _listed(self.rows),
+            "weights": None if self.weights is None else _listed(self.weights),
         }
 
     @classmethod
@@ -188,59 +229,61 @@ class SlsRequest:
         if op not in ("sls", "ping", "heartbeat"):
             raise FrameError(f"unknown request op {op!r}")
         weights = obj.get("weights")
-        return cls(
-            id=int(obj.get("id", 0)),
-            op=op,
-            table=obj.get("table"),
-            rows=tuple(int(r) for r in obj.get("rows") or ()),
-            weights=None if weights is None else tuple(int(w) for w in weights),
-        )
+        try:
+            return cls(
+                id=int(obj.get("id", 0)),
+                op=op,
+                table=obj.get("table"),
+                rows=tuple(int(r) for r in obj.get("rows") or ()),
+                weights=None if weights is None else tuple(int(w) for w in weights),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FrameError(f"bad request field: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlsResponse:
-    """One server answer; ``values`` only on ``status == "ok"``."""
+    """One server answer; ``values`` (a tuple of floats or a ``float64``
+    array) only on ``status == "ok"``."""
 
     id: int
     status: str
-    values: Optional[Tuple[float, ...]] = None
+    values: Union[Tuple[float, ...], np.ndarray, None] = None
     error: Optional[str] = None
     kind: Optional[str] = None
-    #: scheduler detail for observability ("batch", "scatter", ...)
+    #: scheduler detail for observability, one of :data:`VIAS`
     via: Optional[str] = None
-    detail: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in RESPONSE_STATUSES:
             raise FrameError(f"unknown response status {self.status!r}")
 
     def to_wire(self) -> Dict[str, Any]:
-        wire: Dict[str, Any] = {
+        return {
             "id": self.id,
             "status": self.status,
-            "values": None if self.values is None else list(self.values),
+            "values": None if self.values is None else _listed(self.values),
             "error": self.error,
             "kind": self.kind,
             "via": self.via,
         }
-        if self.detail:
-            wire["detail"] = dict(self.detail)
-        return wire
 
     @classmethod
     def from_wire(cls, obj: Dict[str, Any]) -> "SlsResponse":
         if not isinstance(obj, dict):
             raise FrameError(f"response payload must be a dict, got {type(obj).__name__}")
         values = obj.get("values")
-        return cls(
-            id=int(obj.get("id", 0)),
-            status=str(obj.get("status", "")),
-            values=None if values is None else tuple(float(v) for v in values),
-            error=obj.get("error"),
-            kind=obj.get("kind"),
-            via=obj.get("via"),
-            detail=dict(obj.get("detail") or {}),
-        )
+        try:
+            return cls(
+                id=int(obj.get("id", 0)),
+                status=str(obj.get("status", "")),
+                values=None if values is None else tuple(float(v) for v in values),
+                error=obj.get("error"),
+                kind=obj.get("kind"),
+                via=obj.get("via"),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FrameError(f"bad response field: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -322,19 +365,121 @@ class NodeResponse:
         )
 
 
+# -- the binary body -----------------------------------------------------------
+
+_BINARY = struct.Struct("<BBHIQ")  #: kind, flags, aux, count, id
+_KIND_REQUEST = 1   #: an ``sls`` request; ``aux`` = table-name bytes
+_KIND_RESPONSE = 2  #: an ``ok`` response; ``aux`` = index into VIAS
+_HAS_ARRAY = 1      #: flags bit 0: weights (request) / values (response) follow
+
+#: The ``via`` vocabulary of an ``ok`` response, in wire order.
+VIAS = (None, "batch", "scatter", "ping", "heartbeat")
+
+
+def pack_segment(values, dtype: str) -> bytes:
+    """``values`` as one raw array segment of (little-endian) ``dtype``."""
+    return np.ascontiguousarray(values, dtype=dtype).tobytes()
+
+
+def take_segment(
+    payload: bytes, offset: int, dtype: str, count: int
+) -> Tuple[np.ndarray, int]:
+    """``count`` elements of ``dtype`` at ``offset`` of ``payload``: a
+    read-only zero-copy view and the offset just past it.  The declared
+    count is checked against the bytes that are there *before* an array is
+    built from it, so a hostile count can neither allocate nor overread."""
+    end = offset + count * np.dtype(dtype).itemsize
+    if count < 0 or end > len(payload):
+        raise FrameError(
+            f"segment of {count} x {dtype} at byte {offset} overruns a "
+            f"{len(payload)}-byte frame"
+        )
+    return np.frombuffer(payload, dtype=dtype, count=count, offset=offset), end
+
+
+def _pack_binary(message) -> Optional[bytes]:
+    """The binary body of an ``sls`` request / ``ok`` response, else ``None``."""
+    if isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None:
+        rows = int64_terms(message.rows, "rows")
+        body, flags = [pack_segment(rows, "<i8")], 0
+        if message.weights is not None:
+            weights = int64_terms(message.weights, "weights")
+            if weights.size != rows.size:
+                raise ConfigurationError("rows and weights must have equal length")
+            body.append(pack_segment(weights, "<i8"))
+            flags = _HAS_ARRAY
+        body.append(str(message.table).encode("utf-8"))
+        head = (_KIND_REQUEST, flags, len(body[-1]), rows.size)
+    elif (
+        isinstance(message, SlsResponse)
+        and message.status == STATUS_OK
+        and message.error is None
+        and message.kind is None
+        and message.via in VIAS
+    ):
+        body = [] if message.values is None else [pack_segment(message.values, "<f8")]
+        count = len(body[0]) // 8 if body else 0
+        head = (_KIND_RESPONSE, _HAS_ARRAY if body else 0, VIAS.index(message.via), count)
+    else:
+        return None
+    try:
+        return _BINARY.pack(*head, message.id) + b"".join(body)
+    except struct.error as exc:  # an id, count or name length its field cannot hold
+        raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+
+
+def _unpack_binary(payload: bytes) -> Union[SlsRequest, SlsResponse]:
+    if len(payload) < _BINARY.size:
+        raise FrameError(f"binary frame of {len(payload)} bytes has no header")
+    kind, flags, aux, count, ident = _BINARY.unpack_from(payload)
+    if flags & ~_HAS_ARRAY:
+        raise FrameError(f"unknown binary frame flags {flags:#x}")
+    end = _BINARY.size
+    if kind == _KIND_REQUEST:
+        rows, end = take_segment(payload, end, "<i8", count)
+        weights = None
+        if flags:
+            weights, end = take_segment(payload, end, "<i8", count)
+        if len(payload) - end != aux:
+            raise FrameError(
+                f"{len(payload) - end} bytes after the terms, table name declared as {aux}"
+            )
+        try:
+            table = payload[end:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"table name is not UTF-8: {exc}") from exc
+        return SlsRequest(id=ident, table=table, rows=rows, weights=weights)
+    if kind == _KIND_RESPONSE:
+        if aux >= len(VIAS):
+            raise FrameError(f"unknown via code {aux}")
+        values = None
+        if flags:
+            values, end = take_segment(payload, end, "<f8", count)
+        if end != len(payload) or (count and not flags):
+            raise FrameError("response frame length does not match its value count")
+        return SlsResponse(id=ident, status=STATUS_OK, values=values, via=VIAS[aux])
+    raise FrameError(f"unknown binary message kind {kind}")
+
+
 # -- framing -------------------------------------------------------------------
 
 
 def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
-    """One wire frame: header + encoded payload."""
-    if codec == CODEC_JSON:
-        payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    elif codec == CODEC_MSGPACK:
-        if _msgpack is None:
-            raise FrameError("msgpack codec requested but msgpack is not installed")
-        payload = _msgpack.packb(obj, use_bin_type=True)
-    else:
+    """One wire frame: header + encoded payload.
+
+    ``obj`` is a typed message or its ``to_wire()`` dict.  Under
+    ``CODEC_BINARY`` an ``sls`` request / ``ok`` response gets the binary
+    body and anything else leaves as a JSON frame.
+    """
+    if codec == CODEC_BINARY:
+        payload = _pack_binary(obj)
+        if payload is None:
+            codec = CODEC_JSON
+    elif codec != CODEC_JSON:
         raise FrameError(f"unknown codec id {codec}")
+    if codec == CODEC_JSON:
+        wire = obj.to_wire() if hasattr(obj, "to_wire") else obj
+        payload = json.dumps(wire, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds MAX_FRAME_BYTES "
@@ -344,18 +489,14 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
 
 
 def decode_payload(codec: int, payload: bytes) -> Any:
+    """A JSON frame's object, or a binary frame's typed message."""
     if codec == CODEC_JSON:
         try:
             return json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise FrameError(f"bad JSON frame payload: {exc}") from exc
-    if codec == CODEC_MSGPACK:
-        if _msgpack is None:
-            raise FrameError("received a msgpack frame but msgpack is not installed")
-        try:
-            return _msgpack.unpackb(payload, raw=False)
-        except Exception as exc:  # msgpack raises a zoo of exception types
-            raise FrameError(f"bad msgpack frame payload: {exc}") from exc
+    if codec == CODEC_BINARY:
+        return _unpack_binary(payload)
     raise FrameError(f"unknown codec id {codec}")
 
 
@@ -406,14 +547,3 @@ def error_response(
         kind=type(exc).__name__,
         via=via,
     )
-
-
-def request_batch_rows(
-    requests: Sequence[SlsRequest],
-) -> Tuple[List[List[int]], List[Optional[List[int]]]]:
-    """Split a request batch into the store's (rows, weights) lists."""
-    rows_list = [list(req.rows) for req in requests]
-    weights_list: List[Optional[List[int]]] = [
-        None if req.weights is None else list(req.weights) for req in requests
-    ]
-    return rows_list, weights_list

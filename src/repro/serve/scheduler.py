@@ -1,13 +1,15 @@
 """Asyncio batching scheduler: request coalescing over ``sls_many``.
 
-The throughput lever of the serving front-end (DESIGN.md Sec. 15):
-single-query SLS requests arriving on the event loop are collected — for
-up to the admission controller's current batch window (``max_wait_us``,
-adaptive) or ``max_batch`` requests, whichever fills first — into one
-per-table batch, executed through the amortized union-of-rows path
-(:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_many`, or a
-:class:`~repro.parallel.engine.ParallelSlsEngine` when one is attached),
-and scattered back to the per-request futures.
+The throughput lever of the serving front-end (DESIGN.md Sec. 15), and
+it is work-conserving: a batch is whatever is queued for a table - up to
+``max_batch`` requests - the moment its executor is free.  A lone query
+is a batch of one and leaves at once; while a batch runs, the next one
+forms behind it, so coalescing comes from load and never from a timer.
+A batch is one CSR :class:`~repro.core.protocol.QueryBatch` concatenated
+from its requests' arrays, executed through the amortized union-of-rows
+path (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`,
+or a :class:`~repro.parallel.engine.ParallelSlsEngine` when one is
+attached), and each request is handed its row of the result matrix.
 
 Exactness is non-negotiable: a coalesced response is bit-identical to a
 direct ``store.sls`` call for the same query.  Verification outcomes
@@ -36,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import obs
+from ..core.protocol import QueryBatch
 from ..errors import (
     ConfigurationError,
     RecoveryExhaustedError,
@@ -49,6 +52,7 @@ from .protocol import (
     SlsRequest,
     SlsResponse,
     error_response,
+    int64_terms,
 )
 
 __all__ = ["BatchScheduler", "DEFAULT_MAX_BATCH"]
@@ -62,8 +66,8 @@ class _Pending:
     """One admitted request waiting for (or in) a batch."""
 
     request: SlsRequest
-    rows: List[int]          #: validated/normalised by ``_validate_query``
-    weights: List[int]
+    rows: np.ndarray         #: ``int64``, validated by ``store.validate_query``
+    weights: np.ndarray      #: ring residues, one per row
     future: "asyncio.Future[SlsResponse]"
     submitted_ns: int
 
@@ -152,26 +156,18 @@ class BatchScheduler:
                 error="server is draining",
                 kind="ServerClosedError",
             )
-        if request.op != "sls" or request.table is None:
-            self._stats["rejected_invalid"] += 1
-            obs.inc("serve.response.invalid")
-            return error_response(
-                request.id,
-                ConfigurationError(f"malformed request (op={request.op!r})"),
-            )
         # Validation before admission: a query the store would reject
-        # (overflow budget, negative weights, unknown table) must not
-        # consume queue capacity or skew the shed accounting.
+        # (overflow budget, negative weights, unknown table or row) must
+        # not consume queue capacity or skew the shed accounting.
         try:
-            rows, weights = self.store._validate_query(
-                request.table, list(request.rows), request.weights
-            )
-        except KeyError:
-            self._stats["rejected_invalid"] += 1
-            obs.inc("serve.response.invalid")
-            return error_response(
-                request.id,
-                ConfigurationError(f"unknown table {request.table!r}"),
+            if request.op != "sls" or request.table is None:
+                raise ConfigurationError(f"malformed request (op={request.op!r})")
+            rows, weights = self.store.validate_query(
+                request.table,
+                int64_terms(request.rows, "rows"),
+                None
+                if request.weights is None
+                else int64_terms(request.weights, "weights"),
             )
         except ConfigurationError as exc:
             self._stats["rejected_invalid"] += 1
@@ -216,31 +212,23 @@ class BatchScheduler:
     # -- the batcher loop ------------------------------------------------------
 
     async def _batcher(self, name: str) -> None:
-        """One table's collect/execute loop; exits on the drain sentinel."""
+        """One table's collect/execute loop; exits on the drain sentinel.
+
+        Work-conserving: take what is queued and go.  ``_run_batch`` is
+        awaited, so whatever arrives while it runs is the next batch.
+        """
         queue = self._queues[name]
-        loop = asyncio.get_running_loop()
         while True:
             item = await queue.get()
             if item is None:
                 break
             batch: List[_Pending] = [item]
-            deadline = loop.time() + self.admission.wait_us / 1e6
             stop = False
             while len(batch) < self.max_batch:
-                if self._draining:
-                    # Drain mode: no windowing, just flush what is queued.
-                    try:
-                        nxt = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                else:
-                    timeout = deadline - loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
+                try:
+                    nxt = queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    break
                 if nxt is None:
                     stop = True
                     break
@@ -248,21 +236,26 @@ class BatchScheduler:
             live = [p for p in batch if not p.future.cancelled()]
             if live:
                 await self._run_batch(name, live)
-            elif batch:
-                # Every collected request was cancelled before the tick
-                # fired: nothing to execute, nothing to offload.
+            else:
+                # Every collected request was cancelled before dispatch:
+                # nothing to execute, nothing to offload.
                 self._stats["empty_ticks"] += 1
                 obs.inc("serve.batch.empty")
             if stop:
                 break
 
     async def _run_batch(self, name: str, batch: List[_Pending]) -> None:
-        rows_list = [p.rows for p in batch]
-        weights_list = [p.weights for p in batch]
+        offsets = np.zeros(len(batch) + 1, dtype=np.int64)
+        np.cumsum([p.rows.size for p in batch], out=offsets[1:])
+        queries = QueryBatch(
+            np.concatenate([p.rows for p in batch]),
+            np.concatenate([p.weights for p in batch]),
+            offsets,
+        )
+        total = int(offsets[-1])
+        unique = int(np.unique(queries.rows).size)
         self._stats["batches"] += 1
         self._stats["batch_queries"] += len(batch)
-        total = sum(len(r) for r in rows_list)
-        unique = len({r for rows in rows_list for r in rows})
         self._stats["batch_rows_total"] += total
         self._stats["batch_rows_unique"] += unique
         if obs.enabled():
@@ -273,7 +266,7 @@ class BatchScheduler:
         t0 = time.perf_counter_ns()
         try:
             with obs.span("serve.batch"):
-                values, outcomes = await self._execute(name, rows_list, weights_list)
+                values, outcomes = await self._execute(name, queries)
         except Exception as exc:  # post-validation failures are per-batch
             for p in batch:
                 self._resolve(p, error_response(p.request.id, exc, via="batch"))
@@ -282,29 +275,16 @@ class BatchScheduler:
             obs.observe_ns("serve.batch.ns", time.perf_counter_ns() - t0)
         for p, row_values, outcome in zip(batch, values, outcomes):
             if outcome.ok:
-                self._resolve(
-                    p,
-                    SlsResponse(
-                        id=p.request.id,
-                        status=STATUS_OK,
-                        values=tuple(float(v) for v in row_values),
-                        via="scatter" if outcome.degraded else "batch",
-                    ),
-                )
+                via = "scatter" if outcome.degraded else "batch"
+                response = SlsResponse(p.request.id, STATUS_OK, values=row_values, via=via)
             else:
-                self._resolve(
-                    p,
-                    SlsResponse(
-                        id=p.request.id,
-                        status="error",
-                        error=outcome.error,
-                        kind=outcome.kind,
-                        via="scatter",
-                    ),
+                response = SlsResponse(
+                    p.request.id, "error", error=outcome.error, kind=outcome.kind, via="scatter"
                 )
+            self._resolve(p, response)
 
     async def _execute(
-        self, name: str, rows_list: List[List[int]], weights_list: List[List[int]]
+        self, name: str, queries: QueryBatch
     ) -> Tuple[np.ndarray, list]:
         """One batch through the amortized path, off the event loop.
 
@@ -319,16 +299,12 @@ class BatchScheduler:
 
         if self.engine is not None:
             try:
-                values = await asyncio.wrap_future(
-                    self.engine.submit(name, rows_list, weights_list)
-                )
-                return values, [QueryOutcome(ok=True)] * len(rows_list)
+                values = await asyncio.wrap_future(self.engine.submit(name, queries))
+                return values, [QueryOutcome(ok=True)] * len(queries)
             except (VerificationError, RecoveryExhaustedError):
                 self._stats["batch_degradations"] += 1
                 obs.inc("serve.batch.degradations")
-            scatter = self.engine.offload(
-                self.store.sls_scatter, name, rows_list, weights_list
-            )
+            scatter = self.engine.offload(self.store.sls_scatter, name, queries)
             return await asyncio.wrap_future(scatter)
         loop = asyncio.get_running_loop()
         if self._executor is None:
@@ -336,7 +312,7 @@ class BatchScheduler:
                 max_workers=1, thread_name_prefix="secndp-serve"
             )
         return await loop.run_in_executor(
-            self._executor, self.store.sls_scatter, name, rows_list, weights_list
+            self._executor, self.store.sls_scatter, name, queries
         )
 
     def _resolve(self, pending: _Pending, response: SlsResponse) -> None:

@@ -7,7 +7,8 @@ connections coalesce into the same amortized batches.  Connections are
 pipelined: each frame is served by its own task and responses are
 written as their batches complete (the ``id`` field correlates them),
 which is what lets a single client drive enough concurrency to fill a
-batch window.
+batch.  Each response leaves in the codec its request arrived in (the
+codec byte is per frame), so binary and JSON clients share one server.
 
 The client has two transports with one API:
 
@@ -42,6 +43,7 @@ from ..errors import (
     ServerClosedError,
 )
 from .protocol import (
+    CODEC_BINARY,
     CODEC_JSON,
     STATUS_OK,
     STATUS_OVERLOADED,
@@ -50,6 +52,7 @@ from .protocol import (
     SlsRequest,
     SlsResponse,
     error_response,
+    int64_terms,
     read_frame,
     resolve_codec,
     resolve_heartbeat_timeout,
@@ -78,14 +81,12 @@ class SlsServer:
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
         admission=None,
-        codec: str = "json",
     ):
         self.scheduler = BatchScheduler(
             store, engine=engine, max_batch=max_batch, admission=admission
         )
         self.host = host
         self.port = port
-        self._codec = resolve_codec(codec)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: Set[asyncio.Task] = set()
         self._handlers: Set[asyncio.Task] = set()
@@ -191,20 +192,24 @@ class SlsServer:
                     break
                 if obj is None:  # clean EOF
                     break
+                # A binary frame decodes straight to the typed request.
+                codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
                 try:
-                    request = SlsRequest.from_wire(obj)
+                    request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
                 except FrameError as exc:
-                    rid = obj.get("id", 0) if isinstance(obj, dict) else 0
+                    rid = obj.get("id") if isinstance(obj, dict) else None
                     obs.inc("serve.frame_errors")
                     await self._safe_write(
-                        writer, write_lock, error_response(int(rid), exc)
+                        writer,
+                        write_lock,
+                        error_response(rid if isinstance(rid, int) else 0, exc),
                     )
                     continue
                 # One task per frame: the read loop immediately returns
                 # to the socket, so a single pipelining client can have
-                # a full batch window in flight.
+                # a full batch in flight.
                 task = asyncio.ensure_future(
-                    self._serve_one(request, writer, write_lock)
+                    self._serve_one(request, codec, writer, write_lock)
                 )
                 tasks.add(task)
                 self._conn_tasks.add(task)
@@ -224,6 +229,7 @@ class SlsServer:
     async def _serve_one(
         self,
         request: SlsRequest,
+        codec: int,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
@@ -233,17 +239,18 @@ class SlsServer:
             response = SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
         else:
             response = await self.scheduler.submit(request)
-        await self._safe_write(writer, write_lock, response)
+        await self._safe_write(writer, write_lock, response, codec)
 
     async def _safe_write(
         self,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         response: SlsResponse,
+        codec: int = CODEC_JSON,
     ) -> None:
         try:
             async with write_lock:
-                await write_frame(writer, response.to_wire(), self._codec)
+                await write_frame(writer, response, codec)
         except (ConnectionError, OSError):
             obs.inc("serve.write_errors")
 
@@ -284,7 +291,7 @@ class AsyncSlsClient:
         self._scheduler: Optional[BatchScheduler] = None
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._codec = CODEC_JSON
+        self._codec = CODEC_BINARY
         self._pending: Dict[int, "tuple[asyncio.Future[SlsResponse], SlsRequest]"] = {}
         self._reader_task: Optional[asyncio.Task] = None
         self._next_id = 0
@@ -303,7 +310,7 @@ class AsyncSlsClient:
         cls,
         host: str,
         port: int,
-        codec: str = "json",
+        codec: str = "binary",
         reconnect: bool = True,
         max_reconnects: int = 4,
         backoff_base_s: float = 0.05,
@@ -344,7 +351,9 @@ class AsyncSlsClient:
                     obj = await read_frame(self._reader)
                     if obj is None:
                         break
-                    response = SlsResponse.from_wire(obj)
+                    response = (
+                        obj if isinstance(obj, SlsResponse) else SlsResponse.from_wire(obj)
+                    )
                     entry = self._pending.pop(response.id, None)
                     if entry is not None and not entry[0].done():
                         entry[0].set_result(response)
@@ -406,7 +415,7 @@ class AsyncSlsClient:
                     # Idempotent re-send: these requests were in flight
                     # when the connection died and got no response frame.
                     for _rid, (_future, request) in sorted(self._pending.items()):
-                        await write_frame(writer, request.to_wire(), self._codec)
+                        await write_frame(writer, request, self._codec)
                         obs.inc("serve.client.resends")
                 except (ConnectionError, OSError):
                     obs.inc("serve.client.reconnect_failures")
@@ -434,7 +443,10 @@ class AsyncSlsClient:
         )
         self._pending[request.id] = (future, request)
         try:
-            await write_frame(self._writer, request.to_wire(), self._codec)
+            await write_frame(self._writer, request, self._codec)
+        except ConfigurationError:  # the frame cannot carry this request
+            del self._pending[request.id]
+            raise
         except (ConnectionError, OSError) as exc:
             sent = False
             if self._allow_reconnect and await self._reconnect(self._conn_gen):
@@ -442,7 +454,7 @@ class AsyncSlsClient:
                     # The reconnect sweep may have raced our ``_pending``
                     # insert; send again ourselves — duplicates are
                     # idempotent and the second response id is dropped.
-                    await write_frame(self._writer, request.to_wire(), self._codec)
+                    await write_frame(self._writer, request, self._codec)
                     sent = True
                 except (ConnectionError, OSError):
                     pass
@@ -460,15 +472,9 @@ class AsyncSlsClient:
         weights: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """One verified SLS query; raises the typed error on failure."""
-        request = SlsRequest(
-            id=self._new_id(),
-            op="sls",
-            table=table,
-            rows=tuple(int(r) for r in rows),
-            weights=None if weights is None else tuple(int(w) for w in weights),
-        )
-        response = _raise_for_response(await self.request(request))
-        return np.asarray(response.values, dtype=np.float64)
+        response = _raise_for_response(await self.sls_response(table, rows, weights))
+        # A copy: the values may be a view of a frame or of the batch's matrix.
+        return np.array(response.values, dtype=np.float64)
 
     async def sls_response(
         self,
@@ -476,14 +482,16 @@ class AsyncSlsClient:
         rows: Sequence[int],
         weights: Optional[Sequence[int]] = None,
     ) -> SlsResponse:
-        """Like :meth:`sls` but returns the typed response instead of raising."""
+        """Like :meth:`sls` but returns the typed response instead of raising.
+        Row ids and weights outside ``int64`` (what every transport
+        carries) are a :class:`ConfigurationError` here."""
         return await self.request(
             SlsRequest(
                 id=self._new_id(),
                 op="sls",
                 table=table,
-                rows=tuple(int(r) for r in rows),
-                weights=None if weights is None else tuple(int(w) for w in weights),
+                rows=int64_terms(rows, "rows"),
+                weights=None if weights is None else int64_terms(weights, "weights"),
             )
         )
 

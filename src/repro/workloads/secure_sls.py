@@ -269,16 +269,52 @@ class SecureEmbeddingStore:
             raise ConfigurationError("rows and weights must have equal length")
         max_w = max(weights, default=1)
         if len(rows) > self.max_pooling_factor(name, max_w):
-            raise ConfigurationError(
-                f"pooling factor {len(rows)} with max weight {max_w} may "
-                f"overflow Z(2^{self.processor.params.element_bits}) for "
-                f"table {name!r}; split the query"
-            )
+            raise self._overflow_error(name, len(rows), max_w)
         if self._tiering is not None:
             # Single observation point for every serving path (sls,
             # sls_many, parallel engine): feed the hot-row sketch.
             self._tiering.observe(name, rows)
         return rows, weights
+
+    def _overflow_error(self, name: str, pf: int, max_w: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"pooling factor {pf} with max weight {max_w} may "
+            f"overflow Z(2^{self.processor.params.element_bits}) for "
+            f"table {name!r}; split the query"
+        )
+
+    def validate_query(
+        self, name: str, rows: np.ndarray, weights: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`_validate_query` for one query held as ``int64`` arrays:
+        the serving front-end's pre-admission check.
+
+        Same errors in the same order (negative weight, length mismatch,
+        unknown table / overflow budget), then the row range, because a
+        row the table does not have would fail the whole coalesced batch
+        the query joins.  Returns ``(rows, weights as ring residues)``, a
+        :class:`QueryBatch`'s term arrays; observes nothing -
+        :meth:`sls_scatter` does, for the batch.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if weights is None:
+            weights = np.ones(rows.size, dtype=np.int64)
+        else:
+            weights = np.asarray(weights, dtype=np.int64)
+        if weights.size and weights.min() < 0:
+            raise ConfigurationError("weights must be non-negative integers")
+        if weights.size != rows.size:
+            raise ConfigurationError("rows and weights must have equal length")
+        if name not in self._tables:
+            raise ConfigurationError(f"unknown table {name!r}")
+        max_w = int(weights.max()) if weights.size else 1
+        if rows.size > self.max_pooling_factor(name, max_w):
+            raise self._overflow_error(name, rows.size, max_w)
+        n_rows = self._tables[name].n_rows
+        if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
+            raise ConfigurationError(f"row id outside [0, {n_rows}) for table {name!r}")
+        # Inside the budget max_w < 2^w_e, so the cast is exact.
+        return rows, weights.astype(self.processor.ring.dtype)
 
     def _validate_batch(
         self,
@@ -311,12 +347,7 @@ class SecureEmbeddingStore:
             over = lengths > budget // np.maximum(max_w, 1).astype(np.uint64)
             if over.any():
                 q = int(np.flatnonzero(over)[0])
-                raise ConfigurationError(
-                    f"pooling factor {int(lengths[q])} with max weight "
-                    f"{int(max_w[q])} may overflow "
-                    f"Z(2^{self.processor.params.element_bits}) for "
-                    f"table {name!r}; split the query"
-                )
+                raise self._overflow_error(name, int(lengths[q]), int(max_w[q]))
         if self._tiering is not None:
             for query_rows in batch.lists()[0]:
                 self._tiering.observe(name, query_rows)
@@ -462,13 +493,10 @@ class SecureEmbeddingStore:
 
         Returns ``(values, outcomes)`` where ``values`` has one row per
         query (zeros for failed queries) and ``outcomes[i]`` reports
-        whether query ``i`` was served.
+        whether query ``i`` was served.  A :class:`QueryBatch` (what the
+        front-end builds) is taken as-is; per-query lists are rebuilt
+        from it only if the batch degrades.
         """
-        batch_rows = [list(rows) for rows in batch_rows]
-        if batch_weights is not None:
-            batch_weights = [
-                None if w is None else list(w) for w in batch_weights
-            ]
         try:
             values = self.sls_many(name, batch_rows, batch_weights)
             return values, [QueryOutcome(ok=True)] * len(batch_rows)
@@ -481,6 +509,8 @@ class SecureEmbeddingStore:
                 queries=len(batch_rows),
                 error=type(exc).__name__,
             )
+        if isinstance(batch_rows, QueryBatch):
+            batch_rows, batch_weights = batch_rows.lists()
         entry = self._tables[name]
         values = np.zeros((len(batch_rows), entry.dim))
         outcomes: List[QueryOutcome] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import threading
 import time
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.serve import (
     STATUS_SHUTTING_DOWN,
 )
 from repro.serve.protocol import (
+    CODEC_BINARY,
     CODEC_JSON,
     MAX_FRAME_BYTES,
     available_codecs,
@@ -97,7 +99,8 @@ class TestFrameProtocol:
         codec, length = struct.unpack(">BI", frame[:5])
         assert codec == CODEC_JSON and length == len(frame) - 5
         back = SlsRequest.from_wire(decode_payload(codec, frame[5:]))
-        assert back == req
+        assert back.to_wire() == req.to_wire()
+        assert back.rows == req.rows and back.weights == req.weights
 
     def test_json_response_floats_bit_exact(self):
         # Shortest-repr JSON floats round-trip bit-exactly; this is what
@@ -151,14 +154,13 @@ class TestFrameProtocol:
         with pytest.raises(FrameError, match="unknown codec"):
             encode_frame({}, 99)
 
-    def test_msgpack_gated_when_absent(self):
-        if "msgpack" in available_codecs():
-            assert resolve_codec("msgpack") != CODEC_JSON
-        else:
-            with pytest.raises(ConfigurationError, match="msgpack"):
-                resolve_codec("msgpack")
-        with pytest.raises(ConfigurationError, match="unknown frame codec"):
-            resolve_codec("protobuf")
+    def test_codec_names(self):
+        assert available_codecs() == ("binary", "json")  # the default first
+        assert resolve_codec("binary") == CODEC_BINARY
+        assert resolve_codec("json") == CODEC_JSON
+        for gone in ("msgpack", "protobuf"):
+            with pytest.raises(ConfigurationError, match="unknown frame codec"):
+                resolve_codec(gone)
 
     def test_bad_status_rejected(self):
         with pytest.raises(FrameError, match="status"):
@@ -290,19 +292,14 @@ class TestBatchScheduler:
         store = make_store()
 
         async def run():
-            scheduler = BatchScheduler(
-                store,
-                admission=AdmissionConfig(min_wait_us=100.0, max_wait_us=500.0),
-            )
+            scheduler = BatchScheduler(store)
             task = asyncio.ensure_future(
                 scheduler.submit(SlsRequest(id=1, table="emb", rows=(0, 1)))
             )
             await asyncio.sleep(0)  # enqueue + spawn the batcher
-            task.cancel()
-            await asyncio.sleep(0.05)  # let the batch window elapse
-            stats = scheduler.stats()
+            task.cancel()  # cancels the request's future before the batcher runs
             await scheduler.close()
-            return stats
+            return scheduler.stats()
 
         stats = asyncio.run(run())
         assert stats["empty_ticks"] == 1
@@ -434,6 +431,256 @@ class TestBatchScheduler:
         assert ticks >= 5
 
 
+# -- work-conserving batching ---------------------------------------------------
+
+
+class GatedStore:
+    """The scheduler's view of a store, with ``sls_scatter`` behind a gate.
+
+    A batch blocks in the offload thread until ``release`` is set, so a
+    test decides what arrives "while a batch runs" instead of sleeping
+    and hoping; ``calls`` records the size of every dispatched batch.
+    """
+
+    def __init__(self, store, released: bool = False):
+        self.store = store
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if released:
+            self.release.set()
+        self.calls = []
+
+    def validate_query(self, *args):
+        return self.store.validate_query(*args)
+
+    def sls_scatter(self, name, batch):
+        self.calls.append(len(batch))
+        self.entered.set()
+        assert self.release.wait(30), "gate never released"
+        return self.store.sls_scatter(name, batch)
+
+    async def running(self):
+        """Wait (off the loop, arming no timer) until a batch is executing."""
+        entered = await asyncio.get_running_loop().run_in_executor(
+            None, self.entered.wait, 30
+        )
+        assert entered, "no batch was dispatched"
+
+
+class TestWorkConservingBatcher:
+    def test_lone_request_leaves_at_once_with_no_timer(self):
+        store = make_store()
+        gate = GatedStore(store)
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at  # call_later goes through it
+            loop.call_at = lambda *a, **kw: timers.append(a) or call_at(*a, **kw)
+            scheduler = BatchScheduler(gate)
+            task = asyncio.ensure_future(
+                AsyncSlsClient.in_process(scheduler).sls("emb", [3, 1, 4])
+            )
+            await gate.running()  # dispatched with nothing else queued ...
+            assert timers == []   # ... and without waiting for company
+            gate.release.set()
+            result = await task
+            stats = scheduler.stats()
+            await scheduler.close()
+            return result, stats, timers
+
+        result, stats, timers = asyncio.run(run())
+        assert np.array_equal(result, store.sls("emb", [3, 1, 4]))
+        assert gate.calls == [1] and stats["batches"] == 1
+        assert timers == []
+        assert stats["admission.wait_us"] == 0.0
+
+    def test_arrivals_behind_a_running_batch_leave_as_one_batch(self):
+        store = make_store()
+        gate = GatedStore(store)
+        queries = make_queries(64, 10)
+
+        async def run():
+            scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
+            first = asyncio.ensure_future(client.sls("emb", queries[0]))
+            await gate.running()
+            rest = [asyncio.ensure_future(client.sls("emb", q)) for q in queries[1:]]
+            await asyncio.sleep(0)  # all nine are queued behind the running batch
+            gate.release.set()
+            results = await asyncio.gather(first, *rest)
+            stats = scheduler.stats()
+            await scheduler.close()
+            return np.asarray(results), stats
+
+        results, stats = asyncio.run(run())
+        assert np.array_equal(results, np.asarray([store.sls("emb", q) for q in queries]))
+        assert gate.calls == [1, 9]
+        assert stats["batches"] == 2
+
+    def test_simultaneous_submits_are_one_batch(self):
+        # The lockstep wave of benchmarks/e2e: 32 submits in one loop turn
+        # must not split into 1 + 31.
+        store = make_store()
+        gate = GatedStore(store, released=True)
+        queries = make_queries(64, 32)
+
+        async def run():
+            scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
+            results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
+            stats = scheduler.stats()
+            await scheduler.close()
+            return np.asarray(results), stats
+
+        results, stats = asyncio.run(run())
+        assert np.array_equal(results, np.asarray([store.sls("emb", q) for q in queries]))
+        assert gate.calls == [32]
+        assert stats["batches"] == 1 and stats["mean_batch_fill"] == 32.0
+
+    def test_max_batch_still_caps_a_batch(self):
+        gate = GatedStore(make_store(), released=True)
+
+        async def run():
+            scheduler = BatchScheduler(gate, max_batch=8)
+            client = AsyncSlsClient.in_process(scheduler)
+            await asyncio.gather(*[client.sls("emb", [i]) for i in range(20)])
+            await scheduler.close()
+
+        asyncio.run(run())
+        assert gate.calls == [8, 8, 4]
+
+    def test_requests_cancelled_while_queued_are_an_empty_tick(self):
+        gate = GatedStore(make_store())
+
+        async def run():
+            scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
+            first = asyncio.ensure_future(client.sls("emb", [0]))
+            await gate.running()
+            doomed = [asyncio.ensure_future(client.sls("emb", [i])) for i in (1, 2, 3)]
+            await asyncio.sleep(0)
+            for task in doomed:
+                task.cancel()
+            gate.release.set()
+            await first
+            await scheduler.close()
+            return scheduler.stats()
+
+        stats = asyncio.run(run())
+        assert gate.calls == [1]  # the cancelled three never reached the store
+        assert stats["empty_ticks"] == 1 and stats["batches"] == 1
+        assert stats["pending"] == 0
+
+    def test_close_drains_what_is_running_and_what_is_queued(self):
+        store = make_store()
+        gate = GatedStore(store)
+        queries = make_queries(64, 6)
+
+        async def run():
+            scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
+            first = asyncio.ensure_future(client.sls("emb", queries[0]))
+            await gate.running()
+            rest = [asyncio.ensure_future(client.sls("emb", q)) for q in queries[1:]]
+            await asyncio.sleep(0)
+            closing = asyncio.ensure_future(scheduler.close())
+            await asyncio.sleep(0)
+            late = await client.sls_response("emb", queries[0])  # draining: refused
+            gate.release.set()
+            results = await asyncio.gather(first, *rest)
+            await closing
+            return np.asarray(results), late, scheduler.stats()
+
+        results, late, stats = asyncio.run(run())
+        assert np.array_equal(results, np.asarray([store.sls("emb", q) for q in queries]))
+        assert late.status == STATUS_SHUTTING_DOWN
+        assert gate.calls == [1, 5] and stats["pending"] == 0
+
+    def test_malformed_query_never_joins_the_batch(self):
+        store = make_store()  # 64 rows
+        gate = GatedStore(store, released=True)
+
+        async def run():
+            scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
+            responses = await asyncio.gather(
+                client.sls_response("emb", [1, 2]),
+                client.sls_response("emb", [3, 64]),        # no such row
+                client.sls_response("emb", [4, 5], [1, -1]),  # negative weight
+                client.sls_response("emb", [-1]),           # would wrap to the last row
+                client.sls_response("emb", [6, 7], [2]),    # one weight for two rows
+                client.sls_response("emb", [8, 9]),
+            )
+            stats = scheduler.stats()
+            await scheduler.close()
+            return responses, stats
+
+        responses, stats = asyncio.run(run())
+        good = [responses[0], responses[5]]
+        assert [r.status for r in good] == [STATUS_OK, STATUS_OK]
+        assert np.array_equal(good[0].values, store.sls("emb", [1, 2]))
+        assert np.array_equal(good[1].values, store.sls("emb", [8, 9]))
+        for bad in responses[1:5]:
+            assert bad.status == "error" and bad.kind == "ConfigurationError"
+        assert "row id outside [0, 64)" in responses[1].error
+        assert "non-negative" in responses[2].error
+        assert "equal length" in responses[4].error
+        # Rejected before admission, and the batch they would have joined
+        # ran with the two good queries only.
+        assert gate.calls == [2]
+        assert stats["rejected_invalid"] == 4
+        assert stats["admission.admitted"] == 2
+
+    def test_validation_errors_keep_their_order(self):
+        # Same errors in the same order as the list-based _validate_query,
+        # then the row range, which only the array check has.
+        store = make_store()
+
+        def arrays(rows, weights):
+            return store.validate_query(
+                "emb",
+                np.asarray(rows, dtype=np.int64),
+                None if weights is None else np.asarray(weights, dtype=np.int64),
+            )
+
+        for rows, weights in [
+            ([0, 99], [1, -1, 2]),  # negative weight before length mismatch
+            ([0, 99], [1]),         # length mismatch before the budget
+            ([0, 99], [2**31, 1]),  # budget before the row range
+        ]:
+            with pytest.raises(ConfigurationError) as listed:
+                store._validate_query("emb", rows, weights)
+            with pytest.raises(ConfigurationError) as checked:
+                arrays(rows, weights)
+            assert str(checked.value) == str(listed.value)
+        with pytest.raises(ConfigurationError, match=r"row id outside \[0, 64\)"):
+            arrays([0, 99], None)
+        with pytest.raises(ConfigurationError, match="unknown table 'nope'"):
+            store.validate_query("nope", np.zeros(1, dtype=np.int64))
+        rows, weights = arrays([5, 5, 7], [1, 0, 3])
+        assert rows.dtype == np.int64 and weights.dtype == store.processor.ring.dtype
+        assert weights.tolist() == [1, 0, 3]
+
+    def test_engine_backed_batches_take_the_query_batch_as_is(self):
+        store = make_store(n_rows=128)
+        queries = make_queries(128, 12)
+        expected = np.asarray([store.sls("emb", q) for q in queries])
+
+        async def run(engine):
+            scheduler = BatchScheduler(store, engine=engine)
+            client = AsyncSlsClient.in_process(scheduler)
+            results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
+            stats = scheduler.stats()
+            await scheduler.close()
+            return np.asarray(results), stats
+
+        with ParallelSlsEngine(store, workers=2) as engine:
+            results, stats = asyncio.run(run(engine))
+        assert np.array_equal(results, expected)
+        assert stats["batches"] == 1
+
+
 # -- graceful shutdown (satellite 2) -------------------------------------------
 
 
@@ -557,22 +804,75 @@ class TestAdmissionController:
         with pytest.raises(ConfigurationError):
             AdmissionConfig(max_queue=0)
         with pytest.raises(ConfigurationError):
-            AdmissionConfig(min_wait_us=500.0, max_wait_us=100.0)
-        with pytest.raises(ConfigurationError):
-            AdmissionConfig(initial_wait_us=10.0)  # below min_wait_us
+            AdmissionConfig(eval_every=0)
+        # The batch window and its knobs are gone, not defaulted.
+        for gone in ("min_wait_us", "max_wait_us", "initial_wait_us"):
+            with pytest.raises(TypeError):
+                AdmissionConfig(**{gone: 100.0})
+        assert AdmissionController().stats()["wait_us"] == 0.0
 
-    def test_critical_burn_sheds_and_halves_window(self):
+    def test_critical_burn_sheds(self):
         ctl = self.controller()
-        start = ctl.wait_us
         for _ in range(100):
             ctl.record(10_000_000)  # 10ms >> the 1ms objective
         assert ctl.evaluate() == 2
         assert ctl.shedding
-        assert ctl.wait_us == pytest.approx(start / 2)
+        assert ctl.burn_rate == pytest.approx(20.0)  # 100% bad / 5% budget
         assert not ctl.admit(0)
         assert ctl.counters["shed_slo"] == 1
 
-    def test_hysteresis_then_recovery_widens_window(self):
+    def test_burn_matches_the_histogram_it_replaced(self):
+        # The running over-threshold count must read exactly what a
+        # LogHistogram rebuilt from the window read, bucket-midpoint
+        # semantics included, as the window fills and then slides.
+        from repro.obs.hist import LogHistogram
+
+        ctl = self.controller(window_obs=50)
+        rng = np.random.default_rng(3)
+        window = []
+        for ns in rng.integers(1, 4_000_000, size=300).tolist() + [1_000_000] * 5:
+            ctl.record(ns)
+            window = (window + [ns])[-50:]
+            ctl.evaluate()
+            bad = LogHistogram.of(window).fraction_above(ctl.spec.threshold)
+            assert ctl.burn_rate == bad / ctl.spec.budget
+
+    def test_shed_only_traffic_ages_the_burn_and_readmits(self):
+        # Regression (e2e lesson 4): once shedding, evaluate() was reached
+        # only from record() of *served* requests, so a controller that
+        # saw nothing but shed arrivals never resumed.
+        ctl = AdmissionController(
+            AdmissionConfig(slo=self.SLO, eval_every=8, window_obs=64),
+            clock=lambda: 0.0,  # time stands still: arrivals alone must do it
+        )
+        for _ in range(64):
+            ctl.record(10_000_000)
+        assert ctl.shedding
+        sheds = 0
+        while not ctl.admit(0):
+            sheds += 1
+            assert sheds <= 64 + 8, "latched: shed arrivals never re-admitted"
+        assert sheds >= 64  # every bad observation had to age out
+        assert not ctl.shedding and ctl.burn_rate == 0.0
+        assert ctl.counters["shed_slo"] == sheds
+
+    def test_elapsed_time_ages_the_burn(self):
+        now = [100.0]
+        ctl = AdmissionController(
+            AdmissionConfig(slo=self.SLO, eval_every=1, window_obs=64),
+            clock=lambda: now[0],
+        )
+        for _ in range(64):
+            ctl.record(10_000_000)
+        assert ctl.shedding
+        assert not ctl.admit(0)  # one arrival retires one observation
+        assert ctl.stats()["window_observations"] == 63
+        now[0] += 0.063  # 63 thresholds of 1 ms with no traffic at all
+        assert not ctl.admit(0)  # this arrival is still shed, but drains the rest
+        assert ctl.stats()["window_observations"] == 0
+        assert ctl.admit(0)
+
+    def test_hysteresis_then_recovery(self):
         ctl = self.controller(window_obs=100)
         for _ in range(100):
             ctl.record(10_000_000)
@@ -585,12 +885,10 @@ class TestAdmissionController:
         assert ctl.evaluate() == 1
         assert ctl.shedding
         # ...until the window is fully healthy again.
-        low = ctl.wait_us
         for _ in range(100):
             ctl.record(100_000)
         assert ctl.evaluate() == 0
         assert not ctl.shedding
-        assert ctl.wait_us > low  # multiplicative recovery
 
     def test_queue_depth_cap_is_deterministic(self):
         ctl = self.controller(max_queue=4)

@@ -1,0 +1,503 @@
+"""The binary client<->server frame: hostile peers and bit-identity.
+
+Two contracts (DESIGN.md Sec. 15).  *Hostile peer*: whatever bytes
+arrive, the decoder's only outcomes are a typed message or
+``FrameError``, and nothing it builds is larger than the frame it was
+given.  *Bit-identity*: a response is ``np.array_equal`` to a direct
+``store.sls`` whichever way it travelled - binary TCP, JSON TCP or the
+in-process transport - on every ring.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+from repro.errors import ConfigurationError
+from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
+from repro.serve.protocol import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    MAX_FRAME_BYTES,
+    STATUS_OK,
+    VIAS,
+    FrameError,
+    SlsRequest,
+    SlsResponse,
+    decode_payload,
+    encode_frame,
+    int64_terms,
+    read_frame,
+    take_segment,
+)
+from repro.workloads.secure_sls import SecureEmbeddingStore
+
+KEY = bytes(range(16))
+HEADER = struct.Struct("<BBHIQ")  # kind, flags, aux, count, id: the documented layout
+
+int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+tables = st.text(max_size=12)
+ids = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@st.composite
+def requests(draw):
+    rows = draw(st.lists(int64s, max_size=12))
+    weights = draw(st.none() | st.lists(int64s, min_size=len(rows), max_size=len(rows)))
+    return SlsRequest(
+        id=draw(ids),
+        table=draw(tables),
+        rows=np.asarray(rows, dtype=np.int64),
+        weights=None if weights is None else np.asarray(weights, dtype=np.int64),
+    )
+
+
+@st.composite
+def responses(draw):
+    values = draw(st.none() | st.lists(st.floats(allow_nan=True, width=64), max_size=12))
+    return SlsResponse(
+        id=draw(ids),
+        status=STATUS_OK,
+        values=None if values is None else np.asarray(values, dtype=np.float64),
+        via=draw(st.sampled_from(VIAS)),
+    )
+
+
+def payload_of(message) -> bytes:
+    frame = encode_frame(message, CODEC_BINARY)
+    assert frame[0] == CODEC_BINARY and struct.unpack(">I", frame[1:5])[0] == len(frame) - 5
+    return frame[5:]
+
+
+def same_bits(a, b) -> bool:
+    """Array fields equal bit for bit (NaN payloads and -0.0 included)."""
+    if a is None or b is None:
+        return a is None and b is None
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def decode_or_frame_error(payload: bytes):
+    """The single oracle: a typed message built from views of ``payload``,
+    or ``FrameError`` - never another exception, never an allocation."""
+    try:
+        message = decode_payload(CODEC_BINARY, payload)
+    except FrameError:
+        return None
+    assert isinstance(message, (SlsRequest, SlsResponse))
+    arrays = (
+        (message.rows, message.weights)
+        if isinstance(message, SlsRequest)
+        else (message.values,)
+    )
+    for array in arrays:
+        if array is not None:
+            assert not array.flags.owndata and not array.flags.writeable
+            assert array.nbytes <= len(payload)
+    return message
+
+
+# -- round trip ----------------------------------------------------------------------
+
+
+class TestBinaryRoundTrip:
+    @given(requests())
+    def test_request(self, request):
+        back = decode_payload(CODEC_BINARY, payload_of(request))
+        assert isinstance(back, SlsRequest) and back.op == "sls"
+        assert (back.id, back.table) == (request.id, request.table)
+        assert same_bits(back.rows, request.rows) and same_bits(back.weights, request.weights)
+        assert back.rows.dtype == np.int64
+
+    @given(responses())
+    def test_response(self, response):
+        back = decode_payload(CODEC_BINARY, payload_of(response))
+        assert isinstance(back, SlsResponse) and back.status == STATUS_OK
+        assert (back.id, back.via) == (response.id, response.via)
+        assert same_bits(back.values, response.values)
+
+    def test_layout_is_the_documented_one(self):
+        request = SlsRequest(id=7, table="emb", rows=(1, 2, 3), weights=(4, 5, 6))
+        payload = payload_of(request)
+        assert HEADER.unpack_from(payload) == (1, 1, 3, 3, 7)
+        assert payload[16:] == (
+            np.array([1, 2, 3, 4, 5, 6], dtype="<i8").tobytes() + b"emb"
+        )
+        response = SlsResponse(id=9, status=STATUS_OK, values=(0.5, -2.0), via="scatter")
+        payload = payload_of(response)
+        assert HEADER.unpack_from(payload) == (2, 1, VIAS.index("scatter"), 2, 9)
+        assert payload[16:] == np.array([0.5, -2.0], dtype="<f8").tobytes()
+        # 16 + 8 per element: the JSON body of the same response is larger
+        # from two values on.
+        assert len(payload) == 32
+
+    def test_tuples_and_arrays_encode_alike(self):
+        as_tuples = SlsRequest(id=1, table="t", rows=(5, 6), weights=(1, 2))
+        as_arrays = SlsRequest(
+            id=1, table="t", rows=np.array([5, 6]), weights=np.array([1, 2], dtype=np.uint8)
+        )
+        assert payload_of(as_tuples) == payload_of(as_arrays)
+
+    def test_other_messages_leave_as_json_frames(self):
+        # Probes, typed errors and anything with no binary body: same call,
+        # JSON frame, and the reader needs no negotiation to tell.
+        for message in (
+            SlsRequest(id=1, op="ping"),
+            SlsRequest(id=2, op="heartbeat"),
+            SlsRequest(id=3, op="sls", table=None),
+            SlsResponse(id=4, status="error", error="boom", kind="VerificationError"),
+            SlsResponse(id=5, status="overloaded", kind="OverloadedError"),
+            SlsResponse(id=6, status=STATUS_OK, via="some-future-path"),
+        ):
+            frame = encode_frame(message, CODEC_BINARY)
+            assert frame[0] == CODEC_JSON
+            assert frame == encode_frame(message.to_wire(), CODEC_JSON)
+            back = type(message).from_wire(decode_payload(CODEC_JSON, frame[5:]))
+            assert back.to_wire() == message.to_wire()
+
+
+# -- what the format cannot express --------------------------------------------------
+
+
+class TestInexpressible:
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [2**63],
+            [-(2**63) - 1],
+            np.array([2**63], dtype=np.uint64),
+            ["seven"],
+            [[1, 2]],
+            [None],
+        ],
+        ids=["2^63", "below-int64", "uint64-array", "string", "nested", "none"],
+    )
+    def test_terms_outside_int64_are_refused_not_wrapped(self, terms):
+        with pytest.raises(ConfigurationError):
+            int64_terms(terms, "weights")
+        with pytest.raises(ConfigurationError):
+            encode_frame(SlsRequest(id=1, table="t", rows=terms), CODEC_BINARY)
+
+    def test_terms_at_the_int64_edges_are_carried(self):
+        edge = [2**63 - 1, -(2**63), 0]
+        back = decode_payload(
+            CODEC_BINARY, payload_of(SlsRequest(id=1, table="t", rows=edge, weights=edge))
+        )
+        assert back.rows.tolist() == edge and back.weights.tolist() == edge
+        assert int64_terms(np.array([2**63 - 1], dtype=np.uint64), "rows").tolist() == [2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            SlsRequest(id=1, table="t", rows=(1, 2), weights=(1,)),
+            SlsRequest(id=-1, table="t", rows=(1,)),
+            SlsRequest(id=2**64, table="t", rows=(1,)),
+            SlsRequest(id=1, table="t" * 65_536, rows=(1,)),
+        ],
+        ids=["one-weight-two-rows", "negative-id", "id-2^64", "table-name-64KiB"],
+    )
+    def test_requests_the_header_cannot_hold(self, request_):
+        with pytest.raises(ConfigurationError):
+            encode_frame(request_, CODEC_BINARY)
+
+    def test_oversized_frame_is_refused_at_encode(self):
+        rows = np.zeros(MAX_FRAME_BYTES // 8 + 1, dtype=np.int64)
+        with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
+            encode_frame(SlsRequest(id=1, table="t", rows=rows), CODEC_BINARY)
+
+
+# -- hostile peer --------------------------------------------------------------------
+
+
+def mutated(draw, payload: bytes) -> bytes:
+    """One structure-aware mutation of a valid binary payload."""
+    kind, flags, aux, count, ident = HEADER.unpack_from(payload)
+    body = payload[HEADER.size:]
+    choice = draw(st.integers(min_value=0, max_value=7))
+    if choice == 0:  # truncated anywhere, header included
+        return payload[: draw(st.integers(min_value=0, max_value=len(payload) - 1))]
+    if choice == 1:  # count x width != remaining length
+        count = draw(st.integers(min_value=0, max_value=64).filter(lambda c: c != count))
+    elif choice == 2:  # count near 2^32
+        count = 2**32 - 1 - draw(st.integers(min_value=0, max_value=8))
+    elif choice == 3:  # unknown kind
+        kind = draw(st.integers(min_value=0, max_value=255).filter(lambda k: k not in (1, 2)))
+    elif choice == 4:  # unknown flag bits
+        flags = draw(st.integers(min_value=2, max_value=255))
+    elif choice == 5:  # aux: table length / via code
+        aux = draw(st.integers(min_value=0, max_value=2**16 - 1).filter(lambda a: a != aux))
+    elif choice == 6:  # trailing garbage
+        body += draw(st.binary(min_size=1, max_size=9))
+    else:  # a table name that is not UTF-8 (a no-op for responses)
+        if kind == 1 and aux:
+            body = body[:-1] + b"\xff"
+    return HEADER.pack(kind, flags, aux, count, ident) + body
+
+
+class TestHostilePeer:
+    @settings(max_examples=400)
+    @given(st.binary(max_size=96))
+    def test_arbitrary_bytes(self, payload):
+        decode_or_frame_error(payload)
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_mutated_valid_frames(self, data):
+        payload = payload_of(data.draw(requests() | responses()))
+        decode_or_frame_error(mutated(data.draw, payload))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_arbitrary_header_over_a_valid_body(self, data):
+        payload = payload_of(data.draw(requests() | responses()))
+        header = data.draw(st.binary(min_size=HEADER.size, max_size=HEADER.size))
+        decode_or_frame_error(header + payload[HEADER.size:])
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            (b"", "no header"),
+            (b"\x01" * 15, "no header"),
+            (HEADER.pack(1, 0, 0, 2, 1) + b"\0" * 8, "overruns"),           # 2 rows, 8 bytes
+            (HEADER.pack(1, 1, 0, 1, 1) + b"\0" * 8, "overruns"),           # weights missing
+            (HEADER.pack(1, 0, 0, 2**32 - 1, 1), "overruns"),               # count ~ 2^32
+            (HEADER.pack(2, 1, 0, 2**32 - 1, 1) + b"\0" * 64, "overruns"),
+            (HEADER.pack(1, 0, 3, 1, 1) + b"\0" * 8 + b"em", "table name declared as 3"),
+            (HEADER.pack(1, 0, 2, 1, 1) + b"\0" * 8 + b"\xc3\x28", "not UTF-8"),
+            (HEADER.pack(2, 0, 0, 3, 1), "value count"),                    # count, no array
+            (HEADER.pack(2, 1, 0, 1, 1) + b"\0" * 9, "value count"),        # trailing byte
+            (HEADER.pack(2, 0, len(VIAS), 0, 1), "unknown via"),
+            (HEADER.pack(3, 0, 0, 0, 1), "unknown binary message kind"),
+            (HEADER.pack(0, 0, 0, 0, 1), "unknown binary message kind"),
+            (HEADER.pack(1, 2, 0, 0, 1), "unknown binary frame flags"),
+        ],
+    )
+    def test_named_malformations(self, payload, match):
+        with pytest.raises(FrameError, match=match):
+            decode_payload(CODEC_BINARY, payload)
+
+    def test_take_segment_checks_before_it_builds(self):
+        buf = bytes(24)
+        array, end = take_segment(buf, 8, "<i8", 2)
+        assert array.tolist() == [0, 0] and end == 24 and not array.flags.owndata
+        for offset, count in [(8, 3), (24, 1), (0, 2**61), (0, -1)]:
+            with pytest.raises(FrameError, match="overruns"):
+                take_segment(buf, offset, "<i8", count)
+
+    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
+    def test_length_prefix_beyond_the_cap(self, codec):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(struct.pack(">BI", codec, MAX_FRAME_BYTES + 1))
+            with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
+                await read_frame(reader)
+
+        asyncio.run(run())
+
+    @settings(max_examples=200)
+    @given(st.binary(max_size=64))
+    def test_read_frame_over_arbitrary_streams(self, stream):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(stream)
+            reader.feed_eof()
+            try:
+                while await read_frame(reader) is not None:
+                    pass
+            except FrameError:
+                pass
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            {"id": 1, "rows": ["seven"]},
+            {"id": 1, "rows": [[1]]},
+            {"id": 1, "rows": 5},
+            {"id": "x", "rows": [1]},
+            {"id": 1, "rows": [1], "weights": [None]},
+            {"id": 1, "rows": [1e400]},
+        ],
+    )
+    def test_json_request_fields_are_typed_or_frame_error(self, wire):
+        with pytest.raises(FrameError):
+            SlsRequest.from_wire(wire)
+
+    @pytest.mark.parametrize("values", [["seven"], [[1.0]], 5, [None]])
+    def test_json_response_fields_are_typed_or_frame_error(self, values):
+        with pytest.raises(FrameError):
+            SlsResponse.from_wire({"id": 1, "status": "ok", "values": values})
+        with pytest.raises(FrameError):
+            SlsResponse.from_wire({"id": [], "status": "ok"})
+
+    def test_server_answers_malformed_frames_and_lives(self):
+        store = make_store(32)
+        garbage_json = encode_frame({"id": "x", "op": "sls", "rows": ["seven"]}, CODEC_JSON)
+        bad_binary = struct.pack(">BI", CODEC_BINARY, 16) + HEADER.pack(9, 0, 0, 0, 1)
+        response_as_request = encode_frame(SlsResponse(id=5, status=STATUS_OK), CODEC_BINARY)
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                answers = []
+                for frame in (garbage_json, response_as_request):
+                    writer.write(frame)
+                    answers.append(SlsResponse.from_wire(await read_frame(reader)))
+                # The connection survived both; a good query still works on it.
+                writer.write(encode_frame(SlsRequest(id=7, table="emb", rows=(1, 2)), CODEC_BINARY))
+                good = await read_frame(reader)
+                # A frame that does not decode at all ends the connection, typed.
+                writer.write(bad_binary)
+                last = SlsResponse.from_wire(await read_frame(reader))
+                assert await reader.read() == b""
+                writer.close()
+                return answers, good, last
+
+        answers, good, last = asyncio.run(run())
+        assert [a.kind for a in answers] == ["FrameError", "FrameError"]
+        assert isinstance(good, SlsResponse) and good.id == 7
+        assert np.array_equal(good.values, store.sls("emb", [1, 2]))
+        assert last.kind == "FrameError" and "kind 9" in last.error
+
+
+# -- bit-identity over every transport -----------------------------------------------
+
+
+def make_store(element_bits: int, n_rows: int = 48, dim: int = 8) -> SecureEmbeddingStore:
+    params = SecNDPParams(element_bits=element_bits)
+    store = SecureEmbeddingStore(
+        SecNDPProcessor(KEY, params),
+        UntrustedNdpDevice(params),
+        quantization="table",
+        bits=min(8, element_bits // 2),  # leave the narrow rings some pooling budget
+    )
+    store.add_table("emb", np.random.default_rng(element_bits).normal(size=(n_rows, dim)))
+    return store
+
+
+def sample_queries(store, n_rows: int, seed: int):
+    """Weighted, unweighted and empty queries inside the table's overflow budget."""
+    rng = np.random.default_rng(seed)
+    queries = [([], None), ([], [])]
+    for weighted in (False, True) * 8:
+        max_w = int(rng.integers(1, 4)) if weighted else 1
+        pf = int(rng.integers(1, min(store.max_pooling_factor("emb", max_w), 12) + 1))
+        rows = rng.integers(0, n_rows, size=pf).tolist()
+        queries.append((rows, rng.integers(0, max_w + 1, size=pf).tolist() if weighted else None))
+    return queries
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
+    def test_every_transport_equals_direct_sls(self, element_bits):
+        store = make_store(element_bits)
+        queries = sample_queries(store, 48, seed=element_bits)
+        expected = [store.sls("emb", rows, weights) for rows, weights in queries]
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                clients = {
+                    "binary": await AsyncSlsClient.connect("127.0.0.1", server.port),
+                    "json": await AsyncSlsClient.connect(
+                        "127.0.0.1", server.port, codec="json"
+                    ),
+                    "in_process": AsyncSlsClient.in_process(server.scheduler),
+                }
+                try:
+                    return {
+                        name: await asyncio.gather(
+                            *[client.sls("emb", rows, weights) for rows, weights in queries]
+                        )
+                        for name, client in clients.items()
+                    }
+                finally:
+                    for client in clients.values():
+                        await client.close()
+
+        for transport, answers in asyncio.run(run()).items():
+            for (rows, weights), answer, want in zip(queries, answers, expected):
+                assert answer.dtype == np.float64 and answer.flags.writeable
+                assert np.array_equal(answer, want), (transport, rows, weights)
+
+    def test_server_answers_each_frame_in_its_own_codec(self):
+        store = make_store(32)
+        request = SlsRequest(id=11, table="emb", rows=(3, 4), weights=(1, 2))
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                seen = []
+                for codec in (CODEC_JSON, CODEC_BINARY, CODEC_JSON):
+                    writer.write(encode_frame(request, codec))
+                    header = await reader.readexactly(5)
+                    payload = await reader.readexactly(struct.unpack(">I", header[1:])[0])
+                    seen.append((header[0], decode_payload(header[0], payload)))
+                writer.close()
+                return seen
+
+        seen = asyncio.run(run())
+        assert [codec for codec, _ in seen] == [CODEC_JSON, CODEC_BINARY, CODEC_JSON]
+        want = store.sls("emb", [3, 4], [1, 2])
+        assert np.array_equal(SlsResponse.from_wire(seen[0][1]).values, want)
+        assert np.array_equal(seen[1][1].values, want)
+
+    @pytest.mark.parametrize("transport", ["binary", "json", "in_process"])
+    def test_client_refuses_what_int64_cannot_hold(self, transport):
+        store = make_store(64)
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                if transport == "in_process":
+                    client = AsyncSlsClient.in_process(server.scheduler)
+                else:
+                    client = await AsyncSlsClient.connect(
+                        "127.0.0.1", server.port, codec=transport
+                    )
+                async with client:
+                    with pytest.raises(ConfigurationError, match="int64"):
+                        await client.sls("emb", [0], [2**63])
+                    with pytest.raises(ConfigurationError, match="int64"):
+                        await client.sls_response("emb", [2**64])
+                    if transport == "binary":
+                        with pytest.raises(ConfigurationError, match="binary frame"):
+                            await client.sls("emb" * 30_000, [0])
+                        with pytest.raises(ConfigurationError, match="equal length"):
+                            await client.sls("emb", [0, 1], [1])
+                    assert client._pending == {}  # nothing left waiting for an answer
+                    return await client.sls("emb", [0, 1], [2, 3]), server.stats()
+
+        answer, stats = asyncio.run(run())
+        assert np.array_equal(answer, store.sls("emb", [0, 1], [2, 3]))
+        assert stats["requests"] == 1  # the refused ones never left the client
+
+
+class TestSchedulerTakesEitherForm:
+    def test_tuple_and_array_requests_coalesce_into_one_batch(self):
+        store = make_store(32)
+
+        async def run():
+            scheduler = BatchScheduler(store)
+            responses = await asyncio.gather(
+                scheduler.submit(SlsRequest(id=1, table="emb", rows=(1, 2), weights=(3, 1))),
+                scheduler.submit(
+                    SlsRequest(id=2, table="emb", rows=np.array([5, 5, 9]), weights=None)
+                ),
+                scheduler.submit(SlsRequest(id=3, table="emb", rows=[2**70])),
+            )
+            stats = scheduler.stats()
+            await scheduler.close()
+            return responses, stats
+
+        (first, second, third), stats = asyncio.run(run())
+        assert np.array_equal(first.values, store.sls("emb", [1, 2], [3, 1]))
+        assert np.array_equal(second.values, store.sls("emb", [5, 5, 9]))
+        assert third.status == "error" and third.kind == "ConfigurationError"
+        assert stats["batches"] == 1 and stats["batch_queries"] == 2
+        # 5 rows referenced, 4 distinct: counted with np.unique on the CSR rows.
+        assert stats["dedupe_ratio"] == 4 / 5
