@@ -20,12 +20,12 @@ with JIT/compile warmup paid explicitly via ``kernels.warmup()`` before
 any timed region and bit-identity asserted against both the NumPy tier
 and the scalar ``PrimeField`` oracle.
 
-The **pad_path** section states the trusted-side pad path as an absolute
-budget instead of a ratio against a slower path: ns per cipher block for
-an all-miss and an all-hit ``pads_for_rows`` sweep next to the raw AES
-call, on every kernel tier this host has.  The **sls_wave** section does
-the same for a whole cold 32-query wave: what is not AES may cost at most
-3x the raw AES time of the wave's own blocks.
+The **pad_path** section states the trusted-side pad path in absolute
+terms: ns per cipher block to generate (capacity 0), miss and hit through
+``pads_for_rows`` next to the raw AES call, on every kernel tier this
+host has - the evidence for the tier-derived pad-cache default.  The
+**sls_wave** section holds a whole cold 32-query wave to an absolute,
+calibration-paired budget per tier.
 
 Results are printed and appended to ``BENCH_hotpaths.json`` at the repo
 root so later PRs can track the perf trajectory.  Scale via
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -50,6 +51,9 @@ from repro.crypto.aes import BLOCK_BYTES
 from repro.crypto.tweaked import DOMAIN_DATA
 from repro.parallel import ParallelSlsEngine
 from repro.workloads.secure_sls import SecureEmbeddingStore
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+import calib  # noqa: E402  (benchmarks/e2e: the host-speed calibration kernel)
 
 KEY = bytes(range(16))
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
@@ -79,6 +83,15 @@ def _counter_blocks(n_blocks: int) -> np.ndarray:
     ctr = np.arange(n_blocks, dtype=np.uint64)
     blocks[:, 8:] = ctr.byteswap().view(np.uint8).reshape(n_blocks, 8)
     return blocks
+
+
+def _fused_pads() -> bool:
+    """True when the native tier has the fused hardware-speed ``ctr_pads``
+    sweep (the C backend), under which pads are regenerated, not cached."""
+    if not kernels.native_available():
+        return False
+    with kernels.use_tier("native"):
+        return hasattr(kernels.active_native(), "ctr_pads")
 
 
 def _bench_matrix_tags(sizes) -> dict:
@@ -275,9 +288,12 @@ def _bench_tiering(sizes) -> dict:
     seeding the access tracker, sizing the pad caches to the hot-set
     footprint, and pre-generating hot-row OTP/tag pads must never make
     the p50 query latency worse than an untiered store with its
-    default-sized block cache (how much better depends on what a miss
-    costs, i.e. on the kernel tier; the pad_path section has that in
-    ns per block).  Four legs, all bit-exactness-gated:
+    default-sized block cache - on the NumPy tier, where a block costs
+    what a cache can save (the caller pins it; the pad_path section has
+    the ns per block).  Where the native tier has the fused pad sweep the
+    untiered store regenerates every pad, and leg 1 is run there too,
+    recorded as ``native_p50_speedup`` and not gated.  Four legs, all
+    bit-exactness-gated:
 
     1. baseline vs tiered per-query serve over the same 200-query
        ``production_trace``, three interleaved passes each so that both
@@ -344,24 +360,38 @@ def _bench_tiering(sizes) -> dict:
             lat[i] = time.perf_counter() - t0
         return lat, out
 
-    # Leg 1: baseline (default caches, no tracker) vs prewarmed tiering.
-    baseline = build()
-    tiered = build()
-    tiering = tiered.attach_tiering(config)
-    tiering.seed_from_trace("emb", trace)
-    cache_blocks, tag_cache_rows = tiering.apply_sizing()
-    prewarmed = tiering.prewarm_now()
-    coverage = tiering.coverage("emb")
-    passes_base, passes_tier = [], []
-    for _ in range(3):
-        lat_base, out_base = serve(baseline, queries)
-        lat_tier, out_tier = serve(tiered, queries)
-        assert np.array_equal(out_base, out_tier), "tiered SLS diverges from baseline"
-        passes_base.append(lat_base)
-        passes_tier.append(lat_tier)
-
     def pooled(passes, q):
         return float(np.median([np.percentile(lat, q) for lat in passes]))
+
+    # Leg 1: baseline (default caches, no tracker) vs prewarmed tiering.
+    def prewarmed_pair():
+        baseline, tiered = build(), build()
+        tiering = tiered.attach_tiering(config)
+        tiering.seed_from_trace("emb", trace)
+        sizing = tiering.apply_sizing()
+        return baseline, tiered, tiering, sizing, tiering.prewarm_now()
+
+    def interleaved(baseline, tiered):
+        passes_base, passes_tier = [], []
+        for _ in range(3):
+            lat_base, out_base = serve(baseline, queries)
+            lat_tier, out_tier = serve(tiered, queries)
+            assert np.array_equal(out_base, out_tier), "tiered SLS diverges from baseline"
+            passes_base.append(lat_base)
+            passes_tier.append(lat_tier)
+        return passes_base, passes_tier, out_base
+
+    baseline, tiered, tiering, (cache_blocks, tag_cache_rows), prewarmed = prewarmed_pair()
+    coverage = tiering.coverage("emb")
+    passes_base, passes_tier, out_base = interleaved(baseline, tiered)
+    out_tier = out_base  # asserted equal pass by pass
+    # The same leg where a block costs less to make than to find: the
+    # untiered store regenerates every pad (capacity 0), recorded ungated.
+    native_speedup = None
+    if _fused_pads():
+        with kernels.use_tier("native"):
+            native_base, native_tier, _ = interleaved(*prewarmed_pair()[:2])
+        native_speedup = pooled(native_base, 50) / pooled(native_tier, 50)
 
     # Leg 2: hot-set-only queries must be served from the prewarmed
     # block-pad and tag-pad LRUs.
@@ -436,6 +466,7 @@ def _bench_tiering(sizes) -> dict:
         "prewarm_p95_ms": tier_p95 * 1e3,
         "p50_speedup": base_p50 / tier_p50,
         "p95_speedup": base_p95 / tier_p95,
+        "native_p50_speedup": native_speedup,
         "hot_set_hit_rate": float(hot_hit_rate),
         "parallel_bit_identical": parallel_ok,
         "reencrypt_bit_identical": reencrypt_ok,
@@ -446,20 +477,25 @@ def _bench_tiering(sizes) -> dict:
 def _bench_pad_path(sizes) -> dict:
     """The trusted-side pad path in ns per cipher block, per kernel tier.
 
-    ROADMAP aim 1 asks for absolute per-layer budgets: the pad cache
-    exists to save AES calls, so what it costs is stated against the raw
-    AES call of the same tier (``aes128_encrypt_blocks`` over as many
-    counter blocks), through the call every query path makes,
-    ``ArithmeticEncryptor.pads_for_rows``:
+    ROADMAP aim 1 asks for absolute per-layer budgets.  A pad block can
+    be *made* (the cipher) or *found* (the pad cache), and the default
+    capacity of the cache is derived from which is cheaper on the active
+    tier (``OtpGenerator(cache_blocks=None)``, DESIGN.md Sec. 8).  This
+    section is the evidence, through the call every query path makes,
+    ``ArithmeticEncryptor.pads_for_rows``, next to the raw
+    ``aes128_encrypt_blocks`` call over as many counter blocks:
 
-    * **miss** - a sweep of distinct rows never seen before, ten times
-      the default cache's capacity (the serve_cold shape: every block is
-      generated, the sweep's tail displaces what was resident);
-    * **hit** - a resident sweep that exactly fills the default cache.
+    * **generate** - capacity 0: a sweep of distinct rows, every block
+      laid out and encrypted, nothing looked up or kept;
+    * **miss** - the same sweep at the default LRU capacity, ten times
+      its size (the serve_cold shape: every block is generated, probed
+      for and inserted, the sweep's tail displaces what was resident);
+    * **hit** - a resident sweep that exactly fills that capacity.
 
-    Budgets, asserted by ``test_hotpaths`` on every tier measured: a miss
-    costs <= 3x the raw AES call, a hit costs no more than a miss.  Both
-    sweeps are bit-identical to bulk pad generation.
+    Gates, asserted by ``test_hotpaths``: where the native tier has the
+    fused hardware-speed sweep, generate <= hit and generate <= 30 ns per
+    block; on the NumPy tier hit <= generate.  All sweeps are
+    bit-identical to bulk pad generation.
     """
     from repro.core.encryption import ArithmeticEncryptor
     from repro.crypto.aes import aes128_encrypt_blocks
@@ -479,60 +515,82 @@ def _bench_pad_path(sizes) -> dict:
         "blocks_per_row": blocks_per_row,
         "miss_blocks": miss_blocks,
         "hit_blocks": hit_blocks,
+        "native_fused": _fused_pads(),
     }
     tiers = ["numpy"] + (["native"] if kernels.native_available() else [])
     for tier in tiers:
         with kernels.use_tier(tier):
             kernels.warmup()
             encryptor = ArithmeticEncryptor(params.cipher(KEY), params)
+            otp = encryptor.otp
             matrix = encryptor.encrypt(
                 np.zeros((n_rows, dim), dtype=np.uint32), base, version=1
             )
-            bulk = encryptor.otp.pad_elements(base, n_rows * dim, 1).reshape(n_rows, dim)
+            bulk = otp.pad_elements(base, n_rows * dim, 1).reshape(n_rows, dim)
 
             counters = _counter_blocks(miss_blocks)
             t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), repeats)
 
-            sweeps = iter(
-                np.arange(hit_rows + k * miss_rows, hit_rows + (k + 1) * miss_rows)
-                for k in range(repeats)
-            )
-            t_miss, pads = _best_of(
-                lambda: encryptor.pads_for_rows(matrix, next(sweeps)), repeats
-            )
-            assert np.array_equal(pads, bulk[-miss_rows:]), "miss sweep diverges"
-            info = encryptor.otp.cache_info()
-            assert info.hits == 0 and info.misses == repeats * miss_blocks
+            def cold_sweeps():
+                """``repeats`` timed sweeps, each over rows never seen before."""
+                sweeps = iter(
+                    np.arange(hit_rows + k * miss_rows, hit_rows + (k + 1) * miss_rows)
+                    for k in range(repeats)
+                )
+                before = otp.cache_info()
+                t, pads = _best_of(
+                    lambda: encryptor.pads_for_rows(matrix, next(sweeps)), repeats
+                )
+                assert np.array_equal(pads, bulk[-miss_rows:]), "cold sweep diverges"
+                info = otp.cache_info()
+                assert info.hits == before.hits
+                assert info.misses - before.misses == repeats * miss_blocks
+                return t
+
+            otp.resize_cache(0)
+            t_generate = cold_sweeps()
+            otp.resize_cache(DEFAULT_CACHE_BLOCKS)
+            t_miss = cold_sweeps()
 
             resident = np.arange(hit_rows)
             encryptor.pads_for_rows(matrix, resident)
-            before = encryptor.otp.cache_info()
+            before = otp.cache_info()
             t_hit, pads = _best_of(
                 lambda: encryptor.pads_for_rows(matrix, resident), repeats
             )
             assert np.array_equal(pads, bulk[:hit_rows]), "hit sweep diverges"
-            assert encryptor.otp.cache_info().misses == before.misses
+            assert otp.cache_info().misses == before.misses
         report[tier] = {
             "aes_ns_per_block": t_aes / miss_blocks * 1e9,
+            "generate_ns_per_block": t_generate / miss_blocks * 1e9,
             "miss_ns_per_block": t_miss / miss_blocks * 1e9,
             "hit_ns_per_block": t_hit / hit_blocks * 1e9,
-            "miss_over_aes": t_miss / t_aes,
         }
     return report
 
 
+#: ``sls_wave`` budgets in ms per cold 32-query PF-80 wave at the
+#: reference box's quiet speed (each sample paired with a calibration
+#: run): about twice what the tiers read there.  ``native`` is the fused
+#: hardware-speed pad engine; a native backend without it (numba) is
+#: held to the T-table figure.
+_WAVE_BUDGET_MS = {"numpy": 100.0, "native": 5.0, "native_unfused": 20.0}
+
+
 def _bench_sls_wave(sizes) -> dict:
-    """A cold PF-80 wave against the raw AES time of its own blocks.
+    """A cold PF-80 wave against an absolute, host-normalised budget.
 
     The paper's claim (Sec. V, Fig. 7) is that trusted-side pad
-    generation - the AES engines - bounds a query.  Stated as a floor:
-    one 32-query wave of uniform, never-seen rows goes through
-    ``store.sls_many`` (validation, both halves of the split, combine,
-    verification, affine correction), and everything in it that is *not*
-    the cipher may cost at most 3x the raw AES call over as many blocks
-    (data pads plus one tag pad per distinct row), on every kernel tier
-    this host has.  Before the array-native batch path the native tier
-    read ~6x.
+    generation - the AES engines - bounds a query.  One 32-query wave of
+    uniform, never-seen rows goes through ``store.sls_many`` (validation,
+    both halves of the split, combine, verification, affine correction)
+    on every kernel tier this host has, next to the raw AES call over as
+    many blocks (data pads plus one tag pad per distinct row).  The gate
+    used to be "everything that is not AES costs <= 3x AES"; with a
+    hardware cipher AES is a few percent of the wave and that ratio
+    measures nothing, so the wave is held to ``_WAVE_BUDGET_MS`` instead,
+    each timed wave paired with a ``benchmarks/e2e/calib.py`` sample
+    taken right after it (median of the normalised waves).
     """
     from repro.crypto.aes import aes128_encrypt_blocks
 
@@ -558,18 +616,22 @@ def _bench_sls_wave(sizes) -> dict:
             store.add_table("emb", table)
             store.sls_many("emb", fresh[0].tolist())  # first-call set-up, untimed
             before = store.cache_info()
-            waves = iter(fresh[1:].tolist())
-            t_wave, out = _best_of(lambda: store.sls_many("emb", next(waves)), repeats)
+            normalised = []
+            for rows in fresh[1:].tolist():
+                t0 = time.perf_counter()
+                out = store.sls_many("emb", rows)
+                t_wave = time.perf_counter() - t0
+                normalised.append(calib.normalise(t_wave, calib.calib_s()))
             after = store.cache_info()
             assert after.hits == before.hits, "the wave was meant to miss every pad"
             assert after.misses - before.misses == repeats * wave * pf * blocks_per_row
             assert np.allclose(out[0], table[fresh[-1][0]].sum(axis=0), atol=pf * 0.05)
             t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), repeats)
+        budget = "native_unfused" if tier == "native" and not _fused_pads() else tier
         report[tier] = {
-            "wave_ms": t_wave * 1e3,
+            "wave_ms": float(np.median(normalised)) * 1e3,
+            "budget_ms": _WAVE_BUDGET_MS[budget],
             "aes_ms": t_aes * 1e3,
-            "outside_aes_over_aes": (t_wave - t_aes) / t_aes,
-            "aes_share": t_aes / t_wave,
         }
     return report
 
@@ -861,25 +923,29 @@ def test_hotpaths(scale):
         f"hot-set hit rate {ti['hot_set_hit_rate']:.3f}, "
         f"{ti['stale_pad_keys_after_purge']} stale pads after re-encrypt "
         f"(bit-identical incl. workers=2 + mid-trace re-encryption)"
+        + (
+            f"; native tier, untiered store regenerating: {ti['native_p50_speedup']:.2f}x p50"
+            if ti["native_p50_speedup"] is not None
+            else ""
+        )
     )
     pp = report["pad_path"]
     for tier in ("numpy", "native"):
         if tier in pp:
             print(
-                f"pad path [{tier}]: raw AES {pp[tier]['aes_ns_per_block']:.0f} ns/block, "
-                f"all-miss sweep {pp[tier]['miss_ns_per_block']:.0f} ns/block "
-                f"({pp[tier]['miss_over_aes']:.2f}x AES, {pp['miss_blocks']} blocks), "
-                f"all-hit sweep {pp[tier]['hit_ns_per_block']:.0f} ns/block "
-                f"({pp['hit_blocks']} blocks)"
+                f"pad path [{tier}]: raw AES {pp[tier]['aes_ns_per_block']:.1f} ns/block, "
+                f"generate (capacity 0) {pp[tier]['generate_ns_per_block']:.1f}, "
+                f"miss {pp[tier]['miss_ns_per_block']:.1f} ({pp['miss_blocks']} blocks), "
+                f"hit {pp[tier]['hit_ns_per_block']:.1f} ({pp['hit_blocks']} blocks)"
             )
     sw = report["sls_wave"]
     for tier in ("numpy", "native"):
         if tier in sw:
             print(
                 f"sls wave [{tier}]: {sw['queries']} cold PF-{sw['pooling_factor']} queries "
-                f"{sw[tier]['wave_ms']:.2f} ms, raw AES of its {sw['aes_blocks']} blocks "
-                f"{sw[tier]['aes_ms']:.2f} ms ({sw[tier]['aes_share']:.0%} of the wave; "
-                f"the rest is {sw[tier]['outside_aes_over_aes']:.2f}x AES)"
+                f"{sw[tier]['wave_ms']:.2f} ms host-normalised (budget "
+                f"{sw[tier]['budget_ms']:.0f}), raw AES of its {sw['aes_blocks']} blocks "
+                f"{sw[tier]['aes_ms']:.2f} ms"
             )
     ob = report["obs"]
     print(
@@ -931,24 +997,24 @@ def test_hotpaths(scale):
     # correctness-preserving, not a perf claim.
     if scale.name in ("default", "paper") and pl["workers_effective"] > 0:
         assert pl["parallel_seconds"] <= pl["sequential_seconds"]
-    # Pad path budgets (ROADMAP item 2: absolute, not ratios against a
-    # slower path): on every kernel tier measured, a cache miss costs at
-    # most 3x the raw AES call it wraps and a hit no more than a miss -
-    # the gate that shows when the bookkeeping around the cipher has
-    # become dearer than the cipher.
-    for tier in ("numpy", "native"):
-        if tier in pp:
-            assert pp[tier]["miss_ns_per_block"] <= 3.0 * pp[tier]["aes_ns_per_block"], tier
-            assert pp[tier]["hit_ns_per_block"] <= pp[tier]["miss_ns_per_block"], tier
-    # The paper's claim as a floor: on a cold wave the work around the
-    # cipher costs at most 3x the cipher itself.
+    # Pad path: what justifies the derived default capacity.  Where the
+    # native tier has the fused hardware-speed sweep a block is cheaper
+    # to make than to find (and costs an absolute <= 30 ns through
+    # pads_for_rows); on the NumPy tier a resident block is cheaper.
+    if pp["native_fused"]:
+        assert pp["native"]["generate_ns_per_block"] <= pp["native"]["hit_ns_per_block"]
+        assert pp["native"]["generate_ns_per_block"] <= 30.0
+    assert pp["numpy"]["hit_ns_per_block"] <= pp["numpy"]["generate_ns_per_block"]
+    # A cold wave inside its absolute, host-normalised budget per tier.
     for tier in ("numpy", "native"):
         if tier in sw:
-            assert sw[tier]["outside_aes_over_aes"] <= 3.0, tier
+            assert sw[tier]["wave_ms"] <= sw[tier]["budget_ms"], tier
     # Hot-row tiering: sizing and prewarming never cost p50 against the
     # untiered store over the same skewed trace (medians of interleaved
-    # passes).  Hit rate and bit-identity hold at every scale (the
-    # exactness asserts live inside _bench_tiering).
+    # passes) on the NumPy tier, where a block costs what a cache can
+    # save; the native-tier ratio is printed above, ungated.  Hit rate
+    # and bit-identity hold at every scale (the exactness asserts live
+    # inside _bench_tiering).
     assert ti["prewarm_p50_ms"] <= ti["baseline_p50_ms"]
     assert ti["hot_set_hit_rate"] >= 0.9
     assert ti["parallel_bit_identical"] and ti["reencrypt_bit_identical"]

@@ -63,6 +63,11 @@ class _RowChecksum:
         self.field: PrimeField = params.field()
         self._weight_cache: dict = {}
 
+    def _secret_block(self, matrix_addr: int, version: int) -> int:
+        """``encrypt_counter_int`` (its oracle) through the vectorised cipher."""
+        block = self.cipher.encrypt_counters(DOMAIN_CHECKSUM, [matrix_addr], version)
+        return int.from_bytes(block.tobytes(), "big")
+
     def _cached_weights(self, key, build):
         """``build()`` once per ``key`` (a key and a row length), FIFO-capped."""
         cached = self._weight_cache.get(key)
@@ -121,7 +126,7 @@ class LinearChecksum(_RowChecksum):
 
     def secret_point(self, matrix_addr: int, version: int) -> int:
         """Derive ``s`` (Alg. 2 line 4) for the matrix at ``matrix_addr``."""
-        pad = self.cipher.encrypt_counter_int(DOMAIN_CHECKSUM, matrix_addr, version)
+        pad = self._secret_block(matrix_addr, version)
         # "first w_t bits" of the cipher output, reduced into the field.
         s = pad >> (self.params.block_bits - self.params.tag_bits)
         return self.field.reduce(s)
@@ -161,7 +166,7 @@ class MultiPointChecksum(_RowChecksum):
 
     def secret_points(self, matrix_addr: int, version: int) -> list:
         """The ``s_k`` substrings of ``E(K, 01 || paddr(P) || v)`` (line 8)."""
-        pad = self.cipher.encrypt_counter_int(DOMAIN_CHECKSUM, matrix_addr, version)
+        pad = self._secret_block(matrix_addr, version)
         points = []
         w_t = self.params.tag_bits
         for k in range(self.cnt_s):

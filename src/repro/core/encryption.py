@@ -18,7 +18,8 @@ blocks, so the blocks of the distinct rows of a query are one
 broadcast ``row_addr + 16 * arange(blocks_per_row)`` — already distinct
 and ascending — and go straight to the block-pad cache of
 :class:`~repro.crypto.otp.OtpGenerator`, which serves resident blocks
-with one vectorised gather.  That cache is the only pad cache on the
+with one vectorised gather (or, at capacity 0, regenerates them in one
+fused sweep).  That cache is the only pad cache on the
 data path; the tiering layer sizes it to the hot-set footprint.
 """
 
@@ -36,7 +37,17 @@ from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError
 from .params import SecNDPParams
 
-__all__ = ["EncryptedMatrix", "ArithmeticEncryptor"]
+__all__ = ["EncryptedMatrix", "ArithmeticEncryptor", "row_slabs"]
+
+#: Plaintext bytes per bulk-encryption slab, which bounds the sweep's
+#: temporaries (addresses, cipher output, row tags) whatever the table.
+SLAB_BYTES = 1 << 20
+
+
+def row_slabs(n_rows: int, row_bytes: int) -> list:
+    """Half-open row ranges of ~:data:`SLAB_BYTES` (one, empty, for no rows)."""
+    step = max(1, SLAB_BYTES // max(row_bytes, 1))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
 
 
 @dataclass
@@ -153,8 +164,15 @@ class ArithmeticEncryptor:
             raise ConfigurationError(
                 f"base address {base_addr:#x} must be {BLOCK_BYTES}-byte aligned"
             )
-        pads = self.otp.pad_elements(base_addr, n * m, version).reshape(n, m)
-        ciphertext = self.ring.sub(plaintext, pads)
+        # Rows that are not whole cipher blocks cannot start a slab.
+        row_bytes = m * self.params.element_bytes
+        slabs = [(0, n)] if row_bytes % BLOCK_BYTES else row_slabs(n, row_bytes)
+        ciphertext = np.empty_like(plaintext)
+        for lo, hi in slabs:
+            pads = self.otp.pad_elements(
+                base_addr + lo * row_bytes, (hi - lo) * m, version
+            ).reshape(hi - lo, m)
+            np.subtract(plaintext[lo:hi], pads, out=ciphertext[lo:hi])
         return EncryptedMatrix(
             ciphertext=ciphertext,
             base_addr=base_addr,

@@ -44,7 +44,7 @@ from ..crypto.otp import OtpCacheInfo, PadBlockCache
 from ..crypto.prime_field import PrimeField
 from ..crypto.tweaked import DOMAIN_TAG, TweakedCipher
 from .checksum import LinearChecksum, MultiPointChecksum
-from .encryption import EncryptedMatrix
+from .encryption import EncryptedMatrix, row_slabs
 from .params import SecNDPParams
 
 __all__ = ["EncryptedLinearMac"]
@@ -179,16 +179,17 @@ class EncryptedLinearMac:
             raise ValueError("plaintext/ciphertext shape mismatch")
         key = self.checksum.key_for(encrypted.base_addr, checksum_version)
         obs.inc("mac.rows_tagged", int(encrypted.n_rows))
-        with obs.span("mac.tag_sweep"):
-            tags = self.checksum.row_tag_limbs(plaintext, key)
-        row_addrs = encrypted.row_addrs(np.arange(encrypted.n_rows))
-        with obs.span("mac.pad_sweep"):
-            # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
-            # would evict exactly the hot query rows worth keeping.
-            pads = self._tag_pads_raw(row_addrs, tag_version)
-        encrypted.tag_limbs = limb_field.field_sub(self.field, tags, pads).astype(
-            np.uint32
-        )
+        tag_limbs = np.empty((encrypted.n_rows, limb_field.NUM_LIMBS), dtype=np.uint32)
+        for lo, hi in row_slabs(encrypted.n_rows, encrypted.row_bytes):
+            with obs.span("mac.tag_sweep"):
+                tags = self.checksum.row_tag_limbs(plaintext[lo:hi], key)
+            row_addrs = encrypted.row_addrs(np.arange(lo, hi))
+            with obs.span("mac.pad_sweep"):
+                # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
+                # would evict exactly the hot query rows worth keeping.
+                pads = self._tag_pads_raw(row_addrs, tag_version)
+            tag_limbs[lo:hi] = limb_field.field_sub(self.field, tags, pads)
+        encrypted.tag_limbs = tag_limbs
         encrypted.checksum_version = checksum_version
         encrypted.tag_version = tag_version
 

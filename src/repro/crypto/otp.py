@@ -17,13 +17,15 @@ deduplicates them, the row-granular path in :mod:`repro.core.encryption`
 derives them from distinct rows — and serves them through
 :class:`PadBlockCache`, a per-(version, address) LRU of recently
 generated pad blocks.  Pads are a pure function of ``(K, version,
-address)``, so caching is semantically invisible; repeated SLS queries
-over hot embedding rows skip the cipher entirely.
+address)``, so caching is semantically invisible; it is consulted only
+where a block costs more to make than to find, so its default capacity
+is 0 — regenerate, like the paper's AES engines — under the fused
+hardware-speed pad sweep and :data:`DEFAULT_CACHE_BLOCKS` elsewhere.
 
 The cache costs a fixed number of NumPy passes per *call*, never a
 Python step per block (DESIGN.md Sec. 8 has the measured ns per block
-for a miss, a hit and the raw AES call), so the cipher — not the
-bookkeeping around it — bounds a cold query.
+to generate, miss and hit), so the cipher — not the bookkeeping around
+it — bounds a cold query.
 
 Concurrency note: the hot-row tiering layer (:mod:`repro.tiering`) feeds
 this cache from a background prewarmer thread while the serving thread
@@ -35,10 +37,11 @@ callers get copies, never views of slab rows an eviction could reuse.
 from __future__ import annotations
 
 import threading
-from typing import Dict, NamedTuple
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
+from .. import kernels as _kernels
 from .. import obs
 from .aes import BLOCK_BYTES
 from .ring import Ring
@@ -155,8 +158,14 @@ class PadBlockCache:
         Resident blocks are copied out of the slab and become the most
         recently used, in ``addrs`` order; the rest are produced by one
         ``generate(missing_addrs)`` call and become resident after them.
-        Returns ``(pads, hits, evicted)``.
+        Returns ``(pads, hits, evicted)``.  With capacity 0 nothing is
+        looked up or kept: every block is generated and counted a miss.
         """
+        if not self.capacity:
+            pads = generate(addrs)
+            with self._lock:
+                self.misses += addrs.size
+            return pads, 0, 0
         with self._lock:
             lo, hi = self._version_range(version)
             at = lo + self._addr[lo:hi].searchsorted(addrs)
@@ -285,15 +294,21 @@ class OtpGenerator:
         Element ring ``Z(2^w_e)``; determines how each 128-bit pad block is
         sliced into elements (``l = w_c / w_e`` per block).
     cache_blocks:
-        Capacity of the block-pad LRU (0 disables caching).
+        Capacity of the block-pad LRU (0 disables caching).  Default: 0
+        when the active kernel backend has the fused ``ctr_pads`` sweep
+        (a block is then cheaper to generate than to find, DESIGN.md
+        Sec. 8), :data:`DEFAULT_CACHE_BLOCKS` on every other tier.
     """
 
     def __init__(
-        self, cipher: TweakedCipher, ring: Ring, cache_blocks: int = DEFAULT_CACHE_BLOCKS
+        self, cipher: TweakedCipher, ring: Ring, cache_blocks: Optional[int] = None
     ):
         self.cipher = cipher
         self.ring = ring
         self.elements_per_block = BLOCK_BYTES * 8 // ring.width
+        if cache_blocks is None:
+            fused = hasattr(_kernels.active_native(), "ctr_pads")
+            cache_blocks = 0 if fused else DEFAULT_CACHE_BLOCKS
         self._cache = PadBlockCache(cache_blocks, self.elements_per_block, ring.dtype)
 
     @property
@@ -316,8 +331,8 @@ class OtpGenerator:
         Callers pass *distinct* ``uint64`` block addresses; only cache
         misses reach the cipher, in one vectorized sweep.
         """
-        if not self.cache_blocks or not 0 <= version <= _MAX_VERSION:
-            # No capacity, or a version the cipher's layout will reject.
+        if not 0 <= version <= _MAX_VERSION:
+            # A version the cipher's layout will reject.
             return self._encrypt_blocks(block_addrs, version)
         block_addrs = np.asarray(block_addrs, dtype=np.uint64)
         pads, hits, evicted = self._cache.lookup(

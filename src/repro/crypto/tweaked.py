@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .. import kernels as _kernels
 from .aes import AES128, BLOCK_BYTES, aes128_encrypt_blocks
 
 __all__ = [
@@ -91,6 +92,15 @@ class CounterBlockLayout:
         )
         return value.to_bytes(BLOCK_BYTES, "big")
 
+    def check_many(self, domain: int, addrs: np.ndarray, version: int) -> None:
+        """The range checks of :meth:`pack` over a ``uint64`` address array."""
+        if domain not in _VALID_DOMAINS:
+            raise ValueError(f"invalid domain bits {domain:#04b}")
+        if addrs.size and int(addrs.max()) >= (1 << self.addr_bits):
+            raise ValueError("address does not fit in layout")
+        if not 0 <= version < (1 << self.version_bits):
+            raise ValueError("version does not fit in layout")
+
     def pack_many(
         self, domain: int, addrs: np.ndarray, version: int
     ) -> np.ndarray:
@@ -99,12 +109,7 @@ class CounterBlockLayout:
         Returns a ``uint8`` array of shape ``(len(addrs), 16)``.
         """
         addrs = np.asarray(addrs, dtype=np.uint64)
-        if domain not in _VALID_DOMAINS:
-            raise ValueError(f"invalid domain bits {domain:#04b}")
-        if addrs.size and int(addrs.max()) >= (1 << self.addr_bits):
-            raise ValueError("address does not fit in layout")
-        if not 0 <= version < (1 << self.version_bits):
-            raise ValueError("version does not fit in layout")
+        self.check_many(domain, addrs, version)
 
         # Assemble the 128-bit block as two 64-bit halves (big-endian):
         # hi covers bits [127..64], lo covers bits [63..0].
@@ -163,7 +168,18 @@ class TweakedCipher:
     def encrypt_counters(
         self, domain: int, addrs: Sequence[int] | np.ndarray, version: int
     ) -> np.ndarray:
-        """Vectorised pad generation: one 16-byte pad row per address."""
+        """Vectorised pad generation: one 16-byte pad row per address.
+
+        One fused sweep where the native backend offers ``ctr_pads``;
+        ``pack_many`` + :func:`aes128_encrypt_blocks` is the NumPy-tier
+        path and the oracle, bit-identical and with the same range checks.
+        """
         addrs = np.asarray(addrs, dtype=np.uint64)
-        blocks = self.layout.pack_many(domain, addrs, version)
-        return aes128_encrypt_blocks(self._key, blocks)
+        layout = self.layout
+        fused = getattr(_kernels.active_native(), "ctr_pads", None)
+        if fused is not None:
+            layout.check_many(domain, addrs, version)
+            pads = fused(self._key, domain, layout.addr_bits, layout.pad_bits, version, addrs)
+            if pads is not None:
+                return pads
+        return aes128_encrypt_blocks(self._key, layout.pack_many(domain, addrs, version))

@@ -14,6 +14,8 @@ magnitude of throughput when a backend is available:
   ``~/.cache/secndp-kernels`` (override with ``SECNDP_KERNEL_CACHE``)
   and loaded via :mod:`ctypes`.  No third-party dependency; JIT cost is
   paid once per source hash, workers just ``dlopen`` the cached object.
+  Its pad engine (AES blocks and the fused ``ctr_pads`` counter-mode
+  sweep) uses AES-NI where the CPU has it, chosen at run time.
 
 Tier policy
 -----------

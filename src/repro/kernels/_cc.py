@@ -2,18 +2,21 @@
 
 A single small C translation unit implements the limb-field primitives
 (127-bit Mersenne arithmetic on 64-bit words with ``unsigned __int128``
-intermediates) and a T-table AES-128 block sweep.  It is compiled once
-per source hash with the host C compiler into a content-addressed
-shared library under ``SECNDP_KERNEL_CACHE`` (default
-``~/.cache/secndp-kernels``) and loaded via :mod:`ctypes` — no
-third-party dependency, and spawn-pool workers just ``dlopen`` the
-cached object instead of recompiling.
+intermediates) and the pad engine: an AES-128 block sweep (AES-NI body
+chosen at run time where the CPU has one, portable T-table body
+elsewhere; DESIGN.md Sec. 14) and the fused counter-mode sweep over it.
+It is compiled once per (source, compiler, host CPU) with the host C
+compiler into a content-addressed shared library under
+``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
+via :mod:`ctypes` — no third-party dependency, and spawn-pool workers
+just ``dlopen`` the cached object instead of recompiling.
 
 Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
-fails its load-time self-test (FIPS-197 AES vector plus big-int
-cross-checks of every field kernel) — the tier dispatcher treats that
-exactly like numba being absent and falls back to NumPy.
+fails its load-time self-test (FIPS-197 AES vector, the AES bodies
+against each other, big-int cross-checks of every field kernel) — the
+tier dispatcher treats that exactly like numba being absent and falls
+back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
 contract; the dispatch sites in ``crypto/limb_field.py`` and
@@ -26,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -301,9 +305,11 @@ static void build_tables(void) {
     t_ready = 1;
 }
 
-/* Encrypt n 16-byte blocks under pre-expanded round keys (176 bytes). */
-void secndp_aes128_blocks(const u8 *rk, const u8 *in, long long n,
-                          u8 *out) {
+/* Encrypt n 16-byte blocks under pre-expanded round keys (176 bytes):
+ * the portable body (look-ups indexed by key-dependent state bytes);
+ * in == out is fine, a block is read whole before it is written. */
+void secndp_aes128_blocks_ttable(const u8 *rk, const u8 *in, long long n,
+                                 u8 *out) {
     u32 rk32[44];
     long long b;
     int r, c, i;
@@ -328,6 +334,89 @@ void secndp_aes128_blocks(const u8 *rk, const u8 *in, long long n,
         }
         for (i = 0; i < 16; i++)
             o[i] = AES_SBOX[s[AES_SHIFT[i]]] ^ rk[160 + i];
+    }
+}
+
+/* The AES-NI body: 8 blocks in flight, no table look-ups.  Chosen at
+ * run time, so neither the flags the build got nor whose cached .so
+ * this is decides what executes. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define HW_AES __attribute__((target("aes,sse2")))
+
+#define hw_aes() (__builtin_cpu_supports("aes") != 0)
+
+HW_AES static inline void hw_group(const __m128i *k, const u8 *in, u8 *out,
+                                   int cnt) {
+    __m128i s[8];
+    int r, j;
+    for (j = 0; j < cnt; j++)
+        s[j] = _mm_xor_si128(_mm_loadu_si128((const __m128i *)in + j), k[0]);
+    for (r = 1; r < 10; r++)
+        for (j = 0; j < cnt; j++)
+            s[j] = _mm_aesenc_si128(s[j], k[r]);
+    for (j = 0; j < cnt; j++)
+        _mm_storeu_si128((__m128i *)out + j, _mm_aesenclast_si128(s[j], k[10]));
+}
+
+HW_AES static void hw_blocks(const u8 *rk, const u8 *in, long long n, u8 *out) {
+    __m128i k[11];
+    long long b;
+    int j;
+    for (j = 0; j < 11; j++)
+        k[j] = _mm_loadu_si128((const __m128i *)rk + j);
+    for (b = 0; b + 8 <= n; b += 8)
+        hw_group(k, in + 16 * b, out + 16 * b, 8);
+    if (b < n)
+        hw_group(k, in + 16 * b, out + 16 * b, (int)(n - b));
+}
+#else
+#define hw_aes() 0
+#define hw_blocks(rk, in, n, out) ((void)0)
+#endif
+
+int secndp_aes_hw(void) { return hw_aes(); }
+
+void secndp_aes128_blocks(const u8 *rk, const u8 *in, long long n, u8 *out) {
+    if (hw_aes())
+        hw_blocks(rk, in, n, out);
+    else
+        secndp_aes128_blocks_ttable(rk, in, n, out);
+}
+
+/* OR a <= 64-bit field at bit offset shift from the block's LSB into
+ * its big-endian halves hi (bits 127..64) / lo. */
+static inline void or_field(u64 v, int shift, u64 *hi, u64 *lo) {
+    if (shift >= 64) {
+        *hi |= v << (shift - 64);
+    } else {
+        *lo |= v << shift;
+        if (shift > 0)
+            *hi |= v >> (64 - shift);
+    }
+}
+
+/* Fused counter mode: out[i] = E(K, D || addrs[i] || v || 0..), the
+ * counter blocks (CounterBlockLayout.pack; big-endian via bswap, the
+ * T-table memcpy's little-endian assumption, self-tested alike) laid
+ * out and encrypted in place, a cache-resident chunk at a time.  The
+ * caller has range-checked domain, addresses and version. */
+void secndp_ctr_pads(const u8 *rk, int domain, int addr_bits, int pad_bits,
+                     u64 version, const u64 *addrs, long long n, u8 *out) {
+    u64 chi = 0, clo = 0;
+    long long b, i, end;
+    or_field((u64)domain, 126, &chi, &clo);
+    or_field(version, pad_bits, &chi, &clo);
+    for (b = 0; b < n; b = end) {
+        end = n - b < 256 ? n : b + 256;
+        for (i = b; i < end; i++) {
+            u64 be[2] = {chi, clo};
+            or_field(addrs[i], 126 - addr_bits, &be[0], &be[1]);
+            be[0] = __builtin_bswap64(be[0]);
+            be[1] = __builtin_bswap64(be[1]);
+            memcpy(out + 16 * i, be, 16);
+        }
+        secndp_aes128_blocks(rk, out + 16 * b, end - b, out + 16 * b);
     }
 }
 """
@@ -373,23 +462,37 @@ def _find_compiler() -> str:
     raise NativeUnavailable("no C compiler found (set CC or install gcc/clang)")
 
 
+def _host_id() -> str:
+    """The CPU ``-march=native`` code is tuned for: machine + flags line."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next((ln for ln in fh if ln.startswith(("flags", "Features"))), "")
+    except OSError:
+        flags = ""
+    return f"{platform.machine()}:{hashlib.sha256(flags.encode()).hexdigest()[:16]}"
+
+
 def _build() -> str:
     """Compile (or reuse) the shared library; returns its path.
 
-    The filename is content-addressed by the rendered source, so any
-    kernel change compiles to a fresh object and stale caches are
-    simply never hit.  The compile lands under a temp name and is
+    The filename is content-addressed by the rendered source, the
+    compiler and the host CPU (what ``-march=native`` compiled for, and
+    so which flags were accepted), so any kernel change compiles to a
+    fresh object, stale caches are simply never hit, and a cache
+    directory shared between hosts never hands one CPU code tuned for
+    another.  The compile lands under a temp name and is
     os.replace'd in, which keeps concurrent spawn-pool workers safe:
     they either see the finished .so or compile their own and race
     benignly on the rename.
     """
     source = _render_source()
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    cc = _find_compiler()
+    key = "\0".join([source, cc, _host_id()])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
     so_path = os.path.join(cache, f"secndp_{digest}.so")
     if os.path.exists(so_path):
         return so_path
-    cc = _find_compiler()
     c_path = os.path.join(cache, f"secndp_{digest}.c")
     fd, tmp_c = tempfile.mkstemp(suffix=".c", dir=cache)
     with os.fdopen(fd, "w") as fh:
@@ -439,8 +542,12 @@ def _load() -> ctypes.CDLL:
     lib.secndp_fold.restype = None
     lib.secndp_horner.argtypes = [_U64P, _LL, _LL, ctypes.c_uint64, ctypes.c_uint64, _U64P]
     lib.secndp_horner.restype = None
-    lib.secndp_aes128_blocks.argtypes = [_U8P, _U8P, _LL, _U8P]
-    lib.secndp_aes128_blocks.restype = None
+    for fn in (lib.secndp_aes128_blocks, lib.secndp_aes128_blocks_ttable):
+        fn.argtypes = [_U8P, _U8P, _LL, _U8P]
+        fn.restype = None
+    lib.secndp_ctr_pads.argtypes = [_U8P, *[ctypes.c_int] * 3, ctypes.c_uint64, _U64P, _LL, _U8P]
+    lib.secndp_ctr_pads.restype = None
+    lib.secndp_aes_hw.restype = ctypes.c_int
     return lib
 
 
@@ -551,18 +658,40 @@ def _round_key_bytes(key: bytes) -> np.ndarray:
     return np.frombuffer(b"".join(_expand_key(key)), dtype=np.uint8)
 
 
-def aes_blocks(key: bytes, blocks: np.ndarray) -> Optional[np.ndarray]:
-    """Encrypt validated ``(n, 16)`` uint8 blocks under an AES-128 key."""
+def aes_blocks(key: bytes, blocks: np.ndarray, ttable: bool = False) -> Optional[np.ndarray]:
+    """Encrypt validated ``(n, 16)`` uint8 blocks under an AES-128 key
+    (``ttable``: the portable body even where the CPU has AES-NI)."""
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[1] != 16:
         return None
     rk = _round_key_bytes(bytes(key))
     out = np.empty_like(blocks)
     if blocks.shape[0]:
-        _lib.secndp_aes128_blocks(
-            _u8p(rk), _u8p(blocks), blocks.shape[0], _u8p(out)
+        fn = _lib.secndp_aes128_blocks_ttable if ttable else _lib.secndp_aes128_blocks
+        fn(_u8p(rk), _u8p(blocks), blocks.shape[0], _u8p(out))
+    return out
+
+
+def ctr_pads(
+    key: bytes, domain: int, addr_bits: int, pad_bits: int, version: int, addrs: np.ndarray
+) -> Optional[np.ndarray]:
+    """``E(K, D || A || v || 0..)`` per range-checked ``uint64`` address:
+    ``CounterBlockLayout.pack`` and the cipher fused into one sweep."""
+    if addr_bits > 64 or not 0 <= version < 1 << 64:
+        return None
+    addrs = np.ascontiguousarray(addrs, dtype=np.uint64).reshape(-1)
+    out = np.empty((addrs.size, 16), dtype=np.uint8)
+    if addrs.size:
+        _lib.secndp_ctr_pads(
+            _u8p(_round_key_bytes(bytes(key))), domain, addr_bits, pad_bits,
+            version, _u64p(addrs), addrs.size, _u8p(out),
         )
     return out
+
+
+def aes_body() -> str:
+    """Which AES body serves this process: ``"aesni"`` or ``"ttable"``."""
+    return "aesni" if _lib.secndp_aes_hw() else "ttable"
 
 
 def warmup() -> None:
@@ -579,10 +708,10 @@ def warmup() -> None:
 
 # ---------------------------------------------------------------------------
 # Load-time self-test: big-int cross-checks of every field kernel plus
-# the FIPS-197 Appendix B vector.  Any mismatch (including an
-# endianness surprise in the T-table memcpy) raises NativeUnavailable
-# so dispatch falls back to the NumPy tier instead of serving wrong
-# bits.
+# the FIPS-197 vector and a cross-check of the AES bodies.  Any mismatch
+# (including an endianness surprise in the T-table memcpy) raises
+# NativeUnavailable so dispatch falls back to the NumPy tier instead of
+# serving wrong bits.
 # ---------------------------------------------------------------------------
 
 
@@ -642,11 +771,26 @@ def _self_test() -> None:
     if got != want:
         raise NativeUnavailable("self-test failed: horner")
 
+    # AES: the FIPS-197 vector on both bodies, then the serving body
+    # against the portable one on 1/8/9-block sweeps (the hardware body's
+    # tail, full and full-plus-tail shapes), raw and fused.
     key = bytes(range(16))
     pt = np.frombuffer(bytes.fromhex("00112233445566778899aabbccddeeff"), dtype=np.uint8)
-    ct = aes_blocks(key, pt.reshape(1, 16))
-    if ct.tobytes().hex() != "69c4e0d86a7b0430d8cdb78070b4c55a":
-        raise NativeUnavailable("self-test failed: AES-128 FIPS-197 vector")
+    for ttable in (True, False):
+        ct = aes_blocks(key, pt.reshape(1, 16), ttable=ttable)
+        if ct.tobytes().hex() != "69c4e0d86a7b0430d8cdb78070b4c55a":
+            raise NativeUnavailable("self-test failed: AES-128 FIPS-197 vector")
+    rng = np.random.default_rng(197)
+    for n, (domain, addr_bits, pad_bits) in zip((1, 8, 9), ((0, 38, 24), (1, 64, 0), (2, 7, 100))):
+        addrs = rng.integers(0, 1 << min(addr_bits, 63), size=n, dtype=np.uint64)
+        version = (1 << min(64, 126 - addr_bits - pad_bits)) - 1
+        blocks = np.frombuffer(b"".join(
+            (domain << 126 | int(a) << 126 - addr_bits | version << pad_bits).to_bytes(16, "big")
+            for a in addrs), dtype=np.uint8).reshape(n, 16)
+        want = aes_blocks(key, blocks, ttable=True)
+        fused = ctr_pads(key, domain, addr_bits, pad_bits, version, addrs)
+        if not all(np.array_equal(got, want) for got in (aes_blocks(key, blocks), fused)):
+            raise NativeUnavailable("self-test failed: AES bodies / fused counter mode disagree")
 
 
 _lib = _load()

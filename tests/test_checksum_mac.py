@@ -12,7 +12,9 @@ from repro.core import (
     MultiPointChecksum,
     SecNDPParams,
 )
+from repro import kernels
 from repro.crypto import TweakedCipher
+from repro.crypto.tweaked import DOMAIN_CHECKSUM
 
 KEY = bytes(range(16))
 
@@ -37,6 +39,23 @@ class TestLinearChecksum:
         cipher, params = setup
         cs = LinearChecksum(cipher, params)
         assert 0 <= cs.secret_point(0x1000, 0) < params.tag_modulus
+
+    @pytest.mark.parametrize("tier", ["scalar", "numpy", "auto"])
+    def test_secrets_equal_the_scalar_cipher_oracle(self, setup, tier):
+        """Derived through encrypt_counters; encrypt_counter_int is the oracle."""
+        cipher, params = setup
+        small = SecNDPParams(element_bits=32, tag_modulus=(1 << 31) - 1)
+        with kernels.use_tier(tier):
+            for addr, version in [(0, 0), (0x1000, 7), ((1 << 38) - 16, (1 << 64) - 1)]:
+                pad = cipher.encrypt_counter_int(DOMAIN_CHECKSUM, addr, version)
+                want = (pad >> (128 - params.tag_bits)) % params.tag_modulus
+                assert LinearChecksum(cipher, params).secret_point(addr, version) == want
+                mp = MultiPointChecksum(cipher, small)
+                assert mp.cnt_s == 4
+                assert mp.secret_points(addr, version) == [
+                    ((pad >> (128 - 31 * (k + 1))) & ((1 << 31) - 1)) % small.tag_modulus
+                    for k in range(4)
+                ]
 
     def test_row_tag_matches_definition(self, setup):
         cipher, params = setup
@@ -137,6 +156,25 @@ class TestEncryptedMac:
         for i in range(6):
             tag = mac.decrypt_tag(e.tags[i], e.row_addr(i), 2)
             assert tag == mac.checksum.row_tag(pt[i], s)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 8, 9, 17])
+    def test_attach_tags_in_slabs_equals_row_by_row(self, setup, n_rows, monkeypatch):
+        from repro.core import encryption
+
+        monkeypatch.setattr(encryption, "SLAB_BYTES", 8 * 32)  # 8 rows per slab
+        cipher, params = setup
+        enc = ArithmeticEncryptor(cipher, params)
+        mac = EncryptedLinearMac(cipher, params)
+        rng = np.random.default_rng(n_rows)
+        pt = rng.integers(0, 2**32, size=(n_rows, 8), dtype=np.uint64).astype(np.uint32)
+        e = enc.encrypt(pt, 0x5000, version=0)
+        mac.attach_tags(e, pt, checksum_version=1, tag_version=2)
+        assert e.tag_limbs.shape == (n_rows, 4) and e.tag_limbs.dtype == np.uint32
+        s = mac.checksum.secret_point(0x5000, 1)
+        assert list(e.tags) == [
+            mac.encrypt_tag(mac.checksum.row_tag(pt[i], s), e.row_addr(i), 2)
+            for i in range(n_rows)
+        ]
 
     def test_attach_tags_shape_mismatch(self, setup):
         cipher, params = setup

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ArithmeticEncryptor, SecNDPParams
+from repro.core import ArithmeticEncryptor, SecNDPParams, encryption
 from repro.crypto import TweakedCipher
 from repro.errors import ConfigurationError
 
@@ -17,6 +17,37 @@ KEY = bytes(range(16))
 def make_encryptor(element_bits=32):
     params = SecNDPParams(element_bits=element_bits)
     return ArithmeticEncryptor(TweakedCipher(KEY), params), params
+
+
+class TestSlabEncryption:
+    """Bulk encryption in bounded row slabs is the one-sweep ciphertext."""
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 8, 9, 16, 17])
+    def test_rows_around_the_slab_edge(self, n_rows, monkeypatch):
+        monkeypatch.setattr(encryption, "SLAB_BYTES", 8 * 32)  # 8 rows per slab
+        assert len(encryption.row_slabs(17, 32)) == 3
+        enc, _ = make_encryptor()
+        rng = np.random.default_rng(n_rows)
+        pt = rng.integers(0, 2**32, size=(n_rows, 8), dtype=np.uint64).astype(np.uint32)
+        e = enc.encrypt(pt, 0x2000, version=5)
+        pads = enc.otp.pad_elements(0x2000, pt.size, 5).reshape(pt.shape)
+        assert e.ciphertext.dtype == np.uint32
+        assert np.array_equal(e.ciphertext, enc.ring.sub(pt, pads))
+        assert np.array_equal(enc.decrypt(e), pt)
+
+    def test_rows_that_are_not_whole_blocks_keep_the_single_sweep(self, monkeypatch):
+        monkeypatch.setattr(encryption, "SLAB_BYTES", 16)
+        enc, _ = make_encryptor(element_bits=8)
+        rng = np.random.default_rng(3)
+        pt = rng.integers(0, 256, size=(6, 8), dtype=np.uint8)  # 8-byte rows
+        e = enc.encrypt(pt, 0x2000, version=5)
+        pads = enc.otp.pad_elements(0x2000, 48, 5).reshape(6, 8)
+        assert np.array_equal(e.ciphertext, enc.ring.sub(pt, pads))
+
+    def test_empty_matrix_still_checks_its_version(self):
+        enc, _ = make_encryptor()
+        with pytest.raises(ValueError, match="version does not fit"):
+            enc.encrypt(np.zeros((0, 8), dtype=np.uint32), 0x2000, version=-1)
 
 
 class TestRoundtrip:
@@ -128,6 +159,7 @@ class TestRowAddressing:
     )
     def test_row_granular_path_matches_bulk(self, rows, monkeypatch):
         enc, _ = make_encryptor()
+        enc.otp.resize_cache(4096)  # the default capacity is tier-derived
         e = enc.encrypt(np.zeros((16, 8), dtype=np.uint32), 0x2000, version=3)
         bulk = enc.otp.pad_elements(0x2000, 128, 3).reshape(16, 8)
         # 32-byte rows are whole blocks: no per-element addressing.

@@ -10,6 +10,7 @@ to NumPy with exactly one counter bump and zero warnings.
 
 from __future__ import annotations
 
+import platform
 import warnings
 
 import numpy as np
@@ -22,6 +23,13 @@ from repro.cli import main as cli_main
 from repro.crypto import limb_field as lf
 from repro.crypto.aes import AES128, aes128_encrypt_blocks
 from repro.crypto.prime_field import MERSENNE_127, PrimeField
+from repro.crypto.tweaked import (
+    DOMAIN_CHECKSUM,
+    DOMAIN_DATA,
+    DOMAIN_TAG,
+    CounterBlockLayout,
+    TweakedCipher,
+)
 from repro.errors import ConfigurationError
 
 P = MERSENNE_127
@@ -393,6 +401,129 @@ class TestCrossTierBitIdentity:
         finally:
             obs.disable()
             obs.reset()
+
+
+# ---------------------------------------------------------------------------
+# The pad engine: hardware / T-table AES bodies and the fused counter-mode
+# sweep are bit-identical to pack_many + aes128_encrypt_blocks and to the
+# scalar cipher, on every tier (not gated on a native backend: the scalar
+# and NumPy tiers are checked everywhere).
+# ---------------------------------------------------------------------------
+
+try:  # the C backend directly, so its portable body runs on AES-NI hosts too
+    from repro.kernels import _cc
+except (ImportError, kernels.NativeUnavailable, OSError):
+    _cc = None
+
+_PAD_TIERS = ("scalar", "numpy") + (("native",) if NATIVE else ())
+PAD_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+# NIST SP 800-38A F.1.1 ECB-AES128.Encrypt.
+_SP800_38A = [
+    ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97"),
+    ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf"),
+    ("30c81c46a35ce411e5fbc1191a0a52ef", "43b1cd7f598ece23881b00e3ed030688"),
+    ("f69f2445df4f9b17ad2b417be66c3710", "7b0c785e27e8ad3f8223207104725dd4"),
+]
+# (addr_bits, version_bits): the 38/64 default (version straddles the
+# 64-bit half), address fields that end at / straddle the half, a version
+# wholly in the high half, and the one-bit extremes.
+_LAYOUTS = [(38, 64), (62, 64), (63, 63), (64, 62), (64, 1), (1, 64), (10, 20), (1, 1)]
+
+
+class TestPadEngineBitIdentity:
+    def test_self_test_selected_the_hardware_body_where_the_cpu_has_one(self):
+        if _cc is None:
+            pytest.skip("no C backend on this host")
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = next((ln for ln in fh if ln.startswith("flags")), "")
+        except OSError:
+            flags = ""
+        has_aes = platform.machine() in ("x86_64", "AMD64") and " aes " in flags + " "
+        print(f"AES body: {_cc.aes_body()}")
+        assert _cc.aes_body() == ("aesni" if has_aes else "ttable")
+
+    def test_nist_sp800_38a_ecb_vectors(self):
+        blocks = np.frombuffer(
+            bytes.fromhex("".join(pt for pt, _ in _SP800_38A)), dtype=np.uint8
+        ).reshape(-1, 16)
+        want = "".join(ct for _, ct in _SP800_38A)
+        oracle = AES128(PAD_KEY)
+        assert b"".join(oracle.encrypt_block(b.tobytes()) for b in blocks).hex() == want
+        for tier in _PAD_TIERS:
+            with kernels.use_tier(tier):
+                assert aes128_encrypt_blocks(PAD_KEY, blocks).tobytes().hex() == want
+        if _cc is not None:
+            assert _cc.aes_blocks(PAD_KEY, blocks, ttable=True).tobytes().hex() == want
+            assert _cc.aes_blocks(PAD_KEY, blocks).tobytes().hex() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(_LAYOUTS),
+        st.sampled_from([DOMAIN_DATA, DOMAIN_CHECKSUM, DOMAIN_TAG]),
+        st.booleans(),
+        st.sampled_from([0, 1, 7, 8, 9, 511, 512, 513]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_encrypt_counters_equals_pack_then_encrypt_equals_scalar(
+        self, bits, domain, top_version, n, seed
+    ):
+        layout = CounterBlockLayout(*bits)
+        cipher = TweakedCipher(PAD_KEY, layout)
+        version = (1 << layout.version_bits) - 1 if top_version else 0
+        top = (1 << layout.addr_bits) - 1
+        rng = np.random.default_rng(seed)
+        addrs = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
+        if n:
+            addrs[0], addrs[-1] = 0, top if n > 1 or seed % 2 else 0
+        oracle = AES128(PAD_KEY)
+        want = np.frombuffer(
+            b"".join(
+                oracle.encrypt_block(layout.pack(domain, int(a), version)) for a in addrs
+            ),
+            dtype=np.uint8,
+        ).reshape(n, 16)
+        for tier in _PAD_TIERS:
+            with kernels.use_tier(tier):
+                got = cipher.encrypt_counters(domain, addrs, version)
+                assert got.shape == (n, 16) and np.array_equal(got, want), tier
+                packed = layout.pack_many(domain, addrs, version)
+                assert np.array_equal(aes128_encrypt_blocks(PAD_KEY, packed), want), tier
+        if _cc is not None:
+            args = (PAD_KEY, domain, layout.addr_bits, layout.pad_bits, version, addrs)
+            assert np.array_equal(_cc.ctr_pads(*args), want)
+            assert np.array_equal(_cc.aes_blocks(PAD_KEY, packed, ttable=True), want)
+
+    def test_fused_kernel_declines_what_a_uint64_cannot_carry(self):
+        if _cc is None:
+            pytest.skip("no C backend on this host")
+        addrs = np.zeros(1, dtype=np.uint64)
+        assert _cc.ctr_pads(PAD_KEY, 0, 65, 0, 0, addrs) is None
+        assert _cc.ctr_pads(PAD_KEY, 0, 10, 0, 1 << 64, addrs) is None
+        # ... and encrypt_counters then serves it from pack(): one block.
+        cipher = TweakedCipher(PAD_KEY, CounterBlockLayout(addr_bits=10, version_bits=100))
+        for tier in _PAD_TIERS:
+            with kernels.use_tier(tier):
+                assert cipher.encrypt_counters(0, [3], 5).tobytes() == (
+                    cipher.encrypt_counter(0, 3, 5)
+                )
+
+    @pytest.mark.parametrize(
+        "domain, addr, version, message",
+        [
+            (0b11, 0, 0, "invalid domain bits 0b11"),
+            (DOMAIN_DATA, 1 << 38, 0, "address does not fit in layout"),
+            (DOMAIN_DATA, 0, 1 << 64, "version does not fit in layout"),
+            (DOMAIN_TAG, 0, -1, "version does not fit in layout"),
+        ],
+    )
+    def test_range_errors_read_the_same_on_every_tier(self, domain, addr, version, message):
+        cipher = TweakedCipher(PAD_KEY)
+        for tier in _PAD_TIERS:
+            with kernels.use_tier(tier):
+                with pytest.raises(ValueError) as err:
+                    cipher.encrypt_counters(domain, np.array([0, addr], dtype=np.uint64), version)
+                assert str(err.value) == message, tier
 
 
 @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels, obs
 from repro.crypto import OtpGenerator, RING8, RING32, TweakedCipher
-from repro.crypto.otp import OtpCacheInfo
+from repro.crypto.otp import DEFAULT_CACHE_BLOCKS, OtpCacheInfo
 
 KEY = bytes(range(16))
 
@@ -103,7 +104,7 @@ class TestBlockDedupeAndCache:
         assert gen.cache_info().hits == 0
 
     def test_repeat_query_hits_cache(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32)
+        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
         addrs = np.arange(8, dtype=np.uint64) * 4 + 0x1000
         gen.pad_elements_at(addrs, 0)
         before = gen.cache_info().misses
@@ -125,11 +126,12 @@ class TestBlockDedupeAndCache:
     def test_cache_disabled(self):
         gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
         addrs = np.array([0x1000, 0x1004], dtype=np.uint64)
-        ref = OtpGenerator(TweakedCipher(KEY), RING32)
+        ref = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
         assert np.array_equal(
             gen.pad_elements_at(addrs, 0), ref.pad_elements_at(addrs, 0)
         )
-        assert gen.cache_info().hits == 0 and gen.cache_info().misses == 0
+        # Nothing is looked up; the one block generated still counts.
+        assert gen.cache_info().hits == 0 and gen.cache_info().misses == 1
 
     def test_lru_eviction_bounds_cache(self):
         gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=2)
@@ -168,7 +170,8 @@ class TestCacheInfo:
         assert info == (0, 0, 0, 0, gen32.cache_blocks)
         assert info.maxsize == gen32.cache_blocks
 
-    def test_hits_misses_reported(self, gen32):
+    def test_hits_misses_reported(self):
+        gen32 = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
         addrs = np.arange(8, dtype=np.uint64) * 4 + 0x1000
         gen32.pad_elements_at(addrs, 0)  # 2 distinct blocks -> 2 misses
         gen32.pad_elements_at(addrs, 0)  # same blocks -> 2 hits
@@ -206,7 +209,58 @@ class TestCacheInfo:
         info = gen.cache_info()
         assert info.maxsize == 0
         assert info.currsize == 0
-        assert info.hits == 0 and info.misses == 0
+        assert info.hits == 0 and info.misses == 1  # generated, not looked up
+
+
+class TestDerivedDefaultCapacity:
+    """The default capacity follows what a block costs to make (DESIGN Sec. 8)."""
+
+    def test_default_is_regenerate_on_the_fused_tier_and_the_lru_elsewhere(self):
+        with kernels.use_tier("numpy"):
+            assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == DEFAULT_CACHE_BLOCKS
+        with kernels.use_tier("scalar"):
+            assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == DEFAULT_CACHE_BLOCKS
+        if kernels.native_available():
+            with kernels.use_tier("native"):
+                # cc has the fused ctr_pads sweep; numba does not.
+                want = 0 if kernels.backend_name() == "cc" else DEFAULT_CACHE_BLOCKS
+                assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == want
+
+    def test_capacity_zero_counts_every_generated_block_as_a_miss(self):
+        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        addrs = _BASE + 16 * np.arange(5, dtype=np.uint64)
+        gen.pads_for_blocks(addrs, 1)
+        gen.pads_for_blocks(addrs[:3], 1)
+        assert gen.cache_info() == (0, 8, 0, 0, 0)
+        obs.reset()
+        obs.enable()
+        try:
+            gen.pads_for_blocks(addrs, 1)
+            assert obs.snapshot()["counters"]["otp.cache.miss"] == 5
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_explicit_resize_behaves_as_before(self):
+        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        addrs = _BASE + 16 * np.arange(4, dtype=np.uint64)
+        gen.resize_cache(8)
+        gen.pads_for_blocks(addrs, 0)
+        gen.pads_for_blocks(addrs, 0)
+        assert gen.cache_info() == (4, 4, 0, 4, 8)
+
+    def test_repeating_stream_pads_identical_at_capacity_0_and_4096(self):
+        regenerate = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        cached = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
+        rng = np.random.default_rng(20)
+        for _ in range(12):
+            elems = _BASE + 4 * rng.integers(0, 96, size=40).astype(np.uint64)
+            version = int(rng.integers(0, 2))
+            assert np.array_equal(
+                regenerate.pad_elements_at(elems, version),
+                cached.pad_elements_at(elems, version),
+            )
+        assert cached.cache_info().hits > 0 and regenerate.cache_info().hits == 0
 
 
 class _DictLru:
@@ -222,6 +276,7 @@ class _DictLru:
 
     def lookup(self, version, block_addrs):
         if not self.capacity:
+            self.misses += len(block_addrs)  # every block is generated
             return
         missing = []
         for addr in block_addrs:
