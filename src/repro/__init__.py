@@ -17,8 +17,9 @@ A from-scratch Python reproduction of the complete SecNDP system:
 * :mod:`repro.analysis` - energy (Table V), area, accuracy (Table IV).
 * :mod:`repro.harness` - per-table / per-figure experiment drivers.
 * :mod:`repro.obs` - metrics registry + phase tracing across all layers.
-* :mod:`repro.kernels` - optional compiled tier (numba JIT / C) for the
-  limb-field and AES hot paths behind ``SECNDP_KERNEL_TIER`` dispatch.
+* :mod:`repro.kernels` - optional compiled tier (C, built with the host
+  compiler) for the limb-field and AES hot paths behind
+  ``SECNDP_KERNEL_TIER`` dispatch.
 
 Quickstart::
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro fig7 --scale paper --workers 4
     python -m repro chaos --fault-rate 1e-3 --workers 2
     python -m repro chaos --plan ci-default
-    python -m repro table3 --scale smoke --stats --prewarm --hot-fraction 0.05
     python -m repro obs report --scale smoke --slo "sls.batch.p99<50ms"
     python -m repro obs report --prom metrics.prom --events audit.jsonl
     python -m repro chaos --events audit.jsonl --slo "verify.failure_rate<0.2"
@@ -26,10 +25,6 @@ writes a Chrome/Perfetto trace of the phase spans (DESIGN.md Sec. 9).
 ``--workers N`` fans the experiment grid across N processes
 (DESIGN.md Sec. 10); the default comes from ``SECNDP_WORKERS`` or the
 CPU count, and ``--workers 0`` forces the in-process path.
-``--prewarm`` attaches hot-row tiering (DESIGN.md Sec. 12) to the
-functional serving paths and pre-generates hot-set pads before queries;
-``--hot-fraction F`` caps the hot set, and ``--stats`` then also prints
-the fleet-wide pad-cache hit rates (store + pool workers).
 
 Telemetry (DESIGN.md Sec. 13): ``obs report`` runs a functional serving
 pass and prints percentile tables, SLO budget status and recorded
@@ -207,20 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a Chrome/Perfetto trace of the run's phase spans to PATH",
     )
     parser.add_argument(
-        "--prewarm",
-        action="store_true",
-        help="attach hot-row tiering and pre-generate OTP/tag pads for the "
-        "hot set before serving (chaos and functional-shadow paths)",
-    )
-    parser.add_argument(
-        "--hot-fraction",
-        type=float,
-        default=None,
-        metavar="F",
-        help="cap the tiering hot set at F of each table's rows "
-        "(default: coverage-driven)",
-    )
-    parser.add_argument(
         "--slo",
         action="append",
         default=None,
@@ -378,8 +359,6 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
                 run_functional_shadow(
                     scale,
                     workers=workers,
-                    prewarm=args.prewarm,
-                    hot_fraction=args.hot_fraction,
                 )
             snap = obs.snapshot(include_samples=True)
             log = obs.event_log()
@@ -749,8 +728,6 @@ def main(argv=None) -> int:
             f"invalid scale {args.scale!r} "
             f"(choose from: {', '.join(sorted(_SCALES))})"
         )
-    if args.hot_fraction is not None and not 0.0 < args.hot_fraction <= 1.0:
-        return _fail(f"--hot-fraction must be in (0, 1], got {args.hot_fraction}")
 
     # Resolve the kernel tier before any experiment runs: a typo in
     # --kernel-tier or SECNDP_KERNEL_TIER (or an unsatisfiable 'native'
@@ -831,8 +808,6 @@ def main(argv=None) -> int:
                         scale,
                         rates,
                         workers=chaos_workers,
-                        prewarm=args.prewarm,
-                        hot_fraction=args.hot_fraction,
                     )
                 print(sweep.render())
                 print(f"[chaos sweep finished in {time.time() - started:.1f}s]\n")
@@ -885,8 +860,6 @@ def main(argv=None) -> int:
                     scale,
                     plan=plan,
                     workers=chaos_workers,
-                    prewarm=args.prewarm,
-                    hot_fraction=args.hot_fraction,
                 )
             print(result.render())
             print(f"[chaos finished in {time.time() - started:.1f}s]\n")
@@ -931,15 +904,12 @@ def main(argv=None) -> int:
             collected[name] = result
             print(result.render())
             print(f"[{name} finished in {time.time() - started:.1f}s]\n")
-        cache_views = None
         if collect:
             # The experiment drivers are timing models; one functional
             # pass populates the crypto/protocol-layer counters too.
-            cache_views = run_functional_shadow(
+            run_functional_shadow(
                 scale,
                 workers=workers,
-                prewarm=args.prewarm,
-                hot_fraction=args.hot_fraction,
             )
         if args.json:
             path = export_results(collected, args.json)
@@ -947,21 +917,6 @@ def main(argv=None) -> int:
         if args.stats:
             print("== metrics ==")
             print(obs.format_snapshot(obs.snapshot()))
-            if cache_views is not None:
-                # Fleet-wide (store + pool workers) pad-cache summary;
-                # the same numbers appear as otp.cache.fleet.* gauges.
-                print("== pad caches (fleet) ==")
-                for label, info in (
-                    ("otp", cache_views["otp"]),
-                    ("tag", cache_views["tag"]),
-                ):
-                    served = info.hits + info.misses
-                    rate = info.hits / served if served else 0.0
-                    print(
-                        f"  {label:4s} hits={info.hits} misses={info.misses} "
-                        f"hit_rate={rate:.3f} evictions={info.evictions} "
-                        f"size={info.currsize}/{info.maxsize}"
-                    )
         if args.slo is not None or args.prom is not None:
             snap = obs.snapshot(include_samples=True)
             log = obs.event_log()

@@ -16,11 +16,10 @@ Query-path note: pad regeneration (:meth:`ArithmeticEncryptor.
 pads_for_rows`) is row-granular.  The store pads rows to whole cipher
 blocks, so the blocks of the distinct rows of a query are one
 broadcast ``row_addr + 16 * arange(blocks_per_row)`` — already distinct
-and ascending — and go straight to the block-pad cache of
-:class:`~repro.crypto.otp.OtpGenerator`, which serves resident blocks
-with one vectorised gather (or, at capacity 0, regenerates them in one
-fused sweep).  That cache is the only pad cache on the
-data path; the tiering layer sizes it to the hot-set footprint.
+and ascending — and go straight to
+:meth:`~repro.crypto.otp.OtpGenerator.pads_for_blocks`, which
+regenerates them in one fused sweep on the native tier and serves them
+through its block-pad cache elsewhere.
 """
 
 from __future__ import annotations

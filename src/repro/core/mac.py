@@ -16,16 +16,6 @@ the limb-vectorized checksum, so tagging an ``n x m`` matrix costs one
 cipher sweep + one field sweep instead of ``n`` scalar AES calls and
 ``n * m`` interpreted field operations.
 
-Tiering note: like the data-pad LRU in :class:`~repro.crypto.otp.
-OtpGenerator`, query-path tag pads are a pure function of
-``(K, tag_version, row address)``, so an optional per-(version, address)
-LRU (off by default — sized by :mod:`repro.tiering` from the observed
-hot-set footprint) makes repeated verified queries over hot rows skip
-the tag-domain AES sweep entirely.  It is the same
-:class:`~repro.crypto.otp.PadBlockCache` the data pads use, over a slab
-of four-limb rows.  Bulk tagging (:meth:`attach_tags`) always bypasses
-the cache: a whole-matrix sweep would only evict the hot query rows.
-
 Representation note: tags, tag pads and their sums are ``(n, 4)`` limb
 arrays (:mod:`repro.crypto.limb_field`) from the cipher output to the
 verification compare; Python ints appear only in the scalar reference
@@ -34,13 +24,12 @@ methods and in the int views tests and the oracles read.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..crypto import limb_field
-from ..crypto.otp import OtpCacheInfo, PadBlockCache
 from ..crypto.prime_field import PrimeField
 from ..crypto.tweaked import DOMAIN_TAG, TweakedCipher
 from .checksum import LinearChecksum, MultiPointChecksum
@@ -65,22 +54,15 @@ class EncryptedLinearMac:
         # Either the single-point hash of Alg. 2 (default) or the
         # multi-point variant of Alg. 8; both expose key_for/row_tags.
         self.checksum = checksum or LinearChecksum(cipher, params)
-        # Query-path tag-pad LRU, keyed (version, row_addr) -> limb row.
-        # Off (capacity 0) until the tiering layer sizes it.
-        self._tag_cache = PadBlockCache(0, limb_field.NUM_LIMBS, np.uint64)
-
-    @property
-    def tag_cache_rows(self) -> int:
-        """Capacity of the tag-pad LRU (see :meth:`resize_tag_cache`)."""
-        return self._tag_cache.capacity
 
     def tag_pad(self, row_addr: int, version: int) -> int:
         """``E_{T_i}`` - first ``w_t`` bits of ``E(K, 10 || paddr(P_i) || v)``."""
         pad = self.cipher.encrypt_counter_int(DOMAIN_TAG, row_addr, version)
         return self.field.reduce(pad >> (self.params.block_bits - self.params.tag_bits))
 
-    def _tag_pads_raw(self, addrs: np.ndarray, version: int) -> np.ndarray:
-        """Uncached vectorized sweep over ``uint64`` row addresses -> limbs."""
+    def tag_pad_limbs(self, row_addrs: Sequence[int], version: int) -> np.ndarray:
+        """Batched :meth:`tag_pad` as ``(n, 4)`` limbs: one AES sweep for all rows."""
+        addrs = np.asarray(row_addrs, dtype=np.uint64)
         obs.inc("mac.tag_pads", int(addrs.size))
         blocks = self.cipher.encrypt_counters(DOMAIN_TAG, addrs, version)
         if limb_field.supports_field(self.field):
@@ -91,66 +73,9 @@ class EncryptedLinearMac:
             for block in blocks
         )
 
-    def tag_pad_limbs(self, row_addrs: Sequence[int], version: int) -> np.ndarray:
-        """Batched :meth:`tag_pad` as ``(n, 4)`` limbs: one AES sweep for all rows.
-
-        With a non-zero ``tag_cache_rows`` capacity, resident pads are
-        served from the LRU and only the missing addresses reach the
-        cipher (same contract as the OTP block cache: pads are pure
-        functions of ``(K, version, address)``).
-        """
-        addrs = np.asarray(row_addrs, dtype=np.uint64)
-        if not self.tag_cache_rows or not addrs.size or not 0 <= version < 1 << 64:
-            return self._tag_pads_raw(addrs, version)
-        if addrs.size > 1 and not (addrs[1:] > addrs[:-1]).all():
-            # The cache probes distinct keys; repeats share one entry.
-            addrs, inverse = np.unique(addrs, return_inverse=True)
-            return self.tag_pad_limbs(addrs, version)[inverse]
-        pads, hits, evicted = self._tag_cache.lookup(
-            version, addrs, lambda missing: self._tag_pads_raw(missing, version)
-        )
-        if obs.enabled():
-            obs.inc("mac.tag_cache.hit", hits)
-            obs.inc("mac.tag_cache.miss", addrs.size - hits)
-            if evicted:
-                obs.inc("mac.tag_cache.eviction", evicted)
-        return pads
-
     def tag_pads(self, row_addrs: Sequence[int], version: int) -> list:
         """Int view of :meth:`tag_pad_limbs`."""
         return limb_field.from_limbs(self.tag_pad_limbs(row_addrs, version))
-
-    def resize_tag_cache(self, rows: int) -> None:
-        """Set the tag-pad LRU capacity (0 disables and drops everything)."""
-        if rows < 0:
-            raise ValueError("tag cache capacity must be non-negative")
-        evicted = self._tag_cache.resize(rows)
-        if evicted:
-            obs.inc("mac.tag_cache.eviction", evicted)
-        if obs.enabled():
-            obs.gauge("mac.tag_cache.capacity_rows", rows)
-
-    def purge_tag_version(self, version: int) -> int:
-        """Drop cached tag pads of a retired ``tag_version`` (re-encryption)."""
-        dropped = self._tag_cache.purge_version(version)
-        if dropped:
-            obs.inc("mac.tag_cache.purged", dropped)
-        return dropped
-
-    def cached_versions(self) -> Dict[int, int]:
-        """Tag versions with resident pads, mapped to their entry counts."""
-        return self._tag_cache.versions()
-
-    def tag_cache_info(self) -> OtpCacheInfo:
-        """Tag-pad LRU statistics (same tuple shape as the OTP cache)."""
-        cache = self._tag_cache
-        return OtpCacheInfo(
-            hits=cache.hits,
-            misses=cache.misses,
-            evictions=cache.evictions,
-            currsize=len(cache),
-            maxsize=cache.capacity,
-        )
 
     def encrypt_tag(self, tag: int, row_addr: int, version: int) -> int:
         """``C_{T_i} = T_i - E_{T_i} mod q`` (Alg. 3 line 5)."""
@@ -185,9 +110,7 @@ class EncryptedLinearMac:
                 tags = self.checksum.row_tag_limbs(plaintext[lo:hi], key)
             row_addrs = encrypted.row_addrs(np.arange(lo, hi))
             with obs.span("mac.pad_sweep"):
-                # Bulk sweep bypasses the tag-pad LRU: a whole-matrix pass
-                # would evict exactly the hot query rows worth keeping.
-                pads = self._tag_pads_raw(row_addrs, tag_version)
+                pads = self.tag_pad_limbs(row_addrs, tag_version)
             tag_limbs[lo:hi] = limb_field.field_sub(self.field, tags, pads)
         encrypted.tag_limbs = tag_limbs
         encrypted.checksum_version = checksum_version

@@ -22,8 +22,8 @@ Only the paper's default modulus ``q = 2^127 - 1`` is supported;
 callers dispatch via :func:`supports_field` and fall back to the scalar
 oracle for the small test primes.
 
-Tier dispatch: when :mod:`repro.kernels` resolves a compiled backend
-(numba or the C library), :func:`mul`, :func:`fold`, :func:`dot` and
+Tier dispatch: when :mod:`repro.kernels` resolves the compiled backend
+(the C library), :func:`mul`, :func:`fold`, :func:`dot` and
 :func:`horner` hand the sweep to it — bit-identical outputs, another
 order of magnitude of throughput — and fall back to the NumPy kernels
 here for shapes outside the native contract.  Under the ``scalar``

@@ -14,30 +14,29 @@ Hot-path note: scattered queries touch many elements that share a cipher
 block (``l`` adjacent elements per block), so the query path works on
 *distinct block addresses* — :meth:`OtpGenerator.pad_elements_at`
 deduplicates them, the row-granular path in :mod:`repro.core.encryption`
-derives them from distinct rows — and serves them through
-:class:`PadBlockCache`, a per-(version, address) LRU of recently
-generated pad blocks.  Pads are a pure function of ``(K, version,
-address)``, so caching is semantically invisible; it is consulted only
-where a block costs more to make than to find, so its default capacity
-is 0 — regenerate, like the paper's AES engines — under the fused
-hardware-speed pad sweep and :data:`DEFAULT_CACHE_BLOCKS` elsewhere.
+derives them from distinct rows.
 
-The cache costs a fixed number of NumPy passes per *call*, never a
-Python step per block (DESIGN.md Sec. 8 has the measured ns per block
-to generate, miss and hit), so the cipher — not the bookkeeping around
-it — bounds a cold query.
+A pad is a pure function of ``(K, version, address)``.  On the native
+kernel tier it is regenerated on every use and nothing remembers one:
+that is the paper's design (Sec. V: the AES engines sized in Figs. 7/8
+regenerate every pad, there is no pad cache) and the measured one here,
+5.3 ns to generate a block against 40 ns to find it.  Off the native
+tier a NumPy block costs 1.26 µs, and :class:`PadBlockCache`, one
+fixed-size LRU of generated blocks keyed ``(version, address)``, is
+worth 18 % of ``serve_hot`` throughput (DESIGN.md Sec. 8), so there it
+stays.  It costs a fixed number of NumPy passes per *call*, never a
+Python step per block.
 
-Concurrency note: the hot-row tiering layer (:mod:`repro.tiering`) feeds
-this cache from a background prewarmer thread while the serving thread
-reads it.  One operation updates several arrays that must agree, so each
-runs under the cache's lock, the cipher sweep of its misses included;
-callers get copies, never views of slab rows an eviction could reuse.
+Concurrency note: one cache operation updates several arrays that must
+agree, so each runs under the cache's lock, the cipher sweep of its
+misses included; callers get copies, never views of slab rows an
+eviction could reuse.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +46,7 @@ from .aes import BLOCK_BYTES
 from .ring import Ring
 from .tweaked import DOMAIN_DATA, TweakedCipher
 
-__all__ = [
-    "OtpGenerator",
-    "PadBlockCache",
-    "OtpCacheInfo",
-    "merge_cache_info",
-    "publish_cache_gauges",
-]
+__all__ = ["OtpGenerator", "PadBlockCache", "OtpCacheInfo"]
 
 
 class OtpCacheInfo(NamedTuple):
@@ -65,40 +58,10 @@ class OtpCacheInfo(NamedTuple):
     currsize: int
     maxsize: int
 
-def merge_cache_info(infos) -> OtpCacheInfo:
-    """Aggregate :class:`OtpCacheInfo` tuples from independent generators.
 
-    Each pool worker owns a private pad-block LRU; this sums their
-    hit/miss/eviction counters and sizes so a sharded
-    ``SecureEmbeddingStore`` can report one fleet-wide ``cache_info()``.
-    ``maxsize`` sums too — it is the total pad memory the fleet may pin.
-    """
-    totals = [sum(column) for column in zip(*infos)] or [0] * 5
-    return OtpCacheInfo(*totals)
-
-
-def publish_cache_gauges(prefix: str, info: OtpCacheInfo) -> None:
-    """Export one cache-info tuple as ``{prefix}.*`` gauges.
-
-    Used for the fleet-wide (store + pool workers) views the CLI's
-    ``--stats`` output reports: counters live in each process, so the
-    merged tuple is published from the parent as point-in-time gauges.
-    """
-    if not obs.enabled():
-        return
-    obs.gauge(f"{prefix}.hits", info.hits)
-    obs.gauge(f"{prefix}.misses", info.misses)
-    obs.gauge(f"{prefix}.evictions", info.evictions)
-    obs.gauge(f"{prefix}.currsize", info.currsize)
-    obs.gauge(f"{prefix}.maxsize", info.maxsize)
-    served = info.hits + info.misses
-    if served:
-        obs.gauge(f"{prefix}.hit_rate", info.hits / served)
-
-
-#: Default LRU capacity in cipher blocks (16 B of pad each); at the
-#: default 4096 blocks the cache tops out well under 1 MiB.
-DEFAULT_CACHE_BLOCKS = 4096
+#: LRU capacity in cipher blocks (16 B of pad each) off the native tier:
+#: the cache tops out well under 1 MiB.
+CACHE_BLOCKS = 4096
 
 _MAX_VERSION = (1 << 64) - 1
 
@@ -123,10 +86,6 @@ class PadBlockCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._allocate(capacity)
-
-    def _allocate(self, capacity: int) -> None:
-        """An empty index over a fresh slab of ``capacity`` rows."""
         self.capacity = capacity
         self._ver = np.empty(0, dtype=np.uint64)
         self._addr = np.empty(0, dtype=np.uint64)
@@ -243,45 +202,6 @@ class PadBlockCache:
             self._ver[keep], self._addr[keep], self._slot[keep]
         )
 
-    def resize(self, capacity: int) -> int:
-        """Set the capacity, evicting the coldest excess; returns evictions.
-
-        Capacity 0 switches the cache off: everything is dropped and
-        nothing is counted as evicted.
-        """
-        with self._lock:
-            evicted = self._evict(len(self) - capacity) if capacity else 0
-            self.evictions += evicted
-            ver, addr, old_slots = self._ver, self._addr, self._slot
-            pads, stamp = self._pads[old_slots], self._stamp[old_slots]
-            self._allocate(capacity)
-            if capacity:
-                slots, self._free = np.split(self._free, [old_slots.size])
-                self._ver, self._addr, self._slot = ver, addr, slots
-                self._pads[slots], self._stamp[slots] = pads, stamp
-            return evicted
-
-    def purge_version(self, version: int) -> int:
-        """Drop every entry keyed by ``version``; returns how many."""
-        with self._lock:
-            lo, hi = self._version_range(version)
-            gone = np.zeros(len(self), dtype=bool)
-            gone[lo:hi] = True
-            self._drop(gone)
-            return hi - lo
-
-    def clear(self) -> None:
-        """Drop every entry and zero the counters."""
-        with self._lock:
-            self._allocate(self.capacity)
-            self.hits = self.misses = self.evictions = 0
-
-    def versions(self) -> Dict[int, int]:
-        """Resident entry count per version."""
-        with self._lock:
-            values, counts = np.unique(self._ver, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
 
 class OtpGenerator:
     """Generates data-domain OTP elements from (address, version) pairs.
@@ -293,28 +213,17 @@ class OtpGenerator:
     ring:
         Element ring ``Z(2^w_e)``; determines how each 128-bit pad block is
         sliced into elements (``l = w_c / w_e`` per block).
-    cache_blocks:
-        Capacity of the block-pad LRU (0 disables caching).  Default: 0
-        when the active kernel backend has the fused ``ctr_pads`` sweep
-        (a block is then cheaper to generate than to find, DESIGN.md
-        Sec. 8), :data:`DEFAULT_CACHE_BLOCKS` on every other tier.
     """
 
-    def __init__(
-        self, cipher: TweakedCipher, ring: Ring, cache_blocks: Optional[int] = None
-    ):
+    def __init__(self, cipher: TweakedCipher, ring: Ring):
         self.cipher = cipher
         self.ring = ring
         self.elements_per_block = BLOCK_BYTES * 8 // ring.width
-        if cache_blocks is None:
-            fused = hasattr(_kernels.active_native(), "ctr_pads")
-            cache_blocks = 0 if fused else DEFAULT_CACHE_BLOCKS
-        self._cache = PadBlockCache(cache_blocks, self.elements_per_block, ring.dtype)
-
-    @property
-    def cache_blocks(self) -> int:
-        """Capacity of the block-pad LRU (see :meth:`resize_cache`)."""
-        return self._cache.capacity
+        # Capacity 0 (regenerate) where the native pad sweep serves.
+        native = _kernels.active_native() is not None
+        self._cache = PadBlockCache(
+            0 if native else CACHE_BLOCKS, self.elements_per_block, ring.dtype
+        )
 
     # -- block-level pad generation -------------------------------------------
 
@@ -326,10 +235,11 @@ class OtpGenerator:
         )
 
     def pads_for_blocks(self, block_addrs: np.ndarray, version: int) -> np.ndarray:
-        """Like :meth:`_encrypt_blocks` but served through the LRU.
+        """Query-path :meth:`_encrypt_blocks`, served through the cache.
 
         Callers pass *distinct* ``uint64`` block addresses; only cache
-        misses reach the cipher, in one vectorized sweep.
+        misses (at capacity 0, every block) reach the cipher, in one
+        vectorized sweep.
         """
         if not 0 <= version <= _MAX_VERSION:
             # A version the cipher's layout will reject.
@@ -346,7 +256,14 @@ class OtpGenerator:
         return pads
 
     def cache_info(self) -> OtpCacheInfo:
-        """Current pad-block LRU statistics; ``currsize <= maxsize`` always."""
+        """Query-path pad-block statistics; ``currsize <= maxsize`` always.
+
+        ``misses`` counts generated blocks — at capacity 0 every block
+        served, ``(0, generated, 0, 0, 0)`` — and is the reading
+        ``benchmarks/e2e`` computes ``crypto.otp.aes_blocks_per_query``
+        from; bulk encryption (:meth:`pad_elements`) is not a query and
+        is not counted.
+        """
         cache = self._cache
         return OtpCacheInfo(
             hits=cache.hits,
@@ -356,40 +273,6 @@ class OtpGenerator:
             maxsize=cache.capacity,
         )
 
-    def cached_versions(self) -> Dict[int, int]:
-        """Versions with resident pads, mapped to their entry counts."""
-        return self._cache.versions()
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-    def resize_cache(self, cache_blocks: int) -> None:
-        """Change the LRU capacity in place (skew-aware sizing hook).
-
-        Growing keeps every resident pad; shrinking evicts the coldest
-        entries down to the new capacity.  ``0`` disables caching and
-        drops everything.
-        """
-        if cache_blocks < 0:
-            raise ValueError("cache_blocks must be non-negative")
-        evicted = self._cache.resize(cache_blocks)
-        if evicted:
-            obs.inc("otp.cache.eviction", evicted)
-
-    def purge_version(self, version: int) -> int:
-        """Drop every cached pad generated under ``version``.
-
-        Called by the tiering layer when a region is re-encrypted under a
-        bumped version: pads are keyed by ``(version, address)``, so stale
-        entries can never be *served* for the new version, but they would
-        squat in the capacity until natural eviction.  Returns the number
-        of entries dropped.
-        """
-        dropped = self._cache.purge_version(version)
-        if dropped:
-            obs.inc("otp.cache.purged", dropped)
-        return dropped
-
     # -- element-level pad generation -----------------------------------------
 
     def pad_elements(self, base_addr: int, count: int, version: int) -> np.ndarray:
@@ -397,7 +280,7 @@ class OtpGenerator:
 
         ``base_addr`` is a byte address and must be aligned to the cipher
         block size, matching Alg. 1 where chunk ``i`` lives at
-        ``Addr + i * (w_c / 8)``.  Bulk generation bypasses the LRU: the
+        ``Addr + i * (w_c / 8)``.  Bulk generation bypasses the cache: the
         addresses are distinct by construction and a whole-matrix sweep
         would only evict the hot query blocks.
         """
@@ -429,7 +312,7 @@ class OtpGenerator:
         Adjacent elements share cipher blocks (``l`` per block), so the
         block addresses are deduplicated before encryption: a pooled SLS
         query over contiguous rows pays one AES call per *block* touched,
-        not one per element, and hot blocks come from the LRU for free.
+        not one per element.
         """
         addrs = np.asarray(elem_byte_addrs, dtype=np.uint64)
         elem_bytes = self.ring.width // 8

@@ -170,16 +170,18 @@ class TweakedCipher:
     ) -> np.ndarray:
         """Vectorised pad generation: one 16-byte pad row per address.
 
-        One fused sweep where the native backend offers ``ctr_pads``;
-        ``pack_many`` + :func:`aes128_encrypt_blocks` is the NumPy-tier
-        path and the oracle, bit-identical and with the same range checks.
+        One fused ``ctr_pads`` sweep on the native tier; ``pack_many`` +
+        :func:`aes128_encrypt_blocks` is the NumPy-tier path and the
+        oracle, bit-identical and with the same range checks.
         """
         addrs = np.asarray(addrs, dtype=np.uint64)
         layout = self.layout
-        fused = getattr(_kernels.active_native(), "ctr_pads", None)
-        if fused is not None:
+        native = _kernels.active_native()
+        if native is not None:
             layout.check_many(domain, addrs, version)
-            pads = fused(self._key, domain, layout.addr_bits, layout.pad_bits, version, addrs)
+            pads = native.ctr_pads(
+                self._key, domain, layout.addr_bits, layout.pad_bits, version, addrs
+            )
             if pads is not None:
                 return pads
         return aes128_encrypt_blocks(self._key, layout.pack_many(domain, addrs, version))

@@ -10,7 +10,7 @@ two-step guard::
 :func:`armed_injector` is one module-attribute load plus (at most) one
 attribute read - when no injector is installed it returns ``None``
 immediately, so the disabled cost on the hot paths is a single branch
-(benchmarked by ``benchmarks/check_overhead.py`` to stay under 2%).
+(held to an absolute per-serve budget by ``benchmarks/check_overhead.py``).
 
 Installation is explicit (:func:`install` / :func:`clear` /
 :func:`injected`), or ambient via the ``SECNDP_FAULT_PLAN`` environment

@@ -188,8 +188,6 @@ def run_chaos(
     seed: int = 7,
     policy: Optional[RecoveryPolicy] = None,
     task_timeout: Optional[float] = None,
-    prewarm: bool = False,
-    hot_fraction: Optional[float] = None,
 ) -> ChaosResult:
     """One golden-vs-chaos replay; see the module docstring for the shape.
 
@@ -199,12 +197,6 @@ def run_chaos(
     re-encryption disabled, which keeps the injector's corruption map
     valid for the whole stream and makes the exposure accounting exact;
     pass an explicit policy to exercise rung 4 end-to-end.
-
-    ``prewarm`` attaches hot-row tiering to the chaos store (sized by
-    ``hot_fraction`` when given), seeds the tracker from the query
-    stream, and pre-generates hot pads before serving — faults then land
-    on a store whose caches carry prewarmed state, which is exactly the
-    stale-pad hazard the version-keyed invalidation protocol must absorb.
     """
     if plan is None:
         plan = default_chaos_plan(fault_rate)
@@ -253,21 +245,6 @@ def run_chaos(
     injector = FaultInjector(plan)
     chaos = build(recovery=policy, injector=injector)
     corrupted = injector.corrupt_device(chaos.device, sorted(tables))
-
-    if prewarm:
-        from ..tiering import TieringConfig
-
-        cfg = (
-            TieringConfig(hot_fraction=hot_fraction)
-            if hot_fraction
-            else TieringConfig()
-        )
-        tiering = chaos.attach_tiering(cfg)
-        for name, rows_list, _ in batches:
-            for rows in rows_list:
-                tiering.observe(name, rows)
-        tiering.apply_sizing()
-        tiering.prewarm_now()
 
     # The engine snapshots ciphertext into shared arenas at pool start,
     # so it is built after the corruption - workers then compute over the
@@ -326,19 +303,8 @@ def run_chaos(
         run_events = event_log.events()[ev_start:]
         if own_log:
             obs.disable_events()
-        # Fleet-wide pad-cache views must be captured before the pool is
-        # torn down (workers report cache state alongside task results).
-        from ..crypto.otp import publish_cache_gauges
-
         if engine is not None:
-            publish_cache_gauges("otp.cache.fleet", engine.cache_info())
-            publish_cache_gauges("mac.tag_cache.fleet", engine.tag_cache_info())
             engine.close()
-        else:
-            publish_cache_gauges("otp.cache.fleet", chaos.cache_info())
-            publish_cache_gauges("mac.tag_cache.fleet", chaos.tag_cache_info())
-        if prewarm and chaos.tiering is not None:
-            chaos.tiering.publish_gauges()
     chaos_s = time.perf_counter() - started
 
     # Rebuild the aggregate recovery state by replaying the run's audit

@@ -116,9 +116,7 @@ def run_functional_shadow(
     scale: ExperimentScale,
     seed: int = 0,
     workers: int = 0,
-    prewarm: bool = False,
-    hot_fraction=None,
-):
+) -> None:
     """Exercise the real crypto/protocol stack once, for attribution.
 
     The experiment drivers are timing models: they replay packet traces
@@ -129,21 +127,13 @@ def run_functional_shadow(
     OTP-cache, limb-kernel and protocol-phase counters alongside the
     simulated traffic — the per-component accounting of Sec. V–VI.
 
-    With ``prewarm`` the store gets hot-row tiering attached (seeded
-    from a skewed :func:`production_trace`) and pads are pre-generated
-    before serving.  The batch is always served in-process first — the
-    whole point of the shadow pass is counters in *this* registry — and
-    with ``workers >= 1`` it is additionally replayed through a
-    :class:`~repro.parallel.engine.ParallelSlsEngine` so the returned
-    dict carries the *fleet-wide* (store + workers) cache views.
-
-    Returns ``{"otp": OtpCacheInfo, "tag": OtpCacheInfo}`` and publishes
-    the same numbers as ``otp.cache.fleet.*`` / ``mac.tag_cache.fleet.*``
-    gauges for the ``--stats`` snapshot.
+    The batch is always served in-process first — the whole point of the
+    shadow pass is counters in *this* registry — and with ``workers >= 1``
+    it is additionally replayed through a
+    :class:`~repro.parallel.engine.ParallelSlsEngine`, whose workers'
+    snapshots merge into the same registry.
     """
-    from ...crypto.otp import publish_cache_gauges
     from ...parallel.engine import ParallelSlsEngine
-    from ...tiering import TieringConfig
 
     with obs.span("harness.functional_shadow", cat="harness"):
         params = SecNDPParams(element_bits=32)
@@ -165,33 +155,12 @@ def run_functional_shadow(
         )
         batch_rows = [list(ix) for ix in trace.indices]
         batch_weights = [[int(w) for w in ws] for ws in trace.weights]
-        if prewarm:
-            cfg = (
-                TieringConfig(hot_fraction=hot_fraction)
-                if hot_fraction
-                else TieringConfig()
-            )
-            tiering = store.attach_tiering(cfg)
-            tiering.seed_from_trace("shadow", trace)
-            tiering.apply_sizing()
-            tiering.prewarm_now()
         store.sls_many("shadow", batch_rows, batch_weights)
-        # One repeat over the same rows so the pad caches report hits.
+        # One repeat over the same rows so the pad cache reports hits.
         store.sls_many("shadow", batch_rows[:1], batch_weights[:1])
-        info = {"otp": store.cache_info(), "tag": store.tag_cache_info()}
         if workers >= 1:
             engine = ParallelSlsEngine(store, workers=workers)
             try:
                 engine.sls_many("shadow", batch_rows, batch_weights)
-                if engine.workers:
-                    info = {
-                        "otp": engine.cache_info(),
-                        "tag": engine.tag_cache_info(),
-                    }
             finally:
                 engine.close()
-        if prewarm:
-            store.tiering.publish_gauges()
-        publish_cache_gauges("otp.cache.fleet", info["otp"])
-        publish_cache_gauges("mac.tag_cache.fleet", info["tag"])
-        return info

@@ -5,28 +5,26 @@ The limb-vectorized NumPy kernels (:mod:`repro.crypto.limb_field`,
 every tag sweep, verification dot and OTP pad generation funnels through
 them.  This package adds an *optional* compiled tier behind the existing
 dispatch — same inputs, bit-identical outputs, another order of
-magnitude of throughput when a backend is available:
-
-* ``numba`` — ``@njit(cache=True)`` nopython kernels (the ``native``
-  extra: ``pip install repro[native]``); preferred when importable.
-* ``cc``    — a small C translation unit compiled once with the host C
-  compiler into a content-addressed shared library under
-  ``~/.cache/secndp-kernels`` (override with ``SECNDP_KERNEL_CACHE``)
-  and loaded via :mod:`ctypes`.  No third-party dependency; JIT cost is
-  paid once per source hash, workers just ``dlopen`` the cached object.
-  Its pad engine (AES blocks and the fused ``ctr_pads`` counter-mode
-  sweep) uses AES-NI where the CPU has it, chosen at run time.
+magnitude of throughput — with one backend, ``cc`` (:mod:`._cc`): a
+small C translation unit compiled once with the host C compiler into a
+content-addressed shared library under ``~/.cache/secndp-kernels``
+(override with ``SECNDP_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
+No third-party dependency; the compile is paid once per source hash,
+workers just ``dlopen`` the cached object.  Its pad engine (AES blocks
+and the fused ``ctr_pads`` counter-mode sweep) uses AES-NI where the CPU
+has it, chosen at run time.
 
 Tier policy
 -----------
 ``SECNDP_KERNEL_TIER`` (or :func:`set_tier` / the CLI ``--kernel-tier``)
 selects one of:
 
-* ``auto``   (default) — ``native`` when a backend loads, else ``numpy``;
+* ``auto``   (default) — ``native`` when the backend loads, else ``numpy``;
   a failed probe bumps the ``kernel.native_unavailable`` counter exactly
   once and never warns.
-* ``native`` — require a compiled backend; raise
-  :class:`~repro.errors.ConfigurationError` when none is available.
+* ``native`` — require the compiled backend; raise
+  :class:`~repro.errors.ConfigurationError` when it cannot be built
+  (the remedy is a C compiler on ``PATH``).
 * ``numpy``  — force the always-available NumPy limb kernels.
 * ``scalar`` — force the bit-exact :class:`~repro.crypto.prime_field.PrimeField`
   oracle for all field work (``limb_field.supports_field`` reports
@@ -43,7 +41,7 @@ NumPy tier the always-available fallback; the property suite in
 vectors, Horner sweeps and AES test-vector blocks.  DESIGN.md Sec. 14
 documents the dispatch order and the worker-broadcast protocol
 (``ParallelSlsEngine`` ships the resolved tier in its pool spec and
-workers :func:`warmup` at spawn, so no task ever pays a JIT).
+workers :func:`warmup` at spawn, so no task ever pays a compile).
 """
 
 from __future__ import annotations
@@ -85,14 +83,14 @@ ENV_KERNEL_CACHE = "SECNDP_KERNEL_CACHE"
 
 #: Backend modules probed in order for the ``native`` tier.  Tests
 #: monkeypatch this tuple to simulate an absent/broken backend.
-_BACKEND_MODULES = ("_numba", "_cc")
+_BACKEND_MODULES = ("_cc",)
 
 #: ``kernel.tier`` gauge encoding (documented in DESIGN.md Sec. 14).
 _TIER_CODES = {"scalar": 0, "numpy": 1, "native": 2}
 
 
 class NativeUnavailable(RuntimeError):
-    """A compiled backend cannot be built or loaded on this host.
+    """The compiled backend cannot be built or loaded on this host.
 
     Raised by backend modules at import (no compiler, compile failure,
     failed self-test); under the ``auto`` policy it degrades the tier to
@@ -139,10 +137,10 @@ def policy() -> str:
 
 
 def _probe():
-    """One-shot native backend probe (numba first, then the C backend).
+    """One-shot native backend probe.
 
-    Failure is the *expected* state on hosts without the ``native`` extra
-    or a C compiler: it is recorded once as the
+    Failure is the *expected* state on hosts without a C compiler: it
+    is recorded once as the
     ``kernel.native_unavailable`` counter plus :func:`unavailable_reason`
     — no warnings, no retries, no log spam.
     """
@@ -172,9 +170,9 @@ def _resolve() -> str:
         if _probe() is None:
             raise ConfigurationError(
                 "kernel tier 'native' requested but no compiled backend is "
-                f"available ({_probe_error}); install the 'native' extra "
-                f"(pip install repro[native]) or set {ENV_KERNEL_TIER} to "
-                f"one of: {', '.join(TIERS)}"
+                f"available ({unavailable_reason()}); it is built with the "
+                f"host C compiler, so put one on PATH, or set "
+                f"{ENV_KERNEL_TIER} to one of: {', '.join(TIERS)}"
             )
         _active = "native"
     else:  # auto
@@ -235,7 +233,7 @@ def native_available() -> bool:
 
 
 def backend_name() -> Optional[str]:
-    """``"numba"`` / ``"cc"`` when a backend is loaded, else ``None``."""
+    """``"cc"`` when the backend is loaded, else ``None``."""
     return getattr(_backend, "NAME", None) if _probe() is not None else None
 
 
@@ -247,13 +245,13 @@ def unavailable_reason() -> Optional[str]:
 def warmup() -> int:
     """Resolve the tier and run every kernel once on tiny inputs.
 
-    This is where all one-time JIT cost lives: the C backend compiles or
-    ``dlopen``s its cached shared object, numba compiles its
-    ``cache=True`` dispatchers.  Benchmarks and ``check_overhead`` call
-    this *before* their timed regions so steady-state numbers never
-    carry compile latency, and pool workers call it at spawn (via the
-    ``_PoolSpec`` broadcast) so no task ever JITs.  Returns the elapsed
-    nanoseconds and publishes them as ``kernel.jit_warmup_ns``.
+    This is where all one-time cost lives: the C backend compiles or
+    ``dlopen``s its cached shared object.  Benchmarks and
+    ``check_overhead`` call this *before* their timed regions so
+    steady-state numbers never carry compile latency, and pool workers
+    call it at spawn (via the ``_PoolSpec`` broadcast) so no task ever
+    compiles.  Returns the elapsed nanoseconds and publishes them as
+    ``kernel.jit_warmup_ns``.
     """
     global _last_warmup_ns
     t0 = time.perf_counter_ns()

@@ -15,8 +15,7 @@ Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
 fails its load-time self-test (FIPS-197 AES vector, the AES bodies
 against each other, big-int cross-checks of every field kernel) — the
-tier dispatcher treats that exactly like numba being absent and falls
-back to NumPy.
+tier dispatcher then falls back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
 contract; the dispatch sites in ``crypto/limb_field.py`` and

@@ -13,7 +13,7 @@
   :class:`~repro.core.protocol.SecNDPProcessor` (key + params travel
   exactly once, at pool start) and an
   :class:`~repro.core.protocol.UntrustedNdpDevice` whose store points at
-  the shared arenas.  Each worker owns a private OTP pad cache.
+  the shared arenas.
 * **Row ownership** — rows are partitioned into N contiguous ranges; a
   batch is served by masking every query down to each worker's range,
   running :meth:`~repro.core.protocol.SecNDPProcessor.partial_row_sum_batch`
@@ -51,7 +51,6 @@ from .. import kernels, obs
 from ..core.checksum import MultiPointChecksum
 from ..core.encryption import EncryptedMatrix
 from ..core.protocol import PartialSumShare, SecNDPProcessor, UntrustedNdpDevice
-from ..crypto.otp import OtpCacheInfo, merge_cache_info
 from ..errors import ConfigurationError, VerificationError
 from .pmap import POOL_START_TIMEOUT, resolve_workers
 from .shm import (
@@ -120,25 +119,12 @@ class _TableSpec(NamedTuple):
 
 
 class _PoolSpec(NamedTuple):
-    """One-time broadcast at pool start: key, params, table handles.
-
-    When the wrapped store has hot-row tiering attached, the hot-row
-    lists and skew-derived cache capacities ride along so every worker
-    prewarms its *private* pad caches at init — tasks can land on any
-    worker (``map_async``), so each one needs the full hot set, not a
-    shard-local slice.
-    """
+    """One-time broadcast at pool start: key, params, table handles."""
 
     key: bytes
     params: object
     multipoint: bool
     tables: Tuple[_TableSpec, ...]
-    #: per-table hot rows to prewarm, ``((name, (row, ...)), ...)``
-    hot_rows: Tuple[Tuple[str, Tuple[int, ...]], ...] = ()
-    #: skew-derived OTP LRU capacity (0 keeps the default)
-    cache_blocks: int = 0
-    #: skew-derived tag-pad LRU capacity (0 keeps tag caching off)
-    tag_cache_rows: int = 0
     #: resolved kernel tier broadcast to workers ("" keeps worker-side
     #: auto resolution); workers warm kernels at spawn, never per task
     kernel_tier: str = ""
@@ -190,18 +176,6 @@ def _engine_worker_init(spec: _PoolSpec, counter) -> None:
                 tag_version=table.tag_version,
             ),
         )
-    if spec.cache_blocks:
-        processor.encryptor.otp.resize_cache(spec.cache_blocks)
-    if spec.tag_cache_rows:
-        processor.mac.resize_tag_cache(spec.tag_cache_rows)
-    for name, rows in spec.hot_rows:
-        # Prewarm this worker's private caches for the broadcast hot set:
-        # one AES sweep per table at spawn instead of cold misses on the
-        # first queries each worker serves.
-        enc = device.stored(name)
-        processor.encryptor.pads_for_rows(enc, list(rows))
-        if spec.tag_cache_rows and enc.tag_version is not None:
-            processor.mac.tag_pad_limbs_for_rows(enc, list(rows))
     _WORKER = {
         "wid": wid,
         "processor": processor,
@@ -268,11 +242,7 @@ def _engine_sls_task(args):
     events = obs.trace_events() if collect_trace else None
     if collect_trace:
         obs.clear_trace()
-    cache = (
-        processor.encryptor.otp.cache_info(),
-        processor.mac.tag_cache_info(),
-    )
-    return _WORKER["wid"], part.values, part.tag_shares, snap, events, cache
+    return _WORKER["wid"], part.values, part.tag_shares, snap, events
 
 
 # -- trusted / parent side -----------------------------------------------------
@@ -318,8 +288,6 @@ class ParallelSlsEngine:
         self._segments: list = []
         self._bounds: Dict[str, np.ndarray] = {}
         self._versions: Dict[str, int] = {}
-        # wid -> (otp OtpCacheInfo, tag OtpCacheInfo), trailing by one batch
-        self._worker_cache: Dict[int, Tuple[OtpCacheInfo, OtpCacheInfo]] = {}
         self._offload: Optional[ThreadPoolExecutor] = None
         self._closed = False
         if self.workers >= 1:
@@ -366,30 +334,11 @@ class ParallelSlsEngine:
             # re-encryption (recovery rung 4) bumps it, flagging the
             # shared copy as stale.
             self._versions[name] = enc.version
-        # Hot-row tiering broadcast: if the store tracks a hot set, ship
-        # it (plus the skew-derived cache capacities) to every worker so
-        # private pad caches start warm.  Tasks are scheduled on whichever
-        # worker is free, so each worker needs the *full* hot set.
-        hot_rows: List[Tuple[str, Tuple[int, ...]]] = []
-        cache_blocks = tag_cache_rows = 0
-        tiering = getattr(store, "_tiering", None)
-        if tiering is not None:
-            cache_blocks, tag_cache_rows = tiering.apply_sizing()
-            if not tiering.config.prewarm_tags or not store.verify:
-                tag_cache_rows = 0
-            for name in store.tables():
-                hot = tiering.hot_rows(name)
-                if hot.size:
-                    hot_rows.append((name, tuple(int(r) for r in hot)))
-            obs.gauge("tiering.broadcast_rows", sum(len(r) for _, r in hot_rows))
         spec = _PoolSpec(
             key=store.processor.cipher.key,
             params=store.processor.params,
             multipoint=isinstance(store.processor.checksum, MultiPointChecksum),
             tables=tuple(table_specs),
-            hot_rows=tuple(hot_rows),
-            cache_blocks=cache_blocks,
-            tag_cache_rows=tag_cache_rows,
             kernel_tier=kernels.active_tier(),
         )
         ctx = mp.get_context("spawn")
@@ -588,12 +537,11 @@ class ParallelSlsEngine:
 
         partials: List[PartialSumShare] = []
         shard_labels: List[int] = []
-        for wid, values, tag_shares, snap, events, cache in payloads:
+        for wid, values, tag_shares, snap, events in payloads:
             if snap is not None:
                 obs.merge(snap)
             if events:
                 obs.ingest_events(events)
-            self._worker_cache[wid] = cache
             partials.append(PartialSumShare(values=values, tag_shares=tag_shares))
             shard_labels.append(wid)
 
@@ -639,7 +587,7 @@ class ParallelSlsEngine:
         calling thread (releasing the GIL), so an asyncio server must not
         run it on the event loop.  A dedicated one-thread executor keeps
         submission non-blocking while serialising all store/pool access
-        through a single thread — the store's caches and the pool handle
+        through a single thread — the store and the pool handle
         are not thread-safe, and one serialisation domain means they
         never race.
         """
@@ -681,22 +629,3 @@ class ParallelSlsEngine:
                 error=type(exc).__name__,
             )
             return None
-
-    # -- introspection ---------------------------------------------------------
-
-    def cache_info(self) -> OtpCacheInfo:
-        """Fleet-wide OTP pad-cache statistics.
-
-        Merges the parent store's generator with the last-reported state
-        of every worker's private cache (workers report alongside each
-        task result, so the numbers trail in-flight work by one batch).
-        """
-        infos = [self.store.processor.encryptor.otp.cache_info()]
-        infos.extend(self._worker_cache[w][0] for w in sorted(self._worker_cache))
-        return merge_cache_info(infos)
-
-    def tag_cache_info(self) -> OtpCacheInfo:
-        """Fleet-wide tag-pad cache statistics (store + workers)."""
-        infos = [self.store.processor.mac.tag_cache_info()]
-        infos.extend(self._worker_cache[w][1] for w in sorted(self._worker_cache))
-        return merge_cache_info(infos)

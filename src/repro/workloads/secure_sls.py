@@ -33,6 +33,7 @@ import numpy as np
 from .. import obs
 from ..core.params import SecNDPParams
 from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
+from ..crypto.otp import OtpCacheInfo
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
 from ..faults.plan import FaultInjector
@@ -135,8 +136,6 @@ class SecureEmbeddingStore:
         self.recovery = recovery
         self.recovery_log = RecoveryLog()
         self._plain: Dict[str, np.ndarray] = {}
-        #: optional hot-row tiering facade (see :meth:`attach_tiering`)
-        self._tiering = None
         if recovery is not None:
             self.fault_injector = (
                 fault_injector
@@ -198,39 +197,20 @@ class SecureEmbeddingStore:
     def tables(self) -> List[str]:
         return sorted(self._tables)
 
-    # -- hot-row tiering (DESIGN.md Sec. 12) -----------------------------------
+    def cache_info(self) -> OtpCacheInfo:
+        """This store's query-path pad-block statistics.
 
-    def attach_tiering(self, config=None, tracker=None):
-        """Attach a :class:`~repro.tiering.HotRowTiering` facade.
-
-        Once attached, every validated query (``sls`` / ``sls_many`` /
-        the parallel engine — all funnel through ``_validate_query``)
-        feeds the access tracker, and re-encryptions report their retired
-        versions so prewarmed pads are invalidated.  Returns the facade;
-        call ``start()`` on it for background prewarming or
-        ``prewarm_now()`` for synchronous warming.
-        """
-        from ..tiering import HotRowTiering  # local import: avoid cycle
-
-        self._tiering = HotRowTiering(self, config=config, tracker=tracker)
-        return self._tiering
-
-    @property
-    def tiering(self):
-        """The attached tiering facade, or ``None``."""
-        return self._tiering
-
-    def cache_info(self):
-        """This store's OTP pad-cache statistics (single-process view).
-
-        For the fleet-wide view (store + pool workers) use
-        :meth:`~repro.parallel.engine.ParallelSlsEngine.cache_info`.
+        ``misses`` is the generated-block reading ``benchmarks/e2e``
+        consumes, see :meth:`~repro.crypto.otp.OtpGenerator.cache_info`.
         """
         return self.processor.encryptor.otp.cache_info()
 
-    def tag_cache_info(self):
-        """This store's tag-pad cache statistics."""
-        return self.processor.mac.tag_cache_info()
+    def tag_cache_info(self) -> OtpCacheInfo:
+        """All zeros: tag pads are always regenerated (``mac.tag_pads``).
+
+        Kept because ``benchmarks/e2e`` reads it beside :meth:`cache_info`.
+        """
+        return OtpCacheInfo(0, 0, 0, 0, 0)
 
     # -- overflow budgeting ---------------------------------------------------------
 
@@ -270,10 +250,6 @@ class SecureEmbeddingStore:
         max_w = max(weights, default=1)
         if len(rows) > self.max_pooling_factor(name, max_w):
             raise self._overflow_error(name, len(rows), max_w)
-        if self._tiering is not None:
-            # Single observation point for every serving path (sls,
-            # sls_many, parallel engine): feed the hot-row sketch.
-            self._tiering.observe(name, rows)
         return rows, weights
 
     def _overflow_error(self, name: str, pf: int, max_w: int) -> ConfigurationError:
@@ -348,9 +324,6 @@ class SecureEmbeddingStore:
             if over.any():
                 q = int(np.flatnonzero(over)[0])
                 raise self._overflow_error(name, int(lengths[q]), int(max_w[q]))
-        if self._tiering is not None:
-            for query_rows in batch.lists()[0]:
-                self._tiering.observe(name, query_rows)
         return batch
 
     # -- queries -----------------------------------------------------------------------
@@ -811,11 +784,3 @@ class SecureEmbeddingStore:
             retired_version=retired_data,
             retired_tag_version=retired_tag,
         )
-        if self._tiering is not None:
-            # Invalidate prewarmed pads keyed by the retired versions:
-            # they can never be served for the new ciphertext (cache keys
-            # carry the version), but they waste capacity and the warm-set
-            # bookkeeping must restart under the bumped versions.
-            self._tiering.invalidate(
-                name, data_version=retired_data, tag_version=retired_tag
-            )

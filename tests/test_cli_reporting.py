@@ -78,6 +78,15 @@ class TestCli:
         assert err.count("\n") == 1
         assert "invalid scale" in err and "galactic" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["chaos", "--prewarm"], ["table3", "--hot-fraction", "0.1"]]
+    )
+    def test_removed_tiering_flags_fail_argument_parsing(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code not in (0, None)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_runs_table5_smoke(self, capsys):
         assert main(["table5", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core import ArithmeticEncryptor, SecNDPParams, encryption
 from repro.crypto import TweakedCipher
 from repro.errors import ConfigurationError
@@ -158,8 +159,8 @@ class TestRowAddressing:
         ids=["duplicates", "unsorted", "single", "empty", "all"],
     )
     def test_row_granular_path_matches_bulk(self, rows, monkeypatch):
-        enc, _ = make_encryptor()
-        enc.otp.resize_cache(4096)  # the default capacity is tier-derived
+        with kernels.use_tier("numpy"):  # off the native tier the LRU is on
+            enc, _ = make_encryptor()
         e = enc.encrypt(np.zeros((16, 8), dtype=np.uint32), 0x2000, version=3)
         bulk = enc.otp.pad_elements(0x2000, 128, 3).reshape(16, 8)
         # 32-byte rows are whole blocks: no per-element addressing.

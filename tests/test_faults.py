@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import kernels, obs
 from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import (
@@ -304,6 +304,22 @@ class TestRecovery:
         touched = {r for rows in QUERIES for r in rows}
         expected_quarantine = corrupted["t"] & touched
         assert store.quarantined_rows("t") == expected_quarantine
+
+    def test_answers_bit_identical_across_reencryption_with_cached_pads(self, golden):
+        # Off the native tier the pad LRU still holds the retired
+        # version's blocks when the version bumps; its keys carry the
+        # version, so they can never be served for the new ciphertext.
+        with kernels.use_tier("numpy"):
+            store = build_store(
+                recovery=FAST_POLICY, injector=FaultInjector(FaultPlan(rates={}))
+            )
+            before = store.sls_many("t", QUERIES, WEIGHTS)
+            assert store.cache_info().currsize > 0
+            store.reencrypt_table("t")
+            after_cold = store.sls_many("t", QUERIES, WEIGHTS)
+            after_warm = store.sls_many("t", QUERIES, WEIGHTS)
+        for got in (before, after_cold, after_warm):
+            assert np.array_equal(got, golden)
 
     def test_reencryption_clears_quarantine_and_heals_table(self, golden):
         plan = FaultPlan(rates={FaultKind.CIPHERTEXT_BIT: 3e-3}, seed=9)

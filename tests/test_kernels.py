@@ -2,7 +2,7 @@
 
 The contract under test (DESIGN.md Sec. 14): the scalar
 :class:`PrimeField` is the bit-exact oracle, the NumPy limb kernels the
-always-available tier, and the compiled backends (numba / C) an
+always-available tier, and the compiled C backend an
 optional accelerator that must be bit-identical to both.  Policy errors
 must fail fast with the allowed values; an absent backend must degrade
 to NumPy with exactly one counter bump and zero warnings.
@@ -39,12 +39,6 @@ NATIVE = kernels.native_available()
 needs_native = pytest.mark.skipif(
     not NATIVE, reason="no compiled kernel backend on this host"
 )
-try:  # pragma: no cover - exercised on the with-numba CI leg
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +160,10 @@ class TestDegradation:
             kernels.set_tier("native")
         msg = str(exc.value)
         assert "native" in msg and "numpy" in msg
+        # The only remedy is a C compiler; no package can be installed.
+        assert "C compiler" in msg and "PATH" in msg
+        assert kernels.unavailable_reason() in msg
+        assert "pip install" not in msg and "extra" not in msg
 
     def test_use_tier_restores_when_set_tier_raises(self, monkeypatch):
         # Regression: a failing use_tier("native") must not leave the
@@ -327,9 +325,7 @@ class TestCrossTierBitIdentity:
     def test_dot_small_path_boundary(self):
         # Regression: m=1 coefficients at/just above 2^32 sit exactly in
         # the small-path selection window.  The C backend's u32 cast used
-        # to truncate 2^32 -> 0, and the numba backend's wrapping-u64
-        # carry-normalize could overflow on column sums >= 2^63; both
-        # must now route these to an exact path.
+        # to truncate 2^32 -> 0; it must route these to an exact path.
         for w in (1, 3, P - 1):
             wl = lf.to_limbs([w])
             for c in ((1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 33) - 1):
@@ -524,36 +520,6 @@ class TestPadEngineBitIdentity:
                 with pytest.raises(ValueError) as err:
                     cipher.encrypt_counters(domain, np.array([0, addr], dtype=np.uint64), version)
                 assert str(err.value) == message, tier
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaBackend:  # pragma: no cover - with-numba CI leg only
-    def test_numba_backend_loads_and_matches(self):
-        from repro.kernels import _numba
-
-        rng = np.random.default_rng(3)
-        coeffs = rng.integers(0, 2**64, size=(8, 5), dtype=np.uint64)
-        wl = lf.to_limbs([int(x) % P for x in rng.integers(0, 2**63, size=5)])
-        with kernels.use_tier("numpy"):
-            want = lf.dot(coeffs, wl)
-        np.testing.assert_array_equal(_numba.dot(coeffs, wl), want)
-        blocks = rng.integers(0, 256, size=(4, 16), dtype=np.uint8)
-        with kernels.use_tier("numpy"):
-            want = aes128_encrypt_blocks(bytes(range(16)), blocks)
-        np.testing.assert_array_equal(
-            _numba.aes_blocks(bytes(range(16)), blocks), want
-        )
-
-    def test_numba_dot_small_path_carry_boundary(self):
-        # Regression: m=1, coeff=2^32+1, weight=p-1 used to select the
-        # small path with column sums up to 2^64-1, overflowing
-        # _canon_into's wrapping-u64 carry-normalize (contract: < 2^63).
-        from repro.kernels import _numba
-
-        c = (1 << 32) + 1
-        wl = lf.to_limbs([P - 1])
-        got = _numba.dot(np.array([[c]], dtype=np.uint64), wl)
-        assert _ints(got) == [(c * (P - 1)) % P]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -14,9 +14,20 @@ from hypothesis import strategies as st
 
 from repro import kernels, obs
 from repro.crypto import OtpGenerator, RING8, RING32, TweakedCipher
-from repro.crypto.otp import DEFAULT_CACHE_BLOCKS, OtpCacheInfo
+from repro.crypto.otp import CACHE_BLOCKS, OtpCacheInfo, PadBlockCache
 
 KEY = bytes(range(16))
+
+
+def _with_capacity(capacity, ring=RING32):
+    """A generator over a cache of ``capacity`` blocks.
+
+    Production has two, chosen by the kernel tier: 0 (regenerate) on the
+    native tier and ``CACHE_BLOCKS`` off it.
+    """
+    gen = OtpGenerator(TweakedCipher(KEY), ring)
+    gen._cache = PadBlockCache(capacity, gen.elements_per_block, ring.dtype)
+    return gen
 
 
 @pytest.fixture
@@ -104,7 +115,7 @@ class TestBlockDedupeAndCache:
         assert gen.cache_info().hits == 0
 
     def test_repeat_query_hits_cache(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
+        gen = _with_capacity(4096)
         addrs = np.arange(8, dtype=np.uint64) * 4 + 0x1000
         gen.pad_elements_at(addrs, 0)
         before = gen.cache_info().misses
@@ -112,7 +123,7 @@ class TestBlockDedupeAndCache:
         assert gen.cache_info().misses == before  # fully served from cache
         assert gen.cache_info().hits >= 2
         # Cached results are still bit-identical to direct generation.
-        fresh = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        fresh = _with_capacity(0)
         assert np.array_equal(out, fresh.pad_elements_at(addrs, 0))
 
     def test_version_keys_cache_entries(self):
@@ -124,9 +135,9 @@ class TestBlockDedupeAndCache:
         assert not np.array_equal(a, b)
 
     def test_cache_disabled(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        gen = _with_capacity(0)
         addrs = np.array([0x1000, 0x1004], dtype=np.uint64)
-        ref = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
+        ref = _with_capacity(4096)
         assert np.array_equal(
             gen.pad_elements_at(addrs, 0), ref.pad_elements_at(addrs, 0)
         )
@@ -134,24 +145,15 @@ class TestBlockDedupeAndCache:
         assert gen.cache_info().hits == 0 and gen.cache_info().misses == 1
 
     def test_lru_eviction_bounds_cache(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=2)
+        gen = _with_capacity(2)
         for block in range(5):
             gen.pad_elements_at(
                 np.array([0x1000 + 16 * block], dtype=np.uint64), 0
             )
-        assert gen.cache_info().currsize == 2
-        assert gen.cached_versions() == {0: 2}
-
-    def test_clear_cache(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32)
-        gen.pad_elements_at(np.array([0x1000], dtype=np.uint64), 0)
-        gen.clear_cache()
-        assert gen.cache_info().currsize == 0
-        assert gen.cached_versions() == {}
-        assert gen.cache_info().hits == 0 and gen.cache_info().misses == 0
+        assert gen.cache_info() == (0, 5, 3, 2, 2)
 
     def test_scatter_still_matches_bulk_with_cache(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING8)
+        gen = _with_capacity(CACHE_BLOCKS, RING8)
         bulk = gen.pad_elements(0x2000, 48, 4)
         addrs = 0x2000 + np.arange(48, dtype=np.uint64)
         # Prime the cache, then query again out of order with duplicates.
@@ -167,11 +169,11 @@ class TestCacheInfo:
 
     def test_fresh_generator(self, gen32):
         info = gen32.cache_info()
-        assert info == (0, 0, 0, 0, gen32.cache_blocks)
-        assert info.maxsize == gen32.cache_blocks
+        assert info == (0, 0, 0, 0, info.maxsize)
+        assert info.maxsize in (0, CACHE_BLOCKS)
 
     def test_hits_misses_reported(self):
-        gen32 = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
+        gen32 = _with_capacity(4096)
         addrs = np.arange(8, dtype=np.uint64) * 4 + 0x1000
         gen32.pad_elements_at(addrs, 0)  # 2 distinct blocks -> 2 misses
         gen32.pad_elements_at(addrs, 0)  # same blocks -> 2 hits
@@ -181,14 +183,9 @@ class TestCacheInfo:
         assert info.currsize == 2
         assert info.evictions == 0
 
-    def test_clear_cache_resets_info(self, gen32):
-        gen32.pad_elements_at(np.array([0x1000], dtype=np.uint64), 0)
-        gen32.clear_cache()
-        assert gen32.cache_info() == (0, 0, 0, 0, gen32.cache_blocks)
-
     def test_eviction_counts_and_bounds_memory(self):
         capacity = 64
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=capacity)
+        gen = _with_capacity(capacity)
         rng = np.random.default_rng(7)
         # Long scattered workload over a row space far larger than the
         # cache: 200 queries of 32 random block-aligned addresses each.
@@ -204,7 +201,7 @@ class TestCacheInfo:
         assert info.misses == info.evictions + info.currsize
 
     def test_disabled_cache_info(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        gen = _with_capacity(0)
         gen.pad_elements_at(np.array([0x1000], dtype=np.uint64), 0)
         info = gen.cache_info()
         assert info.maxsize == 0
@@ -213,21 +210,20 @@ class TestCacheInfo:
 
 
 class TestDerivedDefaultCapacity:
-    """The default capacity follows what a block costs to make (DESIGN Sec. 8)."""
+    """The capacity follows the kernel tier and nothing else (DESIGN Sec. 8)."""
 
     def test_default_is_regenerate_on_the_fused_tier_and_the_lru_elsewhere(self):
-        with kernels.use_tier("numpy"):
-            assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == DEFAULT_CACHE_BLOCKS
-        with kernels.use_tier("scalar"):
-            assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == DEFAULT_CACHE_BLOCKS
+        for tier in ("numpy", "scalar"):
+            with kernels.use_tier(tier):
+                info = OtpGenerator(TweakedCipher(KEY), RING32).cache_info()
+            assert info == (0, 0, 0, 0, CACHE_BLOCKS)
         if kernels.native_available():
             with kernels.use_tier("native"):
-                # cc has the fused ctr_pads sweep; numba does not.
-                want = 0 if kernels.backend_name() == "cc" else DEFAULT_CACHE_BLOCKS
-                assert OtpGenerator(TweakedCipher(KEY), RING32).cache_blocks == want
+                info = OtpGenerator(TweakedCipher(KEY), RING32).cache_info()
+            assert info == (0, 0, 0, 0, 0)
 
     def test_capacity_zero_counts_every_generated_block_as_a_miss(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
+        gen = _with_capacity(0)
         addrs = _BASE + 16 * np.arange(5, dtype=np.uint64)
         gen.pads_for_blocks(addrs, 1)
         gen.pads_for_blocks(addrs[:3], 1)
@@ -241,17 +237,9 @@ class TestDerivedDefaultCapacity:
             obs.disable()
             obs.reset()
 
-    def test_explicit_resize_behaves_as_before(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
-        addrs = _BASE + 16 * np.arange(4, dtype=np.uint64)
-        gen.resize_cache(8)
-        gen.pads_for_blocks(addrs, 0)
-        gen.pads_for_blocks(addrs, 0)
-        assert gen.cache_info() == (4, 4, 0, 4, 8)
-
     def test_repeating_stream_pads_identical_at_capacity_0_and_4096(self):
-        regenerate = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=0)
-        cached = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4096)
+        regenerate = _with_capacity(0)
+        cached = _with_capacity(4096)
         rng = np.random.default_rng(20)
         for _ in range(12):
             elems = _BASE + 4 * rng.integers(0, 96, size=40).astype(np.uint64)
@@ -295,23 +283,6 @@ class _DictLru:
             self.keys.popitem(last=False)
             self.evictions += 1
 
-    def resize(self, capacity):
-        self.capacity = capacity
-        if capacity:
-            self._shrink()
-        else:
-            self.keys.clear()
-
-    def purge(self, version):
-        stale = [key for key in self.keys if key[0] == version]
-        for key in stale:
-            del self.keys[key]
-        return len(stale)
-
-    def clear(self):
-        self.keys.clear()
-        self.hits = self.misses = self.evictions = 0
-
     def info(self):
         return OtpCacheInfo(
             self.hits, self.misses, self.evictions, len(self.keys), self.capacity
@@ -327,18 +298,9 @@ _BLOCKS = st.tuples(
 )
 # element addresses with duplicates, unsorted (pad_elements_at dedupes)
 _ELEMENTS = st.tuples(st.just("elements"), _VERSIONS, st.lists(st.integers(0, 47)))
-# Lookups dominate so that runs of fill / hit / overflow / re-probe, the
-# sequences on which LRU order shows, are common.
-_OPS = st.one_of(
-    _BLOCKS,
-    _BLOCKS,
-    _BLOCKS,
-    _ELEMENTS,
-    _ELEMENTS,
-    st.tuples(st.just("resize"), _CAPACITIES),
-    st.tuples(st.just("purge"), _VERSIONS),
-    st.tuples(st.just("clear")),
-)
+# Runs of fill / hit / overflow / re-probe are the sequences on which
+# LRU order shows.
+_OPS = st.one_of(_BLOCKS, _BLOCKS, _BLOCKS, _ELEMENTS, _ELEMENTS)
 
 
 class TestCacheAgainstDictModel:
@@ -347,7 +309,7 @@ class TestCacheAgainstDictModel:
     @settings(max_examples=300, deadline=None)
     @given(_CAPACITIES, st.lists(_OPS, min_size=12, max_size=40))
     def test_differential(self, capacity, ops):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=capacity)
+        gen = _with_capacity(capacity)
         model = _DictLru(capacity)
         for op in ops:
             if op[0] == "blocks":
@@ -355,7 +317,7 @@ class TestCacheAgainstDictModel:
                 model.lookup(op[1], addrs)
                 got = gen.pads_for_blocks(addrs, op[1])
                 assert np.array_equal(got, gen._encrypt_blocks(addrs, op[1]))
-            elif op[0] == "elements":
+            else:
                 addrs = _BASE + 4 * np.asarray(op[2], dtype=np.uint64)
                 blocks = np.unique(addrs // 16 * 16)
                 if addrs.size:
@@ -364,19 +326,10 @@ class TestCacheAgainstDictModel:
                 rows = gen._encrypt_blocks(blocks, op[1])
                 want = rows[np.searchsorted(blocks, addrs // 16 * 16), addrs % 16 // 4]
                 assert np.array_equal(got, want.reshape(-1))
-            elif op[0] == "resize":
-                model.resize(op[1])
-                gen.resize_cache(op[1])
-            elif op[0] == "purge":
-                assert gen.purge_version(op[1]) == model.purge(op[1])
-            else:
-                model.clear()
-                gen.clear_cache()
             assert gen.cache_info() == model.info()
-            assert gen.cached_versions() == Counter(v for v, _ in model.keys)
 
     def test_batch_larger_than_cache_keeps_its_tail(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=4)
+        gen = _with_capacity(4)
         addrs = _BASE + 16 * np.arange(10, dtype=np.uint64)
         gen.pads_for_blocks(addrs, 0)
         assert gen.cache_info() == (0, 10, 6, 4, 4)
@@ -384,7 +337,7 @@ class TestCacheAgainstDictModel:
         assert gen.cache_info() == (4, 10, 6, 4, 4)
 
     def test_hit_in_a_mixed_batch_is_refreshed(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=3)
+        gen = _with_capacity(3)
         a, b, c, d = (_BASE + 16 * np.arange(4, dtype=np.uint64)).reshape(4, 1)
         for addr in (a, b, c):
             gen.pads_for_blocks(addr, 0)
@@ -394,7 +347,7 @@ class TestCacheAgainstDictModel:
         assert gen.cache_info() == (4, 4, 1, 3, 3)
 
     def test_all_hit_batch_is_refreshed(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=3)
+        gen = _with_capacity(3)
         a, b, c, d = (_BASE + 16 * np.arange(4, dtype=np.uint64)).reshape(4, 1)
         gen.pads_for_blocks(np.concatenate([a, b, c]), 0)
         gen.pads_for_blocks(np.concatenate([b, a]), 0)  # c is now the oldest
@@ -403,7 +356,7 @@ class TestCacheAgainstDictModel:
         assert gen.cache_info() == (5, 4, 1, 3, 3)
 
     def test_returned_pads_are_copies(self):
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=2)
+        gen = _with_capacity(2)
         addrs = _BASE + 16 * np.arange(2, dtype=np.uint64)
         gen.pads_for_blocks(addrs, 0)
         held = gen.pads_for_blocks(addrs, 0)
@@ -413,17 +366,20 @@ class TestCacheAgainstDictModel:
 
 
 class TestCacheUnderThreads:
-    def test_fills_reads_and_purge_never_serve_a_wrong_pad(self):
-        """Prewarmer-style fills race serving reads, then a purge.
+    @pytest.mark.parametrize("capacity", [48, 0], ids=["lru", "regenerate"])
+    def test_concurrent_callers_get_the_right_pads_and_an_exact_count(self, capacity):
+        """Several serving threads share one generator.
 
-        A lost update would show as a pad that is not E(K, version, addr)
-        or as more resident entries than the capacity.
+        A lost update would show as a pad that is not E(K, version, addr),
+        as more resident entries than the capacity, or as a served-block
+        count that does not sum.
         """
-        gen = OtpGenerator(TweakedCipher(KEY), RING32, cache_blocks=48)
+        gen = _with_capacity(capacity)
         universe = _BASE + 16 * np.arange(256, dtype=np.uint64)
         truth = {v: gen._encrypt_blocks(universe, v) for v in (1, 2)}
         stop = threading.Event()
         failures = []
+        served = [0, 0, 0]
 
         def worker(seed, versions, batch):
             rng = np.random.default_rng(seed)
@@ -431,6 +387,7 @@ class TestCacheUnderThreads:
                 version = versions[int(rng.integers(len(versions)))]
                 picks = rng.choice(256, size=batch, replace=False)
                 got = gen.pads_for_blocks(universe[picks], version)
+                served[seed] += batch
                 if not np.array_equal(got, truth[version][picks]):
                     failures.append((seed, version))
                 info = gen.cache_info()
@@ -438,8 +395,8 @@ class TestCacheUnderThreads:
                     failures.append(("size", info))
 
         threads = [
-            threading.Thread(target=worker, args=(0, (1,), 32)),  # prewarm fills
-            threading.Thread(target=worker, args=(1, (1, 2), 8)),  # serving reads
+            threading.Thread(target=worker, args=(0, (1,), 32)),
+            threading.Thread(target=worker, args=(1, (1, 2), 8)),
             threading.Thread(target=worker, args=(2, (1, 2), 8)),
         ]
         interval = sys.getswitchinterval()
@@ -447,9 +404,8 @@ class TestCacheUnderThreads:
         try:
             for t in threads:
                 t.start()
-            deadline = time.monotonic() + 1.0
+            deadline = time.monotonic() + 0.5
             while time.monotonic() < deadline and not failures:
-                gen.purge_version(1)  # re-encryption retires version 1
                 time.sleep(0.01)
         finally:
             stop.set()
@@ -460,5 +416,6 @@ class TestCacheUnderThreads:
         assert not failures
         info = gen.cache_info()
         assert info.currsize <= info.maxsize
-        gen.purge_version(1)
-        assert 1 not in gen.cached_versions()
+        assert info.hits + info.misses == sum(served) > 0
+        if not capacity:
+            assert info == (0, sum(served), 0, 0, 0)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
-from repro.crypto.otp import OtpCacheInfo, merge_cache_info
 from repro.errors import ConfigurationError, VerificationError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelSlsEngine, parallel_map, resolve_workers
@@ -193,9 +192,6 @@ class TestWorkerObservability:
                 counters = obs.snapshot()["counters"]
                 assert counters.get("parallel.batch.calls") == 1
                 assert counters.get("protocol.partial.queries", 0) >= 5
-                info = engine.cache_info()
-            assert isinstance(info, OtpCacheInfo)
-            assert info.misses > 0  # workers reported their private caches
         finally:
             obs.disable()
             obs.get_registry().reset()
@@ -297,17 +293,3 @@ class TestTagPacking:
 
     def test_shared_memory_probe_is_bool(self):
         assert shared_memory_available() in (True, False)
-
-
-class TestCacheInfoMerge:
-    def test_merge_sums_fields(self):
-        merged = merge_cache_info(
-            [
-                OtpCacheInfo(hits=1, misses=2, evictions=0, currsize=3, maxsize=8),
-                OtpCacheInfo(hits=4, misses=1, evictions=2, currsize=1, maxsize=8),
-            ]
-        )
-        assert merged.hits == 5
-        assert merged.misses == 3
-        assert merged.evictions == 2
-        assert merged.currsize == 4

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import ConfigurationError, VerificationError
 from repro.workloads import SecureEmbeddingStore
@@ -89,6 +90,37 @@ class TestQueries:
     def test_length_mismatch_rejected(self, store):
         with pytest.raises(ConfigurationError):
             store.sls("emb", [0, 1], [1])
+
+
+class TestPadBlockAccounting:
+    """The reading ``benchmarks/e2e`` computes ``aes_blocks_per_query`` from."""
+
+    @pytest.mark.parametrize(
+        "tier",
+        ["scalar", "numpy"] + (["native"] if kernels.native_available() else []),
+    )
+    def test_one_wave_counts_every_block_of_its_row_union(self, tier):
+        rng = np.random.default_rng(11)
+        batch = [list(rng.integers(0, 64, size=6)) for _ in range(8)]
+        union = len({int(r) for rows in batch for r in rows})
+        with kernels.use_tier(tier):
+            params = SecNDPParams(element_bits=32)
+            store = SecureEmbeddingStore(
+                SecNDPProcessor(KEY, params), UntrustedNdpDevice(params)
+            )
+            store.add_table("emb", rng.normal(size=(64, 16)))
+            blocks = union * (store.device.stored("emb").row_bytes // 16)
+            before = store.cache_info()
+            assert before[:4] == (0, 0, 0, 0)  # bulk encryption is not counted
+            assert (before.maxsize == 0) == (tier == "native")
+            _, outcomes = store.sls_scatter("emb", batch)
+            assert all(o.ok for o in outcomes)
+            # A wave's rows are deduplicated, so a cold store generates
+            # each touched block once: on the native tier nothing is
+            # kept, off it the LRU now holds them.
+            kept = 0 if tier == "native" else blocks
+            assert store.cache_info() == (0, blocks, 0, kept, before.maxsize)
+            assert store.tag_cache_info() == (0, 0, 0, 0, 0)
 
 
 class TestOverflowBudget:

@@ -59,6 +59,24 @@ class TestProductionTrace:
         with pytest.raises(ConfigurationError):
             production_trace(100, 1, hot_fraction=0.0)
 
+    def test_seed_determinism(self):
+        a = production_trace(4096, 32, seed=9)
+        b = production_trace(4096, 32, seed=9)
+        assert a.indices == b.indices and a.weights == b.weights
+        c = production_trace(4096, 32, seed=10)
+        assert c.indices != a.indices
+
+    def test_top_k_mass_matches_hot_probability(self):
+        tr = production_trace(
+            8192, 64, hot_fraction=0.05, hot_probability=0.9, seed=3
+        )
+        refs = [i for ix in tr.indices for i in ix]
+        n_hot = int(8192 * 0.05)
+        hot_refs = sum(1 for i in refs if i < n_hot)
+        # Hot rows get hot_probability of the draws plus the uniform
+        # spill-over that also lands below n_hot.
+        assert hot_refs / len(refs) > 0.85
+
 
 class TestAnalyticsTrace:
     def test_contiguous_runs(self):
