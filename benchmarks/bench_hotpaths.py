@@ -36,7 +36,6 @@ scalar tag path is measured on a row slice and extrapolated linearly.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -49,7 +48,6 @@ from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
 from repro.crypto.aes import BLOCK_BYTES
 from repro.crypto.tweaked import DOMAIN_DATA
-from repro.parallel import ParallelSlsEngine
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
@@ -196,73 +194,6 @@ def _bench_sls(sizes) -> dict:
         "sequential_seconds": t_seq,
         "batched_seconds": t_bat,
         "speedup": t_seq / t_bat,
-    }
-
-
-def _bench_parallel(sizes) -> dict:
-    """Sequential loop vs in-process batch vs the sharded worker pool.
-
-    Serving-engine scenario (DESIGN.md Sec. 10): the same verified SLS
-    batch as ``_bench_sls`` but larger (a serving engine aggregates more
-    concurrent queries), served three ways - per-query ``sls`` loop,
-    in-process ``sls_many``, and ``ParallelSlsEngine`` with 4 workers
-    over shared-memory arenas.  Pool startup (spawn + arena export) is
-    timed separately: it is a one-time cost amortized over the serving
-    lifetime, not part of the steady-state per-batch latency.
-    """
-    params = SecNDPParams(element_bits=32)
-    processor = SecNDPProcessor(KEY, params)
-    device = UntrustedNdpDevice(params)
-    store = SecureEmbeddingStore(processor, device, quantization="table")
-    rng = np.random.default_rng(4)
-    n_rows = min(sizes["n_rows"], 4_096)
-    store.add_table("emb", rng.normal(size=(n_rows, sizes["dim"])))
-
-    pf = min(sizes["pf"], store.max_pooling_factor("emb"))
-    batch = sizes["batch"] * 4
-    hot = max(2 * pf, 64)
-    batch_rows = [list(rng.integers(0, min(hot, n_rows), size=pf)) for _ in range(batch)]
-
-    t_seq, out_seq = _best_of(
-        lambda: np.asarray([store.sls("emb", rows) for rows in batch_rows]), repeats=2
-    )
-    t_inp, out_inp = _best_of(lambda: store.sls_many("emb", batch_rows), repeats=2)
-
-    requested = 4
-    t0 = time.perf_counter()
-    engine = ParallelSlsEngine(store, workers=requested)
-    startup = time.perf_counter() - t0
-    try:
-        effective = engine.workers
-        # Steady-state serving latency: the first rounds warm the workers
-        # (which one serves a given round rotates) and are charged to
-        # startup, not to the per-batch time.
-        t0 = time.perf_counter()
-        for _ in range(2):
-            engine.sls_many("emb", batch_rows)
-        startup += time.perf_counter() - t0
-        t_par, out_par = _best_of(lambda: engine.sls_many("emb", batch_rows), repeats=6)
-    finally:
-        engine.close()
-
-    # Bit-identity is the acceptance bar: the sharded partial sums live in
-    # modular rings/fields, so recombination must be *exact*, not close.
-    assert np.array_equal(out_inp, out_par), "parallel SLS diverges from in-process"
-    assert np.array_equal(out_seq, out_par), "parallel SLS diverges from sequential"
-    return {
-        "table_rows": n_rows,
-        "dim": sizes["dim"],
-        "pooling_factor": int(pf),
-        "batch": batch,
-        "workers_requested": requested,
-        "workers_effective": int(effective),
-        "cpu_count": os.cpu_count() or 1,
-        "pool_startup_seconds": startup,
-        "sequential_seconds": t_seq,
-        "inprocess_seconds": t_inp,
-        "parallel_seconds": t_par,
-        "speedup_vs_sequential": t_seq / t_par,
-        "speedup_vs_inprocess": t_inp / t_par,
     }
 
 
@@ -653,10 +584,6 @@ def test_hotpaths(scale):
     sizes = _SIZES.get(scale.name, _SIZES["default"])
     sections, wall = run_wall_sections(sizes)
     report = {"scale": scale.name, **sections, "wall_seconds": wall}
-    # Workers spawned inside the pinned block inherit the numpy tier via
-    # the pool-spec broadcast.
-    with kernels.use_tier("numpy"):
-        report["parallel"] = _bench_parallel(sizes)
     report["pad_path"] = _bench_pad_path(sizes)
     report["sls_wave"] = _bench_sls_wave(sizes)
     report["obs"] = _bench_obs(sizes)
@@ -681,15 +608,6 @@ def test_hotpaths(scale):
         f"sls batch={sl['batch']} pf={sl['pooling_factor']}: sequential "
         f"{sl['sequential_seconds']*1e3:.1f} ms, batched {sl['batched_seconds']*1e3:.1f} ms "
         f"-> {sl['speedup']:.2f}x"
-    )
-    pl = report["parallel"]
-    print(
-        f"parallel batch={pl['batch']} workers={pl['workers_effective']}/"
-        f"{pl['workers_requested']} (cpus={pl['cpu_count']}): sequential "
-        f"{pl['sequential_seconds']*1e3:.1f} ms, in-process "
-        f"{pl['inprocess_seconds']*1e3:.1f} ms, pool {pl['parallel_seconds']*1e3:.1f} ms "
-        f"-> {pl['speedup_vs_sequential']:.2f}x vs sequential "
-        f"(startup {pl['pool_startup_seconds']*1e3:.0f} ms, bit-identical)"
     )
     pp = report["pad_path"]
     for tier in ("numpy", "native"):
@@ -753,16 +671,6 @@ def test_hotpaths(scale):
         assert mt["speedup"] >= 5.0
     assert ot["aes_blocks_deduped"] < ot["aes_blocks_old"]
     assert ot["speedup_cold"] > 1.0
-    # The sharded pool serves the batch no slower than the per-query
-    # sequential path at the default scale (bit-identity is asserted
-    # inside _bench_parallel).  The floor used to be >= 2x, a ratio
-    # against the per-query path's per-block pad loop: vectorising that
-    # loop took sequential from 158 to 103 ms on the reference box while
-    # the pool stayed at 67 ms.  Skipped when the engine degraded to
-    # in-process (no shared memory / nested pool) - the fallback is
-    # correctness-preserving, not a perf claim.
-    if scale.name in ("default", "paper") and pl["workers_effective"] > 0:
-        assert pl["parallel_seconds"] <= pl["sequential_seconds"]
     # Pad path: a native block costs an absolute <= 30 ns through
     # pads_for_rows; on the NumPy tier a resident block is cheaper than a
     # generated one, which is what its LRU is kept for.

@@ -8,8 +8,6 @@ minute or the host.  The verdict is the *median of the paired
 differences* against an absolute budget in microseconds per serve (per
 query where the cost is per query).  Checked:
 
-* a ``ParallelSlsEngine`` forced to ``workers=0`` against the plain
-  store path — the degraded engine is pure delegation;
 * fault-injection hooks installed but disarmed (one global load per hook
   site), and armed with an all-zero plan (two hook calls per query,
   neither fires);
@@ -65,12 +63,11 @@ ROUNDS = 201
 #: Budgets in reference-box microseconds: what the feature may add to one
 #: serve (or one query) while off.  Each is at least twice the spread of
 #: its reading over ten back-to-back runs on the 2-vCPU reference box
-#: (41, 65, 0.6, 42 and 60 us) and 1.5-10% of the serve it is taken on.
+#: (65, 0.6, 42 and 60 us) and 1.5-10% of the serve it is taken on.
 #: The journal state reads +40 to +70 us with no event emitted: so does a
 #: state that merely holds an unrelated file open, so it is the open
 #: file, not the event log, and the events budget leaves room for it.
 BUDGET_US = {
-    "workers0": 80.0,
     "hooks_installed": 150.0,
     "hooks_armed_per_query": 5.0,
     "events": 120.0,
@@ -135,27 +132,6 @@ def _within(label: str, added_us: float, budget_us: float, unit: str = "serve") 
         print(f"FAIL: {label} costs {added_us:.1f} us per {unit} (budget {budget_us:.0f})")
         return False
     return True
-
-
-def _check_workers0_envelope(sizes) -> bool:
-    """Engine at ``workers=0`` vs direct ``store.sls_many``: one attribute check."""
-    from repro.parallel import ParallelSlsEngine
-
-    store, batch_rows = _store_and_batch(sizes, seed=5, batch_factor=1)
-    with ParallelSlsEngine(store, workers=0) as engine:
-
-        def serving(sls_many):
-            return lambda: contextlib.nullcontext(lambda: sls_many("emb", batch_rows))
-
-        times, outs = _paired_rounds(
-            {"store": serving(store.sls_many), "engine": serving(engine.sls_many)}
-        )
-    assert np.array_equal(outs["store"], outs["engine"]), "workers=0 engine diverges"
-    return _within(
-        "workers=0 engine over the store path",
-        _added_us(times, "engine", "store"),
-        BUDGET_US["workers0"],
-    )
 
 
 def _check_fault_hook_overhead(sizes) -> bool:
@@ -325,7 +301,6 @@ def main(argv=None) -> int:
 
     kernels.warmup()
     checks = [
-        _check_workers0_envelope(sizes),
         _check_fault_hook_overhead(sizes),
         _check_obs_overhead(sizes),
         _check_kernel_dispatch_overhead(sizes),

@@ -8,7 +8,7 @@ Usage::
     python -m repro all --scale smoke
     python -m repro table3 --scale smoke --stats --trace trace.json
     python -m repro fig7 --scale paper --workers 4
-    python -m repro chaos --fault-rate 1e-3 --workers 2
+    python -m repro chaos --fault-rate 1e-3
     python -m repro chaos --plan ci-default
     python -m repro obs report --scale smoke --slo "sls.batch.p99<50ms"
     python -m repro obs report --prom metrics.prom --events audit.jsonl
@@ -24,7 +24,8 @@ observability registry snapshot after the run and ``--trace PATH``
 writes a Chrome/Perfetto trace of the phase spans (DESIGN.md Sec. 9).
 ``--workers N`` fans the experiment grid across N processes
 (DESIGN.md Sec. 10); the default comes from ``SECNDP_WORKERS`` or the
-CPU count, and ``--workers 0`` forces the in-process path.
+CPU count, and ``--workers 0`` forces the in-process path.  It applies
+to the table/figure experiments only: every other command refuses it.
 
 Telemetry (DESIGN.md Sec. 13): ``obs report`` runs a functional serving
 pass and prints percentile tables, SLO budget status and recorded
@@ -215,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="journal every security event (verification failures, "
-        "recovery-ladder steps, quarantines, pool lifecycle) as one JSON "
+        "recovery-ladder steps, quarantines, node blame) as one JSON "
         "line appended to PATH",
     )
     parser.add_argument(
@@ -327,10 +328,6 @@ def _print_slo(statuses) -> bool:
 
 def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
     """``repro obs report``: serve, then summarise telemetry + SLOs."""
-    workers = args.workers if args.workers is not None else default_workers()
-    if workers < 0:
-        return _fail(f"--workers must be >= 0, got {workers}")
-
     event_counts = None
     if args.metrics is not None:
         # Offline mode: report over a saved snapshot (and, with --events,
@@ -356,10 +353,7 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
         kernels.publish()
         try:
             with obs.span("experiment.obs_report", cat="harness"):
-                run_functional_shadow(
-                    scale,
-                    workers=workers,
-                )
+                run_functional_shadow(scale)
             snap = obs.snapshot(include_samples=True)
             log = obs.event_log()
             if log is not None:
@@ -383,49 +377,39 @@ def _serve_cmd(args, scale: ExperimentScale) -> int:
     """``repro serve``: demo store behind the TCP front-end until SIGINT."""
     import asyncio
 
-    from .parallel import ParallelSlsEngine
     from .serve import DEFAULT_SERVE_SLO, AdmissionConfig, SlsServer
     from .serve.bench import SIZES, _build_store
 
-    workers = args.workers if args.workers is not None else 0
-    if workers < 0:
-        return _fail(f"--workers must be >= 0, got {workers}")
     sizes = SIZES.get(scale.name, SIZES["default"])
     print(
         f"building demo store ({sizes['n_rows']} x {sizes['dim']}, "
-        f"scale={scale.name}, workers={workers}) ..."
+        f"scale={scale.name}) ..."
     )
     store = _build_store(sizes["n_rows"], sizes["dim"], seed=11)
-    engine = ParallelSlsEngine(store, workers=workers) if workers > 0 else None
 
     async def run():
-        try:
-            server = SlsServer(
-                store,
-                engine=engine,
-                host=args.host,
-                port=args.port,
-                max_batch=args.max_batch,
-                admission=AdmissionConfig(
-                    slo=args.serve_slo or DEFAULT_SERVE_SLO, max_queue=args.max_queue
-                ),
-            )
-            await server.start()
-            print(
-                f"serving table 'emb' on {server.host}:{server.port} "
-                f"(max_batch={args.max_batch}, max_queue={args.max_queue}); "
-                f"Ctrl-C drains and exits"
-            )
-            await server.serve_forever()
-            stats = server.stats()
-            print(
-                f"drained: {int(stats['requests'])} requests, "
-                f"{int(stats['batches'])} batches, "
-                f"{int(stats['admission.shed'])} shed"
-            )
-        finally:
-            if engine is not None:
-                engine.close()
+        server = SlsServer(
+            store,
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            admission=AdmissionConfig(
+                slo=args.serve_slo or DEFAULT_SERVE_SLO, max_queue=args.max_queue
+            ),
+        )
+        await server.start()
+        print(
+            f"serving table 'emb' on {server.host}:{server.port} "
+            f"(max_batch={args.max_batch}, max_queue={args.max_queue}); "
+            f"Ctrl-C drains and exits"
+        )
+        await server.serve_forever()
+        stats = server.stats()
+        print(
+            f"drained: {int(stats['requests'])} requests, "
+            f"{int(stats['batches'])} batches, "
+            f"{int(stats['admission.shed'])} shed"
+        )
 
     try:
         asyncio.run(run())
@@ -436,7 +420,6 @@ def _serve_cmd(args, scale: ExperimentScale) -> int:
 
 def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
     """``repro bench-serve``: QPS legs + overload + TCP smoke at a scale."""
-    from .parallel import resolve_workers
     from .serve.bench import (
         SIZES,
         run_overload_scenario,
@@ -444,7 +427,6 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
         run_tcp_smoke,
     )
 
-    workers = resolve_workers(args.workers)
     sizes = SIZES.get(scale.name, SIZES["default"])
     collect = (
         args.stats
@@ -462,7 +444,7 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
         elif own_events:
             obs.enable_events()
     slo_failed = False
-    print(f"== bench-serve (scale={scale.name}, workers={workers}) ==")
+    print(f"== bench-serve (scale={scale.name}) ==")
     started = time.time()
     try:
         report = run_serve_bench(
@@ -486,10 +468,10 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
             f"{overload['burn_rate']:.2f}, p99 within SLO: "
             f"{overload['p99_within_slo']}"
         )
-        tcp = run_tcp_smoke(workers=workers, codec=args.codec)
+        tcp = run_tcp_smoke(codec=args.codec)
         print(
             f"tcp smoke ({tcp['codec']} frames): {tcp['queries']} queries / "
-            f"{tcp['clients']} clients / {tcp['workers']} workers -> "
+            f"{tcp['clients']} clients -> "
             f"{tcp['qps']:.0f} qps ({tcp['batches']} batches, bit-identical)"
         )
         print(f"[bench-serve finished in {time.time() - started:.1f}s]")
@@ -728,6 +710,14 @@ def main(argv=None) -> int:
             f"invalid scale {args.scale!r} "
             f"(choose from: {', '.join(sorted(_SCALES))})"
         )
+    if args.workers is not None:
+        if args.experiment not in (*EXPERIMENTS, "all"):
+            return _fail(
+                "--workers fans experiment grids; serving is in-process or "
+                "`repro cluster`"
+            )
+        if args.workers < 0:
+            return _fail(f"--workers must be >= 0, got {args.workers}")
 
     # Resolve the kernel tier before any experiment runs: a typo in
     # --kernel-tier or SECNDP_KERNEL_TIER (or an unsatisfiable 'native'
@@ -782,15 +772,8 @@ def main(argv=None) -> int:
     if args.events is not None:
         obs.enable_events(args.events)
 
-    workers = args.workers if args.workers is not None else default_workers()
-    if workers < 0:
-        return _fail(f"--workers must be >= 0, got {workers}")
-
     if args.experiment == "chaos":
         scale = _SCALES[args.scale]
-        # Sharded chaos serving is opt-in: the run is a functional-stack
-        # replay, so default to in-process unless --workers was given.
-        chaos_workers = args.workers if args.workers is not None else 0
         if args.sweep is not None:
             try:
                 rates = parse_sweep_spec(args.sweep)
@@ -804,11 +787,7 @@ def main(argv=None) -> int:
             slo_failed = False
             try:
                 with obs.span("experiment.chaos_sweep", cat="harness"):
-                    sweep = run_chaos_sweep(
-                        scale,
-                        rates,
-                        workers=chaos_workers,
-                    )
+                    sweep = run_chaos_sweep(scale, rates)
                 print(sweep.render())
                 print(f"[chaos sweep finished in {time.time() - started:.1f}s]\n")
                 if args.stats:
@@ -856,11 +835,7 @@ def main(argv=None) -> int:
         slo_failed = False
         try:
             with obs.span("experiment.chaos", cat="harness"):
-                result = run_chaos(
-                    scale,
-                    plan=plan,
-                    workers=chaos_workers,
-                )
+                result = run_chaos(scale, plan=plan)
             print(result.render())
             print(f"[chaos finished in {time.time() - started:.1f}s]\n")
             if args.stats:
@@ -890,6 +865,7 @@ def main(argv=None) -> int:
             )
         return 1 if slo_failed else 0
 
+    workers = args.workers if args.workers is not None else default_workers()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     scale = _SCALES[args.scale]
     collected = {}
@@ -907,10 +883,7 @@ def main(argv=None) -> int:
         if collect:
             # The experiment drivers are timing models; one functional
             # pass populates the crypto/protocol-layer counters too.
-            run_functional_shadow(
-                scale,
-                workers=workers,
-            )
+            run_functional_shadow(scale)
         if args.json:
             path = export_results(collected, args.json)
             print(f"results written to {path}")

@@ -21,9 +21,7 @@ No key material ever crosses this wire: cluster NDP nodes are the
 *untrusted* memory party of the SecNDP threat model, so ``shard_assign``
 carries only public params and already-encrypted tables, and
 ``partial_sum`` responses carry only sums over that ciphertext.  The
-trusted coordinator regenerates every pad share locally (the in-process
-parallel engine's pool workers, by contrast, are trusted-side and do
-receive the key via ``_PoolSpec``).
+trusted coordinator regenerates every pad share locally.
 
 Every decoder treats its input as attacker-controlled: malformed
 structure, non-integers, byte strings of the wrong length for their

@@ -1,10 +1,9 @@
 """Trusted coordinator: shard, dispatch, blame, fail over, re-shard.
 
-The cluster analogue of :class:`~repro.parallel.engine.ParallelSlsEngine`
-with the trust boundary moved across TCP — and, unlike the in-process
-pool (whose workers are trusted-side and share the key), the nodes on
-the far side of that TCP link are the *untrusted memory party* of the
-SecNDP threat model.  The coordinator owns the authoritative
+The sharded executor: an SLS batch runs either in one process (the
+store, both halves of the split side by side) or here, with the device
+half on nodes across TCP.  Those nodes are the *untrusted memory party*
+of the SecNDP threat model.  The coordinator owns the authoritative
 :class:`~repro.workloads.secure_sls.SecureEmbeddingStore` (its local
 device doubles as the trusted recompute path) and is the only party
 that ever holds key material:
@@ -12,8 +11,8 @@ that ever holds key material:
 1. **Shard**: encrypted tables (ciphertext + encrypted tags, both
    attacker-visible by assumption) are replicated to every node;
    row-range ownership is logical (``np.linspace`` bounds over the row
-   space, like the parallel engine), so re-sharding is a bounds update
-   with no data movement.  The key never leaves this process.
+   space), so re-sharding is a bounds update with no data movement.
+   The key never leaves this process.
 2. **Dispatch**: each query batch is masked per owner range and fanned
    out as ``partial_sum`` frames under a deadline.  A node answers with
    ciphertext-domain sums only (``C_res`` / ``C_T_res``); the
@@ -271,9 +270,13 @@ class ClusterCoordinator:
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
     ) -> np.ndarray:
         """Batched verified SLS across the cluster (bit-identical to
-        :meth:`SecureEmbeddingStore.sls_many` on one host)."""
-        entry = self.store._tables[name]
-        batch = self.store._validate_batch(name, batch_rows, batch_weights)
+        :meth:`SecureEmbeddingStore.sls_many` on one host).
+
+        The store's validator runs first, so a query a single host would
+        refuse is refused here with the same error and nothing is sent:
+        a row no shard owns can never fall out of the owner masks unseen.
+        """
+        batch = self.store.validate_batch(name, batch_rows, batch_weights)
         if self.shard_map is None or not self.live:
             # Every node is quarantined: the coordinator's own honest
             # device serves the whole batch (still verified, still
@@ -305,7 +308,7 @@ class ClusterCoordinator:
             enc, name, shares, verify=True, per_shard=False
         )
         obs.inc("cluster.queries", len(batch))
-        return self.store._affine(entry, values, batch.weight_sums())
+        return self.store.dequantize(name, values, batch.weight_sums())
 
     async def sls(self, name, rows, weights=None) -> np.ndarray:
         out = await self.sls_many(

@@ -1,10 +1,9 @@
 """Spawn local NDP node processes (the 3-node example / CI smoke path).
 
-:class:`LocalCluster` forks N real OS processes (``spawn`` context — the
-same discipline as the parallel engine's pool, so no inherited locks or
-arenas), each running one :class:`~repro.cluster.node.NodeServer` on an
-ephemeral port.  Ports travel back over a pipe, so callers never race a
-bind.  For tests that want everything on one event loop, in-process
+:class:`LocalCluster` starts N real OS processes (``spawn`` context, so
+no inherited locks or state), each running one
+:class:`~repro.cluster.node.NodeServer` on an ephemeral port.  Ports
+travel back over a pipe, so callers never race a bind.  For tests that want everything on one event loop, in-process
 :class:`NodeServer`\\ s (``async with NodeServer(...)``) are the better
 transport; this module is for the CLI and CI, where separate processes
 are the point — killing one is a *real* node death.

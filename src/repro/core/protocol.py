@@ -478,18 +478,6 @@ class SecNDPProcessor:
         values = self.weighted_row_sums(device, name, [rows], [weights], verify)
         return WeightedSumResult(values=values[0], verified=verify)
 
-    def weighted_row_sum_batch(
-        self,
-        device: UntrustedNdpDevice,
-        name: str,
-        batch_rows: Sequence[Sequence[int]],
-        batch_weights: Optional[Sequence[Sequence[int]]] = None,
-        verify: bool = True,
-    ) -> List[WeightedSumResult]:
-        """:meth:`weighted_row_sums`, one :class:`WeightedSumResult` per query."""
-        values = self.weighted_row_sums(device, name, batch_rows, batch_weights, verify)
-        return [WeightedSumResult(values=row, verified=verify) for row in values]
-
     def partial_row_sum_batch(
         self,
         device: UntrustedNdpDevice,

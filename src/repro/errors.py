@@ -39,9 +39,9 @@ class ShardVerificationError(VerificationError):
     an exact identity, so checking every :class:`PartialSumShare` before
     ring-combining localises a failure to the shard that produced it —
     the publicly-identifiable-abort property the cluster tier's blame
-    assignment builds on.  ``shard`` names the offending shard (a worker
-    id or node name) and ``queries`` lists the batch-local query indices
-    whose shares failed.
+    assignment builds on.  ``shard`` names the offending shard (a node
+    name) and ``queries`` lists the batch-local query indices whose
+    shares failed.
     """
 
     def __init__(self, message: str, shard=None, queries=()):
@@ -102,8 +102,8 @@ class PeerTimeoutError(SecNDPError):
     """A peer (server or cluster node) missed its liveness deadline.
 
     Raised client-side when a request or heartbeat gets no response frame
-    within the configured timeout (``SECNDP_HEARTBEAT_TIMEOUT`` /
-    ``SECNDP_TASK_TIMEOUT``-style config).  The peer may be slow, dead or
+    within the configured timeout (``SECNDP_HEARTBEAT_TIMEOUT`` or an
+    explicit argument).  The peer may be slow, dead or
     partitioned; the cluster tier treats it as a blameable liveness fault
     and fails over to a replica or the trusted recompute path.
     """

@@ -8,7 +8,7 @@ served result:
 * :mod:`repro.faults.plan` - :class:`FaultPlan` / :class:`FaultInjector`:
   composable, seeded descriptions of ciphertext bit flips, tag
   tamper/replay, skewed NDP partial sums, OTP version flips, command
-  packet drop/dup/delay, and serving-worker crash/hang faults.
+  packet drop/dup/delay, and cluster-node byzantine/slow/dead faults.
 * :mod:`repro.faults.hooks` - process-wide activation; off by default,
   one branch on the hot paths, ambient activation via
   ``SECNDP_FAULT_PLAN``.
@@ -36,7 +36,6 @@ from .plan import (
     NODE_FAULTS,
     PRESET_PLANS,
     TRANSIENT_FAULTS,
-    WORKER_FAULTS,
     FaultEvent,
     FaultInjector,
     FaultKind,
@@ -52,7 +51,6 @@ __all__ = [
     "PRESET_PLANS",
     "MEMORY_FAULTS",
     "TRANSIENT_FAULTS",
-    "WORKER_FAULTS",
     "NODE_FAULTS",
     "ENV_FAULT_PLAN",
     "install",

@@ -5,7 +5,7 @@ misbehaviour of untrusted memory and NDP units; this module supplies the
 misbehaviour.  A :class:`FaultPlan` names a set of fault kinds and
 per-opportunity rates; a :class:`FaultInjector` draws deterministic,
 seeded decisions from the plan and applies them at the hook sites spread
-through the protocol, NDP and serving layers (see
+through the protocol, NDP and cluster layers (see
 :mod:`repro.faults.hooks` for the activation model - injection is off by
 default and costs one ``is None`` check on the hot paths).
 
@@ -24,9 +24,6 @@ kind                      models
 ``packet_drop``           an NDP command packet dropped on the command channel
 ``packet_dup``            an NDP command packet executed twice
 ``packet_delay``          command/readout packets delayed (timing only)
-``worker_crash``          a serving worker process dying mid-task
-``worker_raise``          a serving worker task failing with an exception
-``worker_hang``           a serving worker task hanging past its deadline
 ``node_byzantine``        a cluster NDP node returning a forged tag share
 ``node_slow``             a cluster node answering past its deadline
 ``node_dead``             a cluster node process dying mid-run
@@ -36,9 +33,9 @@ kind                      models
 All of the memory/compute kinds are *tag-covered*: any of them that
 perturbs a served result breaks the Alg. 5 tag identity, so verification
 must detect them with probability 1 (up to the m/q forgery bound, which
-is negligible at the real field size).  The timing and worker kinds are
-not data faults; they exercise the serving engine's liveness machinery
-instead.
+is negligible at the real field size).  The packet kinds perturb the
+timing models only; of the node kinds only ``node_byzantine`` is a data
+fault, the rest exercise the coordinator's liveness ladder.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ __all__ = [
     "PRESET_PLANS",
     "MEMORY_FAULTS",
     "TRANSIENT_FAULTS",
-    "WORKER_FAULTS",
     "NODE_FAULTS",
 ]
 
@@ -77,9 +73,6 @@ class FaultKind(str, Enum):
     PACKET_DROP = "packet_drop"
     PACKET_DUP = "packet_dup"
     PACKET_DELAY = "packet_delay"
-    WORKER_CRASH = "worker_crash"
-    WORKER_RAISE = "worker_raise"
-    WORKER_HANG = "worker_hang"
     NODE_BYZANTINE = "node_byzantine"
     NODE_SLOW = "node_slow"
     NODE_DEAD = "node_dead"
@@ -95,13 +88,6 @@ TRANSIENT_FAULTS = (
     FaultKind.TAG_TAMPER,
     FaultKind.RESULT_SKEW,
     FaultKind.VERSION_FLIP,
-)
-
-#: Liveness faults against the parallel serving engine's workers.
-WORKER_FAULTS = (
-    FaultKind.WORKER_CRASH,
-    FaultKind.WORKER_RAISE,
-    FaultKind.WORKER_HANG,
 )
 
 #: Faults against cluster NDP node processes (DESIGN.md Sec. 16).  Only
@@ -123,8 +109,8 @@ class FaultPlan:
     ``rates`` maps fault kinds to per-opportunity probabilities: for
     memory faults the opportunity is one stored element (or one stored
     tag), for transient faults one protocol call, for packet faults one
-    packet, for worker faults one dispatched shard task.  Everything a
-    plan does is derived from ``seed``, so a chaos run is replayable.
+    packet, for node faults one cluster dispatch.  Everything a plan
+    does is derived from ``seed``, so a chaos run is replayable.
     """
 
     rates: Mapping[Union[FaultKind, str], float] = field(default_factory=dict)
@@ -134,7 +120,7 @@ class FaultPlan:
     #: CI chaos runs bounded.  ``None`` = unbounded.
     max_faults: Optional[int] = None
     #: Seconds of injected delay for ``packet_delay`` (per packet, as
-    #: microseconds in the timing models) and ``worker_hang`` (per task).
+    #: microseconds in the timing models) and ``node_slow`` (per dispatch).
     delay_s: float = 0.05
 
     def __post_init__(self) -> None:
@@ -197,7 +183,7 @@ class FaultPlan:
 
 #: Named plans.  ``ci-default`` is what the chaos CI job runs the tier-1
 #: suite under: every recovery-enabled serving path sees low-rate
-#: transient and worker faults and must still produce bit-exact results.
+#: transient faults and must still produce bit-exact results.
 PRESET_PLANS: Dict[str, FaultPlan] = {
     "ci-default": FaultPlan(
         name="ci-default",
@@ -206,7 +192,6 @@ PRESET_PLANS: Dict[str, FaultPlan] = {
             FaultKind.RESULT_SKEW: 0.02,
             FaultKind.TAG_TAMPER: 0.01,
             FaultKind.VERSION_FLIP: 0.005,
-            FaultKind.WORKER_RAISE: 0.01,
         },
         max_faults=200,
         delay_s=0.01,
@@ -258,10 +243,10 @@ class FaultEvent:
 class FaultInjector:
     """Draws seeded decisions from a plan and logs what it broke.
 
-    Thread-safe (the serving engine's parent side and the store share
-    one process); per-process - worker processes never install one, the
-    parent ships them concrete directives instead, so all randomness
-    lives in a single seeded stream.
+    Thread-safe (the front-end's offload thread and its event loop
+    share one process) and per-process: cluster nodes never install
+    one, the coordinator ships them concrete directives instead, so all
+    randomness lives in a single seeded stream.
 
     The injector only fires while *armed* (see :mod:`repro.faults.hooks`):
     recovery-enabled serving paths arm it around their protocol calls, so
@@ -444,30 +429,14 @@ class FaultInjector:
             return "dup"
         return None
 
-    # -- worker faults (serving engine) ----------------------------------------
-
-    def worker_directive(self, site: str) -> Optional[Tuple]:
-        """One shard task's fate: crash/raise/hang directive, or None.
-
-        Decided on the parent (trusted) side so determinism survives the
-        process boundary; the worker just obeys the directive.
-        """
-        if self.decide(FaultKind.WORKER_CRASH, site):
-            return ("crash",)
-        if self.decide(FaultKind.WORKER_RAISE, site):
-            return ("raise",)
-        if self.decide(FaultKind.WORKER_HANG, site):
-            return ("hang", self.plan.delay_s)
-        return None
-
     # -- node faults (cluster tier) ---------------------------------------------
 
     def node_directive(self, site: str) -> Optional[Tuple]:
         """One cluster dispatch's fate, decided coordinator-side.
 
-        Like :meth:`worker_directive`, the single seeded stream lives on
-        the trusted coordinator and the node just obeys the directive
-        shipped in the ``partial_sum`` payload:
+        The single seeded stream lives on the trusted coordinator and
+        the node just obeys the directive shipped in the ``partial_sum``
+        payload:
 
         * ``("byzantine",)`` — node forges its tag shares (caught by the
           per-shard check, blamed, and failed over);

@@ -9,11 +9,10 @@ the recovery behaviour the paper leaves to the enclave.  One run:
    both;
 2. corrupts the chaos store's untrusted memory up front per the plan's
    ``ciphertext_bit`` / ``tag_replay`` rates (the injector reports
-   exactly which rows it damaged), and arms the plan's transient and
-   worker faults around every chaos serve;
-3. serves the chaos stream through the recovery ladder - optionally
-   via :class:`~repro.parallel.engine.ParallelSlsEngine` workers - and
-   compares every pooled vector bit-for-bit against the golden stream;
+   exactly which rows it damaged), and arms the plan's transient
+   faults around every chaos serve;
+3. serves the chaos stream through the recovery ladder and compares
+   every pooled vector bit-for-bit against the golden stream;
 4. accounts per query: a query is *exposed* when it touched a corrupted
    row or a transient fault fired during its serve, and its fault is
    *detected* when the security-event audit log (:mod:`repro.obs.events`)
@@ -53,7 +52,6 @@ from ..faults import (
     RecoveryPolicy,
 )
 from ..faults.recovery import RecoveryLog
-from ..parallel.engine import ParallelSlsEngine
 from ..workloads.secure_sls import SecureEmbeddingStore
 from ..workloads.traces import random_trace
 from .configs import ExperimentScale
@@ -71,7 +69,7 @@ _KEY = bytes(range(16))
 
 
 def default_chaos_plan(fault_rate: float = 1e-3, seed: int = 2022) -> FaultPlan:
-    """Memory faults at ``fault_rate`` plus low-rate transient/worker faults.
+    """Memory faults at ``fault_rate`` plus low-rate transient faults.
 
     ``fault_rate`` is the per-element (per-tag) corruption probability of
     the acceptance scenario; the transient rates mirror the ``ci-default``
@@ -86,7 +84,6 @@ def default_chaos_plan(fault_rate: float = 1e-3, seed: int = 2022) -> FaultPlan:
             FaultKind.RESULT_SKEW: 0.02,
             FaultKind.TAG_TAMPER: 0.01,
             FaultKind.VERSION_FLIP: 0.005,
-            FaultKind.WORKER_RAISE: 0.02,
         },
     )
 
@@ -96,7 +93,6 @@ class ChaosResult:
     """Detection / recovery accounting of one chaos run."""
 
     plan: str
-    workers: int
     tables: int
     queries: int
     exposed: int            #: queries that touched injected damage
@@ -142,8 +138,7 @@ class ChaosResult:
             f"{k}={v}" for k, v in sorted(self.events.items())
         ) or "none"
         lines = [
-            f"plan {self.plan} | workers {self.workers} | "
-            f"{self.tables} tables, {self.queries} queries",
+            f"plan {self.plan} | {self.tables} tables, {self.queries} queries",
             f"injected: {inj}",
             f"resolutions: {res}",
             f"audit events: {evs}",
@@ -181,13 +176,11 @@ def run_chaos(
     scale: ExperimentScale,
     plan: Optional[FaultPlan] = None,
     fault_rate: float = 1e-3,
-    workers: int = 0,
     n_tables: int = 2,
     dim: int = 32,
     rows_per_table: Optional[int] = None,
     seed: int = 7,
     policy: Optional[RecoveryPolicy] = None,
-    task_timeout: Optional[float] = None,
 ) -> ChaosResult:
     """One golden-vs-chaos replay; see the module docstring for the shape.
 
@@ -246,16 +239,6 @@ def run_chaos(
     chaos = build(recovery=policy, injector=injector)
     corrupted = injector.corrupt_device(chaos.device, sorted(tables))
 
-    # The engine snapshots ciphertext into shared arenas at pool start,
-    # so it is built after the corruption - workers then compute over the
-    # damaged bytes exactly as a compromised DIMM would.
-    engine = (
-        ParallelSlsEngine(chaos, workers=workers, task_timeout=task_timeout)
-        if workers >= 1
-        else None
-    )
-    serve = engine.sls_many if engine is not None else chaos.sls_many
-
     log = chaos.recovery_log
     # Detection is proven from the audit log, not ad-hoc counters: every
     # ladder step emits a typed event with (table, rows) attribution, and
@@ -276,7 +259,7 @@ def run_chaos(
             for name, rows_list, weights_list in batches:
                 n_events = len(injector.events)
                 ev_mark = len(event_log)
-                got = serve(name, rows_list, weights_list)
+                got = chaos.sls_many(name, rows_list, weights_list)
                 detected_rows = {
                     tuple(ev.rows)
                     for ev in event_log.events()[ev_mark:]
@@ -303,8 +286,6 @@ def run_chaos(
         run_events = event_log.events()[ev_start:]
         if own_log:
             obs.disable_events()
-        if engine is not None:
-            engine.close()
     chaos_s = time.perf_counter() - started
 
     # Rebuild the aggregate recovery state by replaying the run's audit
@@ -319,7 +300,6 @@ def run_chaos(
 
     result = ChaosResult(
         plan=plan.name,
-        workers=workers,
         tables=n_tables,
         queries=queries,
         exposed=exposed,
@@ -414,7 +394,6 @@ class ChaosSweepResult:
 def run_chaos_sweep(
     scale: ExperimentScale,
     rates: List[float],
-    workers: int = 0,
     seed: int = 20222,
     **kwargs,
 ) -> ChaosSweepResult:
@@ -428,9 +407,7 @@ def run_chaos_sweep(
     results: List[ChaosResult] = []
     for i, rate in enumerate(rates):
         plan = default_chaos_plan(rate, seed=seed + i)
-        result = run_chaos(
-            scale, plan=plan, fault_rate=rate, workers=workers, **kwargs
-        )
+        result = run_chaos(scale, plan=plan, fault_rate=rate, **kwargs)
         results.append(result)
         obs.gauge(f"chaos.sweep.detection_rate.{rate:g}", result.detection_rate)
         obs.gauge(f"chaos.sweep.recovery_rate.{rate:g}", result.recovery_rate)

@@ -112,11 +112,7 @@ def run_baseline(workload: NdpWorkload, page_seed: int = 0) -> NonNdpResult:
         return run_non_ndp(workload, page_seed=page_seed)
 
 
-def run_functional_shadow(
-    scale: ExperimentScale,
-    seed: int = 0,
-    workers: int = 0,
-) -> None:
+def run_functional_shadow(scale: ExperimentScale, seed: int = 0) -> None:
     """Exercise the real crypto/protocol stack once, for attribution.
 
     The experiment drivers are timing models: they replay packet traces
@@ -126,15 +122,7 @@ def run_functional_shadow(
     (encrypt → offload → combine → verify) so the snapshot carries
     OTP-cache, limb-kernel and protocol-phase counters alongside the
     simulated traffic — the per-component accounting of Sec. V–VI.
-
-    The batch is always served in-process first — the whole point of the
-    shadow pass is counters in *this* registry — and with ``workers >= 1``
-    it is additionally replayed through a
-    :class:`~repro.parallel.engine.ParallelSlsEngine`, whose workers'
-    snapshots merge into the same registry.
     """
-    from ...parallel.engine import ParallelSlsEngine
-
     with obs.span("harness.functional_shadow", cat="harness"):
         params = SecNDPParams(element_bits=32)
         processor = SecNDPProcessor(bytes(range(16)), params)
@@ -158,9 +146,3 @@ def run_functional_shadow(
         store.sls_many("shadow", batch_rows, batch_weights)
         # One repeat over the same rows so the pad cache reports hits.
         store.sls_many("shadow", batch_rows[:1], batch_weights[:1])
-        if workers >= 1:
-            engine = ParallelSlsEngine(store, workers=workers)
-            try:
-                engine.sls_many("shadow", batch_rows, batch_weights)
-            finally:
-                engine.close()

@@ -10,7 +10,7 @@ small C translation unit compiled once with the host C compiler into a
 content-addressed shared library under ``~/.cache/secndp-kernels``
 (override with ``SECNDP_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
 No third-party dependency; the compile is paid once per source hash,
-workers just ``dlopen`` the cached object.  Its pad engine (AES blocks
+every later process just ``dlopen``s the cached object.  Its pad engine (AES blocks
 and the fused ``ctr_pads`` counter-mode sweep) uses AES-NI where the CPU
 has it, chosen at run time.
 
@@ -39,9 +39,7 @@ The scalar :class:`PrimeField` remains the correctness oracle and the
 NumPy tier the always-available fallback; the property suite in
 ``tests/test_kernels.py`` pins scalar == numpy == native on random limb
 vectors, Horner sweeps and AES test-vector blocks.  DESIGN.md Sec. 14
-documents the dispatch order and the worker-broadcast protocol
-(``ParallelSlsEngine`` ships the resolved tier in its pool spec and
-workers :func:`warmup` at spawn, so no task ever pays a compile).
+documents the dispatch order.
 """
 
 from __future__ import annotations
@@ -248,10 +246,8 @@ def warmup() -> int:
     This is where all one-time cost lives: the C backend compiles or
     ``dlopen``s its cached shared object.  Benchmarks and
     ``check_overhead`` call this *before* their timed regions so
-    steady-state numbers never carry compile latency, and pool workers
-    call it at spawn (via the ``_PoolSpec`` broadcast) so no task ever
-    compiles.  Returns the elapsed nanoseconds and publishes them as
-    ``kernel.jit_warmup_ns``.
+    steady-state numbers never carry compile latency.  Returns the
+    elapsed nanoseconds and publishes them as ``kernel.jit_warmup_ns``.
     """
     global _last_warmup_ns
     t0 = time.perf_counter_ns()

@@ -8,8 +8,9 @@ elsewhere; DESIGN.md Sec. 14) and the fused counter-mode sweep over it.
 It is compiled once per (source, compiler, host CPU) with the host C
 compiler into a content-addressed shared library under
 ``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
-via :mod:`ctypes` — no third-party dependency, and spawn-pool workers
-just ``dlopen`` the cached object instead of recompiling.
+via :mod:`ctypes` — no third-party dependency, and spawned processes
+(grid workers, cluster nodes) just ``dlopen`` the cached object instead
+of recompiling.
 
 Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
@@ -480,7 +481,7 @@ def _build() -> str:
     fresh object, stale caches are simply never hit, and a cache
     directory shared between hosts never hands one CPU code tuned for
     another.  The compile lands under a temp name and is
-    os.replace'd in, which keeps concurrent spawn-pool workers safe:
+    os.replace'd in, which keeps concurrently spawned processes safe:
     they either see the finished .so or compile their own and race
     benignly on the rename.
     """

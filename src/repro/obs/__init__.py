@@ -15,8 +15,8 @@ Four sub-layers, each independently gated and each a no-op by default:
   (:mod:`.hist`) that merge exactly across worker processes.
 * :mod:`.tracing` — hierarchical phase spans with Chrome trace export.
 * :mod:`.events` — typed JSONL security-event audit log (verification
-  failures, recovery-ladder steps, quarantines, re-encryptions, pool
-  lifecycle) with row/version/worker attribution.
+  failures, recovery-ladder steps, quarantines, re-encryptions, node
+  blame) with row/version/worker attribution.
 * :mod:`.slo` / :mod:`.export` — objectives with error budgets and burn
   rates over snapshots, a Prometheus text exporter, and the human
   report behind ``python -m repro obs report``.
@@ -38,11 +38,8 @@ from .events import (
     NODE_QUARANTINE,
     NODE_RESHARD,
     NODE_TIMEOUT,
-    POOL_DEGRADE,
-    POOL_RESPAWN,
     QUARANTINE,
     QUARANTINE_HIT,
-    RECOVERY_DELEGATION,
     RECOVERY_EXHAUSTED,
     RECOVERY_FALLBACK,
     RECOVERY_REPAIR,
@@ -51,8 +48,6 @@ from .events import (
     SERVE_DRAIN,
     SERVE_OVERLOAD,
     SERVE_START,
-    STALE_ARENA,
-    TASK_FAILURE,
     VERIFY_FAILURE,
     EventLog,
     SecurityEvent,
@@ -146,14 +141,9 @@ __all__ = [
     "RECOVERY_FALLBACK",
     "RECOVERY_REPAIR",
     "RECOVERY_EXHAUSTED",
-    "RECOVERY_DELEGATION",
     "QUARANTINE",
     "QUARANTINE_HIT",
     "REENCRYPT",
-    "POOL_RESPAWN",
-    "POOL_DEGRADE",
-    "STALE_ARENA",
-    "TASK_FAILURE",
     "SERVE_START",
     "SERVE_DRAIN",
     "SERVE_OVERLOAD",

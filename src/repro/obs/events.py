@@ -56,14 +56,9 @@ __all__ = [
     "RECOVERY_FALLBACK",
     "RECOVERY_REPAIR",
     "RECOVERY_EXHAUSTED",
-    "RECOVERY_DELEGATION",
     "QUARANTINE",
     "QUARANTINE_HIT",
     "REENCRYPT",
-    "POOL_RESPAWN",
-    "POOL_DEGRADE",
-    "STALE_ARENA",
-    "TASK_FAILURE",
     "SERVE_START",
     "SERVE_DRAIN",
     "SERVE_OVERLOAD",
@@ -86,14 +81,9 @@ RECOVERY_RETRY = "recovery_retry"          #: ladder rung 1: re-offload
 RECOVERY_FALLBACK = "recovery_fallback"    #: rung 2: trusted non-NDP recompute
 RECOVERY_REPAIR = "recovery_repair"        #: rung 3: plaintext repair
 RECOVERY_EXHAUSTED = "recovery_exhausted"  #: ladder failed; error propagated
-RECOVERY_DELEGATION = "recovery_delegation"  #: engine handed a batch to the store ladder
 QUARANTINE = "quarantine"                  #: rows marked served-trusted-only
 QUARANTINE_HIT = "quarantine_hit"          #: query short-circuited by quarantine
 REENCRYPT = "reencrypt"                    #: rung 4: region re-keyed, versions bumped
-POOL_RESPAWN = "pool_respawn"              #: parallel pool torn down + rebuilt
-POOL_DEGRADE = "pool_degrade"              #: engine gave up on the pool for good
-STALE_ARENA = "stale_arena"                #: shared arena behind the live version
-TASK_FAILURE = "task_failure"              #: worker crash/hang/raise failed a dispatch
 SERVE_START = "serve_start"                #: serving front-end began accepting
 SERVE_DRAIN = "serve_drain"                #: serving front-end drained and stopped
 SERVE_OVERLOAD = "serve_overload"          #: admission gate entered/left shedding
@@ -111,14 +101,9 @@ EVENT_KINDS = (
     RECOVERY_FALLBACK,
     RECOVERY_REPAIR,
     RECOVERY_EXHAUSTED,
-    RECOVERY_DELEGATION,
     QUARANTINE,
     QUARANTINE_HIT,
     REENCRYPT,
-    POOL_RESPAWN,
-    POOL_DEGRADE,
-    STALE_ARENA,
-    TASK_FAILURE,
     SERVE_START,
     SERVE_DRAIN,
     SERVE_OVERLOAD,

@@ -179,7 +179,7 @@ class MetricsRegistry:
         timers fold exact aggregates and merge histogram buckets when
         the snapshot carries them.  This is how per-worker registries
         drain into the parent process instead of vanishing with the
-        worker (`repro.parallel` calls it on every task return).
+        worker (`parallel_map` calls it on every task return).
         """
         with self._lock:
             for name, value in snap.get("counters", {}).items():

@@ -99,8 +99,8 @@ def tracing_enabled() -> bool:
 
 
 #: Worker identity stamped into every span's args (None in the parent).
-#: `repro.parallel` sets this in each pool worker so a merged trace shows
-#: which shard produced which phase.
+#: `parallel_map` sets this in each grid worker so a merged trace shows
+#: which process produced which phase.
 _WORKER_LABEL = None
 
 
@@ -120,9 +120,9 @@ def worker_label():
 def ingest_events(events: List[Dict[str, Any]]) -> None:
     """Append trace events recorded in another process to this buffer.
 
-    Used by the parallel execution engine to drain worker-side spans into
-    the parent's trace; respects :data:`MAX_TRACE_EVENTS` (overflow is
-    counted in ``obs.trace.dropped`` like locally recorded events).
+    `parallel_map` drains worker-side spans into the parent's trace with
+    it; respects :data:`MAX_TRACE_EVENTS` (overflow is counted in
+    ``obs.trace.dropped`` like locally recorded events).
     """
     with _events_lock:
         for event in events:

@@ -1,30 +1,17 @@
-"""Process-pool execution engine for SecNDP serving and harness sweeps.
+"""Process fan-out for experiment grids - not a serving path.
 
-Two entry points:
+:func:`parallel_map` is an order-preserving fan-out for independent
+harness cells (figure/table grids), with worker-side metrics and trace
+events merged back into the parent's :mod:`repro.obs` state.  Its worker
+count resolves through one policy (:func:`resolve_workers`): explicit
+argument, then ``SECNDP_WORKERS``, then in-process; every failure mode
+degrades to the sequential path, never to an error.
 
-* :class:`ParallelSlsEngine` — shards a loaded
-  :class:`~repro.workloads.secure_sls.SecureEmbeddingStore` row-wise
-  across a spawn pool whose workers read ciphertext and tags from
-  ``multiprocessing.shared_memory`` arenas, and recombines the
-  arithmetic shares on the trusted side (bit-identical to the
-  sequential path; see DESIGN.md Sec. 10).
-* :func:`parallel_map` — order-preserving fan-out for independent
-  harness cells (figure/table grids), with worker-side metrics and
-  trace events merged back into the parent's :mod:`repro.obs` state.
-
-Worker counts resolve through one policy (:func:`resolve_workers`):
-explicit argument, then ``SECNDP_WORKERS``, then in-process.  Every
-failure mode degrades to the sequential path, never to an error.
+An SLS batch never runs here: it runs in the serving process (the store)
+or across keyless ``repro.cluster`` nodes, and no key is ever handed to
+a child process (DESIGN.md Sec. 10).
 """
 
-from .engine import ParallelSlsEngine
 from .pmap import default_workers, parallel_map, resolve_workers
-from .shm import shared_memory_available
 
-__all__ = [
-    "ParallelSlsEngine",
-    "parallel_map",
-    "resolve_workers",
-    "default_workers",
-    "shared_memory_available",
-]
+__all__ = ["parallel_map", "resolve_workers", "default_workers"]

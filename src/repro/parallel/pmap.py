@@ -1,9 +1,10 @@
 """Worker-count resolution and a metrics-preserving ``parallel_map``.
 
-One policy for the whole repo: an explicit ``workers`` argument wins,
-else the ``SECNDP_WORKERS`` environment variable, else the library stays
-in-process (``0``).  The CLI layers its own ``os.cpu_count()``-aware
-default on top via :func:`default_workers`.
+One policy for the experiment grids: an explicit ``workers`` argument
+wins, else the ``SECNDP_WORKERS`` environment variable, else the library
+stays in-process (``0``).  The CLI layers its own ``os.cpu_count()``-aware
+default on top via :func:`default_workers`.  No serving path reads
+either: an SLS batch runs in the serving process or on cluster nodes.
 
 ``parallel_map`` runs independent items through a shared spawn pool and
 drains each task's worker-side :mod:`repro.obs` state (metric snapshots,

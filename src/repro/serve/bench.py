@@ -152,17 +152,10 @@ def run_tcp_smoke(
     dim: int = 32,
     n_queries: int = 64,
     n_clients: int = 4,
-    workers: int = 0,
     seed: int = 11,
     codec: str = "binary",
 ) -> dict:
-    """Concurrent client load over real TCP frames, bit-identity gated.
-
-    ``workers > 0`` attaches a :class:`ParallelSlsEngine` so coalesced
-    batches shard across the pool (the CI smoke job runs this under
-    ``SECNDP_WORKERS=2``); ``0`` serves in-process.
-    """
-    from ..parallel import ParallelSlsEngine
+    """Concurrent client load over real TCP frames, bit-identity gated."""
     from .server import SlsServer
 
     store = _build_store(n_rows, dim, seed)
@@ -170,10 +163,9 @@ def run_tcp_smoke(
     expected = np.asarray(
         [store.sls("emb", rows, weights) for rows, weights in queries]
     )
-    engine = ParallelSlsEngine(store, workers=workers) if workers > 0 else None
 
     async def drive():
-        async with SlsServer(store, engine=engine, port=0) as server:
+        async with SlsServer(store, port=0) as server:
             clients = [
                 await AsyncSlsClient.connect("127.0.0.1", server.port, codec=codec)
                 for _ in range(n_clients)
@@ -193,18 +185,13 @@ def run_tcp_smoke(
                     await c.close()
             return elapsed, np.asarray(results), server.stats()
 
-    try:
-        elapsed, results, stats = asyncio.run(drive())
-    finally:
-        if engine is not None:
-            engine.close()
+    elapsed, results, stats = asyncio.run(drive())
     bit_identical = bool(np.array_equal(results, expected))
     assert bit_identical, "TCP serving diverges from direct sls"
     return {
         "queries": len(queries),
         "clients": n_clients,
         "codec": codec,
-        "workers": int(engine.workers) if engine is not None else 0,
         "qps": len(queries) / elapsed,
         "batches": int(stats["batches"]),
         "bit_identical": bit_identical,

@@ -46,9 +46,8 @@ Message schemas (plain dicts under JSON, typed dataclasses in-process):
 
 Liveness: :func:`resolve_heartbeat_timeout` is the one place the
 dead-peer deadline comes from (``SECNDP_HEARTBEAT_TIMEOUT`` in the
-environment, mirroring ``SECNDP_TASK_TIMEOUT``), so the single-node
-client and the cluster tier time out reads identically instead of
-hanging on a dead peer.
+environment), so the single-node client and the cluster tier time out
+reads identically instead of hanging on a dead peer.
 """
 
 from __future__ import annotations
@@ -133,8 +132,7 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 5.0
 def resolve_heartbeat_timeout(value: Optional[float] = None) -> float:
     """The liveness deadline in seconds (explicit > env > default).
 
-    Mirrors the ``SECNDP_TASK_TIMEOUT`` pattern of the parallel engine:
-    an explicit argument wins, otherwise ``SECNDP_HEARTBEAT_TIMEOUT``
+    An explicit argument wins, otherwise ``SECNDP_HEARTBEAT_TIMEOUT``
     from the environment, otherwise :data:`DEFAULT_HEARTBEAT_TIMEOUT_S`.
     """
     if value is not None:

@@ -7,9 +7,8 @@ is a batch of one and leaves at once; while a batch runs, the next one
 forms behind it, so coalescing comes from load and never from a timer.
 A batch is one CSR :class:`~repro.core.protocol.QueryBatch` concatenated
 from its requests' arrays, executed through the amortized union-of-rows
-path (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`,
-or a :class:`~repro.parallel.engine.ParallelSlsEngine` when one is
-attached), and each request is handed its row of the result matrix.
+path (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
+and each request is handed its row of the result matrix.
 
 Exactness is non-negotiable: a coalesced response is bit-identical to a
 direct ``store.sls`` call for the same query.  Verification outcomes
@@ -19,12 +18,11 @@ degrades it to per-query serving so a corrupted row fails exactly the
 requests that touch it and feeds the existing recovery ladder for
 recovery-enabled stores.
 
-The event loop never blocks on crypto or pool round-trips: batches run
-on a single offload thread (the engine's, or the scheduler's own
-executor), so heartbeats, new connections and admission decisions stay
-live during a long batch.  The scheduler keeps deterministic local
-counters (``stats()``) and mirrors them into :mod:`repro.obs` when
-metrics are enabled.
+The event loop never blocks on crypto: every batch runs on the
+scheduler's single offload thread, one at a time, so heartbeats, new
+connections and admission decisions stay live during a long batch.
+The scheduler keeps deterministic local counters (``stats()``) and
+mirrors them into :mod:`repro.obs` when metrics are enabled.
 """
 
 from __future__ import annotations
@@ -39,11 +37,7 @@ import numpy as np
 
 from .. import obs
 from ..core.protocol import QueryBatch
-from ..errors import (
-    ConfigurationError,
-    RecoveryExhaustedError,
-    VerificationError,
-)
+from ..errors import ConfigurationError
 from .admission import AdmissionConfig, AdmissionController
 from .protocol import (
     STATUS_OK,
@@ -79,12 +73,6 @@ class BatchScheduler:
     ----------
     store:
         A loaded :class:`~repro.workloads.secure_sls.SecureEmbeddingStore`.
-    engine:
-        Optional :class:`~repro.parallel.engine.ParallelSlsEngine`
-        wrapping the same store; batches then run through its
-        non-blocking :meth:`~repro.parallel.engine.ParallelSlsEngine.submit`
-        path (sharded across the pool) instead of the scheduler's own
-        offload thread.
     max_batch:
         Coalescing cap per executed batch.
     admission:
@@ -98,16 +86,12 @@ class BatchScheduler:
     def __init__(
         self,
         store,
-        engine=None,
         max_batch: int = DEFAULT_MAX_BATCH,
         admission=None,
     ):
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if engine is not None and engine.store is not store:
-            raise ConfigurationError("engine must wrap the scheduler's store")
         self.store = store
-        self.engine = engine
         self.max_batch = max_batch
         if admission is None:
             admission = AdmissionController()
@@ -131,7 +115,6 @@ class BatchScheduler:
             "batch_rows_total": 0,
             "batch_rows_unique": 0,
             "empty_ticks": 0,
-            "batch_degradations": 0,
         }
 
     # -- submission ------------------------------------------------------------
@@ -286,26 +269,8 @@ class BatchScheduler:
     async def _execute(
         self, name: str, queries: QueryBatch
     ) -> Tuple[np.ndarray, list]:
-        """One batch through the amortized path, off the event loop.
-
-        Engine-backed schedulers go through the engine's non-blocking
-        :meth:`~repro.parallel.engine.ParallelSlsEngine.submit`; on a
-        verification failure the batch degrades to the store's scatter
-        hook (still on the engine's offload thread, so store access
-        stays single-threaded).  Without an engine the scheduler's own
-        single-thread executor plays the same role.
-        """
-        from ..workloads.secure_sls import QueryOutcome
-
-        if self.engine is not None:
-            try:
-                values = await asyncio.wrap_future(self.engine.submit(name, queries))
-                return values, [QueryOutcome(ok=True)] * len(queries)
-            except (VerificationError, RecoveryExhaustedError):
-                self._stats["batch_degradations"] += 1
-                obs.inc("serve.batch.degradations")
-            scatter = self.engine.offload(self.store.sls_scatter, name, queries)
-            return await asyncio.wrap_future(scatter)
+        """One batch through the store's scatter hook on the single offload
+        thread: the loop stays live and batches never overlap on the store."""
         loop = asyncio.get_running_loop()
         if self._executor is None:
             self._executor = ThreadPoolExecutor(

@@ -69,22 +69,19 @@ class SlsServer:
     Parameters mirror :class:`~repro.serve.scheduler.BatchScheduler`;
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  Use ``async with`` (or :meth:`start` /
-    :meth:`close`) so the listener, the scheduler's offload thread and
-    any attached engine pool are released deterministically.
+    :meth:`close`) so the listener and the scheduler's offload thread
+    are released deterministically.
     """
 
     def __init__(
         self,
         store,
-        engine=None,
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
         admission=None,
     ):
-        self.scheduler = BatchScheduler(
-            store, engine=engine, max_batch=max_batch, admission=admission
-        )
+        self.scheduler = BatchScheduler(store, max_batch=max_batch, admission=admission)
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
@@ -115,8 +112,7 @@ class SlsServer:
         New connections are refused, new requests on live connections get
         a typed ``shutting_down`` response, in-flight batches complete
         and their responses are written, then the scheduler's executor
-        (and nothing else — an attached engine stays owned by the
-        caller) is released.
+        is released.
         """
         if self._closed:
             return

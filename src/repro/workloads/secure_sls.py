@@ -26,6 +26,8 @@ that can absorb them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -212,7 +214,13 @@ class SecureEmbeddingStore:
         """
         return OtpCacheInfo(0, 0, 0, 0, 0)
 
-    # -- overflow budgeting ---------------------------------------------------------
+    # -- query validation --------------------------------------------------------------
+
+    def _entry(self, name: str) -> _TableEntry:
+        entry = self._tables.get(name)
+        if entry is None:
+            raise ConfigurationError(f"unknown table {name!r}")
+        return entry
 
     def max_pooling_factor(self, name: str, max_weight: int = 1) -> int:
         """Largest PF guaranteed not to overflow the ring for this table.
@@ -221,110 +229,100 @@ class SecureEmbeddingStore:
         (Thm. A.2), so callers must stay under
         ``PF * max_weight * max(q) < 2^w_e``.
         """
-        entry = self._tables[name]
-        per_term = max(entry.max_quant, 1) * max(max_weight, 1)
+        per_term = max(self._entry(name).max_quant, 1) * max(max_weight, 1)
         return max((self.processor.ring.modulus - 1) // per_term, 0)
 
-    def _validate_query(
+    def validate_batch(
         self,
         name: str,
-        rows: Sequence[int],
-        weights: Optional[Sequence[int]],
-    ) -> Tuple[List[int], List[int]]:
-        """Shared per-query checks: weight sanity + overflow budget.
+        batch_rows: Sequence[Sequence[int]],
+        batch_weights: Optional[Sequence[Sequence[int]]] = None,
+    ) -> QueryBatch:
+        """The one query validator; returns the batch in CSR form.
 
-        Returns the normalised ``(rows, weights)`` lists.  Used by
-        :meth:`sls`, :meth:`sls_many` and the sharded engine in
-        ``repro.parallel`` so the overflow budget of Thm. A.2 is enforced
-        identically on every serving path.
+        Every serving path - :meth:`sls`, :meth:`sls_many`,
+        :meth:`sls_scatter`, the front-end's pre-admission check
+        (:meth:`validate_query`) and the cluster coordinator - refuses an
+        invalid query here with one :class:`ConfigurationError` per
+        defect, in one order: negative weight, rows / weights length
+        mismatch, unknown table, overflow budget (Thm. A.2), row range -
+        before any pad is generated or any node dispatched.  A
+        :class:`QueryBatch` holds unsigned residues paired with its rows
+        by construction, so it takes the table-side checks only: a few
+        reductions over its flat arrays, no walk over its queries.
         """
-        rows = [int(r) for r in rows]
+        if isinstance(batch_rows, QueryBatch):
+            self._check_terms(
+                name, batch_rows.rows, batch_rows.weights, batch_rows.offsets.tolist()
+            )
+            return batch_rows
+        try:
+            rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
+        except ConfigurationError:
+            # The lengths differ; a negative weight is still reported first.
+            self._integer_weights(np.asarray(list(chain.from_iterable(batch_weights))))
+            raise
+        ring = self.processor.ring
         if weights is None:
-            weights = [1] * len(rows)
-        else:
-            weights = [int(w) for w in weights]
-        if any(w < 0 for w in weights):
-            raise ConfigurationError("weights must be non-negative integers")
-        if len(weights) != len(rows):
-            raise ConfigurationError("rows and weights must have equal length")
-        max_w = max(weights, default=1)
-        if len(rows) > self.max_pooling_factor(name, max_w):
-            raise self._overflow_error(name, len(rows), max_w)
-        return rows, weights
-
-    def _overflow_error(self, name: str, pf: int, max_w: int) -> ConfigurationError:
-        return ConfigurationError(
-            f"pooling factor {pf} with max weight {max_w} may "
-            f"overflow Z(2^{self.processor.params.element_bits}) for "
-            f"table {name!r}; split the query"
-        )
+            weights = np.ones(rows.size, dtype=ring.dtype)
+        weights = self._integer_weights(weights)
+        self._check_terms(name, rows, weights, offsets.tolist())
+        # Inside the budget every weight is < 2^w_e, so the cast is exact.
+        return QueryBatch(rows, weights.astype(ring.dtype, copy=False), offsets)
 
     def validate_query(
         self, name: str, rows: np.ndarray, weights: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`_validate_query` for one query held as ``int64`` arrays:
-        the serving front-end's pre-admission check.
+        """:meth:`validate_batch` for one query held as ``int64`` arrays.
 
-        Same errors in the same order (negative weight, length mismatch,
-        unknown table / overflow budget), then the row range, because a
-        row the table does not have would fail the whole coalesced batch
-        the query joins.  Returns ``(rows, weights as ring residues)``, a
+        The serving front-end's pre-admission check: a query the table
+        cannot serve would fail the whole coalesced batch it joins.
+        Returns ``(rows, weights as ring residues)``, a
         :class:`QueryBatch`'s term arrays; observes nothing -
         :meth:`sls_scatter` does, for the batch.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if weights is None:
             weights = np.ones(rows.size, dtype=np.int64)
-        else:
-            weights = np.asarray(weights, dtype=np.int64)
-        if weights.size and weights.min() < 0:
-            raise ConfigurationError("weights must be non-negative integers")
+        weights = self._integer_weights(np.asarray(weights, dtype=np.int64))
         if weights.size != rows.size:
             raise ConfigurationError("rows and weights must have equal length")
-        if name not in self._tables:
-            raise ConfigurationError(f"unknown table {name!r}")
-        max_w = int(weights.max()) if weights.size else 1
-        if rows.size > self.max_pooling_factor(name, max_w):
-            raise self._overflow_error(name, rows.size, max_w)
-        n_rows = self._tables[name].n_rows
-        if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
-            raise ConfigurationError(f"row id outside [0, {n_rows}) for table {name!r}")
-        # Inside the budget max_w < 2^w_e, so the cast is exact.
+        self._check_terms(name, rows, weights, [0, rows.size])
         return rows, weights.astype(self.processor.ring.dtype)
 
-    def _validate_batch(
-        self,
-        name: str,
-        batch_rows: Sequence[Sequence[int]],
-        batch_weights: Optional[Sequence[Sequence[int]]],
-    ) -> QueryBatch:
-        """:meth:`_validate_query`'s checks over a whole batch, on flat arrays.
+    @staticmethod
+    def _integer_weights(weights: np.ndarray) -> np.ndarray:
+        """``weights`` as non-negative integers, or the first refusal."""
+        if weights.dtype.kind == "f":
+            weights = weights.astype(np.int64)  # int(w) per weight
+        if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
+            raise ConfigurationError("weights must be non-negative integers")
+        return weights
 
-        Returns the batch in the CSR form the protocol layer consumes, so
-        no layer below walks the per-query lists again.
-        """
-        entry = self._tables[name]
-        ring = self.processor.ring
-        if isinstance(batch_rows, QueryBatch):
-            batch = batch_rows
-        else:
-            rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
-            if weights is None:
-                weights = np.ones(rows.size, dtype=ring.dtype)
-            elif weights.dtype.kind == "f":
-                weights = weights.astype(np.int64)  # int(w), as _validate_query
-            if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
-                raise ConfigurationError("weights must be non-negative integers")
-            batch = QueryBatch(rows, ring.encode(weights), offsets)
-        if batch.rows.size:
-            lengths = np.diff(batch.offsets)[batch.nonempty].astype(np.uint64)
-            max_w = np.maximum.reduceat(batch.weights, batch.starts)
-            budget = np.uint64((ring.modulus - 1) // max(entry.max_quant, 1))
-            over = lengths > budget // np.maximum(max_w, 1).astype(np.uint64)
-            if over.any():
-                q = int(np.flatnonzero(over)[0])
-                raise self._overflow_error(name, int(lengths[q]), int(max_w[q]))
-        return batch
+    def _check_terms(
+        self, name: str, rows: np.ndarray, weights: np.ndarray, ends: List[int]
+    ) -> None:
+        """The table-side checks over CSR terms; query ``q`` owns
+        ``[ends[q], ends[q + 1])`` and weights may be any integer dtype."""
+        entry = self._entry(name)
+        if not rows.size:
+            return
+        # Longest query with the heaviest weight is exact for one query and
+        # a bound for many: only a batch it condemns is walked query by query.
+        longest = max(map(sub, ends[1:], ends))
+        if longest > self.max_pooling_factor(name, int(weights.max())):
+            for lo, hi in zip(ends, ends[1:]):
+                max_w = int(weights[lo:hi].max()) if hi > lo else 1
+                if hi - lo > self.max_pooling_factor(name, max_w):
+                    raise ConfigurationError(
+                        f"pooling factor {hi - lo} with max weight {max_w} may "
+                        f"overflow Z(2^{self.processor.params.element_bits}) for "
+                        f"table {name!r}; split the query"
+                    )
+        if not 0 <= rows.min() <= rows.max() < entry.n_rows:
+            raise ConfigurationError(
+                f"row id outside [0, {entry.n_rows}) for table {name!r}"
+            )
 
     # -- queries -----------------------------------------------------------------------
 
@@ -341,19 +339,21 @@ class SecureEmbeddingStore:
         Weights must be non-negative integers (the protocol operates on
         ring residues; Sec. IV-A).
         """
-        entry = self._tables[name]
-        rows, weights = self._validate_query(name, rows, weights)
+        batch = self.validate_batch(
+            name, [rows], None if weights is None else [weights]
+        )
         obs.inc("sls.queries")
         if self.recovery is not None:
-            return self._serve_query_recovering(name, 0, rows, weights, entry)
+            (rows,), (weights,) = batch.lists()
+            return self._serve_query_recovering(name, 0, rows, weights)
         try:
-            result = self.processor.weighted_row_sum(
-                self.device, name, rows, weights, verify=self.verify
+            values = self.processor.weighted_row_sums(
+                self.device, name, batch, verify=self.verify
             )
         except VerificationError:
-            obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=rows)
+            obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=batch.rows.tolist())
             raise
-        return self._affine(entry, result.values, sum(weights))
+        return self.dequantize(name, values[0], batch.weight_sums()[0])
 
     def sls_split(
         self,
@@ -381,7 +381,7 @@ class SecureEmbeddingStore:
             raise ConfigurationError(
                 f"even a single row may overflow the ring for table {name!r}"
             )
-        total = np.zeros(self._tables[name].dim)
+        total = np.zeros(self._entry(name).dim)
         for start in range(0, len(rows), budget):
             total += self.sls(
                 name,
@@ -405,15 +405,14 @@ class SecureEmbeddingStore:
         :meth:`SecNDPProcessor.weighted_row_sums` — the DLRM
         inference-batch hot path.
         """
-        entry = self._tables[name]
-        batch = self._validate_batch(name, batch_rows, batch_weights)
+        batch = self.validate_batch(name, batch_rows, batch_weights)
         if obs.enabled():
             obs.inc("sls.batch.calls")
             obs.inc("sls.batch.queries", len(batch))
             obs.inc("sls.batch.rows_total", int(batch.rows.size))
             obs.inc("sls.batch.rows_unique", int(np.unique(batch.rows).size))
         if self.recovery is not None:
-            return self._serve_many_recovering(name, batch, entry)
+            return self._serve_many_recovering(name, batch)
         with obs.span("sls.batch"):
             try:
                 values = self.processor.weighted_row_sums(
@@ -422,7 +421,7 @@ class SecureEmbeddingStore:
             except VerificationError:
                 self._emit_batch_failure(name, batch)
                 raise
-        return self._affine(entry, values, batch.weight_sums())
+        return self.dequantize(name, values, batch.weight_sums())
 
     def _emit_batch_failure(self, name: str, batch: QueryBatch) -> None:
         obs.emit_event(
@@ -432,19 +431,6 @@ class SecureEmbeddingStore:
             scope="batch",
             queries=len(batch),
         )
-
-    def sls_batch(
-        self,
-        name: str,
-        batch_rows: Sequence[Sequence[int]],
-        batch_weights: Optional[Sequence[Sequence[int]]] = None,
-    ) -> np.ndarray:
-        """Pooled vectors for a batch of queries -> (batch, dim).
-
-        Kept as the historical name; delegates to the amortized
-        :meth:`sls_many` path.
-        """
-        return self.sls_many(name, batch_rows, batch_weights)
 
     def sls_scatter(
         self,
@@ -484,8 +470,7 @@ class SecureEmbeddingStore:
             )
         if isinstance(batch_rows, QueryBatch):
             batch_rows, batch_weights = batch_rows.lists()
-        entry = self._tables[name]
-        values = np.zeros((len(batch_rows), entry.dim))
+        values = np.zeros((len(batch_rows), self._entry(name).dim))
         outcomes: List[QueryOutcome] = []
         for i, rows in enumerate(batch_rows):
             weights = batch_weights[i] if batch_weights is not None else None
@@ -512,27 +497,26 @@ class SecureEmbeddingStore:
         Requires the trusted side: decrypts the stored ciphertext and
         applies the affine map - bit-identical to what :meth:`sls` pools.
         """
-        entry = self._tables[name]
+        entry = self._entry(name)
         enc = self.device.stored(name)
         q = self.processor.decrypt_matrix(enc).astype(np.float64)[:, : entry.dim]
         return q * entry.scale[None, :] + entry.bias[None, :]
 
-    # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
-
-    @staticmethod
-    def _affine(entry: _TableEntry, values: np.ndarray, weight_sums) -> np.ndarray:
+    def dequantize(self, name: str, values: np.ndarray, weight_sums) -> np.ndarray:
         """The trusted affine correction ``resq * scale + bias * sum(a)``.
 
-        ``values`` is one pooled residue vector with its scalar weight
-        sum, or a ``(n, m)`` matrix with one weight sum per row.
+        ``values`` is one pooled residue vector of table ``name`` with its
+        scalar weight sum, or a ``(n, m)`` matrix with one weight sum per
+        row - the last step of every serving path, local or clustered.
         """
+        entry = self._entry(name)
         pooled_q = values[..., : entry.dim].astype(np.float64)
         weight_sums = np.asarray(weight_sums, dtype=np.float64)[..., None]
         return pooled_q * entry.scale + entry.bias * weight_sums
 
-    def _serve_many_recovering(
-        self, name: str, batch: QueryBatch, entry: _TableEntry
-    ) -> np.ndarray:
+    # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
+
+    def _serve_many_recovering(self, name: str, batch: QueryBatch) -> np.ndarray:
         """Batched serve under recovery: optimistic amortized path first.
 
         The whole batch is offloaded through the amortized
@@ -571,10 +555,10 @@ class SecureEmbeddingStore:
                             attempts=1,
                         )
                     )
-                return self._affine(entry, values, batch.weight_sums())
-        out = np.zeros((len(rows_list), entry.dim))
+                return self.dequantize(name, values, batch.weight_sums())
+        out = np.zeros((len(rows_list), self._entry(name).dim))
         for i, (rows, weights) in enumerate(zip(rows_list, weights_list)):
-            out[i] = self._serve_query_recovering(name, i, rows, weights, entry)
+            out[i] = self._serve_query_recovering(name, i, rows, weights)
         return out
 
     def _serve_query_recovering(
@@ -583,7 +567,6 @@ class SecureEmbeddingStore:
         idx: int,
         rows: List[int],
         weights: List[int],
-        entry: _TableEntry,
     ) -> np.ndarray:
         """One query through the recovery ladder (always ``verify=True``)."""
         policy = self.recovery
@@ -607,7 +590,7 @@ class SecureEmbeddingStore:
                     repaired_rows=tuple(repaired),
                 )
             )
-            return self._affine(entry, values, sum(weights))
+            return self.dequantize(name, values, sum(weights))
 
         detected = False
         attempts = 0
@@ -643,7 +626,7 @@ class SecureEmbeddingStore:
                     attempts=attempts,
                 )
             )
-            return self._affine(entry, result.values, sum(weights))
+            return self.dequantize(name, result.values, sum(weights))
 
         # Rungs 2/3: retries exhausted -> trusted non-NDP recompute with
         # per-row verification, repairing rows that are truly corrupted.
@@ -663,7 +646,7 @@ class SecureEmbeddingStore:
                 repaired_rows=tuple(repaired),
             )
         )
-        return self._affine(entry, values, sum(weights))
+        return self.dequantize(name, values, sum(weights))
 
     def _trusted_query(
         self, name: str, rows: List[int], weights: List[int]

@@ -87,6 +87,17 @@ class TestCli:
         assert exit_info.value.code not in (0, None)
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "bench-serve", "chaos"])
+    def test_workers_is_refused_by_serving_commands(self, command, capsys):
+        assert main([command, "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--workers fans experiment grids" in err and "repro cluster" in err
+
+    def test_workers_still_fans_the_experiment_grid(self, capsys):
+        assert main(["table3", "--scale", "smoke", "--workers", "2"]) == 0
+        assert "Table III" in capsys.readouterr().out
+
     def test_runs_table5_smoke(self, capsys):
         assert main(["table5", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out

@@ -107,7 +107,7 @@ class TestPerShardVerification:
         enc = dev.stored("emb")
         batch_rows = [[1, 5, 40, 63], [0, 32], [10, 20, 30]]
         batch_weights = [[1, 2, 1, 3], [1, 1], [2, 2, 2]]
-        oracle = proc.weighted_row_sum_batch(dev, "emb", batch_rows, batch_weights)
+        oracle = proc.weighted_row_sums(dev, "emb", batch_rows, batch_weights)
         shards = _split_queries(batch_rows, batch_weights, [(0, 32), (32, 64)])
         parts = [
             proc.partial_row_sum_batch(dev, "emb", r, w, with_tag_shares=True)
@@ -121,7 +121,7 @@ class TestPerShardVerification:
             shard_labels=["a", "b"],
         )
         for got, want in zip(combined, oracle):
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.values, want)
 
     def test_forged_share_blames_exactly_that_shard(self):
         store = _make_store()

@@ -5,9 +5,8 @@ Covers the three layers of the robustness stack:
 * :mod:`repro.faults.plan` / :mod:`repro.faults.hooks` - plan parsing,
   seeded determinism, arming discipline (faults only fire inside armed
   windows, hooks are inert otherwise);
-* the recovery ladder in :class:`SecureEmbeddingStore` and the hardened
-  :class:`ParallelSlsEngine` - every injected fault class must end in a
-  bit-exact answer;
+* the recovery ladder in :class:`SecureEmbeddingStore` - every injected
+  fault class must end in a bit-exact answer;
 * the chaos harness acceptance criterion: at the 1e-3 memory-fault rate,
   tag-covered faults are detected at rate 1.0 and recovered at rate 1.0.
 """
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels, obs
+from repro import kernels
 from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import (
@@ -40,7 +39,6 @@ from repro.faults import (
 )
 from repro.harness.chaos import default_chaos_plan, run_chaos
 from repro.harness.configs import SMOKE_SCALE
-from repro.parallel.engine import ParallelSlsEngine
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -95,8 +93,10 @@ class TestFaultPlan:
         assert plan.seed == 42
 
     def test_parse_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown fault kind"):
-            FaultPlan.parse("rowhammer=1")
+        removed = [f"worker_{fate}=0.1" for fate in ("crash", "raise", "hang")]
+        for spec in ["rowhammer=1", *removed]:
+            with pytest.raises(ConfigurationError, match="unknown fault kind"):
+                FaultPlan.parse(spec)
 
     def test_parse_malformed_entry_rejected(self):
         with pytest.raises(ConfigurationError, match="kind=rate"):
@@ -117,8 +117,7 @@ class TestFaultPlan:
     def test_taxonomy_partitions_kinds(self):
         grouped = set(MEMORY_FAULTS) | set(TRANSIENT_FAULTS)
         packet = {FaultKind.PACKET_DROP, FaultKind.PACKET_DUP, FaultKind.PACKET_DELAY}
-        worker = {FaultKind.WORKER_CRASH, FaultKind.WORKER_RAISE, FaultKind.WORKER_HANG}
-        assert grouped | packet | worker | set(NODE_FAULTS) == set(FaultKind)
+        assert grouped | packet | set(NODE_FAULTS) == set(FaultKind)
 
 
 # -- injector ------------------------------------------------------------------
@@ -173,19 +172,14 @@ class TestFaultInjector:
         changed_rows = {int(r) for r in np.nonzero((before != after).any(axis=1))[0]}
         assert changed_rows == corrupted["t"]
 
-    def test_packet_and_worker_draw_shapes(self):
+    def test_packet_draw_shapes(self):
         plan = FaultPlan(
-            rates={
-                FaultKind.PACKET_DROP: 1.0,
-                FaultKind.PACKET_DELAY: 1.0,
-                FaultKind.WORKER_HANG: 1.0,
-            },
+            rates={FaultKind.PACKET_DROP: 1.0, FaultKind.PACKET_DELAY: 1.0},
             delay_s=0.25,
         )
         inj = FaultInjector(plan)
         drops, dups, delay = inj.packet_faults(4, "storage.run")
         assert drops == 4 and dups == 0 and delay == pytest.approx(1.0)
-        assert inj.worker_directive("engine.task") == ("hang", 0.25)
 
 
 # -- hooks / arming ------------------------------------------------------------
@@ -387,116 +381,18 @@ class TestRecovery:
         assert set(counts) == {"ok"}
 
 
-# -- hardened parallel engine --------------------------------------------------
-
-
-class _PoisonedPool:
-    def terminate(self):
-        raise RuntimeError("poisoned pool")
-
-    def join(self):  # pragma: no cover - terminate raises first
-        raise RuntimeError("poisoned pool")
-
-
-class TestEngineChaos:
-    def _engine(self, store, workers=2, task_timeout=30.0):
-        engine = ParallelSlsEngine(store, workers=workers, task_timeout=task_timeout)
-        if workers >= 1 and engine.workers == 0:
-            engine.close()
-            pytest.skip("shared memory unavailable; engine degraded at start")
-        return engine
-
-    def test_worker_raise_respawns_and_matches(self, golden):
-        plan = FaultPlan(rates={FaultKind.WORKER_RAISE: 1.0}, max_faults=1, seed=4)
-        store = build_store(recovery=FAST_POLICY, injector=FaultInjector(plan))
-        with self._engine(store) as engine:
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-            assert engine.workers > 0  # recovered by respawn, not degradation
-
-    def test_worker_crash_respawns_and_matches(self, golden):
-        plan = FaultPlan(rates={FaultKind.WORKER_CRASH: 1.0}, max_faults=1, seed=4)
-        store = build_store(recovery=FAST_POLICY, injector=FaultInjector(plan))
-        with self._engine(store, task_timeout=5.0) as engine:
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-
-    def test_worker_hang_is_absorbed_by_deadline(self, golden):
-        plan = FaultPlan(
-            rates={FaultKind.WORKER_HANG: 1.0}, max_faults=1, delay_s=0.05, seed=4
-        )
-        store = build_store(recovery=FAST_POLICY, injector=FaultInjector(plan))
-        with self._engine(store) as engine:
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-
-    def test_corrupted_arena_delegates_to_recovery(self, golden):
-        plan = FaultPlan(rates={FaultKind.CIPHERTEXT_BIT: 3e-3}, seed=9)
-        inj = FaultInjector(plan)
-        policy = RecoveryPolicy(sleep=lambda s: None, reencrypt_after=None)
-        store = build_store(recovery=policy, injector=inj)
-        corrupted = inj.corrupt_device(store.device)
-        assert corrupted
-        with self._engine(store) as engine:  # arenas snapshot the damage
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-        assert store.recovery_log.detected_count() > 0
-
-    def test_stale_arenas_after_reencryption_refresh(self, golden):
-        store = build_store(
-            recovery=FAST_POLICY, injector=FaultInjector(FaultPlan(rates={}))
-        )
-        with self._engine(store) as engine:
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-            store.reencrypt_table("t")
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-
-    def test_unrecoverable_store_draws_no_directives(self, golden):
-        # A plain store served through the engine must never be faulted,
-        # even with a hostile injector installed process-wide.
-        inj = hooks.install(
-            FaultInjector(FaultPlan(rates={FaultKind.WORKER_CRASH: 1.0}))
-        )
-        store = build_store()
-        with self._engine(store) as engine:
-            assert np.array_equal(engine.sls_many("t", QUERIES, WEIGHTS), golden)
-        assert inj.injected == 0
-
-    def test_poisoned_pool_still_tears_down(self):
-        store = build_store()
-        obs.get_registry().reset()
-        obs.enable()
-        try:
-            engine = self._engine(store)
-            real_pool = engine._pool
-            real_pool.terminate()
-            real_pool.join()
-            engine._pool = _PoisonedPool()
-            assert engine._segments
-            engine.close()  # must not raise despite the poisoned pool
-            assert engine._pool is None
-            assert engine._segments == []
-            counters = obs.snapshot()["counters"]
-            assert counters.get("parallel.teardown_errors", 0) >= 1
-            engine.close()  # idempotent
-        finally:
-            obs.disable()
-            obs.get_registry().reset()
-
-
-# -- hypothesis sweep: fault kinds x worker counts -----------------------------
+# -- hypothesis sweep: fault kinds x seeds -------------------------------------
 
 
 _SWEEP_KINDS = sorted(
-    set(MEMORY_FAULTS) | set(TRANSIENT_FAULTS) | {FaultKind.WORKER_RAISE},
-    key=lambda k: k.value,
+    set(MEMORY_FAULTS) | set(TRANSIENT_FAULTS), key=lambda k: k.value
 )
 
 
 class TestFaultSweep:
-    @given(
-        kind=st.sampled_from(_SWEEP_KINDS),
-        workers=st.sampled_from([0, 0, 0, 0, 1, 2]),
-        seed=st.integers(0, 10_000),
-    )
+    @given(kind=st.sampled_from(_SWEEP_KINDS), seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
-    def test_any_fault_kind_recovers_bit_exact(self, kind, workers, seed, golden):
+    def test_any_fault_kind_recovers_bit_exact(self, kind, seed, golden):
         rate = 0.01 if kind in MEMORY_FAULTS else 0.5
         plan = FaultPlan(rates={kind: rate}, seed=seed, max_faults=50)
         inj = FaultInjector(plan)
@@ -504,13 +400,9 @@ class TestFaultSweep:
         store = build_store(recovery=policy, injector=inj)
         if kind in MEMORY_FAULTS:
             inj.corrupt_device(store.device)
-        if workers == 0:
-            got = store.sls_many("t", QUERIES, WEIGHTS)
-        else:
-            with ParallelSlsEngine(store, workers=workers, task_timeout=30.0) as eng:
-                got = eng.sls_many("t", QUERIES, WEIGHTS)
+        got = store.sls_many("t", QUERIES, WEIGHTS)
         assert np.array_equal(got, golden)
-        if kind in TRANSIENT_FAULTS and inj.injected and workers == 0:
+        if kind in TRANSIENT_FAULTS and inj.injected:
             # A transient fault during an armed serve is always detected.
             assert store.recovery_log.detected_count() > 0
 
@@ -523,17 +415,27 @@ class TestChaosAcceptance:
     recovery both at 1.0, results bit-exact."""
 
     def test_sequential_chaos_run(self):
-        result = run_chaos(SMOKE_SCALE, fault_rate=1e-3, workers=0)
+        result = run_chaos(SMOKE_SCALE, fault_rate=1e-3)
         assert result.mismatched == 0
         assert result.exposed > 0  # the run actually exercised faults
         assert result.detection_rate == 1.0
         assert result.recovery_rate == 1.0
-
-    def test_parallel_chaos_run(self):
-        result = run_chaos(SMOKE_SCALE, fault_rate=1e-3, workers=2, task_timeout=30.0)
-        assert result.mismatched == 0
-        assert result.detection_rate == 1.0
-        assert result.recovery_rate == 1.0
+        # The seeded stream, draw for draw: these are the counts of the
+        # commit that still carried worker fault kinds in its plans (they
+        # were never drawn in-process, so removing them moved nothing).
+        assert (result.queries, result.exposed, result.detected) == (8, 6, 6)
+        assert result.injected == {
+            "ciphertext_bit": 61, "tag_replay": 2, "result_skew": 1
+        }
+        assert result.resolutions == {"repair": 6, "ok": 2}
+        assert (result.quarantined, result.repairs, result.reencryptions) == (10, 10, 0)
+        assert result.events == {
+            "verify_failure": 20,
+            "recovery_retry": 12,
+            "recovery_fallback": 6,
+            "recovery_repair": 6,
+            "quarantine": 6,
+        }
 
     def test_default_plan_shape(self):
         plan = default_chaos_plan(2e-3, seed=11)
@@ -578,7 +480,7 @@ class TestSeededPlanIsStable:
         device = store.device
         with hooks.injected(plan) as inj:
             with pytest.raises(VerificationError):
-                store.processor.weighted_row_sum_batch(
+                store.processor.weighted_row_sums(
                     device, "t", [[1, 2], [], [3]], [[1, 1], [], [1]]
                 )
         assert [e.site for e in inj.events] == [
@@ -588,5 +490,5 @@ class TestSeededPlanIsStable:
         ]
         # Disarmed, the same device draws nothing and serves honestly.
         n = len(inj.events)
-        store.processor.weighted_row_sum_batch(device, "t", [[1, 2]], [[1, 1]])
+        store.processor.weighted_row_sums(device, "t", [[1, 2]], [[1, 1]])
         assert len(inj.events) == n

@@ -523,8 +523,7 @@ class TestPadEngineBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the serving stack is bit-identical across tiers, including
-# a ParallelSlsEngine pool with the native tier broadcast to workers.
+# End-to-end: the serving stack is bit-identical across tiers.
 # ---------------------------------------------------------------------------
 
 
@@ -553,22 +552,3 @@ class TestEndToEndTiers:
             results[tier] = _build_store().sls_many("emb", batch)
         for tier in tiers[1:]:
             np.testing.assert_array_equal(results[tiers[0]], results[tier])
-
-    @needs_native
-    def test_parallel_engine_native_bit_identity(self):
-        from repro.parallel import ParallelSlsEngine
-        from repro.parallel.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        rng = np.random.default_rng(13)
-        batch = [[int(r) for r in rng.integers(0, 48, size=7)] for _ in range(5)]
-        with kernels.use_tier("numpy"):
-            expected = _build_store().sls_many("emb", batch)
-        kernels.set_tier("native")
-        store = _build_store()
-        with ParallelSlsEngine(store, workers=2) as engine:
-            if engine.workers == 0:
-                pytest.skip("pool fell back to in-process serving")
-            got = engine.sls_many("emb", batch)
-        np.testing.assert_array_equal(expected, got)

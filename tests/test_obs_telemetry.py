@@ -6,8 +6,6 @@ The load-bearing properties (DESIGN.md Sec. 13):
   a merge of per-worker histograms is bit-identical to a single
   histogram that saw every observation, so fleet percentiles carry the
   same documented ``RELATIVE_ERROR`` bound as single-process ones;
-* worker metric snapshots arrive at the parent *live* (with every task
-  result), not only at pool teardown;
 * every recovery-ladder step emits a typed security event with
   row/table attribution, the JSONL journal round-trips, and a restarted
   store reloads its quarantine from it;
@@ -36,7 +34,6 @@ from repro.obs.hist import (
     bucket_index,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import ParallelSlsEngine
 from repro.workloads import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -129,9 +126,9 @@ class TestWorkerMergeEquivalence:
     """Merged per-worker snapshots == one registry that saw everything.
 
     This is the fleet-view acceptance property, exercised through the
-    exact pathway the engine uses: per-worker ``MetricsRegistry`` ->
-    ``snapshot(include_samples=True)`` -> JSON round trip (snapshots
-    cross the process boundary serialised) -> parent ``merge``.
+    exact pathway ``parallel_map`` uses: per-worker ``MetricsRegistry``
+    -> ``snapshot(include_samples=True)`` -> serialised across the
+    process boundary (a JSON round trip here) -> parent ``merge``.
     """
 
     @given(
@@ -167,7 +164,7 @@ class TestWorkerMergeEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_env_worker_sweep(self, workers, monkeypatch):
-        # SECNDP_WORKERS drives the engine's default pool size; the merged
+        # SECNDP_WORKERS sets the grid's default pool size; the merged
         # fleet histogram must stay exact for any value of it.
         monkeypatch.setenv("SECNDP_WORKERS", str(workers))
         values = list(range(1, 500, 7))
@@ -187,60 +184,6 @@ class TestWorkerMergeEquivalence:
             parent.snapshot(include_samples=True)["timers"]["t"]
             == single.snapshot(include_samples=True)["timers"]["t"]
         )
-
-
-class TestLiveWorkerSnapshots:
-    def test_snapshots_arrive_before_teardown(self):
-        store = _build_store()
-        obs.enable()
-        batch = [[0, 1, 2, 3], [10, 20, 30], [40, 41, 63]]
-        with ParallelSlsEngine(store, workers=2) as engine:
-            if engine.workers == 0:
-                pytest.skip("no shared memory / pool unavailable")
-            engine.sls_many("emb", batch)
-            # Live fleet view: the worker-side span timers are already in
-            # the parent registry while the pool is still serving.
-            timers = obs.snapshot(include_samples=True)["timers"]
-            assert "parallel.shard.ns" in timers
-            assert timers["parallel.shard.ns"]["count"] >= 1
-            assert timers["parallel.shard.ns"]["buckets"]
-
-    def test_snapshot_interval_throttles(self):
-        store = _build_store()
-        obs.enable()
-        batch = [[0, 1, 2], [5, 6, 7]]
-        with ParallelSlsEngine(
-            store, workers=1, snapshot_interval=3600.0
-        ) as engine:
-            if engine.workers == 0:
-                pytest.skip("no shared memory / pool unavailable")
-            engine.sls_many("emb", batch)  # first task always pushes
-            engine.sls_many("emb", batch)  # within interval: accumulate
-            timers = obs.snapshot()["timers"]
-            # Only the first push arrived; the second batch's shard span
-            # is still accumulating worker-side.
-            assert timers["parallel.shard.ns"]["count"] == 1
-
-    def test_first_task_pushes_on_a_young_clock(self, monkeypatch):
-        # Regression: "never pushed" was encoded as last_push=0.0, so on a
-        # host whose monotonic clock read less than the interval (freshly
-        # booted) the first task withheld its snapshot.  Run the worker
-        # task in-process with the clock pinned below the interval.
-        from repro.parallel import engine as engine_mod
-
-        store = _build_store()
-        monkeypatch.setattr(
-            engine_mod,
-            "_WORKER",
-            {"wid": 0, "processor": store.processor, "device": store.device},
-        )
-        clock = iter([5.0, 6.0])
-        monkeypatch.setattr(engine_mod.time, "monotonic", lambda: next(clock))
-        task = ("emb", [np.array([0, 1, 2])], True, True, False, 3600.0, None)
-        first_snap = engine_mod._engine_sls_task(task)[3]
-        second_snap = engine_mod._engine_sls_task(task)[3]
-        assert first_snap is not None and first_snap["timers"]["parallel.shard.ns"]
-        assert second_snap is None  # 1 s later: inside the interval
 
 
 # -- SLOs ----------------------------------------------------------------------
@@ -466,15 +409,15 @@ class TestExporter:
         obs.gauge("otp.cache.hit_rate", 0.75)
         reg = obs.get_registry()
         for v in [100, 2000, 30_000, 400_000]:
-            reg.observe_ns("sls.batch.ns", v)
+            reg.observe_ns("serve.batch.ns", v)
         snap = obs.snapshot(include_samples=True)
         text = obs.to_prometheus(snap, event_counts={"quarantine": 2})
         n = obs.validate_prometheus_text(text)
         assert n > 0
         assert "secndp_protocol_queries_total 4" in text
         assert 'secndp_security_events_total{kind="quarantine"} 2' in text
-        assert 'secndp_sls_batch_seconds_bucket{le="+Inf"} 4' in text
-        assert "secndp_sls_batch_seconds_count 4" in text
+        assert 'secndp_serve_batch_seconds_bucket{le="+Inf"} 4' in text
+        assert "secndp_serve_batch_seconds_count 4" in text
 
     def test_histogram_buckets_are_cumulative_seconds(self):
         obs.enable()
@@ -521,8 +464,6 @@ class TestCliObsReport:
                 "report",
                 "--scale",
                 "smoke",
-                "--workers",
-                "0",
                 "--slo",
                 "sls.batch.p99<10s",
                 "--prom",

@@ -79,7 +79,7 @@ class TestQueries:
 
     def test_batch(self, store):
         batch = [[0, 1], [5], [9, 10, 11]]
-        out = store.sls_batch("emb", batch)
+        out = store.sls_many("emb", batch)
         assert out.shape == (3, 16)
         assert np.allclose(out[1], store.sls("emb", [5]))
 

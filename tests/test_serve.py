@@ -31,7 +31,6 @@ from repro.errors import (
 )
 from repro.obs.export import to_prometheus, validate_prometheus_text
 from repro.obs.slo import SloSpec
-from repro.parallel import ParallelSlsEngine
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -202,38 +201,6 @@ class TestSlsScatter:
                 assert np.array_equal(values[i], expected[i])
 
 
-# -- engine submit/offload (satellite 1 + 2) -----------------------------------
-
-
-class TestEngineOffload:
-    def test_submit_returns_future_matching_sls_many(self):
-        store = make_store()
-        engine = ParallelSlsEngine(store, workers=0)
-        try:
-            queries = make_queries(64, 6)
-            future = engine.submit("emb", queries)
-            expected = np.asarray([store.sls("emb", q) for q in queries])
-            assert np.array_equal(future.result(timeout=30), expected)
-        finally:
-            engine.close()
-
-    def test_offload_after_close_raises(self):
-        store = make_store()
-        engine = ParallelSlsEngine(store, workers=0)
-        engine.close()
-        engine.close()  # idempotent
-        with pytest.raises(ConfigurationError, match="closed"):
-            engine.offload(store.sls, "emb", [0])
-
-    def test_close_releases_offload_thread(self):
-        store = make_store()
-        engine = ParallelSlsEngine(store, workers=0)
-        engine.submit("emb", [[0, 1]]).result(timeout=30)
-        assert engine._offload is not None
-        engine.close()
-        assert engine._offload is None
-
-
 # -- the coalescing scheduler --------------------------------------------------
 
 
@@ -242,13 +209,6 @@ class TestBatchScheduler:
         store = make_store()
         with pytest.raises(ConfigurationError, match="max_batch"):
             BatchScheduler(store, max_batch=0)
-        other = make_store()
-        engine = ParallelSlsEngine(other, workers=0)
-        try:
-            with pytest.raises(ConfigurationError, match="wrap"):
-                BatchScheduler(store, engine=engine)
-        finally:
-            engine.close()
 
     def test_coalesces_and_stays_bit_identical(self):
         store = make_store(n_rows=128, dim=16)
@@ -313,7 +273,7 @@ class TestBatchScheduler:
             scheduler = BatchScheduler(store)
             client = AsyncSlsClient.in_process(scheduler)
             # A 2^31 weight blows the Thm. A.2 overflow budget for any
-            # pooling factor; the store's _validate_query must reject it
+            # pooling factor; the store's validator must reject it
             # before the admission gate ever sees the request.
             resp = await client.sls_response("emb", [0, 1], [2**31, 1])
             neg = await client.sls_response("emb", [0], [-1])
@@ -362,9 +322,8 @@ class TestBatchScheduler:
         assert stats["responses_ok"] == 3
 
     def test_mid_batch_reencryption_stays_exact(self):
-        # The stale-arena path: an engine-backed scheduler keeps serving
-        # bit-identical results across a table re-encryption (version
-        # bump) happening between batches.
+        # The scheduler keeps serving bit-identical results across a
+        # table re-encryption (version bump) happening between batches.
         from repro.faults.recovery import RecoveryPolicy
 
         params = SecNDPParams(element_bits=32)
@@ -375,11 +334,10 @@ class TestBatchScheduler:
             recovery=RecoveryPolicy(retain_plaintext=True),
         )
         store.add_table("emb", np.random.default_rng(0).normal(size=(64, 8)))
-        engine = ParallelSlsEngine(store, workers=0)
         queries = make_queries(64, 6)
 
         async def run():
-            scheduler = BatchScheduler(store, engine=engine, max_batch=4)
+            scheduler = BatchScheduler(store, max_batch=4)
             client = AsyncSlsClient.in_process(scheduler)
             first = await asyncio.gather(*[client.sls("emb", q) for q in queries])
             store.reencrypt_table("emb")
@@ -387,10 +345,7 @@ class TestBatchScheduler:
             await scheduler.close()
             return np.asarray(first), np.asarray(second)
 
-        try:
-            first, second = asyncio.run(run())
-        finally:
-            engine.close()
+        first, second = asyncio.run(run())
         expected = np.asarray([store.sls("emb", q) for q in queries])
         assert np.array_equal(first, expected)
         assert np.array_equal(second, expected)
@@ -633,8 +588,8 @@ class TestWorkConservingBatcher:
         assert stats["admission.admitted"] == 2
 
     def test_validation_errors_keep_their_order(self):
-        # Same errors in the same order as the list-based _validate_query,
-        # then the row range, which only the array check has.
+        # One validator: the array form and the list form refuse with the
+        # same error, defect for defect, in the same order.
         store = make_store()
 
         def arrays(rows, weights):
@@ -644,16 +599,18 @@ class TestWorkConservingBatcher:
                 None if weights is None else np.asarray(weights, dtype=np.int64),
             )
 
-        for rows, weights in [
-            ([0, 99], [1, -1, 2]),  # negative weight before length mismatch
-            ([0, 99], [1]),         # length mismatch before the budget
-            ([0, 99], [2**31, 1]),  # budget before the row range
+        for rows, weights, first in [
+            ([0, 99], [1, -1, 2], "non-negative"),  # before the length mismatch
+            ([0, 99], [1], "equal length"),         # before the budget
+            ([0, 99], [2**31, 1], "overflow"),      # before the row range
         ]:
-            with pytest.raises(ConfigurationError) as listed:
-                store._validate_query("emb", rows, weights)
+            with pytest.raises(ConfigurationError, match=first) as listed:
+                store.sls("emb", rows, weights)
+            with pytest.raises(ConfigurationError) as batched:
+                store.sls_many("emb", [[1], rows], [[1], weights])
             with pytest.raises(ConfigurationError) as checked:
                 arrays(rows, weights)
-            assert str(checked.value) == str(listed.value)
+            assert str(checked.value) == str(batched.value) == str(listed.value)
         with pytest.raises(ConfigurationError, match=r"row id outside \[0, 64\)"):
             arrays([0, 99], None)
         with pytest.raises(ConfigurationError, match="unknown table 'nope'"):
@@ -661,24 +618,6 @@ class TestWorkConservingBatcher:
         rows, weights = arrays([5, 5, 7], [1, 0, 3])
         assert rows.dtype == np.int64 and weights.dtype == store.processor.ring.dtype
         assert weights.tolist() == [1, 0, 3]
-
-    def test_engine_backed_batches_take_the_query_batch_as_is(self):
-        store = make_store(n_rows=128)
-        queries = make_queries(128, 12)
-        expected = np.asarray([store.sls("emb", q) for q in queries])
-
-        async def run(engine):
-            scheduler = BatchScheduler(store, engine=engine)
-            client = AsyncSlsClient.in_process(scheduler)
-            results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
-            stats = scheduler.stats()
-            await scheduler.close()
-            return np.asarray(results), stats
-
-        with ParallelSlsEngine(store, workers=2) as engine:
-            results, stats = asyncio.run(run(engine))
-        assert np.array_equal(results, expected)
-        assert stats["batches"] == 1
 
 
 # -- graceful shutdown (satellite 2) -------------------------------------------
@@ -770,20 +709,6 @@ class TestShutdown:
         assert pending == []
         assert eofs == [b"", b""]
         assert [r for r in caplog.records if r.levelname in ("WARNING", "ERROR")] == []
-
-    def test_teardown_error_accounting(self):
-        store = make_store()
-        engine = ParallelSlsEngine(store, workers=0)
-        engine.submit("emb", [[0]]).result(timeout=30)
-        obs.enable()
-
-        class Exploding:
-            def shutdown(self, *args, **kwargs):
-                raise RuntimeError("boom")
-
-        engine._offload = Exploding()
-        engine.close()
-        assert obs.snapshot()["counters"]["parallel.teardown_errors"] == 1
 
 
 # -- admission control ---------------------------------------------------------

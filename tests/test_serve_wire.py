@@ -5,7 +5,8 @@ arrive, the decoder's only outcomes are a typed message or
 ``FrameError``, and nothing it builds is larger than the frame it was
 given.  *Bit-identity*: a response is ``np.array_equal`` to a direct
 ``store.sls`` whichever way it travelled - binary TCP, JSON TCP or the
-in-process transport - on every ring.
+in-process transport - on every ring; and a query no path may serve is
+refused by every path - store, front-end, cluster - in the same words.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterCoordinator, NodeClient, NodeServer
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import ConfigurationError
 from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
@@ -475,6 +477,78 @@ class TestBitIdentity:
         answer, stats = asyncio.run(run())
         assert np.array_equal(answer, store.sls("emb", [0, 1], [2, 3]))
         assert stats["requests"] == 1  # the refused ones never left the client
+
+
+#: defect -> (table, rows, weights, the one refusal every path gives); 48 rows
+REFUSALS = {
+    "negative weight": ("emb", [1, 2], [1, -1], "weights must be non-negative integers"),
+    "length mismatch": ("emb", [1, 2], [1], "rows and weights must have equal length"),
+    "unknown table": ("nope", [1, 2], None, "unknown table 'nope'"),
+    "over budget": (
+        "emb", [1, 2], [2**31, 1],
+        "pooling factor 2 with max weight 2147483648 may overflow Z(2^32) "
+        "for table 'emb'; split the query",
+    ),
+    "row = n_rows": ("emb", [1, 48], None, "row id outside [0, 48) for table 'emb'"),
+    "row = -1": ("emb", [-1, 1], None, "row id outside [0, 48) for table 'emb'"),
+}
+
+
+class TestOneRefusalOnEveryPath:
+    """An invalid query meets the same ``ConfigurationError`` on every
+    serving path, before a pad is generated or a node hears of it."""
+
+    @staticmethod
+    async def front_end(store, table, rows, weights):
+        scheduler = BatchScheduler(store)
+        async with AsyncSlsClient.in_process(scheduler) as client:
+            response = await client.sls_response(table, rows, weights)
+        await scheduler.close()
+        assert (response.status, response.kind) == ("error", "ConfigurationError")
+        stats = scheduler.stats()
+        assert stats["rejected_invalid"] == 1 and stats["batches"] == 0
+        return response.error
+
+    @staticmethod
+    async def cluster(store, table, batch_rows, batch_weights):
+        sent = []
+
+        class RecordingClient(NodeClient):
+            async def request(self, op, table=None, payload=None, timeout=None):
+                sent.append(op)
+                return await super().request(op, table, payload, timeout)
+
+        async with NodeServer("n0") as s0, NodeServer("n1") as s1:
+            nodes = [RecordingClient(s.name, s.host, s.port) for s in (s0, s1)]
+            async with ClusterCoordinator(store, nodes, task_timeout_s=5.0) as coordinator:
+                del sent[:]  # the set-up traffic
+                with pytest.raises(ConfigurationError) as refusal:
+                    await coordinator.sls_many(table, batch_rows, batch_weights)
+                assert sent == []  # no node was asked for anything
+        return str(refusal.value)
+
+    @pytest.mark.parametrize("defect", REFUSALS)
+    @pytest.mark.parametrize(
+        "path", ["sls", "sls_many", "sls_scatter", "front_end", "cluster"]
+    )
+    def test_same_words_no_pad_no_dispatch(self, path, defect):
+        table, rows, weights, text = REFUSALS[defect]
+        batch = ([[3, 4], rows], weights and [[1, 1], weights])  # one good query beside it
+        store = make_store(32)
+        pads = store.cache_info()
+        if path == "front_end":
+            message = asyncio.run(self.front_end(store, table, rows, weights))
+        elif path == "cluster":
+            message = asyncio.run(self.cluster(store, table, *batch))
+        else:
+            with pytest.raises(ConfigurationError) as refusal:
+                if path == "sls":
+                    store.sls(table, rows, weights)
+                else:
+                    getattr(store, path)(table, *batch)
+            message = str(refusal.value)
+        assert message == text
+        assert store.cache_info() == pads
 
 
 class TestSchedulerTakesEitherForm:

@@ -9,7 +9,7 @@ scalar method as the oracle:
   both for the default modulus (``cnt_s == 1``) and a small Mersenne
   modulus with ``cnt_s > 1`` where the scalar fallback runs;
 * ``EncryptedLinearMac.tag_pads`` (batched AES) vs scalar ``tag_pad``;
-* batched ``weighted_row_sum_batch`` / ``SecureEmbeddingStore.sls_many``
+* batched ``weighted_row_sums`` / ``SecureEmbeddingStore.sls_many``
   vs their one-query-at-a-time equivalents.
 """
 
@@ -157,23 +157,21 @@ class TestBatchedProtocol:
         processor, device, rng = self._setup(multipoint)
         batch_rows = [list(rng.integers(0, 64, size=5)) for _ in range(6)]
         batch_weights = [list(rng.integers(0, 4, size=5)) for _ in range(6)]
-        batched = processor.weighted_row_sum_batch(
-            device, "t", batch_rows, batch_weights
-        )
-        for result, rows, weights in zip(batched, batch_rows, batch_weights):
+        batched = processor.weighted_row_sums(device, "t", batch_rows, batch_weights)
+        for values, rows, weights in zip(batched, batch_rows, batch_weights):
             single = processor.weighted_row_sum(device, "t", rows, weights)
-            assert np.array_equal(result.values, single.values)
-            assert result.verified
+            assert np.array_equal(values, single.values)
+            assert single.verified
 
     def test_batch_detects_tampering(self):
         processor, device, rng = self._setup()
         device.tamper_results(1)
         with pytest.raises(VerificationError):
-            processor.weighted_row_sum_batch(device, "t", [[0, 1, 2]], [[1, 1, 1]])
+            processor.weighted_row_sums(device, "t", [[0, 1, 2]], [[1, 1, 1]])
 
     def test_empty_batch(self):
         processor, device, _ = self._setup()
-        assert processor.weighted_row_sum_batch(device, "t", []) == []
+        assert processor.weighted_row_sums(device, "t", []).shape == (0, 16)
 
     def test_batch_without_tags_raises_when_verifying(self):
         params = _params(element_bits=8)
@@ -183,12 +181,10 @@ class TestBatchedProtocol:
         enc = processor.encrypt_matrix(plaintext, 0x0, "t", with_tags=False)
         device.store("t", enc)
         with pytest.raises(VerificationError):
-            processor.weighted_row_sum_batch(device, "t", [[0]], [[1]])
+            processor.weighted_row_sums(device, "t", [[0]], [[1]])
         # verify=False is still served.
-        res = processor.weighted_row_sum_batch(
-            device, "t", [[0]], [[1]], verify=False
-        )
-        assert not res[0].verified
+        res = processor.weighted_row_sums(device, "t", [[0]], [[1]], verify=False)
+        assert not res.any()
 
 
 class TestStoreBatchEquivalence:
@@ -209,11 +205,12 @@ class TestStoreBatchEquivalence:
         for i, (rows, weights) in enumerate(zip(batch_rows, batch_weights)):
             assert np.allclose(batched[i], store.sls("emb", rows, weights))
 
-    def test_sls_batch_delegates(self):
+    def test_sls_many_weights_default_to_one(self):
         store, rng = self._store()
         batch_rows = [[0, 1], [2, 3]]
-        assert np.allclose(
-            store.sls_batch("emb", batch_rows), store.sls_many("emb", batch_rows)
+        assert np.array_equal(
+            store.sls_many("emb", batch_rows),
+            store.sls_many("emb", batch_rows, [[1, 1], [1, 1]]),
         )
 
     def test_sls_many_rejects_overflow(self):
@@ -308,13 +305,13 @@ class TestBatchedCoreDifferential:
                 )
                 # ... and the single-party composition of the same code.
                 local = processor.partial_row_sum_batch(device, "t", rows, weights)
-                verified = processor.weighted_row_sum_batch(device, "t", rows, weights)
+                verified = processor.weighted_row_sums(device, "t", rows, weights)
                 assert processor.failed_share_queries(enc, "t", share) == []
             assert share.values.tolist() == want_values, tier
             assert limb_field.from_limbs(share.tag_shares) == want_tags, tier
             assert np.array_equal(local.values, share.values)
             assert np.array_equal(local.tag_shares, share.tag_shares)
-            assert [r.values.tolist() for r in verified] == want_values, tier
+            assert verified.tolist() == want_values, tier
             # A batch of one is the same code, not a second path.
             for (q_rows, q_weights), want in zip(batch, want_values):
                 with kernels.use_tier(tier):
@@ -328,7 +325,7 @@ class TestBatchedCoreDifferential:
             assert share.values.shape == (len(rows), enc.n_cols)
             assert share.tag_shares.shape == (len(rows), limb_field.NUM_LIMBS)
             assert not share.values.any() and not share.tag_shares.any()
-            assert len(processor.weighted_row_sum_batch(device, "t", rows)) == len(rows)
+            assert len(processor.weighted_row_sums(device, "t", rows)) == len(rows)
 
 
 def _stored_table(n_rows=32, element_bits=32, seed=13):
@@ -360,9 +357,9 @@ class TestDetectionNamesExactlyTheTouchingQueries:
         with kernels.use_tier(tier):
             assert _failed(processor, device, enc) == [0, 3]
             with pytest.raises(VerificationError, match="query 0"):
-                processor.weighted_row_sum_batch(device, "t", BATCH)
+                processor.weighted_row_sums(device, "t", BATCH)
             # The untouched queries still verify, alone and together.
-            processor.weighted_row_sum_batch(device, "t", [BATCH[1], BATCH[2], BATCH[4]])
+            processor.weighted_row_sums(device, "t", [BATCH[1], BATCH[2], BATCH[4]])
 
     def test_tampered_results_and_tags_fail_every_served_query(self, tier):
         processor, device, enc = _stored_table()
