@@ -27,6 +27,11 @@ writes a Chrome/Perfetto trace of the phase spans (DESIGN.md Sec. 9).
 CPU count, and ``--workers 0`` forces the in-process path.  It applies
 to the table/figure experiments only: every other command refuses it.
 
+Every telemetry flag works on every measuring command (experiments,
+``chaos``, ``bench-serve``, ``obs report``): one bracket turns on what
+the flags ask for and restores it on every exit path, one report step
+prints and writes the results.
+
 Telemetry (DESIGN.md Sec. 13): ``obs report`` runs a functional serving
 pass and prints percentile tables, SLO budget status and recorded
 security events; ``--slo SPEC`` (repeatable, comma-separable) adds
@@ -48,7 +53,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict
+from collections import Counter
+from contextlib import contextmanager
+from typing import Dict, Optional
 
 from . import kernels, obs
 from .errors import ConfigurationError
@@ -58,6 +65,8 @@ from .harness.chaos import (
     parse_sweep_spec,
     run_chaos,
     run_chaos_sweep,
+    run_cluster_chaos,
+    smoke_script,
 )
 from .harness.configs import DEFAULT_SCALE, PAPER_SCALE, SMOKE_SCALE, ExperimentScale
 from .parallel import default_workers
@@ -280,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save-metrics",
         metavar="PATH",
         default=None,
-        help="bench-serve: write the metrics snapshot JSON to PATH "
+        help="write the metrics snapshot JSON to PATH "
         "(replayable via 'repro obs report --metrics PATH')",
     )
     parser.add_argument(
@@ -300,38 +309,91 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _journal_counts(path: str) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for event in obs.read_events(path):
-        counts[event.kind] = counts.get(event.kind, 0) + 1
-    return counts
+def _kinds(events) -> Dict[str, int]:
+    return dict(Counter(event.kind for event in events))
 
 
-def _write_prometheus(path: str, snap: dict, event_counts) -> None:
-    text = obs.to_prometheus(snap, event_counts=event_counts)
-    obs.validate_prometheus_text(text)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(f"prometheus metrics written to {path}")
+@contextmanager
+def _telemetry(args, always: bool = False):
+    """Turn on what one command's flags ask for; restore it on every exit.
+
+    Metrics for ``--stats`` / ``--slo`` / ``--prom`` / ``--save-metrics``
+    / ``--trace`` (or ``always``), tracing for ``--trace``, and one
+    :func:`repro.obs.journal` scope - the ``--events`` sink, else in
+    memory.  Yields the journal's reader for :func:`_report`.
+    """
+    collect = always or args.stats or any(
+        flag is not None
+        for flag in (args.slo, args.prom, args.save_metrics, args.trace)
+    )
+    was_enabled, was_tracing = obs.enabled(), obs.tracing_enabled()
+    if collect:
+        obs.enable()
+        # The tier resolved before metrics were enabled; re-publish so
+        # kernel.tier / kernel.jit_warmup_ns appear in the snapshot.
+        kernels.publish()
+    if args.trace is not None:
+        obs.enable_tracing()
+    try:
+        with obs.journal(args.events) as events:
+            yield events
+    finally:
+        if collect and not was_enabled:
+            obs.disable()
+        if args.trace is not None and not was_tracing:
+            obs.disable_tracing()
 
 
-def _print_slo(statuses) -> bool:
-    """Print SLO status lines; True iff any objective is out of budget."""
-    print("== slo ==")
-    for status in statuses:
-        print(f"  {status.describe()}")
-    worst = max((s.state for s in statuses), default=0)
-    verdict = {0: "healthy", 1: "DEGRADED", 2: "CRITICAL"}[worst]
-    print(f"  overall: {verdict} (slo.degraded={worst})")
+def _report(
+    args,
+    slo_specs,
+    event_counts: Optional[Dict[str, int]],
+    snap: Optional[dict] = None,
+    full: bool = False,
+) -> bool:
+    """The report step of every command; True iff an SLO is out of budget.
+
+    ``--stats`` prints the registry, ``--slo`` the budget lines (``full``
+    prints the ``obs report`` tables in their place), ``--save-metrics``
+    / ``--prom`` / ``--trace`` write their files.  ``snap`` reports over
+    a loaded snapshot instead of the live registry.
+    """
+    if snap is None:
+        snap = obs.snapshot(include_samples=True)
+    statuses = obs.SloTracker(slo_specs).evaluate(snap)
+    if full:
+        print(obs.format_report(snap, statuses=statuses, event_counts=event_counts))
+    elif args.stats:
+        print("== metrics ==")
+        print(obs.format_snapshot(snap))
+    if args.save_metrics is not None:
+        with open(args.save_metrics, "w", encoding="utf-8") as fh:
+            json.dump(snap, fh)
+        print(f"metrics snapshot written to {args.save_metrics}")
+    if args.slo is not None and not full:
+        print("== slo ==")
+        for status in statuses:
+            print(f"  {status.describe()}")
+        worst = max((s.state for s in statuses), default=0)
+        verdict = {0: "healthy", 1: "DEGRADED", 2: "CRITICAL"}[worst]
+        print(f"  overall: {verdict} (slo.degraded={worst})")
+    if args.prom is not None:
+        text = obs.to_prometheus(snap, event_counts=event_counts)
+        obs.validate_prometheus_text(text)
+        with open(args.prom, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"prometheus metrics written to {args.prom}")
+    if args.trace is not None:
+        print(f"trace written to {obs.write_trace(args.trace)}")
     return any(not s.met for s in statuses)
 
 
 def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
     """``repro obs report``: serve, then summarise telemetry + SLOs."""
-    event_counts = None
     if args.metrics is not None:
         # Offline mode: report over a saved snapshot (and, with --events,
         # a recorded journal) without running anything.
+        event_counts = None
         try:
             with open(args.metrics, "r", encoding="utf-8") as fh:
                 snap = json.load(fh)
@@ -339,38 +401,17 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
             return _fail(f"cannot load snapshot {args.metrics!r}: {exc}")
         if args.events is not None:
             try:
-                event_counts = _journal_counts(args.events)
+                event_counts = _kinds(obs.read_events(args.events))
             except OSError as exc:
                 return _fail(f"cannot load event journal {args.events!r}: {exc}")
-    else:
-        was_enabled = obs.enabled()
-        own_events = obs.event_log() is None
-        if args.events is not None:
-            obs.enable_events(args.events)
-        elif own_events:
-            obs.enable_events()
-        obs.enable()
-        kernels.publish()
-        try:
-            with obs.span("experiment.obs_report", cat="harness"):
-                run_functional_shadow(scale)
-            snap = obs.snapshot(include_samples=True)
-            log = obs.event_log()
-            if log is not None:
-                event_counts = log.counts_by_kind()
-        finally:
-            if not was_enabled:
-                obs.disable()
-            if args.events is not None or own_events:
-                obs.disable_events()
-
-    statuses = obs.SloTracker(slo_specs).evaluate(snap)
-    print(obs.format_report(snap, statuses=statuses, event_counts=event_counts))
-    if args.prom is not None:
-        _write_prometheus(args.prom, snap, event_counts)
-    if args.events is not None and args.metrics is None:
+        return int(_report(args, slo_specs, event_counts, snap=snap, full=True))
+    with _telemetry(args, always=True) as events:
+        with obs.span("experiment.obs_report", cat="harness"):
+            run_functional_shadow(scale)
+        slo_failed = _report(args, slo_specs, _kinds(events()), full=True)
+    if args.events is not None:
         print(f"security-event journal appended to {args.events}")
-    return 1 if any(not s.met for s in statuses) else 0
+    return int(slo_failed)
 
 
 def _serve_cmd(args, scale: ExperimentScale) -> int:
@@ -428,25 +469,9 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
     )
 
     sizes = SIZES.get(scale.name, SIZES["default"])
-    collect = (
-        args.stats
-        or args.slo is not None
-        or args.prom is not None
-        or args.save_metrics is not None
-    )
-    was_enabled = obs.enabled()
-    own_events = obs.event_log() is None
-    if collect:
-        obs.enable()
-        kernels.publish()
-        if args.events is not None:
-            obs.enable_events(args.events)
-        elif own_events:
-            obs.enable_events()
-    slo_failed = False
     print(f"== bench-serve (scale={scale.name}) ==")
     started = time.time()
-    try:
+    with _telemetry(args) as events:
         report = run_serve_bench(
             sizes["n_rows"],
             sizes["dim"],
@@ -485,28 +510,7 @@ def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 json.dump(bundle, fh, indent=2, sort_keys=True)
             print(f"results written to {args.json}")
-        if args.stats:
-            print("== metrics ==")
-            print(obs.format_snapshot(obs.snapshot()))
-        if collect:
-            snap = obs.snapshot(include_samples=True)
-            log = obs.event_log()
-            event_counts = log.counts_by_kind() if log is not None else None
-            if args.save_metrics is not None:
-                with open(args.save_metrics, "w", encoding="utf-8") as fh:
-                    json.dump(snap, fh)
-                print(f"metrics snapshot written to {args.save_metrics}")
-            if args.slo is not None:
-                statuses = obs.SloTracker(slo_specs).evaluate(snap)
-                slo_failed = _print_slo(statuses)
-            if args.prom is not None:
-                _write_prometheus(args.prom, snap, event_counts)
-    finally:
-        if collect:
-            if not was_enabled:
-                obs.disable()
-            if args.events is not None or own_events:
-                obs.disable_events()
+        slo_failed = _report(args, slo_specs, _kinds(events()))
     if not report["bit_identical"] or not tcp["bit_identical"]:
         return _fail("serving results diverged from direct sls")
     if overload["overloaded"] <= 0 or not overload["p99_within_slo"]:
@@ -544,13 +548,6 @@ def _cluster_cmd(args, scale: ExperimentScale) -> int:
     if args.nodes < 1:
         return _fail(f"--nodes must be >= 1, got {args.nodes}")
     sizes = SIZES.get(scale.name, SIZES["default"])
-    own_events = obs.event_log() is None
-    if args.events is not None:
-        obs.enable_events(args.events)
-    elif own_events:
-        obs.enable_events()
-    event_log = obs.event_log()
-    ev_start = len(event_log)
     print(
         f"building demo store ({sizes['n_rows']} x {sizes['dim']}, "
         f"scale={scale.name}) and spawning {args.nodes} node processes ..."
@@ -562,7 +559,7 @@ def _cluster_cmd(args, scale: ExperimentScale) -> int:
     golden = store.sls_many("emb", rows, weights)
 
     try:
-        with LocalCluster(args.nodes) as nodes:
+        with obs.journal(args.events) as events, LocalCluster(args.nodes) as nodes:
             for name, host, port in nodes:
                 print(f"  {name} on {host}:{port}")
 
@@ -587,10 +584,6 @@ def _cluster_cmd(args, scale: ExperimentScale) -> int:
             mismatched, elapsed, stats = asyncio.run(run())
     except ConfigurationError as exc:
         return _fail(str(exc))
-    finally:
-        run_events = event_log.events()[ev_start:]
-        if args.events is not None or own_events:
-            obs.disable_events()
 
     qps = len(rows) / elapsed if elapsed > 0 else 0.0
     print(
@@ -598,7 +591,7 @@ def _cluster_cmd(args, scale: ExperimentScale) -> int:
         f"{elapsed * 1e3:.1f} ms ({qps:.0f} qps), "
         f"mismatched {mismatched}, live {stats['live']}"
     )
-    print(ClusterHealth.from_events(run_events).render())
+    print(ClusterHealth.from_events(events()).render())
     if args.events is not None:
         print(f"security-event journal appended to {args.events}")
     if mismatched:
@@ -614,8 +607,6 @@ def _bench_cluster_cmd(args, scale: ExperimentScale) -> int:
     ``chaos-cluster`` preset, (3) real node processes with a mid-run
     SIGKILL and a byzantine dispatch.  Exit 1 if any leg fails its gate.
     """
-    from .cluster import run_cluster_chaos, run_process_cluster_smoke, smoke_script
-
     if args.nodes < 3:
         return _fail(f"bench-cluster needs --nodes >= 3, got {args.nodes}")
     legs = {}
@@ -631,7 +622,18 @@ def _bench_cluster_cmd(args, scale: ExperimentScale) -> int:
         legs["seeded"] = run_cluster_chaos(n_nodes=args.nodes)
         print(legs["seeded"].render())
         print("-- leg 3: real node processes, SIGKILL + byzantine --")
-        legs["process"] = run_process_cluster_smoke(n_nodes=args.nodes)
+        legs["process"] = run_cluster_chaos(
+            n_nodes=args.nodes,
+            script=smoke_script(args.nodes),
+            processes=True,
+            n_batches=8,
+            batch=4,
+            pooling_factor=8,
+            rows_per_table=128,
+            dim=8,
+            seed=11,
+            task_timeout_s=5.0,
+        )
         print(legs["process"].render())
     except ConfigurationError as exc:
         return _fail(str(exc))
@@ -673,6 +675,52 @@ def _bench_cluster_cmd(args, scale: ExperimentScale) -> int:
                 f"reshards={result.reshards})"
             )
     return 0
+
+
+def _chaos_cmd(args, scale: ExperimentScale, slo_specs) -> int:
+    """``repro chaos``: one fault plan, or with ``--sweep`` a fault-rate grid."""
+    sweep = args.sweep is not None
+    try:
+        if sweep:
+            rates = parse_sweep_spec(args.sweep)
+            title = (
+                f"chaos sweep: fault-rate grid "
+                f"{', '.join(f'{r:g}' for r in rates)} (scale={scale.name})"
+            )
+        else:
+            plan = (
+                FaultPlan.parse(args.plan)
+                if args.plan
+                else default_chaos_plan(args.fault_rate)
+            )
+            title = (
+                f"chaos: fault injection + recovery replay "
+                f"(scale={scale.name}, plan={plan.name})"
+            )
+    except ValueError as exc:  # a bad plan is a ConfigurationError, a ValueError
+        return _fail(str(exc))
+    with _telemetry(args) as events:
+        print(f"== {title} ==")
+        started = time.time()
+        with obs.span(f"experiment.chaos{'_sweep' * sweep}", cat="harness"):
+            result = (
+                run_chaos_sweep(scale, rates) if sweep else run_chaos(scale, plan=plan)
+            )
+        print(result.render())
+        print(f"[chaos{' sweep' * sweep} finished in {time.time() - started:.1f}s]\n")
+        slo_failed = _report(args, slo_specs, _kinds(events()))
+    if sweep and not result.passed:
+        worst = min(result.results, key=lambda r: r.detection_rate)
+        return _fail(
+            f"chaos sweep failed: worst detection rate "
+            f"{worst.detection_rate:.3f} ({worst.plan})"
+        )
+    if not sweep and (result.detection_rate < 1.0 or result.mismatched):
+        return _fail(
+            f"chaos run failed: detection rate "
+            f"{result.detection_rate:.3f}, {result.mismatched} mismatches"
+        )
+    return 1 if slo_failed else 0
 
 
 def main(argv=None) -> int:
@@ -754,123 +802,14 @@ def main(argv=None) -> int:
     if args.experiment == "bench-cluster":
         return _bench_cluster_cmd(args, _SCALES[args.scale])
 
-    collect = (
-        args.stats
-        or args.trace is not None
-        or args.slo is not None
-        or args.prom is not None
-    )
-    was_enabled = obs.enabled()
-    was_tracing = obs.tracing_enabled()
-    if collect:
-        obs.enable()
-        # The tier resolved before metrics were enabled; re-publish so
-        # kernel.tier / kernel.jit_warmup_ns appear in the snapshot.
-        kernels.publish()
-    if args.trace is not None:
-        obs.enable_tracing()
-    if args.events is not None:
-        obs.enable_events(args.events)
-
     if args.experiment == "chaos":
-        scale = _SCALES[args.scale]
-        if args.sweep is not None:
-            try:
-                rates = parse_sweep_spec(args.sweep)
-            except ValueError as exc:
-                return _fail(str(exc))
-            print(
-                f"== chaos sweep: fault-rate grid "
-                f"{', '.join(f'{r:g}' for r in rates)} (scale={scale.name}) =="
-            )
-            started = time.time()
-            slo_failed = False
-            try:
-                with obs.span("experiment.chaos_sweep", cat="harness"):
-                    sweep = run_chaos_sweep(scale, rates)
-                print(sweep.render())
-                print(f"[chaos sweep finished in {time.time() - started:.1f}s]\n")
-                if args.stats:
-                    print("== metrics ==")
-                    print(obs.format_snapshot(obs.snapshot()))
-                if args.slo is not None or args.prom is not None:
-                    snap = obs.snapshot(include_samples=True)
-                    if args.slo is not None:
-                        statuses = obs.SloTracker(slo_specs).evaluate(snap)
-                        slo_failed = _print_slo(statuses)
-                    if args.prom is not None:
-                        log = obs.event_log()
-                        counts = log.counts_by_kind() if log is not None else None
-                        _write_prometheus(args.prom, snap, counts)
-                if args.trace is not None:
-                    path = obs.write_trace(args.trace)
-                    print(f"trace written to {path}")
-            finally:
-                if collect and not was_enabled:
-                    obs.disable()
-                if args.trace is not None and not was_tracing:
-                    obs.disable_tracing()
-                if args.events is not None:
-                    obs.disable_events()
-            if not sweep.passed:
-                worst = min(sweep.results, key=lambda r: r.detection_rate)
-                return _fail(
-                    f"chaos sweep failed: worst detection rate "
-                    f"{worst.detection_rate:.3f} ({worst.plan})"
-                )
-            return 1 if slo_failed else 0
-        try:
-            plan = (
-                FaultPlan.parse(args.plan)
-                if args.plan
-                else default_chaos_plan(args.fault_rate)
-            )
-        except ConfigurationError as exc:
-            return _fail(str(exc))
-        print(
-            f"== chaos: fault injection + recovery replay "
-            f"(scale={scale.name}, plan={plan.name}) =="
-        )
-        started = time.time()
-        slo_failed = False
-        try:
-            with obs.span("experiment.chaos", cat="harness"):
-                result = run_chaos(scale, plan=plan)
-            print(result.render())
-            print(f"[chaos finished in {time.time() - started:.1f}s]\n")
-            if args.stats:
-                print("== metrics ==")
-                print(obs.format_snapshot(obs.snapshot()))
-            if args.slo is not None or args.prom is not None:
-                snap = obs.snapshot(include_samples=True)
-                if args.slo is not None:
-                    statuses = obs.SloTracker(slo_specs).evaluate(snap)
-                    slo_failed = _print_slo(statuses)
-                if args.prom is not None:
-                    _write_prometheus(args.prom, snap, result.events)
-            if args.trace is not None:
-                path = obs.write_trace(args.trace)
-                print(f"trace written to {path}")
-        finally:
-            if collect and not was_enabled:
-                obs.disable()
-            if args.trace is not None and not was_tracing:
-                obs.disable_tracing()
-            if args.events is not None:
-                obs.disable_events()
-        if result.detection_rate < 1.0 or result.mismatched:
-            return _fail(
-                f"chaos run failed: detection rate "
-                f"{result.detection_rate:.3f}, {result.mismatched} mismatches"
-            )
-        return 1 if slo_failed else 0
+        return _chaos_cmd(args, _SCALES[args.scale], slo_specs)
 
     workers = args.workers if args.workers is not None else default_workers()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     scale = _SCALES[args.scale]
     collected = {}
-    slo_failed = False
-    try:
+    with _telemetry(args) as events:
         for name in names:
             description, runner = EXPERIMENTS[name]
             print(f"== {name}: {description} (scale={scale.name}) ==")
@@ -880,35 +819,14 @@ def main(argv=None) -> int:
             collected[name] = result
             print(result.render())
             print(f"[{name} finished in {time.time() - started:.1f}s]\n")
-        if collect:
+        if obs.enabled():
             # The experiment drivers are timing models; one functional
             # pass populates the crypto/protocol-layer counters too.
             run_functional_shadow(scale)
         if args.json:
             path = export_results(collected, args.json)
             print(f"results written to {path}")
-        if args.stats:
-            print("== metrics ==")
-            print(obs.format_snapshot(obs.snapshot()))
-        if args.slo is not None or args.prom is not None:
-            snap = obs.snapshot(include_samples=True)
-            log = obs.event_log()
-            event_counts = log.counts_by_kind() if log is not None else None
-            if args.slo is not None:
-                statuses = obs.SloTracker(slo_specs).evaluate(snap)
-                slo_failed = _print_slo(statuses)
-            if args.prom is not None:
-                _write_prometheus(args.prom, snap, event_counts)
-        if args.trace is not None:
-            path = obs.write_trace(args.trace)
-            print(f"trace written to {path}")
-    finally:
-        if collect and not was_enabled:
-            obs.disable()
-        if args.trace is not None and not was_tracing:
-            obs.disable_tracing()
-        if args.events is not None:
-            obs.disable_events()
+        slo_failed = _report(args, slo_specs, _kinds(events()))
     return 1 if slo_failed else 0
 
 

@@ -20,18 +20,12 @@ recombine ever runs.  The pieces:
   blame-ranked :class:`ClusterHealth` view.
 * :mod:`~repro.cluster.local` — :class:`LocalCluster`: spawn real node
   processes for the CLI / CI smoke path.
-* :mod:`~repro.cluster.chaos` — :func:`run_cluster_chaos`: injected node
-  faults vs. blame precision/recall and bit-identity to the single-host
-  oracle.
+
+The robustness gate that drives this package under injected node faults
+(blame precision / recall, bit-identity to the single-host oracle) is
+:func:`repro.harness.chaos.run_cluster_chaos`.
 """
 
-from .chaos import (
-    ClusterChaosResult,
-    ScriptedDirectives,
-    run_cluster_chaos,
-    run_process_cluster_smoke,
-    smoke_script,
-)
 from .coordinator import ClusterCoordinator, ShardMap
 from .health import (
     BLAME_WEIGHTS,
@@ -44,18 +38,13 @@ from .node import NodeClient, NodeServer
 
 __all__ = [
     "BLAME_WEIGHTS",
-    "ClusterChaosResult",
     "ClusterCoordinator",
     "ClusterHealth",
     "LocalCluster",
     "NodeClient",
     "NodeServer",
-    "ScriptedDirectives",
     "ShardMap",
     "blame_ranking",
     "merge_event_streams",
-    "run_cluster_chaos",
     "run_node_process",
-    "run_process_cluster_smoke",
-    "smoke_script",
 ]

@@ -12,7 +12,10 @@ that ever holds key material:
    attacker-visible by assumption) are replicated to every node;
    row-range ownership is logical (``np.linspace`` bounds over the row
    space), so re-sharding is a bounds update with no data movement.
-   The key never leaves this process.
+   The key never leaves this process.  After a trusted-side
+   re-encryption the replicas are re-shipped before the next batch (the
+   version triple shipped is compared with the store's): the
+   coordinator's own re-keying is never evidence against a node.
 2. **Dispatch**: each query batch is masked per owner range and fanned
    out as ``partial_sum`` frames under a deadline.  A node answers with
    ciphertext-domain sums only (``C_res`` / ``C_T_res``); the
@@ -85,6 +88,24 @@ __all__ = ["ClusterCoordinator", "ShardMap", "DEFAULT_BLAME_THRESHOLD"]
 #: (weight 1).
 DEFAULT_BLAME_THRESHOLD = 1
 
+#: How a failed dispatch is charged: exception -> (``cluster.dispatch.*``
+#: counter suffix, audit-event / blame kind).  A share that fails its
+#: check is cryptographic evidence; an error frame or a malformed
+#: payload (``ConfigurationError``) is not a forgery but is unambiguous
+#: misbehaviour on a well-formed request, so it is blamed the same way;
+#: the rest are liveness failures.
+_DISPATCH_FAILURES = {
+    ShardVerificationError: ("blamed", obs.NODE_BLAME),
+    ConfigurationError: ("blamed", obs.NODE_BLAME),
+    PeerTimeoutError: ("timeout", obs.NODE_TIMEOUT),
+    ServerClosedError: ("dead", obs.NODE_DEAD),
+    OSError: ("dead", obs.NODE_DEAD),
+}
+
+
+def _versions(enc) -> Tuple[int, int, int]:
+    return (enc.version, enc.checksum_version, enc.tag_version)
+
 
 @dataclass
 class ShardMap:
@@ -133,8 +154,8 @@ class ClusterCoordinator:
     nodes:
         ``(name, host, port)`` triples or connected :class:`NodeClient`\\ s.
     policy:
-        Retry/backoff knobs (``max_retries``, ``backoff_s``); a default
-        :class:`~repro.faults.recovery.RecoveryPolicy` when omitted.
+        The one :class:`~repro.faults.recovery.RecoveryPolicy` both
+        ladders climb under (here: ``max_retries``, ``backoff_s``).
     task_timeout_s:
         Per-dispatch deadline; ``None`` resolves the heartbeat default
         (``SECNDP_HEARTBEAT_TIMEOUT``).
@@ -183,6 +204,8 @@ class ClusterCoordinator:
         # Weighted strikes (BLAME_WEIGHTS), not raw event counts.
         self.blame_counts: Dict[str, float] = {name: 0.0 for name in self.clients}
         self.shard_map: Optional[ShardMap] = None
+        # Per table, the version triple of the replica the nodes hold.
+        self._shipped: Dict[str, Tuple[int, int, int]] = {}
         self._dispatch_seq = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -195,32 +218,11 @@ class ClusterCoordinator:
         beyond what the SecNDP threat model already concedes to the
         untrusted memory (ciphertext, tags, and access patterns).
         """
-        params = self.store.processor.params
-        tables = {
-            name: codec.encode_table(self.store.device.stored(name))
-            for name in self.store.tables()
-        }
-        self.shard_map = ShardMap.build(
-            self.live,
-            {
-                name: self.store.device.stored(name).n_rows
-                for name in self.store.tables()
-            },
-        )
-        for name in list(self.live):
-            client = self.clients[name]
-            await client.connect()
-            await client.request(
-                "shard_assign",
-                payload={
-                    "params": codec.encode_params(params),
-                    "tables": tables,
-                    "ranges": {
-                        t: list(r) for t, r in self.shard_map.ranges_for(name).items()
-                    },
-                },
-                timeout=self.task_timeout_s,
-            )
+        self.shard_map = self._build_shard_map()
+        tables = self._replicas()
+        for name in self.live:
+            await self.clients[name].connect()
+            await self._assign(name, tables)
         obs.emit_event(
             obs.CLUSTER_START, nodes=list(self.live), tables=self.store.tables()
         )
@@ -277,6 +279,10 @@ class ClusterCoordinator:
         a row no shard owns can never fall out of the owner masks unseen.
         """
         batch = self.store.validate_batch(name, batch_rows, batch_weights)
+        enc = self.store.device.stored(name)
+        if self.shard_map is not None and self._shipped.get(name) != _versions(enc):
+            # Re-encrypted trusted-side: refresh the stale replicas.
+            await self._assign_live(self._replicas())
         if self.shard_map is None or not self.live:
             # Every node is quarantined: the coordinator's own honest
             # device serves the whole batch (still verified, still
@@ -300,7 +306,6 @@ class ClusterCoordinator:
                 name, node, batch.select(owned)
             )
             shares.append(share)
-        enc = self.store.device.stored(name)
         # Every share already passed its per-shard check during the
         # ladder; the combined check (per_shard=False) still runs for
         # the cross-shard overflow case.
@@ -354,45 +359,22 @@ class ClusterCoordinator:
                     obs.inc("cluster.failovers")
                     obs.inc("cluster.dispatch.failover")
                 return share, target
-            except ShardVerificationError as exc:
-                obs.inc("cluster.blame")
-                obs.inc("cluster.dispatch.blamed")
-                obs.emit_event(
-                    obs.NODE_BLAME,
-                    table=name,
-                    worker=target,
-                    queries=list(exc.queries),
-                    dispatch=dispatch,
+            except tuple(_DISPATCH_FAILURES) as exc:
+                suffix, kind = next(
+                    v for t, v in _DISPATCH_FAILURES.items() if isinstance(exc, t)
                 )
-                await self._blame(target, obs.NODE_BLAME, f"dispatch:{dispatch}")
-            except ConfigurationError as exc:
-                # An error-status frame or a structurally malformed
-                # payload from the node: not a cryptographic forgery,
-                # but unambiguous misbehaviour of this node on a
-                # well-formed request — blame it and re-serve the
-                # sub-batch like any other bad answer.
-                obs.inc("cluster.blame")
-                obs.inc("cluster.dispatch.blamed")
+                obs.inc(f"cluster.dispatch.{suffix}")
+                details = {}
+                if kind == obs.NODE_BLAME:
+                    obs.inc("cluster.blame")
+                    if isinstance(exc, ShardVerificationError):
+                        details["queries"] = list(exc.queries)
+                    else:
+                        details["reason"] = str(exc)
                 obs.emit_event(
-                    obs.NODE_BLAME,
-                    table=name,
-                    worker=target,
-                    dispatch=dispatch,
-                    reason=str(exc),
+                    kind, table=name, worker=target, dispatch=dispatch, **details
                 )
-                await self._blame(target, obs.NODE_BLAME, f"dispatch:{dispatch}")
-            except PeerTimeoutError:
-                obs.inc("cluster.dispatch.timeout")
-                obs.emit_event(
-                    obs.NODE_TIMEOUT, table=name, worker=target, dispatch=dispatch
-                )
-                await self._blame(target, obs.NODE_TIMEOUT, f"dispatch:{dispatch}")
-            except (ServerClosedError, ConnectionError, OSError):
-                obs.inc("cluster.dispatch.dead")
-                obs.emit_event(
-                    obs.NODE_DEAD, table=name, worker=target, dispatch=dispatch
-                )
-                await self._blame(target, obs.NODE_DEAD, f"dispatch:{dispatch}")
+                await self._blame(target, kind, f"dispatch:{dispatch}")
             tried.append(target)
             # Rung 1: bounded retry against the same node (unless it was
             # just quarantined) with deterministic backoff+jitter.
@@ -525,30 +507,54 @@ class ClusterCoordinator:
             self.shard_map = None
             obs.emit_event(obs.NODE_RESHARD, nodes=[], drained=True)
             return
-        self.shard_map = ShardMap.build(
+        self.shard_map = self._build_shard_map()
+        await self._assign_live()
+        obs.inc("cluster.reshards")
+        obs.emit_event(
+            obs.NODE_RESHARD,
+            nodes=list(self.live),
+            quarantined=list(self.quarantined),
+        )
+
+    def _build_shard_map(self) -> ShardMap:
+        return ShardMap.build(
             self.live,
             {
                 name: self.store.device.stored(name).n_rows
                 for name in self.store.tables()
             },
         )
-        params = self.store.processor.params
+
+    def _replicas(self) -> Dict[str, dict]:
+        """Every table encoded for shipping; remembers the versions sent."""
+        stored = {name: self.store.device.stored(name) for name in self.store.tables()}
+        self._shipped = {name: _versions(enc) for name, enc in stored.items()}
+        return {name: codec.encode_table(enc) for name, enc in stored.items()}
+
+    async def _assign(self, node: str, tables: Optional[Dict[str, dict]] = None) -> None:
+        """One ``shard_assign`` frame: ``node``'s ranges, plus replicas if given."""
+        payload = {
+            "params": codec.encode_params(self.store.processor.params),
+            "ranges": {
+                t: list(r) for t, r in self.shard_map.ranges_for(node).items()
+            },
+        }
+        if tables is not None:
+            payload["tables"] = tables
+        await self.clients[node].request(
+            "shard_assign", payload=payload, timeout=self.task_timeout_s
+        )
+
+    async def _assign_live(self, tables: Optional[Dict[str, dict]] = None) -> None:
+        """:meth:`_assign` every live node; one that cannot take it is blamed."""
         for name in list(self.live):
+            if name not in self.live:  # quarantined by an earlier iteration
+                continue
             try:
-                await self.clients[name].request(
-                    "shard_assign",
-                    payload={
-                        "params": codec.encode_params(params),
-                        "ranges": {
-                            t: list(r)
-                            for t, r in self.shard_map.ranges_for(name).items()
-                        },
-                    },
-                    timeout=self.task_timeout_s,
-                )
+                await self._assign(name, tables)
             except SecNDPError as exc:
-                # A node that cannot take its new range is itself blamed;
-                # recursion terminates because live shrinks each time.
+                # Recursion through _quarantine -> _reshard terminates
+                # because live shrinks each time.
                 kind = (
                     obs.NODE_TIMEOUT
                     if isinstance(exc, PeerTimeoutError)
@@ -556,12 +562,6 @@ class ClusterCoordinator:
                 )
                 obs.emit_event(kind, worker=name, context="reshard")
                 await self._blame(name, kind, "reshard")
-        obs.inc("cluster.reshards")
-        obs.emit_event(
-            obs.NODE_RESHARD,
-            nodes=list(self.live),
-            quarantined=list(self.quarantined),
-        )
 
     # -- reporting -------------------------------------------------------------
 

@@ -104,13 +104,6 @@ class LocalCluster:
                 proc.join(timeout=10.0)
                 return
 
-    def alive(self) -> List[str]:
-        return [
-            node
-            for (node, _h, _p), proc in zip(self.nodes, self._procs)
-            if proc.is_alive()
-        ]
-
     def close(self) -> None:
         for proc in self._procs:
             if proc.is_alive():

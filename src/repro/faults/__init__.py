@@ -40,6 +40,7 @@ from .plan import (
     FaultInjector,
     FaultKind,
     FaultPlan,
+    ScriptedDirectives,
 )
 from .recovery import RecoveryExhaustedError, RecoveryLog, RecoveryOutcome, RecoveryPolicy
 
@@ -48,6 +49,7 @@ __all__ = [
     "FaultPlan",
     "FaultEvent",
     "FaultInjector",
+    "ScriptedDirectives",
     "PRESET_PLANS",
     "MEMORY_FAULTS",
     "TRANSIENT_FAULTS",

@@ -55,6 +55,7 @@ __all__ = [
     "FaultPlan",
     "FaultEvent",
     "FaultInjector",
+    "ScriptedDirectives",
     "PRESET_PLANS",
     "MEMORY_FAULTS",
     "TRANSIENT_FAULTS",
@@ -461,3 +462,30 @@ class FaultInjector:
         for ev in self.events:
             counts[ev.kind.value] = counts.get(ev.kind.value, 0) + 1
         return counts
+
+
+class ScriptedDirectives:
+    """Deterministic stand-in for :meth:`FaultInjector.node_directive`.
+
+    ``script`` maps a node name to ``(dispatch_index, directive)`` pairs,
+    ``dispatch_index`` counting that node's own dispatches from 0.  Every
+    fired directive lands in ``events`` as the :class:`FaultEvent` a
+    seeded draw would have recorded (``site="node:<name>"``), so ground
+    truth reads the same from either source.
+    """
+
+    def __init__(self, script: Mapping[str, List[Tuple[int, Tuple]]]):
+        self.script = {node: dict(entries) for node, entries in script.items()}
+        self._seen: Dict[str, int] = {}
+        self.events: List[FaultEvent] = []
+
+    def node_directive(self, site: str) -> Optional[Tuple]:
+        node = site.split(":", 1)[-1]
+        i = self._seen.get(node, 0)
+        self._seen[node] = i + 1
+        directive = self.script.get(node, {}).get(i)
+        if directive is not None:
+            self.events.append(
+                FaultEvent(FaultKind(f"node_{directive[0]}"), site, f"dispatch:{i}")
+            )
+        return directive

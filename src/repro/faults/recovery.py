@@ -49,18 +49,18 @@ __all__ = ["RecoveryPolicy", "RecoveryOutcome", "RecoveryLog", "RecoveryExhauste
 class RecoveryPolicy:
     """Knobs for the recovery ladder.
 
+    One policy, two rung lists: the store climbs it per query over rows
+    (all six knobs), the cluster coordinator per dispatch over nodes
+    (``max_retries`` and :meth:`backoff_s`).
+
     Parameters
     ----------
     max_retries:
         Full re-offload attempts after the first detected failure.
-    backoff_base_s / backoff_factor / jitter:
-        Attempt ``k`` sleeps ``backoff_base_s * backoff_factor**k``
-        scaled by a deterministic jitter in ``[1-jitter, 1+jitter]``
-        (decorrelates retry storms across queries without giving up
-        replayability).
-    quarantine:
-        Quarantine rows that needed plaintext repair; queries touching
-        them skip the NDP path until re-encryption.
+    backoff_base_s / jitter:
+        Attempt ``k`` sleeps ``backoff_base_s * 2**k`` scaled by a
+        deterministic jitter in ``[1-jitter, 1+jitter]`` (decorrelates
+        retry storms across queries without giving up replayability).
     reencrypt_after:
         Re-encrypt a table under bumped versions once this many of its
         rows have been repaired (0/None disables).
@@ -73,16 +73,14 @@ class RecoveryPolicy:
 
     max_retries: int = 2
     backoff_base_s: float = 0.002
-    backoff_factor: float = 2.0
     jitter: float = 0.5
-    quarantine: bool = True
     reencrypt_after: Optional[int] = 4
     retain_plaintext: bool = True
     sleep: Callable[[float], None] = time.sleep
 
     def backoff_s(self, attempt: int, salt: int = 0) -> float:
         """Deterministic backoff-with-jitter for retry ``attempt`` (0-based)."""
-        base = self.backoff_base_s * (self.backoff_factor ** attempt)
+        base = self.backoff_base_s * (2.0 ** attempt)
         if self.jitter <= 0:
             return base
         # Cheap deterministic hash -> [1-jitter, 1+jitter]; no RNG state.
@@ -102,10 +100,6 @@ class RecoveryOutcome:
     detected: bool          #: at least one VerificationError was raised
     attempts: int           #: offload attempts (1 = clean first try)
     repaired_rows: tuple = ()
-
-    @property
-    def recovered(self) -> bool:
-        return self.detected  # every non-raising outcome is a recovery
 
 
 class RecoveryLog:
@@ -173,28 +167,13 @@ class RecoveryLog:
                 applied += 1
         return applied
 
-    # -- chaos-harness accounting ---------------------------------------------
+    # -- accounting --------------------------------------------------------------
 
     def detected_count(self) -> int:
         return sum(1 for o in self.outcomes if o.detected)
-
-    def recovered_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.detected and o.recovered)
 
     def counts_by_resolution(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for o in self.outcomes:
             counts[o.resolved_via] = counts.get(o.resolved_via, 0) + 1
         return counts
-
-    def detection_rate(self, exposed: Callable[[RecoveryOutcome], bool]) -> float:
-        """Fraction of exposed queries whose fault was detected.
-
-        ``exposed`` decides whether a query touched injected damage; the
-        rate over that subset is what Thms. 1-2 bound at 1.0 for
-        tag-covered faults.
-        """
-        hits = [o for o in self.outcomes if exposed(o)]
-        if not hits:
-            return 1.0
-        return sum(1 for o in hits if o.detected) / len(hits)

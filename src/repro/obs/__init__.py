@@ -55,6 +55,7 @@ from .events import (
     enable_events,
     event_log,
     events_enabled,
+    journal,
     read_events,
 )
 from .export import format_report, to_prometheus, validate_prometheus_text
@@ -134,6 +135,7 @@ __all__ = [
     "disable_events",
     "events_enabled",
     "event_log",
+    "journal",
     "read_events",
     "EVENT_KINDS",
     "VERIFY_FAILURE",

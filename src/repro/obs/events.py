@@ -25,6 +25,8 @@ on failure/recovery paths, never on the healthy hot path) cost one
 branch when auditing is off.  Enable with :func:`enable_events`, the
 CLI ``--events PATH`` flag, or ``SECNDP_EVENTS`` in the environment
 (``1`` for in-memory only, anything else is treated as a sink path).
+A run that needs its own events back (a harness, a CLI command) scopes
+them with :func:`journal`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -47,6 +50,7 @@ __all__ = [
     "disable_events",
     "events_enabled",
     "event_log",
+    "journal",
     "emit",
     "read_events",
     "ENV_EVENTS",
@@ -290,6 +294,26 @@ def events_enabled() -> bool:
 def event_log() -> Optional[EventLog]:
     """The installed log (for draining/inspection), or ``None``."""
     return _LOG
+
+
+@contextmanager
+def journal(path: Optional[Union[str, Path]] = None):
+    """Scope one run's audit events — the one way a run reads the journal.
+
+    Installs a log for the run when ``path`` names a JSONL sink or none
+    is configured (in memory then); an already-installed log — e.g. the
+    CLI's ``--events`` sink — is used as it is.  Yields a function
+    returning the events emitted since entry (still callable after
+    exit); on exit uninstalls only what it installed.
+    """
+    own_log = path is not None or _LOG is None
+    log = enable_events(path) if own_log else _LOG
+    start = len(log)
+    try:
+        yield lambda: log.events()[start:]
+    finally:
+        if own_log:
+            disable_events()
 
 
 def emit(

@@ -525,11 +525,7 @@ class SecureEmbeddingStore:
         query cannot poison its neighbours' results.
         """
         rows_list, weights_list = batch.lists()
-        quarantined = (
-            self.recovery_log.quarantined_rows(name)
-            if self.recovery.quarantine
-            else set()
-        )
+        quarantined = self.recovery_log.quarantined_rows(name)
         if not quarantined or quarantined.isdisjoint(batch.rows.tolist()):
             inj = self.fault_injector
             try:
@@ -571,9 +567,7 @@ class SecureEmbeddingStore:
         """One query through the recovery ladder (always ``verify=True``)."""
         policy = self.recovery
         inj = self.fault_injector
-        if policy.quarantine and not self.recovery_log.quarantined_rows(
-            name
-        ).isdisjoint(rows):
+        if not self.recovery_log.quarantined_rows(name).isdisjoint(rows):
             # Rung 3 short-circuit: the query touches known-bad rows, so
             # the NDP offload would only fail again.  Serve trusted-side.
             obs.inc("recovery.quarantine_hits")
@@ -703,8 +697,7 @@ class SecureEmbeddingStore:
 
     def _after_repair(self, name: str, repaired_rows: Sequence[int]) -> None:
         policy = self.recovery
-        if policy.quarantine:
-            self.recovery_log.quarantine_rows(name, repaired_rows)
+        self.recovery_log.quarantine_rows(name, repaired_rows)
         total = self.recovery_log.note_repairs(name, len(repaired_rows))
         if policy.reencrypt_after and total >= policy.reencrypt_after:
             self.reencrypt_table(name)

@@ -87,6 +87,16 @@ class TestCli:
         assert exit_info.value.code not in (0, None)
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [["--sweep", "bogus"], ["--plan", "nope=1"]])
+    def test_failed_command_leaves_no_telemetry_installed(self, bad, tmp_path, capsys):
+        flags = ["--stats", "--trace", str(tmp_path / "t.json")]
+        flags += ["--events", str(tmp_path / "audit.jsonl")]
+        assert main(["chaos", *bad, *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not obs.enabled()
+        assert not obs.tracing_enabled()
+        assert obs.event_log() is None
+
     @pytest.mark.parametrize("command", ["serve", "bench-serve", "chaos"])
     def test_workers_is_refused_by_serving_commands(self, command, capsys):
         assert main([command, "--workers", "2"]) == 2

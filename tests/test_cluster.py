@@ -27,12 +27,9 @@ from repro.cluster import (
     ClusterHealth,
     NodeClient,
     NodeServer,
-    ScriptedDirectives,
     ShardMap,
     blame_ranking,
     merge_event_streams,
-    run_cluster_chaos,
-    smoke_script,
 )
 from repro.cluster import codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
@@ -44,7 +41,9 @@ from repro.errors import (
     ShardVerificationError,
     VerificationError,
 )
+from repro.faults import ScriptedDirectives
 from repro.faults.recovery import RecoveryPolicy
+from repro.harness.chaos import run_cluster_chaos, smoke_script
 from repro.serve import AsyncSlsClient, SlsServer
 from repro.serve.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
@@ -475,11 +474,6 @@ class TestClusterEndToEnd:
         store = _make_store(n_rows=48)
         batches = _batches(48)
         expected = [store.sls_many("emb", r, w) for r, w in batches]
-        own_log = obs.event_log() is None
-        if own_log:
-            obs.enable_events()
-        log = obs.event_log()
-        start = len(log)
 
         async def scenario():
             async with NodeServer("n0") as s0, NodeServer("n1") as s1:
@@ -499,12 +493,9 @@ class TestClusterEndToEnd:
                     assert stats["quarantined"] == ["n1"]
                     assert stats["live"] == ["n0"]
 
-        try:
+        with obs.journal() as journal:
             self._run(scenario())
-            events = log.events()[start:]
-        finally:
-            if own_log:
-                obs.disable_events()
+        events = journal()
         kinds = [e.kind for e in events]
         assert obs.NODE_BLAME in kinds
         assert obs.NODE_QUARANTINE in kinds
@@ -688,6 +679,54 @@ class TestClusterEndToEnd:
 
         self._run(scenario(("byzantine",), True))
         self._run(scenario(("partition",), False))
+
+    def test_trusted_side_reencryption_never_blames_a_node(self):
+        params = SecNDPParams()
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params),
+            UntrustedNdpDevice(params),
+            recovery=RecoveryPolicy(),
+        )
+        store.add_table("emb", np.random.default_rng(3).normal(size=(48, 8)))
+        rows, ws = [[1, 20, 40], [5, 30]], [[1, 2, 3], [1, 1]]
+        want = store.sls_many("emb", rows, ws)
+        names = ["n0", "n1", "n2"]
+
+        async def scenario():
+            async with NodeServer("n0") as s0, NodeServer("n1") as s1, NodeServer(
+                "n2"
+            ) as s2:
+                coordinator = ClusterCoordinator(
+                    store,
+                    [(s.name, s.host, s.port) for s in (s0, s1, s2)],
+                    task_timeout_s=5.0,
+                    # n2's third dispatch: the one after the refresh.
+                    fault_injector=ScriptedDirectives({"n2": [(2, ("byzantine",))]}),
+                )
+                async with coordinator:
+                    assert np.array_equal(
+                        await coordinator.sls_many("emb", rows, ws), want
+                    )
+                    store.reencrypt_table("emb")
+                    assert np.array_equal(
+                        await coordinator.sls_many("emb", rows, ws), want
+                    )
+                    stats = coordinator.stats()
+                    assert stats["live"] == names
+                    assert stats["blame_counts"] == dict.fromkeys(names, 0.0)
+                    honest = [e.kind for e in journal()]
+                    assert obs.NODE_BLAME not in honest
+                    assert obs.NODE_QUARANTINE not in honest
+                    # The refresh must not mask real forgery.
+                    assert np.array_equal(
+                        await coordinator.sls_many("emb", rows, ws), want
+                    )
+                    assert coordinator.stats()["quarantined"] == ["n2"]
+
+        with obs.journal() as journal:
+            self._run(scenario())
+        blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
+        assert blamed == ["n2"]
 
     def test_backoff_salt_is_stable_across_processes(self):
         # hash() is PYTHONHASHSEED-randomized; the ladder's jitter salt
@@ -966,21 +1005,31 @@ class TestJournalReplay:
 class TestClusterChaos:
     """The acceptance gates, via the harness the CI smoke job runs."""
 
-    def test_scripted_smoke_passes_every_gate(self):
-        result = run_cluster_chaos(
-            n_nodes=3,
-            script=smoke_script(),
-            n_batches=6,
-            batch=4,
-            rows_per_table=96,
-            dim=8,
+    SMOKE = dict(n_nodes=3, n_batches=6, batch=4, rows_per_table=96, dim=8)
+
+    @staticmethod
+    def _verdict(result):
+        return (
+            result.faulted_nodes,
+            result.blamed_nodes,
+            result.quarantined_nodes,
+            result.reshards,
+            result.injected,
+            result.mismatched,
         )
+
+    def test_scripted_smoke_passes_every_gate(self):
+        result = run_cluster_chaos(script=smoke_script(), **self.SMOKE)
         assert result.bit_identical
         assert result.blame_precision == 1.0
         assert result.blame_recall == 1.0
         assert result.passed
-        assert set(result.quarantined_nodes) == {"node1", "node2"}
-        assert result.reshards >= 2
+        # The scripted stream, step for step, as recorded at the commit
+        # that still had a separate cluster harness.
+        both = ["node1", "node2"]
+        assert self._verdict(result) == (
+            both, both, both, 2, {"dead": 1, "byzantine": 1}, 0
+        )
         assert result.events.get("node_blame", 0) >= 1
         assert result.events.get("node_dead", 0) >= 1
         text = result.render()
@@ -992,6 +1041,10 @@ class TestClusterChaos:
             task_timeout_s=1.0,
         )
         assert result.passed
+        # Same seed, same draw order: the one fired draw forges node0.
+        assert self._verdict(result) == (
+            ["node0"], ["node0"], ["node0"], 1, {"byzantine": 1}, 0
+        )
 
     def test_fault_free_run_has_no_blame(self):
         result = run_cluster_chaos(
@@ -1012,9 +1065,15 @@ class TestProcessCluster:
     """Real OS processes (spawn): the CI smoke job's third leg."""
 
     def test_process_smoke_sigkill_and_byzantine(self):
-        from repro.cluster import run_process_cluster_smoke
-
-        result = run_process_cluster_smoke(n_nodes=3, n_batches=6)
+        smoke = TestClusterChaos.SMOKE
+        result = run_cluster_chaos(script=smoke_script(), processes=True, **smoke)
         assert result.passed
         assert set(result.faulted_nodes) == {"node1", "node2"}
         assert result.reshards >= 2
+        # The same script over in-process nodes: the same verdict, the
+        # kill merely reported as what it was.
+        in_process = run_cluster_chaos(script=smoke_script(), **smoke)
+        assert result.injected == {"sigkill": 1, "byzantine": 1}
+        assert in_process.injected == {"dead": 1, "byzantine": 1}
+        for field in ("blamed_nodes", "quarantined_nodes", "mismatched"):
+            assert getattr(result, field) == getattr(in_process, field)

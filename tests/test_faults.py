@@ -353,7 +353,7 @@ class TestRecovery:
             build_store(recovery=FAST_POLICY, verify=False)
 
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = RecoveryPolicy(backoff_base_s=0.01, backoff_factor=2.0, jitter=0.5)
+        policy = RecoveryPolicy(backoff_base_s=0.01, jitter=0.5)
         for attempt in range(3):
             base = 0.01 * (2.0 ** attempt)
             delay = policy.backoff_s(attempt, salt=7)
@@ -415,7 +415,7 @@ class TestChaosAcceptance:
     recovery both at 1.0, results bit-exact."""
 
     def test_sequential_chaos_run(self):
-        result = run_chaos(SMOKE_SCALE, fault_rate=1e-3)
+        result = run_chaos(SMOKE_SCALE, plan=default_chaos_plan(1e-3))
         assert result.mismatched == 0
         assert result.exposed > 0  # the run actually exercised faults
         assert result.detection_rate == 1.0
