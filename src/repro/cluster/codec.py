@@ -8,11 +8,13 @@ plain JSON-able values:
 * encrypted tables travel as the :mod:`repro.core.serialization` binary
   container, base64-armoured — ciphertext and encrypted tags are
   untrusted data and the container is already self-describing;
+* a ``partial_sum`` request is a ``QueryBatch`` in CSR form: term
+  ``counts`` and ``rows`` (``<u4``), ``weights`` at a declared ``width``;
 * node answers are *ciphertext-domain* sums — the ``(n_queries, m)``
   ``C_res`` ring residues and the ``(n_queries, 4)`` limbs of the
-  ``C_T_res`` field elements, each as raw little-endian bytes
-  (base64-armoured, shape alongside) — see
-  :meth:`UntrustedNdpDevice.partial_sum_batch`;
+  ``C_T_res`` field elements (shape alongside) — see
+  :meth:`UntrustedNdpDevice.partial_sum_batch`; these arrays and the
+  request's travel as raw little-endian bytes, base64-armoured;
 * :class:`~repro.core.params.SecNDPParams` ships as its constructor
   fields (the counter-block layout is the default everywhere in this
   repo, so only widths and the tag modulus travel).
@@ -20,27 +22,30 @@ plain JSON-able values:
 No key material ever crosses this wire: cluster NDP nodes are the
 *untrusted* memory party of the SecNDP threat model, so ``shard_assign``
 carries only public params and already-encrypted tables, and
-``partial_sum`` responses carry only sums over that ciphertext.  The
-trusted coordinator regenerates every pad share locally.
+``partial_sum`` carries rows and weights out and sums over that
+ciphertext back.  The trusted coordinator generates every pad share.
 
 Every decoder treats its input as attacker-controlled: malformed
 structure, non-integers, byte strings of the wrong length for their
-declared shape and out-of-range values all surface as
-:class:`~repro.errors.ConfigurationError`, which the coordinator's
-recovery ladder converts into blame on the sending node.
+declared counts, shape or width and out-of-range values all surface as
+:class:`~repro.errors.ConfigurationError` (checked before anything is
+built), which the coordinator's recovery ladder converts into blame on
+the sending node.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.encryption import EncryptedMatrix
 from ..core.params import SecNDPParams
+from ..core.protocol import QueryBatch
 from ..core.serialization import deserialize_matrix, serialize_matrix
 from ..crypto import limb_field
+from ..crypto.ring import Ring
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -84,22 +89,28 @@ def decode_table(payload: str, params: SecNDPParams) -> EncryptedMatrix:
     return deserialize_matrix(blob, params)
 
 
+def _b64(array: np.ndarray, dtype) -> str:
+    """``array`` as raw little-endian words of ``dtype``, base64-armoured."""
+    return base64.b64encode(np.asarray(array).astype(dtype, copy=False).tobytes()).decode("ascii")
+
+
+def _words(text: Any, dtype) -> np.ndarray:
+    """Inverse of :func:`_b64`: a read-only view of the words ``text`` holds."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % np.dtype(dtype).itemsize:
+        raise ValueError(f"{len(raw)} bytes are not whole {dtype} words")
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def encode_device_sums(
     values: np.ndarray, tag_sums: Optional[np.ndarray]
 ) -> Dict[str, Any]:
     """Node → coordinator: ciphertext-domain sums, nothing decryptable."""
     values = np.asarray(values)
-    wire = values.astype(values.dtype.newbyteorder("<"), copy=False)
     return {
         "shape": list(values.shape),
-        "values": base64.b64encode(wire.tobytes()).decode("ascii"),
-        "tag_sums": (
-            None
-            if tag_sums is None
-            else base64.b64encode(
-                np.asarray(tag_sums).astype("<u4").tobytes()
-            ).decode("ascii")
-        ),
+        "values": _b64(values, values.dtype.newbyteorder("<")),
+        "tag_sums": None if tag_sums is None else _b64(tag_sums, "<u4"),
     }
 
 
@@ -143,21 +154,48 @@ def decode_device_sums(
 
 
 def encode_queries(
-    batch_rows: Sequence[Sequence[int]],
-    batch_weights: Sequence[Sequence[int]],
+    batch_rows: Union[QueryBatch, Sequence[Sequence[int]]],
+    batch_weights: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[str, Any]:
+    """Coordinator → node: a batch in CSR form.  A :class:`QueryBatch` ships
+    its residues at the ring's width; lists ship 4-byte weights (8 if needed)."""
+    if isinstance(batch_rows, QueryBatch):
+        rows, weights, offsets = batch_rows.rows, batch_rows.weights, batch_rows.offsets
+    else:
+        rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
+        weights = np.ones(rows.size, np.uint32) if weights is None else weights
+        if weights.dtype.kind not in "iuO":
+            raise ConfigurationError(f"weights of dtype {weights.dtype} cannot travel")
+        lo, hi = (int(weights.min()), int(weights.max())) if weights.size else (0, 0)
+        if lo < 0 or hi >> 64:
+            raise ConfigurationError(f"a weight outside [0, 2^64) cannot travel: {lo}..{hi}")
+        weights = weights.astype(np.uint64 if hi >> 32 else np.uint32)
+    if rows.size and (rows.min() < 0 or rows.max() >> 32):
+        raise ConfigurationError("a row outside [0, 2^32) cannot travel")
+    width = weights.dtype.itemsize
     return {
-        "batch_rows": [[int(r) for r in rows] for rows in batch_rows],
-        "batch_weights": [[int(w) for w in ws] for ws in batch_weights],
+        "counts": _b64(np.diff(offsets), "<u4"),
+        "rows": _b64(rows, "<u4"),
+        "width": width,
+        "weights": _b64(weights, f"<u{width}"),
     }
 
 
-def decode_queries(payload: Dict[str, Any]):
+def decode_queries(payload: Dict[str, Any], ring: Ring) -> QueryBatch:
+    """Decode a ``partial_sum`` batch, weights as residues of ``ring``;
+    counts and width are checked against the bytes before anything is built."""
     try:
-        rows = [[int(r) for r in q] for q in payload["batch_rows"]]
-        weights = [[int(w) for w in q] for q in payload["batch_weights"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        width = payload["width"]
+        if type(width) is not int or width not in (1, 2, 4, 8):
+            raise ValueError(f"weight width {width!r} is not 1, 2, 4 or 8")
+        counts = _words(payload["counts"], "<u4")
+        rows = _words(payload["rows"], "<u4")
+        weights = _words(payload["weights"], f"<u{width}")
+        n_terms = int(counts.sum(dtype=np.uint64))
+        if rows.size != n_terms or weights.size != n_terms:
+            raise ValueError(f"{n_terms} terms declared, {rows.size} rows, {weights.size} weights")
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return QueryBatch(rows.astype(np.int64), ring.encode(weights), offsets)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad queries payload: {exc}") from exc
-    if len(rows) != len(weights):
-        raise ConfigurationError("batch_rows and batch_weights length mismatch")
-    return rows, weights

@@ -4,8 +4,8 @@ The sharded executor: an SLS batch runs either in one process (the
 store, both halves of the split side by side) or here, with the device
 half on nodes across TCP.  Those nodes are the *untrusted memory party*
 of the SecNDP threat model.  The coordinator owns the authoritative
-:class:`~repro.workloads.secure_sls.SecureEmbeddingStore` (its local
-device doubles as the trusted recompute path) and is the only party
+:class:`~repro.workloads.secure_sls.SecureEmbeddingStore` (summing its
+own ciphertext here is the trusted recompute path) and is the only party
 that ever holds key material:
 
 1. **Shard**: encrypted tables (ciphertext + encrypted tags, both
@@ -16,13 +16,14 @@ that ever holds key material:
    re-encryption the replicas are re-shipped before the next batch (the
    version triple shipped is compared with the store's): the
    coordinator's own re-keying is never evidence against a node.
-2. **Dispatch**: each query batch is masked per owner range and fanned
+2. **Dispatch**: each query batch is masked per owner range and sent
    out as ``partial_sum`` frames under a deadline.  A node answers with
    ciphertext-domain sums only (``C_res`` / ``C_T_res``); the
-   coordinator regenerates the pad halves (``E_res`` / ``E_T_res``)
-   key-side and adds them to reconstruct the shard's share
-   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch` +
-   :meth:`~repro.core.protocol.SecNDPProcessor.combine_device_sums`).
+   coordinator generates the pad halves (``E_res`` / ``E_T_res``)
+   key-side, one sweep per batch split by owner before any dispatch
+   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_shares`), over the
+   one table version the whole batch reads, and adds each node's sums
+   (:meth:`~repro.core.protocol.SecNDPProcessor.combine_device_sums`).
 3. **Blame**: each reconstructed share is verified against its *own*
    restricted checksum
    (:meth:`~repro.core.protocol.SecNDPProcessor.failed_share_queries`)
@@ -62,7 +63,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.protocol import PartialSumShare, QueryBatch
+from ..core.encryption import EncryptedMatrix
+from ..core.protocol import PartialSumShare, QueryBatch, UntrustedNdpDevice
 from ..errors import (
     ConfigurationError,
     PeerTimeoutError,
@@ -99,7 +101,6 @@ _DISPATCH_FAILURES = {
     ConfigurationError: ("blamed", obs.NODE_BLAME),
     PeerTimeoutError: ("timeout", obs.NODE_TIMEOUT),
     ServerClosedError: ("dead", obs.NODE_DEAD),
-    OSError: ("dead", obs.NODE_DEAD),
 }
 
 
@@ -149,8 +150,8 @@ class ClusterCoordinator:
     store:
         The authoritative store; its tables define the shard map, its
         processor holds the key and performs pad regeneration, per-shard
-        verification and final combining, and its (honest, local) device
-        is the trusted recompute path of last resort.
+        verification and final combining, and its own ciphertext, summed
+        locally, is the trusted recompute path of last resort.
     nodes:
         ``(name, host, port)`` triples or connected :class:`NodeClient`\\ s.
     policy:
@@ -283,10 +284,10 @@ class ClusterCoordinator:
         if self.shard_map is not None and self._shipped.get(name) != _versions(enc):
             # Re-encrypted trusted-side: refresh the stale replicas.
             await self._assign_live(self._replicas())
-        if self.shard_map is None or not self.live:
-            # Every node is quarantined: the coordinator's own honest
-            # device serves the whole batch (still verified, still
-            # bit-identical — it IS the oracle path).
+        if self.shard_map is None or not self.live or not batch.rows.size:
+            # Every node is quarantined (or no query has a term): the
+            # coordinator's own honest device serves the whole batch
+            # (still verified, still bit-identical — it IS the oracle path).
             obs.inc("cluster.dispatch.local", len(batch))
             values = self.store.sls_many(name, batch)
             obs.inc("cluster.queries", len(batch))
@@ -295,15 +296,23 @@ class ClusterCoordinator:
         # ``self.shard_map`` for *future* batches, while this batch's
         # masks stay on the bounds its earlier dispatches used (the
         # failed node's sub-batch is re-served with the same mask, so
-        # rows are never dropped or double-counted).
+        # rows are never dropped or double-counted).  ``enc`` is the
+        # batch's version snapshot the same way: a trusted-side
+        # re-encryption mid-batch reaches the next batch, not this one.
         smap = self.shard_map
-        shares: List[PartialSumShare] = []
+        nodes, owners = [], []
         for node, (lo, hi) in zip(list(smap.nodes), smap.bounds[name]):
-            owned = (batch.rows >= lo) & (batch.rows < hi)
-            if not owned.any():
-                continue
+            mask = (batch.rows >= lo) & (batch.rows < hi)
+            if mask.any():
+                nodes.append(node)
+                owners.append((batch.select(mask), mask))
+        # The trusted half, once per batch and before any dispatch: every
+        # rung that serves a shard (retry, replica, local) reuses its pad.
+        pads = self.store.processor.pad_shares(enc, name, batch, owners)
+        shares: List[PartialSumShare] = []
+        for node, (part, _mask), pad in zip(nodes, owners, pads):
             share, _served_by = await self._dispatch_with_recovery(
-                name, node, batch.select(owned)
+                enc, name, node, part, pad
             )
             shares.append(share)
         # Every share already passed its per-shard check during the
@@ -324,12 +333,10 @@ class ClusterCoordinator:
     # -- the node-level recovery ladder ----------------------------------------
 
     async def _dispatch_with_recovery(
-        self,
-        name: str,
-        node: str,
-        batch: QueryBatch,
+        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
+        pad: PartialSumShare,
     ) -> Tuple[PartialSumShare, str]:
-        """Serve one node's sub-batch through the ladder.
+        """Serve one node's sub-batch, whose pad half over ``enc`` is ``pad``.
 
         Returns ``(verified share, label of who served it)``.  Rungs:
         bounded same-node retry -> healthy replica -> trusted local
@@ -351,9 +358,9 @@ class ClusterCoordinator:
         attempt = 0
         while True:
             if target is None:
-                return self._local_share(name, node, batch)
+                return self._local_share(enc, name, node, batch, pad)
             try:
-                share = await self._dispatch_once(name, target, batch, dispatch)
+                share = await self._dispatch_once(enc, name, target, batch, pad, dispatch)
                 obs.inc("cluster.dispatch.ok")
                 if target != node:
                     obs.inc("cluster.failovers")
@@ -391,14 +398,11 @@ class ClusterCoordinator:
             )
 
     async def _dispatch_once(
-        self,
-        name: str,
-        node: str,
-        batch: QueryBatch,
-        dispatch: int,
+        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
+        pad: PartialSumShare, dispatch: int,
     ) -> PartialSumShare:
         obs.inc("cluster.dispatches")
-        payload = codec.encode_queries(*batch.lists())
+        payload = codec.encode_queries(batch)
         if self.fault_injector is not None:
             directive = self.fault_injector.node_directive(f"node:{node}")
             if directive is not None:
@@ -407,43 +411,24 @@ class ClusterCoordinator:
             "partial_sum", table=name, payload=payload,
             timeout=self.task_timeout_s,
         )
-        enc = self.store.device.stored(name)
-        n_q, n_cols = len(batch), int(enc.ciphertext.shape[1])
-        try:
-            values, tag_sums = codec.decode_device_sums(
-                response.payload.get("sums", {}), self.store.processor.params
-            )
-        except ConfigurationError as exc:
-            raise ShardVerificationError(
-                f"malformed device sums from node {node!r}: {exc}",
-                shard=node,
-                queries=range(n_q),
-            ) from exc
-        if values.shape != (n_q, n_cols) or tag_sums is None or len(tag_sums) != n_q:
-            raise ShardVerificationError(
-                f"malformed device sums from node {node!r}: shape "
-                f"{values.shape} (want {(n_q, n_cols)})",
-                shard=node,
-                queries=range(n_q),
-            )
-        # The crypto core: the node only returned ciphertext-domain sums;
-        # the pad halves are regenerated here, key-side, so the key never
-        # crossed the wire — and the reconstructed share must satisfy its
-        # own restricted checksum before it may enter the combine.  The
-        # pad half is honest by construction, so a failure is evidence
-        # against exactly this node.
-        pad = self.store.processor.pad_share_batch(enc, name, batch)
+        # The crypto core: the node only returned ciphertext-domain sums
+        # (malformed ones, or ones shaped unlike the pad half, raise
+        # ConfigurationError: blame); the pad half was generated key-side
+        # over the snapshot the node's replica holds, so the key never
+        # crossed the wire and a share failing its own restricted
+        # checksum is evidence against exactly this node.
+        values, tag_sums = codec.decode_device_sums(
+            response.payload.get("sums", {}), self.store.processor.params
+        )
         share = self.store.processor.combine_device_sums(pad, values, tag_sums)
         self.store.processor.verify_partial_share(enc, name, share, shard=node)
         return share
 
     def _local_share(
-        self,
-        name: str,
-        node: str,
-        batch: QueryBatch,
+        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
+        pad: PartialSumShare,
     ) -> Tuple[PartialSumShare, str]:
-        """Rung 3: trusted recompute on the coordinator's own device."""
+        """Rung 3: trusted recompute of the device half over the snapshot."""
         obs.inc("cluster.dispatch.local")
         obs.inc("cluster.failovers")
         obs.emit_event(
@@ -453,13 +438,13 @@ class ClusterCoordinator:
             scope="cluster",
             queries=len(batch),
         )
-        share = self.store.processor.partial_row_sum_batch(
-            self.store.device, name, batch
+        device = UntrustedNdpDevice(self.store.processor.params)
+        device.store(name, enc)
+        share = self.store.processor.combine_device_sums(
+            pad, *device.partial_sum_batch(name, batch)
         )
         try:
-            self.store.processor.verify_partial_share(
-                self.store.device.stored(name), name, share, shard="local"
-            )
+            self.store.processor.verify_partial_share(enc, name, share, shard="local")
         except ShardVerificationError as exc:
             raise RecoveryExhaustedError(
                 f"trusted local recompute failed verification for {name!r}: "

@@ -121,29 +121,8 @@ class NodeServer:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
         try:
-            while True:
-                try:
-                    obj = await read_frame(reader)
-                except FrameError:
-                    break
-                if obj is None:
-                    break
-                try:
-                    request = NodeRequest.from_wire(obj)
-                except FrameError as exc:
-                    rid = obj.get("id", 0) if isinstance(obj, dict) else 0
-                    await self._write(
-                        writer,
-                        NodeResponse(
-                            id=int(rid), status=STATUS_ERROR,
-                            error=str(exc), kind="FrameError",
-                        ),
-                    )
-                    continue
-                response = await self._serve_one(request, writer)
-                if response is None:  # partitioned / dead: no answer
-                    continue
-                await self._write(writer, response)
+            while await self._serve_frame(reader, writer):
+                pass
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
@@ -153,6 +132,29 @@ class NodeServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    async def _serve_frame(self, reader, writer) -> bool:
+        """Read one frame and answer it; False once the stream ends.  The
+        frame dies on return, so an idle node holds none (a ``shard_assign``
+        frame is the whole armoured table)."""
+        try:
+            obj = await read_frame(reader)
+        except FrameError:
+            return False
+        if obj is None:
+            return False
+        try:
+            request = NodeRequest.from_wire(obj)
+        except FrameError as exc:
+            rid = obj.get("id", 0) if isinstance(obj, dict) else 0
+            await self._write(writer, NodeResponse(
+                id=int(rid), status=STATUS_ERROR, error=str(exc), kind="FrameError"
+            ))
+            return True
+        response = await self._serve_one(request, writer)
+        if response is not None:  # None: partitioned / dead, no answer
+            await self._write(writer, response)
+        return True
 
     async def _write(
         self, writer: asyncio.StreamWriter, response: NodeResponse
@@ -230,17 +232,15 @@ class NodeServer:
                 return None
             if kind == "slow":
                 await asyncio.sleep(float(directive[1]))
-        batch_rows, batch_weights = codec.decode_queries(request.payload)
+        batch = codec.decode_queries(request.payload, self._device.ring)
         name = request.table or ""
-        values, tag_sums = self._device.partial_sum_batch(
-            name, batch_rows, batch_weights, with_tags=True
-        )
+        values, tag_sums = self._device.partial_sum_batch(name, batch, with_tags=True)
         if directive and directive[0] == "byzantine":
             # Forge every served query's ciphertext tag sum; the
             # coordinator's per-shard check must blame exactly this node.
             obs.inc("cluster.node.byzantine")
             bump = np.zeros_like(tag_sums)
-            bump[[bool(rows) for rows in batch_rows], 0] = 1
+            bump[batch.nonempty, 0] = 1
             tag_sums = limb_field.field_add(self._device.field, tag_sums, bump)
         obs.inc("cluster.node.partials")
         return NodeResponse(
@@ -305,9 +305,9 @@ class NodeClient:
             id=self._new_id(), op=op, table=table, payload=payload or {}
         )
         async with self._lock:
-            if self._writer is None:
-                await self.connect()
             try:
+                if self._writer is None:
+                    await self.connect()
                 await write_frame(self._writer, request.to_wire())
                 obj = await asyncio.wait_for(read_frame(self._reader), timeout)
             except asyncio.TimeoutError:

@@ -521,38 +521,53 @@ class SecNDPProcessor:
 
         ``E_res[q] = sum_k a_k * pad_{i_k}`` per query (and, when
         ``with_tag_shares``, the tag-pad sums ``E_T_res[q]``) — computed
-        entirely key-side, with no device interaction: data OTPs *and*
-        tag pads are generated once for the union of queried rows (the
-        AES hot path, amortized over a DLRM batch's overlapping hot
-        rows), then each query's share is one gather and one segmented
-        sum.  The key never leaves the trusted side: a remote shard only
-        ever receives ciphertext and returns ciphertext sums.
+        entirely key-side, with no device interaction (:meth:`pad_shares`
+        with one owner).  The key never leaves the trusted side: a remote
+        shard only ever receives ciphertext and returns ciphertext sums.
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
+        return self.pad_shares(enc, name, batch, [(batch, None)], with_tag_shares)[0]
+
+    def pad_shares(
+        self,
+        enc: EncryptedMatrix,
+        name: str,
+        batch: QueryBatch,
+        owners: Sequence[Tuple[QueryBatch, Optional[np.ndarray]]],
+        with_tag_shares: bool = True,
+    ) -> List[PartialSumShare]:
+        """:meth:`pad_share_batch` split by owner, from one pad sweep.
+
+        ``owners[s]`` is ``(batch.select(mask), mask)`` (``(batch, None)``
+        for every term); share ``s`` is that sub-batch's pad half.  Data
+        OTPs *and* tag pads are generated once for the row union of the
+        whole batch (the AES hot path, amortized over a DLRM batch's
+        overlapping hot rows), then each query's share is one gather and
+        one segmented sum: a sharded batch costs the trusted side what an
+        unsharded one does.
+        """
         if with_tag_shares:
             _require_tags(enc, name)
-        values = np.zeros((len(batch), enc.n_cols), dtype=self.ring.dtype)
-        tag_shares = (
-            np.zeros((len(batch), limb_field.NUM_LIMBS), dtype=np.uint64)
-            if with_tag_shares
-            else None
-        )
-        if not batch.rows.size:
-            return PartialSumShare(values=values, tag_shares=tag_shares)
         union, where = batch.row_union()
-        if obs.enabled():
-            obs.inc("protocol.batch.queries", len(batch))
-            obs.inc("protocol.batch.rows_total", int(batch.rows.size))
-            obs.inc("protocol.batch.rows_unique", int(union.size))
-        with obs.span("protocol.otp"):
-            pads = self.encryptor.pads_for_rows(self._pad_source(enc), union)
-            if with_tag_shares:
-                tag_pads = self.mac.tag_pad_limbs_for_rows(enc, union)
+        pads = np.zeros((0, enc.n_cols), dtype=self.ring.dtype)
+        tag_pads = np.zeros((0, limb_field.NUM_LIMBS), dtype=np.uint64)
+        if union.size:
+            if obs.enabled():
+                obs.inc("protocol.batch.queries", len(batch))
+                obs.inc("protocol.batch.rows_total", int(batch.rows.size))
+                obs.inc("protocol.batch.rows_unique", int(union.size))
+            with obs.span("protocol.otp"):
+                pads = self.encryptor.pads_for_rows(self._pad_source(enc), union)
+                if with_tag_shares:
+                    tag_pads = self.mac.tag_pad_limbs_for_rows(enc, union)
+        shares = []
         with obs.span("protocol.combine"):
-            values = batch.ring_sums(self.ring, pads[where])
-            if with_tag_shares:
-                tag_shares = batch.tag_sums(self.field, tag_pads[where])
-        return PartialSumShare(values=values, tag_shares=tag_shares)
+            for part, mask in owners:
+                # A slice ``where`` means the terms are their own union.
+                pick = where if mask is None else mask if isinstance(where, slice) else where[mask]
+                tags = part.tag_sums(self.field, tag_pads[pick]) if with_tag_shares else None
+                shares.append(PartialSumShare(part.ring_sums(self.ring, pads[pick]), tags))
+        return shares
 
     def combine_device_sums(
         self,

@@ -17,11 +17,14 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import obs
+from repro import kernels, obs
 from repro.cluster import (
     ClusterCoordinator,
     ClusterHealth,
@@ -33,6 +36,7 @@ from repro.cluster import (
 )
 from repro.cluster import codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+from repro.core.protocol import QueryBatch
 from repro.crypto import limb_field
 from repro.errors import (
     ConfigurationError,
@@ -81,6 +85,22 @@ def _make_store(n_rows=64, dim=8, seed=3, name="emb"):
 def _bumped(field, tag_limbs):
     """One tag-share limb row with 1 added in the field (a forgery)."""
     return limb_field.to_limbs(field.add(limb_field.from_limbs(tag_limbs), 1))
+
+
+@st.composite
+def csr_batches(draw):
+    """``(params, per-query rows, per-query weights)``: every ring width,
+    empty queries anywhere (the empty batch included), any row a ``<u4``
+    word holds and any weight the ring holds."""
+    params = SecNDPParams(element_bits=draw(st.sampled_from([8, 16, 32, 64])))
+    counts = draw(st.lists(st.integers(0, 4), max_size=6))
+    rows = st.integers(0, 2**32 - 1)
+    weights = st.integers(0, 2**params.element_bits - 1)
+    return (
+        params,
+        [draw(st.lists(rows, min_size=n, max_size=n)) for n in counts],
+        [draw(st.lists(weights, min_size=n, max_size=n)) for n in counts],
+    )
 
 
 def _split_queries(batch_rows, batch_weights, edges):
@@ -308,12 +328,22 @@ class TestClusterCodec:
         assert np.array_equal(values2, values)
         assert np.array_equal(tag_sums2, tag_sums)
 
-    def test_params_queries_round_trip(self):
-        params = SecNDPParams()
+    @settings(max_examples=150, deadline=None)
+    @given(csr_batches())
+    def test_params_queries_round_trip(self, drawn):
+        params, batch_rows, batch_weights = drawn
         assert codec.decode_params(codec.encode_params(params)) == params
-        payload = codec.encode_queries([[1, 2], [3]], [[1, 1], [5]])
-        rows, weights = codec.decode_queries(payload)
-        assert rows == [[1, 2], [3]] and weights == [[1, 1], [5]]
+        ring = params.ring()
+        want = QueryBatch.flatten(ring, batch_rows, batch_weights)
+        for sent in ((batch_rows, batch_weights), (want,)):
+            payload = json.loads(json.dumps(codec.encode_queries(*sent)))
+            back = codec.decode_queries(payload, ring)
+            assert np.array_equal(back.rows, want.rows) and back.rows.dtype == np.int64
+            assert np.array_equal(back.weights, want.weights)
+            assert back.weights.dtype == want.weights.dtype == ring.dtype
+            assert np.array_equal(back.offsets, want.offsets)
+        # The coordinator's residues travel at the ring's own width.
+        assert codec.encode_queries(want)["width"] == ring.width // 8
 
     def test_no_key_codec_exists(self):
         # The wire carries no key material in either direction: the
@@ -325,7 +355,7 @@ class TestClusterCodec:
         with pytest.raises(ConfigurationError):
             codec.decode_params({"element_bits": "nope"})
         with pytest.raises(ConfigurationError):
-            codec.decode_queries({"batch_rows": [[1]], "batch_weights": []})
+            codec.decode_queries({"batch_rows": [[1]], "batch_weights": []}, params.ring())
         # Hostile bigints overflow the uint64 cast: blameable, not a crash.
         with pytest.raises(ConfigurationError):
             codec.decode_device_sums(
@@ -452,7 +482,7 @@ class TestClusterEndToEnd:
 
     def test_honest_cluster_is_bit_identical(self):
         store = _make_store(n_rows=48)
-        batches = _batches(48)
+        batches = _batches(48) + [([[], []], [[], []])]  # no term at all
         expected = [store.sls_many("emb", r, w) for r, w in batches]
 
         async def scenario():
@@ -614,6 +644,8 @@ class TestClusterEndToEnd:
         key_b64 = __import__("base64").b64encode(KEY).decode("ascii")
         for op, payload in sent:
             assert "key" not in payload, f"{op} frame carried a key field"
+            if op == "partial_sum":  # counts, rows and weights: nothing pad-derived
+                assert set(payload) == {"counts", "rows", "width", "weights"}
             assert key_b64 not in json.dumps(payload), (
                 f"{op} frame leaked key bytes"
             )
@@ -727,6 +759,141 @@ class TestClusterEndToEnd:
             self._run(scenario())
         blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
         assert blamed == ["n2"]
+
+    def test_reencryption_mid_batch_answers_under_the_batch_version(self):
+        """A re-encryption that lands while a batch is out at the nodes
+        reaches the next batch: this one finishes under the version it
+        started on, and only a real forgery in it is blamed."""
+        params = SecNDPParams()
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params),
+            UntrustedNdpDevice(params),
+            recovery=RecoveryPolicy(retain_plaintext=True),
+        )
+        store.add_table("emb", np.random.default_rng(3).normal(size=(48, 8)))
+        rows, ws = [[1, 20, 40], [5, 30]], [[1, 2, 3], [1, 1]]
+        want = store.sls_many("emb", rows, ws)
+
+        async def scenario():
+            async with NodeServer("n0") as s0, NodeServer("n1") as s1, NodeServer(
+                "n2"
+            ) as s2:
+                coordinator = ClusterCoordinator(
+                    store,
+                    [(s.name, s.host, s.port) for s in (s0, s1, s2)],
+                    task_timeout_s=5.0,
+                    fault_injector=ScriptedDirectives({"n2": [(0, ("byzantine",))]}),
+                )
+                async with coordinator:
+                    task = asyncio.create_task(coordinator.sls_many("emb", rows, ws))
+                    await asyncio.sleep(0)
+                    store.reencrypt_table("emb")
+                    assert np.array_equal(await task, want)
+                    stats = coordinator.stats()
+                    assert stats["live"] == ["n0", "n1"]
+                    assert stats["blame_counts"] == {"n0": 0.0, "n1": 0.0, "n2": 3.0}
+                    # The next batch re-ships the new version and answers alike.
+                    assert np.array_equal(await coordinator.sls_many("emb", rows, ws), want)
+                    enc = store.device.stored("emb")
+                    assert coordinator._shipped["emb"] == (
+                        enc.version, enc.checksum_version, enc.tag_version
+                    )
+                    assert coordinator.stats()["quarantined"] == ["n2"]
+
+        with obs.journal() as journal:
+            self._run(scenario())
+        blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
+        assert blamed == ["n2"]
+
+    @pytest.mark.parametrize("tier", ["auto", "numpy"])
+    def test_pad_sweep_runs_once_per_batch_and_every_rung_reuses_it(self, tier):
+        """The trusted half of a 3-shard batch is one sweep over its row
+        union; a retry, a failover and the local rung regenerate nothing."""
+        with kernels.use_tier(tier):
+            store = _make_store(n_rows=48)
+        rows = [[1, 5, 20, 40, 47], [5, 20, 33], [2, 40]]
+        ws = [[1, 2, 3, 1, 1], [2, 2, 1], [3, 1]]
+        want = store.sls_many("emb", rows, ws)
+        distinct = len({r for q in rows for r in q})
+        otp = store.processor.encryptor.otp
+        blocks_per_row = -(-store.device.stored("emb").n_cols // otp.elements_per_block)
+        # n0: forged, then dead (a retry, then a failover); n1 and n2 die
+        # on their first dispatch, so the batch ends on the local rung.
+        script = {
+            "n0": [(0, ("byzantine",)), (1, ("dead",))],
+            "n1": [(0, ("dead",))],
+            "n2": [(0, ("dead",))],
+        }
+
+        def pad_blocks():
+            counters = obs.snapshot()["counters"]
+            return (
+                counters.get("otp.cache.hit", 0) + counters.get("otp.cache.miss", 0),
+                counters.get("mac.tag_pads", 0),
+            )
+
+        async def scenario(script):
+            async with NodeServer("n0") as s0, NodeServer("n1") as s1, NodeServer(
+                "n2"
+            ) as s2:
+                coordinator = ClusterCoordinator(
+                    store,
+                    [(s.name, s.host, s.port) for s in (s0, s1, s2)],
+                    task_timeout_s=5.0,
+                    policy=RecoveryPolicy(backoff_base_s=1e-4, max_retries=1),
+                    blame_threshold=100,
+                    fault_injector=ScriptedDirectives(script),
+                )
+                async with coordinator:
+                    before = pad_blocks()
+                    got = await coordinator.sls_many("emb", rows, ws)
+                    after = pad_blocks()
+                    return got, (after[0] - before[0], after[1] - before[1])
+
+        obs.enable()
+        with kernels.use_tier(tier):
+            got, swept = self._run(scenario({}))
+            assert np.array_equal(got, want)
+            assert swept == (distinct * blocks_per_row, distinct)
+            obs.reset()
+            with obs.journal() as journal:
+                got, swept = self._run(scenario(script))
+        assert np.array_equal(got, want)
+        assert swept == (distinct * blocks_per_row, distinct)
+        kinds = [e.kind for e in journal()]
+        assert obs.NODE_BLAME in kinds and obs.RECOVERY_FALLBACK in kinds
+        assert obs.snapshot()["counters"]["cluster.dispatch.retry"] >= 1
+        assert obs.snapshot()["counters"]["cluster.failovers"] >= 1
+
+    def test_node_holds_no_frame_between_requests(self):
+        """After ``setup`` a node keeps its replica, not the armoured
+        ``shard_assign`` frame it arrived in."""
+        async def scenario(store):
+            async with NodeServer("n0") as s0, NodeServer("n1") as s1, NodeServer(
+                "n2"
+            ) as s2:
+                coordinator = ClusterCoordinator(
+                    store,
+                    [(s.name, s.host, s.port) for s in (s0, s1, s2)],
+                    task_timeout_s=5.0,
+                )
+                await coordinator.setup()
+                held = tracemalloc.get_traced_memory()[0]
+                await coordinator.close()
+                return held
+
+        self._run(scenario(_make_store(n_rows=8)))  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            store = _make_store(n_rows=4096, dim=32)
+            enc = store.device.stored("emb")
+            table = enc.ciphertext.nbytes + enc.tag_limbs.nbytes
+            held = self._run(scenario(store))
+        finally:
+            tracemalloc.stop()
+        # The store's table, three replicas and one table of slack: one
+        # armoured frame per node (4/3 of a table each) does not fit.
+        assert held < (1 + 3 + 1) * table, (held, table)
 
     def test_backoff_salt_is_stable_across_processes(self):
         # hash() is PYTHONHASHSEED-randomized; the ladder's jitter salt

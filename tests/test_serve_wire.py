@@ -12,6 +12,7 @@ refused by every path - store, front-end, cluster - in the same words.
 from __future__ import annotations
 
 import asyncio
+import base64
 import struct
 
 import numpy as np
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterCoordinator, NodeClient, NodeServer
+from repro.cluster import ClusterCoordinator, NodeClient, NodeServer, codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+from repro.core.protocol import QueryBatch
 from repro.errors import ConfigurationError
 from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
 from repro.serve.protocol import (
@@ -241,7 +243,74 @@ def mutated(draw, payload: bytes) -> bytes:
     return HEADER.pack(kind, flags, aux, count, ident) + body
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+b64_words = st.binary(max_size=48).map(lambda raw: base64.b64encode(raw).decode("ascii"))
+node_fields = b64_words | st.text(max_size=12) | json_values
+
+
+@st.composite
+def node_payloads(draw):
+    """A ``partial_sum`` or sums payload as a hostile peer might send it:
+    arbitrary values, the right keys over arbitrary values, or a valid
+    payload with one lie (counts that disagree with the terms, a width
+    outside {1, 2, 4, 8}, a shape that is not the bytes) or a weight the
+    decoding ring may not hold."""
+    which = draw(st.integers(0, 2))
+    if which == 0:
+        return draw(json_values)
+    if which == 1:
+        keys = ("counts", "rows", "width", "weights", "shape", "values", "tag_sums")
+        payload = {key: draw(node_fields) for key in keys}
+        payload["width"] = draw(st.integers(-1, 17) | node_fields)
+        payload["shape"] = draw(st.lists(st.integers(-2, 2**64), max_size=3) | node_fields)
+        return payload
+    n, weight = draw(st.integers(0, 5)), draw(st.integers(0, 2**64 - 1))
+    payload = dict(
+        codec.encode_queries([[1] * n, [2, 3]], [[1] * n, [4, weight]]),
+        **codec.encode_device_sums(np.ones((2, 8), np.uint32), np.ones((2, 4), np.uint64)),
+    )
+    lie = draw(st.integers(0, 2))
+    if lie == 0:
+        counts = np.array([n + draw(st.integers(-n, 3).filter(bool)), 2], "<u4")
+        payload["counts"] = base64.b64encode(counts.tobytes()).decode("ascii")
+    elif lie == 1:
+        payload["width"] = draw(st.integers(-4, 64).filter(lambda w: w not in (1, 2, 4, 8)))
+    else:
+        payload["shape"] = draw(st.lists(st.integers(-2, 2**40), min_size=2, max_size=2))
+    return payload
+
+
+def decode_or_configuration_error(decode, payload):
+    """The node-payload oracle: a typed value whose arrays hold no more
+    elements than the payload has characters, or ``ConfigurationError``."""
+    try:
+        out = decode(payload)
+    except ConfigurationError:
+        return None
+    present = sum(len(v) for v in payload.values() if isinstance(v, (str, bytes)))
+    arrays = out
+    if isinstance(out, QueryBatch):
+        assert out.offsets[-1] == out.rows.size == out.weights.size
+        arrays = (out.rows, out.weights, out.offsets[1:])
+    for array in arrays:
+        if array is not None:
+            assert isinstance(array, np.ndarray) and array.size <= present
+    return out
+
+
 class TestHostilePeer:
+    @settings(max_examples=400)
+    @given(node_payloads(), st.sampled_from([8, 16, 32, 64]))
+    def test_node_payloads_are_typed_or_configuration_error(self, payload, element_bits):
+        params = SecNDPParams(element_bits=element_bits)
+        decode_or_configuration_error(lambda p: codec.decode_queries(p, params.ring()), payload)
+        decode_or_configuration_error(lambda p: codec.decode_device_sums(p, params), payload)
+
     @settings(max_examples=400)
     @given(st.binary(max_size=96))
     def test_arbitrary_bytes(self, payload):
