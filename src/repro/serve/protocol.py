@@ -44,6 +44,13 @@ Message schemas (plain dicts under JSON, typed dataclasses in-process):
   in a free-form ``payload`` dict (shard assignments, partial-sum
   shares, heartbeat liveness detail).
 
+Reading: a pipelining peer (the serving front-end, both ends) reads
+whatever the socket has into a buffer and takes every complete frame
+off it with :func:`split_frames`; the node hop, one frame per round
+trip, uses :func:`read_frame`.  Both check a header through
+:func:`frame_header`, so an oversized length prefix is refused the
+moment its five bytes are in.
+
 Liveness: :func:`resolve_heartbeat_timeout` is the one place the
 dead-peer deadline comes from (``SECNDP_HEARTBEAT_TIMEOUT`` in the
 environment), so the single-node client and the cluster tier time out
@@ -57,7 +64,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,6 +95,8 @@ __all__ = [
     "take_segment",
     "encode_frame",
     "decode_payload",
+    "frame_header",
+    "split_frames",
     "read_frame",
     "write_frame",
     "resolve_heartbeat_timeout",
@@ -498,11 +507,61 @@ def decode_payload(codec: int, payload: bytes) -> Any:
     raise FrameError(f"unknown codec id {codec}")
 
 
+_MID_HEADER = "connection closed mid-header"
+_MID_FRAME = "connection closed mid-frame"
+
+
+def frame_header(buf, offset: int = 0) -> Tuple[int, int]:
+    """The codec id and payload length of the header at ``offset``; a
+    length prefix beyond :data:`MAX_FRAME_BYTES` is a :class:`FrameError`
+    before a byte of the payload is waited for."""
+    codec, length = _HEADER.unpack_from(buf, offset)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame length {length} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+    return codec, length
+
+
+def split_frames(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[FrameError]]:
+    """Take every complete frame off the front of ``buf`` and decode it.
+
+    Returns the decoded frames, in order, and the :class:`FrameError` that
+    stopped the split (``None`` if it did not stop): an oversized length
+    prefix, an undecodable payload, or - with ``eof``, the peer having
+    closed - a partial frame left over.  The frames before an error are
+    returned; the peer is to be answered and dropped after them.  What
+    stays in ``buf`` is less than one frame.  Each payload is copied into
+    its own ``bytes``, so a decoded array views that copy alone and never
+    pins the read buffer.
+    """
+    frames: List[Any] = []
+    error: Optional[FrameError] = None
+    pos, end = 0, len(buf)
+    with memoryview(buf) as view:
+        try:
+            while end - pos >= _HEADER.size:
+                codec, length = frame_header(view, pos)
+                start = pos + _HEADER.size
+                if end - start < length:
+                    break
+                pos = start + length
+                frames.append(decode_payload(codec, bytes(view[start:pos])))
+        except FrameError as exc:
+            error = exc
+    del buf[:pos]
+    if error is None and eof and buf:
+        error = FrameError(_MID_HEADER if len(buf) < _HEADER.size else _MID_FRAME)
+    return frames, error
+
+
 async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     A truncated header/payload (EOF mid-frame) or an oversized length
-    prefix raises :class:`FrameError`.
+    prefix raises :class:`FrameError`.  For one frame per round trip (the
+    node hop); a peer that pipelines reads into a buffer and
+    :func:`split_frames` it.
     """
     header = await reader.read(_HEADER.size)
     if not header:
@@ -510,17 +569,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     while len(header) < _HEADER.size:
         chunk = await reader.read(_HEADER.size - len(header))
         if not chunk:
-            raise FrameError("connection closed mid-header")
+            raise FrameError(_MID_HEADER)
         header += chunk
-    codec, length = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame length {length} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
+    codec, length = frame_header(header)
     try:
         payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed mid-frame") from exc
+        raise FrameError(_MID_FRAME) from exc
     return decode_payload(codec, payload)
 
 

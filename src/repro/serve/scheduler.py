@@ -31,7 +31,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class BatchScheduler:
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: Dict[str, asyncio.Task] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._pending = 0          #: admitted, not yet resolved
+        self._pending = 0          #: admitted, not yet resolved or dropped
         self._draining = False
         self._closed = False
         self._stats: Dict[str, int] = {
@@ -120,13 +120,24 @@ class BatchScheduler:
     # -- submission ------------------------------------------------------------
 
     async def submit(self, request: SlsRequest) -> SlsResponse:
-        """Serve one request through the coalescing pipeline.
+        """Serve one request through the coalescing pipeline."""
+        answer = self.enqueue(request)
+        if isinstance(answer, SlsResponse):
+            return answer
+        return await answer
 
-        The pre-queue ladder is synchronous (no awaits), so a burst of
-        submissions sees a consistent queue depth: validate (oversized /
+    def enqueue(
+        self, request: SlsRequest
+    ) -> Union[SlsResponse, "asyncio.Future[SlsResponse]"]:
+        """Admit one request: its typed refusal, or the future of its answer.
+
+        The ladder is synchronous (no awaits), so a burst of submissions
+        sees a consistent queue depth: drain check, validate (oversized /
         malformed queries are rejected with a typed ``error`` response
         *before* admission and never count against the gate), then the
-        admission gate (typed ``overloaded`` on shed), then enqueue.
+        admission gate (typed ``overloaded`` on shed), then the queue.
+        Must be called on the scheduler's loop; cancelling the future
+        withdraws the request.
         """
         self._stats["requests"] += 1
         obs.inc("serve.requests")
@@ -184,13 +195,7 @@ class BatchScheduler:
             self._batchers[request.table] = loop.create_task(
                 self._batcher(request.table)
             )
-        try:
-            return await pending.future
-        finally:
-            if pending.future.cancelled():
-                # The caller went away; the batcher drops cancelled
-                # entries at collection time (the empty-tick path).
-                self._pending -= 1
+        return pending.future
 
     # -- the batcher loop ------------------------------------------------------
 
@@ -217,6 +222,9 @@ class BatchScheduler:
                     break
                 batch.append(nxt)
             live = [p for p in batch if not p.future.cancelled()]
+            # A request cancelled while queued leaves here; one cancelled
+            # once its batch is running leaves through ``_resolve``.
+            self._pending -= len(batch) - len(live)
             if live:
                 await self._run_batch(name, live)
             else:

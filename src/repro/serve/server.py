@@ -4,17 +4,24 @@ The server speaks the length-prefixed frame protocol of
 :mod:`repro.serve.protocol` and feeds every query into one
 :class:`~repro.serve.scheduler.BatchScheduler`, so requests from *all*
 connections coalesce into the same amortized batches.  Connections are
-pipelined: each frame is served by its own task and responses are
-written as their batches complete (the ``id`` field correlates them),
-which is what lets a single client drive enough concurrency to fill a
-batch.  Each response leaves in the codec its request arrived in (the
-codec byte is per frame), so binary and JSON clients share one server.
+pipelined, and I/O is per socket read and per loop turn, not per
+request: a connection reads whatever the socket has, takes every
+complete frame off its buffer (:func:`~repro.serve.protocol.split_frames`)
+and hands each request to the scheduler synchronously; a response is
+queued in the connection's outbox when its batch completes (the ``id``
+field correlates them), and everything queued during one loop turn
+leaves in one write.  That is what lets a single client drive enough
+concurrency to fill a batch without a task per request.  Each response
+leaves in the codec its request arrived in (the codec byte is per
+frame), so binary and JSON clients share one server.  Backpressure: a
+connection waits for its transport to drain before it reads again.
 
 The client has two transports with one API:
 
-* ``await AsyncSlsClient.connect(host, port)`` — TCP; a background
-  reader task dispatches responses to per-request futures, so any number
-  of ``sls()`` calls can be in flight on one connection.
+* ``await AsyncSlsClient.connect(host, port)`` — TCP; requests share
+  the client's outbox the same way, and a background reader task splits
+  each read and dispatches the responses to per-request futures, so any
+  number of ``sls()`` calls can be in flight on one connection.
 * ``AsyncSlsClient.in_process(scheduler)`` — no sockets; submits
   straight into a scheduler.  This is the test/bench transport: it keeps
   the scheduler semantics (admission, coalescing, typed errors) without
@@ -30,8 +37,9 @@ an ``overloaded`` response raises :class:`~repro.errors.OverloadedError`,
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -51,16 +59,44 @@ from .protocol import (
     FrameError,
     SlsRequest,
     SlsResponse,
+    encode_frame,
     error_response,
     int64_terms,
-    read_frame,
     resolve_codec,
     resolve_heartbeat_timeout,
-    write_frame,
+    split_frames,
 )
 from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
 __all__ = ["SlsServer", "AsyncSlsClient"]
+
+#: Bytes asked of the socket per read; every complete frame in it is served.
+_READ_BYTES = 1 << 16
+
+
+class _Outbox:
+    """A connection's outgoing frames: whatever is queued during one loop
+    turn leaves in one write, flushed by one ``call_soon`` at its end."""
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self._frames: List[bytes] = []
+        self._loop = asyncio.get_running_loop()
+
+    def put(self, frame: bytes) -> None:
+        self._frames.append(frame)
+        if len(self._frames) == 1:
+            self._loop.call_soon(self.flush)
+
+    def flush(self) -> None:
+        if not self._frames:
+            return
+        data = b"".join(self._frames)
+        self._frames.clear()
+        # Nothing goes to a closing transport: a server's peer is gone, and
+        # a client's read loop re-sends or fails every request it queued.
+        if not self.writer.transport.is_closing():
+            self.writer.write(data)
 
 
 class SlsServer:
@@ -85,9 +121,8 @@ class SlsServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
         self._handlers: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._outboxes: Set[_Outbox] = set()
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -121,17 +156,17 @@ class SlsServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Scheduler drain resolves every pending future; the per-request
-        # tasks then just have responses left to write.
+        # The scheduler's drain resolves every admitted future, and the
+        # callbacks that queue their responses were scheduled before its
+        # batchers finished, so they have run by the time it returns.
         await self.scheduler.close()
-        if self._conn_tasks:
-            await asyncio.gather(*tuple(self._conn_tasks), return_exceptions=True)
-        # Every response is written; close the live connections (flushing
-        # what is buffered) so the handlers parked in ``read_frame`` see
-        # EOF and finish on their own, then wait for every handler except
-        # the one calling us - none is left pending for the loop to cancel.
-        for writer in tuple(self._writers):
-            writer.close()
+        # Write what is queued and close the live connections (flushing
+        # what is buffered) so the handlers parked in a read see EOF and
+        # finish on their own, then wait for every handler except the one
+        # calling us - none is left pending for the loop to cancel.
+        for outbox in tuple(self._outboxes):
+            outbox.flush()
+            outbox.writer.close()
         me = asyncio.current_task()
         handlers = [t for t in self._handlers if t is not me]
         if handlers:
@@ -169,91 +204,77 @@ class SlsServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         obs.inc("serve.connections")
-        write_lock = asyncio.Lock()
-        tasks: Set[asyncio.Task] = set()
+        outbox = _Outbox(writer)
+        inflight: Set[asyncio.Future] = set()
         handler = asyncio.current_task()
         self._handlers.add(handler)
-        self._writers.add(writer)
+        self._outboxes.add(outbox)
+        buf = bytearray()
+        error: Optional[FrameError] = None
         try:
             while True:
-                try:
-                    obj = await read_frame(reader)
-                except FrameError as exc:
-                    # Protocol violation: answer (best-effort) and drop
-                    # the connection — framing is unrecoverable.
-                    obs.inc("serve.frame_errors")
-                    await self._safe_write(
-                        writer, write_lock, error_response(0, exc)
-                    )
+                chunk = await reader.read(_READ_BYTES)
+                buf += chunk
+                frames, error = split_frames(buf, eof=not chunk)
+                for obj in frames:
+                    self._dispatch(obj, outbox, inflight)
+                if error is not None or not chunk:
                     break
-                if obj is None:  # clean EOF
-                    break
-                # A binary frame decodes straight to the typed request.
-                codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
-                try:
-                    request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
-                except FrameError as exc:
-                    rid = obj.get("id") if isinstance(obj, dict) else None
-                    obs.inc("serve.frame_errors")
-                    await self._safe_write(
-                        writer,
-                        write_lock,
-                        error_response(rid if isinstance(rid, int) else 0, exc),
-                    )
-                    continue
-                # One task per frame: the read loop immediately returns
-                # to the socket, so a single pipelining client can have
-                # a full batch in flight.
-                task = asyncio.ensure_future(
-                    self._serve_one(request, codec, writer, write_lock)
-                )
-                tasks.add(task)
-                self._conn_tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                task.add_done_callback(self._conn_tasks.discard)
+                await writer.drain()  # backpressure: no read while the peer lags
+        except (ConnectionError, OSError):
+            pass
         finally:
-            if tasks:
-                await asyncio.gather(*tuple(tasks), return_exceptions=True)
+            # The frames before a bad one are answered first, then the
+            # FrameError, then the connection closes: framing is lost.
+            if inflight:
+                await asyncio.wait(inflight)
+            if error is not None:
+                obs.inc("serve.frame_errors")
+                outbox.put(encode_frame(error_response(0, error)))
+            outbox.flush()
             self._handlers.discard(handler)
-            self._writers.discard(writer)
+            self._outboxes.discard(outbox)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _serve_one(
-        self,
-        request: SlsRequest,
-        codec: int,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    def _dispatch(self, obj, outbox: _Outbox, inflight: Set[asyncio.Future]) -> None:
+        """Answer one decoded frame now, or when its batch completes."""
+        # A binary frame decodes straight to the typed request.
+        codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
+        try:
+            request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
+        except FrameError as exc:  # a bad field: answered, the connection lives
+            rid = obj.get("id") if isinstance(obj, dict) else None
+            obs.inc("serve.frame_errors")
+            outbox.put(encode_frame(error_response(rid if isinstance(rid, int) else 0, exc)))
+            return
         if request.op in ("ping", "heartbeat"):
             # Liveness probes bypass the scheduler entirely: a heartbeat
             # must answer even when admission control is shedding work.
-            response = SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
+            answer = SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
         else:
-            response = await self.scheduler.submit(request)
-        await self._safe_write(writer, write_lock, response, codec)
-
-    async def _safe_write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        response: SlsResponse,
-        codec: int = CODEC_JSON,
-    ) -> None:
-        try:
-            async with write_lock:
-                await write_frame(writer, response, codec)
-        except (ConnectionError, OSError):
-            obs.inc("serve.write_errors")
+            answer = self.scheduler.enqueue(request)
+        if isinstance(answer, SlsResponse):
+            outbox.put(encode_frame(answer, codec))
+        else:
+            inflight.add(answer)
+            answer.add_done_callback(functools.partial(_answered, outbox, inflight, codec))
 
     # -- reporting -------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
         return self.scheduler.stats()
+
+
+def _answered(
+    outbox: _Outbox, inflight: Set[asyncio.Future], codec: int, future: asyncio.Future
+) -> None:
+    """Done-callback of an admitted request's future: queue its response."""
+    inflight.discard(future)
+    outbox.put(encode_frame(future.result(), codec))
 
 
 def _raise_for_response(response: SlsResponse) -> SlsResponse:
@@ -287,6 +308,7 @@ class AsyncSlsClient:
         self._scheduler: Optional[BatchScheduler] = None
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
+        self._outbox: Optional[_Outbox] = None  #: queued frames for ``_writer``
         self._codec = CODEC_BINARY
         self._pending: Dict[int, "tuple[asyncio.Future[SlsResponse], SlsRequest]"] = {}
         self._reader_task: Optional[asyncio.Task] = None
@@ -321,7 +343,7 @@ class AsyncSlsClient:
         client._backoff_base_s = float(backoff_base_s)
         client._backoff_cap_s = float(backoff_cap_s)
         client._reconnect_lock = asyncio.Lock()
-        client._reader, client._writer = await asyncio.open_connection(host, port)
+        client._attach(*await asyncio.open_connection(host, port))
         client._reader_task = asyncio.ensure_future(client._read_loop())
         return client
 
@@ -337,24 +359,35 @@ class AsyncSlsClient:
         self._next_id += 1
         return self._next_id
 
+    def _attach(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Make a fresh connection the current one, with an empty outbox."""
+        self._reader, self._writer = reader, writer
+        self._outbox = _Outbox(writer)
+
     async def _read_loop(self) -> None:
         while True:
-            assert self._reader is not None
-            generation = self._conn_gen
+            assert self._reader is not None and self._writer is not None
+            reader, writer, generation = self._reader, self._writer, self._conn_gen
             error: Optional[BaseException] = None
+            buf = bytearray()
             try:
                 while True:
-                    obj = await read_frame(self._reader)
-                    if obj is None:
+                    chunk = await reader.read(_READ_BYTES)
+                    buf += chunk
+                    frames, error = split_frames(buf, eof=not chunk)
+                    for obj in frames:
+                        response = (
+                            obj if isinstance(obj, SlsResponse) else SlsResponse.from_wire(obj)
+                        )
+                        entry = self._pending.pop(response.id, None)
+                        if entry is not None and not entry[0].done():
+                            entry[0].set_result(response)
+                    if error is not None or not chunk:
                         break
-                    response = (
-                        obj if isinstance(obj, SlsResponse) else SlsResponse.from_wire(obj)
-                    )
-                    entry = self._pending.pop(response.id, None)
-                    if entry is not None and not entry[0].done():
-                        entry[0].set_result(response)
             except (FrameError, ConnectionError, OSError) as exc:
                 error = exc
+            # This connection is done: a request must not be queued on it.
+            writer.close()
             # Reconnect even with nothing in flight: the loop must stay
             # alive to read responses for requests sent after the drop.
             if self._closed or not self._allow_reconnect:
@@ -377,9 +410,9 @@ class AsyncSlsClient:
         """Dial the server again and re-send unanswered requests.
 
         Serialized through ``_reconnect_lock`` so the read loop and a
-        writer that hit a send error never race; if another path already
-        replaced the connection (``generation`` is stale) this is a
-        no-op success.
+        request that found the connection closed never race; if another
+        path already replaced the connection (``generation`` is stale)
+        this is a no-op success.
         """
         assert self._reconnect_lock is not None
         async with self._reconnect_lock:
@@ -402,17 +435,20 @@ class AsyncSlsClient:
                     obs.inc("serve.client.reconnect_failures")
                     continue
                 old_writer = self._writer
-                self._reader, self._writer = reader, writer
+                # The old outbox goes with its connection: everything it
+                # held is in ``_pending`` and is re-sent below.
+                self._attach(reader, writer)
                 self._conn_gen += 1
                 if old_writer is not None:
                     old_writer.close()
                 obs.inc("serve.client.reconnects")
                 try:
-                    # Idempotent re-send: these requests were in flight
-                    # when the connection died and got no response frame.
-                    for _rid, (_future, request) in sorted(self._pending.items()):
-                        await write_frame(writer, request, self._codec)
-                        obs.inc("serve.client.resends")
+                    # Idempotent re-send, in one write: these requests were
+                    # in flight when the connection died and got no response.
+                    resend = [request for _rid, (_f, request) in sorted(self._pending.items())]
+                    writer.write(b"".join(encode_frame(r, self._codec) for r in resend))
+                    obs.inc("serve.client.resends", len(resend))
+                    await writer.drain()
                 except (ConnectionError, OSError):
                     obs.inc("serve.client.reconnect_failures")
                     continue  # fresh connection died too; dial again
@@ -434,29 +470,28 @@ class AsyncSlsClient:
             return await self._scheduler.submit(request)
         if self._writer is None:
             raise ConfigurationError("client is not connected")
+        # Raises ConfigurationError if the frame cannot carry this request.
+        frame = encode_frame(request, self._codec)
+        # The read loop closes a connection it is done with, so a closed
+        # one is gone: dial again (or wait for the read loop's dial), or
+        # fail now rather than queue a request nobody will answer.
+        if self._writer.transport.is_closing() and not (
+            self._allow_reconnect and await self._reconnect(self._conn_gen)
+        ):
+            raise ServerClosedError("connection lost")
         future: "asyncio.Future[SlsResponse]" = (
             asyncio.get_running_loop().create_future()
         )
+        # Registered, it is either answered, re-sent by a reconnect or
+        # failed by the read loop, whatever becomes of the outbox.
         self._pending[request.id] = (future, request)
-        try:
-            await write_frame(self._writer, request, self._codec)
-        except ConfigurationError:  # the frame cannot carry this request
-            del self._pending[request.id]
-            raise
-        except (ConnectionError, OSError) as exc:
-            sent = False
-            if self._allow_reconnect and await self._reconnect(self._conn_gen):
-                try:
-                    # The reconnect sweep may have raced our ``_pending``
-                    # insert; send again ourselves — duplicates are
-                    # idempotent and the second response id is dropped.
-                    await write_frame(self._writer, request, self._codec)
-                    sent = True
-                except (ConnectionError, OSError):
-                    pass
-            if not sent:
-                self._pending.pop(request.id, None)
-                raise ServerClosedError(f"connection lost: {exc}") from exc
+        self._outbox.put(frame)
+        transport = self._writer.transport
+        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+            try:
+                await self._writer.drain()
+            except (ConnectionError, OSError):
+                pass  # the read loop sees the same loss
         return await future
 
     # -- public API ------------------------------------------------------------

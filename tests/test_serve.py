@@ -527,6 +527,35 @@ class TestWorkConservingBatcher:
         assert stats["empty_ticks"] == 1 and stats["batches"] == 1
         assert stats["pending"] == 0
 
+    def test_request_cancelled_in_a_running_batch_frees_its_slot_once(self):
+        # Regression: the submitter's cleanup and ``_resolve`` both
+        # released the slot of a request cancelled while its batch ran,
+        # so pending went to -1 and every such cancellation raised the
+        # queue-depth cap for good (the next burst served 5 of 8 at 4).
+        store = make_store()
+        gate = GatedStore(store)
+
+        async def run():
+            scheduler = BatchScheduler(gate, admission=AdmissionConfig(max_queue=4))
+            client = AsyncSlsClient.in_process(scheduler)
+            first = [asyncio.ensure_future(client.sls_response("emb", [i])) for i in range(4)]
+            await gate.running()  # all four are on the offload thread
+            first[1].cancel()
+            gate.release.set()
+            await asyncio.gather(*first, return_exceptions=True)
+            after_cancel = scheduler.pending
+            burst = await asyncio.gather(
+                *[client.sls_response("emb", [i]) for i in range(8)]
+            )
+            await scheduler.close()
+            return after_cancel, burst, scheduler.pending
+
+        after_cancel, burst, pending = asyncio.run(run())
+        assert gate.calls == [4, 4]
+        assert after_cancel == 0 and pending == 0
+        statuses = [r.status for r in burst]
+        assert statuses.count(STATUS_OK) == 4 and statuses.count(STATUS_OVERLOADED) == 4
+
     def test_close_drains_what_is_running_and_what_is_queued(self):
         store = make_store()
         gate = GatedStore(store)
@@ -913,6 +942,33 @@ class TestTcpServer:
         assert np.array_equal(results, expected)
         assert stats["batches"] <= len(queries)
         assert stats["responses_ok"] == len(queries)
+
+    def test_a_wave_is_one_write_each_way(self, monkeypatch):
+        # 32 pipelined requests on one connection: the client's frames of
+        # one loop turn leave in one write, the server splits them off one
+        # read into one batch, and the batch's answers leave in one write.
+        store = make_store()
+        queries = make_queries(64, 32)
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        def counting_write(writer, data):
+            writes.append(len(data))
+            return real_write(writer, data)
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                async with await AsyncSlsClient.connect("127.0.0.1", server.port) as client:
+                    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+                    results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
+                    monkeypatch.undo()
+                return results, server.stats()
+
+        results, stats = asyncio.run(run())
+        assert len(writes) <= 4, writes  # <= 2 per side, where a write per frame is 64
+        for q, answer in zip(queries, results):
+            assert np.array_equal(answer, store.sls("emb", q))
+        assert stats["responses_ok"] == 32
 
     def test_typed_error_crosses_the_wire(self):
         store = make_store()

@@ -2,8 +2,9 @@
 
 Two contracts (DESIGN.md Sec. 15).  *Hostile peer*: whatever bytes
 arrive, the decoder's only outcomes are a typed message or
-``FrameError``, and nothing it builds is larger than the frame it was
-given.  *Bit-identity*: a response is ``np.array_equal`` to a direct
+``FrameError``, nothing it builds is larger than the frame it was
+given, and however the bytes are cut into reads, the read-buffer
+splitter yields what ``read_frame`` yields.  *Bit-identity*: a response is ``np.array_equal`` to a direct
 ``store.sls`` whichever way it travelled - binary TCP, JSON TCP or the
 in-process transport - on every ring; and a query no path may serve is
 refused by every path - store, front-end, cluster - in the same words.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import json
 import struct
 
 import numpy as np
@@ -36,8 +38,10 @@ from repro.serve.protocol import (
     SlsResponse,
     decode_payload,
     encode_frame,
+    frame_header,
     int64_terms,
     read_frame,
+    split_frames,
     take_segment,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
@@ -303,6 +307,71 @@ def decode_or_configuration_error(decode, payload):
     return out
 
 
+@st.composite
+def frame_streams(draw):
+    """A byte stream as a pipelining peer might send it: valid frames of
+    both codecs, with arbitrary bytes, a cut-off frame or a length prefix
+    past the cap anywhere among them."""
+    parts = []
+    for _ in range(draw(st.integers(0, 5))):
+        message = draw(requests() | responses())
+        choice = draw(st.integers(0, 5))
+        if choice <= 1:
+            parts.append(encode_frame(message, CODEC_BINARY))
+        elif choice == 2:
+            parts.append(encode_frame(message.to_wire(), CODEC_JSON))
+        elif choice == 3:
+            parts.append(draw(st.binary(max_size=24)))
+        elif choice == 4:
+            frame = encode_frame(message, CODEC_BINARY)
+            parts.append(frame[: draw(st.integers(0, len(frame) - 1))])
+        else:
+            codec = draw(st.sampled_from([CODEC_BINARY, CODEC_JSON]))
+            parts.append(struct.pack(">BI", codec, MAX_FRAME_BYTES + draw(st.integers(1, 9))))
+    return b"".join(parts)
+
+
+def canonical(frames):
+    """Decoded frames as comparable values (arrays and NaN included)."""
+    return [
+        encode_frame(obj, CODEC_BINARY) if isinstance(obj, (SlsRequest, SlsResponse))
+        else json.dumps(obj)
+        for obj in frames
+    ]
+
+
+def read_over(stream: bytes):
+    """``read_frame`` over the whole stream: its frames and its FrameError."""
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        frames = []
+        try:
+            while (obj := await read_frame(reader)) is not None:
+                frames.append(obj)
+        except FrameError as exc:
+            return canonical(frames), str(exc)
+        return canonical(frames), None
+
+    return asyncio.run(run())
+
+
+def split_over(chunks):
+    """``split_frames`` fed the stream read by read, then EOF."""
+    buf, frames = bytearray(), []
+    for chunk in [c for c in chunks if c] + [b""]:
+        buf += chunk
+        got, error = split_frames(buf, eof=not chunk)
+        frames += got
+        if error is not None:
+            return canonical(frames), str(error)
+        # What stays is less than one frame, with a header under the cap.
+        if len(buf) >= 5:
+            assert len(buf) < 5 + frame_header(buf)[1]
+    return canonical(frames), None
+
+
 class TestHostilePeer:
     @settings(max_examples=400)
     @given(node_payloads(), st.sampled_from([8, 16, 32, 64]))
@@ -362,13 +431,42 @@ class TestHostilePeer:
 
     @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
     def test_length_prefix_beyond_the_cap(self, codec):
+        header = struct.pack(">BI", codec, MAX_FRAME_BYTES + 1)
+
         async def run():
             reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">BI", codec, MAX_FRAME_BYTES + 1))
+            reader.feed_data(header)
             with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
                 await read_frame(reader)
 
         asyncio.run(run())
+        # The splitter refuses it the moment the five header bytes are in.
+        assert split_frames(bytearray(header[:4])) == ([], None)
+        frames, error = split_frames(bytearray(header))
+        assert frames == [] and "MAX_FRAME_BYTES" in str(error)
+
+    @settings(max_examples=300)
+    @given(frame_streams(), st.data())
+    def test_split_frames_is_read_frame_over_any_chunking(self, stream, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        chunks = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+        assert split_over(chunks) == read_over(stream)
+
+    def test_split_payloads_are_their_own_bytes(self):
+        request = SlsRequest(id=1, table="emb", rows=(1, 2, 3), weights=(1, 1, 1))
+        response = SlsResponse(id=2, status=STATUS_OK, values=np.arange(4.0), via="batch")
+        tail = encode_frame(request, CODEC_BINARY)[:7]
+        buf = bytearray(
+            encode_frame(request, CODEC_BINARY) + encode_frame(response, CODEC_BINARY) + tail
+        )
+        (got_request, got_response), error = split_frames(buf)
+        assert error is None and buf == tail  # the partial frame waits for its rest
+        for message, array in ((request, got_request.rows), (response, got_response.values)):
+            # A view of one frame's payload copy: it pins neither the read
+            # buffer nor its neighbours, and the buffer stays resizable.
+            assert type(array.base) is bytes and array.base == payload_of(message)
+        buf += bytes(64)
+        del buf[:32]
 
     @settings(max_examples=200)
     @given(st.binary(max_size=64))
@@ -407,34 +505,56 @@ class TestHostilePeer:
         with pytest.raises(FrameError):
             SlsResponse.from_wire({"id": [], "status": "ok"})
 
-    def test_server_answers_malformed_frames_and_lives(self):
-        store = make_store(32)
-        garbage_json = encode_frame({"id": "x", "op": "sls", "rows": ["seven"]}, CODEC_JSON)
-        bad_binary = struct.pack(">BI", CODEC_BINARY, 16) + HEADER.pack(9, 0, 0, 0, 1)
-        response_as_request = encode_frame(SlsResponse(id=5, status=STATUS_OK), CODEC_BINARY)
+    #: Two frames with a bad field, two good queries, then a frame that
+    #: does not decode at all.
+    MALFORMED_SESSION = (
+        encode_frame({"id": "x", "op": "sls", "rows": ["seven"]}, CODEC_JSON),
+        encode_frame(SlsResponse(id=5, status=STATUS_OK), CODEC_BINARY),  # not a request
+        encode_frame(SlsRequest(id=7, table="emb", rows=(1, 2)), CODEC_BINARY),
+        encode_frame(SlsRequest(id=8, table="emb", rows=(3, 4), weights=(2, 1)), CODEC_BINARY),
+        struct.pack(">BI", CODEC_BINARY, 16) + HEADER.pack(9, 0, 0, 0, 1),
+    )
 
+    def check_malformed_session(self, store, answers):
+        # A bad field is answered and the connection lives; the good
+        # queries are served on it; the undecodable frame is answered last.
+        bad_fields, good, last = answers[:2], answers[2:4], answers[4]
+        assert [SlsResponse.from_wire(a).kind for a in bad_fields] == ["FrameError"] * 2
+        assert [a.id for a in good] == [7, 8]
+        assert np.array_equal(good[0].values, store.sls("emb", [1, 2]))
+        assert np.array_equal(good[1].values, store.sls("emb", [3, 4], [2, 1]))
+        last = SlsResponse.from_wire(last)
+        assert last.kind == "FrameError" and "kind 9" in last.error
+
+    def session(self, store, one_write: bool):
         async def run():
             async with SlsServer(store, port=0) as server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 answers = []
-                for frame in (garbage_json, response_as_request):
-                    writer.write(frame)
-                    answers.append(SlsResponse.from_wire(await read_frame(reader)))
-                # The connection survived both; a good query still works on it.
-                writer.write(encode_frame(SlsRequest(id=7, table="emb", rows=(1, 2)), CODEC_BINARY))
-                good = await read_frame(reader)
-                # A frame that does not decode at all ends the connection, typed.
-                writer.write(bad_binary)
-                last = SlsResponse.from_wire(await read_frame(reader))
+                if one_write:
+                    writer.write(b"".join(self.MALFORMED_SESSION))
+                    for _ in self.MALFORMED_SESSION:
+                        answers.append(await read_frame(reader))
+                else:
+                    for frame in self.MALFORMED_SESSION:
+                        writer.write(frame)
+                        answers.append(await read_frame(reader))
+                # The undecodable frame ended the connection.
                 assert await reader.read() == b""
                 writer.close()
-                return answers, good, last
+                return answers
 
-        answers, good, last = asyncio.run(run())
-        assert [a.kind for a in answers] == ["FrameError", "FrameError"]
-        assert isinstance(good, SlsResponse) and good.id == 7
-        assert np.array_equal(good.values, store.sls("emb", [1, 2]))
-        assert last.kind == "FrameError" and "kind 9" in last.error
+        return asyncio.run(run())
+
+    def test_server_answers_malformed_frames_and_lives(self):
+        store = make_store(32)
+        self.check_malformed_session(store, self.session(store, one_write=False))
+
+    def test_server_answers_malformed_frames_in_one_read_alike(self):
+        # All five frames in one write, so the server splits them off one
+        # read: the same answers in the same order, then the same close.
+        store = make_store(32)
+        self.check_malformed_session(store, self.session(store, one_write=True))
 
 
 # -- bit-identity over every transport -----------------------------------------------
