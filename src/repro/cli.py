@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         metavar="N",
         help="serve/bench-serve: most requests one executed batch takes; "
-        "a batch is whatever is queued when the executor is free, there "
+        "a batch is whatever is queued when the previous one is done, there "
         "is no batch window to wait out (default: %(default)s)",
     )
     parser.add_argument(

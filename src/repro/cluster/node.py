@@ -44,6 +44,7 @@ from ..serve.protocol import (
     NodeRequest,
     NodeResponse,
     read_frame,
+    reply_id,
     write_frame,
 )
 from . import codec
@@ -146,9 +147,8 @@ class NodeServer:
         try:
             request = NodeRequest.from_wire(obj)
         except FrameError as exc:
-            rid = obj.get("id", 0) if isinstance(obj, dict) else 0
             await self._write(writer, NodeResponse(
-                id=int(rid), status=STATUS_ERROR, error=str(exc), kind="FrameError"
+                id=reply_id(obj), status=STATUS_ERROR, error=str(exc), kind="FrameError"
             ))
             return True
         response = await self._serve_one(request, writer)

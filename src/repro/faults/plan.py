@@ -244,8 +244,8 @@ class FaultEvent:
 class FaultInjector:
     """Draws seeded decisions from a plan and logs what it broke.
 
-    Thread-safe (the front-end's offload thread and its event loop
-    share one process) and per-process: cluster nodes never install
+    Thread-safe, though serving draws from one thread only (the event
+    loop runs every batch), and per-process: cluster nodes never install
     one, the coordinator ships them concrete directives instead, so all
     randomness lives in a single seeded stream.
 

@@ -3,8 +3,9 @@
 The request-level ingress for the SecNDP store (DESIGN.md Sec. 15).
 Single SLS queries arriving on the event loop coalesce into amortized
 ``sls_many`` batches (the union-of-rows path) without ever waiting for
-company: a batch is whatever is queued when the executor is free, so a
-lone query leaves at once and coalescing comes from load, not a timer.
+company: a batch is whatever is queued when the previous batch is done,
+so a lone query leaves at once and coalescing comes from load, not a
+timer.  Every batch runs on the event loop; serving starts no thread.
 An SLO-burn admission gate sheds load to keep p99 inside budget.
 
 ::

@@ -4,7 +4,7 @@ The scheduler is work-conserving, so there is no batch window to tune
 and exactly one lever when demand exceeds capacity (DESIGN.md Sec. 15):
 **shed load** - fast-reject new requests with a typed ``overloaded``
 response.  Triggered by a hard queue-depth cap (deterministic
-backpressure: a full pending queue means the executor is saturated) or
+backpressure: a full pending queue means the batcher is saturated) or
 by a *critical* SLO burn (the latency error budget is being consumed at
 ≥ :data:`~repro.obs.slo.BURN_CRITICAL` times the provisioned rate),
 with hysteresis: shedding stops once the burn is back at or under

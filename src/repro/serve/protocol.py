@@ -44,6 +44,9 @@ Message schemas (plain dicts under JSON, typed dataclasses in-process):
   in a free-form ``payload`` dict (shard assignments, partial-sum
   shares, heartbeat liveness detail).
 
+Every JSON field is type-checked, envelope fields included: a wrong
+type is a :class:`FrameError`, never another exception.
+
 Reading: a pipelining peer (the serving front-end, both ends) reads
 whatever the socket has into a buffer and takes every complete frame
 off it with :func:`split_frames`; the node hop, one frame per round
@@ -91,6 +94,7 @@ __all__ = [
     "available_codecs",
     "resolve_codec",
     "int64_terms",
+    "reply_id",
     "pack_segment",
     "take_segment",
     "encode_frame",
@@ -203,6 +207,26 @@ def _listed(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
+_TEXT = (str, type(None))
+
+
+def _field(obj: Dict[str, Any], key: str, types: Tuple[type, ...], default: Any = None) -> Any:
+    """An envelope field of a JSON message (``default`` when absent) if its
+    type is one of ``types``, else :class:`FrameError`.  Types are exact:
+    a JSON ``true`` is not an ``id``."""
+    value = obj.get(key, default)
+    if type(value) not in types:
+        raise FrameError(f"bad {key} field: {type(value).__name__} {value!r:.40}")
+    return value
+
+
+def reply_id(obj: Any) -> int:
+    """The id to answer a JSON frame that did not decode with: its own,
+    if it has a well-typed one, else 0."""
+    rid = obj.get("id") if isinstance(obj, dict) else None
+    return rid if type(rid) is int else 0
+
+
 # ``eq=False``: the array-valued fields make field-wise ``==`` meaningless.
 @dataclass(frozen=True, eq=False)
 class SlsRequest:
@@ -232,15 +256,17 @@ class SlsRequest:
     def from_wire(cls, obj: Dict[str, Any]) -> "SlsRequest":
         if not isinstance(obj, dict):
             raise FrameError(f"request payload must be a dict, got {type(obj).__name__}")
-        op = obj.get("op", "sls")
+        op = _field(obj, "op", _TEXT, "sls")
         if op not in ("sls", "ping", "heartbeat"):
             raise FrameError(f"unknown request op {op!r}")
+        rid = _field(obj, "id", (int,), 0)
+        table = _field(obj, "table", _TEXT)
         weights = obj.get("weights")
         try:
             return cls(
-                id=int(obj.get("id", 0)),
+                id=rid,
                 op=op,
-                table=obj.get("table"),
+                table=table,
                 rows=tuple(int(r) for r in obj.get("rows") or ()),
                 weights=None if weights is None else tuple(int(w) for w in weights),
             )
@@ -279,18 +305,14 @@ class SlsResponse:
     def from_wire(cls, obj: Dict[str, Any]) -> "SlsResponse":
         if not isinstance(obj, dict):
             raise FrameError(f"response payload must be a dict, got {type(obj).__name__}")
+        rid = _field(obj, "id", (int,), 0)
+        status, error, kind, via = (_field(obj, k, _TEXT) for k in ("status", "error", "kind", "via"))
         values = obj.get("values")
         try:
-            return cls(
-                id=int(obj.get("id", 0)),
-                status=str(obj.get("status", "")),
-                values=None if values is None else tuple(float(v) for v in values),
-                error=obj.get("error"),
-                kind=obj.get("kind"),
-                via=obj.get("via"),
-            )
+            values = None if values is None else tuple(float(v) for v in values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise FrameError(f"bad response field: {exc}") from exc
+        return cls(id=rid, status=status, values=values, error=error, kind=kind, via=via)
 
 
 @dataclass(frozen=True)
@@ -327,10 +349,10 @@ class NodeRequest:
                 f"node request payload must be a dict, got {type(obj).__name__}"
             )
         return cls(
-            id=int(obj.get("id", 0)),
-            op=str(obj.get("op", "")),
-            table=obj.get("table"),
-            payload=dict(obj.get("payload") or {}),
+            id=_field(obj, "id", (int,), 0),
+            op=_field(obj, "op", _TEXT),
+            table=_field(obj, "table", _TEXT),
+            payload=_field(obj, "payload", (dict,), {}),
         )
 
 
@@ -364,11 +386,11 @@ class NodeResponse:
                 f"node response payload must be a dict, got {type(obj).__name__}"
             )
         return cls(
-            id=int(obj.get("id", 0)),
-            status=str(obj.get("status", "")),
-            payload=dict(obj.get("payload") or {}),
-            error=obj.get("error"),
-            kind=obj.get("kind"),
+            id=_field(obj, "id", (int,), 0),
+            status=_field(obj, "status", _TEXT),
+            payload=_field(obj, "payload", (dict,), {}),
+            error=_field(obj, "error", _TEXT),
+            kind=_field(obj, "kind", _TEXT),
         )
 
 

@@ -2,9 +2,10 @@
 
 The throughput lever of the serving front-end (DESIGN.md Sec. 15), and
 it is work-conserving: a batch is whatever is queued for a table - up to
-``max_batch`` requests - the moment its executor is free.  A lone query
-is a batch of one and leaves at once; while a batch runs, the next one
-forms behind it, so coalescing comes from load and never from a timer.
+``max_batch`` requests - the moment the previous batch is done.  A lone
+query is a batch of one and leaves at once; what arrives while a batch
+runs is read in the turn after it and forms the next one, so coalescing
+comes from load and never from a timer.
 A batch is one CSR :class:`~repro.core.protocol.QueryBatch` concatenated
 from its requests' arrays, executed through the amortized union-of-rows
 path (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
@@ -18,20 +19,21 @@ degrades it to per-query serving so a corrupted row fails exactly the
 requests that touch it and feeds the existing recovery ladder for
 recovery-enabled stores.
 
-The event loop never blocks on crypto: every batch runs on the
-scheduler's single offload thread, one at a time, so heartbeats, new
-connections and admission decisions stay live during a long batch.
-The scheduler keeps deterministic local counters (``stats()``) and
-mirrors them into :mod:`repro.obs` when metrics are enabled.
+One thread serves: a batch runs synchronously on the event loop that
+decoded its requests, so every access to the store happens on that one
+thread.  The loop is blocked for at most one batch (``max_batch``
+queries, each inside the ring's overflow budget) and gets a turn
+between any two, whatever their tables (:func:`_yield_a_turn`).  The
+scheduler keeps deterministic local counters (``stats()``) and mirrors
+them into :mod:`repro.obs` when metrics are enabled.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -53,6 +55,20 @@ __all__ = ["BatchScheduler", "DEFAULT_MAX_BATCH"]
 
 #: Default coalescing cap: requests per executed batch.
 DEFAULT_MAX_BATCH = 32
+
+
+async def _yield_a_turn() -> None:
+    """Resume once the loop has serviced what came due during a batch.
+
+    A bare ``sleep(0)`` resumes ahead of all of it: the answers'
+    done-callbacks, the timers and socket reads that fell due, and the
+    outbox flushes and task wake-ups those schedule all queue behind it.
+    Two ``call_soon`` hops and the future's wake-up resume behind them.
+    """
+    loop = asyncio.get_running_loop()
+    turn = loop.create_future()
+    loop.call_soon(loop.call_soon, turn.set_result, None)
+    await turn
 
 
 @dataclass
@@ -100,7 +116,9 @@ class BatchScheduler:
         self.admission = admission
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: Dict[str, asyncio.Task] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: held by a table's batcher from its batch to the end of the turn
+        #: after it, so no other table's batch runs in between
+        self._loop_slot = asyncio.Lock()
         self._pending = 0          #: admitted, not yet resolved or dropped
         self._draining = False
         self._closed = False
@@ -202,8 +220,9 @@ class BatchScheduler:
     async def _batcher(self, name: str) -> None:
         """One table's collect/execute loop; exits on the drain sentinel.
 
-        Work-conserving: take what is queued and go.  ``_run_batch`` is
-        awaited, so whatever arrives while it runs is the next batch.
+        Work-conserving: take what is queued and go.  Whatever arrives
+        while a batch runs is read in the turn after it, and is the next
+        batch.
         """
         queue = self._queues[name]
         while True:
@@ -226,16 +245,18 @@ class BatchScheduler:
             # once its batch is running leaves through ``_resolve``.
             self._pending -= len(batch) - len(live)
             if live:
-                await self._run_batch(name, live)
+                async with self._loop_slot:
+                    self._run_batch(name, live)
+                    await _yield_a_turn()
             else:
                 # Every collected request was cancelled before dispatch:
-                # nothing to execute, nothing to offload.
+                # nothing to execute.
                 self._stats["empty_ticks"] += 1
                 obs.inc("serve.batch.empty")
             if stop:
                 break
 
-    async def _run_batch(self, name: str, batch: List[_Pending]) -> None:
+    def _run_batch(self, name: str, batch: List[_Pending]) -> None:
         offsets = np.zeros(len(batch) + 1, dtype=np.int64)
         np.cumsum([p.rows.size for p in batch], out=offsets[1:])
         queries = QueryBatch(
@@ -257,7 +278,7 @@ class BatchScheduler:
         t0 = time.perf_counter_ns()
         try:
             with obs.span("serve.batch"):
-                values, outcomes = await self._execute(name, queries)
+                values, outcomes = self.store.sls_scatter(name, queries)
         except Exception as exc:  # post-validation failures are per-batch
             for p in batch:
                 self._resolve(p, error_response(p.request.id, exc, via="batch"))
@@ -273,20 +294,6 @@ class BatchScheduler:
                     p.request.id, "error", error=outcome.error, kind=outcome.kind, via="scatter"
                 )
             self._resolve(p, response)
-
-    async def _execute(
-        self, name: str, queries: QueryBatch
-    ) -> Tuple[np.ndarray, list]:
-        """One batch through the store's scatter hook on the single offload
-        thread: the loop stays live and batches never overlap on the store."""
-        loop = asyncio.get_running_loop()
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="secndp-serve"
-            )
-        return await loop.run_in_executor(
-            self._executor, self.store.sls_scatter, name, queries
-        )
 
     def _resolve(self, pending: _Pending, response: SlsResponse) -> None:
         self._pending -= 1
@@ -316,8 +323,8 @@ class BatchScheduler:
         return self._pending
 
     async def close(self) -> None:
-        """Drain: finish in-flight batches, reject new work, release the
-        offload executor.  Idempotent; must run on the submit loop."""
+        """Drain: finish in-flight batches and reject new work.
+        Idempotent; must run on the submit loop."""
         if self._closed:
             return
         self._draining = True
@@ -328,9 +335,6 @@ class BatchScheduler:
                 *self._batchers.values(), return_exceptions=True
             )
         self._batchers.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
         self._closed = True
 
     # -- reporting -------------------------------------------------------------

@@ -62,6 +62,7 @@ from .protocol import (
     encode_frame,
     error_response,
     int64_terms,
+    reply_id,
     resolve_codec,
     resolve_heartbeat_timeout,
     split_frames,
@@ -105,8 +106,9 @@ class SlsServer:
     Parameters mirror :class:`~repro.serve.scheduler.BatchScheduler`;
     ``port=0`` binds an ephemeral port (read :attr:`port` after
     :meth:`start`).  Use ``async with`` (or :meth:`start` /
-    :meth:`close`) so the listener and the scheduler's offload thread
-    are released deterministically.
+    :meth:`close`) so the listener and the connections are released
+    deterministically.  Serving starts no thread: decoding, every batch
+    and every write run on the loop that called :meth:`start`.
     """
 
     def __init__(
@@ -146,8 +148,7 @@ class SlsServer:
 
         New connections are refused, new requests on live connections get
         a typed ``shutting_down`` response, in-flight batches complete
-        and their responses are written, then the scheduler's executor
-        is released.
+        and their responses are written, then the connections close.
         """
         if self._closed:
             return
@@ -247,9 +248,8 @@ class SlsServer:
         try:
             request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
         except FrameError as exc:  # a bad field: answered, the connection lives
-            rid = obj.get("id") if isinstance(obj, dict) else None
             obs.inc("serve.frame_errors")
-            outbox.put(encode_frame(error_response(rid if isinstance(rid, int) else 0, exc)))
+            outbox.put(encode_frame(error_response(reply_id(obj), exc)))
             return
         if request.op in ("ping", "heartbeat"):
             # Liveness probes bypass the scheduler entirely: a heartbeat

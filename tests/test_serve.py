@@ -13,6 +13,7 @@ No pytest-asyncio dependency: each async scenario runs under its own
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
 import threading
 import time
@@ -54,6 +55,7 @@ from repro.serve.protocol import (
     error_response,
     read_frame,
     resolve_codec,
+    split_frames,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -350,59 +352,61 @@ class TestBatchScheduler:
         assert np.array_equal(first, expected)
         assert np.array_equal(second, expected)
 
-    def test_event_loop_stays_responsive_during_slow_batch(self):
-        # Satellite regression test: crypto runs on the offload thread,
-        # so a heartbeat task must keep ticking while a batch executes.
+    def test_loop_gets_a_turn_between_any_two_batches(self):
+        # The batch runs on the loop, so the loop is blocked for one batch
+        # at a time: a 10 ms ticker must tick between any two 50 ms batches
+        # of a backlog, whichever tables they serve.
         store = make_store()
-        real_sls_many = store.sls_many
-
-        def slow_sls_many(*args, **kwargs):
-            time.sleep(0.25)  # blocks the offload thread, not the loop
-            return real_sls_many(*args, **kwargs)
-
-        store.sls_many = slow_sls_many
+        store.add_table("side", np.random.default_rng(1).normal(size=(64, 16)))
+        tables = ["emb", "side"] * 6
+        queries = make_queries(64, 12)
+        ticks_at_entry = []
+        ticks = 0
+        gate = HookedStore(
+            store, lambda n: (ticks_at_entry.append(ticks), time.sleep(0.05))
+        )
 
         async def run():
-            scheduler = BatchScheduler(store)
+            scheduler = BatchScheduler(gate, max_batch=4)
             client = AsyncSlsClient.in_process(scheduler)
-            ticks = 0
 
-            async def heartbeat():
+            async def ticker():
                 nonlocal ticks
                 while True:
                     await asyncio.sleep(0.01)
                     ticks += 1
 
-            beat = asyncio.ensure_future(heartbeat())
-            result = await client.sls("emb", [0, 1, 2])
+            beat = asyncio.ensure_future(ticker())
+            results = await asyncio.gather(
+                *[client.sls(t, q) for t, q in zip(tables, queries)]
+            )
             beat.cancel()
             await scheduler.close()
-            return result, ticks
+            return results
 
-        result, ticks = asyncio.run(run())
-        assert np.array_equal(result, store.sls("emb", [0, 1, 2]))
-        # 0.25s blocked thread at a 10ms heartbeat: well over 5 ticks
-        # unless the loop itself was blocked.
-        assert ticks >= 5
+        results = asyncio.run(run())
+        for t, q, answer in zip(tables, queries, results):
+            assert np.array_equal(answer, store.sls(t, q))
+        assert gate.calls == [4, 4, 2, 2]
+        assert all(b > a for a, b in zip(ticks_at_entry, ticks_at_entry[1:])), ticks_at_entry
 
 
 # -- work-conserving batching ---------------------------------------------------
 
 
-class GatedStore:
-    """The scheduler's view of a store, with ``sls_scatter`` behind a gate.
+class HookedStore:
+    """The scheduler's view of a store, with a hook on entry to ``sls_scatter``.
 
-    A batch blocks in the offload thread until ``release`` is set, so a
-    test decides what arrives "while a batch runs" instead of sleeping
-    and hoping; ``calls`` records the size of every dispatched batch.
+    A batch runs synchronously on the event loop, so the hook - called
+    with the batch's number, from 1 - is where a test makes something
+    happen "while a batch runs" (enqueue arrivals, cancel a request,
+    start ``close()``) instead of sleeping and hoping; ``calls`` records
+    the size of every dispatched batch.
     """
 
-    def __init__(self, store, released: bool = False):
+    def __init__(self, store, hook=None):
         self.store = store
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        if released:
-            self.release.set()
+        self.hook = hook
         self.calls = []
 
     def validate_query(self, *args):
@@ -410,60 +414,59 @@ class GatedStore:
 
     def sls_scatter(self, name, batch):
         self.calls.append(len(batch))
-        self.entered.set()
-        assert self.release.wait(30), "gate never released"
+        if self.hook is not None:
+            self.hook(len(self.calls))
         return self.store.sls_scatter(name, batch)
 
-    async def running(self):
-        """Wait (off the loop, arming no timer) until a batch is executing."""
-        entered = await asyncio.get_running_loop().run_in_executor(
-            None, self.entered.wait, 30
-        )
-        assert entered, "no batch was dispatched"
+
+def arrivals(scheduler, queries, first_id: int = 100):
+    """Enqueue ``queries`` straight into the scheduler: their futures."""
+    return [
+        scheduler.enqueue(SlsRequest(id=first_id + i, table="emb", rows=tuple(q)))
+        for i, q in enumerate(queries)
+    ]
 
 
 class TestWorkConservingBatcher:
     def test_lone_request_leaves_at_once_with_no_timer(self):
         store = make_store()
-        gate = GatedStore(store)
+        timers, timers_at_dispatch = [], []
+        gate = HookedStore(store, lambda n: timers_at_dispatch.append(len(timers)))
 
         async def run():
             loop = asyncio.get_running_loop()
-            timers = []
             call_at = loop.call_at  # call_later goes through it
             loop.call_at = lambda *a, **kw: timers.append(a) or call_at(*a, **kw)
             scheduler = BatchScheduler(gate)
-            task = asyncio.ensure_future(
-                AsyncSlsClient.in_process(scheduler).sls("emb", [3, 1, 4])
-            )
-            await gate.running()  # dispatched with nothing else queued ...
-            assert timers == []   # ... and without waiting for company
-            gate.release.set()
-            result = await task
+            result = await AsyncSlsClient.in_process(scheduler).sls("emb", [3, 1, 4])
             stats = scheduler.stats()
             await scheduler.close()
-            return result, stats, timers
+            return result, stats
 
-        result, stats, timers = asyncio.run(run())
+        result, stats = asyncio.run(run())
         assert np.array_equal(result, store.sls("emb", [3, 1, 4]))
         assert gate.calls == [1] and stats["batches"] == 1
+        # Dispatched with nothing else queued, and without waiting for company.
+        assert timers_at_dispatch == [0]
         assert timers == []
         assert stats["admission.wait_us"] == 0.0
 
     def test_arrivals_behind_a_running_batch_leave_as_one_batch(self):
         store = make_store()
-        gate = GatedStore(store)
+        gate = HookedStore(store)
         queries = make_queries(64, 10)
+        rest = []
 
         async def run():
             scheduler = BatchScheduler(gate)
-            client = AsyncSlsClient.in_process(scheduler)
-            first = asyncio.ensure_future(client.sls("emb", queries[0]))
-            await gate.running()
-            rest = [asyncio.ensure_future(client.sls("emb", q)) for q in queries[1:]]
-            await asyncio.sleep(0)  # all nine are queued behind the running batch
-            gate.release.set()
-            results = await asyncio.gather(first, *rest)
+
+            def during(n):  # all nine arrive while the first batch runs
+                if n == 1:
+                    rest.extend(arrivals(scheduler, queries[1:]))
+
+            gate.hook = during
+            first = await AsyncSlsClient.in_process(scheduler).sls("emb", queries[0])
+            results = [first] + [r.values for r in await asyncio.gather(*rest)]
             stats = scheduler.stats()
             await scheduler.close()
             return np.asarray(results), stats
@@ -477,7 +480,7 @@ class TestWorkConservingBatcher:
         # The lockstep wave of benchmarks/e2e: 32 submits in one loop turn
         # must not split into 1 + 31.
         store = make_store()
-        gate = GatedStore(store, released=True)
+        gate = HookedStore(store)
         queries = make_queries(64, 32)
 
         async def run():
@@ -494,7 +497,7 @@ class TestWorkConservingBatcher:
         assert stats["batches"] == 1 and stats["mean_batch_fill"] == 32.0
 
     def test_max_batch_still_caps_a_batch(self):
-        gate = GatedStore(make_store(), released=True)
+        gate = HookedStore(make_store())
 
         async def run():
             scheduler = BatchScheduler(gate, max_batch=8)
@@ -506,19 +509,18 @@ class TestWorkConservingBatcher:
         assert gate.calls == [8, 8, 4]
 
     def test_requests_cancelled_while_queued_are_an_empty_tick(self):
-        gate = GatedStore(make_store())
+        gate = HookedStore(make_store())
 
         async def run():
             scheduler = BatchScheduler(gate)
-            client = AsyncSlsClient.in_process(scheduler)
-            first = asyncio.ensure_future(client.sls("emb", [0]))
-            await gate.running()
-            doomed = [asyncio.ensure_future(client.sls("emb", [i])) for i in (1, 2, 3)]
-            await asyncio.sleep(0)
-            for task in doomed:
-                task.cancel()
-            gate.release.set()
-            await first
+
+            def during(n):  # three arrive behind the running batch, then withdraw
+                if n == 1:
+                    for future in arrivals(scheduler, [[1], [2], [3]]):
+                        future.cancel()
+
+            gate.hook = during
+            await AsyncSlsClient.in_process(scheduler).sls("emb", [0])
             await scheduler.close()
             return scheduler.stats()
 
@@ -533,15 +535,14 @@ class TestWorkConservingBatcher:
         # so pending went to -1 and every such cancellation raised the
         # queue-depth cap for good (the next burst served 5 of 8 at 4).
         store = make_store()
-        gate = GatedStore(store)
+        gate = HookedStore(store)
 
         async def run():
             scheduler = BatchScheduler(gate, admission=AdmissionConfig(max_queue=4))
             client = AsyncSlsClient.in_process(scheduler)
             first = [asyncio.ensure_future(client.sls_response("emb", [i])) for i in range(4)]
-            await gate.running()  # all four are on the offload thread
-            first[1].cancel()
-            gate.release.set()
+            # All four are in the running batch when one is withdrawn.
+            gate.hook = lambda n: n == 1 and first[1].cancel()
             await asyncio.gather(*first, return_exceptions=True)
             after_cancel = scheduler.pending
             burst = await asyncio.gather(
@@ -558,22 +559,25 @@ class TestWorkConservingBatcher:
 
     def test_close_drains_what_is_running_and_what_is_queued(self):
         store = make_store()
-        gate = GatedStore(store)
+        gate = HookedStore(store)
         queries = make_queries(64, 6)
+        rest, closing = [], []
 
         async def run():
             scheduler = BatchScheduler(gate)
             client = AsyncSlsClient.in_process(scheduler)
-            first = asyncio.ensure_future(client.sls("emb", queries[0]))
-            await gate.running()
-            rest = [asyncio.ensure_future(client.sls("emb", q)) for q in queries[1:]]
-            await asyncio.sleep(0)
-            closing = asyncio.ensure_future(scheduler.close())
-            await asyncio.sleep(0)
+
+            def during(n):  # five queue behind the running batch, then close starts
+                if n == 1:
+                    rest.extend(arrivals(scheduler, queries[1:]))
+                    closing.append(asyncio.ensure_future(scheduler.close()))
+
+            gate.hook = during
+            first = await client.sls("emb", queries[0])
+            assert scheduler.draining and scheduler.pending == 5
             late = await client.sls_response("emb", queries[0])  # draining: refused
-            gate.release.set()
-            results = await asyncio.gather(first, *rest)
-            await closing
+            results = [first] + [r.values for r in await asyncio.gather(*rest)]
+            await closing[0]
             return np.asarray(results), late, scheduler.stats()
 
         results, late, stats = asyncio.run(run())
@@ -583,7 +587,7 @@ class TestWorkConservingBatcher:
 
     def test_malformed_query_never_joins_the_batch(self):
         store = make_store()  # 64 rows
-        gate = GatedStore(store, released=True)
+        gate = HookedStore(store)
 
         async def run():
             scheduler = BatchScheduler(gate)
@@ -678,19 +682,24 @@ class TestShutdown:
         assert stats["rejected_shutdown"] == 1
         assert stats["pending"] == 0
 
-    def test_close_is_idempotent_and_releases_executor(self):
+    def test_close_is_idempotent_and_serving_starts_no_thread(self):
         store = make_store()
+        queries = make_queries(64, 32)
 
         async def run():
-            scheduler = BatchScheduler(store)
-            client = AsyncSlsClient.in_process(scheduler)
-            await client.sls("emb", [0, 1])
-            assert scheduler._executor is not None
-            await scheduler.close()
-            await scheduler.close()
-            assert scheduler._executor is None
+            before = threading.active_count()
+            server = await SlsServer(store, port=0).start()
+            async with await AsyncSlsClient.connect("127.0.0.1", server.port) as client:
+                results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
+            await server.close()
+            await server.close()
+            await server.scheduler.close()
+            return results, before, threading.active_count()
 
-        asyncio.run(run())
+        results, before, after = asyncio.run(run())
+        for q, answer in zip(queries, results):
+            assert np.array_equal(answer, store.sls("emb", q))
+        assert after == before
 
     def test_client_raises_server_closed(self):
         store = make_store()
@@ -969,6 +978,59 @@ class TestTcpServer:
         for q, answer in zip(queries, results):
             assert np.array_equal(answer, store.sls("emb", q))
         assert stats["responses_ok"] == 32
+
+    def test_a_batch_is_on_the_wire_before_the_next_runs(self):
+        # A backlog of three batches on one connection: each batch's
+        # answers are flushed to the socket in the loop turn after it, so
+        # they are in the client's receive buffer when the next batch
+        # enters the store.
+        store = make_store()
+        queries = make_queries(64, 12)
+        received = bytearray()
+        on_the_wire = []  # per batch: (answers the client holds, queries run before it)
+
+        def read_what_arrived(sock):
+            while True:
+                try:
+                    chunk = sock.recv(1 << 16)
+                except BlockingIOError:
+                    return
+                if not chunk:
+                    return
+                received.extend(chunk)
+
+        def answers():
+            return len(split_frames(bytearray(received))[0])
+
+        async def run():
+            gate = HookedStore(store)
+            async with SlsServer(gate, port=0, max_batch=4) as server:
+                sock = socket.create_connection(("127.0.0.1", server.port))
+                sock.setblocking(False)
+
+                def during(n):
+                    read_what_arrived(sock)
+                    on_the_wire.append((answers(), sum(gate.calls[:-1])))
+                    time.sleep(0.05)
+
+                gate.hook = during
+                sock.sendall(b"".join(
+                    encode_frame(SlsRequest(id=i, table="emb", rows=tuple(q)), CODEC_BINARY)
+                    for i, q in enumerate(queries)
+                ))
+                loop = asyncio.get_running_loop()
+                while answers() < len(queries):
+                    received.extend(await asyncio.wait_for(loop.sock_recv(sock, 1 << 16), 10))
+                sock.close()
+            return gate.calls
+
+        calls = asyncio.run(run())
+        assert calls == [4, 4, 4]
+        assert on_the_wire == [(0, 0), (4, 4), (8, 8)]
+        frames, error = split_frames(received)
+        assert error is None
+        for response in frames:
+            assert np.array_equal(response.values, store.sls("emb", queries[response.id]))
 
     def test_typed_error_crosses_the_wire(self):
         store = make_store()

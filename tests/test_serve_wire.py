@@ -4,7 +4,10 @@ Two contracts (DESIGN.md Sec. 15).  *Hostile peer*: whatever bytes
 arrive, the decoder's only outcomes are a typed message or
 ``FrameError``, nothing it builds is larger than the frame it was
 given, and however the bytes are cut into reads, the read-buffer
-splitter yields what ``read_frame`` yields.  *Bit-identity*: a response is ``np.array_equal`` to a direct
+splitter yields what ``read_frame`` yields; a JSON envelope of any of
+the four message types decodes to declared field types or
+``FrameError``, and server, node and coordinator each survive one that
+does not.  *Bit-identity*: a response is ``np.array_equal`` to a direct
 ``store.sls`` whichever way it travelled - binary TCP, JSON TCP or the
 in-process transport - on every ring; and a query no path may serve is
 refused by every path - store, front-end, cluster - in the same words.
@@ -22,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cluster import ClusterCoordinator, NodeClient, NodeServer, codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.core.protocol import QueryBatch
@@ -34,6 +38,8 @@ from repro.serve.protocol import (
     STATUS_OK,
     VIAS,
     FrameError,
+    NodeRequest,
+    NodeResponse,
     SlsRequest,
     SlsResponse,
     decode_payload,
@@ -43,6 +49,7 @@ from repro.serve.protocol import (
     read_frame,
     split_frames,
     take_segment,
+    write_frame,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -307,6 +314,46 @@ def decode_or_configuration_error(decode, payload):
     return out
 
 
+#: envelope type -> the fields its JSON form carries besides ``id``
+ENVELOPES = {
+    SlsRequest: ("op", "table", "rows", "weights"),
+    SlsResponse: ("status", "values", "error", "kind", "via"),
+    NodeRequest: ("op", "table", "payload"),
+    NodeResponse: ("status", "payload", "error", "kind"),
+}
+
+
+def envelope_or_frame_error(cls, obj):
+    """The envelope oracle: a message whose fields have their declared
+    types, or ``FrameError`` - never another exception."""
+    try:
+        message = cls.from_wire(obj)
+    except FrameError:
+        return None
+    assert type(message) is cls and type(message.id) is int
+    for name in ("op", "table", "status", "error", "kind", "via"):
+        value = getattr(message, name, None)
+        assert value is None or type(value) is str, (name, value)
+    if cls in (NodeRequest, NodeResponse):
+        assert type(message.payload) is dict
+    if cls is SlsRequest:
+        for terms in (message.rows, message.weights or ()):
+            assert all(type(t) is int for t in terms)
+    if cls is SlsResponse:
+        assert all(type(v) is float for v in message.values or ())
+    return message
+
+
+class EnvelopeLiar(NodeServer):
+    """A node that answers every ``partial_sum`` with ``id`` a string."""
+
+    async def _write(self, writer, response):
+        if "sums" in response.payload:
+            await write_frame(writer, {"id": "x", "status": STATUS_OK})
+        else:
+            await super()._write(writer, response)
+
+
 @st.composite
 def frame_streams(draw):
     """A byte stream as a pipelining peer might send it: valid frames of
@@ -504,6 +551,75 @@ class TestHostilePeer:
             SlsResponse.from_wire({"id": 1, "status": "ok", "values": values})
         with pytest.raises(FrameError):
             SlsResponse.from_wire({"id": [], "status": "ok"})
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(list(ENVELOPES)), st.data())
+    def test_json_envelopes_are_typed_or_frame_error(self, cls, data):
+        keys = st.sampled_from(ENVELOPES[cls] + ("id",))
+        obj = data.draw(json_values | st.dictionaries(keys, json_values, max_size=6))
+        envelope_or_frame_error(cls, obj)
+
+    @pytest.mark.parametrize("table", [["emb"], {"t": 1}], ids=["list", "dict"])
+    def test_server_answers_a_badly_typed_envelope_and_serves_on(self, table):
+        # Regression: an unhashable table escaped ``enqueue`` as a
+        # TypeError, killed the connection and left both frames unanswered.
+        store = make_store(32)
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(
+                    encode_frame({"id": 1, "op": "sls", "table": table, "rows": [1]})
+                    + encode_frame(SlsRequest(id=2, table="emb", rows=(1, 2)), CODEC_BINARY)
+                )
+                answers = [await asyncio.wait_for(read_frame(reader), 5) for _ in range(2)]
+                writer.close()
+                return answers, server.stats()
+
+        (bad, good), stats = asyncio.run(run())
+        bad = SlsResponse.from_wire(bad)
+        assert (bad.id, bad.kind) == (1, "FrameError") and "bad table field" in bad.error
+        assert good.id == 2 and np.array_equal(good.values, store.sls("emb", [1, 2]))
+        assert stats["requests"] == 1
+
+    @pytest.mark.parametrize(
+        "wire",
+        [{"id": "x", "op": "heartbeat"}, {"id": 1, "op": "heartbeat", "payload": "abc"}],
+        ids=["id", "payload"],
+    )
+    def test_node_answers_a_badly_typed_envelope_and_serves_on(self, wire):
+        # Regression: the ValueError killed the node's handler unanswered.
+        async def run():
+            async with NodeServer("n0") as node:
+                reader, writer = await asyncio.open_connection(node.host, node.port)
+                writer.write(encode_frame(wire) + encode_frame(NodeRequest(id=2, op="heartbeat")))
+                answers = [await asyncio.wait_for(read_frame(reader), 5) for _ in range(2)]
+                writer.close()
+                return [NodeResponse.from_wire(a) for a in answers]
+
+        bad, good = asyncio.run(run())
+        assert (bad.status, bad.kind) == ("error", "FrameError")
+        assert (good.id, good.status, good.payload["node"]) == (2, STATUS_OK, "n0")
+
+    def test_coordinator_blames_a_node_whose_envelope_lies(self):
+        # Regression: the node's ValueError escaped ``sls_many`` raw, with
+        # nobody blamed, no failover and no local rung.
+        store = make_store(32)  # 48 rows: n1 owns 24..47
+        rows = [[1, 40], [2, 3, 30], [47]]
+        want = store.sls_many("emb", rows)
+
+        async def run():
+            async with NodeServer("n0") as honest, EnvelopeLiar("n1") as liar:
+                nodes = [(s.name, s.host, s.port) for s in (honest, liar)]
+                async with ClusterCoordinator(store, nodes, task_timeout_s=5.0) as coordinator:
+                    return await coordinator.sls_many("emb", rows), coordinator.stats()
+
+        with obs.journal() as journal:
+            got, stats = asyncio.run(run())
+        assert np.array_equal(got, want)
+        assert (stats["live"], stats["quarantined"]) == (["n0"], ["n1"])
+        blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
+        assert blamed == ["n1"]
 
     #: Two frames with a bad field, two good queries, then a frame that
     #: does not decode at all.
