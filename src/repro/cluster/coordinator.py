@@ -316,11 +316,9 @@ class ClusterCoordinator:
             )
             shares.append(share)
         # Every share already passed its per-shard check during the
-        # ladder; the combined check (per_shard=False) still runs for
-        # the cross-shard overflow case.
-        values = self.store.processor.finalize_row_sums(
-            enc, name, shares, verify=True, per_shard=False
-        )
+        # ladder; the combined check still runs for the cross-shard
+        # overflow case.
+        values = self.store.processor.finalize_row_sums(enc, name, shares, verify=True)
         obs.inc("cluster.queries", len(batch))
         return self.store.dequantize(name, values, batch.weight_sums())
 

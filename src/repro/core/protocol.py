@@ -149,13 +149,6 @@ class QueryBatch:
         kept = np.concatenate(([0], np.cumsum(mask)))
         return QueryBatch(self.rows[mask], self.weights[mask], kept[self.offsets])
 
-    def lists(self) -> Tuple[List[List[int]], List[List[int]]]:
-        """Per-query ``(rows, weights)`` as lists of Python ints."""
-        ends = self.offsets.tolist()
-        spans = list(zip(ends, ends[1:]))
-        rows, weights = self.rows.tolist(), self.weights.tolist()
-        return [rows[a:b] for a, b in spans], [weights[a:b] for a, b in spans]
-
     def row_union(self) -> tuple:
         """Distinct rows, ascending, and the index of each term in them.
 
@@ -236,7 +229,8 @@ class UntrustedNdpDevice:
         unprotected NDP PU.  The fault hooks then visit the queries in
         order - data sum (``device.row_sum``), then tag sum
         (``device.tag_sum``) - but only when a ``tamper_*`` delta or an
-        armed injector makes this device misbehave.
+        armed injector makes this device misbehave; a fault names its
+        query in the event detail (``"query <q>"``).
         """
         if name not in self._store:
             raise ConfigurationError(f"no matrix {name!r} stored on this device")
@@ -258,13 +252,17 @@ class UntrustedNdpDevice:
                 if self._result_delta is not None:
                     values[q, 0] = self.ring.add(values[q, 0], self._result_delta)
                 if inj is not None:
-                    values[q] = inj.perturb_result(self.ring, values[q], "device.row_sum")
+                    values[q] = inj.perturb_result(
+                        self.ring, values[q], "device.row_sum", f"query {q}"
+                    )
             if tags:
                 forged = tag
                 if self._tag_delta is not None:
                     forged = self.field.add(forged, self._tag_delta)
                 if inj is not None:
-                    forged = inj.perturb_tag(self.field, forged, "device.tag_sum")
+                    forged = inj.perturb_tag(
+                        self.field, forged, "device.tag_sum", f"query {q}"
+                    )
                 if forged != tag:
                     tag_sums[q] = limb_field.pack([forged])[0]
         return values, tag_sums
@@ -462,7 +460,6 @@ class SecNDPProcessor:
         the tag check (:meth:`finalize_row_sums`).
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        obs.inc("protocol.queries", len(batch))
         share = self._share(device, name, batch, verify)
         return self.finalize_row_sums(device.stored(name), name, [share], verify)
 
@@ -489,19 +486,20 @@ class SecNDPProcessor:
         """One shard's decrypted share: both halves against a local device.
 
         ``batch_rows[q]`` lists only the rows of query ``q`` that this
-        shard owns (possibly none).  No verification happens here;
+        shard owns (possibly none); the store serves its whole batch as
+        one share.  No verification happens here;
         :meth:`verify_partial_share` checks the share against its own
         restricted checksum and :meth:`finalize_row_sums` the recombined
         totals.
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        obs.inc("protocol.partial.queries", len(batch))
         return self._share(device, name, batch, with_tag_shares)
 
     def _share(
         self, device: UntrustedNdpDevice, name: str, batch: QueryBatch, with_tags: bool
     ) -> PartialSumShare:
         """Pad half + device half of ``batch``, added (the split, in-process)."""
+        obs.inc("protocol.queries", len(batch))
         pad = self.pad_share_batch(
             device.stored(name), name, batch, with_tag_shares=with_tags
         )
@@ -634,7 +632,9 @@ class SecNDPProcessor:
         a *whole-query* overflow splits across shards and is only
         visible to the combined identity, which is why
         :meth:`finalize_row_sums` keeps checking totals even when
-        per-shard checks ran.
+        per-shard checks ran.  A share holding every term of its queries
+        (the store's batch) has no such gap: this is then Alg. 5 for
+        each query, every failing one named in one sweep.
         """
         if part.tag_shares is None:
             raise VerificationError(
@@ -644,10 +644,10 @@ class SecNDPProcessor:
         _require_tags(enc, name)
         if key is None:
             key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        with obs.span("protocol.shard_verify"):
+        with obs.span("protocol.verify"):
             failed = self._mismatches(part.values, part.tag_shares, key).tolist()
         if failed:
-            obs.inc("protocol.shard_verify.failures", len(failed))
+            obs.inc("protocol.verify.failures", len(failed))
         return failed
 
     def verify_partial_share(
@@ -678,8 +678,6 @@ class SecNDPProcessor:
         name: str,
         partials: Sequence[PartialSumShare],
         verify: bool = True,
-        per_shard: bool = False,
-        shard_labels: Optional[Sequence] = None,
     ) -> np.ndarray:
         """Combine shard shares into the verified result matrix (trusted side).
 
@@ -690,14 +688,12 @@ class SecNDPProcessor:
         modular arithmetic, the totals — and hence the verification
         outcome — are bit-identical to the unsharded queries.
 
-        With ``per_shard=True`` every share is first verified against
-        its *own* restricted checksum (see :meth:`failed_share_queries`),
-        raising :class:`ShardVerificationError` naming the offending
-        shard (``shard_labels[i]`` when given, else the shard's index).
-        The combined check still runs afterwards: per-shard identities
-        are exact over residues, but a whole-query integer overflow of
-        ``2^w_e`` (Thm. A.2) splits across shards and only breaks the
-        recombined identity.
+        Blame is the caller's: :meth:`verify_partial_share` checks one
+        share against its *own* restricted checksum and names its shard.
+        This combined check is still needed after those pass: per-shard
+        identities are exact over residues, but a whole-query integer
+        overflow of ``2^w_e`` (Thm. A.2) splits across shards and only
+        breaks the recombined identity.
         """
         partials = list(partials)
         if not partials:
@@ -707,10 +703,6 @@ class SecNDPProcessor:
             return res
         _require_tags(enc, name)
         key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
-        if per_shard:
-            for s, part in enumerate(partials):
-                label = shard_labels[s] if shard_labels is not None else s
-                self.verify_partial_share(enc, name, part, key=key, shard=label)
         with obs.span("protocol.verify"):
             if any(part.tag_shares is None for part in partials):
                 raise VerificationError(
@@ -725,7 +717,7 @@ class SecNDPProcessor:
             if failed.size:
                 q = int(failed[0])
                 t_res = self.checksum.result_tag(res[q], key)
-                obs.inc("protocol.verify.failures")
+                obs.inc("protocol.verify.failures", int(failed.size))
                 raise VerificationError(
                     f"tag mismatch for query {q} on {name!r}: computed "
                     f"{t_res:#x}, retrieved "
@@ -740,13 +732,9 @@ class SecNDPProcessor:
         name: str,
         partials: Sequence[PartialSumShare],
         verify: bool = True,
-        per_shard: bool = False,
-        shard_labels: Optional[Sequence] = None,
     ) -> List[WeightedSumResult]:
         """:meth:`finalize_row_sums`, one :class:`WeightedSumResult` per query."""
-        values = self.finalize_row_sums(
-            enc, name, partials, verify, per_shard, shard_labels
-        )
+        values = self.finalize_row_sums(enc, name, partials, verify)
         return [WeightedSumResult(values=row, verified=verify) for row in values]
 
     def weighted_element_sum(

@@ -317,9 +317,11 @@ class FaultInjector:
 
     # -- transient protocol faults ---------------------------------------------
 
-    def perturb_result(self, ring, values: np.ndarray, site: str) -> np.ndarray:
+    def perturb_result(
+        self, ring, values: np.ndarray, site: str, detail: str = ""
+    ) -> np.ndarray:
         """Maybe skew one lane of an NDP data partial sum."""
-        if not self.decide(FaultKind.RESULT_SKEW, site):
+        if not self.decide(FaultKind.RESULT_SKEW, site, detail):
             return values
         values = values.copy()
         lane = self._randint(0, max(values.shape[-1], 1))
@@ -333,9 +335,9 @@ class FaultInjector:
             return value
         return int(ring.add(ring.dtype(value), ring.dtype(self._randint(1, 1 << 16))))
 
-    def perturb_tag(self, fieldobj, tag: int, site: str) -> int:
+    def perturb_tag(self, fieldobj, tag: int, site: str, detail: str = "") -> int:
         """Maybe forge a returned tag summation."""
-        if not self.decide(FaultKind.TAG_TAMPER, site):
+        if not self.decide(FaultKind.TAG_TAMPER, site, detail):
             return tag
         return fieldobj.add(tag, self._randint(1, 1 << 30))
 

@@ -2,17 +2,19 @@
 
 The paper stops at the verification-failure interrupt (Sec. V-E3); this
 module models the handler.  A :class:`RecoveryPolicy` configures a
-four-rung ladder, climbed per failing query:
+four-rung ladder, climbed per failing query - one the batch's check
+named, the batch's offload having been its attempt 0:
 
 1. **Retry** the offloaded computation (bounded attempts, exponential
    backoff with deterministic jitter) - recovers transient NDP/bus
    faults, which re-roll on every attempt.
-2. **Trusted non-NDP recompute**: read every queried row over the bus,
-   verify it *individually* (a PF=1 weighted summation has a full tag
-   identity), and pool on the trusted side - recovers persistent faults
-   in the NDP compute path while still refusing corrupted data.  This is
-   exactly the paper's non-NDP baseline path
-   (:mod:`repro.baselines.non_ndp`) used as the degraded mode.
+2. **Trusted non-NDP recompute**: read every queried row over the bus
+   as one batch of PF=1 weighted summations, each verified
+   *individually* (it has a full tag identity), and pool on the trusted
+   side - recovers persistent faults in the NDP compute path while
+   still refusing corrupted data.  This is exactly the paper's non-NDP
+   baseline path (:mod:`repro.baselines.non_ndp`) used as the degraded
+   mode.
 3. **Repair + quarantine**: rows whose individual verification fails are
    truly corrupted in memory; when the enclave retains the plaintext
    (recovery-enabled stores do), their residues are substituted from it
@@ -23,8 +25,9 @@ four-rung ladder, climbed per failing query:
    untrusted memory (Sec. V-A version bump), clearing the quarantine.
 
 Every rung is observable (``recovery.*`` counters / spans), every
-outcome is recorded in a bounded :class:`RecoveryLog` so chaos harnesses
-can prove detection and recovery rates instead of asserting them, and
+ladder outcome is recorded in a bounded :class:`RecoveryLog` (a query
+the batch served clean is only counted) so chaos harnesses can prove
+detection and recovery rates instead of asserting them, and
 every quarantine/repair/re-encryption emits a typed audit event
 (:mod:`repro.obs.events`).  With a JSONL event sink configured those
 events double as a *persistent quarantine journal*:
@@ -90,25 +93,31 @@ class RecoveryPolicy:
 
 @dataclass(frozen=True)
 class RecoveryOutcome:
-    """How one query was served under recovery."""
+    """How one query that climbed the ladder was served."""
 
     table: str
     rows: tuple
-    #: "ok" (verified first try), "retry", "fallback", "repair", or
-    #: "quarantined" (served trusted-side without attempting the offload)
+    #: "retry", "fallback", "repair", or "quarantined" (served
+    #: trusted-side without attempting the offload)
     resolved_via: str
     detected: bool          #: at least one VerificationError was raised
-    attempts: int           #: offload attempts (1 = clean first try)
+    attempts: int           #: offload attempts, the batch's included
     repaired_rows: tuple = ()
 
 
 class RecoveryLog:
-    """Bounded per-store log of outcomes plus quarantine/repair state."""
+    """Bounded per-store log of ladder outcomes plus quarantine/repair state.
+
+    A query its batch served clean is only counted (``clean``, reported
+    as ``"ok"`` by :meth:`counts_by_resolution`): the log keeps what the
+    ladder did, not every query the store answered.
+    """
 
     MAX_OUTCOMES = 100_000
 
     def __init__(self) -> None:
         self.outcomes: List[RecoveryOutcome] = []
+        self.clean = 0
         self.quarantined: Dict[str, Set[int]] = {}
         self.repairs: Dict[str, int] = {}
         self.reencryptions: Dict[str, int] = {}
@@ -173,7 +182,7 @@ class RecoveryLog:
         return sum(1 for o in self.outcomes if o.detected)
 
     def counts_by_resolution(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
+        counts: Dict[str, int] = {"ok": self.clean} if self.clean else {}
         for o in self.outcomes:
             counts[o.resolved_via] = counts.get(o.resolved_via, 0) + 1
         return counts

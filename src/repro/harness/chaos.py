@@ -326,19 +326,25 @@ class ChaosResult:
         return "\n".join(lines)
 
 
-def _transient_query_ids(events, name: str) -> set:
+def _transient_query_ids(events, name: str, n_queries: int) -> set:
     """Batch-local query indices whose serve saw a transient fault.
 
-    Context labels are ``"<table>:q<idx>:a<attempt>"`` for per-query
-    serves (the batch-level ``"<table>:batch"`` label marks the
-    optimistic pass, whose failure degrades to labelled per-query
-    serves, so per-query labels are the authoritative exposure record).
+    The batch's one offload is labelled ``"<table>:batch"``: a device
+    fault names its query in the event detail (``"query <idx>"``), and a
+    version flip reaches every query of the batch.  A failing query's
+    ladder retries are labelled ``"<table>:q<idx>:a<attempt>"``.
     """
     ids = set()
-    prefix = f"{name}:q"
     for ev in events:
-        if ev.kind in TRANSIENT_FAULTS and ev.context.startswith(prefix):
-            ids.add(int(ev.context[len(prefix):].split(":", 1)[0]))
+        if ev.kind not in TRANSIENT_FAULTS or not ev.context.startswith(f"{name}:"):
+            continue
+        label = ev.context[len(name) + 1 :]
+        if label != "batch":
+            ids.add(int(label[1:].split(":", 1)[0]))
+        elif ev.detail:
+            ids.add(int(ev.detail.split()[-1]))
+        else:
+            ids.update(range(n_queries))
     return ids
 
 
@@ -380,7 +386,7 @@ def run_chaos(
             if ev.table == b.name
             and ev.kind in (obs.VERIFY_FAILURE, obs.QUARANTINE_HIT)
         }
-        transient_ids = _transient_query_ids(b.faults, b.name)
+        transient_ids = _transient_query_ids(b.faults, b.name, len(b.rows))
         bad_rows = corrupted.get(b.name, set())
         for i, rows in enumerate(b.rows):
             queries += 1

@@ -10,7 +10,7 @@ An objective is a one-line spec string::
     sls.batch.p99 < 5ms            # latency: p99 of the sls.batch.ns timer
     sls.batch.p99 < 5ms @ 0.05     # ... allowing 5% of requests over 5ms
     verify.failure_rate < 0.001    # ratio: detections per served query
-    recovery.detections/sls.queries < 0.01   # explicit counter ratio
+    recovery.detections/sls.batch.queries < 0.01   # explicit counter ratio
 
 Two kinds of objective:
 
@@ -65,15 +65,16 @@ BURN_CRITICAL = 4.0
 #: instead of spelling the counter arithmetic.  Each maps to
 #: (numerator counters, denominator counters); sums on both sides.
 RATIO_ALIASES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    # Verified-read rejections per served SLS query (single + batch).
+    # Failed verifications per served SLS query (every store query is
+    # counted once, by the batch that carried it).
     "verify.failure_rate": (
         ("recovery.detections",),
-        ("sls.queries", "sls.batch.queries"),
+        ("sls.batch.queries",),
     ),
     # Ladder escalations past the cheap retry rung, per served query.
     "recovery.fallback_rate": (
         ("recovery.fallbacks",),
-        ("sls.queries", "sls.batch.queries"),
+        ("sls.batch.queries",),
     ),
     # Chaos-harness ground truth: corrupted results that reached a caller.
     "chaos.exposure_rate": (

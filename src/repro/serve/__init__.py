@@ -2,7 +2,7 @@
 
 The request-level ingress for the SecNDP store (DESIGN.md Sec. 15).
 Single SLS queries arriving on the event loop coalesce into amortized
-``sls_many`` batches (the union-of-rows path) without ever waiting for
+``sls_scatter`` batches (the union-of-rows path) without ever waiting for
 company: a batch is whatever is queued when the previous batch is done,
 so a lone query leaves at once and coalescing comes from load, not a
 timer.  Every batch runs on the event loop; serving starts no thread.

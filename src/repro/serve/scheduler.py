@@ -1,4 +1,4 @@
-"""Asyncio batching scheduler: request coalescing over ``sls_many``.
+"""Asyncio batching scheduler: request coalescing over ``sls_scatter``.
 
 The throughput lever of the serving front-end (DESIGN.md Sec. 15), and
 it is work-conserving: a batch is whatever is queued for a table - up to
@@ -13,11 +13,10 @@ and each request is handed its row of the result matrix.
 
 Exactness is non-negotiable: a coalesced response is bit-identical to a
 direct ``store.sls`` call for the same query.  Verification outcomes
-stay per-request — when a batch fails verification wholesale, the
-scatter hook (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`)
-degrades it to per-query serving so a corrupted row fails exactly the
-requests that touch it and feeds the existing recovery ladder for
-recovery-enabled stores.
+stay per-request: the batch's one check names every failing query, so
+a corrupted row fails exactly the requests that touch it (or, on a
+recovery-enabled store, sends exactly those up the recovery ladder)
+while the rest are answered from the batch.
 
 One thread serves: a batch runs synchronously on the event loop that
 decoded its requests, so every access to the store happens on that one

@@ -25,7 +25,7 @@ that can absorb them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -52,16 +52,23 @@ class QueryOutcome:
     """Per-query verdict from :meth:`SecureEmbeddingStore.sls_scatter`.
 
     ``ok`` queries carry served values; failed queries name the terminal
-    exception (``kind`` is the :mod:`repro.errors` class name) so the
+    exception (``kind`` is the :mod:`repro.errors` class name, ``exc`` the
+    exception :meth:`~SecureEmbeddingStore.sls_many` raises) so the
     serving layer can emit a typed per-request error.  ``degraded`` marks
-    queries served (or failed) on the per-query fallback path after the
-    amortized batch failed verification wholesale.
+    a query that climbed the recovery ladder - the batch's check named
+    it, or it touched a quarantined row - whether or not it was then
+    served; its clean batch-mates are not degraded.
     """
 
     ok: bool
     error: Optional[str] = None
     kind: Optional[str] = None
     degraded: bool = False
+    exc: Optional[Exception] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def failure(cls, exc: Exception, degraded: bool) -> "QueryOutcome":
+        return cls(False, str(exc), type(exc).__name__, degraded, exc)
 
 
 @dataclass
@@ -337,23 +344,9 @@ class SecureEmbeddingStore:
         The NDP side pools quantized ciphertext; the trusted side applies
         the affine correction ``res = resq * scale + bias * sum(a)``.
         Weights must be non-negative integers (the protocol operates on
-        ring residues; Sec. IV-A).
+        ring residues; Sec. IV-A).  :meth:`sls_many` of one query.
         """
-        batch = self.validate_batch(
-            name, [rows], None if weights is None else [weights]
-        )
-        obs.inc("sls.queries")
-        if self.recovery is not None:
-            (rows,), (weights,) = batch.lists()
-            return self._serve_query_recovering(name, 0, rows, weights)
-        try:
-            values = self.processor.weighted_row_sums(
-                self.device, name, batch, verify=self.verify
-            )
-        except VerificationError:
-            obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=batch.rows.tolist())
-            raise
-        return self.dequantize(name, values[0], batch.weight_sums()[0])
+        return self.sls_many(name, [rows], None if weights is None else [weights])[0]
 
     def sls_split(
         self,
@@ -398,39 +391,15 @@ class SecureEmbeddingStore:
     ) -> np.ndarray:
         """Batched verified SLS: pooled vectors for many queries at once.
 
-        Semantically identical to calling :meth:`sls` per query (same
-        overflow budgeting, same verification, same affine correction),
-        but OTP and tag-pad regeneration is amortized over the union of
-        rows the batch touches via
-        :meth:`SecNDPProcessor.weighted_row_sums` — the DLRM
-        inference-batch hot path.
+        :meth:`sls_scatter` raising the first failed query's error
+        (``VerificationError``, or ``RecoveryExhaustedError`` on a
+        recovering store): the DLRM inference-batch hot path.
         """
-        batch = self.validate_batch(name, batch_rows, batch_weights)
-        if obs.enabled():
-            obs.inc("sls.batch.calls")
-            obs.inc("sls.batch.queries", len(batch))
-            obs.inc("sls.batch.rows_total", int(batch.rows.size))
-            obs.inc("sls.batch.rows_unique", int(np.unique(batch.rows).size))
-        if self.recovery is not None:
-            return self._serve_many_recovering(name, batch)
-        with obs.span("sls.batch"):
-            try:
-                values = self.processor.weighted_row_sums(
-                    self.device, name, batch, verify=self.verify
-                )
-            except VerificationError:
-                self._emit_batch_failure(name, batch)
-                raise
-        return self.dequantize(name, values, batch.weight_sums())
-
-    def _emit_batch_failure(self, name: str, batch: QueryBatch) -> None:
-        obs.emit_event(
-            obs.VERIFY_FAILURE,
-            table=name,
-            rows=np.unique(batch.rows).tolist(),
-            scope="batch",
-            queries=len(batch),
-        )
+        values, outcomes = self.sls_scatter(name, batch_rows, batch_weights)
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.exc
+        return values
 
     def sls_scatter(
         self,
@@ -438,56 +407,107 @@ class SecureEmbeddingStore:
         batch_rows: Sequence[Sequence[int]],
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
     ) -> Tuple[np.ndarray, List["QueryOutcome"]]:
-        """Batched SLS with per-query verification outcomes preserved.
+        """The store's one serving path: batched SLS, one outcome per query.
 
-        The scatter hook behind the serving front-end: a coalesced batch
-        runs the amortized :meth:`sls_many` path, but a verification
-        failure must not fail every request in the batch — only the
-        requests whose queries actually touch a corrupted row.  On a
-        batch-level failure (or exhausted recovery) the batch degrades to
-        per-query serving: each query runs individually (feeding the
-        recovery ladder when one is attached), failed queries get an
-        all-zero row plus a failed :class:`QueryOutcome`, and every other
-        query's values stay bit-identical to a direct :meth:`sls` call.
+        One amortized offload serves the batch - OTP and tag-pad
+        regeneration over the union of its rows - and one check names
+        every query whose own tag identity fails (Alg. 5 per query,
+        :meth:`SecNDPProcessor.failed_share_queries`).  Clean queries are
+        answered from the batch.  A failing query emits one
+        ``verify_failure`` naming its rows and fails alone: with no
+        :class:`RecoveryPolicy` it gets an all-zero row and a failed
+        :class:`QueryOutcome` (``VerificationError``); with one it climbs
+        the recovery ladder from its first retry, the batch having been
+        attempt 0 (:meth:`_recover`).  A query touching a quarantined row
+        is never offloaded; it is served trusted-side while its
+        batch-mates ride the batch.
 
-        Returns ``(values, outcomes)`` where ``values`` has one row per
-        query (zeros for failed queries) and ``outcomes[i]`` reports
-        whether query ``i`` was served.  A :class:`QueryBatch` (what the
-        front-end builds) is taken as-is; per-query lists are rebuilt
-        from it only if the batch degrades.
+        Returns ``(values, outcomes)``: one row per query (zeros where it
+        failed), bit-identical to serving that query alone, and
+        ``outcomes[i]`` for query ``i``.  A :class:`QueryBatch` (what the
+        front-end builds) is taken as-is.
         """
-        try:
-            values = self.sls_many(name, batch_rows, batch_weights)
-            return values, [QueryOutcome(ok=True)] * len(batch_rows)
-        except (VerificationError, RecoveryExhaustedError) as exc:
-            obs.inc("sls.scatter.degradations")
-            obs.emit_event(
-                obs.RECOVERY_FALLBACK,
-                table=name,
-                scope="scatter",
-                queries=len(batch_rows),
-                error=type(exc).__name__,
-            )
-        if isinstance(batch_rows, QueryBatch):
-            batch_rows, batch_weights = batch_rows.lists()
-        values = np.zeros((len(batch_rows), self._entry(name).dim))
-        outcomes: List[QueryOutcome] = []
-        for i, rows in enumerate(batch_rows):
-            weights = batch_weights[i] if batch_weights is not None else None
-            try:
-                values[i] = self.sls(name, rows, weights)
-                outcomes.append(QueryOutcome(ok=True, degraded=True))
-            except (VerificationError, RecoveryExhaustedError) as exc:
-                obs.inc("sls.scatter.query_failures")
-                outcomes.append(
-                    QueryOutcome(
-                        ok=False,
-                        error=str(exc),
-                        kind=type(exc).__name__,
-                        degraded=True,
-                    )
+        batch = self.validate_batch(name, batch_rows, batch_weights)
+        if obs.enabled():
+            obs.inc("sls.batch.calls")
+            obs.inc("sls.batch.queries", len(batch))
+            obs.inc("sls.batch.rows_total", int(batch.rows.size))
+            obs.inc("sls.batch.rows_unique", int(np.unique(batch.rows).size))
+        offload, hot = self._route_around_quarantine(name, batch)
+        with obs.span("sls.batch"):
+            residues, failed = self._offload(name, offload, "batch")
+        values = self.dequantize(name, residues, batch.weight_sums())
+        outcomes = [QueryOutcome(ok=True)] * len(batch)
+        ladder = sorted(hot.union(failed))
+        if self.recovery is not None:
+            self.recovery_log.clean += len(batch) - len(ladder)
+        for q in ladder:
+            lo, hi = batch.offsets[q : q + 2]
+            one = QueryBatch(batch.rows[lo:hi], batch.weights[lo:hi], np.array([0, hi - lo]))
+            if q not in hot:
+                obs.inc("recovery.detections")
+                obs.emit_event(
+                    obs.VERIFY_FAILURE, table=name, rows=one.rows.tolist(), attempt=0
                 )
+            if self.recovery is None:
+                exc = VerificationError(
+                    f"tag mismatch for query {q} on {name!r} "
+                    f"(tampering, replay, or ring overflow)"
+                )
+                values[q], outcomes[q] = 0.0, QueryOutcome.failure(exc, degraded=False)
+                continue
+            try:
+                if q in hot:
+                    values[q] = self._serve_quarantined(name, one)
+                else:
+                    values[q] = self._recover(name, q, one)
+            except RecoveryExhaustedError as exc:
+                values[q], outcomes[q] = 0.0, QueryOutcome.failure(exc, degraded=True)
+            else:
+                outcomes[q] = QueryOutcome(ok=True, degraded=True)
         return values, outcomes
+
+    def _offload(
+        self, name: str, batch: QueryBatch, context: Optional[str] = None
+    ) -> Tuple[np.ndarray, List[int]]:
+        """One offload of ``batch`` and its check: ``(residues, failing queries)``.
+
+        The store's only call into the protocol split.  With a
+        ``context`` (the batch, or one ladder retry) the store's fault
+        injector is armed around the offload and labels what it fires
+        ``"<table>:<context>"``; without one (rung 2's PF=1 reads) it
+        stays disarmed, so the degraded mode is always honest.
+        """
+        inj = self.fault_injector if context is not None else None
+        if inj is not None:
+            inj.set_context(f"{name}:{context}")
+        with fault_hooks.armed(inj):
+            share = self.processor.partial_row_sum_batch(
+                self.device, name, batch, with_tag_shares=self.verify
+            )
+        if not self.verify:
+            return share.values, []
+        enc = self.device.stored(name)
+        return share.values, self.processor.failed_share_queries(enc, name, share)
+
+    def _route_around_quarantine(
+        self, name: str, batch: QueryBatch
+    ) -> Tuple[QueryBatch, Set[int]]:
+        """``batch`` without the queries that touch a quarantined row, and those.
+
+        The NDP offload of such a query would only fail again (rung 3's
+        short-circuit); its terms leave the offload, so it is an empty
+        query there and its batch-mates keep their indices.
+        """
+        quarantined = self.recovery_log.quarantined_rows(name)
+        if self.recovery is None or not quarantined:
+            return batch, set()
+        touched = np.isin(batch.rows, np.fromiter(quarantined, np.int64, len(quarantined)))
+        if not touched.any():
+            return batch, set()
+        owner = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))
+        hot = np.unique(owner[touched])
+        return batch.select(~np.isin(owner, hot)), set(hot.tolist())
 
     # -- reference ---------------------------------------------------------------------
 
@@ -516,111 +536,36 @@ class SecureEmbeddingStore:
 
     # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
 
-    def _serve_many_recovering(self, name: str, batch: QueryBatch) -> np.ndarray:
-        """Batched serve under recovery: optimistic amortized path first.
+    def _recover(self, name: str, idx: int, one: QueryBatch) -> np.ndarray:
+        """The recovery ladder of query ``idx``, which failed its batch.
 
-        The whole batch is offloaded through the amortized
-        :meth:`SecNDPProcessor.weighted_row_sums`; on any verification
-        failure the batch degrades to per-query recovery so one faulted
-        query cannot poison its neighbours' results.
+        The batch was attempt 0, so the ladder goes on from the first
+        retry: bounded re-offloads of the query alone, then the trusted
+        recompute (rung 2) with repair or exhaustion (rung 3).  A query
+        whose rows a batch-mate's repair quarantined meanwhile goes
+        trusted-side at once, as any quarantined query does.
         """
-        rows_list, weights_list = batch.lists()
-        quarantined = self.recovery_log.quarantined_rows(name)
-        if not quarantined or quarantined.isdisjoint(batch.rows.tolist()):
-            inj = self.fault_injector
-            try:
-                if inj is not None:
-                    inj.set_context(f"{name}:batch")
-                with fault_hooks.armed(inj):
-                    with obs.span("sls.batch"):
-                        values = self.processor.weighted_row_sums(
-                            self.device, name, batch, verify=True
-                        )
-            except VerificationError:
-                obs.inc("recovery.detections")
-                obs.inc("recovery.batch_degradations")
-                self._emit_batch_failure(name, batch)
-            else:
-                for rows in rows_list:
-                    self.recovery_log.record(
-                        RecoveryOutcome(
-                            table=name,
-                            rows=tuple(rows),
-                            resolved_via="ok",
-                            detected=False,
-                            attempts=1,
-                        )
-                    )
-                return self.dequantize(name, values, batch.weight_sums())
-        out = np.zeros((len(rows_list), self._entry(name).dim))
-        for i, (rows, weights) in enumerate(zip(rows_list, weights_list)):
-            out[i] = self._serve_query_recovering(name, i, rows, weights)
-        return out
-
-    def _serve_query_recovering(
-        self,
-        name: str,
-        idx: int,
-        rows: List[int],
-        weights: List[int],
-    ) -> np.ndarray:
-        """One query through the recovery ladder (always ``verify=True``)."""
-        policy = self.recovery
-        inj = self.fault_injector
+        rows = one.rows.tolist()
         if not self.recovery_log.quarantined_rows(name).isdisjoint(rows):
-            # Rung 3 short-circuit: the query touches known-bad rows, so
-            # the NDP offload would only fail again.  Serve trusted-side.
-            obs.inc("recovery.quarantine_hits")
-            obs.emit_event(obs.QUARANTINE_HIT, table=name, rows=rows)
-            with obs.span("recovery.fallback"):
-                values, repaired = self._trusted_query(name, rows, weights)
-            self.recovery_log.record(
-                RecoveryOutcome(
-                    table=name,
-                    rows=tuple(rows),
-                    resolved_via="quarantined",
-                    detected=bool(repaired),
-                    attempts=0,
-                    repaired_rows=tuple(repaired),
-                )
+            return self._serve_quarantined(name, one)
+        policy = self.recovery
+        attempts = 1
+        for attempt in range(1, policy.max_retries + 1):
+            obs.inc("recovery.retries")
+            obs.emit_event(
+                obs.RECOVERY_RETRY, table=name, rows=rows, attempt=attempt - 1
             )
-            return self.dequantize(name, values, sum(weights))
-
-        detected = False
-        attempts = 0
-        for attempt in range(policy.max_retries + 1):
+            policy.sleep(policy.backoff_s(attempt - 1, salt=idx))
             attempts += 1
-            try:
-                if inj is not None:
-                    inj.set_context(f"{name}:q{idx}:a{attempt}")
-                with fault_hooks.armed(inj):
-                    with obs.span("recovery.offload"):
-                        result = self.processor.weighted_row_sum(
-                            self.device, name, rows, weights, verify=True
-                        )
-            except VerificationError:
-                detected = True
-                obs.inc("recovery.detections")
-                obs.emit_event(
-                    obs.VERIFY_FAILURE, table=name, rows=rows, attempt=attempt
+            with obs.span("recovery.offload"):
+                residues, failed = self._offload(name, one, f"q{idx}:a{attempt}")
+            if not failed:
+                self.recovery_log.record(
+                    RecoveryOutcome(name, tuple(rows), "retry", True, attempts)
                 )
-                if attempt < policy.max_retries:
-                    obs.inc("recovery.retries")
-                    obs.emit_event(
-                        obs.RECOVERY_RETRY, table=name, rows=rows, attempt=attempt
-                    )
-                    policy.sleep(policy.backoff_s(attempt, salt=idx))
-                continue
-            self.recovery_log.record(
-                RecoveryOutcome(
-                    table=name,
-                    rows=tuple(rows),
-                    resolved_via="retry" if detected else "ok",
-                    detected=detected,
-                    attempts=attempts,
-                )
-            )
-            return self.dequantize(name, result.values, sum(weights))
+                return self.dequantize(name, residues[0], one.weight_sums()[0])
+            obs.inc("recovery.detections")
+            obs.emit_event(obs.VERIFY_FAILURE, table=name, rows=rows, attempt=attempt)
 
         # Rungs 2/3: retries exhausted -> trusted non-NDP recompute with
         # per-row verification, repairing rows that are truly corrupted.
@@ -628,46 +573,49 @@ class SecureEmbeddingStore:
         obs.emit_event(
             obs.RECOVERY_FALLBACK, table=name, rows=rows, attempts=attempts
         )
+        return self._serve_trusted(name, one, attempts)
+
+    def _serve_quarantined(self, name: str, one: QueryBatch) -> np.ndarray:
+        """A query touching known-bad rows, served trusted-side (rung 3)."""
+        obs.inc("recovery.quarantine_hits")
+        obs.emit_event(obs.QUARANTINE_HIT, table=name, rows=one.rows.tolist())
+        return self._serve_trusted(name, one, attempts=0)
+
+    def _serve_trusted(self, name: str, one: QueryBatch, attempts: int) -> np.ndarray:
+        """Rungs 2/3 for one query, logged; ``attempts`` 0 = quarantined."""
         with obs.span("recovery.fallback"):
-            values, repaired = self._trusted_query(name, rows, weights)
+            values, repaired = self._trusted_query(name, one)
+        if attempts:
+            via, detected = ("repair" if repaired else "fallback"), True
+        else:
+            via, detected = "quarantined", bool(repaired)
         self.recovery_log.record(
             RecoveryOutcome(
-                table=name,
-                rows=tuple(rows),
-                resolved_via="repair" if repaired else "fallback",
-                detected=True,
-                attempts=attempts,
-                repaired_rows=tuple(repaired),
+                name, tuple(one.rows.tolist()), via, detected, attempts, tuple(repaired)
             )
         )
-        return self.dequantize(name, values, sum(weights))
+        return self.dequantize(name, values, one.weight_sums()[0])
 
-    def _trusted_query(
-        self, name: str, rows: List[int], weights: List[int]
-    ) -> Tuple[np.ndarray, List[int]]:
+    def _trusted_query(self, name: str, one: QueryBatch) -> Tuple[np.ndarray, List[int]]:
         """Rung 2/3: per-row verified reads, pooled trusted-side.
 
-        Each distinct row is fetched as a PF=1 weighted sum (which has a
-        full tag identity, so verification pinpoints exactly which rows
-        are corrupted); the pooling happens in the enclave.  Never armed:
-        this is the paper's non-NDP degraded mode and must stay honest.
-        Rows that fail individual verification are repaired from retained
-        plaintext (quarantine + possible re-encryption follow) or, with
-        no plaintext, raise :class:`RecoveryExhaustedError`.
+        The query's distinct rows are read as one batch of PF=1 weighted
+        sums (each has a full tag identity, so the check pinpoints exactly
+        which rows are corrupted); the pooling happens in the enclave.
+        Never armed: this is the paper's non-NDP degraded mode and must
+        stay honest.  Rows that fail their check are repaired from
+        retained plaintext (quarantine + possible re-encryption follow)
+        or, with no plaintext, raise :class:`RecoveryExhaustedError`.
         """
         ring = self.processor.ring
-        residues: Dict[int, np.ndarray] = {}
-        bad_rows: List[int] = []
-        for row in sorted(set(rows)):
-            try:
-                result = self.processor.weighted_row_sum(
-                    self.device, name, [row], [1], verify=True
-                )
-            except VerificationError:
-                bad_rows.append(row)
-            else:
-                residues[row] = result.values
-        repaired: List[int] = []
+        distinct = np.unique(one.rows)
+        singles = QueryBatch(
+            distinct,
+            np.ones(distinct.size, dtype=ring.dtype),
+            np.arange(distinct.size + 1),
+        )
+        residues, failed = self._offload(name, singles)
+        bad_rows = distinct[failed].tolist()
         if bad_rows:
             plain = self._plain.get(name)
             if plain is None:
@@ -684,16 +632,10 @@ class SecureEmbeddingStore:
                 )
             obs.inc("recovery.repairs", len(bad_rows))
             obs.emit_event(obs.RECOVERY_REPAIR, table=name, rows=bad_rows)
-            for row in bad_rows:
-                residues[row] = plain[row].copy()
-                repaired.append(row)
-            self._after_repair(name, repaired)
-        n_cols = self.device.stored(name).ciphertext.shape[1]
-        if not rows:
-            return np.zeros(n_cols, dtype=ring.dtype), repaired
-        weights_ring = ring.encode(np.asarray(weights, dtype=np.int64))
-        stacked = np.stack([residues[r] for r in rows])
-        return ring.dot(weights_ring, stacked), repaired
+            residues[failed] = plain[bad_rows]
+            self._after_repair(name, bad_rows)
+        stacked = residues[np.searchsorted(distinct, one.rows)]
+        return ring.dot(one.weights, stacked), bad_rows
 
     def _after_repair(self, name: str, repaired_rows: Sequence[int]) -> None:
         policy = self.recovery

@@ -84,6 +84,7 @@ def persistent_faults() -> dict:
              list(o.repaired_rows)]
             for o in store.recovery_log.outcomes
         ],
+        "counts": store.recovery_log.counts_by_resolution(),
         "tags_sha": hashlib.sha256(
             b"".join(int(t).to_bytes(16, "little") for t in tags)
         ).hexdigest(),

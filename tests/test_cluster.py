@@ -132,13 +132,10 @@ class TestPerShardVerification:
             proc.partial_row_sum_batch(dev, "emb", r, w, with_tag_shares=True)
             for r, w in shards
         ]
-        for part in parts:
+        for part, label in zip(parts, ["a", "b"]):
             assert proc.failed_share_queries(enc, "emb", part) == []
-            proc.verify_partial_share(enc, "emb", part)  # no raise
-        combined = proc.finalize_row_sum_batch(
-            enc, "emb", parts, verify=True, per_shard=True,
-            shard_labels=["a", "b"],
-        )
+            proc.verify_partial_share(enc, "emb", part, shard=label)  # no raise
+        combined = proc.finalize_row_sum_batch(enc, "emb", parts, verify=True)
         for got, want in zip(combined, oracle):
             assert np.array_equal(got.values, want)
 
@@ -159,10 +156,8 @@ class TestPerShardVerification:
         assert proc.failed_share_queries(enc, "emb", parts[0]) == []
         assert proc.failed_share_queries(enc, "emb", parts[1]) == [0]
         with pytest.raises(ShardVerificationError) as exc_info:
-            proc.finalize_row_sum_batch(
-                enc, "emb", parts, verify=True, per_shard=True,
-                shard_labels=["good", "evil"],
-            )
+            for part, label in zip(parts, ["good", "evil"]):
+                proc.verify_partial_share(enc, "emb", part, shard=label)
         assert exc_info.value.shard == "evil"
         assert list(exc_info.value.queries) == [0]
 
@@ -198,9 +193,9 @@ class TestPerShardVerification:
         assert proc.failed_share_queries(enc, "emb", parts[0]) == [0]
         assert proc.failed_share_queries(enc, "emb", parts[1]) == [0]
         with pytest.raises((ShardVerificationError, VerificationError)):
-            proc.finalize_row_sum_batch(
-                enc, "emb", parts, verify=True, per_shard=True
-            )
+            for s, part in enumerate(parts):
+                proc.verify_partial_share(enc, "emb", part, shard=s)
+            proc.finalize_row_sum_batch(enc, "emb", parts, verify=True)
 
     def test_share_without_tags_is_rejected(self):
         store = _make_store()

@@ -13,12 +13,14 @@ Covers the three layers of the robustness stack:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
+from repro import kernels, obs
 from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import (
@@ -31,13 +33,14 @@ from repro.faults import (
     NODE_FAULTS,
     PRESET_PLANS,
     TRANSIENT_FAULTS,
+    FaultEvent,
     FaultInjector,
     FaultKind,
     FaultPlan,
     RecoveryPolicy,
     hooks,
 )
-from repro.harness.chaos import default_chaos_plan, run_chaos
+from repro.harness.chaos import _transient_query_ids, default_chaos_plan, run_chaos
 from repro.harness.configs import SMOKE_SCALE
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -328,11 +331,10 @@ class TestRecovery:
         assert store.quarantined_rows("t") == set()
         assert store.device.stored("t").version > old_version
         # The table is healed: a fresh serve is clean end to end.
-        n = len(store.recovery_log.outcomes)
+        n, clean = len(store.recovery_log.outcomes), store.recovery_log.clean
         assert np.array_equal(store.sls_many("t", QUERIES, WEIGHTS), golden)
-        assert all(
-            o.resolved_via == "ok" for o in store.recovery_log.outcomes[n:]
-        )
+        assert len(store.recovery_log.outcomes) == n
+        assert store.recovery_log.clean == clean + len(QUERIES)
 
     def test_no_plaintext_means_recovery_exhausted(self):
         plan = FaultPlan(rates={FaultKind.CIPHERTEXT_BIT: 1.0}, max_faults=8, seed=2)
@@ -381,6 +383,78 @@ class TestRecovery:
         assert set(counts) == {"ok"}
 
 
+class TestFailedBatchReoffloadsOnlyItsFailingQueries:
+    """The batch's check names every failing query; only those climb."""
+
+    def test_unrecoverable_batch_serves_each_clean_query_once(self, golden):
+        sleeps = []
+        policy = RecoveryPolicy(sleep=sleeps.append, retain_plaintext=False)
+        store = build_store(recovery=policy, injector=FaultInjector(FaultPlan(rates={})))
+        store.device.corrupt_stored_ciphertext("t", 5, 0, 1)
+        queries = [[1, 2], [3, 4], [5, 6], [7, 8]]
+        want = build_store().sls_many("t", queries)
+        with obs.journal() as events:
+            values, outcomes = store.sls_scatter("t", queries)
+        assert [o.ok for o in outcomes] == [True, True, False, True]
+        assert [o.degraded for o in outcomes] == [False, False, True, False]
+        assert outcomes[2].kind == "RecoveryExhaustedError"
+        for q in (0, 1, 3):
+            assert np.array_equal(values[q], want[q])
+        # Clean queries are counted once; the exhausted one logs nothing.
+        assert store.recovery_log.outcomes == []
+        assert store.recovery_log.counts_by_resolution() == {"ok": 3}
+        kinds = Counter(e.kind for e in events())
+        assert kinds[obs.RECOVERY_EXHAUSTED] == 1
+        assert kinds[obs.VERIFY_FAILURE] == 3  # the batch, then two retries
+        assert {e.rows for e in events() if e.kind == obs.VERIFY_FAILURE} == {(5, 6)}
+        assert len(sleeps) == 2
+        with pytest.raises(RecoveryExhaustedError):
+            store.sls_many("t", queries)
+
+    def test_batch_caught_transient_fault_is_attributed(self, golden):
+        plan = FaultPlan(rates={FaultKind.TAG_TAMPER: 1.0}, max_faults=1)
+        inj = FaultInjector(plan)
+        store = build_store(recovery=FAST_POLICY, injector=inj)
+        got = store.sls_many("t", QUERIES[:3], WEIGHTS[:3])
+        assert np.array_equal(got, golden[:3])
+        (event,) = inj.events
+        assert (event.site, event.context, event.detail) == (
+            "device.tag_sum", "t:batch", "query 0"
+        )
+        (outcome,) = store.recovery_log.outcomes
+        assert outcome.rows == tuple(QUERIES[0])
+        assert (outcome.resolved_via, outcome.detected, outcome.attempts) == (
+            "retry", True, 2
+        )
+        assert store.recovery_log.detected_count() == 1
+        assert store.recovery_log.counts_by_resolution() == {"ok": 2, "retry": 1}
+
+    def test_quarantined_query_skips_the_offload_and_its_batch_mates_do_not(self):
+        policy = RecoveryPolicy(sleep=lambda s: None, reencrypt_after=None)
+        store = build_store(recovery=policy, injector=FaultInjector(FaultPlan(rates={})))
+        want = build_store().sls_many("t", [[5, 6], [1, 2]])
+        store.device.corrupt_stored_ciphertext("t", 5, 0, 1)
+        store.sls("t", [5])  # repairs and quarantines row 5
+        assert store.quarantined_rows("t") == {5}
+        clean = store.recovery_log.clean
+        values, outcomes = store.sls_scatter("t", [[5, 6], [1, 2]])
+        assert np.array_equal(values, want)
+        assert [(o.ok, o.degraded) for o in outcomes] == [(True, True), (True, False)]
+        assert store.recovery_log.outcomes[-1].resolved_via == "quarantined"
+        assert store.recovery_log.clean == clean + 1
+
+    def test_judge_attributes_batch_faults_to_their_queries(self):
+        events = [
+            FaultEvent(FaultKind.RESULT_SKEW, "device.row_sum", "t:batch", "query 2"),
+            FaultEvent(FaultKind.TAG_TAMPER, "device.tag_sum", "t:q5:a1", "query 0"),
+            FaultEvent(FaultKind.CIPHERTEXT_BIT, "device.store", "", "t[1,2] bit 3"),
+            FaultEvent(FaultKind.RESULT_SKEW, "device.row_sum", "u:batch", "query 1"),
+        ]
+        assert _transient_query_ids(events, "t", 8) == {2, 5}
+        flip = FaultEvent(FaultKind.VERSION_FLIP, "protocol.otp_version", "t:batch")
+        assert _transient_query_ids([flip], "t", 3) == {0, 1, 2}
+
+
 # -- hypothesis sweep: fault kinds x seeds -------------------------------------
 
 
@@ -420,17 +494,19 @@ class TestChaosAcceptance:
         assert result.exposed > 0  # the run actually exercised faults
         assert result.detection_rate == 1.0
         assert result.recovery_rate == 1.0
-        # The seeded stream, draw for draw: these are the counts of the
-        # commit that still carried worker fault kinds in its plans (they
-        # were never drawn in-process, so removing them moved nothing).
+        # The seeded stream, draw for draw.  A failed batch re-offloads
+        # only its failing queries: the one transient fault lands on a
+        # retry of a query that already failed, and each of the six
+        # failing queries logs three verify_failure events (its batch
+        # attempt and two retries) before its repair.
         assert (result.queries, result.exposed, result.detected) == (8, 6, 6)
         assert result.injected == {
-            "ciphertext_bit": 61, "tag_replay": 2, "result_skew": 1
+            "ciphertext_bit": 61, "tag_replay": 2, "tag_tamper": 1
         }
         assert result.resolutions == {"repair": 6, "ok": 2}
         assert (result.quarantined, result.repairs, result.reencryptions) == (10, 10, 0)
         assert result.events == {
-            "verify_failure": 20,
+            "verify_failure": 18,
             "recovery_retry": 12,
             "recovery_fallback": 6,
             "recovery_repair": 6,

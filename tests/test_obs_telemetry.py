@@ -201,6 +201,9 @@ class TestSlo:
         alias = obs.SloSpec.parse("verify.failure_rate<0.001")
         assert alias.kind == "ratio"
         assert alias.numerator == ("recovery.detections",)
+        assert alias.denominator == ("sls.batch.queries",)
+        fallback = obs.SloSpec.parse("recovery.fallback_rate<0.01")
+        assert fallback.denominator == ("sls.batch.queries",)
         expr = obs.SloSpec.parse("a/b+c < 10%")
         assert expr.numerator == ("a",)
         assert expr.denominator == ("b", "c")
@@ -243,7 +246,7 @@ class TestSlo:
     def test_ratio_evaluation(self):
         obs.enable()
         obs.inc("recovery.detections", 3)
-        obs.inc("sls.queries", 1000)
+        obs.inc("sls.batch.queries", 1000)
         snap = obs.snapshot()
         tracker = obs.SloTracker(["verify.failure_rate < 0.01"])
         (status,) = tracker.evaluate(snap)
@@ -482,7 +485,7 @@ class TestCliObsReport:
         from repro.cli import main
 
         obs.enable()
-        obs.inc("sls.queries", 10)
+        obs.inc("sls.batch.queries", 10)
         obs.get_registry().observe_ns("sls.batch.ns", 2_000_000)
         snap_path = tmp_path / "snap.json"
         snap_path.write_text(json.dumps(obs.snapshot(include_samples=True)))

@@ -398,9 +398,7 @@ class TestDetectionNamesExactlyTheTouchingQueries:
                 *liar.partial_sum_batch("t", batch.select(~low)),
             )
             with pytest.raises(ShardVerificationError) as blamed:
-                processor.finalize_row_sum_batch(
-                    enc, "t", [honest, forged], per_shard=True,
-                    shard_labels=["node0", "node1"],
-                )
+                for part, label in zip([honest, forged], ["node0", "node1"]):
+                    processor.verify_partial_share(enc, "t", part, shard=label)
         assert blamed.value.shard == "node1"
         assert list(blamed.value.queries) == [0, 3, 4]
