@@ -28,9 +28,9 @@ CPU count, and ``--workers 0`` forces the in-process path.  It applies
 to the table/figure experiments only: every other command refuses it.
 
 Every telemetry flag works on every measuring command (experiments,
-``chaos``, ``bench-serve``, ``obs report``): one bracket turns on what
-the flags ask for and restores it on every exit path, one report step
-prints and writes the results.
+``chaos``, ``obs report``): one bracket turns on what the flags ask
+for and restores it on every exit path, one report step prints and
+writes the results.
 
 Telemetry (DESIGN.md Sec. 13): ``obs report`` runs a functional serving
 pass and prints percentile tables, SLO budget status and recorded
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -245,45 +246,37 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--host",
         default="127.0.0.1",
-        help="serve only: bind address (default: %(default)s)",
+        help="serve/node: bind address (default: %(default)s)",
     )
     parser.add_argument(
         "--port",
         type=int,
         default=0,
-        help="serve only: TCP port (default: 0 = ephemeral, printed on start)",
+        help="serve/node: TCP port (default: 0 = ephemeral, printed on start)",
     )
     parser.add_argument(
         "--max-batch",
         type=int,
         default=64,
         metavar="N",
-        help="serve/bench-serve: most requests one executed batch takes; "
-        "a batch is whatever is queued when the previous one is done, there "
-        "is no batch window to wait out (default: %(default)s)",
+        help="serve: most requests one executed batch takes; a batch is "
+        "whatever is queued when the previous one is done, there is no "
+        "batch window to wait out (default: %(default)s)",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
         default=1024,
         metavar="N",
-        help="serve/bench-serve: pending-request cap before admission "
-        "control sheds load (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--codec",
-        choices=("binary", "json"),
-        default="binary",
-        help="bench-serve: frame codec of the TCP smoke's clients; the "
-        "server answers every frame in the codec it arrived in "
-        "(default: %(default)s; json is the debug codec)",
+        help="serve: pending-request cap before admission control sheds "
+        "load (default: %(default)s)",
     )
     parser.add_argument(
         "--serve-slo",
         default=None,
         metavar="SPEC",
-        help="serve/bench-serve: latency objective driving admission "
-        "control (default: 'serve.latency.p99 < 50ms @ 5%%')",
+        help="serve: latency objective driving admission control "
+        "(default: 'serve.latency.p99 < 50ms @ 5%%')",
     )
     parser.add_argument(
         "--save-metrics",
@@ -307,6 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _cannot_listen(who: str, args, exc: OSError) -> int:
+    """A failed bind (a busy port, a bad address) as a one-line error."""
+    reason = os.strerror(exc.errno) if exc.errno else str(exc)
+    return _fail(f"{who} cannot listen on {args.host}:{args.port}: {reason}")
 
 
 def _kinds(events) -> Dict[str, int]:
@@ -414,19 +413,43 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
     return int(slo_failed)
 
 
+#: ``serve`` / ``cluster`` demo-store shape per scale: (rows, dim, queries).
+_DEMO_SHAPES: Dict[str, tuple] = {
+    "smoke": (2_000, 64, 200),
+    "default": (8_192, 64, 200),
+    "paper": (16_384, 64, 400),
+}
+
+
+def _demo_store(scale: ExperimentScale, note: str = ""):
+    """The ``serve`` / ``cluster`` demo store: one table ``emb`` of seed-11
+    Gaussian rows under a fixed key.  Returns it, its row count and the
+    scale's query count; ``note`` ends the line announcing the build."""
+    import numpy as np
+
+    from .core.params import SecNDPParams
+    from .core.protocol import SecNDPProcessor, UntrustedNdpDevice
+    from .workloads.secure_sls import SecureEmbeddingStore
+
+    n_rows, dim, n_queries = _DEMO_SHAPES[scale.name]
+    print(f"building demo store ({n_rows} x {dim}, scale={scale.name}){note} ...")
+    params = SecNDPParams(element_bits=32)
+    store = SecureEmbeddingStore(
+        SecNDPProcessor(bytes(range(16)), params),
+        UntrustedNdpDevice(params),
+        quantization="table",
+    )
+    store.add_table("emb", np.random.default_rng(11).normal(size=(n_rows, dim)))
+    return store, n_rows, n_queries
+
+
 def _serve_cmd(args, scale: ExperimentScale) -> int:
     """``repro serve``: demo store behind the TCP front-end until SIGINT."""
     import asyncio
 
     from .serve import DEFAULT_SERVE_SLO, AdmissionConfig, SlsServer
-    from .serve.bench import SIZES, _build_store
 
-    sizes = SIZES.get(scale.name, SIZES["default"])
-    print(
-        f"building demo store ({sizes['n_rows']} x {sizes['dim']}, "
-        f"scale={scale.name}) ..."
-    )
-    store = _build_store(sizes["n_rows"], sizes["dim"], seed=11)
+    store, _, _ = _demo_store(scale)
 
     async def run():
         server = SlsServer(
@@ -456,66 +479,9 @@ def _serve_cmd(args, scale: ExperimentScale) -> int:
         asyncio.run(run())
     except ConfigurationError as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        return _cannot_listen("serve", args, exc)
     return 0
-
-
-def _bench_serve_cmd(args, scale: ExperimentScale, slo_specs) -> int:
-    """``repro bench-serve``: QPS legs + overload + TCP smoke at a scale."""
-    from .serve.bench import (
-        SIZES,
-        run_overload_scenario,
-        run_serve_bench,
-        run_tcp_smoke,
-    )
-
-    sizes = SIZES.get(scale.name, SIZES["default"])
-    print(f"== bench-serve (scale={scale.name}) ==")
-    started = time.time()
-    with _telemetry(args) as events:
-        report = run_serve_bench(
-            sizes["n_rows"],
-            sizes["dim"],
-            sizes["n_queries"],
-            tuple(sizes["pf_range"]),
-            max_batch=args.max_batch,
-        )
-        print(
-            f"throughput: sequential {report['sequential_qps']:.0f} qps, "
-            f"coalesced {report['coalesced_qps']:.0f} qps -> "
-            f"{report['qps_speedup']:.2f}x ({report['batches']} batches, "
-            f"fill {report['mean_batch_fill']:.1f}, "
-            f"dedupe {report['dedupe_ratio']:.2f}, bit-identical)"
-        )
-        overload = run_overload_scenario(max_queue=min(8, args.max_queue))
-        print(
-            f"overload: burst {overload['burst']} -> {overload['served_ok']} "
-            f"served, {overload['overloaded']} overloaded (typed), burn "
-            f"{overload['burn_rate']:.2f}, p99 within SLO: "
-            f"{overload['p99_within_slo']}"
-        )
-        tcp = run_tcp_smoke(codec=args.codec)
-        print(
-            f"tcp smoke ({tcp['codec']} frames): {tcp['queries']} queries / "
-            f"{tcp['clients']} clients -> "
-            f"{tcp['qps']:.0f} qps ({tcp['batches']} batches, bit-identical)"
-        )
-        print(f"[bench-serve finished in {time.time() - started:.1f}s]")
-        if args.json:
-            bundle = {
-                "scale": scale.name,
-                "throughput": report,
-                "overload": overload,
-                "tcp": tcp,
-            }
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump(bundle, fh, indent=2, sort_keys=True)
-            print(f"results written to {args.json}")
-        slo_failed = _report(args, slo_specs, _kinds(events()))
-    if not report["bit_identical"] or not tcp["bit_identical"]:
-        return _fail("serving results diverged from direct sls")
-    if overload["overloaded"] <= 0 or not overload["p99_within_slo"]:
-        return _fail("admission control did not shed within SLO under overload")
-    return 1 if slo_failed else 0
 
 
 def _node_cmd(args) -> int:
@@ -529,6 +495,8 @@ def _node_cmd(args) -> int:
         print(f"node {name} stopped")
     except ConfigurationError as exc:
         return _fail(str(exc))
+    except OSError as exc:
+        return _cannot_listen(f"node {name}", args, exc)
     return 0
 
 
@@ -542,18 +510,14 @@ def _cluster_cmd(args, scale: ExperimentScale) -> int:
     import asyncio
 
     from .cluster import ClusterCoordinator, ClusterHealth, LocalCluster
-    from .serve.bench import SIZES, _build_store
     from .workloads.traces import random_trace
 
     if args.nodes < 1:
         return _fail(f"--nodes must be >= 1, got {args.nodes}")
-    sizes = SIZES.get(scale.name, SIZES["default"])
-    print(
-        f"building demo store ({sizes['n_rows']} x {sizes['dim']}, "
-        f"scale={scale.name}) and spawning {args.nodes} node processes ..."
+    store, n_rows, n_queries = _demo_store(
+        scale, f" and spawning {args.nodes} node processes"
     )
-    store = _build_store(sizes["n_rows"], sizes["dim"], seed=11)
-    trace = random_trace(sizes["n_rows"], sizes["n_queries"], 16, seed=13)
+    trace = random_trace(n_rows, n_queries, 16, seed=13)
     rows = [list(ix) for ix in trace.indices]
     weights = [[int(w) for w in ws] for ws in trace.weights]
     golden = store.sls_many("emb", rows, weights)
@@ -732,7 +696,6 @@ def main(argv=None) -> int:
         print("  chaos    evaluation workload under fault injection + recovery")
         print("  obs      telemetry commands (obs report)")
         print("  serve    TCP serving front-end with batching + admission control")
-        print("  bench-serve  serving throughput: sequential vs coalesced QPS")
         print("  node     run one NDP node server in the foreground")
         print("  cluster  demo store sharded across N local node processes")
         print("  bench-cluster  cluster robustness gate: blame/quarantine/re-shard")
@@ -743,7 +706,6 @@ def main(argv=None) -> int:
         "chaos",
         "obs",
         "serve",
-        "bench-serve",
         "node",
         "cluster",
         "bench-cluster",
@@ -751,7 +713,7 @@ def main(argv=None) -> int:
         return _fail(
             f"unknown experiment {args.experiment!r} "
             f"(choose from: {', '.join(sorted(EXPERIMENTS))}, all, chaos, obs, "
-            f"serve, bench-serve, node, cluster, bench-cluster, list)"
+            f"serve, node, cluster, bench-cluster, list)"
         )
     if args.scale not in _SCALES:
         return _fail(
@@ -795,8 +757,6 @@ def main(argv=None) -> int:
         return _fail("--metrics only applies to 'obs report'")
     if args.experiment == "serve":
         return _serve_cmd(args, _SCALES[args.scale])
-    if args.experiment == "bench-serve":
-        return _bench_serve_cmd(args, _SCALES[args.scale], slo_specs)
     if args.experiment == "cluster":
         return _cluster_cmd(args, _SCALES[args.scale])
     if args.experiment == "bench-cluster":

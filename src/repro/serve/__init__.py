@@ -20,8 +20,7 @@ Layout: :mod:`.protocol` (length-prefixed binary/JSON frames, typed
 request/response dataclasses), :mod:`.scheduler` (the batching
 scheduler and its scatter semantics), :mod:`.admission` (SLO-aware
 admission control), :mod:`.server` (the TCP server and the two-transport
-client), :mod:`.bench` (the throughput harness behind
-``repro bench-serve`` and ``BENCH_serve.json``).
+client).  Serving is measured end to end by ``benchmarks/e2e``.
 """
 
 from .admission import DEFAULT_SERVE_SLO, AdmissionConfig, AdmissionController
@@ -42,7 +41,6 @@ from .protocol import (
     NodeResponse,
     SlsRequest,
     SlsResponse,
-    available_codecs,
     decode_payload,
     encode_frame,
     read_frame,
@@ -69,7 +67,6 @@ __all__ = [
     "resolve_heartbeat_timeout",
     "ENV_HEARTBEAT_TIMEOUT",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
-    "available_codecs",
     "encode_frame",
     "decode_payload",
     "read_frame",

@@ -12,8 +12,9 @@ The codec byte travels with every frame, so there is no handshake: a
 peer writes what it likes, the reader decodes what it gets, and the
 server answers each request in the codec the request came in.
 
-* **binary** (the default) covers exactly the two hot messages, an
-  ``sls`` request and an ``ok`` response: a 16-byte little-endian header
+* **binary** (what :class:`~repro.serve.server.AsyncSlsClient` sends)
+  covers exactly the two hot messages, an ``sls`` request and an ``ok``
+  response: a 16-byte little-endian header
   (``kind u8, flags u8, aux u16, count u32, id u64``), then the rows and
   weights (``<i8``) and the table name, or the values (``<f8``), as raw
   arrays - byte layout in DESIGN.md Sec. 15.  Every count is checked
@@ -23,10 +24,11 @@ server answers each request in the codec the request came in.
   id or weight outside ``int64``, weights not one per row, an id outside
   ``u64``, a table name over 65 535 bytes) the encoder refuses with
   :class:`~repro.errors.ConfigurationError` rather than truncating.
-* **json** is the debug codec and carries every other message (probes,
-  typed errors, the whole node hop): under the binary codec such a
-  message simply leaves as a JSON frame.  Shortest-repr floats survive
-  JSON bit-exactly, so both codecs keep the bit-identity guarantees.
+* **json** carries every other message (probes, typed errors, the whole
+  node hop): under the binary codec such a message simply leaves as a
+  JSON frame.  The server still answers a JSON ``sls`` frame in JSON.
+  Shortest-repr floats survive JSON bit-exactly, so both codecs keep the
+  bit-identity guarantees.
 
 Message schemas (plain dicts under JSON, typed dataclasses in-process):
 
@@ -91,8 +93,6 @@ __all__ = [
     "NodeRequest",
     "NodeResponse",
     "VIAS",
-    "available_codecs",
-    "resolve_codec",
     "int64_terms",
     "reply_id",
     "pack_segment",
@@ -108,8 +108,6 @@ __all__ = [
 
 CODEC_JSON = 1
 CODEC_BINARY = 3  #: 2 was the msgpack codec; a retired id is not reused
-
-_CODECS = {"binary": CODEC_BINARY, "json": CODEC_JSON}
 
 #: Hard cap on a single frame's payload; a length prefix beyond this is
 #: treated as a protocol violation, not an allocation request.
@@ -167,20 +165,6 @@ def resolve_heartbeat_timeout(value: Optional[float] = None) -> float:
 
 class FrameError(ConfigurationError):
     """A malformed, oversized or unsupported frame."""
-
-
-def available_codecs() -> Tuple[str, ...]:
-    """Codec names, the default first."""
-    return tuple(_CODECS)
-
-
-def resolve_codec(name: str) -> int:
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown frame codec {name!r} (choose from: {', '.join(_CODECS)})"
-        ) from None
 
 
 _INT64_MAX = (1 << 63) - 1

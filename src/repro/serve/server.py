@@ -13,8 +13,9 @@ field correlates them), and everything queued during one loop turn
 leaves in one write.  That is what lets a single client drive enough
 concurrency to fill a batch without a task per request.  Each response
 leaves in the codec its request arrived in (the codec byte is per
-frame), so binary and JSON clients share one server.  Backpressure: a
-connection waits for its transport to drain before it reads again.
+frame): the client sends binary, and a JSON ``sls`` frame is still
+answered in JSON.  Backpressure: a connection waits for its transport
+to drain before it reads again.
 
 The client has two transports with one API:
 
@@ -23,7 +24,7 @@ The client has two transports with one API:
   each read and dispatches the responses to per-request futures, so any
   number of ``sls()`` calls can be in flight on one connection.
 * ``AsyncSlsClient.in_process(scheduler)`` — no sockets; submits
-  straight into a scheduler.  This is the test/bench transport: it keeps
+  straight into a scheduler.  This is the test transport: it keeps
   the scheduler semantics (admission, coalescing, typed errors) without
   measuring loopback TCP.
 
@@ -63,7 +64,6 @@ from .protocol import (
     error_response,
     int64_terms,
     reply_id,
-    resolve_codec,
     resolve_heartbeat_timeout,
     split_frames,
 )
@@ -309,7 +309,6 @@ class AsyncSlsClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._outbox: Optional[_Outbox] = None  #: queued frames for ``_writer``
-        self._codec = CODEC_BINARY
         self._pending: Dict[int, "tuple[asyncio.Future[SlsResponse], SlsRequest]"] = {}
         self._reader_task: Optional[asyncio.Task] = None
         self._next_id = 0
@@ -328,14 +327,12 @@ class AsyncSlsClient:
         cls,
         host: str,
         port: int,
-        codec: str = "binary",
         reconnect: bool = True,
         max_reconnects: int = 4,
         backoff_base_s: float = 0.05,
         backoff_cap_s: float = 1.0,
     ) -> "AsyncSlsClient":
         client = cls()
-        client._codec = resolve_codec(codec)
         client._host = host
         client._port = port
         client._allow_reconnect = bool(reconnect)
@@ -446,7 +443,7 @@ class AsyncSlsClient:
                     # Idempotent re-send, in one write: these requests were
                     # in flight when the connection died and got no response.
                     resend = [request for _rid, (_f, request) in sorted(self._pending.items())]
-                    writer.write(b"".join(encode_frame(r, self._codec) for r in resend))
+                    writer.write(b"".join(encode_frame(r, CODEC_BINARY) for r in resend))
                     obs.inc("serve.client.resends", len(resend))
                     await writer.drain()
                 except (ConnectionError, OSError):
@@ -471,7 +468,7 @@ class AsyncSlsClient:
         if self._writer is None:
             raise ConfigurationError("client is not connected")
         # Raises ConfigurationError if the frame cannot carry this request.
-        frame = encode_frame(request, self._codec)
+        frame = encode_frame(request, CODEC_BINARY)
         # The read loop closes a connection it is done with, so a closed
         # one is gone: dial again (or wait for the read loop's dial), or
         # fail now rather than queue a request nobody will answer.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
@@ -67,10 +68,11 @@ class TestCli:
             assert name in out
 
     def test_unknown_experiment_exits_nonzero(self, capsys):
-        assert main(["nonsense"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1  # one-line error, no traceback
-        assert "unknown experiment" in err and "nonsense" in err
+        for name in ("nonsense", "bench-" "serve"):  # a typo, a deleted command
+            assert main([name]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1  # one-line error, no traceback
+            assert "unknown experiment" in err and repr(name) in err
 
     def test_bad_scale_exits_nonzero(self, capsys):
         assert main(["table5", "--scale", "galactic"]) == 2
@@ -97,12 +99,23 @@ class TestCli:
         assert not obs.tracing_enabled()
         assert obs.event_log() is None
 
-    @pytest.mark.parametrize("command", ["serve", "bench-serve", "chaos"])
+    @pytest.mark.parametrize("command", ["serve", "chaos"])
     def test_workers_is_refused_by_serving_commands(self, command, capsys):
         assert main([command, "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "--workers fans experiment grids" in err and "repro cluster" in err
+
+    @pytest.mark.parametrize("argv", [["serve", "--scale", "smoke"], ["node", "n0"]])
+    def test_busy_port_is_a_one_line_error(self, argv, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main([*argv, "--port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"127.0.0.1:{port}" in err
 
     def test_workers_still_fans_the_experiment_grid(self, capsys):
         assert main(["table3", "--scale", "smoke", "--workers", "2"]) == 0

@@ -31,7 +31,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.obs.export import to_prometheus, validate_prometheus_text
-from repro.obs.slo import SloSpec
+from repro.obs.slo import SloSpec, SloTracker
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -49,12 +49,10 @@ from repro.serve.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
     MAX_FRAME_BYTES,
-    available_codecs,
     decode_payload,
     encode_frame,
     error_response,
     read_frame,
-    resolve_codec,
     split_frames,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
@@ -154,14 +152,6 @@ class TestFrameProtocol:
             decode_payload(99, b"{}")
         with pytest.raises(FrameError, match="unknown codec"):
             encode_frame({}, 99)
-
-    def test_codec_names(self):
-        assert available_codecs() == ("binary", "json")  # the default first
-        assert resolve_codec("binary") == CODEC_BINARY
-        assert resolve_codec("json") == CODEC_JSON
-        for gone in ("msgpack", "protobuf"):
-            with pytest.raises(ConfigurationError, match="unknown frame codec"):
-                resolve_codec(gone)
 
     def test_bad_status_rejected(self):
         with pytest.raises(FrameError, match="status"):
@@ -877,12 +867,16 @@ class TestAdmissionController:
             scheduler = BatchScheduler(
                 store,
                 max_batch=4,
-                admission=AdmissionConfig(max_queue=4, eval_every=4),
+                admission=AdmissionConfig(
+                    slo="serve.latency.p99 < 250ms @ 5%", max_queue=4, eval_every=4
+                ),
             )
             client = AsyncSlsClient.in_process(scheduler)
             responses = await asyncio.gather(
                 *[client.sls_response("emb", [i % 8]) for i in range(50)]
             )
+            # One evaluation over the whole burst, not the last eval window.
+            scheduler.admission.evaluate()
             stats = scheduler.stats()
             await scheduler.close()
             return responses, stats
@@ -896,6 +890,8 @@ class TestAdmissionController:
         assert len(shed) == 46
         assert all(r.kind == "OverloadedError" for r in shed)
         assert stats["admission.shed_queue_full"] == 46
+        # Under the burst, the served requests' p99 stays inside the SLO.
+        assert stats["admission.burn_rate"] <= 1.0
 
     def test_client_raises_typed_overloaded(self):
         store = make_store()
@@ -1135,5 +1131,9 @@ class TestServeTelemetry:
         assert snap["counters"]["serve.batch.queries"] == len(queries)
         assert snap["timers"]["serve.latency.ns"]["count"] == len(queries)
         assert snap["timers"]["serve.batch.ns"]["count"] >= 1
+        # What a live scrape of a serving run must show.
         text = to_prometheus(snap)
         assert validate_prometheus_text(text) > 0
+        assert 'secndp_serve_responses_total{status="ok"}' in text
+        (latency,) = SloTracker([SloSpec.parse("serve.latency.p99 < 2s")]).evaluate(snap)
+        assert latency.met and latency.count == len(queries)
