@@ -373,14 +373,14 @@ def _bench_obs(sizes) -> dict:
     shards = [MetricsRegistry() for _ in range(4)]
     for i in range(n):
         shards[i % 4].observe_ns("bench.t", i)
-    snaps = [json.loads(json.dumps(s.snapshot(include_samples=True))) for s in shards]
+    snaps = [json.loads(json.dumps(s.snapshot())) for s in shards]
     merged = MetricsRegistry()
     t0 = time.perf_counter()
     for snap in snaps:
         merged.merge(snap)
     t_merge = time.perf_counter() - t0
-    single = reg.snapshot(include_samples=True)["timers"]["bench.t"]
-    combined = merged.snapshot(include_samples=True)["timers"]["bench.t"]
+    single = reg.snapshot()["timers"]["bench.t"]
+    combined = merged.snapshot()["timers"]["bench.t"]
     exact_merge = bool(combined == single)
     assert exact_merge, "merged worker histograms diverge from single-process"
 

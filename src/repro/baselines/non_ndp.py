@@ -78,7 +78,6 @@ def run_non_ndp(
                 total_lines += 1
     total_ns = timing.cycles_to_ns(completion)
     if obs.enabled():
-        obs.inc("baseline.lines", total_lines)
         dram.counters.publish()
     return NonNdpResult(
         total_ns=total_ns,

@@ -358,7 +358,7 @@ def _report(
     a loaded snapshot instead of the live registry.
     """
     if snap is None:
-        snap = obs.snapshot(include_samples=True)
+        snap = obs.snapshot()
     statuses = obs.SloTracker(slo_specs).evaluate(snap)
     if full:
         print(obs.format_report(snap, statuses=statuses, event_counts=event_counts))
@@ -391,11 +391,13 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
     """``repro obs report``: serve, then summarise telemetry + SLOs."""
     if args.metrics is not None:
         # Offline mode: report over a saved snapshot (and, with --events,
-        # a recorded journal) without running anything.
+        # a recorded journal) without running anything.  A snapshot whose
+        # timers lack their buckets is refused, never reported as met.
         event_counts = None
         try:
             with open(args.metrics, "r", encoding="utf-8") as fh:
                 snap = json.load(fh)
+            obs.MetricsRegistry().merge(snap)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load snapshot {args.metrics!r}: {exc}")
         if args.events is not None:

@@ -227,7 +227,6 @@ class ClusterCoordinator:
         obs.emit_event(
             obs.CLUSTER_START, nodes=list(self.live), tables=self.store.tables()
         )
-        obs.inc("cluster.starts")
         return self
 
     async def close(self) -> None:
@@ -260,7 +259,6 @@ class ClusterCoordinator:
             alive[name] = await self.clients[name].heartbeat(timeout=timeout)
             if not alive[name]:
                 obs.emit_event(obs.NODE_DEAD, worker=name, probe="heartbeat")
-                obs.inc("cluster.dispatch.dead")
                 await self._blame(name, obs.NODE_DEAD, "heartbeat")
         return alive
 
@@ -288,10 +286,7 @@ class ClusterCoordinator:
             # Every node is quarantined (or no query has a term): the
             # coordinator's own honest device serves the whole batch
             # (still verified, still bit-identical — it IS the oracle path).
-            obs.inc("cluster.dispatch.local", len(batch))
-            values = self.store.sls_many(name, batch)
-            obs.inc("cluster.queries", len(batch))
-            return values
+            return self.store.sls_many(name, batch)
         # Snapshot ownership: a mid-batch quarantine rebuilds
         # ``self.shard_map`` for *future* batches, while this batch's
         # masks stay on the bounds its earlier dispatches used (the
@@ -319,7 +314,6 @@ class ClusterCoordinator:
         # ladder; the combined check still runs for the cross-shard
         # overflow case.
         values = self.store.processor.finalize_row_sums(enc, name, shares, verify=True)
-        obs.inc("cluster.queries", len(batch))
         return self.store.dequantize(name, values, batch.weight_sums())
 
     async def sls(self, name, rows, weights=None) -> np.ndarray:
@@ -359,10 +353,8 @@ class ClusterCoordinator:
                 return self._local_share(enc, name, node, batch, pad)
             try:
                 share = await self._dispatch_once(enc, name, target, batch, pad, dispatch)
-                obs.inc("cluster.dispatch.ok")
                 if target != node:
                     obs.inc("cluster.failovers")
-                    obs.inc("cluster.dispatch.failover")
                 return share, target
             except tuple(_DISPATCH_FAILURES) as exc:
                 suffix, kind = next(
@@ -371,7 +363,6 @@ class ClusterCoordinator:
                 obs.inc(f"cluster.dispatch.{suffix}")
                 details = {}
                 if kind == obs.NODE_BLAME:
-                    obs.inc("cluster.blame")
                     if isinstance(exc, ShardVerificationError):
                         details["queries"] = list(exc.queries)
                     else:
@@ -399,7 +390,6 @@ class ClusterCoordinator:
         self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
         pad: PartialSumShare, dispatch: int,
     ) -> PartialSumShare:
-        obs.inc("cluster.dispatches")
         payload = codec.encode_queries(batch)
         if self.fault_injector is not None:
             directive = self.fault_injector.node_directive(f"node:{node}")
@@ -427,7 +417,6 @@ class ClusterCoordinator:
         pad: PartialSumShare,
     ) -> Tuple[PartialSumShare, str]:
         """Rung 3: trusted recompute of the device half over the snapshot."""
-        obs.inc("cluster.dispatch.local")
         obs.inc("cluster.failovers")
         obs.emit_event(
             obs.RECOVERY_FALLBACK,
@@ -468,7 +457,6 @@ class ClusterCoordinator:
     async def _quarantine(self, node: str, context: str) -> None:
         self.live.remove(node)
         self.quarantined.append(node)
-        obs.inc("cluster.quarantines")
         obs.emit_event(
             obs.NODE_QUARANTINE,
             worker=node,
@@ -492,7 +480,6 @@ class ClusterCoordinator:
             return
         self.shard_map = self._build_shard_map()
         await self._assign_live()
-        obs.inc("cluster.reshards")
         obs.emit_event(
             obs.NODE_RESHARD,
             nodes=list(self.live),

@@ -33,7 +33,6 @@ from typing import Any, Dict, Optional, Set
 
 import numpy as np
 
-from .. import obs
 from ..core.protocol import UntrustedNdpDevice
 from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
@@ -78,7 +77,6 @@ class NodeServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        obs.inc("cluster.node.starts")
         return self
 
     async def close(self) -> None:
@@ -162,7 +160,7 @@ class NodeServer:
         try:
             await write_frame(writer, response.to_wire())
         except (ConnectionError, OSError):
-            obs.inc("cluster.node.write_errors")
+            pass  # the coordinator hung up; it re-dispatches what it lost
 
     async def _serve_one(
         self, request: NodeRequest, writer: asyncio.StreamWriter
@@ -202,7 +200,6 @@ class NodeServer:
         for name, blob in tables.items():
             self._device.store(name, codec.decode_table(blob, params))
         self._range = dict(payload.get("ranges") or {})
-        obs.inc("cluster.node.assigns")
         return NodeResponse(
             id=request.id,
             status=STATUS_OK,
@@ -220,12 +217,10 @@ class NodeServer:
         if directive:
             kind = directive[0]
             if kind == "partition":
-                obs.inc("cluster.node.partitioned")
                 return None
             if kind == "dead":
                 # Simulated host death: drop the connection mid-request
                 # and stop serving; the coordinator sees a dead peer.
-                obs.inc("cluster.node.died")
                 writer.close()
                 await self.close()
                 self._stop.set()
@@ -238,11 +233,9 @@ class NodeServer:
         if directive and directive[0] == "byzantine":
             # Forge every served query's ciphertext tag sum; the
             # coordinator's per-shard check must blame exactly this node.
-            obs.inc("cluster.node.byzantine")
             bump = np.zeros_like(tag_sums)
             bump[batch.nonempty, 0] = 1
             tag_sums = limb_field.field_add(self._device.field, tag_sums, bump)
-        obs.inc("cluster.node.partials")
         return NodeResponse(
             id=request.id,
             status=STATUS_OK,

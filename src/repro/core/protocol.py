@@ -411,10 +411,7 @@ class SecNDPProcessor:
         if with_tags:
             checksum_version = self.versions.fresh(f"{region}/checksum")
             tag_version = self.versions.fresh(f"{region}/tag")
-            with obs.span("protocol.tag_attach"):
-                self.mac.attach_tags(
-                    encrypted, plaintext, checksum_version, tag_version
-                )
+            self.mac.attach_tags(encrypted, plaintext, checksum_version, tag_version)
         return encrypted
 
     # -- fault-injection view ---------------------------------------------------
@@ -550,10 +547,6 @@ class SecNDPProcessor:
         pads = np.zeros((0, enc.n_cols), dtype=self.ring.dtype)
         tag_pads = np.zeros((0, limb_field.NUM_LIMBS), dtype=np.uint64)
         if union.size:
-            if obs.enabled():
-                obs.inc("protocol.batch.queries", len(batch))
-                obs.inc("protocol.batch.rows_total", int(batch.rows.size))
-                obs.inc("protocol.batch.rows_unique", int(union.size))
             with obs.span("protocol.otp"):
                 pads = self.encryptor.pads_for_rows(self._pad_source(enc), union)
                 if with_tag_shares:

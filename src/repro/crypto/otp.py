@@ -117,14 +117,14 @@ class PadBlockCache:
         Resident blocks are copied out of the slab and become the most
         recently used, in ``addrs`` order; the rest are produced by one
         ``generate(missing_addrs)`` call and become resident after them.
-        Returns ``(pads, hits, evicted)``.  With capacity 0 nothing is
+        Returns ``(pads, hits)``.  With capacity 0 nothing is
         looked up or kept: every block is generated and counted a miss.
         """
         if not self.capacity:
             pads = generate(addrs)
             with self._lock:
                 self.misses += addrs.size
-            return pads, 0, 0
+            return pads, 0
         with self._lock:
             lo, hi = self._version_range(version)
             at = lo + self._addr[lo:hi].searchsorted(addrs)
@@ -139,17 +139,18 @@ class PadBlockCache:
             self._stamp[slots] = self._tick(hit.size)
             pads = self._pads[slots]
             if hit.size == addrs.size:
-                return pads, hit.size, 0
+                return pads, hit.size
             miss = np.flatnonzero(~found)
             missing = addrs[miss]
             rows = generate(missing)
             out = np.empty((addrs.size, self._width), dtype=self._dtype)
             out[hit] = pads
             out[miss] = rows
-            return out, hit.size, self._insert(version, missing, rows)
+            self._insert(version, missing, rows)
+            return out, hit.size
 
-    def _insert(self, version: int, addrs: np.ndarray, rows: np.ndarray) -> int:
-        """Make the newest ``capacity`` of ``addrs`` resident; returns evictions.
+    def _insert(self, version: int, addrs: np.ndarray, rows: np.ndarray) -> None:
+        """Make the newest ``capacity`` of ``addrs`` resident.
 
         Equivalent to appending every address to an LRU list and popping
         the front down to capacity: of a batch larger than the cache only
@@ -158,8 +159,7 @@ class PadBlockCache:
         overflow = max(0, addrs.size - self.capacity)
         if overflow:
             addrs, rows = addrs[overflow:], rows[overflow:]
-        evicted = overflow + self._evict(len(self) + addrs.size - self.capacity)
-        self.evictions += evicted
+        self.evictions += overflow + self._evict(len(self) + addrs.size - self.capacity)
         slots, self._free = np.split(self._free, [addrs.size])
         self._pads[slots] = rows
         self._stamp[slots] = self._tick(addrs.size)
@@ -180,7 +180,6 @@ class PadBlockCache:
         self._ver = merge(self._ver, np.uint64(version))
         self._addr = merge(self._addr, addrs)
         self._slot = merge(self._slot, slots)
-        return evicted
 
     def _evict(self, count: int) -> int:
         """Drop the ``count`` least recently used entries (all if fewer)."""
@@ -245,14 +244,12 @@ class OtpGenerator:
             # A version the cipher's layout will reject.
             return self._encrypt_blocks(block_addrs, version)
         block_addrs = np.asarray(block_addrs, dtype=np.uint64)
-        pads, hits, evicted = self._cache.lookup(
+        pads, hits = self._cache.lookup(
             version, block_addrs, lambda missing: self._encrypt_blocks(missing, version)
         )
         if obs.enabled():
             obs.inc("otp.cache.hit", hits)
             obs.inc("otp.cache.miss", len(block_addrs) - hits)
-            if evicted:
-                obs.inc("otp.cache.eviction", evicted)
         return pads
 
     def cache_info(self) -> OtpCacheInfo:

@@ -47,7 +47,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .. import obs
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -293,7 +292,6 @@ class FaultInjector:
             self.events.append(
                 FaultEvent(kind=kind, site=site, context=self._context, detail=detail)
             )
-        obs.inc(f"faults.injected.{kind.value}")
 
     def _budget_left(self) -> bool:
         return self.plan.max_faults is None or self.injected < self.plan.max_faults

@@ -73,7 +73,6 @@ class EnergyCounters:
             return
         obs.inc(f"{prefix}.activates", self.activates)
         obs.inc(f"{prefix}.reads", self.reads)
-        obs.inc(f"{prefix}.writes", self.writes)
         obs.inc(f"{prefix}.bus_bursts", self.bus_bursts)
         obs.inc(f"{prefix}.row_hits", self.row_hits)
         obs.inc(f"{prefix}.row_misses", self.row_misses)

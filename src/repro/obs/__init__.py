@@ -12,7 +12,8 @@ One import point for every instrumented layer::
 Four sub-layers, each independently gated and each a no-op by default:
 
 * :mod:`.metrics` — counters/gauges + log-bucketed timer histograms
-  (:mod:`.hist`) that merge exactly across worker processes.
+  (:mod:`.hist`); a snapshot has one format, carrying every timer's
+  buckets, so it merges exactly across worker processes.
 * :mod:`.tracing` — hierarchical phase spans with Chrome trace export.
 * :mod:`.events` — typed JSONL security-event audit log (verification
   failures, recovery-ladder steps, quarantines, re-encryptions, node
@@ -24,8 +25,8 @@ Four sub-layers, each independently gated and each a no-op by default:
 Enable with :func:`enable` (metrics), :func:`enable_tracing`,
 :func:`enable_events`, the CLI ``--stats`` / ``--trace`` / ``--events``
 flags, or ``SECNDP_METRICS=1`` / ``SECNDP_EVENTS=...`` in the
-environment.  DESIGN.md Sec. 9 documents metric naming; Sec. 13 the
-histogram/SLO/event architecture.
+environment.  DESIGN.md Sec. 9 lists every metric name recorded and
+what reads it; Sec. 13 the histogram/SLO/event architecture.
 """
 
 from . import events as _events_mod
@@ -54,12 +55,11 @@ from .events import (
     disable_events,
     enable_events,
     event_log,
-    events_enabled,
     journal,
     read_events,
 )
 from .export import format_report, to_prometheus, validate_prometheus_text
-from .hist import PRECISION_BITS, RELATIVE_ERROR, LogHistogram
+from .hist import RELATIVE_ERROR, LogHistogram
 from .metrics import (
     MetricsRegistry,
     disable,
@@ -83,9 +83,7 @@ from .tracing import (
     ingest_events,
     set_worker_label,
     span,
-    trace_dropped,
     trace_events,
-    traced,
     tracing_enabled,
     worker_label,
     write_trace,
@@ -111,19 +109,16 @@ __all__ = [
     "format_snapshot",
     # histograms
     "LogHistogram",
-    "PRECISION_BITS",
     "RELATIVE_ERROR",
     # tracing
     "span",
     "set_worker_label",
     "worker_label",
     "ingest_events",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
     "trace_events",
-    "trace_dropped",
     "clear_trace",
     "write_trace",
     "MAX_TRACE_EVENTS",
@@ -133,7 +128,6 @@ __all__ = [
     "emit_event",
     "enable_events",
     "disable_events",
-    "events_enabled",
     "event_log",
     "journal",
     "read_events",

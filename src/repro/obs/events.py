@@ -11,9 +11,10 @@ audit record:
   affected ``table`` / ``rows`` / ciphertext ``version``, the emitting
   ``worker`` (the `repro.obs.tracing` worker label) and ``pid``, plus a
   free-form ``details`` dict.
-* :class:`EventLog` — a thread-safe bounded in-memory ring with an
-  optional append-only JSONL sink.  Every emitted event is written (and
-  flushed) as one JSON line, so the file doubles as a durable journal:
+* :class:`EventLog` — a thread-safe in-memory ring of the last
+  :data:`RING_CAPACITY` events with an optional append-only JSONL
+  sink.  Every emitted event is written (and flushed) as one JSON
+  line, so the file doubles as a durable journal:
   :func:`read_events` loads it back and
   :meth:`repro.faults.recovery.RecoveryLog.replay_events` rebuilds
   quarantine/repair state from it on restart.
@@ -26,7 +27,7 @@ branch when auditing is off.  Enable with :func:`enable_events`, the
 CLI ``--events PATH`` flag, or ``SECNDP_EVENTS`` in the environment
 (``1`` for in-memory only, anything else is treated as a sink path).
 A run that needs its own events back (a harness, a CLI command) scopes
-them with :func:`journal`.
+them with :func:`journal`, which selects them by ``seq``.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ __all__ = [
     "EventLog",
     "enable_events",
     "disable_events",
-    "events_enabled",
     "event_log",
     "journal",
     "emit",
     "read_events",
     "ENV_EVENTS",
+    "RING_CAPACITY",
     # event kinds
     "VERIFY_FAILURE",
     "RECOVERY_RETRY",
@@ -77,6 +78,10 @@ __all__ = [
 ]
 
 ENV_EVENTS = "SECNDP_EVENTS"
+
+#: Events an :class:`EventLog` keeps in memory; older ones fall off the
+#: ring (the JSONL sink and the per-kind counts keep everything).
+RING_CAPACITY = 100_000
 
 # -- event kinds (the typed vocabulary; DESIGN.md Sec. 13) ---------------------
 
@@ -175,18 +180,17 @@ class EventLog:
     """Bounded in-memory event ring with an optional JSONL sink.
 
     Every :meth:`emit` appends to the ring (oldest events fall off past
-    ``capacity``; ``total`` and the per-kind counts keep the exact
-    tally) and, when a ``path`` was given, writes one flushed JSON line
+    :data:`RING_CAPACITY`; ``total`` and the per-kind counts keep the
+    exact tally) and, when a ``path`` was given, writes one flushed JSON line
     — security events are rare and each one is evidence, so durability
     beats batching here.
     """
 
-    def __init__(self, path: Optional[Union[str, Path]] = None, capacity: int = 100_000):
+    def __init__(self, path: Optional[Union[str, Path]] = None):
         self._lock = threading.Lock()
-        self._ring: deque = deque(maxlen=int(capacity))
+        self._ring: deque = deque(maxlen=RING_CAPACITY)
         self._counts: Dict[str, int] = {}
-        self._seq = 0
-        self.total = 0
+        self.total = 0  #: events emitted; also the ``seq`` of the latest
         self.path: Optional[Path] = Path(path) if path is not None else None
         self._file = None
         if self.path is not None:
@@ -218,11 +222,10 @@ class EventLog:
             details=details,
         )
         with self._lock:
-            self._seq += 1
-            object.__setattr__(event, "seq", self._seq)
+            self.total += 1
+            object.__setattr__(event, "seq", self.total)
             self._ring.append(event)
             self._counts[event.kind] = self._counts.get(event.kind, 0) + 1
-            self.total += 1
             if self._file is not None:
                 self._file.write(event.to_json() + "\n")
                 self._file.flush()
@@ -244,13 +247,6 @@ class EventLog:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop the in-memory ring and counts (the sink file is kept)."""
-        with self._lock:
-            self._ring.clear()
-            self._counts.clear()
-            self.total = 0
-
     def close(self) -> None:
         with self._lock:
             if self._file is not None:
@@ -264,9 +260,7 @@ class EventLog:
 _LOG: Optional[EventLog] = None
 
 
-def enable_events(
-    path: Optional[Union[str, Path]] = None, capacity: int = 100_000
-) -> EventLog:
+def enable_events(path: Optional[Union[str, Path]] = None) -> EventLog:
     """Install a fresh :class:`EventLog` (closing any previous one).
 
     ``path=None`` keeps events in memory only; with a path every event
@@ -275,7 +269,7 @@ def enable_events(
     global _LOG
     if _LOG is not None:
         _LOG.close()
-    _LOG = EventLog(path, capacity=capacity)
+    _LOG = EventLog(path)
     return _LOG
 
 
@@ -285,10 +279,6 @@ def disable_events() -> None:
     if _LOG is not None:
         _LOG.close()
     _LOG = None
-
-
-def events_enabled() -> bool:
-    return _LOG is not None
 
 
 def event_log() -> Optional[EventLog]:
@@ -303,14 +293,16 @@ def journal(path: Optional[Union[str, Path]] = None):
     Installs a log for the run when ``path`` names a JSONL sink or none
     is configured (in memory then); an already-installed log — e.g. the
     CLI's ``--events`` sink — is used as it is.  Yields a function
-    returning the events emitted since entry (still callable after
-    exit); on exit uninstalls only what it installed.
+    returning the events emitted since entry, selected by ``seq`` so a
+    full or wrapping ring still yields exactly the scope's events that
+    it holds (still callable after exit); on exit uninstalls only what
+    it installed.
     """
     own_log = path is not None or _LOG is None
     log = enable_events(path) if own_log else _LOG
-    start = len(log)
+    start = log.total
     try:
-        yield lambda: log.events()[start:]
+        yield lambda: [event for event in log.events() if event.seq > start]
     finally:
         if own_log:
             disable_events()

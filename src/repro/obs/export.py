@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence
 
-from .hist import LogHistogram
+from .metrics import timer_histogram
 
 __all__ = ["to_prometheus", "validate_prometheus_text", "format_report"]
 
@@ -48,18 +48,6 @@ def _sanitize(name: str) -> str:
     return out
 
 
-def _timer_histogram(name: str, stats: dict) -> LogHistogram:
-    return LogHistogram.from_dict(
-        {
-            "count": stats.get("count", 0),
-            "total": stats.get("total_ns", 0),
-            "min": stats.get("min_ns", 0),
-            "max": stats.get("max_ns", 0),
-            "buckets": stats.get("buckets", {}),
-        }
-    )
-
-
 def to_prometheus(
     snap: dict,
     event_counts: Optional[Dict[str, int]] = None,
@@ -67,9 +55,9 @@ def to_prometheus(
 ) -> str:
     """Render a :func:`repro.obs.snapshot` as Prometheus exposition text.
 
-    Timer histograms need the snapshot captured with
-    ``include_samples=True``; without buckets only the ``_sum`` /
-    ``_count`` series are emitted for that timer.
+    Each timer's ``le`` series comes from its histogram buckets; a timer
+    entry without buckets raises ``ValueError`` (see
+    :func:`repro.obs.metrics.timer_histogram`).
     """
     lines: List[str] = []
 
@@ -124,17 +112,12 @@ def to_prometheus(
             f"bounded relative error)."
         )
         lines.append(f"# TYPE {metric} histogram")
-        count = int(stats.get("count", 0))
-        total_s = int(stats.get("total_ns", 0)) / 1e9
-        if stats.get("buckets"):
-            hist = _timer_histogram(name, stats)
-            for upper_ns, cum in hist.cumulative_buckets():
-                lines.append(
-                    f'{metric}_bucket{{le="{upper_ns / 1e9:.9g}"}} {cum}'
-                )
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
-        lines.append(f"{metric}_sum {total_s:.9g}")
-        lines.append(f"{metric}_count {count}")
+        hist = timer_histogram(name, stats)
+        for upper_ns, cum in hist.cumulative_buckets():
+            lines.append(f'{metric}_bucket{{le="{upper_ns / 1e9:.9g}"}} {cum}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
+        lines.append(f"{metric}_sum {hist.total / 1e9:.9g}")
+        lines.append(f"{metric}_count {hist.count}")
 
     if event_counts:
         metric = f"{prefix}_security_events_total"
@@ -269,9 +252,9 @@ def format_report(
         for name, t in timers.items():
             lines.append(
                 f"  {name.ljust(width)}  {t['count']:>8}  "
-                f"{_fmt_us(t.get('mean_ns', 0)):>10}  "
+                f"{_fmt_us(t['mean_ns']):>10}  "
                 f"{_fmt_us(t['p50_ns']):>10}  {_fmt_us(t['p95_ns']):>10}  "
-                f"{_fmt_us(t.get('p99_ns', t['p95_ns'])):>10}  "
+                f"{_fmt_us(t['p99_ns']):>10}  "
                 f"{_fmt_us(t['max_ns']):>10}"
             )
 

@@ -115,23 +115,6 @@ class LogHistogram:
         for idx, n in other.buckets.items():
             self.buckets[idx] = self.buckets.get(idx, 0) + n
 
-    def merge_dict(self, data: Mapping) -> None:
-        """Fold a :meth:`to_dict` payload (possibly JSON round-tripped,
-        so bucket keys may be strings) into this histogram."""
-        count = int(data.get("count", 0))
-        if count:
-            dmin = int(data.get("min", 0))
-            dmax = int(data.get("max", 0))
-            if self.count == 0 or dmin < self.min:
-                self.min = dmin
-            if dmax > self.max:
-                self.max = dmax
-        self.count += count
-        self.total += int(data.get("total", 0))
-        for key, n in data.get("buckets", {}).items():
-            idx = int(key)
-            self.buckets[idx] = self.buckets.get(idx, 0) + int(n)
-
     # -- reading ---------------------------------------------------------------
 
     @property
@@ -188,8 +171,13 @@ class LogHistogram:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LogHistogram":
+        """Inverse of :meth:`to_dict` (bucket keys may be strings)."""
         hist = cls()
-        hist.merge_dict(data)
+        hist.count = int(data["count"])
+        hist.total = int(data["total"])
+        hist.min = int(data["min"])
+        hist.max = int(data["max"])
+        hist.buckets = {int(i): int(n) for i, n in data["buckets"].items()}
         return hist
 
     @classmethod

@@ -1,10 +1,11 @@
 """Process-wide metrics registry: counters, gauges, timer histograms.
 
 Every instrumented layer of the reproduction (OTP cache, limb kernels,
-protocol phases, NDP/memsim traffic, harness experiments) reports into
-one :class:`MetricsRegistry` addressed by dotted metric names
-(``otp.cache.hit``, ``limb.dot.tier2``, ``protocol.verify.ns`` — the
-full naming scheme is DESIGN.md Sec. 9).
+protocol phases, NDP/memsim traffic, the store and the serving
+front-end) reports into one :class:`MetricsRegistry` addressed by dotted
+metric names (``otp.cache.hit``, ``limb.dot.tier2``,
+``protocol.verify.ns`` — the naming scheme and every name recorded are
+in DESIGN.md Sec. 9).
 
 The module-level :data:`ENABLED` flag makes the whole layer opt-in:
 every public recording helper (:func:`inc`, :func:`gauge`,
@@ -13,17 +14,20 @@ metrics are off, so instrumented call sites cost one predictable branch
 on the hot paths.  Enable via :func:`enable`, the CLI ``--stats`` /
 ``--trace`` flags, or the ``SECNDP_METRICS=1`` environment variable.
 
-Timer metrics are log-bucketed histograms (:mod:`repro.obs.hist`):
-exact count/total/min/max plus sparse buckets with bounded relative
-error, so percentiles stay correct on arbitrarily long runs and merge
-*exactly* across worker processes (DESIGN.md Sec. 13).
+Timers are log-bucketed histograms (:mod:`repro.obs.hist`): exact
+count/total/min/max plus sparse buckets with bounded relative error.
+A snapshot has one format, and every timer entry in it carries its
+buckets, so percentiles, SLO budgets and Prometheus ``le`` series are
+all computed from the distribution, and snapshots merge *exactly*
+across worker processes (DESIGN.md Sec. 13).  :func:`timer_histogram`
+is the one way back from a snapshot entry to a histogram.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Union
+from typing import Dict, Mapping
 
 from .hist import RELATIVE_ERROR, LogHistogram
 
@@ -40,77 +44,45 @@ __all__ = [
     "observe_ns",
     "snapshot",
     "merge",
+    "timer_histogram",
     "format_snapshot",
     "RELATIVE_ERROR",
 ]
 
 
-class _Timer:
-    """One ns-resolution duration series over a mergeable log histogram."""
+def _timer_entry(hist: LogHistogram) -> dict:
+    """A histogram as a snapshot timer entry (JSON-safe, picklable)."""
+    return {
+        "count": hist.count,
+        "total_ns": hist.total,
+        "mean_ns": hist.mean,
+        "p50_ns": hist.percentile(0.50),
+        "p95_ns": hist.percentile(0.95),
+        "p99_ns": hist.percentile(0.99),
+        "min_ns": hist.min,
+        "max_ns": hist.max,
+        "buckets": {str(i): n for i, n in sorted(hist.buckets.items())},
+    }
 
-    __slots__ = ("hist",)
 
-    def __init__(self) -> None:
-        self.hist = LogHistogram()
+def timer_histogram(name: str, entry: Mapping) -> LogHistogram:
+    """Rebuild the histogram a snapshot timer entry was taken from.
 
-    def observe(self, ns: int) -> None:
-        self.hist.observe(ns)
-
-    def stats(self, include_dist: bool = False) -> Dict[str, Union[int, float, dict]]:
-        h = self.hist
-        out: Dict[str, Union[int, float, dict]] = {
-            "count": h.count,
-            "total_ns": h.total,
-            "mean_ns": h.mean,
-            "p50_ns": h.percentile(0.50),
-            "p95_ns": h.percentile(0.95),
-            "p99_ns": h.percentile(0.99),
-            "max_ns": h.max,
+    Raises ``ValueError`` when the entry has no ``buckets`` (a snapshot
+    written by something other than :func:`snapshot`): without the
+    distribution there is no honest percentile or budget to report.
+    """
+    if "buckets" not in entry:
+        raise ValueError(f"timer {name!r} has no histogram buckets")
+    return LogHistogram.from_dict(
+        {
+            "count": entry["count"],
+            "total": entry["total_ns"],
+            "min": entry["min_ns"],
+            "max": entry["max_ns"],
+            "buckets": entry["buckets"],
         }
-        if include_dist:
-            out["min_ns"] = h.min
-            out["buckets"] = {str(i): n for i, n in sorted(h.buckets.items())}
-        return out
-
-    def absorb(self, stats: dict) -> None:
-        """Fold another timer's snapshot into this one (cross-process merge).
-
-        When the snapshot carries the histogram ``buckets``
-        (``snapshot(include_samples=True)``), the merge is *exact*: the
-        result is bit-identical to a single histogram that saw every
-        observation.  Aggregate-only snapshots still merge their exact
-        count/total/max (their distribution cannot contribute to
-        percentiles).  Legacy ``samples`` payloads (pre-histogram
-        snapshots) are re-observed individually.
-        """
-        h = self.hist
-        buckets = stats.get("buckets")
-        if buckets is not None:
-            h.merge_dict(
-                {
-                    "count": stats.get("count", 0),
-                    "total": stats.get("total_ns", 0),
-                    "min": stats.get("min_ns", stats.get("max_ns", 0)),
-                    "max": stats.get("max_ns", 0),
-                    "buckets": buckets,
-                }
-            )
-            return
-        samples = stats.get("samples")
-        if samples is not None:
-            for ns in samples:
-                h.observe(int(ns))
-            extra = int(stats.get("count", 0)) - len(samples)
-            if extra > 0:
-                h.count += extra
-            h.total += int(stats.get("total_ns", 0)) - sum(int(s) for s in samples)
-            if int(stats.get("max_ns", 0)) > h.max:
-                h.max = int(stats.get("max_ns", 0))
-            return
-        h.count += int(stats.get("count", 0))
-        h.total += int(stats.get("total_ns", 0))
-        if int(stats.get("max_ns", 0)) > h.max:
-            h.max = int(stats.get("max_ns", 0))
+    )
 
 
 class MetricsRegistry:
@@ -125,7 +97,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
-        self._timers: Dict[str, _Timer] = {}
+        self._timers: Dict[str, LogHistogram] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -139,36 +111,32 @@ class MetricsRegistry:
 
     def observe_ns(self, name: str, ns: int) -> None:
         with self._lock:
-            timer = self._timers.get(name)
-            if timer is None:
-                timer = self._timers[name] = _Timer()
-            timer.observe(int(ns))
+            hist = self._timers.get(name)
+            if hist is None:
+                hist = self._timers[name] = LogHistogram()
+            hist.observe(int(ns))
 
     # -- reading -------------------------------------------------------------
 
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    def snapshot(self, include_samples: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """Plain-dict view: ``{"counters": ..., "gauges": ..., "timers": ...}``.
 
         Timer entries expose ``count / total_ns / mean_ns / p50_ns /
-        p95_ns / p99_ns / max_ns``.  The result is JSON-serialisable
-        (and picklable) as-is, which is what lets worker processes ship
-        their registries back to the parent.  ``include_samples``
-        additionally attaches each timer's histogram buckets (and exact
-        ``min_ns``) so :meth:`merge` reconstructs the distribution
-        *exactly* across the process boundary — the parameter keeps its
-        historical name; since the ring-sampled timers were replaced by
-        log-bucketed histograms it ships bucket counts, not raw samples.
+        p95_ns / p99_ns / min_ns / max_ns`` and the histogram
+        ``buckets``.  The result is JSON-serialisable (and picklable)
+        as-is, which is what lets worker processes ship their registries
+        back to the parent and a saved snapshot be reported offline.
         """
         with self._lock:
             return {
                 "counters": dict(sorted(self._counters.items())),
                 "gauges": dict(sorted(self._gauges.items())),
                 "timers": {
-                    name: timer.stats(include_dist=include_samples)
-                    for name, timer in sorted(self._timers.items())
+                    name: _timer_entry(hist)
+                    for name, hist in sorted(self._timers.items())
                 },
             }
 
@@ -176,21 +144,27 @@ class MetricsRegistry:
         """Aggregate a :meth:`snapshot` from another registry into this one.
 
         Counters add, gauges take the incoming value (last write wins),
-        timers fold exact aggregates and merge histogram buckets when
-        the snapshot carries them.  This is how per-worker registries
-        drain into the parent process instead of vanishing with the
-        worker (`parallel_map` calls it on every task return).
+        timer histograms merge bucket by bucket, so the result is
+        bit-identical to one registry that saw every observation.  This
+        is how per-worker registries drain into the parent process
+        instead of vanishing with the worker (`parallel_map` calls it on
+        every task return).
         """
+        timers = {
+            name: timer_histogram(name, entry)
+            for name, entry in snap.get("timers", {}).items()
+        }
         with self._lock:
             for name, value in snap.get("counters", {}).items():
                 self._counters[name] = self._counters.get(name, 0) + int(value)
             for name, value in snap.get("gauges", {}).items():
                 self._gauges[name] = value
-            for name, stats in snap.get("timers", {}).items():
-                timer = self._timers.get(name)
-                if timer is None:
-                    timer = self._timers[name] = _Timer()
-                timer.absorb(stats)
+            for name, hist in timers.items():
+                mine = self._timers.get(name)
+                if mine is None:
+                    self._timers[name] = hist
+                else:
+                    mine.merge(hist)
 
     def reset(self) -> None:
         with self._lock:
@@ -250,8 +224,8 @@ def observe_ns(name: str, ns: int) -> None:
         _REGISTRY.observe_ns(name, ns)
 
 
-def snapshot(include_samples: bool = False) -> dict:
-    return _REGISTRY.snapshot(include_samples=include_samples)
+def snapshot() -> dict:
+    return _REGISTRY.snapshot()
 
 
 def merge(snap: dict) -> None:
@@ -290,7 +264,7 @@ def format_snapshot(snap: dict) -> str:
                 f"  total={t['total_ns'] / 1e3:.1f}"
                 f"  p50={t['p50_ns'] / 1e3:.1f}"
                 f"  p95={t['p95_ns'] / 1e3:.1f}"
-                f"  p99={t.get('p99_ns', t['p95_ns']) / 1e3:.1f}"
+                f"  p99={t['p99_ns'] / 1e3:.1f}"
                 f"  max={t['max_ns'] / 1e3:.1f}"
             )
     if not lines:

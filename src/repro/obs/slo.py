@@ -15,16 +15,20 @@ An objective is a one-line spec string::
 Two kinds of objective:
 
 * **Latency** (``<timer>.p<Q> < <duration>``): evaluated against the
-  named timer's log-bucketed histogram.  The *error budget* is the
-  fraction of observations allowed above the threshold (default
-  ``0.01``); the **burn rate** is ``bad_fraction / budget`` — 1.0 means
-  the budget is being consumed exactly as provisioned, above 1.0 the
-  objective is degrading, and sustained burn ≥ ``BURN_CRITICAL`` is the
-  page-worthy fast burn.
+  named timer's log-bucketed histogram, which every snapshot carries.
+  The *error budget* is the fraction of observations allowed above the
+  threshold (default ``0.01``; an observation is over when its bucket
+  midpoint exceeds the threshold, as in the serving admission gate);
+  the **burn rate** is ``bad_fraction / budget`` — 1.0 means the budget
+  is being consumed exactly as provisioned, above 1.0 the objective is
+  degrading, and sustained burn ≥ ``BURN_CRITICAL`` is the page-worthy
+  fast burn.  The objective is met while the burn is at most 1.
 * **Ratio** (``<numerator>/<denominator> < <bound>`` or a named alias
   from :data:`RATIO_ALIASES`): counters summed with ``+`` on either
-  side; the bound doubles as the budget, so burn rate is simply
-  ``value / bound``.
+  side.  It is met when ``value < bound`` holds, or ``value <= bound``
+  for a spec written with ``<=``; the bound doubles as the budget, so
+  the burn rate is ``value / bound`` (``inf`` for a non-zero value
+  against a zero bound).
 
 :class:`SloTracker` evaluates a set of objectives against one snapshot
 and publishes the worst state as the ``slo.degraded`` gauge
@@ -35,12 +39,12 @@ controller keys off (DESIGN.md Sec. 13).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import metrics
-from .hist import LogHistogram
 
 __all__ = [
     "SloSpec",
@@ -92,24 +96,6 @@ RATIO_ALIASES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "serve.error_rate": (
         ("serve.errors",),
         ("serve.requests",),
-    ),
-    # Cluster tier: shard dispatches whose tag share failed its own
-    # per-shard check (blame assigned to a node), per dispatch.
-    "cluster.blame_rate": (
-        ("cluster.blame",),
-        ("cluster.dispatches",),
-    ),
-    # Cluster tier: dispatches answered by a replica or the trusted
-    # recompute path instead of the assigned node, per dispatch.
-    "cluster.failover_rate": (
-        ("cluster.failovers",),
-        ("cluster.dispatches",),
-    ),
-    # Cluster tier: nodes quarantined per dispatch (sustained nonzero
-    # means the cluster is shrinking under byzantine pressure).
-    "cluster.quarantine_rate": (
-        ("cluster.quarantines",),
-        ("cluster.dispatches",),
     ),
 }
 
@@ -207,6 +193,11 @@ class SloSpec:
             denominator=den,
         )
 
+    @property
+    def op(self) -> str:
+        """The comparison the spec was written with, ``<`` or ``<=``."""
+        return "<=" if "<=" in self.raw.split("@", 1)[0] else "<"
+
 
 def _parse_fraction(raw: str, text: str) -> float:
     match = _THRESHOLD.match(text.strip())
@@ -229,7 +220,7 @@ class SloStatus:
     bad_fraction: float     # fraction of budget-relevant bad events
     burn_rate: float        # bad_fraction / budget (>=1: degrading)
     count: int              # observations (latency) / denominator (ratio)
-    met: bool               # burn_rate <= 1
+    met: bool               # latency: burn <= 1; ratio: the spec's operator holds
     detail: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -247,13 +238,13 @@ class SloStatus:
             observed = _fmt_ns(self.value)
             bound = _fmt_ns(spec.threshold)
             return (
-                f"{spec.name} = {observed} (target < {bound}, "
+                f"{spec.name} = {observed} (target {spec.op} {bound}, "
                 f"{self.bad_fraction:.3%} over, budget {spec.budget:.2%}, "
                 f"burn {self.burn_rate:.2f}x) "
                 f"[{_STATE_NAMES[self.state]}]"
             )
         return (
-            f"{spec.name} = {self.value:.5f} (target < {spec.threshold:g}, "
+            f"{spec.name} = {self.value:.5f} (target {spec.op} {spec.threshold:g}, "
             f"burn {self.burn_rate:.2f}x, n={self.count}) "
             f"[{_STATE_NAMES[self.state]}]"
         )
@@ -284,11 +275,10 @@ class SloTracker:
     def evaluate(self, snap: dict, publish: bool = True) -> List[SloStatus]:
         """Evaluate every objective against a metrics snapshot.
 
-        ``snap`` is a :func:`repro.obs.snapshot` dict; latency
-        objectives want it captured with ``include_samples=True`` so the
-        histogram buckets are present (without them the bad fraction
-        falls back to the coarse "is the reported percentile over the
-        threshold" 0/1 signal).  ``publish`` writes the worst state to
+        ``snap`` is a :func:`repro.obs.snapshot` dict (live or loaded
+        from a file); a latency objective whose timer entry has no
+        histogram buckets raises ``ValueError`` rather than report a
+        budget it cannot compute.  ``publish`` writes the worst state to
         the ``slo.degraded`` gauge — directly to the registry, bypassing
         the on/off gate, because the evaluation result *is* the product
         here, not optional instrumentation.
@@ -312,32 +302,17 @@ class SloTracker:
                 spec=spec, value=0.0, bad_fraction=0.0, burn_rate=0.0,
                 count=0, met=True, detail={"no_data": 1.0},
             )
-        buckets = stats.get("buckets")
-        if buckets is not None:
-            hist = LogHistogram.from_dict(
-                {
-                    "count": stats.get("count", 0),
-                    "total": stats.get("total_ns", 0),
-                    "min": stats.get("min_ns", 0),
-                    "max": stats.get("max_ns", 0),
-                    "buckets": buckets,
-                }
-            )
-            value = float(hist.percentile(spec.quantile))
-            bad = hist.fraction_above(spec.threshold)
-        else:
-            key = f"p{spec.quantile * 100:g}_ns"
-            value = float(stats.get(key, stats.get("p99_ns", stats["max_ns"])))
-            bad = spec.budget if value > spec.threshold else 0.0
-        burn = bad / spec.budget if spec.budget else 0.0
+        hist = metrics.timer_histogram(spec.timer, stats)
+        bad = hist.fraction_above(spec.threshold)
+        burn = bad / spec.budget
         return SloStatus(
             spec=spec,
-            value=value,
+            value=float(hist.percentile(spec.quantile)),
             bad_fraction=bad,
             burn_rate=burn,
-            count=int(stats["count"]),
+            count=hist.count,
             met=burn <= 1.0,
-            detail={"threshold_ns": spec.threshold, "mean_ns": stats.get("mean_ns", 0.0)},
+            detail={"threshold_ns": spec.threshold, "mean_ns": hist.mean},
         )
 
     @staticmethod
@@ -346,14 +321,18 @@ class SloTracker:
         num = sum(int(counters.get(name, 0)) for name in spec.numerator)
         den = sum(int(counters.get(name, 0)) for name in spec.denominator)
         value = num / den if den else 0.0
-        burn = value / spec.threshold if spec.threshold else 0.0
+        bound = spec.threshold
+        if bound:
+            burn = value / bound
+        else:
+            burn = math.inf if value else 0.0
         return SloStatus(
             spec=spec,
             value=value,
             bad_fraction=value,
             burn_rate=burn,
             count=den,
-            met=burn <= 1.0,
+            met=value <= bound if spec.op == "<=" else value < bound,
             detail={"numerator": float(num), "denominator": float(den)},
         )
 

@@ -9,33 +9,29 @@ a Perfetto/``chrome://tracing`` load shows the phase hierarchy (e.g.
 protocol phases).
 
 When neither metrics nor tracing is enabled, :func:`span` returns a
-shared no-op context manager and :func:`traced`-wrapped functions call
-straight through, keeping disabled overhead at one branch + one call.
+shared no-op context manager, keeping disabled overhead at one branch +
+one call.
 
 The event buffer is bounded (:data:`MAX_TRACE_EVENTS`); overflow drops
-new events and counts them — in the module-level tally exposed by
-:func:`trace_dropped` *and* in the ``obs.trace.dropped`` registry
-counter, which is written through to the registry directly (bypassing
-the metrics on/off gate) so drop accounting works identically in
-tracing-only mode.  :func:`clear_trace` resets the tally along with the
-buffer.
+new events and counts them in the ``obs.trace.dropped`` registry
+counter, its one recorder.  The count is written to the registry
+directly (bypassing the metrics on/off gate), so drop accounting works
+identically in tracing-only mode; it lives until the registry is reset.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from . import metrics
 
 __all__ = [
     "span",
-    "traced",
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
@@ -45,7 +41,6 @@ __all__ = [
     "set_worker_label",
     "worker_label",
     "ingest_events",
-    "trace_dropped",
     "MAX_TRACE_EVENTS",
 ]
 
@@ -60,27 +55,16 @@ _events_lock = threading.Lock()
 _epoch_ns = time.perf_counter_ns()
 _local = threading.local()
 
-#: Events dropped since the last :func:`clear_trace` (buffer overflow).
-_dropped = 0
 
-
-def _note_drop(n: int = 1) -> None:
-    """Record ``n`` dropped events.  Caller must hold ``_events_lock``.
+def _note_drop() -> None:
+    """Count one dropped event.
 
     Writes the registry counter directly (not through the gated
     :func:`metrics.inc` helper) so the count is kept even when only
     tracing is enabled — a drop is a fact about the trace being
     exported, not an optional metric.
     """
-    global _dropped
-    _dropped += n
-    metrics.get_registry().inc("obs.trace.dropped", n)
-
-
-def trace_dropped() -> int:
-    """Events dropped on buffer overflow since the last :func:`clear_trace`."""
-    with _events_lock:
-        return _dropped
+    metrics.get_registry().inc("obs.trace.dropped")
 
 
 def enable_tracing() -> None:
@@ -133,10 +117,8 @@ def ingest_events(events: List[Dict[str, Any]]) -> None:
 
 
 def clear_trace() -> None:
-    global _dropped
     with _events_lock:
         _events.clear()
-        _dropped = 0
 
 
 def trace_events() -> List[Dict[str, Any]]:
@@ -212,26 +194,6 @@ def span(name: str, cat: str = "repro") -> Union[_Span, _NoopSpan]:
     if metrics.ENABLED or TRACING:
         return _Span(name, cat)
     return _NOOP
-
-
-def traced(
-    name: Optional[str] = None, cat: str = "repro"
-) -> Callable[[Callable], Callable]:
-    """Decorator form of :func:`span`; the flag is checked per call."""
-
-    def decorate(fn: Callable) -> Callable:
-        label = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not (metrics.ENABLED or TRACING):
-                return fn(*args, **kwargs)
-            with span(label, cat):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
 
 
 def write_trace(path: Union[str, Path]) -> Path:

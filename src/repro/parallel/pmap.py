@@ -121,7 +121,7 @@ def _pmap_task(item, fn: Callable, collect_metrics: bool, collect_trace: bool):
     if collect_trace:
         obs.enable_tracing()
     result = fn(item)
-    snap = obs.snapshot(include_samples=True) if collect_metrics else None
+    snap = obs.snapshot() if collect_metrics else None
     events = obs.trace_events() if collect_trace else None
     if collect_metrics:
         obs.reset()
@@ -151,9 +151,7 @@ def parallel_map(fn: Callable, items: Iterable, workers: Optional[int] = None) -
     try:
         pool = _get_pool(n)
     except Exception:
-        obs.inc("parallel.map.fallback")
         return [fn(item) for item in items]
-    obs.inc("parallel.map.calls")
     task = functools.partial(
         _pmap_task,
         fn=fn,

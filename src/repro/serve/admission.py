@@ -27,8 +27,9 @@ oldest observation and counts as a signal.  A controller that sees
 nothing but shed traffic therefore re-admits within ``window_obs +
 eval_every`` arrivals instead of latching shut.
 
-Counters are local, deterministic and always on, and mirrored into
-:mod:`repro.obs` when metrics are enabled.
+Counters are local, deterministic and always on (``server.stats()``
+reports them); only the shed total is also counted in :mod:`repro.obs`,
+as ``serve.shed``, which the ``serve.shed_rate`` SLO alias reads.
 """
 
 from __future__ import annotations
@@ -176,10 +177,6 @@ class AdmissionController:
                 shedding=self.shedding,
                 burn_rate=round(self.burn_rate, 3),
             )
-
-        obs.gauge("serve.admission.state", float(self.state))
-        obs.gauge("serve.admission.burn", float(self.burn_rate))
-        obs.gauge("serve.admission.shedding", 1.0 if self.shedding else 0.0)
         return self.state
 
     # -- the gate --------------------------------------------------------------
@@ -190,17 +187,14 @@ class AdmissionController:
             self.counters["shed"] += 1
             self.counters["shed_queue_full"] += 1
             obs.inc("serve.shed")
-            obs.inc("serve.shed.queue_full")
             return False
         if self.shedding:
             self.counters["shed"] += 1
             self.counters["shed_slo"] += 1
             obs.inc("serve.shed")
-            obs.inc("serve.shed.slo")
             self._age()
             return False
         self.counters["admitted"] += 1
-        obs.inc("serve.admitted")
         return True
 
     # -- reporting -------------------------------------------------------------

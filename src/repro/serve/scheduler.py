@@ -251,7 +251,6 @@ class BatchScheduler:
                 # Every collected request was cancelled before dispatch:
                 # nothing to execute.
                 self._stats["empty_ticks"] += 1
-                obs.inc("serve.batch.empty")
             if stop:
                 break
 
@@ -269,12 +268,6 @@ class BatchScheduler:
         self._stats["batch_queries"] += len(batch)
         self._stats["batch_rows_total"] += total
         self._stats["batch_rows_unique"] += unique
-        if obs.enabled():
-            obs.inc("serve.batch.calls")
-            obs.inc("serve.batch.queries", len(batch))
-            obs.inc("serve.batch.rows_total", total)
-            obs.inc("serve.batch.rows_unique", unique)
-        t0 = time.perf_counter_ns()
         try:
             with obs.span("serve.batch"):
                 values, outcomes = self.store.sls_scatter(name, queries)
@@ -282,8 +275,6 @@ class BatchScheduler:
             for p in batch:
                 self._resolve(p, error_response(p.request.id, exc, via="batch"))
             return
-        finally:
-            obs.observe_ns("serve.batch.ns", time.perf_counter_ns() - t0)
         for p, row_values, outcome in zip(batch, values, outcomes):
             if outcome.ok:
                 via = "scatter" if outcome.degraded else "batch"

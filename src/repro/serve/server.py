@@ -139,7 +139,6 @@ class SlsServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        obs.inc("serve.server.starts")
         obs.emit_event(obs.SERVE_START, host=self.host, port=self.port)
         return self
 
@@ -204,7 +203,6 @@ class SlsServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        obs.inc("serve.connections")
         outbox = _Outbox(writer)
         inflight: Set[asyncio.Future] = set()
         handler = asyncio.current_task()
@@ -230,7 +228,6 @@ class SlsServer:
             if inflight:
                 await asyncio.wait(inflight)
             if error is not None:
-                obs.inc("serve.frame_errors")
                 outbox.put(encode_frame(error_response(0, error)))
             outbox.flush()
             self._handlers.discard(handler)
@@ -248,7 +245,6 @@ class SlsServer:
         try:
             request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
         except FrameError as exc:  # a bad field: answered, the connection lives
-            obs.inc("serve.frame_errors")
             outbox.put(encode_frame(error_response(reply_id(obj), exc)))
             return
         if request.op in ("ping", "heartbeat"):
@@ -429,7 +425,6 @@ class AsyncSlsClient:
                         self._host, self._port
                     )
                 except (ConnectionError, OSError):
-                    obs.inc("serve.client.reconnect_failures")
                     continue
                 old_writer = self._writer
                 # The old outbox goes with its connection: everything it
@@ -444,10 +439,8 @@ class AsyncSlsClient:
                     # in flight when the connection died and got no response.
                     resend = [request for _rid, (_f, request) in sorted(self._pending.items())]
                     writer.write(b"".join(encode_frame(r, CODEC_BINARY) for r in resend))
-                    obs.inc("serve.client.resends", len(resend))
                     await writer.drain()
                 except (ConnectionError, OSError):
-                    obs.inc("serve.client.reconnect_failures")
                     continue  # fresh connection died too; dial again
                 # A write-path reconnect may find the read loop already
                 # exited (it gave up after max_reconnects); revive it so
@@ -546,7 +539,6 @@ class AsyncSlsClient:
                 response = await asyncio.wait_for(self.request(request), timeout)
         except (SecNDPError, asyncio.TimeoutError):
             self._pending.pop(request.id, None)
-            obs.inc(f"serve.client.{op}_failures")
             return False
         return response.status == STATUS_OK
 

@@ -432,7 +432,6 @@ class SecureEmbeddingStore:
             obs.inc("sls.batch.calls")
             obs.inc("sls.batch.queries", len(batch))
             obs.inc("sls.batch.rows_total", int(batch.rows.size))
-            obs.inc("sls.batch.rows_unique", int(np.unique(batch.rows).size))
         offload, hot = self._route_around_quarantine(name, batch)
         with obs.span("sls.batch"):
             residues, failed = self._offload(name, offload, "batch")
@@ -551,14 +550,12 @@ class SecureEmbeddingStore:
         policy = self.recovery
         attempts = 1
         for attempt in range(1, policy.max_retries + 1):
-            obs.inc("recovery.retries")
             obs.emit_event(
                 obs.RECOVERY_RETRY, table=name, rows=rows, attempt=attempt - 1
             )
             policy.sleep(policy.backoff_s(attempt - 1, salt=idx))
             attempts += 1
-            with obs.span("recovery.offload"):
-                residues, failed = self._offload(name, one, f"q{idx}:a{attempt}")
+            residues, failed = self._offload(name, one, f"q{idx}:a{attempt}")
             if not failed:
                 self.recovery_log.record(
                     RecoveryOutcome(name, tuple(rows), "retry", True, attempts)
@@ -577,14 +574,12 @@ class SecureEmbeddingStore:
 
     def _serve_quarantined(self, name: str, one: QueryBatch) -> np.ndarray:
         """A query touching known-bad rows, served trusted-side (rung 3)."""
-        obs.inc("recovery.quarantine_hits")
         obs.emit_event(obs.QUARANTINE_HIT, table=name, rows=one.rows.tolist())
         return self._serve_trusted(name, one, attempts=0)
 
     def _serve_trusted(self, name: str, one: QueryBatch, attempts: int) -> np.ndarray:
         """Rungs 2/3 for one query, logged; ``attempts`` 0 = quarantined."""
-        with obs.span("recovery.fallback"):
-            values, repaired = self._trusted_query(name, one)
+        values, repaired = self._trusted_query(name, one)
         if attempts:
             via, detected = ("repair" if repaired else "fallback"), True
         else:
@@ -630,7 +625,6 @@ class SecureEmbeddingStore:
                     f"no trusted plaintext is retained "
                     f"(RecoveryPolicy.retain_plaintext=False)"
                 )
-            obs.inc("recovery.repairs", len(bad_rows))
             obs.emit_event(obs.RECOVERY_REPAIR, table=name, rows=bad_rows)
             residues[failed] = plain[bad_rows]
             self._after_repair(name, bad_rows)
@@ -687,11 +681,9 @@ class SecureEmbeddingStore:
             )
         old = self.device.stored(name)
         retired_data, retired_tag = old.version, old.tag_version
-        obs.inc("recovery.reencryptions")
-        with obs.span("recovery.reencrypt"):
-            enc = self.processor.encrypt_matrix(
-                plain, old.base_addr, f"emb/{name}", with_tags=self.verify
-            )
+        enc = self.processor.encrypt_matrix(
+            plain, old.base_addr, f"emb/{name}", with_tags=self.verify
+        )
         self.device.store(name, enc)
         self.recovery_log.clear_quarantine(name)
         self.recovery_log.note_reencryption(name)

@@ -857,8 +857,19 @@ class TestClusterEndToEnd:
         assert swept == (distinct * blocks_per_row, distinct)
         kinds = [e.kind for e in journal()]
         assert obs.NODE_BLAME in kinds and obs.RECOVERY_FALLBACK in kinds
-        assert obs.snapshot()["counters"]["cluster.dispatch.retry"] >= 1
-        assert obs.snapshot()["counters"]["cluster.failovers"] >= 1
+        snap = obs.snapshot()
+        assert snap["counters"]["cluster.dispatch.retry"] >= 1
+        assert snap["counters"]["cluster.failovers"] >= 1
+        # The cluster inventory, exactly: the coordinator records only
+        # names something reads (DESIGN.md Sec. 9).
+        with kernels.use_tier(tier):
+            limb = "limb.dot.native" if kernels.active_tier() == "native" else "limb.dot.tier1"
+        assert set(snap["counters"]) == {
+            "cluster.dispatch.blamed", "cluster.dispatch.dead", "cluster.dispatch.retry",
+            "cluster.failovers", limb, "mac.tag_pads", "otp.cache.hit", "otp.cache.miss",
+            "protocol.verify.failures",
+        }
+        assert set(snap["timers"]) == {"protocol.combine.ns", "protocol.otp.ns", "protocol.verify.ns"}
 
     def test_node_holds_no_frame_between_requests(self):
         """After ``setup`` a node keeps its replica, not the armoured

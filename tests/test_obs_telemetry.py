@@ -127,7 +127,7 @@ class TestWorkerMergeEquivalence:
 
     This is the fleet-view acceptance property, exercised through the
     exact pathway ``parallel_map`` uses: per-worker ``MetricsRegistry``
-    -> ``snapshot(include_samples=True)`` -> serialised across the
+    -> ``snapshot()`` -> serialised across the
     process boundary (a JSON round trip here) -> parent ``merge``.
     """
 
@@ -151,11 +151,11 @@ class TestWorkerMergeEquivalence:
                 shard.observe_ns("sls.batch.ns", v)
             if not shard.snapshot()["timers"]:
                 continue
-            snap = json.loads(json.dumps(shard.snapshot(include_samples=True)))
+            snap = json.loads(json.dumps(shard.snapshot()))
             parent.merge(snap)
 
-        got = parent.snapshot(include_samples=True)["timers"]["sls.batch.ns"]
-        want = single.snapshot(include_samples=True)["timers"]["sls.batch.ns"]
+        got = parent.snapshot()["timers"]["sls.batch.ns"]
+        want = single.snapshot()["timers"]["sls.batch.ns"]
         assert got == want  # bit-identical, not just within error
         exact = sorted(values)
         for q, key in ((0.5, "p50_ns"), (0.99, "p99_ns")):
@@ -179,10 +179,10 @@ class TestWorkerMergeEquivalence:
             shard = MetricsRegistry()
             for v in values[w::n]:
                 shard.observe_ns("t", v)
-            parent.merge(shard.snapshot(include_samples=True))
+            parent.merge(shard.snapshot())
         assert (
-            parent.snapshot(include_samples=True)["timers"]["t"]
-            == single.snapshot(include_samples=True)["timers"]["t"]
+            parent.snapshot()["timers"]["t"]
+            == single.snapshot()["timers"]["t"]
         )
 
 
@@ -230,7 +230,7 @@ class TestSlo:
         obs.enable()
         for v in [1_000_000] * 90 + [9_000_000] * 10:  # 10% over 5ms
             reg.observe_ns("sls.batch.ns", v)
-        snap = obs.snapshot(include_samples=True)
+        snap = obs.snapshot()
         tracker = obs.SloTracker(["sls.batch.p99 < 5ms @ 20%"])
         (status,) = tracker.evaluate(snap)
         assert status.bad_fraction == pytest.approx(0.10)
@@ -242,6 +242,36 @@ class TestSlo:
         (status,) = hot.evaluate(snap)
         assert not status.met and status.state == 2
         assert obs.snapshot()["gauges"]["slo.degraded"] == 2.0
+
+    def test_latency_slo_on_a_plain_snapshot(self):
+        # Regression: ``obs.snapshot()`` used to carry no buckets, and a
+        # latency objective evaluated on it fell back to a coarse check
+        # that reported burn 1.00x, i.e. always met.
+        obs.enable()
+        for _ in range(100):
+            obs.observe_ns("sls.batch.ns", 50_000_000)
+        (status,) = obs.SloTracker(["sls.batch.p99 < 5ms"]).evaluate(obs.snapshot())
+        assert not status.met and status.state == 2
+        assert status.burn_rate == pytest.approx(100.0)
+
+    @pytest.mark.parametrize(
+        "spec, counters, met",
+        [
+            # A zero bound: any failure at all misses it.
+            ("verify.failure_rate <= 0", {"recovery.detections": 5}, False),
+            ("verify.failure_rate <= 0", {}, True),
+            # ``<`` is strict, ``<=`` is not.
+            ("verify.failure_rate < 0.05", {"recovery.detections": 5}, False),
+            ("verify.failure_rate <= 0.05", {"recovery.detections": 5}, True),
+            ("verify.failure_rate < 0.1", {"recovery.detections": 5}, True),
+        ],
+    )
+    def test_ratio_objective_honours_its_operator(self, spec, counters, met):
+        snap = {"counters": {**counters, "sls.batch.queries": 100}, "timers": {}}
+        (status,) = obs.SloTracker([spec]).evaluate(snap, publish=False)
+        assert status.met is met
+        if status.value and not status.spec.threshold:
+            assert status.burn_rate == float("inf") and status.state == 2
 
     def test_ratio_evaluation(self):
         obs.enable()
@@ -295,13 +325,31 @@ class TestEvents:
         events = obs.read_events(path)
         assert len(events) == 1 and events[0].rows == (1,)
 
-    def test_ring_bounded_counts_exact(self):
-        log = obs.enable_events(capacity=4)
+    def test_ring_bounded_counts_exact(self, monkeypatch):
+        monkeypatch.setattr(obs.events, "RING_CAPACITY", 4)
+        log = obs.enable_events()
         for i in range(10):
             log.emit(obs.VERIFY_FAILURE, table="t", rows=[i])
         assert len(log) == 4
         assert log.total == 10
         assert log.counts_by_kind() == {"verify_failure": 10}
+
+    def test_journal_scopes_by_seq_on_a_full_ring(self, monkeypatch):
+        # Regression: the journal used to slice the ring by its length at
+        # entry, so a full ring returned [] and a wrapping one shifted.
+        monkeypatch.setattr(obs.events, "RING_CAPACITY", 4)
+        log = obs.enable_events()
+        for i in range(4):
+            log.emit(obs.VERIFY_FAILURE, table="t", rows=[i])
+        with obs.journal() as journal:
+            for i in range(3):
+                obs.emit_event(obs.QUARANTINE, table="t", rows=[10 + i])
+        assert [e.rows for e in journal()] == [(10,), (11,), (12,)]
+        # A ring that wraps inside the scope keeps the newest of them.
+        with obs.journal() as journal:
+            for i in range(6):
+                obs.emit_event(obs.QUARANTINE, table="t", rows=[20 + i])
+        assert [e.rows for e in journal()] == [(22,), (23,), (24,), (25,)]
 
 
 class TestQuarantineJournal:
@@ -413,7 +461,7 @@ class TestExporter:
         reg = obs.get_registry()
         for v in [100, 2000, 30_000, 400_000]:
             reg.observe_ns("serve.batch.ns", v)
-        snap = obs.snapshot(include_samples=True)
+        snap = obs.snapshot()
         text = obs.to_prometheus(snap, event_counts={"quarantine": 2})
         n = obs.validate_prometheus_text(text)
         assert n > 0
@@ -426,7 +474,7 @@ class TestExporter:
         obs.enable()
         reg = obs.get_registry()
         reg.observe_ns("t.ns", 1_000_000_000)  # exactly 1 s
-        text = obs.to_prometheus(obs.snapshot(include_samples=True))
+        text = obs.to_prometheus(obs.snapshot())
         bucket_lines = [
             line for line in text.splitlines() if "secndp_t_seconds_bucket" in line
         ]
@@ -488,7 +536,7 @@ class TestCliObsReport:
         obs.inc("sls.batch.queries", 10)
         obs.get_registry().observe_ns("sls.batch.ns", 2_000_000)
         snap_path = tmp_path / "snap.json"
-        snap_path.write_text(json.dumps(obs.snapshot(include_samples=True)))
+        snap_path.write_text(json.dumps(obs.snapshot()))
         obs.disable()
         rc = main(
             ["obs", "report", "--metrics", str(snap_path), "--slo", "sls.batch.p99<1ms"]
@@ -496,6 +544,21 @@ class TestCliObsReport:
         out = capsys.readouterr().out
         assert rc == 1  # p99 = 2ms breaches the 1ms objective
         assert "DEGRADED" in out or "CRITICAL" in out
+
+    def test_report_refuses_a_snapshot_without_buckets(self, tmp_path, capsys):
+        from repro.cli import main
+
+        entry = {"count": 100, "total_ns": 5 * 10**9, "mean_ns": 5e7, "p50_ns": 5 * 10**7,
+                 "p95_ns": 5 * 10**7, "p99_ns": 5 * 10**7, "max_ns": 5 * 10**7}
+        snap_path = tmp_path / "snap.json"
+        snap_path.write_text(json.dumps({"counters": {}, "timers": {"sls.batch.ns": entry}}))
+        rc = main(
+            ["obs", "report", "--metrics", str(snap_path), "--slo", "sls.batch.p99<5ms"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.count("error:") == 1 and "no histogram buckets" in captured.err
+        assert "slo:" not in captured.out
 
     def test_unknown_action_fails_fast(self, capsys):
         from repro.cli import main

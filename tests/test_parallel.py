@@ -83,7 +83,7 @@ class TestSnapshotMerge:
         a.gauge("g", 1)
         a.observe_ns("t", 1000)
         a.observe_ns("t", 3000)
-        snap = a.snapshot(include_samples=True)
+        snap = a.snapshot()
 
         b = MetricsRegistry()
         b.inc("x", 1)
@@ -103,7 +103,7 @@ class TestSnapshotMerge:
         reg = MetricsRegistry()
         reg.inc("c")
         reg.observe_ns("t", 500)
-        blob = pickle.dumps(reg.snapshot(include_samples=True))
+        blob = pickle.dumps(reg.snapshot())
         assert pickle.loads(blob)["counters"]["c"] == 1
 
 
