@@ -32,9 +32,20 @@ from .params import SecNDPParams
 
 __all__ = ["LinearChecksum", "MultiPointChecksum"]
 
-#: Power-weight vectors are cached per (key, row length); a handful of
-#: matrices are typically live at once, so a small FIFO cap suffices.
+#: Power-weight vectors are cached per (key, row length), and secrets
+#: per (matrix address, checksum version); a handful of matrices are
+#: typically live at once, so a small FIFO cap suffices for both.
 _WEIGHT_CACHE_CAP = 32
+
+
+def _fifo_get(cache: dict, key, build):
+    """``cache[key]``, from ``build()`` on a miss, FIFO-capped."""
+    cached = cache.get(key)
+    if cached is None:
+        if len(cache) >= _WEIGHT_CACHE_CAP:
+            cache.pop(next(iter(cache)))
+        cached = cache[key] = build()
+    return cached
 
 
 def _vectorizable(field: PrimeField, matrix: np.ndarray) -> bool:
@@ -62,20 +73,25 @@ class _RowChecksum:
         self.params = params
         self.field: PrimeField = params.field()
         self._weight_cache: dict = {}
+        self._secret_cache: dict = {}
 
     def _secret_block(self, matrix_addr: int, version: int) -> int:
         """``encrypt_counter_int`` (its oracle) through the vectorised cipher."""
         block = self.cipher.encrypt_counters(DOMAIN_CHECKSUM, [matrix_addr], version)
         return int.from_bytes(block.tobytes(), "big")
 
+    def _cached_secret(self, matrix_addr: int, version: int, derive):
+        """A scheme's secret, derived once per ``(matrix_addr, version)``:
+        one AES block and big-int work saved on every later batch.  The
+        weight cache is already keyed by the secret, so nothing new is
+        held; a re-encryption draws a fresh version and so a fresh key."""
+        return _fifo_get(
+            self._secret_cache, (matrix_addr, version), lambda: derive(matrix_addr, version)
+        )
+
     def _cached_weights(self, key, build):
         """``build()`` once per ``key`` (a key and a row length), FIFO-capped."""
-        cached = self._weight_cache.get(key)
-        if cached is None:
-            if len(self._weight_cache) >= _WEIGHT_CACHE_CAP:
-                self._weight_cache.pop(next(iter(self._weight_cache)))
-            cached = self._weight_cache[key] = build()
-        return cached
+        return _fifo_get(self._weight_cache, key, build)
 
     def row_tag_limbs(self, matrix: np.ndarray, key) -> np.ndarray:
         """All row tags under one key, as ``(n, 4)`` limbs.
@@ -126,6 +142,9 @@ class LinearChecksum(_RowChecksum):
 
     def secret_point(self, matrix_addr: int, version: int) -> int:
         """Derive ``s`` (Alg. 2 line 4) for the matrix at ``matrix_addr``."""
+        return self._cached_secret(matrix_addr, version, self._derive_point)
+
+    def _derive_point(self, matrix_addr: int, version: int) -> int:
         pad = self._secret_block(matrix_addr, version)
         # "first w_t bits" of the cipher output, reduced into the field.
         s = pad >> (self.params.block_bits - self.params.tag_bits)
@@ -166,6 +185,9 @@ class MultiPointChecksum(_RowChecksum):
 
     def secret_points(self, matrix_addr: int, version: int) -> list:
         """The ``s_k`` substrings of ``E(K, 01 || paddr(P) || v)`` (line 8)."""
+        return list(self._cached_secret(matrix_addr, version, self._derive_points))
+
+    def _derive_points(self, matrix_addr: int, version: int) -> tuple:
         pad = self._secret_block(matrix_addr, version)
         points = []
         w_t = self.params.tag_bits
@@ -173,7 +195,7 @@ class MultiPointChecksum(_RowChecksum):
             start = self.params.block_bits - (k + 1) * w_t
             s_k = (pad >> max(start, 0)) & ((1 << w_t) - 1)
             points.append(self.field.reduce(s_k))
-        return points
+        return tuple(points)
 
     #: the key of the multi-point scheme is the list of evaluation points
     key_for = secret_points

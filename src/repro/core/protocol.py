@@ -30,6 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import kernels as _kernels
 from .. import obs
 from ..crypto import limb_field
 from ..crypto.ring import Ring
@@ -89,9 +90,10 @@ class QueryBatch:
     ``rows`` (``int64``) and ``weights`` (ring residues) hold every
     query's terms back to back; query ``q`` owns
     ``[offsets[q], offsets[q+1])``.  Both halves of the protocol reduce a
-    batch with one gather and one segmented sum over these arrays.
-    ``nonempty`` lists the queries that have terms and ``starts`` their
-    offsets - the segment boundaries the reductions use.
+    batch with one gathered, segmented sum over these arrays
+    (:meth:`ring_sums`, :meth:`tag_sums`).  ``nonempty`` lists the
+    queries that have terms and ``starts`` their offsets - the segment
+    boundaries the NumPy reductions use.
     """
 
     __slots__ = ("rows", "weights", "offsets", "nonempty", "starts")
@@ -153,11 +155,12 @@ class QueryBatch:
         """Distinct rows, ascending, and the index of each term in them.
 
         Terms that are already distinct and ascending (a typical single
-        query) are their own union and need no sort.
+        query) are their own union and need no sort: their index is
+        ``None``, the own-rows convention of :meth:`ring_sums`.
         """
         rows = self.rows
         if rows.size < 2 or (rows[1:] > rows[:-1]).all():
-            return rows, slice(None)
+            return rows, None
         return np.unique(rows, return_inverse=True)
 
     def scatter(self, sums: np.ndarray) -> np.ndarray:
@@ -173,15 +176,65 @@ class QueryBatch:
         """``sum_k a_k`` per query (``uint64``; the affine bias multiplier)."""
         return self.scatter(np.add.reduceat(self.weights, self.starts, dtype=np.uint64))
 
-    def ring_sums(self, ring: Ring, term_rows: np.ndarray) -> np.ndarray:
-        """``sum_k a_k * term_rows[k]`` per query, in the ring."""
-        return self.scatter(ring.segment_dot(self.weights, term_rows, self.starts))
+    def ring_sums(
+        self, ring: Ring, table: np.ndarray, idx: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``sum_k a_k * table[idx[k]]`` per query, in the ring.
 
-    def tag_sums(self, field, term_limbs: np.ndarray) -> np.ndarray:
-        """``sum_k a_k * term_limbs[k]`` per query, in the tag field."""
+        ``idx=None`` means the table's own rows (term ``k`` reads row
+        ``k``).  This is the multiply-accumulate of both halves of the
+        split: the NDP PU's over stored ciphertext (``idx`` the batch's
+        rows) and the OTP PU's over the pads of the row union.  On the
+        native tier gather, product and segmented sum are one compiled
+        pass (``ring_segsum``); the NumPy tier gathers, then runs
+        :meth:`Ring.segment_dot`.  A row outside ``table`` is never read:
+        the kernel checks every index in its loop and declines, and the
+        NumPy path then refuses the row with :class:`ConfigurationError`.
+        """
+        nat = _kernels.active_native()
+        if nat is not None and table.dtype == ring.dtype:
+            out = nat.ring_segsum(table, self.weights, idx, self.offsets)
+            if out is not None:
+                return out
+        rows = self._gather(table, idx)
+        return self.scatter(ring.segment_dot(self.weights, rows, self.starts))
+
+    def tag_sums(
+        self, field, table: np.ndarray, idx: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``sum_k a_k * table[idx[k]]`` per query, in the tag field.
+
+        ``table`` holds ``(n, 4)`` limb rows (stored encrypted tags,
+        ``uint32``, or regenerated tag pads, ``uint64``); ``idx`` as in
+        :meth:`ring_sums`.  Under GF(2^127 - 1) on the native tier this is
+        one compiled pass (``limb_segsum``: u128 columns, exact below
+        ``2^28`` terms a query, canonical limbs out); otherwise a gather
+        and :func:`limb_field.field_segment_dot`, which also serves every
+        other tag field through the scalar oracle.
+        """
+        nat = _kernels.active_native()
+        if nat is not None and limb_field.supports_field(field):
+            out = nat.limb_segsum(table, self.weights, idx, self.offsets)
+            if out is not None:
+                return out
+        rows = self._gather(table, idx)
         return self.scatter(
-            limb_field.field_segment_dot(field, self.weights, term_limbs, self.starts)
+            limb_field.field_segment_dot(field, self.weights, rows, self.starts)
         )
+
+    @staticmethod
+    def _gather(table: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
+        """``table[idx]``, refusing any index outside the table (NumPy
+        would wrap a negative one and raise ``IndexError`` past the end)."""
+        if idx is None:
+            return table
+        bad = (idx < 0) | (idx >= table.shape[0])
+        if bad.any():
+            raise ConfigurationError(
+                f"row {int(idx[bad][0])} outside the stored table's "
+                f"{table.shape[0]} rows"
+            )
+        return table[idx]
 
 
 def _require_tags(enc: EncryptedMatrix, name: str) -> None:
@@ -239,9 +292,9 @@ class UntrustedNdpDevice:
             raise ConfigurationError(f"matrix {name!r} stored without tags")
         values = tag_sums = None
         if data:
-            values = batch.ring_sums(self.ring, enc.ciphertext[batch.rows])
+            values = batch.ring_sums(self.ring, enc.ciphertext, batch.rows)
         if tags:
-            tag_sums = batch.tag_sums(self.field, enc.tag_limbs[batch.rows])
+            tag_sums = batch.tag_sums(self.field, enc.tag_limbs, batch.rows)
         inj = fault_hooks.armed_injector()
         if self._result_delta is None and self._tag_delta is None and inj is None:
             return values, tag_sums
@@ -554,10 +607,13 @@ class SecNDPProcessor:
         shares = []
         with obs.span("protocol.combine"):
             for part, mask in owners:
-                # A slice ``where`` means the terms are their own union.
-                pick = where if mask is None else mask if isinstance(where, slice) else where[mask]
-                tags = part.tag_sums(self.field, tag_pads[pick]) if with_tag_shares else None
-                shares.append(PartialSumShare(part.ring_sums(self.ring, pads[pick]), tags))
+                # A ``None`` ``where`` means the terms are their own union.
+                if mask is None:
+                    pick = where
+                else:
+                    pick = np.flatnonzero(mask) if where is None else where[mask]
+                tags = part.tag_sums(self.field, tag_pads, pick) if with_tag_shares else None
+                shares.append(PartialSumShare(part.ring_sums(self.ring, pads, pick), tags))
         return shares
 
     def combine_device_sums(

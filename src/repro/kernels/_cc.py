@@ -2,9 +2,11 @@
 
 A single small C translation unit implements the limb-field primitives
 (127-bit Mersenne arithmetic on 64-bit words with ``unsigned __int128``
-intermediates) and the pad engine: an AES-128 block sweep (AES-NI body
-chosen at run time where the CPU has one, portable T-table body
-elsewhere; DESIGN.md Sec. 14) and the fused counter-mode sweep over it.
+intermediates), the fused gather-and-segment-sum kernels both halves of
+the split run (``ring_segsum`` in Z(2^w_e), ``limb_segsum`` in the tag
+field) and the pad engine: an AES-128 block sweep (AES-NI body chosen at
+run time where the CPU has one, portable T-table body elsewhere;
+DESIGN.md Sec. 14) and the fused counter-mode sweep over it.
 It is compiled once per (source, compiler, host CPU) with the host C
 compiler into a content-addressed shared library under
 ``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
@@ -15,13 +17,14 @@ of recompiling.
 Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
 fails its load-time self-test (FIPS-197 AES vector, the AES bodies
-against each other, big-int cross-checks of every field kernel) — the
-tier dispatcher then falls back to NumPy.
+against each other, big-int cross-checks of every field kernel and of
+both segment sums) — the tier dispatcher then falls back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
-contract; the dispatch sites in ``crypto/limb_field.py`` and
-``crypto/aes.py`` then fall through to the NumPy tier, so outputs are
-bit-identical by construction and verified by the property suite.
+contract; the dispatch sites in ``crypto/limb_field.py``,
+``crypto/aes.py`` and ``core/protocol.py`` then fall through to the
+NumPy tier, so outputs are bit-identical by construction and verified by
+the property suite.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _C_SOURCE_TEMPLATE = r"""
 typedef unsigned __int128 u128;
 typedef uint64_t u64;
 typedef uint32_t u32;
+typedef uint16_t u16;
 typedef uint8_t u8;
 
 #define MASK32 0xFFFFFFFFull
@@ -277,6 +281,99 @@ void secndp_horner(const u64 *matrix, long long n, long long m,
         o[3] = acc1 >> 32;
     }
 }
+
+/* ----- Fused gather + segmented sums: one pass per half of the split ----- */
+
+/* Shared by both kernels: segment s covers terms [off[s], off[s+1]) and
+ * term k reads table row idx[k] (row k itself when idx is NULL).  Every
+ * offset and every index is checked inside the loop, before the row is
+ * touched, so a hostile index is never read past the table; a kernel
+ * returns 0, or -1 with the output incomplete, and the caller then
+ * decides on the NumPy path. */
+#define TERM_ROW(r, k, idx, n_rows)                                       \
+    long long r = (idx) ? (idx)[k] : (k);                                 \
+    if ((u64)r >= (u64)(n_rows))                                          \
+        return -1
+
+/* ring_segsum: out[s] = sum_k w[k] * table[idx[k]] in Z(2^W), the NDP
+ * PU's multiply-accumulate over ciphertext rows and the OTP PU's over
+ * pad rows.  Products and sums go through the unsigned type U (never a
+ * promoted signed int) and are truncated to T, which is reduction mod
+ * 2^W - bit-identical to the NumPy tier's wrapping ring dtype. */
+#define RING_SEGSUM(T, U)                                                 \
+int secndp_ring_segsum_##T(const T *restrict table, long long n_rows,     \
+                           long long m, const T *restrict w,              \
+                           const long long *restrict idx, long long n_terms, \
+                           const long long *restrict off, long long n_seg, \
+                           T *restrict out) {                             \
+    long long s, k, j;                                                    \
+    if (off[0] != 0 || off[n_seg] != n_terms)                             \
+        return -1;                                                        \
+    for (s = 0; s < n_seg; s++) {                                         \
+        long long lo = off[s], hi = off[s + 1];                           \
+        T *o = out + s * m;                                               \
+        if (hi < lo || hi > n_terms)                                      \
+            return -1;                                                    \
+        for (j = 0; j < m; j++)                                           \
+            o[j] = 0;                                                     \
+        for (k = lo; k < hi; k++) {                                       \
+            TERM_ROW(r, k, idx, n_rows);                                  \
+            const T *row = table + r * m;                                 \
+            U wk = w[k];                                                  \
+            for (j = 0; j < m; j++)                                       \
+                o[j] = (T)(o[j] + wk * (U)row[j]);                        \
+        }                                                                 \
+    }                                                                     \
+    return 0;                                                             \
+}
+RING_SEGSUM(u8, u32)
+RING_SEGSUM(u16, u32)
+RING_SEGSUM(u32, u32)
+RING_SEGSUM(u64, u64)
+
+/* limb_segsum: out[s] = sum_k c[k] * limbs[idx[k]] mod 2^127 - 1 into
+ * canonical limbs.  A table row is four 32-bit limbs of one value
+ * < 2^128 (not necessarily canonical: stored tags are untrusted); u64
+ * tables are checked limb by limb to hold 32 bits.  A coefficient times
+ * a limb is < 2^96 and a segment has < 2^28 terms, so the four u128
+ * columns stay < 2^124 - exactly cols4_canon's contract. */
+#define LIMB_SEGSUM(C, L)                                                 \
+int secndp_limb_segsum_##C##_##L(const L *restrict limbs, long long n_rows, \
+                                 const C *restrict c,                     \
+                                 const long long *restrict idx, long long n_terms, \
+                                 const long long *restrict off, long long n_seg, \
+                                 u64 *restrict out) {                     \
+    long long s, k;                                                       \
+    if (off[0] != 0 || off[n_seg] != n_terms)                             \
+        return -1;                                                        \
+    for (s = 0; s < n_seg; s++) {                                         \
+        long long lo = off[s], hi = off[s + 1];                           \
+        u128 a0 = 0, a1 = 0, a2 = 0, a3 = 0;                              \
+        if (hi < lo || hi > n_terms || hi - lo >= (1LL << 28))            \
+            return -1;                                                    \
+        for (k = lo; k < hi; k++) {                                       \
+            TERM_ROW(r, k, idx, n_rows);                                  \
+            const L *v = limbs + 4 * r;                                   \
+            u128 ck = c[k];                                               \
+            if ((((u64)v[0] | (u64)v[1] | (u64)v[2] | (u64)v[3]) >> 32) != 0) \
+                return -1;                                                \
+            a0 += ck * v[0];                                              \
+            a1 += ck * v[1];                                              \
+            a2 += ck * v[2];                                              \
+            a3 += ck * v[3];                                              \
+        }                                                                 \
+        cols4_canon(a0, a1, a2, a3, out + 4 * s);                         \
+    }                                                                     \
+    return 0;                                                             \
+}
+LIMB_SEGSUM(u8, u32)
+LIMB_SEGSUM(u16, u32)
+LIMB_SEGSUM(u32, u32)
+LIMB_SEGSUM(u64, u32)
+LIMB_SEGSUM(u8, u64)
+LIMB_SEGSUM(u16, u64)
+LIMB_SEGSUM(u32, u64)
+LIMB_SEGSUM(u64, u64)
 
 /* ----- AES-128 (FIPS-197), T-table formulation ----- */
 
@@ -523,10 +620,13 @@ def _build() -> str:
     raise NativeUnavailable(f"kernel compile failed with {cc}: {last_err}")
 
 
-_U64P = ctypes.POINTER(ctypes.c_uint64)
-_U32P = ctypes.POINTER(ctypes.c_uint32)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
+#: One argument convention for every kernel: an array travels as its
+#: address (``arr.ctypes.data``, a plain int) through a ``c_void_p``
+#: argtype, which costs a fraction of building a typed ``POINTER`` per
+#: call; each wrapper owns the dtype, shape and contiguity it hands over.
+_PTR = ctypes.c_void_p
 _LL = ctypes.c_longlong
+_RING_TYPES = ("u8", "u16", "u32", "u64")
 
 
 def _load() -> ctypes.CDLL:
@@ -534,33 +634,29 @@ def _load() -> ctypes.CDLL:
         lib = ctypes.CDLL(_build())
     except OSError as exc:
         raise NativeUnavailable(f"kernel library failed to load: {exc}") from exc
-    lib.secndp_dot.argtypes = [_U64P, _LL, _LL, _U64P, _U32P, _U64P]
+    lib.secndp_dot.argtypes = [_PTR, _LL, _LL, _PTR, _PTR, _PTR]
     lib.secndp_dot.restype = None
-    lib.secndp_mul.argtypes = [_U64P, _U64P, _LL, ctypes.c_int, _U64P]
+    lib.secndp_mul.argtypes = [_PTR, _PTR, _LL, ctypes.c_int, _PTR]
     lib.secndp_mul.restype = None
-    lib.secndp_fold.argtypes = [_U64P, _LL, ctypes.c_int, _U64P]
+    lib.secndp_fold.argtypes = [_PTR, _LL, ctypes.c_int, _PTR]
     lib.secndp_fold.restype = None
-    lib.secndp_horner.argtypes = [_U64P, _LL, _LL, ctypes.c_uint64, ctypes.c_uint64, _U64P]
+    lib.secndp_horner.argtypes = [_PTR, _LL, _LL, ctypes.c_uint64, ctypes.c_uint64, _PTR]
     lib.secndp_horner.restype = None
     for fn in (lib.secndp_aes128_blocks, lib.secndp_aes128_blocks_ttable):
-        fn.argtypes = [_U8P, _U8P, _LL, _U8P]
+        fn.argtypes = [_PTR, _PTR, _LL, _PTR]
         fn.restype = None
-    lib.secndp_ctr_pads.argtypes = [_U8P, *[ctypes.c_int] * 3, ctypes.c_uint64, _U64P, _LL, _U8P]
+    lib.secndp_ctr_pads.argtypes = [_PTR, *[ctypes.c_int] * 3, ctypes.c_uint64, _PTR, _LL, _PTR]
     lib.secndp_ctr_pads.restype = None
     lib.secndp_aes_hw.restype = ctypes.c_int
+    for t in _RING_TYPES:
+        fn = getattr(lib, f"secndp_ring_segsum_{t}")
+        fn.argtypes = [_PTR, _LL, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]
+        fn.restype = ctypes.c_int
+        for limb in ("u32", "u64"):
+            fn = getattr(lib, f"secndp_limb_segsum_{t}_{limb}")
+            fn.argtypes = [_PTR, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]
+            fn.restype = ctypes.c_int
     return lib
-
-
-def _u64p(arr: np.ndarray):
-    return arr.ctypes.data_as(_U64P)
-
-
-def _u32p(arr: np.ndarray):
-    return arr.ctypes.data_as(_U32P)
-
-
-def _u8p(arr: np.ndarray):
-    return arr.ctypes.data_as(_U8P)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +692,7 @@ def dot(coeffs: np.ndarray, weight_limbs: np.ndarray) -> Optional[np.ndarray]:
         # Transposed u32 weight columns for the vectorized small path;
         # (m, 4) -> (4, m) is tiny next to the (n, m) sweep.
         wt = np.ascontiguousarray(w.T & np.uint64(_M32), dtype=np.uint32)
-        _lib.secndp_dot(_u64p(flat), n, m, _u64p(w), _u32p(wt), _u64p(out))
+        _lib.secndp_dot(flat.ctypes.data, n, m, w.ctypes.data, wt.ctypes.data, out.ctypes.data)
     return out.reshape(c.shape[:-1] + (4,))
 
 
@@ -619,7 +715,9 @@ def mul(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
         return None
     out = np.empty_like(flat)
     if flat.shape[0]:
-        _lib.secndp_mul(_u64p(flat), _u64p(other), flat.shape[0], b_scalar, _u64p(out))
+        _lib.secndp_mul(
+            flat.ctypes.data, other.ctypes.data, flat.shape[0], b_scalar, out.ctypes.data
+        )
     return out.reshape(shape)
 
 
@@ -632,7 +730,7 @@ def fold(values: np.ndarray) -> Optional[np.ndarray]:
     flat = v.reshape(-1, k)
     out = np.empty((flat.shape[0], 4), dtype=np.uint64)
     if flat.shape[0]:
-        _lib.secndp_fold(_u64p(flat), flat.shape[0], k, _u64p(out))
+        _lib.secndp_fold(flat.ctypes.data, flat.shape[0], k, out.ctypes.data)
     return out.reshape(v.shape[:-1] + (4,))
 
 
@@ -647,8 +745,83 @@ def horner(matrix: np.ndarray, s_limbs: np.ndarray) -> Optional[np.ndarray]:
     s1 = int(s[2]) | (int(s[3]) << 32)
     out = np.zeros((n, 4), dtype=np.uint64)
     if n and m:
-        _lib.secndp_horner(_u64p(m_arr), n, m, s0, s1, _u64p(out))
+        _lib.secndp_horner(m_arr.ctypes.data, n, m, s0, s1, out.ctypes.data)
     return out
+
+
+#: Ring residue dtypes the fused kernels take, by C type suffix.
+_RING_SUFFIX = {np.dtype(f"u{b}"): f"u{8 * b}" for b in (1, 2, 4, 8)}
+
+
+def _csr(coeffs: np.ndarray, idx: Optional[np.ndarray], offsets: np.ndarray):
+    """The term arrays of a fused kernel as C-ready arrays, or ``None``
+    when their shapes disagree (values are the kernel's to check)."""
+    off = np.ascontiguousarray(offsets, dtype=np.int64)
+    c = np.ascontiguousarray(coeffs)
+    if off.ndim != 1 or not off.size or c.ndim != 1:
+        return None
+    if idx is not None:
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        if idx.shape != c.shape:
+            return None
+    return c, idx, off
+
+
+def ring_segsum(
+    table: np.ndarray, weights: np.ndarray, idx: Optional[np.ndarray], offsets: np.ndarray
+) -> Optional[np.ndarray]:
+    """``out[s] = sum_k weights[k] * table[idx[k]]`` over CSR segment ``s``
+    (terms ``[offsets[s], offsets[s+1])``), in the ring of ``table``'s
+    unsigned dtype; ``idx=None`` reads term ``k``'s own row ``k``.  Gather,
+    product and sum are one pass.  ``None`` outside the contract: weights
+    of another dtype, a non-contiguous table, a row outside the table or a
+    malformed offset (the last two found by the kernel's own checks)."""
+    suffix = _RING_SUFFIX.get(table.dtype)
+    if suffix is None or table.ndim != 2 or not table.flags.c_contiguous:
+        return None
+    args = _csr(weights, idx, offsets)
+    if args is None or args[0].dtype != table.dtype:
+        return None
+    w, idx, off = args
+    n_rows, m = table.shape
+    out = np.empty((off.size - 1, m), dtype=table.dtype)
+    status = getattr(_lib, f"secndp_ring_segsum_{suffix}")(
+        table.ctypes.data, n_rows, m, w.ctypes.data,
+        None if idx is None else idx.ctypes.data, w.size,
+        off.ctypes.data, off.size - 1, out.ctypes.data,
+    )
+    return out if status == 0 else None
+
+
+def limb_segsum(
+    limbs: np.ndarray, coeffs: np.ndarray, idx: Optional[np.ndarray], offsets: np.ndarray
+) -> Optional[np.ndarray]:
+    """``out[s] = sum_k coeffs[k] * limbs[idx[k]] mod 2^127 - 1`` over CSR
+    segment ``s`` as canonical ``(n_segments, 4)`` limbs, from a
+    ``uint32`` or ``uint64`` table of ``(n, 4)`` limb rows (any value
+    below ``2^128``) and unsigned ring coefficients.  ``None`` outside the
+    contract: another dtype or shape, a ``uint64`` limb above 32 bits, a
+    segment of ``2^28`` terms or more, a row outside the table or a
+    malformed offset."""
+    if (
+        limbs.dtype not in (np.uint32, np.uint64)
+        or limbs.ndim != 2
+        or limbs.shape[1] != 4
+        or not limbs.flags.c_contiguous
+    ):
+        return None
+    args = _csr(coeffs, idx, offsets)
+    if args is None or args[0].dtype not in _RING_SUFFIX:
+        return None
+    c, idx, off = args
+    fn = getattr(_lib, f"secndp_limb_segsum_{_RING_SUFFIX[c.dtype]}_u{8 * limbs.itemsize}")
+    out = np.empty((off.size - 1, 4), dtype=np.uint64)
+    status = fn(
+        limbs.ctypes.data, limbs.shape[0], c.ctypes.data,
+        None if idx is None else idx.ctypes.data, c.size,
+        off.ctypes.data, off.size - 1, out.ctypes.data,
+    )
+    return out if status == 0 else None
 
 
 @lru_cache(maxsize=64)
@@ -668,7 +841,7 @@ def aes_blocks(key: bytes, blocks: np.ndarray, ttable: bool = False) -> Optional
     out = np.empty_like(blocks)
     if blocks.shape[0]:
         fn = _lib.secndp_aes128_blocks_ttable if ttable else _lib.secndp_aes128_blocks
-        fn(_u8p(rk), _u8p(blocks), blocks.shape[0], _u8p(out))
+        fn(rk.ctypes.data, blocks.ctypes.data, blocks.shape[0], out.ctypes.data)
     return out
 
 
@@ -683,8 +856,8 @@ def ctr_pads(
     out = np.empty((addrs.size, 16), dtype=np.uint8)
     if addrs.size:
         _lib.secndp_ctr_pads(
-            _u8p(_round_key_bytes(bytes(key))), domain, addr_bits, pad_bits,
-            version, _u64p(addrs), addrs.size, _u8p(out),
+            _round_key_bytes(bytes(key)).ctypes.data, domain, addr_bits, pad_bits,
+            version, addrs.ctypes.data, addrs.size, out.ctypes.data,
         )
     return out
 
@@ -704,6 +877,9 @@ def warmup() -> None:
     fold(np.array([[1, 2, 3, 4, 5]], dtype=np.uint64))
     horner(np.array([[1, 2, 3]], dtype=np.uint64), np.array([2, 0, 0, 0], dtype=np.uint64))
     aes_blocks(bytes(16), np.zeros((1, 16), dtype=np.uint8))
+    off = np.array([0, 2], dtype=np.int64)
+    ring_segsum(np.ones((2, 3), dtype=np.uint32), np.ones(2, dtype=np.uint32), None, off)
+    limb_segsum(a.astype(np.uint32), np.ones(2, dtype=np.uint32), np.zeros(2, dtype=np.int64), off)
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +946,34 @@ def _self_test() -> None:
         want.append(acc)
     if got != want:
         raise NativeUnavailable("self-test failed: horner")
+
+    # Fused segment sums: every ring width and both limb-table dtypes
+    # against Python ints, with repeated rows, an empty segment, weights
+    # at 2^w - 1, and a hostile index refused rather than read.
+    idx = np.array([2, 0, 2, 1, 2], dtype=np.int64)
+    off = np.array([0, 3, 3, 5], dtype=np.int64)
+    segs = [range(a, b) for a, b in zip(off[:-1], off[1:])]
+    for bits in (8, 16, 32, 64):
+        dt = np.dtype(f"u{bits // 8}")
+        table = (np.arange(12, dtype=np.uint64) * 0x9E3779B97F4A7C15).astype(dt).reshape(3, 4)
+        w = np.array([(1 << bits) - 1, 3, 7, 1, (1 << bits) - 2], dtype=dt)
+        want = [[sum(int(w[k]) * int(table[idx[k], j]) for k in seg) % (1 << bits)
+                 for j in range(4)] for seg in segs]
+        got = ring_segsum(table, w, idx, off)
+        if got is None or got.tolist() != want:
+            raise NativeUnavailable(f"self-test failed: ring_segsum ({bits}-bit)")
+        tag_ints = [_P - 1, (1 << 128) - 1, (1 << 100) + 5]
+        for limb_dt in (np.uint32, np.uint64):
+            limbs = np.array(
+                [[(v >> 32 * i) & _M32 for i in range(4)] for v in tag_ints], dtype=limb_dt
+            )
+            got = limb_segsum(limbs, w, idx, off)
+            want = [sum(int(w[k]) * tag_ints[idx[k]] for k in seg) % _P for seg in segs]
+            if got is None or _ints_of(got) != want:
+                raise NativeUnavailable("self-test failed: limb_segsum")
+        bad = np.array([2, 0, 3, 1, 2], dtype=np.int64)
+        if ring_segsum(table, w, bad, off) is not None or limb_segsum(limbs, w, -bad, off) is not None:
+            raise NativeUnavailable("self-test failed: segment sums read outside the table")
 
     # AES: the FIPS-197 vector on both bodies, then the serving body
     # against the portable one on 1/8/9-block sweeps (the hardware body's

@@ -13,8 +13,12 @@ from repro.core import (
     SecNDPParams,
 )
 from repro import kernels
+from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
 from repro.crypto import TweakedCipher
 from repro.crypto.tweaked import DOMAIN_CHECKSUM
+from repro.errors import VerificationError
+from repro.faults.recovery import RecoveryPolicy
+from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
 
@@ -56,6 +60,31 @@ class TestLinearChecksum:
                     ((pad >> (128 - 31 * (k + 1))) & ((1 << 31) - 1)) % small.tag_modulus
                     for k in range(4)
                 ]
+
+    def test_secret_is_derived_once_and_reencryption_draws_a_fresh_one(self, monkeypatch):
+        params = SecNDPParams(element_bits=32)
+        processor, device = SecNDPProcessor(KEY, params), UntrustedNdpDevice(params)
+        store = SecureEmbeddingStore(
+            processor, device, recovery=RecoveryPolicy(sleep=lambda _: None)
+        )
+        store.add_table("emb", np.random.default_rng(2).normal(size=(16, 8)))
+        cs = processor.checksum
+        derived = []
+        derive = cs._secret_block
+        monkeypatch.setattr(cs, "_secret_block", lambda *a: derived.append(a) or derive(*a))
+        old = device.stored("emb")
+        s_old = cs.key_for(old.base_addr, old.checksum_version)
+        assert cs.key_for(old.base_addr, old.checksum_version) == s_old
+        assert derived == []  # tagging derived it at add_table; both calls hit the memo
+
+        store.reencrypt_table("emb")
+        new = device.stored("emb")
+        assert new.checksum_version != old.checksum_version
+        assert cs.key_for(new.base_addr, new.checksum_version) != s_old
+        processor.weighted_row_sums(device, "emb", [[1, 2], [3]])  # honest: passes
+        device.tamper_tags(1)
+        with pytest.raises(VerificationError):
+            processor.weighted_row_sums(device, "emb", [[1, 2], [3]])
 
     def test_row_tag_matches_definition(self, setup):
         cipher, params = setup

@@ -923,6 +923,27 @@ class TestClusterEndToEnd:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("row", [69, 2**32 - 1])
+    def test_row_outside_the_replica_is_a_typed_error_on_a_live_connection(self, row):
+        """A hostile row index is refused with an error frame: the node
+        neither reads past its table nor drops the connection."""
+        store = _make_store(n_rows=64, dim=4)
+
+        async def scenario():
+            async with NodeServer("n0") as server:
+                client = NodeClient("n0", server.host, server.port)
+                coordinator = ClusterCoordinator(store, [client], task_timeout_s=5.0)
+                await coordinator.setup()
+                payload = codec.encode_queries([[1, row], [2]], [[1, 1], [1]])
+                with pytest.raises(ConfigurationError, match="outside the stored table"):
+                    await client.request(
+                        "partial_sum", table="emb", payload=payload, timeout=5.0
+                    )
+                assert await client.heartbeat(timeout=5.0)
+                await coordinator.close()
+
+        asyncio.run(scenario())
+
     def test_coordinator_requires_verifying_store(self):
         store = _make_store()
         store.verify = False

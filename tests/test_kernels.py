@@ -400,6 +400,118 @@ class TestCrossTierBitIdentity:
 
 
 # ---------------------------------------------------------------------------
+# Fused gather + segmented sums: both halves of the split (the device's
+# ciphertext sums, the trusted side's pad sums) in one compiled pass.
+# ---------------------------------------------------------------------------
+
+
+def _csr_case(width, idx_kind, segments, seed):
+    """A table, its weights at the ring's extremes, a row index and CSR
+    offsets (empty segments included when there are many)."""
+    from repro.core.protocol import QueryBatch
+
+    rng = np.random.default_rng(seed)
+    dt = np.dtype(f"u{width // 8}")
+    n_terms = int(rng.integers(1, 40))
+    n_rows = int(rng.integers(1, 12)) if idx_kind == "repeated" else n_terms
+    table = rng.integers(0, 2**width, size=(n_rows, 5), dtype=np.uint64).astype(dt)
+    weights = rng.integers(0, 2**width, size=n_terms, dtype=np.uint64).astype(dt)
+    weights[::3] = np.iinfo(dt).max
+    idx = {
+        None: None,
+        "permutation": rng.permutation(n_terms),
+        "repeated": rng.integers(0, n_rows, size=n_terms),
+    }[idx_kind]
+    if segments == "one":
+        offsets = np.array([0, n_terms], dtype=np.int64)
+    else:
+        cuts = np.sort(rng.integers(0, n_terms + 1, size=int(rng.integers(1, 8))))
+        offsets = np.concatenate(([0], cuts, [n_terms])).astype(np.int64)
+    return QueryBatch(np.arange(n_terms), weights, offsets), table, idx
+
+
+def _oracle_sums(batch, rows_of_ints, idx, modulus):
+    """Big-int ``sum_k weights[k] * row[idx[k]]`` per query, per column."""
+    pick = range(len(batch.weights)) if idx is None else idx
+    return [
+        [
+            sum(int(batch.weights[k]) * rows_of_ints[pick[k]][j] for k in range(lo, hi)) % modulus
+            for j in range(len(rows_of_ints[0]))
+        ]
+        for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])
+    ]
+
+
+@needs_native
+class TestFusedSegmentSums:
+    @pytest.mark.parametrize("segments", ["one", "many"])
+    @pytest.mark.parametrize("idx_kind", [None, "permutation", "repeated"])
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_ring_and_limb_sums_agree_on_every_tier(self, width, idx_kind, segments):
+        from repro.core.params import SecNDPParams
+        from repro.kernels import _cc
+
+        ring = SecNDPParams(element_bits=width).ring()
+        for seed in range(3):
+            batch, table, idx = _csr_case(width, idx_kind, segments, seed)
+            want = _oracle_sums(batch, table.tolist(), idx, 1 << width)
+            np_res, nat_res = _both_tiers(lambda: batch.ring_sums(ring, table, idx))
+            assert np_res.dtype == nat_res.dtype == ring.dtype
+            assert nat_res.tolist() == np_res.tolist() == want
+            assert _cc.ring_segsum(table, batch.weights, idx, batch.offsets).tolist() == want
+
+            rng = np.random.default_rng(seed)
+            # Stored tags are untrusted 128-bit values, not canonical ones.
+            edge = [P - 1, P, (1 << 128) - 1]
+            tags = [edge[r] if r < 3 else int.from_bytes(rng.bytes(16), "little")
+                    for r in range(len(table))]
+            want = [q[0] for q in _oracle_sums(batch, [[t] for t in tags], idx, P)]
+            for limb_dt in (np.uint32, np.uint64):
+                limbs = lf.pack(tags).astype(limb_dt)
+                results = []
+                for tier in ("scalar", "numpy", "native"):
+                    with kernels.use_tier(tier):
+                        results.append(_ints(batch.tag_sums(FIELD, limbs, idx)))
+                assert results == [want] * 3, limb_dt
+
+    @pytest.mark.parametrize("bad", [5, 2**32 - 1, -1])
+    def test_a_row_outside_the_table_is_declined_then_refused(self, bad):
+        from repro.core.params import SecNDPParams
+        from repro.core.protocol import QueryBatch
+        from repro.kernels import _cc
+
+        ring = SecNDPParams(element_bits=32).ring()
+        table = np.arange(20, dtype=np.uint32).reshape(5, 4)
+        idx = np.array([0, bad, 1], dtype=np.int64)
+        batch = QueryBatch(idx, np.ones(3, dtype=np.uint32), np.array([0, 2, 3], dtype=np.int64))
+        assert _cc.ring_segsum(table, batch.weights, idx, batch.offsets) is None
+        for limb_dt in (np.uint32, np.uint64):
+            assert _cc.limb_segsum(table.astype(limb_dt), batch.weights, idx, batch.offsets) is None
+        for tier in ("scalar", "numpy", "native"):
+            with kernels.use_tier(tier):
+                with pytest.raises(ConfigurationError, match=f"row {bad} outside"):
+                    batch.ring_sums(ring, table, idx)
+                with pytest.raises(ConfigurationError, match=f"row {bad} outside"):
+                    batch.tag_sums(FIELD, table, idx)
+
+    def test_the_kernels_decline_what_their_contract_excludes(self):
+        from repro.kernels import _cc
+
+        off = np.array([0, 2], dtype=np.int64)
+        w32 = np.ones(2, dtype=np.uint32)
+        limbs = np.zeros((2, 4), dtype=np.uint64)
+        assert _cc.limb_segsum(limbs, w32, None, off) is not None
+        limbs[1, 2] = 1 << 32  # a u64 lane holding more than one limb
+        assert _cc.limb_segsum(limbs, w32, None, off) is None
+        table = np.ones((2, 3), dtype=np.uint32)
+        assert _cc.ring_segsum(table, w32.astype(np.uint16), None, off) is None  # mixed dtypes
+        assert _cc.ring_segsum(table.astype(np.int32), w32.astype(np.int32), None, off) is None
+        assert _cc.ring_segsum(np.ones((3, 2), np.uint32).T, w32, None, off) is None
+        for bad_off in ([0, 1], [0, 3], [1, 2], [0, 2, 1, 2]):
+            assert _cc.ring_segsum(table, w32, None, np.array(bad_off)) is None
+
+
+# ---------------------------------------------------------------------------
 # The pad engine: hardware / T-table AES bodies and the fused counter-mode
 # sweep are bit-identical to pack_many + aes128_encrypt_blocks and to the
 # scalar cipher, on every tier (not gated on a native backend: the scalar

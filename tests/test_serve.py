@@ -224,6 +224,19 @@ class TestBatchScheduler:
         assert stats["dedupe_ratio"] <= 1.0
         assert stats["responses_ok"] == len(queries)
 
+        async def one_batch():
+            scheduler = BatchScheduler(store, max_batch=len(queries))
+            client = AsyncSlsClient.in_process(scheduler)
+            await asyncio.gather(*[client.sls("emb", q) for q in queries])
+            stats = scheduler.stats()
+            await scheduler.close()
+            return stats
+
+        stats = asyncio.run(one_batch())
+        rows = [r for q in queries for r in q]
+        assert stats["batches"] == 1 and len(set(rows)) < len(rows)
+        assert stats["dedupe_ratio"] == len(set(rows)) / len(rows)
+
     def test_single_request_batch(self):
         store = make_store()
         expected = store.sls("emb", [3, 1, 4], [2, 1, 2])

@@ -877,5 +877,5 @@ class TestSchedulerTakesEitherForm:
         assert np.array_equal(second.values, store.sls("emb", [5, 5, 9]))
         assert third.status == "error" and third.kind == "ConfigurationError"
         assert stats["batches"] == 1 and stats["batch_queries"] == 2
-        # 5 rows referenced, 4 distinct: counted with np.unique on the CSR rows.
+        # 5 rows referenced, 4 distinct: counted from a sort of the CSR rows.
         assert stats["dedupe_ratio"] == 4 / 5
