@@ -15,10 +15,10 @@ The legacy sections above run pinned to the NumPy kernel tier
 (``kernels.use_tier("numpy")``) so their committed wall-time baselines
 and speedup floors stay comparable across hosts with and without a
 compiled backend.  The **kernels** section then measures the compiled
-tier itself (limb dot sweep, bulk AES, Horner) against the NumPy tier,
-with JIT/compile warmup paid explicitly via ``kernels.warmup()`` before
-any timed region and bit-identity asserted against both the NumPy tier
-and the scalar ``PrimeField`` oracle.
+tier itself (limb dot sweep, bulk AES, fused segment sums) against the
+NumPy tier, with JIT/compile warmup paid explicitly via
+``kernels.warmup()`` before any timed region and bit-identity asserted
+against both the NumPy tier and the scalar ``PrimeField`` oracle.
 
 The **pad_path** section states the trusted-side pad path in absolute
 terms: ns per cipher block to generate through ``pads_for_rows`` next to
@@ -428,14 +428,12 @@ def _bench_kernels(sizes) -> dict:
     into the steady-state numbers:
 
     1. **dot** — the matrix-tags workload at kernel level: an ``n x m``
-       8-bit coefficient sweep against Horner power weights, the inner
-       product every row tag reduces to.  Floor: >= 5x over the NumPy
+       8-bit coefficient sweep against the Alg. 2 power weights, the
+       inner product every row tag (single- and multi-point) is.  Floor: >= 5x over the NumPy
        tier at default/paper (>= 3x at smoke).
     2. **aes** — bulk OTP pad generation: AES-128 over a contiguous run
        of counter blocks.  Floor: >= 3x.
-    3. **horner** — per-row Horner evaluation on full-width words (the
-       multi-point checksum hot loop); recorded, no floor.
-    4. **segsum** — a cold PF-80 x 32 wave's device half
+    3. **segsum** — a cold PF-80 x 32 wave's device half
        (``UntrustedNdpDevice.partial_sum_batch``: ciphertext and
        encrypted-tag sums of 2 560 uniform rows), the fused
        gather-and-segment-sum kernels against the NumPy gather +
@@ -497,18 +495,7 @@ def _bench_kernels(sizes) -> dict:
     assert aes_identical, "native AES diverges from NumPy tier"
     assert aes_nat[7].tobytes() == AES128(KEY).encrypt_block(blocks[7].tobytes())
 
-    # 3. Horner on full-width words (multi-point checksum inner loop).
-    n_h = min(n, 10_000)
-    h_matrix = rng.integers(0, 2**64, size=(n_h, m), dtype=np.uint64)
-    s_limbs = lf.to_limbs(s)
-    with kernels.use_tier("numpy"):
-        t_h_np, h_np = _best_of(lambda: lf.horner(h_matrix, s_limbs))
-    with kernels.use_tier("native"):
-        t_h_nat, h_nat = _best_of(lambda: lf.horner(h_matrix, s_limbs))
-    horner_identical = bool(np.array_equal(h_np, h_nat))
-    assert horner_identical, "native horner diverges from NumPy tier"
-
-    # 4. Fused segment sums: one compiled pass per half of the split.
+    # 3. Fused segment sums: one compiled pass per half of the split.
     params = SecNDPParams(element_bits=32)
     device = UntrustedNdpDevice(params)
     plain = rng.integers(0, 2**32, size=(n, m), dtype=np.uint64).astype(np.uint32)
@@ -540,14 +527,6 @@ def _bench_kernels(sizes) -> dict:
                 "native_seconds": t_aes_nat,
                 "speedup": t_aes_np / t_aes_nat,
                 "bit_identical": aes_identical,
-            },
-            "horner": {
-                "n_rows": n_h,
-                "dim": m,
-                "numpy_seconds": t_h_np,
-                "native_seconds": t_h_nat,
-                "speedup": t_h_np / t_h_nat,
-                "bit_identical": horner_identical,
             },
             "segsum": {
                 "terms": int(wave.rows.size),
@@ -683,7 +662,7 @@ def test_hotpaths(scale):
             f"{kz['dot']['native_seconds']*1e3:.2f} ms -> {kz['dot']['speedup']:.1f}x; "
             f"aes {kz['aes']['blocks']} blocks {kz['aes']['numpy_seconds']*1e3:.1f} ms "
             f"-> {kz['aes']['native_seconds']*1e3:.1f} ms ({kz['aes']['speedup']:.1f}x); "
-            f"horner {kz['horner']['speedup']:.1f}x; device half of a PF-80 wave "
+            f"device half of a PF-80 wave "
             f"{kz['segsum']['numpy_seconds']*1e3:.2f} -> {kz['segsum']['native_seconds']*1e3:.2f} ms "
             f"({kz['segsum']['speedup']:.1f}x) "
             f"(warmup {kz['warmup_ns']/1e6:.2f} ms, bit-identical)"
@@ -736,6 +715,5 @@ def test_hotpaths(scale):
         assert kz["dot"]["speedup"] >= (3.0 if scale.name == "smoke" else 5.0)
         assert kz["aes"]["speedup"] >= 3.0
         assert kz["dot"]["bit_identical"] and kz["aes"]["bit_identical"]
-        assert kz["horner"]["bit_identical"]
         assert kz["segsum"]["bit_identical"]
         assert kz["segsum"]["speedup"] >= _SEGSUM_FLOOR

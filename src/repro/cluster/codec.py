@@ -164,8 +164,6 @@ def encode_queries(
     else:
         rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
         weights = np.ones(rows.size, np.uint32) if weights is None else weights
-        if weights.dtype.kind not in "iuO":
-            raise ConfigurationError(f"weights of dtype {weights.dtype} cannot travel")
         lo, hi = (int(weights.min()), int(weights.max())) if weights.size else (0, 0)
         if lo < 0 or hi >> 64:
             raise ConfigurationError(f"a weight outside [0, 2^64) cannot travel: {lo}..{hi}")

@@ -249,19 +249,6 @@ class ClusterCoordinator:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    # -- liveness --------------------------------------------------------------
-
-    async def check_liveness(self, timeout: Optional[float] = None) -> Dict[str, bool]:
-        """Heartbeat every live node; quarantine the dead ones."""
-        timeout = resolve_heartbeat_timeout(timeout)
-        alive = {}
-        for name in list(self.live):
-            alive[name] = await self.clients[name].heartbeat(timeout=timeout)
-            if not alive[name]:
-                obs.emit_event(obs.NODE_DEAD, worker=name, probe="heartbeat")
-                await self._blame(name, obs.NODE_DEAD, "heartbeat")
-        return alive
-
     # -- serving ---------------------------------------------------------------
 
     async def sls_many(

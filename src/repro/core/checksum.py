@@ -11,11 +11,12 @@ evaluation points from one cipher block, lowering the forgery bound from
 ``m/q`` to ``m/(cnt_s * q)``.
 
 Hot-path note: per-row ``row_tag`` is the scalar *reference oracle*
-(interpreted Python big-int Horner).  Whole-matrix tagging goes through
-:meth:`row_tags`, which rewrites the hash as one dot product per row
-against a precomputed power-weight vector and — for the paper's default
-modulus ``q = 2^127 - 1`` — evaluates all rows in a single
-limb-vectorized sweep (:mod:`repro.crypto.limb_field`).  Both paths are
+(interpreted Python big-int arithmetic).  Every vectorized row tag has
+one evaluation, :meth:`row_tag_limbs`: one dot product per row against
+cached column weights (the power weights of Alg. 2, the
+``weight_vector`` of Alg. 8) and — for the paper's default modulus
+``q = 2^127 - 1`` — all rows in a single limb-vectorized sweep
+(:func:`repro.crypto.limb_field.row_dots`).  Both paths are
 bit-identical; the equivalence tests pin this.
 """
 

@@ -49,7 +49,35 @@ __all__ = [
     "WeightedSumResult",
     "PartialSumShare",
     "QueryBatch",
+    "integral_terms",
 ]
+
+
+def integral_terms(values, what: str) -> np.ndarray:
+    """``values`` (row ids or weights) as a flat integer array, by the one
+    rule every entry point applies: a term is an integer, or a float with
+    no fractional part (a trace's ``1.0`` / ``2.0`` weights).  Anything
+    else - ``1.5``, ``nan``, a string - is a :class:`ConfigurationError`,
+    never truncated into a different query.  An integer array passes on
+    its dtype; integral floats come back as ``int64``, and Python ints no
+    NumPy integer dtype holds (``2^64 - 1`` beside ``-1``) as objects.
+    """
+    try:
+        terms = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be integers: {exc}") from None
+    if terms.ndim != 1:
+        raise ConfigurationError(f"{what} must be a flat sequence of integers")
+    kind = terms.dtype.kind
+    if kind in "iu":
+        return terms
+    whole = (np.abs(terms) < 2.0**63) & (np.trunc(terms) == terms) if kind == "f" else None
+    if whole is not None and whole.all():
+        return terms.astype(np.int64)
+    if kind in "fO" and all(isinstance(t, (int, np.integer)) for t in values):
+        return np.asarray(values, dtype=object)
+    bad = terms[~whole][0] if kind == "f" else terms.dtype
+    raise ConfigurationError(f"{what} must be integers or integral floats, got {bad!r}")
 
 
 @dataclass
@@ -118,19 +146,15 @@ class QueryBatch:
         lengths = [len(rows) for rows in batch_rows]
         offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        rows = np.fromiter(
-            chain.from_iterable(batch_rows), dtype=np.int64, count=int(offsets[-1])
-        )
+        rows = integral_terms(list(chain.from_iterable(batch_rows)), "rows")
+        rows = rows.astype(np.int64, copy=False)
         if batch_weights is None:
             return rows, None, offsets
         if [len(weights) for weights in batch_weights] != lengths:
             raise ConfigurationError("rows and weights must have equal length")
-        # No dtype: weights may be signed or reach 2^64 - 1; encode() judges.
+        # Weights may be signed or reach 2^64 - 1; encode() judges.
         flat = list(chain.from_iterable(batch_weights))
-        weights = np.asarray(flat)
-        if weights.dtype.kind == "f" and all(isinstance(w, (int, np.integer)) for w in flat):
-            weights = np.asarray(flat, dtype=object)  # both of the above at once
-        return rows, weights if flat else None, offsets
+        return rows, integral_terms(flat, "weights") if flat else None, offsets
 
     @classmethod
     def flatten(cls, ring: Ring, batch_rows, batch_weights=None) -> "QueryBatch":

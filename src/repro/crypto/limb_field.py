@@ -6,8 +6,9 @@ or verifying a large matrix costs ``O(n*m)`` interpreted field
 operations — the dominant cost of functional-scale runs.  This module
 is the batched counterpart: field elements are decomposed into four
 32-bit limbs held in ``uint64`` lanes (shape ``(..., 4)``, little-endian
-limb order), and add/sub/mul/Horner/dot are NumPy sweeps over whole
-vectors of elements at once.
+limb order), and add/sub/fold/dot are NumPy sweeps over whole vectors
+of elements at once.  A row tag has one evaluation: the power-weight
+:func:`dot` (:func:`row_dots` against :func:`power_weights`).
 
 Reduction uses the same shift-add Mersenne folding the paper cites for
 hardware (Sec. V-D, Bernstein's hash127): since ``2^127 ≡ 1 (mod q)``,
@@ -23,12 +24,12 @@ callers dispatch via :func:`supports_field` and fall back to the scalar
 oracle for the small test primes.
 
 Tier dispatch: when :mod:`repro.kernels` resolves the compiled backend
-(the C library), :func:`mul`, :func:`fold`, :func:`dot` and
-:func:`horner` hand the sweep to it — bit-identical outputs, another
-order of magnitude of throughput — and fall back to the NumPy kernels
-here for shapes outside the native contract.  Under the ``scalar``
-tier policy :func:`supports_field` reports ``False`` so all callers
-route to the :class:`PrimeField` oracle.
+(the C library), :func:`fold` and :func:`dot` hand the sweep to it —
+bit-identical outputs, another order of magnitude of throughput — and
+fall back to the NumPy kernels here for shapes outside the native
+contract.  Under the ``scalar`` tier policy :func:`supports_field`
+reports ``False`` so all callers route to the :class:`PrimeField`
+oracle.
 """
 
 from __future__ import annotations
@@ -51,14 +52,10 @@ __all__ = [
     "from_cipher_blocks",
     "add",
     "sub",
-    "mul",
     "fold",
-    "horner",
-    "horner_checksum",
     "dot",
     "power_weights",
     "row_dots",
-    "weighted_row_tags",
     "segment_dot",
     "field_segment_dot",
     "field_add",
@@ -87,6 +84,10 @@ _Q_LIMBS = np.array(
 # stays far below 2^63, so uint64 sums over the batch axis are exact as
 # long as batches stay under _MAX_SUM_TERMS items.
 _MAX_SUM_TERMS = 1 << 28
+
+#: :func:`row_dots` sweeps ~ this many uint64 temporaries (16 MiB) per
+#: kernel invocation.
+_ROW_CHUNK_ELEMENTS = 1 << 21
 
 
 def supports_field(field: PrimeField) -> bool:
@@ -271,30 +272,6 @@ def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold(np.asarray(a, dtype=np.uint64) + comp)
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b mod q`` via 4x4 schoolbook limb products.
-
-    Each 32x32-bit partial product is split into its 64-bit low/high
-    halves; a product column accumulates at most 8 half-terms, staying
-    below 2^35 — comfortably inside the uint64 lanes.
-    """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    nat = _kernels.active_native()
-    if nat is not None:
-        out = nat.mul(a, b)
-        if out is not None:
-            return out
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    cols = np.zeros(shape + (2 * NUM_LIMBS,), dtype=np.uint64)
-    for i in range(NUM_LIMBS):
-        for j in range(NUM_LIMBS):
-            p = a[..., i] * b[..., j]
-            cols[..., i + j] += p & _MASK
-            cols[..., i + j + 1] += p >> _U32
-    return _reduce_columns(cols)
-
-
 # ---------------------------------------------------------------------------
 # Checksum / dot kernels (the protocol hot paths).
 # ---------------------------------------------------------------------------
@@ -304,40 +281,6 @@ def _coeff_halves(coeffs: np.ndarray) -> tuple:
     """Split ring residues (< 2^64) into 32-bit low/high halves."""
     c = np.asarray(coeffs, dtype=np.uint64)
     return c & _MASK, c >> _U32
-
-
-def horner(matrix: np.ndarray, s_limbs: np.ndarray) -> np.ndarray:
-    """Row-wise Horner evaluation ``sum_j M[i, j] * s^(m-1-j) mod q``.
-
-    One vectorized mul-add per column, all rows advancing in lockstep —
-    the limb-space mirror of :meth:`PrimeField.checksum_poly`.  ``matrix``
-    holds ring residues (< 2^64) as uint64; returns ``(n, 4)`` limbs.
-    """
-    nat = _kernels.active_native()
-    if nat is not None:
-        out = nat.horner(np.asarray(matrix, dtype=np.uint64), s_limbs)
-        if out is not None:
-            return out
-    m_lo, m_hi = _coeff_halves(matrix)
-    n = m_lo.shape[0]
-    acc = np.zeros((n, NUM_LIMBS), dtype=np.uint64)
-    for j in range(m_lo.shape[1]):
-        cols = np.zeros((n, 2 * NUM_LIMBS), dtype=np.uint64)
-        for i in range(NUM_LIMBS):
-            for k in range(NUM_LIMBS):
-                p = acc[..., i] * s_limbs[..., k]
-                cols[..., i + k] += p & _MASK
-                cols[..., i + k + 1] += p >> _U32
-        cols[..., 0] += m_lo[:, j]
-        cols[..., 1] += m_hi[:, j]
-        acc = _reduce_columns(cols)
-    return acc
-
-
-def horner_checksum(matrix: np.ndarray, s: int) -> np.ndarray:
-    """Alg. 2 row tags ``sum_j M[i, j] * s^(m-j)``: Horner, then one mul by s."""
-    s_limbs = to_limbs(s)
-    return mul(horner(matrix, s_limbs), s_limbs)
 
 
 def power_weights(field: PrimeField, s: int, m: int) -> np.ndarray:
@@ -415,20 +358,16 @@ def dot(coeffs: np.ndarray, weight_limbs: np.ndarray) -> np.ndarray:
     return _reduce_columns(_dot_columns(coeffs, weight_limbs))
 
 
-def row_dots(
-    matrix: np.ndarray, weight_limbs: np.ndarray, row_chunk: int = 0
-) -> np.ndarray:
+def row_dots(matrix: np.ndarray, weight_limbs: np.ndarray) -> np.ndarray:
     """All row tags ``sum_j M[i, j] * W[j] mod q`` as ``(n, 4)`` limbs.
 
     ``matrix`` is ``(n, m)`` non-negative residues (any integer dtype
-    < 2^64); chunking bounds the temporary product arrays to a few
-    megabytes regardless of ``n * m``.
+    < 2^64); chunking bounds the temporary product arrays to
+    ``_ROW_CHUNK_ELEMENTS`` uint64 values regardless of ``n * m``.
     """
     matrix = np.asarray(matrix)
     n, m = matrix.shape
-    if row_chunk <= 0:
-        # ~ (1 << 21) uint64 temporaries (16 MiB) per kernel invocation.
-        row_chunk = max(1, (1 << 21) // max(m, 1))
+    row_chunk = max(1, _ROW_CHUNK_ELEMENTS // max(m, 1))
     if n <= row_chunk:
         return dot(matrix, weight_limbs)
     return np.concatenate(
@@ -437,13 +376,6 @@ def row_dots(
             for start in range(0, n, row_chunk)
         ]
     )
-
-
-def weighted_row_tags(
-    matrix: np.ndarray, weight_limbs: np.ndarray, row_chunk: int = 0
-) -> List[int]:
-    """Int view of :func:`row_dots`."""
-    return from_limbs(row_dots(matrix, weight_limbs, row_chunk))
 
 
 def segment_dot(

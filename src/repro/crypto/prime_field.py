@@ -8,8 +8,9 @@ because reduction is a shift-add (Sec. V-D, citing Bernstein's hash127).
 
 Python integers are arbitrary precision, so scalar field arithmetic is
 exact out of the box; this module adds explicit Mersenne reduction (to
-model/validate the hardware trick), Horner checksum evaluation, and small
-vector helpers used by the protocol code.
+model/validate the hardware trick), the scalar Alg. 2 checksum (the
+oracle every vectorized row tag is checked against), and small vector
+helpers used by the protocol code.
 """
 
 from __future__ import annotations
@@ -109,18 +110,6 @@ class PrimeField:
         for coeff in row:
             acc = self.reduce(acc * s + coeff)
         return self.mul(acc, s)
-
-    def checksum_poly(self, row: Sequence[int], s: int) -> int:
-        """Variant with exponents ``m-1, ..., 0`` (``sum row[j] * s^(m-1-j)``).
-
-        Alg. 5 line 10 writes the reconstruction as ``sum res_j * s^j``;
-        both orderings verify identically as long as sign and verify agree.
-        Provided for the Alg. 8 tests and cross-checks.
-        """
-        acc = 0
-        for coeff in row:
-            acc = self.reduce(acc * s + coeff)
-        return acc
 
     def dot(self, weights: Sequence[int], values: Sequence[int]) -> int:
         """Weighted sum ``sum_k weights[k] * values[k] mod q``.

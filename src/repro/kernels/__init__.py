@@ -38,9 +38,9 @@ serving from an unexpected tier.
 The scalar :class:`PrimeField` remains the correctness oracle and the
 NumPy tier the always-available fallback; the property suite in
 ``tests/test_kernels.py`` pins scalar == numpy == native on random limb
-vectors, Horner sweeps, AES test-vector blocks and the fused segment
-sums of both halves of the split.  DESIGN.md Sec. 14
-documents the dispatch order.
+vectors, power-weight row tags, AES test-vector blocks and the fused
+segment sums of both halves of the split.  DESIGN.md Sec. 14 documents
+the dispatch order.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """C backend for the native kernel tier (host compiler + ctypes).
 
-A single small C translation unit implements the limb-field primitives
-(127-bit Mersenne arithmetic on 64-bit words with ``unsigned __int128``
-intermediates), the fused gather-and-segment-sum kernels both halves of
-the split run (``ring_segsum`` in Z(2^w_e), ``limb_segsum`` in the tag
-field) and the pad engine: an AES-128 block sweep (AES-NI body chosen at
-run time where the CPU has one, portable T-table body elsewhere;
-DESIGN.md Sec. 14) and the fused counter-mode sweep over it.
+A single small C translation unit implements the two limb-field
+primitives, the power-weight ``dot`` (every row tag) and the column
+``fold`` (every reduction), as 127-bit Mersenne arithmetic on 64-bit
+words with ``unsigned __int128`` intermediates; the fused
+gather-and-segment-sum kernels both halves of the split run
+(``ring_segsum`` in Z(2^w_e), ``limb_segsum`` in the tag field); and the
+pad engine: an AES-128 block sweep (AES-NI body chosen at run time where
+the CPU has one, portable T-table body elsewhere; DESIGN.md Sec. 14) and
+the fused counter-mode sweep over it.
 It is compiled once per (source, compiler, host CPU) with the host C
 compiler into a content-addressed shared library under
 ``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
@@ -98,24 +100,6 @@ static inline void red256(u64 w0, u64 w1, u64 w2, u64 w3, u64 *r0, u64 *r1) {
     *r1 = t1;
 }
 
-/* a * b mod p for canonical 127-bit operands given as 64-bit word
- * pairs (a1, b1 < 2^63): four partial products recombined into a
- * 256-bit value (w3 < 2^62), then red256. */
-static inline void mul_red127(u64 a0, u64 a1, u64 b0, u64 b1,
-                              u64 *r0, u64 *r1) {
-    u128 p00 = (u128)a0 * b0;
-    u128 p01 = (u128)a0 * b1;
-    u128 p10 = (u128)a1 * b0;
-    u128 p11 = (u128)a1 * b1;
-    u64 w0 = (u64)p00;
-    u128 mid = (p00 >> 64) + p01 + p10;  /* < 2^128 - 2^65 + 1: exact */
-    u64 w1 = (u64)mid;
-    u128 hi = (mid >> 64) + p11;
-    u64 w2 = (u64)hi;
-    u64 w3 = (u64)(hi >> 64);
-    red256(w0, w1, w2, w3, r0, r1);
-}
-
 /* Canonicalize up to eight 32-bit limbs (value < 2^256, top word of
  * the packed 256-bit form < 2^63) into four canonical output limbs. */
 static inline void limbs8_canon(const u64 *l, u64 *out) {
@@ -198,36 +182,6 @@ void secndp_dot(const u64 *coeffs, long long n, long long m,
     }
 }
 
-/* Elementwise (or scalar-broadcast) canonical-limb multiply. */
-void secndp_mul(const u64 *a, const u64 *b, long long n, int b_scalar,
-                u64 *out) {
-    u64 sb0 = 0, sb1 = 0;
-    long long i;
-    if (b_scalar) {
-        sb0 = b[0] | (b[1] << 32);
-        sb1 = b[2] | (b[3] << 32);
-    }
-    for (i = 0; i < n; i++) {
-        const u64 *ai = a + 4 * i;
-        u64 a0 = ai[0] | (ai[1] << 32), a1 = ai[2] | (ai[3] << 32);
-        u64 b0, b1, r0, r1;
-        u64 *o = out + 4 * i;
-        if (b_scalar) {
-            b0 = sb0;
-            b1 = sb1;
-        } else {
-            const u64 *bi = b + 4 * i;
-            b0 = bi[0] | (bi[1] << 32);
-            b1 = bi[2] | (bi[3] << 32);
-        }
-        mul_red127(a0, a1, b0, b1, &r0, &r1);
-        o[0] = r0 & MASK32;
-        o[1] = r0 >> 32;
-        o[2] = r1 & MASK32;
-        o[3] = r1 >> 32;
-    }
-}
-
 /* Reduce unnormalized limb columns (k <= 6, each column < 2^63, so the
  * packed value stays < 2^224) to canonical limbs. */
 void secndp_fold(const u64 *cols, long long n, int k, u64 *out) {
@@ -247,38 +201,6 @@ void secndp_fold(const u64 *cols, long long n, int k, u64 *out) {
             carry >>= 32;
         }
         limbs8_canon(l, out + 4 * i);
-    }
-}
-
-/* Row-wise Horner: acc = acc * s + M[i, j] mod p, canonical per step
- * (bit-identical to the NumPy tier, which also reduces per column). */
-void secndp_horner(const u64 *matrix, long long n, long long m,
-                   u64 s0, u64 s1, u64 *out) {
-    long long i, j;
-    for (i = 0; i < n; i++) {
-        const u64 *row = matrix + i * m;
-        u64 acc0 = 0, acc1 = 0;
-        u64 *o = out + 4 * i;
-        for (j = 0; j < m; j++) {
-            u64 r0, r1, v0, v1;
-            u128 t;
-            mul_red127(acc0, acc1, s0, s1, &r0, &r1);
-            t = (u128)r0 + row[j];
-            v0 = (u64)t;
-            v1 = r1 + (u64)(t >> 64);   /* <= 2^63: one subtract settles */
-            if (v1 > P1 || (v1 == P1 && v0 == P0)) {
-                u128 v = ((u128)v1 << 64) | v0;
-                v -= ((u128)P1 << 64) | P0;
-                v0 = (u64)v;
-                v1 = (u64)(v >> 64);
-            }
-            acc0 = v0;
-            acc1 = v1;
-        }
-        o[0] = acc0 & MASK32;
-        o[1] = acc0 >> 32;
-        o[2] = acc1 & MASK32;
-        o[3] = acc1 >> 32;
     }
 }
 
@@ -636,12 +558,8 @@ def _load() -> ctypes.CDLL:
         raise NativeUnavailable(f"kernel library failed to load: {exc}") from exc
     lib.secndp_dot.argtypes = [_PTR, _LL, _LL, _PTR, _PTR, _PTR]
     lib.secndp_dot.restype = None
-    lib.secndp_mul.argtypes = [_PTR, _PTR, _LL, ctypes.c_int, _PTR]
-    lib.secndp_mul.restype = None
     lib.secndp_fold.argtypes = [_PTR, _LL, ctypes.c_int, _PTR]
     lib.secndp_fold.restype = None
-    lib.secndp_horner.argtypes = [_PTR, _LL, _LL, ctypes.c_uint64, ctypes.c_uint64, _PTR]
-    lib.secndp_horner.restype = None
     for fn in (lib.secndp_aes128_blocks, lib.secndp_aes128_blocks_ttable):
         fn.argtypes = [_PTR, _PTR, _LL, _PTR]
         fn.restype = None
@@ -696,31 +614,6 @@ def dot(coeffs: np.ndarray, weight_limbs: np.ndarray) -> Optional[np.ndarray]:
     return out.reshape(c.shape[:-1] + (4,))
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Elementwise / scalar-broadcast canonical-limb product."""
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    b = np.ascontiguousarray(b, dtype=np.uint64)
-    if a.shape[-1:] != (4,) or b.shape[-1:] != (4,):
-        return None
-    if not (_canonical_limbs(a) and _canonical_limbs(b)):
-        return None
-    if b.ndim == 1:
-        shape, flat, other, b_scalar = a.shape, a.reshape(-1, 4), b, 1
-    elif a.ndim == 1:
-        # Commutative: broadcast a over b instead.
-        shape, flat, other, b_scalar = b.shape, b.reshape(-1, 4), a, 1
-    elif a.shape == b.shape:
-        shape, flat, other, b_scalar = a.shape, a.reshape(-1, 4), b.reshape(-1, 4), 0
-    else:
-        return None
-    out = np.empty_like(flat)
-    if flat.shape[0]:
-        _lib.secndp_mul(
-            flat.ctypes.data, other.ctypes.data, flat.shape[0], b_scalar, out.ctypes.data
-        )
-    return out.reshape(shape)
-
-
 def fold(values: np.ndarray) -> Optional[np.ndarray]:
     """Reduce ``(..., K)`` columns (2 <= K <= 6, columns < 2^63) to limbs."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
@@ -732,21 +625,6 @@ def fold(values: np.ndarray) -> Optional[np.ndarray]:
     if flat.shape[0]:
         _lib.secndp_fold(flat.ctypes.data, flat.shape[0], k, out.ctypes.data)
     return out.reshape(v.shape[:-1] + (4,))
-
-
-def horner(matrix: np.ndarray, s_limbs: np.ndarray) -> Optional[np.ndarray]:
-    """Row-wise Horner sweep for a single canonical evaluation point."""
-    m_arr = np.ascontiguousarray(matrix, dtype=np.uint64)
-    s = np.ascontiguousarray(s_limbs, dtype=np.uint64)
-    if m_arr.ndim != 2 or s.shape != (4,) or not _canonical_limbs(s):
-        return None
-    n, m = m_arr.shape
-    s0 = int(s[0]) | (int(s[1]) << 32)
-    s1 = int(s[2]) | (int(s[3]) << 32)
-    out = np.zeros((n, 4), dtype=np.uint64)
-    if n and m:
-        _lib.secndp_horner(m_arr.ctypes.data, n, m, s0, s1, out.ctypes.data)
-    return out
 
 
 #: Ring residue dtypes the fused kernels take, by C type suffix.
@@ -872,14 +750,12 @@ def warmup() -> None:
     w = np.array([[3, 0, 0, 0], [5, 0, 0, 0]], dtype=np.uint64)
     dot(np.array([[1, 2]], dtype=np.uint64), w)
     dot(np.array([[1 << 40, 2]], dtype=np.uint64), w)
-    a = np.array([[9, 0, 0, 0]], dtype=np.uint64)
-    mul(a, np.array([7, 0, 0, 0], dtype=np.uint64))
     fold(np.array([[1, 2, 3, 4, 5]], dtype=np.uint64))
-    horner(np.array([[1, 2, 3]], dtype=np.uint64), np.array([2, 0, 0, 0], dtype=np.uint64))
     aes_blocks(bytes(16), np.zeros((1, 16), dtype=np.uint8))
     off = np.array([0, 2], dtype=np.int64)
     ring_segsum(np.ones((2, 3), dtype=np.uint32), np.ones(2, dtype=np.uint32), None, off)
-    limb_segsum(a.astype(np.uint32), np.ones(2, dtype=np.uint32), np.zeros(2, dtype=np.int64), off)
+    idx = np.zeros(2, dtype=np.int64)
+    limb_segsum(np.ones((1, 4), dtype=np.uint32), np.ones(2, dtype=np.uint32), idx, off)
 
 
 # ---------------------------------------------------------------------------
@@ -925,27 +801,10 @@ def _self_test() -> None:
     if got != want:
         raise NativeUnavailable("self-test failed: dot (small path)")
 
-    av, bv = [_P - 2, 123, _P], [(1 << 126) + 3, _P - 1, 7]
-    got = _ints_of(mul(_limbs_of(av), _limbs_of(bv)))
-    if got != [(x % _P) * (y % _P) % _P for x, y in zip(av, bv)]:
-        raise NativeUnavailable("self-test failed: mul")
-
     cols = [1 << 62, 3, 0, (1 << 62) + 5, 11]
     got = _ints_of(fold(np.array([cols], dtype=np.uint64)))
     if got != [sum(c << (32 * k) for k, c in enumerate(cols)) % _P]:
         raise NativeUnavailable("self-test failed: fold")
-
-    s = (1 << 101) + 9
-    hm = np.array([[5, (1 << 64) - 1, 7], [0, 1, 2]], dtype=np.uint64)
-    got = _ints_of(horner(hm, _limbs_of([s])[0]))
-    want = []
-    for row in hm:
-        acc = 0
-        for v in row:
-            acc = (acc * s + int(v)) % _P
-        want.append(acc)
-    if got != want:
-        raise NativeUnavailable("self-test failed: horner")
 
     # Fused segment sums: every ring width and both limb-table dtypes
     # against Python ints, with repeated rows, an empty segment, weights

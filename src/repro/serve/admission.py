@@ -8,7 +8,7 @@ backpressure: a full pending queue means the batcher is saturated) or
 by a *critical* SLO burn (the latency error budget is being consumed at
 ≥ :data:`~repro.obs.slo.BURN_CRITICAL` times the provisioned rate),
 with hysteresis: shedding stops once the burn is back at or under
-``resume_burn``.
+:data:`RESUME_BURN`.
 
 The latency signal is the server's own end-to-end request latency
 (submit → response), judged against a parsed
@@ -51,6 +51,9 @@ __all__ = ["AdmissionConfig", "AdmissionController", "DEFAULT_SERVE_SLO"]
 #: tighten it per table size.
 DEFAULT_SERVE_SLO = "serve.latency.p99 < 50ms @ 5%"
 
+#: A shedding controller stops once the burn rate recovers to <= this.
+RESUME_BURN = 1.0
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -65,8 +68,6 @@ class AdmissionConfig:
     eval_every: int = 64
     #: sliding window of latency observations the burn is computed over
     window_obs: int = 1024
-    #: stop shedding once the burn rate recovers to <= this
-    resume_burn: float = 1.0
 
     # Not a field, not a knob: read only by benchmarks/e2e/stacks.py (frozen),
     # as the divisor of the always-zero ``wait_us`` stat.
@@ -168,7 +169,7 @@ class AdmissionController:
         was_shedding = self.shedding
         if self.state == 2:
             self.shedding = True
-        elif self.shedding and self.burn_rate <= self.config.resume_burn:
+        elif self.shedding and self.burn_rate <= RESUME_BURN:
             self.shedding = False
         if self.shedding != was_shedding:
             self._aged_at = self._clock()

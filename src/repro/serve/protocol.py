@@ -73,6 +73,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.protocol import integral_terms
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -172,18 +173,17 @@ _INT64_MAX = (1 << 63) - 1
 
 def int64_terms(values, what: str) -> np.ndarray:
     """``values`` (row ids or weights) as the flat ``int64`` array a frame
-    carries; what does not fit (a weight >= 2^63, a string, a nested list)
-    is a :class:`~repro.errors.ConfigurationError`, never a wrapped value."""
+    carries; what is not an integer (:func:`~repro.core.protocol.integral_terms`)
+    or does not fit (a weight >= 2^63) is a
+    :class:`~repro.errors.ConfigurationError`, never a truncated or
+    wrapped value."""
+    terms = integral_terms(values, what)
     try:
-        unsigned = isinstance(values, np.ndarray) and values.dtype.kind == "u"
-        if unsigned and values.size and int(values.max()) > _INT64_MAX:
+        if terms.dtype.kind == "u" and terms.size and int(terms.max()) > _INT64_MAX:
             raise OverflowError("unsigned value above 2^63 - 1")
-        terms = np.asarray(values, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
+        return terms.astype(np.int64, copy=False)
+    except OverflowError as exc:
         raise ConfigurationError(f"{what} must be int64 integers: {exc}") from None
-    if terms.ndim != 1:
-        raise ConfigurationError(f"{what} must be a flat sequence of integers")
-    return terms
 
 
 def _listed(values) -> list:
@@ -251,10 +251,12 @@ class SlsRequest:
                 id=rid,
                 op=op,
                 table=table,
-                rows=tuple(int(r) for r in obj.get("rows") or ()),
-                weights=None if weights is None else tuple(int(w) for w in weights),
+                rows=tuple(integral_terms(obj.get("rows") or (), "rows").tolist()),
+                weights=None
+                if weights is None
+                else tuple(integral_terms(weights, "weights").tolist()),
             )
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ConfigurationError as exc:
             raise FrameError(f"bad request field: {exc}") from exc
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..core.params import SecNDPParams
-from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
+from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice, integral_terms
 from ..crypto.otp import OtpCacheInfo
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
@@ -266,8 +266,10 @@ class SecureEmbeddingStore:
         try:
             rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
         except ConfigurationError:
-            # The lengths differ; a negative weight is still reported first.
-            self._integer_weights(np.asarray(list(chain.from_iterable(batch_weights))))
+            # A row is fractional or the lengths differ; a weight defect
+            # is still reported first.
+            if batch_weights is not None:
+                self._integer_weights(list(chain.from_iterable(batch_weights)))
             raise
         ring = self.processor.ring
         if weights is None:
@@ -288,20 +290,19 @@ class SecureEmbeddingStore:
         :class:`QueryBatch`'s term arrays; observes nothing -
         :meth:`sls_scatter` does, for the batch.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        weights = None if weights is None else self._integer_weights(weights)
+        rows = integral_terms(rows, "rows").astype(np.int64, copy=False)
         if weights is None:
             weights = np.ones(rows.size, dtype=np.int64)
-        weights = self._integer_weights(np.asarray(weights, dtype=np.int64))
         if weights.size != rows.size:
             raise ConfigurationError("rows and weights must have equal length")
         self._check_terms(name, rows, weights, [0, rows.size])
         return rows, weights.astype(self.processor.ring.dtype)
 
     @staticmethod
-    def _integer_weights(weights: np.ndarray) -> np.ndarray:
+    def _integer_weights(weights) -> np.ndarray:
         """``weights`` as non-negative integers, or the first refusal."""
-        if weights.dtype.kind == "f":
-            weights = weights.astype(np.int64)  # int(w) per weight
+        weights = integral_terms(weights, "weights")
         if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
             raise ConfigurationError("weights must be non-negative integers")
         return weights

@@ -2,7 +2,7 @@
 
 The limb field (`repro.crypto.limb_field`) must be *bit-identical* to the
 scalar `PrimeField` for every operation the protocol uses — add, sub,
-mul, Horner checksum, dot — and its shift-add fold must agree with
+the power-weight row tag, dot — and its shift-add fold must agree with
 `mersenne_reduce`.  Operands mix hypothesis-generated random 127-bit
 values with the classic reduction edge cases (0, 1, q-1, q, 2q-2, 2^127).
 """
@@ -28,6 +28,11 @@ def _dot_ints(weights, values, field=F127):
         field, np.asarray(weights, dtype=np.uint64), lf.pack(values), [0]
     )
     return lf.from_limbs(limbs)[0]
+
+
+def _row_tags(matrix, weights):
+    """Int view of the row tags ``row_dots`` computes."""
+    return lf.from_limbs(lf.row_dots(matrix, weights))
 
 
 EDGE_VALUES = [0, 1, Q - 1, Q, Q + 1, 2 * Q - 2, 2 * Q - 1, 2 * Q, 1 << 126, 1 << 127, (1 << 128) - 1]
@@ -78,7 +83,6 @@ class TestFieldOps:
     def test_add_mul_sub_match_oracle(self, a, b):
         la, lb = lf.to_limbs(a), lf.to_limbs(b)
         assert lf.from_limbs(lf.add(la, lb)) == F127.add(a, b)
-        assert lf.from_limbs(lf.mul(la, lb)) == F127.mul(a, b)
         assert lf.from_limbs(lf.sub(la, lb)) == F127.sub(a, b)
 
     def test_edge_value_cross_product(self):
@@ -86,13 +90,7 @@ class TestFieldOps:
         for b in EDGE_VALUES:
             lb = lf.to_limbs([b] * len(EDGE_VALUES))
             assert lf.from_limbs(lf.add(la, lb)) == [F127.add(a, b) for a in EDGE_VALUES]
-            assert lf.from_limbs(lf.mul(la, lb)) == [F127.mul(a, b) for a in EDGE_VALUES]
             assert lf.from_limbs(lf.sub(la, lb)) == [F127.sub(a, b) for a in EDGE_VALUES]
-
-    def test_broadcast_shapes(self):
-        a = lf.to_limbs([3, 5, 7])
-        b = lf.to_limbs(11)
-        assert lf.from_limbs(lf.mul(a, b)) == [33, 55, 77]
 
 
 class TestChecksumAndDot:
@@ -101,20 +99,10 @@ class TestChecksumAndDot:
         field_elem,
     )
     @settings(max_examples=150, deadline=None)
-    def test_horner_checksum_matches_oracle(self, row, s):
-        matrix = np.asarray([row], dtype=np.uint64)
-        tags = lf.from_limbs(lf.horner_checksum(matrix, s))
-        assert tags == [F127.checksum(row, s)]
-
-    @given(
-        st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=24),
-        field_elem,
-    )
-    @settings(max_examples=150, deadline=None)
     def test_power_weight_dot_matches_oracle(self, row, s):
         matrix = np.asarray([row], dtype=np.uint64)
         weights = lf.power_weights(F127, s % Q, len(row))
-        assert lf.weighted_row_tags(matrix, weights) == [F127.checksum(row, s % Q)]
+        assert _row_tags(matrix, weights) == [F127.checksum(row, s % Q)]
 
     @given(
         st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=24),
@@ -145,26 +133,18 @@ class TestChecksumAndDot:
         with pytest.raises(ValueError):
             _dot_ints([1, 2], [3])
 
-    def test_horner_equals_power_dot_on_matrix(self):
-        rng = np.random.default_rng(7)
-        matrix = rng.integers(0, 1 << 64, size=(37, 19), dtype=np.uint64)
-        s = int(rng.integers(0, 1 << 62))
-        via_horner = lf.from_limbs(lf.horner_checksum(matrix, s))
-        via_dot = lf.weighted_row_tags(matrix, lf.power_weights(F127, s, 19))
-        assert via_horner == via_dot
-
     def test_tiered_dot_paths_agree(self):
         """Small / 32-bit / 64-bit residue tiers must produce identical tags."""
         rng = np.random.default_rng(11)
         s = int(rng.integers(1, 1 << 60))
         weights = lf.power_weights(F127, s, 8)
         small = rng.integers(0, 256, size=(5, 8), dtype=np.uint64)
-        tags_small = lf.weighted_row_tags(small, weights)
+        tags_small = _row_tags(small, weights)
         assert tags_small == [
             F127.checksum([int(x) for x in row], s) for row in small
         ]
         wide = small + np.uint64(1 << 40)  # forces the 64-bit-capable tier
-        tags_wide = lf.weighted_row_tags(wide, weights)
+        tags_wide = _row_tags(wide, weights)
         assert tags_wide == [
             F127.checksum([int(x) for x in row], s) for row in wide
         ]

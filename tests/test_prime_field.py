@@ -107,12 +107,6 @@ class TestChecksum:
         with pytest.raises(ValueError):
             f.dot([1], [1, 2])
 
-    def test_checksum_poly_convention(self):
-        f = PrimeField(10007)
-        row = [3, 1, 4]
-        s = 15
-        assert f.checksum_poly(row, s) == (3 * s**2 + 1 * s + 4) % 10007
-
     def test_collision_resistance_statistical(self):
         # For random s, two fixed distinct rows rarely collide (prob m/q).
         f = PrimeField((1 << 61) - 1)

@@ -8,6 +8,7 @@ import pytest
 from repro import kernels
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import ConfigurationError, VerificationError
+from repro.serve.protocol import FrameError, SlsRequest, int64_terms
 from repro.workloads import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -90,6 +91,49 @@ class TestQueries:
     def test_length_mismatch_rejected(self, store):
         with pytest.raises(ConfigurationError):
             store.sls("emb", [0, 1], [1])
+
+
+def _enter(entry, store, rows, weights):
+    """One query through one entry point, as plain lists of what arrived."""
+    if entry == "client":
+        out = (
+            int64_terms(rows, "rows"),
+            None if weights is None else int64_terms(weights, "weights"),
+        )
+    elif entry == "json":
+        request = SlsRequest.from_wire(
+            {"id": 1, "op": "sls", "table": "emb", "rows": rows, "weights": weights}
+        )
+        out = request.rows, request.weights
+    elif entry == "sls":
+        return store.sls("emb", rows, weights).tolist()
+    else:
+        batch = store.validate_batch("emb", [rows], None if weights is None else [weights])
+        out = batch.rows, batch.weights
+    return [None if terms is None else list(map(int, terms)) for terms in out]
+
+
+class TestFractionalTerms:
+    """A term is an integer or an integral float at every entry point; a
+    fractional one is refused, never truncated into another query."""
+
+    @pytest.mark.parametrize("entry", ["client", "json", "sls", "validate_batch"])
+    @pytest.mark.parametrize(
+        "rows, weights",
+        [([1, 2], [1.5, 2.7]), ([1.7, 2], None), ([1.7], [0.5]), ([1, 2], [1, float("nan")])],
+        ids=["weights", "rows", "both", "nan"],
+    )
+    def test_refused_at_every_entry_point(self, store, entry, rows, weights):
+        error = FrameError if entry == "json" else ConfigurationError
+        with pytest.raises(error, match="integ") as info:
+            _enter(entry, store, rows, weights)
+        if entry in ("sls", "validate_batch"):  # the validator names a weight defect first
+            assert str(info.value).startswith("rows" if weights is None else "weights")
+        # Integral floats (a trace's 1.0 / 2.0 weights) are still served,
+        # bit-identically to the integers they name.
+        whole = [float(int(r)) for r in rows], [2.0] * len(rows)
+        as_ints = [int(r) for r in rows], [2] * len(rows)
+        assert _enter(entry, store, *whole) == _enter(entry, store, *as_ints)
 
 
 class TestPadBlockAccounting:

@@ -772,8 +772,8 @@ class TestAdmissionController:
             AdmissionConfig(max_queue=0)
         with pytest.raises(ConfigurationError):
             AdmissionConfig(eval_every=0)
-        # The batch window and its knobs are gone, not defaulted.
-        for gone in ("min_wait_us", "max_wait_us", "initial_wait_us"):
+        # The batch window's knobs and the resume burn are gone, not defaulted.
+        for gone in ("min_wait_us", "max_wait_us", "initial_wait_us", "resume_burn"):
             with pytest.raises(TypeError):
                 AdmissionConfig(**{gone: 100.0})
         assert AdmissionController().stats()["wait_us"] == 0.0
