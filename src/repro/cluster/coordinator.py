@@ -104,6 +104,11 @@ _DISPATCH_FAILURES = {
 }
 
 
+def _charge(exc: BaseException) -> Tuple[str, str]:
+    """How ``exc`` is charged: its :data:`_DISPATCH_FAILURES` entry."""
+    return next(v for t, v in _DISPATCH_FAILURES.items() if isinstance(exc, t))
+
+
 def _versions(enc) -> Tuple[int, int, int]:
     return (enc.version, enc.checksum_version, enc.tag_version)
 
@@ -344,9 +349,7 @@ class ClusterCoordinator:
                     obs.inc("cluster.failovers")
                 return share, target
             except tuple(_DISPATCH_FAILURES) as exc:
-                suffix, kind = next(
-                    v for t, v in _DISPATCH_FAILURES.items() if isinstance(exc, t)
-                )
+                suffix, kind = _charge(exc)
                 obs.inc(f"cluster.dispatch.{suffix}")
                 details = {}
                 if kind == obs.NODE_BLAME:
@@ -503,22 +506,23 @@ class ClusterCoordinator:
         )
 
     async def _assign_live(self, tables: Optional[Dict[str, dict]] = None) -> None:
-        """:meth:`_assign` every live node; one that cannot take it is blamed."""
+        """:meth:`_assign` every live node; one that cannot take it is blamed.
+
+        With ``tables`` this is a replica refresh after a trusted-side
+        re-encryption, without it a re-shard; the journal names which.
+        """
+        context = "refresh" if tables is not None else "reshard"
         for name in list(self.live):
             if name not in self.live:  # quarantined by an earlier iteration
                 continue
             try:
                 await self._assign(name, tables)
-            except SecNDPError as exc:
+            except tuple(_DISPATCH_FAILURES) as exc:
                 # Recursion through _quarantine -> _reshard terminates
                 # because live shrinks each time.
-                kind = (
-                    obs.NODE_TIMEOUT
-                    if isinstance(exc, PeerTimeoutError)
-                    else obs.NODE_DEAD
-                )
-                obs.emit_event(kind, worker=name, context="reshard")
-                await self._blame(name, kind, "reshard")
+                _suffix, kind = _charge(exc)
+                obs.emit_event(kind, worker=name, context=context)
+                await self._blame(name, kind, context)
 
     # -- reporting -------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 :class:`LocalCluster` starts N real OS processes (``spawn`` context, so
 no inherited locks or state), each running one
 :class:`~repro.cluster.node.NodeServer` on an ephemeral port.  Ports
-travel back over a pipe, so callers never race a bind.  For tests that want everything on one event loop, in-process
+travel back over a pipe, so callers never race a bind; ``repro node``
+serves the same way in the foreground and prints its port.  For tests
+that want everything on one event loop, in-process
 :class:`NodeServer`\\ s (``async with NodeServer(...)``) are the better
 transport; this module is for the CLI and CI, where separate processes
 are the point — killing one is a *real* node death.
@@ -20,37 +22,34 @@ from ..errors import ConfigurationError
 __all__ = ["LocalCluster", "run_node_process"]
 
 
+async def _serve_node(name: str, host: str, port: int, report) -> None:
+    """Serve one node until it stops; ``report(server)`` once it listens."""
+    from .node import NodeServer
+
+    server = await NodeServer(name, host=host, port=port).start()
+    report(server)
+    await server.wait_closed()
+    await server.close()
+
+
 def _node_main(name: str, host: str, conn) -> None:
-    """Child entry: serve one node until the server stops."""
+    """Child entry: the port travels back over ``conn``."""
 
-    async def _run() -> None:
-        from .node import NodeServer
-
-        server = NodeServer(name, host=host, port=0)
-        await server.start()
+    def report(server) -> None:
         conn.send(server.port)
         conn.close()
-        await server.wait_closed()
-        await server.close()
 
-    asyncio.run(_run())
+    asyncio.run(_serve_node(name, host, 0, report))
 
 
 def run_node_process(
     name: str, host: str = "127.0.0.1", port: int = 0
 ) -> None:
     """Blocking node entry for ``python -m repro node`` (foreground)."""
-
-    async def _run() -> None:
-        from .node import NodeServer
-
-        server = NodeServer(name, host=host, port=port)
-        await server.start()
-        print(f"node {name} listening on {server.host}:{server.port}")
-        await server.wait_closed()
-        await server.close()
-
-    asyncio.run(_run())
+    asyncio.run(_serve_node(
+        name, host, port,
+        lambda server: print(f"node {name} listening on {server.host}:{server.port}"),
+    ))
 
 
 class LocalCluster:

@@ -17,13 +17,20 @@ masks each query to the owner's rows before dispatch), so re-sharding
 after a quarantine moves no data — any live node can stand in for any
 other.
 
+Transport: the node hop is the client hop's.  :class:`NodeServer` is a
+:class:`~repro.serve.server.FrameServer` (the serving front-end's accept
+loop, ``split_frames`` and per-connection outbox) that answers
+:class:`~repro.serve.protocol.NodeRequest` frames, and
+:class:`NodeClient` is :class:`~repro.serve.server.AsyncSlsClient`'s
+id-correlated transport without reconnection.
+
 Fault obedience: chaos runs ship a ``directive`` inside ``partial_sum``
 payloads (decided coordinator-side by
 :meth:`~repro.faults.plan.FaultInjector.node_directive`, keeping all
 randomness in one seeded stream).  ``byzantine`` forges the tag shares,
-``slow`` sleeps past the deadline, ``partition`` swallows the request,
-``dead`` kills the node — each exercising one rung of the coordinator's
-blame/failover ladder.
+``slow`` answers past the deadline (from a task, so the connection
+serves on), ``partition`` swallows the request, ``dead`` kills the node
+— each exercising one rung of the coordinator's blame/failover ladder.
 """
 
 from __future__ import annotations
@@ -36,135 +43,69 @@ import numpy as np
 from ..core.protocol import UntrustedNdpDevice
 from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
-from ..serve.protocol import (
-    STATUS_ERROR,
-    STATUS_OK,
-    FrameError,
-    NodeRequest,
-    NodeResponse,
-    read_frame,
-    reply_id,
-    write_frame,
-)
+from ..serve.protocol import STATUS_ERROR, STATUS_OK, NodeRequest, NodeResponse
+from ..serve.server import AsyncSlsClient, FrameServer
 from . import codec
 
 __all__ = ["NodeServer", "NodeClient"]
 
 
-class NodeServer:
-    """Serve cluster frames for one NDP node (``port=0`` = ephemeral)."""
+class NodeServer(FrameServer):
+    """Serve cluster frames for one NDP node (``port=0`` = ephemeral).
+
+    The accept loop, framing and outboxes are the serving front-end's
+    (:class:`~repro.serve.server.FrameServer`); this class only answers
+    :class:`~repro.serve.protocol.NodeRequest` frames.  :meth:`wait_closed`
+    returns once the node is closed (a ``dead`` directive closes it) or
+    a ``shutdown`` frame asked it to stop.
+    """
 
     def __init__(self, name: str, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
         self.name = name
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.AbstractServer] = None
         self._device: Optional[UntrustedNdpDevice] = None
         self._range: Dict[str, Any] = {}
-        self._closed = False
-        self._stop = asyncio.Event()
-        self._conn_tasks: Set["asyncio.Task"] = set()
-        self._conn_writers: Set[asyncio.StreamWriter] = set()
+        self._delayed: Set[asyncio.Task] = set()  #: ``slow`` answers in flight
+        self._closing: Optional[asyncio.Task] = None  #: a ``dead`` directive's close
 
-    # -- lifecycle -------------------------------------------------------------
-
-    async def start(self) -> "NodeServer":
-        if self._server is not None:
-            return self
-        if self._closed:
-            raise ConfigurationError("node server is closed")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._stop.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Abort live connections so their handler tasks finish on their
-        # own (cancelling them makes 3.11's streams callback log noise),
-        # then wait for every handler except the one calling us.
-        for writer in list(self._conn_writers):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        me = asyncio.current_task()
-        pending = [t for t in self._conn_tasks if t is not me and not t.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-
-    async def wait_closed(self) -> None:
-        """Block until :meth:`close` (or a ``dead`` directive) fires."""
-        await self._stop.wait()
-
-    async def __aenter__(self) -> "NodeServer":
-        return await self.start()
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
+    async def _drain(self) -> None:
+        # A ``slow`` answer is owed to no one once the node stops.
+        for task in tuple(self._delayed):
+            task.cancel()
 
     # -- frame handling --------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
-        try:
-            while await self._serve_frame(reader, writer):
-                pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    def _refusal(self, request_id: int, exc: BaseException) -> NodeResponse:
+        return NodeResponse(
+            id=request_id, status=STATUS_ERROR, error=str(exc), kind=type(exc).__name__
+        )
 
-    async def _serve_frame(self, reader, writer) -> bool:
-        """Read one frame and answer it; False once the stream ends.  The
-        frame dies on return, so an idle node holds none (a ``shard_assign``
-        frame is the whole armoured table)."""
-        try:
-            obj = await read_frame(reader)
-        except FrameError:
-            return False
-        if obj is None:
-            return False
-        try:
-            request = NodeRequest.from_wire(obj)
-        except FrameError as exc:
-            await self._write(writer, NodeResponse(
-                id=reply_id(obj), status=STATUS_ERROR, error=str(exc), kind="FrameError"
-            ))
-            return True
-        response = await self._serve_one(request, writer)
-        if response is not None:  # None: partitioned / dead, no answer
-            await self._write(writer, response)
-        return True
+    def _answer(self, obj, outbox):
+        """Answer one frame now, later (``slow``) or never (``partition``,
+        ``dead``).  Chaos directives ride in ``partial_sum`` payloads."""
+        request = NodeRequest.from_wire(obj)
+        directive = request.payload.get("directive") if request.op == "partial_sum" else None
+        kind = directive[0] if directive else None
+        if kind == "partition":
+            return None
+        if kind == "dead":
+            # Simulated host death: drop the connection mid-request and
+            # stop serving; the coordinator sees a dead peer.
+            outbox.writer.close()
+            self._closing = asyncio.ensure_future(self.close())
+            return None
+        if kind == "slow":
+            task = asyncio.ensure_future(self._reply_after(float(directive[1]), request))
+            self._delayed.add(task)
+            task.add_done_callback(self._delayed.discard)
+            return task
+        return self._reply(request)
 
-    async def _write(
-        self, writer: asyncio.StreamWriter, response: NodeResponse
-    ) -> None:
-        try:
-            await write_frame(writer, response.to_wire())
-        except (ConnectionError, OSError):
-            pass  # the coordinator hung up; it re-dispatches what it lost
+    async def _reply_after(self, delay_s: float, request: NodeRequest) -> NodeResponse:
+        await asyncio.sleep(delay_s)
+        return self._reply(request)
 
-    async def _serve_one(
-        self, request: NodeRequest, writer: asyncio.StreamWriter
-    ) -> Optional[NodeResponse]:
+    def _reply(self, request: NodeRequest) -> NodeResponse:
         try:
             if request.op == "heartbeat":
                 return NodeResponse(
@@ -174,7 +115,7 @@ class NodeServer:
             if request.op == "shard_assign":
                 return self._assign(request)
             if request.op == "partial_sum":
-                return await self._partial_sum(request, writer)
+                return self._partial_sum(request)
             if request.op == "shutdown":
                 asyncio.get_running_loop().call_soon(self._stop.set)
                 return NodeResponse(
@@ -182,10 +123,7 @@ class NodeServer:
                 )
             raise ConfigurationError(f"unhandled node op {request.op!r}")
         except SecNDPError as exc:
-            return NodeResponse(
-                id=request.id, status=STATUS_ERROR,
-                error=str(exc), kind=type(exc).__name__,
-            )
+            return self._refusal(request.id, exc)
 
     def _assign(self, request: NodeRequest) -> NodeResponse:
         payload = request.payload
@@ -206,30 +144,15 @@ class NodeServer:
             payload={"node": self.name, "tables": sorted(self._range)},
         )
 
-    async def _partial_sum(
-        self, request: NodeRequest, writer: asyncio.StreamWriter
-    ) -> Optional[NodeResponse]:
+    def _partial_sum(self, request: NodeRequest) -> NodeResponse:
         if self._device is None:
             raise ConfigurationError(
                 f"node {self.name!r} has no shard assignment yet"
             )
-        directive = request.payload.get("directive")
-        if directive:
-            kind = directive[0]
-            if kind == "partition":
-                return None
-            if kind == "dead":
-                # Simulated host death: drop the connection mid-request
-                # and stop serving; the coordinator sees a dead peer.
-                writer.close()
-                await self.close()
-                self._stop.set()
-                return None
-            if kind == "slow":
-                await asyncio.sleep(float(directive[1]))
         batch = codec.decode_queries(request.payload, self._device.ring)
         name = request.table or ""
         values, tag_sums = self._device.partial_sum_batch(name, batch, with_tags=True)
+        directive = request.payload.get("directive")
         if directive and directive[0] == "byzantine":
             # Forge every served query's ciphertext tag sum; the
             # coordinator's per-shard check must blame exactly this node.
@@ -249,43 +172,32 @@ class NodeServer:
 class NodeClient:
     """Coordinator-side handle for one node connection.
 
-    Single in-flight request per node (the coordinator fans out across
-    nodes, not within one), so the read path is a plain awaited frame —
-    no pending-future machinery.  A missed deadline raises
-    :class:`~repro.errors.PeerTimeoutError`; a dropped connection
-    :class:`~repro.errors.ServerClosedError`.  The coordinator's ladder
-    owns all retry/failover decisions, so this client never reconnects.
+    The id-correlated transport of :class:`~repro.serve.server.AsyncSlsClient`
+    with ``reconnect=False``: a missed deadline raises
+    :class:`~repro.errors.PeerTimeoutError` and leaves the connection up
+    (the late answer is dropped: its id is no longer pending); a lost
+    connection fails what is in flight with
+    :class:`~repro.errors.ServerClosedError`, and the next request dials
+    once.  An answer that does not decode fails its request with a
+    :class:`~repro.serve.protocol.FrameError`.  The coordinator's ladder
+    owns every retry and failover decision.
     """
 
     def __init__(self, name: str, host: str, port: int):
         self.name = name
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
-        self._next_id = 0
+        self._link: Optional[AsyncSlsClient] = None
 
     async def connect(self) -> "NodeClient":
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
+        if self._link is None:
+            self._link = await AsyncSlsClient.connect(self.host, self.port, reconnect=False)
         return self
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            self._writer = None
-            self._reader = None
-
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
+        if self._link is not None:
+            await self._link.close()
+            self._link = None
 
     async def request(
         self,
@@ -294,37 +206,20 @@ class NodeClient:
         payload: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
     ) -> NodeResponse:
-        request = NodeRequest(
-            id=self._new_id(), op=op, table=table, payload=payload or {}
-        )
-        async with self._lock:
-            try:
-                if self._writer is None:
-                    await self.connect()
-                await write_frame(self._writer, request.to_wire())
-                obj = await asyncio.wait_for(read_frame(self._reader), timeout)
-            except asyncio.TimeoutError:
-                # The stale response could still arrive and desync the
-                # request/response pairing; drop the connection so the
-                # next request starts on a fresh stream.
-                await self.close()
-                raise PeerTimeoutError(
-                    f"node {self.name!r} missed its {timeout}s deadline for "
-                    f"{op!r}"
-                ) from None
-            except (ConnectionError, OSError) as exc:
-                await self.close()
-                raise ServerClosedError(
-                    f"node {self.name!r} connection lost: {exc}"
-                ) from exc
-        if obj is None:
-            raise ServerClosedError(
-                f"node {self.name!r} closed the connection before answering"
+        try:
+            await self.connect()
+            request = NodeRequest(
+                id=self._link._new_id(), op=op, table=table, payload=payload or {}
             )
-        response = NodeResponse.from_wire(obj)
+            response = await asyncio.wait_for(self._link.request(request), timeout)
+        except asyncio.TimeoutError:
+            raise PeerTimeoutError(
+                f"node {self.name!r} missed its {timeout}s deadline for {op!r}"
+            ) from None
+        except (ConnectionError, OSError) as exc:
+            raise ServerClosedError(f"node {self.name!r} connection lost: {exc}") from exc
         if response.status != STATUS_OK:
-            exc_cls = ConfigurationError
-            raise exc_cls(
+            raise ConfigurationError(
                 f"node {self.name!r} error ({response.kind}): {response.error}"
             )
         return response

@@ -19,8 +19,9 @@ An SLO-burn admission gate sheds load to keep p99 inside budget.
 Layout: :mod:`.protocol` (length-prefixed binary/JSON frames, typed
 request/response dataclasses), :mod:`.scheduler` (the batching
 scheduler and its scatter semantics), :mod:`.admission` (SLO-aware
-admission control), :mod:`.server` (the TCP server and the two-transport
-client).  Serving is measured end to end by ``benchmarks/e2e``.
+admission control), :mod:`.server` (the one TCP transport: the accept
+loop both hops' servers share and the two-transport client).  Serving
+is measured end to end by ``benchmarks/e2e``.
 """
 
 from .admission import DEFAULT_SERVE_SLO, AdmissionConfig, AdmissionController
@@ -43,9 +44,7 @@ from .protocol import (
     SlsResponse,
     decode_payload,
     encode_frame,
-    read_frame,
     resolve_heartbeat_timeout,
-    write_frame,
 )
 from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 from .server import AsyncSlsClient, SlsServer
@@ -69,8 +68,6 @@ __all__ = [
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
     "encode_frame",
     "decode_payload",
-    "read_frame",
-    "write_frame",
     "CODEC_JSON",
     "CODEC_BINARY",
     "MAX_FRAME_BYTES",

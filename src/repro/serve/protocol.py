@@ -41,20 +41,19 @@ Message schemas (plain dicts under JSON, typed dataclasses in-process):
   class (``VerificationError``, ``ConfigurationError``, ...) so the
   client re-raises the typed error from :mod:`repro.errors`.
 * node request/response - the cluster tier's control+data plane over
-  the same framing (:class:`NodeRequest` / :class:`NodeResponse`):
-  ``op`` is one of :data:`NODE_OPS` and everything op-specific travels
-  in a free-form ``payload`` dict (shard assignments, partial-sum
-  shares, heartbeat liveness detail).
+  the same framing and the same transport (:class:`NodeRequest` /
+  :class:`NodeResponse`): ``op`` is one of :data:`NODE_OPS` and
+  everything op-specific travels in a free-form ``payload`` dict
+  (shard assignments, partial-sum shares, heartbeat liveness detail).
 
 Every JSON field is type-checked, envelope fields included: a wrong
 type is a :class:`FrameError`, never another exception.
 
-Reading: a pipelining peer (the serving front-end, both ends) reads
-whatever the socket has into a buffer and takes every complete frame
-off it with :func:`split_frames`; the node hop, one frame per round
-trip, uses :func:`read_frame`.  Both check a header through
-:func:`frame_header`, so an oversized length prefix is refused the
-moment its five bytes are in.
+Reading: every peer, on both hops and at both ends, reads whatever the
+socket has into a buffer and takes every complete frame off it with
+:func:`split_frames`, the one frame reader; it checks each header
+through :func:`frame_header`, so an oversized length prefix is refused
+the moment its five bytes are in.
 
 Liveness: :func:`resolve_heartbeat_timeout` is the one place the
 dead-peer deadline comes from (``SECNDP_HEARTBEAT_TIMEOUT`` in the
@@ -64,7 +63,6 @@ reads identically instead of hanging on a dead peer.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import struct
@@ -102,8 +100,6 @@ __all__ = [
     "decode_payload",
     "frame_header",
     "split_frames",
-    "read_frame",
-    "write_frame",
     "resolve_heartbeat_timeout",
 ]
 
@@ -503,15 +499,20 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
     return _HEADER.pack(codec, len(payload)) + payload
 
 
-def decode_payload(codec: int, payload: bytes) -> Any:
-    """A JSON frame's object, or a binary frame's typed message."""
+def decode_payload(codec: int, payload) -> Any:
+    """A JSON frame's object, or a binary frame's typed message.
+
+    ``payload`` is ``bytes`` or a view of a read buffer.  JSON decodes
+    straight off it; a binary message's arrays view a ``bytes`` copy of
+    their own, so they never pin the buffer.
+    """
     if codec == CODEC_JSON:
         try:
-            return json.loads(payload.decode("utf-8"))
+            return json.loads(str(payload, "utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise FrameError(f"bad JSON frame payload: {exc}") from exc
     if codec == CODEC_BINARY:
-        return _unpack_binary(payload)
+        return _unpack_binary(bytes(payload))
     raise FrameError(f"unknown codec id {codec}")
 
 
@@ -539,9 +540,10 @@ def split_frames(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional
     prefix, an undecodable payload, or - with ``eof``, the peer having
     closed - a partial frame left over.  The frames before an error are
     returned; the peer is to be answered and dropped after them.  What
-    stays in ``buf`` is less than one frame.  Each payload is copied into
-    its own ``bytes``, so a decoded array views that copy alone and never
-    pins the read buffer.
+    stays in ``buf`` is less than one frame.  A decoded array views a
+    copy of its own frame's payload and never pins the read buffer; a
+    JSON frame, the whole ``shard_assign`` table included, decodes
+    straight off the buffer, without that copy.
     """
     frames: List[Any] = []
     error: Optional[FrameError] = None
@@ -554,44 +556,16 @@ def split_frames(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional
                 if end - start < length:
                     break
                 pos = start + length
-                frames.append(decode_payload(codec, bytes(view[start:pos])))
+                # Released here, even if an error's traceback still holds
+                # it, so ``buf`` can be trimmed below.
+                with view[start:pos] as payload:
+                    frames.append(decode_payload(codec, payload))
         except FrameError as exc:
             error = exc
     del buf[:pos]
     if error is None and eof and buf:
         error = FrameError(_MID_HEADER if len(buf) < _HEADER.size else _MID_FRAME)
     return frames, error
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    A truncated header/payload (EOF mid-frame) or an oversized length
-    prefix raises :class:`FrameError`.  For one frame per round trip (the
-    node hop); a peer that pipelines reads into a buffer and
-    :func:`split_frames` it.
-    """
-    header = await reader.read(_HEADER.size)
-    if not header:
-        return None
-    while len(header) < _HEADER.size:
-        chunk = await reader.read(_HEADER.size - len(header))
-        if not chunk:
-            raise FrameError(_MID_HEADER)
-        header += chunk
-    codec, length = frame_header(header)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(_MID_FRAME) from exc
-    return decode_payload(codec, payload)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter, obj: Any, codec: int = CODEC_JSON
-) -> None:
-    writer.write(encode_frame(obj, codec))
-    await writer.drain()
 
 
 def error_response(

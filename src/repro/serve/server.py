@@ -1,28 +1,30 @@
-"""`SlsServer` (asyncio TCP front-end) and `AsyncSlsClient`.
+"""The one TCP transport of both hops: :class:`FrameServer` and :class:`AsyncSlsClient`.
 
-The server speaks the length-prefixed frame protocol of
-:mod:`repro.serve.protocol` and feeds every query into one
-:class:`~repro.serve.scheduler.BatchScheduler`, so requests from *all*
-connections coalesce into the same amortized batches.  Connections are
+Client to :class:`SlsServer` and coordinator to
+:class:`~repro.cluster.node.NodeServer` both speak the length-prefixed
+frames of :mod:`repro.serve.protocol` over it.  Connections are
 pipelined, and I/O is per socket read and per loop turn, not per
 request: a connection reads whatever the socket has, takes every
-complete frame off its buffer (:func:`~repro.serve.protocol.split_frames`)
-and hands each request to the scheduler synchronously; a response is
-queued in the connection's outbox when its batch completes (the ``id``
-field correlates them), and everything queued during one loop turn
-leaves in one write.  That is what lets a single client drive enough
-concurrency to fill a batch without a task per request.  Each response
-leaves in the codec its request arrived in (the codec byte is per
-frame): the client sends binary, and a JSON ``sls`` frame is still
+complete frame off its buffer (:func:`~repro.serve.protocol.split_frames`,
+the one frame reader) and answers each now or when its future completes
+(the ``id`` field correlates them), and everything queued during one
+loop turn leaves in one write.  That is what lets a single client drive
+enough concurrency to fill a batch without a task per request.  Each
+answer leaves in the codec its request arrived in (the codec byte is
+per frame): the client sends binary, and a JSON ``sls`` frame is still
 answered in JSON.  Backpressure: a connection waits for its transport
-to drain before it reads again.
+to drain before it reads again.  :class:`SlsServer` feeds every query
+into one :class:`~repro.serve.scheduler.BatchScheduler`, so requests
+from *all* connections coalesce into the same amortized batches.
 
 The client has two transports with one API:
 
 * ``await AsyncSlsClient.connect(host, port)`` — TCP; requests share
   the client's outbox the same way, and a background reader task splits
-  each read and dispatches the responses to per-request futures, so any
-  number of ``sls()`` calls can be in flight on one connection.
+  each read and dispatches the answers to per-request futures, so any
+  number of requests can be in flight on one connection.  The node
+  hop's :class:`~repro.cluster.node.NodeClient` is this transport with
+  ``reconnect=False``.
 * ``AsyncSlsClient.in_process(scheduler)`` — no sockets; submits
   straight into a scheduler.  This is the test transport: it keeps
   the scheduler semantics (admission, coalescing, typed errors) without
@@ -40,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import signal
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +60,8 @@ from .protocol import (
     STATUS_OVERLOADED,
     STATUS_SHUTTING_DOWN,
     FrameError,
+    NodeRequest,
+    NodeResponse,
     SlsRequest,
     SlsResponse,
     encode_frame,
@@ -69,10 +73,19 @@ from .protocol import (
 )
 from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
-__all__ = ["SlsServer", "AsyncSlsClient"]
+__all__ = ["FrameServer", "SlsServer", "AsyncSlsClient"]
 
 #: Bytes asked of the socket per read; every complete frame in it is served.
 _READ_BYTES = 1 << 16
+
+#: Dials a reconnecting client makes before it fails what is in flight:
+#: the first at once, then after a backoff doubling up to the cap.
+MAX_RECONNECTS = 4
+BACKOFF_BASE_S = 0.05
+BACKOFF_CAP_S = 1.0
+
+#: Each request type's answer type, which decodes its answer frame.
+_ANSWERS = {SlsRequest: SlsResponse, NodeRequest: NodeResponse}
 
 
 class _Outbox:
@@ -100,54 +113,46 @@ class _Outbox:
             self.writer.write(data)
 
 
-class SlsServer:
-    """Serve a store's SLS queries over TCP through the batching scheduler.
+class FrameServer:
+    """The accept loop both hops serve on (``port=0`` = ephemeral).
 
-    Parameters mirror :class:`~repro.serve.scheduler.BatchScheduler`;
-    ``port=0`` binds an ephemeral port (read :attr:`port` after
-    :meth:`start`).  Use ``async with`` (or :meth:`start` /
-    :meth:`close`) so the listener and the connections are released
-    deterministically.  Serving starts no thread: decoding, every batch
-    and every write run on the loop that called :meth:`start`.
+    A subclass says how one decoded frame is answered (:meth:`_answer`)
+    and how a refused one is (:meth:`_refusal`); this class owns the
+    listener, the connections, their outboxes and the drain.  Use
+    ``async with`` (or :meth:`start` / :meth:`close`) so the listener and
+    the connections are released deterministically.  Serving starts no
+    thread: decoding, answering and every write run on the loop that
+    called :meth:`start`.
     """
 
-    def __init__(
-        self,
-        store,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        admission=None,
-    ):
-        self.scheduler = BatchScheduler(store, max_batch=max_batch, admission=admission)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._handlers: Set[asyncio.Task] = set()
         self._outboxes: Set[_Outbox] = set()
         self._closed = False
+        self._stop = asyncio.Event()
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> "SlsServer":
+    async def start(self) -> "FrameServer":
         """Bind and start accepting connections."""
         if self._server is not None:
             return self
         if self._closed:
-            raise ConfigurationError("server is closed")
+            raise ConfigurationError(f"{type(self).__name__} is closed")
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        obs.emit_event(obs.SERVE_START, host=self.host, port=self.port)
         return self
 
     async def close(self) -> None:
         """Drain and stop (idempotent).
 
-        New connections are refused, new requests on live connections get
-        a typed ``shutting_down`` response, in-flight batches complete
-        and their responses are written, then the connections close.
+        New connections are refused, :meth:`_drain` settles every answer
+        still owed, what is queued is written, then the connections close.
         """
         if self._closed:
             return
@@ -156,10 +161,7 @@ class SlsServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # The scheduler's drain resolves every admitted future, and the
-        # callbacks that queue their responses were scheduled before its
-        # batchers finished, so they have run by the time it returns.
-        await self.scheduler.close()
+        await self._drain()
         # Write what is queued and close the live connections (flushing
         # what is buffered) so the handlers parked in a read see EOF and
         # finish on their own, then wait for every handler except the one
@@ -171,32 +173,32 @@ class SlsServer:
         handlers = [t for t in self._handlers if t is not me]
         if handlers:
             await asyncio.gather(*handlers, return_exceptions=True)
-        obs.emit_event(obs.SERVE_DRAIN, host=self.host, port=self.port)
+        self._stop.set()
 
-    async def __aenter__(self) -> "SlsServer":
+    async def wait_closed(self) -> None:
+        """Block until :meth:`close` has finished or a peer asked to stop."""
+        await self._stop.wait()
+
+    async def __aenter__(self) -> "FrameServer":
         return await self.start()
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.close()
 
-    async def serve_forever(self) -> None:
-        """Run until SIGINT/SIGTERM, then drain gracefully."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        installed = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                installed.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-Unix loops: rely on cancellation/close()
-        try:
-            await stop.wait()
-        finally:
-            for sig in installed:
-                loop.remove_signal_handler(sig)
-            await self.close()
+    # -- what a subclass says --------------------------------------------------
+
+    async def _drain(self) -> None:
+        """Settle every answer still owed before the connections close."""
+
+    def _answer(self, obj: Any, outbox: _Outbox):
+        """The answer to one decoded frame: a message now, a future of one,
+        or ``None`` for no answer.  A :class:`FrameError` is answered with
+        :meth:`_refusal` and the connection serves on."""
+        raise NotImplementedError
+
+    def _refusal(self, request_id: int, exc: BaseException):
+        """The typed error answer to a frame that was refused."""
+        raise NotImplementedError
 
     # -- connection handling ---------------------------------------------------
 
@@ -214,9 +216,7 @@ class SlsServer:
             while True:
                 chunk = await reader.read(_READ_BYTES)
                 buf += chunk
-                frames, error = split_frames(buf, eof=not chunk)
-                for obj in frames:
-                    self._dispatch(obj, outbox, inflight)
+                error = self._serve_read(buf, not chunk, outbox, inflight)
                 if error is not None or not chunk:
                     break
                 await writer.drain()  # backpressure: no read while the peer lags
@@ -228,7 +228,7 @@ class SlsServer:
             if inflight:
                 await asyncio.wait(inflight)
             if error is not None:
-                outbox.put(encode_frame(error_response(0, error)))
+                outbox.put(encode_frame(self._refusal(0, error)))
             outbox.flush()
             self._handlers.discard(handler)
             self._outboxes.discard(outbox)
@@ -238,39 +238,104 @@ class SlsServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    def _dispatch(self, obj, outbox: _Outbox, inflight: Set[asyncio.Future]) -> None:
-        """Answer one decoded frame now, or when its batch completes."""
-        # A binary frame decodes straight to the typed request.
-        codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
-        try:
-            request = obj if codec == CODEC_BINARY else SlsRequest.from_wire(obj)
-        except FrameError as exc:  # a bad field: answered, the connection lives
-            outbox.put(encode_frame(error_response(reply_id(obj), exc)))
-            return
-        if request.op in ("ping", "heartbeat"):
-            # Liveness probes bypass the scheduler entirely: a heartbeat
-            # must answer even when admission control is shedding work.
-            answer = SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
-        else:
-            answer = self.scheduler.enqueue(request)
-        if isinstance(answer, SlsResponse):
-            outbox.put(encode_frame(answer, codec))
-        else:
-            inflight.add(answer)
-            answer.add_done_callback(functools.partial(_answered, outbox, inflight, codec))
-
-    # -- reporting -------------------------------------------------------------
-
-    def stats(self) -> Dict[str, float]:
-        return self.scheduler.stats()
+    def _serve_read(
+        self, buf: bytearray, eof: bool, outbox: _Outbox, inflight: Set[asyncio.Future]
+    ) -> Optional[FrameError]:
+        """Answer every complete frame in ``buf``; the error that ends the
+        connection, if any.  The decoded frames die on return, so a
+        connection parked in a read holds none."""
+        frames, error = split_frames(buf, eof=eof)
+        for obj in frames:
+            # A frame is answered in its own codec; binary decodes typed.
+            codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
+            try:
+                answer = self._answer(obj, outbox)
+            except FrameError as exc:  # a bad field: answered, the connection lives
+                answer = self._refusal(reply_id(obj), exc)
+            if isinstance(answer, asyncio.Future):
+                inflight.add(answer)
+                answer.add_done_callback(
+                    functools.partial(_answered, outbox, inflight, codec)
+                )
+            elif answer is not None:
+                outbox.put(encode_frame(answer, codec))
+        return error
 
 
 def _answered(
     outbox: _Outbox, inflight: Set[asyncio.Future], codec: int, future: asyncio.Future
 ) -> None:
-    """Done-callback of an admitted request's future: queue its response."""
+    """Done-callback of an answer's future: queue the answer."""
     inflight.discard(future)
-    outbox.put(encode_frame(future.result(), codec))
+    if not future.cancelled():
+        outbox.put(encode_frame(future.result(), codec))
+
+
+class SlsServer(FrameServer):
+    """Serve a store's SLS queries over TCP through the batching scheduler.
+
+    Parameters mirror :class:`~repro.serve.scheduler.BatchScheduler`;
+    ``port=0`` binds an ephemeral port (read :attr:`port` after
+    :meth:`start`).
+    """
+
+    def __init__(
+        self,
+        store,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        admission=None,
+    ):
+        super().__init__(host, port)
+        self.scheduler = BatchScheduler(store, max_batch=max_batch, admission=admission)
+
+    async def start(self) -> "SlsServer":
+        if self._server is None:
+            await super().start()
+            obs.emit_event(obs.SERVE_START, host=self.host, port=self.port)
+        return self
+
+    async def _drain(self) -> None:
+        # The scheduler's drain resolves every admitted future, and the
+        # callbacks that queue their responses were scheduled before its
+        # batchers finished, so they have run by the time it returns.
+        await self.scheduler.close()
+        obs.emit_event(obs.SERVE_DRAIN, host=self.host, port=self.port)
+
+    async def serve_forever(self) -> None:
+        """Run until SIGINT/SIGTERM, then drain gracefully."""
+        await self.start()
+        loop = asyncio.get_running_loop()
+        installed = []
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            try:
+                loop.add_signal_handler(sig, self._stop.set)
+                installed.append(sig)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-Unix loops: rely on cancellation/close()
+        try:
+            await self.wait_closed()
+        finally:
+            for sig in installed:
+                loop.remove_signal_handler(sig)
+            await self.close()
+
+    def _answer(self, obj, outbox: _Outbox):
+        request = obj if isinstance(obj, SlsRequest) else SlsRequest.from_wire(obj)
+        if request.op in ("ping", "heartbeat"):
+            # Liveness probes bypass the scheduler entirely: a heartbeat
+            # must answer even when admission control is shedding work.
+            return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
+        return self.scheduler.enqueue(request)
+
+    def _refusal(self, request_id: int, exc: BaseException) -> SlsResponse:
+        return error_response(request_id, exc)
+
+    # -- reporting -------------------------------------------------------------
+
+    def stats(self) -> Dict[str, float]:
+        return self.scheduler.stats()
 
 
 def _raise_for_response(response: SlsResponse) -> SlsResponse:
@@ -290,14 +355,15 @@ def _raise_for_response(response: SlsResponse) -> SlsResponse:
 class AsyncSlsClient:
     """One API over two transports: TCP frames or an in-process scheduler.
 
-    The TCP transport reconnects transparently: when the connection
-    drops, the background reader dials the server again with capped
-    exponential backoff (``backoff_base_s * 2**attempt``, clamped to
-    ``backoff_cap_s``) and re-sends every request that never got a
-    response frame — SLS reads and liveness probes are idempotent, so a
-    duplicate submission is safe.  Only after ``max_reconnects``
-    consecutive failed dials do the in-flight futures fail with
-    :class:`~repro.errors.ServerClosedError`.
+    With ``reconnect`` (the default) the TCP transport reconnects
+    transparently: when the connection drops, the background reader dials
+    the peer again (:data:`MAX_RECONNECTS` dials, capped exponential
+    backoff between them) and re-sends every request that never got an
+    answer - SLS reads and liveness probes are idempotent, so a duplicate
+    submission is safe.  Only when every dial fails do the in-flight
+    futures fail with :class:`~repro.errors.ServerClosedError`.  Without
+    it nothing is re-sent: a lost connection fails what is in flight, and
+    the next request dials once.
     """
 
     def __init__(self):
@@ -305,38 +371,25 @@ class AsyncSlsClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._outbox: Optional[_Outbox] = None  #: queued frames for ``_writer``
-        self._pending: Dict[int, "tuple[asyncio.Future[SlsResponse], SlsRequest]"] = {}
+        #: request id -> (its answer's future, the request, for a re-send)
+        self._pending: Dict[int, Tuple[asyncio.Future, Union[SlsRequest, NodeRequest]]] = {}
         self._reader_task: Optional[asyncio.Task] = None
         self._next_id = 0
         self._closed = False
         self._host: Optional[str] = None
         self._port: Optional[int] = None
         self._allow_reconnect = True
-        self._max_reconnects = 4
-        self._backoff_base_s = 0.05
-        self._backoff_cap_s = 1.0
         self._conn_gen = 0
         self._reconnect_lock: Optional[asyncio.Lock] = None
 
     @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        reconnect: bool = True,
-        max_reconnects: int = 4,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
-    ) -> "AsyncSlsClient":
+    async def connect(cls, host: str, port: int, reconnect: bool = True) -> "AsyncSlsClient":
         client = cls()
         client._host = host
         client._port = port
         client._allow_reconnect = bool(reconnect)
-        client._max_reconnects = int(max_reconnects)
-        client._backoff_base_s = float(backoff_base_s)
-        client._backoff_cap_s = float(backoff_cap_s)
         client._reconnect_lock = asyncio.Lock()
-        client._attach(*await asyncio.open_connection(host, port))
+        client._attach(*await client._dial())
         client._reader_task = asyncio.ensure_future(client._read_loop())
         return client
 
@@ -352,10 +405,39 @@ class AsyncSlsClient:
         self._next_id += 1
         return self._next_id
 
+    async def _dial(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        return await asyncio.open_connection(self._host, self._port)
+
     def _attach(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         """Make a fresh connection the current one, with an empty outbox."""
         self._reader, self._writer = reader, writer
         self._outbox = _Outbox(writer)
+
+    def _fail_pending(self, exc: SecNDPError) -> None:
+        for future, _request in self._pending.values():
+            if not future.done():
+                future.set_exception(exc)
+        self._pending.clear()
+
+    def _resolve(self, obj: Any) -> None:
+        """Hand one answer frame to the request its id names.
+
+        An answer to a request no longer pending (a late one: its caller
+        gave up) is dropped; one without a well-typed id, or that does not
+        decode as its request's answer, is a :class:`FrameError`.
+        """
+        rid = obj.get("id") if isinstance(obj, dict) else getattr(obj, "id", None)
+        if type(rid) is not int:
+            raise FrameError(f"answer with no usable id: {rid!r:.40}")
+        entry = self._pending.get(rid)
+        if entry is None:
+            return
+        future, request = entry
+        answer = _ANSWERS[type(request)]
+        response = obj if isinstance(obj, answer) else answer.from_wire(obj)
+        del self._pending[rid]
+        if not future.done():
+            future.set_result(response)
 
     async def _read_loop(self) -> None:
         while True:
@@ -369,43 +451,41 @@ class AsyncSlsClient:
                     buf += chunk
                     frames, error = split_frames(buf, eof=not chunk)
                     for obj in frames:
-                        response = (
-                            obj if isinstance(obj, SlsResponse) else SlsResponse.from_wire(obj)
-                        )
-                        entry = self._pending.pop(response.id, None)
-                        if entry is not None and not entry[0].done():
-                            entry[0].set_result(response)
+                        self._resolve(obj)
                     if error is not None or not chunk:
                         break
             except (FrameError, ConnectionError, OSError) as exc:
                 error = exc
             # This connection is done: a request must not be queued on it.
             writer.close()
+            if isinstance(error, FrameError):
+                # A peer whose answers do not decode is not asked again:
+                # what it owed fails with the evidence, not as a lost peer.
+                self._fail_pending(error)
             # Reconnect even with nothing in flight: the loop must stay
             # alive to read responses for requests sent after the drop.
-            if self._closed or not self._allow_reconnect:
-                break
-            if not await self._reconnect(generation):
+            # Without reconnect it only follows a connection a request
+            # already dialled.
+            dials = MAX_RECONNECTS if self._allow_reconnect else 0
+            if self._closed or not await self._reconnect(generation, dials):
                 break
         # Anything still pending will never be answered.
-        for future, _request in self._pending.values():
-            if not future.done():
-                future.set_exception(
-                    ServerClosedError(
-                        f"connection lost before a response arrived: {error}"
-                        if error
-                        else "connection closed before a response arrived"
-                    )
-                )
-        self._pending.clear()
+        self._fail_pending(
+            ServerClosedError(
+                f"connection lost before a response arrived: {error}"
+                if error
+                else "connection closed before a response arrived"
+            )
+        )
 
-    async def _reconnect(self, generation: int) -> bool:
-        """Dial the server again and re-send unanswered requests.
+    async def _reconnect(self, generation: int, dials: int) -> bool:
+        """Dial the peer again (up to ``dials`` times) and re-send
+        unanswered requests.
 
         Serialized through ``_reconnect_lock`` so the read loop and a
         request that found the connection closed never race; if another
         path already replaced the connection (``generation`` is stale)
-        this is a no-op success.
+        this is a success without a dial.
         """
         assert self._reconnect_lock is not None
         async with self._reconnect_lock:
@@ -413,17 +493,15 @@ class AsyncSlsClient:
                 return False
             if self._conn_gen != generation:
                 return True  # someone else already reconnected (and re-sent)
-            assert self._host is not None and self._port is not None
-            for attempt in range(self._max_reconnects):
-                delay = min(self._backoff_base_s * (2**attempt), self._backoff_cap_s)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                if self._closed:  # close() raced the backoff sleep
-                    return False
-                try:
-                    reader, writer = await asyncio.open_connection(
-                        self._host, self._port
+            for attempt in range(dials):
+                if attempt:
+                    await asyncio.sleep(
+                        min(BACKOFF_BASE_S * 2 ** (attempt - 1), BACKOFF_CAP_S)
                     )
+                    if self._closed:  # close() raced the backoff sleep
+                        return False
+                try:
+                    reader, writer = await self._dial()
                 except (ConnectionError, OSError):
                     continue
                 old_writer = self._writer
@@ -443,15 +521,20 @@ class AsyncSlsClient:
                 except (ConnectionError, OSError):
                     continue  # fresh connection died too; dial again
                 # A write-path reconnect may find the read loop already
-                # exited (it gave up after max_reconnects); revive it so
-                # the re-sent requests get their responses read.
+                # exited; revive it so the re-sent requests get their
+                # responses read.
                 if self._reader_task is not None and self._reader_task.done():
                     self._reader_task = asyncio.ensure_future(self._read_loop())
                 return True
             return False
 
-    async def request(self, request: SlsRequest) -> SlsResponse:
-        """Send one request; return the raw typed response (no raising)."""
+    async def request(self, request: Union[SlsRequest, NodeRequest]):
+        """Send one request; return the raw typed response (no raising).
+
+        Over TCP a request is pending from its send until its answer, its
+        failure or its caller's cancellation (a timeout): an answer that
+        arrives after that is dropped.
+        """
         if self._closed:
             raise ConfigurationError("client is closed")
         if self._scheduler is not None:
@@ -465,24 +548,26 @@ class AsyncSlsClient:
         # The read loop closes a connection it is done with, so a closed
         # one is gone: dial again (or wait for the read loop's dial), or
         # fail now rather than queue a request nobody will answer.
-        if self._writer.transport.is_closing() and not (
-            self._allow_reconnect and await self._reconnect(self._conn_gen)
+        dials = MAX_RECONNECTS if self._allow_reconnect else 1
+        if self._writer.transport.is_closing() and not await self._reconnect(
+            self._conn_gen, dials
         ):
             raise ServerClosedError("connection lost")
-        future: "asyncio.Future[SlsResponse]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         # Registered, it is either answered, re-sent by a reconnect or
         # failed by the read loop, whatever becomes of the outbox.
         self._pending[request.id] = (future, request)
-        self._outbox.put(frame)
-        transport = self._writer.transport
-        if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
-            try:
-                await self._writer.drain()
-            except (ConnectionError, OSError):
-                pass  # the read loop sees the same loss
-        return await future
+        try:
+            self._outbox.put(frame)
+            transport = self._writer.transport
+            if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+                try:
+                    await self._writer.drain()
+                except (ConnectionError, OSError):
+                    pass  # the read loop sees the same loss
+            return await future
+        finally:
+            self._pending.pop(request.id, None)
 
     # -- public API ------------------------------------------------------------
 
@@ -538,7 +623,6 @@ class AsyncSlsClient:
             else:
                 response = await asyncio.wait_for(self.request(request), timeout)
         except (SecNDPError, asyncio.TimeoutError):
-            self._pending.pop(request.id, None)
             return False
         return response.status == STATUS_OK
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.faults import ScriptedDirectives
 from repro.faults.recovery import RecoveryPolicy
 from repro.harness.chaos import run_cluster_chaos, smoke_script
 from repro.serve import AsyncSlsClient, SlsServer
+from repro.serve.server import BACKOFF_BASE_S, BACKOFF_CAP_S, MAX_RECONNECTS
 from repro.serve.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     ENV_HEARTBEAT_TIMEOUT,
@@ -800,6 +802,49 @@ class TestClusterEndToEnd:
         blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
         assert blamed == ["n2"]
 
+    def test_an_error_frame_to_a_replica_refresh_is_blame_not_death(self):
+        """Regression: an error frame answering the post-re-encryption
+        replica refresh is misbehaviour on a well-formed request, charged
+        as ``node_blame`` (weight 3) in context ``refresh`` - never as a
+        dead node."""
+        params = SecNDPParams()
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params),
+            UntrustedNdpDevice(params),
+            recovery=RecoveryPolicy(),
+        )
+        store.add_table("emb", np.random.default_rng(3).normal(size=(48, 8)))
+        rows, ws = [[1, 20, 40], [5, 30]], [[1, 2, 3], [1, 1]]
+        want = store.sls_many("emb", rows, ws)
+
+        class RefusesRefresh(NodeServer):
+            def _assign(self, request):
+                if request.payload.get("tables") and self._device is not None:
+                    raise ConfigurationError("replica refresh refused")
+                return super()._assign(request)
+
+        async def scenario():
+            async with NodeServer("n0") as s0, RefusesRefresh("n1") as s1:
+                coordinator = ClusterCoordinator(
+                    store, [(s.name, s.host, s.port) for s in (s0, s1)], task_timeout_s=5.0
+                )
+                async with coordinator:
+                    assert np.array_equal(await coordinator.sls_many("emb", rows, ws), want)
+                    store.reencrypt_table("emb")
+                    return await coordinator.sls_many("emb", rows, ws), coordinator.stats()
+
+        with obs.journal() as journal:
+            got, stats = self._run(scenario())
+        assert np.array_equal(got, want)
+        assert stats["quarantined"] == ["n1"]
+        assert stats["blame_counts"] == {"n0": 0.0, "n1": 3.0}
+        charged = [
+            (e.kind, e.details.get("context"))
+            for e in journal()
+            if e.worker == "n1" and e.kind in (obs.NODE_BLAME, obs.NODE_DEAD, obs.NODE_TIMEOUT)
+        ]
+        assert charged == [(obs.NODE_BLAME, "refresh")]
+
     @pytest.mark.parametrize("tier", ["auto", "numpy"])
     def test_pad_sweep_runs_once_per_batch_and_every_rung_reuses_it(self, tier):
         """The trusted half of a 3-shard batch is one sweep over its row
@@ -995,9 +1040,7 @@ class TestReconnect:
         async def scenario():
             await server.start()
             port = server.port
-            client = await AsyncSlsClient.connect(
-                "127.0.0.1", port, backoff_base_s=0.01, backoff_cap_s=0.05
-            )
+            client = await AsyncSlsClient.connect("127.0.0.1", port)
             got = await client.sls("emb", rows)
             assert np.allclose(got, want)
             # Restart the server on the same port, then sever the old
@@ -1041,24 +1084,25 @@ class TestReconnect:
 
     def test_reconnect_gives_up_when_server_stays_down(self):
         store, server = self._store_server()
+        # Every dial but the first waits out its backoff before failing.
+        backoff_s = sum(
+            min(BACKOFF_BASE_S * 2**k, BACKOFF_CAP_S) for k in range(MAX_RECONNECTS - 1)
+        )
 
         async def scenario():
             await server.start()
-            client = await AsyncSlsClient.connect(
-                "127.0.0.1",
-                server.port,
-                max_reconnects=2,
-                backoff_base_s=0.005,
-                backoff_cap_s=0.01,
-            )
+            client = await AsyncSlsClient.connect("127.0.0.1", server.port)
             await server.close()  # nothing ever listens again
             client._writer.transport.abort()
+            t0 = time.perf_counter()
             with pytest.raises(ServerClosedError):
                 for _ in range(10):
                     await client.sls("emb", [1])
+            elapsed = time.perf_counter() - t0
             await client.close()
+            return elapsed
 
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) >= backoff_s
 
 
 class TestHeartbeatDeadline:
@@ -1120,6 +1164,51 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestNodeHopCorrelation:
+    """The node hop is the id-correlated transport: no lock, no drop."""
+
+    def test_late_answer_is_dropped_and_the_retry_answered_on_the_same_connection(self):
+        store = _make_store(n_rows=48)
+        rows, ws = [[1, 20, 40], [5, 30]], [[1, 2, 3], [1, 1]]
+        want = store.sls_many("emb", rows, ws)
+
+        async def scenario():
+            async with NodeServer("n0") as s0:
+                client = NodeClient("n0", s0.host, s0.port)
+                coordinator = ClusterCoordinator(
+                    store,
+                    [client],
+                    task_timeout_s=0.2,
+                    policy=RecoveryPolicy(backoff_base_s=1e-4, max_retries=1),
+                    blame_threshold=100,
+                    fault_injector=ScriptedDirectives({"n0": [(0, ("slow", 0.6))]}),
+                )
+                async with coordinator:
+                    link = client._link
+                    writer, seen = link._writer, []
+                    resolve = link._resolve
+                    link._resolve = lambda obj: (seen.append(obj["id"]), resolve(obj))
+                    got = await coordinator.sls_many("emb", rows, ws)
+                    await asyncio.sleep(0.6)  # the slow answer lands meanwhile
+                    assert await client.heartbeat(timeout=5.0)
+                    same = client._link is link and link._writer is writer
+                    return got, list(seen), same, dict(link._pending), coordinator.stats()
+
+        with obs.journal() as journal:
+            got, seen, same, pending, stats = asyncio.run(scenario())
+        assert np.array_equal(got, want)
+        # The retry (id k + 1) is answered first; the slow dispatch's late
+        # answer (id k) arrives after it and is dropped; the heartbeat
+        # after that gets its own answer.
+        retry, late, probe = seen
+        assert (retry, probe) == (late + 1, late + 2)
+        assert same and pending == {}
+        kinds = [e.kind for e in journal()]
+        assert kinds.count(obs.NODE_TIMEOUT) == 1
+        assert obs.NODE_DEAD not in kinds and obs.NODE_BLAME not in kinds
+        assert stats["live"] == ["n0"]
 
 
 class TestJournalReplay:

@@ -52,7 +52,6 @@ from repro.serve.protocol import (
     decode_payload,
     encode_frame,
     error_response,
-    read_frame,
     split_frames,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
@@ -110,42 +109,23 @@ class TestFrameProtocol:
         back = SlsResponse.from_wire(decode_payload(CODEC_JSON, frame[5:]))
         assert np.array_equal(np.asarray(back.values), np.asarray(values))
 
-    def test_read_frame_clean_eof(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            return await read_frame(reader)
+    def test_split_frames_clean_eof(self):
+        assert split_frames(bytearray(), eof=True) == ([], None)
 
-        assert asyncio.run(run()) is None
+    def test_split_frames_truncated_header(self):
+        frames, error = split_frames(bytearray(b"\x01\x00"), eof=True)
+        assert frames == [] and "mid-header" in str(error)
 
-    def test_read_frame_truncated_header(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\x01\x00")
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="mid-header"):
-                await read_frame(reader)
+    def test_split_frames_truncated_payload(self):
+        buf = bytearray(struct.pack(">BI", CODEC_JSON, 10) + b"{_tru")
+        assert split_frames(buf) == ([], None)  # the rest may still come
+        frames, error = split_frames(buf, eof=True)
+        assert frames == [] and "mid-frame" in str(error)
 
-        asyncio.run(run())
-
-    def test_read_frame_truncated_payload(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">BI", CODEC_JSON, 10) + b"{_tru")
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="mid-frame"):
-                await read_frame(reader)
-
-        asyncio.run(run())
-
-    def test_read_frame_oversized_length_prefix(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">BI", CODEC_JSON, MAX_FRAME_BYTES + 1))
-            with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
-                await read_frame(reader)
-
-        asyncio.run(run())
+    def test_split_frames_oversized_length_prefix(self):
+        buf = bytearray(struct.pack(">BI", CODEC_JSON, MAX_FRAME_BYTES + 1))
+        frames, error = split_frames(buf)
+        assert frames == [] and "MAX_FRAME_BYTES" in str(error)
 
     def test_unknown_codec_id_rejected(self):
         with pytest.raises(FrameError, match="unknown codec"):
@@ -719,7 +699,7 @@ class TestShutdown:
 
     def test_server_close_leaves_no_connection_handler_pending(self, caplog):
         # Regression: close() tracked per-frame tasks only, so handlers of
-        # idle connections stayed parked in read_frame until the loop shut
+        # idle connections stayed parked in a read until the loop shut
         # down and cancelled them ("Task was destroyed but it is pending").
         store = make_store()
 
@@ -1071,7 +1051,9 @@ class TestTcpServer:
                 )
                 writer.write(struct.pack(">BI", CODEC_JSON, MAX_FRAME_BYTES + 1))
                 await writer.drain()
-                resp = SlsResponse.from_wire(await read_frame(reader))
+                header = await reader.readexactly(5)
+                payload = await reader.readexactly(struct.unpack(">I", header[1:])[0])
+                resp = SlsResponse.from_wire(decode_payload(header[0], payload))
                 assert resp.status == "error"
                 assert resp.kind == "FrameError"
                 assert await reader.read() == b""  # server hung up

@@ -4,13 +4,14 @@ Two contracts (DESIGN.md Sec. 15).  *Hostile peer*: whatever bytes
 arrive, the decoder's only outcomes are a typed message or
 ``FrameError``, nothing it builds is larger than the frame it was
 given, and however the bytes are cut into reads, the read-buffer
-splitter yields what ``read_frame`` yields; a JSON envelope of any of
-the four message types decodes to declared field types or
-``FrameError``, and server, node and coordinator each survive one that
-does not.  *Bit-identity*: a response is ``np.array_equal`` to a direct
-``store.sls`` whichever way it travelled - binary TCP, JSON TCP or the
-in-process transport - on every ring; and a query no path may serve is
-refused by every path - store, front-end, cluster - in the same words.
+splitter yields what a reference reader walking the stream header by
+header yields; a JSON envelope of any of the four message types decodes
+to declared field types or ``FrameError``, and server, node and
+coordinator each survive one that does not.  *Bit-identity*: a response
+is ``np.array_equal`` to a direct ``store.sls`` whichever way it
+travelled - binary TCP, JSON TCP or the in-process transport - on every
+ring; and a query no path may serve is refused by every path - store,
+front-end, cluster - in the same words.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from repro.serve.protocol import (
     encode_frame,
     frame_header,
     int64_terms,
-    read_frame,
     split_frames,
     take_segment,
-    write_frame,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -344,14 +343,24 @@ def envelope_or_frame_error(cls, obj):
     return message
 
 
+async def read_frame(reader):
+    """One frame off ``reader``, decoded; ``None`` at a clean EOF."""
+    try:
+        header = await reader.readexactly(5)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise
+        return None
+    codec, length = struct.unpack(">BI", header)
+    return decode_payload(codec, await reader.readexactly(length))
+
+
 class EnvelopeLiar(NodeServer):
     """A node that answers every ``partial_sum`` with ``id`` a string."""
 
-    async def _write(self, writer, response):
-        if "sums" in response.payload:
-            await write_frame(writer, {"id": "x", "status": STATUS_OK})
-        else:
-            await super()._write(writer, response)
+    def _reply(self, request):
+        response = super()._reply(request)
+        return {"id": "x", "status": STATUS_OK} if "sums" in response.payload else response
 
 
 @st.composite
@@ -388,20 +397,25 @@ def canonical(frames):
 
 
 def read_over(stream: bytes):
-    """``read_frame`` over the whole stream: its frames and its FrameError."""
-    async def run():
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
-        frames = []
-        try:
-            while (obj := await read_frame(reader)) is not None:
-                frames.append(obj)
-        except FrameError as exc:
-            return canonical(frames), str(exc)
-        return canonical(frames), None
-
-    return asyncio.run(run())
+    """The reference reader: the stream walked header by header, as a peer
+    reading one frame at a time sees it; its frames and its FrameError."""
+    frames, pos = [], 0
+    try:
+        while pos < len(stream):
+            if len(stream) - pos < 5:
+                raise FrameError("connection closed mid-header")
+            codec, length = struct.unpack_from(">BI", stream, pos)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"frame length {length} exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+                )
+            if len(stream) - pos - 5 < length:
+                raise FrameError("connection closed mid-frame")
+            frames.append(decode_payload(codec, stream[pos + 5 : pos + 5 + length]))
+            pos += 5 + length
+    except FrameError as exc:
+        return canonical(frames), str(exc)
+    return canonical(frames), None
 
 
 def split_over(chunks):
@@ -479,14 +493,6 @@ class TestHostilePeer:
     @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
     def test_length_prefix_beyond_the_cap(self, codec):
         header = struct.pack(">BI", codec, MAX_FRAME_BYTES + 1)
-
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(header)
-            with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
-                await read_frame(reader)
-
-        asyncio.run(run())
         # The splitter refuses it the moment the five header bytes are in.
         assert split_frames(bytearray(header[:4])) == ([], None)
         frames, error = split_frames(bytearray(header))
@@ -515,20 +521,30 @@ class TestHostilePeer:
         buf += bytes(64)
         del buf[:32]
 
-    @settings(max_examples=200)
-    @given(st.binary(max_size=64))
-    def test_read_frame_over_arbitrary_streams(self, stream):
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | frame_streams())
+    def test_node_server_over_arbitrary_streams(self, stream):
+        """Whatever a peer writes, a node answers with typed frames and
+        closes cleanly; no connection handler dies of an exception."""
         async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(stream)
-            reader.feed_eof()
-            try:
-                while await read_frame(reader) is not None:
-                    pass
-            except FrameError:
-                pass
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with NodeServer("n0") as node:
+                reader, writer = await asyncio.open_connection(node.host, node.port)
+                writer.write(stream)
+                writer.write_eof()
+                answers = []
+                while (obj := await asyncio.wait_for(read_frame(reader), 5)) is not None:
+                    answers.append(NodeResponse.from_wire(obj))
+                writer.close()
+            return answers, loop_errors
 
-        asyncio.run(run())
+        answers, loop_errors = asyncio.run(run())
+        assert loop_errors == []
+        for answer in answers:
+            assert answer.status == STATUS_OK or answer.kind == "FrameError", answer
 
     @pytest.mark.parametrize(
         "wire",
@@ -621,38 +637,57 @@ class TestHostilePeer:
         blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
         assert blamed == ["n1"]
 
-    #: Two frames with a bad field, two good queries, then a frame that
-    #: does not decode at all.
-    MALFORMED_SESSION = (
-        encode_frame({"id": "x", "op": "sls", "rows": ["seven"]}, CODEC_JSON),
-        encode_frame(SlsResponse(id=5, status=STATUS_OK), CODEC_BINARY),  # not a request
-        encode_frame(SlsRequest(id=7, table="emb", rows=(1, 2)), CODEC_BINARY),
-        encode_frame(SlsRequest(id=8, table="emb", rows=(3, 4), weights=(2, 1)), CODEC_BINARY),
-        struct.pack(">BI", CODEC_BINARY, 16) + HEADER.pack(9, 0, 0, 0, 1),
-    )
+    #: Per server, two frames with a bad field, two good requests, then a
+    #: frame that does not decode at all.
+    MALFORMED_SESSION = {
+        server: (
+            encode_frame({"id": "x", "op": "sls", "rows": ["seven"]}, CODEC_JSON),
+            encode_frame(SlsResponse(id=5, status=STATUS_OK), CODEC_BINARY),  # not a request
+            *good,
+            struct.pack(">BI", CODEC_BINARY, 16) + HEADER.pack(9, 0, 0, 0, 1),
+        )
+        for server, good in {
+            "sls": (
+                encode_frame(SlsRequest(id=7, table="emb", rows=(1, 2)), CODEC_BINARY),
+                encode_frame(
+                    SlsRequest(id=8, table="emb", rows=(3, 4), weights=(2, 1)), CODEC_BINARY
+                ),
+            ),
+            "node": tuple(encode_frame(NodeRequest(id=i, op="heartbeat")) for i in (7, 8)),
+        }.items()
+    }
 
-    def check_malformed_session(self, store, answers):
+    def check_malformed_session(self, server, store, answers):
         # A bad field is answered and the connection lives; the good
-        # queries are served on it; the undecodable frame is answered last.
+        # requests are served on it; the undecodable frame is answered last.
         bad_fields, good, last = answers[:2], answers[2:4], answers[4]
-        assert [SlsResponse.from_wire(a).kind for a in bad_fields] == ["FrameError"] * 2
-        assert [a.id for a in good] == [7, 8]
-        assert np.array_equal(good[0].values, store.sls("emb", [1, 2]))
-        assert np.array_equal(good[1].values, store.sls("emb", [3, 4], [2, 1]))
-        last = SlsResponse.from_wire(last)
+        answer = SlsResponse if server == "sls" else NodeResponse
+        assert [answer.from_wire(a).kind for a in bad_fields] == ["FrameError"] * 2
+        if server == "sls":
+            assert [a.id for a in good] == [7, 8]
+            assert np.array_equal(good[0].values, store.sls("emb", [1, 2]))
+            assert np.array_equal(good[1].values, store.sls("emb", [3, 4], [2, 1]))
+        else:
+            good = [NodeResponse.from_wire(a) for a in good]
+            assert [(a.id, a.status, a.payload["node"]) for a in good] == [
+                (7, STATUS_OK, "n0"), (8, STATUS_OK, "n0")
+            ]
+        last = answer.from_wire(last)
         assert last.kind == "FrameError" and "kind 9" in last.error
 
-    def session(self, store, one_write: bool):
+    def session(self, server, store, one_write: bool):
+        frames = self.MALFORMED_SESSION[server]
+
         async def run():
-            async with SlsServer(store, port=0) as server:
-                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            async with (SlsServer(store) if server == "sls" else NodeServer("n0")) as live:
+                reader, writer = await asyncio.open_connection("127.0.0.1", live.port)
                 answers = []
                 if one_write:
-                    writer.write(b"".join(self.MALFORMED_SESSION))
-                    for _ in self.MALFORMED_SESSION:
+                    writer.write(b"".join(frames))
+                    for _ in frames:
                         answers.append(await read_frame(reader))
                 else:
-                    for frame in self.MALFORMED_SESSION:
+                    for frame in frames:
                         writer.write(frame)
                         answers.append(await read_frame(reader))
                 # The undecodable frame ended the connection.
@@ -664,13 +699,17 @@ class TestHostilePeer:
 
     def test_server_answers_malformed_frames_and_lives(self):
         store = make_store(32)
-        self.check_malformed_session(store, self.session(store, one_write=False))
+        for server in self.MALFORMED_SESSION:
+            answers = self.session(server, store, one_write=False)
+            self.check_malformed_session(server, store, answers)
 
     def test_server_answers_malformed_frames_in_one_read_alike(self):
-        # All five frames in one write, so the server splits them off one
+        # All five frames in one write, so each server splits them off one
         # read: the same answers in the same order, then the same close.
         store = make_store(32)
-        self.check_malformed_session(store, self.session(store, one_write=True))
+        for server in self.MALFORMED_SESSION:
+            answers = self.session(server, store, one_write=True)
+            self.check_malformed_session(server, store, answers)
 
 
 # -- bit-identity over every transport -----------------------------------------------
@@ -879,3 +918,30 @@ class TestSchedulerTakesEitherForm:
         assert stats["batches"] == 1 and stats["batch_queries"] == 2
         # 5 rows referenced, 4 distinct: counted from a sort of the CSR rows.
         assert stats["dedupe_ratio"] == 4 / 5
+
+
+class TestTransportSurface:
+    def test_one_listener_one_dialler_one_frame_reader(self):
+        """Both hops share one transport: a second accept loop or dialler
+        under ``src/repro`` fails here, and the deleted one-frame reader
+        and writer stay deleted."""
+        import ast
+        import pathlib
+
+        import repro
+        import repro.serve
+
+        calls = {"start_server": [], "open_connection": []}
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "asyncio"
+                    and node.func.attr in calls
+                ):
+                    calls[node.func.attr].append(f"{path.name}:{node.lineno}")
+        assert [len(sites) for sites in calls.values()] == [1, 1], calls
+        for name in ("read_frame", "write_frame"):
+            assert name not in repro.serve.__all__ and not hasattr(repro.serve, name)
