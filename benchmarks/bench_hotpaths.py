@@ -22,8 +22,7 @@ against both the NumPy tier and the scalar ``PrimeField`` oracle.
 
 The **pad_path** section states the trusted-side pad path in absolute
 terms: ns per cipher block to generate through ``pads_for_rows`` next to
-the raw AES call, on every kernel tier this host has, and to find in the
-LRU the NumPy tier keeps.  The
+the raw AES call, on every kernel tier this host has.  The
 **sls_wave** section holds a whole cold 32-query wave to an absolute,
 calibration-paired budget per tier.
 
@@ -203,76 +202,54 @@ def _bench_pad_path(sizes) -> dict:
     ROADMAP aim 1 asks for absolute per-layer budgets.  Through the call
     every query path makes, ``ArithmeticEncryptor.pads_for_rows``, next
     to the raw ``aes128_encrypt_blocks`` call over as many counter blocks:
+    **generate** times sweeps of rows never seen before, every block laid
+    out and encrypted (the serve_cold shape; every tier regenerates every
+    pad, so this is the whole pad path).
 
-    * **generate** - sweeps of rows never seen before, every block laid
-      out and encrypted (on the NumPy tier also inserted into the LRU,
-      the sweep's tail displacing what was resident: the serve_cold shape);
-    * **hit** - NumPy tier only, the one that keeps an LRU: a resident
-      sweep that exactly fills it.
-
-    Gates, asserted by ``test_hotpaths``: native generate <= 30 ns per
-    block; NumPy hit <= generate, which is why the LRU is kept there
-    (DESIGN.md Sec. 8).  All sweeps are bit-identical to bulk pad
-    generation.
+    Gate, asserted by ``test_hotpaths``: native generate <= 30 ns per
+    block.  All sweeps are bit-identical to bulk pad generation.
     """
     from repro.core.encryption import ArithmeticEncryptor
     from repro.crypto.aes import aes128_encrypt_blocks
-    from repro.crypto.otp import CACHE_BLOCKS
 
     params = SecNDPParams(element_bits=32)
     dim = sizes["dim"]
     blocks_per_row = dim * params.element_bytes // BLOCK_BYTES
-    hit_rows = CACHE_BLOCKS // blocks_per_row
-    cold_rows = hit_rows * (2 if sizes["n_rows"] <= _SIZES["smoke"]["n_rows"] else 10)
+    # 8 192 blocks (128 KiB of pad) per sweep at smoke scale, 40 960 above.
+    sweep_blocks = 4096 * (2 if sizes["n_rows"] <= _SIZES["smoke"]["n_rows"] else 10)
+    cold_rows = sweep_blocks // blocks_per_row
     repeats = 5
-    n_rows = hit_rows + repeats * cold_rows
+    n_rows = repeats * cold_rows
     base = 0x100000
 
-    cold_blocks, hit_blocks = cold_rows * blocks_per_row, hit_rows * blocks_per_row
-    report: dict = {
-        "blocks_per_row": blocks_per_row,
-        "generate_blocks": cold_blocks,
-        "hit_blocks": hit_blocks,
-    }
+    cold_blocks = cold_rows * blocks_per_row
+    report: dict = {"blocks_per_row": blocks_per_row, "generate_blocks": cold_blocks}
     tiers = ["numpy"] + (["native"] if kernels.native_available() else [])
     for tier in tiers:
         with kernels.use_tier(tier):
             kernels.warmup()
             encryptor = ArithmeticEncryptor(params.cipher(KEY), params)
-            otp = encryptor.otp
             matrix = encryptor.encrypt(
                 np.zeros((n_rows, dim), dtype=np.uint32), base, version=1
             )
-            bulk = otp.pad_elements(base, n_rows * dim, 1).reshape(n_rows, dim)
+            bulk = encryptor.otp.pad_elements(base, n_rows * dim, 1).reshape(n_rows, dim)
 
             counters = _counter_blocks(cold_blocks)
             t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), repeats)
 
             # ``repeats`` timed sweeps, each over rows never seen before.
             sweeps = iter(
-                np.arange(hit_rows + k * cold_rows, hit_rows + (k + 1) * cold_rows)
-                for k in range(repeats)
+                np.arange(k * cold_rows, (k + 1) * cold_rows) for k in range(repeats)
             )
             t_generate, pads = _best_of(
                 lambda: encryptor.pads_for_rows(matrix, next(sweeps)), repeats
             )
             assert np.array_equal(pads, bulk[-cold_rows:]), "cold sweep diverges"
-            info = otp.cache_info()
-            assert (info.hits, info.misses) == (0, repeats * cold_blocks)
+            assert encryptor.otp.pad_blocks == repeats * cold_blocks
             report[tier] = {
                 "aes_ns_per_block": t_aes / cold_blocks * 1e9,
                 "generate_ns_per_block": t_generate / cold_blocks * 1e9,
             }
-            if info.maxsize:
-                resident = np.arange(hit_rows)
-                encryptor.pads_for_rows(matrix, resident)
-                before = otp.cache_info()
-                t_hit, pads = _best_of(
-                    lambda: encryptor.pads_for_rows(matrix, resident), repeats
-                )
-                assert np.array_equal(pads, bulk[:hit_rows]), "hit sweep diverges"
-                assert otp.cache_info().misses == before.misses
-                report[tier]["hit_ns_per_block"] = t_hit / hit_blocks * 1e9
     return report
 
 
@@ -335,7 +312,6 @@ def _bench_sls_wave(sizes) -> dict:
                 t_wave = time.perf_counter() - t0
                 normalised.append(calib.normalise(t_wave, calib.calib_s()))
             after = store.cache_info()
-            assert after.hits == before.hits, "the wave was meant to miss every pad"
             assert after.misses - before.misses == repeats * wave * pf * blocks_per_row
             assert np.allclose(out[0], table[fresh[-1][0]].sum(axis=0), atol=pf * 0.05)
             t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), repeats)
@@ -568,7 +544,7 @@ def _collect_metrics(sizes) -> dict:
     The timed benchmark sections above run with metrics *disabled* (the
     production default); this separate pass enables the registry and
     replays a miniature tag-sweep + SLS batch so the recorded trajectory
-    carries per-component attribution (cache hit rates, kernel tiers,
+    carries per-component attribution (pad blocks, kernel tiers,
     batch amortization) next to the wall-time totals.
     """
     was_enabled = obs.enabled()
@@ -631,11 +607,6 @@ def test_hotpaths(scale):
                 f"pad path [{tier}]: raw AES {pp[tier]['aes_ns_per_block']:.1f} ns/block, "
                 f"generate {pp[tier]['generate_ns_per_block']:.1f} "
                 f"({pp['generate_blocks']} blocks)"
-                + (
-                    f", hit {pp[tier]['hit_ns_per_block']:.1f} ({pp['hit_blocks']} blocks)"
-                    if "hit_ns_per_block" in pp[tier]
-                    else ""
-                )
             )
     sw = report["sls_wave"]
     for tier in ("numpy", "native"):
@@ -689,11 +660,9 @@ def test_hotpaths(scale):
     assert ot["aes_blocks_deduped"] < ot["aes_blocks_old"]
     assert ot["speedup_cold"] > 1.0
     # Pad path: a native block costs an absolute <= 30 ns through
-    # pads_for_rows; on the NumPy tier a resident block is cheaper than a
-    # generated one, which is what its LRU is kept for.
+    # pads_for_rows.
     if "native" in pp:
         assert pp["native"]["generate_ns_per_block"] <= 30.0
-    assert pp["numpy"]["hit_ns_per_block"] <= pp["numpy"]["generate_ns_per_block"]
     # A cold wave inside its absolute, host-normalised budget per tier.
     for tier in ("numpy", "native"):
         if tier in sw:

@@ -18,8 +18,7 @@ blocks, so the blocks of the distinct rows of a query are one
 broadcast ``row_addr + 16 * arange(blocks_per_row)`` — already distinct
 and ascending — and go straight to
 :meth:`~repro.crypto.otp.OtpGenerator.pads_for_blocks`, which
-regenerates them in one fused sweep on the native tier and serves them
-through its block-pad cache elsewhere.
+regenerates them in one cipher sweep on every kernel tier.
 """
 
 from __future__ import annotations

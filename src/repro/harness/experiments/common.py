@@ -116,11 +116,11 @@ def run_functional_shadow(scale: ExperimentScale, seed: int = 0) -> None:
     """Exercise the real crypto/protocol stack once, for attribution.
 
     The experiment drivers are timing models: they replay packet traces
-    through the DDR4 simulator but never touch AES, the OTP cache or the
+    through the DDR4 simulator but never touch AES, the OTP pads or the
     field kernels.  When a run is collecting metrics, this shadow pass
     runs a small verified SLS batch through the *functional* stack
     (encrypt → offload → combine → verify) so the snapshot carries
-    OTP-cache, limb-kernel and protocol-phase counters alongside the
+    OTP-pad, limb-kernel and protocol-phase counters alongside the
     simulated traffic — the per-component accounting of Sec. V–VI.
     """
     with obs.span("harness.functional_shadow", cat="harness"):
@@ -144,5 +144,3 @@ def run_functional_shadow(scale: ExperimentScale, seed: int = 0) -> None:
         batch_rows = [list(ix) for ix in trace.indices]
         batch_weights = [[int(w) for w in ws] for ws in trace.weights]
         store.sls_many("shadow", batch_rows, batch_weights)
-        # One repeat over the same rows so the pad cache reports hits.
-        store.sls_many("shadow", batch_rows[:1], batch_weights[:1])

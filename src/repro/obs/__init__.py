@@ -4,7 +4,7 @@ One import point for every instrumented layer::
 
     from .. import obs
 
-    obs.inc("otp.cache.hit", hits)          # counter (no-op when disabled)
+    obs.inc("otp.pad_blocks", n)            # counter (no-op when disabled)
     with obs.span("protocol.verify"):       # timer + optional trace event
         ...
     obs.emit_event(obs.QUARANTINE, table="t", rows=[3])  # audit record

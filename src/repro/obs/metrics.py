@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges, timer histograms.
 
-Every instrumented layer of the reproduction (OTP cache, limb kernels,
+Every instrumented layer of the reproduction (OTP pads, limb kernels,
 protocol phases, NDP/memsim traffic, the store and the serving
 front-end) reports into one :class:`MetricsRegistry` addressed by dotted
-metric names (``otp.cache.hit``, ``limb.dot.tier2``,
+metric names (``otp.pad_blocks``, ``limb.dot.tier2``,
 ``protocol.verify.ns`` — the naming scheme and every name recorded are
 in DESIGN.md Sec. 9).
 

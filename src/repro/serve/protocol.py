@@ -64,6 +64,7 @@ reads identically instead of hanging on a dead peer.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -142,6 +143,8 @@ def resolve_heartbeat_timeout(value: Optional[float] = None) -> float:
 
     An explicit argument wins, otherwise ``SECNDP_HEARTBEAT_TIMEOUT``
     from the environment, otherwise :data:`DEFAULT_HEARTBEAT_TIMEOUT_S`.
+    Zero, a negative value, NaN and infinity are refused: the result is
+    the deadline of every dispatch and heartbeat.
     """
     if value is not None:
         timeout = float(value)
@@ -153,9 +156,9 @@ def resolve_heartbeat_timeout(value: Optional[float] = None) -> float:
             raise ConfigurationError(
                 f"{ENV_HEARTBEAT_TIMEOUT}={raw!r} is not a number"
             ) from None
-    if timeout <= 0:
+    if not (math.isfinite(timeout) and timeout > 0):
         raise ConfigurationError(
-            f"heartbeat timeout must be positive, got {timeout}"
+            f"heartbeat timeout must be positive and finite, got {timeout}"
         )
     return timeout
 

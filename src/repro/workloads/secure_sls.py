@@ -28,14 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..core.params import SecNDPParams
 from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice, integral_terms
-from ..crypto.otp import OtpCacheInfo
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
 from ..faults.plan import FaultInjector
@@ -45,6 +44,16 @@ from .quantization import ColumnwiseQuantizer, TablewiseQuantizer
 __all__ = ["QueryOutcome", "SecureEmbeddingStore"]
 
 _BLOCK_BYTES = 16
+
+
+class OtpCacheInfo(NamedTuple):
+    """Pad-block counts in ``functools.lru_cache.cache_info`` field order."""
+
+    hits: int
+    misses: int
+    evictions: int
+    currsize: int
+    maxsize: int
 
 
 @dataclass(frozen=True)
@@ -207,17 +216,19 @@ class SecureEmbeddingStore:
         return sorted(self._tables)
 
     def cache_info(self) -> OtpCacheInfo:
-        """This store's query-path pad-block statistics.
+        """``(0, generated, 0, 0, 0)``: every query-path pad block is generated.
 
-        ``misses`` is the generated-block reading ``benchmarks/e2e``
-        consumes, see :meth:`~repro.crypto.otp.OtpGenerator.cache_info`.
+        ``misses`` is :attr:`~repro.crypto.otp.OtpGenerator.pad_blocks`;
+        there is no pad cache, so the other fields are 0.  Kept in this
+        shape because ``benchmarks/e2e`` reads its ``.hits`` / ``.misses``.
         """
-        return self.processor.encryptor.otp.cache_info()
+        return OtpCacheInfo(0, self.processor.encryptor.otp.pad_blocks, 0, 0, 0)
 
     def tag_cache_info(self) -> OtpCacheInfo:
         """All zeros: tag pads are always regenerated (``mac.tag_pads``).
 
-        Kept because ``benchmarks/e2e`` reads it beside :meth:`cache_info`.
+        Kept because ``benchmarks/e2e`` reads its ``.hits`` / ``.misses``
+        beside :meth:`cache_info`.
         """
         return OtpCacheInfo(0, 0, 0, 0, 0)
 
@@ -367,7 +378,7 @@ class SecureEmbeddingStore:
             weights = [1] * len(rows)
         if len(weights) != len(rows):
             raise ConfigurationError("rows and weights must have equal length")
-        if not rows:
+        if len(rows) == 0:
             raise ConfigurationError("empty query")
         max_w = max(int(w) for w in weights)
         budget = self.max_pooling_factor(name, max_w)

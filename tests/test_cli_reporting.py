@@ -148,8 +148,7 @@ class TestCli:
 #: per instrumented layer (the stable public naming scheme of DESIGN.md
 #: Sec. 9; treat renames as breaking changes).
 REQUIRED_COUNTERS = [
-    "otp.cache.hit",
-    "otp.cache.miss",
+    "otp.pad_blocks",
     # The limb dot kernel counts under the serving tier that ran it:
     # the NumPy tiers ("limb.dot.tier1") or a compiled backend
     # ("limb.dot.native") when repro.kernels resolved one.

@@ -867,10 +867,7 @@ class TestClusterEndToEnd:
 
         def pad_blocks():
             counters = obs.snapshot()["counters"]
-            return (
-                counters.get("otp.cache.hit", 0) + counters.get("otp.cache.miss", 0),
-                counters.get("mac.tag_pads", 0),
-            )
+            return counters.get("otp.pad_blocks", 0), counters.get("mac.tag_pads", 0)
 
         async def scenario(script):
             async with NodeServer("n0") as s0, NodeServer("n1") as s1, NodeServer(
@@ -911,7 +908,7 @@ class TestClusterEndToEnd:
             limb = "limb.dot.native" if kernels.active_tier() == "native" else "limb.dot.tier1"
         assert set(snap["counters"]) == {
             "cluster.dispatch.blamed", "cluster.dispatch.dead", "cluster.dispatch.retry",
-            "cluster.failovers", limb, "mac.tag_pads", "otp.cache.hit", "otp.cache.miss",
+            "cluster.failovers", limb, "mac.tag_pads", "otp.pad_blocks",
             "protocol.verify.failures",
         }
         assert set(snap["timers"]) == {"protocol.combine.ns", "protocol.otp.ns", "protocol.verify.ns"}
@@ -1114,9 +1111,14 @@ class TestHeartbeatDeadline:
         assert resolve_heartbeat_timeout(1.5) == 1.5
         monkeypatch.setenv(ENV_HEARTBEAT_TIMEOUT, "0.25")
         assert resolve_heartbeat_timeout(None) == 0.25
-        monkeypatch.setenv(ENV_HEARTBEAT_TIMEOUT, "not-a-number")
-        with pytest.raises(ConfigurationError):
-            resolve_heartbeat_timeout(None)
+        for raw in ("not-a-number", "nan", "inf", "-inf", "0"):
+            monkeypatch.setenv(ENV_HEARTBEAT_TIMEOUT, raw)
+            with pytest.raises(ConfigurationError):
+                resolve_heartbeat_timeout(None)
+        # A NaN or infinite deadline would wait forever on a silent peer.
+        for value in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                resolve_heartbeat_timeout(value)
 
     def test_heartbeat_times_out_on_silent_peer(self):
         async def scenario():

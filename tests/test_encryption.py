@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core import ArithmeticEncryptor, SecNDPParams, encryption
 from repro.crypto import TweakedCipher
 from repro.errors import ConfigurationError
@@ -159,18 +158,16 @@ class TestRowAddressing:
         ids=["duplicates", "unsorted", "single", "empty", "all"],
     )
     def test_row_granular_path_matches_bulk(self, rows, monkeypatch):
-        with kernels.use_tier("numpy"):  # off the native tier the LRU is on
-            enc, _ = make_encryptor()
+        enc, _ = make_encryptor()
         e = enc.encrypt(np.zeros((16, 8), dtype=np.uint32), 0x2000, version=3)
         bulk = enc.otp.pad_elements(0x2000, 128, 3).reshape(16, 8)
         # 32-byte rows are whole blocks: no per-element addressing.
         monkeypatch.setattr(enc.otp, "pad_elements_at", None)
-        for _ in range(2):  # cold, then served from the block cache
+        for _ in range(2):  # a repeat regenerates the same pads
             pads = enc.pads_for_rows(e, rows)
             assert pads.shape == (len(rows), 8)
             assert np.array_equal(pads, bulk[rows])
-        distinct = len(set(rows))
-        assert enc.otp.cache_info() == (2 * distinct, 2 * distinct, 0, 2 * distinct, 4096)
+        assert enc.otp.pad_blocks == 2 * 2 * len(set(rows))
 
     def test_partial_block_rows_take_the_element_path(self, monkeypatch):
         enc, _ = make_encryptor(element_bits=8)
@@ -180,7 +177,7 @@ class TestRowAddressing:
         bulk = enc.otp.pad_elements(0x2000, 48, 3).reshape(6, 8)
         rows = [5, 0, 1, 5]
         assert np.array_equal(enc.pads_for_rows(e, rows), bulk[rows])
-        assert enc.otp.cache_info().misses == 2  # blocks 0 and 2, deduplicated
+        assert enc.otp.pad_blocks == 2  # blocks 0 and 2, deduplicated
         monkeypatch.setattr(enc.otp, "pad_elements_at", None)
         with pytest.raises(TypeError):
             enc.pads_for_rows(e, rows)
@@ -193,7 +190,7 @@ class TestRowAddressing:
             enc.pads_for_rows(e, rows)
         with pytest.raises(IndexError, match="out of range"):
             e.row_addrs(rows)
-        assert enc.otp.cache_info().misses == 0  # rejected before any AES
+        assert enc.otp.pad_blocks == 0  # rejected before any AES
 
     def test_row_addrs_match_scalar(self):
         enc, _ = make_encryptor()

@@ -457,7 +457,7 @@ class TestExporter:
     def test_snapshot_exports_and_validates(self):
         obs.enable()
         obs.inc("protocol.queries", 4)
-        obs.gauge("otp.cache.hit_rate", 0.75)
+        obs.gauge("kernel.tier", 2)
         reg = obs.get_registry()
         for v in [100, 2000, 30_000, 400_000]:
             reg.observe_ns("serve.batch.ns", v)

@@ -154,16 +154,12 @@ class TestPadBlockAccounting:
             )
             store.add_table("emb", rng.normal(size=(64, 16)))
             blocks = union * (store.device.stored("emb").row_bytes // 16)
-            before = store.cache_info()
-            assert before[:4] == (0, 0, 0, 0)  # bulk encryption is not counted
-            assert (before.maxsize == 0) == (tier == "native")
+            assert store.cache_info() == (0, 0, 0, 0, 0)  # bulk encryption is not counted
             _, outcomes = store.sls_scatter("emb", batch)
             assert all(o.ok for o in outcomes)
-            # A wave's rows are deduplicated, so a cold store generates
-            # each touched block once: on the native tier nothing is
-            # kept, off it the LRU now holds them.
-            kept = 0 if tier == "native" else blocks
-            assert store.cache_info() == (0, blocks, 0, kept, before.maxsize)
+            # A wave's rows are deduplicated and every tier regenerates
+            # its pads: each touched block is generated once, none kept.
+            assert store.cache_info() == (0, blocks, 0, 0, 0)
             assert store.tag_cache_info() == (0, 0, 0, 0, 0)
 
 
@@ -212,6 +208,13 @@ class TestAutoSplit:
         split = store.sls_split("emb", rows)
         direct = store.sls("emb", rows)
         assert np.allclose(split, direct)
+        # The array form ``sls`` serves is served bit-identically.
+        weights = [1 + r % 3 for r in rows]
+        assert np.array_equal(store.sls_split("emb", np.array(rows)), split)
+        assert np.array_equal(
+            store.sls_split("emb", np.array(rows), np.array(weights)),
+            store.sls_split("emb", rows, weights),
+        )
 
     def test_oversized_query_served_by_splitting(self, parties):
         processor, device = parties

@@ -1128,7 +1128,7 @@ class TestServeTelemetry:
         assert set(snap["counters"]) == {
             limb,
             "mac.rows_tagged", "mac.tag_pads",
-            "otp.cache.hit", "otp.cache.miss",
+            "otp.pad_blocks",
             "protocol.matrices_encrypted", "protocol.queries",
             "serve.requests", "serve.response.ok",
             "sls.batch.calls", "sls.batch.queries", "sls.batch.rows_total",
