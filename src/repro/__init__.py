@@ -4,12 +4,12 @@ A from-scratch Python reproduction of the complete SecNDP system:
 
 * :mod:`repro.core` - the paper's contribution: arithmetic encryption
   (Alg. 1), linear checksums and encrypted MACs (Alg. 2/3/8), the
-  weighted-summation and verification protocols (Alg. 4/5), the
-  security-game oracles (Alg. 6/7) and the SecNDP engine model (Sec. V).
+  weighted-summation and verification protocols (Alg. 4/5) and the
+  security-game oracles (Alg. 6/7), which run the verifier that serves.
 * :mod:`repro.crypto` - AES-128, tweaked counter systems, ring and
   prime-field arithmetic (all implemented from scratch).
 * :mod:`repro.memsim` - event-driven cycle-level DDR4 model (Table II).
-* :mod:`repro.ndp` - NDP commands, PUs, packets, AES-engine throughput,
+* :mod:`repro.ndp` - NDP packets, AES- and SecNDP-engine timing,
   tag-placement schemes and the NDP simulator.
 * :mod:`repro.workloads` - DLRM recommendation inference and medical
   analytics, with traces and quantization schemes.

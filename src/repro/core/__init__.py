@@ -6,15 +6,16 @@ Public surface:
 * :class:`ArithmeticEncryptor` / :class:`EncryptedMatrix` - Alg. 1.
 * :class:`LinearChecksum` / :class:`MultiPointChecksum` - Alg. 2 / Alg. 8.
 * :class:`EncryptedLinearMac` - Alg. 3.
-* :class:`SecNDPProcessor` / :class:`UntrustedNdpDevice` - Alg. 4 / 5.
-* :class:`WeightedSummationOracles` - Alg. 6 / 7 security-game oracles.
-* :class:`SecNDPEngine` / :class:`OtpPu` - functional engine model (Sec. V).
+* :class:`SecNDPProcessor` / :class:`UntrustedNdpDevice` - Alg. 4 / 5, as
+  the trusted pad half and the untrusted ciphertext half of one split
+  (Sec. V-C: the OTP PU mirrors the NDP PU).
+* :class:`WeightedSummationOracles` - Alg. 6 / 7 security-game oracles,
+  played against that split.
 * :class:`VersionManager` - software version management (Sec. V-A).
 """
 
 from .checksum import LinearChecksum, MultiPointChecksum
 from .encryption import ArithmeticEncryptor, EncryptedMatrix
-from .engine import OtpPu, SecNDPEngine
 from .mac import EncryptedLinearMac
 from .oracles import SignedTranscript, WeightedSummationOracles
 from .params import SecNDPParams
@@ -27,8 +28,6 @@ __all__ = [
     "MultiPointChecksum",
     "ArithmeticEncryptor",
     "EncryptedMatrix",
-    "OtpPu",
-    "SecNDPEngine",
     "EncryptedLinearMac",
     "SignedTranscript",
     "WeightedSummationOracles",

@@ -10,7 +10,7 @@ from) the data in untrusted memory; because encryption is linear in
 (``E_{T_res} = a x E_T``) without fetching anything.
 
 Hot-path note: :meth:`tag_pad` (one scalar AES call per row) is the
-reference; :meth:`attach_tags` and :meth:`tag_pads_for_rows` batch all
+reference; :meth:`attach_tags` and :meth:`tag_pad_limbs_for_rows` batch all
 row addresses through the vectorized AES sweep and compute row tags with
 the limb-vectorized checksum, so tagging an ``n x m`` matrix costs one
 cipher sweep + one field sweep instead of ``n`` scalar AES calls and
@@ -19,7 +19,7 @@ cipher sweep + one field sweep instead of ``n`` scalar AES calls and
 Representation note: tags, tag pads and their sums are ``(n, 4)`` limb
 arrays (:mod:`repro.crypto.limb_field`) from the cipher output to the
 verification compare; Python ints appear only in the scalar reference
-methods and in the int views tests and the oracles read.
+methods and where a caller reads limbs back with ``limb_field.from_limbs``.
 """
 
 from __future__ import annotations
@@ -124,8 +124,3 @@ class EncryptedLinearMac:
             raise ValueError("matrix has no attached tags")
         return self.tag_pad_limbs(encrypted.row_addrs(rows), encrypted.tag_version)
 
-    def tag_pads_for_rows(
-        self, encrypted: EncryptedMatrix, rows: Sequence[int]
-    ) -> list:
-        """Int view of :meth:`tag_pad_limbs_for_rows`."""
-        return limb_field.from_limbs(self.tag_pad_limbs_for_rows(encrypted, rows))

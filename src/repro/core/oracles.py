@@ -8,8 +8,9 @@ against them:
   the honest protocol, and emit the NDP-visible transcript
   ``(C_res_0 .. C_res_{m-1}, C_T_res)``.
 * ``ws-Verify_K(C, Addr)`` - the *verification oracle*: accept a candidate
-  transcript and answer pass/fail by running Alg. 5 with the candidate
-  values substituted for the NDP's messages.
+  transcript and answer pass/fail by running Alg. 5 - the processor's
+  own split, the verifier that serves - with the candidate values
+  substituted for the NDP's messages.
 
 These are used by the test suite to demonstrate Theorems 1 and 2
 empirically: honest transcripts verify; modified transcripts forge only
@@ -19,10 +20,11 @@ with probability ~``m/q`` (measurable once ``q`` is made small).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from ..crypto import limb_field
 from .params import SecNDPParams
 from .protocol import SecNDPProcessor, UntrustedNdpDevice
 
@@ -70,23 +72,22 @@ class WeightedSummationOracles:
     # -- Alg. 6 ----------------------------------------------------------------
 
     def sign(self, plaintext: np.ndarray, addr: int) -> SignedTranscript:
-        """``ws-MAC_K(P, Addr)``: honest protocol run, NDP messages returned."""
+        """``ws-MAC_K(P, Addr)``: honest protocol run, NDP messages returned.
+
+        The messages are the device half of the split
+        (:meth:`UntrustedNdpDevice.partial_sum_batch`) for a batch of one.
+        """
         device = UntrustedNdpDevice(self.params)
         region = f"oracle-sign-{self._sign_count}"
         self._sign_count += 1
         enc = self.processor.encrypt_matrix(plaintext, addr, region, with_tags=True)
         device.store(region, enc)
         self._last_region = region
-        self._last_device = device
         self._last_enc = enc
 
-        ring = self.processor.ring
-        weights_ring = ring.encode(np.asarray(self.weights))
-        c_res = device.weighted_row_sum(region, self.rows, weights_ring)
-        c_t_res = device.weighted_tag_sum(
-            region, self.rows, [int(w) for w in weights_ring]
-        )
-        return SignedTranscript(tuple(int(x) for x in c_res), c_t_res, addr)
+        values, tag_sums = device.partial_sum_batch(region, [self.rows], [self.weights])
+        c_t_res = limb_field.from_limbs(tag_sums[0])
+        return SignedTranscript(tuple(int(x) for x in values[0]), c_t_res, addr)
 
     # -- Alg. 7 ----------------------------------------------------------------
 
@@ -95,29 +96,22 @@ class WeightedSummationOracles:
 
         Verifies against the keys/versions of the most recent sign for the
         same address (the game fixes the signed matrix; the adversary
-        forges transcripts, not matrices).
+        forges transcripts, not matrices).  The candidate messages take
+        the place of a device's sums in the verifier that serves: the
+        processor's pad half (:meth:`SecNDPProcessor.pad_share_batch`),
+        :meth:`~SecNDPProcessor.combine_device_sums` and
+        :meth:`~SecNDPProcessor.failed_share_queries`.  ``c_t_res`` is a
+        128-bit word, reduced into the tag field as a node's tag sums are.
         """
         enc = self._last_enc
-        if transcript.addr != enc.base_addr:
+        if transcript.addr != enc.base_addr or not 0 <= transcript.c_t_res < 1 << 128:
             return False
         processor = self.processor
-        ring = processor.ring
-        field = processor.field
-
-        weights_ring = ring.encode(np.asarray(self.weights))
-        weights_int = [int(w) for w in weights_ring]
-
-        # Processor shares (honest, key-derived).
-        pads = processor.encryptor.pads_for_rows(enc, self.rows)
-        e_res = ring.dot(weights_ring, pads)
-        tag_pads = processor.mac.tag_pads_for_rows(enc, self.rows)
-        e_t_res = field.dot(weights_int, tag_pads)
-
-        # Adversary-controlled shares.
-        c_res = np.array(transcript.c_res, dtype=ring.dtype)
-        res = ring.add(c_res, e_res)
-
-        key = processor.checksum.key_for(enc.base_addr, enc.checksum_version)
-        t_res = processor.checksum.result_tag([int(x) for x in res], key)
-        retrieved = field.add(transcript.c_t_res, e_t_res)
-        return retrieved == t_res
+        region = self._last_region
+        pad = processor.pad_share_batch(enc, region, [self.rows], [self.weights])
+        c_res = np.array([transcript.c_res], dtype=processor.ring.dtype)
+        c_t_res = limb_field.field_reduce(
+            processor.field, limb_field.pack([transcript.c_t_res])
+        )
+        share = processor.combine_device_sums(pad, c_res, c_t_res)
+        return not processor.failed_share_queries(enc, region, share)

@@ -344,13 +344,6 @@ class UntrustedNdpDevice:
                     tag_sums[q] = limb_field.pack([forged])[0]
         return values, tag_sums
 
-    def weighted_row_sum(
-        self, name: str, rows: Sequence[int], weights: Sequence[int]
-    ) -> np.ndarray:
-        """``C_res_j = sum_k a_k * C_{i_k, j} mod 2^w_e`` (Alg. 5 line 5)."""
-        batch = QueryBatch.flatten(self.ring, [rows], [weights])
-        return self._sums(name, batch, data=True, tags=False)[0][0]
-
     def weighted_element_sum(
         self,
         name: str,
@@ -368,15 +361,6 @@ class UntrustedNdpDevice:
         if inj is not None:
             total = inj.perturb_scalar_result(self.ring, int(total), "device.element_sum")
         return int(total)
-
-    def weighted_tag_sum(
-        self, name: str, rows: Sequence[int], weights: Sequence[int]
-    ) -> int:
-        """``C_{T_res} = sum_k a_k * C_{T_k} mod q`` (Alg. 5 line 15)."""
-        batch = QueryBatch.flatten(self.ring, [rows], [weights])
-        return limb_field.from_limbs(
-            self._sums(name, batch, data=False, tags=True)[1][0]
-        )
 
     def partial_sum_batch(
         self,

@@ -422,14 +422,6 @@ class FaultInjector:
                 delay += self.plan.delay_s
         return drops, dups, delay
 
-    def command_fault(self, site: str) -> Optional[str]:
-        """For the instruction-level executor: ``"drop"``/``"dup"``/None."""
-        if self.decide(FaultKind.PACKET_DROP, site):
-            return "drop"
-        if self.decide(FaultKind.PACKET_DUP, site):
-            return "dup"
-        return None
-
     # -- node faults (cluster tier) ---------------------------------------------
 
     def node_directive(self, site: str) -> Optional[Tuple]:

@@ -1,10 +1,7 @@
-"""NDP architecture models: commands, PUs, packets, engines, simulator."""
+"""NDP architecture models: packets, AES / SecNDP engine timing, simulator."""
 
 from .aes_engine import AES_BLOCK_NS, AES_THROUGHPUT_GBPS, AesEngineModel
-from .commands import ArithEnc, NdpInst, NdpLd, NdpOp, SecNdpInst, SecNdpLd
 from .arith_enc import ArithEncResult, simulate_arith_enc
-from .dimm import NdpDimm
-from .executor import SecNdpExecutor, ShardedRegion
 from .packets import (
     NdpPacket,
     NdpWorkload,
@@ -12,7 +9,6 @@ from .packets import (
     SimQuery,
     TableGeometry,
 )
-from .pu import NdpPu
 from .secndp_engine import PacketTiming, SecNdpEngineModel
 from .simulator import NdpConfig, NdpRunResult, NdpSimulator
 from .storage import NearStorageSimulator, SsdGeometry, StorageRunResult
@@ -22,23 +18,13 @@ __all__ = [
     "AES_BLOCK_NS",
     "AES_THROUGHPUT_GBPS",
     "AesEngineModel",
-    "ArithEnc",
-    "NdpInst",
-    "NdpLd",
-    "NdpOp",
-    "SecNdpInst",
-    "SecNdpLd",
     "ArithEncResult",
     "simulate_arith_enc",
-    "NdpDimm",
-    "SecNdpExecutor",
-    "ShardedRegion",
     "NdpPacket",
     "NdpWorkload",
     "PacketGenerator",
     "SimQuery",
     "TableGeometry",
-    "NdpPu",
     "PacketTiming",
     "SecNdpEngineModel",
     "NdpConfig",

@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro import kernels
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
-from repro.crypto import TweakedCipher
+from repro.crypto import TweakedCipher, limb_field
 from repro.crypto.tweaked import DOMAIN_CHECKSUM
 from repro.errors import VerificationError
 from repro.faults.recovery import RecoveryPolicy
@@ -219,7 +219,7 @@ class TestEncryptedMac:
         mac = EncryptedLinearMac(cipher, params)
         e = enc.encrypt(np.zeros((4, 8), dtype=np.uint32), 0x5000, 0)
         with pytest.raises(ValueError):
-            mac.tag_pads_for_rows(e, [0])
+            mac.tag_pad_limbs_for_rows(e, [0])
 
     def test_tag_pads_for_rows_match_scalar_and_check_bounds(self, setup):
         cipher, params = setup
@@ -229,12 +229,12 @@ class TestEncryptedMac:
         e = enc.encrypt(pt, 0x5000, 0)
         mac.attach_tags(e, pt, 0, 7)
         rows = [3, 0, 3]
-        assert mac.tag_pads_for_rows(e, rows) == [
+        assert limb_field.from_limbs(mac.tag_pad_limbs_for_rows(e, rows)) == [
             mac.tag_pad(e.row_addr(i), 7) for i in rows
         ]
         for bad in ([4], [0, -1]):
             with pytest.raises(IndexError, match="out of range"):
-                mac.tag_pads_for_rows(e, bad)
+                mac.tag_pad_limbs_for_rows(e, bad)
 
     def test_encrypted_tags_hide_checksums(self, setup):
         """Identical rows at different addresses get different C_T."""

@@ -374,6 +374,16 @@ class TestRecovery:
         assert len(sleeps) == 2  # two faulted attempts, then a clean third
         assert all(s > 0 for s in sleeps)
 
+    def test_packet_faults_never_touch_served_data(self, golden):
+        # The packet kinds perturb the timing models only: armed at rate
+        # 1.0 around a served batch they change no answer and record no
+        # event.
+        packet_kinds = (FaultKind.PACKET_DROP, FaultKind.PACKET_DUP, FaultKind.PACKET_DELAY)
+        inj = FaultInjector(FaultPlan(rates=dict.fromkeys(packet_kinds, 1.0)))
+        store = build_store(recovery=FAST_POLICY, injector=inj)
+        assert np.array_equal(store.sls_many("t", QUERIES, WEIGHTS), golden)
+        assert inj.events == [] and inj.injected == 0
+
     def test_clean_recovery_store_matches_golden(self, golden):
         store = build_store(
             recovery=FAST_POLICY, injector=FaultInjector(FaultPlan(rates={}))

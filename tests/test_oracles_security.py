@@ -80,6 +80,24 @@ class TestMacGame:
         # vector; the adversary just cannot compute it without s.
         assert successes == 1
 
+    @pytest.mark.parametrize("tag_modulus", [(1 << 127) - 1, (1 << 61) - 1])
+    @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
+    def test_game_on_every_served_ring_and_field(self, element_bits, tag_modulus):
+        """The vectorized tag field (2^127 - 1) and the scalar one
+        (2^61 - 1) under every ring width: the honest transcript
+        verifies, a one-column edit and a +1 tag are rejected."""
+        params = SecNDPParams(element_bits=element_bits, tag_modulus=tag_modulus)
+        oracles = WeightedSummationOracles(
+            KEY, rows=[0, 1, 2, 3], weights=[1, 2, 3, 1], params=params
+        )
+        # Weights sum to 7: keep every honest sum inside the ring.
+        plain = random_matrix(9) % (1 << min(element_bits - 3, 16))
+        t = oracles.sign(plain, 0x1000)
+        assert oracles.verify(t)
+        ring = 1 << element_bits
+        assert not oracles.verify(t.with_c_res(2, (t.c_res[2] + 1) % ring))
+        assert not oracles.verify(t.with_tag((t.c_t_res + 1) % tag_modulus))
+
     def test_multiple_signs_independent(self, oracles):
         t1 = oracles.sign(random_matrix(7), 0x1000)
         t2 = oracles.sign(random_matrix(8), 0x1000)
