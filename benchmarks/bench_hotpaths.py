@@ -43,10 +43,11 @@ import numpy as np
 
 from repro import kernels, obs
 from repro.core.checksum import LinearChecksum
+from repro.core.device import QueryBatch, UntrustedNdpDevice
 from repro.core.params import SecNDPParams
-from repro.core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
+from repro.core.protocol import SecNDPProcessor
 from repro.crypto.aes import BLOCK_BYTES
-from repro.crypto.tweaked import DOMAIN_DATA
+from repro.crypto.tweaked import DOMAIN_DATA, TweakedCipher
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
@@ -85,7 +86,7 @@ def _counter_blocks(n_blocks: int) -> np.ndarray:
 def _bench_matrix_tags(sizes) -> dict:
     """Scalar per-row Horner vs limb-vectorized sweep, same outputs."""
     params = SecNDPParams(element_bits=8)
-    checksum = LinearChecksum(params.cipher(KEY), params)
+    checksum = LinearChecksum(TweakedCipher(KEY), params)
     rng = np.random.default_rng(0)
     n, m = sizes["n_rows"], sizes["dim"]
     matrix = rng.integers(0, 256, size=(n, m), dtype=np.uint64)
@@ -228,7 +229,7 @@ def _bench_pad_path(sizes) -> dict:
     for tier in tiers:
         with kernels.use_tier(tier):
             kernels.warmup()
-            encryptor = ArithmeticEncryptor(params.cipher(KEY), params)
+            encryptor = ArithmeticEncryptor(TweakedCipher(KEY), params)
             matrix = encryptor.encrypt(
                 np.zeros((n_rows, dim), dtype=np.uint32), base, version=1
             )

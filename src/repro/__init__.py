@@ -4,8 +4,10 @@ A from-scratch Python reproduction of the complete SecNDP system:
 
 * :mod:`repro.core` - the paper's contribution: arithmetic encryption
   (Alg. 1), linear checksums and encrypted MACs (Alg. 2/3/8), the
-  weighted-summation and verification protocols (Alg. 4/5) and the
-  security-game oracles (Alg. 6/7), which run the verifier that serves.
+  weighted-summation and verification protocols (Alg. 4/5), split by
+  role into the untrusted device (:mod:`repro.core.device`) and the
+  trusted processor (:mod:`repro.core.protocol`), and the security-game
+  oracles (Alg. 6/7), which run the verifier that serves.
 * :mod:`repro.crypto` - AES-128, tweaked counter systems, ring and
   prime-field arithmetic (all implemented from scratch).
 * :mod:`repro.memsim` - event-driven cycle-level DDR4 model (Table II).
@@ -20,6 +22,10 @@ A from-scratch Python reproduction of the complete SecNDP system:
 * :mod:`repro.kernels` - optional compiled tier (C, built with the host
   compiler) for the limb-field and AES hot paths behind
   ``SECNDP_KERNEL_TIER`` dispatch.
+* :mod:`repro.serve` / :mod:`repro.cluster` - the asyncio front-end and
+  the sharded cluster of keyless NDP nodes.
+
+Each subpackage loads only when it is imported by name.
 
 Quickstart::
 
@@ -39,7 +45,6 @@ Quickstart::
     )
 """
 
-from . import analysis, baselines, core, crypto, faults, harness, memsim, ndp, obs, workloads
 from .errors import (
     ConfigurationError,
     RecoveryExhaustedError,
@@ -52,16 +57,6 @@ from .errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "analysis",
-    "baselines",
-    "core",
-    "crypto",
-    "faults",
-    "harness",
-    "memsim",
-    "ndp",
-    "obs",
-    "workloads",
     "ConfigurationError",
     "RecoveryExhaustedError",
     "SecNDPError",

@@ -430,7 +430,8 @@ def _demo_store(scale: ExperimentScale, note: str = ""):
     import numpy as np
 
     from .core.params import SecNDPParams
-    from .core.protocol import SecNDPProcessor, UntrustedNdpDevice
+    from .core.device import UntrustedNdpDevice
+    from .core.protocol import SecNDPProcessor
     from .workloads.secure_sls import SecureEmbeddingStore
 
     n_rows, dim, n_queries = _DEMO_SHAPES[scale.name]

@@ -16,8 +16,8 @@ plain JSON-able values:
   :meth:`UntrustedNdpDevice.partial_sum_batch`; these arrays and the
   request's travel as raw little-endian bytes, base64-armoured;
 * :class:`~repro.core.params.SecNDPParams` ships as its constructor
-  fields (the counter-block layout is the default everywhere in this
-  repo, so only widths and the tag modulus travel).
+  fields, every one of them (the element width and the tag modulus),
+  each a JSON integer.
 
 No key material ever crosses this wire: cluster NDP nodes are the
 *untrusted* memory party of the SecNDP threat model, so ``shard_assign``
@@ -40,9 +40,8 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.encryption import EncryptedMatrix
+from ..core.device import EncryptedMatrix, QueryBatch
 from ..core.params import SecNDPParams
-from ..core.protocol import QueryBatch
 from ..core.serialization import deserialize_matrix, serialize_matrix
 from ..crypto import limb_field
 from ..crypto.ring import Ring
@@ -68,13 +67,15 @@ def encode_params(params: SecNDPParams) -> Dict[str, Any]:
 
 
 def decode_params(payload: Dict[str, Any]) -> SecNDPParams:
+    """Each field must be a JSON integer: ``8.5``, ``"8"`` and ``true`` are
+    refused, never coerced; then the params' own checks run."""
     try:
-        return SecNDPParams(
-            element_bits=int(payload["element_bits"]),
-            tag_modulus=int(payload["tag_modulus"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        fields = {name: payload[name] for name in ("element_bits", "tag_modulus")}
+    except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"bad params payload: {exc}") from exc
+    if any(type(value) is not int for value in fields.values()):
+        raise ConfigurationError(f"bad params payload: non-integer in {fields}")
+    return SecNDPParams(**fields)
 
 
 def encode_table(enc: EncryptedMatrix) -> str:

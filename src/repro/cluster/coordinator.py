@@ -63,8 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.encryption import EncryptedMatrix
-from ..core.protocol import PartialSumShare, QueryBatch, UntrustedNdpDevice
+from ..core.device import EncryptedMatrix, PartialSumShare, QueryBatch, UntrustedNdpDevice
 from ..errors import (
     ConfigurationError,
     PeerTimeoutError,

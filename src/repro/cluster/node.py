@@ -5,7 +5,7 @@ moved across TCP: it receives only public scheme params and the full
 encrypted tables (ciphertext + encrypted tags — both already
 attacker-visible by assumption) in one ``shard_assign`` frame, and
 answers ``partial_sum`` requests by running
-:meth:`~repro.core.protocol.UntrustedNdpDevice.partial_sum_batch` over
+:meth:`~repro.core.device.UntrustedNdpDevice.partial_sum_batch` over
 its local replica: the weighted ring sums ``C_res`` and field tag sums
 ``C_T_res`` an unprotected NDP PU would compute, nothing more.  No key
 material ever reaches a node — the trusted coordinator regenerates the
@@ -40,7 +40,7 @@ from typing import Any, Dict, Optional, Set
 
 import numpy as np
 
-from ..core.protocol import UntrustedNdpDevice
+from ..core.device import UntrustedNdpDevice
 from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
 from ..serve.protocol import STATUS_ERROR, STATUS_OK, NodeRequest, NodeResponse

@@ -3,40 +3,48 @@
 Public surface:
 
 * :class:`SecNDPParams` - shared widths and moduli (Table VI).
-* :class:`ArithmeticEncryptor` / :class:`EncryptedMatrix` - Alg. 1.
+* :class:`UntrustedNdpDevice` / :class:`EncryptedMatrix` - the untrusted
+  memory party and its ciphertext (:mod:`~repro.core.device`, keyless).
+* :class:`SecNDPProcessor` - the trusted party (:mod:`~repro.core.protocol`):
+  Alg. 4 / 5 as the pad half added to the device's ciphertext half
+  (Sec. V-C: the OTP PU mirrors the NDP PU), then verified.
+* :class:`ArithmeticEncryptor` - Alg. 1.
 * :class:`LinearChecksum` / :class:`MultiPointChecksum` - Alg. 2 / Alg. 8.
 * :class:`EncryptedLinearMac` - Alg. 3.
-* :class:`SecNDPProcessor` / :class:`UntrustedNdpDevice` - Alg. 4 / 5, as
-  the trusted pad half and the untrusted ciphertext half of one split
-  (Sec. V-C: the OTP PU mirrors the NDP PU).
 * :class:`WeightedSummationOracles` - Alg. 6 / 7 security-game oracles,
   played against that split.
 * :class:`VersionManager` - software version management (Sec. V-A).
+
+Each name is imported from its module on first use, so importing the
+device half does not load the trusted one.
 """
 
-from .checksum import LinearChecksum, MultiPointChecksum
-from .encryption import ArithmeticEncryptor, EncryptedMatrix
-from .mac import EncryptedLinearMac
-from .oracles import SignedTranscript, WeightedSummationOracles
-from .params import SecNDPParams
-from .serialization import deserialize_matrix, serialize_matrix
-from .protocol import SecNDPProcessor, UntrustedNdpDevice, WeightedSumResult
-from .versions import DEFAULT_VERSION_BUDGET, VersionManager
+import importlib
 
-__all__ = [
-    "LinearChecksum",
-    "MultiPointChecksum",
-    "ArithmeticEncryptor",
-    "EncryptedMatrix",
-    "EncryptedLinearMac",
-    "SignedTranscript",
-    "WeightedSummationOracles",
-    "SecNDPParams",
-    "serialize_matrix",
-    "deserialize_matrix",
-    "SecNDPProcessor",
-    "UntrustedNdpDevice",
-    "WeightedSumResult",
-    "DEFAULT_VERSION_BUDGET",
-    "VersionManager",
-]
+_EXPORTS = {
+    "ArithmeticEncryptor": "encryption",
+    "DEFAULT_VERSION_BUDGET": "versions",
+    "EncryptedLinearMac": "mac",
+    "EncryptedMatrix": "device",
+    "LinearChecksum": "checksum",
+    "MultiPointChecksum": "checksum",
+    "SecNDPParams": "params",
+    "SecNDPProcessor": "protocol",
+    "SignedTranscript": "oracles",
+    "UntrustedNdpDevice": "device",
+    "VersionManager": "versions",
+    "WeightedSumResult": "protocol",
+    "WeightedSummationOracles": "oracles",
+    "deserialize_matrix": "serialization",
+    "serialize_matrix": "serialization",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -23,19 +23,18 @@ regenerates them in one cipher sweep on every kernel tier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..crypto import limb_field
 from ..crypto.aes import BLOCK_BYTES
 from ..crypto.otp import OtpGenerator
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError
+from .device import EncryptedMatrix
 from .params import SecNDPParams
 
-__all__ = ["EncryptedMatrix", "ArithmeticEncryptor", "row_slabs"]
+__all__ = ["ArithmeticEncryptor", "row_slabs"]
 
 #: Plaintext bytes per bulk-encryption slab, which bounds the sweep's
 #: temporaries (addresses, cipher output, row tags) whatever the table.
@@ -46,78 +45,6 @@ def row_slabs(n_rows: int, row_bytes: int) -> list:
     """Half-open row ranges of ~:data:`SLAB_BYTES` (one, empty, for no rows)."""
     step = max(1, SLAB_BYTES // max(row_bytes, 1))
     return [(lo, min(lo + step, n_rows)) for lo in range(0, max(n_rows, 1), step)]
-
-
-@dataclass
-class EncryptedMatrix:
-    """Ciphertext of a 2-D matrix plus the metadata needed to operate on it.
-
-    ``ciphertext`` is an ``(n, m)`` array of ring residues living (in the
-    architectural model) in untrusted memory at byte address ``base_addr``.
-    ``tag_limbs``, when present, holds the per-row encrypted tags
-    ``C_{T_i}`` produced by Alg. 3 - also untrusted data - as an
-    ``(n, 4)`` array of 32-bit limbs (:mod:`repro.crypto.limb_field`),
-    the form every tag sum gathers from; :attr:`tags` is its int view.
-    """
-
-    ciphertext: np.ndarray
-    base_addr: int
-    version: int
-    params: SecNDPParams
-    tag_limbs: Optional[np.ndarray] = None
-    checksum_version: Optional[int] = None
-    tag_version: Optional[int] = None
-
-    @property
-    def tags(self) -> Optional[list]:
-        """The encrypted tags as Python ints (a copy: write with :meth:`set_tag`)."""
-        if self.tag_limbs is None:
-            return None
-        return limb_field.from_limbs(self.tag_limbs)
-
-    def tag(self, i: int) -> int:
-        """Encrypted tag ``C_{T_i}`` of row ``i`` as a Python int."""
-        return limb_field.from_limbs(self.tag_limbs[i])
-
-    def set_tag(self, i: int, tag: int) -> None:
-        """Overwrite stored tag ``i`` (memory tampering, replay)."""
-        self.tag_limbs[i] = limb_field.pack([tag])[0]
-
-    @property
-    def n_rows(self) -> int:
-        return self.ciphertext.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.ciphertext.shape[1]
-
-    @property
-    def row_bytes(self) -> int:
-        return self.n_cols * self.params.element_bytes
-
-    def row_addr(self, i: int) -> int:
-        """Physical byte address of row ``i`` (``paddr(P_i)``)."""
-        if not 0 <= i < self.n_rows:
-            raise IndexError(f"row {i} out of range [0, {self.n_rows})")
-        return self.base_addr + i * self.row_bytes
-
-    def row_addrs(self, rows) -> np.ndarray:
-        """Vectorised :meth:`row_addr`: ``uint64`` addresses, same bounds check."""
-        rows = np.asarray(rows, dtype=np.int64)
-        bad = (rows < 0) | (rows >= self.n_rows)
-        if bad.any():
-            raise IndexError(
-                f"row {int(rows[bad][0])} out of range [0, {self.n_rows})"
-            )
-        return np.uint64(self.base_addr) + rows.astype(np.uint64) * np.uint64(
-            self.row_bytes
-        )
-
-    def element_addr(self, i: int, j: int) -> int:
-        """Physical byte address of element ``P_{i,j}``."""
-        if not 0 <= j < self.n_cols:
-            raise IndexError(f"column {j} out of range [0, {self.n_cols})")
-        return self.row_addr(i) + j * self.params.element_bytes
 
 
 class ArithmeticEncryptor:

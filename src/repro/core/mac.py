@@ -33,7 +33,8 @@ from ..crypto import limb_field
 from ..crypto.prime_field import PrimeField
 from ..crypto.tweaked import DOMAIN_TAG, TweakedCipher
 from .checksum import LinearChecksum, MultiPointChecksum
-from .encryption import EncryptedMatrix, row_slabs
+from .device import EncryptedMatrix
+from .encryption import row_slabs
 from .params import SecNDPParams
 
 __all__ = ["EncryptedLinearMac"]

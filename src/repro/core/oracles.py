@@ -25,8 +25,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..crypto import limb_field
+from .device import UntrustedNdpDevice
 from .params import SecNDPParams
-from .protocol import SecNDPProcessor, UntrustedNdpDevice
+from .protocol import SecNDPProcessor
 
 __all__ = ["SignedTranscript", "WeightedSummationOracles"]
 

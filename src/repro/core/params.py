@@ -2,20 +2,20 @@
 
 One :class:`SecNDPParams` instance fixes every width and modulus the
 algorithms share: the element ring ``Z(2^w_e)``, the cipher block width
-``w_c`` (128 for AES), the tag width ``w_t`` and tag modulus ``q``
-(default the Mersenne prime ``2^127 - 1``), and the counter-block layout
-(address/version widths).  All core components are constructed from the
-same instance so their pads, tags and moduli agree.
+``w_c`` (128 for AES), and the tag width ``w_t`` and tag modulus ``q``
+(default the Mersenne prime ``2^127 - 1``).  All core components are
+constructed from the same instance so their pads, tags and moduli agree;
+the counter-block layout is the tweaked cipher's own default
+(:class:`~repro.crypto.tweaked.CounterBlockLayout`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto.aes import BLOCK_BYTES
 from ..crypto.prime_field import MERSENNE_127, PrimeField
 from ..crypto.ring import Ring
-from ..crypto.tweaked import CounterBlockLayout, TweakedCipher
 from ..errors import ConfigurationError
 
 __all__ = ["SecNDPParams"]
@@ -29,27 +29,22 @@ class SecNDPParams:
     ----------
     element_bits:
         ``w_e`` - bit width of matrix elements (8 for quantized tables,
-        32 for full precision in the paper's evaluation).
+        32 for full precision in the paper's evaluation); one of the
+        ring widths 8, 16, 32 and 64.
     tag_modulus:
         The prime ``q`` for tag arithmetic; defaults to ``2^127 - 1``.
         Tests use small primes to make forgery probabilities measurable.
-    layout:
-        Counter-block bit layout (address and version widths).
+        A tag is one cipher block's worth of bits at most (``q < 2^w_c``).
     """
 
     element_bits: int = 32
     tag_modulus: int = MERSENNE_127
-    layout: CounterBlockLayout = field(default_factory=CounterBlockLayout)
 
     def __post_init__(self) -> None:
-        if self.element_bits & (self.element_bits - 1):
-            raise ConfigurationError(
-                f"w_e must be a power of two, got {self.element_bits}"
-            )
-        if self.element_bits > self.block_bits:
-            raise ConfigurationError(
-                f"w_e ({self.element_bits}) must not exceed w_c ({self.block_bits})"
-            )
+        if self.element_bits not in (8, 16, 32, 64):
+            raise ConfigurationError(f"w_e must be 8, 16, 32 or 64, got {self.element_bits!r}")
+        if not 2 <= self.tag_modulus < 1 << self.block_bits:
+            raise ConfigurationError(f"tag modulus must be in [2, 2^w_c), got {self.tag_modulus!r}")
 
     # -- derived quantities --------------------------------------------------
 
@@ -83,7 +78,3 @@ class SecNDPParams:
     def field(self) -> PrimeField:
         """The tag field ``GF(q)``."""
         return PrimeField(self.tag_modulus)
-
-    def cipher(self, key: bytes) -> TweakedCipher:
-        """A tweaked cipher bound to ``key`` under this layout."""
-        return TweakedCipher(key, self.layout)

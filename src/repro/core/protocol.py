@@ -1,18 +1,16 @@
-"""The SecNDP computation protocols - Algorithms 4 and 5.
+"""The trusted processor's half of the SecNDP protocols - Algorithms 4 and 5.
 
 Two roles cooperate over a bus, exactly as in the appendix protocol
-listings:
+listings, and each has its own module:
 
-* :class:`UntrustedNdpDevice` - the memory-side party.  It only ever sees
-  ciphertext ``C`` and encrypted tags ``C_T``; its operations (weighted
-  summation in the ring, weighted tag summation in the field) are
-  *identical* to what an unprotected NDP PU would execute, which is the
-  paper's key deployment claim (Sec. IV-D: "there is no modification in
-  the NDP implementation needed").
-* :class:`SecNDPProcessor` - the trusted party.  It regenerates OTPs from
-  addresses and versions (no memory traffic), runs the same weighted
-  summation over its pad share, adds the two shares to decrypt, and
-  verifies the result against the tag reconstruction of Alg. 5.
+* :class:`~repro.core.device.UntrustedNdpDevice` - the memory-side
+  party (:mod:`repro.core.device`).  It only ever sees ciphertext ``C``
+  and encrypted tags ``C_T`` and sums them as an unprotected NDP PU
+  would.
+* :class:`SecNDPProcessor` - the trusted party, here.  It regenerates
+  OTPs from addresses and versions (no memory traffic), runs the same
+  weighted summation over its pad share, adds the two shares to decrypt,
+  and verifies the result against the tag reconstruction of Alg. 5.
 
 Overflow semantics (paper footnote 1 / Thm. A.2): ring arithmetic wraps
 silently, but any column whose *integer* weighted sum of residues reaches
@@ -25,59 +23,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import kernels as _kernels
 from .. import obs
 from ..crypto import limb_field
-from ..crypto.ring import Ring
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError, ShardVerificationError, VerificationError
 from ..faults import hooks as fault_hooks
-from .checksum import LinearChecksum, MultiPointChecksum
-from .encryption import ArithmeticEncryptor, EncryptedMatrix
+from .checksum import MultiPointChecksum
+from .device import EncryptedMatrix, PartialSumShare, QueryBatch, UntrustedNdpDevice
+from .encryption import ArithmeticEncryptor
 from .mac import EncryptedLinearMac
 from .params import SecNDPParams
 from .versions import VersionManager
 
-__all__ = [
-    "UntrustedNdpDevice",
-    "SecNDPProcessor",
-    "WeightedSumResult",
-    "PartialSumShare",
-    "QueryBatch",
-    "integral_terms",
-]
-
-
-def integral_terms(values, what: str) -> np.ndarray:
-    """``values`` (row ids or weights) as a flat integer array, by the one
-    rule every entry point applies: a term is an integer, or a float with
-    no fractional part (a trace's ``1.0`` / ``2.0`` weights).  Anything
-    else - ``1.5``, ``nan``, a string - is a :class:`ConfigurationError`,
-    never truncated into a different query.  An integer array passes on
-    its dtype; integral floats come back as ``int64``, and Python ints no
-    NumPy integer dtype holds (``2^64 - 1`` beside ``-1``) as objects.
-    """
-    try:
-        terms = np.asarray(values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what} must be integers: {exc}") from None
-    if terms.ndim != 1:
-        raise ConfigurationError(f"{what} must be a flat sequence of integers")
-    kind = terms.dtype.kind
-    if kind in "iu":
-        return terms
-    whole = (np.abs(terms) < 2.0**63) & (np.trunc(terms) == terms) if kind == "f" else None
-    if whole is not None and whole.all():
-        return terms.astype(np.int64)
-    if kind in "fO" and all(isinstance(t, (int, np.integer)) for t in values):
-        return np.asarray(values, dtype=object)
-    bad = terms[~whole][0] if kind == "f" else terms.dtype
-    raise ConfigurationError(f"{what} must be integers or integral floats, got {bad!r}")
+# benchmarks/e2e imports UntrustedNdpDevice from here.
+__all__ = ["SecNDPProcessor", "WeightedSumResult", "UntrustedNdpDevice"]
 
 
 @dataclass
@@ -92,323 +55,11 @@ class WeightedSumResult:
     verified: bool
 
 
-@dataclass
-class PartialSumShare:
-    """One party's (or one shard's) contribution to a batch of queries.
-
-    ``values`` has shape ``(n_queries, m)``: row ``q`` is a ring share of
-    ``sum_k a_k * P_{i_k, j}`` (zeros when the query touches none of the
-    shard's rows).  ``tag_shares`` holds the matching per-query field
-    elements as ``(n_queries, 4)`` limbs
-    (:mod:`repro.crypto.limb_field`), or ``None`` when the share was
-    computed without verification material.
-
-    Both components live in exact modular structures (the ring
-    ``Z(2^w_e)`` and the tag field), so summing shares in any order and
-    any grouping reproduces the sequential result bit for bit.
-    """
-
-    values: np.ndarray
-    tag_shares: Optional[np.ndarray]
-
-
-class QueryBatch:
-    """A batch of weighted-summation queries in CSR form.
-
-    ``rows`` (``int64``) and ``weights`` (ring residues) hold every
-    query's terms back to back; query ``q`` owns
-    ``[offsets[q], offsets[q+1])``.  Both halves of the protocol reduce a
-    batch with one gathered, segmented sum over these arrays
-    (:meth:`ring_sums`, :meth:`tag_sums`).  ``nonempty`` lists the
-    queries that have terms and ``starts`` their offsets - the segment
-    boundaries the NumPy reductions use.
-    """
-
-    __slots__ = ("rows", "weights", "offsets", "nonempty", "starts")
-
-    def __init__(self, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray):
-        self.rows = rows
-        self.weights = weights
-        self.offsets = offsets
-        self.nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
-        self.starts = offsets[self.nonempty]
-
-    def __len__(self) -> int:
-        return self.offsets.size - 1
-
-    @staticmethod
-    def flatten_lists(batch_rows, batch_weights=None) -> tuple:
-        """``(rows, raw weights or None, offsets)`` of per-query sequences."""
-        if batch_weights is not None and len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
-        lengths = [len(rows) for rows in batch_rows]
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        rows = integral_terms(list(chain.from_iterable(batch_rows)), "rows")
-        rows = rows.astype(np.int64, copy=False)
-        if batch_weights is None:
-            return rows, None, offsets
-        if [len(weights) for weights in batch_weights] != lengths:
-            raise ConfigurationError("rows and weights must have equal length")
-        # Weights may be signed or reach 2^64 - 1; encode() judges.
-        flat = list(chain.from_iterable(batch_weights))
-        return rows, integral_terms(flat, "weights") if flat else None, offsets
-
-    @classmethod
-    def flatten(cls, ring: Ring, batch_rows, batch_weights=None) -> "QueryBatch":
-        """CSR form of per-query row / weight sequences (weights default to 1).
-
-        A ``QueryBatch`` passes through, so layers hand the arrays down
-        instead of re-walking lists.
-        """
-        if isinstance(batch_rows, cls):
-            return batch_rows
-        rows, weights, offsets = cls.flatten_lists(batch_rows, batch_weights)
-        if weights is None:
-            weights = np.ones(rows.size, dtype=ring.dtype)
-        return cls(rows, ring.encode(weights), offsets)
-
-    def select(self, mask: np.ndarray) -> "QueryBatch":
-        """The sub-batch of the terms picked by ``mask`` (same queries)."""
-        kept = np.concatenate(([0], np.cumsum(mask)))
-        return QueryBatch(self.rows[mask], self.weights[mask], kept[self.offsets])
-
-    def row_union(self) -> tuple:
-        """Distinct rows, ascending, and the index of each term in them.
-
-        Terms that are already distinct and ascending (a typical single
-        query) are their own union and need no sort: their index is
-        ``None``, the own-rows convention of :meth:`ring_sums`.
-        """
-        rows = self.rows
-        if rows.size < 2 or (rows[1:] > rows[:-1]).all():
-            return rows, None
-        return np.unique(rows, return_inverse=True)
-
-    def scatter(self, sums: np.ndarray) -> np.ndarray:
-        """Per-segment results as one row per query (zeros where empty; a
-        batch with no terms at all has no segments and is all zeros)."""
-        if self.nonempty.size == len(self):
-            return sums
-        out = np.zeros((len(self),) + sums.shape[1:], dtype=sums.dtype)
-        out[self.nonempty] = sums
-        return out
-
-    def weight_sums(self) -> np.ndarray:
-        """``sum_k a_k`` per query (``uint64``; the affine bias multiplier)."""
-        return self.scatter(np.add.reduceat(self.weights, self.starts, dtype=np.uint64))
-
-    def ring_sums(
-        self, ring: Ring, table: np.ndarray, idx: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``sum_k a_k * table[idx[k]]`` per query, in the ring.
-
-        ``idx=None`` means the table's own rows (term ``k`` reads row
-        ``k``).  This is the multiply-accumulate of both halves of the
-        split: the NDP PU's over stored ciphertext (``idx`` the batch's
-        rows) and the OTP PU's over the pads of the row union.  On the
-        native tier gather, product and segmented sum are one compiled
-        pass (``ring_segsum``); the NumPy tier gathers, then runs
-        :meth:`Ring.segment_dot`.  A row outside ``table`` is never read:
-        the kernel checks every index in its loop and declines, and the
-        NumPy path then refuses the row with :class:`ConfigurationError`.
-        """
-        nat = _kernels.active_native()
-        if nat is not None and table.dtype == ring.dtype:
-            out = nat.ring_segsum(table, self.weights, idx, self.offsets)
-            if out is not None:
-                return out
-        rows = self._gather(table, idx)
-        return self.scatter(ring.segment_dot(self.weights, rows, self.starts))
-
-    def tag_sums(
-        self, field, table: np.ndarray, idx: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``sum_k a_k * table[idx[k]]`` per query, in the tag field.
-
-        ``table`` holds ``(n, 4)`` limb rows (stored encrypted tags,
-        ``uint32``, or regenerated tag pads, ``uint64``); ``idx`` as in
-        :meth:`ring_sums`.  Under GF(2^127 - 1) on the native tier this is
-        one compiled pass (``limb_segsum``: u128 columns, exact below
-        ``2^28`` terms a query, canonical limbs out); otherwise a gather
-        and :func:`limb_field.field_segment_dot`, which also serves every
-        other tag field through the scalar oracle.
-        """
-        nat = _kernels.active_native()
-        if nat is not None and limb_field.supports_field(field):
-            out = nat.limb_segsum(table, self.weights, idx, self.offsets)
-            if out is not None:
-                return out
-        rows = self._gather(table, idx)
-        return self.scatter(
-            limb_field.field_segment_dot(field, self.weights, rows, self.starts)
-        )
-
-    @staticmethod
-    def _gather(table: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
-        """``table[idx]``, refusing any index outside the table (NumPy
-        would wrap a negative one and raise ``IndexError`` past the end)."""
-        if idx is None:
-            return table
-        bad = (idx < 0) | (idx >= table.shape[0])
-        if bad.any():
-            raise ConfigurationError(
-                f"row {int(idx[bad][0])} outside the stored table's "
-                f"{table.shape[0]} rows"
-            )
-        return table[idx]
-
-
 def _require_tags(enc: EncryptedMatrix, name: str) -> None:
     if enc.tag_limbs is None or enc.checksum_version is None:
         raise VerificationError(
             f"matrix {name!r} was encrypted without verification tags"
         )
-
-
-class UntrustedNdpDevice:
-    """Memory-side party: stores ciphertext, computes over it on request.
-
-    Everything this class holds (ciphertext, encrypted tags) and computes
-    is considered attacker-visible and attacker-controllable in the threat
-    model (Sec. II).  The ``tamper_*`` hooks let tests and examples inject
-    exactly the misbehaviours the verification scheme must catch.
-    """
-
-    def __init__(self, params: SecNDPParams):
-        self.params = params
-        self.ring = params.ring()
-        self.field = params.field()
-        self._store: dict = {}
-        # Fault-injection state (None = honest device).
-        self._result_delta: Optional[int] = None
-        self._tag_delta: Optional[int] = None
-
-    # -- storage --------------------------------------------------------------
-
-    def store(self, name: str, encrypted: EncryptedMatrix) -> None:
-        """Receive ciphertext (the T0 initialisation arrow of Fig. 4)."""
-        self._store[name] = encrypted
-
-    def stored(self, name: str) -> EncryptedMatrix:
-        return self._store[name]
-
-    # -- honest NDP operations (identical to unprotected NDP) -----------------
-
-    def _sums(
-        self, name: str, batch: QueryBatch, data: bool, tags: bool
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Per-query ciphertext sums and/or encrypted-tag sums of ``batch``.
-
-        One gather and one segmented reduction each: identical math to an
-        unprotected NDP PU.  The fault hooks then visit the queries in
-        order - data sum (``device.row_sum``), then tag sum
-        (``device.tag_sum``) - but only when a ``tamper_*`` delta or an
-        armed injector makes this device misbehave; a fault names its
-        query in the event detail (``"query <q>"``).
-        """
-        if name not in self._store:
-            raise ConfigurationError(f"no matrix {name!r} stored on this device")
-        enc = self._store[name]
-        if tags and enc.tag_limbs is None:
-            raise ConfigurationError(f"matrix {name!r} stored without tags")
-        values = tag_sums = None
-        if data:
-            values = batch.ring_sums(self.ring, enc.ciphertext, batch.rows)
-        if tags:
-            tag_sums = batch.tag_sums(self.field, enc.tag_limbs, batch.rows)
-        inj = fault_hooks.armed_injector()
-        if self._result_delta is None and self._tag_delta is None and inj is None:
-            return values, tag_sums
-        served = batch.nonempty.tolist()
-        ints = limb_field.from_limbs(tag_sums[batch.nonempty]) if tags else served
-        for q, tag in zip(served, ints):
-            if data:
-                if self._result_delta is not None:
-                    values[q, 0] = self.ring.add(values[q, 0], self._result_delta)
-                if inj is not None:
-                    values[q] = inj.perturb_result(
-                        self.ring, values[q], "device.row_sum", f"query {q}"
-                    )
-            if tags:
-                forged = tag
-                if self._tag_delta is not None:
-                    forged = self.field.add(forged, self._tag_delta)
-                if inj is not None:
-                    forged = inj.perturb_tag(
-                        self.field, forged, "device.tag_sum", f"query {q}"
-                    )
-                if forged != tag:
-                    tag_sums[q] = limb_field.pack([forged])[0]
-        return values, tag_sums
-
-    def weighted_element_sum(
-        self,
-        name: str,
-        rows: Sequence[int],
-        cols: Sequence[int],
-        weights: Sequence[int],
-    ) -> int:
-        """``C_res = sum_k a_k * C_{i_k, j_k} mod 2^w_e`` (Alg. 4 line 7)."""
-        enc = self._store[name]
-        elems = enc.ciphertext[np.asarray(rows), np.asarray(cols)]
-        total = self.ring.dot(np.asarray(weights), elems[:, None])[0]
-        if self._result_delta is not None:
-            total = self.ring.add(total, self._result_delta)
-        inj = fault_hooks.armed_injector()
-        if inj is not None:
-            total = inj.perturb_scalar_result(self.ring, int(total), "device.element_sum")
-        return int(total)
-
-    def partial_sum_batch(
-        self,
-        name: str,
-        batch_rows: Sequence[Sequence[int]],
-        batch_weights: Optional[Sequence[Sequence[int]]] = None,
-        with_tags: bool = True,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """The untrusted half of a batch (Alg. 5 lines 5/15).
-
-        For each query ``q``: ``C_res[q] = sum_k a_k * C_{i_k}`` over the
-        stored ciphertext and, when ``with_tags``, ``C_T_res[q] = sum_k
-        a_k * C_{T_k}`` over the encrypted tags (``(n_queries, 4)``
-        limbs) — computed entirely from attacker-visible state, with no
-        key material.  The trusted side adds its pad halves
-        (:meth:`SecNDPProcessor.pad_share_batch` via
-        :meth:`SecNDPProcessor.combine_device_sums`).  This is the whole
-        wire contract of a cluster NDP node: ciphertext sums go out,
-        nothing decryptable comes back.
-        """
-        batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        return self._sums(name, batch, data=True, tags=with_tags)
-
-    # -- adversarial hooks -----------------------------------------------------
-
-    def tamper_results(self, delta: int) -> None:
-        """Make the device add ``delta`` to every returned data result."""
-        self._result_delta = delta
-
-    def tamper_tags(self, delta: int) -> None:
-        """Make the device add ``delta`` to every returned tag result."""
-        self._tag_delta = delta
-
-    def behave_honestly(self) -> None:
-        self._result_delta = None
-        self._tag_delta = None
-
-    def corrupt_stored_ciphertext(self, name: str, i: int, j: int, delta: int) -> None:
-        """Flip stored ciphertext in place (memory tampering / bit flips)."""
-        enc = self._store[name]
-        enc.ciphertext[i, j] = self.ring.add(enc.ciphertext[i, j], delta)
-
-    def replay_stored_tag(self, name: str, i: int, stale_tag: int) -> None:
-        """Replace a stored tag with a stale value (replay attack)."""
-        enc = self._store[name]
-        if enc.tag_limbs is None:
-            raise ConfigurationError("no tags to replay")
-        enc.set_tag(i, stale_tag)
 
 
 class SecNDPProcessor:
@@ -432,7 +83,7 @@ class SecNDPProcessor:
         multipoint_checksum: bool = False,
     ):
         self.params = params or SecNDPParams()
-        self.cipher: TweakedCipher = self.params.cipher(key)
+        self.cipher = TweakedCipher(key)
         self.ring = self.params.ring()
         self.field = self.params.field()
         self.encryptor = ArithmeticEncryptor(self.cipher, self.params)
@@ -447,7 +98,7 @@ class SecNDPProcessor:
         self.mac = EncryptedLinearMac(self.cipher, self.params, checksum=checksum)
         self.checksum = self.mac.checksum
         self.versions = versions or VersionManager(
-            version_bits=self.params.layout.version_bits
+            version_bits=self.cipher.layout.version_bits
         )
 
     # -- initialisation (T0 in Fig. 4) ----------------------------------------

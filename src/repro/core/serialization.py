@@ -1,6 +1,6 @@
 """Binary serialization of encrypted matrices.
 
-An :class:`~repro.core.encryption.EncryptedMatrix` is untrusted data: in
+An :class:`~repro.core.device.EncryptedMatrix` is untrusted data: in
 a real deployment it lives in DRAM or on disk next to the NDP device.
 This module defines a compact, versioned, self-describing container so
 ciphertext + tags can be written out (e.g. persisted to near-storage NDP,
@@ -33,7 +33,7 @@ import numpy as np
 
 from ..crypto.limb_field import NUM_LIMBS
 from ..errors import ConfigurationError
-from .encryption import EncryptedMatrix
+from .device import EncryptedMatrix
 from .params import SecNDPParams
 
 __all__ = ["serialize_matrix", "deserialize_matrix", "FORMAT_VERSION", "MAGIC"]

@@ -2,41 +2,9 @@
 
 Everything SecNDP needs from "a block cipher" and "modular arithmetic" is
 implemented here from scratch; the :mod:`repro.core` package builds the
-paper's algorithms on top of these primitives.
+paper's algorithms on top of these primitives.  Import each from its
+module: the keyless half (:mod:`~repro.crypto.ring`,
+:mod:`~repro.crypto.prime_field`, :mod:`~repro.crypto.limb_field`) loads
+without the key-holding one (:mod:`~repro.crypto.tweaked`,
+:mod:`~repro.crypto.otp`).
 """
-
-from .aes import AES128, BLOCK_BYTES, KEY_BYTES, aes128_encrypt_blocks
-from .prime_field import F127, MERSENNE_127, PrimeField, mersenne_reduce
-from .ring import RING8, RING16, RING32, RING64, Ring
-from .tweaked import (
-    DOMAIN_CHECKSUM,
-    DOMAIN_DATA,
-    DOMAIN_TAG,
-    CounterBlockLayout,
-    TweakedCipher,
-)
-from .otp import OtpGenerator
-from . import limb_field
-
-__all__ = [
-    "limb_field",
-    "AES128",
-    "BLOCK_BYTES",
-    "KEY_BYTES",
-    "aes128_encrypt_blocks",
-    "F127",
-    "MERSENNE_127",
-    "PrimeField",
-    "mersenne_reduce",
-    "RING8",
-    "RING16",
-    "RING32",
-    "RING64",
-    "Ring",
-    "DOMAIN_CHECKSUM",
-    "DOMAIN_DATA",
-    "DOMAIN_TAG",
-    "CounterBlockLayout",
-    "TweakedCipher",
-    "OtpGenerator",
-]

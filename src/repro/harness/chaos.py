@@ -54,7 +54,8 @@ import numpy as np
 from .. import obs
 from ..cluster import ClusterCoordinator, ClusterHealth, LocalCluster, NodeServer
 from ..core.params import SecNDPParams
-from ..core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from ..core.device import UntrustedNdpDevice
+from ..core.protocol import SecNDPProcessor
 from ..faults import (
     PRESET_PLANS,
     TRANSIENT_FAULTS,

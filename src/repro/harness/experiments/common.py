@@ -7,7 +7,8 @@ import numpy as np
 from ... import obs
 from ...baselines.non_ndp import NonNdpResult, run_non_ndp
 from ...core.params import SecNDPParams
-from ...core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from ...core.device import UntrustedNdpDevice
+from ...core.protocol import SecNDPProcessor
 from ...ndp.packets import NdpWorkload
 from ...ndp.simulator import NdpConfig, NdpRunResult, NdpSimulator
 from ...ndp.verification import TagScheme

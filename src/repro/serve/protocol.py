@@ -72,7 +72,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.protocol import integral_terms
+from ..core.device import integral_terms
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -172,7 +172,7 @@ _INT64_MAX = (1 << 63) - 1
 
 def int64_terms(values, what: str) -> np.ndarray:
     """``values`` (row ids or weights) as the flat ``int64`` array a frame
-    carries; what is not an integer (:func:`~repro.core.protocol.integral_terms`)
+    carries; what is not an integer (:func:`~repro.core.device.integral_terms`)
     or does not fit (a weight >= 2^63) is a
     :class:`~repro.errors.ConfigurationError`, never a truncated or
     wrapped value."""

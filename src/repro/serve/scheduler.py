@@ -6,7 +6,7 @@ it is work-conserving: a batch is whatever is queued for a table - up to
 query is a batch of one and leaves at once; what arrives while a batch
 runs is read in the turn after it and forms the next one, so coalescing
 comes from load and never from a timer.
-A batch is one CSR :class:`~repro.core.protocol.QueryBatch` concatenated
+A batch is one CSR :class:`~repro.core.device.QueryBatch` concatenated
 from its requests' arrays, executed through the amortized union-of-rows
 path (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
 and each request is handed its row of the result matrix.
@@ -37,7 +37,7 @@ from typing import Dict, List, Union
 import numpy as np
 
 from .. import obs
-from ..core.protocol import QueryBatch
+from ..core.device import QueryBatch
 from ..errors import ConfigurationError
 from .admission import AdmissionConfig, AdmissionController
 from .protocol import (

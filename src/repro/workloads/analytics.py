@@ -23,7 +23,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.params import SecNDPParams
-from ..core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from ..core.device import UntrustedNdpDevice
+from ..core.protocol import SecNDPProcessor
 from ..errors import ConfigurationError
 from .datasets import GeneExpressionData
 from .quantization import FixedPointCodec

@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from ..core.device import UntrustedNdpDevice
+from ..core.protocol import SecNDPProcessor
 from ..errors import ConfigurationError
 from .secure_sls import SecureEmbeddingStore
 

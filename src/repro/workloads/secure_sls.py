@@ -33,8 +33,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import obs
-from ..core.params import SecNDPParams
-from ..core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice, integral_terms
+from ..core.device import QueryBatch, UntrustedNdpDevice, integral_terms
+from ..core.protocol import SecNDPProcessor
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
 from ..faults.plan import FaultInjector

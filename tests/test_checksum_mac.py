@@ -14,7 +14,8 @@ from repro.core import (
 )
 from repro import kernels
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
-from repro.crypto import TweakedCipher, limb_field
+from repro.crypto import limb_field
+from repro.crypto.tweaked import TweakedCipher
 from repro.crypto.tweaked import DOMAIN_CHECKSUM
 from repro.errors import VerificationError
 from repro.faults.recovery import RecoveryPolicy

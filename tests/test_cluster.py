@@ -15,6 +15,7 @@ No pytest-asyncio dependency: each async scenario runs under its own
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import time
@@ -37,7 +38,7 @@ from repro.cluster import (
 )
 from repro.cluster import codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
-from repro.core.protocol import QueryBatch
+from repro.core.device import QueryBatch
 from repro.crypto import limb_field
 from repro.errors import (
     ConfigurationError,
@@ -324,6 +325,19 @@ class TestClusterCodec:
         values2, tag_sums2 = codec.decode_device_sums(payload, params)
         assert np.array_equal(values2, values)
         assert np.array_equal(tag_sums2, tag_sums)
+
+    @pytest.mark.parametrize("tag_modulus", [251, 2**61 - 1, 2**127 - 1])
+    @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
+    def test_params_round_trip(self, element_bits, tag_modulus):
+        params = SecNDPParams(element_bits=element_bits, tag_modulus=tag_modulus)
+        payload = json.loads(json.dumps(codec.encode_params(params)))
+        assert codec.decode_params(payload) == params
+
+    def test_every_params_field_crosses_the_wire(self):
+        # A field the encoder leaves out would silently take its default
+        # on every node.
+        fields = {f.name for f in dataclasses.fields(SecNDPParams)}
+        assert set(codec.encode_params(SecNDPParams())) == fields
 
     @settings(max_examples=150, deadline=None)
     @given(csr_batches())

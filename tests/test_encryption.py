@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ArithmeticEncryptor, SecNDPParams, encryption
-from repro.crypto import TweakedCipher
+from repro.crypto.tweaked import TweakedCipher
 from repro.errors import ConfigurationError
 
 KEY = bytes(range(16))

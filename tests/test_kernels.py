@@ -398,7 +398,7 @@ class TestBackendSurface:
 def _csr_case(width, idx_kind, segments, seed):
     """A table, its weights at the ring's extremes, a row index and CSR
     offsets (empty segments included when there are many)."""
-    from repro.core.protocol import QueryBatch
+    from repro.core.device import QueryBatch
 
     rng = np.random.default_rng(seed)
     dt = np.dtype(f"u{width // 8}")
@@ -467,7 +467,7 @@ class TestFusedSegmentSums:
     @pytest.mark.parametrize("bad", [5, 2**32 - 1, -1])
     def test_a_row_outside_the_table_is_declined_then_refused(self, bad):
         from repro.core.params import SecNDPParams
-        from repro.core.protocol import QueryBatch
+        from repro.core.device import QueryBatch
         from repro.kernels import _cc
 
         ring = SecNDPParams(element_bits=32).ring()

@@ -110,7 +110,7 @@ class TestCiphertextStatistics:
 
     def _ciphertext_of_constant(self, value, n_blocks=512):
         from repro.core import ArithmeticEncryptor
-        from repro.crypto import TweakedCipher
+        from repro.crypto.tweaked import TweakedCipher
 
         params = SecNDPParams(element_bits=32)
         enc = ArithmeticEncryptor(TweakedCipher(KEY), params)
@@ -136,7 +136,7 @@ class TestCiphertextStatistics:
         # Same version+address -> b - a == 1 everywhere (the known leak);
         # different versions must break the correlation.
         from repro.core import ArithmeticEncryptor
-        from repro.crypto import TweakedCipher
+        from repro.crypto.tweaked import TweakedCipher
 
         params = SecNDPParams(element_bits=32)
         enc = ArithmeticEncryptor(TweakedCipher(KEY), params)

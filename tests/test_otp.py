@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro import kernels, obs
-from repro.crypto import OtpGenerator, RING8, RING32, TweakedCipher
+from repro.crypto.otp import OtpGenerator
+from repro.crypto.ring import RING8, RING32
+from repro.crypto.tweaked import TweakedCipher
 
 KEY = bytes(range(16))
 _BASE = 0x4000

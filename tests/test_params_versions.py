@@ -45,10 +45,20 @@ class TestParams:
         assert p.field().modulus == 97
         assert p.tag_bytes == 1
 
-    def test_cipher_bound_to_layout(self, key):
-        p = SecNDPParams()
-        c = p.cipher(key)
-        assert c.layout is p.layout
+    def test_version_width_is_the_cipher_layouts(self, key):
+        """The processor's version budget equals its cipher's counter layout."""
+        processor = SecNDPProcessor(key, SecNDPParams())
+        assert processor.versions.version_bits == processor.cipher.layout.version_bits
+
+    @pytest.mark.parametrize("element_bits", [0, 1, 2, 4, 128, 24])
+    def test_element_width_outside_the_ring_widths_rejected(self, element_bits):
+        with pytest.raises(ConfigurationError):
+            SecNDPParams(element_bits=element_bits)
+
+    @pytest.mark.parametrize("tag_modulus", [1, 0, -5, 1 << 128, 1 << 200])
+    def test_tag_modulus_outside_one_block_rejected(self, tag_modulus):
+        with pytest.raises(ConfigurationError):
+            SecNDPParams(tag_modulus=tag_modulus)
 
 
 class TestVersionManager:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
-from repro.errors import VerificationError
+from repro.errors import ConfigurationError, VerificationError
 
 KEY = bytes(range(16))
 
@@ -190,6 +190,46 @@ class TestQuantizedRing:
         device.tamper_results(1)
         with pytest.raises(VerificationError):
             processor.weighted_row_sum(device, "q2", [0, 1], [1, 1])
+
+
+class TestDeviceRefusals:
+    """The device has one lookup and checks what it indexes: an unknown
+    table or an element outside the stored one is a typed refusal, never
+    a bare ``KeyError`` or a wrapped index."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, d: p.weighted_row_sums(d, "nope", [[0]]),
+            lambda p, d: p.weighted_element_sum(d, "nope", [0], [0], [1]),
+            lambda p, d: d.weighted_element_sum("nope", [0], [0], [1]),
+            lambda p, d: d.partial_sum_batch("nope", [[0]]),
+            lambda p, d: d.corrupt_stored_ciphertext("nope", 0, 0, 1),
+            lambda p, d: d.replay_stored_tag("nope", 0, 1),
+            lambda p, d: d.stored("nope"),
+        ],
+    )
+    def test_unknown_table(self, processor, device, stored, call):
+        with pytest.raises(ConfigurationError, match="no matrix 'nope' stored"):
+            call(processor, device)
+
+    @pytest.mark.parametrize(
+        "rows, cols, weights, match",
+        [
+            ([-1], [0], [1], "row -1 outside"),
+            ([64], [0], [1], "row 64 outside"),
+            ([0], [-1], [1], "column -1 outside"),
+            ([0], [32], [1], "column 32 outside"),
+            ([0, 1], [0], [1, 1], "equal length"),
+            ([0], [0], [1, 1], "equal length"),
+            ([0.5], [0], [1], "rows must be integers"),
+        ],
+    )
+    def test_element_outside_the_table(self, processor, device, stored, rows, cols, weights, match):
+        with pytest.raises(ConfigurationError, match=match):
+            device.weighted_element_sum(stored, rows, cols, weights)
+        with pytest.raises(ConfigurationError, match=match):
+            processor.weighted_element_sum(device, stored, rows, cols, weights)
 
 
 class TestKeyIsolation:

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cluster import ClusterCoordinator, NodeClient, NodeServer, codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
-from repro.core.protocol import QueryBatch
+from repro.core.device import QueryBatch
 from repro.errors import ConfigurationError
 from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
 from repro.serve.protocol import (
@@ -295,6 +295,21 @@ def node_payloads(draw):
     return payload
 
 
+@st.composite
+def params_payloads(draw):
+    """A ``shard_assign`` params payload as a hostile peer might send it:
+    arbitrary values, or both fields over widths and moduli the params
+    may refuse and values that are not JSON integers (``8.5``, ``"8"``,
+    ``true``)."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    near = st.sampled_from([True, 8.0, 8.5, "8", None, [8]])
+    return {
+        "element_bits": draw(st.integers(-2, 130) | st.sampled_from([8, 16, 32, 64]) | near),
+        "tag_modulus": draw(st.integers(-3, 2**130) | st.sampled_from([251, 2**61 - 1]) | near),
+    }
+
+
 def decode_or_configuration_error(decode, payload):
     """The node-payload oracle: a typed value whose arrays hold no more
     elements than the payload has characters, or ``ConfigurationError``."""
@@ -440,6 +455,24 @@ class TestHostilePeer:
         params = SecNDPParams(element_bits=element_bits)
         decode_or_configuration_error(lambda p: codec.decode_queries(p, params.ring()), payload)
         decode_or_configuration_error(lambda p: codec.decode_device_sums(p, params), payload)
+
+    @settings(max_examples=400)
+    @given(params_payloads())
+    def test_params_payloads_build_or_configuration_error(self, payload):
+        try:
+            params = codec.decode_params(payload)
+        except ConfigurationError:
+            return
+        assert params.ring().width == params.element_bits
+        assert params.field().modulus == params.tag_modulus
+
+    @pytest.mark.parametrize(
+        "fields", [{"element_bits": 8.5}, {"element_bits": "8"}, {"tag_modulus": True}]
+    )
+    def test_params_are_never_coerced(self, fields):
+        payload = dict(codec.encode_params(SecNDPParams()), **fields)
+        with pytest.raises(ConfigurationError, match="non-integer"):
+            codec.decode_params(payload)
 
     @settings(max_examples=400)
     @given(st.binary(max_size=96))
@@ -599,11 +632,23 @@ class TestHostilePeer:
         assert stats["requests"] == 1
 
     @pytest.mark.parametrize(
-        "wire",
-        [{"id": "x", "op": "heartbeat"}, {"id": 1, "op": "heartbeat", "payload": "abc"}],
-        ids=["id", "payload"],
+        "wire, kind",
+        [
+            ({"id": "x", "op": "heartbeat"}, "FrameError"),
+            ({"id": 1, "op": "heartbeat", "payload": "abc"}, "FrameError"),
+            (
+                # Regression: Ring's ValueError escaped the handler and
+                # the peer saw a dropped connection.
+                NodeRequest(
+                    id=1, op="shard_assign",
+                    payload={"params": {"element_bits": 0, "tag_modulus": 251}},
+                ),
+                "ConfigurationError",
+            ),
+        ],
+        ids=["id", "payload", "shard_assign"],
     )
-    def test_node_answers_a_badly_typed_envelope_and_serves_on(self, wire):
+    def test_node_answers_a_badly_typed_envelope_and_serves_on(self, wire, kind):
         # Regression: the ValueError killed the node's handler unanswered.
         async def run():
             async with NodeServer("n0") as node:
@@ -614,7 +659,7 @@ class TestHostilePeer:
                 return [NodeResponse.from_wire(a) for a in answers]
 
         bad, good = asyncio.run(run())
-        assert (bad.status, bad.kind) == ("error", "FrameError")
+        assert (bad.status, bad.kind) == ("error", kind)
         assert (good.id, good.status, good.payload["node"]) == (2, STATUS_OK, "n0")
 
     def test_coordinator_blames_a_node_whose_envelope_lies(self):

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.checksum import LinearChecksum, MultiPointChecksum
 from repro.core.mac import EncryptedLinearMac
+from repro.core.device import QueryBatch, UntrustedNdpDevice
 from repro.core.params import SecNDPParams
-from repro.core.protocol import QueryBatch, SecNDPProcessor, UntrustedNdpDevice
+from repro.core.protocol import SecNDPProcessor
 from repro.crypto import limb_field
+from repro.crypto.tweaked import TweakedCipher
 from repro.errors import ShardVerificationError, VerificationError
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -42,7 +44,7 @@ class TestSinglePointEquivalence:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64, np.int64])
     def test_matrix_tags_match_per_row_scalar(self, dtype):
         params = _params()
-        checksum = LinearChecksum(params.cipher(KEY), params)
+        checksum = LinearChecksum(TweakedCipher(KEY), params)
         rng = np.random.default_rng(3)
         hi = 200 if dtype == np.uint8 else 2**31
         matrix = rng.integers(0, hi, size=(23, 9)).astype(dtype)
@@ -53,7 +55,7 @@ class TestSinglePointEquivalence:
 
     def test_small_prime_fallback_matches(self):
         params = _params(tag_modulus=(1 << 31) - 1)
-        checksum = LinearChecksum(params.cipher(KEY), params)
+        checksum = LinearChecksum(TweakedCipher(KEY), params)
         matrix = np.arange(40, dtype=np.uint32).reshape(8, 5)
         s = checksum.secret_point(0x100, 0)
         assert checksum.matrix_tags(matrix, 0x100, 0) == [
@@ -62,7 +64,7 @@ class TestSinglePointEquivalence:
 
     def test_result_tag_accepts_arrays(self):
         params = _params()
-        checksum = LinearChecksum(params.cipher(KEY), params)
+        checksum = LinearChecksum(TweakedCipher(KEY), params)
         s = checksum.secret_point(0x80, 1)
         res = np.asarray([5, 0, 2**32 - 1, 17], dtype=np.uint64)
         assert checksum.result_tag(res, s) == checksum.row_tag(
@@ -71,7 +73,7 @@ class TestSinglePointEquivalence:
 
     def test_negative_values_fall_back_and_agree(self):
         params = _params()
-        checksum = LinearChecksum(params.cipher(KEY), params)
+        checksum = LinearChecksum(TweakedCipher(KEY), params)
         s = checksum.secret_point(0x80, 1)
         matrix = np.asarray([[-3, 4, -5], [6, -7, 8]], dtype=np.int64)
         assert checksum.row_tags(matrix, s) == [
@@ -82,7 +84,7 @@ class TestSinglePointEquivalence:
 class TestMultiPointEquivalence:
     def test_default_modulus_cnt1(self):
         params = _params()
-        checksum = MultiPointChecksum(params.cipher(KEY), params)
+        checksum = MultiPointChecksum(TweakedCipher(KEY), params)
         assert checksum.cnt_s == 1
         rng = np.random.default_rng(5)
         matrix = rng.integers(0, 2**16, size=(17, 6), dtype=np.uint64)
@@ -95,7 +97,7 @@ class TestMultiPointEquivalence:
         # w_t = 61 -> cnt_s = 2: the Alg. 8 case with multiple secret
         # points per cipher block (small Mersenne prime, scalar field).
         params = _params(tag_modulus=(1 << 61) - 1)
-        checksum = MultiPointChecksum(params.cipher(KEY), params)
+        checksum = MultiPointChecksum(TweakedCipher(KEY), params)
         assert checksum.cnt_s > 1
         rng = np.random.default_rng(6)
         matrix = rng.integers(0, 2**20, size=(11, 7), dtype=np.uint64)
@@ -106,7 +108,7 @@ class TestMultiPointEquivalence:
 
     def test_result_tag_matches_row_tag(self):
         params = _params()
-        checksum = MultiPointChecksum(params.cipher(KEY), params)
+        checksum = MultiPointChecksum(TweakedCipher(KEY), params)
         points = checksum.secret_points(0x40, 2)
         res = np.asarray([9, 8, 7, 6, 5], dtype=np.uint32)
         assert checksum.result_tag(res, points) == checksum.row_tag(
@@ -115,7 +117,7 @@ class TestMultiPointEquivalence:
 
     def test_weight_vector_is_cached(self):
         params = _params(tag_modulus=(1 << 61) - 1)
-        checksum = MultiPointChecksum(params.cipher(KEY), params)
+        checksum = MultiPointChecksum(TweakedCipher(KEY), params)
         points = checksum.secret_points(0x40, 2)
         w1 = checksum.weight_vector(12, points)
         w2 = checksum.weight_vector(12, points)
@@ -125,19 +127,19 @@ class TestMultiPointEquivalence:
 class TestBatchedTagPads:
     def test_tag_pads_match_scalar_tag_pad(self):
         params = _params()
-        mac = EncryptedLinearMac(params.cipher(KEY), params)
+        mac = EncryptedLinearMac(TweakedCipher(KEY), params)
         addrs = [0x1000, 0x1080, 0x2000, 0x1000]
         assert mac.tag_pads(addrs, 7) == [mac.tag_pad(a, 7) for a in addrs]
 
     def test_tag_pads_small_prime(self):
         params = _params(tag_modulus=(1 << 31) - 1)
-        mac = EncryptedLinearMac(params.cipher(KEY), params)
+        mac = EncryptedLinearMac(TweakedCipher(KEY), params)
         addrs = [0x500, 0x600]
         assert mac.tag_pads(addrs, 1) == [mac.tag_pad(a, 1) for a in addrs]
 
     def test_empty(self):
         params = _params()
-        mac = EncryptedLinearMac(params.cipher(KEY), params)
+        mac = EncryptedLinearMac(TweakedCipher(KEY), params)
         assert mac.tag_pads([], 0) == []
 
 
