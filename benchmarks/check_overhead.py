@@ -17,7 +17,10 @@ query where the cost is per query).  Checked:
   resolve (no C compiler) against the numpy-pinned path — graceful
   degradation is decided once at resolve time, never per call;
 * and one *enabled* path: metrics recording against metrics off, per
-  query — what every name the registry keeps costs while it is on.
+  query — what every name the registry keeps costs while it is on — on
+  the store's ``sls_many`` and on the serving front-end (one canned
+  32-frame read through ``SlsServer``: ``serve.requests``,
+  ``serve.response.*``, ``serve.latency.ns``, the batch span).
 
 All results must stay bit-identical across states.
 
@@ -40,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import contextlib
 import statistics
 import sys
@@ -52,12 +56,17 @@ import numpy as np
 _REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_REPO / "src"))
 sys.path.insert(0, str(_REPO / "benchmarks"))
+sys.path.insert(0, str(_REPO))
 
 from repro import kernels, obs  # noqa: E402
 from repro.core.params import SecNDPParams  # noqa: E402
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice  # noqa: E402
+from repro.serve import SlsServer  # noqa: E402
+from repro.serve.protocol import CODEC_BINARY, SlsRequest, encode_frame  # noqa: E402
+from repro.serve.server import _Outbox  # noqa: E402
 from repro.workloads.secure_sls import SecureEmbeddingStore  # noqa: E402
 from bench_hotpaths import KEY, _SIZES, calib, run_wall_sections  # noqa: E402
+from tests.test_serve_calls import SocketlessWriter  # noqa: E402
 
 #: Interleaved rounds per check; the verdict is the median over them.
 ROUNDS = 201
@@ -318,6 +327,68 @@ def _check_metrics_enabled_overhead(sizes) -> bool:
     )
 
 
+def _check_front_end_metrics_overhead(sizes) -> bool:
+    """Metrics on must stay cheap on the serving front-end too, per query.
+
+    One canned read of 32 binary ``sls`` frames through ``SlsServer`` to
+    its outbox, no socket, with the registry off and recording (per-block
+    counters, the latency histogram, the batch span); same budget as the
+    store's enabled path.  A timed serve is ``reads`` such reads, one
+    batch each, so the per-query cost is resolvable, as the store's check
+    serves a 16x batch.
+    """
+    reads = 8
+    store, batch_rows = _store_and_batch(sizes, seed=29, batch_factor=1)
+    rng = np.random.default_rng(29)
+    read = b"".join(
+        encode_frame(
+            SlsRequest(
+                id=i + 1,
+                table="emb",
+                rows=batch_rows[i % len(batch_rows)][: rng.integers(4, 9)],
+                weights=None,
+            ),
+            CODEC_BINARY,
+        )
+        for i in range(32)
+    )
+    loop = asyncio.new_event_loop()
+    server = SlsServer(store)
+
+    async def one_read() -> bytes:
+        writer = SocketlessWriter(32 * (5 + 16 + 8 * sizes["dim"]))  # every ``ok`` frame
+        server._serve_read(bytearray(read), False, _Outbox(writer), set())
+        await writer.done
+        return bytes(writer.data)
+
+    serve = lambda: [loop.run_until_complete(one_read()) for _ in range(reads)]  # noqa: E731
+    obs.disable()
+
+    @contextlib.contextmanager
+    def recording():
+        obs.enable()
+        try:
+            yield serve
+        finally:
+            obs.disable()
+            obs.reset()
+
+    try:
+        times, outs = _paired_rounds(
+            {"off": lambda: contextlib.nullcontext(serve), "on": recording}
+        )
+    finally:
+        loop.run_until_complete(server.scheduler.close())
+        loop.close()
+    assert outs["off"] == outs["on"], "recording metrics changed the answers"
+    return _within(
+        "front-end metrics enabled",
+        _added_us(times, "on", "off") / (32 * reads),
+        BUDGET_US["metrics_enabled_per_query"],
+        unit="query",
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", default="smoke", choices=sorted(_SIZES))
@@ -344,6 +415,7 @@ def main(argv=None) -> int:
         _check_obs_overhead(sizes),
         _check_kernel_dispatch_overhead(sizes),
         _check_metrics_enabled_overhead(sizes),
+        _check_front_end_metrics_overhead(sizes),
     ]
     if not all(checks):
         return 1

@@ -43,7 +43,7 @@ import numpy as np
 from ..core.device import UntrustedNdpDevice
 from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
-from ..serve.protocol import STATUS_ERROR, STATUS_OK, NodeRequest, NodeResponse
+from ..serve.protocol import STATUS_ERROR, STATUS_OK, NodeRequest, NodeResponse, encode_frame
 from ..serve.server import AsyncSlsClient, FrameServer
 from . import codec
 
@@ -95,15 +95,17 @@ class NodeServer(FrameServer):
             self._closing = asyncio.ensure_future(self.close())
             return None
         if kind == "slow":
-            task = asyncio.ensure_future(self._reply_after(float(directive[1]), request))
+            task = asyncio.ensure_future(
+                self._reply_after(float(directive[1]), request, outbox)
+            )
             self._delayed.add(task)
             task.add_done_callback(self._delayed.discard)
             return task
         return self._reply(request)
 
-    async def _reply_after(self, delay_s: float, request: NodeRequest) -> NodeResponse:
+    async def _reply_after(self, delay_s: float, request: NodeRequest, outbox) -> None:
         await asyncio.sleep(delay_s)
-        return self._reply(request)
+        outbox.put(encode_frame(self._reply(request)))
 
     def _reply(self, request: NodeRequest) -> NodeResponse:
         try:

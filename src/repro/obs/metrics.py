@@ -109,12 +109,12 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def observe_ns(self, name: str, ns: int) -> None:
+    def observe_ns(self, name: str, ns: int, n: int = 1) -> None:
         with self._lock:
             hist = self._timers.get(name)
             if hist is None:
                 hist = self._timers[name] = LogHistogram()
-            hist.observe(int(ns))
+            hist.observe(int(ns), n)
 
     # -- reading -------------------------------------------------------------
 
@@ -218,10 +218,10 @@ def gauge(name: str, value: float) -> None:
         _REGISTRY.gauge(name, value)
 
 
-def observe_ns(name: str, ns: int) -> None:
-    """Record one duration sample (no-op while metrics are disabled)."""
+def observe_ns(name: str, ns: int, n: int = 1) -> None:
+    """Record ``n`` samples of one duration (no-op while metrics are disabled)."""
     if ENABLED:
-        _REGISTRY.observe_ns(name, ns)
+        _REGISTRY.observe_ns(name, ns, n)
 
 
 def snapshot() -> dict:

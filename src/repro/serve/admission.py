@@ -122,14 +122,21 @@ class AdmissionController:
 
     # -- signal ingestion ------------------------------------------------------
 
-    def record(self, latency_ns: int) -> None:
-        """One served request's end-to-end latency; may trigger a re-eval."""
-        if len(self._over) == self.config.window_obs:
-            self._n_over -= self._over.popleft()
+    def record(self, latency_ns: int, n: int = 1) -> None:
+        """``n`` served requests' end-to-end latency (the requests of one
+        queued block share theirs): ``n`` signals, exactly as ``n`` calls of
+        one each - every re-eval falls where it would, on the window it
+        would see."""
         over = bucket_value(bucket_index(int(latency_ns))) > self.spec.threshold
-        self._over.append(over)
-        self._n_over += over
-        self._signal()
+        while n:
+            k = min(n, self.config.eval_every - self._since_eval)
+            for _ in range(k):
+                if len(self._over) == self.config.window_obs:
+                    self._n_over -= self._over.popleft()
+                self._over.append(over)
+            self._n_over += over * k
+            n -= k
+            self._signal(k)
 
     def _age(self) -> None:
         """One shed arrival: retire the oldest observation, plus one per
@@ -141,8 +148,8 @@ class AdmissionController:
             self._n_over -= self._over.popleft()
         self._signal()
 
-    def _signal(self) -> None:
-        self._since_eval += 1
+    def _signal(self, n: int = 1) -> None:
+        self._since_eval += n
         if self._since_eval >= self.config.eval_every:
             self.evaluate()
 

@@ -50,10 +50,15 @@ Every JSON field is type-checked, envelope fields included: a wrong
 type is a :class:`FrameError`, never another exception.
 
 Reading: every peer, on both hops and at both ends, reads whatever the
-socket has into a buffer and takes every complete frame off it with
-:func:`split_frames`, the one frame reader; it checks each header
-through :func:`frame_header`, so an oversized length prefix is refused
-the moment its five bytes are in.
+socket has into a buffer and takes every complete frame off it in one
+pass of the one frame walker, which checks each header through
+:func:`frame_header`, so an oversized length prefix is refused the
+moment its five bytes are in.  :func:`split_frames` decodes each frame
+from a copy of its own; :func:`split_read` - the serving front-end's
+and the client's - decodes a read's frames from one copy, and a run of
+binary ``sls`` requests for one table as one :class:`RequestBlock`.
+:func:`encode_answers` is its write-side mirror: a batch's ``ok``
+answers to one connection as one array and one ``tobytes()``.
 
 Liveness: :func:`resolve_heartbeat_timeout` is the one place the
 dead-peer deadline comes from (``SECNDP_HEARTBEAT_TIMEOUT`` in the
@@ -68,7 +73,9 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from functools import lru_cache
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,12 +102,13 @@ __all__ = [
     "VIAS",
     "int64_terms",
     "reply_id",
-    "pack_segment",
-    "take_segment",
+    "RequestBlock",
+    "encode_answers",
     "encode_frame",
     "decode_payload",
     "frame_header",
     "split_frames",
+    "split_read",
     "resolve_heartbeat_timeout",
 ]
 
@@ -203,6 +211,21 @@ def _field(obj: Dict[str, Any], key: str, types: Tuple[type, ...], default: Any 
     return value
 
 
+_NUMBERS = (int, float)
+
+
+def _numbers(obj: Dict[str, Any], key: str) -> Optional[list]:
+    """A JSON array-of-numbers field (``None`` when absent or null): a list
+    of ints and floats, else :class:`FrameError`.  A JSON ``true`` or
+    ``"12"`` is not a number, and a string is not an array."""
+    value = obj.get(key)
+    if value is not None and (
+        type(value) is not list or not all(type(v) in _NUMBERS for v in value)
+    ):
+        raise FrameError(f"bad {key} field: {type(value).__name__} {value!r:.40}")
+    return value
+
+
 def reply_id(obj: Any) -> int:
     """The id to answer a JSON frame that did not decode with: its own,
     if it has a well-typed one, else 0."""
@@ -244,13 +267,13 @@ class SlsRequest:
             raise FrameError(f"unknown request op {op!r}")
         rid = _field(obj, "id", (int,), 0)
         table = _field(obj, "table", _TEXT)
-        weights = obj.get("weights")
+        rows, weights = _numbers(obj, "rows"), _numbers(obj, "weights")
         try:
             return cls(
                 id=rid,
                 op=op,
                 table=table,
-                rows=tuple(integral_terms(obj.get("rows") or (), "rows").tolist()),
+                rows=tuple(integral_terms(rows or (), "rows").tolist()),
                 weights=None
                 if weights is None
                 else tuple(integral_terms(weights, "weights").tolist()),
@@ -292,10 +315,10 @@ class SlsResponse:
             raise FrameError(f"response payload must be a dict, got {type(obj).__name__}")
         rid = _field(obj, "id", (int,), 0)
         status, error, kind, via = (_field(obj, k, _TEXT) for k in ("status", "error", "kind", "via"))
-        values = obj.get("values")
+        values = _numbers(obj, "values")
         try:
             values = None if values is None else tuple(float(v) for v in values)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # an integer past the float range
             raise FrameError(f"bad response field: {exc}") from exc
         return cls(id=rid, status=status, values=values, error=error, kind=kind, via=via)
 
@@ -389,90 +412,214 @@ _HAS_ARRAY = 1      #: flags bit 0: weights (request) / values (response) follow
 #: The ``via`` vocabulary of an ``ok`` response, in wire order.
 VIAS = (None, "batch", "scatter", "ping", "heartbeat")
 
-
-def pack_segment(values, dtype: str) -> bytes:
-    """``values`` as one raw array segment of (little-endian) ``dtype``."""
-    return np.ascontiguousarray(values, dtype=dtype).tobytes()
+_ONE = (1).to_bytes(8, "little")  #: an unweighted term's ``<i8`` weight
 
 
-def take_segment(
-    payload: bytes, offset: int, dtype: str, count: int
-) -> Tuple[np.ndarray, int]:
-    """``count`` elements of ``dtype`` at ``offset`` of ``payload``: a
-    read-only zero-copy view and the offset just past it.  The declared
-    count is checked against the bytes that are there *before* an array is
-    built from it, so a hostile count can neither allocate nor overread."""
-    end = offset + count * np.dtype(dtype).itemsize
-    if count < 0 or end > len(payload):
-        raise FrameError(
-            f"segment of {count} x {dtype} at byte {offset} overruns a "
-            f"{len(payload)}-byte frame"
-        )
-    return np.frombuffer(payload, dtype=dtype, count=count, offset=offset), end
+def _terms(values, what: str) -> np.ndarray:
+    """:func:`int64_terms`, which an ``int64`` array has passed already."""
+    if type(values) is np.ndarray and values.dtype == np.int64:
+        return values
+    return int64_terms(values, what)
 
 
 def _pack_binary(message) -> Optional[bytes]:
-    """The binary body of an ``sls`` request / ``ok`` response, else ``None``."""
-    if isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None:
-        rows = int64_terms(message.rows, "rows")
-        body, flags = [pack_segment(rows, "<i8")], 0
-        if message.weights is not None:
-            weights = int64_terms(message.weights, "weights")
-            if weights.size != rows.size:
-                raise ConfigurationError("rows and weights must have equal length")
-            body.append(pack_segment(weights, "<i8"))
-            flags = _HAS_ARRAY
-        body.append(str(message.table).encode("utf-8"))
-        head = (_KIND_REQUEST, flags, len(body[-1]), rows.size)
-    elif (
-        isinstance(message, SlsResponse)
-        and message.status == STATUS_OK
-        and message.error is None
-        and message.kind is None
-        and message.via in VIAS
-    ):
-        body = [] if message.values is None else [pack_segment(message.values, "<f8")]
-        count = len(body[0]) // 8 if body else 0
-        head = (_KIND_RESPONSE, _HAS_ARRAY if body else 0, VIAS.index(message.via), count)
-    else:
+    """The binary body of an ``sls`` request, else ``None``."""
+    if not (isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None):
         return None
+    rows = _terms(message.rows, "rows")
+    body, flags = [rows.tobytes()], 0
+    if message.weights is not None:
+        weights = _terms(message.weights, "weights")
+        if weights.size != rows.size:
+            raise ConfigurationError("rows and weights must have equal length")
+        body.append(weights.tobytes())
+        flags = _HAS_ARRAY
+    body.append(str(message.table).encode("utf-8"))
     try:
-        return _BINARY.pack(*head, message.id) + b"".join(body)
+        head = _BINARY.pack(_KIND_REQUEST, flags, len(body[-1]), rows.size, message.id)
     except struct.error as exc:  # an id, count or name length its field cannot hold
         raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+    return head + b"".join(body)
 
 
-def _unpack_binary(payload: bytes) -> Union[SlsRequest, SlsResponse]:
-    if len(payload) < _BINARY.size:
-        raise FrameError(f"binary frame of {len(payload)} bytes has no header")
-    kind, flags, aux, count, ident = _BINARY.unpack_from(payload)
+def _binary_head(payload, start: int = 0, end: Optional[int] = None) -> Tuple[int, ...]:
+    """The header of the binary body ``payload[start:end]`` - kind, flags,
+    aux, count, id - and the offset (from ``start``) where its arrays end.
+
+    The one check of a binary frame: every declared length is held
+    against the bytes that are there before an array is built from it,
+    so a hostile count can neither allocate nor overread.
+    """
+    size = (len(payload) if end is None else end) - start
+    if size < _BINARY.size:
+        raise FrameError(f"binary frame of {size} bytes has no header")
+    kind, flags, aux, count, ident = _BINARY.unpack_from(payload, start)
     if flags & ~_HAS_ARRAY:
         raise FrameError(f"unknown binary frame flags {flags:#x}")
-    end = _BINARY.size
     if kind == _KIND_REQUEST:
-        rows, end = take_segment(payload, end, "<i8", count)
-        weights = None
-        if flags:
-            weights, end = take_segment(payload, end, "<i8", count)
-        if len(payload) - end != aux:
-            raise FrameError(
-                f"{len(payload) - end} bytes after the terms, table name declared as {aux}"
-            )
-        try:
-            table = payload[end:].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError(f"table name is not UTF-8: {exc}") from exc
-        return SlsRequest(id=ident, table=table, rows=rows, weights=weights)
-    if kind == _KIND_RESPONSE:
+        arrays = _BINARY.size + 8 * count * (1 + flags)
+    elif kind == _KIND_RESPONSE:
         if aux >= len(VIAS):
             raise FrameError(f"unknown via code {aux}")
-        values = None
-        if flags:
-            values, end = take_segment(payload, end, "<f8", count)
-        if end != len(payload) or (count and not flags):
+        if count and not flags:
             raise FrameError("response frame length does not match its value count")
+        arrays = _BINARY.size + 8 * count
+    else:
+        raise FrameError(f"unknown binary message kind {kind}")
+    if arrays > size:
+        raise FrameError(f"{count} x 8-byte terms overruns a {size}-byte frame")
+    if kind == _KIND_REQUEST and size - arrays != aux:
+        raise FrameError(f"{size - arrays} bytes after the terms, table name declared as {aux}")
+    if kind == _KIND_RESPONSE and arrays != size:
+        raise FrameError("response frame length does not match its value count")
+    return kind, flags, aux, count, ident, arrays
+
+
+def _table_name(raw) -> str:
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"table name is not UTF-8: {exc}") from exc
+
+
+def _unpack_binary(payload) -> Union[SlsRequest, SlsResponse]:
+    """A binary body (``bytes`` or a view of them) as a typed message whose
+    arrays view ``payload``."""
+    kind, flags, aux, count, ident, arrays = _binary_head(payload)
+    if kind == _KIND_RESPONSE:
+        values = np.frombuffer(payload, "<f8", count, _BINARY.size) if flags else None
         return SlsResponse(id=ident, status=STATUS_OK, values=values, via=VIAS[aux])
-    raise FrameError(f"unknown binary message kind {kind}")
+    weights = np.frombuffer(payload, "<i8", count, _BINARY.size + 8 * count) if flags else None
+    return SlsRequest(
+        id=ident,
+        table=_table_name(payload[arrays:]),
+        rows=np.frombuffer(payload, "<i8", count, _BINARY.size),
+        weights=weights,
+    )
+
+
+class RequestBlock:
+    """Consecutive ``sls`` requests for one table, held as arrays: what the
+    server makes of one socket read and the scheduler queues.
+
+    ``ids`` lists the requests' ids in arrival order; ``rows``,
+    ``weights`` and ``offsets`` hold their terms in CSR form (request
+    ``q`` owns ``[offsets[q], offsets[q + 1])``), all ``int64`` as they
+    arrived - a weight may be negative: the store's verdict judges it.
+    ``codec`` is the one their ``ok`` answers leave in.
+    """
+
+    __slots__ = ("codec", "table", "ids", "rows", "weights", "offsets")
+
+    def __init__(self, codec: int, table: str, ids: List[int], rows, weights, offsets):
+        self.codec = codec
+        self.table = table
+        self.ids = ids
+        self.rows = rows
+        self.weights = weights
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @classmethod
+    def one(cls, request: SlsRequest, codec: int = CODEC_BINARY) -> "RequestBlock":
+        """A block of one request; a request no block can hold (not an
+        ``sls`` query, terms outside ``int64``, weights not one per row) is
+        a :class:`~repro.errors.ConfigurationError`, with a negative weight
+        named before a length mismatch, as the store names them."""
+        if request.op != "sls" or request.table is None:
+            raise ConfigurationError(f"malformed request (op={request.op!r})")
+        rows = _terms(request.rows, "rows")
+        if request.weights is None:
+            weights = np.ones(rows.size, dtype=np.int64)
+        else:
+            weights = _terms(request.weights, "weights")
+            if weights.size != rows.size:
+                if weights.size and weights.min() < 0:
+                    raise ConfigurationError("weights must be non-negative integers")
+                raise ConfigurationError("rows and weights must have equal length")
+        offsets = np.array([0, rows.size], dtype=np.int64)
+        return cls(codec, request.table, [request.id], rows, weights, offsets)
+
+    @classmethod
+    def _of_frames(cls, table: str, frames: list) -> "RequestBlock":
+        """The block of ``(id, count, rows, weights)`` binary frames, each
+        segment a view of the read's bytes (``None`` weights: all 1)."""
+        ids, counts, rows, weights = zip(*frames)
+        return cls(
+            CODEC_BINARY,
+            table,
+            list(ids),
+            np.frombuffer(b"".join(rows), dtype="<i8"),
+            np.frombuffer(
+                b"".join([_ONE * n if w is None else w for n, w in zip(counts, weights)]),
+                dtype="<i8",
+            ),
+            np.array(list(accumulate(counts, initial=0)), dtype=np.int64),
+        )
+
+    def take(self, keep: Sequence[int]) -> "RequestBlock":
+        """The sub-block of the requests at positions ``keep`` (ascending)."""
+        lengths = np.diff(self.offsets)
+        picked = np.zeros(len(self), dtype=bool)
+        picked[keep] = True
+        terms = np.repeat(picked, lengths)
+        offsets = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(lengths[picked], out=offsets[1:])
+        return RequestBlock(
+            self.codec,
+            self.table,
+            [self.ids[q] for q in keep],
+            self.rows[terms],
+            self.weights[terms],
+            offsets,
+        )
+
+
+_VIA_CODES = {via: code for code, via in enumerate(VIAS)}
+
+
+@lru_cache(maxsize=64)
+def _answer_type(dim: Optional[int]) -> np.dtype:
+    """One binary ``ok`` frame, header included, answering with ``dim``
+    values (``None``: no value array)."""
+    fields = [
+        ("head", "V7"),  # codec, payload length (>u4), kind, flags
+        ("via", "<u2"),
+        ("count", "<u4"),
+        ("id", "<u8"),
+    ]
+    return np.dtype(fields if dim is None else fields + [("values", "<f8", (dim,))])
+
+
+def encode_answers(ids: Sequence[int], values: Optional[np.ndarray], vias: Sequence) -> bytes:
+    """The binary ``ok`` frames answering ``ids``, each with its row of
+    ``values`` (``None``: no values) and its ``via`` of ``vias``.
+
+    The one writer of a binary ``ok`` answer - :func:`encode_frame`
+    writes one as a batch of one.  One structured array holds every
+    frame, header included, and leaves as one ``tobytes()``.
+    """
+    dim = None if values is None else values.shape[1]
+    size = _BINARY.size + 8 * (dim or 0)
+    if size > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"frame payload of {size} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
+        )
+    frames = np.empty(len(ids), dtype=_answer_type(dim))
+    frames["head"] = _HEADER.pack(CODEC_BINARY, size) + bytes(
+        (_KIND_RESPONSE, 0 if dim is None else _HAS_ARRAY)
+    )
+    frames["via"] = [_VIA_CODES[via] for via in vias]
+    frames["count"] = dim or 0
+    try:
+        frames["id"] = ids
+    except OverflowError as exc:  # an id its field cannot hold
+        raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+    if dim is not None:
+        frames["values"] = values
+    return frames.tobytes()
 
 
 # -- framing -------------------------------------------------------------------
@@ -486,6 +633,15 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
     body and anything else leaves as a JSON frame.
     """
     if codec == CODEC_BINARY:
+        if (
+            isinstance(obj, SlsResponse)
+            and obj.status == STATUS_OK
+            and obj.error is None
+            and obj.kind is None
+            and obj.via in VIAS
+        ):
+            values = None if obj.values is None else np.asarray(obj.values, "<f8").reshape(1, -1)
+            return encode_answers([obj.id], values, [obj.via])
         payload = _pack_binary(obj)
         if payload is None:
             codec = CODEC_JSON
@@ -535,6 +691,30 @@ def frame_header(buf, offset: int = 0) -> Tuple[int, int]:
     return codec, length
 
 
+def _frame_spans(
+    buf: bytearray, eof: bool
+) -> Tuple[List[Tuple[int, int, int]], int, Optional[FrameError]]:
+    """The one frame walker: ``(codec, start, end)`` of each complete
+    frame's payload at the front of ``buf``, where the last one ends, and
+    the :class:`FrameError` that stopped the walk - an oversized length
+    prefix, or with ``eof`` a partial frame left over."""
+    spans: List[Tuple[int, int, int]] = []
+    pos, end = 0, len(buf)
+    try:
+        while end - pos >= _HEADER.size:
+            codec, length = frame_header(buf, pos)
+            start = pos + _HEADER.size
+            if end - start < length:
+                break
+            pos = start + length
+            spans.append((codec, start, pos))
+    except FrameError as exc:
+        return spans, pos, exc
+    if eof and pos < end:
+        return spans, pos, FrameError(_MID_HEADER if end - pos < _HEADER.size else _MID_FRAME)
+    return spans, pos, None
+
+
 def split_frames(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[FrameError]]:
     """Take every complete frame off the front of ``buf`` and decode it.
 
@@ -548,27 +728,69 @@ def split_frames(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional
     JSON frame, the whole ``shard_assign`` table included, decodes
     straight off the buffer, without that copy.
     """
+    spans, pos, error = _frame_spans(buf, eof)
     frames: List[Any] = []
-    error: Optional[FrameError] = None
-    pos, end = 0, len(buf)
     with memoryview(buf) as view:
-        try:
-            while end - pos >= _HEADER.size:
-                codec, length = frame_header(view, pos)
-                start = pos + _HEADER.size
-                if end - start < length:
-                    break
-                pos = start + length
+        for codec, start, end in spans:
+            try:
                 # Released here, even if an error's traceback still holds
                 # it, so ``buf`` can be trimmed below.
-                with view[start:pos] as payload:
+                with view[start:end] as payload:
                     frames.append(decode_payload(codec, payload))
+            except FrameError as exc:
+                error = exc
+                break
+    del buf[:pos]
+    return frames, error
+
+
+def split_read(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[FrameError]]:
+    """:func:`split_frames` for a peer that reads many small frames a read.
+
+    The complete frames are copied off ``buf`` once, and every frame
+    decodes from that copy: a binary ``ok`` answer's values own a copy of
+    their bytes (so a kept answer pins nothing else), and each run of
+    consecutive binary ``sls`` requests for one table comes back as one
+    :class:`RequestBlock` - a header check and two slices a request, no
+    typed request and no array of its own.
+    Anything else decodes as in :func:`split_frames`, and the frames and
+    errors are its, frame for frame.
+    """
+    spans, pos, error = _frame_spans(buf, eof)
+    data = bytes(buf[:pos])
+    del buf[:pos]
+    view = memoryview(data)
+    items: List[Any] = []
+    run: Optional[list] = None  #: the open block's frames; ``items`` holds ``(table, run)``
+    table = b""
+    for codec, start, end in spans:
+        try:
+            if codec != CODEC_BINARY:
+                run = None
+                items.append(decode_payload(codec, view[start:end]))
+                continue
+            kind, flags, aux, count, ident, arrays = _binary_head(data, start, end)
+            if kind == _KIND_RESPONSE:
+                # Its values own a copy of their bytes: a kept answer pins
+                # nothing else (the frame's header included).
+                run = None
+                values = np.frombuffer(data[start + _BINARY.size : end], "<f8") if flags else None
+                items.append(SlsResponse(ident, STATUS_OK, values=values, via=VIAS[aux]))
+                continue
+            rows, name = start + _BINARY.size, start + arrays
+            if run is None or data[name:end] != table:
+                table = data[name:end]
+                items.append((_table_name(table), []))
+                run = items[-1][1]
+            weights = rows + 8 * count
+            run.append((ident, count, view[rows:weights], view[weights:name] if flags else None))
         except FrameError as exc:
             error = exc
-    del buf[:pos]
-    if error is None and eof and buf:
-        error = FrameError(_MID_HEADER if len(buf) < _HEADER.size else _MID_FRAME)
-    return frames, error
+            break
+    return [
+        RequestBlock._of_frames(*item) if type(item) is tuple else item
+        for item in items
+    ], error
 
 
 def error_response(

@@ -5,15 +5,16 @@ Client to :class:`SlsServer` and coordinator to
 frames of :mod:`repro.serve.protocol` over it.  Connections are
 pipelined, and I/O is per socket read and per loop turn, not per
 request: a connection reads whatever the socket has, takes every
-complete frame off its buffer (:func:`~repro.serve.protocol.split_frames`,
-the one frame reader) and answers each now or when its future completes
-(the ``id`` field correlates them), and everything queued during one
-loop turn leaves in one write.  That is what lets a single client drive
-enough concurrency to fill a batch without a task per request.  Each
-answer leaves in the codec its request arrived in (the codec byte is
-per frame): the client sends binary, and a JSON ``sls`` frame is still
-answered in JSON.  Backpressure: a connection waits for its transport
-to drain before it reads again.  :class:`SlsServer` feeds every query
+complete frame off its buffer in one pass and answers each now or once
+a batch has run (the ``id`` field correlates them), and everything
+queued during one loop turn leaves in one write.  That is what lets a
+single client drive enough concurrency to fill a batch without a task
+per request.  Each answer leaves in the codec its request arrived in
+(the codec byte is per frame): the client sends binary, and a JSON
+``sls`` frame is still answered in JSON.  Backpressure: a connection
+waits for its transport to drain before it reads again.
+:class:`SlsServer` types a read once - its requests for a table become
+one :class:`~repro.serve.protocol.RequestBlock` - and feeds every block
 into one :class:`~repro.serve.scheduler.BatchScheduler`, so requests
 from *all* connections coalesce into the same amortized batches.
 
@@ -40,7 +41,6 @@ an ``overloaded`` response raises :class:`~repro.errors.OverloadedError`,
 from __future__ import annotations
 
 import asyncio
-import functools
 import signal
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -62,14 +62,17 @@ from .protocol import (
     FrameError,
     NodeRequest,
     NodeResponse,
+    RequestBlock,
     SlsRequest,
     SlsResponse,
+    encode_answers,
     encode_frame,
     error_response,
     int64_terms,
     reply_id,
     resolve_heartbeat_timeout,
     split_frames,
+    split_read,
 )
 from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
@@ -95,12 +98,12 @@ class _Outbox:
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self._frames: List[bytes] = []
-        self._loop = asyncio.get_running_loop()
+        self.loop = asyncio.get_running_loop()
 
     def put(self, frame: bytes) -> None:
         self._frames.append(frame)
         if len(self._frames) == 1:
-            self._loop.call_soon(self.flush)
+            self.loop.call_soon(self.flush)
 
     def flush(self) -> None:
         if not self._frames:
@@ -116,8 +119,9 @@ class _Outbox:
 class FrameServer:
     """The accept loop both hops serve on (``port=0`` = ephemeral).
 
-    A subclass says how one decoded frame is answered (:meth:`_answer`)
-    and how a refused one is (:meth:`_refusal`); this class owns the
+    A subclass says how a read's frames come off the buffer
+    (:attr:`_split`), how one is answered (:meth:`_answer`) and how a
+    refused one is (:meth:`_refusal`); this class owns the
     listener, the connections, their outboxes and the drain.  Use
     ``async with`` (or :meth:`start` / :meth:`close`) so the listener and
     the connections are released deterministically.  Serving starts no
@@ -190,10 +194,14 @@ class FrameServer:
     async def _drain(self) -> None:
         """Settle every answer still owed before the connections close."""
 
+    #: How a read's frames come off the buffer (:func:`split_frames`).
+    _split = staticmethod(split_frames)
+
     def _answer(self, obj: Any, outbox: _Outbox):
-        """The answer to one decoded frame: a message now, a future of one,
-        or ``None`` for no answer.  A :class:`FrameError` is answered with
-        :meth:`_refusal` and the connection serves on."""
+        """The answer to one item of a read: a message now, a future that
+        settles once its answers are queued, or ``None`` for none owed now.
+        A :class:`FrameError` is answered with :meth:`_refusal` and the
+        connection serves on."""
         raise NotImplementedError
 
     def _refusal(self, request_id: int, exc: BaseException):
@@ -244,31 +252,61 @@ class FrameServer:
         """Answer every complete frame in ``buf``; the error that ends the
         connection, if any.  The decoded frames die on return, so a
         connection parked in a read holds none."""
-        frames, error = split_frames(buf, eof=eof)
-        for obj in frames:
-            # A frame is answered in its own codec; binary decodes typed.
-            codec = CODEC_BINARY if isinstance(obj, SlsRequest) else CODEC_JSON
+        items, error = self._split(buf, eof)
+        for obj in items:
             try:
                 answer = self._answer(obj, outbox)
             except FrameError as exc:  # a bad field: answered, the connection lives
                 answer = self._refusal(reply_id(obj), exc)
             if isinstance(answer, asyncio.Future):
                 inflight.add(answer)
-                answer.add_done_callback(
-                    functools.partial(_answered, outbox, inflight, codec)
-                )
+                answer.add_done_callback(inflight.discard)
             elif answer is not None:
-                outbox.put(encode_frame(answer, codec))
+                outbox.put(encode_frame(answer))
         return error
 
 
-def _answered(
-    outbox: _Outbox, inflight: Set[asyncio.Future], codec: int, future: asyncio.Future
-) -> None:
-    """Done-callback of an answer's future: queue the answer."""
-    inflight.discard(future)
-    if not future.cancelled():
-        outbox.put(encode_frame(future.result(), codec))
+class _Replies:
+    """Where the answers to one block of a connection's read go: its
+    outbox, ``ok`` answers in the block's codec.  ``done`` resolves when
+    the last answer owed is queued - the connection's one future for the
+    whole block."""
+
+    __slots__ = ("outbox", "codec", "owed", "done")
+
+    def __init__(self, outbox: _Outbox, codec: int):
+        self.outbox = outbox
+        self.codec = codec
+        self.owed = 0
+        self.done: Optional[asyncio.Future] = None
+
+    def owe(self, n: int) -> asyncio.Future:
+        self.owed = n
+        self.done = self.outbox.loop.create_future()
+        return self.done
+
+    def answers(self, ids, values: np.ndarray, vias) -> None:
+        """``ok`` answers to ``ids``, the rows of ``values``: one encode."""
+        if self.codec == CODEC_BINARY:
+            self.outbox.put(encode_answers(ids, values, vias))
+        else:
+            for rid, row, via in zip(ids, values, vias):
+                self.outbox.put(
+                    encode_frame(SlsResponse(rid, STATUS_OK, values=row, via=via), self.codec)
+                )
+        self._paid(len(ids))
+
+    def answer(self, response: SlsResponse) -> None:
+        self.outbox.put(encode_frame(response, self.codec))
+        self._paid(1)
+
+    def _paid(self, n: int) -> None:
+        self.owed -= n
+        if not self.owed:
+            self.done.set_result(None)
+
+    def cancelled(self) -> bool:
+        return False
 
 
 class SlsServer(FrameServer):
@@ -276,8 +314,12 @@ class SlsServer(FrameServer):
 
     Parameters mirror :class:`~repro.serve.scheduler.BatchScheduler`;
     ``port=0`` binds an ephemeral port (read :attr:`port` after
-    :meth:`start`).
+    :meth:`start`).  A read's binary ``sls`` requests for one table come
+    off the buffer as one :class:`~repro.serve.protocol.RequestBlock`
+    (:func:`~repro.serve.protocol.split_read`).
     """
+
+    _split = staticmethod(split_read)
 
     def __init__(
         self,
@@ -297,9 +339,9 @@ class SlsServer(FrameServer):
         return self
 
     async def _drain(self) -> None:
-        # The scheduler's drain resolves every admitted future, and the
-        # callbacks that queue their responses were scheduled before its
-        # batchers finished, so they have run by the time it returns.
+        # The scheduler's drain answers every admitted request before its
+        # batchers finish, so every block's answers are queued by the
+        # time it returns.
         await self.scheduler.close()
         obs.emit_event(obs.SERVE_DRAIN, host=self.host, port=self.port)
 
@@ -322,12 +364,24 @@ class SlsServer(FrameServer):
             await self.close()
 
     def _answer(self, obj, outbox: _Outbox):
+        if type(obj) is RequestBlock:
+            return self._enqueue(obj, outbox)
         request = obj if isinstance(obj, SlsRequest) else SlsRequest.from_wire(obj)
         if request.op in ("ping", "heartbeat"):
             # Liveness probes bypass the scheduler entirely: a heartbeat
             # must answer even when admission control is shedding work.
             return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
-        return self.scheduler.enqueue(request)
+        # A JSON ``sls`` frame is a block of its own, answered in JSON.
+        block = self.scheduler.block_of(request, CODEC_JSON)
+        return block if isinstance(block, SlsResponse) else self._enqueue(block, outbox)
+
+    def _enqueue(self, block: RequestBlock, outbox: _Outbox) -> Optional[asyncio.Future]:
+        """Queue a block's answers owed now; the future of the rest."""
+        replies = _Replies(outbox, block.codec)
+        owed, admitted = self.scheduler.enqueue_block(block, replies)
+        for response in owed:
+            outbox.put(encode_frame(response))
+        return replies.owe(admitted) if admitted else None
 
     def _refusal(self, request_id: int, exc: BaseException) -> SlsResponse:
         return error_response(request_id, exc)
@@ -439,6 +493,15 @@ class AsyncSlsClient:
         if not future.done():
             future.set_result(response)
 
+    def _take_answers(self, buf: bytearray, eof: bool) -> Optional[FrameError]:
+        """Resolve every complete answer in ``buf``; the error that ends the
+        connection, if any.  A read is decoded in one pass
+        (:func:`~repro.serve.protocol.split_read`)."""
+        answers, error = split_read(buf, eof)
+        for obj in answers:
+            self._resolve(obj)
+        return error
+
     async def _read_loop(self) -> None:
         while True:
             assert self._reader is not None and self._writer is not None
@@ -449,9 +512,7 @@ class AsyncSlsClient:
                 while True:
                     chunk = await reader.read(_READ_BYTES)
                     buf += chunk
-                    frames, error = split_frames(buf, eof=not chunk)
-                    for obj in frames:
-                        self._resolve(obj)
+                    error = self._take_answers(buf, not chunk)
                     if error is not None or not chunk:
                         break
             except (FrameError, ConnectionError, OSError) as exc:

@@ -45,6 +45,8 @@ __all__ = ["QueryOutcome", "SecureEmbeddingStore"]
 
 _BLOCK_BYTES = 16
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class OtpCacheInfo(NamedTuple):
     """Pad-block counts in ``functools.lru_cache.cache_info`` field order."""
@@ -260,7 +262,7 @@ class SecureEmbeddingStore:
 
         Every serving path - :meth:`sls`, :meth:`sls_many`,
         :meth:`sls_scatter`, the front-end's pre-admission check
-        (:meth:`validate_query`) and the cluster coordinator - refuses an
+        (:meth:`verdict`) and the cluster coordinator - refuses an
         invalid query here with one :class:`ConfigurationError` per
         defect, in one order: negative weight, rows / weights length
         mismatch, unknown table, overflow budget (Thm. A.2), row range -
@@ -290,25 +292,56 @@ class SecureEmbeddingStore:
         # Inside the budget every weight is < 2^w_e, so the cast is exact.
         return QueryBatch(rows, weights.astype(ring.dtype, copy=False), offsets)
 
-    def validate_query(
-        self, name: str, rows: np.ndarray, weights: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`validate_batch` for one query held as ``int64`` arrays.
+    def verdict(
+        self, name: str, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray
+    ) -> Optional[Dict[int, ConfigurationError]]:
+        """Each query this table cannot serve, by index, with its refusal;
+        ``None`` when it can serve them all.
 
-        The serving front-end's pre-admission check: a query the table
-        cannot serve would fail the whole coalesced batch it joins.
-        Returns ``(rows, weights as ring residues)``, a
-        :class:`QueryBatch`'s term arrays; observes nothing -
+        The serving front-end's pre-admission check, one call per socket
+        read: a query the table cannot serve would fail the whole
+        coalesced batch it joins.  The queries are CSR terms - query ``q``
+        owns ``[offsets[q], offsets[q + 1])`` of ``rows`` and ``weights``,
+        both ``int64``, weights possibly negative.  Whole-batch minima and
+        maxima clear a valid batch; otherwise per-query reductions name
+        the suspects, and a suspect's refusal is the one
+        :meth:`validate_batch` gives that query alone.  Observes nothing -
         :meth:`sls_scatter` does, for the batch.
         """
-        weights = None if weights is None else self._integer_weights(weights)
-        rows = integral_terms(rows, "rows").astype(np.int64, copy=False)
-        if weights is None:
-            weights = np.ones(rows.size, dtype=np.int64)
-        if weights.size != rows.size:
-            raise ConfigurationError("rows and weights must have equal length")
-        self._check_terms(name, rows, weights, [0, rows.size])
-        return rows, weights.astype(self.processor.ring.dtype)
+        entry = self._tables.get(name)
+        if entry is None:
+            suspects = range(offsets.size - 1)
+        elif not rows.size:
+            return None
+        else:
+            # The overflow budget as PF * max_weight <= limit
+            # (max_pooling_factor's bound, without the division).
+            limit = (self.processor.ring.modulus - 1) // max(entry.max_quant, 1)
+            ends = offsets.tolist()
+            if (
+                weights.min() >= 0
+                and max(map(sub, ends[1:], ends)) * max(int(weights.max()), 1) <= limit
+                and rows.min() >= 0
+                and rows.max() < entry.n_rows
+            ):
+                return None
+            lengths = offsets[1:] - offsets[:-1]
+            nonempty = np.flatnonzero(lengths)
+            starts = offsets[nonempty]
+            odd = (rows < 0) | (rows >= entry.n_rows) | (weights < 0)
+            heaviest = np.maximum(np.maximum.reduceat(weights, starts), 1)
+            # PF * w > limit  <=>  w > limit // PF; clipped into int64, which
+            # can only add suspects.
+            over = heaviest > min(limit, _INT64_MAX) // lengths[nonempty]
+            suspects = nonempty[np.logical_or.reduceat(odd, starts) | over].tolist()
+        refusals = {}
+        for q in suspects:
+            lo, hi = int(offsets[q]), int(offsets[q + 1])
+            try:
+                self.validate_batch(name, [rows[lo:hi].tolist()], [weights[lo:hi].tolist()])
+            except ConfigurationError as exc:
+                refusals[q] = exc
+        return refusals or None
 
     @staticmethod
     def _integer_weights(weights) -> np.ndarray:

@@ -393,8 +393,8 @@ class HookedStore:
         self.hook = hook
         self.calls = []
 
-    def validate_query(self, *args):
-        return self.store.validate_query(*args)
+    def __getattr__(self, name):  # the rest of the store, as it is
+        return getattr(self.store, name)
 
     def sls_scatter(self, name, batch):
         self.calls.append(len(batch))
@@ -605,36 +605,40 @@ class TestWorkConservingBatcher:
         assert stats["admission.admitted"] == 2
 
     def test_validation_errors_keep_their_order(self):
-        # One validator: the array form and the list form refuse with the
-        # same error, defect for defect, in the same order.
+        # One validator: the list form, the batch form and the front-end -
+        # its block of one, then the verdict over the block's CSR arrays -
+        # refuse with the same error, defect for defect, in the same order.
         store = make_store()
+        scheduler = BatchScheduler(store)
 
-        def arrays(rows, weights):
-            return store.validate_query(
-                "emb",
-                np.asarray(rows, dtype=np.int64),
-                None if weights is None else np.asarray(weights, dtype=np.int64),
-            )
+        def verdict(rows, weights, table="emb"):
+            rows = np.asarray(rows, dtype=np.int64)
+            weights = np.ones(rows.size, np.int64) if weights is None else np.asarray(weights)
+            return store.verdict(table, rows, weights, np.array([0, rows.size]))
 
         for rows, weights, first in [
             ([0, 99], [1, -1, 2], "non-negative"),  # before the length mismatch
             ([0, 99], [1], "equal length"),         # before the budget
+            ([0, 99], [1, -1], "non-negative"),     # before the budget
             ([0, 99], [2**31, 1], "overflow"),      # before the row range
+            ([0, 99], None, r"row id outside \[0, 64\)"),
         ]:
             with pytest.raises(ConfigurationError, match=first) as listed:
                 store.sls("emb", rows, weights)
             with pytest.raises(ConfigurationError) as batched:
-                store.sls_many("emb", [[1], rows], [[1], weights])
-            with pytest.raises(ConfigurationError) as checked:
-                arrays(rows, weights)
-            assert str(checked.value) == str(batched.value) == str(listed.value)
-        with pytest.raises(ConfigurationError, match=r"row id outside \[0, 64\)"):
-            arrays([0, 99], None)
-        with pytest.raises(ConfigurationError, match="unknown table 'nope'"):
-            store.validate_query("nope", np.zeros(1, dtype=np.int64))
-        rows, weights = arrays([5, 5, 7], [1, 0, 3])
-        assert rows.dtype == np.int64 and weights.dtype == store.processor.ring.dtype
-        assert weights.tolist() == [1, 0, 3]
+                store.sls_many("emb", [[1], rows], [[1], weights or [1] * len(rows)])
+            block = scheduler.block_of(SlsRequest(id=7, table="emb", rows=rows, weights=weights))
+            if len(weights or rows) != len(rows):  # no block holds it
+                assert (block.id, block.status) == (7, "error")
+                front_end = block.error
+            else:
+                (refused,) = store.verdict("emb", block.rows, block.weights, block.offsets).items()
+                assert refused[0] == 0
+                front_end = str(refused[1])
+            assert front_end == str(batched.value) == str(listed.value)
+        assert scheduler.stats()["rejected_invalid"] == 2
+        assert str(verdict([1], None, "nope")[0]) == "unknown table 'nope'"
+        assert verdict([5, 5, 7], [1, 0, 3]) is None
 
 
 # -- graceful shutdown (satellite 2) -------------------------------------------
@@ -665,6 +669,21 @@ class TestShutdown:
         assert late.kind == "ServerClosedError"
         assert stats["rejected_shutdown"] == 1
         assert stats["pending"] == 0
+
+    def test_the_drain_check_comes_first(self):
+        # While draining, every request is shut out, one no block can hold
+        # as well: ``shutting_down``, not a validation ``error``.
+        async def run():
+            scheduler = BatchScheduler(make_store())
+            await scheduler.close()
+            return [
+                scheduler.enqueue(SlsRequest(id=i, table="emb", rows=(1, 2), weights=weights))
+                for i, weights in enumerate([(1, 1), (1,), (1, -1)])
+            ], scheduler.stats()
+
+        answers, stats = asyncio.run(run())
+        assert [(a.id, a.status) for a in answers] == [(i, STATUS_SHUTTING_DOWN) for i in range(3)]
+        assert (stats["rejected_shutdown"], stats["rejected_invalid"], stats["requests"]) == (3, 0, 3)
 
     def test_close_is_idempotent_and_serving_starts_no_thread(self):
         store = make_store()
@@ -757,6 +776,26 @@ class TestAdmissionController:
             with pytest.raises(TypeError):
                 AdmissionConfig(**{gone: 100.0})
         assert AdmissionController().stats()["wait_us"] == 0.0
+
+    def test_a_block_of_latencies_is_as_many_signals(self):
+        # A queued block's requests share one latency, recorded once with
+        # its count: the controller is, block after block, where one record
+        # per request leaves it - the same evaluations on the same windows,
+        # so shedding starts and stops where it would (here inside blocks).
+        one_by_one, in_blocks = (
+            AdmissionController(AdmissionConfig(slo=self.SLO, eval_every=8, window_obs=20))
+            for _ in range(2)
+        )
+        trace = [(500_000, 15), (10_000_000, 11), (10_000_000, 3), (1, 30)]
+        shedding = []
+        for latency, n in trace:
+            for _ in range(n):
+                one_by_one.record(latency)
+                shedding.append(one_by_one.shedding)
+            in_blocks.record(latency, n)
+            assert in_blocks.stats() == one_by_one.stats()
+        assert in_blocks.counters["evaluations"] == sum(n for _, n in trace) // 8
+        assert True in shedding and shedding[-1] is False
 
     def test_critical_burn_sheds(self):
         ctl = self.controller()
@@ -1008,9 +1047,12 @@ class TestTcpServer:
                     encode_frame(SlsRequest(id=i, table="emb", rows=tuple(q)), CODEC_BINARY)
                     for i, q in enumerate(queries)
                 ))
-                loop = asyncio.get_running_loop()
-                while answers() < len(queries):
-                    received.extend(await asyncio.wait_for(loop.sock_recv(sock, 1 << 16), 10))
+                # Only the hook and this poll read the socket: a loop reader
+                # would take answers off it before the hook could count them.
+                deadline = time.monotonic() + 10
+                while answers() < len(queries) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.01)
+                    read_what_arrived(sock)
                 sock.close()
             return gate.calls
 

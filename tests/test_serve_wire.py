@@ -20,6 +20,7 @@ import asyncio
 import base64
 import json
 import struct
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -45,10 +46,11 @@ from repro.serve.protocol import (
     SlsResponse,
     decode_payload,
     encode_frame,
+    RequestBlock,
     frame_header,
     int64_terms,
     split_frames,
-    take_segment,
+    split_read,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -433,6 +435,37 @@ def read_over(stream: bytes):
     return canonical(frames), None
 
 
+def read_in_blocks(chunks):
+    """``split_read`` fed the stream read by read, then EOF, its blocks
+    spelled out request by request (an unweighted request's weights are
+    1), beside ``split_frames`` fed the same reads."""
+    def spelled(items):
+        for item in items:
+            if isinstance(item, RequestBlock):
+                ends = item.offsets.tolist()
+                for q, rid in enumerate(item.ids):
+                    lo, hi = ends[q], ends[q + 1]
+                    terms = (item.rows[lo:hi].tolist(), item.weights[lo:hi].tolist())
+                    yield ("sls", rid, item.table, terms)
+            elif isinstance(item, SlsRequest):
+                weights = [1] * len(item.rows) if item.weights is None else item.weights.tolist()
+                yield ("sls", item.id, item.table, (item.rows.tolist(), weights))
+            else:
+                yield canonical([item])[0]
+
+    out = []
+    for split in (split_read, split_frames):
+        buf, items, error = bytearray(), [], None
+        for chunk in [c for c in chunks if c] + [b""]:
+            buf += chunk
+            got, error = split(buf, eof=not chunk)
+            items += got
+            if error is not None:
+                break
+        out.append((list(spelled(items)), error and str(error)))
+    return out
+
+
 def split_over(chunks):
     """``split_frames`` fed the stream read by read, then EOF."""
     buf, frames = bytearray(), []
@@ -515,14 +548,6 @@ class TestHostilePeer:
         with pytest.raises(FrameError, match=match):
             decode_payload(CODEC_BINARY, payload)
 
-    def test_take_segment_checks_before_it_builds(self):
-        buf = bytes(24)
-        array, end = take_segment(buf, 8, "<i8", 2)
-        assert array.tolist() == [0, 0] and end == 24 and not array.flags.owndata
-        for offset, count in [(8, 3), (24, 1), (0, 2**61), (0, -1)]:
-            with pytest.raises(FrameError, match="overruns"):
-                take_segment(buf, offset, "<i8", count)
-
     @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
     def test_length_prefix_beyond_the_cap(self, codec):
         header = struct.pack(">BI", codec, MAX_FRAME_BYTES + 1)
@@ -537,6 +562,41 @@ class TestHostilePeer:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
         chunks = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
         assert split_over(chunks) == read_over(stream)
+
+    @settings(max_examples=300)
+    @given(frame_streams(), st.data())
+    def test_split_read_is_split_frames_in_blocks(self, stream, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+        chunks = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)])]
+        in_blocks, one_by_one = read_in_blocks(chunks)
+        assert in_blocks == one_by_one
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=64) | frame_streams())
+    def test_sls_server_over_arbitrary_streams(self, stream):
+        """Whatever a peer writes, the serving front-end answers with typed
+        frames and closes cleanly; no connection handler dies."""
+        store = make_store(32)
+
+        async def run():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            async with SlsServer(store) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(stream)
+                writer.write_eof()
+                answers = []
+                while (obj := await asyncio.wait_for(read_frame(reader), 5)) is not None:
+                    answers.append(obj if isinstance(obj, SlsResponse) else SlsResponse.from_wire(obj))
+                writer.close()
+            return answers, loop_errors
+
+        answers, loop_errors = asyncio.run(run())
+        assert loop_errors == []
+        for answer in answers:
+            assert answer.status == STATUS_OK or answer.kind in ("FrameError", "ConfigurationError")
 
     def test_split_payloads_are_their_own_bytes(self):
         request = SlsRequest(id=1, table="emb", rows=(1, 2, 3), weights=(1, 1, 1))
@@ -588,13 +648,26 @@ class TestHostilePeer:
             {"id": "x", "rows": [1]},
             {"id": 1, "rows": [1], "weights": [None]},
             {"id": 1, "rows": [1e400]},
+            # JSON ``true`` is not an id, nor is ``"1"``: never coerced.
+            {"id": 1, "rows": [True, 2]},
+            {"id": 1, "rows": [True, True]},
+            {"id": 1, "rows": ["1"]},
+            {"id": 1, "rows": "12"},
+            {"id": 1, "rows": [1], "weights": [False]},
+            {"id": 1, "rows": [1], "weights": ["2"]},
         ],
     )
     def test_json_request_fields_are_typed_or_frame_error(self, wire):
         with pytest.raises(FrameError):
             SlsRequest.from_wire(wire)
 
-    @pytest.mark.parametrize("values", [["seven"], [[1.0]], 5, [None]])
+    def test_json_integral_floats_stay_terms(self):
+        request = SlsRequest.from_wire({"id": 1, "rows": [1.0, 2], "weights": [3.0, 1]})
+        assert request.rows == (1, 2) and request.weights == (3, 1)
+
+    @pytest.mark.parametrize(
+        "values", [["seven"], [[1.0]], 5, [None], "12", ["1.5"], [True], {"a": 1.0}]
+    )
     def test_json_response_fields_are_typed_or_frame_error(self, values):
         with pytest.raises(FrameError):
             SlsResponse.from_wire({"id": 1, "status": "ok", "values": values})
@@ -871,6 +944,9 @@ class TestBitIdentity:
 REFUSALS = {
     "negative weight": ("emb", [1, 2], [1, -1], "weights must be non-negative integers"),
     "length mismatch": ("emb", [1, 2], [1], "rows and weights must have equal length"),
+    "negative weight, lengths differ": (
+        "emb", [1, 2], [1, -1, 2], "weights must be non-negative integers"
+    ),
     "unknown table": ("nope", [1, 2], None, "unknown table 'nope'"),
     "over budget": (
         "emb", [1, 2], [2**31, 1],
@@ -898,6 +974,22 @@ class TestOneRefusalOnEveryPath:
         return response.error
 
     @staticmethod
+    async def tcp(store, table, rows, weights):
+        """The block path: the refused query read off a socket."""
+        bad = {"id": 2, "op": "sls", "table": table, "rows": rows, "weights": weights}
+        if len(rows) == len(weights or rows):  # what a binary frame can carry
+            bad = SlsRequest.from_wire(bad)
+        async with SlsServer(store) as server:
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(encode_frame(bad, CODEC_BINARY))
+            response = SlsResponse.from_wire(await asyncio.wait_for(read_frame(reader), 5))
+            writer.close()
+            stats = server.stats()
+        assert (response.id, response.status, response.kind) == (2, "error", "ConfigurationError")
+        assert stats["rejected_invalid"] == 1 and stats["batches"] == 0
+        return response.error
+
+    @staticmethod
     async def cluster(store, table, batch_rows, batch_weights):
         sent = []
 
@@ -917,15 +1009,15 @@ class TestOneRefusalOnEveryPath:
 
     @pytest.mark.parametrize("defect", REFUSALS)
     @pytest.mark.parametrize(
-        "path", ["sls", "sls_many", "sls_scatter", "front_end", "cluster"]
+        "path", ["sls", "sls_many", "sls_scatter", "front_end", "tcp", "cluster"]
     )
     def test_same_words_no_pad_no_dispatch(self, path, defect):
         table, rows, weights, text = REFUSALS[defect]
         batch = ([[3, 4], rows], weights and [[1, 1], weights])  # one good query beside it
         store = make_store(32)
         pads = store.cache_info()
-        if path == "front_end":
-            message = asyncio.run(self.front_end(store, table, rows, weights))
+        if path in ("front_end", "tcp"):
+            message = asyncio.run(getattr(self, path)(store, table, rows, weights))
         elif path == "cluster":
             message = asyncio.run(self.cluster(store, table, *batch))
         else:
@@ -937,6 +1029,66 @@ class TestOneRefusalOnEveryPath:
             message = str(refusal.value)
         assert message == text
         assert store.cache_info() == pads
+
+
+class TestMixedRead:
+    def test_every_query_of_one_read_gets_its_own_typed_answer(self):
+        """One socket write: valid binary queries, one query per refusal, a
+        JSON ``sls`` frame and a ping.  Each id is answered once, in its
+        own codec; each valid answer is the query served alone, each
+        refusal has the words every path gives it, and only the valid
+        queries are admitted and batched."""
+        store = make_store(32)
+        valid = {10 + i: ([i, i + 3, 47], [1, 2, 1] if i % 2 else None) for i in range(5)}
+        refused = {100 + i: REFUSALS[defect] for i, defect in enumerate(REFUSALS)}
+
+        def frame(rid, table, rows, weights):
+            if len(rows) != len(weights or rows):  # no binary frame carries it
+                return encode_frame(
+                    {"id": rid, "op": "sls", "table": table, "rows": rows, "weights": weights}
+                )
+            request = SlsRequest(id=rid, table=table, rows=rows, weights=weights)
+            return encode_frame(request, CODEC_BINARY)
+
+        good = [frame(rid, "emb", *q) for rid, q in valid.items()]
+        bad = [frame(rid, *refusal[:3]) for rid, refusal in refused.items()]
+        frames = [f for pair in zip_longest(good, bad) for f in pair if f]
+        frames.insert(3, encode_frame({"id": 50, "op": "sls", "table": "emb", "rows": [2, 2, 9]}))
+        frames.insert(6, encode_frame({"id": 60, "op": "ping"}))
+
+        async def run():
+            async with SlsServer(store) as server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                writer.write(b"".join(frames))
+                answers = {}
+                for _ in frames:
+                    header = await asyncio.wait_for(reader.readexactly(5), 5)
+                    payload = await reader.readexactly(struct.unpack(">I", header[1:])[0])
+                    answer = decode_payload(header[0], payload)
+                    if header[0] == CODEC_JSON:
+                        answer = SlsResponse.from_wire(answer)
+                    assert answer.id not in answers
+                    answers[answer.id] = (header[0], answer)
+                writer.close()
+                return answers, server.stats()
+
+        answers, stats = asyncio.run(run())
+        assert len(answers) == len(frames)
+        for rid, (rows, weights) in valid.items():
+            codec, answer = answers[rid]
+            assert codec == CODEC_BINARY and answer.status == STATUS_OK
+            assert np.array_equal(answer.values, store.sls("emb", rows, weights))
+        codec, answer = answers[50]
+        assert codec == CODEC_JSON and np.array_equal(answer.values, store.sls("emb", [2, 2, 9]))
+        assert answers[60][1].status == STATUS_OK and answers[60][1].via == "ping"
+        for rid, (*_query, text) in refused.items():
+            codec, answer = answers[rid]
+            assert (codec, answer.status, answer.kind) == (CODEC_JSON, "error", "ConfigurationError")
+            assert answer.error == text
+        n_valid = len(valid) + 1
+        assert stats["admission.admitted"] == n_valid == stats["batch_queries"]
+        assert stats["rejected_invalid"] == len(REFUSALS)
+        assert stats["responses_ok"] == n_valid and stats["requests"] == n_valid + len(REFUSALS)
 
 
 class TestSchedulerTakesEitherForm:
