@@ -1,23 +1,35 @@
 """Wire codecs for the cluster tier's frame payloads.
 
-Cluster frames reuse the :mod:`repro.serve.protocol` length-prefixed
-container and its JSON codec (the binary body there covers the
-client<->server hop only), so everything here maps protocol objects to
-plain JSON-able values:
+Cluster frames travel in the :mod:`repro.serve.protocol` length-prefixed
+container, whose binary codec covers the node hop's two hot messages.
+This module maps protocol objects to the payloads those frames carry:
 
+* a ``partial_sum`` request is a ``QueryBatch`` in CSR form
+  (:func:`query_words`): term ``counts`` and ``rows`` (``<u4``) and
+  ``weights`` at a declared ``width``;
+* a node answers with *ciphertext-domain* sums (:func:`sum_words`) — the
+  ``(n_queries, m)`` ``C_res`` ring residues and the ``(n_queries, 4)``
+  ``<u4`` limbs of the ``C_T_res`` field elements, shape alongside — see
+  :meth:`UntrustedNdpDevice.partial_sum_batch`;
 * encrypted tables travel as the :mod:`repro.core.serialization` binary
-  container, base64-armoured — ciphertext and encrypted tags are
-  untrusted data and the container is already self-describing;
-* a ``partial_sum`` request is a ``QueryBatch`` in CSR form: term
-  ``counts`` and ``rows`` (``<u4``), ``weights`` at a declared ``width``;
-* node answers are *ciphertext-domain* sums — the ``(n_queries, m)``
-  ``C_res`` ring residues and the ``(n_queries, 4)`` limbs of the
-  ``C_T_res`` field elements (shape alongside) — see
-  :meth:`UntrustedNdpDevice.partial_sum_batch`; these arrays and the
-  request's travel as raw little-endian bytes, base64-armoured;
+  container, base64 text inside a JSON ``shard_assign`` frame —
+  ciphertext and encrypted tags are untrusted data and the container is
+  already self-describing;
 * :class:`~repro.core.params.SecNDPParams` ships as its constructor
   fields, every one of them (the element width and the tag modulus),
   each a JSON integer.
+
+The words of a batch and of its sums are raw little-endian bytes
+(``memoryview``; :func:`~repro.serve.protocol.is_raw` tells them from
+base64 text): the coordinator sends them, and a node answers them, as a
+binary frame, so they cross the wire and arrive as they are.
+:func:`encode_queries` and :func:`encode_device_sums` are the JSON arm
+of the same payloads, every array base64 text; a node still answers a
+JSON ``partial_sum`` frame in JSON, but the coordinator never sends one.
+Only the frozen end-to-end benchmark's stage replay uses that arm, and
+it can go once the benchmark replays the binary frames.
+:func:`decode_queries` and :func:`decode_device_sums` take either form
+and are the one place every semantic check runs.
 
 No key material ever crosses this wire: cluster NDP nodes are the
 *untrusted* memory party of the SecNDP threat model, so ``shard_assign``
@@ -46,14 +58,17 @@ from ..core.serialization import deserialize_matrix, serialize_matrix
 from ..crypto import limb_field
 from ..crypto.ring import Ring
 from ..errors import ConfigurationError
+from ..serve.protocol import is_raw
 
 __all__ = [
     "encode_params",
     "decode_params",
     "encode_table",
     "decode_table",
+    "sum_words",
     "encode_device_sums",
     "decode_device_sums",
+    "query_words",
     "encode_queries",
     "decode_queries",
 ]
@@ -90,29 +105,44 @@ def decode_table(payload: str, params: SecNDPParams) -> EncryptedMatrix:
     return deserialize_matrix(blob, params)
 
 
-def _b64(array: np.ndarray, dtype) -> str:
-    """``array`` as raw little-endian words of ``dtype``, base64-armoured."""
-    return base64.b64encode(np.asarray(array).astype(dtype, copy=False).tobytes()).decode("ascii")
+def _word_bytes(array: np.ndarray, dtype) -> memoryview:
+    """``array`` as raw little-endian words of ``dtype``."""
+    return memoryview(np.ascontiguousarray(array, dtype=dtype).reshape(-1).view(np.uint8))
 
 
-def _words(text: Any, dtype) -> np.ndarray:
-    """Inverse of :func:`_b64`: a read-only view of the words ``text`` holds."""
-    raw = base64.b64decode(text, validate=True)
+def _armoured(words: Dict[str, Any]) -> Dict[str, Any]:
+    """A payload's JSON arm: every raw word array as base64 text."""
+    return {
+        key: base64.b64encode(value).decode("ascii") if is_raw(value) else value
+        for key, value in words.items()
+    }
+
+
+def _words(field: Any, dtype) -> np.ndarray:
+    """A read-only view of the words ``field`` holds: raw bytes from a
+    binary frame, or base64 text from a JSON one."""
+    raw = field if is_raw(field) else base64.b64decode(field, validate=True)
     if len(raw) % np.dtype(dtype).itemsize:
         raise ValueError(f"{len(raw)} bytes are not whole {dtype} words")
     return np.frombuffer(raw, dtype=dtype)
 
 
-def encode_device_sums(
-    values: np.ndarray, tag_sums: Optional[np.ndarray]
-) -> Dict[str, Any]:
-    """Node → coordinator: ciphertext-domain sums, nothing decryptable."""
+def sum_words(values: np.ndarray, tag_sums: Optional[np.ndarray]) -> Dict[str, Any]:
+    """Node → coordinator: ciphertext-domain sums, nothing decryptable, as
+    raw words (a tag limb's bits above 32 are not carried)."""
     values = np.asarray(values)
     return {
         "shape": list(values.shape),
-        "values": _b64(values, values.dtype.newbyteorder("<")),
-        "tag_sums": None if tag_sums is None else _b64(tag_sums, "<u4"),
+        "values": _word_bytes(values, values.dtype.newbyteorder("<")),
+        "tag_sums": None if tag_sums is None else _word_bytes(tag_sums, "<u4"),
     }
+
+
+def encode_device_sums(
+    values: np.ndarray, tag_sums: Optional[np.ndarray]
+) -> Dict[str, Any]:
+    """:func:`sum_words` as JSON (base64 arrays)."""
+    return _armoured(sum_words(values, tag_sums))
 
 
 def decode_device_sums(
@@ -134,32 +164,30 @@ def decode_device_sums(
         n_q, n_cols = payload["shape"]
         if type(n_q) is not int or type(n_cols) is not int or n_q < 0 or n_cols < 0:
             raise ValueError(f"bad shape {payload['shape']!r}")
-        raw = base64.b64decode(payload["values"], validate=True)
-        if len(raw) != n_q * n_cols * dtype.itemsize:
-            raise ValueError(f"{len(raw)} value bytes for shape {n_q}x{n_cols}")
-        values = (
-            np.frombuffer(raw, dtype=dtype).astype(params.ring().dtype).reshape(n_q, n_cols)
-        )
+        values = _words(payload["values"], dtype)
+        if values.size != n_q * n_cols:
+            raise ValueError(f"{values.nbytes} value bytes for shape {n_q}x{n_cols}")
+        values = values.astype(params.ring().dtype).reshape(n_q, n_cols)
         tag_sums = None
         if payload.get("tag_sums") is not None:
-            raw = base64.b64decode(payload["tag_sums"], validate=True)
-            if len(raw) != n_q * 4 * limb_field.NUM_LIMBS:
-                raise ValueError(f"{len(raw)} tag bytes for {n_q} queries")
+            limbs = _words(payload["tag_sums"], "<u4")
+            if limbs.size != n_q * limb_field.NUM_LIMBS:
+                raise ValueError(f"{limbs.nbytes} tag bytes for {n_q} queries")
             tag_sums = limb_field.field_reduce(
-                params.field(),
-                np.frombuffer(raw, dtype="<u4").reshape(n_q, limb_field.NUM_LIMBS),
+                params.field(), limbs.reshape(n_q, limb_field.NUM_LIMBS)
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad device sums payload: {exc}") from exc
     return values, tag_sums
 
 
-def encode_queries(
+def query_words(
     batch_rows: Union[QueryBatch, Sequence[Sequence[int]]],
     batch_weights: Optional[Sequence[Sequence[int]]] = None,
 ) -> Dict[str, Any]:
-    """Coordinator → node: a batch in CSR form.  A :class:`QueryBatch` ships
-    its residues at the ring's width; lists ship 4-byte weights (8 if needed)."""
+    """Coordinator → node: a batch in CSR form, as raw words.  A
+    :class:`QueryBatch` ships its residues at the ring's width; lists ship
+    4-byte weights (8 if needed)."""
     if isinstance(batch_rows, QueryBatch):
         rows, weights, offsets = batch_rows.rows, batch_rows.weights, batch_rows.offsets
     else:
@@ -173,11 +201,19 @@ def encode_queries(
         raise ConfigurationError("a row outside [0, 2^32) cannot travel")
     width = weights.dtype.itemsize
     return {
-        "counts": _b64(np.diff(offsets), "<u4"),
-        "rows": _b64(rows, "<u4"),
+        "counts": _word_bytes(np.diff(offsets), "<u4"),
+        "rows": _word_bytes(rows, "<u4"),
         "width": width,
-        "weights": _b64(weights, f"<u{width}"),
+        "weights": _word_bytes(weights, f"<u{width}"),
     }
+
+
+def encode_queries(
+    batch_rows: Union[QueryBatch, Sequence[Sequence[int]]],
+    batch_weights: Optional[Sequence[Sequence[int]]] = None,
+) -> Dict[str, Any]:
+    """:func:`query_words` as JSON (base64 arrays)."""
+    return _armoured(query_words(batch_rows, batch_weights))
 
 
 def decode_queries(payload: Dict[str, Any], ring: Ring) -> QueryBatch:

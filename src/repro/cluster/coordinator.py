@@ -16,13 +16,15 @@ that ever holds key material:
    re-encryption the replicas are re-shipped before the next batch (the
    version triple shipped is compared with the store's): the
    coordinator's own re-keying is never evidence against a node.
-2. **Dispatch**: each query batch is masked per owner range and sent
-   out as ``partial_sum`` frames under a deadline.  A node answers with
-   ciphertext-domain sums only (``C_res`` / ``C_T_res``); the
+2. **Dispatch**: each query batch is masked per owner range, the
    coordinator generates the pad halves (``E_res`` / ``E_T_res``)
-   key-side, one sweep per batch split by owner before any dispatch
+   key-side, one sweep per batch split by owner
    (:meth:`~repro.core.protocol.SecNDPProcessor.pad_shares`), over the
-   one table version the whole batch reads, and adds each node's sums
+   one table version the whole batch reads, and then every owner's
+   sub-batch goes out at once as a binary ``partial_sum`` frame under a
+   deadline — all shards are in flight together, each on its own
+   recovery ladder.  A node answers with ciphertext-domain sums only
+   (``C_res`` / ``C_T_res``) and the coordinator adds each node's sums
    (:meth:`~repro.core.protocol.SecNDPProcessor.combine_device_sums`).
 3. **Blame**: each reconstructed share is verified against its *own*
    restricted checksum
@@ -45,7 +47,9 @@ that ever holds key material:
    survivors.  Every step lands in the audit journal (``node_blame`` /
    ``node_quarantine`` / ``node_reshard`` / ``node_timeout`` /
    ``node_dead``), making the journal the cross-host shard-health
-   record.
+   record.  A node is charged only while it is live: a request that
+   was in flight when its node was quarantined fails over uncharged,
+   the quarantine already standing for the fault.
 
 The final combine still runs the whole-query check
 (:meth:`finalize_row_sum_batch` with ``verify=True``): per-shard
@@ -73,7 +77,7 @@ from ..errors import (
     ShardVerificationError,
 )
 from ..faults.recovery import RecoveryPolicy
-from ..serve.protocol import resolve_heartbeat_timeout
+from ..serve.protocol import Directive, resolve_heartbeat_timeout
 from .health import BLAME_WEIGHTS
 from .node import NodeClient
 from . import codec
@@ -173,6 +177,13 @@ class ClusterCoordinator:
         :meth:`node_directive` draws ship with each dispatch (chaos
         only; all randomness stays in one seeded coordinator-side
         stream).
+
+    The order of the fault draws is a contract, so a seeded chaos run
+    replays: a batch's first attempts draw synchronously, in shard
+    order, before anything is awaited; every retry and failover draws
+    when its ladder has charged the failure before it, so those draws
+    follow the order in which the concurrent ladders observe their
+    failures.
     """
 
     def __init__(
@@ -295,12 +306,25 @@ class ClusterCoordinator:
         # The trusted half, once per batch and before any dispatch: every
         # rung that serves a shard (retry, replica, local) reuses its pad.
         pads = self.store.processor.pad_shares(enc, name, batch, owners)
-        shares: List[PartialSumShare] = []
-        for node, (part, _mask), pad in zip(nodes, owners, pads):
-            share, _served_by = await self._dispatch_with_recovery(
-                enc, name, node, part, pad
-            )
-            shares.append(share)
+        # Every shard in flight at once, each on its own ladder; the first
+        # attempts' fault draws are made here, in shard order, before any
+        # ladder starts.
+        directives = [self._draw(node) for node in nodes]
+        ladders = []
+        for node, (part, _mask), pad, directive in zip(nodes, owners, pads, directives):
+            self._dispatch_seq += 1
+            ladders.append(asyncio.ensure_future(self._dispatch_with_recovery(
+                enc, name, node, part, pad, self._dispatch_seq, directive
+            )))
+        try:
+            shares = await asyncio.gather(*ladders)
+        except BaseException:
+            # One ladder raised: the others are cancelled and awaited, so
+            # none outlives the batch and no exception goes unretrieved.
+            for ladder in ladders:
+                ladder.cancel()
+            await asyncio.gather(*ladders, return_exceptions=True)
+            raise
         # Every share already passed its per-shard check during the
         # ladder; the combined check still runs for the cross-shard
         # overflow case.
@@ -315,78 +339,76 @@ class ClusterCoordinator:
 
     # -- the node-level recovery ladder ----------------------------------------
 
+    def _draw(self, node: Optional[str]) -> Optional[Directive]:
+        """The fault draw for ``node``'s next dispatch (chaos runs only)."""
+        if self.fault_injector is None or node is None:
+            return None
+        return Directive.of(self.fault_injector.node_directive(f"node:{node}"))
+
     async def _dispatch_with_recovery(
         self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
-        pad: PartialSumShare,
-    ) -> Tuple[PartialSumShare, str]:
-        """Serve one node's sub-batch, whose pad half over ``enc`` is ``pad``.
+        pad: PartialSumShare, dispatch: int, directive: Optional[Directive],
+    ) -> PartialSumShare:
+        """Serve one node's sub-batch, whose pad half over ``enc`` is ``pad``;
+        ``directive`` is the fault draw of its first attempt, at ``node``.
 
-        Returns ``(verified share, label of who served it)``.  Rungs:
-        bounded same-node retry -> healthy replica -> trusted local
-        recompute.  Raises :class:`RecoveryExhaustedError` only if even
-        the local path fails (it cannot, short of a corrupted local
-        device — which the store's own ladder handles).
+        Returns the verified share.  Rungs: bounded same-node retry ->
+        healthy replica -> trusted local recompute.  Raises
+        :class:`RecoveryExhaustedError` only if even the local path fails
+        (it cannot, short of a corrupted local device — which the store's
+        own ladder handles).
         """
-        self._dispatch_seq += 1
-        dispatch = self._dispatch_seq
         # Stable per-node salt (not hash(): PYTHONHASHSEED would make the
         # jitter differ across runs; all chaos randomness stays seeded).
         salt = zlib.crc32(node.encode("utf-8")) & 0x7FFFFFFF
+        words = codec.query_words(batch)
         tried: List[str] = []
-        # A node quarantined earlier in this same batch skips straight to
-        # a healthy replica (its mask is still this dispatch's row set).
-        target: Optional[str] = (
-            node if node in self.live else next(iter(self.live), None)
-        )
+        target: Optional[str] = node
         attempt = 0
         while True:
             if target is None:
                 return self._local_share(enc, name, node, batch, pad)
             try:
-                share = await self._dispatch_once(enc, name, target, batch, pad, dispatch)
+                share = await self._dispatch_once(enc, name, target, words, pad, directive)
                 if target != node:
                     obs.inc("cluster.failovers")
-                return share, target
+                return share
             except tuple(_DISPATCH_FAILURES) as exc:
-                suffix, kind = _charge(exc)
-                obs.inc(f"cluster.dispatch.{suffix}")
-                details = {}
-                if kind == obs.NODE_BLAME:
-                    if isinstance(exc, ShardVerificationError):
-                        details["queries"] = list(exc.queries)
-                    else:
-                        details["reason"] = str(exc)
-                obs.emit_event(
-                    kind, table=name, worker=target, dispatch=dispatch, **details
-                )
-                await self._blame(target, kind, f"dispatch:{dispatch}")
+                if target in self.live:  # else its quarantine stands for it
+                    suffix, kind = _charge(exc)
+                    obs.inc(f"cluster.dispatch.{suffix}")
+                    details = {}
+                    if kind == obs.NODE_BLAME:
+                        if isinstance(exc, ShardVerificationError):
+                            details["queries"] = list(exc.queries)
+                        else:
+                            details["reason"] = str(exc)
+                    obs.emit_event(
+                        kind, table=name, worker=target, dispatch=dispatch, **details
+                    )
+                    await self._blame(target, kind, f"dispatch:{dispatch}")
             tried.append(target)
             # Rung 1: bounded retry against the same node (unless it was
             # just quarantined) with deterministic backoff+jitter.
-            if target in self.live and attempt < self.policy.max_retries:
+            retry = target in self.live and attempt < self.policy.max_retries
+            if not retry:
+                # Rung 2: a healthy replica (full replication makes every
+                # live node a replica for any row range).
+                attempt = 0
+                target = next((n for n in self.live if n not in tried), None)
+            directive = self._draw(target)
+            if retry:
                 await asyncio.sleep(self.policy.backoff_s(attempt, salt))
                 attempt += 1
                 obs.inc("cluster.dispatch.retry")
-                continue
-            # Rung 2: a healthy replica (full replication makes every
-            # live node a replica for any row range).
-            attempt = 0
-            target = next(
-                (n for n in self.live if n not in tried), None
-            )
 
     async def _dispatch_once(
-        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
-        pad: PartialSumShare, dispatch: int,
+        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
+        pad: PartialSumShare, directive: Optional[Directive],
     ) -> PartialSumShare:
-        payload = codec.encode_queries(batch)
-        if self.fault_injector is not None:
-            directive = self.fault_injector.node_directive(f"node:{node}")
-            if directive is not None:
-                payload["directive"] = list(directive)
         response = await self.clients[node].request(
-            "partial_sum", table=name, payload=payload,
-            timeout=self.task_timeout_s,
+            "partial_sum", table=name, payload=words,
+            timeout=self.task_timeout_s, directive=directive,
         )
         # The crypto core: the node only returned ciphertext-domain sums
         # (malformed ones, or ones shaped unlike the pad half, raise
@@ -404,7 +426,7 @@ class ClusterCoordinator:
     def _local_share(
         self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
         pad: PartialSumShare,
-    ) -> Tuple[PartialSumShare, str]:
+    ) -> PartialSumShare:
         """Rung 3: trusted recompute of the device half over the snapshot."""
         obs.inc("cluster.failovers")
         obs.emit_event(
@@ -426,7 +448,7 @@ class ClusterCoordinator:
                 f"trusted local recompute failed verification for {name!r}: "
                 f"{exc} (local device corrupted?)"
             ) from exc
-        return share, "local"
+        return share
 
     # -- blame / quarantine / re-shard -----------------------------------------
 
@@ -517,6 +539,8 @@ class ClusterCoordinator:
             try:
                 await self._assign(name, tables)
             except tuple(_DISPATCH_FAILURES) as exc:
+                if name not in self.live:  # quarantined meanwhile: charged already
+                    continue
                 # Recursion through _quarantine -> _reshard terminates
                 # because live shrinks each time.
                 _suffix, kind = _charge(exc)

@@ -1,10 +1,11 @@
 """One "NDP node": a TCP server computing ciphertext sums over a replica.
 
 A node is the *untrusted* memory party of the SecNDP threat model,
-moved across TCP: it receives only public scheme params and the full
-encrypted tables (ciphertext + encrypted tags — both already
-attacker-visible by assumption) in one ``shard_assign`` frame, and
-answers ``partial_sum`` requests by running
+moved across TCP: it receives only public scheme params and encrypted
+tables (ciphertext + encrypted tags — both already attacker-visible by
+assumption) in ``shard_assign`` frames — at setup, after a trusted-side
+re-encryption, and with new ranges only after a re-shard — and answers
+``partial_sum`` requests by running
 :meth:`~repro.core.device.UntrustedNdpDevice.partial_sum_batch` over
 its local replica: the weighted ring sums ``C_res`` and field tag sums
 ``C_T_res`` an unprotected NDP PU would compute, nothing more.  No key
@@ -22,10 +23,17 @@ Transport: the node hop is the client hop's.  :class:`NodeServer` is a
 loop, ``split_frames`` and per-connection outbox) that answers
 :class:`~repro.serve.protocol.NodeRequest` frames, and
 :class:`NodeClient` is :class:`~repro.serve.server.AsyncSlsClient`'s
-id-correlated transport without reconnection.
+id-correlated transport without reconnection.  A ``partial_sum`` and
+its sums travel as binary frames of raw little-endian arrays
+(:func:`~repro.cluster.codec.query_words` /
+:func:`~repro.cluster.codec.sum_words`); the node answers every frame
+in the codec it arrived in, so a JSON ``partial_sum`` gets JSON sums.
+The control frames (``shard_assign``, ``heartbeat``, ``shutdown``) and
+every error answer are JSON.
 
-Fault obedience: chaos runs ship a ``directive`` inside ``partial_sum``
-payloads (decided coordinator-side by
+Fault obedience: chaos runs ship a typed
+:class:`~repro.serve.protocol.Directive` with a ``partial_sum``
+(decided coordinator-side by
 :meth:`~repro.faults.plan.FaultInjector.node_directive`, keeping all
 randomness in one seeded stream).  ``byzantine`` forges the tag shares,
 ``slow`` answers past the deadline (from a task, so the connection
@@ -43,7 +51,16 @@ import numpy as np
 from ..core.device import UntrustedNdpDevice
 from ..crypto import limb_field
 from ..errors import ConfigurationError, PeerTimeoutError, SecNDPError, ServerClosedError
-from ..serve.protocol import STATUS_ERROR, STATUS_OK, NodeRequest, NodeResponse, encode_frame
+from ..serve.protocol import (
+    CODEC_BINARY,
+    CODEC_JSON,
+    STATUS_ERROR,
+    STATUS_OK,
+    Directive,
+    NodeRequest,
+    NodeResponse,
+    encode_frame,
+)
 from ..serve.server import AsyncSlsClient, FrameServer
 from . import codec
 
@@ -82,10 +99,14 @@ class NodeServer(FrameServer):
 
     def _answer(self, obj, outbox):
         """Answer one frame now, later (``slow``) or never (``partition``,
-        ``dead``).  Chaos directives ride in ``partial_sum`` payloads."""
-        request = NodeRequest.from_wire(obj)
-        directive = request.payload.get("directive") if request.op == "partial_sum" else None
-        kind = directive[0] if directive else None
+        ``dead``), in the codec it came in: a binary frame decodes to a
+        typed request, a JSON one to a dict."""
+        if isinstance(obj, NodeRequest):
+            request, codec_id = obj, CODEC_BINARY
+        else:
+            request, codec_id = NodeRequest.from_wire(obj), CODEC_JSON
+        directive = request.directive if request.op == "partial_sum" else None
+        kind = directive.kind if directive else None
         if kind == "partition":
             return None
         if kind == "dead":
@@ -96,18 +117,24 @@ class NodeServer(FrameServer):
             return None
         if kind == "slow":
             task = asyncio.ensure_future(
-                self._reply_after(float(directive[1]), request, outbox)
+                self._reply_after(directive.delay_s, request, codec_id, outbox)
             )
             self._delayed.add(task)
             task.add_done_callback(self._delayed.discard)
             return task
-        return self._reply(request)
+        outbox.put(encode_frame(self._reply(request, codec_id), codec_id))
+        return None
 
-    async def _reply_after(self, delay_s: float, request: NodeRequest, outbox) -> None:
+    async def _reply_after(
+        self, delay_s: float, request: NodeRequest, codec_id: int, outbox
+    ) -> None:
         await asyncio.sleep(delay_s)
-        outbox.put(encode_frame(self._reply(request)))
+        outbox.put(encode_frame(self._reply(request, codec_id), codec_id))
 
-    def _reply(self, request: NodeRequest) -> NodeResponse:
+    def _reply(self, request: NodeRequest, codec_id: int = CODEC_JSON) -> NodeResponse:
+        """The answer to ``request``; sums are raw words for a binary frame
+        (``codec_id``) and base64 text for a JSON one.  Only an ``ok`` sums
+        answer has a binary body, so every other answer leaves as JSON."""
         try:
             if request.op == "heartbeat":
                 return NodeResponse(
@@ -117,7 +144,7 @@ class NodeServer(FrameServer):
             if request.op == "shard_assign":
                 return self._assign(request)
             if request.op == "partial_sum":
-                return self._partial_sum(request)
+                return self._partial_sum(request, codec_id == CODEC_BINARY)
             if request.op == "shutdown":
                 asyncio.get_running_loop().call_soon(self._stop.set)
                 return NodeResponse(
@@ -135,18 +162,25 @@ class NodeServer(FrameServer):
         # keeps the replica.  Only public params and ciphertext arrive —
         # this party never holds key material.
         tables = payload.get("tables") or {}
+        ranges = payload.get("ranges") or {}
+        if type(tables) is not dict or type(ranges) is not dict:
+            raise ConfigurationError(
+                f"bad shard_assign payload: tables {tables!r:.40}, ranges {ranges!r:.40}"
+            )
         if tables or self._device is None:
             self._device = UntrustedNdpDevice(params)
         for name, blob in tables.items():
             self._device.store(name, codec.decode_table(blob, params))
-        self._range = dict(payload.get("ranges") or {})
+        self._range = ranges
         return NodeResponse(
             id=request.id,
             status=STATUS_OK,
             payload={"node": self.name, "tables": sorted(self._range)},
         )
 
-    def _partial_sum(self, request: NodeRequest) -> NodeResponse:
+    def _partial_sum(self, request: NodeRequest, raw: bool) -> NodeResponse:
+        """The sums as raw words (``raw``: the request was a binary frame)
+        or as base64 text."""
         if self._device is None:
             raise ConfigurationError(
                 f"node {self.name!r} has no shard assignment yet"
@@ -154,20 +188,17 @@ class NodeServer(FrameServer):
         batch = codec.decode_queries(request.payload, self._device.ring)
         name = request.table or ""
         values, tag_sums = self._device.partial_sum_batch(name, batch, with_tags=True)
-        directive = request.payload.get("directive")
-        if directive and directive[0] == "byzantine":
+        if request.directive == Directive("byzantine"):
             # Forge every served query's ciphertext tag sum; the
             # coordinator's per-shard check must blame exactly this node.
             bump = np.zeros_like(tag_sums)
             bump[batch.nonempty, 0] = 1
             tag_sums = limb_field.field_add(self._device.field, tag_sums, bump)
+        words = codec.sum_words if raw else codec.encode_device_sums
         return NodeResponse(
             id=request.id,
             status=STATUS_OK,
-            payload={
-                "node": self.name,
-                "sums": codec.encode_device_sums(values, tag_sums),
-            },
+            payload={"node": self.name, "sums": words(values, tag_sums)},
         )
 
 
@@ -207,11 +238,16 @@ class NodeClient:
         table: Optional[str] = None,
         payload: Optional[Dict[str, Any]] = None,
         timeout: Optional[float] = None,
+        directive: Optional[Directive] = None,
     ) -> NodeResponse:
+        """One request, answered ``ok`` or raised as a typed error.  A
+        payload of raw words (:func:`~repro.cluster.codec.query_words`)
+        leaves as a binary frame, anything else as JSON."""
         try:
             await self.connect()
             request = NodeRequest(
-                id=self._link._new_id(), op=op, table=table, payload=payload or {}
+                id=self._link._new_id(), op=op, table=table, payload=payload or {},
+                directive=directive,
             )
             response = await asyncio.wait_for(self._link.request(request), timeout)
         except asyncio.TimeoutError:

@@ -13,22 +13,25 @@ peer writes what it likes, the reader decodes what it gets, and the
 server answers each request in the codec the request came in.
 
 * **binary** (what :class:`~repro.serve.server.AsyncSlsClient` sends)
-  covers exactly the two hot messages, an ``sls`` request and an ``ok``
-  response: a 16-byte little-endian header
-  (``kind u8, flags u8, aux u16, count u32, id u64``), then the rows and
-  weights (``<i8``) and the table name, or the values (``<f8``), as raw
-  arrays - byte layout in DESIGN.md Sec. 15.  Every count is checked
-  against the frame length before an array is built from it, arrays
-  decode as zero-copy views, and the decoder's only outcomes are a typed
-  message or :class:`FrameError`.  What the format cannot express (a row
-  id or weight outside ``int64``, weights not one per row, an id outside
-  ``u64``, a table name over 65 535 bytes) the encoder refuses with
-  :class:`~repro.errors.ConfigurationError` rather than truncating.
-* **json** carries every other message (probes, typed errors, the whole
-  node hop): under the binary codec such a message simply leaves as a
-  JSON frame.  The server still answers a JSON ``sls`` frame in JSON.
-  Shortest-repr floats survive JSON bit-exactly, so both codecs keep the
-  bit-identity guarantees.
+  covers exactly the hot messages of both hops: an ``sls`` request and
+  its ``ok`` response, and a ``partial_sum`` node request and its ``ok``
+  sums answer.  Each is a 16-byte little-endian header
+  (``kind u8, flags u8, aux u16, count u32, id u64``), a node frame's
+  fixed extension after it, then raw arrays - byte layouts in DESIGN.md
+  Secs. 15 and 16.  Every count, width and length is checked against
+  the frame length before an array is built from it (:func:`_binary_head`),
+  arrays decode as zero-copy views, and the decoder's only outcomes are
+  a typed message or :class:`FrameError`.  What the format cannot
+  express (a row id or weight outside ``int64``, weights not one per
+  row, an id outside ``u64``, a table name over 65 535 bytes) the
+  encoder refuses with :class:`~repro.errors.ConfigurationError` rather
+  than truncating.
+* **json** carries every other message (probes, typed errors, the node
+  hop's control frames): under the binary codec such a message simply
+  leaves as a JSON frame.  The server still answers a JSON ``sls`` frame
+  in JSON, and a node a JSON ``partial_sum`` frame (base64 arrays) in
+  JSON.  Shortest-repr floats survive JSON bit-exactly, so both codecs
+  keep the bit-identity guarantees.
 
 Message schemas (plain dicts under JSON, typed dataclasses in-process):
 
@@ -42,9 +45,12 @@ Message schemas (plain dicts under JSON, typed dataclasses in-process):
   client re-raises the typed error from :mod:`repro.errors`.
 * node request/response - the cluster tier's control+data plane over
   the same framing and the same transport (:class:`NodeRequest` /
-  :class:`NodeResponse`): ``op`` is one of :data:`NODE_OPS` and
-  everything op-specific travels in a free-form ``payload`` dict
-  (shard assignments, partial-sum shares, heartbeat liveness detail).
+  :class:`NodeResponse`): ``op`` is one of :data:`NODE_OPS`, a chaos
+  run's order to the node is a typed :class:`Directive`, and everything
+  op-specific travels in a ``payload`` dict (shard assignments, a
+  batch's words, ciphertext sums, heartbeat liveness detail).  A binary
+  frame's arrays arrive there as raw ``memoryview`` slices, a JSON
+  frame's as base64 text; :mod:`repro.cluster.codec` decodes both.
 
 Every JSON field is type-checked, envelope fields included: a wrong
 type is a :class:`FrameError`, never another exception.
@@ -72,10 +78,11 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,15 +99,18 @@ __all__ = [
     "STATUS_SHUTTING_DOWN",
     "RESPONSE_STATUSES",
     "NODE_OPS",
+    "DIRECTIVES",
     "ENV_HEARTBEAT_TIMEOUT",
     "DEFAULT_HEARTBEAT_TIMEOUT_S",
     "FrameError",
     "SlsRequest",
     "SlsResponse",
+    "Directive",
     "NodeRequest",
     "NodeResponse",
     "VIAS",
     "int64_terms",
+    "is_raw",
     "reply_id",
     "RequestBlock",
     "encode_answers",
@@ -137,6 +147,10 @@ RESPONSE_STATUSES = (
 #: for one shard's PartialSumShare over masked sub-queries, heartbeat
 #: probes liveness, shutdown drains the node.
 NODE_OPS = ("shard_assign", "partial_sum", "heartbeat", "shutdown")
+
+#: What a chaos run may order a node to do with one ``partial_sum``, in
+#: wire order (code 0: nothing) - see :class:`Directive`.
+DIRECTIVES = (None, "byzantine", "dead", "partition", "slow")
 
 ENV_HEARTBEAT_TIMEOUT = "SECNDP_HEARTBEAT_TIMEOUT"
 
@@ -323,32 +337,73 @@ class SlsResponse:
         return cls(id=rid, status=status, values=values, error=error, kind=kind, via=via)
 
 
+def _delay_s(value: Any) -> float:
+    """A ``slow`` directive's delay: a finite, non-negative number of
+    seconds, else :class:`FrameError`."""
+    if type(value) in _NUMBERS and 0 <= value <= sys.float_info.max:
+        return float(value)
+    raise FrameError(f"bad slow-directive delay {value!r:.40}")
+
+
+class Directive(NamedTuple):
+    """A chaos run's order to a node for one ``partial_sum``, drawn
+    coordinator-side (:meth:`~repro.faults.plan.FaultInjector.node_directive`):
+    ``kind`` is one of :data:`DIRECTIVES`, ``delay_s`` how long a ``slow``
+    node waits before it answers."""
+
+    kind: str
+    delay_s: float = 0.0
+
+    @classmethod
+    def of(cls, value: Any) -> Optional["Directive"]:
+        """``value`` - ``None``, a fault injector's tuple or its JSON list
+        (``["slow", 0.5]``, ``["dead"]``) - as a directive, else
+        :class:`FrameError`: a kind outside :data:`DIRECTIVES`, a delay on
+        anything but ``slow`` or a ``slow`` without one (:func:`_delay_s`)."""
+        if value is None:
+            return None
+        if type(value) in (list, tuple) and value and value[0] in DIRECTIVES[1:]:
+            kind, *delay = value
+            if kind != "slow" and not delay:
+                return cls(kind)
+            if kind == "slow" and len(delay) == 1:
+                return cls(kind, _delay_s(delay[0]))
+        raise FrameError(f"bad directive {value!r:.40}")
+
+    def to_wire(self) -> list:
+        return [self.kind, self.delay_s] if self.kind == "slow" else [self.kind]
+
+
 @dataclass(frozen=True)
 class NodeRequest:
     """One cluster-tier control/data message (coordinator -> node).
 
     Same framing as :class:`SlsRequest`; ``op`` comes from
-    :data:`NODE_OPS` and everything op-specific (serialized tables,
-    masked sub-queries, fault directives) travels in ``payload`` so the
-    frame vocabulary stays closed while the cluster codec evolves.
+    :data:`NODE_OPS`, ``directive`` is a chaos run's order for this
+    request, and everything op-specific (serialized tables, a batch's
+    words) travels in ``payload``.
     """
 
     id: int
     op: str
     table: Optional[str] = None
     payload: Dict[str, Any] = field(default_factory=dict)
+    directive: Optional[Directive] = None
 
     def __post_init__(self) -> None:
         if self.op not in NODE_OPS:
             raise FrameError(f"unknown node op {self.op!r}")
 
     def to_wire(self) -> Dict[str, Any]:
-        return {
+        wire = {
             "id": self.id,
             "op": self.op,
             "table": self.table,
             "payload": self.payload,
         }
+        if self.directive is not None:
+            wire["directive"] = self.directive.to_wire()
+        return wire
 
     @classmethod
     def from_wire(cls, obj: Dict[str, Any]) -> "NodeRequest":
@@ -361,6 +416,7 @@ class NodeRequest:
             op=_field(obj, "op", _TEXT),
             table=_field(obj, "table", _TEXT),
             payload=_field(obj, "payload", (dict,), {}),
+            directive=Directive.of(obj.get("directive")),
         )
 
 
@@ -407,7 +463,17 @@ class NodeResponse:
 _BINARY = struct.Struct("<BBHIQ")  #: kind, flags, aux, count, id
 _KIND_REQUEST = 1   #: an ``sls`` request; ``aux`` = table-name bytes
 _KIND_RESPONSE = 2  #: an ``ok`` response; ``aux`` = index into VIAS
+_KIND_PARTIAL_SUM = 4  #: a ``partial_sum`` node request; ``aux`` = table-name bytes
+_KIND_SUMS = 5      #: a node's ``ok`` sums answer; ``aux`` = a value's bytes
 _HAS_ARRAY = 1      #: flags bit 0: weights (request) / values (response) follow
+
+#: A ``partial_sum`` frame's extension: term count, weight width,
+#: directive code (:data:`DIRECTIVES`), a ``slow`` directive's delay.
+_PARTIAL_SUM = struct.Struct("<IBBxxd")
+#: A sums answer's extension: the columns of each query's values.
+_SUMS = struct.Struct("<I4x")
+_TAG_LIMBS = 4  #: ``<u4`` limbs per tag sum (:data:`~repro.crypto.limb_field.NUM_LIMBS`)
+_EXTENSIONS = {_KIND_PARTIAL_SUM: _PARTIAL_SUM, _KIND_SUMS: _SUMS}
 
 #: The ``via`` vocabulary of an ``ok`` response, in wire order.
 VIAS = (None, "batch", "scatter", "ping", "heartbeat")
@@ -422,10 +488,43 @@ def _terms(values, what: str) -> np.ndarray:
     return int64_terms(values, what)
 
 
+def is_raw(words: Any) -> bool:
+    """Whether a node payload's array field holds raw little-endian words
+    (a binary frame's slices) rather than a JSON frame's base64 text: the
+    one test of which arm a ``partial_sum`` or sums payload is in."""
+    return type(words) is memoryview
+
+
 def _pack_binary(message) -> Optional[bytes]:
-    """The binary body of an ``sls`` request, else ``None``."""
-    if not (isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None):
-        return None
+    """The binary body of an ``sls`` request, or of a node message whose
+    arrays are raw words (a ``partial_sum`` request, an ``ok`` sums
+    answer), else ``None``.  Each kind has this one writer."""
+    try:
+        if isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None:
+            return _pack_sls(message)
+        if (
+            isinstance(message, NodeRequest)
+            and message.op == "partial_sum"
+            and message.table is not None
+            and is_raw(message.payload.get("rows"))
+        ):
+            return _pack_partial_sum(message)
+        if (
+            isinstance(message, NodeResponse)
+            and message.status == STATUS_OK
+            and message.error is None
+            and message.kind is None
+            and isinstance(message.payload.get("sums"), dict)
+            and is_raw(message.payload["sums"].get("values"))
+            and is_raw(message.payload["sums"].get("tag_sums"))
+        ):
+            return _pack_sums(message)
+    except struct.error as exc:  # an id, count, width or name length its field cannot hold
+        raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+    return None
+
+
+def _pack_sls(message: SlsRequest) -> bytes:
     rows = _terms(message.rows, "rows")
     body, flags = [rows.tobytes()], 0
     if message.weights is not None:
@@ -435,44 +534,86 @@ def _pack_binary(message) -> Optional[bytes]:
         body.append(weights.tobytes())
         flags = _HAS_ARRAY
     body.append(str(message.table).encode("utf-8"))
-    try:
-        head = _BINARY.pack(_KIND_REQUEST, flags, len(body[-1]), rows.size, message.id)
-    except struct.error as exc:  # an id, count or name length its field cannot hold
-        raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+    head = _BINARY.pack(_KIND_REQUEST, flags, len(body[-1]), rows.size, message.id)
     return head + b"".join(body)
 
 
-def _binary_head(payload, start: int = 0, end: Optional[int] = None) -> Tuple[int, ...]:
-    """The header of the binary body ``payload[start:end]`` - kind, flags,
-    aux, count, id - and the offset (from ``start``) where its arrays end.
+def _pack_partial_sum(message: NodeRequest) -> bytes:
+    """``counts <u4[n]``, ``rows <u4[T]``, ``weights <u{width}[T]``, the
+    table name: the words :func:`~repro.cluster.codec.query_words` made."""
+    words = message.payload
+    counts, rows, weights = (words[key] for key in ("counts", "rows", "weights"))
+    name = message.table.encode("utf-8")
+    kind, delay = message.directive or (None, 0.0)
+    return b"".join((
+        _BINARY.pack(_KIND_PARTIAL_SUM, 0, len(name), counts.nbytes // 4, message.id),
+        _PARTIAL_SUM.pack(rows.nbytes // 4, words["width"], DIRECTIVES.index(kind), delay),
+        counts, rows, weights, name,
+    ))
 
-    The one check of a binary frame: every declared length is held
-    against the bytes that are there before an array is built from it,
-    so a hostile count can neither allocate nor overread.
+
+def _pack_sums(message: NodeResponse) -> bytes:
+    """``values[n_q x m]`` at their ring's width, then ``tag_sums
+    <u4[n_q x 4]``: the words :func:`~repro.cluster.codec.sum_words` made."""
+    sums = message.payload["sums"]
+    n_q, columns = sums["shape"]
+    values, tags = sums["values"], sums["tag_sums"]
+    itemsize = values.nbytes // (n_q * columns) if n_q * columns else 0
+    return b"".join((
+        _BINARY.pack(_KIND_SUMS, 0, itemsize, n_q, message.id),
+        _SUMS.pack(columns),
+        values, tags,
+    ))
+
+
+def _binary_head(payload, start: int = 0, end: Optional[int] = None) -> Tuple[Any, ...]:
+    """The header of the binary body ``payload[start:end]`` - kind, flags,
+    aux, count, id - the offset (from ``start``) where its arrays end, and
+    a node frame's extension fields (``()`` for the others).
+
+    The one check of a binary frame: every declared count, width and
+    length is held against the bytes that are there before an array is
+    built from it, so a hostile count can neither allocate nor overread.
     """
     size = (len(payload) if end is None else end) - start
     if size < _BINARY.size:
         raise FrameError(f"binary frame of {size} bytes has no header")
     kind, flags, aux, count, ident = _BINARY.unpack_from(payload, start)
-    if flags & ~_HAS_ARRAY:
+    if flags & ~_HAS_ARRAY or (flags and kind in _EXTENSIONS):
         raise FrameError(f"unknown binary frame flags {flags:#x}")
+    extension, tail = (), 0  #: the extension's fields, the bytes after the arrays
     if kind == _KIND_REQUEST:
-        arrays = _BINARY.size + 8 * count * (1 + flags)
+        arrays, tail = _BINARY.size + 8 * count * (1 + flags), aux
     elif kind == _KIND_RESPONSE:
         if aux >= len(VIAS):
             raise FrameError(f"unknown via code {aux}")
         if count and not flags:
             raise FrameError("response frame length does not match its value count")
         arrays = _BINARY.size + 8 * count
+    elif kind in _EXTENSIONS:
+        layout = _EXTENSIONS[kind]
+        if size < _BINARY.size + layout.size:
+            raise FrameError(f"node frame of {size} bytes has no extension header")
+        extension = layout.unpack_from(payload, start + _BINARY.size)
+        arrays = _BINARY.size + layout.size
+        if kind == _KIND_PARTIAL_SUM:
+            terms, width, code, _delay = extension
+            if code >= len(DIRECTIVES):
+                raise FrameError(f"unknown directive code {code}")
+            arrays, tail = arrays + 4 * count + (4 + width) * terms, aux
+        else:
+            arrays += count * (extension[0] * aux + 4 * _TAG_LIMBS)
     else:
         raise FrameError(f"unknown binary message kind {kind}")
     if arrays > size:
-        raise FrameError(f"{count} x 8-byte terms overruns a {size}-byte frame")
-    if kind == _KIND_REQUEST and size - arrays != aux:
+        raise FrameError(f"a layout of {arrays} bytes overruns a {size}-byte frame")
+    if size - arrays != tail:
+        if kind == _KIND_RESPONSE:
+            raise FrameError("response frame length does not match its value count")
+        if kind == _KIND_SUMS:
+            raise FrameError(f"{size - arrays} bytes after the values and tag sums declared")
         raise FrameError(f"{size - arrays} bytes after the terms, table name declared as {aux}")
-    if kind == _KIND_RESPONSE and arrays != size:
-        raise FrameError("response frame length does not match its value count")
-    return kind, flags, aux, count, ident, arrays
+    return kind, flags, aux, count, ident, arrays, extension
 
 
 def _table_name(raw) -> str:
@@ -482,10 +623,42 @@ def _table_name(raw) -> str:
         raise FrameError(f"table name is not UTF-8: {exc}") from exc
 
 
-def _unpack_binary(payload) -> Union[SlsRequest, SlsResponse]:
+def _node_message(
+    view: memoryview, start: int, head: Tuple[Any, ...]
+) -> Union[NodeRequest, NodeResponse]:
+    """The node message whose checked header ``head`` (:func:`_binary_head`)
+    opens ``view[start:]``, its arrays raw slices of ``view``."""
+    kind, _flags, aux, count, ident, arrays, extension = head
+    at = start + _BINARY.size + _EXTENSIONS[kind].size
+    end = start + arrays
+    if kind == _KIND_SUMS:
+        tags = end - 4 * _TAG_LIMBS * count
+        sums = {"shape": [count, extension[0]], "values": view[at:tags], "tag_sums": view[tags:end]}
+        return NodeResponse(id=ident, status=STATUS_OK, payload={"sums": sums})
+    terms, width, code, delay = extension
+    rows = at + 4 * count
+    weights = rows + 4 * terms
+    kind = DIRECTIVES[code]
+    if kind != "slow" and delay:
+        raise FrameError(f"a delay on a {kind or 'missing'} directive")
+    words = {"counts": view[at:rows], "rows": view[rows:weights], "width": width}
+    words["weights"] = view[weights:end]
+    return NodeRequest(
+        id=ident,
+        op="partial_sum",
+        table=_table_name(view[end : end + aux]),
+        payload=words,
+        directive=None if kind is None else Directive(kind, _delay_s(delay)),
+    )
+
+
+def _unpack_binary(payload) -> Union[SlsRequest, SlsResponse, NodeRequest, NodeResponse]:
     """A binary body (``bytes`` or a view of them) as a typed message whose
     arrays view ``payload``."""
-    kind, flags, aux, count, ident, arrays = _binary_head(payload)
+    head = _binary_head(payload)
+    kind, flags, aux, count, ident, arrays, _extension = head
+    if kind in _EXTENSIONS:
+        return _node_message(memoryview(payload), 0, head)
     if kind == _KIND_RESPONSE:
         values = np.frombuffer(payload, "<f8", count, _BINARY.size) if flags else None
         return SlsResponse(id=ident, status=STATUS_OK, values=values, via=VIAS[aux])
@@ -629,8 +802,9 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
     """One wire frame: header + encoded payload.
 
     ``obj`` is a typed message or its ``to_wire()`` dict.  Under
-    ``CODEC_BINARY`` an ``sls`` request / ``ok`` response gets the binary
-    body and anything else leaves as a JSON frame.
+    ``CODEC_BINARY`` an ``sls`` request / ``ok`` response, and a
+    ``partial_sum`` request / ``ok`` sums answer whose arrays are raw
+    words, get the binary body and anything else leaves as a JSON frame.
     """
     if codec == CODEC_BINARY:
         if (
@@ -752,7 +926,8 @@ def split_read(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[F
     their bytes (so a kept answer pins nothing else), and each run of
     consecutive binary ``sls`` requests for one table comes back as one
     :class:`RequestBlock` - a header check and two slices a request, no
-    typed request and no array of its own.
+    typed request and no array of its own.  A binary node frame's raw
+    words are slices of that copy.
     Anything else decodes as in :func:`split_frames`, and the frames and
     errors are its, frame for frame.
     """
@@ -769,7 +944,12 @@ def split_read(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[F
                 run = None
                 items.append(decode_payload(codec, view[start:end]))
                 continue
-            kind, flags, aux, count, ident, arrays = _binary_head(data, start, end)
+            head = _binary_head(data, start, end)
+            kind, flags, aux, count, ident, arrays, _extension = head
+            if kind in _EXTENSIONS:
+                run = None
+                items.append(_node_message(view, start, head))
+                continue
             if kind == _KIND_RESPONSE:
                 # Its values own a copy of their bytes: a kept answer pins
                 # nothing else (the frame's header included).

@@ -15,7 +15,9 @@ No pytest-asyncio dependency: each async scenario runs under its own
 from __future__ import annotations
 
 import asyncio
+import base64
 import dataclasses
+import gc
 import json
 import os
 import time
@@ -43,6 +45,7 @@ from repro.crypto import limb_field
 from repro.errors import (
     ConfigurationError,
     PeerTimeoutError,
+    RecoveryExhaustedError,
     ServerClosedError,
     ShardVerificationError,
     VerificationError,
@@ -53,11 +56,17 @@ from repro.harness.chaos import run_cluster_chaos, smoke_script
 from repro.serve import AsyncSlsClient, SlsServer
 from repro.serve.server import BACKOFF_BASE_S, BACKOFF_CAP_S, MAX_RECONNECTS
 from repro.serve.protocol import (
+    CODEC_BINARY,
+    CODEC_JSON,
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     ENV_HEARTBEAT_TIMEOUT,
+    NODE_OPS,
+    Directive,
     NodeRequest,
     NodeResponse,
+    encode_frame,
     resolve_heartbeat_timeout,
+    split_frames,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -616,31 +625,50 @@ class TestClusterEndToEnd:
     def test_no_key_material_ever_crosses_the_wire(self):
         """The tentpole trust property: nodes are genuinely untrusted.
 
-        Record every frame the coordinator sends; none may carry key
-        material (nor anything derived from it — nodes hold a bare
-        :class:`UntrustedNdpDevice`, never a processor).
+        Record every byte the coordinator writes to its nodes and every
+        byte they answer with, from the first ``shard_assign`` (params and
+        base64 tables) to the last ``shutdown``; none may carry key
+        material, raw or base64, nor any pad half the batch combined with
+        (nodes hold a bare :class:`UntrustedNdpDevice`, never a
+        processor).  A ``partial_sum`` frame is exactly its counts, rows,
+        weights and table name, and a sums answer exactly its values and
+        tag sums.
         """
         store = _make_store(n_rows=48)
         batches = _batches(48)
         expected = [store.sls_many("emb", r, w) for r, w in batches]
-        sent = []
+        pads = []
+        pad_shares = store.processor.pad_shares
 
-        class RecordingClient(NodeClient):
-            async def request(self, op, table=None, payload=None, timeout=None):
-                sent.append((op, payload or {}))
-                return await super().request(op, table, payload, timeout)
+        def recorded_pad_shares(*args):
+            shares = pad_shares(*args)
+            pads.extend(shares)
+            return shares
+
+        store.processor.pad_shares = recorded_pad_shares
+        written = {"coordinator": bytearray(), "nodes": bytearray()}
+        write = asyncio.StreamWriter.write
 
         async def scenario():
             async with NodeServer("n0") as s0, NodeServer("n1") as s1:
+                ports = {s0.port, s1.port}
+
+                def recording(writer, data):
+                    side = "coordinator" if writer.get_extra_info("peername")[1] in ports else "nodes"
+                    written[side] += data
+                    return write(writer, data)
+
                 coordinator = ClusterCoordinator(
-                    store,
-                    [RecordingClient(s.name, s.host, s.port) for s in (s0, s1)],
-                    task_timeout_s=5.0,
+                    store, [(s.name, s.host, s.port) for s in (s0, s1)], task_timeout_s=5.0
                 )
-                async with coordinator:
-                    for (rows, ws), want in zip(batches, expected):
-                        got = await coordinator.sls_many("emb", rows, ws)
-                        assert np.array_equal(got, want)
+                asyncio.StreamWriter.write = recording
+                try:
+                    async with coordinator:
+                        for (rows, ws), want in zip(batches, expected):
+                            got = await coordinator.sls_many("emb", rows, ws)
+                            assert np.array_equal(got, want)
+                finally:
+                    asyncio.StreamWriter.write = write
                 # Node-side state is ciphertext-only: a device, no
                 # processor and no key attribute anywhere.
                 for server in (s0, s1):
@@ -650,16 +678,66 @@ class TestClusterEndToEnd:
                         "key" in attr for attr in vars(server)
                     )
 
-        self._run(scenario())
-        assert sent, "recording client saw no traffic"
-        key_b64 = __import__("base64").b64encode(KEY).decode("ascii")
-        for op, payload in sent:
-            assert "key" not in payload, f"{op} frame carried a key field"
-            if op == "partial_sum":  # counts, rows and weights: nothing pad-derived
-                assert set(payload) == {"counts", "rows", "width", "weights"}
-            assert key_b64 not in json.dumps(payload), (
-                f"{op} frame leaked key bytes"
+        try:
+            self._run(scenario())
+        finally:
+            store.processor.pad_shares = pad_shares
+        assert pads, "no pad half was generated"
+        key_b64 = base64.b64encode(KEY)
+        sent, answered = (bytes(written[side]) for side in ("coordinator", "nodes"))
+        for stream in (sent, answered):
+            assert KEY not in stream and key_b64 not in stream, "key bytes crossed the wire"
+            for pad in pads:
+                # Each query's pad row (a query with no term here has none).
+                for secret in (*pad.values, *pad.tag_shares):
+                    assert not secret.any() or secret.tobytes() not in stream, (
+                        "a pad half crossed the wire"
+                    )
+
+        def field_names(obj):
+            if isinstance(obj, dict):
+                for name, value in obj.items():
+                    yield name
+                    yield from field_names(value)
+            elif isinstance(obj, list):
+                for value in obj:
+                    yield from field_names(value)
+
+        requests, error = split_frames(bytearray(sent))
+        assert error is None
+        control = [r for r in requests if isinstance(r, dict)]
+        # The setup's shard assignments (params + base64 tables) were seen.
+        assert sum(r["op"] == "shard_assign" for r in control) >= 2
+        for request in control:
+            assert request["op"] in {"shard_assign", "heartbeat", "shutdown"}
+            assert "key" not in set(field_names(request)), f"{request['op']} carried a key field"
+        sums_requests = [r for r in requests if not isinstance(r, dict)]
+        assert len(sums_requests) == 2 * len(batches)
+        for request in sums_requests:
+            assert isinstance(request, NodeRequest) and request.op == "partial_sum"
+            assert set(request.payload) == {"counts", "rows", "width", "weights"}
+            assert request.directive is None
+            n, terms = len(request.payload["counts"]) // 4, len(request.payload["rows"]) // 4
+            width = request.payload["width"]
+            assert len(encode_frame(request, CODEC_BINARY)) == 37 + 4 * n + 4 * terms + width * terms + 3
+        answers, error = split_frames(bytearray(answered))
+        assert error is None
+        assert all(a["status"] == "ok" for a in answers if isinstance(a, dict))
+        sums = [a for a in answers if not isinstance(a, dict)]
+        assert len(sums) == len(sums_requests)
+        itemsize = np.dtype(store.processor.params.ring().dtype).itemsize
+        for answer in sums:
+            n_q, m = answer.payload["sums"]["shape"]
+            assert len(encode_frame(answer, CODEC_BINARY)) == 29 + n_q * m * itemsize + 16 * n_q
+
+        def wire_bytes(frames):  # each frame re-encoded in the codec it came in
+            return sum(
+                len(encode_frame(f, CODEC_JSON if isinstance(f, dict) else CODEC_BINARY))
+                for f in frames
             )
+
+        assert len(sent) == wire_bytes(requests)
+        assert len(answered) == wire_bytes(answers)
 
     def test_error_frame_is_blamed_and_failed_over(self):
         """A node answering with an error-status frame (instead of a
@@ -1007,6 +1085,194 @@ class TestClusterEndToEnd:
             ClusterCoordinator(store, [("n0", "127.0.0.1", 1)])
 
 
+class TestConcurrentDispatch:
+    """Every shard of a batch is in flight at once: the fault-draw order,
+    blame under overlapping failures, and no ladder outliving its batch."""
+
+    ROWS = [[1, 20, 40], [5, 30], [17, 47]]  # every shard of 48 rows over 3 nodes
+    WEIGHTS = [[1, 2, 3], [1, 1], [2, 1]]
+
+    @staticmethod
+    async def three_nodes(store, **kwargs):
+        nodes = [await NodeServer(name).start() for name in ("n0", "n1", "n2")]
+        coordinator = ClusterCoordinator(
+            store, [(s.name, s.host, s.port) for s in nodes], task_timeout_s=5.0, **kwargs
+        )
+        return nodes, await coordinator.setup()
+
+    @staticmethod
+    async def close(nodes, coordinator):
+        await coordinator.close()
+        for node in nodes:
+            await node.close()
+
+    def test_first_attempts_draw_in_shard_order_before_any_await(self):
+        store = _make_store(n_rows=48)
+        want = store.sls_many("emb", self.ROWS, self.WEIGHTS)
+        script = ScriptedDirectives({"n1": [(0, ("byzantine",))]})
+        draws = []
+
+        class Recording:
+            events = script.events
+
+            def node_directive(self, site):
+                draws.append((site, asyncio.current_task()))
+                return script.node_directive(site)
+
+        async def scenario():
+            nodes, coordinator = await self.three_nodes(store, fault_injector=Recording())
+            caller = asyncio.current_task()
+            got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+            await self.close(nodes, coordinator)
+            return got, [(site, task is caller) for site, task in draws]
+
+        got, seen = asyncio.run(scenario())
+        assert np.array_equal(got, want)
+        # Three first attempts, in shard order, by the caller before it
+        # awaited anything; then n1's failover, drawn in its own ladder
+        # once the forgery was charged: n0, the first live node not tried.
+        assert seen == [
+            ("node:n0", True), ("node:n1", True), ("node:n2", True), ("node:n0", False)
+        ]
+
+    @pytest.mark.parametrize("hangs_on", [("partial_sum",), NODE_OPS], ids=["sums", "every-op"])
+    def test_overlapping_failures_charge_each_node_once(self, hangs_on):
+        """n0 forges and n1 dies with both in flight; n2 takes the re-shard's
+        ``shard_assign`` beside its own ``partial_sum`` and is never charged.
+
+        n1 hangs on its ``dead`` order and drops 50 ms later, so n0's
+        forgery is charged first: the re-shard's ``shard_assign`` (when n1
+        hangs on every op) or n0's failover ``partial_sum`` (when it hangs
+        on sums) is still waiting on n1 beside n1's own dispatch when the
+        connection drops, and only the first failure observed is charged.
+        """
+        store = _make_store(n_rows=48)
+        want = store.sls_many("emb", self.ROWS, self.WEIGHTS)
+        script = ScriptedDirectives({
+            "n0": [(0, ("byzantine",))], "n1": [(0, ("dead",))], "n2": [(0, ("slow", 0.2))],
+        })
+
+        class DiesLate(NodeServer):
+            dying = False
+
+            def _answer(self, obj, outbox):
+                request = obj if isinstance(obj, NodeRequest) else NodeRequest.from_wire(obj)
+                if self.dying and request.op in hangs_on:
+                    return None
+                if request.directive == Directive("dead"):
+                    self.dying = True
+                    asyncio.get_running_loop().call_later(0.05, super()._answer, obj, outbox)
+                    return None
+                return super()._answer(obj, outbox)
+
+        async def scenario():
+            nodes = [await NodeServer("n0").start(), await DiesLate("n1").start(),
+                     await NodeServer("n2").start()]
+            coordinator = await ClusterCoordinator(
+                store, [(s.name, s.host, s.port) for s in nodes], task_timeout_s=5.0,
+                fault_injector=script,
+            ).setup()
+            got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+            stats = coordinator.stats()
+            await self.close(nodes, coordinator)
+            return got, stats
+
+        with obs.journal() as journal:
+            got, stats = asyncio.run(scenario())
+        assert np.array_equal(got, want)
+        charged = [
+            (e.kind, e.worker) for e in journal()
+            if e.kind in (obs.NODE_BLAME, obs.NODE_DEAD, obs.NODE_TIMEOUT)
+        ]
+        assert sorted(charged) == [(obs.NODE_BLAME, "n0"), (obs.NODE_DEAD, "n1")]
+        assert stats["live"] == ["n2"] and sorted(stats["quarantined"]) == ["n0", "n1"]
+        assert stats["blame_counts"] == {"n0": 3.0, "n1": 2.0, "n2": 0.0}
+
+    def test_a_raising_ladder_leaves_no_task_behind(self):
+        store = _make_store(n_rows=48)
+        # n1 and n2 answer late, so their ladders are in flight when n0's raises.
+        script = ScriptedDirectives({"n1": [(0, ("slow", 0.3))], "n2": [(0, ("slow", 0.3))]})
+
+        class Exhausting(ClusterCoordinator):
+            async def _dispatch_once(self, enc, name, node, *args):
+                if node == "n0":
+                    raise RecoveryExhaustedError("n0's ladder ran out")
+                return await super()._dispatch_once(enc, name, node, *args)
+
+        async def scenario():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+            nodes = [await NodeServer(name).start() for name in ("n0", "n1", "n2")]
+            coordinator = await Exhausting(
+                store, [(s.name, s.host, s.port) for s in nodes], task_timeout_s=5.0,
+                fault_injector=script,
+            ).setup()
+            with pytest.raises(RecoveryExhaustedError):
+                await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+            ladders = [
+                t for t in asyncio.all_tasks()
+                if t.get_coro().__qualname__.endswith("_dispatch_with_recovery")
+            ]
+            gc.collect()
+            await asyncio.sleep(0)
+            await self.close(nodes, coordinator)
+            return ladders, loop_errors
+
+        ladders, loop_errors = asyncio.run(scenario())
+        assert ladders == []
+        assert loop_errors == []
+
+    def test_honest_binary_hop_serves_on_every_node(self, monkeypatch):
+        """The nodes really serve, over the binary hop: no node is charged
+        and nothing fails over (a node refusing every frame would leave the
+        answers right but every batch on the local rung)."""
+        store = _make_store(n_rows=48)
+        batches = _batches(48)
+        expected = [store.sls_many("emb", r, w) for r, w in batches]
+        answered = {"sum_words": 0, "encode_device_sums": 0}
+        for name in answered:
+            def counted(*args, _name=name, _encode=getattr(codec, name)):
+                answered[_name] += 1
+                return _encode(*args)
+            monkeypatch.setattr(codec, name, counted)
+
+        async def scenario():
+            nodes, coordinator = await self.three_nodes(store)
+            got = [await coordinator.sls_many("emb", r, w) for r, w in batches]
+            # The JSON arm of the same request is answered in JSON, alike.
+            client = coordinator.clients["n0"]
+            words = codec.query_words(batches[0][0], batches[0][1])
+            binary = await client.request("partial_sum", table="emb", payload=words)
+            text = await client.request(
+                "partial_sum", table="emb",
+                payload=codec.encode_queries(batches[0][0], batches[0][1]),
+            )
+            stats = coordinator.stats()
+            await self.close(nodes, coordinator)
+            return got, stats, binary.payload["sums"], text.payload["sums"]
+
+        obs.enable()
+        got, stats, binary, text = asyncio.run(scenario())
+        assert all(np.array_equal(g, w) for g, w in zip(got, expected))
+        assert stats["live"] == ["n0", "n1", "n2"] and stats["quarantined"] == []
+        assert stats["blame_counts"] == {"n0": 0.0, "n1": 0.0, "n2": 0.0}
+        counters = obs.snapshot()["counters"]
+        assert not any(name.startswith(("cluster.failovers", "cluster.dispatch")) for name in counters)
+        shards = [(0, 16), (16, 32), (32, 48)]
+        dispatches = sum(
+            any(lo <= r < hi for q in rows for r in q) for rows, _ in batches for lo, hi in shards
+        )
+        # Every dispatch and the binary request were answered with raw
+        # words; only the JSON request took the JSON arm (which armours them).
+        assert answered == {"sum_words": dispatches + 2, "encode_device_sums": 1}
+        assert type(binary["values"]) is memoryview and type(text["values"]) is str
+        params = store.processor.params
+        for a, b in zip(codec.decode_device_sums(binary, params), codec.decode_device_sums(text, params)):
+            assert np.array_equal(a, b)
+
+
 class TestNodeProtocol:
     def test_node_request_round_trip_and_validation(self):
         req = NodeRequest(
@@ -1205,7 +1471,9 @@ class TestNodeHopCorrelation:
                     link = client._link
                     writer, seen = link._writer, []
                     resolve = link._resolve
-                    link._resolve = lambda obj: (seen.append(obj["id"]), resolve(obj))
+                    link._resolve = lambda obj: (
+                        seen.append(obj["id"] if isinstance(obj, dict) else obj.id), resolve(obj)
+                    )
                     got = await coordinator.sls_many("emb", rows, ws)
                     await asyncio.sleep(0.6)  # the slow answer lands meanwhile
                     assert await client.heartbeat(timeout=5.0)

@@ -1,7 +1,8 @@
 """The binary client<->server frame: hostile peers and bit-identity.
 
-Two contracts (DESIGN.md Sec. 15).  *Hostile peer*: whatever bytes
-arrive, the decoder's only outcomes are a typed message or
+Two contracts (DESIGN.md Secs. 15 and 16).  *Hostile peer*: whatever
+bytes arrive - client frames or the node hop's binary ``partial_sum``
+and sums frames - the decoder's only outcomes are a typed message or
 ``FrameError``, nothing it builds is larger than the frame it was
 given, and however the bytes are cut into reads, the read-buffer
 splitter yields what a reference reader walking the stream header by
@@ -36,9 +37,11 @@ from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
 from repro.serve.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
+    DIRECTIVES,
     MAX_FRAME_BYTES,
     STATUS_OK,
     VIAS,
+    Directive,
     FrameError,
     NodeRequest,
     NodeResponse,
@@ -56,6 +59,13 @@ from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
 HEADER = struct.Struct("<BBHIQ")  # kind, flags, aux, count, id: the documented layout
+PARTIAL = struct.Struct("<IBBxxd")  # a partial_sum's terms, width, directive code, delay
+SUMS = struct.Struct("<I4x")  # a sums answer's columns
+
+
+def words(*values) -> bytes:
+    return np.array(values, dtype="<u4").tobytes()
+
 
 int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 tables = st.text(max_size=12)
@@ -85,6 +95,71 @@ def responses(draw):
     )
 
 
+@st.composite
+def partial_sums(draw):
+    """A binary ``partial_sum`` request: a CSR batch's raw words at every
+    weight width, with or without a directive (a ``slow`` one short)."""
+    element_bits = draw(st.sampled_from([8, 16, 32, 64]))
+    counts = draw(st.lists(st.integers(0, 3), max_size=4))
+    rows = [draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)) for n in counts]
+    weights = [
+        draw(st.lists(st.integers(0, 2**element_bits - 1), min_size=n, max_size=n))
+        for n in counts
+    ]
+    batch = QueryBatch.flatten(SecNDPParams(element_bits=element_bits).ring(), rows, weights)
+    directive = draw(
+        st.sampled_from([None, ("byzantine",), ("dead",), ("partition",)])
+        | st.floats(0, 0.01).map(lambda delay: ("slow", delay))
+    )
+    return NodeRequest(
+        id=draw(ids),
+        op="partial_sum",
+        table=draw(tables),
+        payload=codec.query_words(batch),
+        directive=Directive.of(directive),
+    )
+
+
+@st.composite
+def sums_answers(draw):
+    """A node's binary ``ok`` sums answer: values at every ring width and
+    four ``<u4`` tag limbs a query, any bits."""
+    dtype = np.dtype(draw(st.sampled_from(["<u1", "<u2", "<u4", "<u8"])))
+    n_q, m = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    values = draw(st.binary(min_size=n_q * m * dtype.itemsize, max_size=n_q * m * dtype.itemsize))
+    tags = draw(st.binary(min_size=16 * n_q, max_size=16 * n_q))
+    sums = codec.sum_words(
+        np.frombuffer(values, dtype).reshape(n_q, m),
+        np.frombuffer(tags, "<u4").reshape(n_q, 4),
+    )
+    return NodeResponse(id=draw(ids), status=STATUS_OK, payload={"sums": sums})
+
+
+def messages():
+    """Every message kind the binary codec carries."""
+    return requests() | responses() | partial_sums() | sums_answers()
+
+
+def armoured(value):
+    """A node message's JSON form: its raw words as base64 text."""
+    if isinstance(value, dict):
+        return {key: armoured(v) for key, v in value.items()}
+    if isinstance(value, memoryview):
+        return base64.b64encode(value).decode("ascii")
+    return value
+
+
+def raw_arrays(message):
+    """The arrays a decoded message carries: NumPy views or raw words."""
+    if isinstance(message, SlsRequest):
+        return message.rows, message.weights
+    if isinstance(message, SlsResponse):
+        return (message.values,)
+    if isinstance(message, NodeRequest):
+        return tuple(message.payload[key] for key in ("counts", "rows", "weights"))
+    return tuple(message.payload["sums"][key] for key in ("values", "tag_sums"))
+
+
 def payload_of(message) -> bytes:
     frame = encode_frame(message, CODEC_BINARY)
     assert frame[0] == CODEC_BINARY and struct.unpack(">I", frame[1:5])[0] == len(frame) - 5
@@ -105,14 +180,11 @@ def decode_or_frame_error(payload: bytes):
         message = decode_payload(CODEC_BINARY, payload)
     except FrameError:
         return None
-    assert isinstance(message, (SlsRequest, SlsResponse))
-    arrays = (
-        (message.rows, message.weights)
-        if isinstance(message, SlsRequest)
-        else (message.values,)
-    )
-    for array in arrays:
-        if array is not None:
+    assert isinstance(message, (SlsRequest, SlsResponse, NodeRequest, NodeResponse))
+    for array in raw_arrays(message):
+        if isinstance(array, memoryview):
+            assert array.readonly and array.nbytes <= len(payload)
+        elif array is not None:
             assert not array.flags.owndata and not array.flags.writeable
             assert array.nbytes <= len(payload)
     return message
@@ -136,6 +208,50 @@ class TestBinaryRoundTrip:
         assert isinstance(back, SlsResponse) and back.status == STATUS_OK
         assert (back.id, back.via) == (response.id, response.via)
         assert same_bits(back.values, response.values)
+
+    @given(partial_sums(), st.sampled_from([8, 16, 32, 64]))
+    def test_partial_sum(self, request, element_bits):
+        payload = payload_of(request)
+        back = decode_payload(CODEC_BINARY, payload)
+        assert isinstance(back, NodeRequest) and back.op == "partial_sum"
+        assert (back.id, back.table, back.directive) == (request.id, request.table, request.directive)
+        assert payload_of(back) == payload
+        ring = SecNDPParams(element_bits=element_bits).ring()
+        if request.payload["width"] <= ring.width // 8:
+            sent, got = (codec.decode_queries(m.payload, ring) for m in (request, back))
+            for name in ("rows", "weights", "offsets"):
+                assert np.array_equal(getattr(got, name), getattr(sent, name))
+
+    @given(sums_answers())
+    def test_sums(self, response):
+        payload = payload_of(response)
+        back = decode_payload(CODEC_BINARY, payload)
+        assert isinstance(back, NodeResponse) and back.status == STATUS_OK
+        assert back.id == response.id and payload_of(back) == payload
+        sent, got = response.payload["sums"], back.payload["sums"]
+        assert got["shape"] == sent["shape"]
+        assert bytes(got["values"]) == bytes(sent["values"])
+        assert bytes(got["tag_sums"]) == bytes(sent["tag_sums"])
+
+    def test_node_layouts_are_the_documented_ones(self):
+        words = codec.query_words([[1, 2], [], [3]], [[4, 5], [], [6]])
+        request = NodeRequest(
+            id=7, op="partial_sum", table="emb", payload=words, directive=Directive("slow", 0.5)
+        )
+        payload = payload_of(request)
+        assert HEADER.unpack_from(payload) == (4, 0, 3, 3, 7)
+        # terms, weight width, directive code, two pad bytes, delay
+        assert struct.unpack_from("<IBBxxd", payload, 16) == (3, 4, 4, 0.5)
+        assert payload[32:] == (
+            np.array([2, 0, 1, 1, 2, 3, 4, 5, 6], dtype="<u4").tobytes() + b"emb"
+        )
+        values = np.arange(6, dtype=np.uint32).reshape(2, 3)
+        tags = np.arange(8, dtype=np.uint64).reshape(2, 4)
+        response = NodeResponse(id=9, status=STATUS_OK, payload={"sums": codec.sum_words(values, tags)})
+        payload = payload_of(response)
+        assert HEADER.unpack_from(payload) == (5, 0, 4, 2, 9)
+        assert struct.unpack_from("<I4x", payload, 16) == (3,)
+        assert payload[24:] == values.astype("<u4").tobytes() + tags.astype("<u4").tobytes()
 
     def test_layout_is_the_documented_one(self):
         request = SlsRequest(id=7, table="emb", rows=(1, 2, 3), weights=(4, 5, 6))
@@ -242,15 +358,15 @@ def mutated(draw, payload: bytes) -> bytes:
     elif choice == 2:  # count near 2^32
         count = 2**32 - 1 - draw(st.integers(min_value=0, max_value=8))
     elif choice == 3:  # unknown kind
-        kind = draw(st.integers(min_value=0, max_value=255).filter(lambda k: k not in (1, 2)))
+        kind = draw(st.integers(min_value=0, max_value=255).filter(lambda k: k not in (1, 2, 4, 5)))
     elif choice == 4:  # unknown flag bits
         flags = draw(st.integers(min_value=2, max_value=255))
-    elif choice == 5:  # aux: table length / via code
+    elif choice == 5:  # aux: table length / via code / value width
         aux = draw(st.integers(min_value=0, max_value=2**16 - 1).filter(lambda a: a != aux))
     elif choice == 6:  # trailing garbage
         body += draw(st.binary(min_size=1, max_size=9))
-    else:  # a table name that is not UTF-8 (a no-op for responses)
-        if kind == 1 and aux:
+    else:  # a table name that is not UTF-8 (a no-op for answers)
+        if kind in (1, 4) and aux:
             body = body[:-1] + b"\xff"
     return HEADER.pack(kind, flags, aux, count, ident) + body
 
@@ -283,18 +399,19 @@ def node_payloads(draw):
         return payload
     n, weight = draw(st.integers(0, 5)), draw(st.integers(0, 2**64 - 1))
     payload = dict(
-        codec.encode_queries([[1] * n, [2, 3]], [[1] * n, [4, weight]]),
-        **codec.encode_device_sums(np.ones((2, 8), np.uint32), np.ones((2, 4), np.uint64)),
+        codec.query_words([[1] * n, [2, 3]], [[1] * n, [4, weight]]),
+        **codec.sum_words(np.ones((2, 8), np.uint32), np.ones((2, 4), np.uint64)),
     )
     lie = draw(st.integers(0, 2))
     if lie == 0:
         counts = np.array([n + draw(st.integers(-n, 3).filter(bool)), 2], "<u4")
-        payload["counts"] = base64.b64encode(counts.tobytes()).decode("ascii")
+        payload["counts"] = memoryview(counts.tobytes())
     elif lie == 1:
         payload["width"] = draw(st.integers(-4, 64).filter(lambda w: w not in (1, 2, 4, 8)))
     else:
         payload["shape"] = draw(st.lists(st.integers(-2, 2**40), min_size=2, max_size=2))
-    return payload
+    # As a binary frame carries it (raw words) or a JSON one (base64 text).
+    return payload if draw(st.booleans()) else armoured(payload)
 
 
 @st.composite
@@ -319,7 +436,7 @@ def decode_or_configuration_error(decode, payload):
         out = decode(payload)
     except ConfigurationError:
         return None
-    present = sum(len(v) for v in payload.values() if isinstance(v, (str, bytes)))
+    present = sum(len(v) for v in payload.values() if isinstance(v, (str, bytes, memoryview)))
     arrays = out
     if isinstance(out, QueryBatch):
         assert out.offsets[-1] == out.rows.size == out.weights.size
@@ -330,11 +447,13 @@ def decode_or_configuration_error(decode, payload):
     return out
 
 
+PARAMS = codec.encode_params(SecNDPParams(element_bits=32))
+
 #: envelope type -> the fields its JSON form carries besides ``id``
 ENVELOPES = {
     SlsRequest: ("op", "table", "rows", "weights"),
     SlsResponse: ("status", "values", "error", "kind", "via"),
-    NodeRequest: ("op", "table", "payload"),
+    NodeRequest: ("op", "table", "payload", "directive"),
     NodeResponse: ("status", "payload", "error", "kind"),
 }
 
@@ -352,6 +471,8 @@ def envelope_or_frame_error(cls, obj):
         assert value is None or type(value) is str, (name, value)
     if cls in (NodeRequest, NodeResponse):
         assert type(message.payload) is dict
+    if cls is NodeRequest and message.directive is not None:
+        assert type(message.directive) is Directive and message.directive.kind in DIRECTIVES
     if cls is SlsRequest:
         for terms in (message.rows, message.weights or ()):
             assert all(type(t) is int for t in terms)
@@ -375,8 +496,8 @@ async def read_frame(reader):
 class EnvelopeLiar(NodeServer):
     """A node that answers every ``partial_sum`` with ``id`` a string."""
 
-    def _reply(self, request):
-        response = super()._reply(request)
+    def _reply(self, request, codec_id=CODEC_JSON):
+        response = super()._reply(request, codec_id)
         return {"id": "x", "status": STATUS_OK} if "sums" in response.payload else response
 
 
@@ -387,12 +508,12 @@ def frame_streams(draw):
     past the cap anywhere among them."""
     parts = []
     for _ in range(draw(st.integers(0, 5))):
-        message = draw(requests() | responses())
+        message = draw(messages())
         choice = draw(st.integers(0, 5))
         if choice <= 1:
             parts.append(encode_frame(message, CODEC_BINARY))
         elif choice == 2:
-            parts.append(encode_frame(message.to_wire(), CODEC_JSON))
+            parts.append(encode_frame(armoured(message.to_wire()), CODEC_JSON))
         elif choice == 3:
             parts.append(draw(st.binary(max_size=24)))
         elif choice == 4:
@@ -407,7 +528,8 @@ def frame_streams(draw):
 def canonical(frames):
     """Decoded frames as comparable values (arrays and NaN included)."""
     return [
-        encode_frame(obj, CODEC_BINARY) if isinstance(obj, (SlsRequest, SlsResponse))
+        encode_frame(obj, CODEC_BINARY)
+        if isinstance(obj, (SlsRequest, SlsResponse, NodeRequest, NodeResponse))
         else json.dumps(obj)
         for obj in frames
     ]
@@ -515,13 +637,13 @@ class TestHostilePeer:
     @settings(max_examples=400)
     @given(st.data())
     def test_mutated_valid_frames(self, data):
-        payload = payload_of(data.draw(requests() | responses()))
+        payload = payload_of(data.draw(messages()))
         decode_or_frame_error(mutated(data.draw, payload))
 
     @settings(max_examples=200)
     @given(st.data())
     def test_arbitrary_header_over_a_valid_body(self, data):
-        payload = payload_of(data.draw(requests() | responses()))
+        payload = payload_of(data.draw(messages()))
         header = data.draw(st.binary(min_size=HEADER.size, max_size=HEADER.size))
         decode_or_frame_error(header + payload[HEADER.size:])
 
@@ -547,6 +669,48 @@ class TestHostilePeer:
     def test_named_malformations(self, payload, match):
         with pytest.raises(FrameError, match=match):
             decode_payload(CODEC_BINARY, payload)
+
+    @pytest.mark.parametrize(
+        "payload, decode, match",
+        [
+            (HEADER.pack(4, 0, 0, 2**32 - 1, 1) + PARTIAL.pack(0, 4, 0, 0.0), None, "overruns"),
+            (HEADER.pack(4, 0, 0, 1, 1) + PARTIAL.pack(2, 4, 0, 0.0), None, "overruns"),
+            (HEADER.pack(4, 0, 0, 0, 1), None, "no extension header"),
+            (
+                HEADER.pack(4, 0, 0, 1, 1) + PARTIAL.pack(1, 4, 0, 0.0) + words(3, 7, 1),
+                "queries", "3 terms declared",  # counts say 3 terms, T says 1
+            ),
+            (
+                HEADER.pack(4, 0, 0, 1, 1) + PARTIAL.pack(1, 3, 0, 0.0) + words(1, 7) + b"\0" * 3,
+                "queries", "weight width 3",
+            ),
+            (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 5, 0.0), None, "unknown directive code 5"),
+            (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 4, -1.0), None, "bad slow-directive delay"),
+            (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 4, float("nan")), None, "bad slow-directive delay"),
+            (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 1, 0.5), None, "a delay on a byzantine"),
+            (HEADER.pack(4, 1, 0, 0, 1) + PARTIAL.pack(0, 4, 0, 0.0), None, "flags"),
+            (HEADER.pack(5, 0, 4, 1, 1) + SUMS.pack(2) + b"\0" * 24 + b"\0", None, "after the values"),
+            (HEADER.pack(5, 0, 4, 1, 1) + SUMS.pack(2) + b"\0" * 20, None, "overruns"),  # a tag limb short
+            (HEADER.pack(5, 0, 4, 2**32 - 1, 1) + SUMS.pack(2**32 - 1), None, "overruns"),
+            (HEADER.pack(5, 0, 8, 1, 1) + SUMS.pack(2) + b"\0" * 32, "sums", "value bytes"),  # a 32-bit ring
+        ],
+        ids=[
+            "counts-overrun", "terms-overrun", "no-extension", "counts-not-terms", "width-3",
+            "directive-code", "slow-negative", "slow-nan", "delay-on-byzantine", "node-flags", "values-trailing", "tags-short",
+            "queries-near-2^32", "values-not-the-ring-width",
+        ],
+    )
+    def test_named_node_malformations(self, payload, decode, match):
+        """Each a typed error before anything is allocated: the frame check
+        refuses what the bytes cannot hold, and the codec what they may not
+        mean (counts against terms, the width, the ring's value width)."""
+        params = SecNDPParams(element_bits=32)
+        with pytest.raises(ConfigurationError, match=match):
+            message = decode_payload(CODEC_BINARY, payload)
+            if decode == "queries":
+                codec.decode_queries(message.payload, params.ring())
+            elif decode == "sums":
+                codec.decode_device_sums(message.payload["sums"], params)
 
     @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
     def test_length_prefix_beyond_the_cap(self, codec):
@@ -630,14 +794,15 @@ class TestHostilePeer:
                 writer.write_eof()
                 answers = []
                 while (obj := await asyncio.wait_for(read_frame(reader), 5)) is not None:
-                    answers.append(NodeResponse.from_wire(obj))
+                    answers.append(obj if isinstance(obj, NodeResponse) else NodeResponse.from_wire(obj))
                 writer.close()
             return answers, loop_errors
 
         answers, loop_errors = asyncio.run(run())
         assert loop_errors == []
         for answer in answers:
-            assert answer.status == STATUS_OK or answer.kind == "FrameError", answer
+            # A ``partial_sum`` before any ``shard_assign`` is refused typed.
+            assert answer.status == STATUS_OK or answer.kind in ("FrameError", "ConfigurationError"), answer
 
     @pytest.mark.parametrize(
         "wire",
@@ -718,8 +883,22 @@ class TestHostilePeer:
                 ),
                 "ConfigurationError",
             ),
+            # Regression: each of these raised inside the node's handler
+            # (AttributeError, TypeError, ValueError, IndexError) and the
+            # peer saw a dropped connection, charged as a dead node.
+            ({"id": 1, "op": "shard_assign", "payload": {"params": PARAMS, "tables": [1, 2]}},
+             "ConfigurationError"),
+            ({"id": 1, "op": "shard_assign", "payload": {"params": PARAMS, "ranges": 5}},
+             "ConfigurationError"),
+            ({"id": 1, "op": "partial_sum", "table": "emb", "directive": 5}, "FrameError"),
+            ({"id": 1, "op": "partial_sum", "table": "emb", "directive": ["slow", "x"]},
+             "FrameError"),
+            ({"id": 1, "op": "partial_sum", "table": "emb", "directive": ["slow"]}, "FrameError"),
         ],
-        ids=["id", "payload", "shard_assign"],
+        ids=[
+            "id", "payload", "shard_assign", "tables-list", "ranges-int", "directive-int",
+            "directive-slow-text", "directive-slow-no-delay",
+        ],
     )
     def test_node_answers_a_badly_typed_envelope_and_serves_on(self, wire, kind):
         # Regression: the ValueError killed the node's handler unanswered.
@@ -858,6 +1037,31 @@ def sample_queries(store, n_rows: int, seed: int):
 
 
 class TestBitIdentity:
+    @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
+    def test_the_binary_node_hop_equals_direct_sls_many(self, element_bits):
+        """Three nodes, every shard in flight at once, raw arrays on the
+        hop: the batch is bit-identical to the single host's, and no node
+        is charged."""
+        store = make_store(element_bits)
+        queries = sample_queries(store, 48, seed=element_bits)
+        rows = [r for r, _ in queries]
+        weights = [[1] * len(r) if w is None else w for r, w in queries]
+        want = store.sls_many("emb", rows, weights)
+
+        async def run():
+            servers = [await NodeServer(f"n{i}").start() for i in range(3)]
+            nodes = [(s.name, s.host, s.port) for s in servers]
+            async with ClusterCoordinator(store, nodes, task_timeout_s=5.0) as coordinator:
+                got = await coordinator.sls_many("emb", rows, weights)
+                stats = coordinator.stats()
+            for server in servers:
+                await server.close()
+            return got, stats
+
+        got, stats = asyncio.run(run())
+        assert np.array_equal(got, want)
+        assert stats["quarantined"] == [] and not any(stats["blame_counts"].values())
+
     @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
     def test_every_transport_equals_direct_sls(self, element_bits):
         store = make_store(element_bits)
