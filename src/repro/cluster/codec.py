@@ -231,6 +231,8 @@ def decode_queries(payload: Dict[str, Any], ring: Ring) -> QueryBatch:
             raise ValueError(f"{n_terms} terms declared, {rows.size} rows, {weights.size} weights")
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        return QueryBatch(rows.astype(np.int64), ring.encode(weights), offsets)
+        # Unsigned words no wider than the ring are residues already.
+        weights = weights.astype(ring.dtype) if 8 * width <= ring.width else ring.encode(weights)
+        return QueryBatch(rows.astype(np.int64), weights, offsets)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad queries payload: {exc}") from exc

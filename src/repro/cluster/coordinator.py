@@ -18,9 +18,9 @@ that ever holds key material:
    coordinator's own re-keying is never evidence against a node.
 2. **Dispatch**: each query batch is masked per owner range, the
    coordinator generates the pad halves (``E_res`` / ``E_T_res``)
-   key-side, one sweep per batch split by owner
-   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_shares`), over the
-   one table version the whole batch reads, and then every owner's
+   key-side, one fused pass per owner's sub-batch
+   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`), over
+   the one table version the whole batch reads, and then every owner's
    sub-batch goes out at once as a binary ``partial_sum`` frame under a
    deadline — all shards are in flight together, each on its own
    recovery ladder.  A node answers with ciphertext-domain sums only
@@ -297,21 +297,22 @@ class ClusterCoordinator:
         # batch's version snapshot the same way: a trusted-side
         # re-encryption mid-batch reaches the next batch, not this one.
         smap = self.shard_map
-        nodes, owners = [], []
+        nodes, parts = [], []
         for node, (lo, hi) in zip(list(smap.nodes), smap.bounds[name]):
             mask = (batch.rows >= lo) & (batch.rows < hi)
             if mask.any():
                 nodes.append(node)
-                owners.append((batch.select(mask), mask))
-        # The trusted half, once per batch and before any dispatch: every
+                parts.append(batch.select(mask))
+        # The trusted half, once per shard and before any dispatch: every
         # rung that serves a shard (retry, replica, local) reuses its pad.
-        pads = self.store.processor.pad_shares(enc, name, batch, owners)
+        processor = self.store.processor
+        pads = [processor.pad_share_batch(enc, name, part) for part in parts]
         # Every shard in flight at once, each on its own ladder; the first
         # attempts' fault draws are made here, in shard order, before any
         # ladder starts.
         directives = [self._draw(node) for node in nodes]
         ladders = []
-        for node, (part, _mask), pad, directive in zip(nodes, owners, pads, directives):
+        for node, part, pad, directive in zip(nodes, parts, pads, directives):
             self._dispatch_seq += 1
             ladders.append(asyncio.ensure_future(self._dispatch_with_recovery(
                 enc, name, node, part, pad, self._dispatch_seq, directive

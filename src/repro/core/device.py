@@ -221,18 +221,6 @@ class QueryBatch:
         kept = np.concatenate(([0], np.cumsum(mask)))
         return QueryBatch(self.rows[mask], self.weights[mask], kept[self.offsets])
 
-    def row_union(self) -> tuple:
-        """Distinct rows, ascending, and the index of each term in them.
-
-        Terms that are already distinct and ascending (a typical single
-        query) are their own union and need no sort: their index is
-        ``None``, the own-rows convention of :meth:`ring_sums`.
-        """
-        rows = self.rows
-        if rows.size < 2 or (rows[1:] > rows[:-1]).all():
-            return rows, None
-        return np.unique(rows, return_inverse=True)
-
     def scatter(self, sums: np.ndarray) -> np.ndarray:
         """Per-segment results as one row per query (zeros where empty; a
         batch with no terms at all has no segments and is all zeros)."""
@@ -254,7 +242,8 @@ class QueryBatch:
         ``idx=None`` means the table's own rows (term ``k`` reads row
         ``k``).  This is the multiply-accumulate of both halves of the
         split: the NDP PU's over stored ciphertext (``idx`` the batch's
-        rows) and the OTP PU's over the pads of the row union.  On the
+        rows) and, on the NumPy tier, the OTP PU's over per-term pads
+        (``idx=None``; the native pad half is ``pad_segsum``).  On the
         native tier gather, product and segmented sum are one compiled
         pass (``ring_segsum``); the NumPy tier gathers, then runs
         :meth:`Ring.segment_dot`.  A row outside ``table`` is never read:
@@ -275,10 +264,11 @@ class QueryBatch:
         """``sum_k a_k * table[idx[k]]`` per query, in the tag field.
 
         ``table`` holds ``(n, 4)`` limb rows (stored encrypted tags,
-        ``uint32``, or regenerated tag pads, ``uint64``); ``idx`` as in
-        :meth:`ring_sums`.  Under GF(2^127 - 1) on the native tier this is
-        one compiled pass (``limb_segsum``: u128 columns, exact below
-        ``2^28`` terms a query, canonical limbs out); otherwise a gather
+        ``uint32``, or the NumPy tier's tag pads, ``uint64``); ``idx`` as
+        in :meth:`ring_sums`.  Under GF(2^127 - 1) on the native tier a
+        ``uint32`` table is one compiled pass (``limb_segsum``: u128
+        columns, exact below ``2^28`` terms a query, canonical limbs
+        out); otherwise a gather
         and :func:`limb_field.field_segment_dot`, which also serves every
         other tag field through the scalar oracle.
         """

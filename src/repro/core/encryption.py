@@ -13,12 +13,13 @@ paper calls decryption; in hardware it is the single adder on the
 ``SecNDPLd`` critical path (Sec. V-E3).
 
 Query-path note: pad regeneration (:meth:`ArithmeticEncryptor.
-pads_for_rows`) is row-granular.  The store pads rows to whole cipher
-blocks, so the blocks of the distinct rows of a query are one
-broadcast ``row_addr + 16 * arange(blocks_per_row)`` — already distinct
-and ascending — and go straight to
-:meth:`~repro.crypto.otp.OtpGenerator.pads_for_blocks`, which
-regenerates them in one cipher sweep on every kernel tier.
+pads_for_rows`, the NumPy tier's pad half) is row-granular and per
+term: the store pads rows to whole cipher blocks, so the blocks of the
+rows asked for (repeats included, no union is formed) are one broadcast
+``row_addr + 16 * arange(blocks_per_row)`` and go straight to
+:meth:`~repro.crypto.otp.OtpGenerator.pads_for_blocks`, one cipher
+sweep.  The native tier's pad half never forms this array
+(``pad_segsum``, :meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`).
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class ArithmeticEncryptor:
         :meth:`~repro.crypto.otp.OtpGenerator.pad_elements_at`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
-            rows, inverse = np.unique(rows, return_inverse=True)
-            return self.pads_for_rows(encrypted, rows)[inverse]
         starts = encrypted.row_addrs(rows)
         row_bytes = encrypted.row_bytes
         if row_bytes % BLOCK_BYTES or encrypted.base_addr % BLOCK_BYTES:

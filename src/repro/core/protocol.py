@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .. import kernels as _kernels
 from .. import obs
 from ..crypto import limb_field
+from ..crypto.aes import BLOCK_BYTES
 from ..crypto.tweaked import TweakedCipher
 from ..errors import ConfigurationError, ShardVerificationError, VerificationError
 from ..faults import hooks as fault_hooks
@@ -162,7 +164,7 @@ class SecNDPProcessor:
         every query and column, with optional tag verification - the
         SLS / pooling primitive the evaluation offloads to NDP, as the
         composition of the split stated once: the trusted pad half
-        (:meth:`pad_share_batch`, one pad sweep for the union of rows),
+        (:meth:`pad_share_batch`, every term's pads regenerated and summed),
         the untrusted ciphertext half
         (:meth:`UntrustedNdpDevice.partial_sum_batch`), the one adder on
         the critical path (:meth:`combine_device_sums`, Sec. V-E3) and
@@ -228,52 +230,38 @@ class SecNDPProcessor:
 
         ``E_res[q] = sum_k a_k * pad_{i_k}`` per query (and, when
         ``with_tag_shares``, the tag-pad sums ``E_T_res[q]``) — computed
-        entirely key-side, with no device interaction (:meth:`pad_shares`
-        with one owner).  The key never leaves the trusted side: a remote
-        shard only ever receives ciphertext and returns ciphertext sums.
+        entirely key-side, with no device interaction.  This is the OTP
+        PU of Sec. V-C: each term's pads are regenerated from its row
+        address and summed as they leave the cipher, with no row union
+        and no pad array (``pad_segsum``, one compiled pass on the native
+        tier; the NumPy tier runs the same per-term algorithm).  The key
+        never leaves the trusted side: a remote shard only ever receives
+        ciphertext and returns ciphertext sums.
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        return self.pad_shares(enc, name, batch, [(batch, None)], with_tag_shares)[0]
-
-    def pad_shares(
-        self,
-        enc: EncryptedMatrix,
-        name: str,
-        batch: QueryBatch,
-        owners: Sequence[Tuple[QueryBatch, Optional[np.ndarray]]],
-        with_tag_shares: bool = True,
-    ) -> List[PartialSumShare]:
-        """:meth:`pad_share_batch` split by owner, from one pad sweep.
-
-        ``owners[s]`` is ``(batch.select(mask), mask)`` (``(batch, None)``
-        for every term); share ``s`` is that sub-batch's pad half.  Data
-        OTPs *and* tag pads are generated once for the row union of the
-        whole batch (the AES hot path, amortized over a DLRM batch's
-        overlapping hot rows), then each query's share is one gather and
-        one segmented sum: a sharded batch costs the trusted side what an
-        unsharded one does.
-        """
         if with_tag_shares:
             _require_tags(enc, name)
-        union, where = batch.row_union()
-        pads = np.zeros((0, enc.n_cols), dtype=self.ring.dtype)
-        tag_pads = np.zeros((0, limb_field.NUM_LIMBS), dtype=np.uint64)
-        if union.size:
-            with obs.span("protocol.otp"):
-                pads = self.encryptor.pads_for_rows(self._pad_source(enc), union)
-                if with_tag_shares:
-                    tag_pads = self.mac.tag_pad_limbs_for_rows(enc, union)
-        shares = []
-        with obs.span("protocol.combine"):
-            for part, mask in owners:
-                # A ``None`` ``where`` means the terms are their own union.
-                if mask is None:
-                    pick = where
-                else:
-                    pick = np.flatnonzero(mask) if where is None else where[mask]
-                tags = part.tag_sums(self.field, tag_pads, pick) if with_tag_shares else None
-                shares.append(PartialSumShare(part.ring_sums(self.ring, pads, pick), tags))
-        return shares
+        src, rows = self._pad_source(enc), batch.rows
+        tag_version = enc.tag_version if with_tag_shares else None
+        with obs.span("protocol.otp"):
+            nat = _kernels.active_native()
+            if nat is not None and (tag_version is None or limb_field.supports_field(self.field)):
+                layout = self.cipher.layout
+                sums = nat.pad_segsum(
+                    self.cipher.key, layout.addr_bits, layout.pad_bits,
+                    (src.version, tag_version), src.base_addr, src.row_bytes,
+                    src.n_rows, batch.weights, rows, batch.offsets,
+                )
+                if sums is not None:
+                    self.encryptor.otp.count(rows.size * src.row_bytes // BLOCK_BYTES)
+                    if tag_version is not None:
+                        obs.inc("mac.tag_pads", rows.size)
+                    return PartialSumShare(*sums)
+            values = batch.ring_sums(self.ring, self.encryptor.pads_for_rows(src, rows))
+            if tag_version is None:
+                return PartialSumShare(values, None)
+            tags = batch.tag_sums(self.field, self.mac.tag_pad_limbs_for_rows(enc, rows))
+        return PartialSumShare(values, tags)
 
     def combine_device_sums(
         self,
@@ -298,17 +286,17 @@ class SecNDPProcessor:
                 f"pad share shape {pad.values.shape}"
             )
         tag_shares = None
-        if pad.tag_shares is not None:
-            tags = None if device_tag_sums is None else np.asarray(device_tag_sums)
-            if tags is None or tags.shape != pad.tag_shares.shape or tags.dtype.kind != "u":
-                raise ConfigurationError(
-                    "device tag sums missing or mismatched against the "
-                    "pad share's tag shares"
-                )
-            tag_shares = limb_field.field_add(self.field, tags, pad.tag_shares)
-        return PartialSumShare(
-            values=self.ring.add(values, pad.values), tag_shares=tag_shares
-        )
+        with obs.span("protocol.combine"):
+            if pad.tag_shares is not None:
+                tags = None if device_tag_sums is None else np.asarray(device_tag_sums)
+                if tags is None or tags.shape != pad.tag_shares.shape or tags.dtype.kind != "u":
+                    raise ConfigurationError(
+                        "device tag sums missing or mismatched against the "
+                        "pad share's tag shares"
+                    )
+                tag_shares = limb_field.field_add(self.field, tags, pad.tag_shares)
+            values = self.ring.add(values, pad.values)
+        return PartialSumShare(values=values, tag_shares=tag_shares)
 
     def _mismatches(self, values: np.ndarray, tag_shares: np.ndarray, key) -> np.ndarray:
         """Queries whose retrieved tag differs from the checksum of ``values``.

@@ -71,18 +71,22 @@ class OtpGenerator:
     def pads_for_blocks(self, block_addrs: np.ndarray, version: int) -> np.ndarray:
         """Query-path :meth:`_encrypt_blocks`: one cipher sweep, counted.
 
-        Callers pass *distinct* ``uint64`` block addresses.  Every block
-        is generated and adds one to :attr:`pad_blocks` (``otp.pad_blocks``
+        Every ``uint64`` block address passed (a repeated one too) is
+        generated and adds one to :attr:`pad_blocks` (``otp.pad_blocks``
         when metrics are on), the reading ``benchmarks/e2e`` computes
         ``crypto.otp.aes_blocks_per_query`` from; bulk encryption
         (:meth:`pad_elements`) is not a query and is not counted.
         """
         block_addrs = np.asarray(block_addrs, dtype=np.uint64)
         pads = self._encrypt_blocks(block_addrs, version)
-        with self._count_lock:
-            self.pad_blocks += block_addrs.size
-        obs.inc("otp.pad_blocks", block_addrs.size)
+        self.count(block_addrs.size)
         return pads
+
+    def count(self, blocks: int) -> None:
+        """Count ``blocks`` query-path pads made elsewhere (``pad_segsum``)."""
+        with self._count_lock:
+            self.pad_blocks += blocks
+        obs.inc("otp.pad_blocks", blocks)
 
     # -- element-level pad generation -----------------------------------------
 

@@ -3,12 +3,13 @@
 A single small C translation unit implements the two limb-field
 primitives, the power-weight ``dot`` (every row tag) and the column
 ``fold`` (every reduction), as 127-bit Mersenne arithmetic on 64-bit
-words with ``unsigned __int128`` intermediates; the fused
-gather-and-segment-sum kernels both halves of the split run
-(``ring_segsum`` in Z(2^w_e), ``limb_segsum`` in the tag field); and the
-pad engine: an AES-128 block sweep (AES-NI body chosen at run time where
-the CPU has one, portable T-table body elsewhere; DESIGN.md Sec. 14) and
-the fused counter-mode sweep over it.
+words with ``unsigned __int128`` intermediates; the device half's fused
+gather-and-segment-sum kernels (``ring_segsum`` in Z(2^w_e),
+``limb_segsum`` in the tag field); the pad engine: an AES-128 block
+sweep (AES-NI body chosen at run time where the CPU has one, portable
+T-table body elsewhere; DESIGN.md Sec. 14) and the fused counter-mode
+sweep over it; and the trusted half, ``pad_segsum``, which regenerates
+each term's pads through that engine and sums them as they come out.
 It is compiled once per (source, compiler, host CPU) with the host C
 compiler into a content-addressed shared library under
 ``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
@@ -20,13 +21,13 @@ Importing this module raises :class:`~repro.kernels.NativeUnavailable`
 when no compiler is found, compilation fails, or the compiled library
 fails its load-time self-test (FIPS-197 AES vector, the AES bodies
 against each other, big-int cross-checks of every field kernel and of
-both segment sums) — the tier dispatcher then falls back to NumPy.
+the three segment sums) — the tier dispatcher then falls back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
 contract; the dispatch sites in ``crypto/limb_field.py``,
-``crypto/aes.py`` and ``core/protocol.py`` then fall through to the
-NumPy tier, so outputs are bit-identical by construction and verified by
-the property suite.
+``crypto/aes.py``, ``core/device.py`` and ``core/protocol.py`` then fall
+through to the NumPy tier, so outputs are bit-identical by construction
+and verified by the property suite.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import shutil
 import subprocess
 import tempfile
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -255,16 +256,15 @@ RING_SEGSUM(u64, u64)
 
 /* limb_segsum: out[s] = sum_k c[k] * limbs[idx[k]] mod 2^127 - 1 into
  * canonical limbs.  A table row is four 32-bit limbs of one value
- * < 2^128 (not necessarily canonical: stored tags are untrusted); u64
- * tables are checked limb by limb to hold 32 bits.  A coefficient times
- * a limb is < 2^96 and a segment has < 2^28 terms, so the four u128
- * columns stay < 2^124 - exactly cols4_canon's contract. */
-#define LIMB_SEGSUM(C, L)                                                 \
-int secndp_limb_segsum_##C##_##L(const L *restrict limbs, long long n_rows, \
-                                 const C *restrict c,                     \
-                                 const long long *restrict idx, long long n_terms, \
-                                 const long long *restrict off, long long n_seg, \
-                                 u64 *restrict out) {                     \
+ * < 2^128 (not necessarily canonical: stored tags are untrusted).  A
+ * coefficient times a limb is < 2^96 and a segment has < 2^28 terms, so
+ * the four u128 columns stay < 2^124 - exactly cols4_canon's contract. */
+#define LIMB_SEGSUM(C)                                                    \
+int secndp_limb_segsum_##C(const u32 *restrict limbs, long long n_rows,   \
+                           const C *restrict c,                           \
+                           const long long *restrict idx, long long n_terms, \
+                           const long long *restrict off, long long n_seg, \
+                           u64 *restrict out) {                           \
     long long s, k;                                                       \
     if (off[0] != 0 || off[n_seg] != n_terms)                             \
         return -1;                                                        \
@@ -275,10 +275,8 @@ int secndp_limb_segsum_##C##_##L(const L *restrict limbs, long long n_rows, \
             return -1;                                                    \
         for (k = lo; k < hi; k++) {                                       \
             TERM_ROW(r, k, idx, n_rows);                                  \
-            const L *v = limbs + 4 * r;                                   \
+            const u32 *v = limbs + 4 * r;                                 \
             u128 ck = c[k];                                               \
-            if ((((u64)v[0] | (u64)v[1] | (u64)v[2] | (u64)v[3]) >> 32) != 0) \
-                return -1;                                                \
             a0 += ck * v[0];                                              \
             a1 += ck * v[1];                                              \
             a2 += ck * v[2];                                              \
@@ -288,14 +286,10 @@ int secndp_limb_segsum_##C##_##L(const L *restrict limbs, long long n_rows, \
     }                                                                     \
     return 0;                                                             \
 }
-LIMB_SEGSUM(u8, u32)
-LIMB_SEGSUM(u16, u32)
-LIMB_SEGSUM(u32, u32)
-LIMB_SEGSUM(u64, u32)
-LIMB_SEGSUM(u8, u64)
-LIMB_SEGSUM(u16, u64)
-LIMB_SEGSUM(u32, u64)
-LIMB_SEGSUM(u64, u64)
+LIMB_SEGSUM(u8)
+LIMB_SEGSUM(u16)
+LIMB_SEGSUM(u32)
+LIMB_SEGSUM(u64)
 
 /* ----- AES-128 (FIPS-197), T-table formulation ----- */
 
@@ -438,6 +432,93 @@ void secndp_ctr_pads(const u8 *rk, int domain, int addr_bits, int pad_bits,
         secndp_aes128_blocks(rk, out + 16 * b, end - b, out + 16 * b);
     }
 }
+
+/* The 128-bit counter block v, big-endian, at p. */
+static inline void put_ctr(u8 *p, u128 v) {
+    u64 be[2] = {__builtin_bswap64((u64)(v >> 64)), __builtin_bswap64((u64)v)};
+    memcpy(p, be, 16);
+}
+
+/* a[i] += w * limb i of (v >> 1), v the big-endian block at p: Alg. 3's
+ * tag pad as four 32-bit limbs, the columns limb_segsum keeps. */
+static inline void tag_mac(u128 *a, u64 w, const u8 *p) {
+    u64 be[2];
+    u128 v;
+    int i;
+    memcpy(be, p, 16);
+    v = ((u128)__builtin_bswap64(be[0]) << 64 | __builtin_bswap64(be[1])) >> 1;
+    for (i = 0; i < 4; i++)
+        a[i] += (u128)w * (u64)(v >> 32 * i & MASK32);
+}
+
+/* Segment s's tag sum out of the columns (when tags are wanted); reset. */
+static inline void tag_flush(u128 *a, u64 *out, long long s) {
+    if (out)
+        cols4_canon(a[0], a[1], a[2], a[3], out + 4 * s);
+    a[0] = a[1] = a[2] = a[3] = 0;
+}
+
+/* pad_segsum: the OTP PU.  Term k's row r = rows[k] (checked as in
+ * ring_segsum) gets its row_bytes/16 data counter blocks (domain 00,
+ * data version) and, when tag_out is set, one tag counter block (domain
+ * 10, row address, tag version) laid out in a cache-resident chunk and
+ * encrypted there; then out[s] += w[k] * pad in Z(2^W) and the tag
+ * columns += w[k] * tag pad.  No pad outlives its chunk and no row union
+ * is formed: both sums are modular, so a repeated row regenerated per
+ * term is bit-identical to its weights summed first.  The caller has
+ * range-checked the table's top address and both versions. */
+#define PAD_CHUNK 256
+#define PAD_SEGSUM(T, U)                                                  \
+int secndp_pad_segsum_##T(const u8 *restrict rk, int addr_bits, int pad_bits, \
+                          u64 data_version, u64 tag_version, u64 base,    \
+                          long long row_bytes, long long n_rows,          \
+                          const long long *restrict rows, const T *restrict w, \
+                          long long n_terms, const long long *restrict off, \
+                          long long n_seg, T *restrict out, u64 *restrict tag_out) { \
+    u8 buf[16 * PAD_CHUNK] __attribute__((aligned(16)));                  \
+    long long nb = row_bytes / 16, m = row_bytes / (long long)sizeof(T), s, k, c, j; \
+    long long stride = nb + (tag_out != 0), per = PAD_CHUNK / stride;     \
+    int sh = 126 - addr_bits;                                             \
+    u128 a[4] = {0, 0, 0, 0}, step = (u128)16 << sh;                      \
+    u128 dctr = (u128)data_version << pad_bits;                           \
+    u128 tctr = (u128)2 << 126 | (u128)tag_version << pad_bits;           \
+    if (per < 1 || off[0] != 0 || off[n_seg] != n_terms)                  \
+        return -1;                                                        \
+    for (s = 0; s < n_seg; s++)                                           \
+        if (off[s + 1] < off[s] || off[s + 1] - off[s] >= (1LL << 28))    \
+            return -1;                                                    \
+    memset(out, 0, (size_t)(n_seg * m) * sizeof(T));                      \
+    for (s = 0, c = 0; c < n_terms; c += per) {                           \
+        long long end = n_terms - c < per ? n_terms : c + per;            \
+        u8 *p = buf;                                                      \
+        for (k = c; k < end; k++) {                                       \
+            TERM_ROW(r, k, rows, n_rows);                                 \
+            u128 at = (u128)(base + (u64)r * (u64)row_bytes) << sh, v = dctr | at; \
+            for (j = 0; j < stride; j++, p += 16, v += step)              \
+                put_ctr(p, j < nb ? v : tctr | at);                       \
+        }                                                                 \
+        secndp_aes128_blocks(rk, buf, (end - c) * stride, buf);           \
+        for (p = buf, k = c; k < end; k++, p += 16 * stride) {            \
+            U wk = w[k];                                                  \
+            T *o, e;                                                      \
+            for (; off[s + 1] <= k; s++)                                  \
+                tag_flush(a, tag_out, s);                                 \
+            for (o = out + s * m, j = 0; j < m; j++) {                    \
+                memcpy(&e, p + j * (long long)sizeof(T), sizeof(T));      \
+                o[j] = (T)(o[j] + wk * (U)e);                             \
+            }                                                             \
+            if (tag_out)                                                  \
+                tag_mac(a, wk, p + 16 * nb);                              \
+        }                                                                 \
+    }                                                                     \
+    for (; s < n_seg; s++)                                                \
+        tag_flush(a, tag_out, s);                                         \
+    return 0;                                                             \
+}
+PAD_SEGSUM(u8, u32)
+PAD_SEGSUM(u16, u32)
+PAD_SEGSUM(u32, u32)
+PAD_SEGSUM(u64, u64)
 """
 
 
@@ -566,13 +647,16 @@ def _load() -> ctypes.CDLL:
     lib.secndp_ctr_pads.argtypes = [_PTR, *[ctypes.c_int] * 3, ctypes.c_uint64, _PTR, _LL, _PTR]
     lib.secndp_ctr_pads.restype = None
     lib.secndp_aes_hw.restype = ctypes.c_int
+    u64 = ctypes.c_uint64
     for t in _RING_TYPES:
-        fn = getattr(lib, f"secndp_ring_segsum_{t}")
-        fn.argtypes = [_PTR, _LL, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]
-        fn.restype = ctypes.c_int
-        for limb in ("u32", "u64"):
-            fn = getattr(lib, f"secndp_limb_segsum_{t}_{limb}")
-            fn.argtypes = [_PTR, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]
+        for kind, argtypes in (
+            ("ring", [_PTR, _LL, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]),
+            ("limb", [_PTR, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]),
+            ("pad", [_PTR, ctypes.c_int, ctypes.c_int, u64, u64, u64, _LL, _LL,
+                     _PTR, _PTR, _LL, _PTR, _LL, _PTR, _PTR]),
+        ):
+            fn = getattr(lib, f"secndp_{kind}_segsum_{t}")
+            fn.argtypes = argtypes
             fn.restype = ctypes.c_int
     return lib
 
@@ -676,30 +760,54 @@ def limb_segsum(
 ) -> Optional[np.ndarray]:
     """``out[s] = sum_k coeffs[k] * limbs[idx[k]] mod 2^127 - 1`` over CSR
     segment ``s`` as canonical ``(n_segments, 4)`` limbs, from a
-    ``uint32`` or ``uint64`` table of ``(n, 4)`` limb rows (any value
+    ``uint32`` table of ``(n, 4)`` limb rows (stored tags: any value
     below ``2^128``) and unsigned ring coefficients.  ``None`` outside the
-    contract: another dtype or shape, a ``uint64`` limb above 32 bits, a
-    segment of ``2^28`` terms or more, a row outside the table or a
-    malformed offset."""
-    if (
-        limbs.dtype not in (np.uint32, np.uint64)
-        or limbs.ndim != 2
-        or limbs.shape[1] != 4
-        or not limbs.flags.c_contiguous
-    ):
+    contract: another dtype or shape, a segment of ``2^28`` terms or
+    more, a row outside the table or a malformed offset."""
+    if limbs.dtype != np.uint32 or limbs.ndim != 2 or limbs.shape[1] != 4:
         return None
     args = _csr(coeffs, idx, offsets)
-    if args is None or args[0].dtype not in _RING_SUFFIX:
+    if args is None or args[0].dtype not in _RING_SUFFIX or not limbs.flags.c_contiguous:
         return None
     c, idx, off = args
-    fn = getattr(_lib, f"secndp_limb_segsum_{_RING_SUFFIX[c.dtype]}_u{8 * limbs.itemsize}")
     out = np.empty((off.size - 1, 4), dtype=np.uint64)
-    status = fn(
+    status = getattr(_lib, f"secndp_limb_segsum_{_RING_SUFFIX[c.dtype]}")(
         limbs.ctypes.data, limbs.shape[0], c.ctypes.data,
         None if idx is None else idx.ctypes.data, c.size,
         off.ctypes.data, off.size - 1, out.ctypes.data,
     )
     return out if status == 0 else None
+
+
+def pad_segsum(
+    key: bytes, addr_bits: int, pad_bits: int, versions: tuple, base: int,
+    row_bytes: int, n_rows: int, weights: np.ndarray, rows: np.ndarray, offsets: np.ndarray,
+) -> Optional[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """The OTP PU: ``Σ weights[k]·pad(rows[k])`` per CSR segment in the
+    weights' ring and, when ``versions = (data, tag)`` has a tag version,
+    ``Σ weights[k]·tag_pad(rows[k])`` as canonical limbs, each pad
+    regenerated from the key and the row's counter blocks, none stored.
+    ``None`` outside the contract: rows that are not whole blocks at an
+    aligned base, a table top or version the layout cannot carry
+    (checked once here), a row outside the table or a malformed offset."""
+    suffix, args = _RING_SUFFIX.get(weights.dtype), _csr(weights, rows, offsets)
+    if (
+        suffix is None or args is None or rows is None or row_bytes <= 0
+        or row_bytes % 16 or base % 16 or addr_bits > 64
+        or not 0 <= base <= base + n_rows * row_bytes - 16 < 1 << addr_bits
+        or not all(v is None or 0 <= v < 1 << min(64, 126 - addr_bits - pad_bits) for v in versions)
+    ):
+        return None
+    w, rows, off = args
+    out = np.empty((off.size - 1, row_bytes // w.itemsize), dtype=w.dtype)
+    tags = None if versions[1] is None else np.empty((off.size - 1, 4), dtype=np.uint64)
+    status = getattr(_lib, f"secndp_pad_segsum_{suffix}")(
+        _round_key_bytes(bytes(key)).ctypes.data, addr_bits, pad_bits, versions[0],
+        versions[1] or 0, base, row_bytes, n_rows, rows.ctypes.data, w.ctypes.data,
+        w.size, off.ctypes.data, off.size - 1, out.ctypes.data,
+        None if tags is None else tags.ctypes.data,
+    )
+    return (out, tags) if status == 0 else None
 
 
 @lru_cache(maxsize=64)
@@ -756,6 +864,7 @@ def warmup() -> None:
     ring_segsum(np.ones((2, 3), dtype=np.uint32), np.ones(2, dtype=np.uint32), None, off)
     idx = np.zeros(2, dtype=np.int64)
     limb_segsum(np.ones((1, 4), dtype=np.uint32), np.ones(2, dtype=np.uint32), idx, off)
+    pad_segsum(bytes(16), 38, 24, (0, 0), 0, 16, 1, np.ones(2, dtype=np.uint32), idx, off)
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +915,10 @@ def _self_test() -> None:
     if got != [sum(c << (32 * k) for k, c in enumerate(cols)) % _P]:
         raise NativeUnavailable("self-test failed: fold")
 
-    # Fused segment sums: every ring width and both limb-table dtypes
-    # against Python ints, with repeated rows, an empty segment, weights
-    # at 2^w - 1, and a hostile index refused rather than read.
+    # Fused segment sums: every ring width against Python ints, with
+    # repeated rows, an empty segment, weights at 2^w - 1, and a hostile
+    # index refused rather than read.
+    key = bytes(range(16))
     idx = np.array([2, 0, 2, 1, 2], dtype=np.int64)
     off = np.array([0, 3, 3, 5], dtype=np.int64)
     segs = [range(a, b) for a, b in zip(off[:-1], off[1:])]
@@ -822,22 +932,30 @@ def _self_test() -> None:
         if got is None or got.tolist() != want:
             raise NativeUnavailable(f"self-test failed: ring_segsum ({bits}-bit)")
         tag_ints = [_P - 1, (1 << 128) - 1, (1 << 100) + 5]
-        for limb_dt in (np.uint32, np.uint64):
-            limbs = np.array(
-                [[(v >> 32 * i) & _M32 for i in range(4)] for v in tag_ints], dtype=limb_dt
-            )
-            got = limb_segsum(limbs, w, idx, off)
-            want = [sum(int(w[k]) * tag_ints[idx[k]] for k in seg) % _P for seg in segs]
-            if got is None or _ints_of(got) != want:
-                raise NativeUnavailable("self-test failed: limb_segsum")
+        limbs = np.array([[v >> 32 * i & _M32 for i in range(4)] for v in tag_ints], np.uint32)
+        got = limb_segsum(limbs, w, idx, off)
+        want = [sum(int(w[k]) * tag_ints[idx[k]] for k in seg) % _P for seg in segs]
+        if got is None or _ints_of(got) != want:
+            raise NativeUnavailable("self-test failed: limb_segsum")
         bad = np.array([2, 0, 3, 1, 2], dtype=np.int64)
         if ring_segsum(table, w, bad, off) is not None or limb_segsum(limbs, w, -bad, off) is not None:
             raise NativeUnavailable("self-test failed: segment sums read outside the table")
+        # The OTP PU against ctr_pads (checked below) and the sums above:
+        # 32-byte rows at 0x40, data version 5, tag version 7.
+        starts = 0x40 + 32 * np.arange(3, dtype=np.uint64)
+        pads = ctr_pads(key, 0, 38, 24, 5, starts[:, None] + np.array([0, 16], dtype=np.uint64))
+        tags = [int.from_bytes(b, "big") >> 1 for b in ctr_pads(key, 2, 38, 24, 7, starts)]
+        want = (ring_segsum(pads.reshape(3, 32).view(dt), w, idx, off).tolist(),
+                [sum(int(w[k]) * tags[idx[k]] for k in seg) % _P for seg in segs])
+        got = pad_segsum(key, 38, 24, (5, 7), 0x40, 32, 3, w, idx, off)
+        if got is None or (got[0].tolist(), _ints_of(got[1])) != want or pad_segsum(
+            key, 38, 24, (5, 7), 0x40, 32, 3, w, bad, off
+        ) is not None:
+            raise NativeUnavailable(f"self-test failed: pad_segsum ({bits}-bit)")
 
     # AES: the FIPS-197 vector on both bodies, then the serving body
     # against the portable one on 1/8/9-block sweeps (the hardware body's
     # tail, full and full-plus-tail shapes), raw and fused.
-    key = bytes(range(16))
     pt = np.frombuffer(bytes.fromhex("00112233445566778899aabbccddeeff"), dtype=np.uint8)
     for ttable in (True, False):
         ct = aes_blocks(key, pt.reshape(1, 16), ttable=ttable)

@@ -241,9 +241,9 @@ def _numbers(obj: Dict[str, Any], key: str) -> Optional[list]:
 
 
 def reply_id(obj: Any) -> int:
-    """The id to answer a JSON frame that did not decode with: its own,
-    if it has a well-typed one, else 0."""
-    rid = obj.get("id") if isinstance(obj, dict) else None
+    """The id to answer a refused frame with: its own - a JSON dict's
+    ``"id"`` or a typed message's ``id`` - if well typed, else 0."""
+    rid = obj.get("id") if isinstance(obj, dict) else getattr(obj, "id", None)
     return rid if type(rid) is int else 0
 
 

@@ -64,6 +64,7 @@ from repro.serve.protocol import (
     Directive,
     NodeRequest,
     NodeResponse,
+    SlsRequest,
     encode_frame,
     resolve_heartbeat_timeout,
     split_frames,
@@ -71,6 +72,21 @@ from repro.serve.protocol import (
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
+
+#: Fails a test whose garbage raises a ``ResourceWarning`` (a transport
+#: left unclosed) or an unraisable exception; the test collects its
+#: garbage before it returns, so the warning lands on the test that leaked.
+closes_what_it_opens = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+async def _swallow(reader, writer):
+    """A silent peer: reads until EOF, never answers, then closes its end."""
+    try:
+        await reader.read(-1)
+    finally:
+        writer.close()
 
 
 @pytest.fixture(autouse=True)
@@ -388,6 +404,18 @@ class TestClusterCodec:
         with pytest.raises(ConfigurationError):
             codec.decode_device_sums({"tag_sums": [0]}, params)
 
+    @pytest.mark.parametrize("element_bits, weight", [(8, 300), (16, 1 << 16), (32, 1 << 40)])
+    def test_a_weight_wider_than_the_ring_is_still_refused(self, element_bits, weight):
+        ring = SecNDPParams(element_bits=element_bits).ring()
+        payload = json.loads(json.dumps(codec.encode_queries([[1, 2]], [[weight - 1, weight]])))
+        assert 8 * payload["width"] > ring.width
+        with pytest.raises(ConfigurationError, match="bad queries payload"):
+            codec.decode_queries(payload, ring)
+        # The widest residue the ring holds, at the ring's own width, is cast.
+        top = ring.modulus - 1
+        back = codec.decode_queries(codec.encode_queries([[1]], [[top]]), ring)
+        assert back.weights.tolist() == [top] and back.weights.dtype == ring.dtype
+
     def test_decode_device_sums_reduces_tags_into_field(self):
         params = SecNDPParams()
         q = params.tag_modulus
@@ -638,14 +666,13 @@ class TestClusterEndToEnd:
         batches = _batches(48)
         expected = [store.sls_many("emb", r, w) for r, w in batches]
         pads = []
-        pad_shares = store.processor.pad_shares
+        pad_share_batch = store.processor.pad_share_batch
 
-        def recorded_pad_shares(*args):
-            shares = pad_shares(*args)
-            pads.extend(shares)
-            return shares
+        def recorded_pad_share_batch(*args):
+            pads.append(pad_share_batch(*args))
+            return pads[-1]
 
-        store.processor.pad_shares = recorded_pad_shares
+        store.processor.pad_share_batch = recorded_pad_share_batch
         written = {"coordinator": bytearray(), "nodes": bytearray()}
         write = asyncio.StreamWriter.write
 
@@ -681,7 +708,7 @@ class TestClusterEndToEnd:
         try:
             self._run(scenario())
         finally:
-            store.processor.pad_shares = pad_shares
+            del store.processor.pad_share_batch
         assert pads, "no pad half was generated"
         key_b64 = base64.b64encode(KEY)
         sent, answered = (bytes(written[side]) for side in ("coordinator", "nodes"))
@@ -939,14 +966,16 @@ class TestClusterEndToEnd:
 
     @pytest.mark.parametrize("tier", ["auto", "numpy"])
     def test_pad_sweep_runs_once_per_batch_and_every_rung_reuses_it(self, tier):
-        """The trusted half of a 3-shard batch is one sweep over its row
-        union; a retry, a failover and the local rung regenerate nothing."""
+        """The trusted half of a 3-shard batch is one pass over each
+        shard's terms, every term's pads generated once (a repeated row
+        too, no union); a retry, a failover and the local rung regenerate
+        nothing."""
         with kernels.use_tier(tier):
             store = _make_store(n_rows=48)
         rows = [[1, 5, 20, 40, 47], [5, 20, 33], [2, 40]]
         ws = [[1, 2, 3, 1, 1], [2, 2, 1], [3, 1]]
         want = store.sls_many("emb", rows, ws)
-        distinct = len({r for q in rows for r in q})
+        terms = sum(len(q) for q in rows)
         otp = store.processor.encryptor.otp
         blocks_per_row = -(-store.device.stored("emb").n_cols // otp.elements_per_block)
         # n0: forged, then dead (a retry, then a failover); n1 and n2 die
@@ -983,12 +1012,12 @@ class TestClusterEndToEnd:
         with kernels.use_tier(tier):
             got, swept = self._run(scenario({}))
             assert np.array_equal(got, want)
-            assert swept == (distinct * blocks_per_row, distinct)
+            assert swept == (terms * blocks_per_row, terms)
             obs.reset()
             with obs.journal() as journal:
                 got, swept = self._run(scenario(script))
         assert np.array_equal(got, want)
-        assert swept == (distinct * blocks_per_row, distinct)
+        assert swept == (terms * blocks_per_row, terms)
         kinds = [e.kind for e in journal()]
         assert obs.NODE_BLAME in kinds and obs.RECOVERY_FALLBACK in kinds
         snap = obs.snapshot()
@@ -1301,6 +1330,34 @@ class TestNodeProtocol:
 
         asyncio.run(scenario())
 
+    def test_a_refused_binary_frame_is_answered_under_its_own_id(self):
+        """A binary frame a node does not serve (a client ``sls``) is
+        refused with ``FrameError`` under the id it carried, so a
+        pipelining peer knows which request failed; the connection lives."""
+
+        async def scenario():
+            async with NodeServer("n0") as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    writer.write(encode_frame(
+                        SlsRequest(id=42, table="emb", rows=(1, 2), weights=(1, 1)), CODEC_BINARY
+                    ))
+                    writer.write(encode_frame(NodeRequest(id=43, op="heartbeat"), CODEC_BINARY))
+                    buf, answers = bytearray(), []
+                    while len(answers) < 2:
+                        buf += await asyncio.wait_for(reader.read(1 << 16), 5.0)
+                        answers += split_frames(buf)[0]
+                    return answers
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+        refused, heartbeat = (
+            a if isinstance(a, dict) else a.to_wire() for a in asyncio.run(scenario())
+        )
+        assert (refused["id"], refused["status"], refused["kind"]) == (42, "error", "FrameError")
+        assert (heartbeat["id"], heartbeat["status"]) == (43, "ok")
+
 
 class TestReconnect:
     """Satellite: AsyncSlsClient survives a server restart."""
@@ -1400,12 +1457,10 @@ class TestHeartbeatDeadline:
             with pytest.raises(ConfigurationError):
                 resolve_heartbeat_timeout(value)
 
+    @closes_what_it_opens
     def test_heartbeat_times_out_on_silent_peer(self):
         async def scenario():
-            async def swallow(reader, writer):
-                await reader.read(-1)  # never answers
-
-            silent = await asyncio.start_server(swallow, "127.0.0.1", 0)
+            silent = await asyncio.start_server(_swallow, "127.0.0.1", 0)
             port = silent.sockets[0].getsockname()[1]
             client = await AsyncSlsClient.connect(
                 "127.0.0.1", port, reconnect=False
@@ -1416,6 +1471,7 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
+        gc.collect()
 
     def test_heartbeat_ok_against_live_server(self):
         store = _make_store(n_rows=16, dim=4)
@@ -1431,12 +1487,10 @@ class TestHeartbeatDeadline:
 
         asyncio.run(scenario())
 
+    @closes_what_it_opens
     def test_node_client_timeout_raises_peer_timeout(self):
         async def scenario():
-            async def swallow(reader, writer):
-                await reader.read(-1)
-
-            silent = await asyncio.start_server(swallow, "127.0.0.1", 0)
+            silent = await asyncio.start_server(_swallow, "127.0.0.1", 0)
             port = silent.sockets[0].getsockname()[1]
             client = NodeClient("mute", "127.0.0.1", port)
             with pytest.raises(PeerTimeoutError):
@@ -1446,11 +1500,13 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
+        gc.collect()
 
 
 class TestNodeHopCorrelation:
     """The node hop is the id-correlated transport: no lock, no drop."""
 
+    @closes_what_it_opens
     def test_late_answer_is_dropped_and_the_retry_answered_on_the_same_connection(self):
         store = _make_store(n_rows=48)
         rows, ws = [[1, 20, 40], [5, 30]], [[1, 2, 3], [1, 1]]
@@ -1482,6 +1538,7 @@ class TestNodeHopCorrelation:
 
         with obs.journal() as journal:
             got, seen, same, pending, stats = asyncio.run(scenario())
+        gc.collect()
         assert np.array_equal(got, want)
         # The retry (id k + 1) is answered first; the slow dispatch's late
         # answer (id k) arrives after it and is dropped; the heartbeat

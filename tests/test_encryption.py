@@ -167,7 +167,8 @@ class TestRowAddressing:
             pads = enc.pads_for_rows(e, rows)
             assert pads.shape == (len(rows), 8)
             assert np.array_equal(pads, bulk[rows])
-        assert enc.otp.pad_blocks == 2 * 2 * len(set(rows))
+        # Per term, as the OTP PU regenerates: a repeated row is not deduplicated.
+        assert enc.otp.pad_blocks == 2 * 2 * len(rows)
 
     def test_partial_block_rows_take_the_element_path(self, monkeypatch):
         enc, _ = make_encryptor(element_bits=8)

@@ -380,9 +380,11 @@ class TestBackendSurface:
             if inspect.isfunction(fn)
             and fn.__module__ == _cc.__name__
             and not name.startswith("_")
-            and fn.__annotations__.get("return") == "Optional[np.ndarray]"
+            and fn.__annotations__.get("return", "").startswith("Optional[")
         }
-        assert wrappers == {"dot", "fold", "ring_segsum", "limb_segsum", "aes_blocks", "ctr_pads"}
+        assert wrappers == {
+            "dot", "fold", "ring_segsum", "limb_segsum", "pad_segsum", "aes_blocks", "ctr_pads"
+        }
         src = pathlib.Path(repro.__file__).parent
         callers = "".join(p.read_text() for p in src.rglob("*.py") if p.parent.name != "kernels")
         for name in wrappers:
@@ -489,16 +491,147 @@ class TestFusedSegmentSums:
 
         off = np.array([0, 2], dtype=np.int64)
         w32 = np.ones(2, dtype=np.uint32)
-        limbs = np.zeros((2, 4), dtype=np.uint64)
+        limbs = np.zeros((2, 4), dtype=np.uint32)
         assert _cc.limb_segsum(limbs, w32, None, off) is not None
-        limbs[1, 2] = 1 << 32  # a u64 lane holding more than one limb
-        assert _cc.limb_segsum(limbs, w32, None, off) is None
+        # Only stored tags (uint32 limbs) reach it; wider limb lanes are
+        # the NumPy tier's tag pads and are declined.
+        assert _cc.limb_segsum(limbs.astype(np.uint64), w32, None, off) is None
         table = np.ones((2, 3), dtype=np.uint32)
         assert _cc.ring_segsum(table, w32.astype(np.uint16), None, off) is None  # mixed dtypes
         assert _cc.ring_segsum(table.astype(np.int32), w32.astype(np.int32), None, off) is None
         assert _cc.ring_segsum(np.ones((3, 2), np.uint32).T, w32, None, off) is None
         for bad_off in ([0, 1], [0, 3], [1, 2], [0, 2, 1, 2]):
             assert _cc.ring_segsum(table, w32, None, np.array(bad_off)) is None
+
+
+# ---------------------------------------------------------------------------
+# The trusted half as the OTP PU: pads regenerated per term and summed as
+# they leave the cipher (``pad_segsum``), against the NumPy tier's same
+# per-term algorithm and a scalar oracle over bulk-regenerated pads.
+# ---------------------------------------------------------------------------
+
+
+def _pad_case(width, n_cols=None, n_rows=40):
+    """A processor and an encrypted ``n_rows``-row table at ``w_e = width``."""
+    from repro.core.params import SecNDPParams
+    from repro.core.protocol import SecNDPProcessor
+
+    processor = SecNDPProcessor(bytes(range(16)), SecNDPParams(element_bits=width))
+    n_cols = n_cols or 512 // width  # four cipher blocks a row
+    plain = np.random.default_rng(width).integers(0, 1 << width, (n_rows, n_cols), dtype=np.uint64)
+    return processor, processor.encrypt_matrix(plain.astype(processor.ring.dtype), 0x4000, "t")
+
+
+def _pad_oracle(processor, enc, rows, weights):
+    """Python-int ``(E_res, E_T_res)`` per query: bulk Alg. 1 pads and the
+    scalar ``tag_pad`` (``PrimeField``), summed term by term."""
+    ring, field = processor.ring, processor.field
+    pads = processor.encryptor.otp.pad_elements(
+        enc.base_addr, enc.n_rows * enc.n_cols, enc.version
+    ).reshape(enc.n_rows, enc.n_cols).tolist()
+    values, tags = [], []
+    for q_rows, q_weights in zip(rows, weights):
+        values.append([
+            sum(int(w) * pads[r][j] for r, w in zip(q_rows, q_weights)) % ring.modulus
+            for j in range(enc.n_cols)
+        ])
+        tag = 0
+        for r, w in zip(q_rows, q_weights):
+            pad = processor.mac.tag_pad(enc.row_addr(r), enc.tag_version)
+            tag = field.add(tag, field.mul(int(w), pad))
+        tags.append(tag)
+    return values, tags
+
+
+def _fused_pads(processor, enc, batch):
+    """``_cc.pad_segsum`` over ``batch`` with the processor's key and layout."""
+    from repro.kernels import _cc
+
+    layout = processor.cipher.layout
+    return _cc.pad_segsum(
+        processor.cipher.key, layout.addr_bits, layout.pad_bits,
+        (enc.version, enc.tag_version), enc.base_addr, enc.row_bytes, enc.n_rows,
+        batch.weights, batch.rows, batch.offsets,
+    )
+
+
+_PAD_BATCHES = {
+    # Rows repeated within a query and across queries, an empty query.
+    "repeats": ([[3, 3, 7, 0], [], [7, 39, 3], [0]], [[1, 2, 255, 4], [], [5, 6, 7], [8]]),
+    "empty_query": ([[]], [[]]),
+    "empty_batch": ([], []),
+}
+
+
+@needs_native
+class TestFusedPadSegsum:
+    @pytest.mark.parametrize("case", sorted(_PAD_BATCHES))
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_kernel_numpy_and_scalar_oracle_agree(self, width, case):
+        from repro.core.device import QueryBatch
+
+        processor, enc = _pad_case(width)
+        rows, weights = _PAD_BATCHES[case]
+        values, tags = _pad_oracle(processor, enc, rows, weights)
+        shares = {}
+        for tier in ("scalar", "numpy", "native"):
+            with kernels.use_tier(tier):
+                share = processor.pad_share_batch(enc, "t", rows, weights)
+            assert share.values.dtype == processor.ring.dtype
+            assert share.values.tolist() == values and _ints(share.tag_shares) == tags, tier
+            shares[tier] = share
+        # Byte for byte too: the native share is the kernel's own output.
+        out = _fused_pads(processor, enc, QueryBatch.flatten(processor.ring, rows, weights))
+        assert np.array_equal(out[0], shares["native"].values)
+        assert np.array_equal(out[1], shares["native"].tag_shares)
+
+    @pytest.mark.parametrize("bad", [40, 2**32 - 1, -1])
+    def test_a_row_outside_the_table_is_declined_then_refused(self, bad):
+        from repro.core.device import QueryBatch
+
+        processor, enc = _pad_case(32)
+        batch = QueryBatch.flatten(processor.ring, [[0, bad], [1]])
+        assert _fused_pads(processor, enc, batch) is None
+        for tier in ("scalar", "numpy", "native"):
+            with kernels.use_tier(tier):
+                with pytest.raises(IndexError, match=f"row {bad} out of range"):
+                    processor.pad_share_batch(enc, "t", batch)
+
+    def test_a_version_flip_fails_verification_on_every_tier(self):
+        from repro.core.device import UntrustedNdpDevice
+        from repro.errors import VerificationError
+        from repro.faults import FaultKind, FaultPlan, hooks
+
+        processor, enc = _pad_case(32)
+        device = UntrustedNdpDevice(processor.params)
+        device.store("t", enc)
+        rows, weights = _PAD_BATCHES["repeats"]
+        for tier in ("scalar", "numpy", "native"):
+            with kernels.use_tier(tier):
+                honest = processor.pad_share_batch(enc, "t", rows, weights)
+                with hooks.injected(FaultPlan(rates={FaultKind.VERSION_FLIP: 1.0})):
+                    flipped = processor.pad_share_batch(enc, "t", rows, weights)
+                # The data pads moved (the tag pads read their own version).
+                assert not np.array_equal(flipped.values, honest.values), tier
+                share = processor.combine_device_sums(
+                    flipped, *device.partial_sum_batch("t", rows, weights)
+                )
+                assert processor.failed_share_queries(enc, "t", share) == [0, 2, 3], tier
+                with pytest.raises(VerificationError):
+                    processor.finalize_row_sums(enc, "t", [share])
+
+    def test_rows_that_are_not_whole_blocks_are_declined_and_served(self):
+        from repro.core.device import QueryBatch
+
+        processor, enc = _pad_case(8, n_cols=8)  # 8-byte rows: two share a block
+        rows, weights = [[5, 0, 1, 5], [2]], [[1, 2, 3, 4], [9]]
+        batch = QueryBatch.flatten(processor.ring, rows, weights)
+        assert _fused_pads(processor, enc, batch) is None
+        values, tags = _pad_oracle(processor, enc, rows, weights)
+        for tier in ("scalar", "numpy", "native"):
+            with kernels.use_tier(tier):
+                share = processor.pad_share_batch(enc, "t", batch)
+            assert share.values.tolist() == values and _ints(share.tag_shares) == tags, tier
 
 
 # ---------------------------------------------------------------------------

@@ -143,22 +143,23 @@ class TestPadBlockAccounting:
         "tier",
         ["scalar", "numpy"] + (["native"] if kernels.native_available() else []),
     )
-    def test_one_wave_counts_every_block_of_its_row_union(self, tier):
+    def test_one_wave_counts_every_block_of_every_term(self, tier):
         rng = np.random.default_rng(11)
         batch = [list(rng.integers(0, 64, size=6)) for _ in range(8)]
-        union = len({int(r) for rows in batch for r in rows})
+        terms = sum(len(rows) for rows in batch)
+        assert len({int(r) for rows in batch for r in rows}) < terms  # rows repeat
         with kernels.use_tier(tier):
             params = SecNDPParams(element_bits=32)
             store = SecureEmbeddingStore(
                 SecNDPProcessor(KEY, params), UntrustedNdpDevice(params)
             )
             store.add_table("emb", rng.normal(size=(64, 16)))
-            blocks = union * (store.device.stored("emb").row_bytes // 16)
+            blocks = terms * (store.device.stored("emb").row_bytes // 16)
             assert store.cache_info() == (0, 0, 0, 0, 0)  # bulk encryption is not counted
             _, outcomes = store.sls_scatter("emb", batch)
             assert all(o.ok for o in outcomes)
-            # A wave's rows are deduplicated and every tier regenerates
-            # its pads: each touched block is generated once, none kept.
+            # Every tier regenerates each term's pads as the OTP PU does:
+            # a repeated row is generated again, no union, nothing kept.
             assert store.cache_info() == (0, blocks, 0, 0, 0)
             assert store.tag_cache_info() == (0, 0, 0, 0, 0)
 
