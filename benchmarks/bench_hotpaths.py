@@ -24,7 +24,10 @@ The **pad_path** section states the trusted half in absolute terms: ns
 per generated cipher block through ``pad_share_batch`` next to the raw
 AES call, on every kernel tier this host has.  The
 **sls_wave** section holds a whole cold 32-query wave to an absolute,
-calibration-paired budget per tier.
+calibration-paired budget per tier, and the **fixed_cost** section does
+the same on the native tier for a hot 32-query wave (``sls_wave_hot``)
+and a one-term query (``sls_one_term``), where the call boundary and the
+store's bookkeeping are all there is.
 
 Results are printed and appended to ``BENCH_hotpaths.json`` at the repo
 root so later PRs can track the perf trajectory.  Scale via
@@ -328,6 +331,73 @@ def _bench_sls_wave(sizes) -> dict:
     return report
 
 
+#: ``sls_wave_hot`` / ``sls_one_term`` budgets in µs per ``sls_scatter``
+#: on the native tier at the reference box's quiet speed (each block of
+#: calls paired with a calibration run): about twice a first reading,
+#: 61 / 31 µs (the ctypes boundary and two-pass combine/verify before
+#: them read 141 / 107 µs).
+_FIXED_BUDGET_US = {"sls_wave_hot": 125.0, "sls_one_term": 65.0}
+
+
+def _bench_fixed_cost(sizes) -> dict:
+    """The fixed cost of a wave: ``store.sls_scatter`` on the native tier.
+
+    A ``serve_hot``-shaped store (65 536 x 32 table, 32-bit ring) serves
+    batches in the form the front-end hands it (a validated
+    :class:`QueryBatch`): ``sls_wave_hot``, 32 queries of pooling factor
+    4-16, and ``sls_one_term``, one query of one term - where the cipher
+    and the sums are nanoseconds and what is left is the call boundary
+    and the store's bookkeeping.  Each block of calls is timed call by
+    call; its median is paired with a ``benchmarks/e2e/calib.py`` sample
+    and the section reports the median over blocks against
+    ``_FIXED_BUDGET_US``.  Every answer of the timed calls is checked
+    against ``sls_many`` of the same queries.
+    """
+    if not kernels.native_available():
+        return {}
+    params = SecNDPParams(element_bits=32)
+    rng = np.random.default_rng(41)
+    n_rows, dim = 65_536, 32
+    blocks, per_block = (9, 100) if sizes["n_rows"] <= _SIZES["smoke"]["n_rows"] else (21, 200)
+    report: dict = {"table_rows": n_rows, "dim": dim}
+    with kernels.use_tier("native"):
+        kernels.warmup()
+        store = SecureEmbeddingStore(SecNDPProcessor(KEY, params), UntrustedNdpDevice(params))
+        store.add_table("emb", rng.normal(size=(n_rows, dim)))
+        shapes = {
+            "sls_wave_hot": [rng.integers(4, 17, size=32) for _ in range(16)],
+            "sls_one_term": [np.ones(1, dtype=np.int64) for _ in range(16)],
+        }
+        for name, lengths in shapes.items():
+            queries = [
+                ([rng.integers(0, n_rows, n).tolist() for n in pf],
+                 [rng.integers(1, 4, n).tolist() for n in pf])
+                for pf in lengths
+            ]
+            batches = [store.validate_batch("emb", *q) for q in queries]
+            normalised, turn = [], 0
+            for _ in range(blocks):
+                times = []
+                for _ in range(per_block):
+                    batch = batches[turn % len(batches)]
+                    turn += 1
+                    t0 = time.perf_counter()
+                    values, outcomes = store.sls_scatter("emb", batch)
+                    times.append(time.perf_counter() - t0)
+                normalised.append(calib.normalise(float(np.median(times)), calib.calib_s()))
+            for q, batch in zip(queries, batches):
+                values, outcomes = store.sls_scatter("emb", batch)
+                assert all(o.ok for o in outcomes)
+                assert np.array_equal(values, store.sls_many("emb", *q))
+            report[name] = {
+                "queries": len(lengths[0]),
+                "terms_per_query": [int(min(map(min, lengths))), int(max(map(max, lengths)))],
+                "us": float(np.median(normalised)) * 1e6,
+                "budget_us": _FIXED_BUDGET_US[name],
+            }
+    return report
+
+
 def _bench_obs(sizes) -> dict:
     """Telemetry layer: histogram observe/merge and audit-event emit cost.
 
@@ -582,6 +652,7 @@ def test_hotpaths(scale):
     report = {"scale": scale.name, **sections, "wall_seconds": wall}
     report["pad_path"] = _bench_pad_path(sizes)
     report["sls_wave"] = _bench_sls_wave(sizes)
+    report["fixed_cost"] = _bench_fixed_cost(sizes)
     report["obs"] = _bench_obs(sizes)
     report["kernels"] = _bench_kernels(sizes)
     report["metrics"] = _collect_metrics(sizes)
@@ -621,6 +692,14 @@ def test_hotpaths(scale):
                 f"{sw[tier]['wave_ms']:.2f} ms host-normalised (budget "
                 f"{sw[tier]['budget_ms']:g}), raw AES of its {sw['aes_blocks']} blocks "
                 f"{sw[tier]['aes_ms']:.2f} ms"
+            )
+    fc = report["fixed_cost"]
+    for name in ("sls_wave_hot", "sls_one_term"):
+        if name in fc:
+            print(
+                f"{name} [native]: {fc[name]['queries']} queries of "
+                f"{fc[name]['terms_per_query'][0]}-{fc[name]['terms_per_query'][1]} terms "
+                f"{fc[name]['us']:.1f} µs host-normalised (budget {fc[name]['budget_us']:g})"
             )
     ob = report["obs"]
     print(
@@ -672,6 +751,10 @@ def test_hotpaths(scale):
     for tier in ("numpy", "native"):
         if tier in sw:
             assert sw[tier]["wave_ms"] <= sw[tier]["budget_ms"], tier
+    # The fixed cost of a wave inside its absolute, host-normalised budget.
+    for name in ("sls_wave_hot", "sls_one_term"):
+        if name in fc:
+            assert fc[name]["us"] <= fc[name]["budget_us"], name
     # PR 7 acceptance (observability): the fleet merge is exact (asserted
     # bit-identical inside _bench_obs) and the disabled module gates stay
     # well below the enabled per-call cost.

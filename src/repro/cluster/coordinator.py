@@ -25,11 +25,11 @@ that ever holds key material:
    deadline — all shards are in flight together, each on its own
    recovery ladder.  A node answers with ciphertext-domain sums only
    (``C_res`` / ``C_T_res``) and the coordinator adds each node's sums
-   (:meth:`~repro.core.protocol.SecNDPProcessor.combine_device_sums`).
+   onto its pad half and checks them in one pass
+   (:meth:`~repro.core.protocol.SecNDPProcessor.combine_and_verify`).
 3. **Blame**: each reconstructed share is verified against its *own*
-   restricted checksum
-   (:meth:`~repro.core.protocol.SecNDPProcessor.failed_share_queries`)
-   before any combining — since the pad half is computed honestly here,
+   restricted checksum, in that pass and before any cross-shard
+   combining — since the pad half is computed honestly here,
    a mismatch is cryptographic evidence against exactly that node
    (publicly-identifiable abort), up to the scheme's forgery bound.
    Error frames and structurally malformed sums blame the node the same
@@ -420,8 +420,10 @@ class ClusterCoordinator:
         values, tag_sums = codec.decode_device_sums(
             response.payload.get("sums", {}), self.store.processor.params
         )
-        share = self.store.processor.combine_device_sums(pad, values, tag_sums)
-        self.store.processor.verify_partial_share(enc, name, share, shard=node)
+        processor = self.store.processor
+        share, failed = processor.combine_and_verify(enc, name, pad, values, tag_sums)
+        if failed:
+            raise processor.shard_error(name, node, failed)
         return share
 
     def _local_share(
@@ -439,12 +441,12 @@ class ClusterCoordinator:
         )
         device = UntrustedNdpDevice(self.store.processor.params)
         device.store(name, enc)
-        share = self.store.processor.combine_device_sums(
-            pad, *device.partial_sum_batch(name, batch)
+        processor = self.store.processor
+        share, failed = processor.combine_and_verify(
+            enc, name, pad, *device.partial_sum_batch(name, batch)
         )
-        try:
-            self.store.processor.verify_partial_share(enc, name, share, shard="local")
-        except ShardVerificationError as exc:
+        if failed:
+            exc = processor.shard_error(name, "local", failed)
             raise RecoveryExhaustedError(
                 f"trusted local recompute failed verification for {name!r}: "
                 f"{exc} (local device corrupted?)"

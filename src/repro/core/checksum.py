@@ -113,6 +113,14 @@ class _RowChecksum:
             )
         return limb_field.pack(self.row_tag(row, key) for row in matrix)
 
+    def column_words(self, key, m: int) -> np.ndarray:
+        """:meth:`row_tag_limbs`' column weights as ``(m, 4)`` ``uint32``
+        limbs (cached): what the native combine-and-verify pass takes."""
+        hashable = tuple(key) if isinstance(key, list) else key
+        return self._cached_weights(
+            (hashable, m, "words"), lambda: self._weight_limbs(key, m).astype(np.uint32)
+        )
+
     def row_tags(self, matrix: np.ndarray, key) -> list:
         """Int view of :meth:`row_tag_limbs`."""
         return limb_field.from_limbs(self.row_tag_limbs(matrix, key))

@@ -124,8 +124,9 @@ class ArithmeticEncryptor:
         version (the property that makes SecNDP bandwidth-free on the OTP
         side).  Rows that are whole cipher blocks at block-aligned
         addresses take the row-granular path of the module docstring;
-        anything else goes element by element through
-        :meth:`~repro.crypto.otp.OtpGenerator.pad_elements_at`.
+        anything else goes through
+        :meth:`~repro.crypto.otp.OtpGenerator.pad_elements_at`, one row a
+        term, so either way each term's blocks are regenerated and counted.
         """
         rows = np.asarray(rows, dtype=np.int64)
         starts = encrypted.row_addrs(rows)
@@ -134,7 +135,7 @@ class ArithmeticEncryptor:
             addrs = starts[:, None] + np.arange(
                 0, row_bytes, self.params.element_bytes, dtype=np.uint64
             )
-            flat = self.otp.pad_elements_at(addrs.reshape(-1), encrypted.version)
+            flat = self.otp.pad_elements_at(addrs, encrypted.version)
         else:
             blocks = starts[:, None] + np.arange(
                 0, row_bytes, BLOCK_BYTES, dtype=np.uint64

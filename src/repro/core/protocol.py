@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,11 @@ class WeightedSumResult:
 
     values: np.ndarray
     verified: bool
+
+
+_NO_TAG_SHARES = (
+    "partial share carries no tag shares; recompute with with_tag_shares=True to verify"
+)
 
 
 def _require_tags(enc: EncryptedMatrix, name: str) -> None:
@@ -171,8 +176,9 @@ class SecNDPProcessor:
         the tag check (:meth:`finalize_row_sums`).
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        share = self._share(device, name, batch, verify)
-        return self.finalize_row_sums(device.stored(name), name, [share], verify)
+        enc, pad, sums = self._halves(device, name, batch, verify)
+        share = self.combine_device_sums(pad, *sums)
+        return self.finalize_row_sums(enc, name, [share], verify)
 
     def weighted_row_sum(
         self,
@@ -204,19 +210,29 @@ class SecNDPProcessor:
         totals.
         """
         batch = QueryBatch.flatten(self.ring, batch_rows, batch_weights)
-        return self._share(device, name, batch, with_tag_shares)
-
-    def _share(
-        self, device: UntrustedNdpDevice, name: str, batch: QueryBatch, with_tags: bool
-    ) -> PartialSumShare:
-        """Pad half + device half of ``batch``, added (the split, in-process)."""
-        obs.inc("protocol.queries", len(batch))
-        pad = self.pad_share_batch(
-            device.stored(name), name, batch, with_tag_shares=with_tags
-        )
-        with obs.span("protocol.offload"):
-            sums = device.partial_sum_batch(name, batch, with_tags=with_tags)
+        _, pad, sums = self._halves(device, name, batch, with_tag_shares)
         return self.combine_device_sums(pad, *sums)
+
+    def offload_batch(
+        self, device: UntrustedNdpDevice, name: str, batch: QueryBatch, verify: bool = True
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Both halves of ``batch``, added and (``verify``) checked in one
+        pass: ``(values, failing queries)``, the store's call into the split."""
+        enc, pad, sums = self._halves(device, name, batch, verify)
+        if not verify:
+            return self.combine_device_sums(pad, *sums).values, []
+        share, failed = self.combine_and_verify(enc, name, pad, *sums)
+        return share.values, failed
+
+    def _halves(
+        self, device: UntrustedNdpDevice, name: str, batch: QueryBatch, with_tags: bool
+    ) -> tuple:
+        """``(enc, pad half, device half)`` of ``batch`` (the split, in-process)."""
+        obs.inc("protocol.queries", len(batch))
+        enc = device.stored(name)
+        pad = self.pad_share_batch(enc, name, batch, with_tag_shares=with_tags)
+        with obs.span("protocol.offload"):
+            return enc, pad, device.partial_sum_batch(name, batch, with_tags=with_tags)
 
     def pad_share_batch(
         self,
@@ -277,36 +293,92 @@ class SecNDPProcessor:
         parties.  The device inputs are untrusted — shape mismatches
         raise :class:`ConfigurationError` so callers can blame the
         shard that produced them; forged sums pass through and are
-        caught by :meth:`verify_partial_share`.
+        caught by :meth:`verify_partial_share`.  The add of
+        :meth:`combine_and_verify`'s pass, without its check.
         """
+        values, tags = self._device_halves(pad, device_values, device_tag_sums)
+        with obs.span("protocol.combine"):
+            values, tags, _ = self._combine_verify(pad.values, pad.tag_shares, values, tags)
+        return PartialSumShare(values=values, tag_shares=tags)
+
+    def combine_and_verify(
+        self,
+        enc: EncryptedMatrix,
+        name: str,
+        pad: PartialSumShare,
+        device_values: np.ndarray,
+        device_tag_sums: Optional[np.ndarray] = None,
+    ) -> Tuple[PartialSumShare, List[int]]:
+        """:meth:`combine_device_sums` and :meth:`failed_share_queries` as
+        the one pass they are, the verification engine beside the OTP PU
+        (Sec. V-C): ``(share, failing queries)``; a failure blames the
+        device whose sums went in."""
+        values, tags = self._device_halves(pad, device_values, device_tag_sums)
+        if tags is None:
+            raise VerificationError(_NO_TAG_SHARES)
+        _require_tags(enc, name)
+        key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
+        with obs.span("protocol.verify"):
+            values, tags, failed = self._combine_verify(
+                pad.values, pad.tag_shares, values, tags, key
+            )
+        return PartialSumShare(values=values, tag_shares=tags), self._failures(failed)
+
+    def _device_halves(self, pad: PartialSumShare, device_values, device_tag_sums) -> tuple:
+        """A device's sums shaped like ``pad`` (tag sums ``None`` when it
+        has none), else :class:`ConfigurationError`."""
         values = np.asarray(device_values, dtype=self.ring.dtype)
         if values.shape != pad.values.shape:
             raise ConfigurationError(
                 f"device sums shape {values.shape} does not match the "
                 f"pad share shape {pad.values.shape}"
             )
-        tag_shares = None
-        with obs.span("protocol.combine"):
-            if pad.tag_shares is not None:
-                tags = None if device_tag_sums is None else np.asarray(device_tag_sums)
-                if tags is None or tags.shape != pad.tag_shares.shape or tags.dtype.kind != "u":
-                    raise ConfigurationError(
-                        "device tag sums missing or mismatched against the "
-                        "pad share's tag shares"
-                    )
-                tag_shares = limb_field.field_add(self.field, tags, pad.tag_shares)
-            values = self.ring.add(values, pad.values)
-        return PartialSumShare(values=values, tag_shares=tag_shares)
+        if pad.tag_shares is None:
+            return values, None
+        tags = None if device_tag_sums is None else np.asarray(device_tag_sums)
+        if tags is None or tags.shape != pad.tag_shares.shape or tags.dtype.kind != "u":
+            raise ConfigurationError(
+                "device tag sums missing or mismatched against the "
+                "pad share's tag shares"
+            )
+        return values, tags
 
-    def _mismatches(self, values: np.ndarray, tag_shares: np.ndarray, key) -> np.ndarray:
-        """Queries whose retrieved tag differs from the checksum of ``values``.
-
-        One checksum sweep over the whole ``(n_queries, m)`` result
-        matrix (the verification engine of Alg. 5 line 10), compared
-        limb for limb.
-        """
+    def _combine_verify(self, values, tags, dev_values=None, dev_tags=None, key=None) -> tuple:
+        """The trusted side's one pass over a share (Alg. 5 lines 8-10): add
+        a device's sums (``None``: already combined) in the ring and the
+        field and, with a checksum ``key``, list the queries whose result
+        tag differs from their tag share: ``(values, tag_shares, failed)``.
+        The whole pass (add and check) is one ``combine_verify`` call on the
+        native tier; a part of it, and every step on the NumPy tier, runs
+        in NumPy."""
+        nat = _kernels.active_native()
+        if (
+            nat is not None and dev_tags is not None and key is not None
+            and limb_field.supports_field(self.field)
+        ):
+            weights = self.checksum.column_words(key, values.shape[1])
+            out = nat.combine_verify(values, tags, dev_values, dev_tags, weights)
+            if out is not None:
+                return out
+        if dev_values is not None:
+            values = self.ring.add(dev_values, values)
+        if dev_tags is not None:
+            tags = limb_field.field_add(self.field, dev_tags, tags)
+        if key is None:
+            return values, tags, []
         computed = self.checksum.row_tag_limbs(values, key)
-        return np.flatnonzero((computed != tag_shares).any(axis=1))
+        return values, tags, np.flatnonzero((computed != tags).any(axis=1)).tolist()
+
+    def _mismatches(self, values: np.ndarray, tag_shares: np.ndarray, key) -> List[int]:
+        """Queries whose retrieved tag differs from the checksum of ``values``."""
+        return self._combine_verify(values, tag_shares, key=key)[2]
+
+    @staticmethod
+    def _failures(failed: List[int]) -> List[int]:
+        """Failing query indices, counted."""
+        if failed:
+            obs.inc("protocol.verify.failures", len(failed))
+        return failed
 
     def failed_share_queries(
         self,
@@ -330,21 +402,16 @@ class SecNDPProcessor:
         :meth:`finalize_row_sums` keeps checking totals even when
         per-shard checks ran.  A share holding every term of its queries
         (the store's batch) has no such gap: this is then Alg. 5 for
-        each query, every failing one named in one sweep.
+        each query, every failing one named in one sweep.  The check of
+        :meth:`combine_and_verify`'s pass, on a share already combined.
         """
         if part.tag_shares is None:
-            raise VerificationError(
-                "partial share carries no tag shares; recompute with "
-                "with_tag_shares=True to verify"
-            )
+            raise VerificationError(_NO_TAG_SHARES)
         _require_tags(enc, name)
         if key is None:
             key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
         with obs.span("protocol.verify"):
-            failed = self._mismatches(part.values, part.tag_shares, key).tolist()
-        if failed:
-            obs.inc("protocol.verify.failures", len(failed))
-        return failed
+            return self._failures(self._mismatches(part.values, part.tag_shares, key))
 
     def verify_partial_share(
         self,
@@ -361,12 +428,17 @@ class SecNDPProcessor:
         """
         failed = self.failed_share_queries(enc, name, part, key=key)
         if failed:
-            raise ShardVerificationError(
-                f"tag share mismatch for shard {shard!r} on {name!r}: "
-                f"queries {failed} (tampering, replay, or a forged share)",
-                shard=shard,
-                queries=failed,
-            )
+            raise self.shard_error(name, shard, failed)
+
+    @staticmethod
+    def shard_error(name: str, shard, failed: List[int]) -> ShardVerificationError:
+        """The Alg. 5 abort for ``shard``'s share whose queries ``failed``."""
+        return ShardVerificationError(
+            f"tag share mismatch for shard {shard!r} on {name!r}: "
+            f"queries {failed} (tampering, replay, or a forged share)",
+            shard=shard,
+            queries=failed,
+        )
 
     def finalize_row_sums(
         self,
@@ -401,19 +473,15 @@ class SecNDPProcessor:
         key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
         with obs.span("protocol.verify"):
             if any(part.tag_shares is None for part in partials):
-                raise VerificationError(
-                    "partial share carries no tag shares; recompute "
-                    "with with_tag_shares=True to verify"
-                )
+                raise VerificationError(_NO_TAG_SHARES)
             retrieved = reduce(
                 lambda a, b: limb_field.field_add(self.field, a, b),
                 (part.tag_shares for part in partials),
             )
-            failed = self._mismatches(res, retrieved, key)
-            if failed.size:
-                q = int(failed[0])
+            failed = self._failures(self._mismatches(res, retrieved, key))
+            if failed:
+                q = failed[0]
                 t_res = self.checksum.result_tag(res[q], key)
-                obs.inc("protocol.verify.failures", int(failed.size))
                 raise VerificationError(
                     f"tag mismatch for query {q} on {name!r}: computed "
                     f"{t_res:#x}, retrieved "

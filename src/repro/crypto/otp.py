@@ -10,11 +10,12 @@ matrices (bulk encryption, Alg. 1) and for scattered single elements
 (Alg. 4 lines 8-12, where the processor regenerates only the pads of the
 elements that participate in a weighted summation).
 
-Hot-path note: scattered queries touch many elements that share a cipher
-block (``l`` adjacent elements per block), so the query path works on
-*distinct block addresses* — :meth:`OtpGenerator.pad_elements_at`
-deduplicates them, the row-granular path in :mod:`repro.core.encryption`
-derives them from distinct rows.
+Hot-path note: the elements of one term share cipher blocks (``l``
+adjacent elements per block), so a term regenerates each block it
+touches once — :meth:`OtpGenerator.pad_elements_at` per term of
+scattered elements, the row-granular path in :mod:`repro.core.encryption`
+per row — and, as the OTP PU does, no block is shared across terms: a
+block two terms touch is regenerated and counted for each.
 
 A pad is a pure function of ``(K, version, address)``, and it is
 regenerated on every use, on every kernel tier: nothing remembers one.
@@ -122,19 +123,24 @@ class OtpGenerator:
     ) -> np.ndarray:
         """Vectorised :meth:`pad_element_at` for scattered element addresses.
 
-        Adjacent elements share cipher blocks (``l`` per block), so the
-        block addresses are deduplicated before encryption: a pooled SLS
-        query over contiguous rows pays one AES call per *block* touched,
-        not one per element.
+        The last axis is one term (a 1-D array is one term): a term
+        regenerates each cipher block its elements touch once (``l``
+        adjacent elements share a block), and the blocks of different
+        terms are regenerated and counted per term, a shared one too.
         """
         addrs = np.asarray(elem_byte_addrs, dtype=np.uint64)
         elem_bytes = self.ring.width // 8
         if addrs.size and int(np.max(addrs % elem_bytes)):
             raise ValueError("element addresses must be element-aligned")
         if addrs.size == 0:
-            return np.empty(0, dtype=self.ring.dtype)
-        block_addrs = (addrs // BLOCK_BYTES) * BLOCK_BYTES
-        idx = ((addrs % BLOCK_BYTES) // elem_bytes).astype(np.intp)
-        unique_blocks, inverse = np.unique(block_addrs, return_inverse=True)
-        pad_rows = self.pads_for_blocks(unique_blocks, version)
-        return pad_rows[inverse, idx]
+            return np.empty(addrs.shape, dtype=self.ring.dtype)
+        terms = (addrs // BLOCK_BYTES).reshape(-1, addrs.shape[-1])
+        order = np.argsort(terms, axis=1, kind="stable")
+        ranked = np.take_along_axis(terms, order, axis=1)
+        first = np.ones(ranked.shape, dtype=bool)  # a term's first sight of a block
+        first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        pads = self.pads_for_blocks(ranked[first] * np.uint64(BLOCK_BYTES), version)
+        slot = np.empty(ranked.shape, dtype=np.intp)
+        np.put_along_axis(slot, order, np.cumsum(first).reshape(ranked.shape) - 1, axis=1)
+        idx = (addrs % BLOCK_BYTES // elem_bytes).astype(np.intp).reshape(slot.shape)
+        return pads[slot, idx].reshape(addrs.shape)

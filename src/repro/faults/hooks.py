@@ -26,7 +26,7 @@ tier-1 suite: only paths that can *recover* are ever faulted.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Optional
 
 from .plan import FaultInjector, FaultPlan
@@ -95,7 +95,10 @@ def injected(plan: FaultPlan, arm: bool = True):
         _INJECTOR = previous
 
 
-@contextmanager
+#: :func:`armed`'s no-op, shared by every call that has no injector.
+_DISARMED = nullcontext()
+
+
 def armed(injector: Optional[FaultInjector]):
     """Temporarily install *and arm* ``injector`` (no-op when ``None``).
 
@@ -103,10 +106,15 @@ def armed(injector: Optional[FaultInjector]):
     attempts in: hook sites fire only inside the block, so everything
     outside - direct protocol use, fallback reads, honest benchmarks -
     stays fault-free even with a process-wide plan in the environment.
+    The no-op is one shared ``nullcontext``: a store with no injector
+    wraps every wave in it, where a generator context cost ≈ 5 µs of a
+    ≈ 50 µs one-term wave (two-core VM).
     """
-    if injector is None:
-        yield None
-        return
+    return _DISARMED if injector is None else _armed(injector)
+
+
+@contextmanager
+def _armed(injector: FaultInjector):
     global _INJECTOR
     previous = _INJECTOR
     _INJECTOR = injector

@@ -7,10 +7,11 @@ them.  This package adds an *optional* compiled tier behind the existing
 dispatch — same inputs, bit-identical outputs, another order of
 magnitude of throughput — with one backend, ``cc`` (:mod:`._cc`): a
 small C translation unit compiled once with the host C compiler into a
-content-addressed shared library under ``~/.cache/secndp-kernels``
-(override with ``SECNDP_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
-No third-party dependency; the compile is paid once per source hash,
-every later process just ``dlopen``s the cached object.  Its pad engine (AES blocks
+content-addressed CPython extension module under
+``~/.cache/secndp-kernels`` (override with ``SECNDP_KERNEL_CACHE``) and
+imported from there; its entries take arrays through the buffer
+protocol.  No third-party dependency; the compile is paid once per
+source hash, every later process just loads the cached object.  Its pad engine (AES blocks
 and the fused ``ctr_pads`` counter-mode sweep) uses AES-NI where the CPU
 has it, chosen at run time.
 

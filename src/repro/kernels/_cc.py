@@ -1,4 +1,4 @@
-"""C backend for the native kernel tier (host compiler + ctypes).
+"""C backend for the native kernel tier (host compiler + CPython extension).
 
 A single small C translation unit implements the two limb-field
 primitives, the power-weight ``dot`` (every row tag) and the column
@@ -8,36 +8,43 @@ gather-and-segment-sum kernels (``ring_segsum`` in Z(2^w_e),
 ``limb_segsum`` in the tag field); the pad engine: an AES-128 block
 sweep (AES-NI body chosen at run time where the CPU has one, portable
 T-table body elsewhere; DESIGN.md Sec. 14) and the fused counter-mode
-sweep over it; and the trusted half, ``pad_segsum``, which regenerates
-each term's pads through that engine and sums them as they come out.
-It is compiled once per (source, compiler, host CPU) with the host C
-compiler into a content-addressed shared library under
-``SECNDP_KERNEL_CACHE`` (default ``~/.cache/secndp-kernels``) and loaded
-via :mod:`ctypes` — no third-party dependency, and spawned processes
-(grid workers, cluster nodes) just ``dlopen`` the cached object instead
-of recompiling.
+sweep over it; and the trusted half: ``pad_segsum``, which regenerates
+each term's pads through that engine and sums them as they come out, and
+``combine_verify``, which adds a device's sums onto a share and checks
+every query's tag in the same pass.  It is compiled once per (source,
+compiler, host CPU, Python ABI) with the host C compiler into a
+content-addressed CPython extension module under ``SECNDP_KERNEL_CACHE``
+(default ``~/.cache/secndp-kernels``) whose entries parse their arguments
+with ``PyArg_ParseTuple`` and take arrays through the buffer protocol —
+no third-party dependency,
+and spawned processes (grid workers, cluster nodes) just load the cached
+object instead of recompiling.
 
 Importing this module raises :class:`~repro.kernels.NativeUnavailable`
-when no compiler is found, compilation fails, or the compiled library
-fails its load-time self-test (FIPS-197 AES vector, the AES bodies
-against each other, big-int cross-checks of every field kernel and of
-the three segment sums) — the tier dispatcher then falls back to NumPy.
+when no compiler (or ``Python.h``) is found, compilation fails, or the
+module fails its load-time self-test (FIPS-197 AES vector, the AES
+bodies against each other, big-int cross-checks of every field kernel,
+segment sum and the combine-and-verify pass) — the tier dispatcher then
+falls back to NumPy.
 
 Every wrapper returns ``None`` for shapes/dtypes outside its fast-path
-contract; the dispatch sites in ``crypto/limb_field.py``,
-``crypto/aes.py``, ``core/device.py`` and ``core/protocol.py`` then fall
-through to the NumPy tier, so outputs are bit-identical by construction
-and verified by the property suite.
+contract and hands the C side C-contiguous arrays only (the C side also
+declines a buffer whose length disagrees with its shape); the dispatch sites in
+``crypto/limb_field.py``, ``crypto/aes.py``, ``core/device.py`` and
+``core/protocol.py`` then fall through to the NumPy tier, so outputs are
+bit-identical by construction and verified by the property suite.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -60,6 +67,8 @@ _TOP = 0x7FFFFFFF
 # ---------------------------------------------------------------------------
 
 _C_SOURCE_TEMPLATE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -388,8 +397,6 @@ HW_AES static void hw_blocks(const u8 *rk, const u8 *in, long long n, u8 *out) {
 #define hw_blocks(rk, in, n, out) ((void)0)
 #endif
 
-int secndp_aes_hw(void) { return hw_aes(); }
-
 void secndp_aes128_blocks(const u8 *rk, const u8 *in, long long n, u8 *out) {
     if (hw_aes())
         hw_blocks(rk, in, n, out);
@@ -519,6 +526,218 @@ PAD_SEGSUM(u8, u32)
 PAD_SEGSUM(u16, u32)
 PAD_SEGSUM(u32, u32)
 PAD_SEGSUM(u64, u64)
+
+/* combine_verify: the trusted side's one pass over a share (Alg. 5 lines
+ * 8-10), the verification engine beside the OTP PU.  Per query q: the
+ * device's ring sums are added onto the pad half, the tag shares are
+ * added in the field and canonicalized, and the result's tag
+ * sum_j v[j] * wl[j] is compared limb for limb with that tag share; a
+ * query that differs is listed in failed.  Returns how many are.  wl
+ * holds u32 limbs and a share has < 2^28 columns, so the u128 columns
+ * stay < 2^124 as cols4_canon needs. */
+#define COMBINE_VERIFY(T)                                                 \
+static long long combine_verify_##T(const T *pad, const u64 *pad_tags,    \
+                                    const T *dev, const u64 *dev_tags,    \
+                                    long long n, long long m, const u32 *wl, \
+                                    T *out, u64 *tags_out, long long *failed) { \
+    long long q, j, nf = 0;                                               \
+    for (q = 0; q < n; q++) {                                             \
+        const T *v = pad + q * m, *d = dev + q * m;                       \
+        const u64 *t = pad_tags + 4 * q, *e = dev_tags + 4 * q;           \
+        u64 *sum = tags_out + 4 * q, got[4];                              \
+        T *o = out + q * m;                                               \
+        u128 a[4] = {0, 0, 0, 0};                                         \
+        cols4_canon((u128)t[0] + e[0], (u128)t[1] + e[1],                 \
+                    (u128)t[2] + e[2], (u128)t[3] + e[3], sum);           \
+        for (j = 0; j < m; j++) {                                         \
+            u128 c = o[j] = (T)(v[j] + d[j]);                             \
+            a[0] += c * wl[4 * j];                                        \
+            a[1] += c * wl[4 * j + 1];                                    \
+            a[2] += c * wl[4 * j + 2];                                    \
+            a[3] += c * wl[4 * j + 3];                                    \
+        }                                                                 \
+        cols4_canon(a[0], a[1], a[2], a[3], got);                         \
+        if (memcmp(got, sum, sizeof got))                                 \
+            failed[nf++] = q;                                             \
+    }                                                                     \
+    return nf;                                                            \
+}
+COMBINE_VERIFY(u8)
+COMBINE_VERIFY(u16)
+COMBINE_VERIFY(u32)
+COMBINE_VERIFY(u64)
+
+/* ----- The CPython boundary: one entry per kernel ----- */
+
+/* Arrays come in through the buffer protocol, each one C-contiguous block
+ * (y* read, w* written, z* read or None); the Python wrappers own dtypes,
+ * contiguity and allocation and pass the ring width (item, in bytes).
+ * Every length is checked against the kernel's shape before a byte is
+ * read: one that disagrees declines the call, as a kernel status of -1. */
+#define NBUF 8
+static PyObject *done(Py_buffer *b, long long rc) {
+    int i;
+    for (i = 0; i < NBUF; i++)
+        PyBuffer_Release(&b[i]);
+    return PyLong_FromLongLong(rc);
+}
+
+#define ENTRY(name) static PyObject *py_##name(PyObject *self, PyObject *args)
+#define BUFS Py_buffer b[NBUF]; memset(b, 0, sizeof b)
+#define NEED(ok) do { if (!(ok)) return done(b, -1); } while (0)
+/* Large sweeps release the GIL, so other threads run meanwhile. */
+#define SWEEP(work, stmt) do {                                            \
+    if ((work) >= (1 << 14)) { Py_BEGIN_ALLOW_THREADS stmt; Py_END_ALLOW_THREADS } \
+    else { stmt; } } while (0)
+#define RING_ITEM(item) ((item) == 1 || (item) == 2 || (item) == 4 || (item) == 8)
+/* A kernel by the ring width of its items. */
+#define BY_ITEM(item, fn, ...)                                            \
+    ((item) == 1 ? fn##_u8(__VA_ARGS__) : (item) == 2 ? fn##_u16(__VA_ARGS__) \
+     : (item) == 4 ? fn##_u32(__VA_ARGS__) : fn##_u64(__VA_ARGS__))
+
+ENTRY(dot) {
+    long long n, m;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "y*y*y*w*", &b[0], &b[1], &b[2], &b[3]))
+        return NULL;
+    n = b[3].len / 32, m = b[1].len / 32;
+    NEED(b[0].len == n * m * 8 && b[2].len == m * 16);
+    SWEEP(n * m, secndp_dot(b[0].buf, n, m, b[1].buf, b[2].buf, b[3].buf));
+    return done(b, 0);
+}
+
+ENTRY(fold) {
+    long long n;
+    int k;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "y*iw*", &b[0], &k, &b[1]))
+        return NULL;
+    n = b[1].len / 32;
+    NEED(k >= 2 && k <= 6 && b[0].len == n * k * 8);
+    SWEEP(n, secndp_fold(b[0].buf, n, k, b[1].buf));
+    return done(b, 0);
+}
+
+/* (item, table, n_rows, m, weights, idx or None, offsets, out) */
+ENTRY(ring_segsum) {
+    long long n_rows, m, n_terms, n_seg, rc = -1;
+    int item;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "iy*LLy*z*y*w*", &item, &b[0], &n_rows, &m, &b[1], &b[2],
+                          &b[3], &b[4]))
+        return NULL;
+    NEED(RING_ITEM(item));
+    n_terms = b[1].len / item, n_seg = b[3].len / 8 - 1;
+    NEED(n_rows >= 0 && m >= 0 && b[0].len == n_rows * m * item && n_seg >= 0
+         && (!b[2].buf || b[2].len == n_terms * 8) && b[4].len == n_seg * m * item);
+    SWEEP(n_terms * m, rc = BY_ITEM(item, secndp_ring_segsum, b[0].buf, n_rows, m, b[1].buf,
+                                    b[2].buf, n_terms, b[3].buf, n_seg, b[4].buf));
+    return done(b, rc);
+}
+
+/* (item of the coefficients, uint32 limbs, coefficients, idx or None,
+ * offsets, out) */
+ENTRY(limb_segsum) {
+    long long n_terms, n_seg, rc = -1;
+    int item;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "iy*y*z*y*w*", &item, &b[0], &b[1], &b[2], &b[3], &b[4]))
+        return NULL;
+    NEED(RING_ITEM(item));
+    n_terms = b[1].len / item, n_seg = b[3].len / 8 - 1;
+    NEED(b[0].len % 16 == 0 && n_seg >= 0 && (!b[2].buf || b[2].len == n_terms * 8)
+         && b[4].len == n_seg * 32);
+    SWEEP(n_terms, rc = BY_ITEM(item, secndp_limb_segsum, b[0].buf, b[0].len / 16, b[1].buf,
+                                b[2].buf, n_terms, b[3].buf, n_seg, b[4].buf));
+    return done(b, rc);
+}
+
+/* (item, round keys, addr_bits, pad_bits, data version, tag version,
+ * base, row_bytes, n_rows, rows, weights, offsets, out, tag out: empty
+ * when no tags are wanted) */
+ENTRY(pad_segsum) {
+    long long row_bytes, n_rows, n_terms, n_seg, rc = -1;
+    unsigned long long dv, tv, base;
+    int item, addr_bits, pad_bits;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "iy*iiKKKLLy*y*y*w*w*", &item, &b[0], &addr_bits, &pad_bits,
+                          &dv, &tv, &base, &row_bytes, &n_rows, &b[1], &b[2], &b[3], &b[4],
+                          &b[5]))
+        return NULL;
+    NEED(RING_ITEM(item));
+    n_terms = b[2].len / item, n_seg = b[3].len / 8 - 1;
+    NEED(b[0].len == 176 && row_bytes > 0 && row_bytes % 16 == 0 && b[1].len == n_terms * 8
+         && n_seg >= 0 && b[4].len == n_seg * row_bytes && (!b[5].len || b[5].len == n_seg * 32));
+    SWEEP(n_terms * row_bytes / 16,
+          rc = BY_ITEM(item, secndp_pad_segsum, b[0].buf, addr_bits, pad_bits, dv, tv, base,
+                       row_bytes, n_rows, b[1].buf, b[2].buf, n_terms, b[3].buf, n_seg,
+                       b[4].buf, b[5].len ? b[5].buf : NULL));
+    return done(b, rc);
+}
+
+/* (item, pad values, pad tags, device values, device tags, uint32 column
+ * weights, out, tags out, failed out): the count of failing queries,
+ * whose indices lead failed out. */
+ENTRY(combine_verify) {
+    long long n, m, rc = -1;
+    int item;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "iy*y*y*y*y*w*w*w*", &item, &b[0], &b[1], &b[2], &b[3], &b[4],
+                          &b[5], &b[6], &b[7]))
+        return NULL;
+    n = b[1].len / 32, m = b[4].len / 16;
+    NEED(RING_ITEM(item) && b[0].len == n * m * item && b[1].len == n * 32 && m < (1LL << 28)
+         && b[2].len == b[0].len && b[3].len == b[1].len && b[5].len == b[0].len
+         && b[6].len == b[1].len && b[7].len == n * 8);
+    SWEEP(n * m, rc = BY_ITEM(item, combine_verify, b[0].buf, b[1].buf, b[2].buf, b[3].buf, n,
+                              m, b[4].buf, b[5].buf, b[6].buf, b[7].buf));
+    return done(b, rc);
+}
+
+ENTRY(aes_blocks) {
+    long long n;
+    int ttable;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "y*y*w*p", &b[0], &b[1], &b[2], &ttable))
+        return NULL;
+    n = b[1].len / 16;
+    NEED(b[0].len == 176 && b[1].len % 16 == 0 && b[2].len == b[1].len);
+    if (ttable)
+        SWEEP(n, secndp_aes128_blocks_ttable(b[0].buf, b[1].buf, n, b[2].buf));
+    else
+        SWEEP(n, secndp_aes128_blocks(b[0].buf, b[1].buf, n, b[2].buf));
+    return done(b, 0);
+}
+
+ENTRY(ctr_pads) {
+    long long n;
+    unsigned long long version;
+    int domain, addr_bits, pad_bits;
+    BUFS;
+    if (!PyArg_ParseTuple(args, "y*iiiKy*w*", &b[0], &domain, &addr_bits, &pad_bits, &version,
+                          &b[1], &b[2]))
+        return NULL;
+    n = b[1].len / 8;
+    NEED(b[0].len == 176 && b[1].len % 8 == 0 && b[2].len == n * 16);
+    SWEEP(n, secndp_ctr_pads(b[0].buf, domain, addr_bits, pad_bits, version, b[1].buf, n,
+                             b[2].buf));
+    return done(b, 0);
+}
+
+ENTRY(aes_hw) {
+    if (!PyArg_ParseTuple(args, ""))
+        return NULL;
+    return PyLong_FromLong(hw_aes());
+}
+
+#define METHOD(name) {#name, py_##name, METH_VARARGS, NULL}
+static PyMethodDef methods[] = {
+    METHOD(dot), METHOD(fold), METHOD(ring_segsum), METHOD(limb_segsum),
+    METHOD(pad_segsum), METHOD(combine_verify), METHOD(aes_blocks), METHOD(ctr_pads),
+    METHOD(aes_hw), {NULL, NULL, 0, NULL}
+};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "@MODULE@", NULL, -1, methods};
+PyMODINIT_FUNC PyInit_@MODULE@(void) { return PyModule_Create(&module); }
 """
 
 
@@ -533,12 +752,17 @@ def _render_source() -> str:
         .replace("@MUL2@", fmt(_aes._MUL2))
         .replace("@MUL3@", fmt(_aes._MUL3))
         .replace("@SHIFT@", fmt(_aes._SHIFT_ROWS_PERM))
+        .replace("@MODULE@", _MODULE)
     )
 
 
 # ---------------------------------------------------------------------------
 # Build and load.
 # ---------------------------------------------------------------------------
+
+#: The extension's module name (its ``PyInit_`` symbol); the file it is
+#: loaded from is content-addressed.
+_MODULE = "_secndp_kernels"
 
 
 def _cache_dir() -> str:
@@ -573,21 +797,23 @@ def _host_id() -> str:
 
 
 def _build() -> str:
-    """Compile (or reuse) the shared library; returns its path.
+    """Compile (or reuse) the extension module; returns its path.
 
     The filename is content-addressed by the rendered source, the
-    compiler and the host CPU (what ``-march=native`` compiled for, and
-    so which flags were accepted), so any kernel change compiles to a
-    fresh object, stale caches are simply never hit, and a cache
-    directory shared between hosts never hands one CPU code tuned for
-    another.  The compile lands under a temp name and is
+    compiler, the host CPU (what ``-march=native`` compiled for, and so
+    which flags were accepted) and the interpreter's ABI, so any kernel
+    change compiles to a fresh object, stale caches are simply never hit,
+    and a cache directory shared between hosts or Pythons never hands one
+    code built for another.  The compile lands under a temp name and is
     os.replace'd in, which keeps concurrently spawned processes safe:
     they either see the finished .so or compile their own and race
     benignly on the rename.
     """
     source = _render_source()
     cc = _find_compiler()
-    key = "\0".join([source, cc, _host_id()])
+    include = sysconfig.get_paths()["include"]
+    abi = f"{include}:{sysconfig.get_config_var('EXT_SUFFIX')}"
+    key = "\0".join([source, cc, _host_id(), abi])
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     cache = _cache_dir()
     so_path = os.path.join(cache, f"secndp_{digest}.so")
@@ -603,7 +829,7 @@ def _build() -> str:
     # -march=native unlocks vectorized 32x32 multiplies for the small
     # dot path but is not universally accepted; plain -O3 is the retry.
     for extra in (["-march=native"], []):
-        cmd = [cc, "-O3", "-fPIC", "-shared", *extra, "-o", tmp_so, c_path]
+        cmd = [cc, "-O3", "-fPIC", "-shared", *extra, f"-I{include}", "-o", tmp_so, c_path]
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=120
@@ -623,41 +849,15 @@ def _build() -> str:
     raise NativeUnavailable(f"kernel compile failed with {cc}: {last_err}")
 
 
-#: One argument convention for every kernel: an array travels as its
-#: address (``arr.ctypes.data``, a plain int) through a ``c_void_p``
-#: argtype, which costs a fraction of building a typed ``POINTER`` per
-#: call; each wrapper owns the dtype, shape and contiguity it hands over.
-_PTR = ctypes.c_void_p
-_LL = ctypes.c_longlong
-_RING_TYPES = ("u8", "u16", "u32", "u64")
-
-
-def _load() -> ctypes.CDLL:
+def _load():
+    path = _build()
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, path)
+    spec = importlib.util.spec_from_file_location(_MODULE, path, loader=loader)
     try:
-        lib = ctypes.CDLL(_build())
-    except OSError as exc:
-        raise NativeUnavailable(f"kernel library failed to load: {exc}") from exc
-    lib.secndp_dot.argtypes = [_PTR, _LL, _LL, _PTR, _PTR, _PTR]
-    lib.secndp_dot.restype = None
-    lib.secndp_fold.argtypes = [_PTR, _LL, ctypes.c_int, _PTR]
-    lib.secndp_fold.restype = None
-    for fn in (lib.secndp_aes128_blocks, lib.secndp_aes128_blocks_ttable):
-        fn.argtypes = [_PTR, _PTR, _LL, _PTR]
-        fn.restype = None
-    lib.secndp_ctr_pads.argtypes = [_PTR, *[ctypes.c_int] * 3, ctypes.c_uint64, _PTR, _LL, _PTR]
-    lib.secndp_ctr_pads.restype = None
-    lib.secndp_aes_hw.restype = ctypes.c_int
-    u64 = ctypes.c_uint64
-    for t in _RING_TYPES:
-        for kind, argtypes in (
-            ("ring", [_PTR, _LL, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]),
-            ("limb", [_PTR, _LL, _PTR, _PTR, _LL, _PTR, _LL, _PTR]),
-            ("pad", [_PTR, ctypes.c_int, ctypes.c_int, u64, u64, u64, _LL, _LL,
-                     _PTR, _PTR, _LL, _PTR, _LL, _PTR, _PTR]),
-        ):
-            fn = getattr(lib, f"secndp_{kind}_segsum_{t}")
-            fn.argtypes = argtypes
-            fn.restype = ctypes.c_int
+        lib = importlib.util.module_from_spec(spec)
+        loader.exec_module(lib)
+    except ImportError as exc:
+        raise NativeUnavailable(f"kernel extension failed to load: {exc}") from exc
     return lib
 
 
@@ -684,18 +884,11 @@ def dot(coeffs: np.ndarray, weight_limbs: np.ndarray) -> Optional[np.ndarray]:
         return None
     if not _canonical_limbs(w):
         return None
-    m = w.shape[0]
-    flat = c.reshape(-1, m)
-    n = flat.shape[0]
-    out = np.empty((n, 4), dtype=np.uint64)
-    if n == 0 or m == 0:
-        out[:] = 0
-    else:
-        # Transposed u32 weight columns for the vectorized small path;
-        # (m, 4) -> (4, m) is tiny next to the (n, m) sweep.
-        wt = np.ascontiguousarray(w.T & np.uint64(_M32), dtype=np.uint32)
-        _lib.secndp_dot(flat.ctypes.data, n, m, w.ctypes.data, wt.ctypes.data, out.ctypes.data)
-    return out.reshape(c.shape[:-1] + (4,))
+    out = np.empty(c.shape[:-1] + (4,), dtype=np.uint64)
+    # Transposed u32 weight columns for the vectorized small path;
+    # (m, 4) -> (4, m) is tiny next to the (n, m) sweep.
+    wt = np.ascontiguousarray(w.T & np.uint64(_M32), dtype=np.uint32)
+    return out if _lib.dot(c, w, wt, out) == 0 else None
 
 
 def fold(values: np.ndarray) -> Optional[np.ndarray]:
@@ -703,16 +896,13 @@ def fold(values: np.ndarray) -> Optional[np.ndarray]:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.ndim == 0 or not 2 <= v.shape[-1] <= 6:
         return None
-    k = v.shape[-1]
-    flat = v.reshape(-1, k)
-    out = np.empty((flat.shape[0], 4), dtype=np.uint64)
-    if flat.shape[0]:
-        _lib.secndp_fold(flat.ctypes.data, flat.shape[0], k, out.ctypes.data)
-    return out.reshape(v.shape[:-1] + (4,))
+    out = np.empty(v.shape[:-1] + (4,), dtype=np.uint64)
+    return out if _lib.fold(v, v.shape[-1], out) == 0 else None
 
 
-#: Ring residue dtypes the fused kernels take, by C type suffix.
-_RING_SUFFIX = {np.dtype(f"u{b}"): f"u{8 * b}" for b in (1, 2, 4, 8)}
+#: Ring residue dtypes the fused kernels take (the C side picks the
+#: kernel by the item size it is passed).
+_RING_DTYPES = frozenset(np.dtype(f"u{b}") for b in (1, 2, 4, 8))
 
 
 def _csr(coeffs: np.ndarray, idx: Optional[np.ndarray], offsets: np.ndarray):
@@ -738,8 +928,7 @@ def ring_segsum(
     product and sum are one pass.  ``None`` outside the contract: weights
     of another dtype, a non-contiguous table, a row outside the table or a
     malformed offset (the last two found by the kernel's own checks)."""
-    suffix = _RING_SUFFIX.get(table.dtype)
-    if suffix is None or table.ndim != 2 or not table.flags.c_contiguous:
+    if table.dtype not in _RING_DTYPES or table.ndim != 2 or not table.flags.c_contiguous:
         return None
     args = _csr(weights, idx, offsets)
     if args is None or args[0].dtype != table.dtype:
@@ -747,12 +936,7 @@ def ring_segsum(
     w, idx, off = args
     n_rows, m = table.shape
     out = np.empty((off.size - 1, m), dtype=table.dtype)
-    status = getattr(_lib, f"secndp_ring_segsum_{suffix}")(
-        table.ctypes.data, n_rows, m, w.ctypes.data,
-        None if idx is None else idx.ctypes.data, w.size,
-        off.ctypes.data, off.size - 1, out.ctypes.data,
-    )
-    return out if status == 0 else None
+    return out if _lib.ring_segsum(w.itemsize, table, n_rows, m, w, idx, off, out) == 0 else None
 
 
 def limb_segsum(
@@ -764,19 +948,14 @@ def limb_segsum(
     below ``2^128``) and unsigned ring coefficients.  ``None`` outside the
     contract: another dtype or shape, a segment of ``2^28`` terms or
     more, a row outside the table or a malformed offset."""
-    if limbs.dtype != np.uint32 or limbs.ndim != 2 or limbs.shape[1] != 4:
+    if limbs.dtype != np.uint32 or limbs.shape[1:] != (4,) or not limbs.flags.c_contiguous:
         return None
     args = _csr(coeffs, idx, offsets)
-    if args is None or args[0].dtype not in _RING_SUFFIX or not limbs.flags.c_contiguous:
+    if args is None or args[0].dtype not in _RING_DTYPES:
         return None
     c, idx, off = args
     out = np.empty((off.size - 1, 4), dtype=np.uint64)
-    status = getattr(_lib, f"secndp_limb_segsum_{_RING_SUFFIX[c.dtype]}")(
-        limbs.ctypes.data, limbs.shape[0], c.ctypes.data,
-        None if idx is None else idx.ctypes.data, c.size,
-        off.ctypes.data, off.size - 1, out.ctypes.data,
-    )
-    return out if status == 0 else None
+    return out if _lib.limb_segsum(c.itemsize, limbs, c, idx, off, out) == 0 else None
 
 
 def pad_segsum(
@@ -790,24 +969,52 @@ def pad_segsum(
     ``None`` outside the contract: rows that are not whole blocks at an
     aligned base, a table top or version the layout cannot carry
     (checked once here), a row outside the table or a malformed offset."""
-    suffix, args = _RING_SUFFIX.get(weights.dtype), _csr(weights, rows, offsets)
+    args = _csr(weights, rows, offsets)
+    data, tag = versions
+    top = 1 << min(64, 126 - addr_bits - pad_bits)
     if (
-        suffix is None or args is None or rows is None or row_bytes <= 0
+        weights.dtype not in _RING_DTYPES or args is None or rows is None or row_bytes <= 0
         or row_bytes % 16 or base % 16 or addr_bits > 64
         or not 0 <= base <= base + n_rows * row_bytes - 16 < 1 << addr_bits
-        or not all(v is None or 0 <= v < 1 << min(64, 126 - addr_bits - pad_bits) for v in versions)
+        or not 0 <= data < top or not (tag is None or 0 <= tag < top)
     ):
         return None
     w, rows, off = args
     out = np.empty((off.size - 1, row_bytes // w.itemsize), dtype=w.dtype)
-    tags = None if versions[1] is None else np.empty((off.size - 1, 4), dtype=np.uint64)
-    status = getattr(_lib, f"secndp_pad_segsum_{suffix}")(
-        _round_key_bytes(bytes(key)).ctypes.data, addr_bits, pad_bits, versions[0],
-        versions[1] or 0, base, row_bytes, n_rows, rows.ctypes.data, w.ctypes.data,
-        w.size, off.ctypes.data, off.size - 1, out.ctypes.data,
-        None if tags is None else tags.ctypes.data,
+    tags = np.empty((0 if tag is None else off.size - 1, 4), dtype=np.uint64)
+    status = _lib.pad_segsum(
+        w.itemsize, _round_key_bytes(bytes(key)), addr_bits, pad_bits, int(data), int(tag or 0),
+        int(base), row_bytes, n_rows, rows, w, off, out, tags,
     )
-    return (out, tags) if status == 0 else None
+    return (out, None if tag is None else tags) if status == 0 else None
+
+
+def combine_verify(
+    values: np.ndarray, tags: np.ndarray, dev_values: np.ndarray, dev_tags: np.ndarray,
+    weights: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, List[int]]]:
+    """The trusted side's one pass over a share: ``(n, m)`` ring
+    ``values`` and ``(n, 4)`` tag limbs ``tags`` plus a device's sums
+    (``dev_values`` added in the ring, ``dev_tags`` in the field), checked
+    against ``weights`` (the checksum's ``(m, 4)`` ``uint32`` column
+    weights).  Returns ``(values, tags, failed)``, ``failed`` the list of
+    queries whose result tag differs from their tag share.  ``None``
+    outside the contract: a dtype or shape the pass does not take."""
+    if (
+        values.dtype not in _RING_DTYPES or dev_values.dtype != values.dtype or values.ndim != 2
+        or weights.dtype != np.uint32
+        or not (values.flags.c_contiguous and dev_values.flags.c_contiguous
+                and weights.flags.c_contiguous)
+    ):
+        return None
+    tags = np.ascontiguousarray(tags, dtype=np.uint64)
+    dev_tags = np.ascontiguousarray(dev_tags, dtype=np.uint64)
+    out, tags_out = np.empty_like(values), np.empty_like(tags)
+    failed = np.empty(values.shape[0], dtype=np.int64)
+    n_failed = _lib.combine_verify(
+        values.itemsize, values, tags, dev_values, dev_tags, weights, out, tags_out, failed
+    )
+    return None if n_failed < 0 else (out, tags_out, failed[:n_failed].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -823,12 +1030,8 @@ def aes_blocks(key: bytes, blocks: np.ndarray, ttable: bool = False) -> Optional
     blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
     if blocks.ndim != 2 or blocks.shape[1] != 16:
         return None
-    rk = _round_key_bytes(bytes(key))
     out = np.empty_like(blocks)
-    if blocks.shape[0]:
-        fn = _lib.secndp_aes128_blocks_ttable if ttable else _lib.secndp_aes128_blocks
-        fn(rk.ctypes.data, blocks.ctypes.data, blocks.shape[0], out.ctypes.data)
-    return out
+    return out if _lib.aes_blocks(_round_key_bytes(bytes(key)), blocks, out, ttable) == 0 else None
 
 
 def ctr_pads(
@@ -840,17 +1043,15 @@ def ctr_pads(
         return None
     addrs = np.ascontiguousarray(addrs, dtype=np.uint64).reshape(-1)
     out = np.empty((addrs.size, 16), dtype=np.uint8)
-    if addrs.size:
-        _lib.secndp_ctr_pads(
-            _round_key_bytes(bytes(key)).ctypes.data, domain, addr_bits, pad_bits,
-            version, addrs.ctypes.data, addrs.size, out.ctypes.data,
-        )
-    return out
+    status = _lib.ctr_pads(
+        _round_key_bytes(bytes(key)), domain, addr_bits, pad_bits, int(version), addrs, out
+    )
+    return out if status == 0 else None
 
 
 def aes_body() -> str:
     """Which AES body serves this process: ``"aesni"`` or ``"ttable"``."""
-    return "aesni" if _lib.secndp_aes_hw() else "ttable"
+    return "aesni" if _lib.aes_hw() else "ttable"
 
 
 def warmup() -> None:
@@ -865,6 +1066,8 @@ def warmup() -> None:
     idx = np.zeros(2, dtype=np.int64)
     limb_segsum(np.ones((1, 4), dtype=np.uint32), np.ones(2, dtype=np.uint32), idx, off)
     pad_segsum(bytes(16), 38, 24, (0, 0), 0, 16, 1, np.ones(2, dtype=np.uint32), idx, off)
+    ones = np.ones((4, 4), dtype=np.uint32)
+    combine_verify(ones, ones.astype(np.uint64), ones, ones.astype(np.uint64), ones)
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +1155,17 @@ def _self_test() -> None:
             key, 38, 24, (5, 7), 0x40, 32, 3, w, bad, off
         ) is not None:
             raise NativeUnavailable(f"self-test failed: pad_segsum ({bits}-bit)")
+        # Combine and verify: two queries, the second's tag share wrong.
+        vals = [[(int(a) + int(b)) % (1 << bits) for a, b in zip(*rows)]
+                for rows in zip(table, table[1:])]
+        want_tags = [sum(v * w for v, w in zip(row, ws)) % _P for row in vals]
+        shares = [(want_tags[0] + 2) % _P, 0]
+        got = combine_verify(table[:2], _limbs_of([_P - 2, 9]), table[1:], _limbs_of(shares),
+                             _limbs_of(ws).astype(np.uint32))
+        tags = [(v + w) % _P for v, w in zip([_P - 2, 9], shares)]
+        failed = [q for q in range(2) if tags[q] != want_tags[q]]
+        if got is None or (got[0].tolist(), _ints_of(got[1]), got[2]) != (vals, tags, failed):
+            raise NativeUnavailable(f"self-test failed: combine_verify ({bits}-bit)")
 
     # AES: the FIPS-197 vector on both bodies, then the serving body
     # against the portable one on 1/8/9-block sweeps (the hardware body's

@@ -14,7 +14,7 @@ submit.  A block is judged once - one vectorised
 admitted request by request, in arrival order; what is admitted waits
 in the table's queue as a slice of its block.  A batch is one CSR
 :class:`~repro.core.device.QueryBatch` concatenated from its slices,
-executed through the amortized union-of-rows path
+executed as one amortized offload
 (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
 and each slice's answers go back in one call to its replies: one encode
 per connection per batch on the TCP path, one future per request in

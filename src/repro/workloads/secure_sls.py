@@ -82,10 +82,14 @@ class QueryOutcome:
         return cls(False, str(exc), type(exc).__name__, degraded, exc)
 
 
+#: The outcome of every clean query (one shared instance: it is frozen).
+_OK = QueryOutcome(ok=True)
+
+
 @dataclass
 class _TableEntry:
     name: str
-    scale: np.ndarray      # scalar (table-wise) or per-column vector
+    scale: np.ndarray      # float64 per column (a table-wise scale repeated)
     bias: np.ndarray
     n_rows: int
     dim: int
@@ -207,8 +211,8 @@ class SecureEmbeddingStore:
 
         self._tables[name] = _TableEntry(
             name=name,
-            scale=scale_arr,
-            bias=bias_arr,
+            scale=np.asarray(scale_arr, dtype=np.float64),
+            bias=np.asarray(bias_arr, dtype=np.float64),
             n_rows=values.shape[0],
             dim=values.shape[1],
             max_quant=int(q.max()) if q.size else 0,
@@ -371,7 +375,8 @@ class SecureEmbeddingStore:
                         f"overflow Z(2^{self.processor.params.element_bits}) for "
                         f"table {name!r}; split the query"
                     )
-        if not 0 <= rows.min() <= rows.max() < entry.n_rows:
+        # One reduction bounds both ends: a negative row wraps past any table.
+        if int(rows.astype(np.uint64, copy=False).max()) >= entry.n_rows:
             raise ConfigurationError(
                 f"row id outside [0, {entry.n_rows}) for table {name!r}"
             )
@@ -454,10 +459,10 @@ class SecureEmbeddingStore:
     ) -> Tuple[np.ndarray, List["QueryOutcome"]]:
         """The store's one serving path: batched SLS, one outcome per query.
 
-        One amortized offload serves the batch - OTP and tag-pad
-        regeneration over the union of its rows - and one check names
-        every query whose own tag identity fails (Alg. 5 per query,
-        :meth:`SecNDPProcessor.failed_share_queries`).  Clean queries are
+        One amortized offload serves the batch - every term's OTP and
+        tag pads regenerated and summed - and the pass that adds the two
+        halves names every query whose own tag identity fails (Alg. 5 per
+        query, :meth:`SecNDPProcessor.combine_and_verify`).  Clean queries are
         answered from the batch.  A failing query emits one
         ``verify_failure`` naming its rows and fails alone: with no
         :class:`RecoveryPolicy` it gets an all-zero row and a failed
@@ -481,7 +486,7 @@ class SecureEmbeddingStore:
         with obs.span("sls.batch"):
             residues, failed = self._offload(name, offload, "batch")
         values = self.dequantize(name, residues, batch.weight_sums())
-        outcomes = [QueryOutcome(ok=True)] * len(batch)
+        outcomes = [_OK] * len(batch)
         ladder = sorted(hot.union(failed))
         if self.recovery is not None:
             self.recovery_log.clean += len(batch) - len(ladder)
@@ -526,13 +531,7 @@ class SecureEmbeddingStore:
         if inj is not None:
             inj.set_context(f"{name}:{context}")
         with fault_hooks.armed(inj):
-            share = self.processor.partial_row_sum_batch(
-                self.device, name, batch, with_tag_shares=self.verify
-            )
-        if not self.verify:
-            return share.values, []
-        enc = self.device.stored(name)
-        return share.values, self.processor.failed_share_queries(enc, name, share)
+            return self.processor.offload_batch(self.device, name, batch, self.verify)
 
     def _route_around_quarantine(
         self, name: str, batch: QueryBatch
@@ -543,8 +542,10 @@ class SecureEmbeddingStore:
         short-circuit); its terms leave the offload, so it is an empty
         query there and its batch-mates keep their indices.
         """
+        if self.recovery is None:
+            return batch, set()
         quarantined = self.recovery_log.quarantined_rows(name)
-        if self.recovery is None or not quarantined:
+        if not quarantined:
             return batch, set()
         touched = np.isin(batch.rows, np.fromiter(quarantined, np.int64, len(quarantined)))
         if not touched.any():
@@ -574,9 +575,9 @@ class SecureEmbeddingStore:
         row - the last step of every serving path, local or clustered.
         """
         entry = self._entry(name)
-        pooled_q = values[..., : entry.dim].astype(np.float64)
-        weight_sums = np.asarray(weight_sums, dtype=np.float64)[..., None]
-        return pooled_q * entry.scale + entry.bias * weight_sums
+        out = values[..., : entry.dim] * entry.scale
+        out += entry.bias * np.asarray(weight_sums, dtype=np.float64)[..., None]
+        return out
 
     # -- verification-triggered recovery (DESIGN.md Sec. 11) ---------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,37 @@ def stored(processor, device, small_matrix):
     )
     device.store("emb", enc)
     return "emb"
+
+
+# ---------------------------------------------------------------------------
+# A test that opens a socket is marked ``closes_what_it_opens``: it collects
+# its own garbage when it ends, and a transport it left unclosed (a
+# ``ResourceWarning``, raised as an unraisable exception in a finalizer)
+# fails that test, not whichever test happens to run at the next collection.
+# ---------------------------------------------------------------------------
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "closes_what_it_opens: the test opens sockets and must close them"
+    )
+
+
+def pytest_collection_modifyitems(items):
+    # What import and collection made stays: each of those tests' collections
+    # then walks only what the run made since, not the whole heap.
+    gc.collect()
+    gc.freeze()
+    for item in items:
+        if item.get_closest_marker("closes_what_it_opens"):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
+
+
+@pytest.fixture(autouse=True)
+def _collect_own_garbage(request):
+    yield
+    if request.node.get_closest_marker("closes_what_it_opens"):
+        gc.collect()

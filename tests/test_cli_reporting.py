@@ -11,6 +11,10 @@ from repro import obs
 from repro.cli import EXPERIMENTS, main
 from repro.harness.reporting import render_series, render_table
 
+#: A test that opens a socket collects its own garbage and fails on a
+#: leaked transport (``tests/conftest.py``).
+closes_what_it_opens = pytest.mark.closes_what_it_opens
+
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
@@ -106,6 +110,7 @@ class TestCli:
         assert err.count("\n") == 1
         assert "--workers fans experiment grids" in err and "repro cluster" in err
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("argv", [["serve", "--scale", "smoke"], ["node", "n0"]])
     def test_busy_port_is_a_one_line_error(self, argv, capsys):
         with socket.socket() as taken:

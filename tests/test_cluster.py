@@ -73,12 +73,9 @@ from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
 
-#: Fails a test whose garbage raises a ``ResourceWarning`` (a transport
-#: left unclosed) or an unraisable exception; the test collects its
-#: garbage before it returns, so the warning lands on the test that leaked.
-closes_what_it_opens = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
-)
+#: A test that opens a socket collects its own garbage and fails on a
+#: leaked transport (``tests/conftest.py``).
+closes_what_it_opens = pytest.mark.closes_what_it_opens
 
 
 async def _swallow(reader, writer):
@@ -528,6 +525,7 @@ class TestClusterEndToEnd:
     def _run(self, coro):
         return asyncio.run(coro)
 
+    @closes_what_it_opens
     def test_honest_cluster_is_bit_identical(self):
         store = _make_store(n_rows=48)
         batches = _batches(48) + [([[], []], [[], []])]  # no term at all
@@ -548,6 +546,7 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    @closes_what_it_opens
     def test_byzantine_node_is_blamed_quarantined_resharded(self):
         store = _make_store(n_rows=48)
         batches = _batches(48)
@@ -581,6 +580,7 @@ class TestClusterEndToEnd:
         blame = next(e for e in events if e.kind == obs.NODE_BLAME)
         assert blame.worker == "n1"
 
+    @closes_what_it_opens
     def test_dead_node_fails_over_to_replica(self):
         store = _make_store(n_rows=48)
         batches = _batches(48)
@@ -603,6 +603,7 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    @closes_what_it_opens
     def test_all_nodes_quarantined_serves_locally(self):
         store = _make_store(n_rows=48)
         batches = _batches(48)
@@ -627,6 +628,7 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    @closes_what_it_opens
     def test_partitioned_node_times_out_and_is_blamed(self):
         store = _make_store(n_rows=48)
         rows, ws = [[1, 40]], [[1, 1]]
@@ -650,6 +652,7 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    @closes_what_it_opens
     def test_no_key_material_ever_crosses_the_wire(self):
         """The tentpole trust property: nodes are genuinely untrusted.
 
@@ -766,6 +769,7 @@ class TestClusterEndToEnd:
         assert len(sent) == wire_bytes(requests)
         assert len(answered) == wire_bytes(answers)
 
+    @closes_what_it_opens
     def test_error_frame_is_blamed_and_failed_over(self):
         """A node answering with an error-status frame (instead of a
         share) must be blamed and its sub-batch re-served by a healthy
@@ -796,6 +800,7 @@ class TestClusterEndToEnd:
 
         self._run(scenario())
 
+    @closes_what_it_opens
     def test_blame_strikes_are_weighted_by_evidence(self):
         """Live quarantine uses BLAME_WEIGHTS, matching the journal
         ranking: at threshold 3, one forged share (weight 3) quarantines
@@ -828,6 +833,7 @@ class TestClusterEndToEnd:
         self._run(scenario(("byzantine",), True))
         self._run(scenario(("partition",), False))
 
+    @closes_what_it_opens
     def test_trusted_side_reencryption_never_blames_a_node(self):
         params = SecNDPParams()
         store = SecureEmbeddingStore(
@@ -876,6 +882,7 @@ class TestClusterEndToEnd:
         blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
         assert blamed == ["n2"]
 
+    @closes_what_it_opens
     def test_reencryption_mid_batch_answers_under_the_batch_version(self):
         """A re-encryption that lands while a batch is out at the nodes
         reaches the next batch: this one finishes under the version it
@@ -921,6 +928,7 @@ class TestClusterEndToEnd:
         blamed = [e.worker for e in journal() if e.kind == obs.NODE_BLAME]
         assert blamed == ["n2"]
 
+    @closes_what_it_opens
     def test_an_error_frame_to_a_replica_refresh_is_blame_not_death(self):
         """Regression: an error frame answering the post-re-encryption
         replica refresh is misbehaviour on a well-formed request, charged
@@ -964,6 +972,7 @@ class TestClusterEndToEnd:
         ]
         assert charged == [(obs.NODE_BLAME, "refresh")]
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("tier", ["auto", "numpy"])
     def test_pad_sweep_runs_once_per_batch_and_every_rung_reuses_it(self, tier):
         """The trusted half of a 3-shard batch is one pass over each
@@ -1032,8 +1041,9 @@ class TestClusterEndToEnd:
             "cluster.failovers", limb, "mac.tag_pads", "otp.pad_blocks",
             "protocol.verify.failures",
         }
-        assert set(snap["timers"]) == {"protocol.combine.ns", "protocol.otp.ns", "protocol.verify.ns"}
+        assert set(snap["timers"]) == {"protocol.otp.ns", "protocol.verify.ns"}
 
+    @closes_what_it_opens
     def test_node_holds_no_frame_between_requests(self):
         """After ``setup`` a node keeps its replica, not the armoured
         ``shard_assign`` frame it arrived in."""
@@ -1073,6 +1083,7 @@ class TestClusterEndToEnd:
 
         assert zlib.crc32("node0".encode("utf-8")) & 0x7FFFFFFF == 0x72E815D6
 
+    @closes_what_it_opens
     def test_node_requires_assignment_before_partial_sum(self):
         async def scenario():
             async with NodeServer("n0") as server:
@@ -1086,6 +1097,7 @@ class TestClusterEndToEnd:
 
         asyncio.run(scenario())
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("row", [69, 2**32 - 1])
     def test_row_outside_the_replica_is_a_typed_error_on_a_live_connection(self, row):
         """A hostile row index is refused with an error frame: the node
@@ -1135,6 +1147,7 @@ class TestConcurrentDispatch:
         for node in nodes:
             await node.close()
 
+    @closes_what_it_opens
     def test_first_attempts_draw_in_shard_order_before_any_await(self):
         store = _make_store(n_rows=48)
         want = store.sls_many("emb", self.ROWS, self.WEIGHTS)
@@ -1164,6 +1177,7 @@ class TestConcurrentDispatch:
             ("node:n0", True), ("node:n1", True), ("node:n2", True), ("node:n0", False)
         ]
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("hangs_on", [("partial_sum",), NODE_OPS], ids=["sums", "every-op"])
     def test_overlapping_failures_charge_each_node_once(self, hangs_on):
         """n0 forges and n1 dies with both in flight; n2 takes the re-shard's
@@ -1217,6 +1231,7 @@ class TestConcurrentDispatch:
         assert stats["live"] == ["n2"] and sorted(stats["quarantined"]) == ["n0", "n1"]
         assert stats["blame_counts"] == {"n0": 3.0, "n1": 2.0, "n2": 0.0}
 
+    @closes_what_it_opens
     def test_a_raising_ladder_leaves_no_task_behind(self):
         store = _make_store(n_rows=48)
         # n1 and n2 answer late, so their ladders are in flight when n0's raises.
@@ -1253,6 +1268,7 @@ class TestConcurrentDispatch:
         assert ladders == []
         assert loop_errors == []
 
+    @closes_what_it_opens
     def test_honest_binary_hop_serves_on_every_node(self, monkeypatch):
         """The nodes really serve, over the binary hop: no node is charged
         and nothing fails over (a node refusing every frame would leave the
@@ -1313,6 +1329,7 @@ class TestNodeProtocol:
         resp = NodeResponse(id=3, status="ok", payload={"node": "n0"})
         assert NodeResponse.from_wire(resp.to_wire()) == resp
 
+    @closes_what_it_opens
     def test_heartbeat_reports_assigned_tables(self):
         store = _make_store(n_rows=16, dim=4)
 
@@ -1330,6 +1347,7 @@ class TestNodeProtocol:
 
         asyncio.run(scenario())
 
+    @closes_what_it_opens
     def test_a_refused_binary_frame_is_answered_under_its_own_id(self):
         """A binary frame a node does not serve (a client ``sls``) is
         refused with ``FrameError`` under the id it carried, so a
@@ -1366,6 +1384,7 @@ class TestReconnect:
         store = _make_store(n_rows=32, dim=4)
         return store, SlsServer(store, host="127.0.0.1", port=0)
 
+    @closes_what_it_opens
     def test_client_reconnects_after_server_restart(self):
         store, server = self._store_server()
         rows = [1, 2, 3]
@@ -1397,6 +1416,7 @@ class TestReconnect:
         asyncio.run(scenario())
         assert obs.get_registry().counter("serve.client.reconnects") >= 1
 
+    @closes_what_it_opens
     def test_reconnect_disabled_raises_server_closed(self):
         store, server = self._store_server()
 
@@ -1416,6 +1436,7 @@ class TestReconnect:
 
         asyncio.run(scenario())
 
+    @closes_what_it_opens
     def test_reconnect_gives_up_when_server_stays_down(self):
         store, server = self._store_server()
         # Every dial but the first waits out its backoff before failing.
@@ -1471,8 +1492,8 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
-        gc.collect()
 
+    @closes_what_it_opens
     def test_heartbeat_ok_against_live_server(self):
         store = _make_store(n_rows=16, dim=4)
 
@@ -1500,7 +1521,6 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
-        gc.collect()
 
 
 class TestNodeHopCorrelation:
@@ -1538,7 +1558,6 @@ class TestNodeHopCorrelation:
 
         with obs.journal() as journal:
             got, seen, same, pending, stats = asyncio.run(scenario())
-        gc.collect()
         assert np.array_equal(got, want)
         # The retry (id k + 1) is answered first; the slow dispatch's late
         # answer (id k) arrives after it and is dropped; the heartbeat
@@ -1578,6 +1597,7 @@ class TestJournalReplay:
         finally:
             obs.disable_events()
 
+    @closes_what_it_opens
     def test_blame_state_replays_across_process_restart(self, tmp_path):
         journal = tmp_path / "audit.jsonl"
         # "Process 1" blames and quarantines n1, then exits.
@@ -1597,6 +1617,7 @@ class TestJournalReplay:
         assert set(health2.quarantined) == {"n0", "n1"}
         assert health2.reshards >= 2
 
+    @closes_what_it_opens
     def test_multi_stream_merge_is_blame_ranked(self, tmp_path):
         a, b = tmp_path / "host_a.jsonl", tmp_path / "host_b.jsonl"
         # Host A sees n1 forge twice; host B sees n0 time out once.
@@ -1616,6 +1637,7 @@ class TestJournalReplay:
         assert health.ranking[0][0] == "n1"
         assert "blame ranking" in health.render()
 
+    @closes_what_it_opens
     def test_merge_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "torn.jsonl"
         self._run_cluster_with_journal(path, {"n1": [(0, ("byzantine",))]})
@@ -1642,6 +1664,7 @@ class TestClusterChaos:
             result.mismatched,
         )
 
+    @closes_what_it_opens
     def test_scripted_smoke_passes_every_gate(self):
         result = run_cluster_chaos(script=smoke_script(), **self.SMOKE)
         assert result.bit_identical
@@ -1659,6 +1682,7 @@ class TestClusterChaos:
         text = result.render()
         assert "PASS" in text and "precision 1.000" in text
 
+    @closes_what_it_opens
     def test_seeded_chaos_cluster_preset_passes(self):
         result = run_cluster_chaos(
             n_nodes=3, n_batches=8, batch=6, rows_per_table=96, dim=8,
@@ -1670,6 +1694,7 @@ class TestClusterChaos:
             ["node0"], ["node0"], ["node0"], 1, {"byzantine": 1}, 0
         )
 
+    @closes_what_it_opens
     def test_fault_free_run_has_no_blame(self):
         result = run_cluster_chaos(
             n_nodes=2,
@@ -1688,6 +1713,7 @@ class TestClusterChaos:
 class TestProcessCluster:
     """Real OS processes (spawn): the CI smoke job's third leg."""
 
+    @closes_what_it_opens
     def test_process_smoke_sigkill_and_byzantine(self):
         smoke = TestClusterChaos.SMOKE
         result = run_cluster_chaos(script=smoke_script(), processes=True, **smoke)

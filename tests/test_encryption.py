@@ -178,7 +178,9 @@ class TestRowAddressing:
         bulk = enc.otp.pad_elements(0x2000, 48, 3).reshape(6, 8)
         rows = [5, 0, 1, 5]
         assert np.array_equal(enc.pads_for_rows(e, rows), bulk[rows])
-        assert enc.otp.pad_blocks == 2  # blocks 0 and 2, deduplicated
+        # Per term, as whole-block rows count: rows 0 and 1 share block 0
+        # and row 5 repeats, yet each of the four terms regenerates its block.
+        assert enc.otp.pad_blocks == 4
         monkeypatch.setattr(enc.otp, "pad_elements_at", None)
         with pytest.raises(TypeError):
             enc.pads_for_rows(e, rows)

@@ -383,7 +383,8 @@ class TestBackendSurface:
             and fn.__annotations__.get("return", "").startswith("Optional[")
         }
         assert wrappers == {
-            "dot", "fold", "ring_segsum", "limb_segsum", "pad_segsum", "aes_blocks", "ctr_pads"
+            "dot", "fold", "ring_segsum", "limb_segsum", "pad_segsum", "combine_verify",
+            "aes_blocks", "ctr_pads",
         }
         src = pathlib.Path(repro.__file__).parent
         callers = "".join(p.read_text() for p in src.rglob("*.py") if p.parent.name != "kernels")
@@ -632,6 +633,92 @@ class TestFusedPadSegsum:
             with kernels.use_tier(tier):
                 share = processor.pad_share_batch(enc, "t", batch)
             assert share.values.tolist() == values and _ints(share.tag_shares) == tags, tier
+
+
+# ---------------------------------------------------------------------------
+# The trusted side's one pass over a share: combine and verify together,
+# bit-identical to the two steps it replaces (ring add and field add, then
+# the row-tag sweep and the limb compare) on every tier and ring width.
+# ---------------------------------------------------------------------------
+
+#: The queries each case's check must name.
+_SHARE_FAILED = {
+    "honest": [], "tampered": [0, 3], "forged_tag": [2], "empty_queries": [], "no_queries": []
+}
+
+
+class TestFusedCombineVerify:
+    @pytest.mark.parametrize("case", sorted(_SHARE_FAILED))
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_one_pass_matches_the_two_steps(self, width, case):
+        from repro.core.device import UntrustedNdpDevice
+        from repro.core.params import SecNDPParams
+        from repro.core.protocol import SecNDPProcessor
+
+        params = SecNDPParams(element_bits=width)
+        processor, device = SecNDPProcessor(bytes(range(16)), params), UntrustedNdpDevice(params)
+        plain = np.random.default_rng(width).integers(0, 4, (12, 256 // width))
+        enc = processor.encrypt_matrix(plain.astype(processor.ring.dtype), 0x4000, "t")
+        device.store("t", enc)
+        rows = {"empty_queries": [[], [4], []], "no_queries": []}.get(
+            case, [[1, 2], [5], [7, 7, 3], [0]]
+        )
+        key = processor.checksum.key_for(enc.base_addr, enc.checksum_version)
+        with kernels.use_tier("numpy"):
+            pad = processor.pad_share_batch(enc, "t", rows)
+            values, tags = device.partial_sum_batch("t", rows)
+            if case == "tampered":
+                values[[0, 3], 1] += 1
+            if case == "forged_tag":
+                tags[2] = lf.add(tags[2], lf.to_limbs(1))
+            # The two steps, from their primitives.
+            want_values = processor.ring.add(values, pad.values)
+            want_tags = lf.field_add(processor.field, tags, pad.tag_shares)
+            computed = processor.checksum.row_tag_limbs(want_values, key)
+            want_failed = np.flatnonzero((computed != want_tags).any(axis=1)).tolist()
+            two = processor.combine_device_sums(pad, values, tags)
+            assert np.array_equal(two.values, want_values) and np.array_equal(two.tag_shares, want_tags)
+            assert processor._mismatches(two.values, two.tag_shares, key) == want_failed
+        assert want_failed == _SHARE_FAILED[case]
+        for tier in ["numpy"] + (["native"] if NATIVE else []):
+            with kernels.use_tier(tier):
+                share, failed = processor.combine_and_verify(enc, "t", pad, values, tags)
+                assert processor.failed_share_queries(enc, "t", share) == want_failed, tier
+            assert share.values.dtype == want_values.dtype, tier
+            assert np.array_equal(share.values, want_values), tier
+            assert np.array_equal(share.tag_shares, want_tags), tier
+            assert failed == want_failed, tier
+
+    @needs_native
+    def test_the_kernel_declines_what_it_cannot_take(self):
+        from repro.kernels import _cc
+
+        values, tags = np.ones((2, 4), np.uint32), np.ones((2, 4), np.uint64)
+        weights = np.ones((4, 4), np.uint32)
+        assert _cc.combine_verify(values, tags, values, tags, weights) is not None
+        signed = values.astype(np.int32)
+        assert _cc.combine_verify(signed, tags, signed, tags, weights) is None
+        assert _cc.combine_verify(values, tags, values.astype(np.uint16), tags, weights) is None
+        assert _cc.combine_verify(values, tags[:1], values, tags[:1], weights) is None  # shapes disagree
+        assert _cc.combine_verify(values, tags, values, tags[:1], weights) is None
+        assert _cc.combine_verify(values, tags, values, tags, weights[:3]) is None
+        assert _cc.combine_verify(values, tags, values, tags, weights.astype(np.uint64)) is None
+        strided = np.ones((4, 2), np.uint32).T
+        assert _cc.combine_verify(strided, tags, strided, tags, weights) is None
+
+
+def test_the_c_backend_does_not_use_ctypes():
+    """The backend is a CPython extension: arrays cross as buffers."""
+    import ast
+
+    source = (pathlib.Path(repro.__file__).parent / "kernels" / "_cc.py").read_text()
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in (node.names if isinstance(node, ast.Import) else [ast.alias(node.module or "")])
+    }
+    assert "ctypes" not in imported and "ctypes" not in source
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ from repro.serve.protocol import (
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
+#: A test that opens a socket collects its own garbage and fails on a
+#: leaked transport (``tests/conftest.py``).
+closes_what_it_opens = pytest.mark.closes_what_it_opens
+
 KEY = bytes(range(16))
 
 
@@ -685,6 +689,7 @@ class TestShutdown:
         assert [(a.id, a.status) for a in answers] == [(i, STATUS_SHUTTING_DOWN) for i in range(3)]
         assert (stats["rejected_shutdown"], stats["rejected_invalid"], stats["requests"]) == (3, 0, 3)
 
+    @closes_what_it_opens
     def test_close_is_idempotent_and_serving_starts_no_thread(self):
         store = make_store()
         queries = make_queries(64, 32)
@@ -716,6 +721,7 @@ class TestShutdown:
 
         asyncio.run(run())
 
+    @closes_what_it_opens
     def test_server_close_leaves_no_connection_handler_pending(self, caplog):
         # Regression: close() tracked per-frame tasks only, so handlers of
         # idle connections stayed parked in a read until the loop shut
@@ -951,6 +957,7 @@ class TestAdmissionController:
 
 
 class TestTcpServer:
+    @closes_what_it_opens
     def test_end_to_end_bit_identical(self):
         store = make_store(n_rows=128, dim=8)
         queries = make_queries(128, 24)
@@ -981,6 +988,7 @@ class TestTcpServer:
         assert stats["batches"] <= len(queries)
         assert stats["responses_ok"] == len(queries)
 
+    @closes_what_it_opens
     def test_a_wave_is_one_write_each_way(self, monkeypatch):
         # 32 pipelined requests on one connection: the client's frames of
         # one loop turn leave in one write, the server splits them off one
@@ -1008,6 +1016,7 @@ class TestTcpServer:
             assert np.array_equal(answer, store.sls("emb", q))
         assert stats["responses_ok"] == 32
 
+    @closes_what_it_opens
     def test_a_batch_is_on_the_wire_before_the_next_runs(self):
         # A backlog of three batches on one connection: each batch's
         # answers are flushed to the socket in the loop turn after it, so
@@ -1064,6 +1073,7 @@ class TestTcpServer:
         for response in frames:
             assert np.array_equal(response.values, store.sls("emb", queries[response.id]))
 
+    @closes_what_it_opens
     def test_typed_error_crosses_the_wire(self):
         store = make_store()
 
@@ -1083,6 +1093,7 @@ class TestTcpServer:
         result = asyncio.run(run())
         assert np.array_equal(result, store.sls("emb", [0, 1]))
 
+    @closes_what_it_opens
     def test_malformed_frame_drops_connection_cleanly(self):
         store = make_store()
 
@@ -1104,6 +1115,7 @@ class TestTcpServer:
 
         asyncio.run(run())
 
+    @closes_what_it_opens
     def test_pending_requests_fail_typed_on_server_close(self):
         store = make_store()
 
@@ -1177,7 +1189,7 @@ class TestServeTelemetry:
         }
         assert set(snap["timers"]) == {
             "mac.pad_sweep.ns", "mac.tag_sweep.ns",
-            "protocol.combine.ns", "protocol.encrypt.ns", "protocol.offload.ns",
+            "protocol.encrypt.ns", "protocol.offload.ns",
             "protocol.otp.ns", "protocol.verify.ns",
             "serve.batch.ns", "serve.latency.ns", "sls.batch.ns",
         }

@@ -12,6 +12,10 @@ calls in turn does not count.  ``store.sls_scatter`` counts as one call:
 its insides are the kernel tier's business, so the counts hold on every
 tier and under any ``SECNDP_FAULT_PLAN``.  A time cannot be gated on a
 shared two-core runner; a call count can.
+
+The insides of ``sls_scatter`` get their own count, on the native tier:
+every call one one-term query makes, Python functions and C functions
+alike, so the fixed cost of a wave cannot creep back unnoticed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import obs
+from repro import kernels, obs
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.serve import AsyncSlsClient, SlsServer
 from repro.serve.protocol import CODEC_BINARY, SlsRequest, encode_frame
@@ -215,3 +219,36 @@ def test_calls_per_query_stay_under_their_ceilings(counted, side):
 
 def test_the_server_makes_a_third_of_its_former_calls(counted):
     assert counted["server"]["total"] <= 133.7 / 3
+
+
+#: Calls inside one one-term ``sls_scatter`` of a validated batch on the
+#: native tier: ceilings at a first measurement (95 Python and 51 C
+#: function calls) + 10 %; the call makes 98 and 53.
+SCATTER_CEILINGS = {"python": 104, "c": 56}
+
+
+@pytest.mark.skipif(not kernels.native_available(), reason="no compiled kernel backend")
+def test_a_one_term_scatter_stays_under_its_call_ceilings():
+    params = SecNDPParams(element_bits=32)
+    store = SecureEmbeddingStore(SecNDPProcessor(bytes(16), params), UntrustedNdpDevice(params))
+    store.add_table("emb", np.random.default_rng(0).normal(size=(256, DIM)))
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            counts["python" if event == "call" else "c"] += 1
+
+    was_on = obs.enabled()
+    obs.disable()
+    try:
+        with kernels.use_tier("native"):
+            batch = store.validate_batch("emb", [[7]], [[2]])
+            want = store.sls_scatter("emb", batch)[0]
+            with profiled(profile):
+                values, outcomes = store.sls_scatter("emb", batch)
+    finally:
+        if was_on:
+            obs.enable()
+    assert np.array_equal(values, want) and outcomes[0].ok
+    over = {k: (counts[k], ceiling) for k, ceiling in SCATTER_CEILINGS.items() if counts[k] > ceiling}
+    assert not over, f"calls in a one-term sls_scatter over the ceiling: {over} ({dict(counts)})"

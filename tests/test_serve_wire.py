@@ -57,6 +57,10 @@ from repro.serve.protocol import (
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
+#: A test that opens a socket collects its own garbage and fails on a
+#: leaked transport (``tests/conftest.py``).
+closes_what_it_opens = pytest.mark.closes_what_it_opens
+
 KEY = bytes(range(16))
 HEADER = struct.Struct("<BBHIQ")  # kind, flags, aux, count, id: the documented layout
 PARTIAL = struct.Struct("<IBBxxd")  # a partial_sum's terms, width, directive code, delay
@@ -735,6 +739,7 @@ class TestHostilePeer:
         in_blocks, one_by_one = read_in_blocks(chunks)
         assert in_blocks == one_by_one
 
+    @closes_what_it_opens
     @settings(max_examples=100, deadline=None)
     @given(st.binary(max_size=64) | frame_streams())
     def test_sls_server_over_arbitrary_streams(self, stream):
@@ -778,6 +783,7 @@ class TestHostilePeer:
         buf += bytes(64)
         del buf[:32]
 
+    @closes_what_it_opens
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64) | frame_streams())
     def test_node_server_over_arbitrary_streams(self, stream):
@@ -846,6 +852,7 @@ class TestHostilePeer:
         obj = data.draw(json_values | st.dictionaries(keys, json_values, max_size=6))
         envelope_or_frame_error(cls, obj)
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("table", [["emb"], {"t": 1}], ids=["list", "dict"])
     def test_server_answers_a_badly_typed_envelope_and_serves_on(self, table):
         # Regression: an unhashable table escaped ``enqueue`` as a
@@ -869,6 +876,7 @@ class TestHostilePeer:
         assert good.id == 2 and np.array_equal(good.values, store.sls("emb", [1, 2]))
         assert stats["requests"] == 1
 
+    @closes_what_it_opens
     @pytest.mark.parametrize(
         "wire, kind",
         [
@@ -914,6 +922,7 @@ class TestHostilePeer:
         assert (bad.status, bad.kind) == ("error", kind)
         assert (good.id, good.status, good.payload["node"]) == (2, STATUS_OK, "n0")
 
+    @closes_what_it_opens
     def test_coordinator_blames_a_node_whose_envelope_lies(self):
         # Regression: the node's ValueError escaped ``sls_many`` raw, with
         # nobody blamed, no failover and no local rung.
@@ -994,12 +1003,14 @@ class TestHostilePeer:
 
         return asyncio.run(run())
 
+    @closes_what_it_opens
     def test_server_answers_malformed_frames_and_lives(self):
         store = make_store(32)
         for server in self.MALFORMED_SESSION:
             answers = self.session(server, store, one_write=False)
             self.check_malformed_session(server, store, answers)
 
+    @closes_what_it_opens
     def test_server_answers_malformed_frames_in_one_read_alike(self):
         # All five frames in one write, so each server splits them off one
         # read: the same answers in the same order, then the same close.
@@ -1037,6 +1048,7 @@ def sample_queries(store, n_rows: int, seed: int):
 
 
 class TestBitIdentity:
+    @closes_what_it_opens
     @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
     def test_the_binary_node_hop_equals_direct_sls_many(self, element_bits):
         """Three nodes, every shard in flight at once, raw arrays on the
@@ -1062,6 +1074,7 @@ class TestBitIdentity:
         assert np.array_equal(got, want)
         assert stats["quarantined"] == [] and not any(stats["blame_counts"].values())
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
     def test_every_transport_equals_direct_sls(self, element_bits):
         store = make_store(element_bits)
@@ -1090,6 +1103,7 @@ class TestBitIdentity:
                 assert answer.dtype == np.float64 and answer.flags.writeable
                 assert np.array_equal(answer, want), (transport, rows, weights)
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
     def test_server_answers_each_frame_in_its_own_codec(self, element_bits):
         # The client sends binary only; a raw JSON frame is how the server's
@@ -1116,6 +1130,7 @@ class TestBitIdentity:
         assert np.array_equal(seen[1][1].values, want)
         assert np.array_equal(SlsResponse.from_wire(seen[2][1]).values, want)
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("transport", ["binary", "in_process"])
     def test_client_refuses_what_int64_cannot_hold(self, transport):
         store = make_store(64)
@@ -1211,6 +1226,7 @@ class TestOneRefusalOnEveryPath:
                 assert sent == []  # no node was asked for anything
         return str(refusal.value)
 
+    @closes_what_it_opens
     @pytest.mark.parametrize("defect", REFUSALS)
     @pytest.mark.parametrize(
         "path", ["sls", "sls_many", "sls_scatter", "front_end", "tcp", "cluster"]
@@ -1236,6 +1252,7 @@ class TestOneRefusalOnEveryPath:
 
 
 class TestMixedRead:
+    @closes_what_it_opens
     def test_every_query_of_one_read_gets_its_own_typed_answer(self):
         """One socket write: valid binary queries, one query per refusal, a
         JSON ``sls`` frame and a ping.  Each id is answered once, in its
