@@ -217,8 +217,9 @@ def _bench_pad_path(sizes) -> dict:
     rows never seen before - next to the raw ``aes128_encrypt_blocks``
     call over as many counter blocks.
 
-    Gate, asserted by ``test_hotpaths``: native ns per block <=
-    ``_PAD_RATIO_MAX`` x raw AES.  Every sweep's share is bit-identical
+    Gate, asserted by ``test_hotpaths``: the median over sweeps of
+    native ns per block, each sweep against the raw-AES sample taken just
+    before it, <= ``_PAD_RATIO_MAX`` x raw AES.  Every sweep's share is bit-identical
     on both tiers, and the pad count is exactly the sweep's terms x
     blocks per row.
     """
@@ -245,15 +246,21 @@ def _bench_pad_path(sizes) -> dict:
                 np.zeros((repeats * terms, dim), dtype=np.uint32), 0x100000, "emb"
             )
             batches = [QueryBatch.flatten(processor.ring, sweep) for sweep in sweeps]
-            t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), repeats)
-            it = iter(batches)
-            t_gen, _ = _best_of(lambda: processor.pad_share_batch(enc, "emb", next(it)), repeats)
+            # Each sweep is timed right after its own raw-AES sample, and
+            # the gate reads the median of those per-pair ratios: the two
+            # sides of a ratio see the same moment of the host.
+            pairs = []
+            for batch in batches:
+                t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), 1)
+                t_gen, _ = _best_of(lambda: processor.pad_share_batch(enc, "emb", batch), 1)
+                pairs.append((t_aes, t_gen, t_gen / t_aes))
             assert processor.encryptor.otp.pad_blocks == repeats * terms * blocks_per_row
             shares[tier] = [processor.pad_share_batch(enc, "emb", b) for b in batches[:2]]
+            t_aes, t_gen, ratio = np.median(np.array(pairs), axis=0).tolist()
             report[tier] = {
                 "aes_ns_per_block": t_aes / gen_blocks * 1e9,
                 "ns_per_block": t_gen / gen_blocks * 1e9,
-                "ratio_to_aes": t_gen / t_aes,
+                "ratio_to_aes": ratio,
             }
     for numpy_share, share in zip(shares["numpy"], shares.get("native", [])):
         assert np.array_equal(share.values, numpy_share.values), "pad half diverges"

@@ -69,6 +69,7 @@ __all__ = [
     "encode_device_sums",
     "decode_device_sums",
     "query_words",
+    "slice_words",
     "encode_queries",
     "decode_queries",
 ]
@@ -208,6 +209,14 @@ def query_words(
     }
 
 
+def slice_words(words: Dict[str, Any], queries: tuple, terms: tuple) -> Dict[str, Any]:
+    """Queries ``[q0, q1)``, terms ``[t0, t1)``, of a batch's :func:`query_words`:
+    byte slices of them, the same bytes :func:`query_words` makes of that sub-batch."""
+    (q0, q1), (t0, t1), width = queries, terms, words["width"]
+    return dict(words, counts=words["counts"][4 * q0:4 * q1], rows=words["rows"][4 * t0:4 * t1],
+                weights=words["weights"][width * t0:width * t1])
+
+
 def encode_queries(
     batch_rows: Union[QueryBatch, Sequence[Sequence[int]]],
     batch_weights: Optional[Sequence[Sequence[int]]] = None,
@@ -226,13 +235,15 @@ def decode_queries(payload: Dict[str, Any], ring: Ring) -> QueryBatch:
         counts = _words(payload["counts"], "<u4")
         rows = _words(payload["rows"], "<u4")
         weights = _words(payload["weights"], f"<u{width}")
-        n_terms = int(counts.sum(dtype=np.uint64))
-        if rows.size != n_terms or weights.size != n_terms:
-            raise ValueError(f"{n_terms} terms declared, {rows.size} rows, {weights.size} weights")
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # Unsigned words no wider than the ring are residues already.
-        weights = weights.astype(ring.dtype) if 8 * width <= ring.width else ring.encode(weights)
-        return QueryBatch(rows.astype(np.int64), weights, offsets)
+        n_terms = int(offsets[-1])
+        if rows.size != n_terms or weights.size != n_terms:
+            raise ValueError(f"{n_terms} terms declared, {rows.size} rows, {weights.size} weights")
+        # Unsigned words no wider than the ring are residues already, and
+        # at its own width they are its words: no copy.
+        if 8 * width > ring.width:
+            weights = ring.encode(weights)
+        return QueryBatch(rows.astype(np.int64), weights.astype(ring.dtype, copy=False), offsets)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad queries payload: {exc}") from exc

@@ -16,12 +16,13 @@ that ever holds key material:
    re-encryption the replicas are re-shipped before the next batch (the
    version triple shipped is compared with the store's): the
    coordinator's own re-keying is never evidence against a node.
-2. **Dispatch**: each query batch is masked per owner range, the
-   coordinator generates the pad halves (``E_res`` / ``E_T_res``)
-   key-side, one fused pass per owner's sub-batch
-   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`), over
-   the one table version the whole batch reads, and then every owner's
-   sub-batch goes out at once as a binary ``partial_sum`` frame under a
+2. **Dispatch**: each query batch is split by owner once
+   (:meth:`ShardMap.split`), the coordinator generates the pad halves
+   (``E_res`` / ``E_T_res``) key-side, one fused pass over the split
+   batch (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`)
+   on the one table version the whole batch reads, and encodes it once;
+   each owner's sub-batch, a row slice of the pass and a byte slice of
+   the words, goes out at once as a binary ``partial_sum`` frame under a
    deadline — all shards are in flight together, each on its own
    recovery ladder.  A node answers with ciphertext-domain sums only
    (``C_res`` / ``C_T_res``) and the coordinator adds each node's sums
@@ -144,6 +145,17 @@ class ShardMap:
                 sub_r.append(r)
                 sub_w.append(w)
         return sub_r, sub_w
+
+    def split(self, name: str, batch: QueryBatch) -> QueryBatch:
+        """``batch`` regrouped by owner in one stable sort: segment ``s *
+        n_q + q`` holds query ``q``'s terms node ``s`` owns, in order, so
+        node ``s``'s sub-batch is one contiguous run (``n_q = len(batch)``)."""
+        n_q, starts = len(batch), [lo for lo, _ in self.bounds[name]]
+        key = (np.searchsorted(starts, batch.rows, side="right") - 1) * n_q
+        key += np.repeat(np.arange(n_q), np.diff(batch.offsets))
+        order = np.argsort(key, kind="stable")
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=len(starts) * n_q))))
+        return QueryBatch(batch.rows[order], batch.weights[order], offsets)
 
     def ranges_for(self, node: str) -> Dict[str, Tuple[int, int]]:
         i = self.nodes.index(node)
@@ -277,7 +289,7 @@ class ClusterCoordinator:
 
         The store's validator runs first, so a query a single host would
         refuse is refused here with the same error and nothing is sent:
-        a row no shard owns can never fall out of the owner masks unseen.
+        a row no shard owns can never fall out of the owner split unseen.
         """
         batch = self.store.validate_batch(name, batch_rows, batch_weights)
         enc = self.store.device.stored(name)
@@ -291,31 +303,31 @@ class ClusterCoordinator:
             return self.store.sls_many(name, batch)
         # Snapshot ownership: a mid-batch quarantine rebuilds
         # ``self.shard_map`` for *future* batches, while this batch's
-        # masks stay on the bounds its earlier dispatches used (the
-        # failed node's sub-batch is re-served with the same mask, so
-        # rows are never dropped or double-counted).  ``enc`` is the
-        # batch's version snapshot the same way: a trusted-side
-        # re-encryption mid-batch reaches the next batch, not this one.
+        # split stays on the bounds its earlier dispatches used (the
+        # failed node's sub-batch is re-served as it was split, so rows
+        # are never dropped or double-counted).  ``enc`` is the batch's
+        # version snapshot the same way: a trusted-side re-encryption
+        # mid-batch reaches the next batch, not this one.
         smap = self.shard_map
-        nodes, parts = [], []
-        for node, (lo, hi) in zip(list(smap.nodes), smap.bounds[name]):
-            mask = (batch.rows >= lo) & (batch.rows < hi)
-            if mask.any():
-                nodes.append(node)
-                parts.append(batch.select(mask))
-        # The trusted half, once per shard and before any dispatch: every
-        # rung that serves a shard (retry, replica, local) reuses its pad.
-        processor = self.store.processor
-        pads = [processor.pad_share_batch(enc, name, part) for part in parts]
-        # Every shard in flight at once, each on its own ladder; the first
-        # attempts' fault draws are made here, in shard order, before any
-        # ladder starts.
-        directives = [self._draw(node) for node in nodes]
+        n_q, split = len(batch), smap.split(name, batch)
+        # The trusted half, once per batch and before any dispatch: every
+        # shard, on every rung (retry, replica, local), takes slices of it.
+        pad = self.store.processor.pad_share_batch(enc, name, split)
+        words = codec.query_words(split)
+        edges = split.offsets[::n_q].tolist()  # shard s's terms: [edges[s], edges[s + 1])
+        # Every shard with terms in flight at once, each on its own
+        # ladder; the first attempts' fault draws are made here, in shard
+        # order, before any ladder takes its first step.
         ladders = []
-        for node, part, pad, directive in zip(nodes, parts, pads, directives):
+        for s, node in enumerate(smap.nodes):
+            if edges[s] == edges[s + 1]:
+                continue
+            queries = (s * n_q, (s + 1) * n_q)
             self._dispatch_seq += 1
             ladders.append(asyncio.ensure_future(self._dispatch_with_recovery(
-                enc, name, node, part, pad, self._dispatch_seq, directive
+                enc, name, node, codec.slice_words(words, queries, edges[s:s + 2]),
+                PartialSumShare(pad.values[slice(*queries)], pad.tag_shares[slice(*queries)]),
+                self._dispatch_seq, self._draw(node),
             )))
         try:
             shares = await asyncio.gather(*ladders)
@@ -347,11 +359,11 @@ class ClusterCoordinator:
         return Directive.of(self.fault_injector.node_directive(f"node:{node}"))
 
     async def _dispatch_with_recovery(
-        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
+        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
         pad: PartialSumShare, dispatch: int, directive: Optional[Directive],
     ) -> PartialSumShare:
-        """Serve one node's sub-batch, whose pad half over ``enc`` is ``pad``;
-        ``directive`` is the fault draw of its first attempt, at ``node``.
+        """Serve one node's sub-batch ``words``, whose pad half over ``enc`` is
+        ``pad``; ``directive`` is the fault draw of its first attempt.
 
         Returns the verified share.  Rungs: bounded same-node retry ->
         healthy replica -> trusted local recompute.  Raises
@@ -362,13 +374,12 @@ class ClusterCoordinator:
         # Stable per-node salt (not hash(): PYTHONHASHSEED would make the
         # jitter differ across runs; all chaos randomness stays seeded).
         salt = zlib.crc32(node.encode("utf-8")) & 0x7FFFFFFF
-        words = codec.query_words(batch)
         tried: List[str] = []
         target: Optional[str] = node
         attempt = 0
         while True:
             if target is None:
-                return self._local_share(enc, name, node, batch, pad)
+                return self._local_share(enc, name, node, words, pad)
             try:
                 share = await self._dispatch_once(enc, name, target, words, pad, directive)
                 if target != node:
@@ -427,10 +438,12 @@ class ClusterCoordinator:
         return share
 
     def _local_share(
-        self, enc: EncryptedMatrix, name: str, node: str, batch: QueryBatch,
+        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
         pad: PartialSumShare,
     ) -> PartialSumShare:
         """Rung 3: trusted recompute of the device half over the snapshot."""
+        processor = self.store.processor
+        batch = codec.decode_queries(words, processor.ring)
         obs.inc("cluster.failovers")
         obs.emit_event(
             obs.RECOVERY_FALLBACK,
@@ -439,9 +452,8 @@ class ClusterCoordinator:
             scope="cluster",
             queries=len(batch),
         )
-        device = UntrustedNdpDevice(self.store.processor.params)
+        device = UntrustedNdpDevice(processor.params)
         device.store(name, enc)
-        processor = self.store.processor
         share, failed = processor.combine_and_verify(
             enc, name, pad, *device.partial_sum_batch(name, batch)
         )

@@ -249,7 +249,7 @@ class NodeClient:
                 id=self._link._new_id(), op=op, table=table, payload=payload or {},
                 directive=directive,
             )
-            response = await asyncio.wait_for(self._link.request(request), timeout)
+            response = await self._link.request(request, timeout)
         except asyncio.TimeoutError:
             raise PeerTimeoutError(
                 f"node {self.name!r} missed its {timeout}s deadline for {op!r}"

@@ -22,7 +22,7 @@ verification detects it.  Applications are expected to budget
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -454,7 +454,8 @@ class SecNDPProcessor:
         one sweep (the first failing query raises): because every shard
         partitions the query's rows and both structures are exact
         modular arithmetic, the totals — and hence the verification
-        outcome — are bit-identical to the unsharded queries.
+        outcome — are bit-identical to the unsharded queries.  The last
+        share's add and the check are one :meth:`combine_and_verify` pass.
 
         Blame is the caller's: :meth:`verify_partial_share` checks one
         share against its *own* restricted checksum and names its shard.
@@ -466,19 +467,24 @@ class SecNDPProcessor:
         partials = list(partials)
         if not partials:
             return np.zeros((0, enc.n_cols), dtype=self.ring.dtype)
-        res = reduce(self.ring.add, (part.values for part in partials))
         if not verify:
-            return res
+            return reduce(self.ring.add, (part.values for part in partials))
         _require_tags(enc, name)
         key = self.checksum.key_for(enc.base_addr, enc.checksum_version)
+        *head, last = partials
         with obs.span("protocol.verify"):
             if any(part.tag_shares is None for part in partials):
                 raise VerificationError(_NO_TAG_SHARES)
-            retrieved = reduce(
-                lambda a, b: limb_field.field_add(self.field, a, b),
-                (part.tag_shares for part in partials),
+            if head:
+                values = reduce(self.ring.add, (part.values for part in head))
+                tags = reduce(partial(limb_field.field_add, self.field), (p.tag_shares for p in head))
+            else:
+                values = np.zeros(last.values.shape, self.ring.dtype)
+                tags = np.zeros_like(last.tag_shares)
+            res, retrieved, failed = self._combine_verify(
+                values, tags, last.values, last.tag_shares, key
             )
-            failed = self._failures(self._mismatches(res, retrieved, key))
+            failed = self._failures(failed)
             if failed:
                 q = failed[0]
                 t_res = self.checksum.result_tag(res[q], key)

@@ -406,6 +406,12 @@ def _raise_for_response(response: SlsResponse) -> SlsResponse:
     raise SecNDPError(response.error or f"server error ({response.kind})")
 
 
+def _expire(future: asyncio.Future) -> None:
+    """A request's deadline: its answer's future fails, if still open."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class AsyncSlsClient:
     """One API over two transports: TCP frames or an in-process scheduler.
 
@@ -589,12 +595,14 @@ class AsyncSlsClient:
                 return True
             return False
 
-    async def request(self, request: Union[SlsRequest, NodeRequest]):
+    async def request(
+        self, request: Union[SlsRequest, NodeRequest], timeout: Optional[float] = None
+    ):
         """Send one request; return the raw typed response (no raising).
 
         Over TCP a request is pending from its send until its answer, its
-        failure or its caller's cancellation (a timeout): an answer that
-        arrives after that is dropped.
+        failure, its ``timeout`` (a timer: ``asyncio.TimeoutError``) or its
+        caller's cancellation: an answer that arrives after that is dropped.
         """
         if self._closed:
             raise ConfigurationError("client is closed")
@@ -618,10 +626,14 @@ class AsyncSlsClient:
         # Registered, it is either answered, re-sent by a reconnect or
         # failed by the read loop, whatever becomes of the outbox.
         self._pending[request.id] = (future, request)
+        timer = None if timeout is None else future.get_loop().call_later(timeout, _expire, future)
         try:
             self._outbox.put(frame)
             transport = self._writer.transport
-            if transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]:
+            # Backpressure, unless a deadline bounds the wait instead.
+            if timer is None and (
+                transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]
+            ):
                 try:
                     await self._writer.drain()
                 except (ConnectionError, OSError):
@@ -629,6 +641,8 @@ class AsyncSlsClient:
             return await future
         finally:
             self._pending.pop(request.id, None)
+            if timer is not None:
+                timer.cancel()
 
     # -- public API ------------------------------------------------------------
 
@@ -677,12 +691,8 @@ class AsyncSlsClient:
         return await self._probe("heartbeat", resolve_heartbeat_timeout(timeout))
 
     async def _probe(self, op: str, timeout: Optional[float]) -> bool:
-        request = SlsRequest(id=self._new_id(), op=op)
         try:
-            if timeout is None:
-                response = await self.request(request)
-            else:
-                response = await asyncio.wait_for(self.request(request), timeout)
+            response = await self.request(SlsRequest(id=self._new_id(), op=op), timeout)
         except (SecNDPError, asyncio.TimeoutError):
             return False
         return response.status == STATUS_OK

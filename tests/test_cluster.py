@@ -20,12 +20,13 @@ import dataclasses
 import gc
 import json
 import os
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels, obs
@@ -61,6 +62,7 @@ from repro.serve.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     ENV_HEARTBEAT_TIMEOUT,
     NODE_OPS,
+    STATUS_OK,
     Directive,
     NodeRequest,
     NodeResponse,
@@ -196,31 +198,46 @@ class TestPerShardVerification:
         part.values[0, 0] = proc.ring.add(part.values[0, 0], np.uint64(1))
         assert proc.failed_share_queries(enc, "emb", part) == [0]
 
-    def test_offsetting_shard_forgeries_caught_by_combined_check(self):
+    @pytest.mark.parametrize("tier", ["auto", "numpy"])
+    def test_offsetting_shard_forgeries_caught_by_combined_check(self, tier):
         """Per-shard checks pass individually only if shares are honest;
         a pair of forgeries that cancels in the field sum still trips the
         per-shard identities — and value tampering that cancels across
         shards trips the combined check, which is why finalize keeps
-        running it after per-shard passes."""
-        store = _make_store()
-        proc, dev = store.processor, store.device
-        enc = dev.stored("emb")
-        shards = _split_queries([[1, 40]], [[1, 1]], [(0, 32), (32, 64)])
-        parts = [
-            proc.partial_row_sum_batch(dev, "emb", r, w, with_tag_shares=True)
-            for r, w in shards
-        ]
-        # Offsetting *value* tampering: +1 on one shard, -1 on the other.
-        # Values cancel in the ring sum but each shard's own restricted
-        # checksum identity breaks, so per-shard verification catches it.
-        parts[0].values[0, 0] = proc.ring.add(parts[0].values[0, 0], np.uint64(1))
-        parts[1].values[0, 0] = proc.ring.sub(parts[1].values[0, 0], np.uint64(1))
-        assert proc.failed_share_queries(enc, "emb", parts[0]) == [0]
-        assert proc.failed_share_queries(enc, "emb", parts[1]) == [0]
-        with pytest.raises((ShardVerificationError, VerificationError)):
-            for s, part in enumerate(parts):
-                proc.verify_partial_share(enc, "emb", part, shard=s)
-            proc.finalize_row_sum_batch(enc, "emb", parts, verify=True)
+        running it after per-shard passes.  On every tier the combined
+        check names the first failing query."""
+        with kernels.use_tier(tier):
+            store = _make_store()
+            proc, dev = store.processor, store.device
+            enc = dev.stored("emb")
+            shards = _split_queries([[1, 40], [2, 50]], [[1, 1], [2, 1]], [(0, 32), (32, 64)])
+            parts = [
+                proc.partial_row_sum_batch(dev, "emb", r, w, with_tag_shares=True)
+                for r, w in shards
+            ]
+            honest = proc.finalize_row_sums(enc, "emb", parts, verify=True)
+            # Offsetting *value* tampering: +1 on one shard, -1 on the other.
+            # Values cancel in the ring sum but each shard's own restricted
+            # checksum identity breaks, so per-shard verification catches it.
+            parts[0].values[0, 0] = proc.ring.add(parts[0].values[0, 0], np.uint64(1))
+            parts[1].values[0, 0] = proc.ring.sub(parts[1].values[0, 0], np.uint64(1))
+            assert proc.failed_share_queries(enc, "emb", parts[0]) == [0]
+            assert proc.failed_share_queries(enc, "emb", parts[1]) == [0]
+            with pytest.raises((ShardVerificationError, VerificationError)):
+                for s, part in enumerate(parts):
+                    proc.verify_partial_share(enc, "emb", part, shard=s)
+                proc.finalize_row_sum_batch(enc, "emb", parts, verify=True)
+            # The combined identity alone cannot see a pair that cancels...
+            assert np.array_equal(proc.finalize_row_sums(enc, "emb", parts), honest)
+            # ...and it names the first query whose recombined tag is off,
+            # whichever share the forgery sits in.
+            for s in (0, 1):
+                forged = list(parts)
+                forged[s] = dataclasses.replace(parts[s], tag_shares=parts[s].tag_shares.copy())
+                for q in (1, 0):
+                    forged[s].tag_shares[q] = _bumped(proc.field, forged[s].tag_shares[q])
+                    with pytest.raises(VerificationError, match=f"tag mismatch for query {q} on 'emb'"):
+                        proc.finalize_row_sums(enc, "emb", forged, verify=True)
 
     def test_share_without_tags_is_rejected(self):
         store = _make_store()
@@ -1033,14 +1050,17 @@ class TestClusterEndToEnd:
         assert snap["counters"]["cluster.dispatch.retry"] >= 1
         assert snap["counters"]["cluster.failovers"] >= 1
         # The cluster inventory, exactly: the coordinator records only
-        # names something reads (DESIGN.md Sec. 9).
+        # names something reads (DESIGN.md Sec. 9).  On the native tier
+        # every check, the final cross-shard one too, is the fused
+        # combine-and-verify pass, which runs no limb dot; the NumPy tier
+        # checks with its limb dot.
         with kernels.use_tier(tier):
-            limb = "limb.dot.native" if kernels.active_tier() == "native" else "limb.dot.tier1"
+            limb = set() if kernels.active_tier() == "native" else {"limb.dot.tier1"}
         assert set(snap["counters"]) == {
             "cluster.dispatch.blamed", "cluster.dispatch.dead", "cluster.dispatch.retry",
-            "cluster.failovers", limb, "mac.tag_pads", "otp.pad_blocks",
+            "cluster.failovers", "mac.tag_pads", "otp.pad_blocks",
             "protocol.verify.failures",
-        }
+        } | limb
         assert set(snap["timers"]) == {"protocol.otp.ns", "protocol.verify.ns"}
 
     @closes_what_it_opens
@@ -1318,6 +1338,154 @@ class TestConcurrentDispatch:
             assert np.array_equal(a, b)
 
 
+class InProcessNode(NodeClient):
+    """A node client answered in process by its server's ``_reply``: no
+    socket, and the payload reaches the node as the coordinator made it."""
+
+    def __init__(self, server: NodeServer):
+        super().__init__(server.name, server.host, server.port)
+        self.server = server
+
+    async def connect(self) -> "InProcessNode":
+        return self
+
+    async def request(self, op, table=None, payload=None, timeout=None, directive=None):
+        response = self.server._reply(
+            NodeRequest(id=1, op=op, table=table, payload=payload or {}, directive=directive),
+            CODEC_BINARY,
+        )
+        if response.status != STATUS_OK:
+            raise ConfigurationError(f"node {self.name!r} error: {response.error}")
+        return response
+
+
+def _in_process_cluster(store, n_nodes=3, cls=ClusterCoordinator):
+    """A coordinator over ``n_nodes`` in-process nodes (call
+    ``setup`` inside a running loop)."""
+    nodes = [InProcessNode(NodeServer(f"n{i}")) for i in range(n_nodes)]
+    return cls(store, nodes, task_timeout_s=5.0)
+
+
+@pytest.fixture(scope="module")
+def split_store():
+    """One 48-row table for every drawn batch (encrypting it is the slow part)."""
+    return _make_store(n_rows=48)
+
+
+@st.composite
+def split_batches(draw):
+    """``(n_nodes, rows, weights)`` over the 48-row table: empty queries
+    anywhere, queries inside one shard or across several, shards with no
+    terms."""
+    n_nodes = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    rows = [draw(st.lists(st.integers(0, 47), min_size=n, max_size=n)) for n in counts]
+    weights = [draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)) for n in counts]
+    return n_nodes, rows, weights
+
+
+class TestOneSplitPerBatch:
+    """The trusted half of a cluster batch runs once per batch: one owner
+    split, one pad sweep and one encoding, each shard taking its slice."""
+
+    @pytest.mark.parametrize("tier", ["auto", "numpy"])
+    @settings(max_examples=40, deadline=None)
+    @given(split_batches())
+    # An empty query, a query inside shard 0 and shard 1 with no terms.
+    @example((3, [[1, 2], [], [40, 47, 1]], [[1, 2], [], [3, 1, 1]]))
+    def test_shard_payloads_and_pad_halves_match_per_mask_ones(self, split_store, tier, drawn):
+        n_nodes, rows, weights = drawn
+        store = split_store
+        sent = []
+
+        class Recording(ClusterCoordinator):
+            async def _dispatch_with_recovery(self, enc, name, node, words, pad, *args):
+                sent.append((node, words, pad))
+                return await super()._dispatch_with_recovery(enc, name, node, words, pad, *args)
+
+        async def scenario():
+            coordinator = await _in_process_cluster(store, n_nodes, Recording).setup()
+            got = await coordinator.sls_many("emb", rows, weights)
+            return got, coordinator.shard_map
+
+        with kernels.use_tier(tier):
+            got, smap = asyncio.run(scenario())
+            assert np.array_equal(got, store.sls_many("emb", rows, weights))
+            batch = store.validate_batch("emb", rows, weights)
+            enc = store.device.stored("emb")
+            want = []
+            for node, (lo, hi) in zip(smap.nodes, smap.bounds["emb"]):
+                mask = (batch.rows >= lo) & (batch.rows < hi)
+                if mask.any():
+                    part = batch.select(mask)
+                    pad = store.processor.pad_share_batch(enc, "emb", part)
+                    want.append((node, codec.query_words(part), pad))
+        # A shard with no terms gets no dispatch; every other shard's
+        # payload is the bytes its own mask would have made, and its pad
+        # half that mask's own sweep.
+        def as_bytes(words):
+            return {k: v if k == "width" else bytes(v) for k, v in words.items()}
+
+        assert [node for node, _, _ in sent] == [node for node, _, _ in want]
+        for (_, words, pad), (_, want_words, want_pad) in zip(sent, want):
+            assert as_bytes(words) == as_bytes(want_words)
+            assert np.array_equal(pad.values, want_pad.values)
+            assert np.array_equal(pad.tag_shares, want_pad.tag_shares)
+
+    #: Calls one 32-query ``sls_many`` over three in-process nodes makes on
+    #: the native tier, a node's own ``_reply`` counted as one call:
+    #: ceilings at a first measurement (391 Python and 352 C function
+    #: calls) + 10 %.  With the trusted half run once per shard (three
+    #: masks, three pad sweeps, three encodings) the same batch made 508
+    #: and 444.
+    CEILINGS = {"python": 430, "c": 387}
+
+    @pytest.mark.skipif(not kernels.native_available(), reason="no compiled kernel backend")
+    def test_a_batch_pays_its_trusted_half_once(self):
+        store = _make_store(n_rows=4096, dim=64)
+        rng = np.random.default_rng(11)
+        pfs = rng.integers(40, 81, 32)
+        rows = [rng.integers(0, 4096, pf).tolist() for pf in pfs]
+        weights = [rng.integers(1, 4, pf).tolist() for pf in pfs]
+        counts = {"python": 0, "c": 0, "pad_segsum": 0}
+        inside = []  #: the ``_reply`` frame being skipped, if any
+
+        def profile(frame, event, arg):
+            if inside:
+                if event == "return" and frame is inside[0]:
+                    inside.clear()
+                return
+            if event == "call":
+                counts["python"] += 1
+                if frame.f_code.co_name == "_reply":
+                    inside.append(frame)
+            elif event == "c_call":
+                counts["c"] += 1
+                counts["pad_segsum"] += getattr(arg, "__name__", "") == "pad_segsum"
+
+        async def scenario():
+            coordinator = await _in_process_cluster(store).setup()
+            want = await coordinator.sls_many("emb", rows, weights)
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                got = await coordinator.sls_many("emb", rows, weights)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return want, got
+
+        with kernels.use_tier("native"):
+            # Debug mode (``python -X dev``) adds calls of its own to every step.
+            want, got = asyncio.run(scenario(), debug=False)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, store.sls_many("emb", rows, weights))
+        assert counts["pad_segsum"] == 1, counts
+        over = {k: (counts[k], c) for k, c in self.CEILINGS.items() if counts[k] > c}
+        assert not over, f"calls in one cluster sls_many over the ceiling: {over} ({counts})"
+
+
 class TestNodeProtocol:
     def test_node_request_round_trip_and_validation(self):
         req = NodeRequest(
@@ -1521,6 +1689,34 @@ class TestHeartbeatDeadline:
             await silent.wait_closed()
 
         asyncio.run(scenario())
+
+
+    @closes_what_it_opens
+    def test_a_missed_deadline_is_a_timer_not_a_task(self):
+        """A node request's deadline runs no task of its own: while it is
+        pending the only new task is the caller's, and once it times out
+        the tasks are what they were before it."""
+        async def scenario():
+            silent = await asyncio.start_server(_swallow, "127.0.0.1", 0)
+            port = silent.sockets[0].getsockname()[1]
+            client = NodeClient("mute", "127.0.0.1", port)
+            with pytest.raises(PeerTimeoutError):  # connects, and the peer accepts
+                await client.request("heartbeat", timeout=0.05)
+            before = asyncio.all_tasks()
+            call = asyncio.ensure_future(client.request("heartbeat", timeout=0.2))
+            await asyncio.sleep(0.05)
+            during = asyncio.all_tasks() - before
+            with pytest.raises(PeerTimeoutError):
+                await call
+            after = asyncio.all_tasks()
+            pending = dict(client._link._pending)
+            await client.close()
+            silent.close()
+            await silent.wait_closed()
+            return during == {call}, after == before, pending
+
+        only_the_caller, unchanged, pending = asyncio.run(scenario())
+        assert only_the_caller and unchanged and pending == {}
 
 
 class TestNodeHopCorrelation:
