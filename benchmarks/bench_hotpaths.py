@@ -27,7 +27,8 @@ AES call, on every kernel tier this host has.  The
 calibration-paired budget per tier, and the **fixed_cost** section does
 the same on the native tier for a hot 32-query wave (``sls_wave_hot``)
 and a one-term query (``sls_one_term``), where the call boundary and the
-store's bookkeeping are all there is.
+store's bookkeeping are all there is, and for one solo query over three
+socket nodes (``cluster_solo``), whose loop turns it gates too.
 
 Results are printed and appended to ``BENCH_hotpaths.json`` at the repo
 root so later PRs can track the perf trajectory.  Scale via
@@ -37,6 +38,7 @@ scalar tag path is measured on a row slice and extrapolated linearly.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import sys
 import time
@@ -405,6 +407,97 @@ def _bench_fixed_cost(sizes) -> dict:
     return report
 
 
+#: ``cluster_solo`` budget: µs per solo ``coordinator.sls`` over three
+#: in-process socket nodes on the native tier at the reference box's
+#: quiet speed, about twice a first reading (550 µs; the task-per-shard
+#: dispatch over reader tasks before it read 730), and the loop turns
+#: one such query may take (4; that dispatch took 10).
+_CLUSTER_SOLO_BUDGET_US = 1000.0
+_CLUSTER_SOLO_TURNS = 5
+
+
+def _bench_cluster_solo(sizes) -> dict:
+    """The fixed cost of a cluster query: one solo ``sls`` of PF 40-80 over
+    three ``NodeServer``s on loopback, sharing the caller's loop, on a
+    ``cluster_shard``-shaped table (16 384 x 64, 32-bit ring).
+
+    Reports the host-normalised µs (each block of calls timed call by
+    call, its median paired with a ``benchmarks/e2e/calib.py`` sample,
+    the median over blocks) and the least loop turns one query took
+    (``loop._run_once`` calls from the call to its return).  Every timed
+    answer is checked against the store's own ``sls``.
+    """
+    if not kernels.native_available():
+        return {}
+    from repro.cluster import ClusterCoordinator, NodeServer
+
+    params = SecNDPParams(element_bits=32)
+    rng = np.random.default_rng(43)
+    n_rows, dim = 16_384, 64
+    blocks, per_block = (7, 60) if sizes["n_rows"] <= _SIZES["smoke"]["n_rows"] else (15, 150)
+    queries = [
+        (rng.integers(0, n_rows, pf).tolist(), rng.integers(1, 4, pf).tolist())
+        for pf in rng.integers(40, 81, 32)
+    ]
+
+    async def run(store):
+        nodes = [await NodeServer(f"n{i}").start() for i in range(3)]
+        coordinator = await ClusterCoordinator(
+            store, [(n.name, n.host, n.port) for n in nodes], task_timeout_s=10.0
+        ).setup()
+        try:
+            loop, turns = asyncio.get_running_loop(), []
+            run_once = loop._run_once
+
+            def counted():
+                turns[-1] += 1
+                run_once()
+
+            for rows, weights in queries[:5]:
+                await asyncio.sleep(0)
+                turns.append(0)
+                loop._run_once = counted
+                try:
+                    await coordinator.sls("emb", rows, weights)
+                finally:
+                    del loop._run_once
+            normalised, turn = [], 0
+            for _ in range(blocks):
+                times = []
+                for _ in range(per_block):
+                    rows, weights = queries[turn % len(queries)]
+                    turn += 1
+                    t0 = time.perf_counter()
+                    got = await coordinator.sls("emb", rows, weights)
+                    times.append(time.perf_counter() - t0)
+                    assert np.array_equal(got, store.sls("emb", rows, weights))
+                normalised.append(calib.normalise(float(np.median(times)), calib.calib_s()))
+            return float(np.median(normalised)) * 1e6, min(turns)
+        finally:
+            await coordinator.close()
+            for node in nodes:
+                await node.close()
+
+    with kernels.use_tier("native"):
+        kernels.warmup()
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params), UntrustedNdpDevice(params), quantization="table"
+        )
+        store.add_table("emb", rng.normal(size=(n_rows, dim)))
+        was_on = obs.enabled()
+        obs.disable()
+        try:
+            us, turns = asyncio.run(run(store), debug=False)
+        finally:
+            if was_on:
+                obs.enable()
+    return {
+        "table_rows": n_rows, "dim": dim, "nodes": 3, "terms_per_query": [40, 80],
+        "us": us, "budget_us": _CLUSTER_SOLO_BUDGET_US,
+        "loop_turns": turns, "max_loop_turns": _CLUSTER_SOLO_TURNS,
+    }
+
+
 def _bench_obs(sizes) -> dict:
     """Telemetry layer: histogram observe/merge and audit-event emit cost.
 
@@ -660,6 +753,9 @@ def test_hotpaths(scale):
     report["pad_path"] = _bench_pad_path(sizes)
     report["sls_wave"] = _bench_sls_wave(sizes)
     report["fixed_cost"] = _bench_fixed_cost(sizes)
+    cluster_solo = _bench_cluster_solo(sizes)
+    if cluster_solo:
+        report["fixed_cost"]["cluster_solo"] = cluster_solo
     report["obs"] = _bench_obs(sizes)
     report["kernels"] = _bench_kernels(sizes)
     report["metrics"] = _collect_metrics(sizes)
@@ -708,6 +804,14 @@ def test_hotpaths(scale):
                 f"{fc[name]['terms_per_query'][0]}-{fc[name]['terms_per_query'][1]} terms "
                 f"{fc[name]['us']:.1f} µs host-normalised (budget {fc[name]['budget_us']:g})"
             )
+    if "cluster_solo" in fc:
+        cs = fc["cluster_solo"]
+        print(
+            f"cluster_solo [native]: one PF {cs['terms_per_query'][0]}-"
+            f"{cs['terms_per_query'][1]} query over {cs['nodes']} socket nodes "
+            f"{cs['us']:.0f} µs host-normalised (budget {cs['budget_us']:g}), "
+            f"{cs['loop_turns']} loop turns (at most {cs['max_loop_turns']})"
+        )
     ob = report["obs"]
     print(
         f"obs: observe {ob['observe_ns_per_call']:.0f} ns/call enabled, "
@@ -762,6 +866,10 @@ def test_hotpaths(scale):
     for name in ("sls_wave_hot", "sls_one_term"):
         if name in fc:
             assert fc[name]["us"] <= fc[name]["budget_us"], name
+    # A solo cluster query: its host-normalised time and its loop turns.
+    if "cluster_solo" in fc:
+        assert fc["cluster_solo"]["us"] <= fc["cluster_solo"]["budget_us"]
+        assert fc["cluster_solo"]["loop_turns"] <= fc["cluster_solo"]["max_loop_turns"]
     # PR 7 acceptance (observability): the fleet merge is exact (asserted
     # bit-identical inside _bench_obs) and the disabled module gates stay
     # well below the enabled per-call cost.

@@ -63,7 +63,7 @@ from repro.core.params import SecNDPParams  # noqa: E402
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice  # noqa: E402
 from repro.serve import SlsServer  # noqa: E402
 from repro.serve.protocol import CODEC_BINARY, SlsRequest, encode_frame  # noqa: E402
-from repro.serve.server import _Outbox  # noqa: E402
+from repro.serve.server import _Connection  # noqa: E402
 from repro.workloads.secure_sls import SecureEmbeddingStore  # noqa: E402
 from bench_hotpaths import KEY, _SIZES, calib, run_wall_sections  # noqa: E402
 from tests.test_serve_calls import SocketlessWriter  # noqa: E402
@@ -357,7 +357,9 @@ def _check_front_end_metrics_overhead(sizes) -> bool:
 
     async def one_read() -> bytes:
         writer = SocketlessWriter(32 * (5 + 16 + 8 * sizes["dim"]))  # every ``ok`` frame
-        server._serve_read(bytearray(read), False, _Outbox(writer), set())
+        connection = _Connection(server)
+        connection.connection_made(writer)
+        connection.data_received(read)
         await writer.done
         return bytes(writer.data)
 

@@ -160,7 +160,8 @@ def decode_device_sums(
     sums are reduced into the field so the exact field arithmetic
     downstream only ever sees canonical elements.
     """
-    dtype = np.dtype(params.ring().dtype).newbyteorder("<")
+    ring = params.ring()
+    dtype = np.dtype(ring.dtype).newbyteorder("<")
     try:
         n_q, n_cols = payload["shape"]
         if type(n_q) is not int or type(n_cols) is not int or n_q < 0 or n_cols < 0:
@@ -168,7 +169,7 @@ def decode_device_sums(
         values = _words(payload["values"], dtype)
         if values.size != n_q * n_cols:
             raise ValueError(f"{values.nbytes} value bytes for shape {n_q}x{n_cols}")
-        values = values.astype(params.ring().dtype).reshape(n_q, n_cols)
+        values = values.astype(ring.dtype).reshape(n_q, n_cols)
         tag_sums = None
         if payload.get("tag_sums") is not None:
             limbs = _words(payload["tag_sums"], "<u4")

@@ -17,17 +17,20 @@ that ever holds key material:
    version triple shipped is compared with the store's): the
    coordinator's own re-keying is never evidence against a node.
 2. **Dispatch**: each query batch is split by owner once
-   (:meth:`ShardMap.split`), the coordinator generates the pad halves
-   (``E_res`` / ``E_T_res``) key-side, one fused pass over the split
-   batch (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`)
-   on the one table version the whole batch reads, and encodes it once;
-   each owner's sub-batch, a row slice of the pass and a byte slice of
-   the words, goes out at once as a binary ``partial_sum`` frame under a
-   deadline — all shards are in flight together, each on its own
-   recovery ladder.  A node answers with ciphertext-domain sums only
-   (``C_res`` / ``C_T_res``) and the coordinator adds each node's sums
-   onto its pad half and checks them in one pass
-   (:meth:`~repro.core.protocol.SecNDPProcessor.combine_and_verify`).
+   (:meth:`ShardMap.split`) and encoded once; each owner's sub-batch, a
+   byte slice of the words, is written at once, in shard order, as a
+   binary ``partial_sum`` frame under a deadline, so every shard is in
+   flight before the trusted half runs.  Then the coordinator generates
+   the pad halves (``E_res`` / ``E_T_res``) key-side, one fused pass
+   over the split batch
+   (:meth:`~repro.core.protocol.SecNDPProcessor.pad_share_batch`) on the
+   one table version the whole batch reads, each shard's half a row
+   slice of it, and waits once for every share.  A node answers with
+   ciphertext-domain sums only (``C_res`` / ``C_T_res``); as each answer
+   arrives the coordinator adds it onto its pad half and checks it in
+   one pass (:meth:`~repro.core.protocol.SecNDPProcessor.combine_and_verify`).
+   A clean batch starts no task: only a shard whose first attempt
+   fails climbs a recovery ladder, in a task of its own, from then on.
 3. **Blame**: each reconstructed share is verified against its *own*
    restricted checksum, in that pass and before any cross-shard
    combining — since the pad half is computed honestly here,
@@ -61,9 +64,10 @@ identities are exact over residues, but a whole-query ring overflow
 from __future__ import annotations
 
 import asyncio
+import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +119,16 @@ def _charge(exc: BaseException) -> Tuple[str, str]:
 
 def _versions(enc) -> Tuple[int, int, int]:
     return (enc.version, enc.checksum_version, enc.tag_version)
+
+
+class _Shard(NamedTuple):
+    """A shard of a batch in flight, and its first attempt's answer."""
+
+    index: int
+    node: str
+    words: Dict[str, object]
+    dispatch: int
+    answer: asyncio.Future
 
 
 @dataclass
@@ -194,8 +208,7 @@ class ClusterCoordinator:
     replays: a batch's first attempts draw synchronously, in shard
     order, before anything is awaited; every retry and failover draws
     when its ladder has charged the failure before it, so those draws
-    follow the order in which the concurrent ladders observe their
-    failures.
+    follow the order in which the shards' failures are observed.
     """
 
     def __init__(
@@ -310,37 +323,30 @@ class ClusterCoordinator:
         # mid-batch reaches the next batch, not this one.
         smap = self.shard_map
         n_q, split = len(batch), smap.split(name, batch)
-        # The trusted half, once per batch and before any dispatch: every
-        # shard, on every rung (retry, replica, local), takes slices of it.
-        pad = self.store.processor.pad_share_batch(enc, name, split)
         words = codec.query_words(split)
         edges = split.offsets[::n_q].tolist()  # shard s's terms: [edges[s], edges[s + 1])
-        # Every shard with terms in flight at once, each on its own
-        # ladder; the first attempts' fault draws are made here, in shard
-        # order, before any ladder takes its first step.
-        ladders = []
-        for s, node in enumerate(smap.nodes):
-            if edges[s] == edges[s + 1]:
-                continue
-            queries = (s * n_q, (s + 1) * n_q)
-            self._dispatch_seq += 1
-            ladders.append(asyncio.ensure_future(self._dispatch_with_recovery(
-                enc, name, node, codec.slice_words(words, queries, edges[s:s + 2]),
-                PartialSumShare(pad.values[slice(*queries)], pad.tag_shares[slice(*queries)]),
-                self._dispatch_seq, self._draw(node),
-            )))
+        # Every shard with terms is in flight before the trusted half runs:
+        # the first attempts are drawn and written here, in shard order,
+        # so the nodes sum while the pad sweep runs.
+        shards: List[_Shard] = []
         try:
-            shares = await asyncio.gather(*ladders)
+            for s, node in enumerate(smap.nodes):
+                if edges[s] == edges[s + 1]:
+                    continue
+                self._dispatch_seq += 1
+                sub = codec.slice_words(words, (s * n_q, (s + 1) * n_q), edges[s:s + 2])
+                answer = self._send(node, name, sub, self._draw(node))
+                shards.append(_Shard(s, node, sub, self._dispatch_seq, answer))
+            # The trusted half, once per batch: every shard, on every rung
+            # (retry, replica, local), takes its row slice of it.
+            pad = self.store.processor.pad_share_batch(enc, name, split)
         except BaseException:
-            # One ladder raised: the others are cancelled and awaited, so
-            # none outlives the batch and no exception goes unretrieved.
-            for ladder in ladders:
-                ladder.cancel()
-            await asyncio.gather(*ladders, return_exceptions=True)
+            for shard in shards:
+                shard.answer.cancel()
             raise
-        # Every share already passed its per-shard check during the
-        # ladder; the combined check still runs for the cross-shard
-        # overflow case.
+        shares = await self._collect(enc, name, pad, n_q, shards)
+        # Every share passed its per-shard check as it arrived; the
+        # combined check still runs for the cross-shard overflow case.
         values = self.store.processor.finalize_row_sums(enc, name, shares, verify=True)
         return self.store.dequantize(name, values, batch.weight_sums())
 
@@ -358,18 +364,108 @@ class ClusterCoordinator:
             return None
         return Directive.of(self.fault_injector.node_directive(f"node:{node}"))
 
+    def _send(
+        self, node: str, name: str, words: Dict[str, object], directive: Optional[Directive]
+    ) -> asyncio.Future:
+        """One ``partial_sum`` attempt at ``node``, written now; its answer's future."""
+        return self.clients[node].send(
+            "partial_sum", table=name, payload=words,
+            timeout=self.task_timeout_s, directive=directive,
+        )
+
+    async def _collect(
+        self, enc: EncryptedMatrix, name: str, pad: PartialSumShare, n_q: int,
+        shards: List["_Shard"],
+    ) -> List[PartialSumShare]:
+        """The one wait of a batch: a future that settles when every shard
+        has its verified share, from the pad sweep ``pad`` (shard ``s``'s
+        half is its rows ``[s * n_q, (s + 1) * n_q)``); the shares, in
+        shard order.
+
+        Each first answer is checked as it arrives (:meth:`_share`, in a
+        done-callback).  A shard whose first attempt fails starts its
+        ladder then, in a task of its own; a clean batch starts none.  If
+        a ladder raises, what is still in flight is cancelled and awaited
+        before this raises, so no task outlives the batch.
+        """
+        done = asyncio.get_running_loop().create_future()
+        shares: List[Optional[PartialSumShare]] = [None] * len(shards)
+        ladders: List[asyncio.Task] = []
+
+        def landed(i: int, half: Optional[PartialSumShare], answer: asyncio.Future) -> None:
+            # A first answer over its pad half, or (``half`` None) a ladder's
+            # outcome.  A failed batch is owed nothing: the wait below
+            # retrieves what is still in flight.
+            if done.done():
+                return
+            shard = shards[i]
+            try:
+                share = answer.result() if half is None else self._share(
+                    enc, name, shard.node, half, answer
+                )
+            except BaseException as exc:
+                if half is None or not isinstance(exc, tuple(_DISPATCH_FAILURES)):
+                    done.set_exception(exc)
+                    return
+                ladder = asyncio.ensure_future(self._dispatch_with_recovery(
+                    enc, name, shard.node, shard.words, half, shard.dispatch, exc
+                ))
+                ladder.add_done_callback(functools.partial(landed, i, None))
+                ladders.append(ladder)
+                return
+            shares[i] = share
+            if None not in shares:
+                done.set_result(None)
+
+        for i, shard in enumerate(shards):
+            rows = slice(shard.index * n_q, (shard.index + 1) * n_q)
+            half = PartialSumShare(pad.values[rows], pad.tag_shares[rows])
+            shard.answer.add_done_callback(functools.partial(landed, i, half))
+        try:
+            await done
+        except BaseException:
+            in_flight = (*ladders, *(shard.answer for shard in shards))
+            for pending in in_flight:
+                pending.cancel()
+            await asyncio.gather(*in_flight, return_exceptions=True)
+            raise
+        return shares
+
+    def _share(
+        self, enc: EncryptedMatrix, name: str, node: str, pad: PartialSumShare,
+        answer: asyncio.Future,
+    ) -> PartialSumShare:
+        """The verified share in ``node``'s settled ``answer`` over its pad
+        half ``pad``; a failed attempt raises one of
+        :data:`_DISPATCH_FAILURES`, to be charged."""
+        response = self.clients[node].answer(answer, "partial_sum", self.task_timeout_s)
+        # The crypto core: the node only returned ciphertext-domain sums
+        # (malformed ones, or ones shaped unlike the pad half, raise
+        # ConfigurationError: blame); the pad half was generated key-side
+        # over the snapshot the node's replica holds, so the key never
+        # crossed the wire and a share failing its own restricted
+        # checksum is evidence against exactly this node.
+        processor = self.store.processor
+        values, tag_sums = codec.decode_device_sums(
+            response.payload.get("sums", {}), processor.params
+        )
+        share, failed = processor.combine_and_verify(enc, name, pad, values, tag_sums)
+        if failed:
+            raise processor.shard_error(name, node, failed)
+        return share
+
     async def _dispatch_with_recovery(
         self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
-        pad: PartialSumShare, dispatch: int, directive: Optional[Directive],
+        pad: PartialSumShare, dispatch: int, failure: BaseException,
     ) -> PartialSumShare:
         """Serve one node's sub-batch ``words``, whose pad half over ``enc`` is
-        ``pad``; ``directive`` is the fault draw of its first attempt.
+        ``pad``, after its first attempt failed with ``failure``.
 
-        Returns the verified share.  Rungs: bounded same-node retry ->
-        healthy replica -> trusted local recompute.  Raises
-        :class:`RecoveryExhaustedError` only if even the local path fails
-        (it cannot, short of a corrupted local device — which the store's
-        own ladder handles).
+        Returns the verified share.  The failure is charged, then the rungs
+        are climbed: bounded same-node retry -> healthy replica -> trusted
+        local recompute.  Raises :class:`RecoveryExhaustedError` only if
+        even the local path fails (it cannot, short of a corrupted local
+        device — which the store's own ladder handles).
         """
         # Stable per-node salt (not hash(): PYTHONHASHSEED would make the
         # jitter differ across runs; all chaos randomness stays seeded).
@@ -378,27 +474,19 @@ class ClusterCoordinator:
         target: Optional[str] = node
         attempt = 0
         while True:
-            if target is None:
-                return self._local_share(enc, name, node, words, pad)
-            try:
-                share = await self._dispatch_once(enc, name, target, words, pad, directive)
-                if target != node:
-                    obs.inc("cluster.failovers")
-                return share
-            except tuple(_DISPATCH_FAILURES) as exc:
-                if target in self.live:  # else its quarantine stands for it
-                    suffix, kind = _charge(exc)
-                    obs.inc(f"cluster.dispatch.{suffix}")
-                    details = {}
-                    if kind == obs.NODE_BLAME:
-                        if isinstance(exc, ShardVerificationError):
-                            details["queries"] = list(exc.queries)
-                        else:
-                            details["reason"] = str(exc)
-                    obs.emit_event(
-                        kind, table=name, worker=target, dispatch=dispatch, **details
-                    )
-                    await self._blame(target, kind, f"dispatch:{dispatch}")
+            if target in self.live:  # else its quarantine stands for it
+                suffix, kind = _charge(failure)
+                obs.inc(f"cluster.dispatch.{suffix}")
+                details = {}
+                if kind == obs.NODE_BLAME:
+                    if isinstance(failure, ShardVerificationError):
+                        details["queries"] = list(failure.queries)
+                    else:
+                        details["reason"] = str(failure)
+                obs.emit_event(
+                    kind, table=name, worker=target, dispatch=dispatch, **details
+                )
+                await self._blame(target, kind, f"dispatch:{dispatch}")
             tried.append(target)
             # Rung 1: bounded retry against the same node (unless it was
             # just quarantined) with deterministic backoff+jitter.
@@ -413,29 +501,21 @@ class ClusterCoordinator:
                 await asyncio.sleep(self.policy.backoff_s(attempt, salt))
                 attempt += 1
                 obs.inc("cluster.dispatch.retry")
-
-    async def _dispatch_once(
-        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
-        pad: PartialSumShare, directive: Optional[Directive],
-    ) -> PartialSumShare:
-        response = await self.clients[node].request(
-            "partial_sum", table=name, payload=words,
-            timeout=self.task_timeout_s, directive=directive,
-        )
-        # The crypto core: the node only returned ciphertext-domain sums
-        # (malformed ones, or ones shaped unlike the pad half, raise
-        # ConfigurationError: blame); the pad half was generated key-side
-        # over the snapshot the node's replica holds, so the key never
-        # crossed the wire and a share failing its own restricted
-        # checksum is evidence against exactly this node.
-        values, tag_sums = codec.decode_device_sums(
-            response.payload.get("sums", {}), self.store.processor.params
-        )
-        processor = self.store.processor
-        share, failed = processor.combine_and_verify(enc, name, pad, values, tag_sums)
-        if failed:
-            raise processor.shard_error(name, node, failed)
-        return share
+            if target is None:
+                return self._local_share(enc, name, node, words, pad)
+            answer = self._send(target, name, words, directive)
+            try:
+                await asyncio.wait((answer,))
+            finally:
+                answer.cancel()  # the ladder was cancelled: nothing is owed to it
+            try:
+                share = self._share(enc, name, target, pad, answer)
+            except tuple(_DISPATCH_FAILURES) as exc:
+                failure = exc
+                continue
+            if target != node:
+                obs.inc("cluster.failovers")
+            return share
 
     def _local_share(
         self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],

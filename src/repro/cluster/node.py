@@ -44,7 +44,7 @@ serves on), ``partition`` swallows the request, ``dead`` kills the node
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, NoReturn, Optional, Set
 
 import numpy as np
 
@@ -100,7 +100,9 @@ class NodeServer(FrameServer):
     def _answer(self, obj, outbox):
         """Answer one frame now, later (``slow``) or never (``partition``,
         ``dead``), in the codec it came in: a binary frame decodes to a
-        typed request, a JSON one to a dict."""
+        typed request, a JSON one to a dict.  A ``slow`` answer is not
+        owed to a connection that ends first (EOF, a bad frame): it is
+        dropped there, so a peer-chosen delay cannot hold a close open."""
         if isinstance(obj, NodeRequest):
             request, codec_id = obj, CODEC_BINARY
         else:
@@ -112,7 +114,7 @@ class NodeServer(FrameServer):
         if kind == "dead":
             # Simulated host death: drop the connection mid-request and
             # stop serving; the coordinator sees a dead peer.
-            outbox.writer.close()
+            outbox.transport.close()
             self._closing = asyncio.ensure_future(self.close())
             return None
         if kind == "slow":
@@ -121,7 +123,7 @@ class NodeServer(FrameServer):
             )
             self._delayed.add(task)
             task.add_done_callback(self._delayed.discard)
-            return task
+            return None
         outbox.put(encode_frame(self._reply(request, codec_id), codec_id))
         return None
 
@@ -213,7 +215,9 @@ class NodeClient:
     :class:`~repro.errors.ServerClosedError`, and the next request dials
     once.  An answer that does not decode fails its request with a
     :class:`~repro.serve.protocol.FrameError`.  The coordinator's ladder
-    owns every retry and failover decision.
+    owns every retry and failover decision.  It dispatches with
+    :meth:`send`, which writes the frame at once and returns the answer's
+    future, and reads that with :meth:`answer`.
     """
 
     def __init__(self, name: str, host: str, port: int):
@@ -232,6 +236,31 @@ class NodeClient:
             await self._link.close()
             self._link = None
 
+    def _message(self, op, table, payload, directive) -> NodeRequest:
+        return NodeRequest(
+            id=self._link._new_id(), op=op, table=table, payload=payload or {},
+            directive=directive,
+        )
+
+    def _raise(self, exc: BaseException, op: str, timeout: Optional[float]) -> NoReturn:
+        """Raise a transport failure of ``op`` typed: a missed deadline as
+        :class:`PeerTimeoutError`, a lost connection as
+        :class:`ServerClosedError`, anything else as it is."""
+        if isinstance(exc, asyncio.TimeoutError):
+            raise PeerTimeoutError(
+                f"node {self.name!r} missed its {timeout}s deadline for {op!r}"
+            ) from None
+        if isinstance(exc, (ConnectionError, OSError)):
+            raise ServerClosedError(f"node {self.name!r} connection lost: {exc}") from exc
+        raise exc
+
+    def _ok(self, response: NodeResponse) -> NodeResponse:
+        if response.status != STATUS_OK:
+            raise ConfigurationError(
+                f"node {self.name!r} error ({response.kind}): {response.error}"
+            )
+        return response
+
     async def request(
         self,
         op: str,
@@ -245,22 +274,35 @@ class NodeClient:
         leaves as a binary frame, anything else as JSON."""
         try:
             await self.connect()
-            request = NodeRequest(
-                id=self._link._new_id(), op=op, table=table, payload=payload or {},
-                directive=directive,
-            )
-            response = await self._link.request(request, timeout)
-        except asyncio.TimeoutError:
-            raise PeerTimeoutError(
-                f"node {self.name!r} missed its {timeout}s deadline for {op!r}"
-            ) from None
-        except (ConnectionError, OSError) as exc:
-            raise ServerClosedError(f"node {self.name!r} connection lost: {exc}") from exc
-        if response.status != STATUS_OK:
-            raise ConfigurationError(
-                f"node {self.name!r} error ({response.kind}): {response.error}"
-            )
-        return response
+            response = await self._link.request(self._message(op, table, payload, directive), timeout)
+        except (asyncio.TimeoutError, ConnectionError, OSError) as exc:
+            self._raise(exc, op, timeout)
+        return self._ok(response)
+
+    def send(
+        self,
+        op: str,
+        table: Optional[str] = None,
+        payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+        directive: Optional[Directive] = None,
+    ) -> asyncio.Future:
+        """:meth:`request` without the wait: on a live connection the frame
+        is written now and the future is the raw answer's
+        (:meth:`answer` reads it); without one it is a task that dials
+        first."""
+        link = self._link
+        if link is None or not link.live():
+            return asyncio.ensure_future(self.request(op, table, payload, timeout, directive))
+        return link.send(self._message(op, table, payload, directive), timeout, flush=True)
+
+    def answer(self, future: asyncio.Future, op: str, timeout: Optional[float]) -> NodeResponse:
+        """The ``ok`` answer a settled :meth:`send` future holds, or its
+        failure raised as :meth:`request` raises it."""
+        exc = future.exception()
+        if exc is not None:
+            self._raise(exc, op, timeout)
+        return self._ok(future.result())
 
     async def heartbeat(self, timeout: Optional[float] = None) -> bool:
         try:

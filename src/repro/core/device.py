@@ -12,7 +12,7 @@ cluster node loads only this half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -176,7 +176,7 @@ class QueryBatch:
         self.rows = rows
         self.weights = weights
         self.offsets = offsets
-        self.nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
+        self.nonempty = (offsets[1:] > offsets[:-1]).nonzero()[0]
         self.starts = offsets[self.nonempty]
 
     def __len__(self) -> int:
@@ -190,8 +190,7 @@ class QueryBatch:
                 "batch_rows and batch_weights must have equal length"
             )
         lengths = [len(rows) for rows in batch_rows]
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        offsets = np.fromiter(accumulate(lengths, initial=0), np.int64, len(lengths) + 1)
         rows = integral_terms(list(chain.from_iterable(batch_rows)), "rows")
         rows = rows.astype(np.int64, copy=False)
         if batch_weights is None:

@@ -4,15 +4,19 @@ Client to :class:`SlsServer` and coordinator to
 :class:`~repro.cluster.node.NodeServer` both speak the length-prefixed
 frames of :mod:`repro.serve.protocol` over it.  Connections are
 pipelined, and I/O is per socket read and per loop turn, not per
-request: a connection reads whatever the socket has, takes every
-complete frame off its buffer in one pass and answers each now or once
-a batch has run (the ``id`` field correlates them), and everything
-queued during one loop turn leaves in one write.  That is what lets a
-single client drive enough concurrency to fill a batch without a task
+request.  Each end of a connection is an :class:`asyncio.Protocol`,
+with no reader or handler task: ``data_received`` takes every complete
+frame off the connection's buffer in one pass and answers each now or
+once a batch has run (the ``id`` field correlates them).  What a read
+is answered with leaves in one write at the end of that read, and
+anything queued outside a read (a batch's answers, a client's
+requests) in one write at the end of the loop turn.  That is what lets
+a single client drive enough concurrency to fill a batch without a task
 per request.  Each answer leaves in the codec its request arrived in
 (the codec byte is per frame): the client sends binary, and a JSON
-``sls`` frame is still answered in JSON.  Backpressure: a connection
-waits for its transport to drain before it reads again.
+``sls`` frame is still answered in JSON.  Backpressure: while a peer
+lags behind its answers (``pause_writing``) the server reads nothing
+more from it, until ``resume_writing``.
 :class:`SlsServer` types a read once - its requests for a table become
 one :class:`~repro.serve.protocol.RequestBlock` - and feeds every block
 into one :class:`~repro.serve.scheduler.BatchScheduler`, so requests
@@ -21,11 +25,13 @@ from *all* connections coalesce into the same amortized batches.
 The client has two transports with one API:
 
 * ``await AsyncSlsClient.connect(host, port)`` — TCP; requests share
-  the client's outbox the same way, and a background reader task splits
-  each read and dispatches the answers to per-request futures, so any
-  number of requests can be in flight on one connection.  The node
-  hop's :class:`~repro.cluster.node.NodeClient` is this transport with
-  ``reconnect=False``.
+  the client's outbox the same way, and each read's answers are handed
+  to per-request futures inside ``data_received``, so any number of
+  requests can be in flight on one connection.
+  :meth:`AsyncSlsClient.send` registers a request and queues its frame
+  without waiting; :meth:`AsyncSlsClient.request` is a wait on it.  The
+  node hop's :class:`~repro.cluster.node.NodeClient` is this transport
+  with ``reconnect=False``.
 * ``AsyncSlsClient.in_process(scheduler)`` — no sockets; submits
   straight into a scheduler.  This is the test transport: it keeps
   the scheduler semantics (admission, coalescing, typed errors) without
@@ -41,6 +47,7 @@ an ``overloaded`` response raises :class:`~repro.errors.OverloadedError`,
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -78,9 +85,6 @@ from .scheduler import DEFAULT_MAX_BATCH, BatchScheduler
 
 __all__ = ["FrameServer", "SlsServer", "AsyncSlsClient"]
 
-#: Bytes asked of the socket per read; every complete frame in it is served.
-_READ_BYTES = 1 << 16
-
 #: Dials a reconnecting client makes before it fails what is in flight:
 #: the first at once, then after a backoff doubling up to the cap.
 MAX_RECONNECTS = 4
@@ -92,17 +96,22 @@ _ANSWERS = {SlsRequest: SlsResponse, NodeRequest: NodeResponse}
 
 
 class _Outbox:
-    """A connection's outgoing frames: whatever is queued during one loop
-    turn leaves in one write, flushed by one ``call_soon`` at its end."""
+    """A connection's outgoing frames.  What a read is answered with
+    leaves at the end of that read (:attr:`reading`); whatever else is
+    queued during one loop turn leaves in one write, flushed by one
+    ``call_soon`` at its end, unless it is put ``now``."""
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self._frames: List[bytes] = []
+    def __init__(self, transport: asyncio.WriteTransport):
+        self.transport = transport
         self.loop = asyncio.get_running_loop()
+        self.reading = False  #: a read is being served, and its end flushes
+        self._frames: List[bytes] = []
 
-    def put(self, frame: bytes) -> None:
+    def put(self, frame: bytes, now: bool = False) -> None:
         self._frames.append(frame)
-        if len(self._frames) == 1:
+        if now:
+            self.flush()
+        elif len(self._frames) == 1 and not self.reading:
             self.loop.call_soon(self.flush)
 
     def flush(self) -> None:
@@ -111,9 +120,98 @@ class _Outbox:
         data = b"".join(self._frames)
         self._frames.clear()
         # Nothing goes to a closing transport: a server's peer is gone, and
-        # a client's read loop re-sends or fails every request it queued.
-        if not self.writer.transport.is_closing():
-            self.writer.write(data)
+        # a client re-sends or fails every request it queued.
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+
+class _Peer(asyncio.Protocol):
+    """One end of a connection, with no task of its own: each read is
+    split and handled inside ``data_received`` (:meth:`_take`), and EOF is
+    a last read, after which the subclass closes the connection."""
+
+    def __init__(self):
+        self.buf = bytearray()
+        self.lost = asyncio.get_running_loop().create_future()  #: connection_lost ran
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.outbox = _Outbox(transport)
+
+    def data_received(self, data: bytes, eof: bool = False) -> None:
+        self.buf += data
+        self._take(eof)
+
+    def eof_received(self) -> bool:
+        self.data_received(b"", eof=True)
+        return True
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.lost.set_result(None)
+
+
+class _Connection(_Peer):
+    """One accepted connection of a :class:`FrameServer`: what a read is
+    answered with leaves at the end of the read.  Backpressure: while the
+    peer lags behind its answers nothing more is read from it."""
+
+    def __init__(self, server: "FrameServer"):
+        super().__init__()
+        self.server = server
+        self.inflight: Set[asyncio.Future] = set()
+        self.ending = False  #: no more reads; it closes once nothing is owed
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.server._connections.add(self)
+
+    def _take(self, eof: bool) -> None:
+        """Answer every complete frame in the buffer; the decoded frames
+        die on return, so an idle connection holds none."""
+        server, outbox = self.server, self.outbox
+        items, error = server._split(self.buf, eof)
+        outbox.reading = True
+        for obj in items:
+            try:
+                answer = server._answer(obj, outbox)
+            except FrameError as exc:  # a bad field: answered, the connection lives
+                answer = server._refusal(reply_id(obj), exc)
+            if isinstance(answer, asyncio.Future):
+                self.inflight.add(answer)
+                answer.add_done_callback(self.inflight.discard)
+            elif answer is not None:
+                outbox.put(encode_frame(answer))
+        outbox.reading = False
+        outbox.flush()
+        if error is not None or eof:
+            # The peer is done, or framing is lost: the frames before the
+            # end are answered first (a batch still running for them
+            # included), then a bad frame's FrameError, then it closes.
+            self.ending = True
+            self.transport.pause_reading()
+            close = functools.partial(self._close, error)
+            owed = [f for f in self.inflight if not f.done()]
+            if owed:
+                asyncio.gather(*owed, return_exceptions=True).add_done_callback(close)
+            else:
+                close()
+
+    def _close(self, error: Optional[FrameError], _owed=None) -> None:
+        if error is not None:
+            self.outbox.put(encode_frame(self.server._refusal(0, error)))
+        self.outbox.flush()
+        self.transport.close()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.server._connections.discard(self)
+        super().connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.ending:
+            self.transport.resume_reading()
 
 
 class FrameServer:
@@ -125,16 +223,16 @@ class FrameServer:
     listener, the connections, their outboxes and the drain.  Use
     ``async with`` (or :meth:`start` / :meth:`close`) so the listener and
     the connections are released deterministically.  Serving starts no
-    thread: decoding, answering and every write run on the loop that
-    called :meth:`start`.
+    thread and no task: a connection is an :class:`asyncio.Protocol`
+    whose reads are decoded and answered in ``data_received``, on the
+    loop that called :meth:`start`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._handlers: Set[asyncio.Task] = set()
-        self._outboxes: Set[_Outbox] = set()
+        self._connections: Set[_Connection] = set()
         self._closed = False
         self._stop = asyncio.Event()
 
@@ -146,8 +244,8 @@ class FrameServer:
             return self
         if self._closed:
             raise ConfigurationError(f"{type(self).__name__} is closed")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -167,16 +265,13 @@ class FrameServer:
             self._server = None
         await self._drain()
         # Write what is queued and close the live connections (flushing
-        # what is buffered) so the handlers parked in a read see EOF and
-        # finish on their own, then wait for every handler except the one
-        # calling us - none is left pending for the loop to cancel.
-        for outbox in tuple(self._outboxes):
-            outbox.flush()
-            outbox.writer.close()
-        me = asyncio.current_task()
-        handlers = [t for t in self._handlers if t is not me]
-        if handlers:
-            await asyncio.gather(*handlers, return_exceptions=True)
+        # what is buffered), then wait until each is gone.
+        connections = tuple(self._connections)
+        for connection in connections:
+            connection.outbox.flush()
+            connection.transport.close()
+        if connections:
+            await asyncio.wait([c.lost for c in connections])
         self._stop.set()
 
     async def wait_closed(self) -> None:
@@ -207,64 +302,6 @@ class FrameServer:
     def _refusal(self, request_id: int, exc: BaseException):
         """The typed error answer to a frame that was refused."""
         raise NotImplementedError
-
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        outbox = _Outbox(writer)
-        inflight: Set[asyncio.Future] = set()
-        handler = asyncio.current_task()
-        self._handlers.add(handler)
-        self._outboxes.add(outbox)
-        buf = bytearray()
-        error: Optional[FrameError] = None
-        try:
-            while True:
-                chunk = await reader.read(_READ_BYTES)
-                buf += chunk
-                error = self._serve_read(buf, not chunk, outbox, inflight)
-                if error is not None or not chunk:
-                    break
-                await writer.drain()  # backpressure: no read while the peer lags
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            # The frames before a bad one are answered first, then the
-            # FrameError, then the connection closes: framing is lost.
-            if inflight:
-                await asyncio.wait(inflight)
-            if error is not None:
-                outbox.put(encode_frame(self._refusal(0, error)))
-            outbox.flush()
-            self._handlers.discard(handler)
-            self._outboxes.discard(outbox)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    def _serve_read(
-        self, buf: bytearray, eof: bool, outbox: _Outbox, inflight: Set[asyncio.Future]
-    ) -> Optional[FrameError]:
-        """Answer every complete frame in ``buf``; the error that ends the
-        connection, if any.  The decoded frames die on return, so a
-        connection parked in a read holds none."""
-        items, error = self._split(buf, eof)
-        for obj in items:
-            try:
-                answer = self._answer(obj, outbox)
-            except FrameError as exc:  # a bad field: answered, the connection lives
-                answer = self._refusal(reply_id(obj), exc)
-            if isinstance(answer, asyncio.Future):
-                inflight.add(answer)
-                answer.add_done_callback(inflight.discard)
-            elif answer is not None:
-                outbox.put(encode_frame(answer))
-        return error
-
 
 class _Replies:
     """Where the answers to one block of a connection's read go: its
@@ -406,20 +443,47 @@ def _raise_for_response(response: SlsResponse) -> SlsResponse:
     raise SecNDPError(response.error or f"server error ({response.kind})")
 
 
-def _expire(future: asyncio.Future) -> None:
-    """A request's deadline: its answer's future fails, if still open."""
-    if not future.done():
-        future.set_exception(asyncio.TimeoutError())
+class _Link(_Peer):
+    """A client's end of one connection: each read's answers are resolved
+    inside ``data_received``; its end is handed to the client once
+    (:meth:`AsyncSlsClient._lost`)."""
+
+    def __init__(self, client: "AsyncSlsClient"):
+        super().__init__()
+        self.client = client
+        self.ended = False  #: handed to the client as done: nothing is sent on it
+        self.writable: Optional[asyncio.Future] = None  #: pending while the peer lags
+
+    def _take(self, eof: bool) -> None:
+        try:
+            error = self.client._take_answers(self.buf, eof)
+        except FrameError as exc:
+            error = exc
+        if error is not None or eof:
+            self.client._lost(self, error)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.client._lost(self, exc)
+        self.resume_writing()  # nobody waits on a connection that is gone
+        super().connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self.writable = self.outbox.loop.create_future()
+
+    def resume_writing(self) -> None:
+        if self.writable is not None:
+            self.writable.set_result(None)
+            self.writable = None
 
 
 class AsyncSlsClient:
     """One API over two transports: TCP frames or an in-process scheduler.
 
     With ``reconnect`` (the default) the TCP transport reconnects
-    transparently: when the connection drops, the background reader dials
-    the peer again (:data:`MAX_RECONNECTS` dials, capped exponential
-    backoff between them) and re-sends every request that never got an
-    answer - SLS reads and liveness probes are idempotent, so a duplicate
+    transparently: when the connection drops, the client dials the peer
+    again (:data:`MAX_RECONNECTS` dials, capped exponential backoff
+    between them) and re-sends every request that never got an answer -
+    SLS reads and liveness probes are idempotent, so a duplicate
     submission is safe.  Only when every dial fails do the in-flight
     futures fail with :class:`~repro.errors.ServerClosedError`.  Without
     it nothing is re-sent: a lost connection fails what is in flight, and
@@ -428,12 +492,11 @@ class AsyncSlsClient:
 
     def __init__(self):
         self._scheduler: Optional[BatchScheduler] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._outbox: Optional[_Outbox] = None  #: queued frames for ``_writer``
-        #: request id -> (its answer's future, the request, for a re-send)
-        self._pending: Dict[int, Tuple[asyncio.Future, Union[SlsRequest, NodeRequest]]] = {}
-        self._reader_task: Optional[asyncio.Task] = None
+        self._link: Optional[_Link] = None  #: the current connection
+        #: request id -> (its answer's future, the request, for a re-send,
+        #: and its deadline's timer)
+        self._pending: Dict[int, Tuple[asyncio.Future, Union[SlsRequest, NodeRequest], Any]] = {}
+        self._redial: Optional[asyncio.Task] = None  #: a reconnect after a drop
         self._next_id = 0
         self._closed = False
         self._host: Optional[str] = None
@@ -449,8 +512,7 @@ class AsyncSlsClient:
         client._port = port
         client._allow_reconnect = bool(reconnect)
         client._reconnect_lock = asyncio.Lock()
-        client._attach(*await client._dial())
-        client._reader_task = asyncio.ensure_future(client._read_loop())
+        client._link = await client._dial()
         return client
 
     @classmethod
@@ -465,19 +527,25 @@ class AsyncSlsClient:
         self._next_id += 1
         return self._next_id
 
-    async def _dial(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await asyncio.open_connection(self._host, self._port)
-
-    def _attach(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Make a fresh connection the current one, with an empty outbox."""
-        self._reader, self._writer = reader, writer
-        self._outbox = _Outbox(writer)
+    async def _dial(self) -> _Link:
+        _transport, link = await asyncio.get_running_loop().create_connection(
+            lambda: _Link(self), self._host, self._port
+        )
+        return link
 
     def _fail_pending(self, exc: SecNDPError) -> None:
-        for future, _request in self._pending.values():
+        pending, self._pending = self._pending, {}
+        for future, _request, timer in pending.values():
+            if timer is not None:
+                timer.cancel()
             if not future.done():
                 future.set_exception(exc)
-        self._pending.clear()
+
+    def _expire(self, rid: int) -> None:
+        """A request's deadline: no longer pending, its future fails."""
+        future = self._pending.pop(rid)[0]
+        if not future.done():
+            future.set_exception(asyncio.TimeoutError())
 
     def _resolve(self, obj: Any) -> None:
         """Hand one answer frame to the request its id names.
@@ -492,10 +560,12 @@ class AsyncSlsClient:
         entry = self._pending.get(rid)
         if entry is None:
             return
-        future, request = entry
+        future, request, timer = entry
         answer = _ANSWERS[type(request)]
         response = obj if isinstance(obj, answer) else answer.from_wire(obj)
         del self._pending[rid]
+        if timer is not None:
+            timer.cancel()
         if not future.done():
             future.set_result(response)
 
@@ -508,51 +578,41 @@ class AsyncSlsClient:
             self._resolve(obj)
         return error
 
-    async def _read_loop(self) -> None:
-        while True:
-            assert self._reader is not None and self._writer is not None
-            reader, writer, generation = self._reader, self._writer, self._conn_gen
-            error: Optional[BaseException] = None
-            buf = bytearray()
-            try:
-                while True:
-                    chunk = await reader.read(_READ_BYTES)
-                    buf += chunk
-                    error = self._take_answers(buf, not chunk)
-                    if error is not None or not chunk:
-                        break
-            except (FrameError, ConnectionError, OSError) as exc:
-                error = exc
-            # This connection is done: a request must not be queued on it.
-            writer.close()
-            if isinstance(error, FrameError):
-                # A peer whose answers do not decode is not asked again:
-                # what it owed fails with the evidence, not as a lost peer.
-                self._fail_pending(error)
-            # Reconnect even with nothing in flight: the loop must stay
-            # alive to read responses for requests sent after the drop.
-            # Without reconnect it only follows a connection a request
-            # already dialled.
-            dials = MAX_RECONNECTS if self._allow_reconnect else 0
-            if self._closed or not await self._reconnect(generation, dials):
-                break
-        # Anything still pending will never be answered.
-        self._fail_pending(
-            ServerClosedError(
-                f"connection lost before a response arrived: {error}"
-                if error
-                else "connection closed before a response arrived"
-            )
+    def _lost(self, link: _Link, error: Optional[BaseException]) -> None:
+        """``link`` is done (EOF, lost, or an answer did not decode): it is
+        closed, and if current, what was in flight is re-sent or failed."""
+        if link.ended:
+            return
+        link.ended = True
+        link.transport.close()
+        if link is not self._link:
+            return  # replaced by a reconnect, which re-sent its requests
+        if isinstance(error, FrameError):
+            # A peer whose answers do not decode is not asked again: what
+            # it owed fails with the evidence, not as a lost peer.
+            self._fail_pending(error)
+        lost = ServerClosedError(
+            f"connection lost before a response arrived: {error}"
+            if error
+            else "connection closed before a response arrived"
         )
+        if self._closed or not self._allow_reconnect:
+            self._fail_pending(lost)
+        else:  # even with nothing in flight: the next request finds a live one
+            self._redial = asyncio.ensure_future(self._redial_after(self._conn_gen, lost))
+
+    async def _redial_after(self, generation: int, lost: SecNDPError) -> None:
+        if not await self._reconnect(generation, MAX_RECONNECTS):
+            self._fail_pending(lost)
 
     async def _reconnect(self, generation: int, dials: int) -> bool:
         """Dial the peer again (up to ``dials`` times) and re-send
         unanswered requests.
 
-        Serialized through ``_reconnect_lock`` so the read loop and a
-        request that found the connection closed never race; if another
-        path already replaced the connection (``generation`` is stale)
-        this is a success without a dial.
+        Serialized through ``_reconnect_lock`` so a reconnect after a drop
+        and a request that found the connection closed never race; if
+        another path already replaced the connection (``generation`` is
+        stale) this is a success without a dial.
         """
         assert self._reconnect_lock is not None
         async with self._reconnect_lock:
@@ -568,81 +628,82 @@ class AsyncSlsClient:
                     if self._closed:  # close() raced the backoff sleep
                         return False
                 try:
-                    reader, writer = await self._dial()
+                    link = await self._dial()
                 except (ConnectionError, OSError):
                     continue
-                old_writer = self._writer
-                # The old outbox goes with its connection: everything it
-                # held is in ``_pending`` and is re-sent below.
-                self._attach(reader, writer)
+                old, self._link = self._link, link
                 self._conn_gen += 1
-                if old_writer is not None:
-                    old_writer.close()
+                if old is not None:
+                    old.transport.close()
                 obs.inc("serve.client.reconnects")
-                try:
-                    # Idempotent re-send, in one write: these requests were
-                    # in flight when the connection died and got no response.
-                    resend = [request for _rid, (_f, request) in sorted(self._pending.items())]
-                    writer.write(b"".join(encode_frame(r, CODEC_BINARY) for r in resend))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    continue  # fresh connection died too; dial again
-                # A write-path reconnect may find the read loop already
-                # exited; revive it so the re-sent requests get their
-                # responses read.
-                if self._reader_task is not None and self._reader_task.done():
-                    self._reader_task = asyncio.ensure_future(self._read_loop())
+                # Idempotent re-send, in one write: these requests were in
+                # flight when the connection died and got no response.
+                resend = [request for _rid, (_f, request, _t) in sorted(self._pending.items())]
+                if resend:
+                    link.transport.write(b"".join(encode_frame(r, CODEC_BINARY) for r in resend))
                 return True
             return False
+
+    def send(
+        self, request: Union[SlsRequest, NodeRequest], timeout: Optional[float] = None,
+        flush: bool = False,
+    ) -> asyncio.Future:
+        """Register ``request``, arm its ``timeout`` (a timer: the future
+        fails with ``asyncio.TimeoutError``, and a later answer is dropped)
+        and queue its frame for the end of the loop turn (``flush``: write
+        it now, with whatever is queued); the future of its raw typed
+        answer.  Waits for nothing, so the connection must be live
+        (:meth:`request` dials a lost one)."""
+        if self._closed:
+            raise ConfigurationError("client is closed")
+        link = self._link
+        if link is None:
+            raise ConfigurationError("client is not connected")
+        if link.ended:
+            raise ServerClosedError("connection lost")
+        frame = encode_frame(request, CODEC_BINARY)
+        loop = link.outbox.loop
+        future = loop.create_future()
+        timer = None if timeout is None else loop.call_later(timeout, self._expire, request.id)
+        # Registered, it is answered, re-sent by a reconnect, or failed.
+        self._pending[request.id] = (future, request, timer)
+        link.outbox.put(frame, flush)
+        return future
+
+    def live(self) -> bool:
+        """Whether the current connection can carry a :meth:`send`."""
+        return self._link is not None and not self._link.ended
 
     async def request(
         self, request: Union[SlsRequest, NodeRequest], timeout: Optional[float] = None
     ):
-        """Send one request; return the raw typed response (no raising).
-
-        Over TCP a request is pending from its send until its answer, its
-        failure, its ``timeout`` (a timer: ``asyncio.TimeoutError``) or its
-        caller's cancellation: an answer that arrives after that is dropped.
-        """
+        """:meth:`send` one request and wait: the raw typed response (no
+        raising).  A caller that gives up leaves no request pending."""
         if self._closed:
             raise ConfigurationError("client is closed")
         if self._scheduler is not None:
             if request.op in ("ping", "heartbeat"):
                 return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
             return await self._scheduler.submit(request)
-        if self._writer is None:
+        if self._link is None:
             raise ConfigurationError("client is not connected")
-        # Raises ConfigurationError if the frame cannot carry this request.
-        frame = encode_frame(request, CODEC_BINARY)
-        # The read loop closes a connection it is done with, so a closed
-        # one is gone: dial again (or wait for the read loop's dial), or
-        # fail now rather than queue a request nobody will answer.
+        # A lost connection is gone: dial again (or wait for the reconnect
+        # already under way), or fail now rather than queue a request
+        # nobody will answer.
         dials = MAX_RECONNECTS if self._allow_reconnect else 1
-        if self._writer.transport.is_closing() and not await self._reconnect(
-            self._conn_gen, dials
-        ):
+        if self._link.ended and not await self._reconnect(self._conn_gen, dials):
             raise ServerClosedError("connection lost")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        # Registered, it is either answered, re-sent by a reconnect or
-        # failed by the read loop, whatever becomes of the outbox.
-        self._pending[request.id] = (future, request)
-        timer = None if timeout is None else future.get_loop().call_later(timeout, _expire, future)
+        future = self.send(request, timeout)
+        writable = self._link.writable
         try:
-            self._outbox.put(frame)
-            transport = self._writer.transport
             # Backpressure, unless a deadline bounds the wait instead.
-            if timer is None and (
-                transport.get_write_buffer_size() > transport.get_write_buffer_limits()[1]
-            ):
-                try:
-                    await self._writer.drain()
-                except (ConnectionError, OSError):
-                    pass  # the read loop sees the same loss
+            if timeout is None and writable is not None:
+                await writable
             return await future
         finally:
-            self._pending.pop(request.id, None)
-            if timer is not None:
-                timer.cancel()
+            entry = self._pending.pop(request.id, None)
+            if entry is not None and entry[2] is not None:
+                entry[2].cancel()
 
     # -- public API ------------------------------------------------------------
 
@@ -702,22 +763,20 @@ class AsyncSlsClient:
         if self._closed:
             return
         self._closed = True
-        if self._writer is not None:
-            self._writer.close()
+        if self._redial is not None:
+            # Cancel rather than await: it may be mid-backoff, which would
+            # otherwise stall the close.
+            self._redial.cancel()
             try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            self._writer = None
-        if self._reader_task is not None:
-            # Cancel rather than await: the loop may be mid-backoff in a
-            # reconnect attempt, which would otherwise stall the close.
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
+                await self._redial
             except asyncio.CancelledError:
                 pass
-            self._reader_task = None
+            self._redial = None
+        if self._link is not None:
+            self._link.transport.close()
+            await self._link.lost
+            self._link = None
+        self._fail_pending(ServerClosedError("client closed"))
 
     async def __aenter__(self) -> "AsyncSlsClient":
         return self

@@ -75,6 +75,9 @@ from repro.workloads.secure_sls import SecureEmbeddingStore
 
 KEY = bytes(range(16))
 
+#: What every connection of both hops writes through.
+SocketTransport = asyncio.selector_events._SelectorSocketTransport
+
 #: A test that opens a socket collects its own garbage and fails on a
 #: leaked transport (``tests/conftest.py``).
 closes_what_it_opens = pytest.mark.closes_what_it_opens
@@ -694,28 +697,28 @@ class TestClusterEndToEnd:
 
         store.processor.pad_share_batch = recorded_pad_share_batch
         written = {"coordinator": bytearray(), "nodes": bytearray()}
-        write = asyncio.StreamWriter.write
+        write = SocketTransport.write
 
         async def scenario():
             async with NodeServer("n0") as s0, NodeServer("n1") as s1:
                 ports = {s0.port, s1.port}
 
-                def recording(writer, data):
-                    side = "coordinator" if writer.get_extra_info("peername")[1] in ports else "nodes"
+                def recording(transport, data):
+                    side = "coordinator" if transport.get_extra_info("peername")[1] in ports else "nodes"
                     written[side] += data
-                    return write(writer, data)
+                    return write(transport, data)
 
                 coordinator = ClusterCoordinator(
                     store, [(s.name, s.host, s.port) for s in (s0, s1)], task_timeout_s=5.0
                 )
-                asyncio.StreamWriter.write = recording
+                SocketTransport.write = recording
                 try:
                     async with coordinator:
                         for (rows, ws), want in zip(batches, expected):
                             got = await coordinator.sls_many("emb", rows, ws)
                             assert np.array_equal(got, want)
                 finally:
-                    asyncio.StreamWriter.write = write
+                    SocketTransport.write = write
                 # Node-side state is ciphertext-only: a device, no
                 # processor and no key attribute anywhere.
                 for server in (s0, s1):
@@ -1252,16 +1255,89 @@ class TestConcurrentDispatch:
         assert stats["blame_counts"] == {"n0": 3.0, "n1": 2.0, "n2": 0.0}
 
     @closes_what_it_opens
+    def test_a_clean_batch_starts_no_task(self):
+        """A clean three-shard batch runs in its caller: no ladder, no
+        reader and no connection handler is a task of its own, on either
+        side of the hop."""
+        store = _make_store(n_rows=48)
+        want = store.sls_many("emb", self.ROWS, self.WEIGHTS)
+
+        async def scenario():
+            nodes, coordinator = await self.three_nodes(store)
+            await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+            loop, started = asyncio.get_running_loop(), []
+
+            def factory(loop, coro):
+                started.append(coro.__qualname__)
+                return asyncio.Task(coro, loop=loop)
+
+            before = asyncio.all_tasks()
+            loop.set_task_factory(factory)
+            try:
+                got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+            finally:
+                loop.set_task_factory(None)
+            after = asyncio.all_tasks()
+            await self.close(nodes, coordinator)
+            return got, started, before == after == {asyncio.current_task()}
+
+        got, started, only_the_caller = asyncio.run(scenario())
+        assert np.array_equal(got, want)
+        assert started == [] and only_the_caller
+
+    @closes_what_it_opens
+    def test_a_clean_solo_batch_takes_at_most_five_loop_turns(self):
+        """First attempts written inline, each read answered at its end and
+        each answer checked as it arrives: the caller's turn, the nodes'
+        reads, the answers' reads, their checks and the caller's return.
+        (The task per shard ladder, the reader and handler tasks and a
+        flush per answer took ten.)"""
+        store = _make_store(n_rows=48)
+
+        async def scenario():
+            nodes, coordinator = await self.three_nodes(store)
+            loop, turns = asyncio.get_running_loop(), []
+            run_once = loop._run_once
+
+            def counted():
+                turns[-1] += 1
+                run_once()
+
+            for _ in range(3):
+                await asyncio.sleep(0)
+                turns.append(0)
+                loop._run_once = counted
+                try:
+                    got = await coordinator.sls("emb", [1, 20, 40], [1, 2, 3])
+                finally:
+                    del loop._run_once
+            await self.close(nodes, coordinator)
+            return got, turns
+
+        got, turns = asyncio.run(scenario(), debug=False)
+        assert np.array_equal(got, store.sls("emb", [1, 20, 40], [1, 2, 3]))
+        # Loopback delivers a write before the next turn; the least of three
+        # batches is the shape's own count.
+        assert min(turns) <= 5, turns
+
+    @closes_what_it_opens
     def test_a_raising_ladder_leaves_no_task_behind(self):
         store = _make_store(n_rows=48)
-        # n1 and n2 answer late, so their ladders are in flight when n0's raises.
-        script = ScriptedDirectives({"n1": [(0, ("slow", 0.3))], "n2": [(0, ("slow", 0.3))]})
+        # When n0's ladder raises, n1's ladder is in its retry backoff and n2's
+        # first answer is late: both are still in flight.
+        script = ScriptedDirectives({"n2": [(0, ("slow", 0.3))]})
 
         class Exhausting(ClusterCoordinator):
-            async def _dispatch_once(self, enc, name, node, *args):
+            def _share(self, enc, name, node, *args):
+                if node in ("n0", "n1"):  # failed attempts: their ladders start
+                    raise PeerTimeoutError(f"{node} missed its deadline")
+                return super()._share(enc, name, node, *args)
+
+            async def _dispatch_with_recovery(self, enc, name, node, *args):
                 if node == "n0":
+                    await asyncio.sleep(0.05)  # n1's ladder is in its backoff
                     raise RecoveryExhaustedError("n0's ladder ran out")
-                return await super()._dispatch_once(enc, name, node, *args)
+                return await super()._dispatch_with_recovery(enc, name, node, *args)
 
         async def scenario():
             loop_errors = []
@@ -1271,7 +1347,8 @@ class TestConcurrentDispatch:
             nodes = [await NodeServer(name).start() for name in ("n0", "n1", "n2")]
             coordinator = await Exhausting(
                 store, [(s.name, s.host, s.port) for s in nodes], task_timeout_s=5.0,
-                fault_injector=script,
+                fault_injector=script, blame_threshold=100,
+                policy=RecoveryPolicy(backoff_base_s=0.5, jitter=0.0),
             ).setup()
             with pytest.raises(RecoveryExhaustedError):
                 await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
@@ -1350,13 +1427,15 @@ class InProcessNode(NodeClient):
         return self
 
     async def request(self, op, table=None, payload=None, timeout=None, directive=None):
-        response = self.server._reply(
+        return self.answer(self.send(op, table, payload, timeout, directive), op, timeout)
+
+    def send(self, op, table=None, payload=None, timeout=None, directive=None):
+        answer = asyncio.get_running_loop().create_future()
+        answer.set_result(self.server._reply(
             NodeRequest(id=1, op=op, table=table, payload=payload or {}, directive=directive),
             CODEC_BINARY,
-        )
-        if response.status != STATUS_OK:
-            raise ConfigurationError(f"node {self.name!r} error: {response.error}")
-        return response
+        ))
+        return answer
 
 
 def _in_process_cluster(store, n_nodes=3, cls=ClusterCoordinator):
@@ -1396,12 +1475,16 @@ class TestOneSplitPerBatch:
     def test_shard_payloads_and_pad_halves_match_per_mask_ones(self, split_store, tier, drawn):
         n_nodes, rows, weights = drawn
         store = split_store
-        sent = []
+        sent, pads = [], {}
 
         class Recording(ClusterCoordinator):
-            async def _dispatch_with_recovery(self, enc, name, node, words, pad, *args):
-                sent.append((node, words, pad))
-                return await super()._dispatch_with_recovery(enc, name, node, words, pad, *args)
+            def _send(self, node, name, words, directive):
+                sent.append((node, words))
+                return super()._send(node, name, words, directive)
+
+            def _share(self, enc, name, node, pad, answer):
+                pads[node] = pad
+                return super()._share(enc, name, node, pad, answer)
 
         async def scenario():
             coordinator = await _in_process_cluster(store, n_nodes, Recording).setup()
@@ -1426,6 +1509,7 @@ class TestOneSplitPerBatch:
         def as_bytes(words):
             return {k: v if k == "width" else bytes(v) for k, v in words.items()}
 
+        sent = [(node, words, pads[node]) for node, words in sent]
         assert [node for node, _, _ in sent] == [node for node, _, _ in want]
         for (_, words, pad), (_, want_words, want_pad) in zip(sent, want):
             assert as_bytes(words) == as_bytes(want_words)
@@ -1434,11 +1518,12 @@ class TestOneSplitPerBatch:
 
     #: Calls one 32-query ``sls_many`` over three in-process nodes makes on
     #: the native tier, a node's own ``_reply`` counted as one call:
-    #: ceilings at a first measurement (391 Python and 352 C function
-    #: calls) + 10 %.  With the trusted half run once per shard (three
-    #: masks, three pad sweeps, three encodings) the same batch made 508
-    #: and 444.
-    CEILINGS = {"python": 430, "c": 387}
+    #: ceilings at a first measurement (328 Python and 295 C function
+    #: calls) + 10 %.  With a ladder task per shard and a gather the same
+    #: batch made 394 and 350; with the trusted half run once per shard
+    #: (three masks, three pad sweeps, three encodings) as well, 508 and
+    #: 444.
+    CEILINGS = {"python": 361, "c": 325}
 
     @pytest.mark.skipif(not kernels.native_available(), reason="no compiled kernel backend")
     def test_a_batch_pays_its_trusted_half_once(self):
@@ -1572,7 +1657,7 @@ class TestReconnect:
             store2, server2 = self._store_server()
             server2.port = port
             await server2.start()
-            client._writer.transport.abort()
+            client._link.transport.abort()
             try:
                 got = await client.sls("emb", rows)
                 assert np.allclose(got, store2.sls("emb", rows))
@@ -1594,7 +1679,7 @@ class TestReconnect:
                 "127.0.0.1", server.port, reconnect=False
             )
             await server.close()
-            client._writer.transport.abort()
+            client._link.transport.abort()
             with pytest.raises(ServerClosedError):
                 # The write may land in a dead socket buffer; the read
                 # loop surfaces the close either way.
@@ -1616,7 +1701,7 @@ class TestReconnect:
             await server.start()
             client = await AsyncSlsClient.connect("127.0.0.1", server.port)
             await server.close()  # nothing ever listens again
-            client._writer.transport.abort()
+            client._link.transport.abort()
             t0 = time.perf_counter()
             with pytest.raises(ServerClosedError):
                 for _ in range(10):
@@ -1741,7 +1826,7 @@ class TestNodeHopCorrelation:
                 )
                 async with coordinator:
                     link = client._link
-                    writer, seen = link._writer, []
+                    connection, seen = link._link, []
                     resolve = link._resolve
                     link._resolve = lambda obj: (
                         seen.append(obj["id"] if isinstance(obj, dict) else obj.id), resolve(obj)
@@ -1749,7 +1834,7 @@ class TestNodeHopCorrelation:
                     got = await coordinator.sls_many("emb", rows, ws)
                     await asyncio.sleep(0.6)  # the slow answer lands meanwhile
                     assert await client.heartbeat(timeout=5.0)
-                    same = client._link is link and link._writer is writer
+                    same = client._link is link and link._link is connection
                     return got, list(seen), same, dict(link._pending), coordinator.stats()
 
         with obs.journal() as journal:

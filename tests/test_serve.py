@@ -996,16 +996,17 @@ class TestTcpServer:
         store = make_store()
         queries = make_queries(64, 32)
         writes = []
-        real_write = asyncio.StreamWriter.write
+        transport = asyncio.selector_events._SelectorSocketTransport  # both ends write through it
+        real_write = transport.write
 
-        def counting_write(writer, data):
+        def counting_write(self, data):
             writes.append(len(data))
-            return real_write(writer, data)
+            return real_write(self, data)
 
         async def run():
             async with SlsServer(store, port=0) as server:
                 async with await AsyncSlsClient.connect("127.0.0.1", server.port) as client:
-                    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+                    monkeypatch.setattr(transport, "write", counting_write)
                     results = await asyncio.gather(*[client.sls("emb", q) for q in queries])
                     monkeypatch.undo()
                 return results, server.stats()

@@ -35,7 +35,7 @@ from repro import kernels, obs
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.serve import AsyncSlsClient, SlsServer
 from repro.serve.protocol import CODEC_BINARY, SlsRequest, encode_frame
-from repro.serve.server import _Outbox
+from repro.serve.server import _Connection, _Link
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
 N_QUERIES = 32
@@ -43,7 +43,7 @@ DIM = 32
 
 #: Calls per served query, pinned at a first measurement + 10 %: server
 #: 17.9 (front-end 14.1, asyncio 3.2, SecNDP 0.7), client 105.4 (50.3,
-#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 107.4 (52.3,
+#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 105.4 (50.3,
 #: 51.1, 4.0).  When the server typed, validated and answered each
 #: request on its own it made 133.7 (77.1, 24.5, 32.1), and the client
 #: 121.3 (62.3, 51.1, 8.0).
@@ -110,28 +110,19 @@ def count_calls():
     return counts, profile
 
 
-class _Transport:
-    def is_closing(self) -> bool:
-        return False
-
-    def get_write_buffer_size(self) -> int:
-        return 0
-
-    def get_write_buffer_limits(self):
-        return 0, 1 << 16
-
-
 class SocketlessWriter:
-    """What an outbox writes to, without a socket: the bytes, and a future
-    done once ``expect`` bytes have arrived (counted without a call into
-    ``repro``, which would count).  ``benchmarks/check_overhead.py`` feeds
-    its canned read to one too."""
+    """The transport an outbox writes to, without a socket: the bytes, and
+    a future done once ``expect`` bytes have arrived (counted without a
+    call into ``repro``, which would count).
+    ``benchmarks/check_overhead.py`` feeds its canned read to one too."""
 
     def __init__(self, expect: int = 0):
         self.data = bytearray()
-        self.transport = _Transport()
         self.expect = expect
         self.done = asyncio.get_running_loop().create_future()
+
+    def is_closing(self) -> bool:
+        return False
 
     def write(self, data: bytes) -> None:
         self.data += data
@@ -169,18 +160,20 @@ def counted():
         server = SlsServer(store)
         for measured in (False, True):  # the first read starts the batcher
             writer = SocketlessWriter(N_QUERIES * (5 + 16 + 8 * DIM))  # every ``ok`` frame
-            outbox, inflight = _Outbox(writer), set()
+            connection = _Connection(server)
+            connection.connection_made(writer)
             counts, profile = count_calls()
             with profiled(profile if measured else None):
-                server._serve_read(bytearray(read), False, outbox, inflight)
+                connection.data_received(read)
                 await writer.done
         await server.scheduler.close()
         return counts, bytes(writer.data)
 
     async def client_side(answers):
         for measured in (False, True):
-            client, writer = AsyncSlsClient(), SocketlessWriter()  # ids from 1 again
-            client._writer, client._outbox = writer, _Outbox(writer)
+            client = AsyncSlsClient()  # ids from 1 again
+            client._link = _Link(client)
+            client._link.connection_made(SocketlessWriter())
             counts, profile = count_calls()
             with profiled(profile if measured else None):
                 loop = asyncio.get_running_loop()
@@ -193,8 +186,9 @@ def counted():
     was_on = obs.enabled()
     obs.disable()
     try:
-        server, answers = asyncio.run(server_side())
-        client, responses = asyncio.run(client_side(answers))
+        # Debug mode (``python -X dev``) adds calls of its own to every step.
+        server, answers = asyncio.run(server_side(), debug=False)
+        client, responses = asyncio.run(client_side(answers), debug=False)
     finally:
         if was_on:
             obs.enable()

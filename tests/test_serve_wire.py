@@ -34,6 +34,7 @@ from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.core.device import QueryBatch
 from repro.errors import ConfigurationError
 from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
+from repro.serve.server import _Connection, _Link
 from repro.serve.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -1349,17 +1350,193 @@ class TestTransportSurface:
         import repro
         import repro.serve
 
-        calls = {"start_server": [], "open_connection": []}
+        # Listening and dialling, as a loop method or as a streams helper.
+        calls = {"create_server": [], "create_connection": [], "start_server": [], "open_connection": []}
         for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "asyncio"
                     and node.func.attr in calls
                 ):
                     calls[node.func.attr].append(f"{path.name}:{node.lineno}")
-        assert [len(sites) for sites in calls.values()] == [1, 1], calls
+        assert [len(sites) for sites in calls.values()] == [1, 1, 0, 0], calls
         for name in ("read_frame", "write_frame"):
             assert name not in repro.serve.__all__ and not hasattr(repro.serve, name)
+
+
+class SocketlessTransport:
+    """What a connection writes to, without a socket: each write, whether
+    it is closing and whether it reads."""
+
+    def __init__(self):
+        self.writes = []
+        self.closing = False
+        self.reading = True
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+
+def answers_in(writes):
+    """Every frame the writes carried, decoded, as dicts or typed messages."""
+    frames, error = split_frames(bytearray(b"".join(writes)))
+    assert error is None
+    return [NodeResponse.from_wire(f) if isinstance(f, dict) else f for f in frames]
+
+
+def heartbeat(rid: int) -> bytes:
+    return encode_frame(NodeRequest(id=rid, op="heartbeat"), CODEC_BINARY)
+
+
+class TestProtocolTransport:
+    """Both ends are protocols: a read is split and answered inside
+    ``data_received``, and what it answered leaves at the read's end."""
+
+    @staticmethod
+    def accepted(server):
+        connection = _Connection(server)
+        connection.connection_made(SocketlessTransport())
+        return connection, connection.outbox.transport
+
+    def test_a_frame_delivered_one_byte_a_read(self):
+        async def run():
+            connection, transport = self.accepted(NodeServer("n0"))
+            frame = heartbeat(7)
+            for i in range(len(frame)):
+                assert transport.writes == [], i
+                connection.data_received(frame[i:i + 1])
+            return list(transport.writes)  # as the read that completed it left them
+
+        writes = asyncio.run(run())
+        assert len(writes) == 1  # written at the end of the read that completed it
+        (answer,) = answers_in(writes)
+        assert (answer.id, answer.status) == (7, STATUS_OK)
+
+    def test_frames_split_across_reads_leave_at_each_reads_end(self):
+        async def run():
+            connection, transport = self.accepted(NodeServer("n0"))
+            stream = heartbeat(1) + heartbeat(2) + heartbeat(3)
+            cut = len(heartbeat(1)) + 5  # two whole frames are two reads apart
+            seen = []
+            for chunk in (stream[:cut], stream[cut:]):
+                connection.data_received(chunk)
+                seen.append([a.id for a in answers_in(transport.writes)])
+            return seen, len(transport.writes)
+
+        seen, n_writes = asyncio.run(run())
+        assert seen == [[1], [1, 2, 3]] and n_writes == 2
+
+    def test_eof_mid_frame_is_answered_with_a_frame_error_then_closed(self):
+        async def run():
+            connection, transport = self.accepted(NodeServer("n0"))
+            connection.data_received(heartbeat(1) + heartbeat(2)[:9])
+            assert not transport.closing
+            connection.eof_received()
+            return answers_in(transport.writes), transport
+
+        (first, refused), transport = asyncio.run(run())
+        assert (first.id, first.status) == (1, STATUS_OK)
+        assert (refused.id, refused.status, refused.kind) == (0, "error", "FrameError")
+        assert transport.closing and not transport.reading
+
+    def test_an_answer_delivered_one_byte_a_read_resolves_at_the_last(self):
+        async def run():
+            client = AsyncSlsClient()
+            client._link = _Link(client)
+            client._link.connection_made(SocketlessTransport())
+            answer = client.send(NodeRequest(id=5, op="heartbeat"))
+            frame = encode_frame(NodeResponse(id=5, status=STATUS_OK, payload={"node": "n0"}))
+            for i in range(len(frame)):
+                assert not answer.done(), i
+                client._link.data_received(frame[i:i + 1])
+            return answer.result(), client._pending
+
+        response, pending = asyncio.run(run())
+        assert (response.id, response.payload) == (5, {"node": "n0"}) and pending == {}
+
+    @closes_what_it_opens
+    def test_a_peer_that_stops_reading_pauses_the_servers_reads(self):
+        """A peer that writes and never reads fills the server's socket; the
+        server then reads no more from it, and reads again once it drains."""
+        import socket
+
+        n = 4000
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            async with NodeServer("n0") as node:
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                try:
+                    await loop.sock_connect(sock, (node.host, node.port))
+                    while not node._connections:
+                        await asyncio.sleep(0.001)
+                    (connection,) = node._connections
+                    server_side = connection.outbox.transport
+                    server_side.get_extra_info("socket").setsockopt(
+                        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                    )
+                    await asyncio.wait_for(
+                        loop.sock_sendall(sock, b"".join(heartbeat(i + 1) for i in range(n))), 5
+                    )
+                    for _ in range(500):
+                        if not server_side.is_reading():
+                            break
+                        await asyncio.sleep(0.001)
+                    paused = not server_side.is_reading()
+                    buf, answers = bytearray(), []
+                    while len(answers) < n:
+                        buf += await asyncio.wait_for(loop.sock_recv(sock, 1 << 16), 5)
+                        answers += split_frames(buf)[0]
+                    return paused, server_side.is_reading(), len(answers)
+                finally:
+                    sock.close()
+
+        paused, resumed, answered = asyncio.run(run())
+        assert paused and resumed and answered == n
+
+    @closes_what_it_opens
+    def test_a_reconnect_resends_what_was_pending(self):
+        """The connection drops with a request in flight: the client dials
+        again and re-sends it under its own id, and it is answered."""
+        seen = []
+
+        class DropsFirst(NodeServer):
+            def _answer(self, obj, outbox):
+                seen.append(obj["id"])  # a heartbeat travels as JSON
+                if len(seen) == 1:
+                    outbox.transport.abort()  # as a crashed peer: no answer, a reset
+                    return None
+                return super()._answer(obj, outbox)
+
+        async def run():
+            async with DropsFirst("n0") as node:
+                client = await AsyncSlsClient.connect(node.host, node.port)
+                try:
+                    return await client.request(NodeRequest(id=client._new_id(), op="heartbeat"), 5)
+                finally:
+                    await client.close()
+
+        obs.enable()
+        try:
+            response = asyncio.run(run())
+            reconnects = obs.get_registry().counter("serve.client.reconnects")
+        finally:
+            obs.disable()
+            obs.reset()
+        assert response.status == STATUS_OK and seen == [response.id, response.id]
+        assert reconnects == 1
