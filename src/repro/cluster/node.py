@@ -36,15 +36,16 @@ Fault obedience: chaos runs ship a typed
 (decided coordinator-side by
 :meth:`~repro.faults.plan.FaultInjector.node_directive`, keeping all
 randomness in one seeded stream).  ``byzantine`` forges the tag shares,
-``slow`` answers past the deadline (from a task, so the connection
-serves on), ``partition`` swallows the request, ``dead`` kills the node
-— each exercising one rung of the coordinator's blame/failover ladder.
+``slow`` answers past the deadline (on a timer its connection owns and
+cancels when it ends, at most :data:`~repro.serve.protocol.MAX_SLOW_DELAY_S`),
+``partition`` swallows the request, ``dead`` kills the node — each
+exercising one rung of the coordinator's blame/failover ladder.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, NoReturn, Optional, Set
+from typing import Any, Dict, NoReturn, Optional
 
 import numpy as np
 
@@ -82,13 +83,7 @@ class NodeServer(FrameServer):
         self.name = name
         self._device: Optional[UntrustedNdpDevice] = None
         self._range: Dict[str, Any] = {}
-        self._delayed: Set[asyncio.Task] = set()  #: ``slow`` answers in flight
         self._closing: Optional[asyncio.Task] = None  #: a ``dead`` directive's close
-
-    async def _drain(self) -> None:
-        # A ``slow`` answer is owed to no one once the node stops.
-        for task in tuple(self._delayed):
-            task.cancel()
 
     # -- frame handling --------------------------------------------------------
 
@@ -101,8 +96,9 @@ class NodeServer(FrameServer):
         """Answer one frame now, later (``slow``) or never (``partition``,
         ``dead``), in the codec it came in: a binary frame decodes to a
         typed request, a JSON one to a dict.  A ``slow`` answer is not
-        owed to a connection that ends first (EOF, a bad frame): it is
-        dropped there, so a peer-chosen delay cannot hold a close open."""
+        owed to a connection that ends first (EOF, a bad frame): its timer
+        is cancelled there, so a peer-chosen delay cannot hold a close open
+        or outlive the connection."""
         if isinstance(obj, NodeRequest):
             request, codec_id = obj, CODEC_BINARY
         else:
@@ -117,21 +113,12 @@ class NodeServer(FrameServer):
             outbox.transport.close()
             self._closing = asyncio.ensure_future(self.close())
             return None
+        frame = encode_frame(self._reply(request, codec_id), codec_id)
         if kind == "slow":
-            task = asyncio.ensure_future(
-                self._reply_after(directive.delay_s, request, codec_id, outbox)
-            )
-            self._delayed.add(task)
-            task.add_done_callback(self._delayed.discard)
-            return None
-        outbox.put(encode_frame(self._reply(request, codec_id), codec_id))
+            outbox.put_later(directive.delay_s, frame)
+        else:
+            outbox.put(frame)
         return None
-
-    async def _reply_after(
-        self, delay_s: float, request: NodeRequest, codec_id: int, outbox
-    ) -> None:
-        await asyncio.sleep(delay_s)
-        outbox.put(encode_frame(self._reply(request, codec_id), codec_id))
 
     def _reply(self, request: NodeRequest, codec_id: int = CODEC_JSON) -> NodeResponse:
         """The answer to ``request``; sums are raw words for a binary frame

@@ -8,9 +8,8 @@ followed by the encoded payload::
     | u8    |   u32 big-endian  |  binary / json body  |
     +-------+-------------------+----------------------+
 
-The codec byte travels with every frame, so there is no handshake: a
-peer writes what it likes, the reader decodes what it gets, and the
-server answers each request in the codec the request came in.
+The codec byte travels with every frame, so there is no handshake: the
+reader decodes what it gets.
 
 * **binary** (what :class:`~repro.serve.server.AsyncSlsClient` sends)
   covers exactly the hot messages of both hops: an ``sls`` request and
@@ -25,13 +24,13 @@ server answers each request in the codec the request came in.
   express (a row id or weight outside ``int64``, weights not one per
   row, an id outside ``u64``, a table name over 65 535 bytes) the
   encoder refuses with :class:`~repro.errors.ConfigurationError` rather
-  than truncating.
+  than truncating, as a block in process does (:func:`_sls_terms`).
 * **json** carries every other message (probes, typed errors, the node
   hop's control frames): under the binary codec such a message simply
-  leaves as a JSON frame.  The server still answers a JSON ``sls`` frame
-  in JSON, and a node a JSON ``partial_sum`` frame (base64 arrays) in
-  JSON.  Shortest-repr floats survive JSON bit-exactly, so both codecs
-  keep the bit-identity guarantees.
+  leaves as a JSON frame.  The server serves an ``sls`` request from a
+  binary frame only (a JSON one draws a ``FrameError`` answer); a node
+  still answers a JSON ``partial_sum`` frame (base64 arrays) in JSON.
+  Shortest-repr floats survive JSON bit-exactly.
 
 Message schemas (plain dicts under JSON, typed dataclasses in-process):
 
@@ -78,7 +77,6 @@ import json
 import math
 import os
 import struct
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -93,6 +91,7 @@ __all__ = [
     "CODEC_JSON",
     "CODEC_BINARY",
     "MAX_FRAME_BYTES",
+    "MAX_SLOW_DELAY_S",
     "STATUS_OK",
     "STATUS_ERROR",
     "STATUS_OVERLOADED",
@@ -337,10 +336,14 @@ class SlsResponse:
         return cls(id=rid, status=status, values=values, error=error, kind=kind, via=via)
 
 
+#: The longest a ``slow`` directive (a timer on the node) holds an answer back.
+MAX_SLOW_DELAY_S = 60.0
+
+
 def _delay_s(value: Any) -> float:
-    """A ``slow`` directive's delay: a finite, non-negative number of
-    seconds, else :class:`FrameError`."""
-    if type(value) in _NUMBERS and 0 <= value <= sys.float_info.max:
+    """A ``slow`` directive's delay: a number of seconds in
+    ``[0, MAX_SLOW_DELAY_S]``, else :class:`FrameError`."""
+    if type(value) in _NUMBERS and 0 <= value <= MAX_SLOW_DELAY_S:
         return float(value)
     raise FrameError(f"bad slow-directive delay {value!r:.40}")
 
@@ -524,13 +527,25 @@ def _pack_binary(message) -> Optional[bytes]:
     return None
 
 
+def _sls_terms(request: SlsRequest) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """An ``sls`` request's ``int64`` rows and weights (``None``: all 1), or
+    the :class:`~repro.errors.ConfigurationError` of one no block or frame
+    holds, a negative weight named before a length mismatch as the store does."""
+    rows = _terms(request.rows, "rows")
+    if request.weights is None:
+        return rows, None
+    weights = _terms(request.weights, "weights")
+    if weights.size != rows.size:
+        if weights.size and weights.min() < 0:
+            raise ConfigurationError("weights must be non-negative integers")
+        raise ConfigurationError("rows and weights must have equal length")
+    return rows, weights
+
+
 def _pack_sls(message: SlsRequest) -> bytes:
-    rows = _terms(message.rows, "rows")
+    rows, weights = _sls_terms(message)
     body, flags = [rows.tobytes()], 0
-    if message.weights is not None:
-        weights = _terms(message.weights, "weights")
-        if weights.size != rows.size:
-            raise ConfigurationError("rows and weights must have equal length")
+    if weights is not None:
         body.append(weights.tobytes())
         flags = _HAS_ARRAY
     body.append(str(message.table).encode("utf-8"))
@@ -679,13 +694,11 @@ class RequestBlock:
     ``weights`` and ``offsets`` hold their terms in CSR form (request
     ``q`` owns ``[offsets[q], offsets[q + 1])``), all ``int64`` as they
     arrived - a weight may be negative: the store's verdict judges it.
-    ``codec`` is the one their ``ok`` answers leave in.
     """
 
-    __slots__ = ("codec", "table", "ids", "rows", "weights", "offsets")
+    __slots__ = ("table", "ids", "rows", "weights", "offsets")
 
-    def __init__(self, codec: int, table: str, ids: List[int], rows, weights, offsets):
-        self.codec = codec
+    def __init__(self, table: str, ids: List[int], rows, weights, offsets):
         self.table = table
         self.ids = ids
         self.rows = rows
@@ -696,24 +709,17 @@ class RequestBlock:
         return len(self.ids)
 
     @classmethod
-    def one(cls, request: SlsRequest, codec: int = CODEC_BINARY) -> "RequestBlock":
-        """A block of one request; a request no block can hold (not an
-        ``sls`` query, terms outside ``int64``, weights not one per row) is
-        a :class:`~repro.errors.ConfigurationError`, with a negative weight
-        named before a length mismatch, as the store names them."""
+    def one(cls, request: SlsRequest) -> "RequestBlock":
+        """A block of one request; one that is not an ``sls`` query, or that
+        no block can hold (:func:`_sls_terms`), is a
+        :class:`~repro.errors.ConfigurationError`."""
         if request.op != "sls" or request.table is None:
             raise ConfigurationError(f"malformed request (op={request.op!r})")
-        rows = _terms(request.rows, "rows")
-        if request.weights is None:
+        rows, weights = _sls_terms(request)
+        if weights is None:
             weights = np.ones(rows.size, dtype=np.int64)
-        else:
-            weights = _terms(request.weights, "weights")
-            if weights.size != rows.size:
-                if weights.size and weights.min() < 0:
-                    raise ConfigurationError("weights must be non-negative integers")
-                raise ConfigurationError("rows and weights must have equal length")
         offsets = np.array([0, rows.size], dtype=np.int64)
-        return cls(codec, request.table, [request.id], rows, weights, offsets)
+        return cls(request.table, [request.id], rows, weights, offsets)
 
     @classmethod
     def _of_frames(cls, table: str, frames: list) -> "RequestBlock":
@@ -721,7 +727,6 @@ class RequestBlock:
         segment a view of the read's bytes (``None`` weights: all 1)."""
         ids, counts, rows, weights = zip(*frames)
         return cls(
-            CODEC_BINARY,
             table,
             list(ids),
             np.frombuffer(b"".join(rows), dtype="<i8"),
@@ -741,7 +746,6 @@ class RequestBlock:
         offsets = np.zeros(len(keep) + 1, dtype=np.int64)
         np.cumsum(lengths[picked], out=offsets[1:])
         return RequestBlock(
-            self.codec,
             self.table,
             [self.ids[q] for q in keep],
             self.rows[terms],
@@ -973,16 +977,11 @@ def split_read(buf: bytearray, eof: bool = False) -> Tuple[List[Any], Optional[F
     ], error
 
 
-def error_response(
-    request_id: int,
-    exc: BaseException,
-    status: str = STATUS_ERROR,
-    via: Optional[str] = None,
-) -> SlsResponse:
+def error_response(request_id: int, exc: BaseException, via: Optional[str] = None) -> SlsResponse:
     """Map a server-side exception to a typed wire response."""
     return SlsResponse(
         id=request_id,
-        status=status,
+        status=STATUS_ERROR,
         error=str(exc),
         kind=type(exc).__name__,
         via=via,

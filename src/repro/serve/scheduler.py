@@ -7,9 +7,10 @@ query is a batch of one and leaves at once; what arrives while a batch
 runs is read in the turn after it and forms the next one, so coalescing
 comes from load and never from a timer.
 
-Requests arrive as blocks (:class:`~repro.serve.protocol.RequestBlock`):
-every request of one socket read for one table, or one in-process
-submit.  A block is judged once - one vectorised
+Requests arrive as blocks (:class:`~repro.serve.protocol.RequestBlock`),
+through :meth:`BatchScheduler.enqueue_block`, the one way in: every
+request of one socket read for one table, or one request of an
+in-process client (a block of one).  A block is judged once - one vectorised
 :meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.verdict` - and
 admitted request by request, in arrival order; what is admitted waits
 in the table's queue as a slice of its block.  A batch is one CSR
@@ -17,8 +18,8 @@ in the table's queue as a slice of its block.  A batch is one CSR
 executed as one amortized offload
 (:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
 and each slice's answers go back in one call to its replies: one encode
-per connection per batch on the TCP path, one future per request in
-process.
+per connection per batch on the TCP path, the client's own answer
+hand-off in process.
 
 Exactness is non-negotiable: a coalesced response is bit-identical to a
 direct ``store.sls`` call for the same query.  Verification outcomes
@@ -41,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import time
 from itertools import accumulate
-from typing import Any, Dict, List, NamedTuple, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -50,12 +51,9 @@ from ..core.device import QueryBatch
 from ..errors import ConfigurationError
 from .admission import AdmissionConfig, AdmissionController
 from .protocol import (
-    CODEC_BINARY,
-    STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_SHUTTING_DOWN,
     RequestBlock,
-    SlsRequest,
     SlsResponse,
     error_response,
 )
@@ -78,24 +76,6 @@ async def _yield_a_turn() -> None:
     turn = loop.create_future()
     loop.call_soon(loop.call_soon, turn.set_result, None)
     await turn
-
-
-class _Promise:
-    """The replies of an in-process submit, a block of one: its future."""
-
-    __slots__ = ("future",)
-
-    def __init__(self, future: "asyncio.Future[SlsResponse]"):
-        self.future = future
-
-    def answers(self, ids, values: np.ndarray, vias) -> None:
-        self.answer(SlsResponse(ids[0], STATUS_OK, values=values[0], via=vias[0]))
-
-    def answer(self, response: SlsResponse) -> None:
-        self.future.set_result(response)
-
-    def cancelled(self) -> bool:
-        return self.future.cancelled()
 
 
 class _Queued(NamedTuple):
@@ -179,44 +159,7 @@ class BatchScheduler:
             "empty_ticks": 0,
         }
 
-    # -- submission ------------------------------------------------------------
-
-    async def submit(self, request: SlsRequest) -> SlsResponse:
-        """Serve one request through the coalescing pipeline."""
-        answer = self.enqueue(request)
-        if isinstance(answer, SlsResponse):
-            return answer
-        return await answer
-
-    def enqueue(
-        self, request: SlsRequest
-    ) -> Union[SlsResponse, "asyncio.Future[SlsResponse]"]:
-        """Admit one request, a block of one: its typed refusal, or the
-        future of its answer.  Must be called on the scheduler's loop;
-        cancelling the future withdraws the request."""
-        block = self.block_of(request)
-        if isinstance(block, SlsResponse):
-            return block
-        promise = _Promise(asyncio.get_running_loop().create_future())
-        refused, admitted = self.enqueue_block(block, promise)
-        return promise.future if admitted else refused[0]
-
-    def block_of(
-        self, request: SlsRequest, codec: int = CODEC_BINARY
-    ) -> Union[RequestBlock, SlsResponse]:
-        """``request`` as a block of one, or - counted - the answer owed now:
-        ``shutting_down`` while draining, else the typed refusal of a
-        request no block can hold."""
-        if self._draining:
-            return self._shut_out([request.id])[0]
-        try:
-            return RequestBlock.one(request, codec)
-        except ConfigurationError as exc:
-            self._stats["requests"] += 1
-            self._stats["rejected_invalid"] += 1
-            obs.inc("serve.requests")
-            obs.inc("serve.response.invalid")
-            return error_response(request.id, exc)
+    # -- intake ----------------------------------------------------------------
 
     def enqueue_block(self, block: RequestBlock, replies) -> Tuple[List[SlsResponse], int]:
         """Admit a block: the answers owed now, in arrival order, and how
@@ -231,7 +174,8 @@ class BatchScheduler:
         slice.  Must be called on the scheduler's loop.  ``replies``
         takes ``answers(ids, values, vias)`` - ``ok`` answers of some of
         the block's requests, one call a batch - and ``answer(response)``
-        - any other answer, one request's.
+        - any other answer, one request's; its ``cancelled()`` is true once
+        nobody waits for them.  This is the scheduler's only intake.
         """
         ids = block.ids
         if self._draining:
@@ -427,7 +371,7 @@ class BatchScheduler:
 
     async def close(self) -> None:
         """Drain: finish in-flight batches and reject new work.
-        Idempotent; must run on the submit loop."""
+        Idempotent; must run on the loop that enqueues."""
         if self._closed:
             return
         self._draining = True

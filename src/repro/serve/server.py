@@ -12,9 +12,8 @@ is answered with leaves in one write at the end of that read, and
 anything queued outside a read (a batch's answers, a client's
 requests) in one write at the end of the loop turn.  That is what lets
 a single client drive enough concurrency to fill a batch without a task
-per request.  Each answer leaves in the codec its request arrived in
-(the codec byte is per frame): the client sends binary, and a JSON
-``sls`` frame is still answered in JSON.  Backpressure: while a peer
+per request.  An ``sls`` request is served from a binary frame only (a
+JSON one draws a ``FrameError`` answer).  Backpressure: while a peer
 lags behind its answers (``pause_writing``) the server reads nothing
 more from it, until ``resume_writing``.
 :class:`SlsServer` types a read once - its requests for a table become
@@ -22,20 +21,20 @@ one :class:`~repro.serve.protocol.RequestBlock` - and feeds every block
 into one :class:`~repro.serve.scheduler.BatchScheduler`, so requests
 from *all* connections coalesce into the same amortized batches.
 
-The client has two transports with one API:
+The client has one request path over two links:
 
 * ``await AsyncSlsClient.connect(host, port)`` — TCP; requests share
   the client's outbox the same way, and each read's answers are handed
   to per-request futures inside ``data_received``, so any number of
-  requests can be in flight on one connection.
-  :meth:`AsyncSlsClient.send` registers a request and queues its frame
-  without waiting; :meth:`AsyncSlsClient.request` is a wait on it.  The
-  node hop's :class:`~repro.cluster.node.NodeClient` is this transport
-  with ``reconnect=False``.
-* ``AsyncSlsClient.in_process(scheduler)`` — no sockets; submits
-  straight into a scheduler.  This is the test transport: it keeps
-  the scheduler semantics (admission, coalescing, typed errors) without
-  measuring loopback TCP.
+  requests can be in flight on one connection.  The node hop's
+  :class:`~repro.cluster.node.NodeClient` is this link with
+  ``reconnect=False``.
+* ``AsyncSlsClient.in_process(scheduler)`` — no sockets; a request is
+  a block of one into the intake a socket read uses, and its answer
+  comes back to the same hand-off.
+
+On either, :meth:`AsyncSlsClient.send` registers a request and puts it
+on the link without waiting; :meth:`AsyncSlsClient.request` waits on it.
 
 Typed failures map back to :mod:`repro.errors` classes client-side:
 an ``overloaded`` response raises :class:`~repro.errors.OverloadedError`,
@@ -49,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import signal
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from ..errors import (
 )
 from .protocol import (
     CODEC_BINARY,
-    CODEC_JSON,
     STATUS_OK,
     STATUS_OVERLOADED,
     STATUS_SHUTTING_DOWN,
@@ -106,6 +104,7 @@ class _Outbox:
         self.loop = asyncio.get_running_loop()
         self.reading = False  #: a read is being served, and its end flushes
         self._frames: List[bytes] = []
+        self.timers: Set[asyncio.TimerHandle] = set()  #: :meth:`put_later` frames due
 
     def put(self, frame: bytes, now: bool = False) -> None:
         self._frames.append(frame)
@@ -113,6 +112,15 @@ class _Outbox:
             self.flush()
         elif len(self._frames) == 1 and not self.reading:
             self.loop.call_soon(self.flush)
+
+    def put_later(self, delay: float, frame: bytes) -> None:
+        """:meth:`put` ``frame`` in ``delay`` seconds, on a timer of this
+        outbox's: the connection's end cancels every one still due."""
+        def due() -> None:
+            self.timers.discard(timer)
+            self.put(frame)
+        timer = self.loop.call_later(delay, due)
+        self.timers.add(timer)
 
     def flush(self) -> None:
         if not self._frames:
@@ -132,7 +140,8 @@ class _Peer(asyncio.Protocol):
 
     def __init__(self):
         self.buf = bytearray()
-        self.lost = asyncio.get_running_loop().create_future()  #: connection_lost ran
+        self.loop = asyncio.get_running_loop()
+        self.lost = self.loop.create_future()  #: connection_lost ran
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -174,7 +183,7 @@ class _Connection(_Peer):
         for obj in items:
             try:
                 answer = server._answer(obj, outbox)
-            except FrameError as exc:  # a bad field: answered, the connection lives
+            except Exception as exc:  # a bad field or a fault: answered, the read serves on
                 answer = server._refusal(reply_id(obj), exc)
             if isinstance(answer, asyncio.Future):
                 self.inflight.add(answer)
@@ -204,6 +213,9 @@ class _Connection(_Peer):
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.server._connections.discard(self)
+        for timer in self.outbox.timers:  # nothing is owed to a peer that is gone
+            timer.cancel()
+        self.outbox.timers.clear()
         super().connection_lost(exc)
 
     def pause_writing(self) -> None:
@@ -295,8 +307,8 @@ class FrameServer:
     def _answer(self, obj: Any, outbox: _Outbox):
         """The answer to one item of a read: a message now, a future that
         settles once its answers are queued, or ``None`` for none owed now.
-        A :class:`FrameError` is answered with :meth:`_refusal` and the
-        connection serves on."""
+        An exception (a :class:`FrameError`, or any other) is answered with
+        :meth:`_refusal`, and the rest of the read is served."""
         raise NotImplementedError
 
     def _refusal(self, request_id: int, exc: BaseException):
@@ -305,15 +317,13 @@ class FrameServer:
 
 class _Replies:
     """Where the answers to one block of a connection's read go: its
-    outbox, ``ok`` answers in the block's codec.  ``done`` resolves when
-    the last answer owed is queued - the connection's one future for the
-    whole block."""
+    outbox.  ``done`` resolves when the last answer owed is queued - the
+    connection's one future for the whole block."""
 
-    __slots__ = ("outbox", "codec", "owed", "done")
+    __slots__ = ("outbox", "owed", "done")
 
-    def __init__(self, outbox: _Outbox, codec: int):
+    def __init__(self, outbox: _Outbox):
         self.outbox = outbox
-        self.codec = codec
         self.owed = 0
         self.done: Optional[asyncio.Future] = None
 
@@ -324,17 +334,11 @@ class _Replies:
 
     def answers(self, ids, values: np.ndarray, vias) -> None:
         """``ok`` answers to ``ids``, the rows of ``values``: one encode."""
-        if self.codec == CODEC_BINARY:
-            self.outbox.put(encode_answers(ids, values, vias))
-        else:
-            for rid, row, via in zip(ids, values, vias):
-                self.outbox.put(
-                    encode_frame(SlsResponse(rid, STATUS_OK, values=row, via=via), self.codec)
-                )
+        self.outbox.put(encode_answers(ids, values, vias))
         self._paid(len(ids))
 
     def answer(self, response: SlsResponse) -> None:
-        self.outbox.put(encode_frame(response, self.codec))
+        self.outbox.put(encode_frame(response))
         self._paid(1)
 
     def _paid(self, n: int) -> None:
@@ -401,21 +405,13 @@ class SlsServer(FrameServer):
             await self.close()
 
     def _answer(self, obj, outbox: _Outbox):
-        if type(obj) is RequestBlock:
-            return self._enqueue(obj, outbox)
-        request = obj if isinstance(obj, SlsRequest) else SlsRequest.from_wire(obj)
-        if request.op in ("ping", "heartbeat"):
-            # Liveness probes bypass the scheduler entirely: a heartbeat
-            # must answer even when admission control is shedding work.
-            return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
-        # A JSON ``sls`` frame is a block of its own, answered in JSON.
-        block = self.scheduler.block_of(request, CODEC_JSON)
-        return block if isinstance(block, SlsResponse) else self._enqueue(block, outbox)
-
-    def _enqueue(self, block: RequestBlock, outbox: _Outbox) -> Optional[asyncio.Future]:
-        """Queue a block's answers owed now; the future of the rest."""
-        replies = _Replies(outbox, block.codec)
-        owed, admitted = self.scheduler.enqueue_block(block, replies)
+        """A block's answers owed now, queued, and the future of the rest;
+        a probe's answer; a :class:`FrameError` for anything else - a JSON
+        ``sls`` frame included: a query is served from binary frames."""
+        if type(obj) is not RequestBlock:
+            return _probe_answer(SlsRequest.from_wire(obj))
+        replies = _Replies(outbox)
+        owed, admitted = self.scheduler.enqueue_block(obj, replies)
         for response in owed:
             outbox.put(encode_frame(response))
         return replies.owe(admitted) if admitted else None
@@ -427,6 +423,14 @@ class SlsServer(FrameServer):
 
     def stats(self) -> Dict[str, float]:
         return self.scheduler.stats()
+
+
+def _probe_answer(request: SlsRequest) -> SlsResponse:
+    """A liveness probe's answer, past any scheduler (a heartbeat answers
+    while admission sheds work); any other request is a :class:`FrameError`."""
+    if request.op not in ("ping", "heartbeat"):
+        raise FrameError(f"an {request.op!r} request is served from a binary frame only")
+    return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
 
 
 def _raise_for_response(response: SlsResponse) -> SlsResponse:
@@ -462,13 +466,18 @@ class _Link(_Peer):
         if error is not None or eof:
             self.client._lost(self, error)
 
+    def put(self, request: Union[SlsRequest, NodeRequest], flush: bool = False) -> None:
+        """Queue ``request``'s frame for the end of the loop turn
+        (``flush``: write it now, with whatever is queued)."""
+        self.outbox.put(encode_frame(request, CODEC_BINARY), flush)
+
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.client._lost(self, exc)
         self.resume_writing()  # nobody waits on a connection that is gone
         super().connection_lost(exc)
 
     def pause_writing(self) -> None:
-        self.writable = self.outbox.loop.create_future()
+        self.writable = self.loop.create_future()
 
     def resume_writing(self) -> None:
         if self.writable is not None:
@@ -476,8 +485,59 @@ class _Link(_Peer):
             self.writable = None
 
 
+class _Handoff(NamedTuple):
+    """The replies of one in-process request: each answer goes to the
+    client's ``_resolve``, as one off a socket does.  Cancelled once the
+    request is not pending, or its caller withdrew it."""
+
+    client: "AsyncSlsClient"
+    rid: int
+
+    def answers(self, ids, values: np.ndarray, vias) -> None:
+        for rid, row, via in zip(ids, values, vias):
+            self.client._resolve(SlsResponse(rid, STATUS_OK, values=row, via=via))
+
+    def answer(self, response: SlsResponse) -> None:
+        self.client._resolve(response)
+
+    def cancelled(self) -> bool:
+        entry = self.client._pending.get(self.rid)
+        if entry is not None and entry[0].done():  # withdrawn: nothing will answer it
+            self.client._forget(self.rid)
+            return True
+        return entry is None
+
+
+class _SchedulerLink:
+    """A client's link into a scheduler in its own process, with a
+    :class:`_Link`'s surface: an ``sls`` request goes in as a block of one
+    (:meth:`~repro.serve.protocol.RequestBlock.one`) through
+    :meth:`~repro.serve.scheduler.BatchScheduler.enqueue_block`, and a
+    probe is answered as :class:`SlsServer` answers it."""
+
+    ended = False  #: never lost
+    writable = None  #: a scheduler never lags behind its answers
+
+    def __init__(self, client: "AsyncSlsClient", scheduler: BatchScheduler):
+        self.client = client
+        self.scheduler = scheduler
+
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        return asyncio.get_running_loop()
+
+    def put(self, request: SlsRequest, flush: bool = False) -> None:
+        if request.op == "sls":
+            block = RequestBlock.one(request)
+            owed, _admitted = self.scheduler.enqueue_block(block, _Handoff(self.client, request.id))
+        else:
+            owed = [_probe_answer(request)]
+        for response in owed:
+            self.client._resolve(response)
+
+
 class AsyncSlsClient:
-    """One API over two transports: TCP frames or an in-process scheduler.
+    """One request path over two links: TCP frames or an in-process scheduler.
 
     With ``reconnect`` (the default) the TCP transport reconnects
     transparently: when the connection drops, the client dials the peer
@@ -491,8 +551,7 @@ class AsyncSlsClient:
     """
 
     def __init__(self):
-        self._scheduler: Optional[BatchScheduler] = None
-        self._link: Optional[_Link] = None  #: the current connection
+        self._link: Union[_Link, _SchedulerLink, None] = None  #: the current connection
         #: request id -> (its answer's future, the request, for a re-send,
         #: and its deadline's timer)
         self._pending: Dict[int, Tuple[asyncio.Future, Union[SlsRequest, NodeRequest], Any]] = {}
@@ -518,7 +577,7 @@ class AsyncSlsClient:
     @classmethod
     def in_process(cls, scheduler: BatchScheduler) -> "AsyncSlsClient":
         client = cls()
-        client._scheduler = scheduler
+        client._link = _SchedulerLink(client, scheduler)
         return client
 
     # -- request plumbing ------------------------------------------------------
@@ -546,6 +605,12 @@ class AsyncSlsClient:
         future = self._pending.pop(rid)[0]
         if not future.done():
             future.set_exception(asyncio.TimeoutError())
+
+    def _forget(self, rid: int) -> None:
+        """No longer wait for ``rid``'s answer: a later one is dropped."""
+        entry = self._pending.pop(rid, None)
+        if entry is not None and entry[2] is not None:
+            entry[2].cancel()
 
     def _resolve(self, obj: Any) -> None:
         """Hand one answer frame to the request its id names.
@@ -650,10 +715,11 @@ class AsyncSlsClient:
     ) -> asyncio.Future:
         """Register ``request``, arm its ``timeout`` (a timer: the future
         fails with ``asyncio.TimeoutError``, and a later answer is dropped)
-        and queue its frame for the end of the loop turn (``flush``: write
-        it now, with whatever is queued); the future of its raw typed
-        answer.  Waits for nothing, so the connection must be live
-        (:meth:`request` dials a lost one)."""
+        and put it on the link (``flush``: a TCP link writes it now, with
+        whatever is queued); the future of its raw typed answer.  Waits for
+        nothing, so the connection must be live (:meth:`request` dials a
+        lost one).  A request no frame or block can hold is refused here,
+        a :class:`ConfigurationError`, and leaves nothing pending."""
         if self._closed:
             raise ConfigurationError("client is closed")
         link = self._link
@@ -661,13 +727,16 @@ class AsyncSlsClient:
             raise ConfigurationError("client is not connected")
         if link.ended:
             raise ServerClosedError("connection lost")
-        frame = encode_frame(request, CODEC_BINARY)
-        loop = link.outbox.loop
+        loop = link.loop
         future = loop.create_future()
         timer = None if timeout is None else loop.call_later(timeout, self._expire, request.id)
         # Registered, it is answered, re-sent by a reconnect, or failed.
         self._pending[request.id] = (future, request, timer)
-        link.outbox.put(frame, flush)
+        try:
+            link.put(request, flush)
+        except BaseException:
+            self._forget(request.id)
+            raise
         return future
 
     def live(self) -> bool:
@@ -681,10 +750,6 @@ class AsyncSlsClient:
         raising).  A caller that gives up leaves no request pending."""
         if self._closed:
             raise ConfigurationError("client is closed")
-        if self._scheduler is not None:
-            if request.op in ("ping", "heartbeat"):
-                return SlsResponse(id=request.id, status=STATUS_OK, via=request.op)
-            return await self._scheduler.submit(request)
         if self._link is None:
             raise ConfigurationError("client is not connected")
         # A lost connection is gone: dial again (or wait for the reconnect
@@ -701,9 +766,8 @@ class AsyncSlsClient:
                 await writable
             return await future
         finally:
-            entry = self._pending.pop(request.id, None)
-            if entry is not None and entry[2] is not None:
-                entry[2].cancel()
+            if request.id in self._pending:  # its caller gave up
+                self._forget(request.id)
 
     # -- public API ------------------------------------------------------------
 
@@ -759,7 +823,7 @@ class AsyncSlsClient:
         return response.status == STATUS_OK
 
     async def close(self) -> None:
-        """Close the transport (the scheduler/server is not ours to stop)."""
+        """Close the link (the scheduler/server is not ours to stop)."""
         if self._closed:
             return
         self._closed = True
@@ -772,10 +836,10 @@ class AsyncSlsClient:
             except asyncio.CancelledError:
                 pass
             self._redial = None
-        if self._link is not None:
+        if isinstance(self._link, _Link):
             self._link.transport.close()
             await self._link.lost
-            self._link = None
+        self._link = None
         self._fail_pending(ServerClosedError("client closed"))
 
     async def __aenter__(self) -> "AsyncSlsClient":

@@ -49,6 +49,7 @@ from repro.serve.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
     MAX_FRAME_BYTES,
+    RequestBlock,
     decode_payload,
     encode_frame,
     error_response,
@@ -243,18 +244,18 @@ class TestBatchScheduler:
 
         async def run():
             scheduler = BatchScheduler(store)
-            task = asyncio.ensure_future(
-                scheduler.submit(SlsRequest(id=1, table="emb", rows=(0, 1)))
-            )
+            client = AsyncSlsClient.in_process(scheduler)
+            task = asyncio.ensure_future(client.sls("emb", [0, 1]))
             await asyncio.sleep(0)  # enqueue + spawn the batcher
             task.cancel()  # cancels the request's future before the batcher runs
             await scheduler.close()
-            return scheduler.stats()
+            return scheduler.stats(), client._pending
 
-        stats = asyncio.run(run())
+        stats, pending = asyncio.run(run())
         assert stats["empty_ticks"] == 1
         assert stats["batches"] == 0
         assert stats["pending"] == 0
+        assert pending == {}
 
     def test_oversized_query_rejected_before_admission(self):
         store = make_store()
@@ -407,11 +408,12 @@ class HookedStore:
         return self.store.sls_scatter(name, batch)
 
 
-def arrivals(scheduler, queries, first_id: int = 100):
-    """Enqueue ``queries`` straight into the scheduler: their futures."""
+def arrivals(client, queries):
+    """Send ``queries`` on an in-process client, which enqueues each one
+    before it returns: their answers' futures."""
     return [
-        scheduler.enqueue(SlsRequest(id=first_id + i, table="emb", rows=tuple(q)))
-        for i, q in enumerate(queries)
+        client.send(SlsRequest(id=client._new_id(), table="emb", rows=tuple(q)))
+        for q in queries
     ]
 
 
@@ -447,13 +449,14 @@ class TestWorkConservingBatcher:
 
         async def run():
             scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
 
             def during(n):  # all nine arrive while the first batch runs
                 if n == 1:
-                    rest.extend(arrivals(scheduler, queries[1:]))
+                    rest.extend(arrivals(client, queries[1:]))
 
             gate.hook = during
-            first = await AsyncSlsClient.in_process(scheduler).sls("emb", queries[0])
+            first = await client.sls("emb", queries[0])
             results = [first] + [r.values for r in await asyncio.gather(*rest)]
             stats = scheduler.stats()
             await scheduler.close()
@@ -501,21 +504,23 @@ class TestWorkConservingBatcher:
 
         async def run():
             scheduler = BatchScheduler(gate)
+            client = AsyncSlsClient.in_process(scheduler)
 
             def during(n):  # three arrive behind the running batch, then withdraw
                 if n == 1:
-                    for future in arrivals(scheduler, [[1], [2], [3]]):
+                    for future in arrivals(client, [[1], [2], [3]]):
                         future.cancel()
 
             gate.hook = during
-            await AsyncSlsClient.in_process(scheduler).sls("emb", [0])
+            await client.sls("emb", [0])
             await scheduler.close()
-            return scheduler.stats()
+            return scheduler.stats(), client._pending
 
-        stats = asyncio.run(run())
+        stats, pending = asyncio.run(run())
         assert gate.calls == [1]  # the cancelled three never reached the store
         assert stats["empty_ticks"] == 1 and stats["batches"] == 1
         assert stats["pending"] == 0
+        assert pending == {}  # a withdrawn send is forgotten, not left waiting
 
     def test_request_cancelled_in_a_running_batch_frees_its_slot_once(self):
         # Regression: the submitter's cleanup and ``_resolve`` both
@@ -557,7 +562,7 @@ class TestWorkConservingBatcher:
 
             def during(n):  # five queue behind the running batch, then close starts
                 if n == 1:
-                    rest.extend(arrivals(scheduler, queries[1:]))
+                    rest.extend(arrivals(client, queries[1:]))
                     closing.append(asyncio.ensure_future(scheduler.close()))
 
             gate.hook = during
@@ -587,33 +592,37 @@ class TestWorkConservingBatcher:
                 client.sls_response("emb", [-1]),           # would wrap to the last row
                 client.sls_response("emb", [6, 7], [2]),    # one weight for two rows
                 client.sls_response("emb", [8, 9]),
+                return_exceptions=True,
             )
             stats = scheduler.stats()
             await scheduler.close()
-            return responses, stats
+            return responses, stats, client._pending
 
-        responses, stats = asyncio.run(run())
+        responses, stats, pending = asyncio.run(run())
         good = [responses[0], responses[5]]
         assert [r.status for r in good] == [STATUS_OK, STATUS_OK]
         assert np.array_equal(good[0].values, store.sls("emb", [1, 2]))
         assert np.array_equal(good[1].values, store.sls("emb", [8, 9]))
-        for bad in responses[1:5]:
+        for bad in responses[1:4]:
             assert bad.status == "error" and bad.kind == "ConfigurationError"
         assert "row id outside [0, 64)" in responses[1].error
         assert "non-negative" in responses[2].error
-        assert "equal length" in responses[4].error
+        # No block holds one weight for two rows: the client refuses it
+        # before it leaves, as the binary encoder does.
+        assert isinstance(responses[4], ConfigurationError)
+        assert "equal length" in str(responses[4]) and pending == {}
         # Rejected before admission, and the batch they would have joined
         # ran with the two good queries only.
         assert gate.calls == [2]
-        assert stats["rejected_invalid"] == 4
+        assert stats["rejected_invalid"] == 3 and stats["requests"] == 5
         assert stats["admission.admitted"] == 2
 
     def test_validation_errors_keep_their_order(self):
         # One validator: the list form, the batch form and the front-end -
-        # its block of one, then the verdict over the block's CSR arrays -
-        # refuse with the same error, defect for defect, in the same order.
+        # its block of one (the binary encoder's check), then the verdict
+        # over the block's CSR arrays - refuse with the same error, defect
+        # for defect, in the same order.
         store = make_store()
-        scheduler = BatchScheduler(store)
 
         def verdict(rows, weights, table="emb"):
             rows = np.asarray(rows, dtype=np.int64)
@@ -631,18 +640,71 @@ class TestWorkConservingBatcher:
                 store.sls("emb", rows, weights)
             with pytest.raises(ConfigurationError) as batched:
                 store.sls_many("emb", [[1], rows], [[1], weights or [1] * len(rows)])
-            block = scheduler.block_of(SlsRequest(id=7, table="emb", rows=rows, weights=weights))
+            request = SlsRequest(id=7, table="emb", rows=rows, weights=weights)
             if len(weights or rows) != len(rows):  # no block holds it
-                assert (block.id, block.status) == (7, "error")
-                front_end = block.error
+                with pytest.raises(ConfigurationError) as blocked:
+                    RequestBlock.one(request)
+                with pytest.raises(ConfigurationError) as framed:
+                    encode_frame(request, CODEC_BINARY)
+                assert str(framed.value) == str(blocked.value)
+                front_end = str(blocked.value)
             else:
+                block = RequestBlock.one(request)
                 (refused,) = store.verdict("emb", block.rows, block.weights, block.offsets).items()
                 assert refused[0] == 0
                 front_end = str(refused[1])
             assert front_end == str(batched.value) == str(listed.value)
-        assert scheduler.stats()["rejected_invalid"] == 2
         assert str(verdict([1], None, "nope")[0]) == "unknown table 'nope'"
         assert verdict([5, 5, 7], [1, 0, 3]) is None
+
+
+class TestInProcessLink:
+    """The in-process client is a link into the scheduler's one intake:
+    ``send``, deadlines and the pending map are the TCP client's."""
+
+    def test_send_works_in_process(self):
+        store = make_store()
+
+        async def run():
+            scheduler = BatchScheduler(store)
+            client = AsyncSlsClient.in_process(scheduler)
+            query = SlsRequest(id=client._new_id(), table="emb", rows=(3, 1), weights=(2, 1))
+            answer = client.send(query)
+            probe = client.send(SlsRequest(id=client._new_id(), op="heartbeat"))
+            assert probe.done()  # a probe is answered by the link, past the scheduler
+            response = await answer
+            alive = await client.ping()
+            await scheduler.close()
+            return response, probe.result(), alive, client._pending
+
+        response, probe, alive, pending = asyncio.run(run())
+        assert response.status == STATUS_OK and response.via == "batch"
+        assert np.array_equal(response.values, store.sls("emb", [3, 1], [2, 1]))
+        assert (probe.status, probe.via) == (STATUS_OK, "heartbeat") and alive
+        assert pending == {}
+
+    def test_a_deadline_expires_while_the_batch_is_held_back(self):
+        store = make_store()
+
+        async def run():
+            scheduler = BatchScheduler(store)
+            client = AsyncSlsClient.in_process(scheduler)
+            query = SlsRequest(id=client._new_id(), table="emb", rows=(1, 2))
+            async with scheduler._loop_slot:  # no batch runs while this is held
+                waiting = asyncio.ensure_future(client.request(query, timeout=0.05))
+                await asyncio.wait([waiting], timeout=5)  # its deadline comes first
+                outcome = waiting.exception() if waiting.done() else waiting.cancel()
+                expired = dict(client._pending)
+            served = await client.sls("emb", [1, 2])  # the loop slot is free again
+            await scheduler.close()
+            return outcome, expired, client._pending, served, scheduler.stats()
+
+        outcome, expired, pending, served, stats = asyncio.run(run())
+        assert isinstance(outcome, asyncio.TimeoutError)
+        assert expired == {} and pending == {}
+        assert np.array_equal(served, store.sls("emb", [1, 2]))
+        # The held request was batched, and its late answer dropped.
+        assert stats["batches"] == 2 and stats["responses_ok"] == 1 and stats["pending"] == 0
 
 
 # -- graceful shutdown (satellite 2) -------------------------------------------
@@ -675,19 +737,26 @@ class TestShutdown:
         assert stats["pending"] == 0
 
     def test_the_drain_check_comes_first(self):
-        # While draining, every request is shut out, one no block can hold
-        # as well: ``shutting_down``, not a validation ``error``.
+        # While draining, every request that reaches the scheduler is shut
+        # out, one the store would refuse as well: ``shutting_down``, not a
+        # validation ``error``.  One no block can hold never leaves the client.
         async def run():
             scheduler = BatchScheduler(make_store())
+            client = AsyncSlsClient.in_process(scheduler)
             await scheduler.close()
-            return [
-                scheduler.enqueue(SlsRequest(id=i, table="emb", rows=(1, 2), weights=weights))
-                for i, weights in enumerate([(1, 1), (1,), (1, -1)])
-            ], scheduler.stats()
+            answers = await asyncio.gather(
+                *[client.sls_response("emb", [1, 2], w) for w in ([1, 1], [1], [1, -1])],
+                return_exceptions=True,
+            )
+            return answers, scheduler.stats()
 
-        answers, stats = asyncio.run(run())
-        assert [(a.id, a.status) for a in answers] == [(i, STATUS_SHUTTING_DOWN) for i in range(3)]
-        assert (stats["rejected_shutdown"], stats["rejected_invalid"], stats["requests"]) == (3, 0, 3)
+        (first, unheld, refused), stats = asyncio.run(run())
+        assert [(a.status, a.kind) for a in (first, refused)] == [
+            (STATUS_SHUTTING_DOWN, "ServerClosedError")
+        ] * 2
+        assert isinstance(unheld, ConfigurationError) and "equal length" in str(unheld)
+        counts = (stats["rejected_shutdown"], stats["rejected_invalid"], stats["requests"])
+        assert counts == (2, 0, 2)
 
     @closes_what_it_opens
     def test_close_is_idempotent_and_serving_starts_no_thread(self):

@@ -43,8 +43,9 @@ DIM = 32
 
 #: Calls per served query, pinned at a first measurement + 10 %: server
 #: 17.9 (front-end 14.1, asyncio 3.2, SecNDP 0.7), client 105.4 (50.3,
-#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 105.4 (50.3,
-#: 51.1, 4.0).  When the server typed, validated and answered each
+#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 106.4 (51.3,
+#: 51.1, 4.0: a request is put on its link, one call more than a bare
+#: outbox write).  When the server typed, validated and answered each
 #: request on its own it made 133.7 (77.1, 24.5, 32.1), and the client
 #: 121.3 (62.3, 51.1, 8.0).
 CEILINGS = {

@@ -40,6 +40,7 @@ from repro.serve.protocol import (
     CODEC_JSON,
     DIRECTIVES,
     MAX_FRAME_BYTES,
+    MAX_SLOW_DELAY_S,
     STATUS_OK,
     VIAS,
     Directive,
@@ -692,6 +693,10 @@ class TestHostilePeer:
             (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 5, 0.0), None, "unknown directive code 5"),
             (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 4, -1.0), None, "bad slow-directive delay"),
             (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 4, float("nan")), None, "bad slow-directive delay"),
+            (
+                HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 4, MAX_SLOW_DELAY_S * 2), None,
+                "bad slow-directive delay",
+            ),
             (HEADER.pack(4, 0, 0, 0, 1) + PARTIAL.pack(0, 4, 1, 0.5), None, "a delay on a byzantine"),
             (HEADER.pack(4, 1, 0, 0, 1) + PARTIAL.pack(0, 4, 0, 0.0), None, "flags"),
             (HEADER.pack(5, 0, 4, 1, 1) + SUMS.pack(2) + b"\0" * 24 + b"\0", None, "after the values"),
@@ -701,7 +706,7 @@ class TestHostilePeer:
         ],
         ids=[
             "counts-overrun", "terms-overrun", "no-extension", "counts-not-terms", "width-3",
-            "directive-code", "slow-negative", "slow-nan", "delay-on-byzantine", "node-flags", "values-trailing", "tags-short",
+            "directive-code", "slow-negative", "slow-nan", "slow-over-bound", "delay-on-byzantine", "node-flags", "values-trailing", "tags-short",
             "queries-near-2^32", "values-not-the-ring-width",
         ],
     )
@@ -903,10 +908,14 @@ class TestHostilePeer:
             ({"id": 1, "op": "partial_sum", "table": "emb", "directive": ["slow", "x"]},
              "FrameError"),
             ({"id": 1, "op": "partial_sum", "table": "emb", "directive": ["slow"]}, "FrameError"),
+            # A hostile peer's delay past the bound: a node would hold a
+            # timer that long for it.
+            ({"id": 1, "op": "partial_sum", "table": "emb",
+              "directive": ["slow", MAX_SLOW_DELAY_S + 1]}, "FrameError"),
         ],
         ids=[
             "id", "payload", "shard_assign", "tables-list", "ranges-int", "directive-int",
-            "directive-slow-text", "directive-slow-no-delay",
+            "directive-slow-text", "directive-slow-no-delay", "directive-slow-over-bound",
         ],
     )
     def test_node_answers_a_badly_typed_envelope_and_serves_on(self, wire, kind):
@@ -1106,30 +1115,42 @@ class TestBitIdentity:
 
     @closes_what_it_opens
     @pytest.mark.parametrize("element_bits", [8, 16, 32, 64])
-    def test_server_answers_each_frame_in_its_own_codec(self, element_bits):
-        # The client sends binary only; a raw JSON frame is how the server's
-        # JSON ``sls`` answers stay bit-checked at every ring width.
+    def test_a_json_sls_frame_is_refused_and_the_connection_serves_on(self, element_bits):
+        # A query is served from a binary frame only: a JSON ``sls`` frame
+        # draws a JSON ``error`` answer under its own id, and the binary
+        # frame behind it on the same connection is still served
+        # bit-identically, as are JSON probes.
         store = make_store(element_bits)
         request = SlsRequest(id=11, table="emb", rows=(3, 4), weights=(1, 2))
+        frames = [
+            encode_frame(request, CODEC_JSON),
+            encode_frame(request, CODEC_BINARY),
+            encode_frame({"id": 12, "op": "ping"}),
+            encode_frame({"id": 13, "op": "heartbeat"}),
+        ]
 
         async def run():
             async with SlsServer(store, port=0) as server:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 seen = []
-                for codec in (CODEC_JSON, CODEC_BINARY, CODEC_JSON):
-                    writer.write(encode_frame(request, codec))
+                for frame in frames:
+                    writer.write(frame)
                     header = await reader.readexactly(5)
                     payload = await reader.readexactly(struct.unpack(">I", header[1:])[0])
                     seen.append((header[0], decode_payload(header[0], payload)))
                 writer.close()
-                return seen
+                return seen, server.stats()
 
-        seen = asyncio.run(run())
-        assert [codec for codec, _ in seen] == [CODEC_JSON, CODEC_BINARY, CODEC_JSON]
-        want = store.sls("emb", [3, 4], [1, 2])
-        assert np.array_equal(SlsResponse.from_wire(seen[0][1]).values, want)
-        assert np.array_equal(seen[1][1].values, want)
-        assert np.array_equal(SlsResponse.from_wire(seen[2][1]).values, want)
+        seen, stats = asyncio.run(run())
+        assert [codec for codec, _ in seen] == [CODEC_JSON, CODEC_BINARY, CODEC_JSON, CODEC_JSON]
+        refused = SlsResponse.from_wire(seen[0][1])
+        assert (refused.id, refused.status, refused.kind) == (11, "error", "FrameError")
+        assert "binary frame" in refused.error
+        assert np.array_equal(seen[1][1].values, store.sls("emb", [3, 4], [1, 2]))
+        for (_codec, answer), (rid, via) in zip(seen[2:], [(12, "ping"), (13, "heartbeat")]):
+            probe = SlsResponse.from_wire(answer)
+            assert (probe.id, probe.status, probe.via) == (rid, STATUS_OK, via)
+        assert stats["requests"] == 1 and stats["responses_ok"] == 1
 
     @closes_what_it_opens
     @pytest.mark.parametrize("transport", ["binary", "in_process"])
@@ -1150,8 +1171,8 @@ class TestBitIdentity:
                     if transport == "binary":
                         with pytest.raises(ConfigurationError, match="binary frame"):
                             await client.sls("emb" * 30_000, [0])
-                        with pytest.raises(ConfigurationError, match="equal length"):
-                            await client.sls("emb", [0, 1], [1])
+                    with pytest.raises(ConfigurationError, match="equal length"):
+                        await client.sls("emb", [0, 1], [1])
                     assert client._pending == {}  # nothing left waiting for an answer
                     return await client.sls("emb", [0, 1], [2, 3]), server.stats()
 
@@ -1180,34 +1201,39 @@ REFUSALS = {
 
 class TestOneRefusalOnEveryPath:
     """An invalid query meets the same ``ConfigurationError`` on every
-    serving path, before a pad is generated or a node hears of it."""
+    serving path, before a pad is generated or a node hears of it.  On
+    both client transports, a query no block or binary frame can hold
+    (weights not one per row) is refused by the client before it leaves,
+    so the server counts no request; the store refuses the rest."""
 
     @staticmethod
-    async def front_end(store, table, rows, weights):
+    async def refused(client, server, table, rows, weights):
+        if len(rows) != len(weights or rows):
+            with pytest.raises(ConfigurationError) as refusal:
+                await client.sls_response(table, rows, weights)
+            assert client._pending == {}
+            assert server.stats()["requests"] == 0
+            return str(refusal.value)
+        response = await client.sls_response(table, rows, weights)
+        assert (response.status, response.kind) == ("error", "ConfigurationError")
+        stats = server.stats()
+        assert stats["rejected_invalid"] == 1 and stats["batches"] == 0
+        return response.error
+
+    @classmethod
+    async def front_end(cls, store, table, rows, weights):
         scheduler = BatchScheduler(store)
         async with AsyncSlsClient.in_process(scheduler) as client:
-            response = await client.sls_response(table, rows, weights)
+            message = await cls.refused(client, scheduler, table, rows, weights)
         await scheduler.close()
-        assert (response.status, response.kind) == ("error", "ConfigurationError")
-        stats = scheduler.stats()
-        assert stats["rejected_invalid"] == 1 and stats["batches"] == 0
-        return response.error
+        return message
 
-    @staticmethod
-    async def tcp(store, table, rows, weights):
+    @classmethod
+    async def tcp(cls, store, table, rows, weights):
         """The block path: the refused query read off a socket."""
-        bad = {"id": 2, "op": "sls", "table": table, "rows": rows, "weights": weights}
-        if len(rows) == len(weights or rows):  # what a binary frame can carry
-            bad = SlsRequest.from_wire(bad)
         async with SlsServer(store) as server:
-            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            writer.write(encode_frame(bad, CODEC_BINARY))
-            response = SlsResponse.from_wire(await asyncio.wait_for(read_frame(reader), 5))
-            writer.close()
-            stats = server.stats()
-        assert (response.id, response.status, response.kind) == (2, "error", "ConfigurationError")
-        assert stats["rejected_invalid"] == 1 and stats["batches"] == 0
-        return response.error
+            async with await AsyncSlsClient.connect("127.0.0.1", server.port) as client:
+                return await cls.refused(client, server, table, rows, weights)
 
     @staticmethod
     async def cluster(store, table, batch_rows, batch_weights):
@@ -1256,16 +1282,21 @@ class TestMixedRead:
     @closes_what_it_opens
     def test_every_query_of_one_read_gets_its_own_typed_answer(self):
         """One socket write: valid binary queries, one query per refusal, a
-        JSON ``sls`` frame and a ping.  Each id is answered once, in its
-        own codec; each valid answer is the query served alone, each
-        refusal has the words every path gives it, and only the valid
-        queries are admitted and batched."""
+        JSON ``sls`` frame and a ping.  Each id is answered once; each
+        valid answer is the query served alone, each refusal a binary
+        frame carries has the words every path gives it, each JSON ``sls``
+        frame - the refusals no binary frame carries among them - is a
+        ``FrameError``, and only the valid queries are admitted and
+        batched."""
         store = make_store(32)
         valid = {10 + i: ([i, i + 3, 47], [1, 2, 1] if i % 2 else None) for i in range(5)}
         refused = {100 + i: REFUSALS[defect] for i, defect in enumerate(REFUSALS)}
+        unframed = {  # no binary frame carries weights that are not one per row
+            rid for rid, (_t, rows, weights, _) in refused.items() if len(weights or rows) != len(rows)
+        }
 
         def frame(rid, table, rows, weights):
-            if len(rows) != len(weights or rows):  # no binary frame carries it
+            if rid in unframed:  # no binary frame carries it
                 return encode_frame(
                     {"id": rid, "op": "sls", "table": table, "rows": rows, "weights": weights}
                 )
@@ -1300,17 +1331,21 @@ class TestMixedRead:
             codec, answer = answers[rid]
             assert codec == CODEC_BINARY and answer.status == STATUS_OK
             assert np.array_equal(answer.values, store.sls("emb", rows, weights))
-        codec, answer = answers[50]
-        assert codec == CODEC_JSON and np.array_equal(answer.values, store.sls("emb", [2, 2, 9]))
         assert answers[60][1].status == STATUS_OK and answers[60][1].via == "ping"
+        for rid in unframed | {50}:
+            codec, answer = answers[rid]
+            assert (codec, answer.status, answer.kind) == (CODEC_JSON, "error", "FrameError")
         for rid, (*_query, text) in refused.items():
             codec, answer = answers[rid]
-            assert (codec, answer.status, answer.kind) == (CODEC_JSON, "error", "ConfigurationError")
-            assert answer.error == text
-        n_valid = len(valid) + 1
+            if rid not in unframed:
+                assert (codec, answer.status, answer.kind) == (
+                    CODEC_JSON, "error", "ConfigurationError"
+                )
+                assert answer.error == text
+        n_valid, n_refused = len(valid), len(refused) - len(unframed)
         assert stats["admission.admitted"] == n_valid == stats["batch_queries"]
-        assert stats["rejected_invalid"] == len(REFUSALS)
-        assert stats["responses_ok"] == n_valid and stats["requests"] == n_valid + len(REFUSALS)
+        assert stats["rejected_invalid"] == n_refused
+        assert stats["responses_ok"] == n_valid and stats["requests"] == n_valid + n_refused
 
 
 class TestSchedulerTakesEitherForm:
@@ -1319,12 +1354,14 @@ class TestSchedulerTakesEitherForm:
 
         async def run():
             scheduler = BatchScheduler(store)
+            client = AsyncSlsClient.in_process(scheduler)
             responses = await asyncio.gather(
-                scheduler.submit(SlsRequest(id=1, table="emb", rows=(1, 2), weights=(3, 1))),
-                scheduler.submit(
+                client.request(SlsRequest(id=1, table="emb", rows=(1, 2), weights=(3, 1))),
+                client.request(
                     SlsRequest(id=2, table="emb", rows=np.array([5, 5, 9]), weights=None)
                 ),
-                scheduler.submit(SlsRequest(id=3, table="emb", rows=[2**70])),
+                client.request(SlsRequest(id=3, table="emb", rows=[2**70])),
+                return_exceptions=True,
             )
             stats = scheduler.stats()
             await scheduler.close()
@@ -1333,7 +1370,8 @@ class TestSchedulerTakesEitherForm:
         (first, second, third), stats = asyncio.run(run())
         assert np.array_equal(first.values, store.sls("emb", [1, 2], [3, 1]))
         assert np.array_equal(second.values, store.sls("emb", [5, 5, 9]))
-        assert third.status == "error" and third.kind == "ConfigurationError"
+        # A row id no block can hold: refused by the client, as a frame's is.
+        assert isinstance(third, ConfigurationError) and "int64" in str(third)
         assert stats["batches"] == 1 and stats["batch_queries"] == 2
         # 5 rows referenced, 4 distinct: counted from a sort of the CSR rows.
         assert stats["dedupe_ratio"] == 4 / 5
@@ -1451,6 +1489,52 @@ class TestProtocolTransport:
         assert (first.id, first.status) == (1, STATUS_OK)
         assert (refused.id, refused.status, refused.kind) == (0, "error", "FrameError")
         assert transport.closing and not transport.reading
+
+    def test_a_fault_answering_one_frame_spares_the_rest_of_the_read(self):
+        # Regression: an exception other than FrameError escaped
+        # ``data_received``, asyncio tore the connection down, and every
+        # request pipelined behind it went unanswered.
+        class Faulty(NodeServer):
+            def _answer(self, obj, outbox):
+                if obj["id"] == 2:
+                    raise AttributeError("a fault answering frame 2")
+                return super()._answer(obj, outbox)
+
+        async def run():
+            connection, transport = self.accepted(Faulty("n0"))
+            connection.data_received(heartbeat(1) + heartbeat(2) + heartbeat(3))
+            connection.data_received(heartbeat(4))  # the connection serves on
+            return answers_in(transport.writes), transport
+
+        answers, transport = asyncio.run(run())
+        assert [(a.id, a.status) for a in answers] == [
+            (1, STATUS_OK), (2, "error"), (3, STATUS_OK), (4, STATUS_OK)
+        ]
+        assert (answers[1].kind, answers[1].error) == ("AttributeError", "a fault answering frame 2")
+        assert not transport.closing and transport.reading
+
+    @closes_what_it_opens
+    def test_a_slow_answer_is_a_timer_its_connection_cancels(self):
+        slow = [
+            encode_frame({"id": rid, "op": "partial_sum", "table": "emb", "directive": ["slow", 30]})
+            for rid in (1, 2)
+        ]
+
+        async def run():
+            async with NodeServer("n0") as node:
+                reader, writer = await asyncio.open_connection(node.host, node.port)
+                writer.write(b"".join(slow) + heartbeat(3))
+                answer = NodeResponse.from_wire(await asyncio.wait_for(read_frame(reader), 5))
+                (connection,) = node._connections
+                timers = set(connection.outbox.timers)
+                writer.close()  # the peer goes with both answers still due
+                await asyncio.wait_for(connection.lost, 5)
+                return answer, timers, connection
+
+        answer, timers, connection = asyncio.run(run())
+        assert answer.id == 3  # the slow two did not hold the connection up
+        assert len(timers) == 2 and all(timer.cancelled() for timer in timers)
+        assert connection.outbox.timers == set()
 
     def test_an_answer_delivered_one_byte_a_read_resolves_at_the_last(self):
         async def run():
