@@ -27,8 +27,10 @@ AES call, on every kernel tier this host has.  The
 calibration-paired budget per tier, and the **fixed_cost** section does
 the same on the native tier for a hot 32-query wave (``sls_wave_hot``)
 and a one-term query (``sls_one_term``), where the call boundary and the
-store's bookkeeping are all there is, and for one solo query over three
-socket nodes (``cluster_solo``), whose loop turns it gates too.
+store's bookkeeping are all there is, for what a hot query costs the
+client (``client_query``: its frame written, its answer decoded and
+resolved), and for one solo query over three socket nodes
+(``cluster_solo``), whose loop turns it gates too.
 
 Results are printed and appended to ``BENCH_hotpaths.json`` at the repo
 root so later PRs can track the perf trajectory.  Scale via
@@ -344,8 +346,11 @@ def _bench_sls_wave(sizes) -> dict:
 #: on the native tier at the reference box's quiet speed (each block of
 #: calls paired with a calibration run): about twice a first reading,
 #: 61 / 31 µs (the ctypes boundary and two-pass combine/verify before
-#: them read 141 / 107 µs).
-_FIXED_BUDGET_US = {"sls_wave_hot": 125.0, "sls_one_term": 65.0}
+#: them read 141 / 107 µs).  ``client_query``, µs per query the client
+#: spends on a hot query's frame and answer: 1.8x a first reading, 6.1 µs,
+#: and below the 11.3 µs the same waves read when the client built a
+#: typed request with two ``int64_terms`` passes for each query.
+_FIXED_BUDGET_US = {"sls_wave_hot": 125.0, "sls_one_term": 65.0, "client_query": 11.0}
 
 
 def _bench_fixed_cost(sizes) -> dict:
@@ -404,7 +409,92 @@ def _bench_fixed_cost(sizes) -> dict:
                 "us": float(np.median(normalised)) * 1e6,
                 "budget_us": _FIXED_BUDGET_US[name],
             }
+    report["client_query"] = _bench_client_query(rng, n_rows, dim, blocks, per_block)
     return report
+
+
+class _Dropped:
+    """A transport that takes the client's writes and drops them."""
+
+    def write(self, data) -> None:
+        pass
+
+    def is_closing(self) -> bool:
+        return False
+
+
+def _bench_client_query(rng, n_rows: int, dim: int, blocks: int, per_block: int) -> dict:
+    """The client codec: what one ``serve_hot``-shaped query costs the client.
+
+    Waves of 32 ``sls_response`` calls (pooling factor 4-8, weights 1-3,
+    as Python lists, the way ``benchmarks/e2e`` passes them) run on a
+    link with no socket, as in ``tests/test_serve_calls.py``, and are
+    driven by hand rather than as tasks: each call writes its frame and
+    waits, the wave's canned ``ok`` answers are taken off one read, and
+    each call returns its answer.  So the row is the encode, one answer's
+    decode and its resolve, without the loop's scheduling.  Each block of
+    waves is timed wave by wave; its median per query is paired with a
+    ``benchmarks/e2e/calib.py`` sample, and the row is the median over
+    blocks.  Every answer is checked against the values it was sent.
+    """
+    from repro.serve import AsyncSlsClient
+    from repro.serve.protocol import encode_answers
+    from repro.serve.server import _Link
+
+    n = 32
+    waves = []
+    for _ in range(16):
+        lengths = rng.integers(4, 9, size=n)
+        queries = [
+            (rng.integers(0, n_rows, k).tolist(), rng.integers(1, 4, k).tolist()) for k in lengths
+        ]
+        values = rng.normal(size=(n, dim))
+        waves.append((queries, values, encode_answers(list(range(1, n + 1)), values, ["batch"] * n)))
+
+    async def run():
+        client = AsyncSlsClient()
+        client._link = _Link(client)
+        client._link.connection_made(_Dropped())
+
+        def wave(queries, answers):
+            client._next_id = 0  # the canned answers' ids: 1 to n
+            calls = [client.sls_response("emb", rows, weights) for rows, weights in queries]
+            for call in calls:
+                call.send(None)  # its frame written, it waits on its answer
+            client._take_answers(bytearray(answers), False)
+            responses = []
+            for call in calls:
+                try:
+                    call.send(None)
+                except StopIteration as done:
+                    responses.append(done.value)
+            return responses
+
+        normalised, turn = [], 0
+        for _ in range(blocks):
+            times = []
+            for _ in range(per_block // 10):
+                queries, _values, answers = waves[turn % len(waves)]
+                turn += 1
+                t0 = time.perf_counter()
+                wave(queries, answers)
+                times.append((time.perf_counter() - t0) / n)
+                client._link.outbox.flush()
+            normalised.append(calib.normalise(float(np.median(times)), calib.calib_s()))
+        for queries, values, answers in waves:
+            responses = wave(queries, answers)
+            assert all(np.array_equal(r.values, v) for r, v in zip(responses, values))
+        client._link.outbox.flush()
+        return float(np.median(normalised)) * 1e6
+
+    was_on = obs.enabled()
+    obs.disable()
+    try:
+        us = asyncio.run(run(), debug=False)
+    finally:
+        if was_on:
+            obs.enable()
+    return {"queries": n, "terms_per_query": [4, 8], "us": us, "budget_us": _FIXED_BUDGET_US["client_query"]}
 
 
 #: ``cluster_solo`` budget: µs per solo ``coordinator.sls`` over three
@@ -804,6 +894,12 @@ def test_hotpaths(scale):
                 f"{fc[name]['terms_per_query'][0]}-{fc[name]['terms_per_query'][1]} terms "
                 f"{fc[name]['us']:.1f} µs host-normalised (budget {fc[name]['budget_us']:g})"
             )
+    if "client_query" in fc:
+        cq = fc["client_query"]
+        print(
+            f"client_query: a query of {cq['terms_per_query'][0]}-{cq['terms_per_query'][1]} "
+            f"terms costs the client {cq['us']:.1f} µs host-normalised (budget {cq['budget_us']:g})"
+        )
     if "cluster_solo" in fc:
         cs = fc["cluster_solo"]
         print(
@@ -862,8 +958,9 @@ def test_hotpaths(scale):
     for tier in ("numpy", "native"):
         if tier in sw:
             assert sw[tier]["wave_ms"] <= sw[tier]["budget_ms"], tier
-    # The fixed cost of a wave inside its absolute, host-normalised budget.
-    for name in ("sls_wave_hot", "sls_one_term"):
+    # The fixed cost of a wave, and a hot query's cost to the client,
+    # inside their absolute, host-normalised budgets.
+    for name in ("sls_wave_hot", "sls_one_term", "client_query"):
         if name in fc:
             assert fc[name]["us"] <= fc[name]["budget_us"], name
     # A solo cluster query: its host-normalised time and its loop turns.

@@ -24,7 +24,7 @@ reader decodes what it gets.
   express (a row id or weight outside ``int64``, weights not one per
   row, an id outside ``u64``, a table name over 65 535 bytes) the
   encoder refuses with :class:`~repro.errors.ConfigurationError` rather
-  than truncating, as a block in process does (:func:`_sls_terms`).
+  than truncating, on either of the client's links (:func:`sls_frame`).
 * **json** carries every other message (probes, typed errors, the node
   hop's control frames): under the binary codec such a message simply
   leaves as a JSON frame.  The server serves an ``sls`` request from a
@@ -77,6 +77,7 @@ import json
 import math
 import os
 import struct
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -112,6 +113,7 @@ __all__ = [
     "is_raw",
     "reply_id",
     "RequestBlock",
+    "sls_frame",
     "encode_answers",
     "encode_frame",
     "decode_payload",
@@ -188,6 +190,13 @@ class FrameError(ConfigurationError):
     """A malformed, oversized or unsupported frame."""
 
 
+def _fits(size: int) -> int:
+    """``size``, if a frame's payload may be that long, else :class:`FrameError`."""
+    if size > MAX_FRAME_BYTES:
+        raise FrameError(f"frame payload of {size} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
+    return size
+
+
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -246,14 +255,17 @@ def reply_id(obj: Any) -> int:
     return rid if type(rid) is int else 0
 
 
-# ``eq=False``: the array-valued fields make field-wise ``==`` meaningless.
-@dataclass(frozen=True, eq=False)
+# Wire messages are plain slotted objects: nothing assigns to a field
+# after construction.  ``eq=False``: the array-valued fields make
+# field-wise ``==`` meaningless.
+@dataclass(slots=True, eq=False)
 class SlsRequest:
     """One client query (or control message) as it crosses the wire.
 
     ``rows`` / ``weights`` are tuples of ints or ``int64`` arrays; the
-    client and the binary decoder build arrays, so a query reaches the
-    store without a per-element pass.
+    binary decoder builds arrays, so a query reaches the store without a
+    per-element pass.  The client builds none for a query: it writes
+    the frame straight from its caller's terms (:func:`sls_frame`).
     """
 
     id: int
@@ -295,7 +307,7 @@ class SlsRequest:
             raise FrameError(f"bad request field: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SlsResponse:
     """One server answer; ``values`` (a tuple of floats or a ``float64``
     array) only on ``status == "ok"``."""
@@ -377,7 +389,7 @@ class Directive(NamedTuple):
         return [self.kind, self.delay_s] if self.kind == "slow" else [self.kind]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeRequest:
     """One cluster-tier control/data message (coordinator -> node).
 
@@ -423,7 +435,7 @@ class NodeRequest:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeResponse:
     """One node answer; op-specific results live in ``payload``."""
 
@@ -499,12 +511,10 @@ def is_raw(words: Any) -> bool:
 
 
 def _pack_binary(message) -> Optional[bytes]:
-    """The binary body of an ``sls`` request, or of a node message whose
-    arrays are raw words (a ``partial_sum`` request, an ``ok`` sums
-    answer), else ``None``.  Each kind has this one writer."""
+    """The binary body of a node message whose arrays are raw words (a
+    ``partial_sum`` request, an ``ok`` sums answer), else ``None``.  Each
+    kind has this one writer, as an ``sls`` request has :func:`sls_frame`."""
     try:
-        if isinstance(message, SlsRequest) and message.op == "sls" and message.table is not None:
-            return _pack_sls(message)
         if (
             isinstance(message, NodeRequest)
             and message.op == "partial_sum"
@@ -527,14 +537,14 @@ def _pack_binary(message) -> Optional[bytes]:
     return None
 
 
-def _sls_terms(request: SlsRequest) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _sls_terms(rows, weights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """An ``sls`` request's ``int64`` rows and weights (``None``: all 1), or
-    the :class:`~repro.errors.ConfigurationError` of one no block or frame
-    holds, a negative weight named before a length mismatch as the store does."""
-    rows = _terms(request.rows, "rows")
-    if request.weights is None:
+    the :class:`~repro.errors.ConfigurationError` of one no frame holds, a
+    negative weight named before a length mismatch as the store does."""
+    rows = _terms(rows, "rows")
+    if weights is None:
         return rows, None
-    weights = _terms(request.weights, "weights")
+    weights = _terms(weights, "weights")
     if weights.size != rows.size:
         if weights.size and weights.min() < 0:
             raise ConfigurationError("weights must be non-negative integers")
@@ -542,15 +552,34 @@ def _sls_terms(request: SlsRequest) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return rows, weights
 
 
-def _pack_sls(message: SlsRequest) -> bytes:
-    rows, weights = _sls_terms(message)
-    body, flags = [rows.tobytes()], 0
-    if weights is not None:
-        body.append(weights.tobytes())
-        flags = _HAS_ARRAY
-    body.append(str(message.table).encode("utf-8"))
-    head = _BINARY.pack(_KIND_REQUEST, flags, len(body[-1]), rows.size, message.id)
-    return head + b"".join(body)
+def _words(values) -> Optional[array]:
+    """A list of Python ints as ``q`` words, in one C pass; ``None`` for
+    anything else, an all-bool list included (the rule refuses it)."""
+    if type(values) is not list or (
+        values and type(values[0]) is bool and all(type(v) is bool for v in values)
+    ):
+        return None
+    try:
+        return array("q", values)
+    except (TypeError, OverflowError):
+        return None
+
+
+def sls_frame(rid: int, table: str, rows, weights=None) -> bytes:
+    """The binary ``sls`` request frame, header included: the one writer of
+    one (:func:`encode_frame` of an :class:`SlsRequest` calls it).  Lists
+    of Python ints of equal length are packed as they are (:func:`_words`);
+    any other terms are judged by :func:`_sls_terms`, in the same words."""
+    head, tail = _words(rows), None if weights is None else _words(weights)
+    if head is None or weights is not None and (tail is None or len(tail) != len(head)):
+        head, tail = (t if t is None else np.ascontiguousarray(t) for t in _sls_terms(rows, weights))
+    name, count = table.encode("utf-8"), len(head)
+    try:
+        body = _BINARY.pack(_KIND_REQUEST, tail is not None, len(name), count, rid)
+    except struct.error as exc:  # an id or name length its field cannot hold
+        raise ConfigurationError(f"message does not fit the binary frame: {exc}") from None
+    size = _fits(_BINARY.size + 8 * count * (1 + (tail is not None)) + len(name))
+    return b"".join((_HEADER.pack(CODEC_BINARY, size), body, head, b"" if tail is None else tail, name))
 
 
 def _pack_partial_sum(message: NodeRequest) -> bytes:
@@ -709,19 +738,6 @@ class RequestBlock:
         return len(self.ids)
 
     @classmethod
-    def one(cls, request: SlsRequest) -> "RequestBlock":
-        """A block of one request; one that is not an ``sls`` query, or that
-        no block can hold (:func:`_sls_terms`), is a
-        :class:`~repro.errors.ConfigurationError`."""
-        if request.op != "sls" or request.table is None:
-            raise ConfigurationError(f"malformed request (op={request.op!r})")
-        rows, weights = _sls_terms(request)
-        if weights is None:
-            weights = np.ones(rows.size, dtype=np.int64)
-        offsets = np.array([0, rows.size], dtype=np.int64)
-        return cls(request.table, [request.id], rows, weights, offsets)
-
-    @classmethod
     def _of_frames(cls, table: str, frames: list) -> "RequestBlock":
         """The block of ``(id, count, rows, weights)`` binary frames, each
         segment a view of the read's bytes (``None`` weights: all 1)."""
@@ -780,12 +796,8 @@ def encode_answers(ids: Sequence[int], values: Optional[np.ndarray], vias: Seque
     """
     dim = None if values is None else values.shape[1]
     size = _BINARY.size + 8 * (dim or 0)
-    if size > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame payload of {size} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})"
-        )
     frames = np.empty(len(ids), dtype=_answer_type(dim))
-    frames["head"] = _HEADER.pack(CODEC_BINARY, size) + bytes(
+    frames["head"] = _HEADER.pack(CODEC_BINARY, _fits(size)) + bytes(
         (_KIND_RESPONSE, 0 if dim is None else _HAS_ARRAY)
     )
     frames["via"] = [_VIA_CODES[via] for via in vias]
@@ -806,11 +818,14 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
     """One wire frame: header + encoded payload.
 
     ``obj`` is a typed message or its ``to_wire()`` dict.  Under
-    ``CODEC_BINARY`` an ``sls`` request / ``ok`` response, and a
-    ``partial_sum`` request / ``ok`` sums answer whose arrays are raw
-    words, get the binary body and anything else leaves as a JSON frame.
+    ``CODEC_BINARY`` an ``sls`` request (:func:`sls_frame`) / ``ok``
+    response, and a ``partial_sum`` request / ``ok`` sums answer whose
+    arrays are raw words, get the binary body and anything else leaves as
+    a JSON frame.
     """
     if codec == CODEC_BINARY:
+        if isinstance(obj, SlsRequest) and obj.op == "sls" and obj.table is not None:
+            return sls_frame(obj.id, str(obj.table), obj.rows, obj.weights)
         if (
             isinstance(obj, SlsResponse)
             and obj.status == STATUS_OK
@@ -828,12 +843,7 @@ def encode_frame(obj: Any, codec: int = CODEC_JSON) -> bytes:
     if codec == CODEC_JSON:
         wire = obj.to_wire() if hasattr(obj, "to_wire") else obj
         payload = json.dumps(wire, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds MAX_FRAME_BYTES "
-            f"({MAX_FRAME_BYTES})"
-        )
-    return _HEADER.pack(codec, len(payload)) + payload
+    return _HEADER.pack(codec, _fits(len(payload))) + payload
 
 
 def decode_payload(codec: int, payload) -> Any:

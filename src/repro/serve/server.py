@@ -21,7 +21,8 @@ one :class:`~repro.serve.protocol.RequestBlock` - and feeds every block
 into one :class:`~repro.serve.scheduler.BatchScheduler`, so requests
 from *all* connections coalesce into the same amortized batches.
 
-The client has one request path over two links:
+The client has one request path over two links, which carry the same
+bytes: a request is written once, as its frame, kept until answered.
 
 * ``await AsyncSlsClient.connect(host, port)`` — TCP; requests share
   the client's outbox the same way, and each read's answers are handed
@@ -29,9 +30,9 @@ The client has one request path over two links:
   requests can be in flight on one connection.  The node hop's
   :class:`~repro.cluster.node.NodeClient` is this link with
   ``reconnect=False``.
-* ``AsyncSlsClient.in_process(scheduler)`` — no sockets; a request is
-  a block of one into the intake a socket read uses, and its answer
-  comes back to the same hand-off.
+* ``AsyncSlsClient.in_process(scheduler)`` — no sockets; the frame is
+  split as a socket read is, its block goes into the intake a read
+  uses, and its answer comes back to the same hand-off.
 
 On either, :meth:`AsyncSlsClient.send` registers a request and puts it
 on the link without waiting; :meth:`AsyncSlsClient.request` waits on it.
@@ -73,9 +74,9 @@ from .protocol import (
     encode_answers,
     encode_frame,
     error_response,
-    int64_terms,
     reply_id,
     resolve_heartbeat_timeout,
+    sls_frame,
     split_frames,
     split_read,
 )
@@ -184,7 +185,9 @@ class _Connection(_Peer):
             try:
                 answer = server._answer(obj, outbox)
             except Exception as exc:  # a bad field or a fault: answered, the read serves on
-                answer = server._refusal(reply_id(obj), exc)
+                for refusal in _refusals(obj, exc, server._refusal):
+                    outbox.put(encode_frame(refusal))
+                continue
             if isinstance(answer, asyncio.Future):
                 self.inflight.add(answer)
                 answer.add_done_callback(self.inflight.discard)
@@ -224,6 +227,12 @@ class _Connection(_Peer):
     def resume_writing(self) -> None:
         if not self.ending:
             self.transport.resume_reading()
+
+
+def _refusals(obj: Any, exc: BaseException, refusal) -> list:
+    """The answers to an item of a read that was refused: one for each
+    request of a block, else one under the frame's own id."""
+    return [refusal(rid, exc) for rid in (obj.ids if type(obj) is RequestBlock else (reply_id(obj),))]
 
 
 class FrameServer:
@@ -466,10 +475,10 @@ class _Link(_Peer):
         if error is not None or eof:
             self.client._lost(self, error)
 
-    def put(self, request: Union[SlsRequest, NodeRequest], flush: bool = False) -> None:
-        """Queue ``request``'s frame for the end of the loop turn
+    def put(self, frame: bytes, flush: bool = False) -> None:
+        """Queue a request's ``frame`` for the end of the loop turn
         (``flush``: write it now, with whatever is queued)."""
-        self.outbox.put(encode_frame(request, CODEC_BINARY), flush)
+        self.outbox.put(frame, flush)
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.client._lost(self, exc)
@@ -510,10 +519,11 @@ class _Handoff(NamedTuple):
 
 class _SchedulerLink:
     """A client's link into a scheduler in its own process, with a
-    :class:`_Link`'s surface: an ``sls`` request goes in as a block of one
-    (:meth:`~repro.serve.protocol.RequestBlock.one`) through
-    :meth:`~repro.serve.scheduler.BatchScheduler.enqueue_block`, and a
-    probe is answered as :class:`SlsServer` answers it."""
+    :class:`_Link`'s surface: a request's frame is split as a socket read
+    is (:func:`~repro.serve.protocol.split_read`), an ``sls`` block goes
+    through :meth:`~repro.serve.scheduler.BatchScheduler.enqueue_block`,
+    and a probe or a refused frame is answered as :class:`SlsServer`
+    answers it."""
 
     ended = False  #: never lost
     writable = None  #: a scheduler never lags behind its answers
@@ -526,12 +536,15 @@ class _SchedulerLink:
     def loop(self) -> asyncio.AbstractEventLoop:
         return asyncio.get_running_loop()
 
-    def put(self, request: SlsRequest, flush: bool = False) -> None:
-        if request.op == "sls":
-            block = RequestBlock.one(request)
-            owed, _admitted = self.scheduler.enqueue_block(block, _Handoff(self.client, request.id))
-        else:
-            owed = [_probe_answer(request)]
+    def put(self, frame: bytes, flush: bool = False) -> None:
+        (obj,), _error = split_read(bytearray(frame))  # one whole frame the client wrote
+        try:
+            if type(obj) is RequestBlock:
+                owed = self.scheduler.enqueue_block(obj, _Handoff(self.client, obj.ids[0]))[0]
+            else:
+                owed = [_probe_answer(SlsRequest.from_wire(obj))]
+        except Exception as exc:
+            owed = _refusals(obj, exc, error_response)
         for response in owed:
             self.client._resolve(response)
 
@@ -552,9 +565,9 @@ class AsyncSlsClient:
 
     def __init__(self):
         self._link: Union[_Link, _SchedulerLink, None] = None  #: the current connection
-        #: request id -> (its answer's future, the request, for a re-send,
-        #: and its deadline's timer)
-        self._pending: Dict[int, Tuple[asyncio.Future, Union[SlsRequest, NodeRequest], Any]] = {}
+        #: request id -> (its answer's future, its frame if a reconnect may
+        #: re-send it, its answer's type, and its deadline's timer)
+        self._pending: Dict[int, Tuple[asyncio.Future, Optional[bytes], type, Any]] = {}
         self._redial: Optional[asyncio.Task] = None  #: a reconnect after a drop
         self._next_id = 0
         self._closed = False
@@ -594,7 +607,7 @@ class AsyncSlsClient:
 
     def _fail_pending(self, exc: SecNDPError) -> None:
         pending, self._pending = self._pending, {}
-        for future, _request, timer in pending.values():
+        for future, _frame, _answer, timer in pending.values():
             if timer is not None:
                 timer.cancel()
             if not future.done():
@@ -609,8 +622,8 @@ class AsyncSlsClient:
     def _forget(self, rid: int) -> None:
         """No longer wait for ``rid``'s answer: a later one is dropped."""
         entry = self._pending.pop(rid, None)
-        if entry is not None and entry[2] is not None:
-            entry[2].cancel()
+        if entry is not None and entry[3] is not None:
+            entry[3].cancel()
 
     def _resolve(self, obj: Any) -> None:
         """Hand one answer frame to the request its id names.
@@ -625,8 +638,7 @@ class AsyncSlsClient:
         entry = self._pending.get(rid)
         if entry is None:
             return
-        future, request, timer = entry
-        answer = _ANSWERS[type(request)]
+        future, _frame, answer, timer = entry
         response = obj if isinstance(obj, answer) else answer.from_wire(obj)
         del self._pending[rid]
         if timer is not None:
@@ -701,11 +713,11 @@ class AsyncSlsClient:
                 if old is not None:
                     old.transport.close()
                 obs.inc("serve.client.reconnects")
-                # Idempotent re-send, in one write: these requests were in
-                # flight when the connection died and got no response.
-                resend = [request for _rid, (_f, request, _t) in sorted(self._pending.items())]
+                # Idempotent re-send of the stored frames, in one write: these
+                # requests were in flight when the connection died, unanswered.
+                resend = [entry[1] for _rid, entry in sorted(self._pending.items())]
                 if resend:
-                    link.transport.write(b"".join(encode_frame(r, CODEC_BINARY) for r in resend))
+                    link.transport.write(b"".join(resend))
                 return True
             return False
 
@@ -713,13 +725,18 @@ class AsyncSlsClient:
         self, request: Union[SlsRequest, NodeRequest], timeout: Optional[float] = None,
         flush: bool = False,
     ) -> asyncio.Future:
-        """Register ``request``, arm its ``timeout`` (a timer: the future
-        fails with ``asyncio.TimeoutError``, and a later answer is dropped)
-        and put it on the link (``flush``: a TCP link writes it now, with
-        whatever is queued); the future of its raw typed answer.  Waits for
-        nothing, so the connection must be live (:meth:`request` dials a
-        lost one).  A request no frame or block can hold is refused here,
-        a :class:`ConfigurationError`, and leaves nothing pending."""
+        """Write ``request``'s frame once, register it, arm its ``timeout`` (a
+        timer: the future fails with ``asyncio.TimeoutError``, and a later
+        answer is dropped) and put the frame on the link (``flush``: a TCP
+        link writes it now, with whatever is queued); the future of its raw
+        typed answer.  Waits for nothing, so the connection must be live
+        (:meth:`request` dials a lost one).  A request no frame can hold is
+        refused here, a :class:`ConfigurationError`, leaving nothing pending."""
+        frame = encode_frame(request, CODEC_BINARY)
+        return self._put(request.id, frame, _ANSWERS[type(request)], timeout, flush)
+
+    def _put(self, rid: int, frame: bytes, answer: type, timeout=None, flush=False):
+        """:meth:`send` of request ``rid``'s ``frame``, answered by an ``answer``."""
         if self._closed:
             raise ConfigurationError("client is closed")
         link = self._link
@@ -729,14 +746,11 @@ class AsyncSlsClient:
             raise ServerClosedError("connection lost")
         loop = link.loop
         future = loop.create_future()
-        timer = None if timeout is None else loop.call_later(timeout, self._expire, request.id)
-        # Registered, it is answered, re-sent by a reconnect, or failed.
-        self._pending[request.id] = (future, request, timer)
-        try:
-            link.put(request, flush)
-        except BaseException:
-            self._forget(request.id)
-            raise
+        timer = None if timeout is None else loop.call_later(timeout, self._expire, rid)
+        # Registered, it is answered, re-sent by a reconnect, or failed; a client
+        # that never re-sends keeps no frame (a ``shard_assign`` is a whole table).
+        self._pending[rid] = (future, frame if self._allow_reconnect else None, answer, timer)
+        link.put(frame, flush)
         return future
 
     def live(self) -> bool:
@@ -748,6 +762,11 @@ class AsyncSlsClient:
     ):
         """:meth:`send` one request and wait: the raw typed response (no
         raising).  A caller that gives up leaves no request pending."""
+        answer = _ANSWERS[type(request)]
+        return await self._call(request.id, encode_frame(request, CODEC_BINARY), answer, timeout)
+
+    async def _call(self, rid: int, frame: bytes, answer: type, timeout=None):
+        """:meth:`request` of request ``rid``'s ``frame``, answered by an ``answer``."""
         if self._closed:
             raise ConfigurationError("client is closed")
         if self._link is None:
@@ -758,7 +777,8 @@ class AsyncSlsClient:
         dials = MAX_RECONNECTS if self._allow_reconnect else 1
         if self._link.ended and not await self._reconnect(self._conn_gen, dials):
             raise ServerClosedError("connection lost")
-        future = self.send(request, timeout)
+        future = self._put(rid, frame, answer, timeout)
+        del frame  # only a pending entry that may be re-sent holds it while this waits
         writable = self._link.writable
         try:
             # Backpressure, unless a deadline bounds the wait instead.
@@ -766,8 +786,8 @@ class AsyncSlsClient:
                 await writable
             return await future
         finally:
-            if request.id in self._pending:  # its caller gave up
-                self._forget(request.id)
+            if rid in self._pending:  # its caller gave up
+                self._forget(rid)
 
     # -- public API ------------------------------------------------------------
 
@@ -789,17 +809,11 @@ class AsyncSlsClient:
         weights: Optional[Sequence[int]] = None,
     ) -> SlsResponse:
         """Like :meth:`sls` but returns the typed response instead of raising.
-        Row ids and weights outside ``int64`` (what every transport
-        carries) are a :class:`ConfigurationError` here."""
-        return await self.request(
-            SlsRequest(
-                id=self._new_id(),
-                op="sls",
-                table=table,
-                rows=int64_terms(rows, "rows"),
-                weights=None if weights is None else int64_terms(weights, "weights"),
-            )
-        )
+        The query is written once, as its frame (:func:`sls_frame`), on
+        either link: row ids and weights outside ``int64`` (what every
+        transport carries) are a :class:`ConfigurationError` here."""
+        rid = self._new_id()
+        return await self._call(rid, sls_frame(rid, table, rows, weights), SlsResponse)
 
     async def ping(self, timeout: Optional[float] = None) -> bool:
         """Round-trip a ping frame; ``timeout`` (seconds) bounds the wait."""

@@ -49,11 +49,12 @@ from repro.serve.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
     MAX_FRAME_BYTES,
-    RequestBlock,
     decode_payload,
     encode_frame,
     error_response,
+    sls_frame,
     split_frames,
+    split_read,
 )
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -619,8 +620,9 @@ class TestWorkConservingBatcher:
 
     def test_validation_errors_keep_their_order(self):
         # One validator: the list form, the batch form and the front-end -
-        # its block of one (the binary encoder's check), then the verdict
-        # over the block's CSR arrays - refuse with the same error, defect
+        # the client's frame writer (``sls_frame``, which ``encode_frame``
+        # of a request calls), then the verdict over the CSR arrays of the
+        # block its frame splits into - refuse with the same error, defect
         # for defect, in the same order.
         store = make_store()
 
@@ -641,15 +643,18 @@ class TestWorkConservingBatcher:
             with pytest.raises(ConfigurationError) as batched:
                 store.sls_many("emb", [[1], rows], [[1], weights or [1] * len(rows)])
             request = SlsRequest(id=7, table="emb", rows=rows, weights=weights)
-            if len(weights or rows) != len(rows):  # no block holds it
-                with pytest.raises(ConfigurationError) as blocked:
-                    RequestBlock.one(request)
+            if len(weights or rows) != len(rows):  # no frame holds it
                 with pytest.raises(ConfigurationError) as framed:
+                    sls_frame(7, "emb", rows, weights)
+                with pytest.raises(ConfigurationError) as typed:
                     encode_frame(request, CODEC_BINARY)
-                assert str(framed.value) == str(blocked.value)
-                front_end = str(blocked.value)
+                assert str(framed.value) == str(typed.value)
+                front_end = str(framed.value)
             else:
-                block = RequestBlock.one(request)
+                frame = sls_frame(7, "emb", rows, weights)
+                assert frame == encode_frame(request, CODEC_BINARY)
+                (block,), error = split_read(bytearray(frame))
+                assert error is None and block.ids == [7]
                 (refused,) = store.verdict("emb", block.rows, block.weights, block.offsets).items()
                 assert refused[0] == 0
                 front_end = str(refused[1])

@@ -43,14 +43,15 @@ DIM = 32
 
 #: Calls per served query, pinned at a first measurement + 10 %: server
 #: 17.9 (front-end 14.1, asyncio 3.2, SecNDP 0.7), client 105.4 (50.3,
-#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 106.4 (51.3,
-#: 51.1, 4.0: a request is put on its link, one call more than a bare
-#: outbox write).  When the server typed, validated and answered each
-#: request on its own it made 133.7 (77.1, 24.5, 32.1), and the client
-#: 121.3 (62.3, 51.1, 8.0).
+#: 51.1, 4.0); now server 19.0 (15.2, 3.2, 0.6), client 91.4 (40.3,
+#: 51.1, 0.0: a query is written as its frame straight from the caller's
+#: lists, with no typed request and no ``integral_terms`` pass; it was
+#: 106.4 = 51.3, 51.1, 4.0).  When the server typed, validated and
+#: answered each request on its own it made 133.7 (77.1, 24.5, 32.1),
+#: and the client 121.3 (62.3, 51.1, 8.0).
 CEILINGS = {
     "server": {"front-end": 15.5, "asyncio": 3.5, "secndp": 0.76, "total": 19.7},
-    "client": {"front-end": 55.3, "asyncio": 56.2, "secndp": 4.4, "total": 115.9},
+    "client": {"front-end": 44.3, "asyncio": 56.2, "secndp": 0.0, "total": 100.5},
 }
 
 _REPRO = os.path.dirname(repro.__file__)

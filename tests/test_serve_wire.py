@@ -54,6 +54,7 @@ from repro.serve.protocol import (
     RequestBlock,
     frame_header,
     int64_terms,
+    sls_frame,
     split_frames,
     split_read,
 )
@@ -347,6 +348,103 @@ class TestInexpressible:
         rows = np.zeros(MAX_FRAME_BYTES // 8 + 1, dtype=np.int64)
         with pytest.raises(FrameError, match="MAX_FRAME_BYTES"):
             encode_frame(SlsRequest(id=1, table="t", rows=rows), CODEC_BINARY)
+
+
+# -- the one writer of a request -----------------------------------------------------
+
+#: A term as a caller may hand it over: an int inside or beyond ``int64``,
+#: a bool, an integral or fractional float (``nan`` and infinities too),
+#: a string or a nested list.
+loose_terms = st.one_of(
+    int64s,
+    st.integers(min_value=2**63, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) - 1),
+    st.booleans(),
+    st.integers(min_value=-(2**53), max_value=2**53).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+
+
+@st.composite
+def caller_terms(draw, size=None):
+    """Row ids or weights as a caller passes them: a list (all ints, all
+    bools, or of any term), a tuple, or an ``int64`` / ``uint64`` array;
+    ``size`` fixes the length."""
+    sizes = dict(max_size=6) if size is None else dict(min_size=size, max_size=size)
+    values = draw(
+        st.lists(int64s, **sizes)
+        | st.lists(st.booleans(), **sizes)
+        | st.lists(loose_terms, **sizes)
+    )
+    form = draw(st.sampled_from(["list", "tuple", "int64", "uint64"]))
+    if form == "tuple":
+        return tuple(values)
+    if form in ("int64", "uint64") and all(type(v) is int for v in values):
+        lo, hi = (-(2**63), 2**63) if form == "int64" else (0, 2**64)
+        if all(lo <= v < hi for v in values):
+            return np.asarray(values, dtype=form)
+    return values
+
+
+@st.composite
+def sls_calls(draw):
+    """A ``sls_frame`` call: weights absent, one per row, or of another
+    length (a negative one among them or not)."""
+    rows = draw(caller_terms())
+    size = len(rows) if draw(st.booleans()) else None
+    weights = draw(st.none() | caller_terms(size=size))
+    rid = draw(ids | st.sampled_from([-1, 2**64]))
+    return rid, draw(tables), rows, weights
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and words of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the comparison is the point
+        return type(exc), str(exc)
+
+
+class TestOneWriter:
+    """``sls_frame`` writes a request frame straight from its caller's terms,
+    and writes exactly what a typed request of ``int64`` arrays encodes to."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sls_calls())
+    def test_the_frame_is_the_typed_requests_or_the_same_refusal(self, call):
+        rid, table, rows, weights = call
+
+        def typed():
+            request = SlsRequest(
+                id=rid,
+                op="sls",
+                table=table,
+                rows=int64_terms(rows, "rows"),
+                weights=None if weights is None else int64_terms(weights, "weights"),
+            )
+            return encode_frame(request, CODEC_BINARY)
+
+        got = outcome(lambda: sls_frame(rid, table, rows, weights))
+        assert got == outcome(typed)
+        if type(got) is bytes:  # a frame a reader takes back as the same query
+            (block,), error = split_read(bytearray(got))
+            assert error is None and (block.ids, block.table) == ([rid], table)
+            assert block.rows.tolist() == int64_terms(rows, "rows").tolist()
+
+    def test_lists_are_refused_as_arrays_are(self):
+        for rows, weights, words in [
+            ([True, False], None, "rows must be integers or integral floats"),
+            ([0, 1], [1, -1, 2], "weights must be non-negative integers"),
+            ([0, 1], [1], "rows and weights must have equal length"),
+            ([0, 1.5], [1, 1], "rows must be integers or integral floats"),
+            ([0, 2**63], None, "rows must be int64 integers"),
+        ]:
+            with pytest.raises(ConfigurationError, match=words):
+                sls_frame(1, "t", rows, weights)
+        # Integral floats and a bool among ints are terms, as in an array.
+        assert sls_frame(1, "t", [2.0, True], [3, 1.0]) == sls_frame(1, "t", [2, 1], [3, 1])
 
 
 # -- hostile peer --------------------------------------------------------------------
@@ -1199,6 +1297,56 @@ REFUSALS = {
 }
 
 
+class TestBothLinksCarryTheFrame:
+    """The in-process link takes the frame a socket carries: its answers are
+    the TCP answers bit for bit, and a refusal has the same words on both."""
+
+    @closes_what_it_opens
+    def test_answers_and_refusals_are_the_same_on_both_links(self):
+        store = make_store(32)
+        queries = sample_queries(store, 48, seed=5)
+
+        def fault(block, replies):
+            raise RuntimeError("a fault taking a block")
+
+        async def run():
+            async with SlsServer(store, port=0) as server:
+                links = {
+                    "tcp": await AsyncSlsClient.connect("127.0.0.1", server.port),
+                    "in_process": AsyncSlsClient.in_process(server.scheduler),
+                }
+                seen = {}
+                for name, client in links.items():
+                    async with client:
+                        answers = await asyncio.gather(
+                            *[client.sls_response("emb", rows, weights) for rows, weights in queries]
+                        )
+                        refusals = [
+                            await client.sls_response("emb", [1, 2], [1, -1]),  # the store's
+                            # an ``sls`` request with no table leaves as a JSON frame
+                            await client.request(SlsRequest(id=client._new_id(), table=None)),
+                        ]
+                        server.scheduler.enqueue_block = fault  # a block refused whole
+                        refusals.append(await client.sls_response("emb", [1]))
+                        del server.scheduler.enqueue_block
+                        seen[name] = answers, refusals
+                return seen
+
+        seen = asyncio.run(run())
+        (tcp, tcp_refusals), (local, local_refusals) = seen["tcp"], seen["in_process"]
+        for a, b, (rows, weights) in zip(tcp, local, queries):
+            assert (a.id, a.status, a.via) == (b.id, b.status, b.via) == (a.id, STATUS_OK, "batch")
+            assert same_bits(a.values, b.values)
+            assert np.array_equal(a.values, store.sls("emb", rows, weights))
+        assert [(r.status, r.kind, r.error) for r in tcp_refusals] == [
+            (r.status, r.kind, r.error) for r in local_refusals
+        ] == [
+            ("error", "ConfigurationError", "weights must be non-negative integers"),
+            ("error", "FrameError", "an 'sls' request is served from a binary frame only"),
+            ("error", "RuntimeError", "a fault taking a block"),
+        ]
+
+
 class TestOneRefusalOnEveryPath:
     """An invalid query meets the same ``ConfigurationError`` on every
     serving path, before a pad is generated or a node hears of it.  On
@@ -1513,6 +1661,39 @@ class TestProtocolTransport:
         assert (answers[1].kind, answers[1].error) == ("AttributeError", "a fault answering frame 2")
         assert not transport.closing and transport.reading
 
+    def test_a_refused_block_is_answered_under_each_of_its_ids(self):
+        # Regression: a block ``_answer`` raised on was answered once, under
+        # id 0, and none of its requests ever got an answer.
+        class RefusesBlocks(SlsServer):
+            def _answer(self, obj, outbox):
+                if type(obj) is RequestBlock:
+                    raise AttributeError("a fault answering a block")
+                return super()._answer(obj, outbox)
+
+        read = b"".join(
+            encode_frame(SlsRequest(id=rid, table="emb", rows=(1, 2)), CODEC_BINARY)
+            for rid in (7, 8, 9)
+        )
+
+        async def run():
+            server = RefusesBlocks(make_store(32))
+            connection, transport = self.accepted(server)
+            connection.data_received(read)
+            refused = len(transport.writes)
+            connection.data_received(encode_frame({"id": 10, "op": "ping"}))  # it serves on
+            await server.scheduler.close()
+            return refused, transport
+
+        refused, transport = asyncio.run(run())
+        answers = [SlsResponse.from_wire(f) for f in split_frames(bytearray(b"".join(transport.writes)))[0]]
+        assert refused == 1  # the three answers leave in the read's one write
+        assert [(a.id, a.status, a.kind) for a in answers[:3]] == [
+            (rid, "error", "AttributeError") for rid in (7, 8, 9)
+        ]
+        assert {a.error for a in answers[:3]} == {"a fault answering a block"}
+        assert [(a.id, a.status, a.via) for a in answers[3:]] == [(10, STATUS_OK, "ping")]
+        assert not transport.closing and transport.reading
+
     @closes_what_it_opens
     def test_a_slow_answer_is_a_timer_its_connection_cancels(self):
         slow = [
@@ -1592,6 +1773,84 @@ class TestProtocolTransport:
 
         paused, resumed, answered = asyncio.run(run())
         assert paused and resumed and answered == n
+
+    def test_only_a_client_that_may_resend_keeps_its_frames(self):
+        # A non-reconnecting client (the node hop's) never re-sends, so it
+        # keeps no frame while it waits: a ``shard_assign`` is a whole table.
+        request = NodeRequest(id=5, op="heartbeat")
+
+        async def run():
+            kept = {}
+            for reconnect in (True, False):
+                client = AsyncSlsClient()
+                client._allow_reconnect = reconnect
+                client._link = _Link(client)
+                client._link.connection_made(SocketlessTransport())
+                client.send(request)
+                kept[reconnect] = client._pending[5][1]
+            return kept
+
+        kept = asyncio.run(run())
+        assert kept == {True: encode_frame(request, CODEC_BINARY), False: None}
+
+    @closes_what_it_opens
+    def test_a_reconnect_resends_the_stored_frames_unencoded(self, monkeypatch):
+        """A request is written once: the frames a reconnect re-sends are the
+        bytes first sent, in one write, and nothing is encoded again."""
+        from repro.serve import server as server_module
+
+        written = []
+        for name in ("sls_frame", "encode_frame"):
+            def counted(*args, _write=getattr(server_module, name), **kwargs):
+                written.append(args[0])
+                return _write(*args, **kwargs)
+            monkeypatch.setattr(server_module, name, counted)
+        reads, peers = [], []  #: what each connection carried; their handlers
+
+        async def peer(reader, writer):
+            peers.append(asyncio.current_task())
+            reads.append(await reader.readexactly(len(expected)))
+            if len(reads) == 1:
+                writer.transport.abort()  # as a crashed peer: no answer, a reset
+            else:
+                frames, _error = split_frames(bytearray(reads[-1]))
+                writer.write(b"".join(
+                    encode_frame(
+                        SlsResponse(id=f.id, status=STATUS_OK, values=(1.0,), via="batch"),
+                        CODEC_BINARY,
+                    )
+                    if isinstance(f, SlsRequest)
+                    else encode_frame({"id": f["id"], "status": STATUS_OK, "via": "ping"})
+                    for f in frames
+                ))
+                await reader.read()  # until the client closes
+            writer.close()
+
+        expected = (
+            sls_frame(1, "emb", [1, 2], [1, 1])
+            + sls_frame(2, "emb", [3], None)
+            + encode_frame(SlsRequest(id=3, op="ping"), CODEC_BINARY)
+        )
+
+        async def run():
+            listener = await asyncio.start_server(peer, "127.0.0.1", 0)
+            client = await AsyncSlsClient.connect("127.0.0.1", listener.sockets[0].getsockname()[1])
+            try:
+                return await asyncio.wait_for(asyncio.gather(
+                    client.sls_response("emb", [1, 2], [1, 1]),
+                    client.sls_response("emb", [3]),
+                    client.ping(),
+                ), 5)
+            finally:
+                await client.close()
+                await asyncio.wait_for(asyncio.gather(*peers), 5)
+                listener.close()
+                await listener.wait_closed()
+
+        first, second, alive = asyncio.run(run())
+        assert reads == [expected, expected]
+        assert len(written) == 3  # one write of each request, none at the re-send
+        assert (first.id, second.id) == (1, 2) and first.values.tolist() == [1.0] and alive
 
     @closes_what_it_opens
     def test_a_reconnect_resends_what_was_pending(self):
