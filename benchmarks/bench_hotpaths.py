@@ -50,7 +50,7 @@ import numpy as np
 
 from repro import kernels, obs
 from repro.core.checksum import LinearChecksum
-from repro.core.device import QueryBatch, UntrustedNdpDevice
+from repro.core.device import QueryBatch, UntrustedNdpDevice, query_terms
 from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor
 from repro.crypto.aes import BLOCK_BYTES
@@ -222,10 +222,12 @@ def _bench_pad_path(sizes) -> dict:
     call over as many counter blocks.
 
     Gate, asserted by ``test_hotpaths``: the median over sweeps of
-    native ns per block, each sweep against the raw-AES sample taken just
-    before it, <= ``_PAD_RATIO_MAX`` x raw AES.  Every sweep's share is bit-identical
-    on both tiers, and the pad count is exactly the sweep's terms x
-    blocks per row.
+    native ns per block, each sweep's best of ``samples`` timings against
+    the best of as many raw-AES samples taken just before it, <=
+    ``_PAD_RATIO_MAX`` x raw AES.  Every call regenerates its pads (there
+    is no cache), so each sample does the whole sweep's work.  Every
+    sweep's share is bit-identical on both tiers, and the pad count is
+    exactly the sweeps' terms x blocks per row x ``samples``.
     """
     from repro.crypto.aes import aes128_encrypt_blocks
 
@@ -235,7 +237,7 @@ def _bench_pad_path(sizes) -> dict:
     # Two waves a sweep at smoke scale (87 040 blocks), four above: the
     # call's fixed cost stays a small share of a block.
     terms = wave * pf * (2 if sizes["n_rows"] <= _SIZES["smoke"]["n_rows"] else 4)
-    repeats = 5
+    repeats, samples = 5, 3
     gen_blocks = terms * (blocks_per_row + 1)
     rng = np.random.default_rng(17)
     sweeps = rng.permutation(repeats * terms).reshape(repeats, -1, pf)
@@ -250,15 +252,16 @@ def _bench_pad_path(sizes) -> dict:
                 np.zeros((repeats * terms, dim), dtype=np.uint32), 0x100000, "emb"
             )
             batches = [QueryBatch.flatten(processor.ring, sweep) for sweep in sweeps]
-            # Each sweep is timed right after its own raw-AES sample, and
-            # the gate reads the median of those per-pair ratios: the two
-            # sides of a ratio see the same moment of the host.
+            # Each sweep is timed right after its own raw-AES samples, each
+            # side its best of ``samples``, and the gate reads the median of
+            # those per-pair ratios: the two sides of a ratio see the same
+            # moment of the host, and a stall on one sample drops out.
             pairs = []
             for batch in batches:
-                t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), 1)
-                t_gen, _ = _best_of(lambda: processor.pad_share_batch(enc, "emb", batch), 1)
+                t_aes, _ = _best_of(lambda: aes128_encrypt_blocks(KEY, counters), samples)
+                t_gen, _ = _best_of(lambda: processor.pad_share_batch(enc, "emb", batch), samples)
                 pairs.append((t_aes, t_gen, t_gen / t_aes))
-            assert processor.encryptor.otp.pad_blocks == repeats * terms * blocks_per_row
+            assert processor.encryptor.otp.pad_blocks == samples * repeats * terms * blocks_per_row
             shares[tier] = [processor.pad_share_batch(enc, "emb", b) for b in batches[:2]]
             t_aes, t_gen, ratio = np.median(np.array(pairs), axis=0).tolist()
             report[tier] = {
@@ -357,8 +360,9 @@ def _bench_fixed_cost(sizes) -> dict:
     """The fixed cost of a wave: ``store.sls_scatter`` on the native tier.
 
     A ``serve_hot``-shaped store (65 536 x 32 table, 32-bit ring) serves
-    batches in the form the front-end hands it (a validated
-    :class:`QueryBatch`): ``sls_wave_hot``, 32 queries of pooling factor
+    batches in the form the front-end hands it (a checked batch, which
+    :meth:`~SecureEmbeddingStore.verdict` made of the ``int64`` terms a
+    read carries): ``sls_wave_hot``, 32 queries of pooling factor
     4-16, and ``sls_one_term``, one query of one term - where the cipher
     and the sums are nanoseconds and what is left is the call boundary
     and the store's bookkeeping.  Each block of calls is timed call by
@@ -388,7 +392,11 @@ def _bench_fixed_cost(sizes) -> dict:
                  [rng.integers(1, 4, n).tolist() for n in pf])
                 for pf in lengths
             ]
-            batches = [store.validate_batch("emb", *q) for q in queries]
+            batches = []
+            for q in queries:
+                checked, refused = store.verdict("emb", *query_terms(*q))
+                assert not refused
+                batches.append(checked)
             normalised, turn = [], 0
             for _ in range(blocks):
                 times = []

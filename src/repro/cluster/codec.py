@@ -52,7 +52,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.device import EncryptedMatrix, QueryBatch
+from ..core.device import EncryptedMatrix, QueryBatch, query_terms
 from ..core.params import SecNDPParams
 from ..core.serialization import deserialize_matrix, serialize_matrix
 from ..crypto import limb_field
@@ -193,8 +193,7 @@ def query_words(
     if isinstance(batch_rows, QueryBatch):
         rows, weights, offsets = batch_rows.rows, batch_rows.weights, batch_rows.offsets
     else:
-        rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
-        weights = np.ones(rows.size, np.uint32) if weights is None else weights
+        rows, weights, offsets = query_terms(batch_rows, batch_weights)
         lo, hi = (int(weights.min()), int(weights.max())) if weights.size else (0, 0)
         if lo < 0 or hi >> 64:
             raise ConfigurationError(f"a weight outside [0, 2^64) cannot travel: {lo}..{hi}")

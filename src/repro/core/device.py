@@ -25,8 +25,11 @@ from ..faults import hooks as fault_hooks
 from .params import SecNDPParams
 
 __all__ = [
-    "EncryptedMatrix", "PartialSumShare", "QueryBatch", "UntrustedNdpDevice", "integral_terms"
+    "EncryptedMatrix", "PartialSumShare", "QueryBatch", "UntrustedNdpDevice",
+    "int64_terms", "integral_terms", "negative_weights", "query_terms",
 ]
+
+_INT64_MAX = (1 << 63) - 1
 
 
 def integral_terms(values, what: str) -> np.ndarray:
@@ -49,11 +52,81 @@ def integral_terms(values, what: str) -> np.ndarray:
         return terms
     whole = (np.abs(terms) < 2.0**63) & (np.trunc(terms) == terms) if kind == "f" else None
     if whole is not None and whole.all():
+        if terms.size and np.abs(terms).max() >= 2.0**53:  # floats round ints there
+            return np.asarray([int(t) for t in values])
         return terms.astype(np.int64)
     if kind in "fO" and all(isinstance(t, (int, np.integer)) for t in values):
         return np.asarray(values, dtype=object)
     bad = terms[~whole][0] if kind == "f" else terms.dtype
     raise ConfigurationError(f"{what} must be integers or integral floats, got {bad!r}")
+
+
+def int64_terms(values, what: str) -> np.ndarray:
+    """:func:`integral_terms` as the flat ``int64`` array a frame carries
+    and a row index is: a term that does not fit (``2^63``, ``-2^70``) is a
+    :class:`ConfigurationError`, never a truncated or wrapped value."""
+    terms = integral_terms(values, what)
+    try:
+        if terms.dtype.kind == "u" and terms.size and int(terms.max()) > _INT64_MAX:
+            raise OverflowError("unsigned value above 2^63 - 1")
+        return terms.astype(np.int64, copy=False)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{what} must be int64 integers: {exc}") from None
+
+
+def negative_weights(weights: np.ndarray) -> Optional[ConfigurationError]:
+    """The store's refusal of ``weights`` if one is negative, else ``None``:
+    a term defect the signed forms carry (see :func:`query_terms`)."""
+    if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
+        return ConfigurationError("weights must be non-negative integers")
+    return None
+
+
+def _flat(batch) -> Sequence:
+    """Per-query sequences back to back (one query's as it is)."""
+    return batch[0] if len(batch) == 1 else list(chain.from_iterable(batch))
+
+
+def query_terms(batch_rows, batch_weights=None) -> tuple:
+    """The term rule: per-query row ids and weights (``None``: all 1) as
+    CSR ``(rows, weights, offsets)``, or the :class:`ConfigurationError`
+    of the first query it refuses.
+
+    Every list entry point calls it - the store, the processor and the
+    device, the cluster codec, the client's frame writer - so a query has
+    one refusal on every path.  Rows come back ``int64``, weights as
+    :func:`integral_terms` gives them, signed (the store's
+    :meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.verdict`
+    refuses a negative one).  Defects are named in one order: a weight
+    that is no integer; a negative weight, if the query is refused for
+    what follows; ``batch_weights`` not one per query; a row that is no
+    ``int64`` integer; weights not one per row.
+    """
+    try:
+        return _csr(batch_rows, batch_weights)
+    except ConfigurationError:
+        if len(batch_rows) > 1 and (batch_weights is None or len(batch_weights) == len(batch_rows)):
+            for q in range(len(batch_rows)):  # name the first query refused
+                weights = None if batch_weights is None else batch_weights[q : q + 1]
+                _csr(batch_rows[q : q + 1], weights)
+        raise
+
+
+def _csr(batch_rows, batch_weights) -> tuple:
+    """:func:`query_terms` over the batch's terms back to back."""
+    weights = None if batch_weights is None else integral_terms(_flat(batch_weights), "weights")
+    try:
+        if weights is not None and len(batch_weights) != len(batch_rows):
+            raise ConfigurationError("batch_rows and batch_weights must have equal length")
+        rows = int64_terms(_flat(batch_rows), "rows")
+        lengths = [len(query) for query in batch_rows]
+        if weights is not None and [len(query) for query in batch_weights] != lengths:
+            raise ConfigurationError("rows and weights must have equal length")
+    except ConfigurationError as exc:
+        negative = None if weights is None else negative_weights(weights)
+        raise negative or exc from None
+    offsets = np.fromiter(accumulate(lengths, initial=0), np.int64, len(lengths) + 1)
+    return rows, np.ones(rows.size, np.int64) if weights is None else weights, offsets
 
 
 def _check_bounds(idx: np.ndarray, bound: int, what: str) -> None:
@@ -182,25 +255,6 @@ class QueryBatch:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    @staticmethod
-    def flatten_lists(batch_rows, batch_weights=None) -> tuple:
-        """``(rows, raw weights or None, offsets)`` of per-query sequences."""
-        if batch_weights is not None and len(batch_weights) != len(batch_rows):
-            raise ConfigurationError(
-                "batch_rows and batch_weights must have equal length"
-            )
-        lengths = [len(rows) for rows in batch_rows]
-        offsets = np.fromiter(accumulate(lengths, initial=0), np.int64, len(lengths) + 1)
-        rows = integral_terms(list(chain.from_iterable(batch_rows)), "rows")
-        rows = rows.astype(np.int64, copy=False)
-        if batch_weights is None:
-            return rows, None, offsets
-        if [len(weights) for weights in batch_weights] != lengths:
-            raise ConfigurationError("rows and weights must have equal length")
-        # Weights may be signed or reach 2^64 - 1; encode() judges.
-        flat = list(chain.from_iterable(batch_weights))
-        return rows, integral_terms(flat, "weights") if flat else None, offsets
-
     @classmethod
     def flatten(cls, ring: Ring, batch_rows, batch_weights=None) -> "QueryBatch":
         """CSR form of per-query row / weight sequences (weights default to 1).
@@ -210,9 +264,7 @@ class QueryBatch:
         """
         if isinstance(batch_rows, cls):
             return batch_rows
-        rows, weights, offsets = cls.flatten_lists(batch_rows, batch_weights)
-        if weights is None:
-            weights = np.ones(rows.size, dtype=ring.dtype)
+        rows, weights, offsets = query_terms(batch_rows, batch_weights)
         return cls(rows, ring.encode(weights), offsets)
 
     def select(self, mask: np.ndarray) -> "QueryBatch":

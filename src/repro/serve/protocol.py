@@ -85,7 +85,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.device import integral_terms
+from ..core.device import int64_terms, integral_terms, query_terms
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -195,24 +195,6 @@ def _fits(size: int) -> int:
     if size > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {size} bytes exceeds MAX_FRAME_BYTES ({MAX_FRAME_BYTES})")
     return size
-
-
-_INT64_MAX = (1 << 63) - 1
-
-
-def int64_terms(values, what: str) -> np.ndarray:
-    """``values`` (row ids or weights) as the flat ``int64`` array a frame
-    carries; what is not an integer (:func:`~repro.core.device.integral_terms`)
-    or does not fit (a weight >= 2^63) is a
-    :class:`~repro.errors.ConfigurationError`, never a truncated or
-    wrapped value."""
-    terms = integral_terms(values, what)
-    try:
-        if terms.dtype.kind == "u" and terms.size and int(terms.max()) > _INT64_MAX:
-            raise OverflowError("unsigned value above 2^63 - 1")
-        return terms.astype(np.int64, copy=False)
-    except OverflowError as exc:
-        raise ConfigurationError(f"{what} must be int64 integers: {exc}") from None
 
 
 def _listed(values) -> list:
@@ -496,13 +478,6 @@ VIAS = (None, "batch", "scatter", "ping", "heartbeat")
 _ONE = (1).to_bytes(8, "little")  #: an unweighted term's ``<i8`` weight
 
 
-def _terms(values, what: str) -> np.ndarray:
-    """:func:`int64_terms`, which an ``int64`` array has passed already."""
-    if type(values) is np.ndarray and values.dtype == np.int64:
-        return values
-    return int64_terms(values, what)
-
-
 def is_raw(words: Any) -> bool:
     """Whether a node payload's array field holds raw little-endian words
     (a binary frame's slices) rather than a JSON frame's base64 text: the
@@ -537,21 +512,6 @@ def _pack_binary(message) -> Optional[bytes]:
     return None
 
 
-def _sls_terms(rows, weights) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """An ``sls`` request's ``int64`` rows and weights (``None``: all 1), or
-    the :class:`~repro.errors.ConfigurationError` of one no frame holds, a
-    negative weight named before a length mismatch as the store does."""
-    rows = _terms(rows, "rows")
-    if weights is None:
-        return rows, None
-    weights = _terms(weights, "weights")
-    if weights.size != rows.size:
-        if weights.size and weights.min() < 0:
-            raise ConfigurationError("weights must be non-negative integers")
-        raise ConfigurationError("rows and weights must have equal length")
-    return rows, weights
-
-
 def _words(values) -> Optional[array]:
     """A list of Python ints as ``q`` words, in one C pass; ``None`` for
     anything else, an all-bool list included (the rule refuses it)."""
@@ -569,10 +529,17 @@ def sls_frame(rid: int, table: str, rows, weights=None) -> bytes:
     """The binary ``sls`` request frame, header included: the one writer of
     one (:func:`encode_frame` of an :class:`SlsRequest` calls it).  Lists
     of Python ints of equal length are packed as they are (:func:`_words`);
-    any other terms are judged by :func:`_sls_terms`, in the same words."""
+    any other terms meet the term rule
+    (:func:`~repro.core.device.query_terms`, weights past ``int64`` refused
+    first, by :func:`int64_terms`), so a query this refuses has the
+    store's refusal.  A negative weight alone is carried: the store's
+    verdict refuses it."""
     head, tail = _words(rows), None if weights is None else _words(weights)
     if head is None or weights is not None and (tail is None or len(tail) != len(head)):
-        head, tail = (t if t is None else np.ascontiguousarray(t) for t in _sls_terms(rows, weights))
+        typed = None if weights is None else [int64_terms(weights, "weights")]
+        rows, typed, _ = query_terms([rows], typed)
+        head = np.ascontiguousarray(rows)
+        tail = None if weights is None else np.ascontiguousarray(typed)
     name, count = table.encode("utf-8"), len(head)
     try:
         body = _BINARY.pack(_KIND_REQUEST, tail is not None, len(name), count, rid)
@@ -751,22 +718,6 @@ class RequestBlock:
                 dtype="<i8",
             ),
             np.array(list(accumulate(counts, initial=0)), dtype=np.int64),
-        )
-
-    def take(self, keep: Sequence[int]) -> "RequestBlock":
-        """The sub-block of the requests at positions ``keep`` (ascending)."""
-        lengths = np.diff(self.offsets)
-        picked = np.zeros(len(self), dtype=bool)
-        picked[keep] = True
-        terms = np.repeat(picked, lengths)
-        offsets = np.zeros(len(keep) + 1, dtype=np.int64)
-        np.cumsum(lengths[picked], out=offsets[1:])
-        return RequestBlock(
-            self.table,
-            [self.ids[q] for q in keep],
-            self.rows[terms],
-            self.weights[terms],
-            offsets,
         )
 
 

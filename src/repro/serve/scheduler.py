@@ -11,12 +11,14 @@ Requests arrive as blocks (:class:`~repro.serve.protocol.RequestBlock`),
 through :meth:`BatchScheduler.enqueue_block`, the one way in: every
 request of one socket read for one table, or one request of an
 in-process client (a block of one).  A block is judged once - one vectorised
-:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.verdict` - and
-admitted request by request, in arrival order; what is admitted waits
-in the table's queue as a slice of its block.  A batch is one CSR
-:class:`~repro.core.device.QueryBatch` concatenated from its slices,
-executed as one amortized offload
-(:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`),
+:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.verdict`, which
+makes it a checked batch - and admitted request by request, in arrival
+order; what is admitted waits in the table's queue as a slice of that
+checked batch.  A batch is its slices joined by the store
+(:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.join`), still
+checked, and executed as one amortized offload
+(:meth:`~repro.workloads.secure_sls.SecureEmbeddingStore.sls_scatter`,
+which does not check it again),
 and each slice's answers go back in one call to its replies: one encode
 per connection per batch on the TCP path, the client's own answer
 hand-off in process.
@@ -41,13 +43,11 @@ from __future__ import annotations
 
 import asyncio
 import time
-from itertools import accumulate
 from typing import Any, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..core.device import QueryBatch
 from ..errors import ConfigurationError
 from .admission import AdmissionConfig, AdmissionController
 from .protocol import (
@@ -81,26 +81,10 @@ async def _yield_a_turn() -> None:
 class _Queued(NamedTuple):
     """Admitted requests of one block, waiting for (or in) a batch."""
 
-    block: RequestBlock
+    ids: List[int]
+    batch: Any  #: their queries, as the store's verdict checked them
     replies: Any  #: takes their answers: ``answers(...)`` / ``answer(...)``
     arrived_ns: int
-
-
-def _concatenate(batch: List[_Queued], residues: np.dtype) -> QueryBatch:
-    """One batch of the queued blocks' queries, in order, its weights ring
-    ``residues`` (the verdict has held each inside the ring)."""
-    blocks = [item.block for item in batch]
-    if len(blocks) == 1:  # the solo path: three joins cost ~ half its batch set-up
-        (block,) = blocks
-        return QueryBatch(block.rows, block.weights.astype(residues), block.offsets)
-    ends = accumulate(block.rows.size for block in blocks)
-    return QueryBatch(
-        np.concatenate([block.rows for block in blocks]),
-        np.concatenate([block.weights for block in blocks]).astype(residues),
-        np.concatenate(
-            [blocks[0].offsets] + [b.offsets[1:] + end for b, end in zip(blocks[1:], ends)]
-        ),
-    )
 
 
 class BatchScheduler:
@@ -110,8 +94,8 @@ class BatchScheduler:
     ----------
     store:
         A loaded :class:`~repro.workloads.secure_sls.SecureEmbeddingStore`
-        (the scheduler calls its ``verdict`` and ``sls_scatter``, and
-        reads its ring's residue dtype).
+        (the scheduler calls its ``verdict``, ``join`` and
+        ``sls_scatter``).
     max_batch:
         Coalescing cap per executed batch.
     admission:
@@ -131,7 +115,6 @@ class BatchScheduler:
         if max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
         self.store = store
-        self._residues = store.processor.ring.dtype
         self.max_batch = max_batch
         if admission is None:
             admission = AdmissionController()
@@ -185,7 +168,7 @@ class BatchScheduler:
         # Validation before admission: a query the store would reject
         # (overflow budget, negative weights, unknown table or row) must
         # not consume queue capacity or skew the shed accounting.
-        refused = self.store.verdict(block.table, block.rows, block.weights, block.offsets) or {}
+        checked, refused = self.store.verdict(block.table, block.rows, block.weights, block.offsets)
         admitted: List[int] = []
         owed: List[SlsResponse] = []
         for q, rid in enumerate(ids):
@@ -212,17 +195,16 @@ class BatchScheduler:
                 obs.inc("serve.response.overloaded", len(owed) - len(refused))
             if not admitted:
                 return owed, 0
-            block = block.take(admitted)
-        queue = self._queues.get(block.table)
+            ids, checked = [ids[q] for q in admitted], checked.take(admitted)
+        table = block.table
+        queue = self._queues.get(table)
         if queue is None:
-            queue = self._queues[block.table] = asyncio.Queue()
-        queue.put_nowait(_Queued(block, replies, time.perf_counter_ns()))
-        task = self._batchers.get(block.table)
+            queue = self._queues[table] = asyncio.Queue()
+        queue.put_nowait(_Queued(ids, checked, replies, time.perf_counter_ns()))
+        task = self._batchers.get(table)
         if task is None or task.done():
-            self._batchers[block.table] = asyncio.get_running_loop().create_task(
-                self._batcher(block.table)
-            )
-        return owed, len(block)
+            self._batchers[table] = asyncio.get_running_loop().create_task(self._batcher(table))
+        return owed, len(ids)
 
     def _shut_out(self, ids: List[int]) -> List[SlsResponse]:
         """The answers to requests that arrive while draining, counted."""
@@ -261,17 +243,17 @@ class BatchScheduler:
             live: List[_Queued] = []
             room = self.max_batch
             while True:
-                block = item.block
-                if len(block) > room:
-                    rest = item._replace(block=block.take(range(room, len(block))))
-                    item = item._replace(block=block.take(range(room)))
+                ids, batch = item.ids, item.batch
+                if len(ids) > room:
+                    rest = item._replace(ids=ids[room:], batch=batch.take(range(room, len(ids))))
+                    item = item._replace(ids=ids[:room], batch=batch.take(range(room)))
                 if item.replies.cancelled():
                     # A request cancelled while queued leaves here; one
                     # cancelled once its batch is running, in ``_answer``.
-                    self._pending -= len(item.block)
+                    self._pending -= len(item.ids)
                 else:
                     live.append(item)
-                room -= len(item.block)
+                room -= len(item.ids)
                 if not room:
                     break
                 try:
@@ -291,7 +273,7 @@ class BatchScheduler:
                 self._stats["empty_ticks"] += 1
 
     def _run_batch(self, name: str, batch: List[_Queued]) -> None:
-        queries = _concatenate(batch, self._residues)
+        queries = self.store.join([item.batch for item in batch])
         total = queries.rows.size
         # Distinct rows from a sort: np.unique's hash path costs more than
         # the batch's cipher work on a PF-80 wave.
@@ -313,7 +295,7 @@ class BatchScheduler:
         marked = any(outcome.degraded or not outcome.ok for outcome in outcomes)
         lo = 0
         for item in batch:
-            hi = lo + len(item.block)
+            hi = lo + len(item.ids)
             self._answer(item, values[lo:hi], outcomes[lo:hi] if marked else None)
             lo = hi
 
@@ -322,8 +304,8 @@ class BatchScheduler:
         each failed one on its own.  ``outcomes`` (``None``: all clean)
         names a query that failed or climbed the ladder; ``exc`` fails the
         whole batch."""
-        block, replies = item.block, item.replies
-        n = len(block)
+        ids, replies = item.ids, item.replies
+        n = len(ids)
         self._pending -= n
         if replies.cancelled():
             return
@@ -332,19 +314,19 @@ class BatchScheduler:
         obs.observe_ns("serve.latency.ns", latency, n)
         failed: List[SlsResponse] = []
         if exc is not None:
-            failed = [error_response(rid, exc, via="batch") for rid in block.ids]
+            failed = [error_response(rid, exc, via="batch") for rid in ids]
         elif outcomes is None:
-            replies.answers(block.ids, values, ("batch",) * n)
+            replies.answers(ids, values, ("batch",) * n)
         else:
             ok = [q for q, outcome in enumerate(outcomes) if outcome.ok]
             failed = [
                 SlsResponse(rid, "error", error=outcome.error, kind=outcome.kind, via="scatter")
-                for rid, outcome in zip(block.ids, outcomes)
+                for rid, outcome in zip(ids, outcomes)
                 if not outcome.ok
             ]
             if ok:
                 replies.answers(
-                    [block.ids[q] for q in ok],
+                    [ids[q] for q in ok],
                     values[ok],
                     ["scatter" if outcomes[q].degraded else "batch" for q in ok],
                 )

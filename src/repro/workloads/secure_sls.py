@@ -26,14 +26,14 @@ that can absorb them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate
 from operator import sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .. import obs
-from ..core.device import QueryBatch, UntrustedNdpDevice, integral_terms
+from ..core.device import QueryBatch, UntrustedNdpDevice, negative_weights, query_terms
 from ..core.protocol import SecNDPProcessor
 from ..errors import ConfigurationError, RecoveryExhaustedError, VerificationError
 from ..faults import hooks as fault_hooks
@@ -41,7 +41,7 @@ from ..faults.plan import FaultInjector
 from ..faults.recovery import RecoveryLog, RecoveryOutcome, RecoveryPolicy
 from .quantization import ColumnwiseQuantizer, TablewiseQuantizer
 
-__all__ = ["QueryOutcome", "SecureEmbeddingStore"]
+__all__ = ["CheckedBatch", "QueryOutcome", "SecureEmbeddingStore"]
 
 _BLOCK_BYTES = 16
 
@@ -93,7 +93,35 @@ class _TableEntry:
     bias: np.ndarray
     n_rows: int
     dim: int
-    max_quant: int
+    #: Thm. A.2's budget: a query may pool PF rows at max weight w while
+    #: PF * max(w, 1) <= limit, i.e. PF * w * max(q) < 2^w_e
+    limit: int
+
+
+class CheckedBatch(QueryBatch):
+    """A batch :meth:`SecureEmbeddingStore.verdict` found servable against
+    ``entry``, the table it checked it against: residue weights inside the
+    budget, rows inside the table.  :meth:`~SecureEmbeddingStore.sls_scatter`
+    serves it unchecked while ``entry`` is still the table's.  A query's
+    check is its own, so its sub-batches (:meth:`take`) and joins
+    (:meth:`SecureEmbeddingStore.join`) stay checked.
+    """
+
+    __slots__ = ("entry",)
+
+    def __init__(self, rows, weights, offsets, entry: _TableEntry):
+        super().__init__(rows, weights, offsets)
+        self.entry = entry
+
+    def take(self, keep) -> "CheckedBatch":
+        """The queries at positions ``keep`` (ascending)."""
+        lengths = np.diff(self.offsets)
+        picked = np.zeros(len(self), dtype=bool)
+        picked[keep] = True
+        terms = np.repeat(picked, lengths)
+        offsets = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(lengths[picked], out=offsets[1:])
+        return CheckedBatch(self.rows[terms], self.weights[terms], offsets, self.entry)
 
 
 class SecureEmbeddingStore:
@@ -152,6 +180,7 @@ class SecureEmbeddingStore:
             )
         self.processor = processor
         self.device = device
+        self._residues = processor.ring.dtype  #: a checked batch's weights
         self.quantization = quantization
         self.bits = bits
         self.verify = verify
@@ -215,7 +244,7 @@ class SecureEmbeddingStore:
             bias=np.asarray(bias_arr, dtype=np.float64),
             n_rows=values.shape[0],
             dim=values.shape[1],
-            max_quant=int(q.max()) if q.size else 0,
+            limit=(ring.modulus - 1) // max(int(q.max()) if q.size else 0, 1),
         )
 
     def tables(self) -> List[str]:
@@ -253,133 +282,122 @@ class SecureEmbeddingStore:
         (Thm. A.2), so callers must stay under
         ``PF * max_weight * max(q) < 2^w_e``.
         """
-        per_term = max(self._entry(name).max_quant, 1) * max(max_weight, 1)
-        return max((self.processor.ring.modulus - 1) // per_term, 0)
+        return self._entry(name).limit // max(max_weight, 1)
 
     def validate_batch(
         self,
         name: str,
         batch_rows: Sequence[Sequence[int]],
         batch_weights: Optional[Sequence[Sequence[int]]] = None,
-    ) -> QueryBatch:
-        """The one query validator; returns the batch in CSR form.
+    ) -> CheckedBatch:
+        """The batch as a :class:`CheckedBatch`, or its first refusal.
 
         Every serving path - :meth:`sls`, :meth:`sls_many`,
-        :meth:`sls_scatter`, the front-end's pre-admission check
-        (:meth:`verdict`) and the cluster coordinator - refuses an
-        invalid query here with one :class:`ConfigurationError` per
-        defect, in one order: negative weight, rows / weights length
-        mismatch, unknown table, overflow budget (Thm. A.2), row range -
-        before any pad is generated or any node dispatched.  A
-        :class:`QueryBatch` holds unsigned residues paired with its rows
-        by construction, so it takes the table-side checks only: a few
-        reductions over its flat arrays, no walk over its queries.
+        :meth:`sls_scatter`, the cluster coordinator - refuses a query
+        here, before any pad or node work: lists meet the term rule
+        (:func:`~repro.core.device.query_terms`), then every batch the
+        table rule (:meth:`verdict`), which raises its lowest refused
+        query's error.  A batch checked against the table as it is now
+        passes as it is.
         """
-        if isinstance(batch_rows, QueryBatch):
-            self._check_terms(
-                name, batch_rows.rows, batch_rows.weights, batch_rows.offsets.tolist()
-            )
+        if isinstance(batch_rows, CheckedBatch) and batch_rows.entry is self._tables.get(name):
             return batch_rows
-        try:
-            rows, weights, offsets = QueryBatch.flatten_lists(batch_rows, batch_weights)
-        except ConfigurationError:
-            # A row is fractional or the lengths differ; a weight defect
-            # is still reported first.
-            if batch_weights is not None:
-                self._integer_weights(list(chain.from_iterable(batch_weights)))
-            raise
-        ring = self.processor.ring
-        if weights is None:
-            weights = np.ones(rows.size, dtype=ring.dtype)
-        weights = self._integer_weights(weights)
-        self._check_terms(name, rows, weights, offsets.tolist())
-        # Inside the budget every weight is < 2^w_e, so the cast is exact.
-        return QueryBatch(rows, weights.astype(ring.dtype, copy=False), offsets)
+        if isinstance(batch_rows, QueryBatch):
+            rows, weights, offsets = batch_rows.rows, batch_rows.weights, batch_rows.offsets
+        else:
+            rows, weights, offsets = query_terms(batch_rows, batch_weights)
+        checked, refused = self.verdict(name, rows, weights, offsets)
+        if refused:
+            raise refused[min(refused)]
+        if checked is None:  # an unknown table, with no query to refuse
+            self._entry(name)
+        return checked
 
     def verdict(
         self, name: str, rows: np.ndarray, weights: np.ndarray, offsets: np.ndarray
-    ) -> Optional[Dict[int, ConfigurationError]]:
-        """Each query this table cannot serve, by index, with its refusal;
-        ``None`` when it can serve them all.
+    ) -> Tuple[Optional[CheckedBatch], Dict[int, ConfigurationError]]:
+        """The table rule: ``(checked, refused)`` - the batch as a
+        :class:`CheckedBatch` with its refused queries emptied (``None``
+        for an unknown table), and each refused query's error by index.
 
-        The serving front-end's pre-admission check, one call per socket
-        read: a query the table cannot serve would fail the whole
-        coalesced batch it joins.  The queries are CSR terms - query ``q``
-        owns ``[offsets[q], offsets[q + 1])`` of ``rows`` and ``weights``,
-        both ``int64``, weights possibly negative.  Whole-batch minima and
-        maxima clear a valid batch; otherwise per-query reductions name
-        the suspects, and a suspect's refusal is the one
-        :meth:`validate_batch` gives that query alone.  Observes nothing -
-        :meth:`sls_scatter` does, for the batch.
+        The one producer of a checked batch, and the front-end's check of
+        each socket read.  Query ``q`` owns ``[offsets[q], offsets[q +
+        1])`` of ``rows`` (``int64``) and ``weights`` (integers, perhaps
+        negative).  A query is refused for a negative weight, an unknown
+        table, a pooling factor over Thm. A.2's budget at its heaviest
+        weight, or a row outside the table, in that order
+        (:meth:`_refusal`).  Whole-batch minima and maxima clear a valid
+        batch; else per-query reductions name suspects, and each
+        suspect's refusal is the rule over its own terms.  Observes
+        nothing: :meth:`sls_scatter` does, for the batch.
         """
         entry = self._tables.get(name)
-        if entry is None:
+        ends = offsets.tolist()
+        refused = {}
+        longest = max(map(sub, ends[1:], ends), default=0)
+        if self._refusal(name, entry, rows, weights, longest) is not None:
             suspects = range(offsets.size - 1)
-        elif not rows.size:
-            return None
-        else:
-            # The overflow budget as PF * max_weight <= limit
-            # (max_pooling_factor's bound, without the division).
-            limit = (self.processor.ring.modulus - 1) // max(entry.max_quant, 1)
-            ends = offsets.tolist()
-            if (
-                weights.min() >= 0
-                and max(map(sub, ends[1:], ends)) * max(int(weights.max()), 1) <= limit
-                and rows.min() >= 0
-                and rows.max() < entry.n_rows
-            ):
-                return None
-            lengths = offsets[1:] - offsets[:-1]
-            nonempty = np.flatnonzero(lengths)
-            starts = offsets[nonempty]
-            odd = (rows < 0) | (rows >= entry.n_rows) | (weights < 0)
-            heaviest = np.maximum(np.maximum.reduceat(weights, starts), 1)
-            # PF * w > limit  <=>  w > limit // PF; clipped into int64, which
-            # can only add suspects.
-            over = heaviest > min(limit, _INT64_MAX) // lengths[nonempty]
-            suspects = nonempty[np.logical_or.reduceat(odd, starts) | over].tolist()
-        refusals = {}
-        for q in suspects:
-            lo, hi = int(offsets[q]), int(offsets[q + 1])
-            try:
-                self.validate_batch(name, [rows[lo:hi].tolist()], [weights[lo:hi].tolist()])
-            except ConfigurationError as exc:
-                refusals[q] = exc
-        return refusals or None
+            if entry is not None:  # per-query reductions, a superset of the refused
+                lengths = np.diff(offsets)
+                nonempty = np.flatnonzero(lengths)
+                starts = offsets[nonempty]
+                odd = (rows < 0) | (rows >= entry.n_rows) | (weights < 0)
+                heaviest = np.maximum(np.maximum.reduceat(weights, starts), 1)
+                # PF * w > limit  <=>  w > limit // PF; clipped into int64,
+                # which can only add suspects.
+                over = heaviest > min(entry.limit, _INT64_MAX) // lengths[nonempty]
+                suspects = nonempty[np.logical_or.reduceat(odd, starts) | over].tolist()
+            for q in suspects:
+                lo, hi = ends[q], ends[q + 1]
+                refusal = self._refusal(name, entry, rows[lo:hi], weights[lo:hi], hi - lo)
+                if refusal is not None:
+                    refused[q] = refusal
+            if entry is None:
+                return None, refused
+            if refused:
+                kept = np.ones(rows.size, dtype=bool)
+                for q in refused:
+                    kept[ends[q] : ends[q + 1]] = False
+                rows, weights = rows[kept], weights[kept]
+                offsets = np.concatenate(([0], np.cumsum(kept)))[offsets]
+        # Inside the budget every weight is < 2^w_e, so the cast is exact.
+        residues = weights.astype(self._residues, copy=False)
+        return CheckedBatch(rows, residues, offsets, entry), refused
 
-    @staticmethod
-    def _integer_weights(weights) -> np.ndarray:
-        """``weights`` as non-negative integers, or the first refusal."""
-        weights = integral_terms(weights, "weights")
-        if weights.dtype.kind != "u" and weights.size and weights.min() < 0:
-            raise ConfigurationError("weights must be non-negative integers")
-        return weights
-
-    def _check_terms(
-        self, name: str, rows: np.ndarray, weights: np.ndarray, ends: List[int]
-    ) -> None:
-        """The table-side checks over CSR terms; query ``q`` owns
-        ``[ends[q], ends[q + 1])`` and weights may be any integer dtype."""
-        entry = self._entry(name)
-        if not rows.size:
-            return
-        # Longest query with the heaviest weight is exact for one query and
-        # a bound for many: only a batch it condemns is walked query by query.
-        longest = max(map(sub, ends[1:], ends))
-        if longest > self.max_pooling_factor(name, int(weights.max())):
-            for lo, hi in zip(ends, ends[1:]):
-                max_w = int(weights[lo:hi].max()) if hi > lo else 1
-                if hi - lo > self.max_pooling_factor(name, max_w):
-                    raise ConfigurationError(
-                        f"pooling factor {hi - lo} with max weight {max_w} may "
-                        f"overflow Z(2^{self.processor.params.element_bits}) for "
-                        f"table {name!r}; split the query"
-                    )
-        # One reduction bounds both ends: a negative row wraps past any table.
-        if int(rows.astype(np.uint64, copy=False).max()) >= entry.n_rows:
-            raise ConfigurationError(
-                f"row id outside [0, {entry.n_rows}) for table {name!r}"
+    def _refusal(
+        self, name: str, entry: Optional[_TableEntry], rows, weights, pooling: int
+    ) -> Optional[ConfigurationError]:
+        """The refusal of terms whose longest query pools ``pooling`` rows,
+        or ``None``: exact for one query, and ``None`` clears a batch."""
+        negative = negative_weights(weights)
+        if negative is not None or entry is None:
+            return negative or ConfigurationError(f"unknown table {name!r}")
+        max_w = int(weights.max()) if weights.size else 1
+        if pooling * max(max_w, 1) > entry.limit:
+            return ConfigurationError(
+                f"pooling factor {pooling} with max weight {max_w} may overflow "
+                f"Z(2^{self.processor.params.element_bits}) for table {name!r}; "
+                f"split the query"
             )
+        if rows.size and (rows.min() < 0 or rows.max() >= entry.n_rows):
+            return ConfigurationError(f"row id outside [0, {entry.n_rows}) for table {name!r}")
+        return None
+
+    def join(self, parts: List[CheckedBatch]) -> QueryBatch:
+        """Checked parts as one batch, in order: checked if they share an entry."""
+        first, *rest = parts
+        if not rest:
+            return first
+        ends = accumulate(part.rows.size for part in parts)
+        rows = np.concatenate([part.rows for part in parts])
+        weights = np.concatenate([part.weights for part in parts])
+        offsets = np.concatenate(
+            [first.offsets] + [part.offsets[1:] + end for part, end in zip(rest, ends)]
+        )
+        entry = first.entry
+        if all(part.entry is entry for part in rest):
+            return CheckedBatch(rows, weights, offsets, entry)
+        return QueryBatch(rows, weights, offsets)
 
     # -- queries -----------------------------------------------------------------------
 
@@ -412,25 +430,17 @@ class SecureEmbeddingStore:
         serves the analytics workload's PF=10,000 queries with an 8-bit
         element ring, at the cost of one extra verification per chunk.
         """
-        if weights is None:
-            weights = [1] * len(rows)
-        if len(weights) != len(rows):
-            raise ConfigurationError("rows and weights must have equal length")
-        if len(rows) == 0:
+        rows, weights, _ = query_terms([rows], None if weights is None else [weights])
+        if not rows.size:
             raise ConfigurationError("empty query")
-        max_w = max(int(w) for w in weights)
-        budget = self.max_pooling_factor(name, max_w)
+        budget = self.max_pooling_factor(name, int(weights.max()))
         if budget < 1:
             raise ConfigurationError(
                 f"even a single row may overflow the ring for table {name!r}"
             )
         total = np.zeros(self._entry(name).dim)
-        for start in range(0, len(rows), budget):
-            total += self.sls(
-                name,
-                list(rows[start : start + budget]),
-                list(weights[start : start + budget]),
-            )
+        for start in range(0, rows.size, budget):
+            total += self.sls(name, rows[start : start + budget], weights[start : start + budget])
         return total
 
     def sls_many(
@@ -474,8 +484,11 @@ class SecureEmbeddingStore:
 
         Returns ``(values, outcomes)``: one row per query (zeros where it
         failed), bit-identical to serving that query alone, and
-        ``outcomes[i]`` for query ``i``.  A :class:`QueryBatch` (what the
-        front-end builds) is taken as-is.
+        ``outcomes[i]`` for query ``i``.  Lists and plain
+        :class:`QueryBatch` es are checked first (:meth:`validate_batch`);
+        a :class:`CheckedBatch` of this table as it is now - what the
+        front-end builds, through :meth:`verdict` - is served without a
+        second check.
         """
         batch = self.validate_batch(name, batch_rows, batch_weights)
         if obs.enabled():

@@ -8,7 +8,7 @@ import pytest
 from repro import kernels
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.errors import ConfigurationError, VerificationError
-from repro.serve.protocol import FrameError, SlsRequest, int64_terms
+from repro.serve.protocol import FrameError, SlsRequest, int64_terms, sls_frame
 from repro.workloads import SecureEmbeddingStore
 
 KEY = bytes(range(16))
@@ -120,8 +120,14 @@ class TestFractionalTerms:
     @pytest.mark.parametrize("entry", ["client", "json", "sls", "validate_batch"])
     @pytest.mark.parametrize(
         "rows, weights",
-        [([1, 2], [1.5, 2.7]), ([1.7, 2], None), ([1.7], [0.5]), ([1, 2], [1, float("nan")])],
-        ids=["weights", "rows", "both", "nan"],
+        [
+            ([1, 2], [1.5, 2.7]),
+            ([1.7, 2], None),
+            ([1.7], [0.5]),
+            ([1, 2], [1, float("nan")]),
+            ([1.5], [-1]),
+        ],
+        ids=["weights", "rows", "both", "nan", "row-and-negative-weight"],
     )
     def test_refused_at_every_entry_point(self, store, entry, rows, weights):
         error = FrameError if entry == "json" else ConfigurationError
@@ -134,6 +140,68 @@ class TestFractionalTerms:
         whole = [float(int(r)) for r in rows], [2.0] * len(rows)
         as_ints = [int(r) for r in rows], [2] * len(rows)
         assert _enter(entry, store, *whole) == _enter(entry, store, *as_ints)
+
+
+    def test_an_int_past_2_53_beside_a_float_keeps_its_value(self):
+        # A list of ints and floats converts to float64, which rounds an
+        # int past 2^53: the term is the int as given, not its float.
+        params = SecNDPParams(element_bits=64)
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params), UntrustedNdpDevice(params), bits=8
+        )
+        store.add_table("t", np.random.default_rng(0).normal(size=(8, 4)))
+        mixed = store.sls_many("t", [[1], [2]], [[2**53 + 1], [2.0]])
+        assert np.array_equal(mixed, store.sls_many("t", [[1], [2]], [[2**53 + 1], [2]]))
+
+
+class TestOneRefusalPerQuery:
+    """A query with several defects has one refusal - its weight defect -
+    from the store, its splitting form and the client's frame writer."""
+
+    @pytest.mark.parametrize(
+        "rows, weights",
+        [([1.5], [-1]), ([1, 2], [-1]), ([2**63], [-1]), ([1], [-1, 1])],
+        ids=["fractional-row", "one-weight-two-rows", "row-past-int64", "two-weights-one-row"],
+    )
+    def test_the_negative_weight_is_named_first(self, store, rows, weights):
+        for call in (store.sls, store.sls_split, lambda *q: sls_frame(1, *q)):
+            with pytest.raises(ConfigurationError) as refusal:
+                call("emb", rows, weights)
+            assert str(refusal.value) == "weights must be non-negative integers"
+
+
+class TestCheckedBatches:
+    """``verdict`` makes the checked batch ``sls_scatter`` serves without a
+    second check - only while the table is the one it was checked against."""
+
+    def test_a_checked_batch_is_served_as_it_is(self, store, monkeypatch):
+        checked, refused = store.verdict(
+            "emb", np.array([3, 9]), np.array([2, 1]), np.array([0, 1, 2])
+        )
+        assert refused == {}
+        monkeypatch.setattr(store, "verdict", None)  # calling it again would fail
+        values, outcomes = store.sls_scatter("emb", checked)
+        assert all(o.ok for o in outcomes)
+        monkeypatch.undo()
+        assert np.array_equal(values, store.sls_many("emb", [[3], [9]], [[2], [1]]))
+
+    def test_a_batch_checked_against_another_table_is_checked_again(self, store, parties):
+        checked, _ = store.verdict("emb", np.array([40]), np.array([1]), np.array([0, 1]))
+        processor, device = parties
+        small = SecureEmbeddingStore(processor, UntrustedNdpDevice(processor.params))
+        small.add_table("emb", np.zeros((8, 16)))
+        with pytest.raises(ConfigurationError, match=r"row id outside \[0, 8\)"):
+            small.sls_scatter("emb", checked)
+        store.add_table("small", np.zeros((8, 16)))
+        with pytest.raises(ConfigurationError, match=r"row id outside \[0, 8\)"):
+            store.sls_scatter("small", checked)
+
+    def test_refused_queries_are_empty_in_the_checked_batch(self, store):
+        checked, refused = store.verdict(
+            "emb", np.array([1, 64, 2]), np.array([1, 1, -1]), np.array([0, 1, 2, 3])
+        )
+        assert sorted(refused) == [1, 2]
+        assert checked.offsets.tolist() == [0, 1, 1, 1] and checked.rows.tolist() == [1]
 
 
 class TestPadBlockAccounting:

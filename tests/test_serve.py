@@ -629,7 +629,7 @@ class TestWorkConservingBatcher:
         def verdict(rows, weights, table="emb"):
             rows = np.asarray(rows, dtype=np.int64)
             weights = np.ones(rows.size, np.int64) if weights is None else np.asarray(weights)
-            return store.verdict(table, rows, weights, np.array([0, rows.size]))
+            return store.verdict(table, rows, weights, np.array([0, rows.size]))[1]
 
         for rows, weights, first in [
             ([0, 99], [1, -1, 2], "non-negative"),  # before the length mismatch
@@ -655,12 +655,13 @@ class TestWorkConservingBatcher:
                 assert frame == encode_frame(request, CODEC_BINARY)
                 (block,), error = split_read(bytearray(frame))
                 assert error is None and block.ids == [7]
-                (refused,) = store.verdict("emb", block.rows, block.weights, block.offsets).items()
+                _checked, refusals = store.verdict("emb", block.rows, block.weights, block.offsets)
+                (refused,) = refusals.items()
                 assert refused[0] == 0
                 front_end = str(refused[1])
             assert front_end == str(batched.value) == str(listed.value)
         assert str(verdict([1], None, "nope")[0]) == "unknown table 'nope'"
-        assert verdict([5, 5, 7], [1, 0, 3]) is None
+        assert verdict([5, 5, 7], [1, 0, 3]) == {}
 
 
 class TestInProcessLink:

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.cluster import ClusterCoordinator, NodeClient, NodeServer, codec
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
-from repro.core.device import QueryBatch
+from repro.core.device import QueryBatch, query_terms
 from repro.errors import ConfigurationError
 from repro.serve import AsyncSlsClient, BatchScheduler, SlsServer
 from repro.serve.server import _Connection, _Link
@@ -388,15 +388,61 @@ def caller_terms(draw, size=None):
     return values
 
 
+#: What may be wrong with a query of ``make_store(32)``'s 48-row table
+#: ``"emb"`` (``None``: nothing, the most likely draw).
+DEFECTS = (
+    None, None, None, "negative weight", "row out of range", "row past int64",
+    "over budget", "fractional row", "fractional weight", "length mismatch",
+)
+
+
+@st.composite
+def store_query(draw):
+    """``(rows, weights)`` of one query of the 48-row table: inside it and
+    inside the ring's budget, or with up to two defects, each one extra
+    term (or, for a length mismatch, one extra weight)."""
+    pf = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.integers(0, 47), min_size=pf, max_size=pf))
+    weights = draw(st.none() | st.lists(st.integers(0, 3), min_size=pf, max_size=pf))
+    for defect in draw(st.lists(st.sampled_from(DEFECTS), max_size=2)):
+        if defect is None:
+            continue
+        weight = 1
+        if defect == "negative weight":
+            weight = draw(st.integers(-(2**62), -1))
+        elif defect == "over budget":  # (2^32 - 1) // 255 < 2^25
+            weight = draw(st.integers(2**25, 2**62))
+        elif defect == "fractional weight":
+            weight = draw(st.sampled_from([0.5, 2.5, float("nan")]))
+        row = {
+            "row out of range": st.sampled_from([48, 1000, -1, -(2**62)]),
+            "row past int64": st.sampled_from([2**63, 2**70, -(2**63) - 1]),
+            "fractional row": st.sampled_from([1.5, float("inf")]),
+        }.get(defect, st.integers(0, 47))
+        if defect == "length mismatch":
+            weights = (weights if weights is not None else [1] * len(rows)) + [1]
+            continue
+        rows = rows + [draw(row)]
+        if weights is not None or weight != 1:
+            weights = (weights if weights is not None else [1] * (len(rows) - 1)) + [weight]
+    return rows, weights
+
+
 @st.composite
 def sls_calls(draw):
     """A ``sls_frame`` call: weights absent, one per row, or of another
-    length (a negative one among them or not)."""
-    rows = draw(caller_terms())
-    size = len(rows) if draw(st.booleans()) else None
-    weights = draw(st.none() | caller_terms(size=size))
+    length (a negative one among them or not); or a query of the 48-row
+    test table, good or not (:func:`store_query`)."""
+    if draw(st.booleans()):
+        rows, weights = draw(store_query())
+        table = draw(st.sampled_from(["emb", "emb", "emb", "nope"]))
+    else:
+        rows = draw(caller_terms())
+        size = len(rows) if draw(st.booleans()) else None
+        weights = draw(st.none() | caller_terms(size=size))
+        table = draw(tables)
     rid = draw(ids | st.sampled_from([-1, 2**64]))
-    return rid, draw(tables), rows, weights
+    return rid, table, rows, weights
 
 
 def outcome(call):
@@ -417,12 +463,17 @@ class TestOneWriter:
         rid, table, rows, weights = call
 
         def typed():
+            # The weights are judged first, and a query refused for a row
+            # defect names a negative weight instead, as the store does.
+            typed_weights = None if weights is None else int64_terms(weights, "weights")
+            try:
+                typed_rows = int64_terms(rows, "rows")
+            except ConfigurationError:
+                if typed_weights is not None and typed_weights.size and typed_weights.min() < 0:
+                    raise ConfigurationError("weights must be non-negative integers") from None
+                raise
             request = SlsRequest(
-                id=rid,
-                op="sls",
-                table=table,
-                rows=int64_terms(rows, "rows"),
-                weights=None if weights is None else int64_terms(weights, "weights"),
+                id=rid, op="sls", table=table, rows=typed_rows, weights=typed_weights
             )
             return encode_frame(request, CODEC_BINARY)
 
@@ -1286,6 +1337,7 @@ REFUSALS = {
     "negative weight, lengths differ": (
         "emb", [1, 2], [1, -1, 2], "weights must be non-negative integers"
     ),
+    "negative weight, one weight": ("emb", [1, 2], [-1], "weights must be non-negative integers"),
     "unknown table": ("nope", [1, 2], None, "unknown table 'nope'"),
     "over budget": (
         "emb", [1, 2], [2**31, 1],
@@ -1494,6 +1546,190 @@ class TestMixedRead:
         assert stats["admission.admitted"] == n_valid == stats["batch_queries"]
         assert stats["rejected_invalid"] == n_refused
         assert stats["responses_ok"] == n_valid and stats["requests"] == n_valid + n_refused
+
+
+def answer_of(call):
+    """``call()``'s values, or the words of the ``ConfigurationError`` it raises."""
+    try:
+        return call()
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+class TestOneAnswerOnEveryEntryPoint:
+    """One differential property: a batch of queries, good or not, gets the
+    same answers bit for bit, or the same ``ConfigurationError`` words, from
+    ``sls``, ``sls_many``, ``sls_scatter``, the in-process client and the
+    front-end's ``verdict``.  A batch meets the term rule, then the table
+    rule, and each names the first query it refuses."""
+
+    @staticmethod
+    async def through_the_client(store, table, queries):
+        scheduler = BatchScheduler(store)
+        async with AsyncSlsClient.in_process(scheduler) as client:
+
+            async def one(rows, weights):
+                try:
+                    response = await client.sls_response(table, rows, weights)
+                except ConfigurationError as exc:  # refused before it left
+                    return str(exc)
+                if response.status == STATUS_OK:
+                    return np.asarray(response.values)
+                assert response.kind == "ConfigurationError"
+                return response.error
+
+            answers = await asyncio.gather(*[one(rows, weights) for rows, weights in queries])
+        await scheduler.close()
+        return answers
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["emb", "emb", "emb", "nope"]),
+        st.lists(store_query(), min_size=1, max_size=4),
+    )
+    def test_every_entry_point_gives_one_answer(self, table, queries):
+        store = make_store(32)
+        alone = [answer_of(lambda: store.sls(table, rows, weights)) for rows, weights in queries]
+        term_refused = [
+            type(answer_of(lambda: query_terms([rows], None if weights is None else [weights])))
+            is str
+            for rows, weights in queries
+        ]
+        refusals = [a for a, term in zip(alone, term_refused) if term] or [
+            a for a in alone if type(a) is str
+        ]
+        batch_rows = [rows for rows, _ in queries]
+        batch_weights = None
+        if any(weights is not None for _, weights in queries):
+            batch_weights = [[1] * len(r) if w is None else w for r, w in queries]
+        for entry in (store.sls_many, lambda *args: store.sls_scatter(*args)[0]):
+            got = answer_of(lambda: entry(table, batch_rows, batch_weights))
+            if refusals:
+                assert got == refusals[0]
+            else:
+                assert same_bits(got, np.stack(alone) if alone else got)
+        # The client: each query on its own, served or refused.
+        for got, want in zip(asyncio.run(self.through_the_client(store, table, queries)), alone):
+            assert got == want if type(want) is str else same_bits(got, want)
+        # The front-end's check, over the queries a frame carries.
+        framed = [q for q, term in enumerate(term_refused) if not term]
+        if framed:
+            rows, weights, offsets = query_terms(
+                [queries[q][0] for q in framed],
+                [queries[q][1] or [1] * len(queries[q][0]) for q in framed],
+            )
+            checked, refused = store.verdict(table, rows, weights, offsets)
+            assert {framed[i]: str(exc) for i, exc in refused.items()} == {
+                q: alone[q] for q in framed if type(alone[q]) is str
+            }
+            if checked is not None:
+                values, outcomes = store.sls_scatter(table, checked)
+                assert all(outcome.ok for outcome in outcomes)
+                for i, q in enumerate(framed):
+                    if i not in refused:
+                        assert same_bits(values[i], alone[q])
+
+
+class TestCheckedOnce:
+    """A served batch meets the table rule once: in the verdict on its read,
+    never again in ``sls_scatter``."""
+
+    class Replies:
+        def __init__(self, n):
+            self.answered = {}
+            self.done = asyncio.get_running_loop().create_future()
+            self.n = n
+
+        def answers(self, ids, values, vias):
+            for rid, row in zip(ids, values):
+                self.answered[rid] = np.array(row)
+            if len(self.answered) == self.n:
+                self.done.set_result(None)
+
+        def answer(self, response):
+            raise AssertionError(f"a refusal: {response.error}")
+
+        def cancelled(self):
+            return False
+
+    def test_a_served_batch_meets_the_table_rule_once(self, monkeypatch):
+        store = make_store(32)
+        queries = [q for q in sample_queries(store, 48, seed=9) if q[0]]
+        calls = []
+        scattering = []
+        verdict, refusal, scatter = store.verdict, store._refusal, store.sls_scatter
+
+        def spy(name, real):
+            def counted(*args):
+                calls.append((name, "sls_scatter" if scattering else "intake"))
+                return real(*args)
+            return counted
+
+        def spied_scatter(*args):
+            scattering.append(True)
+            try:
+                return scatter(*args)
+            finally:
+                scattering.pop()
+
+        monkeypatch.setattr(store, "verdict", spy("verdict", verdict))
+        monkeypatch.setattr(store, "_refusal", spy("rule", refusal))
+        monkeypatch.setattr(store, "sls_scatter", spied_scatter)
+        frames = b"".join(
+            sls_frame(i + 1, "emb", rows, weights) for i, (rows, weights) in enumerate(queries)
+        )
+        (block,), error = split_read(bytearray(frames))
+        assert error is None and len(block) == len(queries)
+
+        async def run():
+            scheduler = BatchScheduler(store, max_batch=len(queries))
+            replies = self.Replies(len(queries))
+            owed, admitted = scheduler.enqueue_block(block, replies)
+            assert (owed, admitted) == ([], len(queries))
+            await replies.done
+            stats = scheduler.stats()
+            await scheduler.close()
+            return replies.answered, stats
+
+        answered, stats = asyncio.run(run())
+        assert stats["batches"] == 1
+        assert calls == [("verdict", "intake"), ("rule", "intake")]
+        monkeypatch.undo()
+        for i, (rows, weights) in enumerate(queries):
+            assert same_bits(answered[i + 1], store.sls("emb", rows, weights))
+
+
+class TestTypedRefusals:
+    """A row past ``int64`` and a weight that is no integer are refused with
+    a ``ConfigurationError`` at every entry point, never a bare
+    ``OverflowError`` or ``ValueError``."""
+
+    PAST = "rows must be int64 integers: Python int too large to convert to C long"
+
+    @pytest.mark.parametrize(
+        "entry", ["sls", "sls_many", "sls_scatter", "pad_share_batch", "partial_sum_batch", "cluster"]
+    )
+    def test_a_row_past_int64(self, entry):
+        store = make_store(32)
+        batch = ([[3, 4], [1, 2**70]], [[1, 1], [1, 1]])
+        if entry == "cluster":  # refused before any node is asked
+            message = asyncio.run(TestOneRefusalOnEveryPath.cluster(store, "emb", *batch))
+        else:
+            call = {
+                "sls": lambda: store.sls("emb", [2**70], [1]),
+                "pad_share_batch": lambda: store.processor.pad_share_batch(
+                    store.device.stored("emb"), "emb", *batch
+                ),
+                "partial_sum_batch": lambda: store.device.partial_sum_batch("emb", *batch),
+            }.get(entry, lambda: getattr(store, entry)("emb", *batch))
+            with pytest.raises(ConfigurationError) as refusal:
+                call()
+            message = str(refusal.value)
+        assert message == self.PAST
+
+    def test_a_nan_weight_split(self):
+        with pytest.raises(ConfigurationError, match="weights must be integers or integral floats"):
+            make_store(32).sls_split("emb", [1], [float("nan")])
 
 
 class TestSchedulerTakesEitherForm:
