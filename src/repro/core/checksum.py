@@ -33,9 +33,8 @@ from .params import SecNDPParams
 
 __all__ = ["LinearChecksum", "MultiPointChecksum"]
 
-#: Power-weight vectors are cached per (key, row length), and secrets
-#: per (matrix address, checksum version); a handful of matrices are
-#: typically live at once, so a small FIFO cap suffices for both.
+#: Power-weight vectors are cached per (key, row length); a handful of
+#: matrices are typically live at once, so a small FIFO cap suffices.
 _WEIGHT_CACHE_CAP = 32
 
 
@@ -74,21 +73,11 @@ class _RowChecksum:
         self.params = params
         self.field: PrimeField = params.field()
         self._weight_cache: dict = {}
-        self._secret_cache: dict = {}
 
     def _secret_block(self, matrix_addr: int, version: int) -> int:
         """``encrypt_counter_int`` (its oracle) through the vectorised cipher."""
         block = self.cipher.encrypt_counters(DOMAIN_CHECKSUM, [matrix_addr], version)
         return int.from_bytes(block.tobytes(), "big")
-
-    def _cached_secret(self, matrix_addr: int, version: int, derive):
-        """A scheme's secret, derived once per ``(matrix_addr, version)``:
-        one AES block and big-int work saved on every later batch.  The
-        weight cache is already keyed by the secret, so nothing new is
-        held; a re-encryption draws a fresh version and so a fresh key."""
-        return _fifo_get(
-            self._secret_cache, (matrix_addr, version), lambda: derive(matrix_addr, version)
-        )
 
     def _cached_weights(self, key, build):
         """``build()`` once per ``key`` (a key and a row length), FIFO-capped."""
@@ -115,11 +104,9 @@ class _RowChecksum:
 
     def column_words(self, key, m: int) -> np.ndarray:
         """:meth:`row_tag_limbs`' column weights as ``(m, 4)`` ``uint32``
-        limbs (cached): what the native combine-and-verify pass takes."""
-        hashable = tuple(key) if isinstance(key, list) else key
-        return self._cached_weights(
-            (hashable, m, "words"), lambda: self._weight_limbs(key, m).astype(np.uint32)
-        )
+        limbs: what the native combine-and-verify pass takes, bound once
+        per table version by the processor."""
+        return self._weight_limbs(key, m).astype(np.uint32)
 
     def row_tags(self, matrix: np.ndarray, key) -> list:
         """Int view of :meth:`row_tag_limbs`."""
@@ -150,10 +137,8 @@ class LinearChecksum(_RowChecksum):
     """
 
     def secret_point(self, matrix_addr: int, version: int) -> int:
-        """Derive ``s`` (Alg. 2 line 4) for the matrix at ``matrix_addr``."""
-        return self._cached_secret(matrix_addr, version, self._derive_point)
-
-    def _derive_point(self, matrix_addr: int, version: int) -> int:
+        """Derive ``s`` (Alg. 2 line 4) for the matrix at ``matrix_addr``
+        (once per table version: the processor binds it)."""
         pad = self._secret_block(matrix_addr, version)
         # "first w_t bits" of the cipher output, reduced into the field.
         s = pad >> (self.params.block_bits - self.params.tag_bits)
@@ -194,9 +179,6 @@ class MultiPointChecksum(_RowChecksum):
 
     def secret_points(self, matrix_addr: int, version: int) -> list:
         """The ``s_k`` substrings of ``E(K, 01 || paddr(P) || v)`` (line 8)."""
-        return list(self._cached_secret(matrix_addr, version, self._derive_points))
-
-    def _derive_points(self, matrix_addr: int, version: int) -> tuple:
         pad = self._secret_block(matrix_addr, version)
         points = []
         w_t = self.params.tag_bits
@@ -204,7 +186,7 @@ class MultiPointChecksum(_RowChecksum):
             start = self.params.block_bits - (k + 1) * w_t
             s_k = (pad >> max(start, 0)) & ((1 << w_t) - 1)
             points.append(self.field.reduce(s_k))
-        return tuple(points)
+        return points
 
     #: the key of the multi-point scheme is the list of evaluation points
     key_for = secret_points

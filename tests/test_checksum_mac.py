@@ -74,15 +74,19 @@ class TestLinearChecksum:
         derive = cs._secret_block
         monkeypatch.setattr(cs, "_secret_block", lambda *a: derived.append(a) or derive(*a))
         old = device.stored("emb")
-        s_old = cs.key_for(old.base_addr, old.checksum_version)
-        assert cs.key_for(old.base_addr, old.checksum_version) == s_old
-        assert derived == []  # tagging derived it at add_table; both calls hit the memo
+        for _ in range(3):  # the version's binding derives it once for every batch
+            processor.weighted_row_sums(device, "emb", [[1, 2], [3]])
+        assert len(derived) == 1
 
-        store.reencrypt_table("emb")
+        store.reencrypt_table("emb")  # tagging derives the new version's
         new = device.stored("emb")
         assert new.checksum_version != old.checksum_version
-        assert cs.key_for(new.base_addr, new.checksum_version) != s_old
-        processor.weighted_row_sums(device, "emb", [[1, 2], [3]])  # honest: passes
+        for _ in range(3):  # honest: passes, and binds the new version once
+            processor.weighted_row_sums(device, "emb", [[1, 2], [3]])
+        assert len(derived) == 3
+        assert cs.key_for(new.base_addr, new.checksum_version) != cs.key_for(
+            old.base_addr, old.checksum_version
+        )
         device.tamper_tags(1)
         with pytest.raises(VerificationError):
             processor.weighted_row_sums(device, "emb", [[1, 2], [3]])

@@ -7,11 +7,17 @@ import pytest
 
 from repro import kernels
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
+from repro.core.device import integral_terms
 from repro.errors import ConfigurationError, VerificationError
+from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults.recovery import RecoveryPolicy
 from repro.serve.protocol import FrameError, SlsRequest, int64_terms, sls_frame
 from repro.workloads import SecureEmbeddingStore
 
 KEY = bytes(range(16))
+
+#: The kernel tiers a binding is made for.
+TIERS = ["numpy"] + (["native"] if kernels.native_available() else [])
 
 
 @pytest.fixture
@@ -152,6 +158,74 @@ class TestFractionalTerms:
         store.add_table("t", np.random.default_rng(0).normal(size=(8, 4)))
         mixed = store.sls_many("t", [[1], [2]], [[2**53 + 1], [2.0]])
         assert np.array_equal(mixed, store.sls_many("t", [[1], [2]], [[2**53 + 1], [2]]))
+
+
+    def test_an_int_past_2_63_beside_a_float_keeps_its_value(self, store):
+        # float64 rounds 2^63 - 1 up to 2^63, past int64: the term is still
+        # the int as given, and a refusal names it, never the float.
+        assert integral_terms([2**63 - 1, 2.0], "weights").tolist() == [2**63 - 1, 2]
+        with pytest.raises(ConfigurationError, match=f"max weight {2**63 - 1} may overflow"):
+            store.sls("emb", [1, 2], [2**63 - 1, 2.0])
+
+
+class TestBoundVersions:
+    """What a table version fixes for the trusted half's kernels is bound
+    once per version (``SecNDPProcessor._bind``); a binding must never
+    serve another version, on either kernel tier."""
+
+    ROWS, WEIGHTS = [[1, 20, 40], [5, 30], [7]], [[1, 2, 3], [1, 1], [2]]
+
+    @staticmethod
+    def recovering_store(injector=None):
+        """A store that can re-encrypt, armed with ``injector`` only (no
+        ambient ``SECNDP_FAULT_PLAN``: its faults would be retries too)."""
+        params = SecNDPParams(element_bits=32)
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params), UntrustedNdpDevice(params),
+            recovery=RecoveryPolicy(sleep=lambda _: None),
+            fault_injector=injector or FaultInjector(FaultPlan()),
+        )
+        store.add_table("emb", np.random.default_rng(3).normal(size=(48, 8)))
+        return store
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_reencrypted_table_answers_as_a_fresh_store(self, tier):
+        with kernels.use_tier(tier):
+            store, fresh = self.recovering_store(), self.recovering_store()
+            before = store.sls_many("emb", self.ROWS, self.WEIGHTS)  # binds the version
+            for _ in range(2):  # and the next one, and the one after
+                store.reencrypt_table("emb")
+                values, outcomes = store.sls_scatter("emb", self.ROWS, self.WEIGHTS)
+                assert all(o.ok and not o.degraded for o in outcomes)
+                assert np.array_equal(values, fresh.sls_many("emb", self.ROWS, self.WEIGHTS))
+            assert np.array_equal(values, before)
+            assert store.recovery_log.detected_count() == 0
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_an_unverified_binding_never_serves_a_verified_query(self, tier):
+        params = SecNDPParams(element_bits=32)
+        processor, device = SecNDPProcessor(KEY, params), UntrustedNdpDevice(params)
+        plain = np.random.default_rng(5).integers(0, 1 << 8, (48, 8)).astype(np.uint32)
+        device.store("t", processor.encrypt_matrix(plain, 0x4000, "t"))
+        want = [plain[rows].T.astype(np.uint64) @ np.array(w) for rows, w in zip(self.ROWS, self.WEIGHTS)]
+        with kernels.use_tier(tier):
+            for verify in (False, True, False):
+                got = processor.weighted_row_sums(device, "t", self.ROWS, self.WEIGHTS, verify)
+                assert np.array_equal(got, np.array(want)), verify
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_a_flipped_otp_version_is_detected_and_retried(self, tier):
+        injector = FaultInjector(FaultPlan(rates={FaultKind.VERSION_FLIP: 1.0}, max_faults=1))
+        with kernels.use_tier(tier):
+            store = self.recovering_store(injector)
+            want = self.recovering_store().sls_many("emb", self.ROWS, self.WEIGHTS)
+            store.fault_injector = None  # a clean batch binds the honest version first
+            assert np.array_equal(store.sls_many("emb", self.ROWS, self.WEIGHTS), want)
+            store.fault_injector = injector
+            assert np.array_equal(store.sls_many("emb", self.ROWS, self.WEIGHTS), want)
+        assert [event.site for event in injector.events] == ["protocol.otp_version"]
+        assert store.recovery_log.counts_by_resolution() == {"ok": 3, "retry": 3}
+        assert store.recovery_log.detected_count() == 3
 
 
 class TestOneRefusalPerQuery:
