@@ -16,7 +16,7 @@ Run:  python examples/dlrm_inference.py
 
 import numpy as np
 
-from repro.baselines import run_non_ndp, run_unprotected_ndp
+from repro.baselines import run_non_ndp
 from repro.core import SecNDPParams, SecNDPProcessor, UntrustedNdpDevice
 from repro.ndp import AesEngineModel, NdpConfig, NdpSimulator, TagScheme
 from repro.workloads import (

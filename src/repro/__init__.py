@@ -12,10 +12,11 @@ A from-scratch Python reproduction of the complete SecNDP system:
   prime-field arithmetic (all implemented from scratch).
 * :mod:`repro.memsim` - event-driven cycle-level DDR4 model (Table II).
 * :mod:`repro.ndp` - NDP packets, AES- and SecNDP-engine timing,
-  tag-placement schemes and the NDP simulator.
+  tag-placement schemes, ArithEnc (T0) timing and the NDP simulator.
 * :mod:`repro.workloads` - DLRM recommendation inference and medical
   analytics, with traces and quantization schemes.
-* :mod:`repro.baselines` - non-NDP, TEE, SGX and unprotected NDP.
+* :mod:`repro.baselines` - non-NDP and SGX (unprotected NDP is the NDP
+  simulator with no engine).
 * :mod:`repro.analysis` - energy (Table V), area, accuracy (Table IV).
 * :mod:`repro.harness` - per-table / per-figure experiment drivers.
 * :mod:`repro.obs` - metrics registry + phase tracing across all layers.

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..parallel import parallel_map
-from ..workloads.datasets import ClickDataset, click_dataset
+from ..workloads.datasets import click_dataset
 from ..workloads.dlrm import DlrmConfig, DlrmModel
 from ..workloads.quantization import (
     ColumnwiseQuantizer,

@@ -1,22 +1,15 @@
-"""Baselines the paper compares against: non-NDP, TEE, SGX, plain NDP."""
+"""Baselines the paper compares against: non-NDP and SGX.  Unprotected NDP is
+:class:`~repro.ndp.simulator.NdpSimulator` with no engine, and Table V's
+non-NDP Enc row comes from :mod:`repro.analysis.energy`."""
 
-from .integrity_tree import CounterIntegrityTree
 from .non_ndp import NonNdpResult, run_non_ndp
 from .sgx import SGX_CFL, SGX_ICL, SgxMachine, sgx_slowdown
-from .tee import TeeResult, run_tee
-from .tee_memory import TeeProtectedMemory
-from .unprotected_ndp import run_unprotected_ndp
 
 __all__ = [
-    "CounterIntegrityTree",
     "NonNdpResult",
     "run_non_ndp",
     "SGX_CFL",
     "SGX_ICL",
     "SgxMachine",
     "sgx_slowdown",
-    "TeeResult",
-    "TeeProtectedMemory",
-    "run_tee",
-    "run_unprotected_ndp",
 ]

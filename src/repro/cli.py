@@ -50,82 +50,59 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from . import kernels, obs
 from .errors import ConfigurationError
-from .faults import FaultPlan
-from .harness.chaos import (
-    default_chaos_plan,
-    parse_sweep_spec,
-    run_chaos,
-    run_chaos_sweep,
-    run_cluster_chaos,
-    smoke_script,
-)
-from .harness.configs import DEFAULT_SCALE, PAPER_SCALE, SMOKE_SCALE, ExperimentScale
-from .parallel import default_workers
-from .harness.experiments import (
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure10,
-    run_figure11,
-    run_table3,
-    run_table4,
-    run_table5,
-)
-from .harness.experiments.common import run_functional_shadow
-from .harness.export import export_results
+
+if TYPE_CHECKING:
+    from .harness.configs import ExperimentScale
 
 __all__ = ["main", "EXPERIMENTS"]
 
-_SCALES: Dict[str, ExperimentScale] = {
-    "smoke": SMOKE_SCALE,
-    "default": DEFAULT_SCALE,
-    "paper": PAPER_SCALE,
-}
+# Each command imports what it runs when it runs, so ``repro node``
+# starts a keyless node without the trusted half or any figure.
+_SCALES = ("smoke", "default", "paper")
+
+
+def _scale(name: str) -> "ExperimentScale":
+    """The experiment scale called ``name`` (one of :data:`_SCALES`)."""
+    from .harness import configs
+
+    return getattr(configs, f"{name.upper()}_SCALE")
+
+
+def _runner(module: str, takes_scale: bool = True) -> Callable:
+    """``harness.experiments.<module>.run_<module>``, imported when called."""
+
+    def run(scale, workers=None):
+        experiment = importlib.import_module(f"{__package__}.harness.experiments.{module}")
+        runner = getattr(experiment, f"run_{module}")
+        return runner(scale, workers=workers) if takes_scale else runner(workers=workers)
+
+    return run
+
 
 #: name -> (description, runner taking a scale and a worker count)
 EXPERIMENTS: Dict[str, tuple] = {
-    "table3": (
-        "end-to-end speedup vs baselines and SGX (Table III)",
-        lambda scale, workers=None: run_table3(scale, workers=workers),
-    ),
-    "table4": (
-        "LogLoss under quantization schemes (Table IV)",
-        lambda scale, workers=None: run_table4(workers=workers),
-    ),
-    "table5": (
-        "memory energy pJ/bit (Table V)",
-        lambda scale, workers=None: run_table5(scale, workers=workers),
-    ),
-    "fig7": (
-        "speedup vs #AES engines per NDP setting (Figure 7)",
-        lambda scale, workers=None: run_figure7(scale, workers=workers),
-    ),
-    "fig8": (
-        "% packets decryption-bound, Enc-only (Figure 8)",
-        lambda scale, workers=None: run_figure8(scale, workers=workers),
-    ),
-    "fig9": (
-        "verification-scheme speedups (Figure 9)",
-        lambda scale, workers=None: run_figure9(scale, workers=workers),
-    ),
+    "table3": ("end-to-end speedup vs baselines and SGX (Table III)", _runner("table3")),
+    "table4": ("LogLoss under quantization schemes (Table IV)", _runner("table4", False)),
+    "table5": ("memory energy pJ/bit (Table V)", _runner("table5")),
+    "fig7": ("speedup vs #AES engines per NDP setting (Figure 7)", _runner("figure7")),
+    "fig8": ("% packets decryption-bound, Enc-only (Figure 8)", _runner("figure8")),
+    "fig9": ("verification-scheme speedups (Figure 9)", _runner("figure9")),
     "fig10": (
         "% packets decryption-bound incl. verification (Figure 10)",
-        lambda scale, workers=None: run_figure10(scale, workers=workers),
+        _runner("figure10"),
     ),
-    "fig11": (
-        "end-to-end breakdown + batch scaling (Figure 11)",
-        lambda scale, workers=None: run_figure11(scale, workers=workers),
-    ),
+    "fig11": ("end-to-end breakdown + batch scaling (Figure 11)", _runner("figure11")),
 }
 
 
@@ -406,6 +383,8 @@ def _obs_report(args, scale: ExperimentScale, slo_specs) -> int:
             except OSError as exc:
                 return _fail(f"cannot load event journal {args.events!r}: {exc}")
         return int(_report(args, slo_specs, event_counts, snap=snap, full=True))
+    from .harness.experiments.common import run_functional_shadow
+
     with _telemetry(args, always=True) as events:
         with obs.span("experiment.obs_report", cat="harness"):
             run_functional_shadow(scale)
@@ -574,6 +553,8 @@ def _bench_cluster_cmd(args, scale: ExperimentScale) -> int:
     ``chaos-cluster`` preset, (3) real node processes with a mid-run
     SIGKILL and a byzantine dispatch.  Exit 1 if any leg fails its gate.
     """
+    from .harness.chaos import run_cluster_chaos, smoke_script
+
     if args.nodes < 3:
         return _fail(f"bench-cluster needs --nodes >= 3, got {args.nodes}")
     legs = {}
@@ -646,6 +627,9 @@ def _bench_cluster_cmd(args, scale: ExperimentScale) -> int:
 
 def _chaos_cmd(args, scale: ExperimentScale, slo_specs) -> int:
     """``repro chaos``: one fault plan, or with ``--sweep`` a fault-rate grid."""
+    from .faults import FaultPlan
+    from .harness.chaos import default_chaos_plan, parse_sweep_spec, run_chaos, run_chaos_sweep
+
     sweep = args.sweep is not None
     try:
         if sweep:
@@ -751,7 +735,7 @@ def main(argv=None) -> int:
         action = args.action or "report"
         if action != "report":
             return _fail(f"unknown obs action {action!r} (choose from: report)")
-        return _obs_report(args, _SCALES[args.scale], slo_specs)
+        return _obs_report(args, _scale(args.scale), slo_specs)
     if args.experiment == "node":
         return _node_cmd(args)
     if args.action is not None:
@@ -759,18 +743,26 @@ def main(argv=None) -> int:
     if args.metrics is not None:
         return _fail("--metrics only applies to 'obs report'")
     if args.experiment == "serve":
-        return _serve_cmd(args, _SCALES[args.scale])
+        return _serve_cmd(args, _scale(args.scale))
     if args.experiment == "cluster":
-        return _cluster_cmd(args, _SCALES[args.scale])
+        return _cluster_cmd(args, _scale(args.scale))
     if args.experiment == "bench-cluster":
-        return _bench_cluster_cmd(args, _SCALES[args.scale])
+        return _bench_cluster_cmd(args, _scale(args.scale))
 
     if args.experiment == "chaos":
-        return _chaos_cmd(args, _SCALES[args.scale], slo_specs)
+        return _chaos_cmd(args, _scale(args.scale), slo_specs)
+
+    return _experiments_cmd(args, _scale(args.scale), slo_specs)
+
+
+def _experiments_cmd(args, scale: ExperimentScale, slo_specs) -> int:
+    """An experiment, or ``all`` of them: each prints its rows or series."""
+    from .harness.experiments.common import run_functional_shadow
+    from .harness.export import export_results
+    from .parallel import default_workers
 
     workers = args.workers if args.workers is not None else default_workers()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    scale = _SCALES[args.scale]
     collected = {}
     with _telemetry(args) as events:
         for name in names:

@@ -33,9 +33,11 @@ that ever holds key material:
    fails climbs a recovery ladder, in a task of its own, from then on.
 3. **Blame**: each reconstructed share is verified against its *own*
    restricted checksum, in that pass and before any cross-shard
-   combining — since the pad half is computed honestly here,
-   a mismatch is cryptographic evidence against exactly that node
-   (publicly-identifiable abort), up to the scheme's forgery bound.
+   combining.  A mismatch is cryptographic evidence against exactly
+   that node (publicly-identifiable abort), up to the scheme's forgery
+   bound, once the coordinator has summed the node's sub-batch itself
+   and found the node's sums differ: equal sums put the fault on the
+   trusted side's pad half, which is swept again and never charged.
    Error frames and structurally malformed sums blame the node the same
    way; timeouts and dead connections blame it on liveness.
 4. **Recover**: bounded same-node retries with deterministic
@@ -80,7 +82,9 @@ from ..errors import (
     SecNDPError,
     ServerClosedError,
     ShardVerificationError,
+    TrustedSideError,
 )
+from ..faults import hooks as fault_hooks
 from ..faults.recovery import RecoveryPolicy
 from ..serve.protocol import Directive, resolve_heartbeat_timeout
 from .health import BLAME_WEIGHTS
@@ -401,7 +405,7 @@ class ClusterCoordinator:
             shard = shards[i]
             try:
                 share = answer.result() if half is None else self._share(
-                    enc, name, shard.node, half, answer
+                    enc, name, shard.node, shard.words, half, answer
                 )
             except BaseException as exc:
                 if half is None or not isinstance(exc, tuple(_DISPATCH_FAILURES)):
@@ -432,12 +436,12 @@ class ClusterCoordinator:
         return shares
 
     def _share(
-        self, enc: EncryptedMatrix, name: str, node: str, pad: PartialSumShare,
-        answer: asyncio.Future,
+        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
+        pad: PartialSumShare, answer: asyncio.Future,
     ) -> PartialSumShare:
-        """The verified share in ``node``'s settled ``answer`` over its pad
-        half ``pad``; a failed attempt raises one of
-        :data:`_DISPATCH_FAILURES`, to be charged."""
+        """The verified share in ``node``'s settled ``answer`` to the
+        sub-batch ``words``, over its pad half ``pad``; a failed attempt
+        raises one of :data:`_DISPATCH_FAILURES`, to be charged."""
         response = self.clients[node].answer(answer, "partial_sum", self.task_timeout_s)
         # The crypto core: the node only returned ciphertext-domain sums
         # (malformed ones, or ones shaped unlike the pad half, raise
@@ -451,8 +455,43 @@ class ClusterCoordinator:
         )
         share, failed = processor.combine_and_verify(enc, name, pad, values, tag_sums)
         if failed:
-            raise processor.shard_error(name, node, failed)
+            return self._recheck(enc, name, node, words, values, tag_sums, failed)
         return share
+
+    def _recheck(
+        self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
+        values: np.ndarray, tag_sums: np.ndarray, failed: List[int],
+    ) -> PartialSumShare:
+        """Whom a failed check of ``node``'s sums to ``words`` blames.
+
+        Sums that differ from the coordinator's own over ``enc`` (summed
+        with the injector disarmed) raise the shard error, to be charged.
+        Equal sums put the fault on the trusted side: the pad half is
+        swept again and the share re-checked, and nobody is charged; a
+        second failure raises :class:`TrustedSideError`.
+        """
+        processor = self.store.processor
+        batch = codec.decode_queries(words, processor.ring)
+        with fault_hooks.disarmed():
+            own_values, own_tags = self._own_sums(enc, name, batch)
+        if not (np.array_equal(values, own_values) and np.array_equal(tag_sums, own_tags)):
+            raise processor.shard_error(name, node, failed)
+        pad = processor.pad_share_batch(enc, name, batch)
+        share, failed = processor.combine_and_verify(enc, name, pad, values, tag_sums)
+        if failed:
+            raise TrustedSideError(
+                f"the trusted side's pad half for {name!r} failed its re-check "
+                f"(queries {failed}); node {node!r}'s sums equal the coordinator's own"
+            )
+        return share
+
+    def _own_sums(
+        self, enc: EncryptedMatrix, name: str, batch: QueryBatch
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The device half of ``batch``, summed here over the snapshot ``enc``."""
+        device = UntrustedNdpDevice(self.store.processor.params)
+        device.store(name, enc)
+        return device.partial_sum_batch(name, batch)
 
     async def _dispatch_with_recovery(
         self, enc: EncryptedMatrix, name: str, node: str, words: Dict[str, object],
@@ -509,7 +548,7 @@ class ClusterCoordinator:
             finally:
                 answer.cancel()  # the ladder was cancelled: nothing is owed to it
             try:
-                share = self._share(enc, name, target, pad, answer)
+                share = self._share(enc, name, target, words, pad, answer)
             except tuple(_DISPATCH_FAILURES) as exc:
                 failure = exc
                 continue
@@ -532,10 +571,8 @@ class ClusterCoordinator:
             scope="cluster",
             queries=len(batch),
         )
-        device = UntrustedNdpDevice(processor.params)
-        device.store(name, enc)
         share, failed = processor.combine_and_verify(
-            enc, name, pad, *device.partial_sum_batch(name, batch)
+            enc, name, pad, *self._own_sums(enc, name, batch)
         )
         if failed:
             exc = processor.shard_error(name, "local", failed)

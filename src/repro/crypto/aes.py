@@ -22,7 +22,7 @@ the same pad by re-encrypting the same counter block.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -15,7 +15,7 @@ helpers used by the protocol code.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
 __all__ = [
     "MERSENNE_127",

@@ -21,7 +21,7 @@ models, and the security-game oracles) derives pads identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -6,6 +6,7 @@ __all__ = [
     "SecNDPError",
     "VerificationError",
     "ShardVerificationError",
+    "TrustedSideError",
     "VersionReuseError",
     "VersionBudgetError",
     "ConfigurationError",
@@ -48,6 +49,11 @@ class ShardVerificationError(VerificationError):
         super().__init__(message)
         self.shard = shard
         self.queries = tuple(queries)
+
+
+class TrustedSideError(VerificationError):
+    """A shard's share failed twice over node sums equal to the coordinator's
+    own: the fault is the trusted side's pad half, and no node is charged."""
 
 
 class VersionReuseError(SecNDPError):

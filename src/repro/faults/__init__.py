@@ -7,11 +7,12 @@ served result:
 
 * :mod:`repro.faults.plan` - :class:`FaultPlan` / :class:`FaultInjector`:
   composable, seeded descriptions of ciphertext bit flips, tag
-  tamper/replay, skewed NDP partial sums, OTP version flips, command
-  packet drop/dup/delay, and cluster-node byzantine/slow/dead faults.
+  tamper/replay, skewed NDP partial sums, OTP version flips, and
+  cluster-node byzantine/slow/dead/partition faults.
 * :mod:`repro.faults.hooks` - process-wide activation; off by default,
   one branch on the hot paths, ambient activation via
-  ``SECNDP_FAULT_PLAN``.
+  ``SECNDP_FAULT_PLAN``, and a disarmed window for the trusted side's
+  own cross-checks.
 * :mod:`repro.faults.recovery` - :class:`RecoveryPolicy`: bounded
   retries with backoff+jitter, trusted non-NDP recompute with per-row
   verification, plaintext repair + quarantine, and re-encryption under

@@ -38,6 +38,7 @@ __all__ = [
     "get",
     "armed_injector",
     "armed",
+    "disarmed",
     "injected",
     "ambient_injector",
 ]
@@ -123,6 +124,19 @@ def _armed(injector: FaultInjector):
         yield injector
     finally:
         injector.disarm()
+        _INJECTOR = previous
+
+
+@contextmanager
+def disarmed():
+    """No injector fires or draws inside the block: the trusted side's own
+    cross-checks take nothing from the plan's stream, so its order holds."""
+    global _INJECTOR
+    previous = _INJECTOR
+    _INJECTOR = None
+    try:
+        yield
+    finally:
         _INJECTOR = previous
 
 

@@ -21,9 +21,6 @@ kind                      models
 ``result_skew``           a skewed data partial sum returned by the NDP PU
 ``version_flip``          the trusted side regenerating pads under a wrong OTP
                           counter version (version-management bug)
-``packet_drop``           an NDP command packet dropped on the command channel
-``packet_dup``            an NDP command packet executed twice
-``packet_delay``          command/readout packets delayed (timing only)
 ``node_byzantine``        a cluster NDP node returning a forged tag share
 ``node_slow``             a cluster node answering past its deadline
 ``node_dead``             a cluster node process dying mid-run
@@ -33,9 +30,9 @@ kind                      models
 All of the memory/compute kinds are *tag-covered*: any of them that
 perturbs a served result breaks the Alg. 5 tag identity, so verification
 must detect them with probability 1 (up to the m/q forgery bound, which
-is negligible at the real field size).  The packet kinds perturb the
-timing models only; of the node kinds only ``node_byzantine`` is a data
-fault, the rest exercise the coordinator's liveness ladder.
+is negligible at the real field size).  Of the node kinds only
+``node_byzantine`` is a data fault, the rest exercise the coordinator's
+liveness ladder.
 """
 
 from __future__ import annotations
@@ -70,9 +67,6 @@ class FaultKind(str, Enum):
     TAG_TAMPER = "tag_tamper"
     RESULT_SKEW = "result_skew"
     VERSION_FLIP = "version_flip"
-    PACKET_DROP = "packet_drop"
-    PACKET_DUP = "packet_dup"
-    PACKET_DELAY = "packet_delay"
     NODE_BYZANTINE = "node_byzantine"
     NODE_SLOW = "node_slow"
     NODE_DEAD = "node_dead"
@@ -108,9 +102,11 @@ class FaultPlan:
 
     ``rates`` maps fault kinds to per-opportunity probabilities: for
     memory faults the opportunity is one stored element (or one stored
-    tag), for transient faults one protocol call, for packet faults one
-    packet, for node faults one cluster dispatch.  Everything a plan
-    does is derived from ``seed``, so a chaos run is replayable.
+    tag), for transient faults one protocol call, for node faults one
+    cluster dispatch.  Everything a plan does is derived from ``seed``,
+    so a chaos run is replayable.  A kind that is not a
+    :class:`FaultKind` is refused with a :class:`ConfigurationError`
+    naming the kinds, whichever entry point built the plan.
     """
 
     rates: Mapping[Union[FaultKind, str], float] = field(default_factory=dict)
@@ -119,14 +115,19 @@ class FaultPlan:
     #: Hard cap on injected faults across the injector's lifetime; keeps
     #: CI chaos runs bounded.  ``None`` = unbounded.
     max_faults: Optional[int] = None
-    #: Seconds of injected delay for ``packet_delay`` (per packet, as
-    #: microseconds in the timing models) and ``node_slow`` (per dispatch).
+    #: Seconds of injected delay per ``node_slow`` dispatch.
     delay_s: float = 0.05
 
     def __post_init__(self) -> None:
         normalized: Dict[FaultKind, float] = {}
         for kind, rate in dict(self.rates).items():
-            kind = FaultKind(kind)
+            try:
+                kind = FaultKind(kind)
+            except ValueError:
+                raise ConfigurationError(
+                    f"unknown fault kind {kind!r} (choose from: "
+                    f"{', '.join(k.value for k in FaultKind)})"
+                ) from None
             rate = float(rate)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(
@@ -170,13 +171,6 @@ class FaultPlan:
             if key == "seed":
                 plan_seed = int(value)
                 continue
-            try:
-                FaultKind(key)
-            except ValueError:
-                raise ConfigurationError(
-                    f"unknown fault kind {key!r} (choose from: "
-                    f"{', '.join(k.value for k in FaultKind)})"
-                ) from None
             rates[key] = float(value)
         return cls(rates=rates, seed=plan_seed, name=spec or "empty")
 
@@ -401,26 +395,6 @@ class FaultInjector:
             if rows:
                 corrupted[name] = rows
         return corrupted
-
-    # -- packet faults (timing models) -----------------------------------------
-
-    def packet_faults(self, n_packets: int, site: str) -> Tuple[int, int, float]:
-        """(drops, duplicates, extra_delay_s) over ``n_packets`` packets."""
-        drops = dups = 0
-        delay = 0.0
-        p_drop = self.plan.rate(FaultKind.PACKET_DROP)
-        p_dup = self.plan.rate(FaultKind.PACKET_DUP)
-        p_delay = self.plan.rate(FaultKind.PACKET_DELAY)
-        if p_drop <= 0.0 and p_dup <= 0.0 and p_delay <= 0.0:
-            return 0, 0, 0.0
-        for _ in range(int(n_packets)):
-            if self.decide(FaultKind.PACKET_DROP, site):
-                drops += 1
-            if self.decide(FaultKind.PACKET_DUP, site):
-                dups += 1
-            if self.decide(FaultKind.PACKET_DELAY, site):
-                delay += self.plan.delay_s
-        return drops, dups, delay
 
     # -- node faults (cluster tier) ---------------------------------------------
 

@@ -39,7 +39,7 @@ rows (see ``SecureEmbeddingStore.load_quarantine_journal``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from .. import obs

@@ -10,7 +10,7 @@ geometry, pooling factors and rank counts are preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..workloads.dlrm import DlrmConfig
 

@@ -19,7 +19,7 @@ has the highest speedup and does not benefit from more registers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ...ndp.aes_engine import AesEngineModel

@@ -7,7 +7,10 @@ SecNDP).
 
 Expected shape: the fraction falls as engines are added, rises with
 ``NDP_rank`` (more ranks -> more parallel memory throughput to match),
-and the quantized workload needs roughly a third of the engines.
+and the quantized workload needs roughly a third of the engines.  The
+render closes with the analytic cross-check of Sec. VII-A: the engines
+that match each swept ``NDP_rank``'s burst-mode throughput
+(:meth:`~repro.analysis.bandwidth.BandwidthModel.engines_for_burst_mode`).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ...analysis.bandwidth import BandwidthModel
 from ...ndp.aes_engine import AesEngineModel
 from ...parallel import parallel_map
 from ..configs import DEFAULT_SCALE, ExperimentScale
@@ -46,6 +50,12 @@ class Figure8Result:
                     fmt="{:.0%}",
                 )
             )
+        ranks = next(iter(self.fractions.values()), {})
+        burst = ", ".join(
+            f"{key}: {BandwidthModel().engines_for_burst_mode(int(key[len('rank='):]))}"
+            for key in ranks
+        )
+        blocks.append(f"analytic burst-mode AES engines (Sec. VII-A): {burst}")
         return "\n\n".join(blocks)
 
 

@@ -4,7 +4,9 @@ Renders the five-scenario coefficient table from
 :mod:`repro.analysis.energy` and cross-checks the traffic asymmetry (IO
 crossing the bus per pooled bit) against counted simulator events: the
 simulated unprotected-NDP run must move ~``1/PF`` of the baseline's bus
-bytes, which is exactly why the IO column loses its PF factor.
+bytes, which is exactly why the IO column loses its PF factor.  The
+render closes with the engine's Sec. VII-C area
+(:class:`~repro.analysis.area.AreaModel`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ...analysis.energy import EnergyRow, normalized_table5, table5_rows
+from ...analysis.area import PAPER_AES_ENGINES, AreaModel
+from ...analysis.energy import normalized_table5, table5_rows
 from ...parallel import parallel_map
 from ..configs import DEFAULT_SCALE, ExperimentScale
 from ..reporting import render_table
@@ -59,6 +62,10 @@ class Table5Result:
                 f"\nmeasured bus-traffic ratio (non-NDP / NDP): "
                 f"{self.measured_io_ratio:.1f}x (PF={self.pf})"
             )
+        table += (
+            f"\nSecNDP engine area (Sec. VII-C): {AreaModel().total_mm2():.3f} mm^2 "
+            f"at 45 nm with {PAPER_AES_ENGINES} AES engines"
+        )
         return table
 
 

@@ -10,7 +10,7 @@ same constraints cycle-for-cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .timing import DDR4Timing

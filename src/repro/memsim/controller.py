@@ -23,7 +23,7 @@ central bandwidth asymmetry of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .address import DecodedAddress
 from .channel import ChannelBus

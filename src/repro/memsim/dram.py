@@ -9,10 +9,9 @@ NDP DIMM consisting of DRAM devices" of the paper's simulation framework
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Sequence
 
-from .address import AddressMapper, DecodedAddress, RankAddressMapper
+from .address import AddressMapper, RankAddressMapper
 from .controller import AccessResult, MemoryController
 from .energy import DDR4_ENERGY, EnergyCounters, EnergyParams
 from .pagemap import PageMapper

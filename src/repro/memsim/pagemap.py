@@ -11,7 +11,7 @@ page stay in the same physical row neighbourhood.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ConfigurationError
 

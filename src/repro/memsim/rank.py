@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from .bank import Bank
 from .timing import DDR4Timing, DramGeometry

@@ -1,4 +1,5 @@
-"""NDP architecture models: packets, AES / SecNDP engine timing, simulator."""
+"""NDP architecture models: packets, AES / SecNDP engine and ArithEnc timing,
+and the simulator (with no engine attached, the unprotected NDP baseline)."""
 
 from .aes_engine import AES_BLOCK_NS, AES_THROUGHPUT_GBPS, AesEngineModel
 from .arith_enc import ArithEncResult, simulate_arith_enc
@@ -11,7 +12,6 @@ from .packets import (
 )
 from .secndp_engine import PacketTiming, SecNdpEngineModel
 from .simulator import NdpConfig, NdpRunResult, NdpSimulator
-from .storage import NearStorageSimulator, SsdGeometry, StorageRunResult
 from .verification import LINE_BYTES, TAG_BYTES, TagPlacement, TagScheme
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
     "NdpConfig",
     "NdpRunResult",
     "NdpSimulator",
-    "NearStorageSimulator",
-    "SsdGeometry",
-    "StorageRunResult",
     "LINE_BYTES",
     "TAG_BYTES",
     "TagPlacement",

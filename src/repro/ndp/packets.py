@@ -15,8 +15,8 @@ rank's shard packed contiguously in rank-local address space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 from ..errors import ConfigurationError
 from .verification import LINE_BYTES, TagPlacement, TagScheme

@@ -20,15 +20,15 @@ without re-running DRAM), bottleneck fractions, and energy counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .. import obs
 from ..errors import ConfigurationError
 from ..memsim.dram import DramSystem
 from ..memsim.timing import DDR4Timing, DramGeometry
 from .aes_engine import AesEngineModel
-from .packets import NdpPacket, NdpWorkload, PacketGenerator
+from .packets import NdpWorkload, PacketGenerator
 from .secndp_engine import PacketTiming, SecNdpEngineModel
 from .verification import TagScheme
 

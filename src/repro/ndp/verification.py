@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from ..errors import ConfigurationError
 

@@ -10,7 +10,6 @@ from .datasets import (
 from .dlrm import RMC_CONFIGS, DlrmConfig, DlrmModel
 from .embedding import EmbeddingTable, sls, sls_weighted
 from .perf import analytics_workload, sls_workload
-from .private_mlp import PrivateMlp
 from .secure_sls import SecureEmbeddingStore
 from .quantization import (
     ColumnwiseQuantizer,
@@ -36,7 +35,6 @@ __all__ = [
     "sls_weighted",
     "analytics_workload",
     "sls_workload",
-    "PrivateMlp",
     "SecureEmbeddingStore",
     "ColumnwiseQuantizer",
     "FixedPointCodec",

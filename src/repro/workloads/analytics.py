@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.params import SecNDPParams
 from ..core.device import UntrustedNdpDevice
 from ..core.protocol import SecNDPProcessor
 from ..errors import ConfigurationError

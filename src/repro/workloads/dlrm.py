@@ -30,7 +30,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .embedding import EmbeddingTable
-from .traces import SlsTrace
 
 __all__ = ["DlrmConfig", "RMC_CONFIGS", "DlrmModel"]
 

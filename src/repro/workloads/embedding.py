@@ -10,7 +10,7 @@ weighted pooling, and the fixed-point view SecNDP computes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -15,7 +15,7 @@ patient IDs ("usually the queried patient IDs are not sparse").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.ndp import AesEngineModel
 from repro.ndp.arith_enc import simulate_arith_enc

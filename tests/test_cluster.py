@@ -19,7 +19,6 @@ import base64
 import dataclasses
 import gc
 import json
-import os
 import sys
 import time
 import tracemalloc
@@ -49,6 +48,7 @@ from repro.errors import (
     RecoveryExhaustedError,
     ServerClosedError,
     ShardVerificationError,
+    TrustedSideError,
     VerificationError,
 )
 from repro.faults import FaultKind, FaultPlan, ScriptedDirectives, hooks
@@ -62,7 +62,6 @@ from repro.serve.protocol import (
     DEFAULT_HEARTBEAT_TIMEOUT_S,
     ENV_HEARTBEAT_TIMEOUT,
     NODE_OPS,
-    STATUS_OK,
     Directive,
     NodeRequest,
     NodeResponse,
@@ -1482,9 +1481,9 @@ class TestOneSplitPerBatch:
                 sent.append((node, words))
                 return super()._send(node, name, words, directive)
 
-            def _share(self, enc, name, node, pad, answer):
+            def _share(self, enc, name, node, words, pad, answer):
                 pads[node] = pad
-                return super()._share(enc, name, node, pad, answer)
+                return super()._share(enc, name, node, words, pad, answer)
 
         async def scenario():
             coordinator = await _in_process_cluster(store, n_nodes, Recording).setup()
@@ -1602,21 +1601,23 @@ class TestBoundVersions:
                     assert np.array_equal(got, want)
                 assert obs.NODE_BLAME not in [e.kind for e in events()]
                 assert "protocol.verify.failures" not in obs.snapshot()["counters"]
-                # The version just bound, flipped once: the shards' checks
-                # fail and the batch goes up the ladder, which either
-                # raises or answers correctly; nothing is answered from
-                # wrong pads.  (Who is blamed for it is not pinned here.)
+                # The version just bound, flipped once in the pad sweep:
+                # every shard's check fails, but each node's sums equal
+                # the coordinator's own, so the fault is the trusted
+                # side's.  Its pad half is swept again, nobody is charged,
+                # and the answers are the oracle's.
+                live = list(coordinator.live)
                 with hooks.injected(
                     FaultPlan(rates={FaultKind.VERSION_FLIP: 1.0}, max_faults=1)
                 ) as injector:
-                    try:
-                        got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
-                    except RecoveryExhaustedError:
-                        pass
-                    else:
-                        assert np.array_equal(got, want)
+                    got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+                assert np.array_equal(got, want)
                 assert [e.site for e in injector.events] == ["protocol.otp_version"]
                 assert obs.snapshot()["counters"]["protocol.verify.failures"] >= 1
+                kinds = [e.kind for e in events()]
+                assert obs.NODE_BLAME not in kinds and obs.NODE_QUARANTINE not in kinds
+                assert coordinator.live == live
+                assert set(coordinator.blame_counts.values()) == {0.0}
                 got = await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
                 assert np.array_equal(got, want)
             finally:
@@ -1624,6 +1625,25 @@ class TestBoundVersions:
 
         obs.enable()
         with kernels.use_tier(tier), obs.journal() as events:
+            asyncio.run(scenario(events))
+
+
+    def test_a_pad_half_that_fails_twice_raises_on_the_trusted_side(self):
+        store = self.recovering_store()
+
+        async def scenario(events):
+            coordinator = await _in_process_cluster(store).setup()
+            try:
+                with hooks.injected(FaultPlan(rates={FaultKind.VERSION_FLIP: 1.0})):
+                    with pytest.raises(TrustedSideError, match="trusted side"):
+                        await coordinator.sls_many("emb", self.ROWS, self.WEIGHTS)
+                kinds = [e.kind for e in events()]
+                assert obs.NODE_BLAME not in kinds and obs.NODE_QUARANTINE not in kinds
+                assert set(coordinator.blame_counts.values()) == {0.0}
+            finally:
+                await coordinator.close()
+
+        with obs.journal() as events:
             asyncio.run(scenario(events))
 
 

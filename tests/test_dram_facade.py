@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.memsim import DDR4_2400, DramGeometry, DramSystem
+from repro.memsim import DDR4_2400, DramSystem
 
 
 class TestFacade:

@@ -22,7 +22,6 @@ def test_examples_directory_complete():
         "medical_analytics.py",
         "threat_demo.py",
         "architecture_study.py",
-        "near_storage.py",
     }
 
 

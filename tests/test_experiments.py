@@ -140,6 +140,11 @@ class TestFigure8:
     def test_render(self, figure8):
         assert "%" in figure8.render()
 
+    def test_render_states_the_analytic_burst_mode_engines(self, figure8):
+        assert "analytic burst-mode AES engines (Sec. VII-A): rank=2: 3, rank=8: 12" in (
+            figure8.render()
+        )
+
 
 class TestFigure9:
     def test_scheme_ordering_32bit(self, figure9):
@@ -197,3 +202,4 @@ class TestTable5:
         assert res.measured_io_ratio is not None
         # Non-NDP moves strictly more bus traffic than NDP result lines.
         assert res.measured_io_ratio > 1.5
+        assert "SecNDP engine area (Sec. VII-C): 1.625 mm^2 at 45 nm with 10 AES engines" in out

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro import kernels, obs
 from repro.core.params import SecNDPParams
 from repro.core.protocol import SecNDPProcessor, UntrustedNdpDevice
+from repro.crypto.prime_field import F127, MERSENNE_127
 from repro.errors import (
     ConfigurationError,
     RecoveryExhaustedError,
@@ -40,7 +41,13 @@ from repro.faults import (
     RecoveryPolicy,
     hooks,
 )
-from repro.harness.chaos import _transient_query_ids, default_chaos_plan, run_chaos
+from repro.faults.recovery import RecoveryLog
+from repro.harness.chaos import (
+    _transient_query_ids,
+    default_chaos_plan,
+    parse_sweep_spec,
+    run_chaos,
+)
 from repro.harness.configs import SMOKE_SCALE
 from repro.workloads.secure_sls import SecureEmbeddingStore
 
@@ -101,6 +108,16 @@ class TestFaultPlan:
             with pytest.raises(ConfigurationError, match="unknown fault kind"):
                 FaultPlan.parse(spec)
 
+    @pytest.mark.parametrize("kind", ["bogus", "packet_drop", "packet_dup", "packet_delay"])
+    def test_an_unknown_kind_is_refused_alike_at_both_entry_points(self, kind):
+        with pytest.raises(ConfigurationError) as built:
+            FaultPlan(rates={kind: 0.1})
+        with pytest.raises(ConfigurationError) as parsed:
+            FaultPlan.parse(f"{kind}=0.1")
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(f"unknown fault kind {kind!r} (choose from: ")
+        assert all(k.value in str(built.value) for k in FaultKind)
+
     def test_parse_malformed_entry_rejected(self):
         with pytest.raises(ConfigurationError, match="kind=rate"):
             FaultPlan.parse("ciphertext_bit")
@@ -118,9 +135,9 @@ class TestFaultPlan:
             FaultPlan(max_faults=-1)
 
     def test_taxonomy_partitions_kinds(self):
-        grouped = set(MEMORY_FAULTS) | set(TRANSIENT_FAULTS)
-        packet = {FaultKind.PACKET_DROP, FaultKind.PACKET_DUP, FaultKind.PACKET_DELAY}
-        assert grouped | packet | set(NODE_FAULTS) == set(FaultKind)
+        groups = [set(MEMORY_FAULTS), set(TRANSIENT_FAULTS), set(NODE_FAULTS)]
+        assert set().union(*groups) == set(FaultKind)
+        assert sum(map(len, groups)) == len(FaultKind)
 
 
 # -- injector ------------------------------------------------------------------
@@ -164,6 +181,42 @@ class TestFaultInjector:
         clean = FaultInjector(FaultPlan(rates={}))
         assert clean.perturb_result(ring, values, "site") is values
 
+    def test_perturb_scalar_result_skews_within_the_ring(self):
+        ring = PARAMS.ring()
+        top = (1 << ring.width) - 1  # the ring's largest element
+        inj = FaultInjector(FaultPlan(rates={FaultKind.RESULT_SKEW: 1.0}))
+        skewed = inj.perturb_scalar_result(ring, top, "site")
+        assert skewed != top and 0 <= skewed < top  # wrapped, not grown
+        clean = FaultInjector(FaultPlan(rates={}))
+        assert clean.perturb_scalar_result(ring, top, "site") == top
+
+    def test_perturb_tag_forges_a_field_element(self):
+        inj = FaultInjector(FaultPlan(rates={FaultKind.TAG_TAMPER: 1.0}))
+        tag = MERSENNE_127 - 1
+        forged = inj.perturb_tag(F127, tag, "device.tag_sum")
+        assert forged != tag and 0 <= forged < MERSENNE_127
+        assert [e.kind for e in inj.events] == [FaultKind.TAG_TAMPER]
+        clean = FaultInjector(FaultPlan(rates={}))
+        assert clean.perturb_tag(F127, tag, "device.tag_sum") == tag
+
+    def test_perturb_version_flips_the_low_bit(self):
+        inj = FaultInjector(FaultPlan(rates={FaultKind.VERSION_FLIP: 1.0}))
+        assert [inj.perturb_version(v, "protocol.otp_version") for v in (4, 5)] == [5, 4]
+        clean = FaultInjector(FaultPlan(rates={}))
+        assert clean.perturb_version(4, "protocol.otp_version") == 4
+
+    def test_arming_nests_and_disarm_never_goes_below_zero(self):
+        inj = FaultInjector(FaultPlan(rates={}))
+        inj.arm()
+        inj.arm()
+        inj.disarm()
+        assert inj.armed
+        inj.disarm()
+        inj.disarm()  # one disarm too many is harmless
+        assert not inj.armed
+        inj.arm()
+        assert inj.armed
+
     def test_corrupt_device_mutates_and_reports_rows(self):
         store = build_store()
         plan = FaultPlan(rates={FaultKind.CIPHERTEXT_BIT: 5e-3}, seed=3)
@@ -174,15 +227,6 @@ class TestFaultInjector:
         assert corrupted and "t" in corrupted
         changed_rows = {int(r) for r in np.nonzero((before != after).any(axis=1))[0]}
         assert changed_rows == corrupted["t"]
-
-    def test_packet_draw_shapes(self):
-        plan = FaultPlan(
-            rates={FaultKind.PACKET_DROP: 1.0, FaultKind.PACKET_DELAY: 1.0},
-            delay_s=0.25,
-        )
-        inj = FaultInjector(plan)
-        drops, dups, delay = inj.packet_faults(4, "storage.run")
-        assert drops == 4 and dups == 0 and delay == pytest.approx(1.0)
 
 
 # -- hooks / arming ------------------------------------------------------------
@@ -213,6 +257,14 @@ class TestHooks:
             assert hooks.armed_injector() is inner
         assert hooks.get() is outer
         assert hooks.armed_injector() is None
+
+    def test_disarmed_hides_the_armed_injector_and_restores_it(self):
+        plan = FaultPlan(rates={FaultKind.RESULT_SKEW: 1.0})
+        with hooks.injected(plan) as inj:
+            with hooks.disarmed():
+                assert hooks.armed_injector() is None
+                assert hooks.get() is None
+            assert hooks.armed_injector() is inj
 
     def test_armed_none_is_noop(self):
         with hooks.armed(None) as inj:
@@ -268,6 +320,19 @@ class TestDetectionWithoutRecovery:
 
 
 # -- recovery ladder -----------------------------------------------------------
+
+
+class TestRecoveryLogState:
+    def test_repairs_count_per_table_and_clearing_forgets_one_table(self):
+        log = RecoveryLog()
+        log.quarantine_rows("a", [3, 5])
+        log.quarantine_rows("b", [1])
+        assert [log.note_repairs("a", 2), log.note_repairs("a", 1)] == [2, 3]
+        assert log.note_repairs("b", 4) == 4
+        log.clear_quarantine("a")
+        assert log.quarantined_rows("a") == set() and "a" not in log.repairs
+        assert log.quarantined_rows("b") == {1} and log.repairs["b"] == 4
+        log.clear_quarantine("never-seen")  # a table with no state is a no-op
 
 
 class TestRecovery:
@@ -374,16 +439,6 @@ class TestRecovery:
         assert len(sleeps) == 2  # two faulted attempts, then a clean third
         assert all(s > 0 for s in sleeps)
 
-    def test_packet_faults_never_touch_served_data(self, golden):
-        # The packet kinds perturb the timing models only: armed at rate
-        # 1.0 around a served batch they change no answer and record no
-        # event.
-        packet_kinds = (FaultKind.PACKET_DROP, FaultKind.PACKET_DUP, FaultKind.PACKET_DELAY)
-        inj = FaultInjector(FaultPlan(rates=dict.fromkeys(packet_kinds, 1.0)))
-        store = build_store(recovery=FAST_POLICY, injector=inj)
-        assert np.array_equal(store.sls_many("t", QUERIES, WEIGHTS), golden)
-        assert inj.events == [] and inj.injected == 0
-
     def test_clean_recovery_store_matches_golden(self, golden):
         store = build_store(
             recovery=FAST_POLICY, injector=FaultInjector(FaultPlan(rates={}))
@@ -489,6 +544,22 @@ class TestFaultSweep:
         if kind in TRANSIENT_FAULTS and inj.injected:
             # A transient fault during an armed serve is always detected.
             assert store.recovery_log.detected_count() > 0
+
+
+class TestSweepSpec:
+    """``repro chaos --sweep``'s rate grid."""
+
+    def test_a_range_is_one_rate_per_decade_with_both_endpoints(self):
+        rates = parse_sweep_spec("1e-5..1e-2")
+        assert rates == pytest.approx([1e-5, 1e-4, 1e-3, 1e-2])
+
+    def test_a_list_is_sorted(self):
+        assert parse_sweep_spec(" 1e-3, 1e-4,5e-4 ") == [1e-4, 5e-4, 1e-3]
+
+    @pytest.mark.parametrize("spec", ["", "0..1e-2", "1e-2..1e-5", "fast", "1e-4,-1e-3"])
+    def test_a_bad_spec_is_refused_with_both_forms_named(self, spec):
+        with pytest.raises(ValueError, match=r"'1e-5\.\.1e-2' or '1e-4,1e-3'"):
+            parse_sweep_spec(spec)
 
 
 # -- chaos acceptance ----------------------------------------------------------

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
 
-from repro.memsim import DDR4_ENERGY, DramSystem, EnergyCounters, EnergyParams
+from repro.memsim import DDR4_ENERGY, DramSystem, EnergyCounters
 
 
 class TestEnergyCounters:

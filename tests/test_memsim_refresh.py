@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.memsim import DDR4Timing, DramGeometry, MemoryController
 from repro.memsim.address import DecodedAddress

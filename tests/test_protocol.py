@@ -256,7 +256,7 @@ class TestSignedWeightSemantics:
     defined over residues - a negative weight IS a huge residue, so its
     integer products overflow and tag verification (correctly) rejects.
     Signed workloads must either run unverified or recentre their data
-    (as the quantizers and PrivateMlp do)."""
+    (as the quantizers do)."""
 
     def test_signed_weights_correct_unverified(self, processor, device, small_matrix):
         enc = processor.encrypt_matrix(small_matrix, 0xB0000, "sw", with_tags=False)
@@ -274,3 +274,35 @@ class TestSignedWeightSemantics:
         device.store("sw2", enc)
         with pytest.raises(VerificationError):
             processor.weighted_row_sum(device, "sw2", [0, 1], [2, -1], verify=True)
+
+
+class TestWhyNdpNeedsArithmeticEncryption:
+    """The paper's motivating contrast (Sec. III), executed: memory
+    encryption by XOR with a counter-mode pad does not survive a sum
+    taken over ciphertext, and SecNDP's arithmetic encryption does."""
+
+    A = np.arange(16, dtype=np.uint32)
+    B = np.arange(16, dtype=np.uint32) * 3 + 1
+
+    def test_xor_ciphertext_sum_is_garbage(self):
+        """Summing XOR-counter-mode ciphertext lines and decrypting the
+        sum does NOT give the sum of plaintexts."""
+        otp = SecNDPProcessor(KEY, SecNDPParams(element_bits=32)).encryptor.otp
+        pad0 = otp.pad_elements(0x1000, 16, version=1).astype(np.uint32)
+        pad1 = otp.pad_elements(0x1040, 16, version=1).astype(np.uint32)
+        ct_sum = ((self.A ^ pad0) + (self.B ^ pad1)).astype(np.uint32)
+        # There is no pad the processor could derive that turns ct_sum
+        # into a+b: even applying both lines' pads fails.
+        attempt = (ct_sum ^ pad0 ^ pad1).astype(np.uint32)
+        assert not np.array_equal(attempt, (self.A + self.B).astype(np.uint32))
+
+    def test_arithmetic_ciphertext_sum_decrypts_correctly(self):
+        """The same experiment under SecNDP's arithmetic encryption works
+        - this is exactly Theorem A.1."""
+        params = SecNDPParams(element_bits=32)
+        proc = SecNDPProcessor(KEY, params)
+        dev = UntrustedNdpDevice(params)
+        enc = proc.encrypt_matrix(np.stack([self.A, self.B]), 0x1000, "ab", with_tags=False)
+        dev.store("ab", enc)
+        res = proc.weighted_row_sum(dev, "ab", [0, 1], [1, 1], verify=False)
+        assert np.array_equal(res.values, (self.A + self.B).astype(np.uint32))

@@ -108,3 +108,28 @@ def test_a_node_imports_no_trusted_module():
     assert not modules & TRUSTED, sorted(modules & TRUSTED)
     subpackages = {name.split(".")[1] for name in modules if name != "repro"}
     assert not subpackages & UNRELATED, sorted(subpackages & UNRELATED)
+
+
+def test_the_command_line_loads_no_trusted_module_before_a_command_runs():
+    # Each command imports what it runs when it runs, so ``repro node``
+    # starts a keyless node without the trusted closure or any figure.
+    child = (
+        "import json, sys\n"
+        "import repro.cli\n"
+        "from repro.cluster.local import run_node_process\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    src = str(pathlib.Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+        check=True,
+    )
+    modules = set(json.loads(out.stdout))
+    assert {"repro.cli", "repro.cluster.local"} <= modules
+    assert not modules & TRUSTED, sorted(modules & TRUSTED)
+    assert not {m for m in modules if m.startswith("repro.harness")}

@@ -383,6 +383,38 @@ class TestAutoSplit:
         with pytest.raises(ConfigurationError):
             store.sls_split("emb", [])
 
+    @staticmethod
+    def narrow_store():
+        """An 8-bit store, and a query past its pooling budget that is
+        served in several parts whose last row is met nowhere else."""
+        params8 = SecNDPParams(element_bits=8)
+        store = SecureEmbeddingStore(
+            SecNDPProcessor(KEY, params8), UntrustedNdpDevice(params8),
+            quantization="table", bits=8,
+        )
+        store.add_table("t", np.random.default_rng(9).normal(0, 1, size=(64, 8)))
+        budget = store.max_pooling_factor("t")
+        rows = [r % 63 for r in range(2 * budget + 1)] + [63]
+        return store, rows
+
+    def test_split_detects_malicious_partial_sums(self):
+        store, rows = self.narrow_store()
+        store.device.tamper_results(3)
+        with pytest.raises(VerificationError):
+            store.sls_split("t", rows)
+
+    def test_split_detects_a_corrupted_row_in_its_last_part(self):
+        store, rows = self.narrow_store()
+        store.device.corrupt_stored_ciphertext("t", 63, 1, delta=5)
+        with pytest.raises(VerificationError):
+            store.sls_split("t", rows)
+        # The parts before it are served: only row 63 is corrupted.
+        assert np.allclose(
+            store.sls_split("t", rows[:-1]),
+            store.dequantized_table("t")[rows[:-1]].sum(axis=0),
+            atol=1e-9,
+        )
+
     def test_length_mismatch_rejected(self, store):
         with pytest.raises(ConfigurationError):
             store.sls_split("emb", [1, 2], [1])

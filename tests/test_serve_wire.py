@@ -50,10 +50,12 @@ from repro.serve.protocol import (
     SlsRequest,
     SlsResponse,
     decode_payload,
+    encode_answers,
     encode_frame,
     RequestBlock,
     frame_header,
     int64_terms,
+    reply_id,
     sls_frame,
     split_frames,
     split_read,
@@ -2120,3 +2122,42 @@ class TestProtocolTransport:
             obs.reset()
         assert response.status == STATUS_OK and seen == [response.id, response.id]
         assert reconnects == 1
+
+
+class TestAnswerWriting:
+    """``encode_answers`` writes a batch's ``ok`` frames in one buffer, and
+    a refused frame is answered under its own id only if that id is typed."""
+
+    def test_a_batch_of_answers_is_one_ok_frame_per_id(self):
+        values = np.arange(12, dtype=np.float64).reshape(3, 4) - 5.5
+        buf = bytearray(encode_answers([7, 8, 9], values, ["batch", "scatter", None]))
+        frames, error = split_frames(buf)
+        assert error is None and not buf
+        assert [(f.id, f.status, f.via) for f in frames] == [
+            (7, STATUS_OK, "batch"), (8, STATUS_OK, "scatter"), (9, STATUS_OK, None),
+        ]
+        assert all(np.array_equal(f.values, row) for f, row in zip(frames, values))
+
+    def test_answers_without_values_carry_none(self):
+        frames, error = split_frames(bytearray(encode_answers([1, 2], None, ["ping", "ping"])))
+        assert error is None
+        assert [(f.id, f.values, f.via) for f in frames] == [(1, None, "ping"), (2, None, "ping")]
+
+    def test_an_id_past_its_field_is_a_typed_refusal(self):
+        with pytest.raises(ConfigurationError, match="does not fit the binary frame"):
+            encode_answers([1 << 80], None, [None])
+
+    @pytest.mark.parametrize(
+        "obj, rid",
+        [
+            ({"id": 12}, 12),
+            ({"id": "12"}, 0),
+            ({"id": True}, 0),
+            ({}, 0),
+            (SlsRequest(id=5, table="emb", rows=(1,)), 5),
+            (None, 0),
+        ],
+        ids=["json-int", "json-text", "json-bool", "json-none", "typed", "undecoded"],
+    )
+    def test_a_refusal_answers_the_frame_id_only_when_it_is_an_int(self, obj, rid):
+        assert reply_id(obj) == rid

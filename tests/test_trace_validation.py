@@ -8,7 +8,6 @@ random request soups (hypothesis), and on a real NDP workload replay.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

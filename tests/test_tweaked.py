@@ -38,6 +38,18 @@ class TestLayout:
         with pytest.raises(ValueError):
             layout.pack(0b11, 0, 0)  # '11' domain is undefined
 
+    @pytest.mark.parametrize(
+        "domain, addr, version",
+        [(DOMAIN_DATA, 1 << 38, 0), (DOMAIN_DATA, 0, 1 << 20), (0b11, 0, 0)],
+        ids=["address-too-wide", "version-too-wide", "undefined-domain"],
+    )
+    def test_pack_many_refuses_what_pack_refuses(self, domain, addr, version):
+        layout = CounterBlockLayout(addr_bits=38, version_bits=20)
+        with pytest.raises(ValueError):
+            layout.pack(domain, addr, version)
+        with pytest.raises(ValueError):
+            layout.pack_many(domain, np.array([0, addr], dtype=np.uint64), version)
+
     def test_overflowing_layout_rejected(self):
         with pytest.raises(ValueError):
             CounterBlockLayout(addr_bits=64, version_bits=64)
